@@ -25,6 +25,7 @@ from repro.arrays.decomposition import (
     blocked_divide,
     blocked_intersection,
     blocked_join,
+    blocked_membership,
     blocked_pair_matrix,
     blocked_remove_duplicates,
     blocked_union,
@@ -92,6 +93,7 @@ __all__ = [
     "blocked_divide",
     "blocked_intersection",
     "blocked_join",
+    "blocked_membership",
     "blocked_pair_matrix",
     "blocked_remove_duplicates",
     "blocked_union",

@@ -15,9 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from repro.errors import SimulationError
 from repro.systolic.engine import resolve_backend
 from repro.systolic.engine.materialize import (
     CellFactory,
@@ -34,7 +31,6 @@ from repro.systolic.engine.plan import (
     check_tuples as _check_tuples_impl,
     cmp_name,
 )
-from repro.systolic.engine.schedule import CounterStreamSchedule
 from repro.systolic.metrics import ActivityMeter
 from repro.systolic.simulator import SystolicSimulator
 from repro.systolic.trace import TraceRecorder
@@ -43,7 +39,6 @@ from repro.systolic.wiring import Network
 __all__ = [
     "ArrayRun",
     "execute",
-    "accumulator_bits",
     "build_counter_stream_grid",
     "build_fixed_relation_grid",
     "attach_accumulation_column",
@@ -90,61 +85,6 @@ def execute(
     for the default.
     """
     return resolve_backend(backend).run(plan, meter=meter, trace=trace)
-
-
-def accumulator_bits(
-    result, schedule, n: int, tagged: bool
-) -> Optional[list[bool]]:
-    """Decode the ``t_i`` accumulator tap from columnar arrays in bulk.
-
-    The Token-free counterpart of the per-record
-    ``tuple_from_accumulator_exit`` loop: the exit pulses are affine in
-    the tuple index, so the whole vector decodes as one arithmetic
-    inversion plus the same validity checks (range, duplicates, ghost
-    tags, completeness).  Returns ``None`` when ``result`` carries no
-    columnar ``t_i`` tap — eager (pulse-engine) runs — so callers fall
-    back to the Token-record path.
-    """
-    tap = getattr(result, "tap", lambda name: None)("t_i")
-    if tap is None:
-        return None
-    pulses = np.asarray(tap.pulses, dtype=np.int64)
-    step = 2 if isinstance(schedule, CounterStreamSchedule) else 1
-    offset = pulses - (schedule.arity + schedule.rows - 1)
-    idx = offset // step
-    bad = (offset < 0) | (offset % step != 0) | (idx >= n)
-    if bad.any():
-        # Re-raise through the scalar decoder for the exact diagnostic.
-        schedule.tuple_from_accumulator_exit(int(pulses[np.argmax(bad)]))
-    ordered = np.sort(idx)
-    dup = np.flatnonzero(ordered[1:] == ordered[:-1])
-    if dup.size:
-        raise SimulationError(
-            f"tuple {int(ordered[dup[0]])} exited the accumulator twice"
-        )
-    if tagged and tap.tag_kind is not None:
-        mismatch = (
-            tap.tag_kind != "acc"
-            or not np.array_equal(tap.tag_indices[0], idx)
-        )
-        if mismatch:
-            k = (0 if tap.tag_kind != "acc"
-                 else int(np.flatnonzero(tap.tag_indices[0] != idx)[0]))
-            tag = (tap.tag_kind, int(tap.tag_indices[0][k]))
-            raise SimulationError(
-                f"arrival decoded as tuple {int(idx[k])} but carries tag "
-                f"{tag!r}"
-            )
-    if idx.size != n:
-        present = np.zeros(n, dtype=bool)
-        present[idx] = True
-        missing = np.flatnonzero(~present)[:8].tolist()
-        raise SimulationError(
-            f"tuples {missing} never exited the accumulation array"
-        )
-    vector = np.empty(n, dtype=bool)
-    vector[idx] = np.asarray(tap.values, dtype=bool)
-    return vector.tolist()
 
 
 def run_array(

@@ -24,9 +24,10 @@ from repro.arrays.base import (
     cmp_name,
     execute,
 )
+from repro.arrays.decode import pair_verdicts
 from repro.arrays.schedule import CounterStreamSchedule
 from repro.errors import SimulationError
-from repro.systolic.engine import GridPlan
+from repro.systolic.engine import GridPlan, t_init_true
 from repro.systolic.metrics import ActivityMeter
 from repro.systolic.trace import TraceRecorder
 from repro.systolic.wiring import Network
@@ -75,7 +76,7 @@ def build_comparison_array(
 def compare_all_pairs(
     a_tuples: Sequence[Sequence[int]],
     b_tuples: Sequence[Sequence[int]],
-    t_init: TInit = lambda i, j: True,
+    t_init: TInit = t_init_true,
     tagged: bool = False,
     meter: Optional[ActivityMeter] = None,
     trace: Optional[TraceRecorder] = None,
@@ -83,8 +84,10 @@ def compare_all_pairs(
 ) -> ComparisonMatrixResult:
     """Run the 2-D array and collect the full boolean matrix ``T``.
 
-    Collection uses the hardware discipline: each right-edge arrival is
-    decoded to its (i, j) purely from (row, pulse) via the schedule.
+    On the pulse engine collection uses the hardware discipline: each
+    right-edge arrival is decoded to its (i, j) purely from (row, pulse)
+    via the schedule.  The vectorized engines hand ``T`` back directly
+    (see :mod:`repro.arrays.decode`).
     """
     if not a_tuples or not b_tuples:
         raise SimulationError("the comparison array needs non-empty relations")
@@ -97,25 +100,7 @@ def compare_all_pairs(
     )
     result = execute(plan, backend=backend, meter=meter, trace=trace)
 
-    t_matrix = [[False] * schedule.n_b for _ in range(schedule.n_a)]
-    seen: set[tuple[int, int]] = set()
-    for row in range(schedule.rows):
-        for pulse, token in result.collector(f"t_row[{row}]"):
-            i, j = schedule.pair_from_exit(row, pulse)
-            if (i, j) in seen:
-                raise SimulationError(f"pair ({i}, {j}) exited twice")
-            seen.add((i, j))
-            if tagged and token.tag is not None and token.tag != ("t", i, j):
-                raise SimulationError(
-                    f"arrival decoded as pair ({i}, {j}) but carries tag "
-                    f"{token.tag!r}"
-                )
-            t_matrix[i][j] = bool(token.value)
-    expected = schedule.n_a * schedule.n_b
-    if len(seen) != expected:
-        raise SimulationError(
-            f"only {len(seen)} of {expected} pair results exited the array"
-        )
+    t_matrix = pair_verdicts(result, schedule, tagged).tolist()
     return ComparisonMatrixResult(
         t_matrix=t_matrix,
         schedule=schedule,

@@ -1,0 +1,301 @@
+"""The decode seam: from an engine run to the verdicts an operator reads.
+
+The arrays exist to produce results — the matrix ``T`` (§3.3), the
+accumulated ``t_i = OR_j t_ij`` (§4), the individual ``t_ij`` of a join
+(§6), the quotient bits (§7).  Every operator module reads them through
+the four functions here, and each picks the cheapest honest source a
+run offers:
+
+1. ``run.verdicts`` — the vectorized engines' primary product, read
+   directly (shape and dtype checked; no tap is ever built);
+2. columnar taps — decoded in bulk by inverting the schedule's affine
+   exit laws, with the full audit: parity, bounds, duplicates, ghost
+   tags, completeness;
+3. Token records — the pulse engine's native output, decoded arrival by
+   arrival from ``(row, pulse)`` alone "exactly as hardware would", with
+   the same audit.
+
+Tagged runs always take path 2 or 3: their point is to check the ghost
+tags riding on the tap records, so the taps are what gets read.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+import numpy as np
+
+from repro.errors import SimulationError
+from repro.systolic.engine.schedule import CounterStreamSchedule
+
+__all__ = [
+    "pair_verdicts",
+    "matches_in_exit_order",
+    "accumulator_bits",
+    "quotient_bits",
+]
+
+
+def _run_verdicts(result, shape: tuple[int, ...]) -> Optional[np.ndarray]:
+    """``result.verdicts`` if the engine produced them, validated."""
+    verdicts = getattr(result, "verdicts", None)
+    if verdicts is None:
+        return None
+    if (not isinstance(verdicts, np.ndarray) or verdicts.dtype != np.bool_
+            or verdicts.shape != shape):
+        found = (
+            f"{verdicts.dtype} array of shape {verdicts.shape}"
+            if isinstance(verdicts, np.ndarray) else type(verdicts).__name__
+        )
+        raise SimulationError(
+            f"the run's verdicts must be a bool array of shape {shape}, "
+            f"got {found}"
+        )
+    return verdicts
+
+
+def _tap_of(result, name: str):
+    """The columnar tap ``name``, or None on eager (Token-record) runs."""
+    return getattr(result, "tap", lambda _: None)(name)
+
+
+# -- the matrix T: row taps of the comparison and join grids -----------------
+
+
+def pair_verdicts(result, schedule, tagged: bool) -> np.ndarray:
+    """The ``(n_a, n_b)`` bool matrix ``T`` of a grid run with row taps.
+
+    ``result`` is anything with a ``collector(name)`` method — the
+    pulse simulator or an :class:`~repro.systolic.engine.plan.EngineRun`.
+    """
+    if not tagged:
+        verdicts = _run_verdicts(result, (schedule.n_a, schedule.n_b))
+        if verdicts is not None:
+            return verdicts
+    verdicts = _pair_verdicts_from_taps(result, schedule, tagged)
+    if verdicts is None:
+        verdicts = _pair_verdicts_from_records(result, schedule, tagged)
+    return verdicts
+
+
+def matches_in_exit_order(verdicts: np.ndarray) -> list[tuple[int, int]]:
+    """The TRUE ``(i, j)`` of ``T`` in the order they leave the array:
+    by exit pulse (``i + j`` plus a constant on either schedule), then
+    ``i``, then ``j``."""
+    i, j = np.nonzero(verdicts)  # row-major: already (i, j)-sorted
+    order = np.argsort(i + j, kind="stable")
+    return list(zip(i[order].tolist(), j[order].tolist()))
+
+
+def _pair_verdicts_from_taps(
+    result, schedule, tagged: bool
+) -> Optional[np.ndarray]:
+    """Bulk decode of the columnar row taps.
+
+    ``pair_from_exit`` is affine in (row, pulse), so every arrival
+    decodes in one vectorized inversion; validity (parity, bounds,
+    duplicates, ghost tags, completeness) is checked in bulk too.
+    Returns ``None`` when ``result`` has no columnar taps.
+    """
+    per_row = []
+    for row in range(schedule.rows):
+        tap = _tap_of(result, f"t_row[{row}]")
+        if tap is None:
+            return None
+        per_row.append(tap)
+    lengths = [len(tap) for tap in per_row]
+    rows = np.repeat(np.arange(schedule.rows, dtype=np.int64), lengths)
+    pulses = np.concatenate([tap.pulses for tap in per_row])
+    values = np.concatenate([
+        np.asarray(tap.values, dtype=bool) for tap in per_row
+    ])
+
+    m = schedule.arity
+    if isinstance(schedule, CounterStreamSchedule):
+        d = rows - schedule.mid
+        total = pulses - (m - 1) - schedule.mid  # i + j
+        bad = (total - d) % 2 != 0
+        i = (total - d) // 2
+        j = i + d
+    else:
+        j = rows
+        i = pulses - rows - (m - 1)
+        bad = np.zeros(len(pulses), dtype=bool)
+    bad |= (i < 0) | (i >= schedule.n_a) | (j < 0) | (j >= schedule.n_b)
+    if bad.any():
+        # Re-raise through the scalar decoder for the exact diagnostic.
+        k = int(np.argmax(bad))
+        schedule.pair_from_exit(int(rows[k]), int(pulses[k]))
+
+    keys = i * schedule.n_b + j
+    ordered = np.sort(keys)
+    dup = np.flatnonzero(ordered[1:] == ordered[:-1])
+    if dup.size:
+        key = int(ordered[dup[0]])
+        raise SimulationError(
+            f"pair ({key // schedule.n_b}, {key % schedule.n_b}) exited twice"
+        )
+    if tagged:
+        offset = 0
+        for tap, size in zip(per_row, lengths):
+            span = slice(offset, offset + size)
+            offset += size
+            if tap.tag_kind is None:
+                continue
+            if (tap.tag_kind != "t"
+                    or not np.array_equal(tap.tag_indices[0], i[span])
+                    or not np.array_equal(tap.tag_indices[1], j[span])):
+                raise SimulationError(
+                    f"arrivals at tap {tap.name!r} carry tags inconsistent "
+                    f"with their decoded pairs"
+                )
+    expected = schedule.n_a * schedule.n_b
+    if len(keys) != expected:
+        raise SimulationError(
+            f"only {len(keys)} of {expected} pair results exited the array"
+        )
+    verdicts = np.empty(expected, dtype=bool)
+    verdicts[keys] = values
+    return verdicts.reshape(schedule.n_a, schedule.n_b)
+
+
+def _pair_verdicts_from_records(result, schedule, tagged: bool) -> np.ndarray:
+    """Token-record decode of the row taps (eager pulse-engine runs):
+    each right-edge arrival is mapped to its (i, j) purely from
+    (row, pulse) via the schedule."""
+    verdicts = np.zeros((schedule.n_a, schedule.n_b), dtype=bool)
+    seen: set[tuple[int, int]] = set()
+    for row in range(schedule.rows):
+        for pulse, token in result.collector(f"t_row[{row}]"):
+            i, j = schedule.pair_from_exit(row, pulse)
+            if (i, j) in seen:
+                raise SimulationError(f"pair ({i}, {j}) exited twice")
+            seen.add((i, j))
+            if tagged and token.tag is not None and token.tag != ("t", i, j):
+                raise SimulationError(
+                    f"arrival decoded as pair ({i}, {j}) but carries tag "
+                    f"{token.tag!r}"
+                )
+            verdicts[i, j] = bool(token.value)
+    expected = schedule.n_a * schedule.n_b
+    if len(seen) != expected:
+        raise SimulationError(
+            f"only {len(seen)} of {expected} pair results exited the array"
+        )
+    return verdicts
+
+
+# -- the vector t_i: the accumulation column (Fig 4-1) -----------------------
+
+
+def accumulator_bits(result, schedule, tagged: bool) -> list[bool]:
+    """``t_i = OR_j t_ij`` for every tuple of A, off the ``t_i`` tap."""
+    if not tagged:
+        verdicts = _run_verdicts(result, (schedule.n_a, schedule.n_b))
+        if verdicts is not None:
+            return verdicts.any(axis=1).tolist()
+    tap = _tap_of(result, "t_i")
+    if tap is not None:
+        return _accumulator_bits_from_tap(tap, schedule, tagged)
+    return _accumulator_bits_from_records(
+        result.collector("t_i"), schedule, tagged
+    )
+
+
+def _accumulator_bits_from_tap(tap, schedule, tagged: bool) -> list[bool]:
+    """Bulk decode of the columnar ``t_i`` tap: the exit pulses are
+    affine in the tuple index, so the whole vector decodes as one
+    arithmetic inversion plus the same validity checks (range,
+    duplicates, ghost tags, completeness) the record decoder makes."""
+    n = schedule.n_a
+    pulses = np.asarray(tap.pulses, dtype=np.int64)
+    step = 2 if isinstance(schedule, CounterStreamSchedule) else 1
+    offset = pulses - (schedule.arity + schedule.rows - 1)
+    idx = offset // step
+    bad = (offset < 0) | (offset % step != 0) | (idx >= n)
+    if bad.any():
+        # Re-raise through the scalar decoder for the exact diagnostic.
+        schedule.tuple_from_accumulator_exit(int(pulses[np.argmax(bad)]))
+    ordered = np.sort(idx)
+    dup = np.flatnonzero(ordered[1:] == ordered[:-1])
+    if dup.size:
+        raise SimulationError(
+            f"tuple {int(ordered[dup[0]])} exited the accumulator twice"
+        )
+    if tagged and tap.tag_kind is not None:
+        mismatch = (
+            tap.tag_kind != "acc"
+            or not np.array_equal(tap.tag_indices[0], idx)
+        )
+        if mismatch:
+            k = (0 if tap.tag_kind != "acc"
+                 else int(np.flatnonzero(tap.tag_indices[0] != idx)[0]))
+            tag = (tap.tag_kind, int(tap.tag_indices[0][k]))
+            raise SimulationError(
+                f"arrival decoded as tuple {int(idx[k])} but carries tag "
+                f"{tag!r}"
+            )
+    if idx.size != n:
+        present = np.zeros(n, dtype=bool)
+        present[idx] = True
+        missing = np.flatnonzero(~present)[:8].tolist()
+        raise SimulationError(
+            f"tuples {missing} never exited the accumulation array"
+        )
+    vector = np.empty(n, dtype=bool)
+    vector[idx] = np.asarray(tap.values, dtype=bool)
+    return vector.tolist()
+
+
+def _accumulator_bits_from_records(
+    collector, schedule, tagged: bool
+) -> list[bool]:
+    """Token-record decode of ``t_i`` (eager pulse-engine runs)."""
+    t_vector: list[Optional[bool]] = [None] * schedule.n_a
+    for pulse, token in collector:
+        i = schedule.tuple_from_accumulator_exit(pulse)
+        if t_vector[i] is not None:
+            raise SimulationError(f"tuple {i} exited the accumulator twice")
+        if tagged and token.tag is not None and token.tag != ("acc", i):
+            raise SimulationError(
+                f"arrival decoded as tuple {i} but carries tag {token.tag!r}"
+            )
+        t_vector[i] = bool(token.value)
+    missing = [i for i, value in enumerate(t_vector) if value is None]
+    if missing:
+        raise SimulationError(
+            f"tuples {missing[:8]} never exited the accumulation array"
+        )
+    return [bool(v) for v in t_vector]
+
+
+# -- the quotient bits: the division array's AND sweep (Fig 7-2) -------------
+
+
+def quotient_bits(result, schedule, tagged: bool) -> list[bool]:
+    """One bit per dividend row: TRUE iff that row's ``x`` is paired
+    with every divisor element (§7)."""
+    if not tagged:
+        verdicts = _run_verdicts(result, (schedule.p_rows,))
+        if verdicts is not None:
+            return verdicts.tolist()
+    bits: list[bool] = []
+    for row in range(schedule.p_rows):
+        name = f"and_row[{row}]"
+        tap = _tap_of(result, name)
+        if tap is not None:
+            arrivals = list(zip(tap.pulses.tolist(), tap.values.tolist()))
+        else:
+            arrivals = [
+                (pulse, token.value)
+                for pulse, token in result.collector(name)
+            ]
+        if len(arrivals) != 1:
+            raise SimulationError(
+                f"divisor row {row} produced {len(arrivals)} quotient bits, "
+                f"expected exactly 1"
+            )
+        pulse, value = arrivals[0]
+        schedule.row_from_result(row, pulse)
+        bits.append(bool(value))
+    return bits

@@ -19,22 +19,33 @@ combination (ORing T-rows, unioning match sets) is that outside step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from itertools import compress
+from typing import Iterator, Optional, Sequence
 
-from repro.arrays.comparison_array import compare_all_pairs
-from repro.arrays.join import _collect_matches
+import numpy as np
+
 from repro.arrays.base import execute
+from repro.arrays.decode import pair_verdicts, quotient_bits
+from repro.arrays.division import division_operands
 from repro.arrays.schedule import CounterStreamSchedule
 from repro.errors import CapacityError, SimulationError
 from repro.relational.algebra import equi_join_layout, theta_join_layout
 from repro.relational.relation import MultiRelation, Relation
 from repro.relational.schema import ColumnRef
-from repro.systolic.engine import DivisionPlan, GridPlan
+from repro.systolic.engine import (
+    DivisionPlan,
+    GridPlan,
+    TInit,
+    t_init_at,
+    t_init_strict_lower,
+    t_init_true,
+)
 
 __all__ = [
     "ArrayCapacity",
     "BlockedReport",
     "blocked_pair_matrix",
+    "blocked_membership",
     "blocked_intersection",
     "blocked_difference",
     "blocked_remove_duplicates",
@@ -79,15 +90,99 @@ class BlockedReport:
         self.total_pulses += pulses
 
 
-def _block_ranges(n: int, size: int) -> list[range]:
-    return [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
+def _block_bounds(n: int, size: int) -> list[tuple[int, int]]:
+    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+
+def _column_matrix(
+    tuples: Sequence[Sequence[int]], positions: Optional[Sequence[int]] = None
+) -> np.ndarray:
+    """The operand as an ``(n, k)`` int64 matrix, built once per blocked
+    call; every block run gets a slice of it.  ``positions`` keeps only
+    those element columns, in that order."""
+    try:
+        matrix = np.asarray(tuples, dtype=np.int64)
+    except OverflowError:
+        # Elements wider than a machine word: only the pulse engine's
+        # cells compare those, and it streams Python ints.
+        matrix = np.asarray(tuples, dtype=object)
+    except (ValueError, TypeError) as exc:
+        raise SimulationError(
+            f"blocked operands must be equal-arity tuples of "
+            f"integer-encoded elements: {exc}"
+        ) from None
+    if matrix.ndim != 2:
+        raise SimulationError(
+            f"blocked operands must be equal-arity tuples, got an array "
+            f"of shape {matrix.shape}"
+        )
+    if positions is not None:
+        matrix = matrix[:, list(positions)]
+    return matrix
+
+
+def _block_verdicts(
+    a_matrix: np.ndarray,
+    b_matrix: np.ndarray,
+    capacity: ArrayCapacity,
+    report: BlockedReport,
+    backend,
+    ops: Optional[Sequence[str]] = None,
+    t_init: TInit = t_init_true,
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Run the T matrix block by block on a bounded device (§8).
+
+    Yields ``(a_lo, b_lo, verdicts)`` per pair of tuple blocks:
+    ``verdicts[bi, bj]`` is ``t`` for the global pair
+    ``(a_lo + bi, b_lo + bj)``.  When the tuples are wider than the
+    device, element columns are blocked too — one device run per column
+    block — and the partial results ANDed outside the array.  ``ops``
+    selects the join grid (θ-cells, one operator per column); without
+    it the comparison grid runs, seeded by ``t_init`` (global indices)
+    on the first column block only — ANDing propagates the mask.
+    """
+    size = capacity.tuple_block
+    col_bounds = _block_bounds(a_matrix.shape[1], capacity.max_cols)
+    a_bounds = _block_bounds(len(a_matrix), size)
+    b_bounds = _block_bounds(len(b_matrix), size)
+    report.a_blocks = len(a_bounds)
+    report.b_blocks = len(b_bounds)
+    report.column_blocks = len(col_bounds)
+
+    for a_lo, a_hi in a_bounds:
+        for b_lo, b_hi in b_bounds:
+            block: Optional[np.ndarray] = None
+            for c_lo, c_hi in col_bounds:
+                schedule = CounterStreamSchedule(
+                    n_a=a_hi - a_lo, n_b=b_hi - b_lo, arity=c_hi - c_lo
+                )
+                sub_a = a_matrix[a_lo:a_hi, c_lo:c_hi]
+                sub_b = b_matrix[b_lo:b_hi, c_lo:c_hi]
+                if ops is not None:
+                    plan = GridPlan(
+                        sub_a, sub_b, schedule, ops=tuple(ops[c_lo:c_hi]),
+                        row_taps=True, name="join-array",
+                    )
+                else:
+                    plan = GridPlan(
+                        sub_a, sub_b, schedule,
+                        t_init=t_init_at(t_init, a_lo, b_lo) if c_lo == 0
+                        else t_init_true,
+                        row_taps=True, name="comparison-array",
+                    )
+                result = execute(plan, backend=backend)
+                report.add_run(result.pulses)
+                verdicts = pair_verdicts(result, schedule, tagged=False)
+                block = verdicts if block is None else block & verdicts
+            assert block is not None
+            yield a_lo, b_lo, block
 
 
 def blocked_pair_matrix(
     a_tuples: Sequence[Sequence[int]],
     b_tuples: Sequence[Sequence[int]],
     capacity: ArrayCapacity,
-    t_init: Callable[[int, int], bool] = lambda i, j: True,
+    t_init: TInit = t_init_true,
     backend=None,
 ) -> tuple[list[list[bool]], BlockedReport]:
     """The full T matrix, computed block by block on a bounded device.
@@ -98,56 +193,40 @@ def blocked_pair_matrix(
     is applied on the first column block only — ANDing propagates it.
     """
     n_a, n_b = len(a_tuples), len(b_tuples)
-    arity = len(a_tuples[0]) if a_tuples else 0
     report = BlockedReport()
-    if not n_a or not n_b:
-        return [[False] * n_b for _ in range(n_a)], report
-
-    size = capacity.tuple_block
-    col_ranges = _block_ranges(arity, capacity.max_cols)
-    a_ranges = _block_ranges(n_a, size)
-    b_ranges = _block_ranges(n_b, size)
-    report.a_blocks = len(a_ranges)
-    report.b_blocks = len(b_ranges)
-    report.column_blocks = len(col_ranges)
-
-    matrix = [[False] * n_b for _ in range(n_a)]
-    for a_range in a_ranges:
-        for b_range in b_ranges:
-            block: Optional[list[list[bool]]] = None
-            for block_index, col_range in enumerate(col_ranges):
-                sub_a = [
-                    tuple(a_tuples[i][k] for k in col_range) for i in a_range
-                ]
-                sub_b = [
-                    tuple(b_tuples[j][k] for k in col_range) for j in b_range
-                ]
-                if block_index == 0:
-                    def init(bi: int, bj: int) -> bool:
-                        return t_init(a_range[bi], b_range[bj])
-                else:
-                    def init(bi: int, bj: int) -> bool:
-                        return True
-                result = compare_all_pairs(
-                    sub_a, sub_b, t_init=init, backend=backend
-                )
-                report.add_run(result.run.pulses)
-                if block is None:
-                    block = result.t_matrix
-                else:
-                    block = [
-                        [x and y for x, y in zip(row_x, row_y)]
-                        for row_x, row_y in zip(block, result.t_matrix)
-                    ]
-            assert block is not None
-            for bi, i in enumerate(a_range):
-                for bj, j in enumerate(b_range):
-                    matrix[i][j] = block[bi][bj]
-    return matrix, report
+    matrix = np.zeros((n_a, n_b), dtype=bool)
+    if n_a and n_b:
+        for a_lo, b_lo, block in _block_verdicts(
+            _column_matrix(a_tuples), _column_matrix(b_tuples), capacity,
+            report, backend, t_init=t_init,
+        ):
+            height, width = block.shape
+            matrix[a_lo:a_lo + height, b_lo:b_lo + width] = block
+    return matrix.tolist(), report
 
 
-def _membership_from_matrix(matrix: list[list[bool]]) -> list[bool]:
-    return [any(row) for row in matrix]
+def blocked_membership(
+    a_tuples: Sequence[Sequence[int]],
+    b_tuples: Sequence[Sequence[int]],
+    capacity: ArrayCapacity,
+    t_init: TInit = t_init_true,
+    backend=None,
+) -> tuple[list[bool], BlockedReport]:
+    """``t_i = OR_j t_ij`` (equation 4.1) over the blocked T matrix.
+
+    Each block's rows are ORed into the vector as the block comes off
+    the device, so the ``n_a × n_b`` matrix never exists at once.
+    """
+    report = BlockedReport()
+    t_vector = np.zeros(len(a_tuples), dtype=bool)
+    if not len(a_tuples) or not len(b_tuples):
+        return t_vector.tolist(), report
+    for a_lo, _, block in _block_verdicts(
+        _column_matrix(a_tuples), _column_matrix(b_tuples), capacity,
+        report, backend, t_init=t_init,
+    ):
+        t_vector[a_lo:a_lo + len(block)] |= block.any(axis=1)
+    return t_vector.tolist(), report
 
 
 def blocked_intersection(
@@ -157,12 +236,11 @@ def blocked_intersection(
     a.schema.require_union_compatible(b.schema)
     if not a or not b:
         return Relation(a.schema), BlockedReport()
-    matrix, report = blocked_pair_matrix(
-        a.tuples, b.tuples, capacity, backend=backend
+    a_rows = a.tuples
+    t_vector, report = blocked_membership(
+        a_rows, b.tuples, capacity, backend=backend
     )
-    t_vector = _membership_from_matrix(matrix)
-    members = (row for row, keep in zip(a.tuples, t_vector) if keep)
-    return Relation(a.schema, members), report
+    return Relation(a.schema, compress(a_rows, t_vector)), report
 
 
 def blocked_difference(
@@ -172,13 +250,13 @@ def blocked_difference(
     a.schema.require_union_compatible(b.schema)
     if not a:
         return Relation(a.schema), BlockedReport()
+    a_rows = a.tuples
     if not b:
-        return Relation(a.schema, a.tuples), BlockedReport()
-    matrix, report = blocked_pair_matrix(
-        a.tuples, b.tuples, capacity, backend=backend
+        return Relation(a.schema, a_rows), BlockedReport()
+    t_vector, report = blocked_membership(
+        a_rows, b.tuples, capacity, backend=backend
     )
-    t_vector = _membership_from_matrix(matrix)
-    members = (row for row, member in zip(a.tuples, t_vector) if not member)
+    members = (row for row, member in zip(a_rows, t_vector) if not member)
     return Relation(a.schema, members), report
 
 
@@ -188,12 +266,11 @@ def blocked_remove_duplicates(
     """Remove-duplicates blocked: triangular mask via global t_init (§5)."""
     if not a:
         return Relation(a.schema), BlockedReport()
-    matrix, report = blocked_pair_matrix(
-        a.tuples, a.tuples, capacity, t_init=lambda i, j: j < i,
-        backend=backend,
+    rows = a.tuples
+    drop, report = blocked_membership(
+        rows, rows, capacity, t_init=t_init_strict_lower, backend=backend
     )
-    drop = _membership_from_matrix(matrix)
-    kept = (row for row, dropped in zip(a.tuples, drop) if not dropped)
+    kept = (row for row, dropped in zip(rows, drop) if not dropped)
     return Relation(a.schema, kept), report
 
 
@@ -218,7 +295,7 @@ def blocked_join(
     """(θ-)join blocked over tuple blocks and join-column blocks.
 
     A pair matches overall iff it matches in every column block, so the
-    per-block match sets are intersected outside the array.
+    per-block verdicts are ANDed outside the array.
     """
     if ops is None:
         a_pos, b_pos, schema, b_keep = equi_join_layout(a, b, on)
@@ -229,51 +306,21 @@ def blocked_join(
     if not a or not b:
         return Relation(schema), report
 
-    a_columns = [tuple(row[p] for p in a_pos) for row in a.tuples]
-    b_columns = [tuple(row[p] for p in b_pos) for row in b.tuples]
-    size = capacity.tuple_block
-    col_ranges = _block_ranges(len(on), capacity.max_cols)
-    a_ranges = _block_ranges(len(a_columns), size)
-    b_ranges = _block_ranges(len(b_columns), size)
-    report.a_blocks = len(a_ranges)
-    report.b_blocks = len(b_ranges)
-    report.column_blocks = len(col_ranges)
-
-    all_matches: list[tuple[int, int]] = []
-    for a_range in a_ranges:
-        for b_range in b_ranges:
-            block_matches: Optional[set[tuple[int, int]]] = None
-            for col_range in col_ranges:
-                sub_a = [
-                    tuple(a_columns[i][k] for k in col_range) for i in a_range
-                ]
-                sub_b = [
-                    tuple(b_columns[j][k] for k in col_range) for j in b_range
-                ]
-                sub_ops = [ops[k] for k in col_range]
-                schedule = CounterStreamSchedule(
-                    n_a=len(sub_a), n_b=len(sub_b), arity=len(sub_ops)
-                )
-                plan = GridPlan(
-                    sub_a, sub_b, schedule, ops=tuple(sub_ops),
-                    row_taps=True, name="join-array",
-                )
-                result = execute(plan, backend=backend)
-                report.add_run(result.pulses)
-                found = {
-                    (a_range[bi], b_range[bj])
-                    for bi, bj in _collect_matches(result, schedule, False)
-                }
-                block_matches = (
-                    found if block_matches is None else block_matches & found
-                )
-            assert block_matches is not None
-            all_matches.extend(sorted(block_matches))
-
-    all_matches.sort()
+    a_rows, b_rows = a.tuples, b.tuples
+    found_i, found_j = [], []
+    for a_lo, b_lo, block in _block_verdicts(
+        _column_matrix(a_rows, a_pos), _column_matrix(b_rows, b_pos),
+        capacity, report, backend, ops=ops,
+    ):
+        block_i, block_j = np.nonzero(block)
+        found_i.append(block_i + a_lo)
+        found_j.append(block_j + b_lo)
+    match_i = np.concatenate(found_i)
+    match_j = np.concatenate(found_j)
+    order = np.lexsort((match_j, match_i))
     rows = [
-        a.tuples[i] + tuple(b.tuples[j][p] for p in b_keep)
-        for i, j in all_matches
+        a_rows[i] + tuple(b_rows[j][p] for p in b_keep)
+        for i, j in zip(match_i[order].tolist(), match_j[order].tolist())
     ]
     return Relation(schema, rows), report
 
@@ -297,38 +344,10 @@ def blocked_divide(
     list (the dividend is not partitionable — any pair may feed any
     row).
     """
-    value_pos = a.schema.resolve(a_value)
-    if a_group is None:
-        if len(a.schema) != 2:
-            raise SimulationError(
-                "a_group may only be omitted for a binary dividend relation"
-            )
-        group_pos = 1 - value_pos
-    else:
-        group_pos = a.schema.resolve(a_group)
-        if group_pos == value_pos:
-            raise SimulationError("a_group and a_value must be different columns")
-    divisor_pos = b.schema.resolve(b_value)
-    if a.schema[value_pos].domain != b.schema[divisor_pos].domain:
-        raise SimulationError("division columns are on different domains")
-    quotient_schema = a.schema.project([group_pos])
+    quotient_schema, pairs, distinct_x, divisor = division_operands(
+        a, b, a_value, a_group, b_value
+    )
     report = BlockedReport()
-
-    pairs = [(row[group_pos], row[value_pos]) for row in a.tuples]
-    distinct_x: list[int] = []
-    seen: set[int] = set()
-    for x, _ in pairs:
-        if x not in seen:
-            seen.add(x)
-            distinct_x.append(x)
-    divisor: list[int] = []
-    seen_divisor: set[int] = set()
-    for row in b.tuples:
-        value = row[divisor_pos]
-        if value not in seen_divisor:
-            seen_divisor.add(value)
-            divisor.append(value)
-
     if not pairs:
         return Relation(quotient_schema), report
     if not divisor:
@@ -341,28 +360,21 @@ def blocked_divide(
             f"the division array needs at least 3 processor columns, "
             f"device has {capacity.max_cols}"
         )
-    x_ranges = _block_ranges(len(distinct_x), capacity.max_rows)
-    divisor_ranges = _block_ranges(len(divisor), divisor_cols)
-    report.a_blocks = len(x_ranges)
-    report.b_blocks = len(divisor_ranges)
+    x_bounds = _block_bounds(len(distinct_x), capacity.max_rows)
+    divisor_bounds = _block_bounds(len(divisor), divisor_cols)
+    report.a_blocks = len(x_bounds)
+    report.b_blocks = len(divisor_bounds)
 
-    quotient_bits = [True] * len(distinct_x)
-    for x_range in x_ranges:
-        sub_x = [distinct_x[r] for r in x_range]
-        for divisor_range in divisor_ranges:
-            sub_divisor = [divisor[s] for s in divisor_range]
-            plan = DivisionPlan(pairs, sub_x, sub_divisor)
+    pair_matrix = _column_matrix(pairs)
+    keep = np.ones(len(distinct_x), dtype=bool)
+    for x_lo, x_hi in x_bounds:
+        for d_lo, d_hi in divisor_bounds:
+            plan = DivisionPlan(
+                pair_matrix, distinct_x[x_lo:x_hi], divisor[d_lo:d_hi]
+            )
             result = execute(plan, backend=backend)
             report.add_run(result.pulses)
-            for local_row, global_row in enumerate(x_range):
-                records = result.collector(f"and_row[{local_row}]").records
-                if len(records) != 1:
-                    raise SimulationError(
-                        f"divisor row {local_row} produced {len(records)} "
-                        f"quotient bits, expected exactly 1"
-                    )
-                _, token = records[0]
-                quotient_bits[global_row] &= bool(token.value)
+            keep[x_lo:x_hi] &= quotient_bits(result, plan.schedule, False)
 
-    members = ((x,) for x, keep in zip(distinct_x, quotient_bits) if keep)
+    members = ((x,) for x in compress(distinct_x, keep.tolist()))
     return Relation(quotient_schema, members), report

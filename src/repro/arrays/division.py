@@ -25,10 +25,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.arrays.base import ArrayRun, execute
+from repro.arrays.decode import quotient_bits
 from repro.arrays.schedule import DivisionSchedule
 from repro.errors import SimulationError
 from repro.relational.relation import Relation
-from repro.relational.schema import ColumnRef
+from repro.relational.schema import ColumnRef, Schema
 from repro.systolic.engine import DivisionPlan
 from repro.systolic.engine.materialize import build_division_network
 from repro.systolic.metrics import ActivityMeter
@@ -72,25 +73,42 @@ def build_division_array(
     return network, schedule, layout
 
 
-def _quotient_bits_columnar(result, schedule) -> Optional[list[bool]]:
-    """Read the quotient bits straight off the columnar ``and_row`` taps
-    (no Token materialization); None on eager pulse-engine runs."""
-    tap_of = getattr(result, "tap", None)
-    if tap_of is None:
-        return None
-    bits: list[bool] = []
-    for row in range(schedule.p_rows):
-        tap = tap_of(f"and_row[{row}]")
-        if tap is None:
-            return None
-        if len(tap) != 1:
+def division_operands(
+    a: Relation,
+    b: Relation,
+    a_value: ColumnRef,
+    a_group: ColumnRef | None,
+    b_value: ColumnRef,
+) -> tuple[Schema, list[tuple[int, int]], list[int], list[int]]:
+    """Resolve the division columns and lay out the array's operands.
+
+    Returns the quotient schema, the dividend's ``(x, y)`` pairs in
+    tuple order, the distinct ``x`` values in first-appearance (=
+    dividend row) order, and the distinct divisor values in
+    first-appearance order.
+    """
+    value_pos = a.schema.resolve(a_value)
+    if a_group is None:
+        if len(a.schema) != 2:
             raise SimulationError(
-                f"divisor row {row} produced {len(tap)} quotient bits, "
-                f"expected exactly 1"
+                "a_group may only be omitted for a binary dividend relation"
             )
-        schedule.row_from_result(row, int(tap.pulses[0]))
-        bits.append(bool(tap.values[0]))
-    return bits
+        group_pos = 1 - value_pos
+    else:
+        group_pos = a.schema.resolve(a_group)
+        if group_pos == value_pos:
+            raise SimulationError("a_group and a_value must be different columns")
+    divisor_pos = b.schema.resolve(b_value)
+    if a.schema[value_pos].domain != b.schema[divisor_pos].domain:
+        raise SimulationError(
+            f"division columns are on different domains "
+            f"({a.schema[value_pos].domain.name!r} vs "
+            f"{b.schema[divisor_pos].domain.name!r})"
+        )
+    pairs = [(row[group_pos], row[value_pos]) for row in a.tuples]
+    distinct_x = list(dict.fromkeys(x for x, _ in pairs))
+    divisor = list(dict.fromkeys(row[divisor_pos] for row in b.tuples))
+    return a.schema.project([group_pos]), pairs, distinct_x, divisor
 
 
 def systolic_divide(
@@ -113,40 +131,9 @@ def systolic_divide(
     qualify vacuously; an empty dividend yields an empty quotient —
     both short-circuit without running the array.
     """
-    value_pos = a.schema.resolve(a_value)
-    if a_group is None:
-        if len(a.schema) != 2:
-            raise SimulationError(
-                "a_group may only be omitted for a binary dividend relation"
-            )
-        group_pos = 1 - value_pos
-    else:
-        group_pos = a.schema.resolve(a_group)
-        if group_pos == value_pos:
-            raise SimulationError("a_group and a_value must be different columns")
-    divisor_pos = b.schema.resolve(b_value)
-    if a.schema[value_pos].domain != b.schema[divisor_pos].domain:
-        raise SimulationError(
-            f"division columns are on different domains "
-            f"({a.schema[value_pos].domain.name!r} vs "
-            f"{b.schema[divisor_pos].domain.name!r})"
-        )
-    quotient_schema = a.schema.project([group_pos])
-
-    pairs = [(row[group_pos], row[value_pos]) for row in a.tuples]
-    distinct_x: list[int] = []
-    seen: set[int] = set()
-    for x, _ in pairs:
-        if x not in seen:
-            seen.add(x)
-            distinct_x.append(x)
-    divisor: list[int] = []
-    seen_divisor: set[int] = set()
-    for row in b.tuples:
-        value = row[divisor_pos]
-        if value not in seen_divisor:
-            seen_divisor.add(value)
-            divisor.append(value)
+    quotient_schema, pairs, distinct_x, divisor = division_operands(
+        a, b, a_value, a_group, b_value
+    )
 
     empty_run = ArrayRun(pulses=0, rows=0, cols=0, cells=0)
     if not pairs:
@@ -161,22 +148,9 @@ def systolic_divide(
     plan = DivisionPlan(pairs, distinct_x, divisor, tagged=tagged)
     schedule = plan.schedule
     result = execute(plan, backend=backend, meter=meter, trace=trace)
-    quotient_bits = _quotient_bits_columnar(result, schedule)
-    if quotient_bits is None:
-        quotient_bits = []
-        for row in range(schedule.p_rows):
-            collector = result.collector(f"and_row[{row}]")
-            records = collector.records
-            if len(records) != 1:
-                raise SimulationError(
-                    f"divisor row {row} produced {len(records)} quotient "
-                    f"bits, expected exactly 1"
-                )
-            pulse, token = records[0]
-            schedule.row_from_result(row, pulse)
-            quotient_bits.append(bool(token.value))
+    bits = quotient_bits(result, schedule, tagged)
 
-    members = [(x,) for x, keep in zip(distinct_x, quotient_bits) if keep]
+    members = [(x,) for x, keep in zip(distinct_x, bits) if keep]
     run = ArrayRun(
         pulses=result.pulses,
         rows=schedule.p_rows,
@@ -185,7 +159,7 @@ def systolic_divide(
         meter=meter, trace=trace, backend=result.engine,
     )
     return DivisionResult(Relation(quotient_schema, members), distinct_x,
-                          quotient_bits, run)
+                          bits, run)
 
 
 def systolic_divide_general(

@@ -23,12 +23,12 @@ from typing import Optional, Sequence
 
 from repro.arrays.base import (
     ArrayRun,
-    accumulator_bits,
     attach_accumulation_column,
     build_counter_stream_grid,
     build_fixed_relation_grid,
     execute,
 )
+from repro.arrays.decode import accumulator_bits
 from repro.arrays.schedule import CounterStreamSchedule, FixedRelationSchedule
 from repro.errors import SimulationError
 from repro.relational.algebra import project_multi
@@ -115,31 +115,16 @@ def systolic_remove_duplicates(
         schedule = FixedRelationSchedule(n_a=len(a), n_b=len(a), arity=a.arity)
     else:
         raise SimulationError(f"unknown variant {variant!r}; use 'counter' or 'fixed'")
+    rows = a.tuples
     plan = GridPlan(
-        a.tuples, a.tuples, schedule, t_init=_masked, accumulate=True,
+        rows, rows, schedule, t_init=_masked, accumulate=True,
         tagged=tagged,
         name="remove-duplicates-array" if variant == "counter"
         else "remove-duplicates-array-fixed",
     )
     result = execute(plan, backend=backend, meter=meter, trace=trace)
-    drop = accumulator_bits(result, schedule, len(a), tagged)
-    if drop is None:
-        collector = result.collector("t_i")
-        vector: list[Optional[bool]] = [None] * len(a)
-        for pulse, token in collector:
-            i = schedule.tuple_from_accumulator_exit(pulse)
-            if vector[i] is not None:
-                raise SimulationError(
-                    f"tuple {i} exited the accumulator twice"
-                )
-            vector[i] = bool(token.value)
-        missing = [i for i, value in enumerate(vector) if value is None]
-        if missing:
-            raise SimulationError(
-                f"tuples {missing[:8]} never exited the accumulation array"
-            )
-        drop = [bool(v) for v in vector]
-    kept = (row for row, dropped in zip(a.tuples, drop) if not dropped)
+    drop = accumulator_bits(result, schedule, tagged)
+    kept = (row for row, dropped in zip(rows, drop) if not dropped)
     run = ArrayRun(
         pulses=result.pulses, rows=schedule.rows, cols=schedule.arity + 1,
         cells=result.cells, meter=meter, trace=trace, backend=result.engine,

@@ -21,12 +21,12 @@ from typing import Optional
 
 from repro.arrays.base import (
     ArrayRun,
-    accumulator_bits,
     attach_accumulation_column,
     build_counter_stream_grid,
     build_fixed_relation_grid,
     execute,
 )
+from repro.arrays.decode import accumulator_bits
 from repro.arrays.schedule import CounterStreamSchedule, FixedRelationSchedule
 from repro.errors import SimulationError
 from repro.relational.relation import Relation
@@ -117,38 +117,12 @@ def _run_membership(
         t_init=t_init_true, accumulate=True, tagged=tagged, name=name,
     )
     result = execute(plan, backend=backend, meter=meter, trace=trace)
-    bits = accumulator_bits(result, schedule, len(a_tuples), tagged)
-    if bits is None:
-        bits = _decode_accumulator_records(
-            result.collector("t_i"), schedule, len(a_tuples), tagged
-        )
+    bits = accumulator_bits(result, schedule, tagged)
     run = ArrayRun(
         pulses=result.pulses, rows=schedule.rows, cols=schedule.arity + 1,
         cells=result.cells, meter=meter, trace=trace, backend=result.engine,
     )
     return bits, run
-
-
-def _decode_accumulator_records(
-    collector, schedule, n: int, tagged: bool
-) -> list[bool]:
-    """Token-record decode of ``t_i`` (eager pulse-engine runs)."""
-    t_vector: list[Optional[bool]] = [None] * n
-    for pulse, token in collector:
-        i = schedule.tuple_from_accumulator_exit(pulse)
-        if t_vector[i] is not None:
-            raise SimulationError(f"tuple {i} exited the accumulator twice")
-        if tagged and token.tag is not None and token.tag != ("acc", i):
-            raise SimulationError(
-                f"arrival decoded as tuple {i} but carries tag {token.tag!r}"
-            )
-        t_vector[i] = bool(token.value)
-    missing = [i for i, value in enumerate(t_vector) if value is None]
-    if missing:
-        raise SimulationError(
-            f"tuples {missing[:8]} never exited the accumulation array"
-        )
-    return [bool(v) for v in t_vector]
 
 
 def systolic_membership_vector(

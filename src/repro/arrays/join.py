@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.arrays.base import (
     ArrayRun,
     attach_op_stream,
@@ -34,6 +32,7 @@ from repro.arrays.base import (
     cmp_name,
     execute,
 )
+from repro.arrays.decode import matches_in_exit_order, pair_verdicts
 from repro.arrays.schedule import CounterStreamSchedule, FixedRelationSchedule
 from repro.errors import SimulationError
 from repro.relational.algebra import equi_join_layout, theta_join_layout
@@ -119,123 +118,11 @@ def build_join_array(
     return network, schedule, layout
 
 
-def _collect_matches_columnar(
-    result, schedule, tagged: bool
-) -> Optional[list[tuple[int, int]]]:
-    """Bulk decode of the row taps: the Token-free join fast path.
-
-    ``pair_from_exit`` is affine in (row, pulse), so every arrival
-    decodes in one vectorized inversion; validity (parity, bounds,
-    duplicates, ghost tags, completeness) and the exit ordering of the
-    matches are checked in bulk too.  Returns ``None`` when ``result``
-    has no columnar taps (eager pulse-engine runs).
-    """
-    tap_of = getattr(result, "tap", None)
-    if tap_of is None:
-        return None
-    per_row = []
-    for row in range(schedule.rows):
-        tap = tap_of(f"t_row[{row}]")
-        if tap is None:
-            return None
-        per_row.append(tap)
-    rows = np.concatenate([
-        np.full(len(tap), row, dtype=np.int64)
-        for row, tap in enumerate(per_row)
-    ])
-    pulses = np.concatenate([tap.pulses for tap in per_row])
-    values = np.concatenate([
-        np.asarray(tap.values, dtype=bool) for tap in per_row
-    ])
-
-    m = schedule.arity
-    if isinstance(schedule, CounterStreamSchedule):
-        d = rows - schedule.mid
-        total = pulses - (m - 1) - schedule.mid  # i + j
-        bad = (total - d) % 2 != 0
-        i = (total - d) // 2
-        j = i + d
-    else:
-        j = rows
-        i = pulses - rows - (m - 1)
-        bad = np.zeros(len(pulses), dtype=bool)
-    bad |= (i < 0) | (i >= schedule.n_a) | (j < 0) | (j >= schedule.n_b)
-    if bad.any():
-        # Re-raise through the scalar decoder for the exact diagnostic.
-        k = int(np.argmax(bad))
-        schedule.pair_from_exit(int(rows[k]), int(pulses[k]))
-
-    keys = i * schedule.n_b + j
-    ordered = np.sort(keys)
-    dup = np.flatnonzero(ordered[1:] == ordered[:-1])
-    if dup.size:
-        key = int(ordered[dup[0]])
-        raise SimulationError(
-            f"pair ({key // schedule.n_b}, {key % schedule.n_b}) exited twice"
-        )
-    if tagged:
-        offset = 0
-        for tap in per_row:
-            if tap.tag_kind is None:
-                offset += len(tap)
-                continue
-            size = len(tap)
-            span = slice(offset, offset + size)
-            if (tap.tag_kind != "t"
-                    or not np.array_equal(tap.tag_indices[0], i[span])
-                    or not np.array_equal(tap.tag_indices[1], j[span])):
-                raise SimulationError(
-                    f"arrivals at tap {tap.name!r} carry tags inconsistent "
-                    f"with their decoded pairs"
-                )
-            offset += size
-    expected = schedule.n_a * schedule.n_b
-    if len(keys) != expected:
-        raise SimulationError(
-            f"only {len(keys)} of {expected} pair results exited the "
-            f"join array"
-        )
-
-    hits = np.flatnonzero(values)
-    order = np.lexsort((j[hits], i[hits], pulses[hits]))
-    sel = hits[order]
-    return list(zip(i[sel].tolist(), j[sel].tolist()))
-
-
 def _collect_matches(
-    simulator, schedule, tagged: bool
+    result, schedule, tagged: bool
 ) -> list[tuple[int, int]]:
-    """Decode right-edge arrivals into the TRUE (i, j) pairs.
-
-    ``simulator`` is anything with a ``collector(name)`` method — the
-    pulse simulator or an :class:`~repro.systolic.engine.plan.EngineRun`.
-    Columnar runs decode in bulk via :func:`_collect_matches_columnar`.
-    """
-    fast = _collect_matches_columnar(simulator, schedule, tagged)
-    if fast is not None:
-        return fast
-    matches: list[tuple[int, int, int]] = []  # (pulse, i, j) for ordering
-    seen: set[tuple[int, int]] = set()
-    for row in range(schedule.rows):
-        for pulse, token in simulator.collector(f"t_row[{row}]"):
-            i, j = schedule.pair_from_exit(row, pulse)
-            if (i, j) in seen:
-                raise SimulationError(f"pair ({i}, {j}) exited twice")
-            seen.add((i, j))
-            if tagged and token.tag is not None and token.tag != ("t", i, j):
-                raise SimulationError(
-                    f"arrival decoded as pair ({i}, {j}) but carries tag "
-                    f"{token.tag!r}"
-                )
-            if token.value:
-                matches.append((pulse, i, j))
-    expected = schedule.n_a * schedule.n_b
-    if len(seen) != expected:
-        raise SimulationError(
-            f"only {len(seen)} of {expected} pair results exited the join array"
-        )
-    matches.sort()
-    return [(i, j) for _, i, j in matches]
+    """The TRUE (i, j) pairs of ``T``, in the order they exit the array."""
+    return matches_in_exit_order(pair_verdicts(result, schedule, tagged))
 
 
 def _run_join(
@@ -257,8 +144,9 @@ def _run_join(
         return JoinResult(
             Relation(schema), [], ArrayRun(pulses=0, rows=0, cols=0, cells=0)
         )
-    a_columns = [tuple(row[p] for p in a_positions) for row in a.tuples]
-    b_columns = [tuple(row[p] for p in b_positions) for row in b.tuples]
+    a_rows, b_rows = a.tuples, b.tuples
+    a_columns = [tuple(row[p] for p in a_positions) for row in a_rows]
+    b_columns = [tuple(row[p] for p in b_positions) for row in b_rows]
     schedule = _join_schedule(len(a_columns), len(b_columns), len(ops), variant)
     plan = GridPlan(
         a_columns, b_columns, schedule,
@@ -270,8 +158,8 @@ def _run_join(
     matches = _collect_matches(result, schedule, tagged)
     rows = []
     for i, j in matches:
-        row_b = b.tuples[j]
-        rows.append(a.tuples[i] + tuple(row_b[p] for p in b_keep))
+        row_b = b_rows[j]
+        rows.append(a_rows[i] + tuple(row_b[p] for p in b_keep))
     run = ArrayRun(
         pulses=result.pulses, rows=schedule.rows, cols=schedule.arity,
         cells=result.cells, meter=meter, trace=trace, backend=result.engine,

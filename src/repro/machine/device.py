@@ -32,7 +32,7 @@ from repro.arrays.decomposition import (
     blocked_divide,
     blocked_intersection,
     blocked_join,
-    blocked_pair_matrix,
+    blocked_membership,
     blocked_remove_duplicates,
     blocked_union,
 )
@@ -58,6 +58,7 @@ from repro.obs import metrics
 from repro.perf.technology import PAPER_CONSERVATIVE, TechnologyModel
 from repro.relational import algebra
 from repro.relational.relation import Relation
+from repro.systolic.engine import t_init_strict_lower, t_init_true
 
 __all__ = ["DeviceRun", "SystolicDevice", "CpuDevice"]
 
@@ -186,10 +187,10 @@ class SystolicDevice:
 
     # -- §8 bit-level execution ---------------------------------------------
 
-    def _bit_matrix(
-        self, a_tuples, b_tuples, t_init=lambda i, j: True
-    ) -> tuple[list[list[bool]], BlockedReport]:
-        """The blocked T matrix over the MSB-first bit expansions.
+    def _bit_membership(
+        self, a_tuples, b_tuples, t_init=t_init_true
+    ) -> tuple[list[bool], BlockedReport]:
+        """The blocked ``t_i`` vector over the MSB-first bit expansions.
 
         Same §8 decomposition as a word device, with ``max_cols``
         bounding *bit* columns — so the reported pulses equal
@@ -198,7 +199,7 @@ class SystolicDevice:
         width = self.element_bits
         expanded_a = [expand_tuple(row, width) for row in a_tuples]
         expanded_b = [expand_tuple(row, width) for row in b_tuples]
-        return blocked_pair_matrix(
+        return blocked_membership(
             expanded_a, expanded_b, self.capacity, t_init=t_init,
             backend=self.backend,
         )
@@ -212,12 +213,13 @@ class SystolicDevice:
             keep_members = isinstance(node, Intersect)
             if not a:
                 return Relation(a.schema), BlockedReport()
+            a_rows = a.tuples
             if not b:
-                rows = () if keep_members else a.tuples
+                rows = () if keep_members else a_rows
                 return Relation(a.schema, rows), BlockedReport()
-            matrix, report = self._bit_matrix(a.tuples, b.tuples)
+            t_vector, report = self._bit_membership(a_rows, b.tuples)
             members = (
-                row for row, hit in zip(a.tuples, map(any, matrix))
+                row for row, hit in zip(a_rows, t_vector)
                 if hit == keep_members
             )
             return Relation(a.schema, members), report
@@ -231,12 +233,12 @@ class SystolicDevice:
                 multi = algebra.project_multi(inputs[0], list(node.columns))
             if not multi:
                 return Relation(multi.schema), BlockedReport()
-            matrix, report = self._bit_matrix(
-                multi.tuples, multi.tuples, t_init=lambda i, j: j < i
+            rows = multi.tuples
+            drop, report = self._bit_membership(
+                rows, rows, t_init=t_init_strict_lower
             )
             kept = (
-                row for row, dropped in zip(multi.tuples, map(any, matrix))
-                if not dropped
+                row for row, dropped in zip(rows, drop) if not dropped
             )
             return Relation(multi.schema, kept), report
         raise PlanError(

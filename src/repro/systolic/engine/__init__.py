@@ -42,6 +42,7 @@ from repro.systolic.engine.plan import (
     HexPlan,
     LinearPlan,
     TInit,
+    t_init_at,
     t_init_strict_lower,
     t_init_true,
 )
@@ -63,6 +64,7 @@ __all__ = [
     "TInit",
     "t_init_true",
     "t_init_strict_lower",
+    "t_init_at",
     "ColumnarTap",
     "DEFAULT_CHUNK_BYTES",
     "CounterStreamSchedule",

@@ -4,8 +4,12 @@ The pulse simulator moves every token one cell per pulse; this engine
 observes that the *schedule arithmetic is closed-form* — for any pair
 ``(i, j)`` the meeting row, exit pulse, and travelling-``t`` value are
 known without simulating — and evaluates entire wavefronts of meetings
-as vectorized numpy operations.  All observable outputs are
-reconstructed exactly:
+as vectorized numpy operations.  A grid or division run returns its
+**verdicts** — the matrix ``T`` (§3.3), the quotient bits (§7) — as the
+primary product; the tap observables are a lazy view over them
+(:class:`~repro.systolic.engine.plan.EngineRun`), built only when a
+consumer asks.  When it does, all observable outputs are reconstructed
+exactly:
 
 * **collector records** — same tap names, pulse stamps, payload values
   (Python bools), and ghost tags as the pulse engine;
@@ -91,6 +95,8 @@ def _op_ufunc(op: str):
 
 def _int_matrix(tuples, n: int, m: int, label: str) -> np.ndarray:
     try:
+        if isinstance(tuples, np.ndarray):
+            return tuples.astype(np.int64, copy=False).reshape(n, m)
         return np.asarray([tuple(row) for row in tuples],
                           dtype=np.int64).reshape(n, m)
     except (ValueError, TypeError, OverflowError) as exc:
@@ -193,40 +199,45 @@ class LatticeEngine:
                         (bool(t_init(i, j)) for j in range(n_b)), bool, n_b
                     )
 
+        if meter is not None:
+            meter.absorb(self._grid_busy(plan), plan.pulses, plan.cells)
+        return EngineRun(
+            engine=self.name, pulses=plan.pulses, cells=plan.cells,
+            meter=meter, verdicts=V,
+            tap_view=lambda: self._grid_taps(plan, V),
+        )
+
+    def _grid_taps(self, plan: GridPlan, V: np.ndarray) -> dict[str, ColumnarTap]:
+        """The run's tap observables, derived from its verdicts."""
         taps: dict[str, ColumnarTap] = {}
         if plan.row_taps:
             taps.update(self._row_taps(plan, V))
         if plan.accumulate:
             taps["t_i"] = self._accumulator_tap(plan, V)
-
-        if meter is not None:
-            meter.absorb(self._grid_busy(plan), plan.pulses, plan.cells)
-        return EngineRun(
-            engine=self.name, pulses=plan.pulses, cells=plan.cells,
-            columnar=taps, meter=meter,
-        )
+        return taps
 
     def _verdict_matrix(
         self, plan: GridPlan, A: np.ndarray, B: np.ndarray
     ) -> np.ndarray:
         """``V[i, j]`` = the comparison verdict pair ``(i, j)`` exits
-        with (before ``t_init``), evaluated in bulk — row-chunked to
-        bound the ``n_a × n_b × m`` intermediate.  The word-level
-        comparator kernel; subclasses substitute their own."""
+        with (before ``t_init``), evaluated in bulk — row-chunked so
+        the transient comparison block stays within ``chunk_bytes``.
+        The word-level comparator kernel; subclasses substitute their
+        own."""
         sched = plan.schedule
         n_a, n_b, m = sched.n_a, sched.n_b, sched.arity
+        compare = [_op_ufunc(op) for op in plan.ops or ("==",) * m]
         V = np.empty((n_a, n_b), dtype=bool)
         chunk = max(1, self.chunk_bytes // max(1, 8 * n_b * m))
         for lo in range(0, n_a, chunk):
             metrics.inc("engine.lattice.chunks")
             hi = min(n_a, lo + chunk)
-            if plan.ops is None:
-                V[lo:hi] = (A[lo:hi, None, :] == B[None, :, :]).all(axis=2)
-            else:
-                acc = np.ones((hi - lo, n_b), dtype=bool)
-                for k, op in enumerate(plan.ops):
-                    acc &= _op_ufunc(op)(A[lo:hi, k][:, None], B[None, :, k])
-                V[lo:hi] = acc
+            # One processor column at a time, ANDed left to right as
+            # the travelling t is.
+            rows = V[lo:hi]
+            compare[0](A[lo:hi, 0, None], B[None, :, 0], out=rows)
+            for k in range(1, m):
+                rows &= compare[k](A[lo:hi, k, None], B[None, :, k])
         return V
 
     def _row_taps(self, plan: GridPlan, V: np.ndarray) -> dict[str, ColumnarTap]:
@@ -316,19 +327,31 @@ class LatticeEngine:
     def _run_division(
         self, plan: DivisionPlan, meter: Optional[ActivityMeter]
     ) -> EngineRun:
-        sched = plan.schedule
-        xs = np.asarray([x for x, _ in plan.pairs], dtype=np.int64)
-        ys = np.asarray([y for _, y in plan.pairs], dtype=np.int64)
+        pairs = _int_matrix(plan.pairs, len(plan.pairs), 2, "dividend")
         divisor = np.asarray(plan.divisor, dtype=np.int64)
         distinct = np.asarray(plan.distinct_x, dtype=np.int64)
-        p_rows = len(plan.distinct_x)
 
-        bits = self._division_bits(xs, ys, divisor, distinct)
+        bits = self._division_bits(pairs[:, 0], pairs[:, 1], divisor, distinct)
 
+        if meter is not None:
+            meter.absorb(self._division_busy(plan), plan.pulses, plan.cells)
+        return EngineRun(
+            engine=self.name, pulses=plan.pulses, cells=plan.cells,
+            meter=meter, verdicts=bits,
+            tap_view=lambda: self._division_taps(plan, bits),
+        )
+
+    def _division_taps(
+        self, plan: DivisionPlan, bits: np.ndarray
+    ) -> dict[str, ColumnarTap]:
+        """One ``and_row`` tap per dividend row, stamped by the §7
+        result law."""
+        sched = plan.schedule
+        p_rows = sched.p_rows
         rows = np.arange(p_rows, dtype=np.int64)
         pulses = (sched.n_pairs + 2 + (p_rows - 1 - rows)
                   + sched.n_divisor - 1)
-        taps = {
+        return {
             f"and_row[{row}]": ColumnarTap(
                 name=f"and_row[{row}]",
                 pulses=pulses[row:row + 1],
@@ -338,13 +361,6 @@ class LatticeEngine:
             )
             for row in range(p_rows)
         }
-
-        if meter is not None:
-            meter.absorb(self._division_busy(plan), plan.pulses, plan.cells)
-        return EngineRun(
-            engine=self.name, pulses=plan.pulses, cells=plan.cells,
-            columnar=taps, meter=meter,
-        )
 
     def _division_bits(
         self,

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from repro.errors import SimulationError
 from repro.systolic.cell import Cell
 from repro.systolic.cells import (
@@ -360,13 +362,21 @@ def _grid_factory(plan: GridPlan) -> CellFactory:
     return theta_factory
 
 
+def _python_rows(rows):
+    """Array operands as nested lists: the cells stream Python ints, so
+    traces and Token payloads never carry numpy scalars."""
+    return rows.tolist() if isinstance(rows, np.ndarray) else rows
+
+
 def materialize(plan: ExecutionPlan) -> Network:
     """Build the full cell network a plan describes, taps included."""
     if isinstance(plan, GridPlan):
         factory = _grid_factory(plan)
+        a_tuples = _python_rows(plan.a_tuples)
+        b_tuples = _python_rows(plan.b_tuples)
         if plan.variant == "counter":
             network, layout = build_counter_stream_grid(
-                plan.a_tuples, plan.b_tuples, plan.schedule,
+                a_tuples, b_tuples, plan.schedule,
                 t_init=plan.t_init, cell_factory=factory,
                 tagged=plan.tagged, name=plan.name,
             )
@@ -374,7 +384,7 @@ def materialize(plan: ExecutionPlan) -> Network:
                 attach_op_stream(network, plan.schedule, plan.ops)
         else:
             network, layout = build_fixed_relation_grid(
-                plan.a_tuples, plan.b_tuples, plan.schedule,
+                a_tuples, b_tuples, plan.schedule,
                 t_init=plan.t_init, cell_factory=factory,
                 tagged=plan.tagged, name=plan.name,
             )
@@ -389,7 +399,8 @@ def materialize(plan: ExecutionPlan) -> Network:
         return network
     if isinstance(plan, DivisionPlan):
         network, _ = build_division_network(
-            plan.pairs, plan.distinct_x, plan.divisor, plan.schedule,
+            _python_rows(plan.pairs), plan.distinct_x, plan.divisor,
+            plan.schedule,
             tagged=plan.tagged,
         )
         return network

@@ -44,6 +44,7 @@ __all__ = [
     "TInit",
     "t_init_true",
     "t_init_strict_lower",
+    "t_init_at",
     "ColumnarTap",
     "GridPlan",
     "DivisionPlan",
@@ -62,13 +63,17 @@ __all__ = [
 TInit = Callable[[int, int], bool]
 
 
-def _true_lattice_mask(n_a: int, n_b: int) -> Optional[np.ndarray]:
+def _true_lattice_mask(
+    n_a: int, n_b: int, a_lo: int = 0, b_lo: int = 0
+) -> Optional[np.ndarray]:
     return None  # all-true: nothing to mask
 
 
-def _strict_lower_lattice_mask(n_a: int, n_b: int) -> Optional[np.ndarray]:
-    return np.arange(n_b, dtype=np.int64)[None, :] < np.arange(
-        n_a, dtype=np.int64
+def _strict_lower_lattice_mask(
+    n_a: int, n_b: int, a_lo: int = 0, b_lo: int = 0
+) -> Optional[np.ndarray]:
+    return np.arange(b_lo, b_lo + n_b, dtype=np.int64)[None, :] < np.arange(
+        a_lo, a_lo + n_a, dtype=np.int64
     )[:, None]
 
 
@@ -84,11 +89,33 @@ def t_init_strict_lower(i: int, j: int) -> bool:
 
 # Canonical t_init callables expose their whole-grid boolean mask so the
 # lattice engine can apply them as one broadcast instead of calling the
-# function n_a × n_b times.  ``lattice_mask(n_a, n_b)`` returns either a
-# bool matrix or ``None`` when nothing needs masking; the pulse engine
-# ignores the attribute and just calls the function per pair.
+# function n_a × n_b times.  ``lattice_mask(n_a, n_b, a_lo=0, b_lo=0)``
+# returns the mask of the ``n_a × n_b`` window whose corner is pair
+# ``(a_lo, b_lo)`` — a bool matrix, or ``None`` when nothing needs
+# masking; the pulse engine ignores the attribute and just calls the
+# function per pair.
 t_init_true.lattice_mask = _true_lattice_mask  # type: ignore[attr-defined]
 t_init_strict_lower.lattice_mask = _strict_lower_lattice_mask  # type: ignore[attr-defined]
+
+
+def t_init_at(t_init: TInit, a_lo: int, b_lo: int) -> TInit:
+    """``t_init`` as one block of a decomposed problem sees it (§8).
+
+    The block's pair ``(i, j)`` is the whole problem's pair
+    ``(a_lo + i, b_lo + j)``.  A canonical ``t_init`` keeps its
+    ``lattice_mask`` (windowed to the block), so blocked runs stay on
+    the lattice engine's broadcast path.
+    """
+
+    def shifted(i: int, j: int) -> bool:
+        return t_init(a_lo + i, b_lo + j)
+
+    mask = getattr(t_init, "lattice_mask", None)
+    if mask is not None:
+        shifted.lattice_mask = (  # type: ignore[attr-defined]
+            lambda n_a, n_b: mask(n_a, n_b, a_lo, b_lo)
+        )
+    return shifted
 
 
 def cmp_name(row: int, col: int) -> str:
@@ -105,6 +132,13 @@ def check_tuples(
     tuples: Sequence[Sequence[int]], expected_n: int, arity: int, label: str
 ) -> None:
     """Validate operand shape against the schedule's expectations."""
+    if isinstance(tuples, np.ndarray) and tuples.ndim == 2:
+        if tuples.shape != (expected_n, arity):
+            raise SimulationError(
+                f"relation {label} is a {tuples.shape[0]}×{tuples.shape[1]} "
+                f"array but the schedule expects {expected_n}×{arity}"
+            )
+        return
     if len(tuples) != expected_n:
         raise SimulationError(
             f"relation {label} has {len(tuples)} tuples but the schedule "
@@ -132,6 +166,10 @@ class GridPlan:
     streams the op codes down the columns alongside relation A
     (§6.3.2) instead of preloading them — same answers, different
     hardware programmability story.
+
+    Operands are rows of integer-encoded elements: sequences of tuples,
+    or ``(n, arity)`` int64 arrays (what the blocked operators slice
+    per block, so no run repacks tuples).
     """
 
     a_tuples: Sequence[Sequence[int]]
@@ -371,11 +409,16 @@ class ColumnarTap:
 class EngineRun:
     """What executing a plan produced, independent of the engine used.
 
-    Taps arrive either as eager Token-record ``collectors`` (the pulse
-    engine's native output) or as ``columnar`` arrays (the lattice fast
-    path); consumers that only need bulk arrays read :meth:`tap`, and
-    ``run.collectors`` / :meth:`collector` materialize Token records
-    lazily — and cache them — only when a trace/tagged consumer asks.
+    The vectorized engines hand back the array's *result* — ``verdicts``:
+    the ``(n_a, n_b)`` bool matrix ``T`` (after ``t_init``) of a grid
+    run, the quotient-bit vector of a division run — and keep the taps
+    as a **lazy view**: ``tap_view`` derives the pulse-stamped
+    :class:`ColumnarTap` arrays from the verdicts and the schedule's
+    affine forms the first time :attr:`columnar`, :meth:`tap`,
+    :meth:`collector` or :attr:`collectors` is touched, and Token
+    records are materialized from those one step later still.  The pulse
+    engine has no verdicts: its native output is the eager Token-record
+    ``collectors``.
     """
 
     def __init__(
@@ -387,11 +430,12 @@ class EngineRun:
         meter: Optional[ActivityMeter] = None,
         trace: Optional[Any] = None,
         peak_firing: Optional[int] = None,
-        columnar: Optional[dict[str, ColumnarTap]] = None,
+        verdicts: Optional[np.ndarray] = None,
+        tap_view: Optional[Callable[[], dict[str, ColumnarTap]]] = None,
     ) -> None:
-        if collectors is None and columnar is None:
+        if collectors is None and tap_view is None:
             raise SimulationError(
-                "an EngineRun needs eager collectors or columnar taps"
+                "an EngineRun needs eager collectors or a columnar tap view"
             )
         self.engine = engine
         self.pulses = pulses
@@ -400,11 +444,24 @@ class EngineRun:
         self.trace = trace
         #: peak number of hex cells firing on one pulse (HexPlan runs only)
         self.peak_firing = peak_firing
-        #: Token-free tap arrays (empty dict on the pulse engine).
-        self.columnar: dict[str, ColumnarTap] = dict(columnar or {})
+        #: the run's result as the engine computed it (None on the pulse
+        #: engine, whose result exists only as tap records).
+        self.verdicts = verdicts
+        self._tap_view = tap_view
+        self._columnar: Optional[dict[str, ColumnarTap]] = (
+            None if tap_view is not None else {}
+        )
         self._collectors: Optional[dict[str, Collector]] = (
             dict(collectors) if collectors is not None else None
         )
+
+    @property
+    def columnar(self) -> dict[str, ColumnarTap]:
+        """Token-free tap arrays, derived on first touch (empty dict on
+        the pulse engine)."""
+        if self._columnar is None:
+            self._columnar = self._tap_view()
+        return self._columnar
 
     @property
     def collectors(self) -> dict[str, Collector]:
@@ -442,10 +499,15 @@ class EngineRun:
         )
 
     def __repr__(self) -> str:
-        kind = "columnar" if self.columnar else "eager"
+        if self._tap_view is None:
+            taps = f"taps={len(self.tap_names())} eager"
+        elif self._columnar is None:
+            taps = "taps=lazy"
+        else:
+            taps = f"taps={len(self._columnar)} columnar"
         return (
             f"EngineRun(engine={self.engine!r}, pulses={self.pulses}, "
-            f"cells={self.cells}, taps={len(self.tap_names())} {kind})"
+            f"cells={self.cells}, {taps})"
         )
 
 
