@@ -94,12 +94,10 @@ def _block_bounds(n: int, size: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
-def _column_matrix(
-    tuples: Sequence[Sequence[int]], positions: Optional[Sequence[int]] = None
-) -> np.ndarray:
-    """The operand as an ``(n, k)`` int64 matrix, built once per blocked
-    call; every block run gets a slice of it.  ``positions`` keeps only
-    those element columns, in that order."""
+def _column_matrix(tuples: Sequence[Sequence[int]]) -> np.ndarray:
+    """Raw tuples as an ``(n, k)`` int64 matrix, built once per blocked
+    call; every block run gets a slice of it.  (A relation operand
+    brings its own: ``relation.array``.)"""
     try:
         matrix = np.asarray(tuples, dtype=np.int64)
     except OverflowError:
@@ -116,8 +114,6 @@ def _column_matrix(
             f"blocked operands must be equal-arity tuples, got an array "
             f"of shape {matrix.shape}"
         )
-    if positions is not None:
-        matrix = matrix[:, list(positions)]
     return matrix
 
 
@@ -205,6 +201,28 @@ def blocked_pair_matrix(
     return matrix.tolist(), report
 
 
+def _membership(
+    a_matrix: np.ndarray,
+    b_matrix: np.ndarray,
+    capacity: ArrayCapacity,
+    backend,
+    t_init: TInit = t_init_true,
+) -> tuple[np.ndarray, BlockedReport]:
+    """``t_i = OR_j t_ij`` (equation 4.1) over the blocked T matrix.
+
+    Each block's rows are ORed into the vector as the block comes off
+    the device, so the ``n_a × n_b`` matrix never exists at once.
+    """
+    report = BlockedReport()
+    t_vector = np.zeros(len(a_matrix), dtype=bool)
+    if len(a_matrix) and len(b_matrix):
+        for a_lo, _, block in _block_verdicts(
+            a_matrix, b_matrix, capacity, report, backend, t_init=t_init,
+        ):
+            t_vector[a_lo:a_lo + len(block)] |= block.any(axis=1)
+    return t_vector, report
+
+
 def blocked_membership(
     a_tuples: Sequence[Sequence[int]],
     b_tuples: Sequence[Sequence[int]],
@@ -212,20 +230,14 @@ def blocked_membership(
     t_init: TInit = t_init_true,
     backend=None,
 ) -> tuple[list[bool], BlockedReport]:
-    """``t_i = OR_j t_ij`` (equation 4.1) over the blocked T matrix.
-
-    Each block's rows are ORed into the vector as the block comes off
-    the device, so the ``n_a × n_b`` matrix never exists at once.
-    """
-    report = BlockedReport()
-    t_vector = np.zeros(len(a_tuples), dtype=bool)
+    """The blocked ``t_i`` vector of raw tuple sequences (see
+    :func:`_membership`), one Python bool per tuple of A."""
     if not len(a_tuples) or not len(b_tuples):
-        return t_vector.tolist(), report
-    for a_lo, _, block in _block_verdicts(
+        return [False] * len(a_tuples), BlockedReport()
+    t_vector, report = _membership(
         _column_matrix(a_tuples), _column_matrix(b_tuples), capacity,
-        report, backend, t_init=t_init,
-    ):
-        t_vector[a_lo:a_lo + len(block)] |= block.any(axis=1)
+        backend, t_init=t_init,
+    )
     return t_vector.tolist(), report
 
 
@@ -236,11 +248,8 @@ def blocked_intersection(
     a.schema.require_union_compatible(b.schema)
     if not a or not b:
         return Relation(a.schema), BlockedReport()
-    a_rows = a.tuples
-    t_vector, report = blocked_membership(
-        a_rows, b.tuples, capacity, backend=backend
-    )
-    return Relation(a.schema, compress(a_rows, t_vector)), report
+    t_vector, report = _membership(a.array, b.array, capacity, backend)
+    return Relation(a.schema, a.array[t_vector]), report
 
 
 def blocked_difference(
@@ -248,16 +257,10 @@ def blocked_difference(
 ) -> tuple[Relation, BlockedReport]:
     """``A − B`` blocked: keep the FALSE rows of T (§4.3)."""
     a.schema.require_union_compatible(b.schema)
-    if not a:
-        return Relation(a.schema), BlockedReport()
-    a_rows = a.tuples
-    if not b:
-        return Relation(a.schema, a_rows), BlockedReport()
-    t_vector, report = blocked_membership(
-        a_rows, b.tuples, capacity, backend=backend
-    )
-    members = (row for row, member in zip(a_rows, t_vector) if not member)
-    return Relation(a.schema, members), report
+    if not a or not b:
+        return a, BlockedReport()
+    t_vector, report = _membership(a.array, b.array, capacity, backend)
+    return Relation(a.schema, a.array[~t_vector]), report
 
 
 def blocked_remove_duplicates(
@@ -266,12 +269,11 @@ def blocked_remove_duplicates(
     """Remove-duplicates blocked: triangular mask via global t_init (§5)."""
     if not a:
         return Relation(a.schema), BlockedReport()
-    rows = a.tuples
-    drop, report = blocked_membership(
-        rows, rows, capacity, t_init=t_init_strict_lower, backend=backend
+    rows = a.array
+    drop, report = _membership(
+        rows, rows, capacity, backend, t_init=t_init_strict_lower
     )
-    kept = (row for row, dropped in zip(rows, drop) if not dropped)
-    return Relation(a.schema, kept), report
+    return Relation(a.schema, rows[~drop]), report
 
 
 def blocked_union(
@@ -306,11 +308,10 @@ def blocked_join(
     if not a or not b:
         return Relation(schema), report
 
-    a_rows, b_rows = a.tuples, b.tuples
     found_i, found_j = [], []
     for a_lo, b_lo, block in _block_verdicts(
-        _column_matrix(a_rows, a_pos), _column_matrix(b_rows, b_pos),
-        capacity, report, backend, ops=ops,
+        a.array[:, a_pos], b.array[:, b_pos], capacity, report, backend,
+        ops=ops,
     ):
         block_i, block_j = np.nonzero(block)
         found_i.append(block_i + a_lo)
@@ -318,6 +319,7 @@ def blocked_join(
     match_i = np.concatenate(found_i)
     match_j = np.concatenate(found_j)
     order = np.lexsort((match_j, match_i))
+    a_rows, b_rows = a.tuples, b.tuples
     rows = [
         a_rows[i] + tuple(b_rows[j][p] for p in b_keep)
         for i, j in zip(match_i[order].tolist(), match_j[order].tolist())

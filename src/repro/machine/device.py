@@ -57,7 +57,7 @@ from repro.machine.plan import (
 from repro.obs import metrics
 from repro.perf.technology import PAPER_CONSERVATIVE, TechnologyModel
 from repro.relational import algebra
-from repro.relational.relation import Relation
+from repro.relational.relation import Relation, select_rows
 from repro.systolic.engine import t_init_strict_lower, t_init_true
 
 __all__ = ["DeviceRun", "SystolicDevice", "CpuDevice"]
@@ -268,7 +268,7 @@ class CpuDevice:
         self.tuple_op_ns = tuple_op_ns
 
     def execute(self, node: PlanNode, inputs: list[Relation]) -> DeviceRun:
-        """Run a selection over its input, one tuple at a time."""
+        """Run a selection over its input (billed one tuple at a time)."""
         if not isinstance(node, Select):
             raise PlanError(
                 f"the CPU device only executes selections, not "
@@ -279,7 +279,7 @@ class CpuDevice:
             "device.execute", device=self.name, kind=self.kind,
             op=node.describe(),
         ) as sp:
-            relation = algebra.select(source, node.column, node.op, node.value)
+            relation = select_rows(source, node.column, node.op, node.value)
             sp.set(rows_out=len(relation))
         metrics.inc("device.executions")
         seconds = len(source) * self.tuple_op_ns * 1e-9

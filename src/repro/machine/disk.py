@@ -24,8 +24,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.errors import PlanError
 from repro.obs import metrics
 from repro.perf.disk import DiskModel, PAPER_DISK
-from repro.relational.algebra import COMPARISON_OPS
-from repro.relational.relation import Relation
+from repro.relational.relation import COLUMN_OPS, Relation, select_rows
 from repro.relational.schema import ColumnRef, Schema
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
@@ -194,15 +193,9 @@ class MachineDisk:
                 "neither"
             )
         column, op, value = selection
-        compare = COMPARISON_OPS.get(op)
-        if compare is None:
+        if op not in COLUMN_OPS:
             raise PlanError(f"unknown comparison operator {op!r}")
-        position = relation.schema.resolve(column)
-        filtered = Relation(
-            relation.schema,
-            (row for row in relation.tuples if compare(row[position], value)),
-        )
-        return filtered, seconds
+        return select_rows(relation, column, op, value), seconds
 
     def __repr__(self) -> str:
         track = "logic-per-track, " if self.logic_per_track else ""

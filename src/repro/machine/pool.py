@@ -343,29 +343,29 @@ class EnginePool:
             tenant=catalog.tenant,
         ) as sp:
             view = _PlannerView(self, catalog, devices)
-            if not use_cache or self.plan_cache.maxsize == 0:
+            key = physical = None
+            if use_cache and self.plan_cache.maxsize > 0:
+                key = (
+                    plan_fingerprint(plans),
+                    tuple(arrivals) if arrivals is not None else None,
+                    bool(pipeline),
+                    catalog.content_fingerprint(),
+                    self._roster_fingerprint if devices is None
+                    else roster_fingerprint(devices),
+                )
+                # A hit skips the planner spans a miss records, and which
+                # of two racing compiles hits is the host's business.
+                sp.mark_children_volatile()
+                physical = self.plan_cache.get(key)
+            cached = physical is not None
+            if not cached:
                 physical = PhysicalPlanner(view).compile(
                     plans, arrivals, pipeline=pipeline
                 )
-                sp.set(cached=False, ops=len(physical.ops))
-                return physical
-            key = (
-                plan_fingerprint(plans),
-                tuple(arrivals) if arrivals is not None else None,
-                bool(pipeline),
-                catalog.content_fingerprint(),
-                self._roster_fingerprint if devices is None
-                else roster_fingerprint(devices),
-            )
-            cached = self.plan_cache.get(key)
-            if cached is not None:
-                sp.set(cached=True, ops=len(cached.ops))
-                return cached
-            physical = PhysicalPlanner(view).compile(
-                plans, arrivals, pipeline=pipeline
-            )
-            self.plan_cache.put(key, physical)
-            sp.set(cached=False, ops=len(physical.ops))
+                if key is not None:
+                    self.plan_cache.put(key, physical)
+            sp.set(ops=len(physical.ops))
+            sp.set_volatile(cached=cached)
             return physical
 
     # -- execution ---------------------------------------------------------

@@ -227,28 +227,27 @@ class SystolicDatabaseMachine:
         with obs.span(
             "machine.compile", plans=len(plans), pipeline=bool(pipeline),
         ) as sp:
-            if not use_cache or self._plan_cache.maxsize == 0:
+            key = physical = None
+            if use_cache and self._plan_cache.maxsize > 0:
+                key = (
+                    plan_fingerprint(plans),
+                    tuple(arrivals) if arrivals is not None else None,
+                    bool(pipeline),
+                    self._catalog_version,
+                    self._roster_fingerprint,
+                )
+                # A hit skips the planner spans a miss records.
+                sp.mark_children_volatile()
+                physical = self._plan_cache.get(key)
+            cached = physical is not None
+            if not cached:
                 physical = PhysicalPlanner(self).compile(
                     plans, arrivals, pipeline=pipeline
                 )
-                sp.set(cached=False, ops=len(physical.ops))
-                return physical
-            key = (
-                plan_fingerprint(plans),
-                tuple(arrivals) if arrivals is not None else None,
-                bool(pipeline),
-                self._catalog_version,
-                self._roster_fingerprint,
-            )
-            cached = self._plan_cache.get(key)
-            if cached is not None:
-                sp.set(cached=True, ops=len(cached.ops))
-                return cached
-            physical = PhysicalPlanner(self).compile(
-                plans, arrivals, pipeline=pipeline
-            )
-            self._plan_cache.put(key, physical)
-            sp.set(cached=False, ops=len(physical.ops))
+                if key is not None:
+                    self._plan_cache.put(key, physical)
+            sp.set(ops=len(physical.ops))
+            sp.set_volatile(cached=cached)
             return physical
 
     def plan_cache_info(self) -> dict[str, int]:

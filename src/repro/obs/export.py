@@ -66,7 +66,9 @@ def write_jsonl(
     """One JSON object per span (and per metric); returns lines written.
 
     Span objects carry ``{"span", "id", "parent", "t0_us", "dur_us",
-    "tid", "args"}``; ids are depth-first preorder, so the tree
+    "tid", "args"}`` plus, when present, the host-schedule channel
+    (``"volatile"`` attributes, ``"volatile_children": true``); ids are
+    depth-first preorder, so the tree — and its ``structure()`` —
     reconstructs exactly.  Metric objects carry ``{"metric", "kind",
     ...values}``.
     """
@@ -81,7 +83,7 @@ def write_jsonl(
             nonlocal next_id, lines
             span_id = next_id
             next_id += 1
-            stream.write(json.dumps({
+            record = {
                 "span": span.name,
                 "id": span_id,
                 "parent": parent,
@@ -89,7 +91,12 @@ def write_jsonl(
                 "dur_us": span.seconds * 1e6,
                 "tid": span.tid,
                 "args": span.attrs,
-            }, sort_keys=True) + "\n")
+            }
+            if span.volatile:
+                record["volatile"] = span.volatile
+            if span.volatile_children:
+                record["volatile_children"] = True
+            stream.write(json.dumps(record, sort_keys=True) + "\n")
             lines += 1
             for child in span.children:
                 emit(child, span_id)
@@ -130,6 +137,8 @@ def read_jsonl(path_or_file: PathOrFile) -> tuple[list[Span], list[dict]]:
                 t0=obj["t0_us"] / 1e6,
                 t1=(obj["t0_us"] + obj["dur_us"]) / 1e6,
                 tid=obj.get("tid", 0),
+                volatile=dict(obj.get("volatile", {})),
+                volatile_children=bool(obj.get("volatile_children", False)),
             )
             spans[obj["id"]] = span
             parent = obj.get("parent")
@@ -171,7 +180,7 @@ def write_chrome_trace(
                 "dur": span.seconds * 1e6,
                 "pid": 0,
                 "tid": tid,
-                "args": span.attrs,
+                "args": {**span.attrs, **span.volatile},
             })
     for raw, tid in tids.items():
         events.append({

@@ -7,7 +7,8 @@ managers::
 
     with obs.span("compile", ops=6) as sp:
         ...
-        sp.set(cached=True)
+        sp.set(rows_out=12)           # structural: deterministic, compared
+        sp.set_volatile(cached=True)  # host-schedule state: exported only
 
 Tracing is **off by default**: the module-level active tracer starts as
 :data:`NULL_TRACER`, whose ``span()`` returns one shared no-op context
@@ -22,6 +23,16 @@ free-standing subtree, and the replay phase later grafts it into the
 deterministic tree with :meth:`Tracer.adopt`.  The resulting tree
 *structure* is therefore identical between parallel and serial runs;
 only timestamps (and thread ids) differ.
+
+Attributes come in two channels.  ``attrs`` are **structural**: a
+deterministic function of the work (simulated quantities, counts,
+names) and part of :meth:`Span.structure`.  ``volatile`` attributes are
+**host-schedule state** — whether a shared cache happened to hit, which
+thread won a race — exported beside ``attrs`` but never compared.  A
+span whose *children* exist only on one side of such a race (the
+planner spans a cache miss records and a hit does not) calls
+:meth:`Span.mark_children_volatile` and its subtree leaves the
+structure too.
 """
 
 from __future__ import annotations
@@ -58,6 +69,10 @@ class Span:
     t1: float = 0.0
     tid: int = 0
     children: list["Span"] = field(default_factory=list)
+    #: host-schedule state: exported, excluded from :meth:`structure`.
+    volatile: dict[str, Any] = field(default_factory=dict)
+    #: True when which children exist is itself host-schedule state.
+    volatile_children: bool = False
 
     @property
     def seconds(self) -> float:
@@ -68,6 +83,16 @@ class Span:
         """Attach (or overwrite) attributes on the open span."""
         self.attrs.update(attrs)
 
+    def set_volatile(self, **attrs: Any) -> None:
+        """Attach host-schedule-dependent attributes (cache hits, thread
+        ids, host timings): exported with the span, never compared."""
+        self.volatile.update(attrs)
+
+    def mark_children_volatile(self) -> None:
+        """Declare that which children this span has depends on the
+        host schedule; :meth:`structure` then stops at this span."""
+        self.volatile_children = True
+
     def walk(self) -> Iterator["Span"]:
         """This span and every descendant, depth-first."""
         yield self
@@ -75,14 +100,14 @@ class Span:
             yield from child.walk()
 
     def structure(self) -> tuple:
-        """The deterministic projection: names, attrs, nesting — no
-        timestamps, no thread ids.  Equal between parallel and serial
-        runs of the same work (the tests' determinism contract)."""
-        return (
-            self.name,
-            tuple(sorted(self.attrs.items())),
-            tuple(child.structure() for child in self.children),
+        """The deterministic projection: names, structural attrs,
+        nesting — no timestamps, no thread ids, nothing volatile.  Equal
+        between parallel and serial runs of the same work (the tests'
+        determinism contract)."""
+        children = () if self.volatile_children else tuple(
+            child.structure() for child in self.children
         )
+        return (self.name, tuple(sorted(self.attrs.items())), children)
 
     def __repr__(self) -> str:
         return (
@@ -103,6 +128,12 @@ class _NullSpan:
     seconds = 0.0
 
     def set(self, **attrs: Any) -> None:
+        pass
+
+    def set_volatile(self, **attrs: Any) -> None:
+        pass
+
+    def mark_children_volatile(self) -> None:
         pass
 
 

@@ -6,6 +6,14 @@ intermediate result such as an un-deduplicated projection).  Both store
 tuples in their integer-encoded form, exactly as the paper's arrays see
 them; decoding back to domain values happens only on demand.
 
+Two forms hold the same rows.  The **columnar** form is an
+``(n, arity)`` int64 matrix (``.array``) — what the store reads off
+disk and what the engines slice into blocks; the **tuple** form
+(``.tuples``, iteration, membership) is what the pulse oracle and the
+reference algebra walk.  A relation is built from either and derives
+the other on first touch; each cache is computed in full and then
+assigned, so threads sharing a relation only ever see a finished one.
+
 Tuple order is preserved as given (relations are logically unordered,
 but a deterministic iteration order keeps the systolic feeding schedules
 and the tests reproducible).
@@ -13,15 +21,86 @@ and the tests reproducible).
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Optional, Sequence, Union
 
-from repro.errors import RelationError
+import numpy as np
+
+from repro.errors import RelationError, SchemaError
 from repro.relational.schema import ColumnRef, Schema
 
 __all__ = ["Relation", "MultiRelation", "EncodedTuple"]
 
 #: A tuple in its stored (integer-encoded) form.
 EncodedTuple = tuple[int, ...]
+
+_INT64 = np.iinfo(np.int64)
+
+#: The comparison operators as whole-column ufuncs (package-internal:
+#: the store, the disk and the host CPU filter columns with these).
+COLUMN_OPS = {
+    "==": np.equal,
+    "!=": np.not_equal,
+    "<": np.less,
+    "<=": np.less_equal,
+    ">": np.greater,
+    ">=": np.greater_equal,
+}
+
+
+def _packed_key(array: np.ndarray) -> Optional[np.ndarray]:
+    """One int64 per row, equal exactly when the rows are equal — or
+    ``None`` when the columns' value ranges do not fit 63 bits together."""
+    key = None
+    span = 1
+    for position in range(array.shape[1]):
+        column = array[:, position]
+        low = int(column.min())
+        width = int(column.max()) - low + 1
+        span *= width
+        if span > _INT64.max:
+            return None
+        offset = column - low
+        key = offset if key is None else key * width + offset
+    return key
+
+
+def _first_occurrences(array: np.ndarray) -> Optional[np.ndarray]:
+    """Ascending indices of each distinct row's first occurrence, or
+    ``None`` when every row is distinct already (the common case, told
+    by one sort of the packed keys)."""
+    n = len(array)
+    if n < 2:
+        return None
+    key = _packed_key(array)
+    if key is not None:
+        ordered = np.sort(key)
+        if (ordered[1:] != ordered[:-1]).all():
+            return None
+        _, first = np.unique(key, return_index=True)
+    else:
+        # lexsort is stable: equal rows stay in input order, so each
+        # run of equal rows starts at its first occurrence.
+        order = np.lexsort(array.T[::-1])
+        ordered = array[order]
+        starts = np.ones(n, dtype=bool)
+        starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        if starts.all():
+            return None
+        first = order[starts]
+    first.sort()
+    return first
+
+
+def _as_matrix(tuples: Sequence[EncodedTuple], arity: int) -> np.ndarray:
+    """Validated tuples as an ``(n, arity)`` matrix: int64, or ``object``
+    when an element is wider than a machine word (only the pulse
+    engine's cells compare those, and it streams Python ints)."""
+    if not tuples:
+        return np.empty((0, arity), dtype=np.int64)
+    try:
+        return np.asarray(tuples, dtype=np.int64)
+    except OverflowError:
+        return np.asarray(tuples, dtype=object)
 
 
 class _TupleStore:
@@ -30,34 +109,79 @@ class _TupleStore:
     #: Subclasses set this: do we reject duplicate tuples?
     _allow_duplicates = False
 
-    def __init__(self, schema: Schema, tuples: Iterable[EncodedTuple] = ()) -> None:
+    def __init__(
+        self,
+        schema: Schema,
+        tuples: Union[Iterable[Sequence[int]], np.ndarray] = (),
+    ) -> None:
         self.schema = schema
-        self._tuples: list[EncodedTuple] = []
-        self._seen: set[EncodedTuple] = set()
-        for item in tuples:
-            self._add(item)
+        #: the constructor fills ``_array`` or ``_tuples`` (+ ``_seen``);
+        #: whatever is still ``None`` is derived on first touch.
+        self._tuples: Optional[tuple[EncodedTuple, ...]] = None
+        self._seen: Optional[Union[set, frozenset]] = None
+        self._array: Optional[np.ndarray] = None
+        if isinstance(tuples, np.ndarray) and tuples.dtype != object:
+            self._array = self._checked_array(tuples)
+        else:
+            # Tuples — or the ``object`` matrix that is the ``.array`` of
+            # a relation with elements wider than a machine word, whose
+            # rows are checked one by one like any tuples.
+            self._tuples, self._seen = self._checked_tuples(tuples)
 
     # -- construction -------------------------------------------------------
 
-    def _add(self, item: Sequence[int]) -> None:
-        encoded = tuple(item)
-        if len(encoded) != len(self.schema):
-            raise RelationError(
-                f"tuple arity {len(encoded)} does not match schema arity "
-                f"{len(self.schema)}: {encoded!r}"
-            )
-        for element in encoded:
-            if isinstance(element, bool) or not isinstance(element, int):
+    def _checked_tuples(
+        self, items: Iterable[Sequence[int]]
+    ) -> tuple[tuple[EncodedTuple, ...], set]:
+        arity = len(self.schema)
+        kept: list[EncodedTuple] = []
+        seen: set[EncodedTuple] = set()
+        for item in items:
+            encoded = tuple(item)
+            if len(encoded) != arity:
                 raise RelationError(
-                    f"stored tuples are integer-encoded; got element "
-                    f"{element!r} in {encoded!r}"
+                    f"tuple arity {len(encoded)} does not match schema arity "
+                    f"{arity}: {encoded!r}"
                 )
-        if encoded in self._seen:
-            if not self._allow_duplicates:
-                return  # set semantics: silently idempotent
-        else:
-            self._seen.add(encoded)
-        self._tuples.append(encoded)
+            for element in encoded:
+                if isinstance(element, bool) or not isinstance(element, int):
+                    raise RelationError(
+                        f"stored tuples are integer-encoded; got element "
+                        f"{element!r} in {encoded!r}"
+                    )
+            if encoded in seen:
+                if not self._allow_duplicates:
+                    continue  # set semantics: silently idempotent
+            else:
+                seen.add(encoded)
+            kept.append(encoded)
+        return tuple(kept), seen
+
+    def _checked_array(self, array: np.ndarray) -> np.ndarray:
+        """A read-only view of an ``(n, arity)`` int64 matrix, minus —
+        for a relation — every row that repeats an earlier one.
+
+        The buffer is not copied: the caller hands it over and must not
+        write to it afterwards.
+        """
+        arity = len(self.schema)
+        if array.ndim != 2 or array.shape[1] != arity:
+            raise RelationError(
+                f"a columnar relation over {arity} columns needs an "
+                f"(n, {arity}) array, got shape {array.shape}"
+            )
+        if array.dtype != np.int64:
+            raise RelationError(
+                f"stored tuples are integer-encoded: a columnar relation "
+                f"needs an int64 array, got dtype {array.dtype}"
+            )
+        if not self._allow_duplicates:
+            first = _first_occurrences(array)
+            if first is not None:
+                array = array[first]
+        array = array.view()
+        array.setflags(write=False)
+        return array
 
     @classmethod
     def from_values(
@@ -85,12 +209,40 @@ class _TupleStore:
     @property
     def tuples(self) -> tuple[EncodedTuple, ...]:
         """The stored (encoded) tuples, in deterministic order."""
-        return tuple(self._tuples)
+        tuples = self._tuples
+        if tuples is None:
+            tuples = tuple(map(tuple, self._array.tolist()))
+            self._tuples = tuples
+        return tuples
+
+    @property
+    def array(self) -> np.ndarray:
+        """The stored tuples as a read-only ``(n, arity)`` matrix, one
+        row per tuple in :attr:`tuples` order: int64, or ``object``
+        dtype when an element does not fit a signed 64-bit word."""
+        array = self._array
+        if array is None:
+            array = _as_matrix(self._tuples, len(self.schema))
+            array.setflags(write=False)
+            self._array = array
+        return array
+
+    def _members(self) -> Union[set, frozenset]:
+        seen = self._seen
+        if seen is None:
+            seen = frozenset(self.tuples)
+            self._seen = seen
+        return seen
+
+    def _rows(self) -> Union[tuple[EncodedTuple, ...], np.ndarray]:
+        """Whichever form is already at hand, to rebuild from without
+        boxing a columnar relation or re-packing a tuple-built one."""
+        return self._tuples if self._tuples is not None else self._array
 
     @property
     def cardinality(self) -> int:
         """Number of stored tuples (``n`` in the paper's notation)."""
-        return len(self._tuples)
+        return len(self._rows())
 
     @property
     def arity(self) -> int:
@@ -99,34 +251,36 @@ class _TupleStore:
 
     def contains(self, item: Sequence[int]) -> bool:
         """Membership test on an encoded tuple."""
-        return tuple(item) in self._seen
+        return tuple(item) in self._members()
 
     def decoded(self) -> list[tuple[Hashable, ...]]:
         """All tuples decoded back to domain values."""
         domains = self.schema.domains
         return [
             tuple(domain.decode(code) for domain, code in zip(domains, row))
-            for row in self._tuples
+            for row in self.tuples
         ]
 
     def column_values(self, ref: ColumnRef) -> list[int]:
         """The encoded values of one column, in tuple order."""
         position = self.schema.resolve(ref)
+        if self._tuples is None:
+            return self._array[:, position].tolist()
         return [row[position] for row in self._tuples]
 
     # -- container protocol ---------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._tuples)
+        return len(self._rows())
 
     def __iter__(self) -> Iterator[EncodedTuple]:
-        return iter(self._tuples)
+        return iter(self.tuples)
 
     def __contains__(self, item: object) -> bool:
-        return isinstance(item, tuple) and item in self._seen
+        return isinstance(item, tuple) and item in self._members()
 
     def __bool__(self) -> bool:
-        return bool(self._tuples)
+        return len(self._rows()) > 0
 
     def __eq__(self, other: object) -> bool:
         """Set equality for relations, bag equality for multi-relations."""
@@ -137,11 +291,11 @@ class _TupleStore:
         if not self.schema.union_compatible_with(other.schema):
             return False
         if self._allow_duplicates:
-            return sorted(self._tuples) == sorted(other._tuples)
-        return self._seen == other._seen
+            return sorted(self.tuples) == sorted(other.tuples)
+        return self._members() == other._members()
 
     def __hash__(self) -> int:
-        return hash((self.schema, frozenset(self._seen)))
+        return hash((self.schema, frozenset(self._members())))
 
     def __repr__(self) -> str:
         kind = type(self).__name__
@@ -167,6 +321,15 @@ class _TupleStore:
 class Relation(_TupleStore):
     """A set of tuples over a schema (duplicates are dropped on insert).
 
+    ``Relation(schema, rows)`` takes any iterable of integer tuples —
+    each element type-checked — or an ``(n, arity)`` int64
+    :class:`numpy.ndarray`, whose shape and dtype are checked once and
+    which is then held without a copy (do not write to it afterwards).
+    Either way a row equal to an earlier one is dropped and the order of
+    first occurrences is kept.  (An ``object``-dtype matrix, the
+    ``.array`` of a relation with elements wider than 64 bits, is
+    accepted too and checked element by element.)
+
     The Python set operators delegate to the reference algebra:
     ``a & b`` = intersection (§4), ``a | b`` = union (§5), ``a - b`` =
     difference (§4.3), ``<=``/``>=`` = subset/superset.  These are the
@@ -178,7 +341,7 @@ class Relation(_TupleStore):
 
     def to_multi(self) -> "MultiRelation":
         """View this relation as a multi-relation (copying tuples)."""
-        return MultiRelation(self.schema, self._tuples)
+        return MultiRelation(self.schema, self._rows())
 
     def __and__(self, other: "Relation") -> "Relation":
         if not isinstance(other, Relation):
@@ -200,14 +363,14 @@ class Relation(_TupleStore):
         if not isinstance(other, Relation):
             return NotImplemented
         self.schema.require_union_compatible(other.schema)
-        return set(self.tuples) <= set(other.tuples)
+        return self._members() <= other._members()
 
     def __ge__(self, other: "Relation") -> bool:
         """Superset test."""
         if not isinstance(other, Relation):
             return NotImplemented
         self.schema.require_union_compatible(other.schema)
-        return set(self.tuples) >= set(other.tuples)
+        return self._members() >= other._members()
 
 
 class MultiRelation(_TupleStore):
@@ -222,12 +385,34 @@ class MultiRelation(_TupleStore):
         array (§5); the array itself lives in
         :mod:`repro.arrays.duplicates`.
         """
-        return Relation(self.schema, self._tuples)
+        return Relation(self.schema, self._rows())
 
     def concat(self, other: "MultiRelation | Relation") -> "MultiRelation":
         """Bag concatenation ``A + B`` (used to build union, §5)."""
         self.schema.require_union_compatible(other.schema)
-        return MultiRelation(self.schema, list(self._tuples) + list(other.tuples))
+        mine, theirs = self._rows(), other._rows()
+        if (
+            isinstance(mine, np.ndarray) and isinstance(theirs, np.ndarray)
+        ):
+            return MultiRelation(self.schema, np.concatenate([mine, theirs]))
+        return MultiRelation(self.schema, self.tuples + other.tuples)
+
+
+def select_rows(
+    relation: Relation, column: ColumnRef, op: str, value: int
+) -> Relation:
+    """Selection σ by column mask (package-internal).
+
+    What the machine's disk and host CPU run; deliberately not
+    :func:`repro.relational.algebra.select`, the tuple-at-a-time oracle
+    the tests hold it against.
+    """
+    compare = COLUMN_OPS.get(op)
+    if compare is None:
+        raise SchemaError(f"unknown comparison operator {op!r}")
+    matrix = relation.array
+    keep = compare(matrix[:, relation.schema.resolve(column)], value)
+    return Relation(relation.schema, matrix[keep])
 
 
 def _algebra():

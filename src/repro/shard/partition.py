@@ -30,6 +30,8 @@ import bisect
 from abc import ABC, abstractmethod
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.errors import PlanError
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnRef
@@ -56,6 +58,15 @@ class Partitioner(ABC):
     def shard_of(self, value: int, shards: int) -> int:
         """The shard index in ``[0, shards)`` owning ``value``."""
 
+    def _shards_of(self, values: np.ndarray, shards: int) -> np.ndarray:
+        """:meth:`shard_of` over a whole key column.  Subclasses
+        vectorize the int64 case and leave wide (``object``) columns,
+        whose elements only Python ints can hold, to this loop."""
+        return np.fromiter(
+            (self.shard_of(value, shards) for value in values.tolist()),
+            dtype=np.int64, count=len(values),
+        )
+
     @abstractmethod
     def fingerprint(self) -> tuple:
         """Hashable identity: equal fingerprints partition identically."""
@@ -66,15 +77,19 @@ class Partitioner(ABC):
         """Split a relation into ``shards`` pieces by its key column.
 
         Pieces keep the input's schema and tuple order; their disjoint
-        union is the input relation.
+        union is the input relation.  The cut is computed on the key
+        column and the pieces are slices of the relation's matrix.
         """
         if shards < 1:
             raise PlanError(f"shard count must be >= 1, got {shards}")
-        position = relation.schema.resolve(key)
-        buckets: list[list] = [[] for _ in range(shards)]
-        for row in relation.tuples:
-            buckets[self.shard_of(row[position], shards)].append(row)
-        return [Relation(relation.schema, bucket) for bucket in buckets]
+        matrix = relation.array
+        owner = self._shards_of(
+            matrix[:, relation.schema.resolve(key)], shards
+        )
+        return [
+            Relation(relation.schema, matrix[owner == shard])
+            for shard in range(shards)
+        ]
 
 
 class HashPartitioner(Partitioner):
@@ -89,6 +104,15 @@ class HashPartitioner(Partitioner):
         mixed = ((value & _MASK) * _MIX) & _MASK
         mixed ^= mixed >> 29
         return mixed % shards
+
+    def _shards_of(self, values: np.ndarray, shards: int) -> np.ndarray:
+        if values.dtype != np.int64:
+            return super()._shards_of(values, shards)
+        # uint64 arithmetic wraps modulo 2**64, which is the scalar
+        # version's ``& _MASK``.
+        mixed = values.astype(np.uint64) * np.uint64(_MIX)
+        mixed ^= mixed >> np.uint64(29)
+        return mixed % np.uint64(shards)
 
     def fingerprint(self) -> tuple:
         return ("hash", _MIX)
@@ -135,6 +159,15 @@ class RangePartitioner(Partitioner):
 
     def shard_of(self, value: int, shards: int) -> int:
         return min(bisect.bisect_left(self.cuts, value), shards - 1)
+
+    def _shards_of(self, values: np.ndarray, shards: int) -> np.ndarray:
+        if values.dtype != np.int64:
+            return super()._shards_of(values, shards)
+        try:
+            cuts = np.asarray(self.cuts, dtype=np.int64)
+        except OverflowError:  # a cut wider than a machine word
+            return super()._shards_of(values, shards)
+        return np.minimum(np.searchsorted(cuts, values), shards - 1)
 
     def fingerprint(self) -> tuple:
         return ("range", self.cuts)

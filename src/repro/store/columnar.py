@@ -40,7 +40,7 @@ from repro.errors import ConfigError, StoreError
 from repro.obs import metrics
 from repro.relational.algebra import COMPARISON_OPS
 from repro.relational.domain import Domain, IntegerDomain
-from repro.relational.relation import Relation
+from repro.relational.relation import COLUMN_OPS, Relation
 from repro.relational.schema import ColumnRef, Schema
 from repro.store.grid import (
     GridIndex,
@@ -293,19 +293,19 @@ class StoredRelation:
             rows_scanned += len(block)
             nbytes += self.chunk_bytes(chunk_id)
             if position is not None:
-                ufunc = getattr(np, _NUMPY_OPS[op])
-                block = block[ufunc(block[:, position], value)]
+                block = block[COLUMN_OPS[op](block[:, position], value)]
             parts.append(block)
         metrics.inc("store.chunks_read", len(chunk_ids))
         metrics.inc("store.chunks_pruned", self.n_chunks - len(chunk_ids))
         metrics.inc("store.bytes_read", nbytes)
-        if parts:
-            combined = np.concatenate(parts)
-            tuples = map(tuple, combined.tolist())
-        else:
-            tuples = iter(())
+        rows = (
+            np.concatenate(parts).astype(np.int64, copy=False) if parts
+            else np.empty((0, self.arity), dtype=np.int64)
+        )
         return StoreScan(
-            relation=Relation(self.schema, tuples),
+            # Set semantics is enforced here, by the constructor:
+            # ``write_array`` trusted its caller, the read does not.
+            relation=Relation(self.schema, rows),
             chunks_total=self.n_chunks,
             chunks_read=len(chunk_ids),
             rows_scanned=rows_scanned,
@@ -320,16 +320,6 @@ class StoredRelation:
             f"StoredRelation({self.name!r}, {self.rows} rows, "
             f"{self.n_chunks} chunks{indexed})"
         )
-
-
-_NUMPY_OPS = {
-    "==": "equal",
-    "!=": "not_equal",
-    "<": "less",
-    "<=": "less_equal",
-    ">": "greater",
-    ">=": "greater_equal",
-}
 
 
 def _zone_admits(op: str, value: int, lo: int, hi: int) -> bool:
@@ -366,17 +356,23 @@ class RelationStore:
     # -- catalogue ----------------------------------------------------------
 
     def names(self) -> list[str]:
-        """Relations with a parseable manifest, sorted."""
-        found = []
-        for entry in sorted(self.root.iterdir()):
-            if entry.is_dir() and (entry / "manifest.json").is_file():
-                found.append(entry.name)
-        return found
+        """Relations with a manifest, sorted.
+
+        Only valid relation names count: a writer killed between its
+        manifest write and the rename leaves a ``.tmp-<name>-<pid>``
+        staging directory behind, which is not a relation.
+        """
+        return sorted(
+            entry.name for entry in self.root.iterdir()
+            if self.holds(entry.name)
+        )
 
     def holds(self, name: str) -> bool:
-        return (self.root / name / "manifest.json").is_file() if (
-            isinstance(name, str) and _NAME_RE.match(name)
-        ) else False
+        return (
+            isinstance(name, str)
+            and _NAME_RE.match(name) is not None
+            and (self.root / name / "manifest.json").is_file()
+        )
 
     def drop(self, name: str) -> None:
         """Remove a relation (idempotent)."""
@@ -437,7 +433,12 @@ class RelationStore:
         index_columns: Optional[Sequence[ColumnRef]] = None,
     ) -> StoredRelation:
         """Persist a relation, replacing any previous version."""
-        array = _to_array(relation)
+        array = relation.array
+        if array.dtype != np.int64:
+            raise StoreError(
+                f"stored elements must fit a signed 64-bit integer; "
+                f"{name!r} holds wider ones"
+            )
         return self._write_rows(
             name, array, relation.schema, chunk_rows, index_columns
         )
@@ -556,14 +557,3 @@ def _cells_per_axis(n_chunks: int, ndims: int) -> int:
     target = 4 * n_chunks
     per_axis = max(1, round(target ** (1.0 / ndims)))
     return per_axis
-
-
-def _to_array(relation: Relation) -> np.ndarray:
-    if len(relation) == 0:
-        return np.empty((0, relation.arity), dtype=np.int64)
-    try:
-        return np.array(relation.tuples, dtype=np.int64)
-    except OverflowError as exc:
-        raise StoreError(
-            f"stored elements must fit a signed 64-bit integer: {exc}"
-        ) from exc

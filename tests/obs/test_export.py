@@ -47,6 +47,20 @@ class TestJsonl:
         )
         assert metric_lines == []
 
+    def test_round_trip_keeps_the_volatile_channel_apart(self):
+        tracer = traced_run()
+        buffer = io.StringIO()
+        write_jsonl(tracer, buffer)
+        buffer.seek(0)
+        roots, _ = read_jsonl(buffer)
+        (compiled,) = [
+            sp for root in roots for sp in root.walk()
+            if sp.name == "machine.compile"
+        ]
+        assert compiled.volatile == {"cached": False}
+        assert compiled.volatile_children
+        assert "cached" not in compiled.attrs
+
     def test_metric_lines_ride_along(self):
         tracer = obs.Tracer()
         with tracer.span("only"):
@@ -74,6 +88,8 @@ class TestChromeTrace:
         metadata = [e for e in document["traceEvents"] if e["ph"] == "M"]
         assert events == len(document["traceEvents"])
         assert len(complete) == sum(1 for _ in tracer.walk())
+        (compiled,) = [e for e in complete if e["name"] == "machine.compile"]
+        assert compiled["args"]["cached"] is False  # volatile rides in args
         for event in complete:
             assert set(event) >= {"name", "ts", "dur", "pid", "tid", "args"}
             assert event["ts"] >= 0.0

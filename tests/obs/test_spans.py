@@ -78,6 +78,9 @@ class TestAmbient:
     def test_null_span_accepts_set(self):
         with obs.span("x") as sp:
             sp.set(anything=1)  # must not raise or record
+            sp.set_volatile(cached=True)
+            sp.mark_children_volatile()
+        assert sp.attrs == {}
 
     def test_start_stop(self):
         tracer = obs.start()
@@ -109,6 +112,39 @@ class TestStructure:
         rb.tid = ra.tid + 1  # different threads, different clocks —
         rb.t0, rb.t1 = ra.t0 + 5, ra.t1 + 9
         assert ra.structure() == rb.structure()
+
+    def test_volatile_channel_is_recorded_but_not_compared(self):
+        """Host-schedule state (a cache hit, and the work a hit skips)
+        is kept on the span and left out of the structure."""
+        hit, miss = obs.Tracer(), obs.Tracer()
+        with hit.span("compile", plans=1) as sp:
+            sp.mark_children_volatile()
+            sp.set_volatile(cached=True)
+        with miss.span("compile", plans=1) as sp:
+            sp.mark_children_volatile()
+            with miss.span("planner"):
+                pass
+            sp.set_volatile(cached=False)
+        (a,), (b,) = hit.roots, miss.roots
+        assert a.structure() == b.structure()
+        assert a.attrs == b.attrs == {"plans": 1}
+        assert (a.volatile, b.volatile) == (
+            {"cached": True}, {"cached": False}
+        )
+        assert [child.name for child in b.children] == ["planner"]
+
+    def test_cache_hit_and_miss_compile_to_one_structure(self):
+        machine = build_machine()
+        structures, cached = [], []
+        for _ in range(2):
+            with obs.tracing() as tracer:
+                machine.compile(join_project_plan())
+            (compile_span,) = tracer.find("machine.compile")
+            structures.append(compile_span.structure())
+            cached.append(compile_span.volatile["cached"])
+            assert "cached" not in compile_span.attrs
+        assert cached == [False, True]
+        assert structures[0] == structures[1]
 
     def test_machine_structure_identical_parallel_vs_serial(self):
         """The tentpole determinism contract: the recorded span tree's

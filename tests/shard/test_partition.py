@@ -118,3 +118,26 @@ class TestPartition:
         for index, piece in enumerate(pieces):
             for row in piece.tuples:
                 assert p.shard_of(row[0], shards) == index
+
+    @SMALL
+    @given(
+        keys=st.lists(
+            st.integers(-4, 4)
+            | st.sampled_from([-(2 ** 63), 2 ** 63 - 1, 2 ** 70, -(2 ** 65)]),
+            min_size=0, max_size=30,
+        ),
+        shards=st.integers(1, 5),
+        cuts=st.sets(st.integers(-5, 5) | st.just(2 ** 66), max_size=4),
+    )
+    def test_the_column_cut_is_the_scalar_cut(self, keys, shards, cuts):
+        """Pieces are cut on the whole key column at once; every row
+        must land where ``shard_of`` sends it, in input order — for
+        int64 columns and for ones wider than a machine word alike."""
+        relation = _relation([(k, i) for i, k in enumerate(keys)])
+        for p in (HashPartitioner(), RangePartitioner(sorted(cuts))):
+            pieces = p.partition(relation, 0, shards)
+            assert [list(piece.tuples) for piece in pieces] == [
+                [row for row in relation.tuples
+                 if p.shard_of(row[0], shards) == index]
+                for index in range(shards)
+            ]

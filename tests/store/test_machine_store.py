@@ -15,11 +15,14 @@ import pytest
 from repro.errors import PlanError
 from repro.machine import (
     Base,
+    Difference,
     EnginePool,
+    Intersect,
     Join,
     Project,
     Select,
     SystolicDatabaseMachine,
+    Union,
 )
 from repro.obs import metrics
 from repro.perf.cost import ScanCost
@@ -65,6 +68,16 @@ def _machine(backend=None) -> SystolicDatabaseMachine:
     return SystolicDatabaseMachine(backend=backend)
 
 
+#: the in-memory operand in both of its forms: built from Python
+#: tuples, and built from the ``(n, arity)`` int64 matrix.
+FORMS = {
+    "tuples": lambda schema, rows: Relation(schema, rows),
+    "array": lambda schema, rows: Relation(
+        schema, np.array(rows, dtype=np.int64)
+    ),
+}
+
+
 SELECT_PLANS = [
     ("eq", Select(Base("SP"), column="s", op="==", value=17)),
     ("lt", Select(Base("SP"), column="p", op="<", value=9)),
@@ -73,15 +86,16 @@ SELECT_PLANS = [
 
 
 class TestDifferential:
+    @pytest.mark.parametrize("form", FORMS)
     @pytest.mark.parametrize("backend", [None, "lattice", "bitplane"])
     @pytest.mark.parametrize(
         "plan", [p for _, p in SELECT_PLANS], ids=[k for k, _ in SELECT_PLANS]
     )
     def test_store_backed_select_matches_in_memory(
-        self, stored, sp_rows, backend, plan
+        self, stored, sp_rows, backend, plan, form
     ):
         reference = _machine(backend)
-        reference.store("SP", Relation(_sp_schema(), sp_rows))
+        reference.store("SP", FORMS[form](_sp_schema(), sp_rows))
         expected, _ = reference.run(plan)
 
         disk_backed = _machine(backend)
@@ -92,8 +106,11 @@ class TestDifferential:
         assert sorted(actual.tuples) == sorted(expected.tuples)
         assert report.makespan > 0
 
+    @pytest.mark.parametrize("form", FORMS)
     @pytest.mark.parametrize("backend", ["lattice", "bitplane"])
-    def test_store_backed_join_matches_in_memory(self, stored, sp_rows, backend):
+    def test_store_backed_join_matches_in_memory(
+        self, stored, sp_rows, backend, form
+    ):
         supplier_rows = [(i, i % 5) for i in range(50)]
         s_schema = Schema.of(("s", _INT), ("city", _INT))
         plan = Project(
@@ -106,17 +123,49 @@ class TestDifferential:
         )
 
         reference = _machine(backend)
-        reference.store("SP", Relation(_sp_schema(), sp_rows))
-        reference.store("S", Relation(s_schema, supplier_rows))
+        reference.store("SP", FORMS[form](_sp_schema(), sp_rows))
+        reference.store("S", FORMS[form](s_schema, supplier_rows))
         expected, _ = reference.run(plan)
 
         disk_backed = _machine(backend)
         disk_backed.attach_store(stored)
-        disk_backed.store("S", Relation(s_schema, supplier_rows))
+        disk_backed.store("S", FORMS[form](s_schema, supplier_rows))
         actual, _ = disk_backed.run(plan)
 
         assert actual == expected
         assert len(expected) > 0
+
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("backend", [None, "lattice", "bitplane"])
+    def test_store_backed_set_operators_match_in_memory(
+        self, tmp_path, sp_rows, backend, form
+    ):
+        """Columnar operands through the comparison array itself:
+        intersection, difference, union and projection (dedup) of a
+        store-backed relation with an in-memory one, small enough for
+        the pulse oracle."""
+        left, right = sp_rows[:40], sp_rows[25:60]
+        store = RelationStore(tmp_path / "small")
+        store.write("L", Relation(_sp_schema(), left), chunk_rows=16)
+        plans = [
+            Intersect(Base("L"), Base("R")),
+            Difference(Base("L"), Base("R")),
+            Union(Base("L"), Base("R")),
+            Project(Base("L"), (0,)),
+        ]
+
+        reference = _machine(backend)
+        reference.store("L", Relation(_sp_schema(), left))
+        reference.store("R", Relation(_sp_schema(), right))
+        disk_backed = _machine(backend)
+        disk_backed.attach_store(store)
+        disk_backed.store("R", FORMS[form](_sp_schema(), right))
+
+        for plan in plans:
+            expected, _ = reference.run(plan)
+            actual, _ = disk_backed.run(plan)
+            assert actual == expected, plan.describe()
+            assert len(expected) > 0
 
     def test_selective_query_records_pruning(self, stored):
         machine = _machine()
@@ -129,6 +178,27 @@ class TestDifferential:
         finally:
             metrics.disable()
             metrics.reset()
+
+
+class TestStaleStaging:
+    def test_a_killed_writers_staging_directory_is_not_a_relation(
+        self, stored
+    ):
+        """A writer killed after its manifest write and before the
+        rename leaves ``.tmp-<name>-<pid>/manifest.json`` behind; the
+        store must not list it, and compiles must keep working."""
+        staging = stored.root / ".tmp-R-999"
+        staging.mkdir()
+        (staging / "manifest.json").write_text(
+            (stored.root / "SP" / "manifest.json").read_text()
+        )
+        assert stored.names() == ["SP"]
+        assert not stored.holds(".tmp-R-999")
+        assert [name for name, _ in stored.fingerprint()] == ["SP"]
+        machine = _machine()
+        machine.attach_store(stored)
+        result, _ = machine.run(SELECT_PLANS[0][1])
+        assert len(result) > 0
 
 
 class TestPlanner:
