@@ -20,6 +20,7 @@ from repro.faults.recovery import (
     DEFAULT_RETRY_POLICY,
     CancelToken,
     RetryPolicy,
+    replan_on_quarantine,
     retry_call,
     run_with_deadline,
 )
@@ -31,6 +32,7 @@ __all__ = [
     "CancelToken",
     "RetryPolicy",
     "DEFAULT_RETRY_POLICY",
+    "replan_on_quarantine",
     "retry_call",
     "run_with_deadline",
 ]

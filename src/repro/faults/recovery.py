@@ -18,7 +18,11 @@ honest:
   the ``faults.retries`` / ``faults.backoff_seconds`` metrics;
 * :func:`run_with_deadline` — run a callable on a worker thread and
   cancel it (``faults.deadline_cancels``, :class:`DeadlineError`) when
-  the budget lapses.
+  the budget lapses;
+* :func:`replan_on_quarantine` — the one degradation loop: a device
+  that exhausts its retries is quarantined and the query replanned on
+  the surviving roster, identically for the single machine, the
+  engine pool and every shard lane.
 
 Backoff sleeps are *host* time and deliberately tiny (milliseconds by
 default): they shape contention, not simulated timelines, which are
@@ -31,15 +35,21 @@ import hashlib
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Type
+from typing import Callable, Optional, Sequence, Tuple, Type
 
-from repro.errors import DeadlineError, FaultError
+from repro.errors import (
+    DeadlineError,
+    DeviceFaultError,
+    FaultError,
+    PlanError,
+)
 from repro.obs import metrics
 
 __all__ = [
     "CancelToken",
     "RetryPolicy",
     "DEFAULT_RETRY_POLICY",
+    "replan_on_quarantine",
     "retry_call",
     "run_with_deadline",
 ]
@@ -214,3 +224,65 @@ def run_with_deadline(
     if "error" in box:
         raise box["error"]  # type: ignore[misc]
     return box["value"]
+
+
+def replan_on_quarantine(
+    devices: Sequence, faults, compile: Callable, attempt: Callable
+):
+    """Run one query, replanning around the devices it quarantines.
+
+    Every pass calls ``attempt(roster, plan)`` with the surviving
+    roster (``None`` while nothing is quarantined, which keeps the
+    full-roster plan-cache entries in play); the attempt calls
+    ``plan()`` inside whatever spans it opens and executes the result
+    on that roster.  ``plan()`` is ``compile(roster)`` plus what every
+    caller owes it: survivors that cannot compile the query are a
+    permanent :class:`DeviceFaultError` naming the quarantined devices,
+    and the first compile after a quarantine counts the ops that left
+    the interrupted plan's devices (``faults.redispatches``).  An
+    attempt ended by a quarantine is replanned (``faults.replans``), at
+    most once per device.
+    """
+    dead: list[str] = []
+    roster: Optional[list] = None
+    planned = interrupted = None
+
+    def plan():
+        nonlocal planned, interrupted
+        try:
+            planned = compile(roster)
+        except PlanError as exc:
+            if roster is None:
+                raise
+            # device=None marks this wrapper as non-replannable below.
+            raise DeviceFaultError(
+                f"no healthy device can run the plan after quarantining "
+                f"{dead}",
+                quarantined=True,
+            ) from exc
+        if interrupted is not None:
+            moved = sum(
+                old.device != new.device
+                for old, new in zip(interrupted.ops, planned.ops)
+            )
+            if moved:
+                metrics.inc("faults.redispatches", moved)
+            interrupted = None
+        return planned
+
+    replans = 0
+    while True:
+        dead = faults.quarantined() if faults is not None else []
+        roster = [d for d in devices if d.name not in dead] if dead else None
+        try:
+            return attempt(roster, plan)
+        except DeviceFaultError as exc:
+            if (
+                not exc.quarantined
+                or exc.device is None
+                or replans >= len(devices)
+            ):
+                raise
+            replans += 1
+            interrupted = planned
+            metrics.inc("faults.replans")

@@ -31,6 +31,7 @@ from repro.machine.physical import (
     PhysicalPlan,
     PhysicalPlanner,
     PipelinedChain,
+    PlanningContext,
 )
 from repro.machine.pipelining import ChainTiming, StageCost, analyze_chain
 from repro.machine.report_export import (
@@ -76,6 +77,7 @@ __all__ = [
     "PlanCache",
     "PlanExecutor",
     "PlanNode",
+    "PlanningContext",
     "Project",
     "ScheduledStep",
     "Select",

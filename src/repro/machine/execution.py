@@ -17,8 +17,8 @@ machinery so the two front-ends cannot drift:
   *replay phase* doing all the timing and memory bookkeeping, so a
   parallel run is bit-identical to a serial one.
 * :func:`build_devices`, :func:`place_resident`,
-  :func:`roster_fingerprint` — the construction helpers both
-  front-ends share.
+  :func:`roster_fingerprint`, :func:`resolve_parallel` — the
+  construction helpers both front-ends share.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from typing import Any, Iterable, Optional, Sequence
 
 from repro import obs
 from repro.arrays.decomposition import ArrayCapacity
+from repro.config import env_flag
 from repro.errors import (
     CapacityError,
     DeviceFaultError,
@@ -68,8 +69,17 @@ __all__ = [
     "PlanExecutor",
     "build_devices",
     "place_resident",
+    "resolve_parallel",
     "roster_fingerprint",
 ]
+
+
+def resolve_parallel(parallel: Optional[bool]) -> bool:
+    """Whether the compute phase overlaps on host threads: the caller's
+    explicit choice, else ``REPRO_MACHINE_PARALLEL`` (default on)."""
+    if parallel is not None:
+        return bool(parallel)
+    return env_flag("REPRO_MACHINE_PARALLEL", True)
 
 
 def build_devices(
@@ -124,21 +134,32 @@ def roster_fingerprint(
 
 
 class MachineState:
-    """The mutable simulated-resource state one execution works against."""
+    """The mutable simulated-resource state one execution works against.
+
+    Starts empty — ``memories`` modules of ``memory_bytes`` each and an
+    idle crossbar around a disk and a device roster — byte for byte the
+    same for the machine's lifetime state and the pool's per-query ones.
+    """
 
     def __init__(
         self,
         element_bits: int,
         disk: MachineDisk,
-        memories: list[MemoryModule],
         devices: list[SystolicDevice | CpuDevice],
-        crossbar: CrossbarSwitch,
+        memories: int,
+        memory_bytes: int,
     ) -> None:
         self.element_bits = element_bits
         self.disk = disk
-        self.memories = memories
         self.devices = devices
-        self.crossbar = crossbar
+        self.memories = [
+            MemoryModule(f"mem{m}", capacity_bytes=memory_bytes)
+            for m in range(memories)
+        ]
+        self.crossbar = CrossbarSwitch(
+            [m.name for m in self.memories],
+            [d.name for d in devices] + ["disk"],
+        )
         #: relations already resident in memories (ready at time 0):
         #: name -> (key, relation, ready, memory name)
         self.resident: dict[str, tuple[str, Relation, float, str]] = {}

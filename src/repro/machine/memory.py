@@ -15,7 +15,11 @@ from dataclasses import dataclass
 from repro.errors import CapacityError, PlanError
 from repro.relational.relation import Relation
 
-__all__ = ["MemoryModule", "relation_bytes"]
+__all__ = ["DEFAULT_BANDWIDTH_BYTES_PER_S", "MemoryModule", "relation_bytes"]
+
+#: §8's disk-rate argument: the system must absorb ~500 KB / 17 ms per
+#: stream, so that is what one module sustains.
+DEFAULT_BANDWIDTH_BYTES_PER_S = 500_000 / 0.017
 
 
 def relation_bytes(relation: Relation, element_bits: int = 32) -> int:
@@ -40,10 +44,8 @@ class MemoryModule:
         self,
         name: str,
         capacity_bytes: int = 4 * 1024 * 1024,
-        bandwidth_bytes_per_s: float = 500_000 / 0.017,
+        bandwidth_bytes_per_s: float = DEFAULT_BANDWIDTH_BYTES_PER_S,
     ) -> None:
-        # Default bandwidth matches §8's disk-rate argument: the system
-        # must absorb ~500 KB / 17 ms per stream.
         if capacity_bytes < 1 or bandwidth_bytes_per_s <= 0:
             raise CapacityError(
                 f"memory {name!r}: invalid capacity/bandwidth "

@@ -27,11 +27,13 @@ and the predicted makespan — the CLI's ``--explain``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from repro import obs
 from repro.errors import PlanError
+from repro.machine.disk import MachineDisk
 from repro.machine.inference import estimate_rows, infer_schema
+from repro.machine.memory import DEFAULT_BANDWIDTH_BYTES_PER_S
 from repro.machine.pipelining import StageCost, analyze_chain
 from repro.machine.plan import (
     Base,
@@ -66,6 +68,7 @@ __all__ = [
     "PipelinedChain",
     "PhysicalPlan",
     "PhysicalPlanner",
+    "PlanningContext",
     "estimate_cost",
     "actual_cost",
     "plan_fingerprint",
@@ -132,44 +135,32 @@ def estimate_cost(
     bit comparators); only the equality-based comparison operations
     have a bit-level form.
     """
-    if element_bits is not None:
-        if isinstance(node, (Intersect, Difference)):
-            return bit_comparison_cost(
-                n_a, n_b, arity_a, element_bits, max_rows, max_cols
-            )
-        if isinstance(node, Union):
-            both = n_a + n_b
-            return bit_comparison_cost(
-                both, both, arity_a, element_bits, max_rows, max_cols
-            )
-        if isinstance(node, Dedup):
-            return bit_comparison_cost(
-                n_a, n_a, arity_a, element_bits, max_rows, max_cols
-            )
-        if isinstance(node, Project):
-            return bit_comparison_cost(
-                n_a, n_a, n_columns, element_bits, max_rows, max_cols
-            )
+    if isinstance(node, (Intersect, Difference)):
+        comparison = (n_a, n_b, arity_a)
+    elif isinstance(node, Union):
+        comparison = (n_a + n_b, n_a + n_b, arity_a)
+    elif isinstance(node, Dedup):
+        comparison = (n_a, n_a, arity_a)
+    elif isinstance(node, Project):
+        comparison = (n_a, n_a, n_columns)
+    elif element_bits is not None:
         raise PlanError(
             f"{node.describe()} has no bit-level device form "
             f"(equality-based comparison operations only)"
         )
-    if isinstance(node, (Intersect, Difference)):
-        return comparison_cost(n_a, n_b, arity_a, max_rows, max_cols)
-    if isinstance(node, Union):
-        both = n_a + n_b
-        return comparison_cost(both, both, arity_a, max_rows, max_cols)
-    if isinstance(node, Dedup):
-        return comparison_cost(n_a, n_a, arity_a, max_rows, max_cols)
-    if isinstance(node, Project):
-        return comparison_cost(n_a, n_a, n_columns, max_rows, max_cols)
-    if isinstance(node, Join):
+    elif isinstance(node, Join):
         return join_cost(n_a, n_b, len(node.on), max_rows, max_cols)
-    if isinstance(node, Divide):
+    elif isinstance(node, Divide):
         # Distinct group count is data-dependent; the estimate assumes
         # every dividend pair names a fresh group (upper bound).
         return division_cost(n_a, max(1, n_a), n_b, max_rows, max_cols)
-    raise PlanError(f"{node.describe()} is not an array operation")
+    else:
+        raise PlanError(f"{node.describe()} is not an array operation")
+    if element_bits is not None:
+        return bit_comparison_cost(
+            *comparison, element_bits, max_rows, max_cols
+        )
+    return comparison_cost(*comparison, max_rows, max_cols)
 
 
 def actual_cost(
@@ -200,15 +191,8 @@ def actual_cost(
         n_divisor = _distinct(row[divisor_pos] for row in inputs[1].tuples)
         return division_cost(n_a, max(1, n_distinct), n_divisor,
                              max_rows, max_cols)
-    if isinstance(node, Project):
-        if element_bits is not None:
-            return bit_comparison_cost(
-                n_a, n_a, len(node.columns), element_bits,
-                max_rows, max_cols,
-            )
-        return comparison_cost(n_a, n_a, len(node.columns),
-                               max_rows, max_cols)
-    return estimate_cost(node, n_a, n_b, inputs[0].arity, 0,
+    n_columns = len(node.columns) if isinstance(node, Project) else 0
+    return estimate_cost(node, n_a, n_b, inputs[0].arity, n_columns,
                          max_rows, max_cols, element_bits=element_bits)
 
 
@@ -343,11 +327,30 @@ class PhysicalPlan:
         )
 
 
-class PhysicalPlanner:
-    """Compiles logical plan DAGs for one machine's device complement."""
+@dataclass(frozen=True)
+class PlanningContext:
+    """Everything :class:`PhysicalPlanner` reads, and nothing else.
 
-    def __init__(self, machine) -> None:
-        self.machine = machine
+    The single machine, the engine pool and every shard lane describe
+    what they plan against with one of these: the tenant's disk, the
+    relations already resident in memory (``name → Relation``, planned
+    as ready at time 0), the device roster — the full complement, or
+    the survivors after a quarantine — the machine's element width,
+    and the memory streaming rate.
+    """
+
+    disk: MachineDisk
+    resident: Mapping[str, Relation]
+    devices: Sequence
+    element_bits: int = 32
+    memory_bandwidth: float = DEFAULT_BANDWIDTH_BYTES_PER_S
+
+
+class PhysicalPlanner:
+    """Compiles logical plan DAGs against one :class:`PlanningContext`."""
+
+    def __init__(self, context: PlanningContext) -> None:
+        self.context = context
 
     # -- entry point ---------------------------------------------------------
 
@@ -397,7 +400,7 @@ class PhysicalPlanner:
     def _backend_name(self) -> str:
         """Name of the engine the machine's devices execute with."""
         spec = next(
-            (d.backend for d in self.machine.devices
+            (d.backend for d in self.context.devices
              if hasattr(d, "backend")),
             None,
         )
@@ -436,8 +439,7 @@ class PhysicalPlanner:
         predicate while scanning the chunks its grid index could not
         prune — the selection never leaves the storage layer).
         """
-        disk = self.machine.disk
-        store_backed = getattr(disk, "store_backed", None)
+        disk = self.context.disk
         fused: dict[int, Select] = {}
         for node in order:
             if not (
@@ -446,9 +448,7 @@ class PhysicalPlanner:
                 and parent_count.get(id(node.child), 0) == 1
             ):
                 continue
-            if disk.logic_per_track or (
-                store_backed is not None and store_backed(node.child.name)
-            ):
+            if disk.logic_per_track or disk.store_backed(node.child.name):
                 fused[id(node.child)] = node
         return fused
 
@@ -462,29 +462,23 @@ class PhysicalPlanner:
         never materialises out-of-core tuples.
         """
         schemas, cards = {}, {}
-        for name, (_, relation, _, _) in self.machine._resident.items():
+        for name, relation in self.context.resident.items():
             schemas[name] = relation.schema
             cards[name] = len(relation)
-        disk = self.machine.disk
-        profile = getattr(disk, "profile", None)
+        disk = self.context.disk
         for name in disk.names():
             if name not in schemas:
-                if profile is not None:
-                    rows, _, schema = profile(name)
-                else:
-                    relation = disk.relation(name)
-                    rows, schema = len(relation), relation.schema
-                schemas[name] = schema
-                cards[name] = rows
+                cards[name], _, schemas[name] = disk.profile(name)
         return schemas, cards
 
     # -- device assignment -------------------------------------------------------
 
     def _assign(self, order, release, parent_count, fused):
-        machine = self.machine
+        ctx = self.context
+        disk = ctx.disk
         schemas, cards = self._base_catalog()
-        element_bytes = (machine.element_bits + 7) // 8
-        bandwidth = machine.memories[0].bandwidth_bytes_per_s
+        element_bytes = (ctx.element_bits + 7) // 8
+        bandwidth = ctx.memory_bandwidth
 
         def est_bytes(rows: int, arity: int) -> int:
             return rows * arity * element_bytes
@@ -495,7 +489,7 @@ class PhysicalPlanner:
         ops: list[PhysicalOp] = []
         op_of_node: dict[int, int] = {}
         est_free: dict[str, float] = {
-            d.name: 0.0 for d in machine.devices
+            d.name: 0.0 for d in ctx.devices
         }
         est_disk_free = 0.0
         loaded_bases: dict[str, int] = {}
@@ -510,8 +504,8 @@ class PhysicalPlanner:
                 continue
             op_id = len(ops)
             if isinstance(node, Base):
-                if node.name in machine._resident:
-                    relation = machine._resident[node.name][1]
+                relation = ctx.resident.get(node.name)
+                if relation is not None:
                     add(PhysicalOp(
                         op_id=op_id, node=node, kind=OP_RESIDENT,
                         device="memory", inputs=(), release=release[id(node)],
@@ -524,16 +518,8 @@ class PhysicalPlanner:
                 if select is None and node.name in loaded_bases:
                     op_of_node[id(node)] = loaded_bases[node.name]
                     continue
-                base_rows, base_arity, _ = (
-                    machine.disk.profile(node.name)
-                    if hasattr(machine.disk, "profile")
-                    else (
-                        len(machine.disk.relation(node.name)),
-                        machine.disk.relation(node.name).arity,
-                        None,
-                    )
-                )
-                disk_elem = (machine.disk.element_bits + 7) // 8
+                base_rows, base_arity, _ = disk.profile(node.name)
+                disk_elem = (disk.element_bits + 7) // 8
                 if select is not None:
                     rows = estimate_rows(select, {node.name: base_rows})
                     label = f"load {select.describe()}"
@@ -543,10 +529,8 @@ class PhysicalPlanner:
                     label = f"load {node.name}"
                     selection = None
                 scan = None
-                if getattr(machine.disk, "store_backed", None) and (
-                    machine.disk.store_backed(node.name)
-                ):
-                    handle = machine.disk.stored_handle(node.name)
+                if disk.store_backed(node.name):
+                    handle = disk.stored_handle(node.name)
                     if selection is not None:
                         chunk_ids = handle.select_chunks(*selection)
                     else:
@@ -560,13 +544,13 @@ class PhysicalPlanner:
                         rows_scanned=rows_scanned,
                         nbytes=rows_scanned * base_arity * disk_elem,
                     )
-                    read_seconds = machine.disk.model.read_seconds(scan.nbytes)
+                    read_seconds = disk.model.read_seconds(scan.nbytes)
                     label += (
                         f" [chunks {scan.chunks_read}/{scan.chunks_total}, "
                         f"{scan.chunks_pruned} pruned]"
                     )
                 else:
-                    read_seconds = machine.disk.model.read_seconds(
+                    read_seconds = disk.model.read_seconds(
                         base_rows * base_arity * disk_elem
                     )
                 op = add(PhysicalOp(
@@ -598,7 +582,7 @@ class PhysicalPlanner:
 
             if isinstance(node, Select):
                 cpu = next(
-                    d for d in machine.devices if d.kind == node.device_kind
+                    d for d in ctx.devices if d.kind == node.device_kind
                 )
                 seconds = in_ops[0].est_rows_out * cpu.tuple_op_ns * 1e-9
                 op = add(PhysicalOp(
@@ -619,7 +603,7 @@ class PhysicalPlanner:
             arity_a = len(infer_schema(node.children[0], schemas))
             n_columns = len(node.columns) if isinstance(node, Project) else 0
             candidates = [
-                d for d in machine.devices if d.kind == node.device_kind
+                d for d in ctx.devices if d.kind == node.device_kind
             ]
             if not candidates:
                 raise PlanError(
@@ -651,7 +635,7 @@ class PhysicalPlanner:
             else:
                 stream_cols = arity_a
             per_element = (
-                getattr(device, "element_bits", None) or machine.element_bits
+                getattr(device, "element_bits", None) or ctx.element_bits
             )
             op = add(PhysicalOp(
                 op_id=op_id, node=node, kind=OP_ARRAY, device=device.name,

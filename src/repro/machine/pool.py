@@ -36,11 +36,14 @@ from typing import Callable, Optional, Sequence
 from repro import obs
 from repro.arrays.decomposition import ArrayCapacity
 from repro.config import env_float
-from repro.errors import AdmissionError, DeviceFaultError, PlanError
-from repro.faults.recovery import CancelToken, run_with_deadline
+from repro.errors import AdmissionError, PlanError
+from repro.faults.recovery import (
+    CancelToken,
+    replan_on_quarantine,
+    run_with_deadline,
+)
 from repro.obs import metrics
 from repro.machine.catalog import Catalog
-from repro.machine.crossbar import CrossbarSwitch
 from repro.machine.execution import (
     MachineState,
     PlanExecutor,
@@ -48,10 +51,10 @@ from repro.machine.execution import (
     place_resident,
     roster_fingerprint,
 )
-from repro.machine.memory import MemoryModule
 from repro.machine.physical import (
     PhysicalPlan,
     PhysicalPlanner,
+    PlanningContext,
     plan_fingerprint,
 )
 from repro.machine.plan import PlanNode
@@ -59,7 +62,7 @@ from repro.machine.scheduler import ExecutionReport
 from repro.perf.technology import PAPER_CONSERVATIVE, TechnologyModel
 from repro.relational.relation import Relation
 
-__all__ = ["AdmissionGate", "EnginePool", "PlanCache"]
+__all__ = ["AdmissionGate", "EnginePool", "PlanCache", "compile_plans"]
 
 
 class PlanCache:
@@ -76,10 +79,12 @@ class PlanCache:
         if maxsize < 0:
             raise PlanError(f"plan cache maxsize must be >= 0, got {maxsize}")
         self.maxsize = maxsize
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()  # get_or_build holds it across get
         self._entries: OrderedDict[tuple, PhysicalPlan] = OrderedDict()
         self._hits = 0
         self._misses = 0
+        #: key -> event set once the build in flight for it has ended.
+        self._in_flight: dict[tuple, threading.Event] = {}
 
     def get(self, key: tuple) -> Optional[PhysicalPlan]:
         with self._lock:
@@ -104,6 +109,35 @@ class PlanCache:
                 self._entries.popitem(last=False)
             metrics.set_gauge("machine.plan_cache.size", len(self._entries))
 
+    def get_or_build(
+        self, key: tuple, build: Callable[[], PhysicalPlan]
+    ) -> tuple[PhysicalPlan, bool]:
+        """The plan under ``key`` and whether it came from the cache.
+
+        Single-flight: of the threads that miss one key together, one
+        runs ``build`` and the rest wait for its entry (a hit).  A
+        ``build`` that raises stores nothing and wakes its waiters, the
+        first of which builds for itself.
+        """
+        while True:
+            with self._lock:
+                done = self._in_flight.get(key)
+                if done is None:
+                    cached = self.get(key)
+                    if cached is not None:
+                        return cached, True
+                    done = self._in_flight[key] = threading.Event()
+                    break
+            done.wait()
+        try:
+            plan = build()
+            self.put(key, plan)
+            return plan, False
+        finally:
+            with self._lock:
+                del self._in_flight[key]
+            done.set()
+
     def info(self) -> dict[str, int]:
         """Hit/miss counters and occupancy, same shape as the machine's."""
         with self._lock:
@@ -113,6 +147,60 @@ class PlanCache:
                 "size": len(self._entries),
                 "maxsize": self.maxsize,
             }
+
+
+def compile_plans(
+    cache: PlanCache,
+    context: PlanningContext,
+    plans: Sequence[PlanNode] | PlanNode,
+    arrivals: Optional[Sequence[float]],
+    pipeline: bool,
+    use_cache: bool,
+    catalog_key: Callable[[], object],
+    **span_attrs,
+) -> PhysicalPlan:
+    """Lower logical plans through the plan cache — the one compile.
+
+    The machine's and the pool's ``compile`` are this routine over
+    different ``catalog_key`` thunks (a version counter; a content
+    fingerprint).  The cache key is ``(plan fingerprint, arrivals,
+    pipeline flag, catalog key, fingerprint of the context's roster)``:
+    a plan is only reused when the planner would provably reproduce
+    it, and a degraded roster's plan never collides with the full
+    roster's.  Concurrent misses of one key run the planner once.
+    """
+    if isinstance(plans, PlanNode):
+        plans = [plans]
+    metrics.inc("machine.compile.calls")
+
+    def build() -> PhysicalPlan:
+        return PhysicalPlanner(context).compile(
+            plans, arrivals, pipeline=pipeline
+        )
+
+    with obs.span(
+        "machine.compile", plans=len(plans), pipeline=bool(pipeline),
+        **span_attrs,
+    ) as sp:
+        if use_cache and cache.maxsize > 0:
+            # A hit skips the planner spans a miss records, and which
+            # of two racing compiles hits is the host's business.
+            sp.mark_children_volatile()
+            physical, cached = cache.get_or_build(
+                (
+                    plan_fingerprint(plans),
+                    tuple(arrivals) if arrivals is not None else None,
+                    bool(pipeline),
+                    catalog_key(),
+                    roster_fingerprint(context.devices),
+                ),
+                build,
+            )
+        else:
+            physical, cached = build(), False
+        sp.set(ops=len(physical.ops))
+        sp.set_volatile(cached=cached)
+        return physical
 
 
 class AdmissionGate:
@@ -232,7 +320,6 @@ class EnginePool:
             devices if devices is not None else DEFAULT_DEVICES,
             capacity, technology, backend,
         )
-        self._roster_fingerprint = roster_fingerprint(self.devices)
         #: Active :class:`~repro.faults.plan.FaultPlan` (None = no faults).
         self.faults = faults
         #: Per-query wall-clock budget; a query that outlives it is
@@ -335,38 +422,18 @@ class EnginePool:
         path after a quarantine); its fingerprint keys the cache, so
         degraded plans never collide with full-roster plans.
         """
-        if isinstance(plans, PlanNode):
-            plans = [plans]
-        metrics.inc("machine.compile.calls")
-        with obs.span(
-            "machine.compile", plans=len(plans), pipeline=bool(pipeline),
+        return compile_plans(
+            self.plan_cache,
+            PlanningContext(
+                disk=catalog.disk,
+                resident=dict(catalog.preloaded()),
+                devices=self.devices if devices is None else list(devices),
+                element_bits=self.element_bits,
+            ),
+            plans, arrivals, pipeline, use_cache,
+            catalog_key=catalog.content_fingerprint,
             tenant=catalog.tenant,
-        ) as sp:
-            view = _PlannerView(self, catalog, devices)
-            key = physical = None
-            if use_cache and self.plan_cache.maxsize > 0:
-                key = (
-                    plan_fingerprint(plans),
-                    tuple(arrivals) if arrivals is not None else None,
-                    bool(pipeline),
-                    catalog.content_fingerprint(),
-                    self._roster_fingerprint if devices is None
-                    else roster_fingerprint(devices),
-                )
-                # A hit skips the planner spans a miss records, and which
-                # of two racing compiles hits is the host's business.
-                sp.mark_children_volatile()
-                physical = self.plan_cache.get(key)
-            cached = physical is not None
-            if not cached:
-                physical = PhysicalPlanner(view).compile(
-                    plans, arrivals, pipeline=pipeline
-                )
-                if key is not None:
-                    self.plan_cache.put(key, physical)
-            sp.set(ops=len(physical.ops))
-            sp.set_volatile(cached=cached)
-            return physical
+        )
 
     # -- execution ---------------------------------------------------------
 
@@ -382,32 +449,14 @@ class EnginePool:
         the (pure) devices are shared.  ``devices`` substitutes a
         reduced roster (recovery after a quarantine).
         """
-        roster = list(devices) if devices is not None else self.devices
-        memories = [
-            MemoryModule(f"mem{m}", capacity_bytes=self.memory_bytes)
-            for m in range(self.memory_count)
-        ]
-        crossbar = CrossbarSwitch(
-            [m.name for m in memories],
-            [d.name for d in roster] + ["disk"],
-        )
         state = MachineState(
-            self.element_bits, catalog.disk, memories, roster, crossbar
+            self.element_bits, catalog.disk,
+            list(devices) if devices is not None else self.devices,
+            self.memory_count, self.memory_bytes,
         )
         for name, relation in catalog.preloaded():
             place_resident(state, name, relation)
         return state
-
-    def healthy_devices(self) -> Optional[list]:
-        """The non-quarantined roster, or None when all devices are
-        healthy (the common case keeps the precomputed fingerprint and
-        the full-roster plan-cache entries)."""
-        if self.faults is None:
-            return None
-        quarantined = set(self.faults.quarantined())
-        if not quarantined:
-            return None
-        return [d for d in self.devices if d.name not in quarantined]
 
     def execute(
         self,
@@ -424,122 +473,84 @@ class EnginePool:
         Blocks at the admission gate when ``max_concurrent`` queries
         are already executing; raises
         :class:`~repro.errors.AdmissionError` if no slot frees within
-        the timeout.
+        the timeout.  A device the query quarantines is replanned
+        around — graceful degradation to fewer (slower) devices rather
+        than failure.
         """
         if isinstance(plans, PlanNode):
             plans = [plans]
+
+        def run(cancel: Optional[CancelToken]):
+            def attempt(roster, plan):
+                with obs.span(
+                    "service.query", tenant=catalog.tenant,
+                    plans=len(plans), priority=priority,
+                ) as sp:
+                    results, report = self._run_fresh(
+                        catalog, plan(), roster, parallel, cancel,
+                        catalog.tenant,
+                    )
+                    sp.set(makespan_ms=report.makespan * 1e3)
+                return results, report
+
+            return replan_on_quarantine(
+                self.devices, self.faults,
+                lambda roster: self.compile(
+                    catalog, plans, arrivals, pipeline=pipeline,
+                    devices=roster,
+                ),
+                attempt,
+            )
+
+        return self._admitted(catalog.tenant, priority, timeout, run)
+
+    def _admitted(
+        self,
+        tenant: str,
+        priority: int,
+        timeout: Optional[float],
+        run: Callable[[Optional[CancelToken]], tuple],
+    ) -> tuple:
+        """One query's passage through the pool: gate → deadline →
+        accounting, around ``run(cancel)``.  Sharded queries take it
+        too, so a query is one slot and one count however many shards
+        it fans out to."""
         self.gate.acquire(priority=priority, timeout=timeout)
         started = time.perf_counter()
         cancel = CancelToken() if self.query_deadline is not None else None
         try:
-            results, report = run_with_deadline(
-                lambda: self._run_admitted(
-                    catalog, plans, arrivals, pipeline, parallel, priority,
-                    cancel,
-                ),
+            outcome = run_with_deadline(
+                lambda: run(cancel),
                 self.query_deadline,
                 cancel=cancel,
-                label=f"query[{catalog.tenant}]",
+                label=f"query[{tenant}]",
             )
         finally:
             # Freed even when the deadline fires: the cancelled worker
             # holds only a fresh private MachineState, so releasing the
             # slot before it unwinds cannot corrupt shared resources.
             self.gate.release()
-        self.record_query(catalog.tenant, time.perf_counter() - started)
-        return results, report
+        self.record_query(tenant, time.perf_counter() - started)
+        return outcome
 
-    def _run_admitted(
+    def _run_fresh(
         self,
         catalog: Catalog,
-        plans: Sequence[PlanNode],
-        arrivals: Optional[Sequence[float]],
-        pipeline: bool,
+        physical: PhysicalPlan,
+        roster: Optional[Sequence],
         parallel: bool,
-        priority: int,
         cancel: Optional[CancelToken],
+        fault_scope: str,
     ) -> tuple[list[Relation], ExecutionReport]:
-        """Compile and run one admitted query, replanning around
-        quarantined devices — graceful degradation to fewer (slower)
-        devices rather than failure."""
-        replans = 0
-        while True:
-            physical: Optional[PhysicalPlan] = None
-            devices = self.healthy_devices()
-            try:
-                with obs.span(
-                    "service.query", tenant=catalog.tenant,
-                    plans=len(plans), priority=priority,
-                ) as sp:
-                    try:
-                        physical = self.compile(
-                            catalog, plans, arrivals, pipeline=pipeline,
-                            devices=devices,
-                        )
-                    except PlanError as exc:
-                        if devices is None:
-                            raise
-                        # device=None marks this permanent wrapper as
-                        # non-replannable below.
-                        raise DeviceFaultError(
-                            f"no healthy device can run the plan after "
-                            f"quarantining "
-                            f"{self.faults.quarantined()}",
-                            quarantined=True,
-                        ) from exc
-                    executor = PlanExecutor(
-                        self.fresh_state(catalog, devices=devices),
-                        host_workers=self.host_workers,
-                        roster_fairness=self.roster_fairness,
-                        faults=self.faults,
-                        cancel=cancel,
-                        fault_scope=catalog.tenant,
-                    )
-                    results, report = executor.run_physical(
-                        physical, parallel=parallel
-                    )
-                    sp.set(makespan_ms=report.makespan * 1e3)
-                return results, report
-            except DeviceFaultError as exc:
-                if (
-                    not exc.quarantined
-                    or exc.device is None
-                    or replans >= len(self.devices)
-                ):
-                    raise
-                replans += 1
-                metrics.inc("faults.replans")
-                if physical is not None:
-                    self._count_redispatches(
-                        catalog, plans, arrivals, pipeline, physical
-                    )
-
-    def _count_redispatches(
-        self,
-        catalog: Catalog,
-        plans: Sequence[PlanNode],
-        arrivals: Optional[Sequence[float]],
-        pipeline: bool,
-        previous: PhysicalPlan,
-    ) -> None:
-        """Count ops whose device changed in the post-quarantine replan
-        (``faults.redispatches`` — the visible cost of degradation)."""
-        devices = self.healthy_devices()
-        if devices is None:
-            return
-        try:
-            replanned = self.compile(
-                catalog, plans, arrivals, pipeline=pipeline, devices=devices
-            )
-        except PlanError:
-            return  # the replan loop will surface this properly
-        moved = sum(
-            1
-            for old, new in zip(previous.ops, replanned.ops)
-            if old.device != new.device
-        )
-        if moved:
-            metrics.inc("faults.redispatches", moved)
+        """Execute a compiled plan on a fresh state over ``roster``."""
+        return PlanExecutor(
+            self.fresh_state(catalog, devices=roster),
+            host_workers=self.host_workers,
+            roster_fairness=self.roster_fairness,
+            faults=self.faults,
+            cancel=cancel,
+            fault_scope=fault_scope,
+        ).run_physical(physical, parallel=parallel)
 
     # -- accounting --------------------------------------------------------
 
@@ -587,31 +598,3 @@ class EnginePool:
             f"EnginePool({self.memory_count} memories/query; {kinds}; "
             f"max_concurrent={self.gate.limit})"
         )
-
-
-class _PlannerView:
-    """The machine surface :class:`PhysicalPlanner` plans against.
-
-    The planner duck-types its machine: it reads the disk, the
-    resident map, element width, memory bandwidth, and the device
-    list.  This view presents one tenant's catalog over the pool's
-    shared devices, with a template memory standing in for bandwidth
-    (all the pool's modules are identical).
-    """
-
-    def __init__(
-        self,
-        pool: EnginePool,
-        catalog: Catalog,
-        devices: Optional[Sequence] = None,
-    ) -> None:
-        self.disk = catalog.disk
-        self.element_bits = pool.element_bits
-        self.devices = list(devices) if devices is not None else pool.devices
-        self.memories = [
-            MemoryModule("mem0", capacity_bytes=pool.memory_bytes)
-        ]
-        self._resident = {
-            name: (f"resident:{name}", relation, 0.0, None)
-            for name, relation in catalog.preloaded()
-        }

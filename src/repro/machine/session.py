@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 from repro.config import env_choice, env_int
 from repro.machine.catalog import Catalog
+from repro.machine.execution import resolve_parallel
 from repro.machine.physical import PhysicalPlan
 from repro.machine.plan import PlanNode
 from repro.machine.scheduler import ExecutionReport
@@ -179,26 +180,17 @@ class Session:
         runs against a fresh per-query machine state, so results and
         timeline are bit-identical to running alone.
         """
-        from repro.machine.system import SystolicDatabaseMachine
-
-        resolved = (
-            self.parallel if parallel is None else parallel
-        )
-        if self._sharded:
-            return self._sharded.execute(
-                plans, arrivals,
-                pipeline=pipeline,
-                parallel=SystolicDatabaseMachine._resolve_parallel(resolved),
-                priority=self.priority if priority is None else priority,
-                timeout=timeout,
-            )
-        return self.pool.execute(
-            self.catalog, plans, arrivals,
+        options = dict(
             pipeline=pipeline,
-            parallel=SystolicDatabaseMachine._resolve_parallel(resolved),
+            parallel=resolve_parallel(
+                self.parallel if parallel is None else parallel
+            ),
             priority=self.priority if priority is None else priority,
             timeout=timeout,
         )
+        if self._sharded:
+            return self._sharded.execute(plans, arrivals, **options)
+        return self.pool.execute(self.catalog, plans, arrivals, **options)
 
     def plan_cache_info(self) -> dict[str, int]:
         """The pool's shared plan-cache counters."""

@@ -29,11 +29,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro import obs
 from repro.arrays.decomposition import ArrayCapacity
-from repro.config import env_flag
-from repro.errors import CapacityError, DeviceFaultError, PlanError
-from repro.obs import metrics
+from repro.errors import CapacityError, PlanError
+from repro.faults.recovery import replan_on_quarantine
 from repro.machine.crossbar import CrossbarSwitch
 from repro.machine.disk import MachineDisk
 from repro.machine.execution import (
@@ -41,21 +39,17 @@ from repro.machine.execution import (
     PlanExecutor,
     build_devices,
     place_resident,
-    roster_fingerprint,
+    resolve_parallel,
 )
 from repro.machine.memory import MemoryModule
-from repro.machine.physical import (
-    PhysicalPlan,
-    PhysicalPlanner,
-    plan_fingerprint,
-)
+from repro.machine.physical import PhysicalPlan, PlanningContext
 from repro.machine.plan import (
     DEVICE_COMPARISON,
     DEVICE_DIVISION,
     DEVICE_JOIN,
     PlanNode,
 )
-from repro.machine.pool import PlanCache
+from repro.machine.pool import PlanCache, compile_plans
 from repro.machine.scheduler import ExecutionReport
 from repro.perf.technology import PAPER_CONSERVATIVE, TechnologyModel
 from repro.relational.relation import Relation
@@ -93,25 +87,15 @@ class SystolicDatabaseMachine:
                 "the machine needs at least two memories (§9: output is "
                 "pipelined back into *another* memory)"
             )
-        machine_disk = disk if disk is not None else MachineDisk(
-            element_bits=element_bits
-        )
-        machine_memories = [
-            MemoryModule(f"mem{m}", capacity_bytes=memory_bytes)
-            for m in range(memories)
-        ]
-        machine_devices = build_devices(
-            devices, capacity, technology, backend
-        )
-        crossbar = CrossbarSwitch(
-            [m.name for m in machine_memories],
-            [d.name for d in machine_devices] + ["disk"],
-        )
         #: the persistent simulated state — memories and crossbar
         #: windows accumulate across runs, results stay resident.
         self._state = MachineState(
-            element_bits, machine_disk, machine_memories, machine_devices,
-            crossbar,
+            element_bits,
+            disk if disk is not None else MachineDisk(
+                element_bits=element_bits
+            ),
+            build_devices(devices, capacity, technology, backend),
+            memories, memory_bytes,
         )
         #: Active :class:`~repro.faults.plan.FaultPlan` (None = no faults).
         self.faults = faults
@@ -126,7 +110,6 @@ class SystolicDatabaseMachine:
         #: bumped whenever the catalog changes (store/preload) — part of
         #: the plan-cache key, so stale physical plans never resurface.
         self._catalog_version = 0
-        self._roster_fingerprint = roster_fingerprint(machine_devices)
 
     # -- the public surface delegates to the persistent state -----------------
 
@@ -221,34 +204,31 @@ class SystolicDatabaseMachine:
         provably reproduce it.  ``use_cache=False`` bypasses the cache
         for a single call.
         """
-        if isinstance(plans, PlanNode):
-            plans = [plans]
-        metrics.inc("machine.compile.calls")
-        with obs.span(
-            "machine.compile", plans=len(plans), pipeline=bool(pipeline),
-        ) as sp:
-            key = physical = None
-            if use_cache and self._plan_cache.maxsize > 0:
-                key = (
-                    plan_fingerprint(plans),
-                    tuple(arrivals) if arrivals is not None else None,
-                    bool(pipeline),
-                    self._catalog_version,
-                    self._roster_fingerprint,
-                )
-                # A hit skips the planner spans a miss records.
-                sp.mark_children_volatile()
-                physical = self._plan_cache.get(key)
-            cached = physical is not None
-            if not cached:
-                physical = PhysicalPlanner(self).compile(
-                    plans, arrivals, pipeline=pipeline
-                )
-                if key is not None:
-                    self._plan_cache.put(key, physical)
-            sp.set(ops=len(physical.ops))
-            sp.set_volatile(cached=cached)
-            return physical
+        return self._compile_on(None, plans, arrivals, pipeline, use_cache)
+
+    def _compile_on(
+        self,
+        roster: Optional[list],
+        plans: Sequence[PlanNode] | PlanNode,
+        arrivals: Optional[Sequence[float]],
+        pipeline: bool,
+        use_cache: bool = True,
+    ) -> PhysicalPlan:
+        """:meth:`compile` against ``roster`` (None = every device)."""
+        return compile_plans(
+            self._plan_cache,
+            PlanningContext(
+                disk=self.disk,
+                resident={
+                    name: held[1] for name, held in self._resident.items()
+                },
+                devices=self.devices if roster is None else roster,
+                element_bits=self.element_bits,
+                memory_bandwidth=self.memories[0].bandwidth_bytes_per_s,
+            ),
+            plans, arrivals, pipeline, use_cache,
+            catalog_key=lambda: self._catalog_version,
+        )
 
     def plan_cache_info(self) -> dict[str, int]:
         """Hit/miss counters and occupancy of the compile cache."""
@@ -298,50 +278,18 @@ class SystolicDatabaseMachine:
         and crossbar windows only change during replay — so the replan
         re-executes from a clean slate.
         """
-        replans = 0
-        previous: Optional[PhysicalPlan] = None
-        while True:
-            quarantined = (
-                set(self.faults.quarantined()) if self.faults else set()
-            )
-            if quarantined:
-                healthy = [
-                    d for d in self.devices if d.name not in quarantined
-                ]
-                try:
-                    # Bypass the cache: its key carries the full-roster
-                    # fingerprint, and degraded plans must not collide.
-                    physical = PhysicalPlanner(
-                        _HealthyView(self, healthy)
-                    ).compile(plans, arrivals, pipeline=pipeline)
-                except PlanError as exc:
-                    raise DeviceFaultError(
-                        f"no healthy device can run the plan after "
-                        f"quarantining {sorted(quarantined)}",
-                        quarantined=True,
-                    ) from exc
-                if previous is not None:
-                    moved = sum(
-                        1
-                        for old, new in zip(previous.ops, physical.ops)
-                        if old.device != new.device
-                    )
-                    if moved:
-                        metrics.inc("faults.redispatches", moved)
-            else:
-                physical = self.compile(plans, arrivals, pipeline=pipeline)
-            try:
-                return self.run_physical(physical, parallel=parallel)
-            except DeviceFaultError as exc:
-                if (
-                    not exc.quarantined
-                    or exc.device is None
-                    or replans >= len(self.devices)
-                ):
-                    raise
-                replans += 1
-                previous = physical
-                metrics.inc("faults.replans")
+
+        def compile_on(roster: Optional[list]) -> PhysicalPlan:
+            # Full-roster compiles stay on the public method, where
+            # callers that wrap ``compile`` (the e2e tracer) see them.
+            if roster is None:
+                return self.compile(plans, arrivals, pipeline=pipeline)
+            return self._compile_on(roster, plans, arrivals, pipeline)
+
+        return replan_on_quarantine(
+            self.devices, self.faults, compile_on,
+            lambda roster, plan: self.run_physical(plan(), parallel=parallel),
+        )
 
     def run_physical(
         self,
@@ -359,29 +307,13 @@ class SystolicDatabaseMachine:
         model.
         """
         return self._executor.run_physical(
-            physical, parallel=self._resolve_parallel(parallel)
+            physical, parallel=resolve_parallel(parallel)
         )
 
-    @staticmethod
-    def _resolve_parallel(parallel: Optional[bool]) -> bool:
-        if parallel is not None:
-            return bool(parallel)
-        return env_flag("REPRO_MACHINE_PARALLEL", True)
+    _resolve_parallel = staticmethod(resolve_parallel)
 
     def __repr__(self) -> str:
         kinds = ", ".join(d.name for d in self.devices)
         return (
             f"SystolicDatabaseMachine({len(self.memories)} memories; {kinds})"
         )
-
-
-class _HealthyView:
-    """The machine surface the planner sees after a quarantine: the
-    same disk, memories, and residents, minus the dead devices."""
-
-    def __init__(self, machine: SystolicDatabaseMachine, devices) -> None:
-        self.disk = machine.disk
-        self.element_bits = machine.element_bits
-        self.devices = devices
-        self.memories = machine.memories
-        self._resident = machine._resident

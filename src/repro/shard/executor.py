@@ -31,16 +31,15 @@ from itertools import chain
 from typing import Optional, Sequence
 
 from repro import obs
-from repro.errors import DeviceFaultError, ShardFaultError
+from repro.errors import ShardFaultError
 from repro.faults.recovery import (
     DEFAULT_RETRY_POLICY,
     CancelToken,
     cancellable_sleep,
+    replan_on_quarantine,
     retry_call,
-    run_with_deadline,
 )
 from repro.machine.catalog import Catalog
-from repro.machine.execution import PlanExecutor
 from repro.machine.inference import infer_schema
 from repro.machine.plan import PlanNode
 from repro.machine.scheduler import (
@@ -191,25 +190,12 @@ class ShardedExecutor:
         """
         if isinstance(plans, PlanNode):
             plans = [plans]
-        pool = self.pool
-        pool.gate.acquire(priority=priority, timeout=timeout)
-        started = time.perf_counter()
-        cancel = CancelToken() if pool.query_deadline is not None else None
-        try:
-            results, report = run_with_deadline(
-                lambda: self._run_admitted(
-                    plans, arrivals, pipeline, parallel, priority, cancel
-                ),
-                pool.query_deadline,
-                cancel=cancel,
-                label=f"query[{self.catalog.tenant}]",
-            )
-        finally:
-            pool.gate.release()
-        pool.record_query(
-            self.catalog.tenant, time.perf_counter() - started
+        return self.pool._admitted(
+            self.catalog.tenant, priority, timeout,
+            lambda cancel: self._run_admitted(
+                plans, arrivals, pipeline, parallel, priority, cancel
+            ),
         )
-        return results, report
 
     def _run_admitted(
         self,
@@ -311,76 +297,39 @@ class ShardedExecutor:
         pool = self.pool
         faults = pool.faults
         spans: dict[int, object] = {}
-        compiled: dict[int, object] = {}
 
         def shard_thunk(index: int):
             lane = lanes[index]
 
-            def run_once() -> tuple[list[Relation], ExecutionReport]:
-                devices = pool.healthy_devices()
-                with obs.detached("shard.run", shard=index) as sp:
-                    physical = pool.compile(
-                        lane, plans, arrivals, pipeline=pipeline,
-                        devices=devices,
-                    )
-                    previous = compiled.get(index)
-                    if previous is not None and previous is not physical:
-                        # A degraded recompile: count the ops a replan
-                        # moved onto surviving devices.
-                        moved = sum(
-                            1 for old, new in zip(previous.ops, physical.ops)
-                            if old.device != new.device
+            def attempt(roster, plan):
+                def run_once() -> tuple[list[Relation], ExecutionReport]:
+                    if faults is not None:
+                        fault = faults.shard_fault(index, stage_key)
+                        if fault is not None:
+                            raise fault
+                    with obs.detached("shard.run", shard=index) as sp:
+                        outcome = pool._run_fresh(
+                            lane, plan(), roster, parallel, cancel,
+                            f"{self.catalog.tenant}/shard{index}",
                         )
-                        if moved:
-                            metrics.inc("faults.redispatches", moved)
-                    compiled[index] = physical
-                    executor = PlanExecutor(
-                        pool.fresh_state(lane, devices=devices),
-                        host_workers=pool.host_workers,
-                        roster_fairness=pool.roster_fairness,
-                        faults=faults,
-                        cancel=cancel,
-                        fault_scope=f"{self.catalog.tenant}/shard{index}",
-                    )
-                    outcome = executor.run_physical(
-                        physical, parallel=parallel
-                    )
-                spans[index] = sp
-                return outcome
+                    spans[index] = sp
+                    return outcome
 
-            def attempt() -> tuple[list[Relation], ExecutionReport]:
-                if faults is not None:
-                    fault = faults.shard_fault(index, stage_key)
-                    if fault is not None:
-                        raise fault
-                return run_once()
+                return retry_call(
+                    run_once,
+                    site=f"shard:{index}:{stage_key}",
+                    plan=faults,
+                    cancel=cancel,
+                    retryable=(ShardFaultError,),
+                )
 
-            def run(_resolved) -> tuple[list[Relation], ExecutionReport]:
-                if faults is None and cancel is None:
-                    return run_once()
-                replans = 0
-                while True:
-                    try:
-                        return retry_call(
-                            attempt,
-                            policy=DEFAULT_RETRY_POLICY,
-                            site=f"shard:{index}:{stage_key}",
-                            plan=faults,
-                            cancel=cancel,
-                            retryable=(ShardFaultError,),
-                        )
-                    except DeviceFaultError as exc:
-                        if (
-                            faults is None
-                            or not exc.quarantined
-                            or exc.device is None
-                            or replans >= len(pool.devices)
-                        ):
-                            raise
-                        replans += 1
-                        metrics.inc("faults.replans")
-
-            return run
+            return lambda _resolved: replan_on_quarantine(
+                pool.devices, faults,
+                lambda roster: pool.compile(
+                    lane, plans, arrivals, pipeline=pipeline, devices=roster
+                ),
+                attempt,
+            )
 
         thunks = {
             i: ((), shard_thunk(i)) for i in range(len(lanes))

@@ -1,5 +1,5 @@
-"""Recovery through the machine and pool: bit-identity, quarantine,
-graceful degradation, and deadlines."""
+"""Recovery through the machine, pool and shard lanes: bit-identity,
+quarantine, graceful degradation, and deadlines."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from repro.machine.plan import (
     DEVICE_DIVISION,
     DEVICE_JOIN,
 )
+from repro.obs import metrics
 from repro.workloads import join_pair
 
 #: A roster with a spare join array — quarantine can degrade onto it.
@@ -35,6 +36,45 @@ def _machine(faults=None, devices=None):
 
 def _plans():
     return [Join(Base("A"), Base("B"), on=((0, 0),))]
+
+
+#: The three callers of ``repro.faults.recovery.replan_on_quarantine``.
+FRONT_ENDS = ("machine", "pool", "shards2")
+
+
+def _front_end(kind, faults=None, devices=None):
+    """A loaded machine, pool session or 2-shard session; all three
+    answer ``run_many``."""
+    if kind == "machine":
+        return _machine(faults=faults, devices=devices)
+    kwargs = {} if devices is None else {"devices": devices}
+    session = EnginePool(faults=faults, **kwargs).session(
+        "acme", shards=2 if kind == "shards2" else 1
+    )
+    a, b = join_pair(30, 24, 8, seed=13)
+    session.store("A", a)
+    session.store("B", b)
+    return session
+
+
+def _counted_run(target):
+    """Results of one run plus the counters it moved.  Shard lanes run
+    one after the other, so the 2-shard counts do not depend on which
+    lane reaches the dead device first."""
+    metrics.reset()
+    metrics.enable()
+    try:
+        results, _ = target.run_many(_plans(), parallel=False)
+        return results, {
+            name: metrics.counter(name)
+            for name in (
+                "faults.replans", "faults.redispatches",
+                "machine.compile.calls",
+            )
+        }
+    finally:
+        metrics.disable()
+        metrics.reset()
 
 
 def _traced_run(machine):
@@ -70,23 +110,42 @@ class TestTransientRecovery:
 
 
 class TestQuarantineAndReplan:
-    def test_killed_device_degrades_onto_the_spare(self):
-        clean_results, _, _ = _traced_run(_machine(devices=REDUNDANT))
+    @pytest.mark.parametrize("kind", FRONT_ENDS)
+    def test_killed_device_degrades_onto_the_spare(self, kind):
+        clean_results, _, _ = _traced_run(
+            _front_end(kind, devices=REDUNDANT)
+        )
         faults = parse_faults("device:join0:kill", seed=5)
-        results, _, _ = _traced_run(
-            _machine(faults=faults, devices=REDUNDANT)
+        results, counted = _counted_run(
+            _front_end(kind, faults=faults, devices=REDUNDANT)
         )
         assert results == clean_results
         assert faults.quarantined() == ["join0"]
         assert faults.injected > 0
+        assert counted["faults.replans"] == 1
+        assert counted["faults.redispatches"] >= 1
 
-    def test_killing_the_only_capable_device_fails_permanently(self):
+    def test_machine_and_pool_compile_equally_often(self):
+        # One full-roster compile and one degraded compile each: the
+        # machine's replan is counted (and cached) like any compile,
+        # and the pool compiles nothing just to count redispatches.
+        calls = {}
+        for kind in ("machine", "pool"):
+            faults = parse_faults("device:join0:kill", seed=5)
+            target = _front_end(kind, faults=faults, devices=REDUNDANT)
+            _, counted = _counted_run(target)
+            calls[kind] = counted["machine.compile.calls"]
+            assert target.plan_cache_info()["size"] == 2
+        assert calls == {"machine": 2, "pool": 2}
+
+    @pytest.mark.parametrize("kind", FRONT_ENDS)
+    def test_killing_the_only_capable_device_fails_permanently(self, kind):
         # The CPU only runs selections: with a single join array dead,
         # no healthy roster can compile the plan (docs/ROBUSTNESS.md).
         faults = parse_faults("device:join0:kill", seed=5)
-        machine = _machine(faults=faults)
-        with pytest.raises(DeviceFaultError) as caught:
-            machine.run_many(_plans())
+        target = _front_end(kind, faults=faults)
+        with pytest.raises(DeviceFaultError, match="join0") as caught:
+            target.run_many(_plans())
         assert caught.value.quarantined
         assert faults.quarantined() == ["join0"]
 

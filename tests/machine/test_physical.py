@@ -14,6 +14,7 @@ from repro.machine import (
     SystolicDatabaseMachine,
     analyze_chain,
 )
+from repro.machine.execution import roster_fingerprint
 from repro.machine.physical import OP_ARRAY, OP_LOAD, actual_cost
 from repro.machine.plan import DEVICE_COMPARISON
 from repro.relational import algebra
@@ -373,4 +374,6 @@ class TestBitLevelDevices:
             (DEVICE_COMPARISON, 1,
              ArrayCapacity(max_rows=63, max_cols=64), 8),
         ))
-        assert word._roster_fingerprint != bit._roster_fingerprint
+        assert roster_fingerprint(word.devices) != roster_fingerprint(
+            bit.devices
+        )

@@ -23,7 +23,7 @@ Two checks, both run in CI next to the bench gate::
 
 4. **CLI flags.**  Every ``--flag`` mentioned in backticks anywhere in
    the markdown must be defined by this repository's entry points
-   (``repro.__main__``, ``benchmarks/*.py``, ``tools/*.py``) or sit on
+   (``repro.__main__``, ``benchmarks/**/*.py``, ``tools/*.py``) or sit on
    the short external-tool allowlist — documentation of a renamed or
    removed flag fails here.
 
@@ -141,7 +141,7 @@ def check_package_inventory() -> list[str]:
 def defined_flags() -> set[str]:
     """Long options defined by this repo's argparse entry points."""
     sources = [ROOT / "src" / "repro" / "__main__.py"]
-    sources += sorted((ROOT / "benchmarks").glob("*.py"))
+    sources += sorted((ROOT / "benchmarks").rglob("*.py"))
     sources += sorted((ROOT / "tools").glob("*.py"))
     flags: set[str] = set()
     for source in sources:
