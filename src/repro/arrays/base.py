@@ -8,13 +8,25 @@ pulse-level reference simulator or the vectorized lattice engine (see
 here moved to :mod:`repro.systolic.engine.materialize`; they are
 re-exported under their old names for callers that assemble networks
 directly.
+
+§4.3 calls the comparison array "the main hardware": every operator is
+the same grid, varying only the operands, the initial ``t`` and what
+happens to the output.  The steps they share are written once here —
+:func:`grid_schedule` (variant → schedule), :func:`run_plan` (execute
+and record), :func:`build_grid_array` (the plan as a cell network) and
+the result assembly :func:`rows_where` / :func:`joined_rows` — and the
+operator modules state only what differs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
+import numpy as np
+
+from repro.errors import SimulationError
+from repro.relational.relation import MultiRelation, Relation
 from repro.systolic.engine import resolve_backend
 from repro.systolic.engine.materialize import (
     CellFactory,
@@ -22,14 +34,20 @@ from repro.systolic.engine.materialize import (
     attach_op_stream,
     build_counter_stream_grid,
     build_fixed_relation_grid,
+    materialize_grid,
 )
 from repro.systolic.engine.plan import (
+    DivisionPlan,
     EngineRun,
     ExecutionPlan,
+    GridPlan,
     TInit,
     acc_name,
-    check_tuples as _check_tuples_impl,
     cmp_name,
+)
+from repro.systolic.engine.schedule import (
+    CounterStreamSchedule,
+    FixedRelationSchedule,
 )
 from repro.systolic.metrics import ActivityMeter
 from repro.systolic.simulator import SystolicSimulator
@@ -39,6 +57,12 @@ from repro.systolic.wiring import Network
 __all__ = [
     "ArrayRun",
     "execute",
+    "grid_schedule",
+    "run_plan",
+    "empty_run",
+    "build_grid_array",
+    "rows_where",
+    "joined_rows",
     "build_counter_stream_grid",
     "build_fixed_relation_grid",
     "attach_accumulation_column",
@@ -99,5 +123,79 @@ def run_array(
     return simulator
 
 
-def _check_tuples(tuples, expected_n, arity, label) -> None:
-    _check_tuples_impl(tuples, expected_n, arity, label)
+def grid_schedule(
+    n_a: int, n_b: int, arity: int, variant: str
+) -> Optional[CounterStreamSchedule | FixedRelationSchedule]:
+    """The feeding schedule of an ``n_a × n_b`` grid over ``arity`` columns.
+
+    ``variant`` is ``"counter"`` (both relations moving, the figures'
+    design) or ``"fixed"`` (B preloaded, §8); anything else is refused —
+    also for an empty operand, where no array runs and the schedule is
+    ``None``.
+    """
+    if variant not in ("counter", "fixed"):
+        raise SimulationError(
+            f"unknown variant {variant!r}; use 'counter' or 'fixed'"
+        )
+    if not n_a or not n_b:
+        return None
+    if variant == "counter":
+        return CounterStreamSchedule(n_a=n_a, n_b=n_b, arity=arity)
+    return FixedRelationSchedule(n_a=n_a, n_b=n_b, arity=arity)
+
+
+def empty_run() -> ArrayRun:
+    """The record of an operator that short-circuited: no array ran."""
+    return ArrayRun(pulses=0, rows=0, cols=0, cells=0)
+
+
+def run_plan(
+    plan: GridPlan | DivisionPlan,
+    backend=None,
+    meter: Optional[ActivityMeter] = None,
+    trace: Optional[TraceRecorder] = None,
+) -> tuple[EngineRun, ArrayRun]:
+    """Execute a grid or division plan and record the run's geometry
+    (the accumulation column, when attached, counts as a column)."""
+    result = execute(plan, backend=backend, meter=meter, trace=trace)
+    if isinstance(plan, DivisionPlan):
+        rows, cols = len(plan.distinct_x), 2 + len(plan.divisor)
+    else:
+        rows, cols = plan.rows, plan.cols + (1 if plan.accumulate else 0)
+    return result, ArrayRun(
+        pulses=result.pulses, rows=rows, cols=cols, cells=result.cells,
+        meter=meter, trace=trace, backend=result.engine,
+    )
+
+
+def build_grid_array(
+    plan: GridPlan,
+) -> tuple[Network, CounterStreamSchedule | FixedRelationSchedule, dict[str, tuple[int, int]]]:
+    """The cell network a grid plan describes — exactly what the pulse
+    engine steps — with its schedule and a cell name → (row, col)
+    layout."""
+    network, layout = materialize_grid(plan)
+    return network, plan.schedule, layout
+
+
+def rows_where(
+    relation: Relation | MultiRelation, mask: Sequence[bool], keep: bool = True
+) -> np.ndarray:
+    """The rows of ``relation`` whose ``mask`` bit equals ``keep``
+    (§4.3's inverter is ``keep=False``), as a slice of its matrix."""
+    mask = np.asarray(mask, dtype=bool)
+    return relation.array[mask if keep else ~mask]
+
+
+def joined_rows(
+    a: Relation,
+    b: Relation,
+    match_i: np.ndarray,
+    match_j: np.ndarray,
+    b_keep: list[int],
+) -> np.ndarray:
+    """§6.2's retrieval: ``a_i`` concatenated with the ``b_keep`` columns
+    of ``b_j``, one row per match, in the order the matches are given."""
+    return np.concatenate(
+        [a.array[match_i], b.array[match_j][:, b_keep]], axis=1
+    )

@@ -17,13 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.arrays.base import (
-    ArrayRun,
-    TInit,
-    build_counter_stream_grid,
-    cmp_name,
-    execute,
-)
+from repro.arrays.base import ArrayRun, TInit, build_grid_array, run_plan
 from repro.arrays.decode import pair_verdicts
 from repro.arrays.schedule import CounterStreamSchedule
 from repro.errors import SimulationError
@@ -53,6 +47,21 @@ class ComparisonMatrixResult:
         ]
 
 
+def comparison_plan(
+    a_tuples, b_tuples, t_init: TInit, tagged: bool
+) -> GridPlan:
+    """The bare Fig 3-3 grid as a plan, one right-edge tap per row."""
+    if not len(a_tuples) or not len(b_tuples):
+        raise SimulationError("the comparison array needs non-empty relations")
+    schedule = CounterStreamSchedule(
+        n_a=len(a_tuples), n_b=len(b_tuples), arity=len(a_tuples[0])
+    )
+    return GridPlan(
+        a_tuples, b_tuples, schedule, t_init=t_init, row_taps=True,
+        tagged=tagged, name="comparison-array",
+    )
+
+
 def build_comparison_array(
     a_tuples: Sequence[Sequence[int]],
     b_tuples: Sequence[Sequence[int]],
@@ -60,17 +69,9 @@ def build_comparison_array(
     tagged: bool = False,
 ) -> tuple[Network, CounterStreamSchedule, dict[str, tuple[int, int]]]:
     """Assemble the bare Fig 3-3 array with right-edge taps per row."""
-    if not a_tuples or not b_tuples:
-        raise SimulationError("the comparison array needs non-empty relations")
-    schedule = CounterStreamSchedule(
-        n_a=len(a_tuples), n_b=len(b_tuples), arity=len(a_tuples[0])
+    return build_grid_array(
+        comparison_plan(a_tuples, b_tuples, t_init, tagged)
     )
-    network, layout = build_counter_stream_grid(
-        a_tuples, b_tuples, schedule, t_init=t_init, tagged=tagged
-    )
-    for row in range(schedule.rows):
-        network.tap(f"t_row[{row}]", cmp_name(row, schedule.arity - 1), "t_out")
-    return network, schedule, layout
 
 
 def compare_all_pairs(
@@ -89,24 +90,7 @@ def compare_all_pairs(
     via the schedule.  The vectorized engines hand ``T`` back directly
     (see :mod:`repro.arrays.decode`).
     """
-    if not a_tuples or not b_tuples:
-        raise SimulationError("the comparison array needs non-empty relations")
-    schedule = CounterStreamSchedule(
-        n_a=len(a_tuples), n_b=len(b_tuples), arity=len(a_tuples[0])
-    )
-    plan = GridPlan(
-        a_tuples, b_tuples, schedule, t_init=t_init, row_taps=True,
-        tagged=tagged, name="comparison-array",
-    )
-    result = execute(plan, backend=backend, meter=meter, trace=trace)
-
-    t_matrix = pair_verdicts(result, schedule, tagged).tolist()
-    return ComparisonMatrixResult(
-        t_matrix=t_matrix,
-        schedule=schedule,
-        run=ArrayRun(
-            pulses=result.pulses, rows=schedule.rows, cols=schedule.arity,
-            cells=result.cells, meter=meter, trace=trace,
-            backend=result.engine,
-        ),
-    )
+    plan = comparison_plan(a_tuples, b_tuples, t_init, tagged)
+    result, run = run_plan(plan, backend, meter, trace)
+    t_matrix = pair_verdicts(result, plan.schedule, tagged).tolist()
+    return ComparisonMatrixResult(t_matrix, plan.schedule, run)

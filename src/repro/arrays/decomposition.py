@@ -24,17 +24,18 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.arrays.base import execute
+from repro.arrays.base import execute, joined_rows, rows_where
+from repro.arrays.comparison_array import comparison_plan
 from repro.arrays.decode import pair_verdicts, quotient_bits
 from repro.arrays.division import division_operands
-from repro.arrays.schedule import CounterStreamSchedule
+from repro.arrays.join import join_plan
+from repro.bitlevel.bits import expand_matrix
 from repro.errors import CapacityError, SimulationError
 from repro.relational.algebra import equi_join_layout, theta_join_layout
 from repro.relational.relation import MultiRelation, Relation
 from repro.relational.schema import ColumnRef
 from repro.systolic.engine import (
     DivisionPlan,
-    GridPlan,
     TInit,
     t_init_at,
     t_init_strict_lower,
@@ -94,10 +95,12 @@ def _block_bounds(n: int, size: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
-def _column_matrix(tuples: Sequence[Sequence[int]]) -> np.ndarray:
+def column_matrix(tuples: Sequence[Sequence[int]]) -> np.ndarray:
     """Raw tuples as an ``(n, k)`` int64 matrix, built once per blocked
     call; every block run gets a slice of it.  (A relation operand
     brings its own: ``relation.array``.)"""
+    if not len(tuples):
+        return np.empty((0, 0), dtype=np.int64)
     try:
         matrix = np.asarray(tuples, dtype=np.int64)
     except OverflowError:
@@ -130,7 +133,8 @@ def _block_verdicts(
 
     Yields ``(a_lo, b_lo, verdicts)`` per pair of tuple blocks:
     ``verdicts[bi, bj]`` is ``t`` for the global pair
-    ``(a_lo + bi, b_lo + bj)``.  When the tuples are wider than the
+    ``(a_lo + bi, b_lo + bj)``.  Each block is the whole-array
+    operator's plan on a slice.  When the tuples are wider than the
     device, element columns are blocked too — one device run per column
     block — and the partial results ANDed outside the array.  ``ops``
     selects the join grid (θ-cells, one operator per column); without
@@ -149,26 +153,22 @@ def _block_verdicts(
         for b_lo, b_hi in b_bounds:
             block: Optional[np.ndarray] = None
             for c_lo, c_hi in col_bounds:
-                schedule = CounterStreamSchedule(
-                    n_a=a_hi - a_lo, n_b=b_hi - b_lo, arity=c_hi - c_lo
-                )
                 sub_a = a_matrix[a_lo:a_hi, c_lo:c_hi]
                 sub_b = b_matrix[b_lo:b_hi, c_lo:c_hi]
                 if ops is not None:
-                    plan = GridPlan(
-                        sub_a, sub_b, schedule, ops=tuple(ops[c_lo:c_hi]),
-                        row_taps=True, name="join-array",
+                    plan = join_plan(
+                        sub_a, sub_b, ops[c_lo:c_hi], "counter", False
                     )
                 else:
-                    plan = GridPlan(
-                        sub_a, sub_b, schedule,
-                        t_init=t_init_at(t_init, a_lo, b_lo) if c_lo == 0
+                    plan = comparison_plan(
+                        sub_a, sub_b,
+                        t_init_at(t_init, a_lo, b_lo) if c_lo == 0
                         else t_init_true,
-                        row_taps=True, name="comparison-array",
+                        False,
                     )
                 result = execute(plan, backend=backend)
                 report.add_run(result.pulses)
-                verdicts = pair_verdicts(result, schedule, tagged=False)
+                verdicts = pair_verdicts(result, plan.schedule, tagged=False)
                 block = verdicts if block is None else block & verdicts
             assert block is not None
             yield a_lo, b_lo, block
@@ -193,7 +193,7 @@ def blocked_pair_matrix(
     matrix = np.zeros((n_a, n_b), dtype=bool)
     if n_a and n_b:
         for a_lo, b_lo, block in _block_verdicts(
-            _column_matrix(a_tuples), _column_matrix(b_tuples), capacity,
+            column_matrix(a_tuples), column_matrix(b_tuples), capacity,
             report, backend, t_init=t_init,
         ):
             height, width = block.shape
@@ -207,15 +207,23 @@ def _membership(
     capacity: ArrayCapacity,
     backend,
     t_init: TInit = t_init_true,
+    element_bits: Optional[int] = None,
 ) -> tuple[np.ndarray, BlockedReport]:
     """``t_i = OR_j t_ij`` (equation 4.1) over the blocked T matrix.
 
     Each block's rows are ORed into the vector as the block comes off
-    the device, so the ``n_a × n_b`` matrix never exists at once.
+    the device, so the ``n_a × n_b`` matrix never exists at once.  On a
+    §8 bit-level device (``element_bits`` set) both operands stream as
+    their MSB-first bit expansions and ``capacity.max_cols`` bounds
+    *bit* columns, so the reported pulses equal
+    :func:`repro.perf.cost.bit_comparison_cost` exactly.
     """
     report = BlockedReport()
     t_vector = np.zeros(len(a_matrix), dtype=bool)
     if len(a_matrix) and len(b_matrix):
+        if element_bits is not None:
+            a_matrix = expand_matrix(a_matrix, element_bits)
+            b_matrix = expand_matrix(b_matrix, element_bits)
         for a_lo, _, block in _block_verdicts(
             a_matrix, b_matrix, capacity, report, backend, t_init=t_init,
         ):
@@ -232,57 +240,58 @@ def blocked_membership(
 ) -> tuple[list[bool], BlockedReport]:
     """The blocked ``t_i`` vector of raw tuple sequences (see
     :func:`_membership`), one Python bool per tuple of A."""
-    if not len(a_tuples) or not len(b_tuples):
-        return [False] * len(a_tuples), BlockedReport()
     t_vector, report = _membership(
-        _column_matrix(a_tuples), _column_matrix(b_tuples), capacity,
+        column_matrix(a_tuples), column_matrix(b_tuples), capacity,
         backend, t_init=t_init,
     )
     return t_vector.tolist(), report
 
 
 def blocked_intersection(
-    a: Relation, b: Relation, capacity: ArrayCapacity, backend=None
+    a: Relation, b: Relation, capacity: ArrayCapacity, backend=None,
+    element_bits: Optional[int] = None,
 ) -> tuple[Relation, BlockedReport]:
     """``A ∩ B`` on a device too small for the whole problem."""
     a.schema.require_union_compatible(b.schema)
-    if not a or not b:
-        return Relation(a.schema), BlockedReport()
-    t_vector, report = _membership(a.array, b.array, capacity, backend)
-    return Relation(a.schema, a.array[t_vector]), report
+    t_vector, report = _membership(
+        a.array, b.array, capacity, backend, element_bits=element_bits
+    )
+    return Relation(a.schema, rows_where(a, t_vector)), report
 
 
 def blocked_difference(
-    a: Relation, b: Relation, capacity: ArrayCapacity, backend=None
+    a: Relation, b: Relation, capacity: ArrayCapacity, backend=None,
+    element_bits: Optional[int] = None,
 ) -> tuple[Relation, BlockedReport]:
     """``A − B`` blocked: keep the FALSE rows of T (§4.3)."""
     a.schema.require_union_compatible(b.schema)
-    if not a or not b:
-        return a, BlockedReport()
-    t_vector, report = _membership(a.array, b.array, capacity, backend)
-    return Relation(a.schema, a.array[~t_vector]), report
+    t_vector, report = _membership(
+        a.array, b.array, capacity, backend, element_bits=element_bits
+    )
+    return Relation(a.schema, rows_where(a, t_vector, keep=False)), report
 
 
 def blocked_remove_duplicates(
-    a: MultiRelation, capacity: ArrayCapacity, backend=None
+    a: MultiRelation, capacity: ArrayCapacity, backend=None,
+    element_bits: Optional[int] = None,
 ) -> tuple[Relation, BlockedReport]:
     """Remove-duplicates blocked: triangular mask via global t_init (§5)."""
-    if not a:
-        return Relation(a.schema), BlockedReport()
-    rows = a.array
     drop, report = _membership(
-        rows, rows, capacity, backend, t_init=t_init_strict_lower
+        a.array, a.array, capacity, backend, t_init=t_init_strict_lower,
+        element_bits=element_bits,
     )
-    return Relation(a.schema, rows[~drop]), report
+    return Relation(a.schema, rows_where(a, drop, keep=False)), report
 
 
 def blocked_union(
-    a: Relation, b: Relation, capacity: ArrayCapacity, backend=None
+    a: Relation, b: Relation, capacity: ArrayCapacity, backend=None,
+    element_bits: Optional[int] = None,
 ) -> tuple[Relation, BlockedReport]:
     """``A ∪ B`` = blocked remove-duplicates of the concatenation (§5)."""
     a.schema.require_union_compatible(b.schema)
     return blocked_remove_duplicates(
-        a.to_multi().concat(b), capacity, backend=backend
+        a.to_multi().concat(b), capacity, backend=backend,
+        element_bits=element_bits,
     )
 
 
@@ -319,11 +328,7 @@ def blocked_join(
     match_i = np.concatenate(found_i)
     match_j = np.concatenate(found_j)
     order = np.lexsort((match_j, match_i))
-    a_rows, b_rows = a.tuples, b.tuples
-    rows = [
-        a_rows[i] + tuple(b_rows[j][p] for p in b_keep)
-        for i, j in zip(match_i[order].tolist(), match_j[order].tolist())
-    ]
+    rows = joined_rows(a, b, match_i[order], match_j[order], b_keep)
     return Relation(schema, rows), report
 
 
@@ -367,7 +372,7 @@ def blocked_divide(
     report.a_blocks = len(x_bounds)
     report.b_blocks = len(divisor_bounds)
 
-    pair_matrix = _column_matrix(pairs)
+    pair_matrix = column_matrix(pairs)
     keep = np.ones(len(distinct_x), dtype=bool)
     for x_lo, x_hi in x_bounds:
         for d_lo, d_hi in divisor_bounds:

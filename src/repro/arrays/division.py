@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.arrays.base import ArrayRun, execute
+from repro.arrays.base import ArrayRun, empty_run, run_plan
 from repro.arrays.decode import quotient_bits
 from repro.arrays.schedule import DivisionSchedule
 from repro.errors import SimulationError
@@ -135,29 +135,19 @@ def systolic_divide(
         a, b, a_value, a_group, b_value
     )
 
-    empty_run = ArrayRun(pulses=0, rows=0, cols=0, cells=0)
     if not pairs:
-        return DivisionResult(Relation(quotient_schema), [], [], empty_run)
+        return DivisionResult(Relation(quotient_schema), [], [], empty_run())
     if not divisor:
         members = [(x,) for x in distinct_x]
         return DivisionResult(
             Relation(quotient_schema, members),
-            distinct_x, [True] * len(distinct_x), empty_run,
+            distinct_x, [True] * len(distinct_x), empty_run(),
         )
 
     plan = DivisionPlan(pairs, distinct_x, divisor, tagged=tagged)
-    schedule = plan.schedule
-    result = execute(plan, backend=backend, meter=meter, trace=trace)
-    bits = quotient_bits(result, schedule, tagged)
-
+    result, run = run_plan(plan, backend, meter, trace)
+    bits = quotient_bits(result, plan.schedule, tagged)
     members = [(x,) for x, keep in zip(distinct_x, bits) if keep]
-    run = ArrayRun(
-        pulses=result.pulses,
-        rows=schedule.p_rows,
-        cols=2 + schedule.n_divisor,
-        cells=result.cells,
-        meter=meter, trace=trace, backend=result.engine,
-    )
     return DivisionResult(Relation(quotient_schema, members), distinct_x,
                           bits, run)
 

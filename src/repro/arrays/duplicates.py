@@ -21,20 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.arrays.base import (
-    ArrayRun,
-    attach_accumulation_column,
-    build_counter_stream_grid,
-    build_fixed_relation_grid,
-    execute,
-)
-from repro.arrays.decode import accumulator_bits
+from repro.arrays.base import ArrayRun, build_grid_array, rows_where
+from repro.arrays.intersection import membership_plan, run_membership
 from repro.arrays.schedule import CounterStreamSchedule, FixedRelationSchedule
 from repro.errors import SimulationError
 from repro.relational.algebra import project_multi
 from repro.relational.relation import MultiRelation, Relation
 from repro.relational.schema import ColumnRef
-from repro.systolic.engine import GridPlan, t_init_strict_lower
+from repro.systolic.engine import t_init_strict_lower
 from repro.systolic.metrics import ActivityMeter
 from repro.systolic.trace import TraceRecorder
 from repro.systolic.wiring import Network
@@ -46,11 +40,6 @@ __all__ = [
     "systolic_union",
     "systolic_projection",
 ]
-
-
-# §5's triangular mask, as the canonical callable whose whole-grid
-# boolean mask the lattice engine applies in one broadcast.
-_masked = t_init_strict_lower
 
 
 @dataclass
@@ -73,25 +62,10 @@ def build_remove_duplicates_array(
         raise SimulationError(
             "the remove-duplicates array needs a non-empty multi-relation"
         )
-
-    if variant == "counter":
-        schedule: CounterStreamSchedule | FixedRelationSchedule = (
-            CounterStreamSchedule(n_a=len(a), n_b=len(a), arity=a.arity)
-        )
-        network, layout = build_counter_stream_grid(
-            a.tuples, a.tuples, schedule, t_init=_masked, tagged=tagged,
-            name="remove-duplicates-array",
-        )
-    elif variant == "fixed":
-        schedule = FixedRelationSchedule(n_a=len(a), n_b=len(a), arity=a.arity)
-        network, layout = build_fixed_relation_grid(
-            a.tuples, a.tuples, schedule, t_init=_masked, tagged=tagged,
-            name="remove-duplicates-array-fixed",
-        )
-    else:
-        raise SimulationError(f"unknown variant {variant!r}; use 'counter' or 'fixed'")
-    attach_accumulation_column(network, schedule, layout, tagged=tagged)
-    return network, schedule, layout
+    return build_grid_array(membership_plan(
+        a.array, a.array, variant, tagged, "remove-duplicates-array",
+        t_init_strict_lower,
+    ))
 
 
 def systolic_remove_duplicates(
@@ -103,33 +77,16 @@ def systolic_remove_duplicates(
     backend=None,
 ) -> DedupResult:
     """Collapse a multi-relation to a relation on the §5 array."""
-    if not a:
-        return DedupResult(
-            Relation(a.schema), [], ArrayRun(pulses=0, rows=0, cols=0, cells=0)
-        )
-    if variant == "counter":
-        schedule: CounterStreamSchedule | FixedRelationSchedule = (
-            CounterStreamSchedule(n_a=len(a), n_b=len(a), arity=a.arity)
-        )
-    elif variant == "fixed":
-        schedule = FixedRelationSchedule(n_a=len(a), n_b=len(a), arity=a.arity)
-    else:
-        raise SimulationError(f"unknown variant {variant!r}; use 'counter' or 'fixed'")
-    rows = a.tuples
-    plan = GridPlan(
-        rows, rows, schedule, t_init=_masked, accumulate=True,
-        tagged=tagged,
-        name="remove-duplicates-array" if variant == "counter"
-        else "remove-duplicates-array-fixed",
+    # The membership run of §4 with §5's triangular mask (the canonical
+    # callable whose whole-grid mask the lattice engine broadcasts);
+    # tuples with TRUE t_i are the ones dropped.
+    drop, run = run_membership(
+        a.array, a.array, variant, tagged, meter, trace, backend,
+        "remove-duplicates-array", t_init_strict_lower,
     )
-    result = execute(plan, backend=backend, meter=meter, trace=trace)
-    drop = accumulator_bits(result, schedule, tagged)
-    kept = (row for row, dropped in zip(rows, drop) if not dropped)
-    run = ArrayRun(
-        pulses=result.pulses, rows=schedule.rows, cols=schedule.arity + 1,
-        cells=result.cells, meter=meter, trace=trace, backend=result.engine,
+    return DedupResult(
+        Relation(a.schema, rows_where(a, drop, keep=False)), drop, run
     )
-    return DedupResult(Relation(a.schema, kept), drop, run)
 
 
 def systolic_union(

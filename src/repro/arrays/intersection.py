@@ -17,20 +17,24 @@ engine (bit-identical results; see :mod:`repro.systolic.engine`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 from repro.arrays.base import (
     ArrayRun,
-    attach_accumulation_column,
-    build_counter_stream_grid,
-    build_fixed_relation_grid,
-    execute,
+    build_grid_array,
+    empty_run,
+    grid_schedule,
+    rows_where,
+    run_plan,
 )
 from repro.arrays.decode import accumulator_bits
 from repro.arrays.schedule import CounterStreamSchedule, FixedRelationSchedule
 from repro.errors import SimulationError
+from repro.relational.algebra import equi_join_layout
 from repro.relational.relation import Relation
-from repro.systolic.engine import GridPlan, t_init_true
+from repro.systolic.engine import GridPlan, TInit, t_init_true
 from repro.systolic.metrics import ActivityMeter
 from repro.systolic.trace import TraceRecorder
 from repro.systolic.wiring import Network
@@ -55,14 +59,56 @@ class MembershipResult:
     run: ArrayRun
 
 
-def _membership_schedule(
-    n_a: int, n_b: int, arity: int, variant: str
-) -> CounterStreamSchedule | FixedRelationSchedule:
-    if variant == "counter":
-        return CounterStreamSchedule(n_a=n_a, n_b=n_b, arity=arity)
-    if variant == "fixed":
-        return FixedRelationSchedule(n_a=n_a, n_b=n_b, arity=arity)
-    raise SimulationError(f"unknown variant {variant!r}; use 'counter' or 'fixed'")
+def membership_plan(
+    a_rows: np.ndarray,
+    b_rows: np.ndarray,
+    variant: str,
+    tagged: bool,
+    name: str,
+    t_init: TInit = t_init_true,
+) -> Optional[GridPlan]:
+    """Fig 4-1 as a plan: the comparison grid over two row matrices,
+    seeded by ``t_init``, plus the accumulation column.  ``None`` when
+    an operand is empty (``variant`` is checked either way); ``name`` is
+    the counter-streaming array's, the §8 variant appends ``-fixed``.
+    """
+    schedule = grid_schedule(
+        len(a_rows), len(b_rows), a_rows.shape[1], variant
+    )
+    if schedule is None:
+        return None
+    return GridPlan(
+        a_rows, b_rows, schedule, t_init=t_init, accumulate=True,
+        tagged=tagged, name=name if variant == "counter" else f"{name}-fixed",
+    )
+
+
+def run_membership(
+    a_rows: np.ndarray,
+    b_rows: np.ndarray,
+    variant: str,
+    tagged: bool,
+    meter: Optional[ActivityMeter],
+    trace: Optional[TraceRecorder],
+    backend,
+    name: str,
+    t_init: TInit = t_init_true,
+) -> tuple[list[bool], ArrayRun]:
+    """Plan, execute, and decode one Fig 4-1 membership run: ``t_i`` for
+    every row of A.  An empty operand runs no array; every bit is FALSE."""
+    plan = membership_plan(a_rows, b_rows, variant, tagged, name, t_init)
+    if plan is None:
+        return [False] * len(a_rows), empty_run()
+    result, run = run_plan(plan, backend, meter, trace)
+    return accumulator_bits(result, plan.schedule, tagged), run
+
+
+def _require_operands(a: Relation, b: Relation) -> None:
+    if not a or not b:
+        raise SimulationError(
+            "the intersection array needs non-empty operands; empty cases "
+            "short-circuit in systolic_intersection"
+        )
 
 
 def build_intersection_array(
@@ -77,52 +123,10 @@ def build_intersection_array(
     figures' design) or ``"fixed"`` (B preloaded, §8).
     """
     a.schema.require_union_compatible(b.schema)
-    if not a or not b:
-        raise SimulationError(
-            "the intersection array needs non-empty operands; empty cases "
-            "short-circuit in systolic_intersection"
-        )
-    schedule = _membership_schedule(len(a), len(b), a.arity, variant)
-    if variant == "counter":
-        network, layout = build_counter_stream_grid(
-            a.tuples, b.tuples, schedule,
-            t_init=t_init_true, tagged=tagged,
-            name="intersection-array",
-        )
-    else:
-        network, layout = build_fixed_relation_grid(
-            a.tuples, b.tuples, schedule,
-            t_init=t_init_true, tagged=tagged,
-            name="intersection-array-fixed",
-        )
-    attach_accumulation_column(network, schedule, layout, tagged=tagged)
-    return network, schedule, layout
-
-
-def _run_membership(
-    a_tuples,
-    b_tuples,
-    arity: int,
-    variant: str,
-    tagged: bool,
-    meter: Optional[ActivityMeter],
-    trace: Optional[TraceRecorder],
-    backend,
-    name: str,
-) -> tuple[list[bool], ArrayRun]:
-    """Plan, execute, and decode one Fig 4-1 membership run."""
-    schedule = _membership_schedule(len(a_tuples), len(b_tuples), arity, variant)
-    plan = GridPlan(
-        a_tuples, b_tuples, schedule,
-        t_init=t_init_true, accumulate=True, tagged=tagged, name=name,
-    )
-    result = execute(plan, backend=backend, meter=meter, trace=trace)
-    bits = accumulator_bits(result, schedule, tagged)
-    run = ArrayRun(
-        pulses=result.pulses, rows=schedule.rows, cols=schedule.arity + 1,
-        cells=result.cells, meter=meter, trace=trace, backend=result.engine,
-    )
-    return bits, run
+    _require_operands(a, b)
+    return build_grid_array(membership_plan(
+        a.array, b.array, variant, tagged, "intersection-array"
+    ))
 
 
 def systolic_membership_vector(
@@ -140,20 +144,40 @@ def systolic_membership_vector(
     exactly as hardware would.
     """
     a.schema.require_union_compatible(b.schema)
-    if not a or not b:
-        raise SimulationError(
-            "the intersection array needs non-empty operands; empty cases "
-            "short-circuit in systolic_intersection"
-        )
-    return _run_membership(
-        a.tuples, b.tuples, a.arity, variant, tagged, meter, trace, backend,
-        name="intersection-array" if variant == "counter"
-        else "intersection-array-fixed",
+    _require_operands(a, b)
+    return run_membership(
+        a.array, b.array, variant, tagged, meter, trace, backend,
+        "intersection-array",
     )
 
 
-def _empty_run() -> ArrayRun:
-    return ArrayRun(pulses=0, rows=0, cols=0, cells=0)
+def _select(
+    a: Relation,
+    b: Relation,
+    columns: Optional[tuple[Sequence[int], Sequence[int]]],
+    keep: bool,
+    name: str,
+    variant: str,
+    tagged: bool,
+    meter: Optional[ActivityMeter],
+    trace: Optional[TraceRecorder],
+    backend,
+) -> MembershipResult:
+    """The §4 operator: the tuples of A whose ``t_i`` equals ``keep``.
+
+    ``columns`` names the compared (A, B) column positions — ``None``
+    for whole tuples — so the four operators below differ only in
+    (compared columns, keep sense, array name).
+    """
+    a_rows, b_rows = a.array, b.array
+    if columns is not None:
+        a_rows, b_rows = a_rows[:, columns[0]], b_rows[:, columns[1]]
+    bits, run = run_membership(
+        a_rows, b_rows, variant, tagged, meter, trace, backend, name
+    )
+    return MembershipResult(
+        Relation(a.schema, rows_where(a, bits, keep)), bits, run
+    )
 
 
 def systolic_intersection(
@@ -167,14 +191,10 @@ def systolic_intersection(
 ) -> MembershipResult:
     """``A ∩ B`` on the intersection array (keep tuples with TRUE t_i)."""
     a.schema.require_union_compatible(b.schema)
-    if not a or not b:
-        return MembershipResult(Relation(a.schema), [], _empty_run())
-    t_vector, run = systolic_membership_vector(
-        a, b, variant=variant, tagged=tagged, meter=meter, trace=trace,
-        backend=backend,
+    return _select(
+        a, b, None, True, "intersection-array",
+        variant, tagged, meter, trace, backend,
     )
-    members = (row for row, keep in zip(a.tuples, t_vector) if keep)
-    return MembershipResult(Relation(a.schema, members), t_vector, run)
 
 
 def systolic_difference(
@@ -188,39 +208,9 @@ def systolic_difference(
 ) -> MembershipResult:
     """``A − B``: same array, keep tuples with FALSE t_i (§4.3)."""
     a.schema.require_union_compatible(b.schema)
-    if not a:
-        return MembershipResult(Relation(a.schema), [], _empty_run())
-    if not b:
-        return MembershipResult(
-            Relation(a.schema, a.tuples), [False] * len(a), _empty_run()
-        )
-    t_vector, run = systolic_membership_vector(
-        a, b, variant=variant, tagged=tagged, meter=meter, trace=trace,
-        backend=backend,
-    )
-    members = (row for row, member in zip(a.tuples, t_vector) if not member)
-    return MembershipResult(Relation(a.schema, members), t_vector, run)
-
-
-def _semijoin_membership(
-    a: Relation,
-    b: Relation,
-    on,
-    variant: str,
-    tagged: bool,
-    meter,
-    trace,
-    backend,
-) -> tuple[list[bool], ArrayRun]:
-    """Membership bits of A's join-column tuples among B's (§4 hardware)."""
-    from repro.relational.algebra import equi_join_layout
-
-    a_positions, b_positions, _, _ = equi_join_layout(a, b, on)
-    a_keys = [tuple(row[p] for p in a_positions) for row in a.tuples]
-    b_keys = [tuple(row[p] for p in b_positions) for row in b.tuples]
-    return _run_membership(
-        a_keys, b_keys, len(on), variant, tagged, meter, trace, backend,
-        name="semijoin-array" if variant == "counter" else "semijoin-array-fixed",
+    return _select(
+        a, b, None, False, "intersection-array",
+        variant, tagged, meter, trace, backend,
     )
 
 
@@ -239,16 +229,11 @@ def systolic_semijoin(
     Keeps the A tuples whose join-column combination matches some B
     tuple — the intersection array where "tuple" means "key".
     """
-    from repro.relational.algebra import equi_join_layout
-
-    equi_join_layout(a, b, on)  # validates columns and domains
-    if not a or not b:
-        return MembershipResult(Relation(a.schema), [], _empty_run())
-    bits, run = _semijoin_membership(
-        a, b, on, variant, tagged, meter, trace, backend
+    a_positions, b_positions, _, _ = equi_join_layout(a, b, on)
+    return _select(
+        a, b, (a_positions, b_positions), True, "semijoin-array",
+        variant, tagged, meter, trace, backend,
     )
-    members = (row for row, keep in zip(a.tuples, bits) if keep)
-    return MembershipResult(Relation(a.schema, members), bits, run)
 
 
 def systolic_antijoin(
@@ -262,17 +247,8 @@ def systolic_antijoin(
     backend=None,
 ) -> MembershipResult:
     """``A ▷ B``: the same bits, kept where FALSE (§4.3's inverter)."""
-    from repro.relational.algebra import equi_join_layout
-
-    equi_join_layout(a, b, on)
-    if not a:
-        return MembershipResult(Relation(a.schema), [], _empty_run())
-    if not b:
-        return MembershipResult(
-            Relation(a.schema, a.tuples), [False] * len(a), _empty_run()
-        )
-    bits, run = _semijoin_membership(
-        a, b, on, variant, tagged, meter, trace, backend
+    a_positions, b_positions, _, _ = equi_join_layout(a, b, on)
+    return _select(
+        a, b, (a_positions, b_positions), False, "semijoin-array",
+        variant, tagged, meter, trace, backend,
     )
-    members = (row for row, member in zip(a.tuples, bits) if not member)
-    return MembershipResult(Relation(a.schema, members), bits, run)

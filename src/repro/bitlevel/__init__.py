@@ -14,6 +14,7 @@ imports here would close that cycle.
 
 from repro.bitlevel.bits import (
     bits_to_word,
+    expand_matrix,
     expand_tuple,
     required_width,
     word_to_bits,
@@ -42,6 +43,7 @@ __all__ = [
     "bit_level_intersection",
     "bit_level_three_way_compare",
     "bits_to_word",
+    "expand_matrix",
     "expand_tuple",
     "pack_bits",
     "pack_planes",

@@ -2,7 +2,7 @@
 
 Equality-based arrays transform mechanically: replace each word column
 by ``width`` bit columns and feed the MSB-first expansion of every
-tuple (:func:`~repro.bitlevel.bits.expand_tuple`).  The resulting array
+tuple (:func:`~repro.bitlevel.bits.expand_matrix`).  The resulting array
 computes the identical ``T`` matrix — verified against the word-level
 arrays in the tests — while its area is expressible directly in §8's
 bit-comparator unit.
@@ -17,12 +17,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
+from repro.arrays.base import rows_where, run_array
 from repro.arrays.comparison_array import ComparisonMatrixResult, compare_all_pairs
+from repro.arrays.decomposition import column_matrix
+from repro.arrays.intersection import MembershipResult, run_membership
 from repro.arrays.linear_comparison import LinearComparisonResult, compare_tuples
-from repro.arrays.base import run_array
-from repro.bitlevel.bits import expand_tuple, required_width, word_to_bits
+from repro.bitlevel.bits import (
+    expand_matrix,
+    expand_tuple,
+    required_width,
+    word_to_bits,
+)
 from repro.bitlevel.cells import EQ, GT, LT, BitMagnitudeCell
 from repro.errors import SimulationError
+from repro.relational.relation import Relation
 from repro.systolic.streams import ScheduleFeeder
 from repro.systolic.values import Token
 from repro.systolic.wiring import Network
@@ -65,13 +75,22 @@ def bit_array_stats(rows: int, cols: int, width: int) -> BitArrayStats:
     return BitArrayStats(word_rows=rows, word_cols=cols, width=width)
 
 
-def _width_for(*tuple_sets: Sequence[Sequence[int]], width: int | None) -> int:
-    if width is not None:
-        if width < 1:
-            raise SimulationError(f"width must be >= 1, got {width}")
-        return width
-    values = [v for tuples in tuple_sets for row in tuples for v in row]
-    return required_width(values)
+def _width_for(values: Sequence[int], width: int | None) -> int:
+    """``width`` if given, else the narrowest that holds every value."""
+    if width is None:
+        return required_width(values)
+    if width < 1:
+        raise SimulationError(f"width must be >= 1, got {width}")
+    return width
+
+
+def _bit_matrices(
+    a_matrix: np.ndarray, b_matrix: np.ndarray, width: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both operands' MSB-first bit expansions, at one shared width."""
+    matrices = (a_matrix, b_matrix)
+    bit_width = _width_for([int(m.max()) for m in matrices if m.size], width)
+    return tuple(expand_matrix(m, bit_width) for m in matrices)
 
 
 def bit_level_compare_tuples(
@@ -82,7 +101,7 @@ def bit_level_compare_tuples(
     backend=None,
 ) -> LinearComparisonResult:
     """Fig 3-1 at bit level: the linear array widened by the bit expansion."""
-    bit_width = _width_for([a], [b], width=width)
+    bit_width = _width_for([*a, *b], width)
     return compare_tuples(
         expand_tuple(a, bit_width), expand_tuple(b, bit_width), seed=seed,
         backend=backend,
@@ -96,10 +115,10 @@ def bit_level_compare_all_pairs(
     backend=None,
 ) -> ComparisonMatrixResult:
     """Fig 3-3 at bit level: same T matrix from the expanded tuples."""
-    bit_width = _width_for(a_tuples, b_tuples, width=width)
-    expanded_a = [expand_tuple(row, bit_width) for row in a_tuples]
-    expanded_b = [expand_tuple(row, bit_width) for row in b_tuples]
-    return compare_all_pairs(expanded_a, expanded_b, backend=backend)
+    a_bits, b_bits = _bit_matrices(
+        column_matrix(a_tuples), column_matrix(b_tuples), width
+    )
+    return compare_all_pairs(a_bits, b_bits, backend=backend)
 
 
 def bit_level_three_way_compare(
@@ -147,38 +166,13 @@ def bit_level_intersection(a, b, width: int | None = None, backend=None):
     ``backend`` picks the engine the widened array runs on, like every
     word-level operator.
     """
-    from repro.arrays.intersection import systolic_intersection
-    from repro.relational.domain import Domain
-    from repro.relational.relation import Relation
-    from repro.relational.schema import Column, Schema
-
-    a_tuples, b_tuples = a.tuples, b.tuples
     a.schema.require_union_compatible(b.schema)
-    if not a_tuples or not b_tuples:
-        word = systolic_intersection(a, b, backend=backend)
-        return word
-    bit_width = _width_for(a_tuples, b_tuples, width=width)
-    bit_domain = Domain("bit", values=(0, 1), frozen=True)
-    bit_schema = Schema(
-        Column(f"b{k}", bit_domain)
-        for k in range(len(a_tuples[0]) * bit_width)
+    a_bits, b_bits = _bit_matrices(a.array, b.array, width)
+    # The expansion is injective and keeps row order, so bit i is a_i's.
+    t_vector, run = run_membership(
+        a_bits, b_bits, "counter", False, None, None, backend,
+        "intersection-array",
     )
-    expanded_a = Relation(
-        bit_schema, (expand_tuple(row, bit_width) for row in a_tuples)
-    )
-    expanded_b = Relation(
-        bit_schema, (expand_tuple(row, bit_width) for row in b_tuples)
-    )
-    result = systolic_intersection(expanded_a, expanded_b, backend=backend)
-    # Map the surviving bit tuples back to the original rows via the
-    # (order-preserving, injective) expansion.
-    kept = (
-        row for row, keep in zip(a_tuples, result.t_vector) if keep
-    )
-    from repro.arrays.intersection import MembershipResult
-
     return MembershipResult(
-        relation=Relation(a.schema, kept),
-        t_vector=result.t_vector,
-        run=result.run,
+        Relation(a.schema, rows_where(a, t_vector)), t_vector, run
     )

@@ -10,9 +10,17 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.errors import ReproError
 
-__all__ = ["word_to_bits", "bits_to_word", "required_width", "expand_tuple"]
+__all__ = [
+    "word_to_bits",
+    "bits_to_word",
+    "required_width",
+    "expand_tuple",
+    "expand_matrix",
+]
 
 
 def required_width(values: Sequence[int]) -> int:
@@ -60,3 +68,30 @@ def expand_tuple(values: Sequence[int], width: int) -> tuple[int, ...]:
     for value in values:
         expanded.extend(word_to_bits(value, width))
     return tuple(expanded)
+
+
+def expand_matrix(matrix: np.ndarray, width: int) -> np.ndarray:
+    """:func:`expand_tuple` over every row of an ``(n, k)`` matrix at once.
+
+    Returns the ``(n, k·width)`` int64 matrix of MSB-first bits — the
+    operand a bit-level array streams in place of the word matrix — and
+    refuses what :func:`word_to_bits` refuses.  An ``object`` matrix
+    (elements wider than a machine word) is expanded one Python int at
+    a time.
+    """
+    if width < 1:
+        raise ReproError(f"width must be >= 1, got {width}")
+    n, k = matrix.shape
+    if matrix.dtype == object:
+        words = matrix.ravel().tolist()
+        bits = [word_to_bits(word, width) for word in words]
+        return np.array(bits, dtype=np.int64).reshape(n, k * width)
+    bad = matrix < 0
+    if width < 63:  # every non-negative int64 fits 63 bits
+        bad |= (matrix >> width) != 0
+    if bad.any():
+        # Re-raise through the scalar encoder for the exact diagnostic.
+        word_to_bits(int(matrix[bad][0]), width)
+    # A non-negative int64 has no bit above position 62.
+    shifts = np.minimum(np.arange(width - 1, -1, -1), 63)
+    return ((matrix[:, :, None] >> shifts) & 1).reshape(n, k * width)

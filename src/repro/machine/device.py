@@ -9,11 +9,12 @@ many sub-problems it executed and the total pulse count.
 A comparison device built with ``element_bits`` is §8's **bit-level**
 variant of the same box: its columns are bit comparators, every tuple
 streams as its MSB-first bit expansion
-(:func:`~repro.bitlevel.bits.expand_tuple`), and its capacity's
+(:func:`~repro.bitlevel.bits.expand_matrix`), and its capacity's
 ``max_cols`` counts bit comparators rather than word comparators.  Bit
 devices execute the equality-based comparison operations only — the
-word→bit transformation is mechanical exactly for those — and report
-the pulse counts :func:`repro.perf.cost.bit_comparison_cost` predicts.
+word→bit transformation is mechanical exactly for those — by running
+the same blocked operators over the expanded operands, and report the
+pulse counts :func:`repro.perf.cost.bit_comparison_cost` predicts.
 
 The CPU device models the conventional host of Fig 9-1: it executes
 selections (and nothing else — everything the paper makes systolic
@@ -32,11 +33,9 @@ from repro.arrays.decomposition import (
     blocked_divide,
     blocked_intersection,
     blocked_join,
-    blocked_membership,
     blocked_remove_duplicates,
     blocked_union,
 )
-from repro.bitlevel.bits import expand_tuple
 from repro import obs
 from repro.errors import PlanError
 from repro.machine.plan import (
@@ -56,9 +55,7 @@ from repro.machine.plan import (
 )
 from repro.obs import metrics
 from repro.perf.technology import PAPER_CONSERVATIVE, TechnologyModel
-from repro.relational import algebra
-from repro.relational.relation import Relation, select_rows
-from repro.systolic.engine import t_init_strict_lower, t_init_true
+from repro.relational.relation import Relation, project_rows, select_rows
 
 __all__ = ["DeviceRun", "SystolicDevice", "CpuDevice"]
 
@@ -143,32 +140,30 @@ class SystolicDevice:
                 f"device {self.name!r} ({self.kind}) cannot execute "
                 f"{node.describe()} ({node.device_kind})"
             )
-        if self.element_bits is not None:
-            return self._dispatch_bits(node, inputs)
         backend = self.backend
+
+        def compare(operator, *operands):
+            # The §4/§5 operators share one call shape; on a §8 bit-level
+            # device (comparison kind only) they stream the operands'
+            # bit expansions.
+            return operator(
+                *operands, self.capacity, backend=backend,
+                element_bits=self.element_bits,
+            )
+
         if isinstance(node, Intersect):
-            return blocked_intersection(
-                inputs[0], inputs[1], self.capacity, backend=backend
-            )
+            return compare(blocked_intersection, *inputs)
         if isinstance(node, Difference):
-            return blocked_difference(
-                inputs[0], inputs[1], self.capacity, backend=backend
-            )
+            return compare(blocked_difference, *inputs)
         if isinstance(node, Union):
-            return blocked_union(
-                inputs[0], inputs[1], self.capacity, backend=backend
-            )
+            return compare(blocked_union, *inputs)
         if isinstance(node, Dedup):
-            return blocked_remove_duplicates(
-                inputs[0].to_multi(), self.capacity, backend=backend
-            )
+            return compare(blocked_remove_duplicates, inputs[0].to_multi())
         if isinstance(node, Project):
             # The column drop happens during retrieval (§5); the array
             # only deduplicates the reduced multi-relation.
-            reduced = algebra.project_multi(inputs[0], list(node.columns))
-            return blocked_remove_duplicates(
-                reduced, self.capacity, backend=backend
-            )
+            reduced = project_rows(inputs[0], list(node.columns))
+            return compare(blocked_remove_duplicates, reduced)
         if isinstance(node, Join):
             return blocked_join(
                 inputs[0], inputs[1], list(node.on), self.capacity,
@@ -183,67 +178,6 @@ class SystolicDevice:
             )
         raise PlanError(
             f"device {self.name!r} has no implementation for {node.describe()}"
-        )
-
-    # -- §8 bit-level execution ---------------------------------------------
-
-    def _bit_membership(
-        self, a_tuples, b_tuples, t_init=t_init_true
-    ) -> tuple[list[bool], BlockedReport]:
-        """The blocked ``t_i`` vector over the MSB-first bit expansions.
-
-        Same §8 decomposition as a word device, with ``max_cols``
-        bounding *bit* columns — so the reported pulses equal
-        :func:`repro.perf.cost.bit_comparison_cost` exactly.
-        """
-        width = self.element_bits
-        expanded_a = [expand_tuple(row, width) for row in a_tuples]
-        expanded_b = [expand_tuple(row, width) for row in b_tuples]
-        return blocked_membership(
-            expanded_a, expanded_b, self.capacity, t_init=t_init,
-            backend=self.backend,
-        )
-
-    def _dispatch_bits(
-        self, node: PlanNode, inputs: list[Relation]
-    ) -> tuple[Relation, BlockedReport]:
-        if isinstance(node, (Intersect, Difference)):
-            a, b = inputs
-            a.schema.require_union_compatible(b.schema)
-            keep_members = isinstance(node, Intersect)
-            if not a:
-                return Relation(a.schema), BlockedReport()
-            a_rows = a.tuples
-            if not b:
-                rows = () if keep_members else a_rows
-                return Relation(a.schema, rows), BlockedReport()
-            t_vector, report = self._bit_membership(a_rows, b.tuples)
-            members = (
-                row for row, hit in zip(a_rows, t_vector)
-                if hit == keep_members
-            )
-            return Relation(a.schema, members), report
-        if isinstance(node, (Union, Dedup, Project)):
-            if isinstance(node, Union):
-                inputs[0].schema.require_union_compatible(inputs[1].schema)
-                multi = inputs[0].to_multi().concat(inputs[1])
-            elif isinstance(node, Dedup):
-                multi = inputs[0].to_multi()
-            else:
-                multi = algebra.project_multi(inputs[0], list(node.columns))
-            if not multi:
-                return Relation(multi.schema), BlockedReport()
-            rows = multi.tuples
-            drop, report = self._bit_membership(
-                rows, rows, t_init=t_init_strict_lower
-            )
-            kept = (
-                row for row, dropped in zip(rows, drop) if not dropped
-            )
-            return Relation(multi.schema, kept), report
-        raise PlanError(
-            f"bit-level device {self.name!r} is equality-only; "
-            f"{node.describe()} needs a word device"
         )
 
     def __repr__(self) -> str:

@@ -415,6 +415,18 @@ def select_rows(
     return Relation(relation.schema, matrix[keep])
 
 
+def project_rows(
+    relation: Relation | MultiRelation, columns: Sequence[ColumnRef]
+) -> MultiRelation:
+    """§5's column drop "while the tuples are retrieved", as a column
+    slice (package-internal, like :func:`select_rows`; the tuple oracle
+    is :func:`repro.relational.algebra.project_multi`)."""
+    positions = relation.schema.resolve_many(columns)
+    return MultiRelation(
+        relation.schema.project(columns), relation.array[:, positions]
+    )
+
+
 def _algebra():
     """Late import: algebra depends on this module."""
     from repro.relational import algebra

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from functools import reduce
 from typing import Optional, Sequence
 
 from repro import obs
@@ -48,7 +48,7 @@ from repro.machine.scheduler import (
     ScheduledStep,
 )
 from repro.obs import metrics
-from repro.relational.relation import Relation
+from repro.relational.relation import MultiRelation, Relation
 from repro.shard.catalog import ShardedCatalog
 from repro.shard.planner import (
     BROADCAST,
@@ -103,6 +103,14 @@ class ShardedExecutionReport(ExecutionReport):
         return sum(
             s.duration for s in self.steps if s.device == INTERCONNECT
         )
+
+
+def _union(pieces: Sequence[Relation]) -> Relation:
+    """The pieces' rows in piece order, under set semantics — a matrix
+    concatenation when the pieces are columnar, never a tuple walk."""
+    return reduce(
+        MultiRelation.concat, pieces[1:], pieces[0].to_multi()
+    ).distinct()
 
 
 class ShardedExecutor:
@@ -382,23 +390,19 @@ class ShardedExecutor:
         self, step: ExchangeStep, pieces: list[Relation]
     ) -> list[Relation]:
         """Move a stage's per-shard results where the plan needs them."""
-        schema = pieces[0].schema
         if step.kind == BROADCAST:
-            full = Relation(
-                schema, chain.from_iterable(p.tuples for p in pieces)
-            )
             metrics.inc("shard.broadcasts")
-            return [full] * self.shards
-        buckets: list[list] = [[] for _ in range(self.shards)]
-        moved = 0
-        for source, piece in enumerate(pieces):
-            for row in piece.tuples:
-                dest = step.partitioner.shard_of(row[step.key], self.shards)
-                buckets[dest].append(row)
-                if dest != source:
-                    moved += 1
-        metrics.inc("shard.repartition_tuples", moved)
-        return [Relation(schema, bucket) for bucket in buckets]
+            return [_union(pieces)] * self.shards
+        parts = [
+            step.partitioner.partition(piece, step.key, self.shards)
+            for piece in pieces
+        ]
+        # A row moves when its destination differs from its source shard.
+        stayed = sum(len(kept[source]) for source, kept in enumerate(parts))
+        metrics.inc(
+            "shard.repartition_tuples", sum(map(len, pieces)) - stayed
+        )
+        return [_union(bucket) for bucket in zip(*parts)]
 
     def _fold_stage(
         self,
@@ -438,14 +442,8 @@ class ShardedExecutor:
     ) -> list[Relation]:
         """Union each root's shard pieces, in shard order, as sets."""
         started = time.perf_counter()
-        results = []
         with obs.span("shard.merge", roots=len(roots)):
-            for position in range(len(roots)):
-                pieces = [shard[position] for shard in per_shard]
-                results.append(Relation(
-                    pieces[0].schema,
-                    chain.from_iterable(p.tuples for p in pieces),
-                ))
+            results = [_union(pieces) for pieces in zip(*per_shard)]
         metrics.observe(
             "shard.merge_seconds", time.perf_counter() - started
         )

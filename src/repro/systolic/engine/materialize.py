@@ -56,6 +56,7 @@ __all__ = [
     "build_division_network",
     "build_linear_network",
     "materialize",
+    "materialize_grid",
 ]
 
 #: Builds the processor for grid position (row, col) — ComparisonCell
@@ -368,35 +369,42 @@ def _python_rows(rows):
     return rows.tolist() if isinstance(rows, np.ndarray) else rows
 
 
+def materialize_grid(
+    plan: GridPlan,
+) -> tuple[Network, dict[str, tuple[int, int]]]:
+    """Build a grid plan's cell network, taps included, and its layout
+    (cell name → (row, col), accumulators in the column past the grid)."""
+    factory = _grid_factory(plan)
+    a_tuples = _python_rows(plan.a_tuples)
+    b_tuples = _python_rows(plan.b_tuples)
+    if plan.variant == "counter":
+        network, layout = build_counter_stream_grid(
+            a_tuples, b_tuples, plan.schedule,
+            t_init=plan.t_init, cell_factory=factory,
+            tagged=plan.tagged, name=plan.name,
+        )
+        if plan.dynamic_ops:
+            attach_op_stream(network, plan.schedule, plan.ops)
+    else:
+        network, layout = build_fixed_relation_grid(
+            a_tuples, b_tuples, plan.schedule,
+            t_init=plan.t_init, cell_factory=factory,
+            tagged=plan.tagged, name=plan.name,
+        )
+    if plan.accumulate:
+        attach_accumulation_column(
+            network, plan.schedule, layout, tagged=plan.tagged
+        )
+    if plan.row_taps:
+        for row in range(plan.rows):
+            network.tap(f"t_row[{row}]", cmp_name(row, plan.cols - 1), "t_out")
+    return network, layout
+
+
 def materialize(plan: ExecutionPlan) -> Network:
     """Build the full cell network a plan describes, taps included."""
     if isinstance(plan, GridPlan):
-        factory = _grid_factory(plan)
-        a_tuples = _python_rows(plan.a_tuples)
-        b_tuples = _python_rows(plan.b_tuples)
-        if plan.variant == "counter":
-            network, layout = build_counter_stream_grid(
-                a_tuples, b_tuples, plan.schedule,
-                t_init=plan.t_init, cell_factory=factory,
-                tagged=plan.tagged, name=plan.name,
-            )
-            if plan.dynamic_ops:
-                attach_op_stream(network, plan.schedule, plan.ops)
-        else:
-            network, layout = build_fixed_relation_grid(
-                a_tuples, b_tuples, plan.schedule,
-                t_init=plan.t_init, cell_factory=factory,
-                tagged=plan.tagged, name=plan.name,
-            )
-        if plan.accumulate:
-            attach_accumulation_column(
-                network, plan.schedule, layout, tagged=plan.tagged
-            )
-        if plan.row_taps:
-            for row in range(plan.rows):
-                network.tap(f"t_row[{row}]",
-                            cmp_name(row, plan.cols - 1), "t_out")
-        return network
+        return materialize_grid(plan)[0]
     if isinstance(plan, DivisionPlan):
         network, _ = build_division_network(
             _python_rows(plan.pairs), plan.distinct_x, plan.divisor,

@@ -7,7 +7,7 @@ from repro.arrays import (
     systolic_remove_duplicates,
     systolic_union,
 )
-from repro.errors import UnionCompatibilityError
+from repro.errors import SimulationError, UnionCompatibilityError
 from repro.relational import Domain, MultiRelation, Relation, Schema, algebra
 from repro.workloads import relation_with_duplicates
 
@@ -39,6 +39,16 @@ class TestRemoveDuplicates:
         result = systolic_remove_duplicates(MultiRelation(pair_schema))
         assert len(result.relation) == 0
         assert result.run.pulses == 0
+        # No array runs, but a variant that does not exist is still refused.
+        with pytest.raises(SimulationError, match="unknown variant"):
+            systolic_remove_duplicates(
+                MultiRelation(pair_schema), variant="sideways"
+            )
+        with pytest.raises(SimulationError, match="unknown variant"):
+            systolic_union(
+                Relation(pair_schema), Relation(pair_schema),
+                variant="sideways",
+            )
 
     @pytest.mark.parametrize("variant", ["counter", "fixed"])
     @pytest.mark.parametrize("n,dup", [(4, 1.0), (5, 2.0), (3, 3.0)])

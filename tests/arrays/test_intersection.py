@@ -97,6 +97,16 @@ class TestOperationalDetail:
         a, b = overlapping_pair(2, 2, 1, arity=1, seed=1)
         with pytest.raises(SimulationError, match="unknown variant"):
             systolic_intersection(a, b, variant="sideways")
+        # ... also when an empty operand means no array would run.
+        empty = Relation(a.schema)
+        for run, operands in [
+            (systolic_intersection, (a, empty)),
+            (systolic_intersection, (empty, b)),
+            (systolic_difference, (a, empty)),
+            (systolic_difference, (empty, b)),
+        ]:
+            with pytest.raises(SimulationError, match="unknown variant"):
+                run(*operands, variant="sideways")
 
     def test_membership_vector_alone(self):
         a, b = overlapping_pair(4, 4, 2, arity=2, seed=3)

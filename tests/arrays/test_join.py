@@ -3,7 +3,7 @@
 import pytest
 
 from repro.arrays import systolic_join, systolic_theta_join
-from repro.errors import SchemaError
+from repro.errors import SchemaError, SimulationError
 from repro.relational import Domain, Relation, Schema, algebra
 from repro.workloads import join_pair
 
@@ -70,6 +70,14 @@ class TestEquiJoin:
         result = systolic_join(emp, empty, [("dept", "dept")])
         assert len(result.relation) == 0
         assert result.run.pulses == 0
+        # No array runs, but a variant that does not exist is still refused.
+        for a, b in [(emp, empty), (Relation(emp.schema), dept), (emp, dept)]:
+            with pytest.raises(SimulationError, match="unknown variant"):
+                systolic_join(a, b, [("dept", "dept")], variant="sideways")
+            with pytest.raises(SimulationError, match="unknown variant"):
+                systolic_theta_join(
+                    a, b, [("dept", "dept")], ["=="], variant="sideways"
+                )
 
     def test_domain_mismatch_rejected(self, emp_dept):
         emp, dept = emp_dept

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.arrays.intersection import systolic_antijoin, systolic_semijoin
-from repro.errors import SchemaError
+from repro.errors import SchemaError, SimulationError
 from repro.relational import Relation, algebra
 from repro.relational.algebra import antijoin, semijoin
 from repro.workloads import join_pair, suppliers_parts_database
@@ -59,6 +59,11 @@ class TestArrays:
         assert len(systolic_semijoin(empty_a, b, on).relation) == 0
         assert len(systolic_semijoin(a, empty_b, on).relation) == 0
         assert systolic_antijoin(a, empty_b, on).relation == a
+        # No array runs, but a variant that does not exist is still refused.
+        for run in (systolic_semijoin, systolic_antijoin):
+            for operands in [(a, empty_b), (empty_a, b), (a, b)]:
+                with pytest.raises(SimulationError, match="unknown variant"):
+                    run(*operands, on, variant="sideways")
 
     def test_array_is_narrower_than_full_intersection(self):
         # Only the join columns stream through: 1 comparison column
