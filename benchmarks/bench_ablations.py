@@ -25,7 +25,7 @@ from repro.arrays.base import (
     cmp_name,
     run_array,
 )
-from repro.arrays.schedule import CounterStreamSchedule, FixedRelationSchedule
+from repro.systolic.engine.schedule import CounterStreamSchedule, FixedRelationSchedule
 from repro.errors import SimulationError
 from repro.systolic.simulator import SystolicSimulator
 from repro.systolic.streams import PeriodicFeeder, ScheduleFeeder

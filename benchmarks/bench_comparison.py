@@ -12,7 +12,7 @@ Paper claims reproduced:
 from __future__ import annotations
 
 from repro.arrays import compare_all_pairs, compare_tuples
-from repro.arrays.schedule import CounterStreamSchedule
+from repro.systolic.engine.schedule import CounterStreamSchedule
 from repro.workloads import random_relation
 
 

@@ -9,7 +9,7 @@ output bit inverted.
 from __future__ import annotations
 
 from repro.arrays import systolic_difference, systolic_intersection
-from repro.arrays.schedule import CounterStreamSchedule
+from repro.systolic.engine.schedule import CounterStreamSchedule
 from repro.relational import algebra
 from repro.workloads import overlapping_pair, three_by_three_pair
 

@@ -9,7 +9,7 @@ operator; output size can reach |A|·|B| in the degenerate case.
 from __future__ import annotations
 
 from repro.arrays import systolic_join, systolic_theta_join
-from repro.arrays.schedule import CounterStreamSchedule
+from repro.systolic.engine.schedule import CounterStreamSchedule
 from repro.relational import Relation, algebra
 from repro.workloads import integer_schema, join_pair
 

@@ -98,7 +98,7 @@ def test_tree_machine_comparison(benchmark, experiment_report):
     assert inter_run.relation == algebra.intersection(a, b)
     assert join_run.relation == algebra.join(ja, jb, [(0, 0)])
 
-    from repro.arrays.schedule import CounterStreamSchedule
+    from repro.systolic.engine.schedule import CounterStreamSchedule
 
     systolic_pulses = CounterStreamSchedule(len(a), len(b), a.arity).total_pulses
     experiment_report("E13c tree machine (ref [9]) vs systolic array", [

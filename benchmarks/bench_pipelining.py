@@ -9,7 +9,7 @@ in Σ fill + max stream rather than Σ (fill + stream).
 
 from __future__ import annotations
 
-from repro.arrays.schedule import CounterStreamSchedule
+from repro.systolic.engine.schedule import CounterStreamSchedule
 from repro.machine.pipelining import StageCost, analyze_chain
 from repro.perf import PAPER_CONSERVATIVE
 

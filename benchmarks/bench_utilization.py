@@ -18,7 +18,7 @@ from repro.arrays.base import (
     build_counter_stream_grid,
     build_fixed_relation_grid,
 )
-from repro.arrays.schedule import CounterStreamSchedule, FixedRelationSchedule
+from repro.systolic.engine.schedule import CounterStreamSchedule, FixedRelationSchedule
 from repro.systolic.metrics import ComparisonWorkMeter
 from repro.systolic.simulator import SystolicSimulator
 from repro.workloads import overlapping_pair

@@ -200,91 +200,52 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_on_machine(args: argparse.Namespace) -> int:
-    """Shared body of ``machine`` and ``query --machine``."""
+def _machine_target(args: argparse.Namespace, faults):
+    """What ``machine`` / ``query --machine`` runs on: the Fig 9-1
+    machine, or with ``--shards N`` a session over a cluster of them.
+    Both answer ``store`` / ``compile`` / ``run_many``."""
+    if args.shards > 1:
+        from repro.machine.pool import EnginePool
+
+        return EnginePool(backend=args.backend, faults=faults).session(
+            "cli", shards=args.shards, shard_strategy=args.shard_strategy
+        )
     from repro.machine import MachineDisk, SystolicDatabaseMachine
 
-    if getattr(args, "shards", 1) > 1:
-        return _run_sharded(args)
-    faults = _fault_plan(args)
-    with _Observation(args) as observed:
-        with observed.stage("load"):
-            catalog = _load_relations(args.relation)
-            machine = SystolicDatabaseMachine(
-                disk=MachineDisk(
-                    logic_per_track=getattr(args, "logic_per_track", False)
-                ),
-                backend=args.backend,
-                faults=faults,
-            )
-            store_dir = _store_dir(args)
-            if store_dir:
-                from repro.store import RelationStore
+    machine = SystolicDatabaseMachine(
+        disk=MachineDisk(
+            logic_per_track=getattr(args, "logic_per_track", False)
+        ),
+        backend=args.backend,
+        faults=faults,
+    )
+    store_dir = _store_dir(args)
+    if store_dir:
+        from repro.store import RelationStore
 
-                machine.attach_store(RelationStore(store_dir))
-            for name, relation in catalog.items():
-                machine.store(name, relation)
-        with observed.stage("parse"):
-            plan = parse(args.expression)
-        if args.optimize:
-            with observed.stage("optimize"):
-                plan = optimize(
-                    plan, schemas={n: r.schema for n, r in catalog.items()}
-                )
-        with observed.stage("compile"):
-            physical = machine.compile(
-                plan, pipeline=not getattr(args, "store_and_forward", False)
-            )
-        if args.explain:
-            print(physical.explain())
-            print()
-        with observed.stage("execute"):
-            if faults is not None:
-                # run_many owns the quarantine-and-replan loop; the
-                # pre-compiled plan above still feeds --explain.
-                (result,), report = machine.run_many(
-                    [plan],
-                    pipeline=not getattr(args, "store_and_forward", False),
-                )
-            else:
-                (result,), report = machine.run_physical(physical)
-        with observed.stage("materialize"):
-            _emit(result, args.out)
-        print()
-        print(report.timeline())
-        if faults is not None:
-            print(faults.summary())
-        if args.explain:
-            print(
-                f"predicted makespan {physical.predicted_makespan * 1e3:.3f} "
-                f"ms, simulated {report.makespan * 1e3:.3f} ms"
-            )
-    return 0
+        machine.attach_store(RelationStore(store_dir))
+    return machine
 
 
-def _run_sharded(args: argparse.Namespace) -> int:
-    """``query/machine --shards N``: run on a cluster of machines."""
-    from repro.machine.pool import EnginePool
-
-    if getattr(args, "logic_per_track", False):
+def _run_on_machine(args: argparse.Namespace) -> int:
+    """Shared body of ``machine`` and ``query --machine``."""
+    sharded = args.shards > 1
+    if sharded and getattr(args, "logic_per_track", False):
         print("--logic-per-track is a single-disk feature; it cannot be "
               "combined with --shards")
         return 2
-    if getattr(args, "store_dir", None):
+    if sharded and args.store_dir:
         print("--store-dir is a single-machine feature; it cannot be "
               "combined with --shards")
         return 2
     faults = _fault_plan(args)
+    pipeline = not getattr(args, "store_and_forward", False)
     with _Observation(args) as observed:
         with observed.stage("load"):
             catalog = _load_relations(args.relation)
-            pool = EnginePool(backend=args.backend, faults=faults)
-            session = pool.session(
-                "cli", shards=args.shards,
-                shard_strategy=args.shard_strategy,
-            )
+            target = _machine_target(args, faults)
             for name, relation in catalog.items():
-                session.store(name, relation)
+                target.store(name, relation)
         with observed.stage("parse"):
             plan = parse(args.expression)
         if args.optimize:
@@ -292,14 +253,21 @@ def _run_sharded(args: argparse.Namespace) -> int:
                 plan = optimize(
                     plan, schemas={n: r.schema for n, r in catalog.items()}
                 )
-        pipeline = not getattr(args, "store_and_forward", False)
-        if args.explain:
+        if args.explain or not sharded:
             with observed.stage("compile"):
-                compiled = session.compile(plan, pipeline=pipeline)
-            print(compiled.plan.explain())
+                compiled = target.compile(plan, pipeline=pipeline)
+        if args.explain:
+            print((compiled.plan if sharded else compiled).explain())
             print()
         with observed.stage("execute"):
-            (result,), report = session.run_many([plan], pipeline=pipeline)
+            if sharded or faults is not None:
+                # run_many owns the exchanges and the quarantine-and-
+                # replan loop; the plan compiled above feeds --explain.
+                (result,), report = target.run_many(
+                    [plan], pipeline=pipeline
+                )
+            else:
+                (result,), report = target.run_physical(compiled)
         with observed.stage("materialize"):
             _emit(result, args.out)
         print()
@@ -307,19 +275,17 @@ def _run_sharded(args: argparse.Namespace) -> int:
         if faults is not None:
             print(faults.summary())
         if args.explain:
+            cluster = (
+                f" ({args.shards} shards, "
+                f"{report.exchange_seconds * 1e3:.3f} ms on the interconnect)"
+                if sharded else ""
+            )
             print(
                 f"predicted makespan "
                 f"{compiled.predicted_makespan * 1e3:.3f} ms, simulated "
-                f"{report.makespan * 1e3:.3f} ms "
-                f"({args.shards} shards, "
-                f"{report.exchange_seconds * 1e3:.3f} ms on the "
-                f"interconnect)"
+                f"{report.makespan * 1e3:.3f} ms{cluster}"
             )
     return 0
-
-
-def _cmd_machine(args: argparse.Namespace) -> int:
-    return _run_on_machine(args)
 
 
 def _cmd_trace_summarize(args: argparse.Namespace) -> int:
@@ -546,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     shard_options(machine)
     fault_options(machine)
     store_option(machine)
-    machine.set_defaults(handler=_cmd_machine)
+    machine.set_defaults(handler=_run_on_machine)
 
     selftest = sub.add_parser(
         "selftest",

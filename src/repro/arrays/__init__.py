@@ -70,7 +70,10 @@ from repro.arrays.linear_comparison import (
     build_linear_comparison,
     compare_tuples,
 )
-from repro.arrays.schedule import CounterStreamSchedule, FixedRelationSchedule
+from repro.systolic.engine.schedule import (
+    CounterStreamSchedule,
+    FixedRelationSchedule,
+)
 
 __all__ = [
     "ArrayCapacity",

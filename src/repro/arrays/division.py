@@ -26,12 +26,12 @@ from typing import Optional, Sequence
 
 from repro.arrays.base import ArrayRun, empty_run, run_plan
 from repro.arrays.decode import quotient_bits
-from repro.arrays.schedule import DivisionSchedule
 from repro.errors import SimulationError
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnRef, Schema
 from repro.systolic.engine import DivisionPlan
 from repro.systolic.engine.materialize import build_division_network
+from repro.systolic.engine.schedule import DivisionSchedule
 from repro.systolic.metrics import ActivityMeter
 from repro.systolic.trace import TraceRecorder
 from repro.systolic.wiring import Network

@@ -23,12 +23,15 @@ from typing import Optional, Sequence
 
 from repro.arrays.base import ArrayRun, build_grid_array, rows_where
 from repro.arrays.intersection import membership_plan, run_membership
-from repro.arrays.schedule import CounterStreamSchedule, FixedRelationSchedule
 from repro.errors import SimulationError
 from repro.relational.algebra import project_multi
 from repro.relational.relation import MultiRelation, Relation
 from repro.relational.schema import ColumnRef
 from repro.systolic.engine import t_init_strict_lower
+from repro.systolic.engine.schedule import (
+    CounterStreamSchedule,
+    FixedRelationSchedule,
+)
 from repro.systolic.metrics import ActivityMeter
 from repro.systolic.trace import TraceRecorder
 from repro.systolic.wiring import Network

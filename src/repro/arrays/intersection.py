@@ -30,11 +30,14 @@ from repro.arrays.base import (
     run_plan,
 )
 from repro.arrays.decode import accumulator_bits
-from repro.arrays.schedule import CounterStreamSchedule, FixedRelationSchedule
 from repro.errors import SimulationError
 from repro.relational.algebra import equi_join_layout
 from repro.relational.relation import Relation
 from repro.systolic.engine import GridPlan, TInit, t_init_true
+from repro.systolic.engine.schedule import (
+    CounterStreamSchedule,
+    FixedRelationSchedule,
+)
 from repro.systolic.metrics import ActivityMeter
 from repro.systolic.trace import TraceRecorder
 from repro.systolic.wiring import Network

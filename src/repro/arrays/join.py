@@ -35,12 +35,15 @@ from repro.arrays.base import (
     run_plan,
 )
 from repro.arrays.decode import matches_in_exit_order, pair_verdicts
-from repro.arrays.schedule import CounterStreamSchedule, FixedRelationSchedule
 from repro.errors import SimulationError
 from repro.relational.algebra import equi_join_layout, theta_join_layout
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnRef, Schema
 from repro.systolic.engine import GridPlan
+from repro.systolic.engine.schedule import (
+    CounterStreamSchedule,
+    FixedRelationSchedule,
+)
 from repro.systolic.metrics import ActivityMeter
 from repro.systolic.trace import TraceRecorder
 from repro.systolic.wiring import Network

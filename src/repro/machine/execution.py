@@ -1,24 +1,25 @@
 """The execution core shared by every front-end of the Fig 9-1 machine.
 
-:class:`SystolicDatabaseMachine` (one caller, one lifetime) and
-:class:`~repro.machine.pool.EnginePool` (many concurrent sessions) both
-execute physical plans the same way; this module holds that shared
-machinery so the two front-ends cannot drift:
+:class:`SystolicDatabaseMachine` (one caller), the
+:class:`~repro.machine.pool.EnginePool` (many concurrent sessions) and
+every shard lane execute physical plans the same way; this module holds
+that shared machinery so the front-ends cannot drift:
 
 * :class:`MachineState` — the *simulated-resource* state one execution
   mutates: memory modules, crossbar port windows, resident relations,
-  and the key counter.  The legacy machine keeps one persistent state
-  for its whole lifetime (results stay resident between transactions,
-  §9's "the final results ... reside in memory"); the pool builds a
-  fresh state per admitted query, which is what makes a pooled run
-  bit-identical to running alone on a fresh machine.
+  and the key counter.  Nobody keeps one between transactions: every
+  run gets the state :func:`fresh_state` builds from its catalog
+  (preloads are §9's "results ... reside in memory" between
+  transactions), which is what makes a query a function of (catalog,
+  plan) — run N equals run 1, and a pooled or sharded run is
+  bit-identical to running alone on a new machine.
 * :class:`PlanExecutor` — the two-phase executor: a host-parallel
   *compute phase* resolving every op's data result, then a sequential
   *replay phase* doing all the timing and memory bookkeeping, so a
   parallel run is bit-identical to a serial one.
 * :func:`build_devices`, :func:`place_resident`,
   :func:`roster_fingerprint`, :func:`resolve_parallel` — the
-  construction helpers both front-ends share.
+  construction helpers the front-ends share.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from repro.faults.recovery import (
     retry_call,
 )
 from repro.obs import metrics
+from repro.machine.catalog import Catalog
 from repro.machine.crossbar import CrossbarSwitch
 from repro.machine.device import CpuDevice, SystolicDevice
 from repro.machine.disk import MachineDisk
@@ -68,6 +70,7 @@ __all__ = [
     "MachineState",
     "PlanExecutor",
     "build_devices",
+    "fresh_state",
     "place_resident",
     "resolve_parallel",
     "roster_fingerprint",
@@ -137,8 +140,8 @@ class MachineState:
     """The mutable simulated-resource state one execution works against.
 
     Starts empty — ``memories`` modules of ``memory_bytes`` each and an
-    idle crossbar around a disk and a device roster — byte for byte the
-    same for the machine's lifetime state and the pool's per-query ones.
+    idle crossbar around a disk and a device roster; :func:`fresh_state`
+    is the one place that builds it.
     """
 
     def __init__(
@@ -190,6 +193,31 @@ def place_resident(state: MachineState, name: str, relation: Relation) -> None:
     state.resident[name] = (key, relation, 0.0, memory.name)
 
 
+def fresh_state(
+    catalog: Catalog,
+    devices: list[SystolicDevice | CpuDevice],
+    memories: int,
+    memory_bytes: int,
+    element_bits: int,
+) -> MachineState:
+    """The private simulated machine one transaction runs on.
+
+    Fresh memories, crossbar and key counter around the catalog's disk,
+    with the catalog's preloads placed in preload order (emptiest
+    module first).  The machine, the pool and every shard lane build
+    their per-run state here, so which front end ran a query cannot
+    change its timeline; only the (pure) devices are shared between
+    runs.  ``devices`` is the full complement or, when recovering from
+    a quarantine, the survivors.
+    """
+    state = MachineState(
+        element_bits, catalog.disk, devices, memories, memory_bytes
+    )
+    for name, relation in catalog.preloaded():
+        place_resident(state, name, relation)
+    return state
+
+
 class PlanExecutor:
     """Executes compiled physical plans against a :class:`MachineState`.
 
@@ -207,23 +235,17 @@ class PlanExecutor:
         self,
         state: MachineState,
         host_workers: Optional[int] = None,
-        roster_fairness: bool = False,
         faults=None,
         cancel=None,
-        retry_policy=None,
         fault_scope: str = "",
     ) -> None:
         self.state = state
         self.host_workers = host_workers
-        self.roster_fairness = roster_fairness
         #: Active :class:`~repro.faults.plan.FaultPlan` (None = no faults).
         self.faults = faults
         #: :class:`~repro.faults.recovery.CancelToken` polled at dispatch
         #: boundaries (None = not cancellable).
         self.cancel = cancel
-        self.retry_policy = (
-            retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
-        )
         #: Distinguishes fault sites across shards/queries sharing a plan.
         self.fault_scope = fault_scope
 
@@ -244,7 +266,7 @@ class PlanExecutor:
             with obs.span("machine.compute_phase"):
                 runs, task_spans = self._compute_phase(physical, parallel)
             report = ExecutionReport()
-            roster = DeviceRoster(state.devices, fairness=self.roster_fairness)
+            roster = DeviceRoster(state.devices)
             disk_free = 0.0
             #: op id -> (result key, relation, ready time, memory name)
             produced: dict[int, tuple[str, Relation, float, str]] = {}
@@ -398,7 +420,6 @@ class PlanExecutor:
 
         return retry_call(
             attempt,
-            policy=self.retry_policy,
             site=f"disk:{self.fault_scope}:{op.op_id}",
             plan=faults,
             cancel=self.cancel,
@@ -437,7 +458,6 @@ class PlanExecutor:
         try:
             return retry_call(
                 attempt,
-                policy=self.retry_policy,
                 site=f"device:{self.fault_scope}:{op.op_id}",
                 plan=faults,
                 cancel=self.cancel,
@@ -447,7 +467,7 @@ class PlanExecutor:
             faults.quarantine(device.name)
             raise DeviceFaultError(
                 f"device {device.name!r} exhausted its retry budget of "
-                f"{self.retry_policy.attempts} on {op.label!r} and was "
+                f"{DEFAULT_RETRY_POLICY.attempts} on {op.label!r} and was "
                 f"quarantined",
                 device=device.name,
                 quarantined=True,

@@ -48,6 +48,7 @@ from repro.machine.plan import (
     Union,
     walk,
 )
+from repro.machine.scheduler import DeviceRoster
 from repro.perf.cost import (
     OpCost,
     ScanCost,
@@ -335,15 +336,14 @@ class PlanningContext:
     what they plan against with one of these: the tenant's disk, the
     relations already resident in memory (``name → Relation``, planned
     as ready at time 0), the device roster — the full complement, or
-    the survivors after a quarantine — the machine's element width,
-    and the memory streaming rate.
+    the survivors after a quarantine — and the machine's element
+    width.
     """
 
     disk: MachineDisk
     resident: Mapping[str, Relation]
     devices: Sequence
     element_bits: int = 32
-    memory_bandwidth: float = DEFAULT_BANDWIDTH_BYTES_PER_S
 
 
 class PhysicalPlanner:
@@ -478,19 +478,16 @@ class PhysicalPlanner:
         disk = ctx.disk
         schemas, cards = self._base_catalog()
         element_bytes = (ctx.element_bits + 7) // 8
-        bandwidth = ctx.memory_bandwidth
 
         def est_bytes(rows: int, arity: int) -> int:
             return rows * arity * element_bytes
 
         def transfer(nbytes: int) -> float:
-            return nbytes / bandwidth
+            return nbytes / DEFAULT_BANDWIDTH_BYTES_PER_S
 
         ops: list[PhysicalOp] = []
         op_of_node: dict[int, int] = {}
-        est_free: dict[str, float] = {
-            d.name: 0.0 for d in ctx.devices
-        }
+        roster = DeviceRoster(ctx.devices)
         est_disk_free = 0.0
         loaded_bases: dict[str, int] = {}
 
@@ -591,40 +588,34 @@ class PhysicalPlanner:
                     label=node.describe(), est_rows_out=rows_out,
                     est_bytes_out=bytes_out, est_seconds=seconds,
                 ))
-                start = max(ready, est_free[cpu.name])
+                start = max(ready, roster.free_at(cpu.name))
                 op.est_start, op.est_end = start, start + seconds
-                est_free[cpu.name] = op.est_end
+                roster.occupy(cpu.name, op.est_end)
                 continue
 
-            # Array operation: cost every candidate device, pick the one
-            # that finishes earliest (cost-aware, not first-free).
+            # Array operation: price every candidate device; the roster
+            # picks the one that finishes earliest (cost-aware, not
+            # first-free).
             n_a = in_ops[0].est_rows_out
             n_b = in_ops[1].est_rows_out if len(in_ops) > 1 else n_a
             arity_a = len(infer_schema(node.children[0], schemas))
             n_columns = len(node.columns) if isinstance(node, Project) else 0
-            candidates = [
-                d for d in ctx.devices if d.kind == node.device_kind
-            ]
-            if not candidates:
-                raise PlanError(
-                    f"no device of kind {node.device_kind!r} is attached "
-                    f"to the machine"
-                )
-            best = None
-            for device in candidates:
-                cost = estimate_cost(
+            streams = [transfer(op.est_bytes_out) for op in in_ops]
+            streams.append(transfer(bytes_out))
+            costs, durations = {}, {}
+            for device in ctx.devices:
+                if device.kind != node.device_kind:
+                    continue
+                cost = costs[device.name] = estimate_cost(
                     node, n_a, n_b, arity_a, n_columns,
                     device.capacity.max_rows, device.capacity.max_cols,
                     element_bits=getattr(device, "element_bits", None),
                 )
-                streams = [transfer(op.est_bytes_out) for op in in_ops]
-                streams.append(transfer(bytes_out))
-                seconds = max([cost.seconds(device.technology)] + streams)
-                start = max(ready, est_free[device.name])
-                key = (start + seconds, device.name)
-                if best is None or key < best[0]:
-                    best = (key, device, cost, seconds, start)
-            _, device, cost, seconds, start = best
+                durations[device.name] = max(
+                    [cost.seconds(device.technology)] + streams
+                )
+            device, start = roster.pick(node.device_kind, ready, durations)
+            cost, seconds = costs[device.name], durations[device.name]
             fill = min(cost.fill_seconds(device.technology), seconds)
             if isinstance(node, Project):
                 stream_cols = n_columns
@@ -646,7 +637,7 @@ class PhysicalPlanner:
                 cost=cost,
             ))
             op.est_start, op.est_end = start, start + seconds
-            est_free[device.name] = op.est_end
+            roster.occupy(device.name, op.est_end)
         return ops, op_of_node
 
     # -- chain fusion -------------------------------------------------------------

@@ -45,10 +45,9 @@ from repro.faults.recovery import (
 from repro.obs import metrics
 from repro.machine.catalog import Catalog
 from repro.machine.execution import (
-    MachineState,
     PlanExecutor,
     build_devices,
-    place_resident,
+    fresh_state,
     roster_fingerprint,
 )
 from repro.machine.physical import (
@@ -300,7 +299,6 @@ class EnginePool:
         plan_cache_size: int = 64,
         max_concurrent: int = 4,
         admission_timeout: Optional[float] = 30.0,
-        roster_fairness: bool = True,
         faults=None,
         query_deadline: Optional[float] = None,
     ) -> None:
@@ -315,7 +313,6 @@ class EnginePool:
         self.memory_bytes = memory_bytes
         self.element_bits = element_bits
         self.host_workers = host_workers
-        self.roster_fairness = roster_fairness
         self.devices = build_devices(
             devices if devices is not None else DEFAULT_DEVICES,
             capacity, technology, backend,
@@ -437,27 +434,6 @@ class EnginePool:
 
     # -- execution ---------------------------------------------------------
 
-    def fresh_state(
-        self, catalog: Catalog, devices: Optional[Sequence] = None
-    ) -> MachineState:
-        """A private simulated machine for one query.
-
-        Fresh memories, crossbar, and resident placement (preloads in
-        catalog order, emptiest module first) — byte-for-byte the state
-        a fresh single-tenant machine would present, which is what
-        makes pooled execution bit-identical to running alone.  Only
-        the (pure) devices are shared.  ``devices`` substitutes a
-        reduced roster (recovery after a quarantine).
-        """
-        state = MachineState(
-            self.element_bits, catalog.disk,
-            list(devices) if devices is not None else self.devices,
-            self.memory_count, self.memory_bytes,
-        )
-        for name, relation in catalog.preloaded():
-            place_resident(state, name, relation)
-        return state
-
     def execute(
         self,
         catalog: Catalog,
@@ -537,16 +513,19 @@ class EnginePool:
         self,
         catalog: Catalog,
         physical: PhysicalPlan,
-        roster: Optional[Sequence],
+        roster: Optional[list],
         parallel: bool,
         cancel: Optional[CancelToken],
         fault_scope: str,
     ) -> tuple[list[Relation], ExecutionReport]:
         """Execute a compiled plan on a fresh state over ``roster``."""
         return PlanExecutor(
-            self.fresh_state(catalog, devices=roster),
+            fresh_state(
+                catalog,
+                self.devices if roster is None else roster,
+                self.memory_count, self.memory_bytes, self.element_bits,
+            ),
             host_workers=self.host_workers,
-            roster_fairness=self.roster_fairness,
             faults=self.faults,
             cancel=cancel,
             fault_scope=fault_scope,

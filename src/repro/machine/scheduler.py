@@ -22,11 +22,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.errors import PlanError
-from repro.machine.crossbar import CrossbarSwitch
 from repro.obs import metrics
-from repro.machine.device import CpuDevice, DeviceRun, SystolicDevice
-from repro.machine.memory import MemoryModule
-from repro.machine.plan import PlanNode
+from repro.machine.device import CpuDevice, SystolicDevice
 
 __all__ = [
     "ScheduledStep",
@@ -114,36 +111,21 @@ class ExecutionReport:
 class DeviceRoster:
     """Tracks when each device instance becomes free.
 
-    With per-device predicted ``durations``, :meth:`pick` is
-    **cost-aware**: it minimizes completion time (queueing delay plus
-    predicted run time), so a heterogeneous roster routes a large
-    relation to the big array even when a small one frees up first.
-    Without durations it degrades to the first-free rule.
-
-    Tie-breaking is **deterministic and documented** (pinned by
-    ``tests/machine/test_roster_fairness.py``): on equal predicted
-    completion the roster prefers, in order,
-
-    1. *(only with ``fairness=True``)* the device with the fewest prior
-       :meth:`pick` assignments — so equal work spreads round-robin
-       across identical devices instead of piling onto the first name;
-    2. the lexicographically smallest device name.
-
-    The default (``fairness=False``) is exactly the historical rule —
-    name order alone — so existing device assignments never reshuffle
-    unless a caller opts in.
+    The planner chooses devices with :meth:`pick`; the executor replays
+    the plan's choices against its own roster (:meth:`free_at` /
+    :meth:`occupy`).  With per-device predicted ``durations``,
+    :meth:`pick` is **cost-aware**: it minimizes completion time
+    (queueing delay plus predicted run time), so a heterogeneous roster
+    routes a large relation to the big array even when a small one
+    frees up first.  Without durations it degrades to the first-free
+    rule.  On equal predicted completion the lexicographically smallest
+    device name wins (pinned by the roster tie-break tests).
     """
 
-    def __init__(
-        self,
-        devices: list[SystolicDevice | CpuDevice],
-        fairness: bool = False,
-    ) -> None:
+    def __init__(self, devices: list[SystolicDevice | CpuDevice]) -> None:
         if not devices:
             raise PlanError("the machine needs at least one device")
-        self.fairness = fairness
         self._free_at: dict[str, float] = {d.name: 0.0 for d in devices}
-        self._assignments: dict[str, int] = {d.name: 0 for d in devices}
         self._by_kind: dict[str, list[SystolicDevice | CpuDevice]] = {}
         for device in devices:
             self._by_kind.setdefault(device.kind, []).append(device)
@@ -152,13 +134,6 @@ class DeviceRoster:
         """When a device becomes free."""
         try:
             return self._free_at[name]
-        except KeyError:
-            raise PlanError(f"unknown device {name!r}") from None
-
-    def assignments(self, name: str) -> int:
-        """How many times :meth:`pick` has chosen a device."""
-        try:
-            return self._assignments[name]
         except KeyError:
             raise PlanError(f"unknown device {name!r}") from None
 
@@ -172,10 +147,7 @@ class DeviceRoster:
 
         ``durations`` maps device names to predicted run seconds; a
         missing entry (or ``None``) costs zero, reducing the choice to
-        earliest availability.  Ties break deterministically by the
-        documented stable order (see the class docstring): prior
-        assignment count first when ``fairness`` is on, then device
-        name.
+        earliest availability.  Ties break by device name.
         """
         candidates = self._by_kind.get(kind)
         if not candidates:
@@ -184,22 +156,16 @@ class DeviceRoster:
             )
         durations = durations or {}
 
-        def completion(device) -> tuple[float, int, str]:
+        def completion(device) -> tuple[float, str]:
             start = max(ready, self._free_at[device.name])
-            fair = self._assignments[device.name] if self.fairness else 0
-            return start + durations.get(device.name, 0.0), fair, device.name
+            return start + durations.get(device.name, 0.0), device.name
 
         best = min(candidates, key=completion)
-        self._assignments[best.name] += 1
         return best, max(ready, self._free_at[best.name])
 
     def occupy(self, name: str, until: float) -> None:
         """Mark a device busy until ``until``."""
         self._free_at[name] = until
-
-
-#: Backwards-compatible alias — the roster used to be a bare timeline.
-DeviceTimeline = DeviceRoster
 
 
 class HostExecutor:

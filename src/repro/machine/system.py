@@ -12,15 +12,15 @@ to the crossbar structure, several operations may be run concurrently."
 :class:`SystolicDatabaseMachine` executes query plans exactly that way
 and returns a timed :class:`~repro.machine.scheduler.ExecutionReport`.
 
-Architecturally the machine is now the *single-tenant convenience
-front-end* over the layered core: plan lowering and the two-phase
-executor live in :mod:`repro.machine.execution`, the LRU plan cache in
-:mod:`repro.machine.pool`.  This class owns one **persistent**
-:class:`~repro.machine.execution.MachineState` — results stay resident
-in its memories between ``run`` calls, §9's "the final results ...
-reside in memory" — whereas the multi-tenant
-:class:`~repro.machine.pool.EnginePool` builds a fresh state per
-query.  Use the machine for scripts and experiments; use
+The machine is the *single-tenant front end* over the same primitives
+the multi-tenant :class:`~repro.machine.pool.EnginePool` serves with: a
+:class:`~repro.machine.catalog.Catalog` (what ``store`` / ``preload`` /
+``attach_store`` write), :func:`~repro.machine.pool.compile_plans`, and
+:func:`~repro.machine.execution.fresh_state` — every run executes on a
+fresh simulated state built from the catalog, so a query is a function
+of (catalog, plan) and re-running it reproduces run 1.  §9's "results
+... reside in memory" between transactions is what ``preload`` says
+explicitly.  Use the machine for scripts and experiments; use
 ``EnginePool.session()`` to serve concurrent tenants over shared
 devices.
 """
@@ -32,12 +32,14 @@ from typing import Optional, Sequence
 from repro.arrays.decomposition import ArrayCapacity
 from repro.errors import CapacityError, PlanError
 from repro.faults.recovery import replan_on_quarantine
+from repro.machine.catalog import Catalog
 from repro.machine.crossbar import CrossbarSwitch
 from repro.machine.disk import MachineDisk
 from repro.machine.execution import (
     MachineState,
     PlanExecutor,
     build_devices,
+    fresh_state,
     place_resident,
     resolve_parallel,
 )
@@ -87,71 +89,55 @@ class SystolicDatabaseMachine:
                 "the machine needs at least two memories (§9: output is "
                 "pipelined back into *another* memory)"
             )
-        #: the persistent simulated state — memories and crossbar
-        #: windows accumulate across runs, results stay resident.
-        self._state = MachineState(
-            element_bits,
-            disk if disk is not None else MachineDisk(
-                element_bits=element_bits
-            ),
-            build_devices(devices, capacity, technology, backend),
-            memories, memory_bytes,
-        )
-        #: Active :class:`~repro.faults.plan.FaultPlan` (None = no faults).
-        self.faults = faults
-        self._executor = PlanExecutor(
-            self._state, host_workers=host_workers, faults=faults
-        )
         if plan_cache_size < 0:
             raise PlanError(
                 f"plan_cache_size must be >= 0, got {plan_cache_size}"
             )
+        self.element_bits = element_bits
+        #: what ``store`` / ``preload`` / ``attach_store`` write; its
+        #: version is part of the plan-cache key, so stale physical
+        #: plans never resurface.
+        self.catalog = Catalog(disk=disk, element_bits=element_bits)
+        self.devices = build_devices(devices, capacity, technology, backend)
+        #: Active :class:`~repro.faults.plan.FaultPlan` (None = no faults).
+        self.faults = faults
+        #: Host threads for the compute phase (None → executor default).
+        self.host_workers = host_workers
+        self._memories = (memories, memory_bytes)
         self._plan_cache = PlanCache(plan_cache_size)
-        #: bumped whenever the catalog changes (store/preload) — part of
-        #: the plan-cache key, so stale physical plans never resurface.
-        self._catalog_version = 0
+        #: what :attr:`memories` / :attr:`crossbar` show: the state the
+        #: most recent run left behind (before any run, the catalog's
+        #: fresh state).  Never executed on again.
+        self._shown = self._fresh_state()
 
-    # -- the public surface delegates to the persistent state -----------------
+    def _fresh_state(self) -> MachineState:
+        return fresh_state(
+            self.catalog, self.devices, *self._memories, self.element_bits
+        )
 
-    @property
-    def element_bits(self) -> int:
-        return self._state.element_bits
+    # -- views ---------------------------------------------------------------
 
     @property
     def disk(self) -> MachineDisk:
-        return self._state.disk
+        return self.catalog.disk
 
     @property
     def memories(self) -> list[MemoryModule]:
-        return self._state.memories
-
-    @property
-    def devices(self) -> list:
-        return self._state.devices
+        return self._shown.memories
 
     @property
     def crossbar(self) -> CrossbarSwitch:
-        return self._state.crossbar
+        return self._shown.crossbar
 
     @property
     def _resident(self) -> dict[str, tuple[str, Relation, float, str]]:
-        return self._state.resident
-
-    @property
-    def host_workers(self) -> Optional[int]:
-        """Host threads for the compute phase (None → executor default)."""
-        return self._executor.host_workers
-
-    @host_workers.setter
-    def host_workers(self, value: Optional[int]) -> None:
-        self._executor.host_workers = value
+        return self._shown.resident
 
     # -- catalog -------------------------------------------------------------
 
     def store(self, name: str, relation: Relation) -> None:
         """Place a base relation on the machine's disk."""
-        self.disk.store(name, relation)
-        self._catalog_version += 1
+        self.catalog.store(name, relation)
 
     def attach_store(self, store) -> None:
         """Back the machine's disk with a persistent relation store.
@@ -162,8 +148,7 @@ class SystolicDatabaseMachine:
         catalog version so previously cached plans recompile against
         the store-backed sizes.
         """
-        self.disk.attach_store(store)
-        self._catalog_version += 1
+        self.catalog.attach_store(store)
 
     def preload(self, name: str, relation: Relation) -> None:
         """Place a relation directly in a memory module, ready at time 0.
@@ -172,10 +157,15 @@ class SystolicDatabaseMachine:
         ("the final results are eventually returned to the disk ...
         from the memory in which they reside"); a preloaded relation
         models exactly that — a prior transaction's output still
-        resident, needing no disk read.
+        resident, needing no disk read.  Every run starts with the
+        preloads placed, in preload order.
         """
-        place_resident(self._state, name, relation)
-        self._catalog_version += 1
+        # Place it first: a duplicate name or a relation no module can
+        # hold is refused here, before the catalog changes.
+        state = self._fresh_state()
+        place_resident(state, name, relation)
+        self.catalog.preload(name, relation)
+        self._shown = state
 
     # -- compilation ------------------------------------------------------------
 
@@ -219,15 +209,12 @@ class SystolicDatabaseMachine:
             self._plan_cache,
             PlanningContext(
                 disk=self.disk,
-                resident={
-                    name: held[1] for name, held in self._resident.items()
-                },
+                resident=dict(self.catalog.preloaded()),
                 devices=self.devices if roster is None else roster,
                 element_bits=self.element_bits,
-                memory_bandwidth=self.memories[0].bandwidth_bytes_per_s,
             ),
             plans, arrivals, pipeline, use_cache,
-            catalog_key=lambda: self._catalog_version,
+            catalog_key=lambda: self.catalog.version,
         )
 
     def plan_cache_info(self) -> dict[str, int]:
@@ -273,10 +260,8 @@ class SystolicDatabaseMachine:
         With a :class:`~repro.faults.plan.FaultPlan` attached, transient
         device/disk faults are retried in place; a device that exhausts
         its retry budget is quarantined and the transaction replanned
-        against the surviving roster (graceful degradation).  A
-        compute-phase failure mutates no persistent state — memories
-        and crossbar windows only change during replay — so the replan
-        re-executes from a clean slate.
+        against the surviving roster (graceful degradation); like every
+        attempt, the replan executes on a fresh state.
         """
 
         def compile_on(roster: Optional[list]) -> PhysicalPlan:
@@ -301,16 +286,16 @@ class SystolicDatabaseMachine:
         Returns one result per original plan (``physical.outputs``
         order) and the executed timeline.  The report is the ground
         truth; ``physical.predicted_makespan`` is the planner's
-        port-blind forecast of the same schedule.  See
+        port-blind forecast of the same schedule.  The plan runs on a
+        fresh state built from the catalog — see
         :class:`~repro.machine.execution.PlanExecutor` for the
         two-phase (parallel compute, sequential replay) execution
         model.
         """
-        return self._executor.run_physical(
-            physical, parallel=resolve_parallel(parallel)
-        )
-
-    _resolve_parallel = staticmethod(resolve_parallel)
+        self._shown = self._fresh_state()
+        return PlanExecutor(
+            self._shown, host_workers=self.host_workers, faults=self.faults
+        ).run_physical(physical, parallel=resolve_parallel(parallel))
 
     def __repr__(self) -> str:
         kinds = ", ".join(d.name for d in self.devices)

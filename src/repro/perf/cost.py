@@ -41,7 +41,6 @@ __all__ = [
     "join_cost",
     "division_cost",
     "bit_comparison_cost",
-    "bit_join_cost",
     "broadcast_cost",
     "shuffle_cost",
 ]
@@ -204,28 +203,6 @@ def bit_comparison_cost(
     return comparison_cost(
         n_a, n_b, arity * element_bits, max_rows, max_cols
     )
-
-
-def bit_join_cost(
-    n_a: int,
-    n_b: int,
-    n_on: int,
-    element_bits: int,
-    max_rows: int,
-    max_cols: int,
-) -> OpCost:
-    """Cost of an equality join on a bit-level device.
-
-    Only the ``n_on`` join columns stream through the array, each
-    expanded to ``element_bits`` bit columns.  (θ-joins with magnitude
-    operators keep word devices — the bit-level device kind is
-    equality-only.)
-    """
-    if element_bits < 1:
-        raise ReproError(
-            f"element_bits must be >= 1, got {element_bits}"
-        )
-    return join_cost(n_a, n_b, n_on * element_bits, max_rows, max_cols)
 
 
 #: Sustained rate of one cross-shard link.  A shard interconnect of the

@@ -57,9 +57,9 @@ class ReproServer:
         self.pool = pool if pool is not None else EnginePool(**pool_kwargs)
         self._host = host
         self._port = port
-        #: shards > 1 routes every tenant's relations and queries
-        #: through a sharded session (docs/SHARDING.md); ``store`` then
-        #: honours the optional ``key``/``replicate`` request fields.
+        #: every tenant talks to one session; shards > 1 makes it a
+        #: sharded one (docs/SHARDING.md), whose ``store`` honours the
+        #: optional ``key``/``replicate`` request fields.
         self.shards = shards
         self.shard_strategy = shard_strategy
         #: persistence root: each tenant gets ``store_dir/<tenant>`` as
@@ -161,7 +161,7 @@ class ReproServer:
         op = request.get("op")
         if op == "hello":
             tenant = str(request.get("tenant", "default"))
-            self._catalog(tenant)  # materialize eagerly
+            self._session(tenant)  # materialize eagerly
             return {"ok": True, "tenant": tenant}, tenant, False
         if op == "ping":
             return {"ok": True, "pong": True}, tenant, False
@@ -208,24 +208,15 @@ class ReproServer:
                     "this server has no persistence root; start it with "
                     "store_dir= (CLI: repro serve --store-dir DIR)"
                 )
-            if self.shards > 1:
-                session = self._session(tenant)
-                placement = {
-                    "key": request.get("key"),
-                    "replicate": bool(request.get("replicate", False)),
-                }
-                if op == "store":
-                    session.store(name, relation, **placement)
-                else:
-                    session.preload(name, relation, **placement)
+            session = self._session(tenant)
+            if persist:
+                session.catalog.persist(name, relation)
             else:
-                catalog = self._catalog(tenant)
-                if persist:
-                    catalog.persist(name, relation)
-                elif op == "store":
-                    catalog.store(name, relation)
-                else:
-                    catalog.preload(name, relation)
+                verb = session.store if op == "store" else session.preload
+                verb(
+                    name, relation, key=request.get("key"),
+                    replicate=bool(request.get("replicate", False)),
+                )
             return (
                 {"ok": True, "name": name, "rows": len(relation),
                  "persisted": persist},
@@ -237,23 +228,13 @@ class ReproServer:
                 raise ReproError("query needs an algebra 'expr'")
             plan = optimize(parse(expr))
             loop = asyncio.get_running_loop()
-            if self.shards > 1:
-                call = functools.partial(
-                    self._session(tenant).run_many,
-                    [plan],
-                    pipeline=bool(request.get("pipeline", True)),
-                    priority=int(request.get("priority", 0)),
-                    timeout=request.get("timeout"),
-                )
-            else:
-                call = functools.partial(
-                    self.pool.execute,
-                    self._catalog(tenant),
-                    plan,
-                    pipeline=bool(request.get("pipeline", True)),
-                    priority=int(request.get("priority", 0)),
-                    timeout=request.get("timeout"),
-                )
+            call = functools.partial(
+                self._session(tenant).run_many,
+                [plan],
+                pipeline=bool(request.get("pipeline", True)),
+                priority=int(request.get("priority", 0)),
+                timeout=request.get("timeout"),
+            )
             results, report = await loop.run_in_executor(None, call)
             result = results[0]
             return (
@@ -270,35 +251,29 @@ class ReproServer:
     def _registry(self, tenant: str) -> DomainRegistry:
         return self._registries.setdefault(tenant, {})
 
-    def _catalog(self, tenant: str):
-        """The tenant's catalog, store-attached when persistence is on.
-
-        Attaching is idempotent and happens on first touch, so a
-        freshly restarted server sees every relation a previous process
-        persisted under ``store_dir/<tenant>`` without any replay.
-        """
-        catalog = self.pool.catalog(tenant)
-        if (
-            self.store_dir is not None
-            and catalog.disk.backing_store is None
-        ):
-            if not _TENANT_DIR_RE.match(tenant):
-                raise ReproError(
-                    f"tenant {tenant!r} is not filesystem-safe; a "
-                    f"persistent server needs tenants matching "
-                    f"{_TENANT_DIR_RE.pattern}"
-                )
-            catalog.attach_store(RelationStore(self.store_dir / tenant))
-        return catalog
-
     def _session(self, tenant: str):
-        """The tenant's sharded session (server-lifetime, lazily made)."""
+        """The tenant's session (server-lifetime, lazily made) — sharded
+        when the server is — store-attached when persistence is on.
+
+        Attaching happens on first touch, so a freshly restarted server
+        sees every relation a previous process persisted under
+        ``store_dir/<tenant>`` without any replay.
+        """
         session = self._sessions.get(tenant)
         if session is None:
             session = self.pool.session(
                 tenant, shards=self.shards,
                 shard_strategy=self.shard_strategy,
             )
+            catalog = session.catalog
+            if self.store_dir and catalog.disk.backing_store is None:
+                if not _TENANT_DIR_RE.match(tenant):
+                    raise ReproError(
+                        f"tenant {tenant!r} is not filesystem-safe; a "
+                        f"persistent server needs tenants matching "
+                        f"{_TENANT_DIR_RE.pattern}"
+                    )
+                catalog.attach_store(RelationStore(self.store_dir / tenant))
             self._sessions[tenant] = session
         return session
 

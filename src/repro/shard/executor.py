@@ -31,11 +31,9 @@ from functools import reduce
 from typing import Optional, Sequence
 
 from repro import obs
-from repro.errors import ShardFaultError
+from repro.errors import ExchangeFaultError, ShardFaultError
 from repro.faults.recovery import (
-    DEFAULT_RETRY_POLICY,
     CancelToken,
-    cancellable_sleep,
     replan_on_quarantine,
     retry_call,
 )
@@ -369,22 +367,25 @@ class ShardedExecutor:
         faults = self.pool.faults
         if faults is None:
             return self._redistribute(step, pieces)
-        policy = DEFAULT_RETRY_POLICY
-        for attempt in range(1, policy.attempts + 1):
-            if cancel is not None:
-                cancel.check()
+        dropped = 0
+
+        def send() -> list[Relation]:
+            nonlocal dropped
             fault = faults.exchange_fault(step.name)
-            if fault is None:
-                if attempt > 1:
-                    metrics.inc("faults.exchange_resends", attempt - 1)
-                return self._redistribute(step, pieces)
-            if attempt == policy.attempts:
+            if fault is not None:
+                dropped += 1
                 raise fault
-            faults.note_retry()
-            delay = policy.delay(attempt, f"exchange:{step.name}")
-            metrics.observe("faults.backoff_seconds", delay)
-            cancellable_sleep(delay, cancel)
-        raise AssertionError("unreachable")  # pragma: no cover
+            if dropped:
+                metrics.inc("faults.exchange_resends", dropped)
+            return self._redistribute(step, pieces)
+
+        return retry_call(
+            send,
+            site=f"exchange:{step.name}",
+            plan=faults,
+            cancel=cancel,
+            retryable=(ExchangeFaultError,),
+        )
 
     def _redistribute(
         self, step: ExchangeStep, pieces: list[Relation]

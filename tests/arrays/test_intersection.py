@@ -80,7 +80,7 @@ class TestOperationalDetail:
     def test_completion_time_matches_schedule(self):
         a, b = overlapping_pair(5, 5, 2, arity=2, seed=9)
         result = systolic_intersection(a, b)
-        from repro.arrays.schedule import CounterStreamSchedule
+        from repro.systolic.engine.schedule import CounterStreamSchedule
 
         schedule = CounterStreamSchedule(len(a), len(b), a.arity)
         assert result.run.pulses == schedule.total_pulses

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.arrays.schedule import CounterStreamSchedule, FixedRelationSchedule
+from repro.systolic.engine.schedule import CounterStreamSchedule, FixedRelationSchedule
 from repro.errors import SimulationError
 
 

@@ -35,7 +35,7 @@ from repro.arrays import (
     systolic_theta_join,
     systolic_union,
 )
-from repro.arrays.schedule import CounterStreamSchedule
+from repro.systolic.engine.schedule import CounterStreamSchedule
 from repro.errors import SimulationError
 from repro.relational import Domain, MultiRelation, Relation, Schema
 from repro.systolic.engine import (

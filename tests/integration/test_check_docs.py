@@ -1,5 +1,6 @@
 """The docs drift check CI runs must pass on this checkout."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -13,3 +14,28 @@ def test_check_docs_passes_on_the_checkout():
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_machine_api_rule_flags_removed_members_and_keywords(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "check_docs", ROOT / "tools" / "check_docs.py"
+    )
+    check_docs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check_docs)
+    doc = tmp_path / "API.md"
+    doc.write_text(
+        "| `DeviceRoster.pick` / `PhysicalPlan.ops` / `EnginePool.gate` "
+        "| attribute, dataclass field, set in `__init__` |\n"
+        "| `SystolicDatabaseMachine(disk=MachineDisk(logic_per_track=True),"
+        " backend=None)` | nested constructors |\n"
+        "| `Relation.tuples` / `RelationStore(root=None)` "
+        "| not repro.machine's |\n"
+        "| `EnginePool(roster_fairness=True)` / `DeviceRoster.assignments` "
+        "| both removed |\n"
+    )
+    assert check_docs.check_machine_api(docs=[doc]) == [
+        "API.md: documents `EnginePool(roster_fairness=)`, which "
+        "repro.machine.EnginePool does not accept",
+        "API.md: documents `DeviceRoster.assignments`, which "
+        "repro.machine.DeviceRoster does not have",
+    ]

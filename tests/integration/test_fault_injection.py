@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.arrays.base import attach_accumulation_column, build_counter_stream_grid
-from repro.arrays.schedule import CounterStreamSchedule
+from repro.systolic.engine.schedule import CounterStreamSchedule
 from repro.errors import SimulationError
 from repro.relational import algebra
 from repro.systolic.cells import ComparisonCell

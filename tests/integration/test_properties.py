@@ -24,7 +24,7 @@ from repro.arrays import (
     systolic_theta_join,
     systolic_union,
 )
-from repro.arrays.schedule import CounterStreamSchedule
+from repro.systolic.engine.schedule import CounterStreamSchedule
 from repro.bitlevel import bit_level_compare_all_pairs, bit_level_three_way_compare, expand_tuple
 from repro.arrays import compare_all_pairs
 from repro.relational import Domain, MultiRelation, Relation, Schema, algebra

@@ -69,6 +69,20 @@ class TestQuerying:
         shell.onecmd("timeline")
         assert "join0" in said(shell)
 
+    def test_same_query_twice_prints_the_same_timeline(self, shell, csv_files):
+        emp, dept = csv_files
+        shell.onecmd(f"load EMP {emp}")
+        shell.onecmd(f"load DEPT {dept}")
+        timelines = []
+        for _ in range(2):
+            shell.onecmd("query intersect(project(EMP, dept), "
+                         "project(DEPT, dept))")
+            before = len(said(shell))
+            shell.onecmd("timeline")
+            timelines.append(said(shell)[before:])
+        assert "makespan" in timelines[0]
+        assert timelines[0] == timelines[1]
+
     def test_timeline_before_any_query(self, shell):
         shell.onecmd("timeline")
         assert "no machine query" in said(shell)

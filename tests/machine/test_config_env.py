@@ -13,7 +13,7 @@ import pytest
 
 from repro.config import env_flag, env_int
 from repro.errors import ConfigError
-from repro.machine.system import SystolicDatabaseMachine
+from repro.machine.execution import resolve_parallel
 
 
 class TestEnvFlag:
@@ -63,21 +63,21 @@ class TestEnvInt:
 class TestMachineParallelFlag:
     def test_explicit_argument_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_MACHINE_PARALLEL", "0")
-        assert SystolicDatabaseMachine._resolve_parallel(True) is True
-        assert SystolicDatabaseMachine._resolve_parallel(False) is False
+        assert resolve_parallel(True) is True
+        assert resolve_parallel(False) is False
 
     def test_env_disables(self, monkeypatch):
         monkeypatch.setenv("REPRO_MACHINE_PARALLEL", "off")
-        assert SystolicDatabaseMachine._resolve_parallel(None) is False
+        assert resolve_parallel(None) is False
 
     def test_unset_defaults_on(self, monkeypatch):
         monkeypatch.delenv("REPRO_MACHINE_PARALLEL", raising=False)
-        assert SystolicDatabaseMachine._resolve_parallel(None) is True
+        assert resolve_parallel(None) is True
 
     def test_garbage_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_MACHINE_PARALLEL", "fastplease")
         with pytest.raises(ConfigError, match="REPRO_MACHINE_PARALLEL"):
-            SystolicDatabaseMachine._resolve_parallel(None)
+            resolve_parallel(None)
 
 
 class TestLatticeChunkBytes:

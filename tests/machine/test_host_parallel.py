@@ -11,25 +11,27 @@ catalog version, and the device roster.
 
 import pytest
 
+from repro import obs
 from repro.errors import PlanError
 from repro.machine import (
     Base,
     Dedup,
     Divide,
+    EnginePool,
     Intersect,
     Join,
     Project,
     SystolicDatabaseMachine,
 )
+from repro.machine.execution import resolve_parallel
 from repro.machine.physical import plan_fingerprint
 from repro.machine.scheduler import HostExecutor
+from repro.store import RelationStore
 from repro.workloads import division_example, join_pair, overlapping_pair
 
 
 def fresh_machine():
-    """A fresh machine per run: results stored in memories and the step
-    counter persist across runs, so bit-identical comparisons need
-    identical starting state."""
+    """A machine holding the four relations of :func:`_transaction`."""
     m = SystolicDatabaseMachine()
     a, b = overlapping_pair(12, 10, 5, arity=2, seed=30)
     ja, jb = join_pair(14, 12, 6, seed=31)
@@ -111,10 +113,10 @@ class TestParallelRunPhysical:
 
     def test_environment_kill_switch(self, machine, monkeypatch):
         monkeypatch.setenv("REPRO_MACHINE_PARALLEL", "off")
-        assert machine._resolve_parallel(None) is False
+        assert resolve_parallel(None) is False
         monkeypatch.setenv("REPRO_MACHINE_PARALLEL", "1")
-        assert machine._resolve_parallel(None) is True
-        assert machine._resolve_parallel(False) is False
+        assert resolve_parallel(None) is True
+        assert resolve_parallel(False) is False
         results, _ = machine.run_many(_transaction())
         assert len(results) == 3
 
@@ -133,6 +135,45 @@ class TestParallelRunPhysical:
         (result_s,), report_s = run(False)
         assert result_p == result_s == dc
         assert report_p.steps == report_s.steps
+
+
+class TestOneStatePolicy:
+    """Machine == pool session == brand-new machine: a transaction is a
+    function of (catalog, plan), whichever front end runs it and
+    however many ran before it."""
+
+    @staticmethod
+    def _populate(target) -> None:
+        """B on the disk, A and JA resident; JB comes from the store."""
+        a, b = overlapping_pair(12, 10, 5, arity=2, seed=30)
+        ja, _ = join_pair(14, 12, 6, seed=31)
+        target.store("B", b)
+        target.preload("A", a)
+        target.preload("JA", ja)
+
+    @staticmethod
+    def _traced_run(target):
+        with obs.tracing() as tracer:
+            results, report = target.run_many(_transaction())
+        (run_span,) = tracer.find("machine.run")
+        return results, report.steps, run_span.structure()
+
+    def test_front_ends_and_reruns_agree(self, tmp_path):
+        store = RelationStore(tmp_path / "relations")
+        store.write("JB", join_pair(14, 12, 6, seed=31)[1])
+        machine = SystolicDatabaseMachine()
+        session = EnginePool().session("acme")
+        brand_new = SystolicDatabaseMachine()
+        for target in (machine, session, brand_new):
+            self._populate(target)
+        machine.attach_store(store)
+        brand_new.attach_store(store)
+        session.catalog.attach_store(store)
+        baseline = self._traced_run(brand_new)
+        assert any(step.device == "disk" for step in baseline[1])
+        for target in (machine, session):
+            for _ in range(3):
+                assert self._traced_run(target) == baseline
 
 
 class TestPlanCache:

@@ -73,7 +73,7 @@ class TestRealisticChain:
     def test_join_project_chain_from_array_geometry(self):
         # Stage costs straight from the arrays' schedules: a join array
         # (fill ≈ rows) feeding a dedup array (fill ≈ rows + m).
-        from repro.arrays.schedule import CounterStreamSchedule
+        from repro.systolic.engine.schedule import CounterStreamSchedule
 
         join_schedule = CounterStreamSchedule(n_a=50, n_b=40, arity=1)
         dedup_schedule = CounterStreamSchedule(n_a=60, n_b=60, arity=2)

@@ -43,6 +43,13 @@ def _plans():
     ]
 
 
+def _steps(report) -> list[tuple]:
+    return [
+        (s.label, s.device, s.start, s.end, s.output_key, s.output_memory)
+        for s in report.steps
+    ]
+
+
 def _fresh_machine_baseline():
     """Results + traced ``machine.run`` structure on a fresh machine."""
     tracer = obs.start(obs.Tracer())
@@ -107,16 +114,51 @@ class TestBitIdentity:
         for span in run_spans:
             assert span.structure() == base_structure
 
-    def test_repeated_queries_stay_identical(self):
-        """A session's Nth query equals its first — fresh state per
-        query, nothing accumulates."""
-        session = EnginePool().session("acme")
-        _populate(session.store)
-        first_results, first_report = session.run_many(_plans())
-        for _ in range(2):
-            results, report = session.run_many(_plans())
-            assert results == first_results
-            assert report.makespan == first_report.makespan
+    @pytest.mark.parametrize("front_end", ["machine", "session"])
+    def test_repeated_queries_stay_identical(self, front_end):
+        """The Nth query equals the first — and a brand-new machine's —
+        on either front end: fresh state per run, nothing accumulates."""
+        target = (
+            SystolicDatabaseMachine() if front_end == "machine"
+            else EnginePool().session("acme")
+        )
+        _populate(target.store)
+        base_results, base_report, _ = _fresh_machine_baseline()
+        for _ in range(3):
+            results, report = target.run_many(_plans())
+            assert results == base_results
+            assert _steps(report) == _steps(base_report)
+
+    def test_memories_do_not_fill_up_over_300_runs(self):
+        """Outputs of earlier runs used to stay in the memories until no
+        module could absorb the next one (run 255 of this loop)."""
+        machine = SystolicDatabaseMachine(backend="lattice")
+        a, b = overlapping_pair(2000, 2000, 1000, arity=4, seed=1)
+        machine.store("A", a)
+        machine.store("B", b)
+        plan = Intersect(Base("A"), Base("B"))
+        # The devices are pure, so answer runs 2..300 from run 1's.
+        device = next(
+            d for d in machine.devices if d.kind == plan.device_kind
+        )
+        execute, runs = device.execute, {}
+
+        def execute_once(node, inputs):
+            if id(node) not in runs:
+                runs[id(node)] = execute(node, inputs)
+            return runs[id(node)]
+
+        device.execute = execute_once
+
+        def used_bytes() -> int:
+            return sum(m.used_bytes for m in machine.memories)
+
+        first, _ = machine.run(plan)
+        after_first = used_bytes()
+        for _ in range(299):
+            result, _ = machine.run(plan)
+        assert result == first
+        assert used_bytes() == after_first > 0
 
 
 class TestPlanCacheSharing:

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.errors import PlanError
 from repro.machine import DeviceRoster
 from repro.machine.device import SystolicDevice
 from repro.machine.plan import DEVICE_JOIN
@@ -19,9 +16,9 @@ def _twins() -> list[SystolicDevice]:
 
 class TestDeterministicTieBreak:
     def test_default_ties_break_by_name(self):
-        """The historical rule, now pinned: with no fairness and equal
-        predicted completion, the lexicographically smallest name wins
-        — every time, regardless of construction order."""
+        """The rule, pinned: on equal predicted completion the
+        lexicographically smallest name wins — every time, regardless
+        of construction order."""
         roster = DeviceRoster(_twins())
         for _ in range(5):
             device, start = roster.pick(DEVICE_JOIN, ready=0.0)
@@ -48,34 +45,3 @@ class TestDeterministicTieBreak:
         assert device.name == "join1"
         assert start == 0.0
 
-
-class TestFairness:
-    def test_fairness_spreads_equal_work_round_robin(self):
-        """With fairness on, equal-completion picks alternate across
-        the twin devices instead of piling onto join0."""
-        roster = DeviceRoster(_twins(), fairness=True)
-        picked = [roster.pick(DEVICE_JOIN, ready=0.0)[0].name
-                  for _ in range(6)]
-        assert picked == ["join0", "join1"] * 3
-        assert roster.assignments("join0") == 3
-        assert roster.assignments("join1") == 3
-
-    def test_fairness_never_overrides_completion_time(self):
-        roster = DeviceRoster(_twins(), fairness=True)
-        roster.occupy("join0", 4.0)
-        # join0 is busy; fairness cannot make it win.
-        for _ in range(3):
-            device, _ = roster.pick(DEVICE_JOIN, ready=0.0)
-            assert device.name == "join1"
-
-    def test_default_roster_counts_assignments_without_using_them(self):
-        roster = DeviceRoster(_twins())
-        for _ in range(4):
-            roster.pick(DEVICE_JOIN, ready=0.0)
-        assert roster.assignments("join0") == 4
-        assert roster.assignments("join1") == 0
-
-    def test_unknown_device_raises(self):
-        roster = DeviceRoster(_twins())
-        with pytest.raises(PlanError):
-            roster.assignments("nope")

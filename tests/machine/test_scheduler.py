@@ -7,7 +7,7 @@ from repro.errors import PlanError
 from repro.machine.device import CpuDevice, SystolicDevice
 from repro.machine.plan import DEVICE_COMPARISON, DEVICE_JOIN
 from repro.machine.scheduler import (
-    DeviceTimeline,
+    DeviceRoster,
     ExecutionReport,
     ScheduledStep,
 )
@@ -26,7 +26,7 @@ def _devices():
 
 class TestDeviceTimeline:
     def test_prefers_idle_instance(self):
-        timeline = DeviceTimeline(_devices())
+        timeline = DeviceRoster(_devices())
         first, start = timeline.pick(DEVICE_COMPARISON, ready=0.0)
         assert start == 0.0
         timeline.occupy(first.name, until=5.0)
@@ -35,7 +35,7 @@ class TestDeviceTimeline:
         assert start == 0.0
 
     def test_waits_when_all_busy(self):
-        timeline = DeviceTimeline(_devices())
+        timeline = DeviceRoster(_devices())
         timeline.occupy("comparison0", until=5.0)
         timeline.occupy("comparison1", until=3.0)
         device, start = timeline.pick(DEVICE_COMPARISON, ready=0.0)
@@ -43,19 +43,19 @@ class TestDeviceTimeline:
         assert start == 3.0
 
     def test_ready_time_dominates_when_later(self):
-        timeline = DeviceTimeline(_devices())
+        timeline = DeviceRoster(_devices())
         timeline.occupy("join0", until=1.0)
         _, start = timeline.pick(DEVICE_JOIN, ready=9.0)
         assert start == 9.0
 
     def test_unknown_kind(self):
-        timeline = DeviceTimeline(_devices())
+        timeline = DeviceRoster(_devices())
         with pytest.raises(PlanError, match="no device of kind"):
             timeline.pick("quantum", ready=0.0)
 
     def test_empty_machine_rejected(self):
         with pytest.raises(PlanError):
-            DeviceTimeline([])
+            DeviceRoster([])
 
 
 class TestExecutionReport:

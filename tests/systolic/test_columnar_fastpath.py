@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arrays.schedule import CounterStreamSchedule, FixedRelationSchedule
+from repro.systolic.engine.schedule import CounterStreamSchedule, FixedRelationSchedule
 from repro.errors import SimulationError
 from repro.systolic.engine import (
     DEFAULT_CHUNK_BYTES,

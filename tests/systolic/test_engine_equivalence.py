@@ -35,7 +35,7 @@ from repro.arrays import (
 )
 from repro.arrays.hexagonal import BOOLEAN_SEMIRING, COMPARISON_SEMIRING
 from repro.arrays.intersection import systolic_antijoin, systolic_semijoin
-from repro.arrays.schedule import (
+from repro.systolic.engine.schedule import (
     CounterStreamSchedule,
     DivisionSchedule,
     FixedRelationSchedule,

@@ -27,11 +27,19 @@ Two checks, both run in CI next to the bench gate::
    the short external-tool allowlist — documentation of a renamed or
    removed flag fails here.
 
+5. **Machine API.**  In ``docs/API.md`` and ``docs/PLANNER.md``, every
+   backticked ``Class.member`` and every ``name=`` keyword inside a
+   backticked ``Class(...)`` whose class is exported by
+   ``repro.machine`` must resolve against that class (attribute,
+   dataclass field or ``__init__`` parameter) — documentation of a
+   removed method or constructor option fails here.
+
 Exits non-zero with one line per problem.
 """
 
 from __future__ import annotations
 
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -45,6 +53,9 @@ OBSERVABILITY = ROOT / "docs" / "OBSERVABILITY.md"
 
 ARCHITECTURE = ROOT / "docs" / "ARCHITECTURE.md"
 
+#: Where the ``repro.machine`` classes are documented member by member.
+MACHINE_API_DOCS = (ROOT / "docs" / "API.md", ROOT / "docs" / "PLANNER.md")
+
 #: A metric row: | `name` | kind | meaning |
 _METRIC_ROW = re.compile(r"^\|\s*`([a-z_.]+)`\s*\|\s*(\w+)\s*\|")
 #: Inline markdown links: [text](target).  Images share the syntax.
@@ -53,6 +64,13 @@ _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _DOC_FLAG = re.compile(r"`(--[a-z0-9][a-z0-9-]*)")
 #: A long option defined in an argparse entry point: "--flag".
 _CODE_FLAG = re.compile(r'"(--[a-z0-9][a-z0-9-]*)"')
+
+#: Inside one backticked span: `Class.member`, and an innermost
+#: `Class(args)` (args free of parentheses), whose `name=` keywords count.
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+_MEMBER = re.compile(r"\b([A-Z]\w*)\.([A-Za-z_]\w*)")
+_CALL = re.compile(r"\b([A-Z]\w*)\(([^()]*)\)")
+_KEYWORD = re.compile(r"\b([A-Za-z_]\w*)=")
 
 #: Flags of tools we document but do not own (pytest, pytest-benchmark).
 _EXTERNAL_FLAGS = {"--lf", "--ff", "--benchmark-only", "--benchmark-disable"}
@@ -162,10 +180,55 @@ def check_cli_flags() -> list[str]:
     return problems
 
 
+def check_machine_api(docs=MACHINE_API_DOCS) -> list[str]:
+    import repro.machine
+
+    classes = {
+        name: value for name, value in vars(repro.machine).items()
+        if inspect.isclass(value)
+    }
+
+    def has_member(cls: type, member: str) -> bool:
+        return (
+            hasattr(cls, member)
+            or member in getattr(cls, "__dataclass_fields__", ())
+            or re.search(rf"\bself\.{member}\b", inspect.getsource(cls))
+            is not None
+        )
+
+    problems: list[str] = []
+    for doc in docs:
+        for span in _CODE_SPAN.findall(doc.read_text()):
+            for owner, member in _MEMBER.findall(span):
+                if owner in classes and not has_member(classes[owner], member):
+                    problems.append(
+                        f"{doc.name}: documents `{owner}.{member}`, which "
+                        f"repro.machine.{owner} does not have"
+                    )
+            # Innermost calls first, so a nested constructor's keywords
+            # are not charged to the call around it.
+            while (call := _CALL.search(span)) is not None:
+                owner, arguments = call.groups()
+                span = span[:call.start()] + "_" + span[call.end():]
+                if owner not in classes:
+                    continue
+                accepted = inspect.signature(classes[owner]).parameters
+                if any(p.kind is p.VAR_KEYWORD for p in accepted.values()):
+                    continue
+                for keyword in _KEYWORD.findall(arguments):
+                    if keyword not in accepted:
+                        problems.append(
+                            f"{doc.name}: documents `{owner}({keyword}=)`, "
+                            f"which repro.machine.{owner} does not accept"
+                        )
+    return problems
+
+
 def main() -> int:
     problems = (
         check_metric_table() + check_links()
         + check_package_inventory() + check_cli_flags()
+        + check_machine_api()
     )
     for problem in problems:
         print(problem, file=sys.stderr)
@@ -177,7 +240,8 @@ def main() -> int:
         f"check_docs: metric table in sync ({len(METRICS)} names), "
         f"links resolve across {files} markdown files, "
         f"{len(repro_packages())} packages in the inventory, "
-        f"documented CLI flags all defined"
+        f"documented CLI flags all defined, "
+        f"repro.machine members and constructor keywords resolve"
     )
     return 0
 
