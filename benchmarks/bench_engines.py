@@ -2,10 +2,11 @@
 """Pulse vs lattice engine timings on the E3/E6/E7 workloads.
 
 Both engines produce bit-identical relations and pulse counts; this
-module measures what that costs.  The pulse engine steps every cell of
-the simulated array once per pulse (O(cells × pulses) Python work);
-the lattice engine evaluates the same wavefronts as numpy bulk
-operations.
+module measures what that costs.  The pulse engine advances the whole
+array one pulse at a time (a handful of numpy operations over the
+register planes per pulse: O(pulses) Python steps, O(cells × pulses)
+element work); the lattice engine evaluates the schedule's closed form
+as a few bulk operations for the whole run.
 
 Run standalone to (re)generate ``BENCH_engines.json`` at the repo
 root — CI's benchmark smoke job does exactly this::
@@ -25,8 +26,8 @@ from pathlib import Path
 from repro.arrays import systolic_divide, systolic_intersection, systolic_join
 from repro.workloads import division_workload, join_pair, overlapping_pair
 
-#: (experiment, operation, size label, thunk factory) — sizes chosen so
-#: the pulse engine finishes in seconds, not minutes.
+#: (experiment, operation, size label, thunk factory) — the sizes the
+#: committed baseline was first taken at (identity fields of the gate).
 def _cases():
     cases = []
     for n in (64, 256):
@@ -56,15 +57,23 @@ def _cases():
     return cases
 
 
-def _time(thunk, repeats: int = 1):
-    """Best-of-``repeats`` wall-clock; extra repeats cost little on the
-    fast engine and keep first-call warmup out of the numbers."""
+def _time(thunk, repeats: int = 3, budget: float = 2.0):
+    """Best wall-clock of ``repeats`` runs, and of as many more as fit
+    in ``budget`` seconds.  This host's speed is bimodal (≈ 1.6× apart,
+    switching within seconds): a single shot of a sub-second run, or
+    best of three of a millisecond one, lands in either mode and wanders
+    across the regression gate's 30 % threshold; two seconds of samples
+    almost always reach the fast mode's floor, which repeats to a few
+    per cent."""
     best = float("inf")
     result = None
-    for _ in range(repeats):
+    began = time.perf_counter()
+    runs = 0
+    while runs < repeats or time.perf_counter() - began < budget:
         start = time.perf_counter()
         result = thunk()
         best = min(best, time.perf_counter() - start)
+        runs += 1
     return best, result
 
 
@@ -73,8 +82,7 @@ def run_matrix():
     entries = []
     for experiment, operation, size, run in _cases():
         pulse_seconds, pulse_result = _time(lambda: run("pulse"))
-        lattice_seconds, lattice_result = _time(lambda: run("lattice"),
-                                                repeats=3)
+        lattice_seconds, lattice_result = _time(lambda: run("lattice"))
         assert lattice_result.relation == pulse_result.relation
         assert lattice_result.run.pulses == pulse_result.run.pulses
         entries.append({
@@ -100,7 +108,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     entries = run_matrix()
     report = {
-        "description": "pulse vs lattice engine wall-clock, identical "
+        "description": "pulse (register stepper) vs lattice engine "
+                       "wall-clock, best of >= 3 runs each, identical "
                        "results and pulse counts (see docs/ENGINES.md)",
         "entries": entries,
     }
@@ -118,11 +127,12 @@ def main(argv=None) -> int:
         f"lattice only {big['speedup']}x faster on E3 n={big['n']}"
     )
     # The join decodes from the run's verdict matrix; a lattice join
-    # that builds a Token (or a tap) per pair again would fall back
-    # towards 7x at n=96 and trip this floor.
+    # that builds a Token (or a tap) per pair again costs tens of
+    # milliseconds at n=96 — more than the pulse run — and trips this
+    # floor (measured: 59x).
     join = next(e for e in entries
                 if e["experiment"] == "E6" and e["n"] == 96)
-    assert join["speedup"] >= 35, (
+    assert join["speedup"] >= 10, (
         f"join lattice only {join['speedup']}x faster on E6 n=96"
     )
     return 0
@@ -144,7 +154,7 @@ def test_engines_agree_and_lattice_wins(benchmark, experiment_report):
     )
     experiment_report("E3/E6/E7 engine split: pulse vs lattice (n=64)", [
         ("identical relation + pulses", "yes", "yes"),
-        ("pulse engine", "O(cells×pulses)", f"{pulse_seconds:.4f}s"),
+        ("pulse engine", "O(pulses) steps", f"{pulse_seconds:.4f}s"),
         ("lattice engine", "vectorized", f"{lattice_seconds:.4f}s"),
         ("speedup", ">1x", f"{pulse_seconds / lattice_seconds:.1f}x"),
     ])

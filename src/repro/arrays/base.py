@@ -171,9 +171,9 @@ def run_plan(
 def build_grid_array(
     plan: GridPlan,
 ) -> tuple[Network, CounterStreamSchedule | FixedRelationSchedule, dict[str, tuple[int, int]]]:
-    """The cell network a grid plan describes — exactly what the pulse
-    engine steps — with its schedule and a cell name → (row, col)
-    layout."""
+    """The cell network a grid plan describes — what the pulse engine
+    steps when traced, and what its register stepper equals record for
+    record — with its schedule and a cell name → (row, col) layout."""
     network, layout = materialize_grid(plan)
     return network, plan.schedule, layout
 

@@ -10,10 +10,14 @@ run offers:
    directly (shape and dtype checked; no tap is ever built);
 2. columnar taps — decoded in bulk by inverting the schedule's affine
    exit laws, with the full audit: parity, bounds, duplicates, ghost
-   tags, completeness;
-3. Token records — the pulse engine's native output, decoded arrival by
-   arrival from ``(row, pulse)`` alone "exactly as hardware would", with
-   the same audit.
+   tags, completeness.  Every pulse run is read this way: its taps are
+   what the register stepper saw leave the array, and the stepper
+   never consults the exit laws, so this audit is where they are
+   checked;
+3. Token records — what a run on the cell network (a traced pulse run,
+   a bare simulator) holds, decoded arrival by arrival from
+   ``(row, pulse)`` alone "exactly as hardware would", with the same
+   audit.
 
 Tagged runs always take path 2 or 3: their point is to check the ghost
 tags riding on the tap records, so the taps are what gets read.
@@ -160,7 +164,7 @@ def _pair_verdicts_from_taps(
 
 
 def _pair_verdicts_from_records(result, schedule, tagged: bool) -> np.ndarray:
-    """Token-record decode of the row taps (eager pulse-engine runs):
+    """Token-record decode of the row taps (runs on the cell network):
     each right-edge arrival is mapped to its (i, j) purely from
     (row, pulse) via the schedule."""
     verdicts = np.zeros((schedule.n_a, schedule.n_b), dtype=bool)
@@ -250,7 +254,7 @@ def _accumulator_bits_from_tap(tap, schedule, tagged: bool) -> list[bool]:
 def _accumulator_bits_from_records(
     collector, schedule, tagged: bool
 ) -> list[bool]:
-    """Token-record decode of ``t_i`` (eager pulse-engine runs)."""
+    """Token-record decode of ``t_i`` (runs on the cell network)."""
     t_vector: list[Optional[bool]] = [None] * schedule.n_a
     for pulse, token in collector:
         i = schedule.tuple_from_accumulator_exit(pulse)

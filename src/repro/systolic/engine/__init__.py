@@ -5,7 +5,8 @@ array computes — operands, timing discipline, taps — and an *engine*
 says how.  Three ship:
 
 * ``"pulse"`` — :class:`PulseEngine`, the cycle-accurate reference:
-  every cell and latch of the paper's design, driven pulse by pulse.
+  every latch of the paper's design, advanced pulse by pulse as numpy
+  register planes (or, for a traced run, as the cell network).
 * ``"lattice"`` — :class:`LatticeEngine`, the same schedule arithmetic
   evaluated as bulk numpy wavefronts; bit-identical outputs, orders of
   magnitude faster on large relations.

@@ -5,8 +5,10 @@ operand tuples, the timing discipline, the taps to read — with no
 commitment to pulse-by-pulse simulation.  An
 :class:`Engine` turns a plan into an :class:`EngineRun`:
 
-* :class:`~repro.systolic.engine.pulse.PulseEngine` materializes the
-  cell network and drives the reference
+* :class:`~repro.systolic.engine.pulse.PulseEngine` steps the array
+  pulse by pulse — as numpy register planes
+  (:mod:`~repro.systolic.engine.registers`), or, for a traced run, as
+  the materialized cell network under the
   :class:`~repro.systolic.simulator.SystolicSimulator`;
 * :class:`~repro.systolic.engine.lattice.LatticeEngine` evaluates the
   same schedule arithmetic as bulk anti-diagonal wavefronts.
@@ -417,8 +419,11 @@ class EngineRun:
     affine forms the first time :attr:`columnar`, :meth:`tap`,
     :meth:`collector` or :attr:`collectors` is touched, and Token
     records are materialized from those one step later still.  The pulse
-    engine has no verdicts: its native output is the eager Token-record
-    ``collectors``.
+    engine has no verdicts — its result exists only as what left the
+    taps: the :class:`ColumnarTap` arrays its register stepper captured
+    pulse by pulse (Token records again materialized on demand), or,
+    when the run was traced and so stepped the cell network, that
+    network's eager Token-record ``collectors``.
     """
 
     def __init__(
@@ -458,7 +463,7 @@ class EngineRun:
     @property
     def columnar(self) -> dict[str, ColumnarTap]:
         """Token-free tap arrays, derived on first touch (empty dict on
-        the pulse engine)."""
+        a run that stepped the cell network)."""
         if self._columnar is None:
             self._columnar = self._tap_view()
         return self._columnar

@@ -1,9 +1,20 @@
-"""The reference engine: materialize and simulate pulse by pulse.
+"""The reference engine: the array stepped pulse by pulse.
 
-This is the paper's semantics verbatim — every cell, wire, latch, and
-pulse of the array exists and is driven by the two-phase
-:class:`~repro.systolic.simulator.SystolicSimulator`.  Everything the
-faster engines produce is defined as "whatever this engine produces".
+This is the paper's semantics verbatim — every register and every pulse
+of the array exists.  Everything the faster engines produce is defined
+as "whatever this engine produces".
+
+A grid, linear or division plan is stepped by the register stepper
+(:mod:`~repro.systolic.engine.registers`): each wire family is a numpy
+register plane and one pulse advances every cell at once, protocol and
+ghost-tag checks included; the run hands back columnar taps (no
+verdicts — operators decode them through the audited tap path of
+:mod:`repro.arrays.decode`) and Token records are materialized on
+demand.  A run that asks to *see cells* — a ``trace`` observer, or the
+hexagonal mesh — is materialized as the cell network
+(:mod:`~repro.systolic.engine.materialize`) and driven by the two-phase
+:class:`~repro.systolic.simulator.SystolicSimulator`, which is also the
+reference the register stepper is tested against, record for record.
 """
 
 from __future__ import annotations
@@ -14,6 +25,7 @@ from repro import obs
 from repro.obs import metrics
 from repro.systolic.engine.materialize import materialize
 from repro.systolic.engine.plan import EngineRun, ExecutionPlan, HexPlan
+from repro.systolic.engine.registers import step_plan
 from repro.systolic.metrics import ActivityMeter
 from repro.systolic.simulator import SystolicSimulator
 
@@ -21,7 +33,8 @@ __all__ = ["PulseEngine"]
 
 
 class PulseEngine:
-    """Cycle-accurate execution on the simulated cell network."""
+    """Cycle-accurate execution: register planes, or the cell network
+    when the caller observes cells."""
 
     name = "pulse"
 
@@ -35,20 +48,33 @@ class PulseEngine:
             "engine.run", engine=self.name,
             plan=type(plan).__name__, pulses=plan.pulses, cells=plan.cells,
         ):
-            network = materialize(plan)
-            peak_firing: Optional[int] = None
-            observer = trace
-            firing_per_pulse: list[int] = []
-            if isinstance(plan, HexPlan):
-                observer = _hex_observer(firing_per_pulse, trace)
-            simulator = SystolicSimulator(
-                network, meter=meter, observer=observer
-            )
-            simulator.run(plan.pulses)
-            if isinstance(plan, HexPlan):
-                peak_firing = max(firing_per_pulse, default=0)
+            if trace is not None or isinstance(plan, HexPlan):
+                run = self._run_network(plan, meter, trace)
+            else:
+                taps = step_plan(plan, meter)
+                run = EngineRun(
+                    engine=self.name, pulses=plan.pulses, cells=plan.cells,
+                    meter=meter, tap_view=lambda: taps,
+                )
         metrics.inc("engine.runs")
         metrics.observe("engine.run.pulses", plan.pulses)
+        return run
+
+    def _run_network(
+        self, plan: ExecutionPlan, meter: Optional[ActivityMeter],
+        trace: Optional[Any],
+    ) -> EngineRun:
+        """Materialize the plan's cells and drive them one by one."""
+        network = materialize(plan)
+        peak_firing: Optional[int] = None
+        observer = trace
+        firing_per_pulse: list[int] = []
+        if isinstance(plan, HexPlan):
+            observer = _hex_observer(firing_per_pulse, trace)
+        simulator = SystolicSimulator(network, meter=meter, observer=observer)
+        simulator.run(plan.pulses)
+        if isinstance(plan, HexPlan):
+            peak_firing = max(firing_per_pulse, default=0)
         return EngineRun(
             engine=self.name,
             pulses=plan.pulses,

@@ -65,6 +65,20 @@ class SystolicSimulator:
         self.pulse = 0
         #: input endpoint -> token latched for the *next* compute phase
         self._latches: dict[Endpoint, Token] = {}
+        # The network's shape is read once, here: its cells, wires and
+        # feeders properties each build a fresh copy, and an endpoint is
+        # a frozen dataclass — neither belongs in the per-pulse loop.
+        self._cells = tuple(network.cells.items())
+        self._wires = network.wires
+        feeders = network.feeders
+        #: per cell: (name, its input ports as (port, endpoint, feeder))
+        self._inputs = []
+        for name, cell in self._cells:
+            endpoints = [Endpoint(name, port) for port in cell.IN_PORTS]
+            self._inputs.append(
+                (name, [(e.port, e, feeders.get(e)) for e in endpoints])
+            )
+        self._feeders = tuple(feeders.values())
         self.collectors: dict[str, Collector] = {
             name: Collector(name) for name in network.taps
         }
@@ -79,18 +93,15 @@ class SystolicSimulator:
 
     def step_once(self) -> None:
         """Advance the array by one pulse."""
-        network = self.network
         pulse = self.pulse
-        feeders = network.feeders
+        latches = self._latches
 
         inputs_by_cell: dict[str, dict[str, Optional[Token]]] = {}
         busy: set[str] = set()
-        for name, cell in network.cells.items():
+        for name, ports in self._inputs:
             inputs: dict[str, Optional[Token]] = {}
-            for port in cell.IN_PORTS:
-                endpoint = Endpoint(name, port)
-                token = self._latches.pop(endpoint, None)
-                feeder = feeders.get(endpoint)
+            for port, endpoint, feeder in ports:
+                token = latches.pop(endpoint, None)
                 if feeder is not None:
                     fed = feeder(pulse)
                     if fed is not None:
@@ -106,7 +117,7 @@ class SystolicSimulator:
             inputs_by_cell[name] = inputs
 
         outputs_by_cell: dict[str, dict[str, Optional[Token]]] = {}
-        for name, cell in network.cells.items():
+        for name, cell in self._cells:
             try:
                 outputs = cell.step(inputs_by_cell[name]) or {}
             except SimulationError as exc:
@@ -121,7 +132,7 @@ class SystolicSimulator:
 
         # Transfer phase: move outputs into next-pulse latches and taps.
         new_latches: dict[Endpoint, Token] = {}
-        for wire in network.wires:
+        for wire in self._wires:
             token = outputs_by_cell.get(wire.source.cell, {}).get(wire.source.port)
             if token is not None:
                 if wire.target in new_latches:
@@ -140,7 +151,7 @@ class SystolicSimulator:
                     self.collectors[tap_name].record(pulse, token)
 
         if self.meter is not None:
-            self.meter.observe(pulse, busy, len(network.cells))
+            self.meter.observe(pulse, busy, len(self._cells))
         if self.observer is not None:
             self.observer(pulse, inputs_by_cell, outputs_by_cell)
         self.pulse += 1
@@ -166,7 +177,7 @@ class SystolicSimulator:
             before = self.pulse
             had_latch = bool(self._latches)
             will_feed = any(
-                feeder(before) is not None for feeder in self.network.feeders.values()
+                feeder(before) is not None for feeder in self._feeders
             )
             self.step_once()
             executed += 1

@@ -2,13 +2,15 @@
 
 A lattice or bitplane run hands the decode seam
 (:mod:`repro.arrays.decode`) its verdicts directly; the same run with
-the verdicts withheld goes through the audited columnar-tap decoders;
-the pulse engine goes through the Token-record decoders.  These tests
-pin down that all three agree — relation, result vector/matrix, the
-exit order of join matches, pulse counts — that the blocked operators
-equal the whole-array ones wherever the device boundary cuts, that the
-fast path really builds no tap, and that a malformed ``verdicts`` is
-refused instead of decoded.
+the verdicts withheld, and every pulse-engine run (whose taps are what
+its register stepper saw leave the array), goes through the audited
+columnar-tap decoders; a traced pulse run steps the cell network and
+goes through the Token-record decoders.  These tests pin down that all
+three agree — relation, result vector/matrix, the exit order of join
+matches, pulse counts — that the blocked operators equal the
+whole-array ones wherever the device boundary cuts, that the fast path
+really builds no tap, and that a malformed ``verdicts`` is refused
+instead of decoded.
 """
 
 from __future__ import annotations
@@ -46,22 +48,37 @@ from repro.systolic.engine import (
     PulseEngine,
     t_init_strict_lower,
 )
+from repro.systolic.trace import TraceRecorder
+from tests.systolic.test_engine_equivalence import sized_lists, tuples2
 
 SMALL = settings(max_examples=25, deadline=None)
 
-_DOMAIN = Domain("vp", values=range(4))
+_DOMAIN = Domain("vp", values=range(8))
 _SCHEMA2 = Schema.of(("x", _DOMAIN), ("y", _DOMAIN))
 _SCHEMA3 = Schema.of(("x", _DOMAIN), ("y", _DOMAIN), ("z", _DOMAIN))
 
-tuples2 = st.tuples(st.integers(0, 3), st.integers(0, 3))
-tuples3 = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
-relations = st.lists(tuples2, min_size=1, max_size=6).map(
+# Whole-array runs on all three paths: sizes the pulse engine now takes
+# in milliseconds.
+relations = sized_lists(tuples2, 1, 32).map(
     lambda rows: Relation(_SCHEMA2, rows)
 )
-relations3 = st.lists(tuples3, min_size=1, max_size=6).map(
+multis = sized_lists(tuples2, 1, 32).map(
+    lambda rows: MultiRelation(_SCHEMA2, rows)
+)
+# Blocked runs down to one tuple a block — n² array runs per operator
+# and engine — stay small, over four values a column so that half a
+# dozen rows still collide.
+block_tuples2 = st.tuples(st.integers(0, 3), st.integers(0, 3))
+block_tuples3 = st.tuples(
+    st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)
+)
+block_relations = st.lists(block_tuples2, min_size=1, max_size=6).map(
+    lambda rows: Relation(_SCHEMA2, rows)
+)
+block_relations3 = st.lists(block_tuples3, min_size=1, max_size=6).map(
     lambda rows: Relation(_SCHEMA3, rows)
 )
-multis = st.lists(tuples2, min_size=1, max_size=7).map(
+block_multis = st.lists(block_tuples2, min_size=1, max_size=7).map(
     lambda rows: MultiRelation(_SCHEMA2, rows)
 )
 ops_strategy = st.lists(
@@ -81,8 +98,18 @@ class TapOnly(LatticeEngine):
         return run
 
 
+class Traced(PulseEngine):
+    """The pulse engine asked to show its cells: it steps the cell
+    network and hands back eager Token records, so every decoder has to
+    take the record path."""
+
+    def run(self, plan, meter=None, trace=None):
+        return super().run(plan, meter=meter, trace=TraceRecorder())
+
+
 def three_paths():
-    """Verdict path (both vectorized engines), tap path, record path."""
+    """Verdict path (both vectorized engines) and tap path — derived
+    from the verdicts, and observed pulse by pulse."""
     return [LatticeEngine(), BitplaneEngine(), TapOnly(), PulseEngine()]
 
 
@@ -168,14 +195,40 @@ class TestThreePathsAgree:
         )
 
     @SMALL
-    @given(a=relations, divisor=st.lists(st.integers(0, 3), min_size=1,
-                                          max_size=3, unique=True),
+    @given(a=relations, divisor=st.lists(st.integers(0, 7), min_size=1,
+                                          max_size=5, unique=True),
            tagged=st.booleans())
     def test_division(self, a, divisor, tagged):
         b = Relation(Schema.of(("y", _DOMAIN)), [(d,) for d in divisor])
         agree(
             [systolic_divide(a, b, tagged=tagged, backend=backend)
              for backend in three_paths()],
+            "relation", "distinct_x", "quotient_bits",
+        )
+
+
+    @SMALL
+    @given(a=block_relations, b=block_relations, variant=variants,
+           tagged=st.booleans())
+    def test_token_record_path(self, a, b, variant, tagged):
+        """The record decoders, which only a traced run still reaches."""
+        paths = [LatticeEngine(), Traced()]
+        agree(
+            [systolic_join(a, b, [("x", "x")], variant=variant,
+                           tagged=tagged, backend=backend)
+             for backend in paths],
+            "relation", "matches",
+        )
+        agree(
+            [systolic_intersection(a, b, variant=variant, tagged=tagged,
+                                   backend=backend)
+             for backend in paths],
+            "relation", "t_vector",
+        )
+        divisor = Relation(Schema.of(("y", _DOMAIN)), [(1,), (2,)])
+        agree(
+            [systolic_divide(a, divisor, tagged=tagged, backend=backend)
+             for backend in paths],
             "relation", "distinct_x", "quotient_bits",
         )
 
@@ -197,7 +250,7 @@ class TestBlockedEqualsWhole:
     ENGINES = ("lattice", "bitplane", "pulse")
 
     @SMALL
-    @given(a=relations3, b=relations3)
+    @given(a=block_relations3, b=block_relations3)
     def test_set_operators(self, a, b):
         n = max(len(a), len(b))
         for capacity in capacities(n, 3):
@@ -215,7 +268,7 @@ class TestBlockedEqualsWhole:
                     assert report.column_blocks == 2
 
     @SMALL
-    @given(multi=multis)
+    @given(multi=block_multis)
     def test_dedup_and_matrix(self, multi):
         rows = multi.tuples
         whole = systolic_remove_duplicates(multi, backend="lattice")
@@ -235,7 +288,7 @@ class TestBlockedEqualsWhole:
                 assert blocked == matrix
 
     @SMALL
-    @given(a=relations, b=relations, ops=ops_strategy)
+    @given(a=block_relations, b=block_relations, ops=ops_strategy)
     def test_theta_join(self, a, b, ops):
         on = [("x", "x"), ("y", "y")]
         whole = systolic_theta_join(a, b, on, ops, backend="lattice").relation
@@ -250,8 +303,9 @@ class TestBlockedEqualsWhole:
                 )
 
     @SMALL
-    @given(a=relations, divisor=st.lists(st.integers(0, 3), min_size=1,
-                                          max_size=4, unique=True))
+    @given(a=block_relations,
+           divisor=st.lists(st.integers(0, 3), min_size=1, max_size=4,
+                            unique=True))
     def test_division(self, a, divisor):
         b = Relation(Schema.of(("y", _DOMAIN)), [(d,) for d in divisor])
         whole = systolic_divide(a, b, backend="lattice").relation

@@ -57,15 +57,37 @@ from repro.systolic.metrics import ActivityMeter
 SMALL = settings(max_examples=25, deadline=None)
 FEWER = settings(max_examples=10, deadline=None)
 
-_DOMAIN = Domain("eq", values=range(4))
+# Eight values a column: 64 distinct tuples, so a 48-row relation is
+# drawn as one (a set keeps only distinct rows) and still collides.
+_DOMAIN = Domain("eq", values=range(8))
 _SCHEMA2 = Schema.of(("x", _DOMAIN), ("y", _DOMAIN))
 
-tuples2 = st.tuples(st.integers(0, 3), st.integers(0, 3))
-tuple_lists = st.lists(tuples2, min_size=1, max_size=5)
-relations = st.lists(tuples2, min_size=0, max_size=6).map(
+
+
+def sized_lists(elements, min_size, max_size):
+    """Lists whose length is drawn first, from a ladder that reaches
+    ``max_size``: left to itself hypothesis keeps lists near half a
+    dozen items whatever ``max_size`` allows, and these suites are meant
+    to leave toy sizes; uniform lengths would double their cost."""
+    ladder = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48)
+    sizes = sorted(
+        {min_size, max_size, *(n for n in ladder if min_size < n < max_size)}
+    )
+    return st.sampled_from(sizes).flatmap(
+        lambda n: st.lists(elements, min_size=n, max_size=n)
+    )
+
+
+# One draw a tuple: hypothesis's per-draw cost, not the engines, is
+# what a large example pays for.
+tuples2 = st.integers(0, 63).map(lambda code: divmod(code, 8))
+tuple_lists = sized_lists(tuples2, 1, 40)
+# The hexagonal mesh still runs on the cell network: toy sizes.
+hex_tuple_lists = st.lists(tuples2, min_size=1, max_size=5)
+relations = sized_lists(tuples2, 0, 48).map(
     lambda rows: Relation(_SCHEMA2, rows)
 )
-multis = st.lists(tuples2, min_size=0, max_size=7).map(
+multis = sized_lists(tuples2, 0, 48).map(
     lambda rows: MultiRelation(_SCHEMA2, rows)
 )
 ops_strategy = st.lists(
@@ -152,8 +174,8 @@ class TestGridPlans:
 class TestDivisionPlans:
     @SMALL
     @given(
-        pairs=st.lists(tuples2, min_size=1, max_size=6),
-        divisor=st.lists(st.integers(0, 3), min_size=1, max_size=3,
+        pairs=sized_lists(tuples2, 1, 60),
+        divisor=st.lists(st.integers(0, 7), min_size=1, max_size=5,
                          unique=True),
         tagged=st.booleans(),
     )
@@ -166,7 +188,7 @@ class TestDivisionPlans:
 class TestLinearPlans:
     @SMALL
     @given(
-        a=st.lists(st.integers(0, 3), min_size=1, max_size=5),
+        a=sized_lists(st.integers(0, 3), 1, 40),
         b_same=st.booleans(),
         seed=st.booleans(),
         tagged=st.booleans(),
@@ -260,8 +282,8 @@ class TestOperatorsAcrossBackends:
                 assert other.run.pulses == pulse.run.pulses
 
     @SMALL
-    @given(a=relations, b=st.lists(st.integers(0, 3), min_size=0,
-                                   max_size=3, unique=True))
+    @given(a=relations, b=st.lists(st.integers(0, 7), min_size=0,
+                                   max_size=5, unique=True))
     def test_division(self, a, b):
         divisor = Relation(
             Schema.of(("y", _DOMAIN)), [(value,) for value in b]
@@ -277,13 +299,19 @@ class TestOperatorsAcrossBackends:
         pulse, *others = self._pair(compare_all_pairs, a, b, tagged=True)
         for other in others:
             assert other.t_matrix == pulse.t_matrix
+
+    @SMALL
+    @given(a=hex_tuple_lists, b=hex_tuple_lists)
+    def test_hex_comparison_matrices(self, a, b):
         hex_pulse, *hex_others = self._pair(
             hex_compare_all_pairs, a, b, tagged=True
         )
         for hex_other in hex_others:
             assert hex_other.t_matrix == hex_pulse.t_matrix
             assert hex_other.peak_firing == hex_pulse.peak_firing
-        assert hex_pulse.t_matrix == pulse.t_matrix
+        assert hex_pulse.t_matrix == compare_all_pairs(
+            a, b, tagged=True, backend="pulse"
+        ).t_matrix
 
     @SMALL
     @given(a=tuples2, b=tuples2, seed=st.booleans())
@@ -295,7 +323,8 @@ class TestOperatorsAcrossBackends:
 
 
 class TestBlockedAcrossBackends:
-    CAP = ArrayCapacity(max_rows=5, max_cols=2)
+    # Eight tuples a block: up to 6 × 6 block runs at these sizes.
+    CAP = ArrayCapacity(max_rows=15, max_cols=2)
 
     @FEWER
     @given(a=relations, b=relations)
@@ -333,7 +362,7 @@ class TestBlockedAcrossBackends:
             assert runs[0][1].total_pulses == run[1].total_pulses
 
     @FEWER
-    @given(a=relations, b=st.lists(st.integers(0, 3), min_size=1,
+    @given(a=relations, b=st.lists(st.integers(0, 7), min_size=1,
                                    max_size=3, unique=True))
     def test_blocked_divide(self, a, b):
         divisor = Relation(
