@@ -14,20 +14,22 @@ A catalog holds two populations, mirroring §9's storage hierarchy:
   them in the fresh machine state's memories, ready at time 0.
 
 Catalogs are versioned (every mutation bumps ``version``) and expose a
-*content fingerprint* used by the shared plan cache: two tenants whose
-catalogs agree on everything the planner looks at — relation names,
-placement, cardinalities, schemas, the disk model — provably compile a
-given logical plan to the same physical plan, so they can share cache
-entries even though they never share data.
+*content fingerprint* used by the shared plan cache, scoped to the base
+relations a plan names: two tenants whose catalogs agree on everything
+the planner can look at for those plans — the disk model, what is
+memory-resident, and the named relations' placement, cardinalities,
+schemas and stored bytes — provably compile them to the same physical
+plan, so they can share cache entries even though they never share
+data, and a write to a relation the plans do not name evicts nothing.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from repro.errors import PlanError
-from repro.machine.disk import MachineDisk
+from repro.machine.disk import MachineDisk, schema_key
 from repro.relational.relation import Relation
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
@@ -41,9 +43,10 @@ class Catalog:
 
     Thread-safe: a tenant's loader threads may :meth:`store` and
     :meth:`preload` concurrently with the pool reading the catalog to
-    compile and execute.  Mutating a catalog invalidates cached plans
-    that were compiled against it (the plan-cache key includes the
-    content fingerprint), never the cache entries of other tenants.
+    compile and execute.  Changing a relation invalidates the cached
+    plans that read it (the plan-cache key includes the content
+    fingerprint of the relations a plan names), never plans over other
+    relations or the cache entries of other tenants.
     """
 
     def __init__(
@@ -139,45 +142,45 @@ class Catalog:
                 isinstance(name, str) and self.disk.holds(name)
             )
 
-    def content_fingerprint(self) -> tuple:
-        """Everything the physical planner reads, as a hashable value.
+    def content_fingerprint(
+        self, names: Optional[Iterable[str]] = None
+    ) -> tuple:
+        """What the physical planner can read when it compiles plans
+        over the base relations ``names``, as a hashable value.
 
-        Covers the disk's timing model and on-track-logic flag plus,
-        per relation: name, placement (disk vs memory-resident),
-        cardinality, and schema (column and domain names).  When a
-        persistent store is attached, its per-relation manifest digests
-        ride along, so rewriting stored bytes (new data, chunking, or
-        index) invalidates cached plans even at unchanged cardinality.
+        Covers the disk's timing model and on-track-logic flag, every
+        memory-resident relation (they occupy the memories any plan is
+        placed around), and for each of ``names`` that is not resident
+        its :meth:`MachineDisk.fingerprint` — cardinality, schema and,
+        for a store-backed relation, the manifest digest, so rewriting
+        stored bytes (new data, chunking, or index) invalidates cached
+        plans even at unchanged cardinality; a name the catalog does
+        not hold is part of the value too.  Relations outside ``names``
+        are not looked at: a write to one of them leaves the value, and
+        the plans cached under it, alone.  ``names=None`` covers every
+        stored relation.
+
         Two catalogs with equal fingerprints compile any logical plan
-        to the same physical plan, which is what lets the pool's plan
-        cache be shared *across* tenants.
+        over ``names`` to the same physical plan, which is what lets
+        the pool's plan cache be shared *across* tenants.
         """
-
-        def schema_key(schema) -> tuple:
-            return tuple(
-                (name, domain.name)
-                for name, domain in zip(schema.names, schema.domains)
-            )
-
-        def schema_of(relation: Relation) -> tuple:
-            return schema_key(relation.schema)
-
         with self._lock:
-            stored = tuple(
-                (name, "disk", rows, schema_key(schema))
-                for name in sorted(self.disk.names())
-                for rows, _, schema in (self.disk.profile(name),)
-            )
+            if names is None:
+                names = self.disk.names()
             resident = tuple(
-                (name, "memory", len(rel), schema_of(rel))
+                (name, len(rel), schema_key(rel.schema))
                 for name, rel in sorted(self._preloaded.items())
+            )
+            stored = tuple(
+                self.disk.fingerprint(name)
+                for name in sorted(set(names))
+                if name not in self._preloaded
             )
             return (
                 repr(self.disk.model),
                 self.disk.logic_per_track,
-                stored,
                 resident,
-                self.disk.store_fingerprint(),
+                stored,
             )
 
     def __repr__(self) -> str:

@@ -30,7 +30,15 @@ from repro.relational.schema import ColumnRef, Schema
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.store import RelationStore, StoredRelation
 
-__all__ = ["MachineDisk"]
+__all__ = ["MachineDisk", "schema_key"]
+
+
+def schema_key(schema: Schema) -> tuple:
+    """A schema as the plan cache sees it: column and domain names."""
+    return tuple(
+        (name, domain.name)
+        for name, domain in zip(schema.names, schema.domains)
+    )
 
 
 class MachineDisk:
@@ -101,9 +109,9 @@ class MachineDisk:
     def profile(self, name: str) -> tuple[int, int, Schema]:
         """(cardinality, arity, schema) without materialising tuples.
 
-        The physical planner and the catalog fingerprint size base
-        relations through this, so a million-tuple store-backed
-        relation never has to be decoded just to be *costed*.
+        The physical planner sizes base relations through this, so a
+        million-tuple store-backed relation never has to be decoded
+        just to be *costed*.
         """
         if name in self._catalog:
             relation = self._catalog[name]
@@ -141,16 +149,23 @@ class MachineDisk:
     def _tuple_bytes(self, rows: int, arity: int) -> int:
         return rows * arity * ((self.element_bits + 7) // 8)
 
-    def store_fingerprint(self) -> tuple:
-        """(name, manifest digest) pairs of the attached store.
+    def fingerprint(self, name: str) -> tuple:
+        """What the physical planner can learn about ``name`` here.
 
-        Folded into :meth:`Catalog.content_fingerprint`: rewriting a
-        stored relation changes its manifest digest, so plans compiled
-        against the old chunking/index/data stop matching the cache.
+        ``(name, rows, schema key, manifest digest)`` — the digest is
+        ``None`` for an in-memory relation; rewriting a store-backed one
+        changes it, so plans compiled against the old chunking, index or
+        data stop matching the plan cache — or ``(name, None)`` when no
+        such relation exists.  Costs one ``stat`` for a store-backed
+        relation whose manifest has not changed, nothing otherwise.
         """
-        if self._store is None:
-            return ()
-        return self._store.fingerprint()
+        relation = self._catalog.get(name)
+        if relation is not None:
+            return name, len(relation), schema_key(relation.schema), None
+        handle = self._store.find(name) if self._store is not None else None
+        if handle is None:
+            return name, None
+        return name, handle.rows, schema_key(handle.schema), handle.digest
 
     # -- reading ---------------------------------------------------------------
 

@@ -73,6 +73,7 @@ __all__ = [
     "estimate_cost",
     "actual_cost",
     "plan_fingerprint",
+    "base_names",
 ]
 
 OP_LOAD = "load"          #: disk read (possibly with a fused selection)
@@ -114,6 +115,15 @@ def plan_fingerprint(plans: Sequence[PlanNode]) -> tuple:
         return (type(node).__name__, tuple(params), tuple(children))
 
     return tuple(fingerprint(plan) for plan in plans)
+
+
+def base_names(plans: Sequence[PlanNode]) -> set[str]:
+    """The base relations the plans name: the part of a catalog a
+    compile of them can read (beside what is memory-resident)."""
+    return {
+        node.name
+        for plan in plans for node in walk(plan) if isinstance(node, Base)
+    }
 
 
 def estimate_cost(
@@ -454,21 +464,26 @@ class PhysicalPlanner:
 
     # -- catalog estimates -----------------------------------------------------
 
-    def _base_catalog(self):
-        """name → (schema, cardinality) for every reachable base relation.
+    def _base_catalog(self, order):
+        """name → (schema, cardinality) for every reachable base relation
+        — the ones the plans name, which is also all that the pool's
+        plan-cache key covers (:meth:`Catalog.content_fingerprint`).
 
         Sizes come from :meth:`MachineDisk.profile`, which answers from
         the store manifest for store-backed relations — costing a plan
         never materialises out-of-core tuples.
         """
         schemas, cards = {}, {}
-        for name, relation in self.context.resident.items():
-            schemas[name] = relation.schema
-            cards[name] = len(relation)
-        disk = self.context.disk
-        for name in disk.names():
-            if name not in schemas:
-                cards[name], _, schemas[name] = disk.profile(name)
+        ctx = self.context
+        for node in order:
+            if not isinstance(node, Base) or node.name in schemas:
+                continue
+            name = node.name
+            relation = ctx.resident.get(name)
+            if relation is not None:
+                cards[name], schemas[name] = len(relation), relation.schema
+            else:
+                cards[name], _, schemas[name] = ctx.disk.profile(name)
         return schemas, cards
 
     # -- device assignment -------------------------------------------------------
@@ -476,7 +491,7 @@ class PhysicalPlanner:
     def _assign(self, order, release, parent_count, fused):
         ctx = self.context
         disk = ctx.disk
-        schemas, cards = self._base_catalog()
+        schemas, cards = self._base_catalog(order)
         element_bytes = (ctx.element_bits + 7) // 8
 
         def est_bytes(rows: int, arity: int) -> int:

@@ -54,10 +54,11 @@ from repro.machine.physical import (
     PhysicalPlan,
     PhysicalPlanner,
     PlanningContext,
+    base_names,
     plan_fingerprint,
 )
 from repro.machine.plan import PlanNode
-from repro.machine.scheduler import ExecutionReport
+from repro.machine.scheduler import ExecutionReport, host_stats
 from repro.perf.technology import PAPER_CONSERVATIVE, TechnologyModel
 from repro.relational.relation import Relation
 
@@ -155,14 +156,15 @@ def compile_plans(
     arrivals: Optional[Sequence[float]],
     pipeline: bool,
     use_cache: bool,
-    catalog_key: Callable[[], object],
+    catalog_key: Callable[[Sequence[PlanNode]], object],
     **span_attrs,
 ) -> PhysicalPlan:
     """Lower logical plans through the plan cache — the one compile.
 
     The machine's and the pool's ``compile`` are this routine over
-    different ``catalog_key`` thunks (a version counter; a content
-    fingerprint).  The cache key is ``(plan fingerprint, arrivals,
+    different ``catalog_key`` functions of the plans (a version counter;
+    the content fingerprint of the relations they name).  The cache key
+    is ``(plan fingerprint, arrivals,
     pipeline flag, catalog key, fingerprint of the context's roster)``:
     a plan is only reused when the planner would provably reproduce
     it, and a degraded roster's plan never collides with the full
@@ -190,7 +192,7 @@ def compile_plans(
                     plan_fingerprint(plans),
                     tuple(arrivals) if arrivals is not None else None,
                     bool(pipeline),
-                    catalog_key(),
+                    catalog_key(plans),
                     roster_fingerprint(context.devices),
                 ),
                 build,
@@ -412,10 +414,12 @@ class EnginePool:
         """Lower logical plans against a tenant's catalog.
 
         Cache entries are keyed by the catalog's *content fingerprint*
-        (not its tenant or version counter), so two tenants whose
-        catalogs agree on names, placement, cardinalities, and schemas
+        over the base relations the plans name (not its tenant or
+        version counter), so two tenants whose catalogs agree on those
+        relations' placement, cardinalities, schemas and stored bytes
         share entries — the cross-tenant reuse the serving layer is
-        for.  ``devices`` plans against a reduced roster (the recovery
+        for — and a write to any other relation leaves them cached.
+        ``devices`` plans against a reduced roster (the recovery
         path after a quarantine); its fingerprint keys the cache, so
         degraded plans never collide with full-roster plans.
         """
@@ -428,7 +432,9 @@ class EnginePool:
                 element_bits=self.element_bits,
             ),
             plans, arrivals, pipeline, use_cache,
-            catalog_key=catalog.content_fingerprint,
+            catalog_key=lambda plans: catalog.content_fingerprint(
+                base_names(plans)
+            ),
             tenant=catalog.tenant,
         )
 
@@ -565,6 +571,7 @@ class EnginePool:
             "tenant_queries": self.tenant_stats(),
             "plan_cache": self.plan_cache_info(),
             "admission": self.gate.stats(),
+            "host": host_stats(),
             "query_deadline": self.query_deadline,
             "faults": (
                 self.faults.snapshot() if self.faults is not None else None

@@ -214,7 +214,7 @@ class SystolicDatabaseMachine:
                 element_bits=self.element_bits,
             ),
             plans, arrivals, pipeline, use_cache,
-            catalog_key=lambda: self.catalog.version,
+            catalog_key=lambda plans: self.catalog.version,
         )
 
     def plan_cache_info(self) -> dict[str, int]:

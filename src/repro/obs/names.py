@@ -12,12 +12,12 @@ its kind and a one-line meaning.  The table is a *contract*:
   updating the docs (or vice versa) fails CI.
 
 Naming convention: ``layer.subject.event`` with layers ``lang``,
-``machine``, ``device``, ``engine``, ``service``, ``shard``,
-``store``, and ``faults`` (lowest to highest frequency; ``service`` is
-the multi-tenant engine-pool/serving layer, ``shard`` the
-cross-machine partitioned-execution layer, ``store`` the out-of-core
-columnar relation store, ``faults`` the fault-injection/recovery layer
-that cuts across all of them).
+``machine``, ``device``, ``engine``, ``serve``, ``service``, ``shard``,
+``store``, and ``faults`` (lowest to highest frequency; ``serve`` is
+the TCP front end, ``service`` the multi-tenant engine-pool layer
+behind it, ``shard`` the cross-machine partitioned-execution layer,
+``store`` the out-of-core columnar relation store, ``faults`` the
+fault-injection/recovery layer that cuts across all of them).
 """
 
 from __future__ import annotations
@@ -69,6 +69,9 @@ METRICS: dict[str, tuple[str, str]] = {
         COUNTER, "SystolicDatabaseMachine.compile invocations"),
     "machine.disk.reads": (
         COUNTER, "base-relation reads off the machine disk"),
+    "machine.host.inline_tasks": (
+        COUNTER, "compute-phase thunks the calling thread ran itself (no "
+                 "thread hop)"),
     "machine.host.tasks": (
         COUNTER, "compute-phase thunks resolved by HostExecutor"),
     "machine.op.sim_seconds": (
@@ -81,6 +84,11 @@ METRICS: dict[str, tuple[str, str]] = {
         COUNTER, "compile calls that ran the physical planner"),
     "machine.plan_cache.size": (
         GAUGE, "physical plans currently held by the LRU cache"),
+    "serve.statement_cache.hits": (
+        COUNTER, "queries whose text was found in the server's statement "
+                 "cache (no parse, no optimize)"),
+    "serve.statement_cache.misses": (
+        COUNTER, "queries whose text the server parsed and optimized"),
     "service.admissions": (
         COUNTER, "queries admitted past the engine pool's concurrency gate"),
     "service.queries": (

@@ -14,11 +14,16 @@ speaks of "the same underlying domain", not structurally equal ones).
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import DomainError
 
 __all__ = ["Domain", "IntegerDomain"]
+
+
+def _plain_ints(items: Sequence) -> bool:
+    """Whether every item is exactly an ``int`` (no ``bool``, no subclass)."""
+    return set(map(type, items)) <= {int}
 
 
 class Domain:
@@ -84,12 +89,46 @@ class Domain:
             return self._values[code]
         raise DomainError(f"code {code} is not assigned in domain {self.name!r}")
 
+    def lookup_many(self, values: Sequence[Hashable]) -> list[Optional[int]]:
+        """The code each value has, ``None`` where :meth:`encode` would
+        assign a new one — without assigning any.
+
+        Raises :class:`DomainError` when :meth:`encode` would refuse one
+        of the values (encode them one by one to learn which, and why).
+        """
+        try:
+            codes = list(map(self._codes.get, values))
+        except TypeError:
+            raise DomainError("domain values must be hashable") from None
+        if self._frozen and None in codes:
+            raise DomainError(
+                f"frozen domain {self.name!r} would need new members"
+            )
+        return codes
+
     def encode_many(self, values: Iterable[Hashable]) -> list[int]:
-        """Encode a sequence of values."""
-        return [self.encode(v) for v in values]
+        """Encode a sequence of values, new ones in iteration order."""
+        if not isinstance(values, (list, tuple)):
+            values = list(values)
+        try:
+            codes = self.lookup_many(values)
+        except DomainError:
+            codes = None
+        if codes is None or None in codes:
+            # One at a time: assigns in first-seen order, and names the
+            # value it refuses.
+            codes = [self.encode(v) for v in values]
+        return codes
 
     def decode_many(self, codes: Iterable[int]) -> list[Hashable]:
         """Decode a sequence of codes."""
+        if not isinstance(codes, (list, tuple)):
+            codes = list(codes)
+        # The checks of decode(), once for the whole sequence.
+        if _plain_ints(codes) and (
+            not codes or 0 <= min(codes) and max(codes) < len(self._values)
+        ):
+            return list(map(self._values.__getitem__, codes))
         return [self.decode(c) for c in codes]
 
     # -- introspection ----------------------------------------------------
@@ -152,6 +191,22 @@ class IntegerDomain(Domain):
         if isinstance(code, bool) or not isinstance(code, int) or code < 0:
             raise DomainError(f"code {code!r} is not a member of {self.name!r}")
         return code
+
+    @staticmethod
+    def _all_members(items: Sequence) -> bool:
+        return _plain_ints(items) and (not items or min(items) >= 0)
+
+    def lookup_many(self, values: Sequence[Hashable]) -> list[int]:
+        if self._all_members(values):
+            return list(values)
+        return [self.encode(v) for v in values]  # assigns nothing here
+
+    def decode_many(self, codes: Iterable[int]) -> list[int]:
+        if not isinstance(codes, (list, tuple)):
+            codes = list(codes)
+        if self._all_members(codes):
+            return list(codes)
+        return [self.decode(c) for c in codes]
 
     def __contains__(self, value: Hashable) -> bool:
         return isinstance(value, int) and not isinstance(value, bool) and value >= 0

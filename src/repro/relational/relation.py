@@ -21,6 +21,7 @@ and the tests reproducible).
 
 from __future__ import annotations
 
+import itertools
 from typing import Hashable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -34,6 +35,9 @@ __all__ = ["Relation", "MultiRelation", "EncodedTuple"]
 EncodedTuple = tuple[int, ...]
 
 _INT64 = np.iinfo(np.int64)
+
+#: Rows boxed into Python tuples at a time by :attr:`Relation.tuples`.
+_BOXING_BLOCK_ROWS = 4096
 
 #: The comparison operators as whole-column ufuncs (package-internal:
 #: the store, the disk and the host CPU filter columns with these).
@@ -211,7 +215,13 @@ class _TupleStore:
         """The stored (encoded) tuples, in deterministic order."""
         tuples = self._tuples
         if tuples is None:
-            tuples = tuple(map(tuple, self._array.tolist()))
+            # A block at a time: the list-of-lists form of the whole
+            # matrix never exists beside the tuples.
+            array = self._array
+            tuples = tuple(itertools.chain.from_iterable(
+                map(tuple, array[start:start + _BOXING_BLOCK_ROWS].tolist())
+                for start in range(0, len(array), _BOXING_BLOCK_ROWS)
+            ))
             self._tuples = tuples
         return tuples
 

@@ -27,14 +27,28 @@ domains are resolved through a per-tenant
 relations sent over the wire with same-named domains stay
 join/union-compatible, exactly like two CSV files loaded with a shared
 registry.
+
+The payload is row-major; the codec is not.  :func:`relation_to_wire`
+decodes a relation a column at a time from whichever form it already
+holds (an int64 matrix or tuples), each domain checking a column's
+codes once; :func:`relation_from_wire` encodes the columns of each
+domain together — in row-major order, so a domain meets its values in
+the order a row-by-row walk would and assigns the same codes — into
+the int64 matrix a :class:`Relation` holds without boxing.  Rows that
+are not a rectangle of lists, values a domain refuses and integers
+wider than 64 bits take the row-by-row path, whose errors name the
+first offender in row order.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from typing import Any
+from typing import Any, Optional
 
-from repro.errors import ReproError
+import numpy as np
+
+from repro.errors import DomainError, ReproError
 from repro.relational.csv_io import DomainRegistry
 from repro.relational.domain import Domain
 from repro.relational.relation import Relation
@@ -90,12 +104,29 @@ def decode_line(line: bytes | str) -> dict[str, Any]:
 def relation_to_wire(relation: Relation) -> dict[str, Any]:
     """A relation as a JSON-representable payload (decoded values)."""
     schema = relation.schema
+    # Whichever form the relation already holds, a column at a time:
+    # neither boxes a matrix into tuples nor packs tuples into a matrix.
+    stored = relation._rows()
+    columns = (
+        stored.T.tolist() if isinstance(stored, np.ndarray)
+        else list(zip(*stored))
+    )
+    try:
+        decoded = [
+            domain.decode_many(column)
+            for domain, column in zip(schema.domains, columns)
+        ]
+    except DomainError:
+        # Row by row, to raise for the first bad code in row order.
+        rows = [list(row) for row in relation.decoded()]
+    else:
+        rows = list(map(list, zip(*decoded)))
     return {
         "columns": [
             [name, domain.name]
             for name, domain in zip(schema.names, schema.domains)
         ],
-        "rows": [list(row) for row in relation.decoded()],
+        "rows": rows,
     }
 
 
@@ -128,4 +159,56 @@ def relation_from_wire(
             domain = registry.setdefault(domain_name, Domain(domain_name))
         specs.append(Column(str(name), domain))
     schema = Schema(specs)
+    matrix = _encoded_matrix(schema, rows)
+    if matrix is not None:
+        return Relation(schema, matrix)
+    # Anything but a rectangle of values every domain accepts as 64-bit
+    # codes: row by row, which names the first offender in row order.
     return Relation.from_values(schema, [tuple(row) for row in rows])
+
+
+def _encoded_matrix(schema: Schema, rows: Any) -> Optional[np.ndarray]:
+    """``rows`` encoded through the column domains as an int64 matrix,
+    or ``None`` — before any domain has changed — when they are not a
+    list of ``len(schema)``-element lists, a domain refuses a value, or
+    a code does not fit 64 bits.
+
+    Codes depend only on the order in which a domain first sees its
+    values, so the columns that share a domain are encoded together, in
+    row-major order, and the domains one after another.
+    """
+    arity = len(schema)
+    if not (
+        rows and type(rows) is list
+        and set(map(type, rows)) == {list}
+        and set(map(len, rows)) == {arity}
+    ):
+        return None
+    columns = list(zip(*rows))
+    groups: dict[int, tuple[Domain, list[int]]] = {}
+    for position, domain in enumerate(schema.domains):
+        groups.setdefault(id(domain), (domain, []))[1].append(position)
+    encoded = []
+    try:
+        for domain, positions in groups.values():
+            values = (
+                columns[positions[0]] if len(positions) == 1
+                else list(itertools.chain.from_iterable(
+                    zip(*(columns[p] for p in positions))
+                ))
+            )
+            codes = domain.lookup_many(values)
+            encoded.append((
+                domain, positions, values,
+                None if None in codes else np.array(codes, dtype=np.int64),
+            ))
+    except (DomainError, OverflowError):
+        return None
+    matrix = np.empty((len(rows), arity), dtype=np.int64)
+    for domain, positions, values, codes in encoded:
+        if codes is None:
+            # New members, assigned one by one in first-seen order; every
+            # value was found hashable and the domain open, so none fails.
+            codes = list(map(domain.encode, values))
+        matrix[:, positions] = np.reshape(codes, (len(rows), len(positions)))
+    return matrix

@@ -3,22 +3,31 @@
 One :class:`ReproServer` owns one pool.  Each accepted connection gets
 a protocol handler coroutine; queries — the only slow verb — hop onto
 the default thread-pool executor, where the pool's admission gate,
-plan cache, and per-query machine state do their work.  The asyncio
-side stays single-threaded and non-blocking, so hellos, stats probes,
-and pings keep flowing while queries execute.
+plan cache, and per-query machine state do their work and where the
+reply, which can be thousands of rows, is built and serialized too.
+The asyncio side stays single-threaded and non-blocking, so hellos,
+stats probes, and pings keep flowing while queries execute.
+
+A query's text is looked up in a small server-wide statement cache
+first: optimizing a parse takes no schemas, so the logical plan is a
+function of the text alone, and a hot query goes from the wire to a
+plan-cache hit without entering :mod:`repro.lang`.
 """
 
 from __future__ import annotations
 
 import asyncio
-import functools
 import re
+from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Optional, Union
 
+from repro import obs
 from repro.errors import ReproError
 from repro.lang import optimize, parse
+from repro.machine.plan import PlanNode
 from repro.machine.pool import EnginePool
+from repro.obs import metrics
 from repro.relational.csv_io import DomainRegistry
 from repro.store import RelationStore
 from repro.serve.protocol import (
@@ -33,6 +42,55 @@ __all__ = ["ReproServer", "MAX_LINE_BYTES"]
 
 #: Tenants of a persistent server become directory names.
 _TENANT_DIR_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]*$")
+
+#: Query texts the statement cache holds, least recently used evicted.
+_STATEMENT_CACHE_SIZE = 256
+#: Longer texts are planned on every request: one-off generated
+#: queries, not worth a slot or the memory.
+_STATEMENT_MAX_CHARS = 4096
+
+
+class _StatementCache:
+    """Query text → optimized logical plan, a bounded LRU.
+
+    Used from the event-loop thread only, so it needs no lock.  Plans
+    are immutable and carry no tenant state, so one entry serves every
+    tenant; a text that fails to parse raises and leaves no entry.
+    """
+
+    def __init__(self) -> None:
+        self._plans: OrderedDict[str, PlanNode] = OrderedDict()
+        self._hits = 0
+        self._misses = 0
+
+    def plan(self, expr: str) -> PlanNode:
+        with obs.span("serve.statement", chars=len(expr)) as sp:
+            # A hit skips the lang.* spans a miss records, and which
+            # request of a text comes first is the clients' business.
+            sp.mark_children_volatile()
+            plan = self._plans.get(expr)
+            sp.set_volatile(cached=plan is not None)
+            if plan is not None:
+                self._plans.move_to_end(expr)
+                self._hits += 1
+                metrics.inc("serve.statement_cache.hits")
+                return plan
+            self._misses += 1
+            metrics.inc("serve.statement_cache.misses")
+            plan = optimize(parse(expr))
+            if len(expr) <= _STATEMENT_MAX_CHARS:
+                self._plans[expr] = plan
+                if len(self._plans) > _STATEMENT_CACHE_SIZE:
+                    self._plans.popitem(last=False)
+            return plan
+
+    def info(self) -> dict[str, int]:
+        return {
+            "hits": self._hits,
+            "misses": self._misses,
+            "size": len(self._plans),
+            "maxsize": _STATEMENT_CACHE_SIZE,
+        }
 
 
 class ReproServer:
@@ -73,6 +131,7 @@ class ReproServer:
         #: one domain registry per tenant — wire relations naming the
         #: same domain stay join-compatible within a tenant.
         self._registries: dict[str, DomainRegistry] = {}
+        self._statements = _StatementCache()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -143,7 +202,9 @@ class ReproServer:
                     response, closing = _error(exc), False
                 except Exception as exc:  # defensive: never kill the loop
                     response, closing = _error(exc), False
-                writer.write(encode_line(response))
+                if not isinstance(response, bytes):  # else: encoded off-loop
+                    response = encode_line(response)
+                writer.write(response)
                 await writer.drain()
                 if closing:
                     break
@@ -156,8 +217,9 @@ class ReproServer:
 
     async def _dispatch(
         self, request: dict[str, Any], tenant: str
-    ) -> tuple[dict[str, Any], str, bool]:
-        """Handle one request; returns (response, tenant, closing)."""
+    ) -> tuple[Union[dict[str, Any], bytes], str, bool]:
+        """Handle one request; returns (response, tenant, closing) —
+        the response as a payload, or as its finished protocol line."""
         op = request.get("op")
         if op == "hello":
             tenant = str(request.get("tenant", "default"))
@@ -168,7 +230,9 @@ class ReproServer:
         if op == "bye":
             return {"ok": True, "bye": True}, tenant, True
         if op == "stats":
-            return {"ok": True, "stats": self.pool.stats()}, tenant, False
+            stats = self.pool.stats()
+            stats["statement_cache"] = self._statements.info()
+            return {"ok": True, "stats": stats}, tenant, False
         if op == "health":
             # The heartbeat: cheap enough to probe every few seconds —
             # gate occupancy, the per-query deadline, and the fault
@@ -226,26 +290,30 @@ class ReproServer:
             expr = request.get("expr")
             if not isinstance(expr, str) or not expr:
                 raise ReproError("query needs an algebra 'expr'")
-            plan = optimize(parse(expr))
-            loop = asyncio.get_running_loop()
-            call = functools.partial(
-                self._session(tenant).run_many,
-                [plan],
-                pipeline=bool(request.get("pipeline", True)),
-                priority=int(request.get("priority", 0)),
-                timeout=request.get("timeout"),
-            )
-            results, report = await loop.run_in_executor(None, call)
-            result = results[0]
-            return (
-                {
+            plan = self._statements.plan(expr)
+            session = self._session(tenant)
+            pipeline = bool(request.get("pipeline", True))
+            priority = int(request.get("priority", 0))
+            timeout = request.get("timeout")
+
+            def answer() -> bytes:
+                """Run the query and serialize its reply, off the loop."""
+                results, report = session.run_many(
+                    [plan], pipeline=pipeline, priority=priority,
+                    timeout=timeout,
+                )
+                result = results[0]
+                return encode_line({
                     "ok": True,
                     "relation": relation_to_wire(result),
                     "rows": len(result),
                     "makespan_ms": report.makespan * 1e3,
-                },
-                tenant, False,
+                })
+
+            line = await asyncio.get_running_loop().run_in_executor(
+                None, answer
             )
+            return line, tenant, False
         raise ReproError(f"unknown op {op!r}")
 
     def _registry(self, tenant: str) -> DomainRegistry:

@@ -349,9 +349,9 @@ class RelationStore:
             )
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        #: name -> (manifest mtime_ns, handle); reopened when the
-        #: manifest changes underneath us.
-        self._handles: dict[str, tuple[int, StoredRelation]] = {}
+        #: name -> (manifest mtime_ns / inode / size, handle); reopened
+        #: when the manifest changes underneath us.
+        self._handles: dict[str, tuple[tuple, StoredRelation]] = {}
 
     # -- catalogue ----------------------------------------------------------
 
@@ -392,17 +392,31 @@ class RelationStore:
 
     def open(self, name: str) -> StoredRelation:
         _check_name(name)
-        manifest_path = self.root / name / "manifest.json"
-        try:
-            mtime = manifest_path.stat().st_mtime_ns
-        except OSError:
+        handle = self.find(name)
+        if handle is None:
             raise StoreError(
                 f"no stored relation named {name!r}; have {self.names()}"
-            ) from None
+            )
+        return handle
+
+    def find(self, name: str) -> Optional[StoredRelation]:
+        """The read handle for ``name``, or ``None`` when no relation of
+        that name is stored: one ``stat`` while the manifest on disk is
+        the one last parsed, whoever wrote it."""
+        if not isinstance(name, str) or _NAME_RE.match(name) is None:
+            return None
+        manifest_path = os.path.join(self.root, name, "manifest.json")
+        try:
+            stat = os.stat(manifest_path)
+        except OSError:
+            return None
+        # A rewrite replaces the file, so even one that lands within the
+        # filesystem's timestamp granularity changes the inode.
+        version = (stat.st_mtime_ns, stat.st_ino, stat.st_size)
         cached = self._handles.get(name)
-        if cached is not None and cached[0] == mtime:
+        if cached is not None and cached[0] == version:
             return cached[1]
-        raw = manifest_path.read_bytes()
+        raw = Path(manifest_path).read_bytes()
         try:
             manifest = json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -420,7 +434,7 @@ class RelationStore:
             manifest,
             hashlib.sha256(raw).hexdigest(),
         )
-        self._handles[name] = (mtime, handle)
+        self._handles[name] = (version, handle)
         return handle
 
     # -- writing ------------------------------------------------------------

@@ -9,6 +9,9 @@ plan structure (including subtree sharing), arrivals, pipelining, the
 catalog version, and the device roster.
 """
 
+import threading
+import time
+
 import pytest
 
 from repro import obs
@@ -25,14 +28,15 @@ from repro.machine import (
 )
 from repro.machine.execution import resolve_parallel
 from repro.machine.physical import plan_fingerprint
-from repro.machine.scheduler import HostExecutor
+from repro.machine import scheduler
+from repro.machine.scheduler import HostExecutor, host_stats
 from repro.store import RelationStore
 from repro.workloads import division_example, join_pair, overlapping_pair
 
 
-def fresh_machine():
+def fresh_machine(backend=None):
     """A machine holding the four relations of :func:`_transaction`."""
-    m = SystolicDatabaseMachine()
+    m = SystolicDatabaseMachine(backend=backend)
     a, b = overlapping_pair(12, 10, 5, arity=2, seed=30)
     ja, jb = join_pair(14, 12, 6, seed=31)
     m.store("A", a)
@@ -90,6 +94,179 @@ class TestHostExecutor:
     def test_bad_worker_count_rejected(self):
         with pytest.raises(PlanError, match="max_workers"):
             HostExecutor(max_workers=0)
+
+
+def _within(seconds: float, fn):
+    """``fn()`` on a thread of its own, failed — not waited for — when
+    it outlives ``seconds``: a scheduler deadlock must fail a test, not
+    hang the suite."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:  # re-raised on the test's thread
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds}s: deadlock?"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+class TestSharedWorkers:
+    """One long-lived worker set: no thread per query, errors that
+    leave nothing running, and counters that tell inline from hopped."""
+
+    def test_repeated_queries_start_no_threads(self, monkeypatch):
+        machine = fresh_machine(backend="lattice")
+        host_workers = HostExecutor().max_workers
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        before = threading.active_count()
+        first, _ = machine.run_many(_transaction())
+        for _ in range(199):
+            results, _ = machine.run_many(_transaction())
+        assert results == first
+        # Not one per call: at most the worker set itself, once.
+        assert len(started) <= host_workers
+        assert abs(threading.active_count() - before) <= host_workers
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_raising_thunk_propagates_and_leaves_no_sibling_running(
+        self, workers
+    ):
+        running = set()
+        lock = threading.Lock()
+
+        class Boom(Exception):
+            pass
+
+        def slow(op_id):
+            def thunk(deps):
+                with lock:
+                    running.add(op_id)
+                time.sleep(0.05)
+                with lock:
+                    running.discard(op_id)
+                return op_id
+
+            return thunk
+
+        def boom(deps):
+            time.sleep(0.01)
+            raise Boom("op 3 failed")
+
+        thunks = {i: ((), slow(i)) for i in (1, 2, 4, 5)}
+        thunks[3] = ((), boom)
+        with pytest.raises(Boom, match="op 3 failed"):
+            _within(10.0, lambda: HostExecutor(max_workers=workers).run(thunks))
+        assert running == set()
+
+    def test_a_wave_of_one_never_changes_thread(self):
+        caller = threading.current_thread()
+        seen = []
+
+        def note(deps):
+            seen.append(threading.current_thread())
+            return len(seen)
+
+        chain = {1: ((), note), 2: ((1,), note), 3: ((2,), note)}
+        before = host_stats()
+        HostExecutor(max_workers=4).run(chain)
+        after = host_stats()
+        assert seen == [caller] * 3
+        assert after["tasks"] - before["tasks"] == 3
+        assert after["inline_tasks"] - before["inline_tasks"] == 3
+
+    def test_at_most_max_workers_thunks_in_flight(self):
+        lock = threading.Lock()
+        active = peak = 0
+
+        def thunk(deps):
+            nonlocal active, peak
+            with lock:
+                active += 1
+                peak = max(peak, active)
+            time.sleep(0.01)
+            with lock:
+                active -= 1
+
+        HostExecutor(max_workers=3).run({i: ((), thunk) for i in range(12)})
+        assert 1 <= peak <= 3
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """A fresh worker set of two threads, whatever this host's core
+    count, so that four lanes really are more lanes than workers."""
+    monkeypatch.setattr(scheduler, "_host_width", lambda: 2)
+    workers = scheduler._HostWorkers()
+    monkeypatch.setattr(scheduler, "_WORKERS", workers)
+    yield
+    if workers._pool is not None:
+        workers._pool.shutdown(wait=False)
+
+
+@pytest.mark.usefixtures("two_workers")
+class TestNestedWaves:
+    """Runs nest on the one worker set — a shard lane's thunk opens the
+    waves of its own machine run — and must finish with lanes ≥ workers
+    (with a width of four, three lanes queue for two threads and each
+    running lane queues thunks of its own behind them), equal to the
+    serial run.  CI repeats this class under ``timeout``."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_thunks_that_run_their_own_waves(self, workers):
+        def inner(lane):
+            def thunk(deps):
+                leaves = {
+                    i: ((), lambda deps, i=i: (lane, i)) for i in range(4)
+                }
+                leaves[9] = ((0, 1, 2, 3), lambda deps: sorted(deps.values()))
+                return HostExecutor(max_workers=workers).run(leaves)[9]
+
+            return thunk
+
+        lanes = {lane: ((), inner(lane)) for lane in range(4)}
+        lanes[8] = ((0, 1, 2, 3), lambda deps: sum(map(len, deps.values())))
+        serial = HostExecutor(max_workers=1).run(dict(lanes))
+        nested = _within(
+            30.0, lambda: HostExecutor(max_workers=workers).run(dict(lanes))
+        )
+        assert nested == serial and nested[8] == 16
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_four_shard_join_equals_the_serial_run(self, workers):
+        ja, jb = join_pair(60, 50, 20, seed=31)
+        plans = [
+            Project(Join(Base("JA"), Base("JB"), on=[("key", "key")]),
+                    ["a0", "b0"]),
+            Join(Base("JA"), Base("JB"), on=[(1, 1)]),  # repartitions
+        ]
+
+        def traced(parallel):
+            session = EnginePool(host_workers=workers).session(
+                "acme", shards=4
+            )
+            session.store("JA", ja)
+            session.store("JB", jb)
+            with obs.tracing() as tracer:
+                results, report = session.run_many(plans, parallel=parallel)
+            (query,) = tracer.find("service.query")
+            return results, report.steps, query.structure()
+
+        serial = traced(False)
+        assert _within(60.0, lambda: traced(True)) == serial
 
 
 class TestParallelRunPhysical:

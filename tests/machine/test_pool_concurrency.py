@@ -24,6 +24,8 @@ from repro.machine import (
     SystolicDatabaseMachine,
 )
 from repro.machine.pool import AdmissionGate
+from repro.relational.relation import Relation
+from repro.relational.schema import Schema
 from repro.workloads import join_pair, overlapping_pair
 
 
@@ -193,14 +195,31 @@ class TestPlanCacheSharing:
         b.run_many(_plans())
         assert pool.plan_cache_info()["misses"] == 1
 
-        # Tenant a grows a relation: its fingerprint changes, so its
-        # next compile misses; tenant b still hits.
+        def misses_after(session) -> int:
+            session.run_many(_plans())
+            return pool.plan_cache_info()["misses"]
+
+        # A relation the plans do not name is outside their cache key:
+        # storing it evicts nothing, tenant a still hits.
         extra_a, _ = join_pair(6, 5, 3, seed=77)
         a.store("EXTRA", extra_a)
-        a.run_many(_plans())
-        assert pool.plan_cache_info()["misses"] == 2
+        assert misses_after(a) == 1
+
+        # Replacing a relation the plans read — other cardinality, then
+        # other schema — misses for tenant a each time; b still hits.
+        smaller, _ = join_pair(6, 5, 3, seed=31)
+        a.store("R", smaller)
+        assert misses_after(a) == 2
+        a.store("R", Relation(
+            Schema.of(*(
+                (f"renamed{i}", column.domain)
+                for i, column in enumerate(smaller.schema)
+            )),
+            smaller.array,
+        ))
+        assert misses_after(a) == 3
         hits_before = pool.plan_cache_info()["hits"]
-        b.run_many(_plans())
+        assert misses_after(b) == 3
         assert pool.plan_cache_info()["hits"] == hits_before + 1
 
 

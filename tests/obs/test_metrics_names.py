@@ -14,7 +14,9 @@ from repro.machine.plan import (
     DEVICE_JOIN,
 )
 from repro.obs import COUNTER, GAUGE, HISTOGRAM, METRICS, MetricsRegistry, metrics
+from repro.serve import ServiceClient
 from repro.workloads import join_pair
+from tests.serve.test_serve import _ServerHarness
 
 from .conftest import build_machine, join_project_plan
 
@@ -81,8 +83,8 @@ class TestDeclaredNames:
 
     def test_names_are_layer_prefixed(self):
         prefixes = (
-            "machine.", "device.", "engine.", "lang.", "service.", "shard.",
-            "store.", "faults.",
+            "machine.", "device.", "engine.", "lang.", "serve.", "service.",
+            "shard.", "store.", "faults.",
         )
         for name in METRICS:
             assert name.startswith(prefixes), name
@@ -121,6 +123,13 @@ class TestDeclaredNames:
                 pool.gate.acquire(timeout=0.0)
         finally:
             pool.gate.release()
+
+        # The TCP front end: the same query text twice is a statement-
+        # cache miss, then a hit.
+        with _ServerHarness(pool=pool) as harness:
+            with ServiceClient(*harness.address, tenant="acme") as db:
+                for _ in range(2):
+                    db.query(plan_text)
 
         # The shard layer: one 2-shard transaction with a
         # co-partitioned equi-join (local), an equi-join on a non-key

@@ -109,6 +109,16 @@ class TestArrayBuiltEqualsTupleBuilt:
         expected = np.delete(rows, 4321, axis=0)
         assert np.array_equal(built.array, expected)
 
+    def test_tuples_are_boxed_block_by_block_in_order(self):
+        """Longer than a few boxing blocks, and not a multiple of one."""
+        rows = np.stack(
+            [np.arange(10_001) % 97, np.arange(10_001) % 89,
+             np.arange(10_001)], axis=1,
+        )
+        built = Relation(_TRIPLE, rows)
+        assert built.tuples == tuple(map(tuple, rows.tolist()))
+        assert set(map(type, built.tuples[-1])) == {int}
+
 
 class TestChecksSurvive:
     @pytest.mark.parametrize("rows", [

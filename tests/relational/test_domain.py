@@ -47,6 +47,81 @@ class TestDomainEncoding:
         assert domain.decode_many(domain.encode_many(values)) == values
 
 
+class TestWholeSequences:
+    """``encode_many`` / ``decode_many`` / ``lookup_many`` check a whole
+    sequence at once and must answer — values, codes assigned, errors
+    raised — exactly as one ``encode`` / ``decode`` per item does."""
+
+    MIXED = ["p", 1, None, 1.0, True, "p", 0.5, "", 2, None]
+
+    @staticmethod
+    def _one_by_one(call, items):
+        try:
+            return [call(item) for item in items]
+        except DomainError as exc:
+            return str(exc)
+
+    @staticmethod
+    def _at_once(call, items):
+        try:
+            return call(items)
+        except DomainError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("values", [
+        MIXED, [], ["a"], iter(["a", "b", "a"]), ("x", "y"),
+        ["a", ["unhashable"], "b"], ["a", {"k": 1}],
+    ])
+    def test_encode_many_equals_the_loop(self, values):
+        values = list(values)
+        loop, many = Domain("d", ["a"]), Domain("d", ["a"])
+        assert self._at_once(many.encode_many, values) == self._one_by_one(
+            loop.encode, values
+        )
+        assert list(many) == list(loop)  # incl. what a failure left
+
+    def test_encode_many_on_a_frozen_domain(self):
+        domain = Domain("d", ["a", "b"], frozen=True)
+        assert domain.encode_many(["b", "a", "b"]) == [1, 0, 1]
+        with pytest.raises(DomainError, match="'z' is not a member"):
+            domain.encode_many(["b", "z", "y"])
+        assert list(domain) == ["a", "b"]
+
+    def test_lookup_many_assigns_nothing(self):
+        domain = Domain("d", ["a", "b"])
+        assert domain.lookup_many(["b", "new", "a", None]) == [
+            1, None, 0, None,
+        ]
+        assert list(domain) == ["a", "b"]
+        with pytest.raises(DomainError, match="hashable"):
+            domain.lookup_many(["a", []])
+        with pytest.raises(DomainError, match="frozen"):
+            domain.freeze().lookup_many(["a", "new"])
+        assert domain.lookup_many(["b", "a"]) == [1, 0]
+
+    @pytest.mark.parametrize("codes", [
+        [0, 2, 1, 0], [], (1,), [0, 3], [-1, 0], [0, True], [0, 1.0],
+        [0, "1"], [2**70],
+    ])
+    def test_decode_many_equals_the_loop(self, codes):
+        domain = Domain("d", ["a", "b", "c"])
+        assert self._at_once(domain.decode_many, codes) == self._one_by_one(
+            domain.decode, codes
+        )
+
+    @pytest.mark.parametrize("items", [
+        [3, 0, 2**70], [], [1, -1], [1, True], [1, 2.0], [1, "2"], [None],
+    ])
+    def test_integer_domain_equals_the_loops(self, items):
+        domain = IntegerDomain("n")
+        for many, one in (
+            (domain.encode_many, domain.encode),
+            (domain.lookup_many, domain.encode),
+            (domain.decode_many, domain.decode),
+        ):
+            assert self._at_once(many, items) == self._one_by_one(one, items)
+
+
 class TestFrozenDomain:
     def test_frozen_rejects_new_values(self):
         domain = Domain("d", values=["a"], frozen=True)

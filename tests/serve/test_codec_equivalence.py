@@ -1,0 +1,339 @@
+"""The column-at-a-time wire codec against its row-at-a-time reference.
+
+``relation_to_wire`` / ``relation_from_wire`` build and read a payload
+a column at a time; the functions below are the loops they replaced,
+one ``Domain.decode`` / ``Domain.encode`` call per value.  The contract
+is *same bytes, same codes*: equal payloads; after decoding, equal
+tuples, schemas and domain dictionaries (first-seen order), whatever
+the mix of domains, value types and duplicates; and the same exception
+class and message for everything the reference refuses.
+"""
+
+from __future__ import annotations
+
+import copy
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.errors import ReproError
+from repro.relational.domain import Domain, IntegerDomain
+from repro.relational.relation import Relation
+from repro.relational.schema import Column, Schema
+from repro.serve import encode_line, relation_from_wire, relation_to_wire
+
+CASES = settings(max_examples=60, deadline=None)
+
+
+# -- the reference: today's loops, one value at a time -----------------------
+
+
+def reference_to_wire(relation):
+    schema = relation.schema
+    return {
+        "columns": [
+            [name, domain.name]
+            for name, domain in zip(schema.names, schema.domains)
+        ],
+        "rows": [list(row) for row in relation.decoded()],
+    }
+
+
+def reference_from_wire(payload, registry):
+    try:
+        columns = payload["columns"]
+        rows = payload["rows"]
+    except (KeyError, TypeError):
+        raise ReproError(
+            "a wire relation needs 'columns' and 'rows'"
+        ) from None
+    specs = []
+    for entry in columns:
+        try:
+            name, domain_name = entry
+        except (ValueError, TypeError):
+            raise ReproError(
+                f"wire column must be [name, domain], got {entry!r}"
+            ) from None
+        domain = registry.get(domain_name)
+        if domain is None:
+            domain = registry.setdefault(domain_name, Domain(domain_name))
+        specs.append(Column(str(name), domain))
+    schema = Schema(specs)
+    return Relation.from_values(schema, [tuple(row) for row in rows])
+
+
+# -- helpers -----------------------------------------------------------------
+
+
+def domain_state(registry):
+    """What a tenant's registry holds: per domain its class and members
+    in code order.  ``repr`` keeps ``1``, ``1.0`` and ``True`` apart."""
+    return {
+        name: (type(domain).__name__, domain.frozen,
+               None if isinstance(domain, IntegerDomain)
+               else [repr(v) for v in domain])
+        for name, domain in registry.items()
+    }
+
+
+def outcome(call):
+    """A call's result, or the class and message of what it raised."""
+    try:
+        return ("ok", call())
+    except Exception as exc:  # the exception *is* the thing compared
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def both_decoders(payload, registry):
+    """Decode ``payload`` with the reference and the codec, each over
+    its own copy of ``registry``; returns both outcomes and registries."""
+    ref_registry, new_registry = copy.deepcopy(registry), copy.deepcopy(registry)
+    ref = outcome(lambda: reference_from_wire(payload, ref_registry))
+    new = outcome(lambda: relation_from_wire(payload, new_registry))
+    return ref, new, ref_registry, new_registry
+
+
+def assert_same_decoding(payload, registry=None):
+    ref, new, ref_registry, new_registry = both_decoders(
+        payload, registry or {}
+    )
+    assert ref[0] == new[0], (ref, new)
+    if ref[0] == "raised":
+        assert new == ref
+    else:
+        expected, got = ref[1], new[1]
+        assert got.tuples == expected.tuples
+        assert got.schema.names == expected.schema.names
+        assert [d.name for d in got.schema.domains] == [
+            d.name for d in expected.schema.domains
+        ]
+        assert domain_state(new_registry) == domain_state(ref_registry)
+    return ref, new, new_registry
+
+
+# JSON-representable values of every kind the protocol carries; small
+# alphabets so that values repeat within and across columns.
+VALUES = st.one_of(
+    st.integers(min_value=-3, max_value=6),
+    st.sampled_from(["a", "b", "", "ß"]),
+    st.sampled_from([0.5, 1.0, 2.0, -0.0]),
+    st.booleans(),
+    st.none(),
+)
+
+#: columns → domain names: two or three columns may share one domain.
+LAYOUTS = st.lists(
+    st.sampled_from(["d0", "d1", "d2"]), min_size=1, max_size=4
+)
+
+
+@st.composite
+def payloads(draw, values=VALUES):
+    layout = draw(LAYOUTS)
+    rows = draw(st.lists(
+        st.lists(values, min_size=len(layout), max_size=len(layout)),
+        max_size=12,
+    ))
+    if rows and draw(st.booleans()):  # duplicate rows: first one is kept
+        rows = rows + [list(draw(st.sampled_from(rows)))]
+    return {
+        "columns": [[f"c{i}", name] for i, name in enumerate(layout)],
+        "rows": rows,
+    }
+
+
+# -- decoding ----------------------------------------------------------------
+
+
+class TestDecodeEquivalence:
+    @CASES
+    @given(first=payloads(), second=payloads())
+    def test_dictionary_domains_mixed_values(self, first, second):
+        """Two stores through one registry: codes assigned by the first
+        are found by the second, new members extend in row-major
+        first-seen order, across columns that share a domain."""
+        _, _, registry = assert_same_decoding(first)
+        assert_same_decoding(second, registry)
+
+    @CASES
+    @given(payload=payloads(st.integers(min_value=-1, max_value=2**40)),
+           frozen=st.booleans())
+    def test_integer_and_frozen_domains(self, payload, frozen):
+        registry = {
+            "d0": IntegerDomain("d0"),
+            "d1": Domain("d1", [0, 1, 2], frozen=frozen),
+        }
+        assert_same_decoding(payload, registry)
+
+    def test_duplicate_rows_keep_first_occurrence_and_order(self):
+        payload = {
+            "columns": [["x", "d"], ["y", "d"]],
+            "rows": [["b", "a"], ["c", "b"], ["b", "a"], ["c", "c"],
+                     ["c", "b"]],
+        }
+        _, new, registry = assert_same_decoding(payload)
+        assert new[1].tuples == ((0, 1), (2, 0), (2, 2))
+        # Row-major over the two columns; column by column gives b, c, a.
+        assert list(registry["d"]) == ["b", "a", "c"]
+
+    def test_empty_relation(self):
+        payload = {"columns": [["x", "d"], ["y", "e"]], "rows": []}
+        _, new, _ = assert_same_decoding(payload)
+        assert len(new[1]) == 0 and new[1].schema.names == ("x", "y")
+
+    @pytest.mark.parametrize("payload", [
+        {"columns": [], "rows": []},                       # zero columns
+        {"columns": [], "rows": [[]]},
+        {"columns": [["x", "d"]]},                         # no rows key
+        {"columns": [["x", "d"], ["x", "d"]], "rows": []}, # duplicate name
+        {"columns": [["x"]], "rows": []},                  # bad column spec
+        {"columns": [["x", "d"]], "rows": [[1], [1, 2]]},  # ragged
+        {"columns": [["x", "d"]], "rows": [[1], []]},
+        {"columns": [["x", "d"]], "rows": [[1], 7]},       # non-list rows
+        {"columns": [["x", "d"]], "rows": [[1], None]},
+        {"columns": [["x", "d"]], "rows": ["ab", "c"]},
+        {"columns": [["x", "d"], ["y", "d"]], "rows": [[1, 2], "ab"]},
+        {"columns": [["x", "d"]], "rows": [{"k": 1}]},
+        {"columns": [["x", "d"]], "rows": None},
+        {"columns": [["x", "d"]], "rows": "abc"},
+        {"columns": [["x", "d"]], "rows": 3},
+        {"columns": [["x", "d"]], "rows": {"a": 1}},
+        {"columns": [["x", "d"]], "rows": [[[1, 2]]]},     # unhashable value
+        {"columns": [["x", "d"], ["y", "e"]],
+         "rows": [["a", "b"], ["c", {"k": 1}], ["d", "e"]]},
+    ])
+    def test_malformed_payloads_are_treated_alike(self, payload):
+        """Most of these raise; a few the row loop happens to accept
+        (a string is a row of characters).  Either way: the same."""
+        assert_same_decoding(payload)
+
+    @pytest.mark.parametrize("rows", [
+        [[1], [-1], [2]],        # negative
+        [[1], [True], [2]],      # bool
+        [[1], [1.0], [2]],       # float
+        [[1], ["1"], [2]],       # string
+        [[1], [None], [2]],
+    ])
+    def test_integer_domain_refuses_alike(self, rows):
+        payload = {"columns": [["x", "n"]], "rows": rows}
+        ref, new, _ = assert_same_decoding(payload, {"n": IntegerDomain("n")})
+        assert ref[0] == "raised" and ref[1] == "DomainError"
+
+    def test_frozen_domain_still_refuses_new_values(self):
+        registry = {"d": Domain("d", ["a", "b"], frozen=True)}
+        known = {"columns": [["x", "d"]], "rows": [["b"], ["a"]]}
+        _, new, _ = assert_same_decoding(known, registry)
+        assert new[1].tuples == ((1,), (0,))
+        fresh = {"columns": [["x", "d"]], "rows": [["b"], ["z"]]}
+        ref, _, after = assert_same_decoding(fresh, registry)
+        assert ref[:2] == ("raised", "DomainError")
+        assert list(after["d"]) == ["a", "b"]
+
+    def test_error_leaves_the_domains_as_the_reference_does(self):
+        """Two domains, the offender in the second: the reference has
+        extended both up to the bad row; the codec refuses before it
+        changes anything and hands the rows to the same loop."""
+        payload = {
+            "columns": [["x", "d"], ["y", "e"]],
+            "rows": [["a", 1], ["b", [2]], ["c", 3]],
+        }
+        ref, new, registry = assert_same_decoding(payload)
+        assert ref[:2] == ("raised", "DomainError")
+        assert list(registry["d"]) == ["a", "b"]
+        assert list(registry["e"]) == [1]
+
+    def test_wider_than_64_bits_round_trips_through_the_object_path(self):
+        registry = {"n": IntegerDomain("n")}
+        payload = {
+            "columns": [["x", "n"], ["y", "n"]],
+            "rows": [[2**63 + 5, 1], [2, 2**70], [2**63 + 5, 1]],
+        }
+        _, new, _ = assert_same_decoding(payload, registry)
+        relation = new[1]
+        assert relation.array.dtype == object
+        assert relation.tuples == ((2**63 + 5, 1), (2, 2**70))
+        assert relation_to_wire(relation) == reference_to_wire(relation)
+        assert relation_to_wire(relation)["rows"] == payload["rows"][:2]
+
+    def test_fast_path_builds_a_matrix_not_tuples(self):
+        payload = {"columns": [["x", "d"], ["y", "d"]],
+                   "rows": [["a", "b"], ["b", "c"]]}
+        relation = relation_from_wire(payload, {})
+        assert relation._tuples is None
+        assert relation.array.dtype == np.int64
+        assert relation.array.tolist() == [[0, 1], [1, 2]]
+
+
+# -- encoding ----------------------------------------------------------------
+
+
+def _relations(payload, registry):
+    """The decoded payload as a tuple-built and an array-built relation
+    over the same schema."""
+    built = reference_from_wire(payload, registry)
+    return (
+        Relation(built.schema, built.tuples),
+        Relation(built.schema, np.array(
+            built.tuples, dtype=np.int64
+        ).reshape(len(built), len(built.schema))),
+    )
+
+
+class TestEncodeEquivalence:
+    @CASES
+    @given(payload=payloads())
+    def test_dictionary_domains_either_form(self, payload):
+        from_tuples, from_array = _relations(payload, {})
+        for relation in (from_tuples, from_array):
+            wire = relation_to_wire(relation)
+            assert wire == reference_to_wire(relation)
+            # == calls 1, 1.0 and True equal; the bytes do not.
+            assert encode_line(wire) == encode_line(
+                reference_to_wire(relation)
+            )
+
+    @CASES
+    @given(payload=payloads(st.integers(min_value=0, max_value=2**40)))
+    def test_integer_domains_either_form(self, payload):
+        registry = {name: IntegerDomain(name) for name in ("d0", "d1", "d2")}
+        for relation in _relations(payload, registry):
+            assert encode_line(relation_to_wire(relation)) == encode_line(
+                reference_to_wire(relation)
+            )
+
+    def test_encoding_never_converts_the_relation(self):
+        """A tuple-built relation is not packed into a matrix and an
+        array-built one is not boxed into tuples just to be sent."""
+        from_tuples, from_array = _relations(
+            {"columns": [["x", "d"], ["y", "e"]],
+             "rows": [["a", 1], ["b", 2]]}, {},
+        )
+        relation_to_wire(from_tuples)
+        relation_to_wire(from_array)
+        assert from_tuples._array is None
+        assert from_array._tuples is None
+
+    @pytest.mark.parametrize("rows", [
+        [(0, 0), (1, 5), (2, 0)],    # code past the dictionary
+        [(0, 0), (-1, 1), (7, 7)],   # negative first, in row order
+        [(0, 9), (9, 0)],            # two columns, first row decides
+    ])
+    def test_code_outside_a_dictionary_domain_fails_alike(self, rows):
+        domain = Domain("d", ["a", "b", "c"])
+        schema = Schema.of(("x", domain), ("y", domain))
+        for relation in (
+            Relation(schema, rows),
+            Relation(schema, np.array(rows, dtype=np.int64)),
+        ):
+            ref = outcome(lambda: reference_to_wire(relation))
+            assert ref[:2] == ("raised", "DomainError")
+            assert outcome(lambda: relation_to_wire(relation)) == ref
+
+    def test_negative_code_in_an_integer_domain_fails_alike(self):
+        schema = Schema.of(("x", IntegerDomain("n")), ("y", IntegerDomain("m")))
+        relation = Relation(schema, np.array([[1, 2], [3, -4], [-5, 6]]))
+        ref = outcome(lambda: reference_to_wire(relation))
+        assert ref[:2] == ("raised", "DomainError") and "-4" in ref[2]
+        assert outcome(lambda: relation_to_wire(relation)) == ref

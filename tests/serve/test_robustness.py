@@ -82,6 +82,68 @@ class TestDecodeLineFuzz:
         assert decode_line(line)["op"] == "ping"
 
 
+#: Anything JSON can put where a relation's ``rows`` belong.
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+class TestStoreRowsFuzz:
+    """A ``store`` whose ``rows`` are not a list of flat rows — nested
+    wrong, ``null``, a string — is answered (stored, or refused with an
+    error reply) and the connection stays usable."""
+
+    @staticmethod
+    def _store(db, rows):
+        try:
+            reply = db._request({
+                "op": "store", "name": "R",
+                "relation": {
+                    "columns": [["a", "d"], ["b", "d"]], "rows": rows,
+                },
+            })
+        except ServiceRetryableError:
+            raise  # the server dropped the connection: a real failure
+        except ReproError:
+            return None
+        return reply["rows"]
+
+    def test_arbitrary_rows_get_a_reply_and_keep_the_connection(self):
+        with _ServerHarness() as harness:
+            with ServiceClient(*harness.address, retries=0) as db:
+
+                @FUZZ
+                @given(rows=JSON_VALUES)
+                def check(rows):
+                    stored = self._store(db, rows)
+                    assert stored is None or isinstance(stored, int)
+                    assert db.ping()
+
+                check()
+
+    def test_malformed_rows_are_refused_not_fatal(self):
+        malformed = [
+            None, "ab", 7, {"a": 1}, [None], [7], ["ab", None],
+            [[1, 2], [3]], [[1, 2], None], [[1, [2]]], [[{"k": 1}, 2]],
+            [[[1, 2]]], [[1, 2], "ab", [3, 4]],
+        ]
+        with _ServerHarness() as harness:
+            with ServiceClient(*harness.address, retries=0) as db:
+                for rows in malformed:
+                    self._store(db, rows)
+                    # Well-formed rows still store afterwards.
+                    assert self._store(db, [["x", "y"], ["y", "z"]]) == 2
+                assert db.ping()
+
+
 class TestErrorMapping:
     def test_error_class_maps_kinds_to_repro_errors(self):
         assert error_class("PlanError") is PlanError

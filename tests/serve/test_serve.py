@@ -7,7 +7,8 @@ import threading
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import ParseError, ReproError
+from repro.machine.physical import plan_fingerprint
 from repro.relational import algebra
 from repro.serve import (
     ReproServer,
@@ -17,6 +18,7 @@ from repro.serve import (
     relation_from_wire,
     relation_to_wire,
 )
+from repro.serve.server import _STATEMENT_MAX_CHARS, _StatementCache
 from repro.workloads import join_pair, overlapping_pair
 
 
@@ -176,6 +178,109 @@ class TestServer:
                     db.query("this is not algebra")
                 # The connection survives both errors.
                 assert db.ping()
+
+
+class TestReplyOffTheLoop:
+    """A query's reply is built and serialized on the executor thread
+    that ran it, so a big reply does not stall other connections."""
+
+    def test_slow_encode_does_not_block_a_ping(self, monkeypatch):
+        import repro.serve.server as server_module
+
+        a, b = overlapping_pair(10, 8, 5, arity=2, seed=9)
+        encoding, release = threading.Event(), threading.Event()
+        encoders: list[threading.Thread] = []
+        to_wire = server_module.relation_to_wire
+
+        def slow_to_wire(relation):
+            encoders.append(threading.current_thread())
+            encoding.set()
+            assert release.wait(10.0), "nobody released the encoder"
+            return to_wire(relation)
+
+        monkeypatch.setattr(server_module, "relation_to_wire", slow_to_wire)
+        with _ServerHarness() as harness:
+            host, port = harness.address
+            with ServiceClient(host, port) as db, ServiceClient(
+                host, port, timeout=5.0, retries=0
+            ) as other:
+                db.store("A", a)
+                db.store("B", b)
+                reply: dict = {}
+                asker = threading.Thread(
+                    target=lambda: reply.update(db.query("intersect(A, B)"))
+                )
+                asker.start()
+                try:
+                    assert encoding.wait(10.0), "the query never encoded"
+                    assert other.ping()  # while the encode is in progress
+                    assert not reply
+                finally:
+                    release.set()
+                    asker.join(10.0)
+                assert not asker.is_alive()
+                assert reply["rows"] == len(reply["relation"]["rows"]) > 0
+            assert encoders and harness._thread not in encoders
+
+
+class TestStatementCache:
+    """Query text → optimized plan, server-wide and bounded."""
+
+    TEXT = "project(join(R, S, #0 == #0), #0, #1)"
+
+    def test_same_text_same_plan(self):
+        cache = _StatementCache()
+        assert cache.plan(self.TEXT) is cache.plan(self.TEXT)
+        assert cache.info() == {
+            "hits": 1, "misses": 1, "size": 1,
+            "maxsize": cache.info()["maxsize"],
+        }
+
+    def test_one_entry_serves_every_tenant(self):
+        ja, jb = join_pair(10, 8, 4, seed=31)
+        with _ServerHarness() as harness:
+            host, port = harness.address
+            for tenant in ("one", "two"):
+                with ServiceClient(host, port, tenant=tenant) as db:
+                    db.store("R", ja)
+                    db.store("S", jb)
+                    assert db.query(self.TEXT)["rows"] > 0
+                    stats = db.stats()
+            cache, host = stats["statement_cache"], stats["host"]
+            assert cache["hits"] == 1 and cache["misses"] == 1
+            assert 2 <= host["inline_tasks"] <= host["tasks"]
+
+    def test_malformed_text_raises_every_time(self):
+        with _ServerHarness() as harness:
+            with ServiceClient(*harness.address) as db:
+                for _ in range(3):
+                    with pytest.raises(ParseError):
+                        db.query("join(R, S")
+                stats = db.stats()["statement_cache"]
+            assert stats == {**stats, "hits": 0, "misses": 3, "size": 0}
+
+    def test_never_exceeds_its_bound(self):
+        cache = _StatementCache()
+        bound = cache.info()["maxsize"]
+        first = cache.plan("select(R, #0 == 0)")
+        for value in range(1, bound + 20):
+            cache.plan(f"select(R, #0 == {value})")
+            assert cache.info()["size"] <= bound
+        assert cache.info()["size"] == bound
+        # The oldest text was evicted: planned afresh, a new object.
+        assert cache.plan("select(R, #0 == 0)") is not first
+
+    def test_long_text_is_served_uncached(self):
+        cache = _StatementCache()
+        text = "select(R, #0 == 1)"
+        padded = text + " " * (_STATEMENT_MAX_CHARS + 1 - len(text))
+        assert len(padded) > _STATEMENT_MAX_CHARS
+        first = cache.plan(padded)
+        assert cache.plan(padded) is not first
+        assert plan_fingerprint([first]) == plan_fingerprint(
+            [cache.plan(text)]
+        )
+        assert cache.info()["size"] == 1  # only the short text
 
 
 class TestPersistence:

@@ -312,3 +312,108 @@ class TestCatalog:
         (scan2,) = [o.scan for o in second.ops if o.scan is not None]
         assert scan1.chunks_total > 1
         assert scan2.chunks_total == 1
+
+
+class TestScopedPlanCacheKey:
+    """The pool keys a plan by what the planner can read *for that
+    plan*: the relations it names (stored bytes included) and whatever
+    is memory-resident — nothing else in the catalog."""
+
+    PLAN = Select(Base("SP"), column="s", op="==", value=17)
+
+    @staticmethod
+    def _pool_with_store(root, rows):
+        pool = EnginePool()
+        catalog = pool.catalog("acme")
+        catalog.attach_store(RelationStore(root))
+        catalog.persist("SP", Relation(_sp_schema(), rows), chunk_rows=64)
+        return pool, catalog
+
+    @staticmethod
+    def _misses_after_compile(pool, catalog, plan=PLAN) -> int:
+        pool.compile(catalog, plan)
+        return pool.plan_cache_info()["misses"]
+
+    def test_rewritten_bytes_at_unchanged_cardinality_miss(
+        self, tmp_path, sp_rows
+    ):
+        pool, catalog = self._pool_with_store(tmp_path / "acme", sp_rows[:300])
+        assert self._misses_after_compile(pool, catalog) == 1
+        assert self._misses_after_compile(pool, catalog) == 1  # a hit
+        # Same row count, same schema, other rows: only the manifest
+        # digest tells the two apart.
+        catalog.persist(
+            "SP", Relation(_sp_schema(), sp_rows[300:600]), chunk_rows=64
+        )
+        assert self._misses_after_compile(pool, catalog) == 2
+        # ... and when the rewrite comes from outside this process's
+        # store object: a second RelationStore on the same directory.
+        RelationStore(tmp_path / "acme").write(
+            "SP", Relation(_sp_schema(), sp_rows[600:900]), chunk_rows=64
+        )
+        assert self._misses_after_compile(pool, catalog) == 3
+        assert self._misses_after_compile(pool, catalog) == 3
+        results, _ = pool.execute(catalog, self.PLAN)
+        assert sorted(results[0].tuples) == sorted(
+            t for t in sp_rows[600:900] if t[0] == 17
+        )
+
+    def test_unreferenced_writes_keep_the_plan(self, tmp_path, sp_rows):
+        pool, catalog = self._pool_with_store(tmp_path / "acme", sp_rows[:300])
+        assert self._misses_after_compile(pool, catalog) == 1
+        catalog.persist("OTHER", Relation(_sp_schema(), sp_rows[:10]))
+        catalog.store("SMALL", Relation(_sp_schema(), sp_rows[:20]))
+        assert self._misses_after_compile(pool, catalog) == 1
+        assert pool.plan_cache_info()["hits"] == 1
+
+    def test_any_preload_misses(self, tmp_path, sp_rows):
+        """Residents occupy the memories every plan is placed around,
+        so all of them are in every key."""
+        pool, catalog = self._pool_with_store(tmp_path / "acme", sp_rows[:300])
+        assert self._misses_after_compile(pool, catalog) == 1
+        catalog.preload("UNRELATED", Relation(_sp_schema(), sp_rows[:5]))
+        assert self._misses_after_compile(pool, catalog) == 2
+
+    def test_missing_relation_leaves_no_stale_entry(self, tmp_path, sp_rows):
+        pool, catalog = self._pool_with_store(tmp_path / "acme", sp_rows[:60])
+        plan = Intersect(Base("SP"), Base("LATER"))
+        for _ in range(2):
+            with pytest.raises(PlanError, match="LATER"):
+                pool.compile(catalog, plan)
+        catalog.store("LATER", Relation(_sp_schema(), sp_rows[20:80]))
+        results, _ = pool.execute(catalog, plan)
+        assert sorted(results[0].tuples) == sorted(sp_rows[20:60])
+        # The same for a name that appears in the store, not in memory.
+        plan = Intersect(Base("SP"), Base("LATER2"))
+        with pytest.raises(PlanError, match="LATER2"):
+            pool.compile(catalog, plan)
+        catalog.persist("LATER2", Relation(_sp_schema(), sp_rows[40:90]))
+        results, _ = pool.execute(catalog, plan)
+        assert sorted(results[0].tuples) == sorted(sp_rows[40:60])
+
+    def test_hit_costs_one_stat_per_referenced_stored_relation(
+        self, tmp_path, sp_rows, monkeypatch
+    ):
+        import os
+
+        pool, catalog = self._pool_with_store(tmp_path / "acme", sp_rows[:300])
+        for name in ("X1", "X2", "X3"):
+            catalog.persist(name, Relation(_sp_schema(), sp_rows[:10]))
+        pool.compile(catalog, self.PLAN)
+        touched = []
+
+        def noting(call):
+            def noted(path, *args, **kwargs):
+                touched.append(os.fspath(path))
+                return call(path, *args, **kwargs)
+
+            return noted
+
+        monkeypatch.setattr(os, "stat", noting(os.stat))
+        monkeypatch.setattr(os, "listdir", noting(os.listdir))
+        pool.compile(catalog, self.PLAN)
+        monkeypatch.undo()
+        assert pool.plan_cache_info()["hits"] == 1
+        assert len(touched) == 1 and touched[0].endswith(
+            os.path.join("SP", "manifest.json")
+        )

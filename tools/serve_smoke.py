@@ -6,6 +6,10 @@ two concurrent tenants through the E6 equi-join over the wire, shuts
 the server down cleanly (SIGINT), and then asserts that
 
 * both clients got the same, correct number of rows;
+* repeating the query 50× per tenant, with a ``store`` to a relation it
+  does not read in between, is answered from the caches: by the
+  ``stats`` verb, plan-cache misses do not grow and statement-cache
+  hits do;
 * the server exited 0 after printing its clean-shutdown line;
 * the JSONL trace it wrote contains nonzero ``service.*`` metrics
   (admissions and per-tenant query counters actually moved).
@@ -31,6 +35,7 @@ from repro.serve import ServiceClient  # noqa: E402
 from repro.workloads import join_pair  # noqa: E402
 
 QUERY = "project(join(R, S, #0 == #0), #0, #1)"
+HOT_REPEATS = 50
 
 
 def main() -> int:
@@ -85,6 +90,37 @@ def main() -> int:
         if next(iter(rows.values())) == 0:
             raise SystemExit("E6 equi-join over the wire returned no rows")
         print(f"both tenants answered: {rows}")
+
+        # The hot path: same text, same relations, unrelated writes.
+        extra, _ = join_pair(12, 8, 4, seed=32)
+        with ServiceClient(host, port, tenant="tenant0") as db:
+            before = db.stats()
+            for tag in rows:
+                db.hello(tag)
+                for i in range(HOT_REPEATS):
+                    db.store("UNRELATED", extra if i % 2 else ja)
+                    if db.query(QUERY)["rows"] != rows[tag]:
+                        raise SystemExit(f"{tag}: hot query changed its answer")
+            after = db.stats()
+        repeats = HOT_REPEATS * len(rows)
+        misses = (
+            after["plan_cache"]["misses"] - before["plan_cache"]["misses"]
+        )
+        hits = (
+            after["statement_cache"]["hits"]
+            - before["statement_cache"]["hits"]
+        )
+        if misses != 0:
+            raise SystemExit(
+                f"{misses} plan-cache misses in {repeats} repeats of a "
+                f"query whose relations did not change"
+            )
+        if hits != repeats:
+            raise SystemExit(
+                f"statement cache hit {hits} times in {repeats} repeats"
+            )
+        print(f"{repeats} hot queries: 0 plan-cache misses, "
+              f"{hits} statement-cache hits, host {after['host']}")
     finally:
         proc.send_signal(signal.SIGINT)
         try:
