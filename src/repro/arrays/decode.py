@@ -21,11 +21,21 @@ run offers:
 
 Tagged runs always take path 2 or 3: their point is to check the ghost
 tags riding on the tap records, so the taps are what gets read.
+
+A §8 blocked run (:class:`~repro.systolic.engine.plan.BlockedPlan`)
+has no taps of its own — they belong to its block runs — and hands back
+only what the operator asked to keep of ``T``.  :class:`Reduction` is
+that keeping, written once for every engine; :func:`blocked_verdicts`
+reads it back, checked like path 1; and :func:`blockwise_verdicts` is
+the decomposition done the hardware's way, block run by block run
+through paths 2 and 3 — how the pulse engine executes a blocked plan,
+and the reference the one-run kernels are tested against.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from itertools import groupby
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -34,26 +44,35 @@ from repro.systolic.engine.schedule import CounterStreamSchedule
 
 __all__ = [
     "pair_verdicts",
+    "true_pairs",
     "matches_in_exit_order",
     "accumulator_bits",
     "quotient_bits",
+    "Reduction",
+    "blocked_verdicts",
+    "blockwise_verdicts",
 ]
 
 
-def _run_verdicts(result, shape: tuple[int, ...]) -> Optional[np.ndarray]:
-    """``result.verdicts`` if the engine produced them, validated."""
+def _run_verdicts(
+    result, shape: tuple[Optional[int], ...], dtype=np.bool_
+) -> Optional[np.ndarray]:
+    """``result.verdicts`` if the engine produced them, validated
+    (``None`` in ``shape`` admits any length along that axis)."""
     verdicts = getattr(result, "verdicts", None)
     if verdicts is None:
         return None
-    if (not isinstance(verdicts, np.ndarray) or verdicts.dtype != np.bool_
-            or verdicts.shape != shape):
+    if (not isinstance(verdicts, np.ndarray) or verdicts.dtype != dtype
+            or len(verdicts.shape) != len(shape)
+            or any(want is not None and want != got
+                   for want, got in zip(shape, verdicts.shape))):
         found = (
             f"{verdicts.dtype} array of shape {verdicts.shape}"
             if isinstance(verdicts, np.ndarray) else type(verdicts).__name__
         )
         raise SimulationError(
-            f"the run's verdicts must be a bool array of shape {shape}, "
-            f"got {found}"
+            f"the run's verdicts must be a {np.dtype(dtype).name} array of "
+            f"shape {shape}, got {found}"
         )
     return verdicts
 
@@ -82,11 +101,19 @@ def pair_verdicts(result, schedule, tagged: bool) -> np.ndarray:
     return verdicts
 
 
+def true_pairs(verdicts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The TRUE ``(i, j)`` of a verdict matrix as two index vectors, in
+    row-major order — so already ``(i, j)``-sorted.  (One flat scan and
+    a ``divmod``: the 2-D ``nonzero`` costs ≈ 8× as much on a 512 × 64
+    block.)"""
+    return np.divmod(np.flatnonzero(verdicts), verdicts.shape[1])
+
+
 def matches_in_exit_order(verdicts: np.ndarray) -> list[tuple[int, int]]:
     """The TRUE ``(i, j)`` of ``T`` in the order they leave the array:
     by exit pulse (``i + j`` plus a constant on either schedule), then
     ``i``, then ``j``."""
-    i, j = np.nonzero(verdicts)  # row-major: already (i, j)-sorted
+    i, j = true_pairs(verdicts)
     order = np.argsort(i + j, kind="stable")
     return list(zip(i[order].tolist(), j[order].tolist()))
 
@@ -187,6 +214,103 @@ def _pair_verdicts_from_records(result, schedule, tagged: bool) -> np.ndarray:
             f"only {len(seen)} of {expected} pair results exited the array"
         )
     return verdicts
+
+
+# -- §8: what a blocked operator keeps of T -----------------------------------
+
+
+class Reduction:
+    """``plan.reduce`` applied to ``T`` a band of rows at a time.
+
+    ``add(a_lo, band)`` takes the finished verdicts (column blocks
+    ANDed, ``t_init`` applied) of A-tuples ``a_lo ...`` against all of
+    B, bands in ascending order; ``verdicts()`` is the run's result:
+    the bool vector ``t_i`` (``"rows"``), the TRUE pairs as a
+    ``(2, k)`` int64 array of ``i`` over ``j`` in lexicographic order
+    (``"pairs"`` — row-major bands in ascending order need no sort), or
+    the bool matrix (``"matrix"``).  Only the last ever holds
+    ``n_a × n_b`` values.
+    """
+
+    def __init__(self, plan) -> None:
+        self.kind = plan.reduce
+        if self.kind == "pairs":
+            self._found: list[tuple[np.ndarray, np.ndarray]] = []
+        else:
+            shape = (plan.n_a, plan.n_b)
+            self._kept = np.empty(
+                shape if self.kind == "matrix" else shape[:1], dtype=bool
+            )
+
+    def add(self, a_lo: int, band: np.ndarray) -> None:
+        if self.kind == "pairs":
+            i, j = true_pairs(band)
+            i += a_lo
+            self._found.append((i, j))
+        elif self.kind == "rows":
+            band.any(axis=1, out=self._kept[a_lo:a_lo + len(band)])
+        else:
+            self._kept[a_lo:a_lo + len(band)] = band
+
+    def verdicts(self) -> np.ndarray:
+        if self.kind != "pairs":
+            return self._kept
+        return np.stack([
+            np.concatenate(column) for column in zip(*self._found)
+        ])
+
+
+def blocked_verdicts(result, plan) -> np.ndarray:
+    """What a run of the blocked ``plan`` kept of ``T``
+    (see :class:`Reduction`), shape and dtype checked."""
+    shape, dtype = {
+        "rows": ((plan.n_a,), np.bool_),
+        "pairs": ((2, None), np.int64),
+        "matrix": ((plan.n_a, plan.n_b), np.bool_),
+    }[plan.reduce]
+    verdicts = _run_verdicts(result, shape, dtype)
+    if verdicts is None:
+        raise SimulationError(
+            "a blocked run must hand back its reduced verdicts; this "
+            "one has none"
+        )
+    return verdicts
+
+
+def blockwise_verdicts(
+    plan, run_block: Callable
+) -> tuple[np.ndarray, int]:
+    """A blocked plan executed as §8 describes it: one array run per
+    sub-problem, partial results combined outside the array.
+
+    Every plan of ``plan.blocks()`` goes through ``run_block`` (a
+    :class:`~repro.systolic.engine.plan.GridPlan` → its run) on its
+    own and its ``t_ij`` are read off the row taps with the full audit;
+    column blocks are ANDed, B-blocks laid side by side, and each
+    finished band of A-tuples reduced.  Returns the reduced verdicts
+    and the pulses summed over the block runs.  This is the only loop
+    over grid blocks in the package: the pulse engine's execution of a
+    blocked plan, and the reference the vectorized engines' one-run
+    kernels are held to (tests, ``repro selftest``).
+    """
+    reduction = Reduction(plan)
+    pulses = 0
+    for a_lo, blocks in groupby(plan.blocks(), key=lambda block: block[0]):
+        band = np.empty(
+            (min(plan.tuple_block, plan.n_a - a_lo), plan.n_b), dtype=bool
+        )
+        for _, b_lo, c_lo, block in blocks:
+            run = run_block(block)
+            pulses += run.pulses
+            # tagged=True: always off the taps, never ``run.verdicts``.
+            verdicts = pair_verdicts(run, block.schedule, tagged=True)
+            window = band[:, b_lo:b_lo + block.schedule.n_b]
+            if c_lo == 0:
+                window[...] = verdicts
+            else:
+                window &= verdicts
+        reduction.add(a_lo, band)
+    return reduction.verdicts(), pulses
 
 
 # -- the vector t_i: the accumulation column (Fig 4-1) -----------------------

@@ -20,27 +20,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.arrays.base import execute, joined_rows, rows_where
-from repro.arrays.comparison_array import comparison_plan
-from repro.arrays.decode import pair_verdicts, quotient_bits
+from repro.arrays.decode import blocked_verdicts, quotient_bits
 from repro.arrays.division import division_operands
-from repro.arrays.join import join_plan
 from repro.bitlevel.bits import expand_matrix
 from repro.errors import CapacityError, SimulationError
 from repro.relational.algebra import equi_join_layout, theta_join_layout
 from repro.relational.relation import MultiRelation, Relation
 from repro.relational.schema import ColumnRef
 from repro.systolic.engine import (
+    BlockedPlan,
     DivisionPlan,
     TInit,
-    t_init_at,
     t_init_strict_lower,
     t_init_true,
 )
+from repro.systolic.engine.schedule import block_bounds
 
 __all__ = [
     "ArrayCapacity",
@@ -91,10 +90,6 @@ class BlockedReport:
         self.total_pulses += pulses
 
 
-def _block_bounds(n: int, size: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
-
-
 def column_matrix(tuples: Sequence[Sequence[int]]) -> np.ndarray:
     """Raw tuples as an ``(n, k)`` int64 matrix, built once per blocked
     call; every block run gets a slice of it.  (A relation operand
@@ -120,58 +115,37 @@ def column_matrix(tuples: Sequence[Sequence[int]]) -> np.ndarray:
     return matrix
 
 
-def _block_verdicts(
+def _run_blocked(
     a_matrix: np.ndarray,
     b_matrix: np.ndarray,
     capacity: ArrayCapacity,
-    report: BlockedReport,
     backend,
+    reduce: str,
     ops: Optional[Sequence[str]] = None,
-    t_init: TInit = t_init_true,
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Run the T matrix block by block on a bounded device (§8).
+    t_init: Optional[TInit] = None,
+) -> tuple[np.ndarray, BlockedReport]:
+    """The T matrix of a problem larger than the device (§8), as one
+    engine run: what ``reduce`` keeps of it
+    (:class:`~repro.arrays.decode.Reduction`) and the accounting of the
+    block runs it stands for.
 
-    Yields ``(a_lo, b_lo, verdicts)`` per pair of tuple blocks:
-    ``verdicts[bi, bj]`` is ``t`` for the global pair
-    ``(a_lo + bi, b_lo + bj)``.  Each block is the whole-array
-    operator's plan on a slice.  When the tuples are wider than the
-    device, element columns are blocked too — one device run per column
-    block — and the partial results ANDed outside the array.  ``ops``
-    selects the join grid (θ-cells, one operator per column); without
-    it the comparison grid runs, seeded by ``t_init`` (global indices)
-    on the first column block only — ANDing propagates the mask.
+    Both tuple dimensions are blocked to the device's rows and, when
+    the tuples are wider than the device, the element columns to its
+    width — partial results ANDed outside the array.  ``ops`` selects
+    the join grid (θ-cells, one operator per column); without it the
+    comparison grid runs, seeded by ``t_init`` (global indices).
     """
-    size = capacity.tuple_block
-    col_bounds = _block_bounds(a_matrix.shape[1], capacity.max_cols)
-    a_bounds = _block_bounds(len(a_matrix), size)
-    b_bounds = _block_bounds(len(b_matrix), size)
-    report.a_blocks = len(a_bounds)
-    report.b_blocks = len(b_bounds)
-    report.column_blocks = len(col_bounds)
-
-    for a_lo, a_hi in a_bounds:
-        for b_lo, b_hi in b_bounds:
-            block: Optional[np.ndarray] = None
-            for c_lo, c_hi in col_bounds:
-                sub_a = a_matrix[a_lo:a_hi, c_lo:c_hi]
-                sub_b = b_matrix[b_lo:b_hi, c_lo:c_hi]
-                if ops is not None:
-                    plan = join_plan(
-                        sub_a, sub_b, ops[c_lo:c_hi], "counter", False
-                    )
-                else:
-                    plan = comparison_plan(
-                        sub_a, sub_b,
-                        t_init_at(t_init, a_lo, b_lo) if c_lo == 0
-                        else t_init_true,
-                        False,
-                    )
-                result = execute(plan, backend=backend)
-                report.add_run(result.pulses)
-                verdicts = pair_verdicts(result, plan.schedule, tagged=False)
-                block = verdicts if block is None else block & verdicts
-            assert block is not None
-            yield a_lo, b_lo, block
+    plan = BlockedPlan(
+        a_matrix, b_matrix, capacity.tuple_block, capacity.max_cols, reduce,
+        ops=tuple(ops) if ops is not None else None, t_init=t_init,
+    )
+    result = execute(plan, backend=backend)
+    report = BlockedReport(
+        block_runs=plan.block_runs, total_pulses=result.pulses,
+        a_blocks=plan.a_blocks, b_blocks=plan.b_blocks,
+        column_blocks=plan.column_blocks,
+    )
+    return blocked_verdicts(result, plan), report
 
 
 def blocked_pair_matrix(
@@ -189,15 +163,12 @@ def blocked_pair_matrix(
     is applied on the first column block only — ANDing propagates it.
     """
     n_a, n_b = len(a_tuples), len(b_tuples)
-    report = BlockedReport()
-    matrix = np.zeros((n_a, n_b), dtype=bool)
-    if n_a and n_b:
-        for a_lo, b_lo, block in _block_verdicts(
-            column_matrix(a_tuples), column_matrix(b_tuples), capacity,
-            report, backend, t_init=t_init,
-        ):
-            height, width = block.shape
-            matrix[a_lo:a_lo + height, b_lo:b_lo + width] = block
+    if not (n_a and n_b):
+        return np.zeros((n_a, n_b), dtype=bool).tolist(), BlockedReport()
+    matrix, report = _run_blocked(
+        column_matrix(a_tuples), column_matrix(b_tuples), capacity, backend,
+        "matrix", t_init=t_init,
+    )
     return matrix.tolist(), report
 
 
@@ -211,24 +182,21 @@ def _membership(
 ) -> tuple[np.ndarray, BlockedReport]:
     """``t_i = OR_j t_ij`` (equation 4.1) over the blocked T matrix.
 
-    Each block's rows are ORed into the vector as the block comes off
-    the device, so the ``n_a × n_b`` matrix never exists at once.  On a
-    §8 bit-level device (``element_bits`` set) both operands stream as
-    their MSB-first bit expansions and ``capacity.max_cols`` bounds
-    *bit* columns, so the reported pulses equal
+    The rows of ``T`` are ORed into the vector as they are produced, so
+    the ``n_a × n_b`` matrix never exists at once.  On a §8 bit-level
+    device (``element_bits`` set) both operands stream as their
+    MSB-first bit expansions and ``capacity.max_cols`` bounds *bit*
+    columns, so the reported pulses equal
     :func:`repro.perf.cost.bit_comparison_cost` exactly.
     """
-    report = BlockedReport()
-    t_vector = np.zeros(len(a_matrix), dtype=bool)
-    if len(a_matrix) and len(b_matrix):
-        if element_bits is not None:
-            a_matrix = expand_matrix(a_matrix, element_bits)
-            b_matrix = expand_matrix(b_matrix, element_bits)
-        for a_lo, _, block in _block_verdicts(
-            a_matrix, b_matrix, capacity, report, backend, t_init=t_init,
-        ):
-            t_vector[a_lo:a_lo + len(block)] |= block.any(axis=1)
-    return t_vector, report
+    if not (len(a_matrix) and len(b_matrix)):
+        return np.zeros(len(a_matrix), dtype=bool), BlockedReport()
+    if element_bits is not None:
+        a_matrix = expand_matrix(a_matrix, element_bits)
+        b_matrix = expand_matrix(b_matrix, element_bits)
+    return _run_blocked(
+        a_matrix, b_matrix, capacity, backend, "rows", t_init=t_init
+    )
 
 
 def blocked_membership(
@@ -295,6 +263,21 @@ def blocked_union(
     )
 
 
+def _join_columns(matrix: np.ndarray, positions: list[int]) -> np.ndarray:
+    """The joined columns of a relation's matrix, in ``positions`` order.
+
+    A view when they are adjacent (a single-column join always is): the
+    plan only reads them, and a fancy-index copy of a few thousand rows
+    releases the GIL — under ``parallel=True`` that hands the
+    interpreter to another shard's thread in the middle of setting this
+    join up, and the wait to get it back is billed here.
+    """
+    first, count = positions[0], len(positions)
+    if positions == list(range(first, first + count)):
+        return matrix[:, first:first + count]
+    return matrix[:, positions]
+
+
 def blocked_join(
     a: Relation,
     b: Relation,
@@ -313,23 +296,13 @@ def blocked_join(
         ops = ["=="] * len(on)
     else:
         a_pos, b_pos, schema, b_keep = theta_join_layout(a, b, on, ops)
-    report = BlockedReport()
     if not a or not b:
-        return Relation(schema), report
-
-    found_i, found_j = [], []
-    for a_lo, b_lo, block in _block_verdicts(
-        a.array[:, a_pos], b.array[:, b_pos], capacity, report, backend,
-        ops=ops,
-    ):
-        block_i, block_j = np.nonzero(block)
-        found_i.append(block_i + a_lo)
-        found_j.append(block_j + b_lo)
-    match_i = np.concatenate(found_i)
-    match_j = np.concatenate(found_j)
-    order = np.lexsort((match_j, match_i))
-    rows = joined_rows(a, b, match_i[order], match_j[order], b_keep)
-    return Relation(schema, rows), report
+        return Relation(schema), BlockedReport()
+    (match_i, match_j), report = _run_blocked(
+        _join_columns(a.array, a_pos), _join_columns(b.array, b_pos),
+        capacity, backend, "pairs", ops=ops,
+    )
+    return Relation(schema, joined_rows(a, b, match_i, match_j, b_keep)), report
 
 
 def blocked_divide(
@@ -367,8 +340,8 @@ def blocked_divide(
             f"the division array needs at least 3 processor columns, "
             f"device has {capacity.max_cols}"
         )
-    x_bounds = _block_bounds(len(distinct_x), capacity.max_rows)
-    divisor_bounds = _block_bounds(len(divisor), divisor_cols)
+    x_bounds = block_bounds(len(distinct_x), capacity.max_rows)
+    divisor_bounds = block_bounds(len(divisor), divisor_cols)
     report.a_blocks = len(x_bounds)
     report.b_blocks = len(divisor_bounds)
 

@@ -34,9 +34,9 @@ class HistogramSummary:
         self.minimum: Optional[float] = None
         self.maximum: Optional[float] = None
 
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
+    def observe(self, value: float, count: int = 1) -> None:
+        self.count += count
+        self.total += value * count
         if self.minimum is None or value < self.minimum:
             self.minimum = value
         if self.maximum is None or value > self.maximum:
@@ -116,8 +116,9 @@ class MetricsRegistry:
         with self._lock:
             self._gauges[name] = value
 
-    def observe(self, name: str, value: float) -> None:
-        """Record one sample into a histogram summary."""
+    def observe(self, name: str, value: float, count: int = 1) -> None:
+        """Record one sample — or ``count`` equal ones — into a
+        histogram summary."""
         if not self.enabled:
             return
         self._check(name, HISTOGRAM)
@@ -125,7 +126,7 @@ class MetricsRegistry:
             summary = self._histograms.get(name)
             if summary is None:
                 summary = self._histograms[name] = HistogramSummary()
-            summary.observe(value)
+            summary.observe(value, count)
 
     # -- reading -----------------------------------------------------------
 

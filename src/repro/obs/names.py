@@ -39,9 +39,9 @@ METRICS: dict[str, tuple[str, str]] = {
     "engine.lattice.chunks": (
         COUNTER, "row chunks evaluated by the lattice engine's grid path"),
     "engine.run.pulses": (
-        HISTOGRAM, "pulses per engine run (every engine alike)"),
+        HISTOGRAM, "pulses per array run (every engine alike)"),
     "engine.runs": (
-        COUNTER, "array plans executed by any engine"),
+        COUNTER, "array runs executed by any engine (block runs counted)"),
     "faults.backoff_seconds": (
         HISTOGRAM, "host seconds slept backing off before each retry"),
     "faults.deadline_cancels": (

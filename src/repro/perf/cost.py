@@ -26,10 +26,7 @@ from dataclasses import dataclass
 
 from repro.errors import ReproError
 from repro.perf.technology import TechnologyModel
-from repro.systolic.engine.schedule import (
-    CounterStreamSchedule,
-    DivisionSchedule,
-)
+from repro.systolic.engine.schedule import DivisionSchedule, block_span_law
 
 __all__ = [
     "OpCost",
@@ -97,34 +94,23 @@ def comparison_cost(
 ) -> OpCost:
     """Cost of an intersection-array run (∩, −, dedup, ∪, projection).
 
-    Mirrors :func:`repro.arrays.decomposition.blocked_pair_matrix`: the
-    tuple dimension is blocked to the counter-streaming capacity
+    The tuple dimension is blocked to the counter-streaming capacity
     ``(max_rows + 1) // 2`` per side, the element dimension to the
     device width, and each sub-problem costs its schedule's
-    ``comparison_pulses``.
+    ``comparison_pulses`` — by
+    :func:`~repro.systolic.engine.schedule.block_span_law`, the same
+    statement of the decomposition the blocked operators execute
+    (:mod:`repro.arrays.decomposition`), which is why prediction and
+    simulation agree to the pulse.
     """
     if n_a == 0 or n_b == 0:
         return _ZERO
-    size = (max_rows + 1) // 2
-    a_spans = block_spans(n_a, size)
-    b_spans = block_spans(n_b, size)
-    col_spans = block_spans(arity, max_cols)
-    # Every span value is the full block size except possibly the last,
-    # so each dimension has at most two distinct values: summing per
-    # distinct (sa, sb, sc) triple with multiplicities is exact (integer
-    # pulse counts) and keeps million-row costing out of the
-    # blocks² loop.
-    total = sum(
-        CounterStreamSchedule(sa, sb, sc).comparison_pulses * ca * cb * cc
-        for sa, ca in Counter(a_spans).items()
-        for sb, cb in Counter(b_spans).items()
-        for sc, cc in Counter(col_spans).items()
-    )
-    fill = CounterStreamSchedule(a_spans[0], b_spans[0], col_spans[0]).rows
+    law = block_span_law(n_a, n_b, arity, (max_rows + 1) // 2, max_cols)
+    total, fill = law.pulses, law.first.rows
     return OpCost(
         fill_pulses=min(fill, total), stream_pulses=max(0, total - fill),
-        a_blocks=len(a_spans), b_blocks=len(b_spans),
-        column_blocks=len(col_spans),
+        a_blocks=law.a_blocks, b_blocks=law.b_blocks,
+        column_blocks=law.column_blocks,
     )
 
 

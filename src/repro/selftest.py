@@ -6,14 +6,32 @@ ghost-tag schedule verification on — over seeded random workloads and
 checks every answer against the software oracle.  This is the 30-second
 "is this installation computing what the paper says" check a downstream
 user runs before trusting the library.
+
+The §8 blocked operators get the audit their serving path does not
+pay for: a vectorized engine answers a whole blocked problem from one
+kernel run, and re-running blocks through the tap decoders beside it
+costs several times the operation (docs/PERF.md), so the comparison
+lives here — each operator on a device a third of the problem's size
+and narrower than its tuples, the one-run kernel against every block
+run read off its tagged taps, against the software oracle, and the
+pulse total against :mod:`repro.perf.cost`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
+import numpy as np
+
 from repro.arrays import (
+    ArrayCapacity,
+    blocked_difference,
+    blocked_intersection,
+    blocked_join,
+    blocked_remove_duplicates,
+    blocked_union,
     systolic_difference,
     systolic_divide,
     systolic_dynamic_theta_join,
@@ -24,10 +42,18 @@ from repro.arrays import (
     systolic_theta_join,
     systolic_union,
 )
+from repro.arrays.decode import blocked_verdicts, blockwise_verdicts
 from repro.arrays.hexagonal import hex_compare_all_pairs
 from repro.arrays import compare_all_pairs
 from repro.patterns import match_pattern
+from repro.perf.cost import comparison_cost, join_cost
 from repro.relational import algebra
+from repro.systolic.engine import (
+    BlockedPlan,
+    resolve_backend,
+    t_init_strict_lower,
+    t_init_true,
+)
 from repro.workloads import (
     division_workload,
     join_pair,
@@ -158,7 +184,84 @@ def run_selftest(
         compare_all_pairs(a.tuples, b.tuples, backend=backend).t_matrix,
     ))
     _check(report, "pattern-match chip", _pattern_check)
+    _blocked_checks(report, a, b, multi, ja, jb, size, backend)
     return report
+
+
+def _blocked_checks(report, a, b, multi, ja, jb, size: int, backend) -> None:
+    """One check per §8 blocked operator (see the module docstring)."""
+    engine = resolve_backend(backend)
+    block = size // 3 + 1  # about three blocks a side, the last one ragged
+    wide = ArrayCapacity(2 * block - 1, max_cols=2)    # tuples have 3 columns
+    narrow = ArrayCapacity(2 * block - 1, max_cols=1)  # the θ-join has 2
+    both = a.to_multi().concat(b)
+    on, ops = [("key", "key"), ("a0", "b0")], ["<=", "!="]
+    seeded, lower = dict(t_init=t_init_true), dict(t_init=t_init_strict_lower)
+
+    def audited(operator, oracle, cost, capacity, a_matrix, b_matrix, reduce,
+                grid) -> str:
+        relation, blocked = operator()
+        expected = oracle()
+        if relation != expected:
+            raise AssertionError(
+                f"array produced {len(relation)} tuples, oracle "
+                f"{len(expected)}"
+            )
+        plan = BlockedPlan(
+            a_matrix, b_matrix, block, capacity.max_cols, reduce, **grid
+        )
+        run = engine.run(plan)
+        by_blocks, pulses = blockwise_verdicts(
+            plan, lambda grid_plan: engine.run(replace(grid_plan, tagged=True))
+        )
+        if not np.array_equal(blocked_verdicts(run, plan), by_blocks):
+            raise AssertionError(
+                "the one-run kernel and the block runs' taps disagree"
+            )
+        predicted = cost(
+            plan.n_a, plan.n_b, plan.arity, capacity.max_rows,
+            capacity.max_cols,
+        )
+        if (len({blocked.total_pulses, run.pulses, pulses,
+                 predicted.total_pulses}) != 1
+                or blocked.block_runs != predicted.block_runs):
+            raise AssertionError(
+                f"pulses: operator {blocked.total_pulses}, kernel "
+                f"{run.pulses}, block runs {pulses}, perf.cost "
+                f"{predicted.total_pulses}"
+            )
+        return (f"{len(relation)} tuples, {blocked.block_runs} block runs, "
+                f"{pulses} pulses")
+
+    for name, *case in (
+        ("intersection",
+         lambda: blocked_intersection(a, b, wide, backend=backend),
+         lambda: algebra.intersection(a, b),
+         comparison_cost, wide, a.array, b.array, "rows", seeded),
+        ("difference",
+         lambda: blocked_difference(a, b, wide, backend=backend),
+         lambda: algebra.difference(a, b),
+         comparison_cost, wide, a.array, b.array, "rows", seeded),
+        ("remove-duplicates",
+         lambda: blocked_remove_duplicates(multi, wide, backend=backend),
+         lambda: algebra.remove_duplicates(multi),
+         comparison_cost, wide, multi.array, multi.array, "rows", lower),
+        ("union",
+         lambda: blocked_union(a, b, wide, backend=backend),
+         lambda: algebra.union(a, b),
+         comparison_cost, wide, both.array, both.array, "rows", lower),
+        ("equi-join",
+         lambda: blocked_join(ja, jb, on[:1], narrow, backend=backend),
+         lambda: algebra.join(ja, jb, on[:1]),
+         join_cost, narrow, ja.array[:, :1], jb.array[:, :1], "pairs",
+         dict(ops=("==",))),
+        ("theta-join",
+         lambda: blocked_join(ja, jb, on, narrow, ops=ops, backend=backend),
+         lambda: algebra.theta_join(ja, jb, on, ops),
+         join_cost, narrow, ja.array[:, :2], jb.array[:, :2], "pairs",
+         dict(ops=tuple(ops))),
+    ):
+        _check(report, f"blocked {name}", partial(audited, *case))
 
 
 def agree_matrix(got, want) -> str:

@@ -34,6 +34,7 @@ from repro.systolic.engine.hexmesh import (
 from repro.systolic.engine.bitplane import BitplaneEngine
 from repro.systolic.engine.lattice import DEFAULT_CHUNK_BYTES, LatticeEngine
 from repro.systolic.engine.plan import (
+    BlockedPlan,
     ColumnarTap,
     DivisionPlan,
     Engine,
@@ -59,6 +60,7 @@ __all__ = [
     "EngineRun",
     "ExecutionPlan",
     "GridPlan",
+    "BlockedPlan",
     "DivisionPlan",
     "LinearPlan",
     "HexPlan",

@@ -48,7 +48,7 @@ from repro.bitlevel.planes import (
 from repro.errors import SimulationError
 from repro.obs import metrics
 from repro.systolic.engine.lattice import LatticeEngine
-from repro.systolic.engine.plan import GridPlan, LinearPlan
+from repro.systolic.engine.plan import LinearPlan
 
 __all__ = ["BitplaneEngine"]
 
@@ -66,10 +66,9 @@ class BitplaneEngine(LatticeEngine):
     # -- the rectangular grid: packed-plane comparator kernels ---------------
 
     def _verdict_matrix(
-        self, plan: GridPlan, A: np.ndarray, B: np.ndarray
+        self, A: np.ndarray, B: np.ndarray, ops: Optional[tuple[str, ...]]
     ) -> np.ndarray:
-        sched = plan.schedule
-        n_a, n_b, m = sched.n_a, sched.n_b, sched.arity
+        (n_a, m), n_b = A.shape, B.shape[0]
         (A_s, B_s), width = plane_shift_width(A, B)
         b_planes = pack_planes(B_s, width)
         n_words = b_planes.shape[2]
@@ -79,12 +78,12 @@ class BitplaneEngine(LatticeEngine):
         swept = 0
         for lo in range(0, n_a, chunk):
             hi = min(n_a, lo + chunk)
-            if plan.ops is None:
+            if ops is None:
                 packed = equality_planes(A_s[lo:hi], b_planes, width)
                 swept += m * width
             else:
                 packed = None
-                for k, op in enumerate(plan.ops):
+                for k, op in enumerate(ops):
                     eq, gt, lt = magnitude_planes(
                         A_s[lo:hi, k], b_planes[k], width
                     )

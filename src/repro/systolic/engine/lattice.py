@@ -51,6 +51,7 @@ from repro.systolic.engine.hexmesh import (
     meeting_cell,
 )
 from repro.systolic.engine.plan import (
+    BlockedPlan,
     ColumnarTap,
     DivisionPlan,
     EngineRun,
@@ -58,8 +59,11 @@ from repro.systolic.engine.plan import (
     GridPlan,
     HexPlan,
     LinearPlan,
+    TInit,
     acc_name,
     cmp_name,
+    count_runs,
+    run_attrs,
 )
 from repro.systolic.metrics import ActivityMeter
 from repro.systolic.streams import Collector
@@ -104,6 +108,26 @@ def _int_matrix(tuples, n: int, m: int, label: str) -> np.ndarray:
             f"the lattice engine needs integer-encoded {label} elements "
             f"(see §2.3 domain encoding): {exc}"
         ) from None
+
+
+def _apply_t_init(
+    V: np.ndarray, t_init: TInit, a_lo: int = 0, b_lo: int = 0
+) -> None:
+    """AND the initial ``t`` into ``V``, the verdicts of the window of
+    pairs whose corner is ``(a_lo, b_lo)``."""
+    rows, cols = V.shape
+    mask_fn = getattr(t_init, "lattice_mask", None)
+    if mask_fn is not None:
+        # Canonical t_init: one whole-window broadcast mask.
+        mask = mask_fn(rows, cols, a_lo, b_lo)
+        if mask is not None:
+            V &= mask
+    else:
+        for i in range(rows):
+            V[i] &= np.fromiter(
+                (bool(t_init(a_lo + i, b_lo + j)) for j in range(cols)),
+                bool, cols,
+            )
 
 
 def _make_collectors(
@@ -153,12 +177,11 @@ class LatticeEngine:
                 "trace recording needs the pulse-level cell network; run "
                 "this plan with backend='pulse'"
             )
-        with obs.span(
-            "engine.run", engine=self.name,
-            plan=type(plan).__name__, pulses=plan.pulses, cells=plan.cells,
-        ):
+        with obs.span("engine.run", engine=self.name, **run_attrs(plan)):
             if isinstance(plan, GridPlan):
                 run = self._run_grid(plan, meter)
+            elif isinstance(plan, BlockedPlan):
+                run = self._run_blocked(plan, meter)
             elif isinstance(plan, DivisionPlan):
                 run = self._run_division(plan, meter)
             elif isinstance(plan, LinearPlan):
@@ -169,8 +192,7 @@ class LatticeEngine:
                 raise SimulationError(
                     f"unknown plan type {type(plan).__name__}"
                 )
-        metrics.inc("engine.runs")
-        metrics.observe("engine.run.pulses", plan.pulses)
+        count_runs(plan)
         return run
 
     def __repr__(self) -> str:
@@ -184,20 +206,9 @@ class LatticeEngine:
         A = _int_matrix(plan.a_tuples, n_a, m, "A")
         B = _int_matrix(plan.b_tuples, n_b, m, "B")
 
-        V = self._verdict_matrix(plan, A, B)
+        V = self._verdict_matrix(A, B, plan.ops)
         if plan.t_init is not None:
-            mask_fn = getattr(plan.t_init, "lattice_mask", None)
-            if mask_fn is not None:
-                # Canonical t_init: one whole-grid broadcast mask.
-                mask = mask_fn(n_a, n_b)
-                if mask is not None:
-                    V &= mask
-            else:
-                t_init = plan.t_init
-                for i in range(n_a):
-                    V[i] &= np.fromiter(
-                        (bool(t_init(i, j)) for j in range(n_b)), bool, n_b
-                    )
+            _apply_t_init(V, plan.t_init)
 
         if meter is not None:
             meter.absorb(self._grid_busy(plan), plan.pulses, plan.cells)
@@ -216,19 +227,24 @@ class LatticeEngine:
             taps["t_i"] = self._accumulator_tap(plan, V)
         return taps
 
+    def _chunk_rows(self, n_b: int, m: int) -> int:
+        """Rows of A whose comparison against all of B stays within
+        ``chunk_bytes`` (counted as ``n_b × m`` int64 elements a row)."""
+        return max(1, self.chunk_bytes // max(1, 8 * n_b * m))
+
     def _verdict_matrix(
-        self, plan: GridPlan, A: np.ndarray, B: np.ndarray
+        self, A: np.ndarray, B: np.ndarray, ops: Optional[tuple[str, ...]]
     ) -> np.ndarray:
         """``V[i, j]`` = the comparison verdict pair ``(i, j)`` exits
-        with (before ``t_init``), evaluated in bulk — row-chunked so
-        the transient comparison block stays within ``chunk_bytes``.
-        The word-level comparator kernel; subclasses substitute their
-        own."""
-        sched = plan.schedule
-        n_a, n_b, m = sched.n_a, sched.n_b, sched.arity
-        compare = [_op_ufunc(op) for op in plan.ops or ("==",) * m]
+        with (before ``t_init``) — column ``k`` compared under
+        ``ops[k]``, equality throughout when ``ops`` is None —
+        evaluated in bulk, row-chunked so the transient comparison
+        block stays within ``chunk_bytes``.  The word-level comparator
+        kernel; subclasses substitute their own."""
+        (n_a, m), n_b = A.shape, B.shape[0]
+        compare = [_op_ufunc(op) for op in ops or ("==",) * m]
         V = np.empty((n_a, n_b), dtype=bool)
-        chunk = max(1, self.chunk_bytes // max(1, 8 * n_b * m))
+        chunk = self._chunk_rows(n_b, m)
         for lo in range(0, n_a, chunk):
             metrics.inc("engine.lattice.chunks")
             hi = min(n_a, lo + chunk)
@@ -321,6 +337,52 @@ class LatticeEngine:
                 if count:
                     busy[acc_name(row)] = count
         return busy
+
+    # -- the grid decomposed over a bounded device (§8) ----------------------
+
+    def _run_blocked(
+        self, plan: BlockedPlan, meter: Optional[ActivityMeter]
+    ) -> EngineRun:
+        """Every block run of the plan at once.
+
+        A block's verdicts are closed-form like any grid's, ANDing
+        column blocks is comparing all the columns, and laying B-blocks
+        side by side is comparing against all of B — so a band of whole
+        A-blocks against all of B *is* those blocks' results, and the
+        pulses they would take are the plan's block-span law.  Bands
+        are sized by ``chunk_bytes`` (never less than one A-block) and
+        reduced as they are produced, so what is held at once is one
+        band of ``T`` plus what the plan keeps of it.
+        """
+        # The reduction is the decode seam's (what operators read);
+        # repro.arrays imports this package, hence at call time.
+        from repro.arrays.decode import Reduction
+
+        if meter is not None:
+            raise SimulationError(
+                "a blocked plan stands for many array runs; meter them "
+                "one by one (plan.blocks())"
+            )
+        n_a, n_b, m = plan.n_a, plan.n_b, plan.arity
+        A = _int_matrix(plan.a_tuples, n_a, m, "A")
+        B = _int_matrix(plan.b_tuples, n_b, m, "B")
+        size = plan.tuple_block
+        band = size * max(1, self._chunk_rows(n_b, m) // size)
+
+        def verdicts_from(lo: int) -> np.ndarray:
+            V = self._verdict_matrix(A[lo:lo + band], B, plan.ops)
+            if plan.t_init is not None:
+                _apply_t_init(V, plan.t_init, a_lo=lo)
+            return V
+
+        reduction = Reduction(plan)
+        for lo in range(0, n_a, band):
+            # No name holds a band here: it is freed before the next.
+            reduction.add(lo, verdicts_from(lo))
+        return EngineRun(
+            engine=self.name, pulses=plan.pulses, cells=plan.cells,
+            verdicts=reduction.verdicts(), tap_view=dict,
+        )
 
     # -- the division array (Fig 7-2) --------------------------------------
 

@@ -21,11 +21,22 @@ activity metrics; the differential harness in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Protocol, Sequence, Union, runtime_checkable
+from functools import cached_property
+from typing import (
+    Any,
+    Callable,
+    Iterator,
+    Optional,
+    Protocol,
+    Sequence,
+    Union,
+    runtime_checkable,
+)
 
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.obs import metrics
 from repro.systolic.engine.hexmesh import (
     Semiring,
     hex_horizon,
@@ -34,9 +45,12 @@ from repro.systolic.engine.hexmesh import (
     meeting_cell,
 )
 from repro.systolic.engine.schedule import (
+    BlockSpanLaw,
     CounterStreamSchedule,
     DivisionSchedule,
     FixedRelationSchedule,
+    block_bounds,
+    block_span_law,
 )
 from repro.systolic.metrics import ActivityMeter
 from repro.systolic.streams import Collector
@@ -49,10 +63,14 @@ __all__ = [
     "t_init_at",
     "ColumnarTap",
     "GridPlan",
+    "BlockedPlan",
+    "REDUCTIONS",
     "DivisionPlan",
     "LinearPlan",
     "HexPlan",
     "ExecutionPlan",
+    "run_attrs",
+    "count_runs",
     "EngineRun",
     "Engine",
     "check_tuples",
@@ -115,7 +133,9 @@ def t_init_at(t_init: TInit, a_lo: int, b_lo: int) -> TInit:
     mask = getattr(t_init, "lattice_mask", None)
     if mask is not None:
         shifted.lattice_mask = (  # type: ignore[attr-defined]
-            lambda n_a, n_b: mask(n_a, n_b, a_lo, b_lo)
+            lambda n_a, n_b, lo_a=0, lo_b=0: mask(
+                n_a, n_b, a_lo + lo_a, b_lo + lo_b
+            )
         )
     return shifted
 
@@ -248,6 +268,151 @@ class GridPlan:
         return names
 
 
+#: What a blocked operator keeps of ``T``: ``"rows"`` — the vector
+#: ``t_i = OR_j t_ij`` (equation 4.1); ``"pairs"`` — the TRUE ``(i, j)``
+#: in lexicographic order (§6.2's retrieval list); ``"matrix"`` — all
+#: of ``T``.
+REDUCTIONS = ("rows", "pairs", "matrix")
+
+
+@dataclass
+class BlockedPlan:
+    """A whole comparison or join on a device too small for it (§8).
+
+    "One can simply partition this matrix [T] into sub-problems small
+    enough to fit on the array": the operands are the *whole* column
+    matrices, ``tuple_block`` / ``max_cols`` say what the device holds
+    (tuples a side, element columns), and :meth:`blocks` is the
+    partition — one :class:`GridPlan` per (A-block, B-block, column
+    block), the partial results of the column blocks ANDed "outside the
+    systolic arrays" (§9).  Everything countable about it — block
+    counts, total pulses — is closed-form
+    (:func:`~repro.systolic.engine.schedule.block_span_law`), and so is
+    every verdict, which is what lets a vectorized engine execute the
+    whole plan in one run instead of one run per block.
+
+    Exactly one of ``ops`` (join grid: one θ-operator per column) or
+    ``t_init`` (comparison grid: the seed of pair ``(i, j)``, *global*
+    indices, fed on the first column block only — ANDing propagates
+    it) must be given.  ``reduce`` names what the operator reads back
+    (:data:`REDUCTIONS`); the run's ``verdicts`` hold exactly that, so
+    only ``"matrix"`` ever materializes ``n_a × n_b`` values.
+    """
+
+    a_tuples: np.ndarray
+    b_tuples: np.ndarray
+    tuple_block: int
+    max_cols: int
+    reduce: str
+    t_init: Optional[TInit] = None
+    ops: Optional[tuple[str, ...]] = None
+
+    def __post_init__(self) -> None:
+        for label, matrix in (("A", self.a_tuples), ("B", self.b_tuples)):
+            if not isinstance(matrix, np.ndarray) or matrix.ndim != 2:
+                raise SimulationError(
+                    f"a blocked plan takes relation {label} as an "
+                    f"(n, arity) array"
+                )
+        if self.b_tuples.shape[1] != self.arity:
+            raise SimulationError(
+                f"relation B is a {self.n_b}×{self.b_tuples.shape[1]} "
+                f"array but relation A has arity {self.arity}"
+            )
+        if (self.t_init is None) == (self.ops is None):
+            raise SimulationError(
+                "a blocked plan needs exactly one of t_init (comparison "
+                "grid) or ops (join grid)"
+            )
+        if self.ops is not None and len(self.ops) != self.arity:
+            raise SimulationError(
+                f"need one operator per column: {len(self.ops)} ops for "
+                f"arity {self.arity}"
+            )
+        if self.reduce not in REDUCTIONS:
+            raise SimulationError(
+                f"unknown reduction {self.reduce!r}; have {REDUCTIONS}"
+            )
+        self.law  # validates the sizes
+
+    @property
+    def n_a(self) -> int:
+        return self.a_tuples.shape[0]
+
+    @property
+    def n_b(self) -> int:
+        return self.b_tuples.shape[0]
+
+    @property
+    def arity(self) -> int:
+        return self.a_tuples.shape[1]
+
+    @cached_property
+    def law(self) -> BlockSpanLaw:
+        """The decomposition in closed form."""
+        return block_span_law(
+            self.n_a, self.n_b, self.arity, self.tuple_block, self.max_cols
+        )
+
+    @property
+    def a_blocks(self) -> int:
+        return self.law.a_blocks
+
+    @property
+    def b_blocks(self) -> int:
+        return self.law.b_blocks
+
+    @property
+    def column_blocks(self) -> int:
+        return self.law.column_blocks
+
+    @property
+    def block_runs(self) -> int:
+        return self.law.block_runs
+
+    @property
+    def pulses(self) -> int:
+        """Total over every block run."""
+        return self.law.pulses
+
+    @property
+    def cells(self) -> int:
+        """The device's busy corner: the first (largest) block's grid."""
+        return self.law.first.rows * self.law.first.arity
+
+    def tap_names(self) -> list[str]:
+        """None: taps belong to the block runs, not to the whole."""
+        return []
+
+    def blocks(self) -> Iterator[tuple[int, int, int, GridPlan]]:
+        """The partition: ``(a_lo, b_lo, c_lo, plan)`` per sub-problem,
+        A-blocks outermost and column blocks innermost, each plan the
+        whole-array operator's on a slice of the operands."""
+        column_bounds = block_bounds(self.arity, self.max_cols)
+        b_bounds = block_bounds(self.n_b, self.tuple_block)
+        for a_lo, a_hi in block_bounds(self.n_a, self.tuple_block):
+            for b_lo, b_hi in b_bounds:
+                for c_lo, c_hi in column_bounds:
+                    schedule = CounterStreamSchedule(
+                        n_a=a_hi - a_lo, n_b=b_hi - b_lo, arity=c_hi - c_lo
+                    )
+                    if self.ops is not None:
+                        grid = dict(
+                            ops=self.ops[c_lo:c_hi], name="join-array"
+                        )
+                    else:
+                        grid = dict(
+                            t_init=t_init_at(self.t_init, a_lo, b_lo)
+                            if c_lo == 0 else t_init_true,
+                            name="comparison-array",
+                        )
+                    yield a_lo, b_lo, c_lo, GridPlan(
+                        self.a_tuples[a_lo:a_hi, c_lo:c_hi],
+                        self.b_tuples[b_lo:b_hi, c_lo:c_hi],
+                        schedule, row_taps=True, **grid,
+                    )
+
+
 @dataclass
 class DivisionPlan:
     """One run of the Fig 7-2 division array (§7)."""
@@ -365,7 +530,36 @@ class HexPlan:
         return names
 
 
-ExecutionPlan = Union[GridPlan, DivisionPlan, LinearPlan, HexPlan]
+ExecutionPlan = Union[GridPlan, BlockedPlan, DivisionPlan, LinearPlan, HexPlan]
+
+
+def run_attrs(plan: ExecutionPlan) -> dict[str, Any]:
+    """What an engine's ``engine.run`` span says about the plan; a
+    blocked plan's one span stands for ``blocks`` array runs."""
+    attrs = dict(
+        plan=type(plan).__name__, pulses=plan.pulses, cells=plan.cells
+    )
+    if isinstance(plan, BlockedPlan):
+        attrs["blocks"] = plan.block_runs
+    return attrs
+
+
+def count_runs(plan: ExecutionPlan) -> None:
+    """Count an executed plan's array runs in ``engine.runs`` and
+    ``engine.run.pulses`` — for a blocked plan every block run it stands
+    for, computed from the block-span law rather than looped."""
+    if not metrics.enabled:
+        return
+    if isinstance(plan, BlockedPlan):
+        sizes = [
+            (schedule.comparison_pulses, count)
+            for schedule, count in plan.law.spans
+        ]
+    else:
+        sizes = [(plan.pulses, 1)]
+    for pulses, count in sizes:
+        metrics.inc("engine.runs", count)
+        metrics.observe("engine.run.pulses", pulses, count)
 
 
 @dataclass
@@ -424,6 +618,12 @@ class EngineRun:
     pulse by pulse (Token records again materialized on demand), or,
     when the run was traced and so stepped the cell network, that
     network's eager Token-record ``collectors``.
+
+    The run of a :class:`BlockedPlan` is the exception on every engine:
+    it stands for many array runs, so it has no taps of its own,
+    ``pulses`` is their total, and ``verdicts`` holds what the plan's
+    ``reduce`` keeps of ``T`` (read it with
+    :func:`repro.arrays.decode.blocked_verdicts`).
     """
 
     def __init__(
@@ -449,8 +649,8 @@ class EngineRun:
         self.trace = trace
         #: peak number of hex cells firing on one pulse (HexPlan runs only)
         self.peak_firing = peak_firing
-        #: the run's result as the engine computed it (None on the pulse
-        #: engine, whose result exists only as tap records).
+        #: the run's result as the engine computed it (None on a pulse
+        #: run of one array, whose result exists only as tap records).
         self.verdicts = verdicts
         self._tap_view = tap_view
         self._columnar: Optional[dict[str, ColumnarTap]] = (

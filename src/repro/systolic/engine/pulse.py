@@ -15,6 +15,11 @@ hexagonal mesh — is materialized as the cell network
 (:mod:`~repro.systolic.engine.materialize`) and driven by the two-phase
 :class:`~repro.systolic.simulator.SystolicSimulator`, which is also the
 reference the register stepper is tested against, record for record.
+
+A §8 blocked plan is executed the way §8 words it: every sub-problem of
+``plan.blocks()`` stepped as its own array run and read off its taps
+(:func:`repro.arrays.decode.blockwise_verdicts`).  The vectorized
+engines run the same plan as one kernel; this is what they must equal.
 """
 
 from __future__ import annotations
@@ -22,9 +27,16 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro import obs
-from repro.obs import metrics
+from repro.errors import SimulationError
 from repro.systolic.engine.materialize import materialize
-from repro.systolic.engine.plan import EngineRun, ExecutionPlan, HexPlan
+from repro.systolic.engine.plan import (
+    BlockedPlan,
+    EngineRun,
+    ExecutionPlan,
+    HexPlan,
+    count_runs,
+    run_attrs,
+)
 from repro.systolic.engine.registers import step_plan
 from repro.systolic.metrics import ActivityMeter
 from repro.systolic.simulator import SystolicSimulator
@@ -44,21 +56,47 @@ class PulseEngine:
         meter: Optional[ActivityMeter] = None,
         trace: Optional[Any] = None,
     ) -> EngineRun:
-        with obs.span(
-            "engine.run", engine=self.name,
-            plan=type(plan).__name__, pulses=plan.pulses, cells=plan.cells,
-        ):
-            if trace is not None or isinstance(plan, HexPlan):
+        with obs.span("engine.run", engine=self.name, **run_attrs(plan)):
+            if isinstance(plan, BlockedPlan):
+                run = self._run_blocked(plan, meter, trace)
+            elif trace is not None or isinstance(plan, HexPlan):
                 run = self._run_network(plan, meter, trace)
             else:
-                taps = step_plan(plan, meter)
-                run = EngineRun(
-                    engine=self.name, pulses=plan.pulses, cells=plan.cells,
-                    meter=meter, tap_view=lambda: taps,
-                )
-        metrics.inc("engine.runs")
-        metrics.observe("engine.run.pulses", plan.pulses)
+                run = self._step(plan, meter)
+        count_runs(plan)
         return run
+
+    def _step(
+        self, plan: ExecutionPlan, meter: Optional[ActivityMeter] = None
+    ) -> EngineRun:
+        """One array run on the register stepper."""
+        taps = step_plan(plan, meter)
+        return EngineRun(
+            engine=self.name, pulses=plan.pulses, cells=plan.cells,
+            meter=meter, tap_view=lambda: taps,
+        )
+
+    def _run_blocked(
+        self, plan: BlockedPlan, meter: Optional[ActivityMeter],
+        trace: Optional[Any],
+    ) -> EngineRun:
+        """§8 as written: the array is run once per sub-problem and the
+        partial results are combined outside it — every block stepped
+        pulse by pulse, every ``t_ij`` read off the taps."""
+        # The audited tap decoders live above this package
+        # (repro.arrays imports it), hence at call time.
+        from repro.arrays.decode import blockwise_verdicts
+
+        if meter is not None or trace is not None:
+            raise SimulationError(
+                "a blocked plan stands for many array runs; meter or "
+                "trace them one by one (plan.blocks())"
+            )
+        verdicts, pulses = blockwise_verdicts(plan, self._step)
+        return EngineRun(
+            engine=self.name, pulses=pulses, cells=plan.cells,
+            verdicts=verdicts, tap_view=dict,
+        )
 
     def _run_network(
         self, plan: ExecutionPlan, meter: Optional[ActivityMeter],

@@ -28,6 +28,10 @@ Three disciplines are covered:
   values flow along the divisor rows, and an AND token sweeps each row
   one pulse behind the last ``y``.
 
+:func:`block_span_law` is §8's decomposition of a problem larger than
+the device in the same closed form: how many block runs, and how many
+pulses they take in total, without visiting a block.
+
 All pulse numbers follow the simulator convention: a feeder value at
 pulse ``p`` is processed by its cell during pulse ``p``; the cell's
 output is processed by the downstream neighbour during pulse ``p+1``.
@@ -43,6 +47,9 @@ __all__ = [
     "CounterStreamSchedule",
     "FixedRelationSchedule",
     "DivisionSchedule",
+    "BlockSpanLaw",
+    "block_bounds",
+    "block_span_law",
 ]
 
 
@@ -314,3 +321,89 @@ class DivisionSchedule:
     def total_pulses(self) -> int:
         """Pulses until the topmost row's quotient bit has exited."""
         return self.result_pulse(0) + 1
+
+
+# -- §8: a problem larger than the device ------------------------------------
+
+
+def block_bounds(n: int, size: int) -> list[tuple[int, int]]:
+    """§8's cut of ``n`` items into ``size``-blocks, as ``[lo, hi)`` bounds."""
+    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+
+def _span_counts(n: int, size: int) -> list[tuple[int, int]]:
+    """The block lengths of :func:`block_bounds` as ``(span, how many)``:
+    every block is full except possibly the last."""
+    full, rest = divmod(n, size)
+    return [(size, full)] * (full > 0) + [(rest, 1)] * (rest > 0)
+
+
+@dataclass(frozen=True)
+class BlockSpanLaw:
+    """A comparison too large for its device, decomposed arithmetically.
+
+    Each dimension has at most two distinct block lengths, so the whole
+    decomposition is at most eight distinct sub-problems: ``spans``
+    holds one ``(schedule, multiplicity)`` per distinct span triple,
+    the first block's first.  Summing over them is exact (integer
+    pulses) and independent of the block count.
+    """
+
+    a_blocks: int
+    b_blocks: int
+    column_blocks: int
+    spans: tuple[tuple[CounterStreamSchedule, int], ...]
+    #: total over all block runs, each run through its last ``t_ij``
+    #: (the blocks read every ``t_ij`` off the row taps)
+    pulses: int
+
+    @property
+    def block_runs(self) -> int:
+        """Sub-problems executed on the device."""
+        return self.a_blocks * self.b_blocks * self.column_blocks
+
+    @property
+    def first(self) -> CounterStreamSchedule:
+        """The schedule of block (0, 0, 0) — the largest sub-problem."""
+        return self.spans[0][0]
+
+
+def block_span_law(
+    n_a: int, n_b: int, arity: int, tuple_block: int, max_cols: int
+) -> BlockSpanLaw:
+    """Decompose an ``n_a × n_b`` comparison over ``arity`` columns onto
+    a counter-streaming device that holds ``tuple_block`` tuples a side
+    and ``max_cols`` element columns (§8).
+
+    The one statement of the decomposition: the blocked plan
+    (:class:`~repro.systolic.engine.plan.BlockedPlan`) executes it and
+    :mod:`repro.perf.cost` prices it, so predicted == simulated pulses.
+    """
+    if tuple_block < 1 or max_cols < 1:
+        raise SimulationError(
+            f"a device holds at least one tuple and one column, got "
+            f"tuple_block={tuple_block}, max_cols={max_cols}"
+        )
+    if min(n_a, n_b, arity) < 1:
+        raise SimulationError(
+            f"nothing to decompose: n_a={n_a}, n_b={n_b}, arity={arity}; "
+            f"empty operands short-circuit upstream"
+        )
+    a_spans = _span_counts(n_a, tuple_block)
+    b_spans = _span_counts(n_b, tuple_block)
+    column_spans = _span_counts(arity, max_cols)
+    spans = tuple(
+        (CounterStreamSchedule(sa, sb, sc), ca * cb * cc)
+        for sa, ca in a_spans
+        for sb, cb in b_spans
+        for sc, cc in column_spans
+    )
+    return BlockSpanLaw(
+        a_blocks=sum(count for _, count in a_spans),
+        b_blocks=sum(count for _, count in b_spans),
+        column_blocks=sum(count for _, count in column_spans),
+        spans=spans,
+        pulses=sum(
+            schedule.comparison_pulses * count for schedule, count in spans
+        ),
+    )

@@ -3,6 +3,12 @@
 from __future__ import annotations
 
 from repro import obs
+from repro.arrays import ArrayCapacity
+from repro.machine import SystolicDevice
+from repro.machine.plan import DEVICE_JOIN
+from repro.obs import metrics
+from repro.systolic.engine.schedule import CounterStreamSchedule
+from repro.workloads import join_pair
 
 from .conftest import build_machine, join_project_plan
 
@@ -183,3 +189,44 @@ class TestStructure:
             if op.attrs.get("device") == "resident":
                 continue
             assert [c.name for c in op.children].count("host.task") == 1
+
+
+class TestBlockedRunIsOneSpan:
+    """A device execution is one ``engine.run`` span that says how many
+    block runs it stands for; the counters are those block runs',
+    computed from the block-span law."""
+
+    def test_span_and_computed_counters(self):
+        a, b = join_pair(40, 30, 8, seed=31)
+        node = join_project_plan().child
+        per_engine = {}
+        for backend in ("lattice", "bitplane", "pulse"):
+            device = SystolicDevice(
+                "join", DEVICE_JOIN, ArrayCapacity(max_rows=15, max_cols=8),
+                backend=backend,
+            )
+            metrics.reset()
+            metrics.enable()
+            with obs.tracing() as tracer:
+                run = device.execute(node, [a, b])
+            metrics.disable()
+            (execute,) = tracer.find("device.execute")
+            (engine_run,) = tracer.find("engine.run")
+            assert engine_run in execute.children
+            assert engine_run.attrs == {
+                "engine": backend, "plan": "BlockedPlan",
+                "pulses": run.pulses, "cells": 15, "blocks": 20,
+            }
+            # 40 × 30 over 8-tuple blocks: 5 × 4 block runs, the last
+            # B-block ragged (6 tuples).
+            full = CounterStreamSchedule(8, 8, 1).comparison_pulses
+            ragged = CounterStreamSchedule(8, 6, 1).comparison_pulses
+            pulses = metrics.histogram("engine.run.pulses")
+            assert (run.block_runs, run.pulses) == (20, 15 * full + 5 * ragged)
+            assert metrics.counter("engine.runs") == 20
+            assert metrics.counter("device.block_runs") == 20
+            assert metrics.counter("device.busy_pulses") == run.pulses
+            assert (pulses.count, pulses.total) == (20, run.pulses)
+            assert (pulses.minimum, pulses.maximum) == (ragged, full)
+            per_engine[backend] = run.relation.tuples
+        assert len(set(per_engine.values())) == 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -251,6 +252,31 @@ class TestPruning:
             store.open("SP").read(("c0", "~=", 3))
 
 
+def _z_order_21_bits(coords: np.ndarray) -> np.ndarray:
+    """``cluster_order`` as it was: 21 bits an axis, needed or not."""
+    n, ndims = coords.shape
+    key = np.zeros(n, dtype=np.uint64)
+    unsigned = coords.astype(np.uint64)
+    for bit in range(21):
+        for d in range(ndims):
+            key |= ((unsigned[:, d] >> np.uint64(bit)) & np.uint64(1)) << (
+                np.uint64(bit * ndims + d)
+            )
+    return np.argsort(key, kind="stable")
+
+
+def _row_sort_directory(coords: np.ndarray, chunk_of_row: np.ndarray) -> dict:
+    """``GridIndex.build``'s directory as it was: the distinct rows of
+    the (coordinates, chunk) matrix."""
+    directory: dict = {}
+    if len(coords):
+        cells = np.concatenate([coords, chunk_of_row.reshape(-1, 1)], axis=1)
+        for row in np.unique(cells, axis=0):
+            cell = tuple(int(c) for c in row[:-1])
+            directory.setdefault(cell, set()).add(int(row[-1]))
+    return directory
+
+
 class TestGridIndex:
     def test_scales_are_balanced_quantiles(self):
         values = np.arange(1000)
@@ -265,6 +291,85 @@ class TestGridIndex:
         coords = np.array([[1, 0], [0, 1], [3, 3], [0, 0]])
         order = cluster_order(coords)
         assert sorted(order.tolist()) == [0, 1, 2, 3]
+
+    @SMALL
+    @given(
+        coords=st.integers(1, 3).flatmap(lambda ndims: st.lists(
+            st.lists(st.integers(0, 40), min_size=ndims, max_size=ndims),
+            max_size=30,
+        ).map(lambda rows: np.array(rows, dtype=np.int64).reshape(-1, ndims))),
+        chunk_rows=st.integers(1, 31),
+    )
+    def test_directory_and_order_equal_the_row_sort_construction(
+        self, coords, chunk_rows
+    ):
+        """The 1-D-key directory and the as-many-bits-as-needed z-order
+        are the constructions they replaced (written out below), down
+        to the JSON the manifest stores — from an empty relation through
+        a single cell and a single chunk to one row a chunk."""
+        order = cluster_order(coords)
+        assert order.tolist() == _z_order_21_bits(coords).tolist()
+        coords = coords[order]
+        ndims = coords.shape[1]
+        chunk_of_row = np.arange(len(coords)) // chunk_rows
+        built = GridIndex.build(
+            range(ndims), coords, [()] * ndims, chunk_of_row
+        )
+        want = GridIndex(
+            range(ndims), [()] * ndims, _row_sort_directory(coords, chunk_of_row)
+        )
+        assert built.directory == want.directory
+        assert json.dumps(built.to_json()) == json.dumps(want.to_json())
+
+    def test_directory_corner_cases(self):
+        one_cell = np.zeros((5, 2), dtype=np.int64)
+        assert GridIndex.build(
+            (0, 1), one_cell, [(), ()], np.arange(5) // 2
+        ).directory == {(0, 0): (0, 1, 2)}
+        cells = np.array([[0, 1], [2, 0], [0, 1]], dtype=np.int64)
+        assert GridIndex.build(
+            (0, 1), cells, [(), ()], np.zeros(3, dtype=np.int64)
+        ).directory == {(0, 1): (0,), (2, 0): (0,)}
+        assert GridIndex.build(
+            (0,), np.empty((0, 1), dtype=np.int64), [()], np.arange(0)
+        ).directory == {}
+
+    def test_a_grid_too_large_for_one_key_is_refused(self):
+        coords = np.array([[0, 0, 0], [1 << 21, 1 << 21, 1 << 21]])
+        with pytest.raises(StoreError, match="64-bit directory key"):
+            GridIndex.build(
+                (0, 1, 2), coords, [(), (), ()], np.array([0, 1 << 20])
+            )
+        with pytest.raises(StoreError, match="z-order key"):
+            cluster_order(np.array([[1 << 21] * 4]))
+
+    @pytest.mark.parametrize("rows, grid, digest", [
+        (131_072, 8,
+         "46bc35bede54bb6d5bd40496b87cce5cda715457aa4a90e2fb1fa3a10f991a46"),
+        (32_768, 4,
+         "dfda754e4c8cc4194dc9500812da83c27d8cb20561548f0e7cc3718951c60c18"),
+    ])
+    def test_manifest_bytes_did_not_move(self, tmp_path, rows, grid, digest):
+        """The two relations the ``store_scan`` benchmark writes: their
+        ``manifest.json`` (scales, directory, zone maps — what the
+        digest, and through it every plan-cache key, is taken over) is
+        byte for byte what ``np.unique(axis=0)`` and the fixed 21-bit
+        z-order wrote."""
+        s_width, p_width = 1_000 // grid, 2_000 // grid
+        rng = np.random.default_rng(0)
+        cell = np.repeat(np.arange(grid * grid), rows // (grid * grid))
+        array = np.stack(
+            [(cell // grid) * s_width + rng.integers(0, s_width, rows),
+             (cell % grid) * p_width + rng.integers(0, p_width, rows),
+             np.arange(rows)],
+            axis=1,
+        )[rng.permutation(rows)]
+        schema = Schema.of(("s", _INT), ("p", _INT), ("qty", _INT))
+        handle = RelationStore(tmp_path).write_array(
+            "SP", array, schema, chunk_rows=8_192, index_columns=("s", "p")
+        )
+        manifest = (handle.path / "manifest.json").read_bytes()
+        assert hashlib.sha256(manifest).hexdigest() == digest
 
     def test_json_round_trip(self):
         index = GridIndex(
