@@ -24,7 +24,6 @@ import threading
 import time
 from pathlib import Path
 
-from repro.arrays import ArrayCapacity
 from repro.machine import (
     Base,
     Divide,
@@ -38,7 +37,6 @@ from repro.machine import (
 )
 from repro.machine.physical import actual_cost
 from repro.relational import algebra
-from repro.systolic.engine import LatticeEngine
 from repro.workloads import division_example, join_pair, overlapping_pair
 
 CHAIN_LABELS = ("join[key==key]", "project[a0,b0]", "divide")
@@ -128,60 +126,6 @@ def run_scenario(n_a: int, n_b: int, n_keys: int, seed: int) -> dict:
         "law_pipelined_ms": round(timing.pipelined * 1e3, 6),
         "predicted_ms": round(physical.predicted_makespan * 1e3, 6),
         "speedup": round(report_s.makespan / report_p.makespan, 3),
-    }
-
-
-def _overlap_machine(n: int, plans: int):
-    """A roster of big lattice-backed join arrays running ``plans``
-    independent equi-joins — the host-overlap workload.  The lattice
-    chunk is raised so each join is one long GIL-releasing numpy
-    broadcast that host threads can genuinely overlap."""
-    capacity = ArrayCapacity(max_rows=4 * n, max_cols=8)
-    machine = SystolicDatabaseMachine(
-        devices=(("join", plans, capacity),),
-        capacity=capacity,
-        memory_bytes=256 * 1024 * 1024,
-        backend=LatticeEngine(chunk_bytes=128 * 1024 * 1024),
-    )
-    transaction = []
-    for k in range(plans):
-        ja, jb = join_pair(n, n, n // 2, seed=100 + k)
-        machine.store(f"JA{k}", ja)
-        machine.store(f"JB{k}", jb)
-        transaction.append(
-            Join(Base(f"JA{k}"), Base(f"JB{k}"), on=(("key", "key"),))
-        )
-    return machine, transaction
-
-
-def run_overlap(n: int, plans: int) -> dict:
-    """Wall-clock of run_physical's compute phase, serial vs threaded.
-
-    Host wall-clock is machine-dependent (core count, numpy build), so
-    these numbers live outside the regression-gated ``entries`` list;
-    the assertion only requires parallel not to *lose* badly.
-    """
-
-    def run(parallel):
-        machine, transaction = _overlap_machine(n, plans)
-        physical = machine.compile(transaction)
-        start = time.perf_counter()
-        results, report = machine.run_physical(physical, parallel=parallel)
-        return time.perf_counter() - start, results, report
-
-    serial_s, serial_results, serial_report = run(False)
-    parallel_s, parallel_results, parallel_report = run(True)
-    assert parallel_results == serial_results
-    assert parallel_report.steps == serial_report.steps
-    assert parallel_s < serial_s * 1.25, (
-        f"host-parallel run slower than serial: {parallel_s:.3f}s vs "
-        f"{serial_s:.3f}s"
-    )
-    return {
-        "n": n, "plans": plans,
-        "serial_wall_ms": round(serial_s * 1e3, 3),
-        "parallel_wall_ms": round(parallel_s * 1e3, 3),
-        "overlap": round(serial_s / parallel_s, 3),
     }
 
 
@@ -326,7 +270,6 @@ def main(argv=None) -> int:
         run_scenario(80, 70, 40, seed=6),
         run_scenario(160, 140, 80, seed=7),
     ]
-    overlap = [run_overlap(2048, plans=4)]
     plan_cache = run_plan_cache()
     multi_tenant = run_multi_tenant(tenants=4)
     report = {
@@ -334,12 +277,6 @@ def main(argv=None) -> int:
                        "store-and-forward on divide(project(join)) "
                        "(see docs/PLANNER.md and docs/PERF.md)",
         "entries": entries,
-        "host_execution": {
-            "description": "run_physical compute phase, serial vs host "
-                           "threads (wall-clock; machine-dependent, not "
-                           "regression-gated)",
-            "entries": overlap,
-        },
         "plan_cache": plan_cache,
         "multi_tenant": {
             "description": "4 tenant sessions' transactions on one "
@@ -355,11 +292,6 @@ def main(argv=None) -> int:
               f"s&f {e['store_and_forward_ms']:>8.3f} ms  "
               f"pipelined {e['pipelined_ms']:>8.3f} ms  "
               f"{e['speedup']:.2f}x  (law {e['law_pipelined_ms']:.3f} ms)")
-    for e in overlap:
-        print(f"run_many overlap  n={e['n']} x{e['plans']} joins  "
-              f"serial {e['serial_wall_ms']:>9.1f} ms  "
-              f"parallel {e['parallel_wall_ms']:>9.1f} ms  "
-              f"{e['overlap']:.2f}x")
     print(f"plan cache  cold {plan_cache['cold_compile_ms']:.3f} ms  "
           f"hit {plan_cache['cached_compile_ms']:.6f} ms  "
           f"{plan_cache['speedup']:.0f}x")

@@ -71,9 +71,7 @@ def run_scaling(n_a: int, n_b: int, rows: int = 4096):
     baseline = None
     base_ms = 0.0
     for shards in SHARD_COUNTS:
-        session = _pool(rows).session(
-            "bench", shards=shards, parallel=True
-        )
+        session = _pool(rows).session("bench", shards=shards)
         session.store("JA", ja, key="key")
         session.store("JB", jb, key="key")
         compiled = session.compile(plan)
@@ -130,9 +128,7 @@ def run_exchange(shards: int = 4) -> list[dict]:
     entries = []
     for name, catalog, plan, kind in cases:
         solo = _pool(4096).session(f"solo-{name}")
-        cluster = _pool(4096).session(
-            f"cluster-{name}", shards=shards, parallel=True
-        )
+        cluster = _pool(4096).session(f"cluster-{name}", shards=shards)
         for store in (solo.store, cluster.store):
             for rel_name, relation in catalog.items():
                 store(rel_name, relation, key="key")

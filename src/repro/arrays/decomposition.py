@@ -268,8 +268,8 @@ def _join_columns(matrix: np.ndarray, positions: list[int]) -> np.ndarray:
 
     A view when they are adjacent (a single-column join always is): the
     plan only reads them, and a fancy-index copy of a few thousand rows
-    releases the GIL — under ``parallel=True`` that hands the
-    interpreter to another shard's thread in the middle of setting this
+    releases the GIL — beside concurrent queries that hands the
+    interpreter to another query's thread in the middle of setting this
     join up, and the wait to get it back is billed here.
     """
     first, count = positions[0], len(positions)

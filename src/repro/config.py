@@ -1,13 +1,13 @@
 """Environment-variable parsing shared across the repro packages.
 
 Several knobs can be set process-wide through the environment
-(``REPRO_MACHINE_PARALLEL``, ``REPRO_LATTICE_CHUNK_BYTES``, ...).  The
+(``REPRO_BACKEND``, ``REPRO_LATTICE_CHUNK_BYTES``, ...).  The
 helpers here give every such knob the same, predictable behaviour:
 
 * an unset or empty variable means *use the default*;
 * a malformed value raises :class:`~repro.errors.ConfigError` naming
   the variable and the offending text — never a bare ``ValueError``
-  from ``int()`` or a silent truthiness surprise.
+  from ``int()``.
 """
 
 from __future__ import annotations
@@ -17,38 +17,7 @@ from typing import Mapping, Optional, Sequence
 
 from repro.errors import ConfigError
 
-__all__ = ["env_flag", "env_int", "env_float", "env_choice"]
-
-#: Spellings accepted for boolean environment flags.
-_TRUE = frozenset({"1", "true", "on", "yes"})
-_FALSE = frozenset({"0", "false", "off", "no"})
-
-
-def env_flag(
-    name: str,
-    default: bool,
-    environ: Optional[Mapping[str, str]] = None,
-) -> bool:
-    """Read a boolean flag from the environment.
-
-    Accepts ``1/true/on/yes`` and ``0/false/off/no`` (any case,
-    surrounding whitespace ignored).  Unset or empty means ``default``;
-    anything else raises :class:`ConfigError`.
-    """
-    raw = (environ if environ is not None else os.environ).get(name)
-    if raw is None:
-        return default
-    text = raw.strip().lower()
-    if not text:
-        return default
-    if text in _TRUE:
-        return True
-    if text in _FALSE:
-        return False
-    raise ConfigError(
-        f"{name}={raw!r} is not a boolean: use one of "
-        f"{sorted(_TRUE)} or {sorted(_FALSE)}"
-    )
+__all__ = ["env_int", "env_float", "env_choice"]
 
 
 def env_int(

@@ -20,6 +20,7 @@ from repro.faults.recovery import (
     DEFAULT_RETRY_POLICY,
     CancelToken,
     RetryPolicy,
+    guarded_call,
     replan_on_quarantine,
     retry_call,
     run_with_deadline,
@@ -32,6 +33,7 @@ __all__ = [
     "CancelToken",
     "RetryPolicy",
     "DEFAULT_RETRY_POLICY",
+    "guarded_call",
     "replan_on_quarantine",
     "retry_call",
     "run_with_deadline",

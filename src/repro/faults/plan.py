@@ -13,8 +13,8 @@ and how often, in a way that is **deterministic by construction**:
   attempts" means the first two attempts *of that site*, whichever
   host thread makes them;
 * probabilistic rules hash ``(seed, site, attempt)`` instead of drawing
-  from a sequential RNG, so a parallel run injects exactly the faults a
-  serial run does.
+  from a sequential RNG, so queries running side by side on one pool
+  are injected exactly the faults they would be running alone.
 
 That determinism is what lets the differential tests demand the
 recovered run be **bit-identical** — results, timeline, span structure

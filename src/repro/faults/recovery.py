@@ -16,6 +16,10 @@ honest:
 * :func:`retry_call` — the one retry loop everyone shares, charging
   each retry to the :class:`~repro.faults.plan.FaultPlan` ledger and
   the ``faults.retries`` / ``faults.backoff_seconds`` metrics;
+* :func:`guarded_call` — the one dispatch boundary: cancel check, the
+  fault plan's injection and slowness, then the work, under
+  :func:`retry_call` — shared by disk reads, device executes, shard
+  stage runs and interconnect exchanges;
 * :func:`run_with_deadline` — run a callable on a worker thread and
   cancel it (``faults.deadline_cancels``, :class:`DeadlineError`) when
   the budget lapses;
@@ -49,6 +53,7 @@ __all__ = [
     "CancelToken",
     "RetryPolicy",
     "DEFAULT_RETRY_POLICY",
+    "guarded_call",
     "replan_on_quarantine",
     "retry_call",
     "run_with_deadline",
@@ -59,7 +64,7 @@ _SLEEP_SLICE = 0.01
 
 
 class CancelToken:
-    """A cooperative cancellation flag shared across one query's threads.
+    """A cooperative cancellation flag between a query and its deadline.
 
     The deadline enforcer sets it; the execution layers poll it at
     dispatch boundaries (:meth:`check`) and slice every injected or
@@ -178,6 +183,46 @@ def retry_call(
             cancellable_sleep(delay, cancel)
     raise last if last is not None else FaultError(  # pragma: no cover
         f"retry budget of {policy.attempts} was zero for {site!r}"
+    )
+
+
+def guarded_call(
+    run: Callable[[], object],
+    inject: Callable[[], Optional[BaseException]],
+    *,
+    site: str,
+    faults,
+    cancel: Optional[CancelToken],
+    retryable: Tuple[Type[BaseException], ...],
+    slow: Optional[str] = None,
+):
+    """One dispatch — a disk read, a device execute, a shard's stage
+    run, an exchange — through the fault plan.
+
+    Without a plan it is the cancel check and ``run()``.  With one,
+    every attempt of :func:`retry_call` first asks ``inject()`` for the
+    fault the plan schedules here and raises it, then sleeps the
+    plan's slowness for ``slow`` (a device name, or ``"disk"``) through
+    the token, then runs.  Injection happens at this boundary, before
+    ``run`` opens any span, so a failed attempt leaves no trace in the
+    span tree and a recovered run's trace stays bit-identical to a
+    fault-free one.  ``site`` seeds the backoff jitter.
+    """
+    if cancel is not None:
+        cancel.check()
+    if faults is None:
+        return run()
+
+    def attempt():
+        fault = inject()
+        if fault is not None:
+            raise fault
+        if slow is not None:
+            cancellable_sleep(faults.slowness(slow), cancel)
+        return run()
+
+    return retry_call(
+        attempt, site=site, plan=faults, cancel=cancel, retryable=retryable
     )
 
 

@@ -13,12 +13,13 @@ that shared machinery so the front-ends cannot drift:
   transactions), which is what makes a query a function of (catalog,
   plan) — run N equals run 1, and a pooled or sharded run is
   bit-identical to running alone on a new machine.
-* :class:`PlanExecutor` — the two-phase executor: a host-parallel
-  *compute phase* resolving every op's data result, then a sequential
-  *replay phase* doing all the timing and memory bookkeeping, so a
-  parallel run is bit-identical to a serial one.
+* :class:`PlanExecutor` — the two-phase executor: a *compute phase*
+  resolving every op's data result, one op after another on the
+  calling thread, then a *replay phase* doing all the timing and
+  memory bookkeeping on the simulated clock — which is where §9's
+  "several operations may be run concurrently" happens.
 * :func:`build_devices`, :func:`place_resident`,
-  :func:`roster_fingerprint`, :func:`resolve_parallel` — the
+  :func:`roster_fingerprint`, :func:`check_memories` — the
   construction helpers the front-ends share.
 """
 
@@ -29,18 +30,13 @@ from typing import Any, Iterable, Optional, Sequence
 
 from repro import obs
 from repro.arrays.decomposition import ArrayCapacity
-from repro.config import env_flag
 from repro.errors import (
     CapacityError,
     DeviceFaultError,
     DiskFaultError,
     PlanError,
 )
-from repro.faults.recovery import (
-    DEFAULT_RETRY_POLICY,
-    cancellable_sleep,
-    retry_call,
-)
+from repro.faults.recovery import DEFAULT_RETRY_POLICY, guarded_call
 from repro.obs import metrics
 from repro.machine.catalog import Catalog
 from repro.machine.crossbar import CrossbarSwitch
@@ -60,7 +56,6 @@ from repro.machine.plan import PlanNode
 from repro.machine.scheduler import (
     DeviceRoster,
     ExecutionReport,
-    HostExecutor,
     ScheduledStep,
 )
 from repro.perf.technology import TechnologyModel
@@ -70,19 +65,11 @@ __all__ = [
     "MachineState",
     "PlanExecutor",
     "build_devices",
+    "check_memories",
     "fresh_state",
     "place_resident",
-    "resolve_parallel",
     "roster_fingerprint",
 ]
-
-
-def resolve_parallel(parallel: Optional[bool]) -> bool:
-    """Whether the compute phase overlaps on host threads: the caller's
-    explicit choice, else ``REPRO_MACHINE_PARALLEL`` (default on)."""
-    if parallel is not None:
-        return bool(parallel)
-    return env_flag("REPRO_MACHINE_PARALLEL", True)
 
 
 def build_devices(
@@ -193,6 +180,15 @@ def place_resident(state: MachineState, name: str, relation: Relation) -> None:
     state.resident[name] = (key, relation, 0.0, memory.name)
 
 
+def check_memories(memories: int) -> None:
+    """Refuse a machine of fewer than two memory modules."""
+    if memories < 2:
+        raise CapacityError(
+            "the machine needs at least two memories (§9: output is "
+            "pipelined back into *another* memory)"
+        )
+
+
 def fresh_state(
     catalog: Catalog,
     devices: list[SystolicDevice | CpuDevice],
@@ -223,24 +219,22 @@ class PlanExecutor:
 
     Execution happens in two phases.  The **compute phase** resolves
     every op's data result — disk reads and device runs, which are pure
-    functions of their inputs — with independent ops overlapped on host
-    threads (:class:`HostExecutor`).  The **replay phase** then walks
-    the plan in topological order doing all the *simulated* bookkeeping
-    (port windows, memory placement, the timed report) sequentially, so
-    the timeline is deterministic and bit-identical whether the compute
-    phase ran parallel or serial.
+    functions of their inputs — in plan order on the calling thread.
+    The **replay phase** then walks the plan again doing all the
+    *simulated* bookkeeping (port windows, memory placement, the timed
+    report), so the timeline depends on the plan and the data alone;
+    the overlap of independent operations exists on that simulated
+    clock, not on the host's.
     """
 
     def __init__(
         self,
         state: MachineState,
-        host_workers: Optional[int] = None,
         faults=None,
         cancel=None,
         fault_scope: str = "",
     ) -> None:
         self.state = state
-        self.host_workers = host_workers
         #: Active :class:`~repro.faults.plan.FaultPlan` (None = no faults).
         self.faults = faults
         #: :class:`~repro.faults.recovery.CancelToken` polled at dispatch
@@ -250,9 +244,7 @@ class PlanExecutor:
         self.fault_scope = fault_scope
 
     def run_physical(
-        self,
-        physical: PhysicalPlan,
-        parallel: bool = True,
+        self, physical: PhysicalPlan
     ) -> tuple[list[Relation], ExecutionReport]:
         """Execute an already-compiled physical plan.
 
@@ -264,7 +256,7 @@ class PlanExecutor:
         state = self.state
         with obs.span("machine.run", ops=len(physical.ops)) as run_span:
             with obs.span("machine.compute_phase"):
-                runs, task_spans = self._compute_phase(physical, parallel)
+                runs, task_spans = self._compute_phase(physical)
             report = ExecutionReport()
             roster = DeviceRoster(state.devices)
             disk_free = 0.0
@@ -311,9 +303,9 @@ class PlanExecutor:
     # -- compute phase ---------------------------------------------------------
 
     def _compute_phase(
-        self, physical: PhysicalPlan, parallel: bool
+        self, physical: PhysicalPlan
     ) -> tuple[dict[int, Any], dict[int, Any]]:
-        """Resolve every op's data result, overlapping independent ops.
+        """Resolve every op's data result, in plan (topological) order.
 
         Returns ``({op_id: result}, {op_id: span})`` where a load's
         result is the ``(relation, read_seconds)`` pair from
@@ -324,13 +316,11 @@ class PlanExecutor:
         relations either way — so the replay phase can fall back from a
         fused chain to store-and-forward without recomputing anything.
 
-        When tracing is active, each thunk runs under a **detached**
-        ``host.task`` span (returned in the second dict); the replay
-        phase grafts those subtrees under the deterministic per-op
-        spans, so the recorded tree structure is identical whether the
-        compute phase ran parallel or serial.
+        Each op resolves under a **detached** ``host.task`` span
+        (returned in the second dict); the replay phase grafts those
+        subtrees under its per-op spans, so a span tree holds only the
+        attempts that replay committed and reads in replay order.
         """
-        state = self.state
 
         def relation_of(value: Any) -> Relation:
             if isinstance(value, Relation):
@@ -339,91 +329,39 @@ class PlanExecutor:
                 return value[0]  # disk load: (relation, seconds)
             return value.relation  # DeviceRun
 
-        seed: dict[int, Any] = {}
-        thunks: dict[int, tuple[tuple[int, ...], Any]] = {}
-        for op in physical.ops:
-            if op.op_id in seed or op.op_id in thunks:
-                continue
-            if op.kind == OP_RESIDENT:
-                seed[op.op_id] = state.resident[op.node.name][1]
-            elif op.kind == OP_LOAD:
-                def load(resolved, op=op):
-                    return self._guarded_read(op)
-
-                thunks[op.op_id] = ((), load)
-            else:
-                device = self._device(op.device)
-                deps = tuple(op.inputs)
-
-                def execute(resolved, op=op, device=device, deps=deps):
-                    inputs = [relation_of(resolved[d]) for d in deps]
-                    return self._guarded_execute(op, device, inputs)
-
-                thunks[op.op_id] = (deps, execute)
+        runs: dict[int, Any] = {}
         task_spans: dict[int, Any] = {}
-        if obs.enabled():
-            labels = {op.op_id: op.label for op in physical.ops}
-            for op_id, (deps, fn) in list(thunks.items()):
-                thunks[op_id] = (
-                    deps,
-                    self._traced_thunk(op_id, labels[op_id], fn, task_spans),
-                )
-        workers = self.host_workers if parallel else 1
-        results = HostExecutor(max_workers=workers).run(thunks, seed=seed)
-        return results, task_spans
-
-    @staticmethod
-    def _traced_thunk(
-        op_id: int, label: str, fn: Any, task_spans: dict[int, Any]
-    ) -> Any:
-        """Wrap a compute thunk in a detached ``host.task`` span.
-
-        The span subtree is free-standing (worker threads have no
-        deterministic ancestor) and lands in ``task_spans`` for the
-        replay phase to adopt.  Distinct keys make the dict writes
-        thread-safe.
-        """
-
-        def traced(resolved: dict[int, Any]) -> Any:
-            with obs.detached("host.task", op=label) as sp:
-                result = fn(resolved)
-            task_spans[op_id] = sp
-            return result
-
-        return traced
+        for op in physical.ops:
+            if op.kind == OP_RESIDENT:
+                runs[op.op_id] = self.state.resident[op.node.name][1]
+                continue
+            with obs.detached("host.task", op=op.label) as sp:
+                if op.kind == OP_LOAD:
+                    runs[op.op_id] = self._guarded_read(op)
+                else:
+                    runs[op.op_id] = self._guarded_execute(
+                        op, self._device(op.device),
+                        [relation_of(runs[i]) for i in op.inputs],
+                    )
+            task_spans[op.op_id] = sp
+        return runs, task_spans
 
     # -- fault-aware dispatch --------------------------------------------------
 
     def _guarded_read(self, op: PhysicalOp):
-        """One disk read, retried through the fault plan's injections.
-
-        Injection happens *here*, at the dispatch boundary and before
-        any span opens, so a failed attempt leaves no trace in the span
-        tree — recovered runs keep traces bit-identical to fault-free
-        runs.
-        """
-        state = self.state
-        if self.cancel is not None:
-            self.cancel.check()
-        if self.faults is None:
-            return state.disk.read(op.base_name, selection=op.selection)
-        faults = self.faults
-
-        def attempt():
-            fault = faults.disk_fault(op.base_name, scope=self.fault_scope)
-            if fault is not None:
-                raise fault
-            delay = faults.slowness("disk")
-            if delay:
-                cancellable_sleep(delay, self.cancel)
-            return state.disk.read(op.base_name, selection=op.selection)
-
-        return retry_call(
-            attempt,
+        """One disk read, retried through the fault plan's injections."""
+        return guarded_call(
+            lambda: self.state.disk.read(
+                op.base_name, selection=op.selection
+            ),
+            lambda: self.faults.disk_fault(
+                op.base_name, scope=self.fault_scope
+            ),
             site=f"disk:{self.fault_scope}:{op.op_id}",
-            plan=faults,
+            faults=self.faults,
             cancel=self.cancel,
             retryable=(DiskFaultError,),
+            slow="disk",
         )
 
     def _guarded_execute(self, op: PhysicalOp, device, inputs: list):
@@ -436,35 +374,21 @@ class PlanExecutor:
         *permanent* (``quarantined=True``): the pool's replan loop then
         degrades gracefully onto the surviving roster.
         """
-        if self.cancel is not None:
-            self.cancel.check()
-        if self.faults is None:
-            return device.execute(op.node, inputs)
-        faults = self.faults
-        blocks = op.block_runs or None
-
-        def attempt():
-            fault = faults.device_fault(
-                device.name, f"op{op.op_id}:{op.label}",
-                scope=self.fault_scope, blocks=blocks,
-            )
-            if fault is not None:
-                raise fault
-            delay = faults.slowness(device.name)
-            if delay:
-                cancellable_sleep(delay, self.cancel)
-            return device.execute(op.node, inputs)
-
         try:
-            return retry_call(
-                attempt,
+            return guarded_call(
+                lambda: device.execute(op.node, inputs),
+                lambda: self.faults.device_fault(
+                    device.name, f"op{op.op_id}:{op.label}",
+                    scope=self.fault_scope, blocks=op.block_runs or None,
+                ),
                 site=f"device:{self.fault_scope}:{op.op_id}",
-                plan=faults,
+                faults=self.faults,
                 cancel=self.cancel,
                 retryable=(DeviceFaultError,),
+                slow=device.name,
             )
-        except DeviceFaultError as exc:
-            faults.quarantine(device.name)
+        except DeviceFaultError as exc:  # only a fault plan injects one
+            self.faults.quarantine(device.name)
             raise DeviceFaultError(
                 f"device {device.name!r} exhausted its retry budget of "
                 f"{DEFAULT_RETRY_POLICY.attempts} on {op.label!r} and was "

@@ -355,6 +355,19 @@ class PlanningContext:
     devices: Sequence
     element_bits: int = 32
 
+    @classmethod
+    def from_catalog(
+        cls, catalog, devices: Sequence, element_bits: int
+    ) -> "PlanningContext":
+        """What a :class:`~repro.machine.catalog.Catalog` says to plan
+        against — its disk and its preloads — over ``devices``."""
+        return cls(
+            disk=catalog.disk,
+            resident=dict(catalog.preloaded()),
+            devices=devices,
+            element_bits=element_bits,
+        )
+
 
 class PhysicalPlanner:
     """Compiles logical plan DAGs against one :class:`PlanningContext`."""

@@ -47,6 +47,7 @@ from repro.machine.catalog import Catalog
 from repro.machine.execution import (
     PlanExecutor,
     build_devices,
+    check_memories,
     fresh_state,
     roster_fingerprint,
 )
@@ -58,7 +59,7 @@ from repro.machine.physical import (
     plan_fingerprint,
 )
 from repro.machine.plan import PlanNode
-from repro.machine.scheduler import ExecutionReport, host_stats
+from repro.machine.scheduler import ExecutionReport
 from repro.perf.technology import PAPER_CONSERVATIVE, TechnologyModel
 from repro.relational.relation import Relation
 
@@ -281,7 +282,7 @@ class EnginePool:
     """Shared execution resources serving many tenants' sessions.
 
     The pool owns what §9's machine room owns — the device complement,
-    the compile pipeline and its cache, the host thread budget — while
+    the compile pipeline and its cache, the admission gate — while
     every admitted query gets private simulated state.  Open a
     :class:`~repro.machine.session.Session` per tenant (or several) and
     issue queries through it; the pool admits, compiles, executes, and
@@ -297,7 +298,6 @@ class EnginePool:
         memory_bytes: int = 4 * 1024 * 1024,
         element_bits: int = 32,
         backend=None,
-        host_workers: Optional[int] = None,
         plan_cache_size: int = 64,
         max_concurrent: int = 4,
         admission_timeout: Optional[float] = 30.0,
@@ -306,15 +306,10 @@ class EnginePool:
     ) -> None:
         from repro.machine.system import DEFAULT_DEVICES  # avoid cycle
 
-        if memories < 2:
-            raise PlanError(
-                "the machine needs at least two memories (§9: output is "
-                "pipelined back into *another* memory)"
-            )
+        check_memories(memories)
         self.memory_count = memories
         self.memory_bytes = memory_bytes
         self.element_bits = element_bits
-        self.host_workers = host_workers
         self.devices = build_devices(
             devices if devices is not None else DEFAULT_DEVICES,
             capacity, technology, backend,
@@ -387,11 +382,13 @@ class EnginePool:
 
         ``shards > 1`` opens it against the tenant's sharded catalog
         instead; see :class:`~repro.machine.session.Session`.
+        ``parallel`` is accepted and ignored: a query runs on one host
+        thread, and ``benchmarks/e2e`` still passes the keyword.
         """
         from repro.machine.session import Session
 
         return Session(
-            self, self.catalog(tenant), priority=priority, parallel=parallel,
+            self, self.catalog(tenant), priority=priority,
             shards=shards, shard_strategy=shard_strategy,
             partitioner=partitioner,
         )
@@ -425,11 +422,10 @@ class EnginePool:
         """
         return compile_plans(
             self.plan_cache,
-            PlanningContext(
-                disk=catalog.disk,
-                resident=dict(catalog.preloaded()),
-                devices=self.devices if devices is None else list(devices),
-                element_bits=self.element_bits,
+            PlanningContext.from_catalog(
+                catalog,
+                self.devices if devices is None else list(devices),
+                self.element_bits,
             ),
             plans, arrivals, pipeline, use_cache,
             catalog_key=lambda plans: catalog.content_fingerprint(
@@ -446,7 +442,6 @@ class EnginePool:
         plans: Sequence[PlanNode] | PlanNode,
         arrivals: Optional[Sequence[float]] = None,
         pipeline: bool = True,
-        parallel: bool = True,
         priority: int = 0,
         timeout: Optional[float] = None,
     ) -> tuple[list[Relation], ExecutionReport]:
@@ -469,8 +464,7 @@ class EnginePool:
                     plans=len(plans), priority=priority,
                 ) as sp:
                     results, report = self._run_fresh(
-                        catalog, plan(), roster, parallel, cancel,
-                        catalog.tenant,
+                        catalog, plan(), roster, cancel, catalog.tenant
                     )
                     sp.set(makespan_ms=report.makespan * 1e3)
                 return results, report
@@ -520,7 +514,6 @@ class EnginePool:
         catalog: Catalog,
         physical: PhysicalPlan,
         roster: Optional[list],
-        parallel: bool,
         cancel: Optional[CancelToken],
         fault_scope: str,
     ) -> tuple[list[Relation], ExecutionReport]:
@@ -531,11 +524,10 @@ class EnginePool:
                 self.devices if roster is None else roster,
                 self.memory_count, self.memory_bytes, self.element_bits,
             ),
-            host_workers=self.host_workers,
             faults=self.faults,
             cancel=cancel,
             fault_scope=fault_scope,
-        ).run_physical(physical, parallel=parallel)
+        ).run_physical(physical)
 
     # -- accounting --------------------------------------------------------
 
@@ -571,7 +563,6 @@ class EnginePool:
             "tenant_queries": self.tenant_stats(),
             "plan_cache": self.plan_cache_info(),
             "admission": self.gate.stats(),
-            "host": host_stats(),
             "query_deadline": self.query_deadline,
             "faults": (
                 self.faults.snapshot() if self.faults is not None else None

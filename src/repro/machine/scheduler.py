@@ -13,39 +13,26 @@ memory-port streaming times (an array can only run as fast as its
 slowest stream — the "high capacity for data transfer" requirement §9
 opens with).
 
-The *host* side of "several operations proceed concurrently" lives
-here too: :class:`HostExecutor` resolves a transaction's compute
-thunks in dependency waves over one process-lifetime set of worker
-threads, on which the calling thread does its share — one thunk of
-every wave, and any thunk no worker has picked up by the time it would
-otherwise wait.
+"Several operations may be run concurrently" is a statement about the
+*simulated* clock: it is this timeline that overlaps them.  The host
+computes their results one after another on the calling thread
+(:class:`~repro.machine.execution.PlanExecutor`).
 """
 
 from __future__ import annotations
 
-import collections
-import concurrent.futures
-import os
-import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Optional
 
 from repro.errors import PlanError
-from repro.obs import metrics
 from repro.machine.device import CpuDevice, SystolicDevice
 
 __all__ = [
     "ScheduledStep",
     "ExecutionReport",
     "DeviceRoster",
-    "HostExecutor",
     "gantt",
-    "host_stats",
 ]
-
-#: A compute thunk: dependency op ids plus a function from the resolved
-#: dependency results to this op's result.
-Thunk = tuple[tuple[int, ...], Callable[[dict[int, Any]], Any]]
 
 
 @dataclass
@@ -176,188 +163,6 @@ class DeviceRoster:
     def occupy(self, name: str, until: float) -> None:
         """Mark a device busy until ``until``."""
         self._free_at[name] = until
-
-
-class _HostWorkers:
-    """The process's one set of compute-phase worker threads.
-
-    Created on the first submission and kept for the life of the
-    process: a query pays no thread start or join.  Threads are
-    spawned only while every existing one is busy, up to
-    :func:`_host_width` of them; idle workers exit with the interpreter
-    (``concurrent.futures`` wakes and joins them at shutdown).
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._pool: Optional[concurrent.futures.ThreadPoolExecutor] = None
-        self._tasks = 0
-        self._inline_tasks = 0
-
-    def submit(self, fn: Callable, *args: Any) -> concurrent.futures.Future:
-        pool = self._pool
-        if pool is None:
-            with self._lock:
-                if self._pool is None:
-                    self._pool = concurrent.futures.ThreadPoolExecutor(
-                        max_workers=_host_width(),
-                        thread_name_prefix="repro-host",
-                    )
-                pool = self._pool
-        return pool.submit(fn, *args)
-
-    def count(self, tasks: int, inline_tasks: int) -> None:
-        with self._lock:
-            self._tasks += tasks
-            self._inline_tasks += inline_tasks
-
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "tasks": self._tasks, "inline_tasks": self._inline_tasks,
-            }
-
-
-def _host_width() -> int:
-    """How many threads it pays to run thunks on at once: outside numpy
-    they hold the interpreter lock, so more than the cores (or eight)
-    only adds switching.  The size of the worker set, and the default
-    bound on one run."""
-    return min(8, os.cpu_count() or 1)
-
-
-_WORKERS = _HostWorkers()
-
-
-def host_stats() -> dict[str, int]:
-    """Process-wide thunk counts: ``tasks`` resolved by any
-    :class:`HostExecutor`, ``inline_tasks`` of them on the calling
-    thread (the ``stats`` verb of ``repro serve`` reports both)."""
-    return _WORKERS.stats()
-
-
-class HostExecutor:
-    """Runs a transaction's compute thunks concurrently on host threads.
-
-    §9's machine overlaps independent operations in *simulated* pulse
-    time; this executor overlaps the host-side work of producing their
-    results too.  It is a dependency-respecting wave scheduler over the
-    process's one long-lived worker set: of the thunks whose inputs are
-    resolved, the calling thread keeps one for itself and hands the
-    others to the workers (``max_workers`` bounds how many thunks of
-    this run are in flight at once, the caller's included), and
-    completions release their dependents.  A wave of one thunk never
-    leaves the calling thread, and ``max_workers=1`` is the sequential
-    topological order.  Thunks are pure functions of their dependency
-    results (device ``execute`` calls, disk reads), so the result of a
-    parallel run is bit-identical to the sequential one — only
-    wall-clock changes.
-
-    Before it blocks on a future the caller takes back any of its
-    futures that no worker has started (``Future.cancel``) and runs it
-    inline, so it only ever waits for a thunk some thread is executing.
-    Runs therefore nest safely — a shard lane's thunk opens the waves
-    of its own machine run on the same workers — whatever the ratio of
-    lanes to workers, and workers held by an abandoned query cost the
-    others their parallelism, never their progress.
-    """
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        if max_workers is None:
-            max_workers = _host_width()
-        if max_workers < 1:
-            raise PlanError(
-                f"max_workers must be >= 1, got {max_workers}"
-            )
-        self.max_workers = max_workers
-
-    def run(
-        self,
-        thunks: dict[int, Thunk],
-        seed: Optional[dict[int, Any]] = None,
-    ) -> dict[int, Any]:
-        """Resolve every thunk; returns ``{op_id: result}`` incl. seeds.
-
-        ``seed`` holds pre-resolved results (resident relations).  A
-        dependency on an id in neither ``thunks`` nor ``seed``, or a
-        dependency cycle, raises :class:`~repro.errors.PlanError`.  A
-        thunk's exception propagates once no sibling is still running.
-        """
-        results: dict[int, Any] = dict(seed or {})
-        known = set(results) | set(thunks)
-        pending: dict[int, set[int]] = {}
-        for op_id, (deps, _) in thunks.items():
-            missing = [d for d in deps if d not in known]
-            if missing:
-                raise PlanError(
-                    f"thunk {op_id} depends on unknown ops {missing}"
-                )
-            pending[op_id] = {d for d in deps if d not in results}
-
-        ready: collections.deque[int] = collections.deque()
-        in_flight: dict[concurrent.futures.Future, int] = {}
-        resolved_count = inline = 0
-
-        def release() -> None:
-            freed = [op_id for op_id, deps in pending.items() if not deps]
-            for op_id in freed:
-                del pending[op_id]
-            ready.extend(freed)
-
-        def call(op_id: int) -> tuple[Callable, dict[int, Any]]:
-            deps, fn = thunks[op_id]
-            # A snapshot of the dependency results, so that no worker
-            # ever reads the shared dict while it is written.
-            return fn, {d: results[d] for d in deps}
-
-        def resolve(op_id: int, value: Any) -> None:
-            nonlocal resolved_count
-            resolved_count += 1
-            results[op_id] = value
-            for deps in pending.values():
-                deps.discard(op_id)
-            release()
-
-        release()
-        try:
-            while ready or in_flight:
-                while len(ready) > 1 and len(in_flight) + 1 < self.max_workers:
-                    op_id = ready.popleft()
-                    in_flight[_WORKERS.submit(*call(op_id))] = op_id
-                if ready:
-                    mine = ready.popleft()
-                else:
-                    mine = next(
-                        (op_id for future, op_id in in_flight.items()
-                         if future.cancel()),
-                        None,
-                    )
-                if mine is not None:
-                    fn, resolved = call(mine)
-                    resolve(mine, fn(resolved))
-                    inline += 1
-                else:  # every future left is running on some thread
-                    concurrent.futures.wait(
-                        in_flight,
-                        return_when=concurrent.futures.FIRST_COMPLETED,
-                    )
-                for future in [f for f in in_flight if f.done()]:
-                    op_id = in_flight.pop(future)
-                    if not future.cancelled():  # a cancelled one ran inline
-                        resolve(op_id, future.result())
-        finally:
-            if in_flight:
-                # Only an exception leaves futures behind: withdraw the
-                # ones no worker has started, let the running ones finish.
-                concurrent.futures.wait(
-                    [future for future in in_flight if not future.cancel()]
-                )
-            metrics.inc("machine.host.tasks", resolved_count)
-            metrics.inc("machine.host.inline_tasks", inline)
-            _WORKERS.count(resolved_count, inline)
-        if pending:
-            raise PlanError(f"dependency cycle among ops {sorted(pending)}")
-        return results
 
 
 def gantt(report: ExecutionReport, width: int = 60) -> str:

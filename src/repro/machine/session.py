@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 from repro.config import env_choice, env_int
 from repro.machine.catalog import Catalog
-from repro.machine.execution import resolve_parallel
 from repro.machine.physical import PhysicalPlan
 from repro.machine.plan import PlanNode
 from repro.machine.scheduler import ExecutionReport
@@ -28,9 +27,8 @@ __all__ = ["Session"]
 class Session:
     """One tenant's view of the pool: a catalog plus query defaults.
 
-    ``priority`` (lower wins) and ``parallel`` are defaults applied to
-    every query issued through this session; both can be overridden
-    per call.
+    ``priority`` (lower wins) is the default applied to every query
+    issued through this session; it can be overridden per call.
 
     ``shards`` opens the session against a *cluster* of simulated
     machines instead of one: relations are partitioned (or replicated)
@@ -47,7 +45,6 @@ class Session:
         pool,
         catalog: Catalog,
         priority: int = 0,
-        parallel: Optional[bool] = None,
         shards: Optional[int] = None,
         shard_strategy: Optional[str] = None,
         partitioner=None,
@@ -55,7 +52,6 @@ class Session:
         self.pool = pool
         self.catalog = catalog
         self.priority = priority
-        self.parallel = parallel
         if shards is None:
             shards = env_int("REPRO_SHARD_COUNT", 1, minimum=1)
         if shard_strategy is None:
@@ -153,14 +149,12 @@ class Session:
         self,
         plan: PlanNode,
         pipeline: bool = True,
-        parallel: Optional[bool] = None,
         priority: Optional[int] = None,
         timeout: Optional[float] = None,
     ) -> tuple[Relation, ExecutionReport]:
         """Execute one plan; returns (result, timed report)."""
         results, report = self.run_many(
-            [plan], pipeline=pipeline, parallel=parallel,
-            priority=priority, timeout=timeout,
+            [plan], pipeline=pipeline, priority=priority, timeout=timeout
         )
         return results[0], report
 
@@ -169,7 +163,6 @@ class Session:
         plans: Sequence[PlanNode],
         arrivals: Optional[Sequence[float]] = None,
         pipeline: bool = True,
-        parallel: Optional[bool] = None,
         priority: Optional[int] = None,
         timeout: Optional[float] = None,
     ) -> tuple[list[Relation], ExecutionReport]:
@@ -182,9 +175,6 @@ class Session:
         """
         options = dict(
             pipeline=pipeline,
-            parallel=resolve_parallel(
-                self.parallel if parallel is None else parallel
-            ),
             priority=self.priority if priority is None else priority,
             timeout=timeout,
         )

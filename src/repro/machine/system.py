@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.arrays.decomposition import ArrayCapacity
-from repro.errors import CapacityError, PlanError
+from repro.errors import PlanError
 from repro.faults.recovery import replan_on_quarantine
 from repro.machine.catalog import Catalog
 from repro.machine.crossbar import CrossbarSwitch
@@ -39,9 +39,9 @@ from repro.machine.execution import (
     MachineState,
     PlanExecutor,
     build_devices,
+    check_memories,
     fresh_state,
     place_resident,
-    resolve_parallel,
 )
 from repro.machine.memory import MemoryModule
 from repro.machine.physical import PhysicalPlan, PlanningContext
@@ -80,15 +80,10 @@ class SystolicDatabaseMachine:
         memory_bytes: int = 4 * 1024 * 1024,
         element_bits: int = 32,
         backend=None,
-        host_workers: Optional[int] = None,
         plan_cache_size: int = 64,
         faults=None,
     ) -> None:
-        if memories < 2:
-            raise CapacityError(
-                "the machine needs at least two memories (§9: output is "
-                "pipelined back into *another* memory)"
-            )
+        check_memories(memories)
         if plan_cache_size < 0:
             raise PlanError(
                 f"plan_cache_size must be >= 0, got {plan_cache_size}"
@@ -101,8 +96,6 @@ class SystolicDatabaseMachine:
         self.devices = build_devices(devices, capacity, technology, backend)
         #: Active :class:`~repro.faults.plan.FaultPlan` (None = no faults).
         self.faults = faults
-        #: Host threads for the compute phase (None → executor default).
-        self.host_workers = host_workers
         self._memories = (memories, memory_bytes)
         self._plan_cache = PlanCache(plan_cache_size)
         #: what :attr:`memories` / :attr:`crossbar` show: the state the
@@ -207,11 +200,10 @@ class SystolicDatabaseMachine:
         """:meth:`compile` against ``roster`` (None = every device)."""
         return compile_plans(
             self._plan_cache,
-            PlanningContext(
-                disk=self.disk,
-                resident=dict(self.catalog.preloaded()),
-                devices=self.devices if roster is None else roster,
-                element_bits=self.element_bits,
+            PlanningContext.from_catalog(
+                self.catalog,
+                self.devices if roster is None else roster,
+                self.element_bits,
             ),
             plans, arrivals, pipeline, use_cache,
             catalog_key=lambda plans: self.catalog.version,
@@ -224,15 +216,10 @@ class SystolicDatabaseMachine:
     # -- execution -------------------------------------------------------------
 
     def run(
-        self,
-        plan: PlanNode,
-        pipeline: bool = True,
-        parallel: Optional[bool] = None,
+        self, plan: PlanNode, pipeline: bool = True
     ) -> tuple[Relation, ExecutionReport]:
         """Execute one plan; returns (result, timed report)."""
-        results, report = self.run_many(
-            [plan], pipeline=pipeline, parallel=parallel
-        )
+        results, report = self.run_many([plan], pipeline=pipeline)
         return results[0], report
 
     def run_many(
@@ -240,7 +227,6 @@ class SystolicDatabaseMachine:
         plans: Sequence[PlanNode],
         arrivals: Optional[Sequence[float]] = None,
         pipeline: bool = True,
-        parallel: Optional[bool] = None,
     ) -> tuple[list[Relation], ExecutionReport]:
         """Execute a transaction of several plans on one shared timeline.
 
@@ -252,10 +238,8 @@ class SystolicDatabaseMachine:
 
         Each logical plan is lowered through :meth:`compile` first;
         producer→consumer systolic stages fuse into pipelined chains
-        unless ``pipeline=False``.  Independent operations' host-side
-        compute overlaps on threads unless ``parallel=False`` (or the
-        ``REPRO_MACHINE_PARALLEL`` environment variable disables it);
-        results and reports are identical either way.
+        unless ``pipeline=False``.  Independent operations overlap on
+        the simulated timeline; the host computes them one at a time.
 
         With a :class:`~repro.faults.plan.FaultPlan` attached, transient
         device/disk faults are retried in place; a device that exhausts
@@ -273,13 +257,11 @@ class SystolicDatabaseMachine:
 
         return replan_on_quarantine(
             self.devices, self.faults, compile_on,
-            lambda roster, plan: self.run_physical(plan(), parallel=parallel),
+            lambda roster, plan: self.run_physical(plan()),
         )
 
     def run_physical(
-        self,
-        physical: PhysicalPlan,
-        parallel: Optional[bool] = None,
+        self, physical: PhysicalPlan
     ) -> tuple[list[Relation], ExecutionReport]:
         """Execute an already-compiled physical plan.
 
@@ -289,13 +271,12 @@ class SystolicDatabaseMachine:
         port-blind forecast of the same schedule.  The plan runs on a
         fresh state built from the catalog — see
         :class:`~repro.machine.execution.PlanExecutor` for the
-        two-phase (parallel compute, sequential replay) execution
-        model.
+        two-phase (compute, then replay) execution model.
         """
         self._shown = self._fresh_state()
-        return PlanExecutor(
-            self._shown, host_workers=self.host_workers, faults=self.faults
-        ).run_physical(physical, parallel=resolve_parallel(parallel))
+        return PlanExecutor(self._shown, faults=self.faults).run_physical(
+            physical
+        )
 
     def __repr__(self) -> str:
         kinds = ", ".join(d.name for d in self.devices)

@@ -7,9 +7,8 @@ One subsystem, three surfaces, all off by default:
   ambient :class:`Tracer`.  Instrumentation points are free while
   tracing is off (the null tracer hands out one shared no-op context
   manager).  The machine records compute-phase work as *detached*
-  subtrees and grafts them in during sequential replay, so the span
-  tree is deterministic under ``parallel=True`` and ``parallel=False``
-  alike.
+  subtrees and grafts them in during replay, so the span tree follows
+  the replayed timeline and never holds a failed attempt.
 * **Metrics** (:mod:`repro.obs.metrics`): a process-local registry of
   counters/gauges/histograms whose names are declared once in
   :mod:`repro.obs.names` — the stable, docs-checked contract.

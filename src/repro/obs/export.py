@@ -8,7 +8,7 @@ Three pluggable views over one recorded :class:`~repro.obs.spans.Tracer`:
 * :func:`write_chrome_trace` / :func:`read_chrome_trace` — the Chrome
   trace-event format (``chrome://tracing`` / https://ui.perfetto.dev):
   every span becomes a complete ``"ph": "X"`` event on its recording
-  thread's lane, so host-parallel compute shows up as genuinely
+  thread's lane, so concurrent queries show up as genuinely
   overlapping bars.
 * :func:`summarize_spans` / :func:`summarize_file` — the human rollup
   (count, total host ms, share per span name) the CLI prints for

@@ -69,11 +69,6 @@ METRICS: dict[str, tuple[str, str]] = {
         COUNTER, "SystolicDatabaseMachine.compile invocations"),
     "machine.disk.reads": (
         COUNTER, "base-relation reads off the machine disk"),
-    "machine.host.inline_tasks": (
-        COUNTER, "compute-phase thunks the calling thread ran itself (no "
-                 "thread hop)"),
-    "machine.host.tasks": (
-        COUNTER, "compute-phase thunks resolved by HostExecutor"),
     "machine.op.sim_seconds": (
         HISTOGRAM, "simulated duration of each replayed timeline step"),
     "machine.ops.executed": (

@@ -16,13 +16,15 @@ manager — an instrumentation point costs two attribute lookups and a
 ``with`` block, nothing else.  ``obs.start()`` installs a real tracer.
 
 Thread model.  Each thread keeps its own span stack, so spans nested on
-one thread nest in the recorded tree.  Work that happens on host worker
-threads (the machine's compute phase) is recorded as **detached**
-subtrees — :meth:`Tracer.detached` hides the caller's stack, records a
-free-standing subtree, and the replay phase later grafts it into the
-deterministic tree with :meth:`Tracer.adopt`.  The resulting tree
-*structure* is therefore identical between parallel and serial runs;
-only timestamps (and thread ids) differ.
+one thread nest in the recorded tree.  Work whose place in the tree is
+decided later (the machine's compute phase, a shard's stage run that
+may yet be retried) is recorded as a **detached** subtree —
+:meth:`Tracer.detached` hides the caller's stack and records a
+free-standing subtree — and grafted in with :meth:`Tracer.adopt` once
+it is known to belong: under the replay phase's per-op span, or not at
+all for an attempt that failed.  The tree *structure* is therefore a
+function of the work alone; only timestamps (and thread ids) differ
+between runs.
 
 Attributes come in two channels.  ``attrs`` are **structural**: a
 deterministic function of the work (simulated quantities, counts,
@@ -102,8 +104,8 @@ class Span:
     def structure(self) -> tuple:
         """The deterministic projection: names, structural attrs,
         nesting — no timestamps, no thread ids, nothing volatile.  Equal
-        between parallel and serial runs of the same work (the tests'
-        determinism contract)."""
+        between any two runs of the same work, alone or beside
+        concurrent queries (the tests' determinism contract)."""
         children = () if self.volatile_children else tuple(
             child.structure() for child in self.children
         )

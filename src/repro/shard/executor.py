@@ -14,13 +14,13 @@ through the pool's shared plan cache — in stages:
 3. the per-shard answers merge — in shard order, under the relation's
    set semantics — into the logical results.
 
-Determinism mirrors the single machine's two-phase contract: shard
-machines may *compute* on concurrent host threads, but every
-cross-shard decision (bucket assignment, merge order, timeline
-composition) is a pure function of the plan and the data, so a
-parallel sharded run is bit-identical — results, report, and trace —
-to a serial one, and each shard's ``machine.run`` span is exactly what
-a standalone machine produces on that shard's piece of the data.
+Determinism mirrors the single machine's two-phase contract: the host
+runs the shard machines of a stage one after another, in shard order —
+they are concurrent on the *simulated* clock, where a stage lasts as
+long as its slowest shard — and every cross-shard decision (bucket
+assignment, merge order, timeline composition) is a pure function of
+the plan and the data, so each shard's ``machine.run`` span is exactly
+what a standalone machine produces on that shard's piece of the data.
 """
 
 from __future__ import annotations
@@ -34,17 +34,13 @@ from repro import obs
 from repro.errors import ExchangeFaultError, ShardFaultError
 from repro.faults.recovery import (
     CancelToken,
+    guarded_call,
     replan_on_quarantine,
-    retry_call,
 )
 from repro.machine.catalog import Catalog
 from repro.machine.inference import infer_schema
 from repro.machine.plan import PlanNode
-from repro.machine.scheduler import (
-    ExecutionReport,
-    HostExecutor,
-    ScheduledStep,
-)
+from repro.machine.scheduler import ExecutionReport, ScheduledStep
 from repro.obs import metrics
 from repro.relational.relation import MultiRelation, Relation
 from repro.shard.catalog import ShardedCatalog
@@ -116,9 +112,8 @@ class ShardedExecutor:
 
     One executor per (tenant, shard layout); sessions construct one
     lazily when opened with ``shards > 1``.  The pool supplies the
-    device complement, plan cache, host thread budget, and admission
-    gate; every shard of every query still executes against a private
-    fresh machine state.
+    device complement, plan cache, and admission gate; every shard of
+    every query still executes against a private fresh machine state.
     """
 
     def __init__(self, pool, catalog: ShardedCatalog) -> None:
@@ -185,7 +180,6 @@ class ShardedExecutor:
         plans: Sequence[PlanNode] | PlanNode,
         arrivals: Optional[Sequence[float]] = None,
         pipeline: bool = True,
-        parallel: bool = True,
         priority: int = 0,
         timeout: Optional[float] = None,
     ) -> tuple[list[Relation], ShardedExecutionReport]:
@@ -199,7 +193,7 @@ class ShardedExecutor:
         return self.pool._admitted(
             self.catalog.tenant, priority, timeout,
             lambda cancel: self._run_admitted(
-                plans, arrivals, pipeline, parallel, priority, cancel
+                plans, arrivals, pipeline, priority, cancel
             ),
         )
 
@@ -208,7 +202,6 @@ class ShardedExecutor:
         plans: Sequence[PlanNode],
         arrivals: Optional[Sequence[float]],
         pipeline: bool,
-        parallel: bool,
         priority: int,
         cancel: Optional[CancelToken],
     ) -> tuple[list[Relation], ShardedExecutionReport]:
@@ -228,7 +221,7 @@ class ShardedExecutor:
                     relation=step.name,
                 ):
                     outcomes = self._run_stage(
-                        lanes, [step.plan], None, pipeline, parallel,
+                        lanes, [step.plan], None, pipeline,
                         stage_key=f"stage{index}", cancel=cancel,
                     )
                     pieces = self._exchange(
@@ -241,7 +234,7 @@ class ShardedExecutor:
                 )
             with obs.span("shard.stage", stage="final"):
                 outcomes = self._run_stage(
-                    lanes, sharded.roots, arrivals, pipeline, parallel,
+                    lanes, sharded.roots, arrivals, pipeline,
                     stage_key="final", cancel=cancel,
                 )
             self._fold_stage(report, outcomes, offset, None)
@@ -279,74 +272,57 @@ class ShardedExecutor:
         plans: Sequence[PlanNode],
         arrivals: Optional[Sequence[float]],
         pipeline: bool,
-        parallel: bool,
         stage_key: str = "final",
         cancel: Optional[CancelToken] = None,
     ) -> list[tuple[list[Relation], ExecutionReport]]:
-        """Run one stage's plans on every shard; returns shard-ordered
-        ``(results, report)`` pairs.
+        """Run one stage's plans on every shard, in shard order; returns
+        the shards' ``(results, report)`` pairs.
 
-        Shards compute on host threads through the same wave scheduler
-        the machine uses for its thunks; each shard's subtree is a
-        detached ``shard.run`` span adopted back in shard order, so the
-        trace (like the results) is independent of thread timing.
-
-        A shard machine that crashes (an injected
-        :class:`ShardFaultError`) is re-run with bounded backoff; the
-        crash is injected *before* its ``shard.run`` span opens and a
-        crashed attempt's span is never adopted, so a recovered run's
-        trace — like its results and timeline, which re-execute the
-        identical pure stage — is bit-identical to a fault-free run.
-        A shard that quarantines a device replans against the pool's
-        surviving roster, same as an unsharded query.
+        Each shard's subtree is a detached ``shard.run`` span, adopted
+        once every shard has finished the stage.  A shard machine that
+        crashes (an injected :class:`ShardFaultError`) is re-run with
+        bounded backoff; the crash is injected *before* its
+        ``shard.run`` span opens and a crashed attempt's span is never
+        adopted, so a recovered run's trace — like its results and
+        timeline, which re-execute the identical pure stage — is
+        bit-identical to a fault-free run.  A shard that quarantines a
+        device replans against the pool's surviving roster, same as an
+        unsharded query.
         """
         pool = self.pool
         faults = pool.faults
-        spans: dict[int, object] = {}
-
-        def shard_thunk(index: int):
-            lane = lanes[index]
+        outcomes, spans = [], []
+        for index, lane in enumerate(lanes):
 
             def attempt(roster, plan):
                 def run_once() -> tuple[list[Relation], ExecutionReport]:
-                    if faults is not None:
-                        fault = faults.shard_fault(index, stage_key)
-                        if fault is not None:
-                            raise fault
                     with obs.detached("shard.run", shard=index) as sp:
                         outcome = pool._run_fresh(
-                            lane, plan(), roster, parallel, cancel,
+                            lane, plan(), roster, cancel,
                             f"{self.catalog.tenant}/shard{index}",
                         )
-                    spans[index] = sp
+                    spans.append(sp)
                     return outcome
 
-                return retry_call(
+                return guarded_call(
                     run_once,
+                    lambda: faults.shard_fault(index, stage_key),
                     site=f"shard:{index}:{stage_key}",
-                    plan=faults,
+                    faults=faults,
                     cancel=cancel,
                     retryable=(ShardFaultError,),
                 )
 
-            return lambda _resolved: replan_on_quarantine(
+            outcomes.append(replan_on_quarantine(
                 pool.devices, faults,
                 lambda roster: pool.compile(
                     lane, plans, arrivals, pipeline=pipeline, devices=roster
                 ),
                 attempt,
-            )
-
-        thunks = {
-            i: ((), shard_thunk(i)) for i in range(len(lanes))
-        }
-        workers = pool.host_workers if parallel else 1
-        resolved = HostExecutor(max_workers=workers).run(thunks)
-        for index in range(len(lanes)):
-            span = spans.get(index)
-            if span is not None:
-                obs.adopt(span)
-        return [resolved[i] for i in range(len(lanes))]
+            ))
+        for span in spans:  # one a shard, in shard order
+            obs.adopt(span)
+        return outcomes
 
     def _exchange(
         self,
@@ -365,24 +341,24 @@ class ShardedExecutor:
         as a fault-free run would.
         """
         faults = self.pool.faults
-        if faults is None:
-            return self._redistribute(step, pieces)
         dropped = 0
 
-        def send() -> list[Relation]:
+        def inject() -> Optional[ExchangeFaultError]:
             nonlocal dropped
             fault = faults.exchange_fault(step.name)
             if fault is not None:
                 dropped += 1
-                raise fault
+            return fault
+
+        def send() -> list[Relation]:
             if dropped:
                 metrics.inc("faults.exchange_resends", dropped)
             return self._redistribute(step, pieces)
 
-        return retry_call(
-            send,
+        return guarded_call(
+            send, inject,
             site=f"exchange:{step.name}",
-            plan=faults,
+            faults=faults,
             cancel=cancel,
             retryable=(ExchangeFaultError,),
         )

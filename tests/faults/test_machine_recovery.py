@@ -64,7 +64,7 @@ def _counted_run(target):
     metrics.reset()
     metrics.enable()
     try:
-        results, _ = target.run_many(_plans(), parallel=False)
+        results, _ = target.run_many(_plans())
         return results, {
             name: metrics.counter(name)
             for name in (

@@ -16,12 +16,17 @@ def test_check_docs_passes_on_the_checkout():
     assert done.returncode == 0, done.stderr
 
 
-def test_machine_api_rule_flags_removed_members_and_keywords(tmp_path):
+def _load_check_docs():
     spec = importlib.util.spec_from_file_location(
         "check_docs", ROOT / "tools" / "check_docs.py"
     )
     check_docs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(check_docs)
+    return check_docs
+
+
+def test_machine_api_rule_flags_removed_members_and_keywords(tmp_path):
+    check_docs = _load_check_docs()
     doc = tmp_path / "API.md"
     doc.write_text(
         "| `DeviceRoster.pick` / `PhysicalPlan.ops` / `EnginePool.gate` "
@@ -38,4 +43,17 @@ def test_machine_api_rule_flags_removed_members_and_keywords(tmp_path):
         "repro.machine.EnginePool does not accept",
         "API.md: documents `DeviceRoster.assignments`, which "
         "repro.machine.DeviceRoster does not have",
+    ]
+
+
+def test_env_var_rule_flags_a_variable_nothing_reads(tmp_path):
+    check_docs = _load_check_docs()
+    doc = tmp_path / "PERF.md"
+    doc.write_text(
+        "Set `REPRO_BACKEND=lattice`, or the kill-switch "
+        "`REPRO_MACHINE_PARALLEL=0`.\n"
+    )
+    assert check_docs.check_env_vars(docs=[doc]) == [
+        "PERF.md: documents environment variable REPRO_MACHINE_PARALLEL, "
+        "which nothing under src/ reads",
     ]

@@ -8,6 +8,7 @@ from repro.machine import (
     Dedup,
     Difference,
     Divide,
+    EnginePool,
     Intersect,
     Join,
     MachineDisk,
@@ -144,9 +145,13 @@ class TestResourceConstraints:
         with pytest.raises(CapacityError, match="absorb"):
             machine.run(Dedup(Base("A")))
 
-    def test_needs_two_memories(self):
+    @pytest.mark.parametrize(
+        "front_end", [SystolicDatabaseMachine, EnginePool],
+        ids=["machine", "pool"],
+    )
+    def test_needs_two_memories(self, front_end):
         with pytest.raises(CapacityError, match="two memories"):
-            SystolicDatabaseMachine(memories=1)
+            front_end(memories=1)
 
     def test_empty_transaction_rejected(self, machine):
         with pytest.raises(PlanError):

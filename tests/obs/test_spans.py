@@ -152,20 +152,6 @@ class TestStructure:
         assert cached == [False, True]
         assert structures[0] == structures[1]
 
-    def test_machine_structure_identical_parallel_vs_serial(self):
-        """The tentpole determinism contract: the recorded span tree's
-        structure (names, attributes, nesting) is bit-identical whether
-        the compute phase ran on host threads or serially."""
-        structures = {}
-        for parallel in (True, False):
-            machine = build_machine()
-            with obs.tracing() as tracer:
-                machine.run(join_project_plan(), parallel=parallel)
-            structures[parallel] = tuple(
-                root.structure() for root in tracer.roots
-            )
-        assert structures[True] == structures[False]
-
     def test_machine_trace_covers_every_layer(self):
         machine = build_machine()
         with obs.tracing() as tracer:

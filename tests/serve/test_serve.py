@@ -246,9 +246,8 @@ class TestStatementCache:
                     db.store("S", jb)
                     assert db.query(self.TEXT)["rows"] > 0
                     stats = db.stats()
-            cache, host = stats["statement_cache"], stats["host"]
+            cache = stats["statement_cache"]
             assert cache["hits"] == 1 and cache["misses"] == 1
-            assert 2 <= host["inline_tasks"] <= host["tasks"]
 
     def test_malformed_text_raises_every_time(self):
         with _ServerHarness() as harness:

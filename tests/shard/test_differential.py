@@ -31,11 +31,9 @@ divisor_rows = st.lists(
 )
 
 
-def _run(shards, strategy, backend, stored, plans, parallel=None):
+def _run(shards, strategy, backend, stored, plans):
     pool = EnginePool(backend=backend)
-    session = pool.session(
-        "diff", shards=shards, shard_strategy=strategy, parallel=parallel,
-    )
+    session = pool.session("diff", shards=shards, shard_strategy=strategy)
     for name, (relation, key) in stored.items():
         session.store(name, relation, key=key)
     return session.run_many(plans)
@@ -93,42 +91,6 @@ class TestResultEquality:
 
 
 class TestDeterminism:
-    def test_parallel_run_is_bit_identical_to_serial(self):
-        a = [(i % 9, i % 6) for i in range(30)]
-        b = [(i % 9, i % 4) for i in range(20)]
-        stored = {
-            "A": (Relation(_PAIR, a), "k"),
-            "B": (Relation(_PAIR, b), "k"),
-        }
-        plans = [
-            Join(Base("A"), Base("B"), on=(("k", "k"),)),
-            Join(Base("A"), Base("B"), on=(("v", "v"),)),
-        ]
-
-        def traced(parallel):
-            tracer = obs.start(obs.Tracer())
-            try:
-                results, report = _run(
-                    4, "hash", None, stored, plans, parallel=parallel,
-                )
-            finally:
-                obs.stop()
-            return results, report, [
-                root.structure() for root in tracer.roots
-            ]
-
-        serial_results, serial_report, serial_trace = traced(False)
-        parallel_results, parallel_report, parallel_trace = traced(True)
-        assert parallel_results == serial_results
-        assert [
-            (s.label, s.device, s.start, s.end) for s in
-            parallel_report.steps
-        ] == [
-            (s.label, s.device, s.start, s.end) for s in
-            serial_report.steps
-        ]
-        assert parallel_trace == serial_trace
-
     def test_repeated_sharded_queries_stay_identical(self):
         stored = {
             "A": (Relation(_PAIR, [(i % 5, i % 7) for i in range(15)]),

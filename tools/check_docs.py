@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Keep the documentation and the code from drifting apart.
 
-Two checks, both run in CI next to the bench gate::
+Six checks, all run in CI next to the bench gate::
 
     python tools/check_docs.py
 
@@ -34,6 +34,11 @@ Two checks, both run in CI next to the bench gate::
    dataclass field or ``__init__`` parameter) — documentation of a
    removed method or constructor option fails here.
 
+6. **Environment variables.**  Every ``REPRO_*`` variable named in
+   ``docs/*.md``, ``README.md`` or ``DESIGN.md`` must be read somewhere
+   under ``src/`` — a removed variable that lingers in the docs fails
+   here.
+
 Exits non-zero with one line per problem.
 """
 
@@ -56,6 +61,12 @@ ARCHITECTURE = ROOT / "docs" / "ARCHITECTURE.md"
 #: Where the ``repro.machine`` classes are documented member by member.
 MACHINE_API_DOCS = (ROOT / "docs" / "API.md", ROOT / "docs" / "PLANNER.md")
 
+#: Where a documented ``REPRO_*`` variable must be one the code reads.
+ENV_VAR_DOCS = (
+    *sorted((ROOT / "docs").glob("*.md")), ROOT / "README.md",
+    ROOT / "DESIGN.md",
+)
+
 #: A metric row: | `name` | kind | meaning |
 _METRIC_ROW = re.compile(r"^\|\s*`([a-z_.]+)`\s*\|\s*(\w+)\s*\|")
 #: Inline markdown links: [text](target).  Images share the syntax.
@@ -71,6 +82,11 @@ _CODE_SPAN = re.compile(r"`([^`\n]+)`")
 _MEMBER = re.compile(r"\b([A-Z]\w*)\.([A-Za-z_]\w*)")
 _CALL = re.compile(r"\b([A-Z]\w*)\(([^()]*)\)")
 _KEYWORD = re.compile(r"\b([A-Za-z_]\w*)=")
+
+#: An environment variable of ours named in docs prose, and one read
+#: in source: the string literal handed to ``repro.config`` / ``os.environ``.
+_ENV_VAR = re.compile(r"\bREPRO_[A-Z_]+\b")
+_ENV_READ = re.compile(r"""["'](REPRO_[A-Z_]+)["']""")
 
 #: Flags of tools we document but do not own (pytest, pytest-benchmark).
 _EXTERNAL_FLAGS = {"--lf", "--ff", "--benchmark-only", "--benchmark-disable"}
@@ -224,11 +240,25 @@ def check_machine_api(docs=MACHINE_API_DOCS) -> list[str]:
     return problems
 
 
+def check_env_vars(docs=ENV_VAR_DOCS) -> list[str]:
+    read = {
+        name
+        for source in (ROOT / "src").rglob("*.py")
+        for name in _ENV_READ.findall(source.read_text())
+    }
+    return [
+        f"{doc.name}: documents environment variable {name}, which "
+        f"nothing under src/ reads"
+        for doc in docs
+        for name in sorted(set(_ENV_VAR.findall(doc.read_text())) - read)
+    ]
+
+
 def main() -> int:
     problems = (
         check_metric_table() + check_links()
         + check_package_inventory() + check_cli_flags()
-        + check_machine_api()
+        + check_machine_api() + check_env_vars()
     )
     for problem in problems:
         print(problem, file=sys.stderr)
@@ -241,7 +271,8 @@ def main() -> int:
         f"links resolve across {files} markdown files, "
         f"{len(repro_packages())} packages in the inventory, "
         f"documented CLI flags all defined, "
-        f"repro.machine members and constructor keywords resolve"
+        f"repro.machine members and constructor keywords resolve, "
+        f"documented REPRO_* variables all read under src/"
     )
     return 0
 

@@ -120,7 +120,7 @@ def main() -> int:
                 f"statement cache hit {hits} times in {repeats} repeats"
             )
         print(f"{repeats} hot queries: 0 plan-cache misses, "
-              f"{hits} statement-cache hits, host {after['host']}")
+              f"{hits} statement-cache hits")
     finally:
         proc.send_signal(signal.SIGINT)
         try:
