@@ -261,10 +261,10 @@ class FaultPlan:
         """The fault (if any) injected into this execute attempt.
 
         Checked by the executor *before* dispatching an op to a device,
-        so a failed attempt leaves no trace in the span tree — which is
-        what keeps recovered runs' traces bit-identical to fault-free
-        runs.  Returns the error instead of raising so the caller owns
-        the retry bookkeeping.
+        so an injected attempt opens no span — which is what keeps the
+        traces of runs that recover in place bit-identical to
+        fault-free runs.  Returns the error instead of raising so the
+        caller owns the retry bookkeeping.
         """
         fault = None
         rule = self._rule_for("device", device)

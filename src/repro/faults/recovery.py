@@ -30,7 +30,7 @@ honest:
 
 Backoff sleeps are *host* time and deliberately tiny (milliseconds by
 default): they shape contention, not simulated timelines, which are
-replayed from the plan and never see them.
+computed from the plan and the data and never see them.
 """
 
 from __future__ import annotations
@@ -204,8 +204,8 @@ def guarded_call(
     fault the plan schedules here and raises it, then sleeps the
     plan's slowness for ``slow`` (a device name, or ``"disk"``) through
     the token, then runs.  Injection happens at this boundary, before
-    ``run`` opens any span, so a failed attempt leaves no trace in the
-    span tree and a recovered run's trace stays bit-identical to a
+    ``run`` opens any span, so an injected attempt opens none and the
+    trace of a run that recovers here stays bit-identical to a
     fault-free one.  ``site`` seeds the backoff jitter.
     """
     if cancel is not None:

@@ -13,10 +13,10 @@ that shared machinery so the front-ends cannot drift:
   transactions), which is what makes a query a function of (catalog,
   plan) — run N equals run 1, and a pooled or sharded run is
   bit-identical to running alone on a new machine.
-* :class:`PlanExecutor` — the two-phase executor: a *compute phase*
-  resolving every op's data result, one op after another on the
-  calling thread, then a *replay phase* doing all the timing and
-  memory bookkeeping on the simulated clock — which is where §9's
+* :class:`PlanExecutor` — one pass over the plan on the calling
+  thread: each op's data result is resolved, and then placed on the
+  simulated clock (timing and memory bookkeeping), inside that op's
+  own ``machine.op`` span.  The simulated clock is where §9's
   "several operations may be run concurrently" happens.
 * :func:`build_devices`, :func:`place_resident`,
   :func:`roster_fingerprint`, :func:`check_memories` — the
@@ -40,7 +40,7 @@ from repro.faults.recovery import DEFAULT_RETRY_POLICY, guarded_call
 from repro.obs import metrics
 from repro.machine.catalog import Catalog
 from repro.machine.crossbar import CrossbarSwitch
-from repro.machine.device import CpuDevice, SystolicDevice
+from repro.machine.device import CpuDevice, DeviceRun, SystolicDevice
 from repro.machine.disk import MachineDisk
 from repro.machine.memory import MemoryModule, relation_bytes
 from repro.machine.physical import (
@@ -146,14 +146,26 @@ class MachineState:
             MemoryModule(f"mem{m}", capacity_bytes=memory_bytes)
             for m in range(memories)
         ]
+        self._device_named = {d.name: d for d in devices}
+        self._memory_named = {m.name: m for m in self.memories}
         self.crossbar = CrossbarSwitch(
-            [m.name for m in self.memories],
-            [d.name for d in devices] + ["disk"],
+            list(self._memory_named), list(self._device_named) + ["disk"]
         )
         #: relations already resident in memories (ready at time 0):
         #: name -> (key, relation, ready, memory name)
         self.resident: dict[str, tuple[str, Relation, float, str]] = {}
         self.step_counter = itertools.count()
+
+    def device(self, name: str) -> SystolicDevice | CpuDevice:
+        """The roster's device of that name."""
+        try:
+            return self._device_named[name]
+        except KeyError:
+            raise PlanError(f"unknown device {name!r}") from None
+
+    def memory(self, name: str) -> MemoryModule:
+        """The memory module of that name."""
+        return self._memory_named[name]
 
 
 def place_resident(state: MachineState, name: str, relation: Relation) -> None:
@@ -217,14 +229,14 @@ def fresh_state(
 class PlanExecutor:
     """Executes compiled physical plans against a :class:`MachineState`.
 
-    Execution happens in two phases.  The **compute phase** resolves
-    every op's data result — disk reads and device runs, which are pure
-    functions of their inputs — in plan order on the calling thread.
-    The **replay phase** then walks the plan again doing all the
-    *simulated* bookkeeping (port windows, memory placement, the timed
-    report), so the timeline depends on the plan and the data alone;
-    the overlap of independent operations exists on that simulated
-    clock, not on the host's.
+    One pass over the plan, in plan (topological) order.  Inside its
+    own ``machine.op`` span each op is first *resolved* — its disk read
+    or device run, a pure function of its inputs — and then *placed* on
+    the simulated clock (port windows, memory placement, the timed
+    report), so a span's host interval holds the work it names.  The
+    timeline depends on the plan and the data alone; the overlap of
+    independent operations exists on that simulated clock, not on the
+    host's.
     """
 
     def __init__(
@@ -255,96 +267,33 @@ class PlanExecutor:
         """
         state = self.state
         with obs.span("machine.run", ops=len(physical.ops)) as run_span:
-            with obs.span("machine.compute_phase"):
-                runs, task_spans = self._compute_phase(physical)
             report = ExecutionReport()
             roster = DeviceRoster(state.devices)
             disk_free = 0.0
             #: op id -> (result key, relation, ready time, memory name)
             produced: dict[int, tuple[str, Relation, float, str]] = {}
-            with obs.span("machine.replay"):
-                for op in physical.ops:
-                    if op.op_id in produced:
-                        continue
-                    if op.kind == OP_RESIDENT:
-                        with obs.span(
-                            "machine.op", op=op.label, device="resident",
-                            kind=op.kind,
-                        ):
-                            produced[op.op_id] = state.resident[op.node.name]
-                        continue
-                    if op.kind == OP_LOAD:
-                        disk_free = self._run_load(
-                            op, produced, report, disk_free,
-                            runs[op.op_id], task_spans.get(op.op_id),
-                        )
-                        continue
-                    chain = physical.chain_of(op)
-                    if chain is not None and len(chain) > 1:
-                        members = [physical[i] for i in chain.op_ids]
-                        if members[-1].op_id != op.op_id:
-                            # Chains execute as a unit once the machine
-                            # reaches the last member: by then every
-                            # external input of every stage has been
-                            # produced (topological order).
-                            continue
-                        self._run_chain(
-                            members, produced, report, roster, runs,
-                            task_spans,
-                        )
-                    else:
-                        self._run_singleton(
-                            op, produced, report, roster, runs, task_spans
-                        )
+            for op in physical.ops:
+                if op.kind == OP_RESIDENT:
+                    with self._op_span(op):
+                        produced[op.op_id] = state.resident[op.node.name]
+                    continue
+                if op.kind == OP_LOAD:
+                    disk_free = self._run_load(op, produced, report, disk_free)
+                    continue
+                chain = physical.chain_of(op)
+                if chain is None or len(chain) == 1:
+                    self._run_singleton(op, produced, report, roster)
+                elif chain.op_ids[-1] == op.op_id:
+                    # Chains execute as a unit once the machine reaches
+                    # the last member: by then every external input of
+                    # every stage has been produced (topological order).
+                    self._run_chain(
+                        [physical[i] for i in chain.op_ids],
+                        produced, report, roster,
+                    )
             results = [produced[op_id][1] for op_id in physical.outputs]
             run_span.set(makespan_ms=report.makespan * 1e3)
         return results, report
-
-    # -- compute phase ---------------------------------------------------------
-
-    def _compute_phase(
-        self, physical: PhysicalPlan
-    ) -> tuple[dict[int, Any], dict[int, Any]]:
-        """Resolve every op's data result, in plan (topological) order.
-
-        Returns ``({op_id: result}, {op_id: span})`` where a load's
-        result is the ``(relation, read_seconds)`` pair from
-        :meth:`MachineDisk.read`, a compute op's is its
-        :class:`~repro.machine.device.DeviceRun`, and a resident's is
-        the relation itself.  Chain members are computed here exactly
-        like singletons — a member's inputs are its producers'
-        relations either way — so the replay phase can fall back from a
-        fused chain to store-and-forward without recomputing anything.
-
-        Each op resolves under a **detached** ``host.task`` span
-        (returned in the second dict); the replay phase grafts those
-        subtrees under its per-op spans, so a span tree holds only the
-        attempts that replay committed and reads in replay order.
-        """
-
-        def relation_of(value: Any) -> Relation:
-            if isinstance(value, Relation):
-                return value  # resident
-            if isinstance(value, tuple):
-                return value[0]  # disk load: (relation, seconds)
-            return value.relation  # DeviceRun
-
-        runs: dict[int, Any] = {}
-        task_spans: dict[int, Any] = {}
-        for op in physical.ops:
-            if op.kind == OP_RESIDENT:
-                runs[op.op_id] = self.state.resident[op.node.name][1]
-                continue
-            with obs.detached("host.task", op=op.label) as sp:
-                if op.kind == OP_LOAD:
-                    runs[op.op_id] = self._guarded_read(op)
-                else:
-                    runs[op.op_id] = self._guarded_execute(
-                        op, self._device(op.device),
-                        [relation_of(runs[i]) for i in op.inputs],
-                    )
-            task_spans[op.op_id] = sp
-        return runs, task_spans
 
     # -- fault-aware dispatch --------------------------------------------------
 
@@ -364,7 +313,7 @@ class PlanExecutor:
             slow="disk",
         )
 
-    def _guarded_execute(self, op: PhysicalOp, device, inputs: list):
+    def _guarded_execute(self, op: PhysicalOp, inputs: list) -> DeviceRun:
         """One device execute, retried on the *same* planned device.
 
         A transient fault heals under retry, so the recovered run made
@@ -374,6 +323,7 @@ class PlanExecutor:
         *permanent* (``quarantined=True``): the pool's replan loop then
         degrades gracefully onto the surviving roster.
         """
+        device = self.state.device(op.device)
         try:
             return guarded_call(
                 lambda: device.execute(op.node, inputs),
@@ -399,14 +349,17 @@ class PlanExecutor:
 
     # -- internals ------------------------------------------------------------
 
+    @staticmethod
+    def _op_span(op: PhysicalOp):
+        """The ``machine.op`` span an op is resolved and placed under."""
+        return obs.span(
+            "machine.op", op=op.label,
+            device="resident" if op.kind == OP_RESIDENT else op.device,
+            kind=op.kind,
+        )
+
     def _new_key(self, node: PlanNode) -> str:
         return f"n{next(self.state.step_counter)}:{node.describe()}"
-
-    def _device(self, name: str) -> SystolicDevice | CpuDevice:
-        for device in self.state.devices:
-            if device.name == name:
-                return device
-        raise PlanError(f"unknown device {name!r}")
 
     def _choose_memory(
         self, nbytes: int, avoid: set[str], ready: float, duration: float
@@ -429,23 +382,70 @@ class PlanExecutor:
             )
         return best[2], best[0]
 
+    def _paced_seconds(
+        self,
+        run: DeviceRun,
+        sources: Iterable[tuple[str, str]],
+        nbytes_out: int,
+    ) -> float:
+        """Stand-alone seconds of a resolved operation.
+
+        An operation runs at the pace of its slowest stream: any input
+        being read out of its memory (``sources``: ``(key, memory
+        name)`` pairs), or the result being written back (§6.2's
+        warning — a degenerate join's output can dwarf its inputs —
+        shows up here as output-streaming time).
+        """
+        state = self.state
+        streams = [
+            state.memory(memory_name).transfer_seconds(
+                state.memory(memory_name).size_of(key)
+            )
+            for key, memory_name in sources
+        ]
+        streams.append(state.memories[0].transfer_seconds(nbytes_out))
+        return max([run.seconds] + streams)
+
+    def _place(
+        self,
+        op: PhysicalOp,
+        sp: Any,
+        produced: dict[int, tuple[str, Relation, float, str]],
+        report: ExecutionReport,
+        relation: Relation,
+        **step: Any,
+    ) -> None:
+        """Put a resolved op on the timeline: its report step (``step``
+        holds the :class:`ScheduledStep` fields beside the label), what
+        it produced and where, the simulated half of its ``machine.op``
+        span, and the two per-op metrics."""
+        placed = ScheduledStep(label=op.label, **step)
+        report.steps.append(placed)
+        produced[op.op_id] = (
+            placed.output_key, relation, placed.end, placed.output_memory
+        )
+        if op.kind != OP_LOAD:
+            sp.set(pulses=placed.pulses, blocks=placed.block_runs)
+        sp.set(
+            rows_out=len(relation), nbytes_out=placed.nbytes_out,
+            memory=placed.output_memory,
+            sim_start=placed.start, sim_end=placed.end,
+        )
+        metrics.inc("machine.ops.executed")
+        metrics.observe("machine.op.sim_seconds", placed.duration)
+
     def _run_load(
         self,
         op: PhysicalOp,
         produced: dict[int, tuple[str, Relation, float, str]],
         report: ExecutionReport,
         disk_free: float,
-        loaded: tuple[Relation, float],
-        task_span: Any = None,
     ) -> float:
         """One serial disk read (selection possibly fused on-track)."""
         state = self.state
-        with obs.span(
-            "machine.op", op=op.label, device="disk", kind=op.kind,
-        ) as sp:
-            obs.adopt(task_span)
+        with self._op_span(op) as sp:
+            relation, read_seconds = self._guarded_read(op)
             released = max(disk_free, op.release)
-            relation, read_seconds = loaded
             nbytes = relation_bytes(relation, state.element_bits)
             memory, start = self._choose_memory(
                 nbytes, avoid=set(), ready=released, duration=read_seconds
@@ -456,20 +456,11 @@ class PlanExecutor:
             )
             memory.store(key, relation, nbytes)
             state.crossbar.establish(memory.name, "disk", start, end)
-            report.steps.append(ScheduledStep(
-                label=op.label,
-                device="disk",
-                start=start, end=end,
-                output_key=key, output_memory=memory.name,
-                nbytes_out=nbytes,
-            ))
-            produced[op.op_id] = (key, relation, end, memory.name)
-            sp.set(
-                rows_out=len(relation), nbytes_out=nbytes,
-                memory=memory.name, sim_start=start, sim_end=end,
+            self._place(
+                op, sp, produced, report, relation,
+                device="disk", start=start, end=end,
+                output_key=key, output_memory=memory.name, nbytes_out=nbytes,
             )
-        metrics.inc("machine.ops.executed")
-        metrics.observe("machine.op.sim_seconds", end - start)
         return end
 
     def _run_singleton(
@@ -478,30 +469,25 @@ class PlanExecutor:
         produced: dict[int, tuple[str, Relation, float, str]],
         report: ExecutionReport,
         roster: DeviceRoster,
-        runs: dict[int, Any],
-        task_spans: Optional[dict[int, Any]] = None,
     ) -> None:
         """One store-and-forward operation on its assigned device."""
-        with obs.span(
-            "machine.op", op=op.label, device=op.device, kind=op.kind,
-        ) as sp:
-            if task_spans is not None:
-                obs.adopt(task_spans.get(op.op_id))
-            start, end = self._commit_singleton(
-                op, produced, report, roster, runs, sp
+        with self._op_span(op) as sp:
+            run = self._guarded_execute(
+                op, [produced[i][1] for i in op.inputs]
             )
-        metrics.inc("machine.ops.executed")
-        metrics.observe("machine.op.sim_seconds", end - start)
+            self._commit_singleton(op, run, produced, report, roster, sp)
 
     def _commit_singleton(
         self,
         op: PhysicalOp,
+        run: DeviceRun,
         produced: dict[int, tuple[str, Relation, float, str]],
         report: ExecutionReport,
         roster: DeviceRoster,
-        runs: dict[int, Any],
         sp: Any,
-    ) -> tuple[float, float]:
+    ) -> None:
+        """Place a resolved op store-and-forward: inputs out of their
+        memories, the result into another."""
         state = self.state
         input_keys = []
         input_memories = []
@@ -512,26 +498,12 @@ class PlanExecutor:
             input_memories.append(memory_name)
             ready = max(ready, child_ready)
 
-        device = self._device(op.device)
-        device_ready = max(ready, roster.free_at(device.name))
-        run = runs[op.op_id]
+        device_ready = max(ready, roster.free_at(op.device))
         nbytes_out = relation_bytes(run.relation, state.element_bits)
 
-        # An operation runs at the pace of its slowest stream: any input
-        # being read out of its memory, or the result being written back
-        # (§6.2's warning — a degenerate join's output can dwarf its
-        # inputs — shows up here as output-streaming time).
-        stream_seconds = [
-            memory.transfer_seconds(memory.size_of(key))
-            for key, memory in (
-                (k, self._memory(m)) for k, m in zip(input_keys, input_memories)
-            )
-        ]
-        if state.memories:
-            stream_seconds.append(
-                state.memories[0].transfer_seconds(nbytes_out)
-            )
-        duration = max([run.seconds] + stream_seconds)
+        duration = self._paced_seconds(
+            run, zip(input_keys, input_memories), nbytes_out
+        )
 
         # Find a start time at which every input port is free for the
         # whole window, the device is free, and an output memory exists.
@@ -560,26 +532,18 @@ class PlanExecutor:
         key = self._new_key(op.node)
         out_memory.store(key, run.relation, nbytes_out)
         for memory_name in set(input_memories):
-            state.crossbar.establish(memory_name, device.name, start, end)
+            state.crossbar.establish(memory_name, op.device, start, end)
         if out_memory.name not in set(input_memories):
-            state.crossbar.establish(out_memory.name, device.name, start, end)
-        roster.occupy(device.name, end)
-        report.steps.append(ScheduledStep(
-            label=op.label,
-            device=device.name,
-            start=start, end=end,
+            state.crossbar.establish(out_memory.name, op.device, start, end)
+        roster.occupy(op.device, end)
+        self._place(
+            op, sp, produced, report, run.relation,
+            device=op.device, start=start, end=end,
             output_key=key, output_memory=out_memory.name,
             input_keys=tuple(input_keys),
             pulses=run.pulses, block_runs=run.block_runs,
             nbytes_out=nbytes_out,
-        ))
-        produced[op.op_id] = (key, run.relation, end, out_memory.name)
-        sp.set(
-            pulses=run.pulses, blocks=run.block_runs,
-            rows_out=len(run.relation), nbytes_out=nbytes_out,
-            memory=out_memory.name, sim_start=start, sim_end=end,
         )
-        return start, end
 
     def _run_chain(
         self,
@@ -587,8 +551,6 @@ class PlanExecutor:
         produced: dict[int, tuple[str, Relation, float, str]],
         report: ExecutionReport,
         roster: DeviceRoster,
-        precomputed: dict[int, Any],
-        task_spans: Optional[dict[int, Any]] = None,
     ) -> None:
         """Execute a fused chain under the Σ fill + max stream law (§9).
 
@@ -596,76 +558,131 @@ class PlanExecutor:
         holds its device until its last result emerges; intermediate
         results stream device→switch→device, so the consumer takes no
         extra port on the producer's output memory.
+
+        Every member is resolved first, under its own ``machine.op`` —
+        its inputs are its producers' relations whether or not the
+        chain fuses — and the resolved sizes decide: the chain is
+        placed fused where :meth:`_fit_chain` says, or, when it fits
+        nowhere, its members are placed store-and-forward on the spans
+        they already have.  Nothing is computed twice.
         """
         state = self.state
-        internal = {m.op_id for m in members}
+        with obs.span(
+            "machine.chain", stages=len(members),
+            chain=" | ".join(m.label for m in members),
+        ) as chain_span:
+            runs: dict[int, DeviceRun] = {}
+            spans = []
+            for member in members:
+                with self._op_span(member) as sp:
+                    runs[member.op_id] = self._guarded_execute(
+                        member, self._chain_inputs(member, runs, produced)
+                    )
+                spans.append(sp)
+            fit = self._fit_chain(members, runs, produced, roster)
+            chain_span.set(fused=fit is not None)
+            if fit is None:
+                for member, sp in zip(members, spans):
+                    self._commit_singleton(
+                        member, runs[member.op_id], produced, report,
+                        roster, sp,
+                    )
+                return
 
-        # All stage windows overlap, so a memory port can serve only one
-        # stage device for the chain's whole span.  If two stages need
-        # externals out of the same memory, the ports cannot be
-        # disentangled — fall back to store-and-forward for this chain.
+            # Commit: claim ports, occupy devices, store the tail's output.
+            metrics.inc("machine.chains.executed")
+            out_memory, windows = fit
+            for k, member in enumerate(members):
+                start, end, external, nbytes_out = windows[k]
+                run = runs[member.op_id]
+                key = self._new_key(member.node)
+                for memory_name in external:
+                    state.crossbar.establish(
+                        memory_name, member.device, start, end
+                    )
+                if k + 1 == len(members):
+                    memory_label = out_memory.name
+                    out_memory.store(key, run.relation, nbytes_out)
+                    if out_memory.name not in external:
+                        state.crossbar.establish(
+                            out_memory.name, member.device, start, end
+                        )
+                else:
+                    # Streamed straight into the next stage's array.
+                    memory_label = f"->{members[k + 1].device}"
+                roster.occupy(member.device, end)
+                self._place(
+                    member, spans[k], produced, report, run.relation,
+                    device=member.device, start=start, end=end,
+                    output_key=key, output_memory=memory_label,
+                    input_keys=tuple(produced[i][0] for i in member.inputs),
+                    pulses=run.pulses, block_runs=run.block_runs,
+                    nbytes_out=nbytes_out,
+                )
+            chain_span.set(sim_start=windows[0][0], sim_end=windows[-1][1])
+
+    @staticmethod
+    def _chain_inputs(
+        member: PhysicalOp,
+        runs: dict[int, DeviceRun],
+        produced: dict[int, tuple[str, Relation, float, str]],
+    ) -> list[Relation]:
+        """A chain member's input relations: an upstream member's
+        result, or what an op outside the chain produced."""
+        return [
+            runs[i].relation if i in runs else produced[i][1]
+            for i in member.inputs
+        ]
+
+    def _fit_chain(
+        self,
+        members: list[PhysicalOp],
+        runs: dict[int, DeviceRun],
+        produced: dict[int, tuple[str, Relation, float, str]],
+        roster: DeviceRoster,
+    ) -> Optional[tuple[MemoryModule, list[tuple]]]:
+        """Where a resolved chain runs fused, if this machine can fuse it.
+
+        Returns the memory taking the tail's output and, per member,
+        ``(start, end, external input memories, output bytes)`` — or
+        ``None``, and the chain runs store-and-forward instead.
+        """
+        state = self.state
+        stages, ports, out_bytes = [], [], []
         device_of_port: dict[str, str] = {}
         for member in members:
-            for input_id in member.inputs:
-                if input_id in internal:
-                    continue
-                memory_name = produced[input_id][3]
+            external = [
+                (produced[i][0], produced[i][3])  # (key, memory name)
+                for i in member.inputs if i not in runs
+            ]
+            # All stage windows overlap, so a memory port can serve only
+            # one stage device for the chain's whole span.  If two stages
+            # need externals out of the same memory, the ports cannot be
+            # disentangled.
+            for _, memory_name in external:
                 claimed = device_of_port.setdefault(memory_name, member.device)
                 if claimed != member.device:
-                    for fallback in members:
-                        self._run_singleton(
-                            fallback, produced, report, roster, precomputed,
-                            task_spans,
-                        )
-                    return
+                    return None
+            ports.append({memory_name for _, memory_name in external})
 
-        # Gather every stage's (precomputed) result and its actual fill
-        # latency.
-        runs = []
-        fills = []
-        externals: list[list[tuple[str, str]]] = []  # (key, memory) pairs
-        chain_local: dict[int, Relation] = {}
-        for member in members:
-            inputs = []
-            external = []
-            for input_id in member.inputs:
-                if input_id in internal:
-                    inputs.append(chain_local[input_id])
-                else:
-                    key, relation, _, memory_name = produced[input_id]
-                    inputs.append(relation)
-                    external.append((key, memory_name))
-            device = self._device(member.device)
-            run = precomputed[member.op_id]
-            chain_local[member.op_id] = run.relation
+            # The stage's stand-alone duration → (fill, stream) split,
+            # from its result and its actual fill latency.
+            run = runs[member.op_id]
+            device = state.device(member.device)
             cost = actual_cost(
-                member.node, inputs,
+                member.node, self._chain_inputs(member, runs, produced),
                 device.capacity.max_rows, device.capacity.max_cols,
                 element_bits=getattr(device, "element_bits", None),
             )
-            fills.append(device.technology.pulses_to_seconds(cost.fill_pulses))
-            runs.append(run)
-            externals.append(external)
-
-        # Per-stage stand-alone duration → (fill, stream) split.
-        stages = []
-        out_bytes = []
-        for member, run, external, fill in zip(members, runs, externals, fills):
             nbytes_out = relation_bytes(run.relation, state.element_bits)
-            out_bytes.append(nbytes_out)
-            streams = [
-                self._memory(memory_name).transfer_seconds(
-                    self._memory(memory_name).size_of(key)
-                )
-                for key, memory_name in external
-            ]
-            if state.memories:
-                streams.append(state.memories[0].transfer_seconds(nbytes_out))
-            total = max([run.seconds] + streams)
-            fill = min(fill, total)
+            total = self._paced_seconds(run, external, nbytes_out)
+            fill = min(
+                device.technology.pulses_to_seconds(cost.fill_pulses), total
+            )
             stages.append(StageCost(
                 name=member.label, fill=fill, stream=total - fill
             ))
+            out_bytes.append(nbytes_out)
 
         # Stage k's window relative to the chain start: the prefix form
         # of the pipeline law — the last stage ends at Σ fill + max
@@ -680,7 +697,7 @@ class PlanExecutor:
             start = max(start, member.release - lo,
                         roster.free_at(member.device) - lo)
             for input_id in member.inputs:
-                if input_id not in internal:
+                if input_id not in runs:
                     start = max(start, produced[input_id][2] - lo)
 
         # Fixed point over the chain start: every stage's external input
@@ -688,26 +705,21 @@ class PlanExecutor:
         # tail's output.  Intermediate results never touch a memory —
         # they stream device→switch→device (§9), which is the point of
         # fusing — so the chain needs |externals| + 1 ports in total.
-        all_external = {
-            memory for external in externals for _, memory in external
-        }
-        tail_index = len(members) - 1
-        tail_lo, tail_hi = offsets[tail_index]
-        out_memory: Optional[MemoryModule] = None
+        all_external = set().union(*ports)
+        tail_lo, tail_hi = offsets[-1]
         try:
             for _ in range(64):
                 adjusted = start
-                for (lo, hi), external in zip(offsets, externals):
-                    duration = hi - lo
-                    for memory_name in {memory for _, memory in external}:
+                for (lo, hi), external in zip(offsets, ports):
+                    for memory_name in external:
                         adjusted = max(
                             adjusted,
                             state.crossbar.earliest_window(
-                                memory_name, adjusted + lo, duration
+                                memory_name, adjusted + lo, hi - lo
                             ) - lo,
                         )
                 out_memory, out_start = self._choose_memory(
-                    out_bytes[tail_index], avoid=all_external,
+                    out_bytes[-1], avoid=all_external,
                     ready=adjusted + tail_lo, duration=tail_hi - tail_lo,
                 )
                 adjusted = max(adjusted, out_start - tail_lo)
@@ -715,83 +727,10 @@ class PlanExecutor:
                     break
                 start = adjusted
         except CapacityError:
-            # Not enough distinct memory ports for the fused chain on
-            # this machine — run its stages store-and-forward instead.
-            for fallback in members:
-                self._run_singleton(
-                    fallback, produced, report, roster, precomputed,
-                    task_spans,
-                )
-            return
-
-        # Commit: claim ports, occupy devices, store the tail's output.
-        metrics.inc("machine.chains.executed")
-        with obs.span(
-            "machine.chain", stages=len(members),
-            chain=" | ".join(m.label for m in members),
-        ) as chain_span:
-            key_of: dict[int, str] = {}
-            for k, (member, run, (lo, hi), external) in enumerate(
-                zip(members, runs, offsets, externals)
-            ):
-                stage_start, stage_end = start + lo, start + hi
-                with obs.span(
-                    "machine.op", op=member.label, device=member.device,
-                    kind=member.kind,
-                ) as sp:
-                    if task_spans is not None:
-                        obs.adopt(task_spans.get(member.op_id))
-                    key = self._new_key(member.node)
-                    key_of[member.op_id] = key
-                    external_memories = {memory for _, memory in external}
-                    for memory_name in external_memories:
-                        state.crossbar.establish(
-                            memory_name, member.device, stage_start, stage_end
-                        )
-                    if k == tail_index:
-                        memory_label = out_memory.name
-                        out_memory.store(key, run.relation, out_bytes[k])
-                        if out_memory.name not in external_memories:
-                            state.crossbar.establish(
-                                out_memory.name, member.device,
-                                stage_start, stage_end,
-                            )
-                    else:
-                        # Streamed straight into the next stage's array.
-                        memory_label = f"->{members[k + 1].device}"
-                    roster.occupy(member.device, stage_end)
-                    input_keys = tuple(
-                        key_of[i] if i in internal else produced[i][0]
-                        for i in member.inputs
-                    )
-                    report.steps.append(ScheduledStep(
-                        label=member.label,
-                        device=member.device,
-                        start=stage_start, end=stage_end,
-                        output_key=key, output_memory=memory_label,
-                        input_keys=input_keys,
-                        pulses=run.pulses, block_runs=run.block_runs,
-                        nbytes_out=out_bytes[k],
-                    ))
-                    produced[member.op_id] = (
-                        key, run.relation, stage_end, memory_label
-                    )
-                    sp.set(
-                        pulses=run.pulses, blocks=run.block_runs,
-                        rows_out=len(run.relation), nbytes_out=out_bytes[k],
-                        memory=memory_label,
-                        sim_start=stage_start, sim_end=stage_end,
-                    )
-                metrics.inc("machine.ops.executed")
-                metrics.observe(
-                    "machine.op.sim_seconds", stage_end - stage_start
-                )
-            chain_span.set(
-                sim_start=start + offsets[0][0], sim_end=start + tail_hi
-            )
-
-    def _memory(self, name: str) -> MemoryModule:
-        for memory in self.state.memories:
-            if memory.name == name:
-                return memory
-        raise PlanError(f"unknown memory {name!r}")
+            # Not enough distinct memory ports (or room) for the fused
+            # chain on this machine.
+            return None
+        return out_memory, [
+            (start + lo, start + hi, external, nbytes_out)
+            for (lo, hi), external, nbytes_out in zip(offsets, ports, out_bytes)
+        ]

@@ -20,7 +20,7 @@ architecture (catalog / session / pool):
 Determinism is non-negotiable: an admitted query executes against a
 **fresh** :class:`~repro.machine.execution.MachineState` (its own
 memories, crossbar, and device roster timeline), so its results *and*
-its replayed timeline are bit-identical to running alone on a fresh
+its timeline are bit-identical to running alone on a fresh
 machine — no matter how many neighbours run beside it.
 """
 

@@ -271,7 +271,7 @@ class SystolicDatabaseMachine:
         port-blind forecast of the same schedule.  The plan runs on a
         fresh state built from the catalog — see
         :class:`~repro.machine.execution.PlanExecutor` for the
-        two-phase (compute, then replay) execution model.
+        one-pass (resolve, then place, op by op) execution model.
         """
         self._shown = self._fresh_state()
         return PlanExecutor(self._shown, faults=self.faults).run_physical(

@@ -6,9 +6,9 @@ One subsystem, three surfaces, all off by default:
   intervals — ``with obs.span("compile", ops=6): ...`` — recorded by an
   ambient :class:`Tracer`.  Instrumentation points are free while
   tracing is off (the null tracer hands out one shared no-op context
-  manager).  The machine records compute-phase work as *detached*
-  subtrees and grafts them in during replay, so the span tree follows
-  the replayed timeline and never holds a failed attempt.
+  manager).  A span is opened where its work happens, so a child's
+  interval lies inside its parent's; one that exits by exception stays
+  in the tree with a volatile ``error`` attribute.
 * **Metrics** (:mod:`repro.obs.metrics`): a process-local registry of
   counters/gauges/histograms whose names are declared once in
   :mod:`repro.obs.names` — the stable, docs-checked contract.
@@ -36,8 +36,6 @@ from repro.obs.spans import (
     NullTracer,
     Span,
     Tracer,
-    adopt,
-    detached,
     enabled,
     get_tracer,
     span,
@@ -52,8 +50,6 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "span",
-    "detached",
-    "adopt",
     "enabled",
     "get_tracer",
     "start",

@@ -288,14 +288,14 @@ def summarize_file(path: str, top: int | None = None) -> str:
     return out
 
 
-def _summarize_chrome(document, top: int | None) -> str:
-    if isinstance(document, list):
-        events, other = document, {}
-    elif isinstance(document, dict):
-        events = document.get("traceEvents", [])
-        other = document.get("otherData", {})
-    else:
-        raise ReproError("not a Chrome trace-event document")
+def _nest_by_containment(events: Iterable[dict]) -> list[Span]:
+    """The root spans of a flat list of trace events.
+
+    The Chrome format stores no parent links: the roots are the
+    ``"ph": "X"`` events contained by no other on their thread, and the
+    rest nest by containment per thread — which recovers the logical
+    tree because a span's children happen inside its interval.
+    """
     spans = [
         Span(
             name=ev.get("name", "?"),
@@ -307,10 +307,6 @@ def _summarize_chrome(document, top: int | None) -> str:
         for ev in events
         if ev.get("ph") == "X"
     ]
-    if not spans:
-        return "(no spans recorded)"
-    # Flat events: recover the root set as the spans contained by no
-    # other span on their thread, then nest by containment per thread.
     spans.sort(key=lambda sp: (sp.tid, sp.t0, -sp.t1))
     roots: list[Span] = []
     stack: list[Span] = []
@@ -326,6 +322,20 @@ def _summarize_chrome(document, top: int | None) -> str:
         else:
             roots.append(span)
         stack.append(span)
+    return roots
+
+
+def _summarize_chrome(document, top: int | None) -> str:
+    if isinstance(document, list):
+        events, other = document, {}
+    elif isinstance(document, dict):
+        events = document.get("traceEvents", [])
+        other = document.get("otherData", {})
+    else:
+        raise ReproError("not a Chrome trace-event document")
+    roots = _nest_by_containment(events)
+    if not roots:
+        return "(no spans recorded)"
     out = summarize_spans(roots, top)
     snapshot = other.get("repro.metrics") if isinstance(other, dict) else None
     if snapshot:

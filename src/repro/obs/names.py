@@ -70,9 +70,9 @@ METRICS: dict[str, tuple[str, str]] = {
     "machine.disk.reads": (
         COUNTER, "base-relation reads off the machine disk"),
     "machine.op.sim_seconds": (
-        HISTOGRAM, "simulated duration of each replayed timeline step"),
+        HISTOGRAM, "simulated duration of each timeline step"),
     "machine.ops.executed": (
-        COUNTER, "physical ops replayed onto the timeline"),
+        COUNTER, "physical ops placed on the timeline"),
     "machine.plan_cache.hits": (
         COUNTER, "compile calls answered from the LRU plan cache"),
     "machine.plan_cache.misses": (

@@ -16,15 +16,13 @@ manager — an instrumentation point costs two attribute lookups and a
 ``with`` block, nothing else.  ``obs.start()`` installs a real tracer.
 
 Thread model.  Each thread keeps its own span stack, so spans nested on
-one thread nest in the recorded tree.  Work whose place in the tree is
-decided later (the machine's compute phase, a shard's stage run that
-may yet be retried) is recorded as a **detached** subtree —
-:meth:`Tracer.detached` hides the caller's stack and records a
-free-standing subtree — and grafted in with :meth:`Tracer.adopt` once
-it is known to belong: under the replay phase's per-op span, or not at
-all for an attempt that failed.  The tree *structure* is therefore a
-function of the work alone; only timestamps (and thread ids) differ
-between runs.
+one thread nest in the recorded tree, and a child's interval lies
+inside its parent's: a span is opened where its work happens and
+nowhere else.  A query runs on one thread, so the tree *structure* of a
+completed run is a function of the work alone; only timestamps (and
+thread ids) differ between runs.  A span that exits by exception stays
+in the tree — it is what an interrupted attempt looked like — with the
+exception's class name as its volatile ``error`` attribute.
 
 Attributes come in two channels.  ``attrs`` are **structural**: a
 deterministic function of the work (simulated quantities, counts,
@@ -56,8 +54,6 @@ __all__ = [
     "stop",
     "tracing",
     "span",
-    "detached",
-    "adopt",
 ]
 
 
@@ -163,12 +159,6 @@ class NullTracer:
     def span(self, name: str, **attrs: Any) -> _NullContext:
         return _NULL_CONTEXT
 
-    def detached(self, name: str, **attrs: Any) -> _NullContext:
-        return _NULL_CONTEXT
-
-    def adopt(self, span: Any) -> None:
-        pass
-
     def __repr__(self) -> str:
         return "NullTracer()"
 
@@ -209,43 +199,14 @@ class Tracer:
         sp.t0 = time.perf_counter()
         try:
             yield sp
+        except BaseException as exc:
+            # Which attempt a fault, deadline or cancel interrupts is
+            # host-schedule state: volatile, never in structure().
+            sp.set_volatile(error=type(exc).__name__)
+            raise
         finally:
             sp.t1 = time.perf_counter()
             stack.pop()
-
-    @contextlib.contextmanager
-    def detached(self, name: str, **attrs: Any):
-        """Record a free-standing subtree, attached nowhere.
-
-        The caller's current stack is hidden for the duration, so spans
-        opened inside nest under the detached root even on the main
-        thread.  Graft the yielded span into the tree later with
-        :meth:`adopt` — the machine does this during sequential replay
-        so the tree is deterministic however the compute phase ran.
-        """
-        stack = self._stack()
-        saved = stack[:]
-        del stack[:]
-        sp = Span(name=name, attrs=attrs, tid=threading.get_ident())
-        stack.append(sp)
-        sp.t0 = time.perf_counter()
-        try:
-            yield sp
-        finally:
-            sp.t1 = time.perf_counter()
-            stack[:] = saved
-
-    def adopt(self, span: Span) -> None:
-        """Graft a detached span under the current thread's open span
-        (or as a root)."""
-        if span is _NULL_SPAN or not isinstance(span, Span):
-            return
-        stack = self._stack()
-        if stack:
-            stack[-1].children.append(span)
-        else:
-            with self._lock:
-                self.roots.append(span)
 
     # -- reading -----------------------------------------------------------
 
@@ -317,14 +278,3 @@ def span(name: str, **attrs: Any):
     """``with obs.span("compile", ops=6) as sp: ...`` on the active
     tracer (free when tracing is off)."""
     return _active.span(name, **attrs)
-
-
-def detached(name: str, **attrs: Any):
-    """A detached subtree on the active tracer (see
-    :meth:`Tracer.detached`)."""
-    return _active.detached(name, **attrs)
-
-
-def adopt(span: Any) -> None:
-    """Graft a detached span on the active tracer."""
-    _active.adopt(span)

@@ -14,7 +14,7 @@ through the pool's shared plan cache — in stages:
 3. the per-shard answers merge — in shard order, under the relation's
    set semantics — into the logical results.
 
-Determinism mirrors the single machine's two-phase contract: the host
+Determinism mirrors the single machine's one-pass contract: the host
 runs the shard machines of a stage one after another, in shard order —
 they are concurrent on the *simulated* clock, where a stage lasts as
 long as its slowest shard — and every cross-shard decision (bucket
@@ -79,7 +79,7 @@ class ShardedCompilation:
 class ShardedExecutionReport(ExecutionReport):
     """The composed cross-shard timeline of one sharded query.
 
-    ``steps`` holds every shard's replayed steps — labelled
+    ``steps`` holds every shard's timeline steps — labelled
     ``shard{i}:`` and offset so stages follow each other in simulated
     time — plus one ``interconnect`` step per exchange.  The plain
     :class:`ExecutionReport` accessors (makespan, timeline, busy
@@ -278,31 +278,29 @@ class ShardedExecutor:
         """Run one stage's plans on every shard, in shard order; returns
         the shards' ``(results, report)`` pairs.
 
-        Each shard's subtree is a detached ``shard.run`` span, adopted
-        once every shard has finished the stage.  A shard machine that
-        crashes (an injected :class:`ShardFaultError`) is re-run with
-        bounded backoff; the crash is injected *before* its
-        ``shard.run`` span opens and a crashed attempt's span is never
-        adopted, so a recovered run's trace — like its results and
-        timeline, which re-execute the identical pure stage — is
-        bit-identical to a fault-free run.  A shard that quarantines a
-        device replans against the pool's surviving roster, same as an
-        unsharded query.
+        Each shard's subtree is a ``shard.run`` span, recorded in shard
+        order.  A shard machine that crashes (an injected
+        :class:`ShardFaultError`) is re-run with bounded backoff; the
+        crash is injected *before* its ``shard.run`` span opens, so a
+        recovered run's trace — like its results and timeline, which
+        re-execute the identical pure stage — is bit-identical to a
+        fault-free run.  A shard that quarantines a device replans
+        against the pool's surviving roster, same as an unsharded
+        query, and like there the interrupted attempt's ``shard.run``
+        stays in the trace ahead of the one that completed.
         """
         pool = self.pool
         faults = pool.faults
-        outcomes, spans = [], []
+        outcomes = []
         for index, lane in enumerate(lanes):
 
             def attempt(roster, plan):
                 def run_once() -> tuple[list[Relation], ExecutionReport]:
-                    with obs.detached("shard.run", shard=index) as sp:
-                        outcome = pool._run_fresh(
+                    with obs.span("shard.run", shard=index):
+                        return pool._run_fresh(
                             lane, plan(), roster, cancel,
                             f"{self.catalog.tenant}/shard{index}",
                         )
-                    spans.append(sp)
-                    return outcome
 
                 return guarded_call(
                     run_once,
@@ -320,8 +318,6 @@ class ShardedExecutor:
                 ),
                 attempt,
             ))
-        for span in spans:  # one a shard, in shard order
-            obs.adopt(span)
         return outcomes
 
     def _exchange(

@@ -125,6 +125,69 @@ class TestQuarantineAndReplan:
         assert counted["faults.replans"] == 1
         assert counted["faults.redispatches"] >= 1
 
+    @pytest.mark.parametrize("kind", FRONT_ENDS)
+    def test_the_interrupted_attempt_stays_in_the_trace(self, kind):
+        """On every front end alike: the attempt the quarantine ended —
+        the ops it had placed, then the op on the dead device, which
+        never reached ``device.execute`` — and after it the attempt
+        that completed, equal to a fault-free run on the survivors."""
+        faults = parse_faults("device:join0:kill", seed=5)
+        target = _front_end(kind, faults=faults, devices=REDUNDANT)
+        tracer = obs.start(obs.Tracer())
+        try:
+            target.run_many(_plans())
+        finally:
+            obs.stop()
+        runs = tracer.find("machine.run")
+        interrupted = [r for r in runs if "error" in r.volatile]
+        completed = [r for r in runs if "error" not in r.volatile]
+        (attempt,) = interrupted
+        assert attempt is runs[0]
+        assert attempt.volatile == {"error": "DeviceFaultError"}
+        assert "makespan_ms" not in attempt.attrs
+        *placed, dead = attempt.children
+        assert placed and all("sim_end" in op.attrs for op in placed)
+        assert (dead.name, dead.attrs["device"]) == ("machine.op", "join0")
+        assert dead.volatile == {"error": "DeviceFaultError"}
+        assert dead.children == [] and "sim_end" not in dead.attrs
+        for sp in tracer.walk():
+            if sp.name == "device.execute":
+                assert sp.attrs["device"] != "join0"
+        # The error is host-schedule state: structure() does not see it.
+        assert "error" not in dict(attempt.structure()[1])
+
+        # join0 is quarantined for good, so a second run of the same
+        # target *is* the fault-free run on the surviving roster.
+        injected = faults.injected
+        survivors = obs.start(obs.Tracer())
+        try:
+            target.run_many(_plans())
+        finally:
+            obs.stop()
+        assert faults.injected == injected
+        assert not any("error" in sp.volatile for sp in survivors.walk())
+        assert [r.structure() for r in completed] == [
+            r.structure() for r in survivors.find("machine.run")
+        ]
+
+    def test_interrupted_attempts_count_the_ops_they_placed(self):
+        """An interrupted attempt's kernel work always counted
+        (``engine.runs``); so now do the ops it put on its timeline."""
+        counts = {}
+        for spec in (None, "device:join0:kill"):
+            faults = parse_faults(spec, seed=5) if spec else None
+            target = _front_end("pool", faults=faults, devices=REDUNDANT)
+            metrics.reset()
+            metrics.enable()
+            try:
+                target.run_many(_plans())
+                counts[spec] = metrics.counter("machine.ops.executed")
+            finally:
+                metrics.disable()
+                metrics.reset()
+        # Two loads placed before join0 died, then the whole plan again.
+        assert counts == {None: 3, "device:join0:kill": 5}
+
     def test_machine_and_pool_compile_equally_often(self):
         # One full-roster compile and one degraded compile each: the
         # machine's replan is counted (and cached) like any compile,

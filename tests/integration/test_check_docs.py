@@ -38,7 +38,7 @@ def test_machine_api_rule_flags_removed_members_and_keywords(tmp_path):
         "| `EnginePool(roster_fairness=True)` / `DeviceRoster.assignments` "
         "| both removed |\n"
     )
-    assert check_docs.check_machine_api(docs=[doc]) == [
+    assert check_docs.check_api(docs=[doc]) == [
         "API.md: documents `EnginePool(roster_fairness=)`, which "
         "repro.machine.EnginePool does not accept",
         "API.md: documents `DeviceRoster.assignments`, which "
@@ -56,4 +56,69 @@ def test_env_var_rule_flags_a_variable_nothing_reads(tmp_path):
     assert check_docs.check_env_vars(docs=[doc]) == [
         "PERF.md: documents environment variable REPRO_MACHINE_PARALLEL, "
         "which nothing under src/ reads",
+    ]
+
+
+def test_api_rule_covers_the_obs_classes(tmp_path):
+    check_docs = _load_check_docs()
+    doc = tmp_path / "OBSERVABILITY.md"
+    doc.write_text(
+        "`Tracer.span` opens a span, `Span.structure()` projects it, "
+        "`NullTracer.span` is the off switch; `obs.detached` is prose.\n"
+    )
+    assert check_docs.check_api(docs=[doc]) == []
+    doc.write_text(
+        "Graft it with `Tracer.detached` / `Tracer.adopt`; "
+        "`Span.structure()` stays.\n"
+    )
+    assert check_docs.check_api(docs=[doc]) == [
+        "OBSERVABILITY.md: documents `Tracer.detached`, which "
+        "repro.obs.Tracer does not have",
+        "OBSERVABILITY.md: documents `Tracer.adopt`, which "
+        "repro.obs.Tracer does not have",
+    ]
+
+
+_SPAN_TABLE = (
+    "| span | recorded by | attributes |\n"
+    "|---|---|---|\n"
+    "| `cli.<stage>` | the CLI | — |\n"
+    "| `planner.assign` / `planner.fuse` | the planner's phases | — |\n"
+    "{extra}"
+    "\n"
+    "| metric | kind | meaning |\n"
+    "|---|---|---|\n"
+    "| `engine.runs` | counter | not a span |\n"
+)
+
+
+def test_span_catalog_rule_holds_docs_and_source_to_each_other(tmp_path):
+    check_docs = _load_check_docs()
+    source = tmp_path / "src" / "pkg"
+    source.mkdir(parents=True)
+    (source / "work.py").write_text(
+        '"""Docstring example: ``with obs.span("ghost.example"): ...``"""\n'
+        "def run(obs, tracer, name):\n"
+        '    with obs.span(f"cli.{name}"):\n'
+        "        with obs.span(\n"
+        '            "planner.assign", plans=1,\n'
+        "        ):\n"
+        '            with tracer.span("planner.fuse"):\n'
+        "                return obs.span(name)\n"
+    )
+    doc = tmp_path / "OBSERVABILITY.md"
+    doc.write_text(_SPAN_TABLE.format(extra=""))
+    assert check_docs.check_span_catalog(doc=doc, root=tmp_path / "src") == []
+
+    (source / "more.py").write_text(
+        'def run(obs):\n    return obs.span("machine.op", op="x")\n'
+    )
+    doc.write_text(_SPAN_TABLE.format(
+        extra="| `machine.replay` | the replay phase | — |\n"
+    ))
+    assert check_docs.check_span_catalog(doc=doc, root=tmp_path / "src") == [
+        "OBSERVABILITY.md: span 'machine.op' is opened under src/ but "
+        "missing from the span catalog",
+        "OBSERVABILITY.md: span 'machine.replay' is in the span catalog "
+        "but nothing under src/ opens it",
     ]

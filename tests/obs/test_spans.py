@@ -1,12 +1,19 @@
-"""Span recording: nesting, detachment, and the determinism contract."""
+"""Span recording: nesting — in the tree and in time — and the determinism
+contract."""
 
 from __future__ import annotations
 
+import io
+import json
+
 from repro import obs
 from repro.arrays import ArrayCapacity
-from repro.machine import SystolicDevice
+from repro.errors import DeviceFaultError
+from repro.machine import Base, EnginePool, Join, Select, SystolicDevice
 from repro.machine.plan import DEVICE_JOIN
 from repro.obs import metrics
+from repro.obs.export import _nest_by_containment
+from repro.store import RelationStore
 from repro.systolic.engine.schedule import CounterStreamSchedule
 from repro.workloads import join_pair
 
@@ -38,31 +45,26 @@ class TestTracer:
             sp.set(rows_out=7)
         assert sp.attrs == {"fixed": 1, "rows_out": 7}
 
-    def test_detached_subtree_hides_the_stack(self):
+    def test_exception_is_recorded_in_the_volatile_channel(self):
+        """A span that exits by exception stays in the tree and names
+        what interrupted it — host-schedule state, so not structure."""
         tracer = obs.Tracer()
-        with tracer.span("replay"):
-            with tracer.detached("task") as task:
-                with tracer.span("inner"):
-                    pass
-        # The detached root is not a child of "replay" ...
-        (replay,) = tracer.roots
-        assert replay.children == []
-        # ... but work inside it nested under the detached span.
-        assert [child.name for child in task.children] == ["inner"]
-
-    def test_adopt_grafts_under_the_open_span(self):
-        tracer = obs.Tracer()
-        with tracer.detached("task") as task:
+        try:
+            with tracer.span("run") as run:
+                with tracer.span("op", device="join0") as op:
+                    raise DeviceFaultError("injected", device="join0")
+        except DeviceFaultError:
             pass
-        with tracer.span("op") as op:
-            tracer.adopt(task)
-        assert op.children == [task]
-
-    def test_adopt_ignores_null_and_missing_spans(self):
-        tracer = obs.Tracer()
-        with tracer.span("op") as op:
-            tracer.adopt(None)
-        assert op.children == []
+        with tracer.span("op", device="join0") as clean:
+            pass
+        assert [root.name for root in tracer.roots] == ["run", "op"]
+        assert run.children == [op]
+        assert op.volatile == run.volatile == {"error": "DeviceFaultError"}
+        assert op.t1 >= op.t0 and run.t1 >= op.t1
+        assert clean.volatile == {}
+        assert op.structure() == clean.structure()
+        # The stack unwound: the next span is a root again.
+        assert tracer._stack() == []
 
     def test_walk_and_find(self):
         tracer = obs.Tracer()
@@ -159,22 +161,120 @@ class TestStructure:
         names = {sp.name for sp in tracer.walk()}
         for expected in (
             "machine.compile", "planner.compile", "machine.run",
-            "machine.compute_phase", "machine.replay", "machine.op",
-            "machine.chain", "host.task", "device.execute", "engine.run",
+            "machine.op", "machine.chain", "device.execute", "engine.run",
         ):
             assert expected in names, f"missing span {expected!r}"
 
-    def test_host_tasks_adopted_under_their_ops(self):
+    def test_device_execute_is_a_direct_child_of_exactly_one_op(self):
         machine = build_machine()
         with obs.tracing() as tracer:
             machine.run(join_project_plan())
-        # Every host.task subtree was grafted under a machine.op span —
-        # none left floating at the root.
-        assert not [r for r in tracer.roots if r.name == "host.task"]
+        parents = {}
+        for sp in tracer.walk():
+            for child in sp.children:
+                if child.name == "device.execute":
+                    parents.setdefault(id(child), []).append(sp)
+        executes = tracer.find("device.execute")
+        assert len(executes) == 2  # join, project
+        for execute in executes:
+            (op,) = parents[id(execute)]
+            assert op.name == "machine.op"
+            assert op.attrs["op"] == execute.attrs["op"]
+            assert [c.name for c in op.children] == ["device.execute"]
+        # Loads read the disk inside their op; nothing else nests there.
         for op in tracer.find("machine.op"):
-            if op.attrs.get("device") == "resident":
-                continue
-            assert [c.name for c in op.children].count("host.task") == 1
+            if op.attrs["kind"] == "load":
+                assert op.children == []
+
+
+def _transaction():
+    """A pipelined chain, a join that re-partitions on shards, and a
+    select (fused into the read where the relation is store-backed)."""
+    return [
+        join_project_plan(),
+        Join(Base("R"), Base("S"), on=((1, 1),)),
+        Select(Base("T"), 0, "<", 5000),
+    ]
+
+
+def _front_ends(tmp_path):
+    """(label, loaded target): a machine, a pool session — T behind an
+    attached store — and 2- and 3-shard sessions, T partitioned."""
+    a, b = join_pair(40, 30, 8, seed=31)
+    store = RelationStore(tmp_path / "relations")
+    store.write("T", a, chunk_rows=10, index_columns=(0,))
+    machine = build_machine()
+    machine.attach_store(store)
+    yield "machine", machine
+    for shards in (1, 2, 3):
+        session = EnginePool().session("acme", shards=shards)
+        session.store("R", a)
+        session.store("S", b)
+        if shards == 1:
+            session.catalog.attach_store(store)
+        else:
+            session.store("T", a)
+        yield f"session, {shards} shard(s)", session
+
+
+class TestSpansNestInTime:
+    """A span is opened where its work happens, so a child's interval
+    lies inside its parent's — which is what lets a flat Chrome trace
+    recover the tree."""
+
+    def test_every_child_interval_lies_inside_its_parent(self, tmp_path):
+        for label, target in _front_ends(tmp_path):
+            with obs.tracing() as tracer:
+                target.run_many(_transaction())
+            names = {sp.name for sp in tracer.walk()}
+            assert "machine.chain" in names, label
+            if label == "machine" or "1 shard" in label:
+                assert any(
+                    sp.attrs["op"].startswith("load select")
+                    for sp in tracer.find("machine.op")
+                ), label
+            else:
+                assert any(
+                    sp.attrs.get("kind") == "repartition"
+                    for sp in tracer.find("shard.stage")
+                ), label
+            for parent in tracer.walk():
+                assert parent.t0 <= parent.t1, (label, parent)
+                for child in parent.children:
+                    assert parent.t0 <= child.t0 <= child.t1 <= parent.t1, (
+                        label, parent.name, child.name, child.attrs,
+                    )
+
+    def test_chrome_containment_recovers_the_logical_tree(self, tmp_path):
+        """The two exporters agree: nesting the Chrome trace's flat
+        events by time containment gives the parent-of relation the
+        JSON-lines export stores."""
+
+        def parent_of(roots):
+            relation = {}
+
+            def visit(sp, parent):
+                relation[sp.name, sp.t0, sp.t1] = parent
+                for child in sp.children:
+                    visit(child, (sp.name, sp.t0, sp.t1))
+
+            for root in roots:
+                visit(root, None)
+            return relation
+
+        for label, target in _front_ends(tmp_path):
+            with obs.tracing() as tracer:
+                target.run_many(_transaction())
+            lines, chrome = io.StringIO(), io.StringIO()
+            obs.write_jsonl(tracer, lines)
+            obs.write_chrome_trace(tracer, chrome)
+            lines.seek(0)
+            logical, _ = obs.read_jsonl(lines)
+            nested = _nest_by_containment(
+                json.loads(chrome.getvalue())["traceEvents"]
+            )
+            assert len(parent_of(logical)) == len(list(tracer.walk())), label
+            assert parent_of(nested) == parent_of(logical), label
 
 
 class TestBlockedRunIsOneSpan:

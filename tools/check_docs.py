@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Keep the documentation and the code from drifting apart.
 
-Six checks, all run in CI next to the bench gate::
+Seven checks, all run in CI next to the bench gate::
 
     python tools/check_docs.py
 
@@ -27,23 +27,31 @@ Six checks, all run in CI next to the bench gate::
    the short external-tool allowlist — documentation of a renamed or
    removed flag fails here.
 
-5. **Machine API.**  In ``docs/API.md`` and ``docs/PLANNER.md``, every
-   backticked ``Class.member`` and every ``name=`` keyword inside a
-   backticked ``Class(...)`` whose class is exported by
-   ``repro.machine`` must resolve against that class (attribute,
-   dataclass field or ``__init__`` parameter) — documentation of a
-   removed method or constructor option fails here.
+5. **Machine and obs API.**  In ``docs/API.md``, ``docs/PLANNER.md``
+   and ``docs/OBSERVABILITY.md``, every backticked ``Class.member`` and
+   every ``name=`` keyword inside a backticked ``Class(...)`` whose
+   class is exported by ``repro.machine`` or ``repro.obs`` must resolve
+   against that class (attribute, dataclass field or ``__init__``
+   parameter) — documentation of a removed method or constructor
+   option fails here.
 
 6. **Environment variables.**  Every ``REPRO_*`` variable named in
    ``docs/*.md``, ``README.md`` or ``DESIGN.md`` must be read somewhere
    under ``src/`` — a removed variable that lingers in the docs fails
    here.
 
+7. **Span catalog.**  The span table in ``docs/OBSERVABILITY.md`` must
+   list exactly the names that ``src/`` passes as string literals to
+   ``obs.span(`` / ``.span(`` (the CLI's ``f"cli.{name}"`` is the
+   ``cli.<stage>`` row) — a span renamed or removed in code but not in
+   the docs, or the other way round, fails here.
+
 Exits non-zero with one line per problem.
 """
 
 from __future__ import annotations
 
+import ast
 import inspect
 import re
 import sys
@@ -58,8 +66,11 @@ OBSERVABILITY = ROOT / "docs" / "OBSERVABILITY.md"
 
 ARCHITECTURE = ROOT / "docs" / "ARCHITECTURE.md"
 
-#: Where the ``repro.machine`` classes are documented member by member.
-MACHINE_API_DOCS = (ROOT / "docs" / "API.md", ROOT / "docs" / "PLANNER.md")
+#: Where ``repro.machine`` / ``repro.obs`` classes are documented member
+#: by member.
+API_DOCS = (
+    ROOT / "docs" / "API.md", ROOT / "docs" / "PLANNER.md", OBSERVABILITY,
+)
 
 #: Where a documented ``REPRO_*`` variable must be one the code reads.
 ENV_VAR_DOCS = (
@@ -196,13 +207,20 @@ def check_cli_flags() -> list[str]:
     return problems
 
 
-def check_machine_api(docs=MACHINE_API_DOCS) -> list[str]:
+def check_api(docs=API_DOCS) -> list[str]:
     import repro.machine
+    import repro.obs
 
     classes = {
-        name: value for name, value in vars(repro.machine).items()
+        name: value
+        for module in (repro.machine, repro.obs)
+        for name, value in vars(module).items()
         if inspect.isclass(value)
     }
+
+    def qualified(owner: str) -> str:
+        package = ".".join(classes[owner].__module__.split(".")[:2])
+        return f"{package}.{owner}"
 
     def has_member(cls: type, member: str) -> bool:
         return (
@@ -219,7 +237,7 @@ def check_machine_api(docs=MACHINE_API_DOCS) -> list[str]:
                 if owner in classes and not has_member(classes[owner], member):
                     problems.append(
                         f"{doc.name}: documents `{owner}.{member}`, which "
-                        f"repro.machine.{owner} does not have"
+                        f"{qualified(owner)} does not have"
                     )
             # Innermost calls first, so a nested constructor's keywords
             # are not charged to the call around it.
@@ -235,7 +253,7 @@ def check_machine_api(docs=MACHINE_API_DOCS) -> list[str]:
                     if keyword not in accepted:
                         problems.append(
                             f"{doc.name}: documents `{owner}({keyword}=)`, "
-                            f"which repro.machine.{owner} does not accept"
+                            f"which {qualified(owner)} does not accept"
                         )
     return problems
 
@@ -254,11 +272,63 @@ def check_env_vars(docs=ENV_VAR_DOCS) -> list[str]:
     ]
 
 
+def documented_spans(text: str) -> set[str]:
+    """The names in the first column of OBSERVABILITY.md's span table."""
+    lines = iter(text.splitlines())
+    for line in lines:
+        if line.replace(" ", "").startswith("|span|recordedby|"):
+            break
+    names: set[str] = set()
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        names.update(_CODE_SPAN.findall(line.split("|")[1]))
+    return names
+
+
+def recorded_spans(root: Path) -> set[str]:
+    """The span names ``root``'s sources open: the literal first
+    argument of every ``.span(...)`` call, an f-string's placeholder
+    written ``<stage>``."""
+    names: set[str] = set()
+    for source in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "span" and node.args
+            ):
+                continue
+            name = node.args[0]
+            if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                names.add(name.value)
+            elif isinstance(name, ast.JoinedStr):
+                names.add("".join(
+                    part.value if isinstance(part, ast.Constant) else "<stage>"
+                    for part in name.values
+                ))
+    return names
+
+
+def check_span_catalog(doc=OBSERVABILITY, root=ROOT / "src") -> list[str]:
+    documented = documented_spans(doc.read_text())
+    recorded = recorded_spans(root)
+    return [
+        f"{doc.name}: span {name!r} is opened under src/ but missing "
+        f"from the span catalog"
+        for name in sorted(recorded - documented)
+    ] + [
+        f"{doc.name}: span {name!r} is in the span catalog but nothing "
+        f"under src/ opens it"
+        for name in sorted(documented - recorded)
+    ]
+
+
 def main() -> int:
     problems = (
         check_metric_table() + check_links()
         + check_package_inventory() + check_cli_flags()
-        + check_machine_api() + check_env_vars()
+        + check_api() + check_env_vars() + check_span_catalog()
     )
     for problem in problems:
         print(problem, file=sys.stderr)
@@ -271,8 +341,10 @@ def main() -> int:
         f"links resolve across {files} markdown files, "
         f"{len(repro_packages())} packages in the inventory, "
         f"documented CLI flags all defined, "
-        f"repro.machine members and constructor keywords resolve, "
-        f"documented REPRO_* variables all read under src/"
+        f"repro.machine / repro.obs members and constructor keywords "
+        f"resolve, documented REPRO_* variables all read under src/, "
+        f"span catalog in sync "
+        f"({len(documented_spans(OBSERVABILITY.read_text()))} names)"
     )
     return 0
 
