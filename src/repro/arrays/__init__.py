@@ -8,8 +8,9 @@ schedules, the fixed-relation variant, and blocked decomposition for
 problems larger than the device.
 
 Every operator takes ``backend=`` — ``"pulse"`` (default, the
-cycle-accurate simulator) or ``"lattice"`` (vectorized wavefront
-evaluation, bit-identical outputs); see :mod:`repro.systolic.engine`.
+cycle-accurate register stepper), ``"lattice"`` (vectorized wavefront
+evaluation) or ``"bitplane"`` (§8's bit-level design on packed planes),
+all with bit-identical outputs; see :mod:`repro.systolic.engine`.
 """
 
 from repro.arrays.base import ArrayRun, execute

@@ -98,11 +98,7 @@ def column_matrix(tuples: Sequence[Sequence[int]]) -> np.ndarray:
         return np.empty((0, 0), dtype=np.int64)
     try:
         matrix = np.asarray(tuples, dtype=np.int64)
-    except OverflowError:
-        # Elements wider than a machine word: only the pulse engine's
-        # cells compare those, and it streams Python ints.
-        matrix = np.asarray(tuples, dtype=object)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise SimulationError(
             f"blocked operands must be equal-arity tuples of "
             f"integer-encoded elements: {exc}"
@@ -328,7 +324,7 @@ def blocked_divide(
         a, b, a_value, a_group, b_value
     )
     report = BlockedReport()
-    if not pairs:
+    if not len(pairs):
         return Relation(quotient_schema), report
     if not divisor:
         return Relation(quotient_schema, ((x,) for x in distinct_x)), report
@@ -345,12 +341,11 @@ def blocked_divide(
     report.a_blocks = len(x_bounds)
     report.b_blocks = len(divisor_bounds)
 
-    pair_matrix = column_matrix(pairs)
     keep = np.ones(len(distinct_x), dtype=bool)
     for x_lo, x_hi in x_bounds:
         for d_lo, d_hi in divisor_bounds:
             plan = DivisionPlan(
-                pair_matrix, distinct_x[x_lo:x_hi], divisor[d_lo:d_hi]
+                pairs, distinct_x[x_lo:x_hi], divisor[d_lo:d_hi]
             )
             result = execute(plan, backend=backend)
             report.add_run(result.pulses)

@@ -24,10 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.arrays.base import ArrayRun, empty_run, run_plan
 from repro.arrays.decode import quotient_bits
 from repro.errors import SimulationError
-from repro.relational.relation import Relation
+from repro.relational.domain import Domain
+from repro.relational.relation import Relation, project_rows
 from repro.relational.schema import ColumnRef, Schema
 from repro.systolic.engine import DivisionPlan
 from repro.systolic.engine.materialize import build_division_network
@@ -79,13 +82,13 @@ def division_operands(
     a_value: ColumnRef,
     a_group: ColumnRef | None,
     b_value: ColumnRef,
-) -> tuple[Schema, list[tuple[int, int]], list[int], list[int]]:
+) -> tuple[Schema, np.ndarray, list[int], list[int]]:
     """Resolve the division columns and lay out the array's operands.
 
     Returns the quotient schema, the dividend's ``(x, y)`` pairs in
-    tuple order, the distinct ``x`` values in first-appearance (=
-    dividend row) order, and the distinct divisor values in
-    first-appearance order.
+    tuple order as an ``(n, 2)`` matrix, the distinct ``x`` values in
+    first-appearance (= dividend row) order, and the distinct divisor
+    values in first-appearance order.
     """
     value_pos = a.schema.resolve(a_value)
     if a_group is None:
@@ -105,10 +108,27 @@ def division_operands(
             f"({a.schema[value_pos].domain.name!r} vs "
             f"{b.schema[divisor_pos].domain.name!r})"
         )
-    pairs = [(row[group_pos], row[value_pos]) for row in a.tuples]
-    distinct_x = list(dict.fromkeys(x for x, _ in pairs))
-    divisor = list(dict.fromkeys(row[divisor_pos] for row in b.tuples))
-    return a.schema.project([group_pos]), pairs, distinct_x, divisor
+    # §7: the distinct values are what the remove-duplicates array
+    # leaves of a projection — first occurrences, in order.
+    groups = project_rows(a, [group_pos]).distinct()
+    divisor = project_rows(b, [divisor_pos]).distinct()
+    return (
+        groups.schema, a.array[:, [group_pos, value_pos]],
+        groups.array[:, 0].tolist(), divisor.array[:, 0].tolist(),
+    )
+
+
+def _first_seen_codes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """§2.3's composite dictionary: one dense code per distinct row of
+    ``rows``, assigned in first-seen order.  Returns the code of every
+    row and the distinct rows, indexed by code."""
+    _, first, inverse = np.unique(
+        rows, axis=0, return_index=True, return_inverse=True
+    )
+    by_first = np.argsort(first)
+    code_of = np.empty_like(by_first)
+    code_of[by_first] = np.arange(len(by_first))
+    return code_of[inverse.reshape(-1)], rows[first[by_first]]
 
 
 def systolic_divide(
@@ -135,7 +155,7 @@ def systolic_divide(
         a, b, a_value, a_group, b_value
     )
 
-    if not pairs:
+    if not len(pairs):
         return DivisionResult(Relation(quotient_schema), [], [], empty_run())
     if not divisor:
         members = [(x,) for x in distinct_x]
@@ -194,39 +214,22 @@ def systolic_divide_general(
                 f"division columns {pa}/{pb} are on different domains"
             )
 
-    # Composite dictionaries (§2.3): combination tuple -> dense code.
-    group_codes: dict[tuple[int, ...], int] = {}
-    group_combos: list[tuple[int, ...]] = []
-    value_codes: dict[tuple[int, ...], int] = {}
-
-    def encode(codes: dict, combo: tuple[int, ...], keep: Optional[list] = None) -> int:
-        code = codes.get(combo)
-        if code is None:
-            code = len(codes)
-            codes[combo] = code
-            if keep is not None:
-                keep.append(combo)
-        return code
-
-    from repro.relational.domain import Domain
-    from repro.relational.schema import Column, Schema
-
-    pairs_schema = Schema.of(
-        ("g", Domain("division-group-composite")),
-        ("v", Domain("division-value-composite")),
+    # Composite dictionaries (§2.3): combination -> dense code, the
+    # value dictionary shared by the dividend and the divisor.
+    group_codes, group_combos = _first_seen_codes(a.array[:, group_pos])
+    value_codes, _ = _first_seen_codes(np.concatenate(
+        [a.array[:, value_pos], b.array[:, divisor_pos]]
+    ))
+    encoded_a = Relation(
+        Schema.of(
+            ("g", Domain("division-group-composite")),
+            ("v", Domain("division-value-composite")),
+        ),
+        np.column_stack([group_codes, value_codes[:len(a)]]),
     )
-    encoded_pairs = []
-    for row in a.tuples:
-        g = encode(group_codes, tuple(row[p] for p in group_pos), group_combos)
-        v = encode(value_codes, tuple(row[p] for p in value_pos))
-        encoded_pairs.append((g, v))
-    encoded_a = Relation(pairs_schema, encoded_pairs)
-
-    divisor_schema = Schema.of(("v", Domain("division-value-composite")))
     encoded_b = Relation(
-        divisor_schema,
-        ((encode(value_codes, tuple(row[p] for p in divisor_pos)),)
-         for row in b.tuples),
+        Schema.of(("v", Domain("division-value-composite"))),
+        value_codes[len(a):, None],
     )
 
     inner = systolic_divide(
@@ -234,7 +237,7 @@ def systolic_divide_general(
         tagged=tagged, meter=meter, trace=trace, backend=backend,
     )
     quotient_schema = a.schema.project(list(a_group))
-    members = (group_combos[code] for (code,) in inner.relation.tuples)
+    members = group_combos[inner.relation.array[:, 0]]
     return DivisionResult(
         relation=Relation(quotient_schema, members),
         distinct_x=inner.distinct_x,

@@ -75,17 +75,11 @@ def expand_matrix(matrix: np.ndarray, width: int) -> np.ndarray:
 
     Returns the ``(n, k·width)`` int64 matrix of MSB-first bits — the
     operand a bit-level array streams in place of the word matrix — and
-    refuses what :func:`word_to_bits` refuses.  An ``object`` matrix
-    (elements wider than a machine word) is expanded one Python int at
-    a time.
+    refuses what :func:`word_to_bits` refuses.
     """
     if width < 1:
         raise ReproError(f"width must be >= 1, got {width}")
     n, k = matrix.shape
-    if matrix.dtype == object:
-        words = matrix.ravel().tolist()
-        bits = [word_to_bits(word, width) for word in words]
-        return np.array(bits, dtype=np.int64).reshape(n, k * width)
     bad = matrix < 0
     if width < 63:  # every non-negative int64 fits 63 bits
         bad |= (matrix >> width) != 0

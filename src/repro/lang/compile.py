@@ -55,9 +55,11 @@ def execute_plan(
 
     ``engine`` selects ``"software"`` (reference algebra) or
     ``"systolic"`` (simulated arrays).  For the systolic engine,
-    ``backend`` picks the array execution backend — ``"pulse"``
-    (cycle-accurate cell network, the default) or ``"lattice"``
-    (vectorized wavefront evaluation with identical results).
+    ``backend`` picks the array execution backend — ``"pulse"`` (the
+    default: every latch stepped pulse by pulse), ``"lattice"``
+    (vectorized wavefronts) or ``"bitplane"`` (§8's bit-level design on
+    packed planes), all with identical results; see
+    :mod:`repro.systolic.engine`.
 
     With ``optimize=True`` (the default) the plan is first rewritten by
     :func:`repro.lang.optimize.optimize` — with the catalog's schemas,

@@ -29,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Mapping, Optional, Sequence
 
+import numpy as np
+
 from repro import obs
 from repro.errors import PlanError
 from repro.machine.disk import MachineDisk
@@ -80,10 +82,6 @@ OP_LOAD = "load"          #: disk read (possibly with a fused selection)
 OP_RESIDENT = "resident"  #: already in a memory module, ready at time 0
 OP_CPU = "cpu"            #: host-CPU selection
 OP_ARRAY = "array"        #: systolic-device operation
-
-
-def _distinct(values) -> int:
-    return len(dict.fromkeys(values))
 
 
 def plan_fingerprint(plans: Sequence[PlanNode]) -> tuple:
@@ -198,8 +196,8 @@ def actual_cost(
         else:
             group_pos = a.schema.resolve(node.a_group)
         divisor_pos = inputs[1].schema.resolve(node.b_value)
-        n_distinct = _distinct(row[group_pos] for row in a.tuples)
-        n_divisor = _distinct(row[divisor_pos] for row in inputs[1].tuples)
+        n_distinct = len(np.unique(a.array[:, group_pos]))
+        n_divisor = len(np.unique(inputs[1].array[:, divisor_pos]))
         return division_cost(n_a, max(1, n_distinct), n_divisor,
                              max_rows, max_cols)
     n_columns = len(node.columns) if isinstance(node, Project) else 0

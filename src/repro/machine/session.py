@@ -11,7 +11,7 @@ their own; any number may be open per tenant, from any threads.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.config import env_choice, env_int
 from repro.machine.catalog import Catalog
@@ -20,6 +20,9 @@ from repro.machine.plan import PlanNode
 from repro.machine.scheduler import ExecutionReport
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnRef
+
+if TYPE_CHECKING:  # repro.shard imports this package
+    from repro.shard.executor import ShardedCompilation
 
 __all__ = ["Session"]
 
@@ -128,7 +131,7 @@ class Session:
         arrivals: Optional[Sequence[float]] = None,
         pipeline: bool = True,
         use_cache: bool = True,
-    ) -> PhysicalPlan:
+    ) -> PhysicalPlan | ShardedCompilation:
         """Lower logical plans against this tenant's catalog.
 
         Sharded sessions return a

@@ -6,13 +6,15 @@ intermediate result such as an un-deduplicated projection).  Both store
 tuples in their integer-encoded form, exactly as the paper's arrays see
 them; decoding back to domain values happens only on demand.
 
-Two forms hold the same rows.  The **columnar** form is an
-``(n, arity)`` int64 matrix (``.array``) — what the store reads off
-disk and what the engines slice into blocks; the **tuple** form
-(``.tuples``, iteration, membership) is what the pulse oracle and the
-reference algebra walk.  A relation is built from either and derives
-the other on first touch; each cache is computed in full and then
-assigned, so threads sharing a relation only ever see a finished one.
+The rows are stored once, as a read-only ``(n, arity)`` int64 matrix
+(``.array``) — what the store reads off disk and the engines slice
+into blocks.  The constructor turns any iterable of integer tuples into
+that matrix on the spot and refuses an element outside a signed 64-bit
+word (§2.3 encodes every value into one word; §8's wide tuples are many
+columns, never a wider element).  ``.tuples``, iteration and membership
+are views boxed on first touch for the pulse oracle and the reference
+algebra; each is computed in full and then assigned, so threads sharing
+a relation only ever see a finished one.
 
 Tuple order is preserved as given (relations are logically unordered,
 but a deterministic iteration order keeps the systolic feeding schedules
@@ -21,6 +23,7 @@ and the tests reproducible).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Hashable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -95,18 +98,6 @@ def _first_occurrences(array: np.ndarray) -> Optional[np.ndarray]:
     return first
 
 
-def _as_matrix(tuples: Sequence[EncodedTuple], arity: int) -> np.ndarray:
-    """Validated tuples as an ``(n, arity)`` matrix: int64, or ``object``
-    when an element is wider than a machine word (only the pulse
-    engine's cells compare those, and it streams Python ints)."""
-    if not tuples:
-        return np.empty((0, arity), dtype=np.int64)
-    try:
-        return np.asarray(tuples, dtype=np.int64)
-    except OverflowError:
-        return np.asarray(tuples, dtype=object)
-
-
 class _TupleStore:
     """Shared machinery for relations and multi-relations."""
 
@@ -119,29 +110,28 @@ class _TupleStore:
         tuples: Union[Iterable[Sequence[int]], np.ndarray] = (),
     ) -> None:
         self.schema = schema
-        #: the constructor fills ``_array`` or ``_tuples`` (+ ``_seen``);
-        #: whatever is still ``None`` is derived on first touch.
-        self._tuples: Optional[tuple[EncodedTuple, ...]] = None
-        self._seen: Optional[Union[set, frozenset]] = None
-        self._array: Optional[np.ndarray] = None
-        if isinstance(tuples, np.ndarray) and tuples.dtype != object:
-            self._array = self._checked_array(tuples)
-        else:
-            # Tuples — or the ``object`` matrix that is the ``.array`` of
-            # a relation with elements wider than a machine word, whose
-            # rows are checked one by one like any tuples.
-            self._tuples, self._seen = self._checked_tuples(tuples)
+        # An ``object`` matrix is rows of Python ints like any other
+        # iterable: checked element by element.
+        if not isinstance(tuples, np.ndarray) or tuples.dtype.kind == "O":
+            tuples = self._checked_tuples(tuples)
+        self._array = self._checked_array(tuples)
 
     # -- construction -------------------------------------------------------
 
-    def _checked_tuples(
-        self, items: Iterable[Sequence[int]]
-    ) -> tuple[tuple[EncodedTuple, ...], set]:
+    def _checked_tuples(self, items: Iterable[Sequence[int]]) -> np.ndarray:
+        """Rows of plain ints as an ``(n, arity)`` int64 matrix."""
         arity = len(self.schema)
-        kept: list[EncodedTuple] = []
-        seen: set[EncodedTuple] = set()
-        for item in items:
-            encoded = tuple(item)
+        rows = list(map(tuple, items))
+        if not rows:
+            return np.empty((0, arity), dtype=np.int64)
+        if set(map(len, rows)) == {arity} and set(
+            map(type, itertools.chain.from_iterable(rows))
+        ) == {int}:
+            try:
+                return np.array(rows, dtype=np.int64)
+            except OverflowError:
+                pass  # the walk below names the element
+        for encoded in rows:
             if len(encoded) != arity:
                 raise RelationError(
                     f"tuple arity {len(encoded)} does not match schema arity "
@@ -153,13 +143,12 @@ class _TupleStore:
                         f"stored tuples are integer-encoded; got element "
                         f"{element!r} in {encoded!r}"
                     )
-            if encoded in seen:
-                if not self._allow_duplicates:
-                    continue  # set semantics: silently idempotent
-            else:
-                seen.add(encoded)
-            kept.append(encoded)
-        return tuple(kept), seen
+                if not _INT64.min <= element <= _INT64.max:
+                    raise RelationError(
+                        f"stored elements must fit a signed 64-bit word; "
+                        f"got element {element!r} in {encoded!r}"
+                    )
+        return np.array(rows, dtype=np.int64)
 
     def _checked_array(self, array: np.ndarray) -> np.ndarray:
         """A read-only view of an ``(n, arity)`` int64 matrix, minus —
@@ -210,49 +199,31 @@ class _TupleStore:
 
     # -- access --------------------------------------------------------------
 
-    @property
+    @functools.cached_property
     def tuples(self) -> tuple[EncodedTuple, ...]:
         """The stored (encoded) tuples, in deterministic order."""
-        tuples = self._tuples
-        if tuples is None:
-            # A block at a time: the list-of-lists form of the whole
-            # matrix never exists beside the tuples.
-            array = self._array
-            tuples = tuple(itertools.chain.from_iterable(
-                map(tuple, array[start:start + _BOXING_BLOCK_ROWS].tolist())
-                for start in range(0, len(array), _BOXING_BLOCK_ROWS)
-            ))
-            self._tuples = tuples
-        return tuples
+        # A block at a time: the list-of-lists form of the whole
+        # matrix never exists beside the tuples.
+        array = self._array
+        return tuple(itertools.chain.from_iterable(
+            map(tuple, array[start:start + _BOXING_BLOCK_ROWS].tolist())
+            for start in range(0, len(array), _BOXING_BLOCK_ROWS)
+        ))
 
     @property
     def array(self) -> np.ndarray:
-        """The stored tuples as a read-only ``(n, arity)`` matrix, one
-        row per tuple in :attr:`tuples` order: int64, or ``object``
-        dtype when an element does not fit a signed 64-bit word."""
-        array = self._array
-        if array is None:
-            array = _as_matrix(self._tuples, len(self.schema))
-            array.setflags(write=False)
-            self._array = array
-        return array
+        """The stored tuples as a read-only ``(n, arity)`` int64 matrix,
+        one row per tuple in :attr:`tuples` order."""
+        return self._array
 
-    def _members(self) -> Union[set, frozenset]:
-        seen = self._seen
-        if seen is None:
-            seen = frozenset(self.tuples)
-            self._seen = seen
-        return seen
-
-    def _rows(self) -> Union[tuple[EncodedTuple, ...], np.ndarray]:
-        """Whichever form is already at hand, to rebuild from without
-        boxing a columnar relation or re-packing a tuple-built one."""
-        return self._tuples if self._tuples is not None else self._array
+    @functools.cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self.tuples)
 
     @property
     def cardinality(self) -> int:
         """Number of stored tuples (``n`` in the paper's notation)."""
-        return len(self._rows())
+        return len(self._array)
 
     @property
     def arity(self) -> int:
@@ -261,7 +232,7 @@ class _TupleStore:
 
     def contains(self, item: Sequence[int]) -> bool:
         """Membership test on an encoded tuple."""
-        return tuple(item) in self._members()
+        return tuple(item) in self._members
 
     def decoded(self) -> list[tuple[Hashable, ...]]:
         """All tuples decoded back to domain values."""
@@ -273,24 +244,21 @@ class _TupleStore:
 
     def column_values(self, ref: ColumnRef) -> list[int]:
         """The encoded values of one column, in tuple order."""
-        position = self.schema.resolve(ref)
-        if self._tuples is None:
-            return self._array[:, position].tolist()
-        return [row[position] for row in self._tuples]
+        return self._array[:, self.schema.resolve(ref)].tolist()
 
     # -- container protocol ---------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._rows())
+        return len(self._array)
 
     def __iter__(self) -> Iterator[EncodedTuple]:
         return iter(self.tuples)
 
     def __contains__(self, item: object) -> bool:
-        return isinstance(item, tuple) and item in self._members()
+        return isinstance(item, tuple) and item in self._members
 
     def __bool__(self) -> bool:
-        return len(self._rows()) > 0
+        return len(self._array) > 0
 
     def __eq__(self, other: object) -> bool:
         """Set equality for relations, bag equality for multi-relations."""
@@ -302,10 +270,10 @@ class _TupleStore:
             return False
         if self._allow_duplicates:
             return sorted(self.tuples) == sorted(other.tuples)
-        return self._members() == other._members()
+        return self._members == other._members
 
     def __hash__(self) -> int:
-        return hash((self.schema, frozenset(self._members())))
+        return hash((self.schema, self._members))
 
     def __repr__(self) -> str:
         kind = type(self).__name__
@@ -335,10 +303,9 @@ class Relation(_TupleStore):
     each element type-checked — or an ``(n, arity)`` int64
     :class:`numpy.ndarray`, whose shape and dtype are checked once and
     which is then held without a copy (do not write to it afterwards).
-    Either way a row equal to an earlier one is dropped and the order of
-    first occurrences is kept.  (An ``object``-dtype matrix, the
-    ``.array`` of a relation with elements wider than 64 bits, is
-    accepted too and checked element by element.)
+    Either way a row equal to an earlier one is dropped, the order of
+    first occurrences is kept, and an element outside a signed 64-bit
+    word is refused.
 
     The Python set operators delegate to the reference algebra:
     ``a & b`` = intersection (§4), ``a | b`` = union (§5), ``a - b`` =
@@ -350,8 +317,8 @@ class Relation(_TupleStore):
     _allow_duplicates = False
 
     def to_multi(self) -> "MultiRelation":
-        """View this relation as a multi-relation (copying tuples)."""
-        return MultiRelation(self.schema, self._rows())
+        """View this relation as a multi-relation (the same matrix)."""
+        return MultiRelation(self.schema, self._array)
 
     def __and__(self, other: "Relation") -> "Relation":
         if not isinstance(other, Relation):
@@ -373,14 +340,14 @@ class Relation(_TupleStore):
         if not isinstance(other, Relation):
             return NotImplemented
         self.schema.require_union_compatible(other.schema)
-        return self._members() <= other._members()
+        return self._members <= other._members
 
     def __ge__(self, other: "Relation") -> bool:
         """Superset test."""
         if not isinstance(other, Relation):
             return NotImplemented
         self.schema.require_union_compatible(other.schema)
-        return self._members() >= other._members()
+        return self._members >= other._members
 
 
 class MultiRelation(_TupleStore):
@@ -395,17 +362,14 @@ class MultiRelation(_TupleStore):
         array (§5); the array itself lives in
         :mod:`repro.arrays.duplicates`.
         """
-        return Relation(self.schema, self._rows())
+        return Relation(self.schema, self._array)
 
     def concat(self, other: "MultiRelation | Relation") -> "MultiRelation":
         """Bag concatenation ``A + B`` (used to build union, §5)."""
         self.schema.require_union_compatible(other.schema)
-        mine, theirs = self._rows(), other._rows()
-        if (
-            isinstance(mine, np.ndarray) and isinstance(theirs, np.ndarray)
-        ):
-            return MultiRelation(self.schema, np.concatenate([mine, theirs]))
-        return MultiRelation(self.schema, self.tuples + other.tuples)
+        return MultiRelation(
+            self.schema, np.concatenate([self._array, other._array])
+        )
 
 
 def select_rows(

@@ -29,15 +29,15 @@ join/union-compatible, exactly like two CSV files loaded with a shared
 registry.
 
 The payload is row-major; the codec is not.  :func:`relation_to_wire`
-decodes a relation a column at a time from whichever form it already
-holds (an int64 matrix or tuples), each domain checking a column's
-codes once; :func:`relation_from_wire` encodes the columns of each
-domain together — in row-major order, so a domain meets its values in
-the order a row-by-row walk would and assigns the same codes — into
-the int64 matrix a :class:`Relation` holds without boxing.  Rows that
-are not a rectangle of lists, values a domain refuses and integers
-wider than 64 bits take the row-by-row path, whose errors name the
-first offender in row order.
+decodes a relation's matrix a column at a time, each domain checking a
+column's codes once; :func:`relation_from_wire` encodes the columns of
+each domain together — in row-major order, so a domain meets its
+values in the order a row-by-row walk would and assigns the same codes
+— into the int64 matrix a :class:`Relation` holds.  An integer past 64
+bits in an :class:`IntegerDomain` column is refused before any domain
+has changed; rows that are not a rectangle of lists and values a
+domain refuses take the row-by-row path, which only words the error:
+it names the first offender in row order.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.errors import DomainError, ReproError
+from repro.errors import DomainError, RelationError, ReproError
 from repro.relational.csv_io import DomainRegistry
 from repro.relational.domain import Domain
 from repro.relational.relation import Relation
@@ -64,6 +64,8 @@ __all__ = [
 
 #: Longest accepted protocol line (a stored relation rides in one line).
 MAX_LINE_BYTES = 32 * 1024 * 1024
+
+_INT64 = np.iinfo(np.int64)
 
 
 def encode_line(payload: dict[str, Any]) -> bytes:
@@ -104,20 +106,15 @@ def decode_line(line: bytes | str) -> dict[str, Any]:
 def relation_to_wire(relation: Relation) -> dict[str, Any]:
     """A relation as a JSON-representable payload (decoded values)."""
     schema = relation.schema
-    # Whichever form the relation already holds, a column at a time:
-    # neither boxes a matrix into tuples nor packs tuples into a matrix.
-    stored = relation._rows()
-    columns = (
-        stored.T.tolist() if isinstance(stored, np.ndarray)
-        else list(zip(*stored))
-    )
+    # A column at a time: the matrix is never boxed into tuples.
     try:
         decoded = [
             domain.decode_many(column)
-            for domain, column in zip(schema.domains, columns)
+            for domain, column in zip(schema.domains, relation.array.T.tolist())
         ]
     except DomainError:
-        # Row by row, to raise for the first bad code in row order.
+        # Row by row, only to word the error: the first bad code in row
+        # order.
         rows = [list(row) for row in relation.decoded()]
     else:
         rows = list(map(list, zip(*decoded)))
@@ -162,16 +159,18 @@ def relation_from_wire(
     matrix = _encoded_matrix(schema, rows)
     if matrix is not None:
         return Relation(schema, matrix)
-    # Anything but a rectangle of values every domain accepts as 64-bit
-    # codes: row by row, which names the first offender in row order.
+    # Anything but a rectangle of values every domain accepts: row by
+    # row, which names the first offender in row order.
     return Relation.from_values(schema, [tuple(row) for row in rows])
 
 
 def _encoded_matrix(schema: Schema, rows: Any) -> Optional[np.ndarray]:
     """``rows`` encoded through the column domains as an int64 matrix,
     or ``None`` — before any domain has changed — when they are not a
-    list of ``len(schema)``-element lists, a domain refuses a value, or
-    a code does not fit 64 bits.
+    list of ``len(schema)``-element lists or a domain refuses a value.
+    A code that does not fit a signed 64-bit word (only an
+    :class:`IntegerDomain`, whose members are their codes, can produce
+    one) is a :class:`RelationError`, also before any domain changes.
 
     Codes depend only on the order in which a domain first sees its
     values, so the columns that share a domain are encoded together, in
@@ -202,8 +201,14 @@ def _encoded_matrix(schema: Schema, rows: Any) -> Optional[np.ndarray]:
                 domain, positions, values,
                 None if None in codes else np.array(codes, dtype=np.int64),
             ))
-    except (DomainError, OverflowError):
+    except DomainError:
         return None
+    except OverflowError:
+        wide = next(c for c in codes if not _INT64.min <= c <= _INT64.max)
+        raise RelationError(
+            f"stored elements must fit a signed 64-bit word; got element "
+            f"{wide!r}"
+        ) from None
     matrix = np.empty((len(rows), arity), dtype=np.int64)
     for domain, positions, values, codes in encoded:
         if codes is None:

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 from repro import obs
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.lang import optimize, parse
 from repro.machine.plan import PlanNode
 from repro.machine.pool import EnginePool
@@ -112,6 +112,14 @@ class ReproServer:
         store_dir: Union[str, Path, None] = None,
         **pool_kwargs: Any,
     ) -> None:
+        if shards > 1 and store_dir is not None:
+            # A sharded session partitions its relations across shard
+            # machines and never reads the tenant catalog a store is
+            # attached to (ROADMAP 3(a) is what lifts this).
+            raise ConfigError(
+                "store_dir (--store-dir) is a single-machine feature; it "
+                "cannot be combined with shards > 1 (--shards)"
+            )
         self.pool = pool if pool is not None else EnginePool(**pool_kwargs)
         self._host = host
         self._port = port

@@ -58,14 +58,9 @@ class Partitioner(ABC):
     def shard_of(self, value: int, shards: int) -> int:
         """The shard index in ``[0, shards)`` owning ``value``."""
 
+    @abstractmethod
     def _shards_of(self, values: np.ndarray, shards: int) -> np.ndarray:
-        """:meth:`shard_of` over a whole key column.  Subclasses
-        vectorize the int64 case and leave wide (``object``) columns,
-        whose elements only Python ints can hold, to this loop."""
-        return np.fromiter(
-            (self.shard_of(value, shards) for value in values.tolist()),
-            dtype=np.int64, count=len(values),
-        )
+        """:meth:`shard_of` over a whole int64 key column."""
 
     @abstractmethod
     def fingerprint(self) -> tuple:
@@ -106,8 +101,6 @@ class HashPartitioner(Partitioner):
         return mixed % shards
 
     def _shards_of(self, values: np.ndarray, shards: int) -> np.ndarray:
-        if values.dtype != np.int64:
-            return super()._shards_of(values, shards)
         # uint64 arithmetic wraps modulo 2**64, which is the scalar
         # version's ``& _MASK``.
         mixed = values.astype(np.uint64) * np.uint64(_MIX)
@@ -137,6 +130,12 @@ class RangePartitioner(Partitioner):
             raise PlanError(
                 f"range cuts must be strictly increasing, got {cuts!r}"
             )
+        try:
+            self._cut_column = np.asarray(self.cuts, dtype=np.int64)
+        except OverflowError:
+            raise PlanError(
+                f"range cuts must fit a signed 64-bit word, got {cuts!r}"
+            ) from None
 
     @classmethod
     def from_values(
@@ -161,13 +160,9 @@ class RangePartitioner(Partitioner):
         return min(bisect.bisect_left(self.cuts, value), shards - 1)
 
     def _shards_of(self, values: np.ndarray, shards: int) -> np.ndarray:
-        if values.dtype != np.int64:
-            return super()._shards_of(values, shards)
-        try:
-            cuts = np.asarray(self.cuts, dtype=np.int64)
-        except OverflowError:  # a cut wider than a machine word
-            return super()._shards_of(values, shards)
-        return np.minimum(np.searchsorted(cuts, values), shards - 1)
+        return np.minimum(
+            np.searchsorted(self._cut_column, values), shards - 1
+        )
 
     def fingerprint(self) -> tuple:
         return ("range", self.cuts)

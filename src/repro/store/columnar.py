@@ -447,14 +447,8 @@ class RelationStore:
         index_columns: Optional[Sequence[ColumnRef]] = None,
     ) -> StoredRelation:
         """Persist a relation, replacing any previous version."""
-        array = relation.array
-        if array.dtype != np.int64:
-            raise StoreError(
-                f"stored elements must fit a signed 64-bit integer; "
-                f"{name!r} holds wider ones"
-            )
         return self._write_rows(
-            name, array, relation.schema, chunk_rows, index_columns
+            name, relation.array, relation.schema, chunk_rows, index_columns
         )
 
     def write_array(

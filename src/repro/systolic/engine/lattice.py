@@ -63,6 +63,7 @@ from repro.systolic.engine.plan import (
     acc_name,
     cmp_name,
     count_runs,
+    operand_matrix,
     run_attrs,
 )
 from repro.systolic.metrics import ActivityMeter
@@ -94,19 +95,6 @@ def _op_ufunc(op: str):
     except KeyError:
         raise SimulationError(
             f"unknown comparison operator {op!r}; have {sorted(_OP_UFUNCS)}"
-        ) from None
-
-
-def _int_matrix(tuples, n: int, m: int, label: str) -> np.ndarray:
-    try:
-        if isinstance(tuples, np.ndarray):
-            return tuples.astype(np.int64, copy=False).reshape(n, m)
-        return np.asarray([tuple(row) for row in tuples],
-                          dtype=np.int64).reshape(n, m)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise SimulationError(
-            f"the lattice engine needs integer-encoded {label} elements "
-            f"(see §2.3 domain encoding): {exc}"
         ) from None
 
 
@@ -203,8 +191,8 @@ class LatticeEngine:
     def _run_grid(self, plan: GridPlan, meter: Optional[ActivityMeter]) -> EngineRun:
         sched = plan.schedule
         n_a, n_b, m = sched.n_a, sched.n_b, sched.arity
-        A = _int_matrix(plan.a_tuples, n_a, m, "A")
-        B = _int_matrix(plan.b_tuples, n_b, m, "B")
+        A = operand_matrix(plan.a_tuples, n_a, m, "lattice", "A")
+        B = operand_matrix(plan.b_tuples, n_b, m, "lattice", "B")
 
         V = self._verdict_matrix(A, B, plan.ops)
         if plan.t_init is not None:
@@ -364,8 +352,8 @@ class LatticeEngine:
                 "one by one (plan.blocks())"
             )
         n_a, n_b, m = plan.n_a, plan.n_b, plan.arity
-        A = _int_matrix(plan.a_tuples, n_a, m, "A")
-        B = _int_matrix(plan.b_tuples, n_b, m, "B")
+        A = operand_matrix(plan.a_tuples, n_a, m, "lattice", "A")
+        B = operand_matrix(plan.b_tuples, n_b, m, "lattice", "B")
         size = plan.tuple_block
         band = size * max(1, self._chunk_rows(n_b, m) // size)
 
@@ -389,7 +377,9 @@ class LatticeEngine:
     def _run_division(
         self, plan: DivisionPlan, meter: Optional[ActivityMeter]
     ) -> EngineRun:
-        pairs = _int_matrix(plan.pairs, len(plan.pairs), 2, "dividend")
+        pairs = operand_matrix(
+            plan.pairs, len(plan.pairs), 2, "lattice", "dividend"
+        )
         divisor = np.asarray(plan.divisor, dtype=np.int64)
         distinct = np.asarray(plan.distinct_x, dtype=np.int64)
 

@@ -74,6 +74,7 @@ __all__ = [
     "EngineRun",
     "Engine",
     "check_tuples",
+    "operand_matrix",
     "cmp_name",
     "acc_name",
 ]
@@ -172,6 +173,20 @@ def check_tuples(
                 f"relation {label} tuple {tuple(row_values)!r} has arity "
                 f"{len(row_values)}, expected {arity}"
             )
+
+
+def operand_matrix(
+    rows, n: int, m: int, engine: str, label: str
+) -> np.ndarray:
+    """A plan operand as the ``(n, m)`` int64 matrix the vectorized
+    engines step; only the cell network streams anything else."""
+    try:
+        return np.asarray(rows, dtype=np.int64).reshape(n, m)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise SimulationError(
+            f"the {engine} engine needs integer-encoded {label} elements "
+            f"(see §2.3 domain encoding): {exc}"
+        ) from None
 
 
 @dataclass

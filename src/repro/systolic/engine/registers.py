@@ -51,6 +51,7 @@ from repro.systolic.engine.plan import (
     LinearPlan,
     acc_name,
     cmp_name,
+    operand_matrix,
 )
 from repro.systolic.engine.schedule import CounterStreamSchedule
 from repro.systolic.metrics import ActivityMeter
@@ -181,15 +182,6 @@ class _Taps:
         }
 
 
-def _elements(rows) -> np.ndarray:
-    """Operand elements as an array: int64 when every one fits, else
-    Python objects, which compare exactly at any width."""
-    array = np.asarray(rows)
-    if array.dtype.kind in "ib":
-        return array.astype(np.int64, copy=False)
-    return np.asarray(rows, dtype=object)
-
-
 def _fault(pulse: int, cell: str, message: str) -> SimulationError:
     """A protocol violation, worded as the cell network words it."""
     return SimulationError(f"pulse {pulse}: cell {cell!r}: {message}")
@@ -208,7 +200,8 @@ def _step_grid(
 ):
     sched = plan.schedule
     n_a, n_b, R, C, P = sched.n_a, sched.n_b, plan.rows, plan.cols, plan.pulses
-    A, B = _elements(plan.a_tuples), _elements(plan.b_tuples)
+    A = operand_matrix(plan.a_tuples, n_a, C, "pulse", "A")
+    B = operand_matrix(plan.b_tuples, n_b, C, "pulse", "B")
     I, J, K = np.arange(n_a)[:, None], np.arange(n_b)[:, None], np.arange(C)
     counter = plan.variant == "counter"
 
@@ -388,8 +381,9 @@ def _accumulator_fault(pulse, bad, left_g, top_g, n_b):
 def _step_division(plan: DivisionPlan, metered: bool):
     sched = plan.schedule
     n, R, S, P = sched.n_pairs, sched.p_rows, sched.n_divisor, plan.pulses
-    pairs = _elements(plan.pairs).reshape(n, 2)
-    stored_x, stored_y = _elements(plan.distinct_x), _elements(plan.divisor)
+    pairs = operand_matrix(plan.pairs, n, 2, "pulse", "dividend")
+    stored_x = np.asarray(plan.distinct_x, dtype=np.int64)
+    stored_y = np.asarray(plan.divisor, dtype=np.int64)
     Q, ROWS = np.arange(n), np.arange(R)
 
     # The dividend columns: x and y climb from the bottom row; the match

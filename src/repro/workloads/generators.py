@@ -43,24 +43,27 @@ def integer_schema(arity: int, domain: Optional[IntegerDomain] = None) -> Schema
 
 def _unique_rows(
     rng: np.random.Generator, n: int, arity: int, universe: int
-) -> list[tuple[int, ...]]:
-    """``n`` distinct random tuples with entries in [0, universe)."""
+) -> np.ndarray:
+    """``n`` distinct random tuples with entries in [0, universe), as
+    an ``(n, arity)`` matrix."""
     if universe ** arity < n:
         raise ReproError(
             f"cannot draw {n} distinct tuples of arity {arity} from a "
             f"universe of {universe} values per column"
         )
-    rows: set[tuple[int, ...]] = set()
-    ordered: list[tuple[int, ...]] = []
-    while len(ordered) < n:
+    schema = integer_schema(arity)
+    rows = np.empty((0, arity), dtype=np.int64)
+    while len(rows) < n:
         batch = rng.integers(0, universe, size=(n, arity))
-        for row in map(tuple, batch.tolist()):
-            if row not in rows:
-                rows.add(row)
-                ordered.append(row)
-                if len(ordered) == n:
-                    break
-    return ordered
+        # A relation keeps each row's first occurrence, in order.
+        rows = Relation(schema, np.concatenate([rows, batch])).array[:n]
+    return rows
+
+
+def _shuffled(rng: np.random.Generator, rows: np.ndarray) -> np.ndarray:
+    """``rows`` in the order ``rng.shuffle`` would leave a list of them
+    (the same draws), without swapping matrix rows one by one."""
+    return rows[rng.permutation(len(rows))]
 
 
 def random_relation(
@@ -94,13 +97,8 @@ def overlapping_pair(
     schema = integer_schema(arity)
     rng = np.random.default_rng(seed)
     pool = _unique_rows(rng, n_a + n_b - overlap, arity, universe)
-    shared = pool[:overlap]
-    a_only = pool[overlap:n_a]
-    b_only = pool[n_a:]
-    a_rows = shared + a_only
-    b_rows = shared + b_only
-    rng.shuffle(a_rows)
-    rng.shuffle(b_rows)
+    a_rows = _shuffled(rng, pool[:n_a])  # the shared rows, then A's own
+    b_rows = _shuffled(rng, np.concatenate([pool[:overlap], pool[n_a:]]))
     return Relation(schema, a_rows), Relation(schema, b_rows)
 
 
@@ -121,14 +119,12 @@ def relation_with_duplicates(
     if n_distinct == 0:
         return MultiRelation(schema)
     rng = np.random.default_rng(seed)
-    base = _unique_rows(rng, n_distinct, arity, universe)
-    rows = list(base)
+    rows = _unique_rows(rng, n_distinct, arity, universe)
     extra_total = round(n_distinct * (duplication - 1.0))
     if extra_total:
         picks = rng.integers(0, n_distinct, size=extra_total)
-        rows.extend(base[p] for p in picks.tolist())
-    rng.shuffle(rows)
-    return MultiRelation(schema, rows)
+        rows = np.concatenate([rows, rows[picks]])
+    return MultiRelation(schema, _shuffled(rng, rows))
 
 
 def join_pair(
@@ -160,21 +156,18 @@ def join_pair(
     )
     rng = np.random.default_rng(seed)
     total_keys = n_a + n_b - matches
-    keys = rng.permutation(max(universe, total_keys))[:total_keys].tolist()
-    shared = keys[:matches]
-    a_keys = shared + keys[matches:n_a]
-    b_keys = shared + keys[n_a:]
+    keys = rng.permutation(max(universe, total_keys))[:total_keys]
 
-    def rows(side_keys: list[int], n: int) -> list[tuple[int, ...]]:
-        payload = rng.integers(0, universe, size=(n, payload_arity)).tolist()
-        return [
-            (key, *extra) for key, extra in zip(side_keys, payload)
-        ]
+    def rows(side_keys: np.ndarray) -> np.ndarray:
+        payload = rng.integers(
+            0, universe, size=(len(side_keys), payload_arity)
+        )
+        return np.column_stack([side_keys, payload])
 
-    a_rows = rows(a_keys, n_a)
-    b_rows = rows(b_keys, n_b)
-    rng.shuffle(a_rows)
-    rng.shuffle(b_rows)
+    a_rows = rows(keys[:n_a])  # the shared keys, then A's own
+    b_rows = rows(np.concatenate([keys[:matches], keys[n_a:]]))
+    # Both payloads are drawn before either side is shuffled.
+    a_rows, b_rows = _shuffled(rng, a_rows), _shuffled(rng, b_rows)
     return Relation(a_schema, a_rows), Relation(b_schema, b_rows)
 
 
@@ -248,8 +241,7 @@ def zipf_relation(
         clipped = np.concatenate(
             [clipped, extra[(extra <= universe).all(axis=1)]]
         )[:n]
-    rows = [tuple(int(v) - 1 for v in row) for row in clipped]
-    return MultiRelation(schema, rows)
+    return MultiRelation(schema, clipped - 1)
 
 
 def skewed_join_pair(
@@ -276,14 +268,12 @@ def skewed_join_pair(
     )
     rng = np.random.default_rng(seed)
 
-    def keys(n: int) -> list[int]:
+    def rows(n: int) -> np.ndarray:
         raw = rng.zipf(skew, size=n * 3)
         usable = raw[raw <= key_universe][:n]
         while len(usable) < n:
             extra = rng.zipf(skew, size=n)
             usable = np.concatenate([usable, extra[extra <= key_universe]])[:n]
-        return [int(k) - 1 for k in usable]
+        return np.column_stack([usable - 1, np.arange(n)])
 
-    a_rows = [(k, p) for p, k in enumerate(keys(n_a))]
-    b_rows = [(k, p) for p, k in enumerate(keys(n_b))]
-    return Relation(a_schema, a_rows), Relation(b_schema, b_rows)
+    return Relation(a_schema, rows(n_a)), Relation(b_schema, rows(n_b))

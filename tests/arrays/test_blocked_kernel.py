@@ -362,26 +362,6 @@ class BandCounting:
 
 
 class TestRefusals:
-    def test_wide_operands_run_on_pulse_only(self):
-        big = 1 << 70
-        wide = Domain("wide")
-        schema = Schema.of(("k", wide), ("v", wide))
-        a = Relation(schema, [(big + 1, 5), (7, big), (big + 2, 2), (7, 7)])
-        b = Relation(schema, [(7, big), (big + 1, 5), (1, 1)])
-        assert a.array.dtype == object
-        capacity = ArrayCapacity(max_rows=3, max_cols=1)
-        relation, report = blocked_intersection(
-            a, b, capacity, backend="pulse"
-        )
-        assert relation.tuples == ((big + 1, 5), (7, big))
-        assert report_tuple(report) == cost_tuple(comparison_cost(4, 3, 2, 3, 1))
-        for backend in ("lattice", "bitplane"):
-            with pytest.raises(
-                SimulationError,
-                match="the lattice engine needs integer-encoded A elements",
-            ):
-                blocked_intersection(a, b, capacity, backend=backend)
-
     @pytest.mark.parametrize("reduce, bad", [
         ("rows", lambda v: v[:-1]),
         ("rows", lambda v: v.astype(np.int8)),

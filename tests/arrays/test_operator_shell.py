@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 from repro.arrays import (
     ArrayCapacity,
-    blocked_join,
     build_comparison_array,
     build_intersection_array,
     build_join_array,
     build_remove_duplicates_array,
-    systolic_join,
 )
 from repro.arrays.comparison_array import comparison_plan
 from repro.arrays.intersection import membership_plan
@@ -25,7 +23,7 @@ from repro.machine import Base, Dedup, Difference, Intersect, Project, Union
 from repro.machine.device import SystolicDevice
 from repro.machine.physical import actual_cost
 from repro.machine.plan import DEVICE_COMPARISON
-from repro.relational import Domain, Relation, Schema, algebra
+from repro.relational import Relation
 from repro.relational import relation as relation_module
 from repro.systolic.engine import PulseEngine, t_init_strict_lower, t_init_true
 from repro.systolic.simulator import SystolicSimulator
@@ -128,21 +126,6 @@ def test_expand_matrix_matches_expand_tuple(case):
     ]
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.lists(st.tuples(st.integers(0, 1 << 90), st.integers(0, 1 << 90)),
-             max_size=5),
-    st.integers(91, 100),
-)
-def test_expand_matrix_on_wide_object_columns(rows, width):
-    matrix = np.array(rows, dtype=object).reshape(len(rows), 2)
-    expanded = expand_matrix(matrix, width)
-    assert expanded.shape == (len(rows), 2 * width)
-    assert [tuple(row) for row in expanded.tolist()] == [
-        expand_tuple(row, width) for row in rows
-    ]
-
-
 @pytest.mark.parametrize("dtype", [np.int64, object])
 @pytest.mark.parametrize("rows,width", [
     ([[3, -2]], 4),       # negative
@@ -206,38 +189,3 @@ def test_bit_device_refuses_elements_wider_than_its_comparators():
     )
     with pytest.raises(ReproError, match="does not fit in 4 bits"):
         narrow.execute(Intersect(Base("A"), Base("B")), [a, b])
-
-
-# -- (iv) the shared row assembly on >64-bit (object-dtype) relations --------
-
-
-@pytest.mark.parametrize("variant", ["counter", "fixed"])
-def test_joins_on_wide_relations_match_the_oracle(variant):
-    keys, payload = Domain("wide-key"), Domain("wide-payload")
-    big = 1 << 70
-    a = Relation(
-        Schema.of(("k", keys), ("x", payload)),
-        [(big + 1, 5), (big + 2, big + 6), (7, 7), (big + 1, 8)],
-    )
-    b = Relation(
-        Schema.of(("k", keys), ("y", payload)),
-        [(big + 1, big), (7, 1), (big + 3, 2)],
-    )
-    assert a.array.dtype == object and b.array.dtype == object
-    on = [("k", "k")]
-    expected = algebra.join(a, b, on)
-    assert len(expected) == 3
-
-    whole = systolic_join(a, b, on, variant=variant, backend="pulse")
-    assert whole.relation == expected
-    assert whole.relation.schema == expected.schema
-    blocked, report = blocked_join(
-        a, b, on, ArrayCapacity(max_rows=3, max_cols=1), backend="pulse"
-    )
-    assert blocked == expected
-    assert report.block_runs == 4
-    # blocked_join orders (i, j) lexicographically, the array by exit pulse.
-    assert blocked.tuples == tuple(
-        a.tuples[i] + (b.tuples[j][1],) for i, j in sorted(whole.matches)
-    )
-

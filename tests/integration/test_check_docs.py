@@ -122,3 +122,38 @@ def test_span_catalog_rule_holds_docs_and_source_to_each_other(tmp_path):
         "OBSERVABILITY.md: span 'machine.replay' is in the span catalog "
         "but nothing under src/ opens it",
     ]
+
+
+def test_one_stored_form_rule_flags_object_arrays_and_tuple_walks(tmp_path):
+    check_docs = _load_check_docs()
+    package = tmp_path / "repro"
+    for directory in ("relational", "systolic/engine", "arrays", "perf"):
+        (package / directory).mkdir(parents=True)
+    (package / "relational" / "relation.py").write_text(
+        "def members(self):\n    return frozenset(self.tuples)\n"
+    )
+    (package / "systolic" / "engine" / "materialize.py").write_text(
+        "def feed(relation):\n    return list(relation.tuples)\n"
+    )
+    (package / "perf" / "cost.py").write_text(
+        '"""``relation.tuples`` in prose is not a read."""\n'
+        "def check(self, plan):\n"
+        "    return self.tuples < 0 or plan.a_tuples is None\n"
+    )
+    assert check_docs.check_one_stored_form(root=package) == []
+
+    (package / "arrays" / "division.py").write_text(
+        "import numpy as np\n"
+        "def operands(a, rows):\n"
+        "    pairs = [row[:2] for row in a.tuples]\n"
+        "    wide = np.asarray(rows, dtype=object)\n"
+        "    return pairs, wide, wide.dtype == object\n"
+    )
+    assert check_docs.check_one_stored_form(root=package) == [
+        "arrays/division.py:4: an object-dtype array — a relation's "
+        "elements are int64, there is no second representation",
+        "arrays/division.py:5: an object-dtype array — a relation's "
+        "elements are int64, there is no second representation",
+        "arrays/division.py:3: reads `.tuples` — outside the reference "
+        "algebra and the cell-network kit, work on `.array` columns",
+    ]

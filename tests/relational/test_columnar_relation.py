@@ -16,8 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arrays import ArrayCapacity, blocked_intersection
-from repro.arrays.intersection import systolic_intersection
-from repro.errors import RelationError, StoreError
+from repro.errors import RelationError
 from repro.machine import (
     Base,
     MachineDisk,
@@ -154,32 +153,114 @@ class TestChecksSurvive:
         assert Relation(_PAIR).array.dtype == np.int64
 
 
-class TestWiderThanAWord:
-    WIDE = [(2 ** 70, 1), (3, -(2 ** 65)), (2 ** 70, 1), (4, 4)]
+class TestOneStoredForm:
+    """Tuples, a generator of tuples and a matrix build the same
+    relation: one int64 matrix, every other observer derived from it."""
 
-    def test_object_matrix_and_round_trip(self):
-        relation = Relation(_PAIR, self.WIDE)
-        assert relation.array.dtype == object
-        assert relation.array.shape == (3, 2)
-        again = Relation(_PAIR, relation.array)
-        assert again.tuples == relation.tuples
-        assert all(type(e) is int for row in again.tuples for e in row)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), arity=st.integers(1, 4))
+    def test_every_way_in_builds_the_same_relation(self, data, arity):
+        # three values a column: duplicates are common at every arity
+        rows = data.draw(st.lists(
+            st.tuples(*[st.integers(0, 2) | extreme] * arity), max_size=20
+        ))
+        schema = Schema.of(*[(f"c{k}", _INT) for k in range(arity)])
+        for cls, kept in (
+            (Relation, tuple(dict.fromkeys(rows))),
+            (MultiRelation, tuple(rows)),
+        ):
+            built = [
+                cls(schema, rows),
+                cls(schema, iter(rows)),
+                cls(schema, (list(row) for row in rows)),
+                cls(schema, as_array(rows, arity)),
+            ]
+            for relation in built:
+                assert relation.tuples == kept
+                assert relation.array.dtype == np.int64
+                assert relation.array.shape == (len(kept), arity)
+                assert relation.array.tolist() == [list(r) for r in kept]
+                assert len(relation) == len(kept)
+                assert relation == built[0] and built[0] == relation
+                assert hash(relation) == hash(built[0])
+                assert all(row in relation for row in rows)
+                assert (7,) * arity not in relation
 
-    def test_still_runs_on_the_pulse_path(self):
-        a = Relation(_PAIR, self.WIDE)
-        b = Relation(_PAIR, [(4, 4), (2 ** 70, 1), (9, 9)])
-        expected = algebra.intersection(a, b)
-        assert systolic_intersection(a, b, backend="pulse").relation == expected
-        blocked, _ = blocked_intersection(
-            a, b, ArrayCapacity(max_rows=3, max_cols=1), backend="pulse"
-        )
-        assert blocked.tuples == expected.tuples
+    def test_the_matrix_is_the_only_thing_a_new_relation_holds(self):
+        for rows in ([(1, 2), (3, 4)], as_array([(1, 2), (3, 4)])):
+            held = vars(Relation(_PAIR, rows))
+            assert sorted(held) == ["_array", "schema"]
+            assert isinstance(held["_array"], np.ndarray)
 
-    def test_store_still_refuses_them(self, tmp_path):
-        store = RelationStore(tmp_path)
-        with pytest.raises(StoreError, match="64-bit"):
-            store.write("WIDE", Relation(_PAIR, self.WIDE))
-        assert store.names() == []
+
+_OUT_OF_RANGE = [2 ** 63, -(2 ** 63) - 1, 2 ** 70]
+
+
+class TestOutOfRangeIsRefused:
+    """An element outside a signed 64-bit word never gets into a
+    relation: each door names it in a ``RelationError``."""
+
+    @pytest.mark.parametrize("wide", _OUT_OF_RANGE)
+    @pytest.mark.parametrize("door", [
+        lambda rows: rows,
+        lambda rows: iter(rows),
+        lambda rows: np.array(rows, dtype=object),
+    ], ids=["tuples", "generator", "object-ndarray"])
+    def test_constructor(self, door, wide):
+        rows = [(1, 2), (3, wide), (2 ** 71, 4)]
+        for cls in (Relation, MultiRelation):
+            with pytest.raises(RelationError) as refusal:
+                cls(_PAIR, door(rows))
+            assert str(refusal.value) == (
+                f"stored elements must fit a signed 64-bit word; "
+                f"got element {wide} in (3, {wide})"
+            )
+
+    @pytest.mark.parametrize("wide", [2 ** 63, 2 ** 70])
+    def test_from_values_over_an_integer_domain(self, wide):
+        with pytest.raises(RelationError, match=f"got element {wide} in"):
+            Relation.from_values(_PAIR, [(1, 2), (wide, 3)])
+
+    def test_the_ends_of_the_word_are_accepted(self):
+        rows = [(INT64_MAX, INT64_MIN), (INT64_MIN, INT64_MAX)]
+        for relation in (
+            Relation(_PAIR, rows), Relation(_PAIR, iter(rows)),
+            Relation(_PAIR, np.array(rows, dtype=object)),
+        ):
+            assert relation.tuples == tuple(rows)
+            assert relation.array.dtype == np.int64
+
+    def test_the_first_offender_in_row_order_is_named(self):
+        with pytest.raises(RelationError, match="got element 'x' in"):
+            Relation(_PAIR, [(1, "x"), (2 ** 70, 1)])
+        with pytest.raises(RelationError, match="must fit a signed 64-bit"):
+            Relation(_PAIR, [(2 ** 70, 1), (1, "x")])
+
+
+class TestErrorTexts:
+    """What the constructor says about a bad row, word for word."""
+
+    @pytest.mark.parametrize("rows, message", [
+        ([(1, 2), (1, 2, 3)],
+         "tuple arity 3 does not match schema arity 2: (1, 2, 3)"),
+        ([(1, 2), (3,)],
+         "tuple arity 1 does not match schema arity 2: (3,)"),
+        ([(1, True)],
+         "stored tuples are integer-encoded; got element True in (1, True)"),
+        ([(1, 2.0)],
+         "stored tuples are integer-encoded; got element 2.0 in (1, 2.0)"),
+        ([(np.int64(1), 2)],
+         "stored tuples are integer-encoded; got element np.int64(1) in "
+         "(np.int64(1), 2)"),
+        ([(1, 2), (1, None)],
+         "stored tuples are integer-encoded; got element None in (1, None)"),
+    ], ids=["long-row", "short-row", "bool", "float", "np.int64", "None"])
+    def test_constructor(self, rows, message):
+        for cls in (Relation, MultiRelation):
+            for door in (list, iter):
+                with pytest.raises(RelationError) as refusal:
+                    cls(_PAIR, door(rows))
+                assert str(refusal.value) == message
 
 
 class TestSharedAcrossThreads:

@@ -83,6 +83,17 @@ class TestLoad:
         assert load_csv(path).decoded() == [(-5,), (7,)]
 
 
+    def test_a_30_digit_integer_loads_as_a_dictionary_code(self, tmp_path):
+        """A relation's elements fit a 64-bit word; a CSV value is a
+        domain *member*, so its width is no concern of the relation."""
+        huge = 123456789012345678901234567890
+        path = tmp_path / "wide.csv"
+        path.write_text(f"id,name\n{huge},ada\n2,alan\n")
+        relation = load_csv(path)
+        assert relation.tuples == ((0, 0), (1, 1))
+        assert relation.decoded() == [(huge, "ada"), (2, "alan")]
+
+
 class TestRoundTrip:
     def test_dump_then_load(self, emp_csv, tmp_path):
         original = load_csv(emp_csv)

@@ -244,24 +244,45 @@ class TestDecodeEquivalence:
         assert list(registry["d"]) == ["a", "b"]
         assert list(registry["e"]) == [1]
 
-    def test_wider_than_64_bits_round_trips_through_the_object_path(self):
-        registry = {"n": IntegerDomain("n")}
+    @pytest.mark.parametrize("wide", [2**63, 2**70])
+    def test_an_integer_past_64_bits_is_refused_before_any_domain_changes(
+        self, wide
+    ):
+        """An IntegerDomain's members are their codes, so one that does
+        not fit a word cannot be stored.  The reference finds out in the
+        constructor, its dictionary domains already extended; the codec
+        refuses with every domain as it was."""
+        registry = {"n": IntegerDomain("n"), "d": Domain("d", ["a"])}
         payload = {
-            "columns": [["x", "n"], ["y", "n"]],
-            "rows": [[2**63 + 5, 1], [2, 2**70], [2**63 + 5, 1]],
+            "columns": [["x", "d"], ["y", "n"]],
+            "rows": [["new", 1], ["a", wide], ["newer", 2**71]],
         }
+        ref, new, ref_registry, new_registry = both_decoders(payload, registry)
+        assert ref[:2] == new[:2] == ("raised", "RelationError")
+        assert new[2] == (
+            f"stored elements must fit a signed 64-bit word; got element {wide}"
+        )
+        assert ref[2].startswith(new[2])
+        assert domain_state(new_registry) == domain_state(registry)
+        assert list(ref_registry["d"]) == ["a", "new", "newer"]
+
+    def test_the_ends_of_the_word_cross_the_wire(self):
+        registry = {"n": IntegerDomain("n")}
+        payload = {"columns": [["x", "n"]], "rows": [[2**63 - 1], [0]]}
         _, new, _ = assert_same_decoding(payload, registry)
-        relation = new[1]
-        assert relation.array.dtype == object
-        assert relation.tuples == ((2**63 + 5, 1), (2, 2**70))
-        assert relation_to_wire(relation) == reference_to_wire(relation)
-        assert relation_to_wire(relation)["rows"] == payload["rows"][:2]
+        assert new[1].tuples == ((2**63 - 1,), (0,))
+        assert relation_to_wire(new[1])["rows"] == payload["rows"]
+        # An IntegerDomain holds naturals: a negative is its DomainError
+        # at any width, never an overflow.
+        low = {"columns": [["x", "n"]], "rows": [[-(2**63) - 1]]}
+        ref, _, _ = assert_same_decoding(low, registry)
+        assert ref[:2] == ("raised", "DomainError")
 
     def test_fast_path_builds_a_matrix_not_tuples(self):
         payload = {"columns": [["x", "d"], ["y", "d"]],
                    "rows": [["a", "b"], ["b", "c"]]}
         relation = relation_from_wire(payload, {})
-        assert relation._tuples is None
+        assert "tuples" not in vars(relation)  # nothing was boxed
         assert relation.array.dtype == np.int64
         assert relation.array.tolist() == [[0, 1], [1, 2]]
 
@@ -304,16 +325,14 @@ class TestEncodeEquivalence:
             )
 
     def test_encoding_never_converts_the_relation(self):
-        """A tuple-built relation is not packed into a matrix and an
-        array-built one is not boxed into tuples just to be sent."""
-        from_tuples, from_array = _relations(
+        """However it was built, a relation is sent from its matrix: no
+        row is boxed into a tuple on the way."""
+        for relation in _relations(
             {"columns": [["x", "d"], ["y", "e"]],
              "rows": [["a", 1], ["b", 2]]}, {},
-        )
-        relation_to_wire(from_tuples)
-        relation_to_wire(from_array)
-        assert from_tuples._array is None
-        assert from_array._tuples is None
+        ):
+            relation_to_wire(relation)
+            assert "tuples" not in vars(relation)
 
     @pytest.mark.parametrize("rows", [
         [(0, 0), (1, 5), (2, 0)],    # code past the dictionary

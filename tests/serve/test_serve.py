@@ -7,9 +7,9 @@ import threading
 
 import pytest
 
-from repro.errors import ParseError, ReproError
+from repro.errors import ConfigError, ParseError, ReproError
 from repro.machine.physical import plan_fingerprint
-from repro.relational import algebra
+from repro.relational import Domain, Relation, Schema, algebra
 from repro.serve import (
     ReproServer,
     ServiceClient,
@@ -125,6 +125,21 @@ class TestServer:
                 reply = db.query("intersect(A, B)")
                 got = sorted(tuple(r) for r in reply["relation"]["rows"])
                 assert got == expected
+
+    def test_a_30_digit_value_is_a_small_code_in_a_dictionary_domain(self):
+        """Only an IntegerDomain's members are their codes; the server's
+        per-tenant domains are dictionaries, so any JSON integer stores."""
+        huge = 123456789012345678901234567890
+        schema = Schema.of(("id", Domain("ids")), ("who", Domain("names")))
+        sent = Relation.from_values(schema, [(huge, "ada"), (-huge, "alan")])
+        with _ServerHarness() as harness:
+            host, port = harness.address
+            with ServiceClient(host, port) as db:
+                assert db.store("R", sent)["rows"] == 2
+                reply = db.query("dedup(R)")
+                assert sorted(map(tuple, reply["relation"]["rows"])) == [
+                    (-huge, "alan"), (huge, "ada"),
+                ]
 
     def test_tenants_are_isolated(self):
         a, b = overlapping_pair(10, 8, 5, arity=2, seed=9)
@@ -335,6 +350,20 @@ class TestPersistence:
             with ServiceClient(host, port) as db:
                 with pytest.raises(ReproError, match="sharded"):
                     db.store("A", a, persist=True)
+
+    def test_a_sharded_server_refuses_a_store_dir(self, tmp_path, capsys):
+        """A sharded session never reads the catalog a store attaches
+        to, so relations persisted by an unsharded run would silently
+        be missing: refused up front, by the library and by the CLI."""
+        from repro.__main__ import main
+
+        with pytest.raises(ConfigError, match="single-machine feature"):
+            ReproServer(shards=2, store_dir=tmp_path)
+        assert ReproServer(shards=1, store_dir=tmp_path).store_dir == tmp_path
+        code = main(["serve", "--shards", "2", "--store-dir", str(tmp_path)])
+        assert code == 1
+        assert "single-machine feature" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unsafe_tenant_name_is_refused_when_persistent(self, tmp_path):
         with _ServerHarness(store_dir=tmp_path / "srv") as harness:

@@ -62,6 +62,10 @@ class TestRangePartitioner:
         with pytest.raises(PlanError, match="strictly increasing"):
             RangePartitioner((5, 2))
 
+    def test_cuts_must_fit_the_word_every_key_fits(self):
+        with pytest.raises(PlanError, match="signed 64-bit word"):
+            RangePartitioner((1, 2 ** 66))
+
     def test_from_values_is_deterministic_equi_depth(self):
         values = [7, 1, 9, 3, 5, 1, 7, 3]
         p = RangePartitioner.from_values(values, 2)
@@ -123,16 +127,19 @@ class TestPartition:
     @given(
         keys=st.lists(
             st.integers(-4, 4)
-            | st.sampled_from([-(2 ** 63), 2 ** 63 - 1, 2 ** 70, -(2 ** 65)]),
+            | st.sampled_from([-(2 ** 63), 2 ** 63 - 1]),
             min_size=0, max_size=30,
         ),
         shards=st.integers(1, 5),
-        cuts=st.sets(st.integers(-5, 5) | st.just(2 ** 66), max_size=4),
+        cuts=st.sets(
+            st.integers(-5, 5) | st.sampled_from([-(2 ** 63), 2 ** 63 - 1]),
+            max_size=4,
+        ),
     )
     def test_the_column_cut_is_the_scalar_cut(self, keys, shards, cuts):
         """Pieces are cut on the whole key column at once; every row
-        must land where ``shard_of`` sends it, in input order — for
-        int64 columns and for ones wider than a machine word alike."""
+        must land where ``shard_of`` sends it, in input order — the
+        ends of the int64 word included."""
         relation = _relation([(k, i) for i, k in enumerate(keys)])
         for p in (HashPartitioner(), RangePartitioner(sorted(cuts))):
             pieces = p.partition(relation, 0, shards)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigError, StoreError
+from repro.errors import ConfigError, RelationError, StoreError
 from repro.obs import metrics
 from repro.relational.domain import Domain, IntegerDomain
 from repro.relational.relation import Relation
@@ -100,9 +100,14 @@ class TestRoundTrip:
 
 class TestValidation:
     def test_out_of_range_element_raises(self, tmp_path):
-        relation = Relation(_schema(1), [(2**63,)])
-        with pytest.raises(StoreError, match="64-bit"):
-            RelationStore(tmp_path).write("big", relation)
+        # No relation holds one, so ``write`` is never handed one; the
+        # bulk path refuses an array that could.
+        with pytest.raises(RelationError, match="64-bit"):
+            Relation(_schema(1), [(2**63,)])
+        with pytest.raises(StoreError, match="int64"):
+            RelationStore(tmp_path).write_array(
+                "big", np.array([[2**63]], dtype=np.uint64), _schema(1)
+            )
 
     def test_bad_names_raise(self, tmp_path):
         store = RelationStore(tmp_path)

@@ -149,7 +149,20 @@ class TestEqualsTheCellNetwork:
     @PLANS
     @given(plan=grid_plans(st.sampled_from(WIDE), max_size=6, dtype=object))
     def test_grid_plans_on_elements_wider_than_64_bits(self, plan):
-        assert_equals_reference(plan)
+        """No relation holds such an element (its constructor refuses
+        it); a plan built by hand around one steps on the cell network
+        only, and the register stepper says so."""
+        elements = [e for rows in (plan.a_tuples, plan.b_tuples)
+                    for row in np.asarray(rows, dtype=object) for e in row]
+        if all(-(1 << 63) <= e < 1 << 63 for e in elements):
+            assert_equals_reference(plan)
+        else:
+            with pytest.raises(
+                SimulationError,
+                match="the pulse engine needs integer-encoded [AB] elements",
+            ):
+                PulseEngine().run(plan)
+            SystolicSimulator(materialize(plan)).run(plan.pulses)
 
     @PLANS
     @given(plan=division_plans())
@@ -160,9 +173,15 @@ class TestEqualsTheCellNetwork:
         big = 1 << 70
         pairs = [(big, 1), (big, big + 2), (7, 1), (big + 1, big + 2),
                  (7, big + 2)]
-        assert_equals_reference(
-            DivisionPlan(pairs, [big, 7, big + 1], [1, big + 2], tagged=True)
+        plan = DivisionPlan(
+            pairs, [big, 7, big + 1], [1, big + 2], tagged=True
         )
+        with pytest.raises(
+            SimulationError,
+            match="the pulse engine needs integer-encoded dividend elements",
+        ):
+            PulseEngine().run(plan)
+        SystolicSimulator(materialize(plan)).run(plan.pulses)
 
     @PLANS
     @given(

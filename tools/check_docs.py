@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Keep the documentation and the code from drifting apart.
 
-Seven checks, all run in CI next to the bench gate::
+Eight checks, all run in CI next to the bench gate::
 
     python tools/check_docs.py
 
@@ -45,6 +45,13 @@ Seven checks, all run in CI next to the bench gate::
    ``obs.span(`` / ``.span(`` (the CLI's ``f"cli.{name}"`` is the
    ``cli.<stage>`` row) — a span renamed or removed in code but not in
    the docs, or the other way round, fails here.
+
+8. **One stored form.**  A relation holds one int64 matrix (ISSUE 22),
+   so nothing under ``src/`` may spell ``dtype=object`` /
+   ``dtype == object``, and a relation's boxed ``.tuples`` view is read
+   only by the reference algebra and the cell-network kit
+   (:data:`TUPLE_READERS`) — a layer that starts asking which form it
+   was handed, or walking tuples, fails here.
 
 Exits non-zero with one line per problem.
 """
@@ -324,11 +331,49 @@ def check_span_catalog(doc=OBSERVABILITY, root=ROOT / "src") -> list[str]:
     ]
 
 
+#: The only sources under ``src/repro`` that may read ``.tuples``: the
+#: relation itself, the tuple-at-a-time reference the tests hold every
+#: engine to, and the cell-network kit, which streams Python ints.
+TUPLE_READERS = (
+    "relational/relation.py", "relational/algebra.py", "selftest.py",
+    "systolic/", "patterns/", "figures.py", "shell.py",
+)
+
+_OBJECT_DTYPE = re.compile(r"dtype ?(?:=|==|!=) ?object")
+
+
+def check_one_stored_form(root=ROOT / "src" / "repro") -> list[str]:
+    problems: list[str] = []
+    for source in sorted(root.rglob("*.py")):
+        where = source.relative_to(root).as_posix()
+        text = source.read_text()
+        problems += [
+            f"{where}:{number}: an object-dtype array — a relation's "
+            f"elements are int64, there is no second representation"
+            for number, line in enumerate(text.splitlines(), 1)
+            if _OBJECT_DTYPE.search(line)
+        ]
+        if where.startswith(TUPLE_READERS):
+            continue
+        problems += [
+            f"{where}:{node.lineno}: reads `.tuples` — outside the "
+            f"reference algebra and the cell-network kit, work on "
+            f"`.array` columns"
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute) and node.attr == "tuples"
+            # ``self.tuples`` is a class's own field (ExchangeCost's count)
+            and not (isinstance(node.value, ast.Name)
+                     and node.value.id == "self")
+        ]
+    return problems
+
+
 def main() -> int:
     problems = (
         check_metric_table() + check_links()
         + check_package_inventory() + check_cli_flags()
         + check_api() + check_env_vars() + check_span_catalog()
+        + check_one_stored_form()
     )
     for problem in problems:
         print(problem, file=sys.stderr)
@@ -344,7 +389,8 @@ def main() -> int:
         f"repro.machine / repro.obs members and constructor keywords "
         f"resolve, documented REPRO_* variables all read under src/, "
         f"span catalog in sync "
-        f"({len(documented_spans(OBSERVABILITY.read_text()))} names)"
+        f"({len(documented_spans(OBSERVABILITY.read_text()))} names), "
+        f"one stored form under src/"
     )
     return 0
 
