@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.relational.relation import MultiRelation, Relation
+from repro.relational.relation import DistinctRows, MultiRelation, Relation
 from repro.systolic.engine import resolve_backend
 from repro.systolic.engine.materialize import (
     CellFactory,
@@ -180,11 +180,21 @@ def build_grid_array(
 
 def rows_where(
     relation: Relation | MultiRelation, mask: Sequence[bool], keep: bool = True
-) -> np.ndarray:
+) -> np.ndarray | DistinctRows:
     """The rows of ``relation`` whose ``mask`` bit equals ``keep``
-    (§4.3's inverter is ``keep=False``), as a slice of its matrix."""
+    (§4.3's inverter is ``keep=False``), as a slice of its matrix.
+
+    Rows picked out of a relation are distinct because it is a set, and
+    say so; rows picked out of a multi-relation (remove-duplicates,
+    union, projection) are distinct only if the array answered right,
+    so they stay a bare matrix and the constructor checks the answer.
+    """
     mask = np.asarray(mask, dtype=bool)
-    return relation.array[mask if keep else ~mask]
+    if not keep:
+        mask = ~mask
+    if isinstance(relation, Relation):
+        return DistinctRows.where(relation, mask)
+    return relation.array[mask]
 
 
 def joined_rows(

@@ -19,6 +19,14 @@ a relation only ever see a finished one.
 Tuple order is preserved as given (relations are logically unordered,
 but a deterministic iteration order keeps the systolic feeding schedules
 and the tests reproducible).
+
+Set semantics is proved once and then carried: ``Relation(schema,
+rows)`` drops repeated rows (one sort of the packed keys) for anything
+it is handed from outside, while rows that *come from* a proved set —
+a row subset of a relation, a stored relation whose writer ran the
+proof, a concatenation of pieces the shard planner says are disjoint —
+arrive wrapped in the package-internal :class:`DistinctRows` and are
+taken as they are.
 """
 
 from __future__ import annotations
@@ -98,6 +106,42 @@ def _first_occurrences(array: np.ndarray) -> Optional[np.ndarray]:
     return first
 
 
+class DistinctRows:
+    """An ``(n, arity)`` int64 matrix whose rows are already known to
+    be pairwise distinct (package-internal: never exported, never built
+    from anything that crossed the process boundary).
+
+    Three facts license one: the rows are a boolean-mask subset of a
+    :class:`Relation` (:meth:`where`); they were read from a store
+    manifest whose writer proved them distinct; or they concatenate
+    pieces that the shard planner's ``Distribution`` says share no row.
+    The constructor of a relation takes the matrix without the pack +
+    sort of :func:`_first_occurrences`; ``tests/conftest.py`` re-runs
+    that proof on every claim the suite ever makes.
+    """
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        self.matrix = matrix
+
+    @classmethod
+    def where(cls, relation: "Relation", mask: np.ndarray) -> "DistinctRows":
+        """The rows of ``relation`` under a boolean ``mask``: sub-array
+        selection keeps keys unique.  (An integer index could repeat a
+        row, and a multi-relation has repeats to begin with.)"""
+        if not isinstance(relation, Relation) or mask.dtype != bool:
+            raise TypeError(
+                "a distinct row subset is a boolean mask over a Relation"
+            )
+        return cls(relation.array[mask])
+
+    def trusted(self) -> np.ndarray:
+        """The matrix, taken at its word — the one place a relation's
+        constructor consumes a proof."""
+        return self.matrix
+
+
 class _TupleStore:
     """Shared machinery for relations and multi-relations."""
 
@@ -107,14 +151,17 @@ class _TupleStore:
     def __init__(
         self,
         schema: Schema,
-        tuples: Union[Iterable[Sequence[int]], np.ndarray] = (),
+        tuples: Union[Iterable[Sequence[int]], np.ndarray, DistinctRows] = (),
     ) -> None:
         self.schema = schema
-        # An ``object`` matrix is rows of Python ints like any other
-        # iterable: checked element by element.
-        if not isinstance(tuples, np.ndarray) or tuples.dtype.kind == "O":
+        distinct = self._allow_duplicates
+        if isinstance(tuples, DistinctRows):
+            tuples, distinct = tuples.trusted(), True
+        elif not isinstance(tuples, np.ndarray) or tuples.dtype.kind == "O":
+            # An ``object`` matrix is rows of Python ints like any other
+            # iterable: checked element by element.
             tuples = self._checked_tuples(tuples)
-        self._array = self._checked_array(tuples)
+        self._array = self._checked_array(tuples, distinct)
 
     # -- construction -------------------------------------------------------
 
@@ -150,9 +197,11 @@ class _TupleStore:
                     )
         return np.array(rows, dtype=np.int64)
 
-    def _checked_array(self, array: np.ndarray) -> np.ndarray:
+    def _checked_array(self, array: np.ndarray, distinct: bool) -> np.ndarray:
         """A read-only view of an ``(n, arity)`` int64 matrix, minus —
-        for a relation — every row that repeats an earlier one.
+        unless ``distinct`` says there is none to find (proved rows, or
+        a multi-relation, which keeps them) — every row that repeats an
+        earlier one.
 
         The buffer is not copied: the caller hands it over and must not
         write to it afterwards.
@@ -168,7 +217,7 @@ class _TupleStore:
                 f"stored tuples are integer-encoded: a columnar relation "
                 f"needs an int64 array, got dtype {array.dtype}"
             )
-        if not self._allow_duplicates:
+        if not distinct:
             first = _first_occurrences(array)
             if first is not None:
                 array = array[first]
@@ -305,7 +354,9 @@ class Relation(_TupleStore):
     which is then held without a copy (do not write to it afterwards).
     Either way a row equal to an earlier one is dropped, the order of
     first occurrences is kept, and an element outside a signed 64-bit
-    word is refused.
+    word is refused.  (Inside the package, rows that come from a proved
+    set arrive as :class:`DistinctRows` and skip only the duplicate
+    search.)
 
     The Python set operators delegate to the reference algebra:
     ``a & b`` = intersection (§4), ``a | b`` = union (§5), ``a - b`` =
@@ -384,9 +435,10 @@ def select_rows(
     compare = COLUMN_OPS.get(op)
     if compare is None:
         raise SchemaError(f"unknown comparison operator {op!r}")
-    matrix = relation.array
-    keep = compare(matrix[:, relation.schema.resolve(column)], value)
-    return Relation(relation.schema, matrix[keep])
+    keep = compare(
+        relation.array[:, relation.schema.resolve(column)], value
+    )
+    return Relation(relation.schema, DistinctRows.where(relation, keep))
 
 
 def project_rows(

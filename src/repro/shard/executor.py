@@ -14,6 +14,11 @@ through the pool's shared plan cache — in stages:
 3. the per-shard answers merge — in shard order, under the relation's
    set semantics — into the logical results.
 
+Every merge and exchange reads the :class:`~repro.shard.planner.
+Distribution` the planner tracked for the pieces (:func:`_combine`):
+only ``scattered`` pieces can repeat a row across shards, so only they
+pay for the duplicate search.
+
 Determinism mirrors the single machine's one-pass contract: the host
 runs the shard machines of a stage one after another, in shard order —
 they are concurrent on the *simulated* clock, where a stage lasts as
@@ -30,6 +35,8 @@ from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro import obs
 from repro.errors import ExchangeFaultError, ShardFaultError
 from repro.faults.recovery import (
@@ -42,10 +49,11 @@ from repro.machine.inference import infer_schema
 from repro.machine.plan import PlanNode
 from repro.machine.scheduler import ExecutionReport, ScheduledStep
 from repro.obs import metrics
-from repro.relational.relation import MultiRelation, Relation
-from repro.shard.catalog import ShardedCatalog
+from repro.relational.relation import DistinctRows, MultiRelation, Relation
+from repro.shard.catalog import PARTITIONED, REPLICATED, ShardedCatalog
 from repro.shard.planner import (
     BROADCAST,
+    Distribution,
     ExchangeStep,
     ShardedPlan,
     ShardPlanner,
@@ -105,6 +113,24 @@ def _union(pieces: Sequence[Relation]) -> Relation:
     return reduce(
         MultiRelation.concat, pieces[1:], pieces[0].to_multi()
     ).distinct()
+
+
+def _combine(
+    pieces: Sequence[Relation], distribution: Distribution
+) -> Relation:
+    """:func:`_union` of one piece per shard — the same rows in the same
+    order — without re-deriving what ``distribution`` already says:
+    replicated pieces are equal sets, so piece 0 is the union;
+    partitioned pieces are disjoint (a row's key value has one owner),
+    so the concatenation is; scattered pieces promise nothing."""
+    if distribution.kind == REPLICATED:
+        return pieces[0]
+    if distribution.kind == PARTITIONED:
+        return Relation(
+            pieces[0].schema,
+            DistinctRows(np.concatenate([piece.array for piece in pieces])),
+        )
+    return _union(pieces)
 
 
 class ShardedExecutor:
@@ -240,7 +266,7 @@ class ShardedExecutor:
             self._fold_stage(report, outcomes, offset, None)
             report.shard_reports = [rep for _, rep in outcomes]
             results = self._merge(
-                sharded.roots, [res for res, _ in outcomes]
+                sharded.distributions, [res for res, _ in outcomes]
             )
             if sharded.local_joins:
                 metrics.inc("shard.local_joins", sharded.local_joins)
@@ -362,10 +388,15 @@ class ShardedExecutor:
     def _redistribute(
         self, step: ExchangeStep, pieces: list[Relation]
     ) -> list[Relation]:
-        """Move a stage's per-shard results where the plan needs them."""
+        """Move a stage's per-shard results where the plan needs them.
+
+        A bucket holds one part of every source piece, so its parts lie
+        the way the pieces did (``step.source``): disjoint, equal, or
+        neither.
+        """
         if step.kind == BROADCAST:
             metrics.inc("shard.broadcasts")
-            return [_union(pieces)] * self.shards
+            return [_combine(pieces, step.source)] * self.shards
         parts = [
             step.partitioner.partition(piece, step.key, self.shards)
             for piece in pieces
@@ -375,7 +406,7 @@ class ShardedExecutor:
         metrics.inc(
             "shard.repartition_tuples", sum(map(len, pieces)) - stayed
         )
-        return [_union(bucket) for bucket in zip(*parts)]
+        return [_combine(bucket, step.source) for bucket in zip(*parts)]
 
     def _fold_stage(
         self,
@@ -411,12 +442,18 @@ class ShardedExecutor:
         return end + step.cost.seconds
 
     def _merge(
-        self, roots: Sequence[PlanNode], per_shard: list[list[Relation]]
+        self,
+        distributions: Sequence[Distribution],
+        per_shard: list[list[Relation]],
     ) -> list[Relation]:
         """Union each root's shard pieces, in shard order, as sets."""
         started = time.perf_counter()
-        with obs.span("shard.merge", roots=len(roots)):
-            results = [_union(pieces) for pieces in zip(*per_shard)]
+        with obs.span("shard.merge", roots=len(distributions)):
+            results = [
+                _combine(pieces, distribution)
+                for pieces, distribution
+                in zip(zip(*per_shard), distributions)
+            ]
         metrics.observe(
             "shard.merge_seconds", time.perf_counter() - started
         )

@@ -103,6 +103,8 @@ class ExchangeStep:
     its per-shard results are then redistributed (``broadcast`` or
     ``repartition`` by ``key``) and preloaded on every shard under
     ``name``, which downstream fragments reference as a base relation.
+    ``source`` is how those per-shard results lie before they move —
+    what tells the executor whether they can repeat a row.
     """
 
     name: str
@@ -112,6 +114,7 @@ class ExchangeStep:
     partitioner: Optional[Partitioner]
     rows: int  # estimated logical rows exchanged
     cost: ExchangeCost
+    source: Distribution
 
     def describe(self) -> str:
         target = f" by col {self.key}" if self.kind == REPARTITION else ""
@@ -393,10 +396,10 @@ class ShardPlanner:
                 Distribution(PARTITIONED, key=a_positions[pair], fp=dl.fp),
             )
         if strategy == "broadcast_right":
-            right, dr = self._exchange(right, node.right, BROADCAST)
+            right, dr = self._exchange(right, node.right, dr, BROADCAST)
             out = dl if dl.kind == PARTITIONED else Distribution(SCATTERED)
             return self._rebuild(node, left=left, right=right), out
-        left, dl = self._exchange(left, node.left, BROADCAST)
+        left, dl = self._exchange(left, node.left, dl, BROADCAST)
         return (
             self._rebuild(node, left=left, right=right),
             Distribution(SCATTERED),
@@ -418,7 +421,7 @@ class ShardPlanner:
         right, dr = self._lower(node.right)
         if dr.kind != REPLICATED:
             # Every shard needs the whole divisor row (§7's comparands).
-            right, dr = self._exchange(right, node.right, BROADCAST)
+            right, dr = self._exchange(right, node.right, dr, BROADCAST)
         if dl.kind == PARTITIONED and dl.key == group_pos:
             out = Distribution(PARTITIONED, key=0, fp=dl.fp)
         elif dl.kind == REPLICATED:
@@ -442,7 +445,7 @@ class ShardPlanner:
         """Re-partition a side by ``key`` unless it already is."""
         if self._hash_partitioned(dist, key):
             return lowered, dist
-        return self._exchange(lowered, original, REPARTITION, key=key)
+        return self._exchange(lowered, original, dist, REPARTITION, key=key)
 
     def _hash_partitioned(self, dist: Distribution, key: int) -> bool:
         return (
@@ -455,6 +458,7 @@ class ShardPlanner:
         self,
         lowered: PlanNode,
         original: PlanNode,
+        source: Distribution,
         kind: str,
         key: Optional[int] = None,
     ) -> tuple[PlanNode, Distribution]:
@@ -478,7 +482,7 @@ class ShardPlanner:
             )
         self._exchanges.append(ExchangeStep(
             name=name, plan=lowered, kind=kind, key=key,
-            partitioner=partitioner, rows=rows, cost=cost,
+            partitioner=partitioner, rows=rows, cost=cost, source=source,
         ))
         self._schemas[name] = schema
         self._cards[name] = rows

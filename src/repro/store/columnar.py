@@ -9,9 +9,14 @@ over in-memory relations.  This module stores relations for real:
   (the §8 block unit) — plus a ``manifest.json`` describing schema,
   chunk row counts, per-chunk per-column min/max **zone maps**, and an
   optional :class:`~repro.store.grid.GridIndex`;
-* reads are chunk-at-a-time through ``numpy.memmap``, so a selection
-  touches only the chunks its predicate can match — the surviving
-  chunks are filtered host-side, the machine never sees pruned bytes;
+* a scan reads only the chunks its predicate can match, each column
+  straight into its place in one result buffer — the surviving rows
+  are filtered host-side, the machine never sees pruned bytes;
+* set semantics is proved once, at the write: repeated rows are dropped
+  before anything is laid out, the manifest records ``"distinct":
+  true``, and a read hands its rows to the relation as
+  :class:`~repro.relational.relation.DistinctRows` (a manifest without
+  the field — an older directory — is checked on every read instead);
 * a relation's **digest** is the SHA-256 of its manifest bytes, the
   unit the plan cache's content fingerprint folds in: rewriting a
   relation (new chunking, new index, new data) changes the digest and
@@ -40,7 +45,12 @@ from repro.errors import ConfigError, StoreError
 from repro.obs import metrics
 from repro.relational.algebra import COMPARISON_OPS
 from repro.relational.domain import Domain, IntegerDomain
-from repro.relational.relation import COLUMN_OPS, Relation
+from repro.relational.relation import (
+    COLUMN_OPS,
+    DistinctRows,
+    Relation,
+    _first_occurrences,
+)
 from repro.relational.schema import ColumnRef, Schema
 from repro.store.grid import (
     GridIndex,
@@ -192,6 +202,13 @@ class StoredRelation:
             )
             for spec in manifest["chunks"]
         )
+        #: resolved once: a handle is re-created when its manifest changes.
+        self._chunk_paths = tuple(
+            os.path.join(path, chunk.file) for chunk in self.chunks
+        )
+        #: did the writer prove the rows distinct?  (Older manifests do
+        #: not say, so their rows are checked on every read.)
+        self.distinct = manifest.get("distinct") is True
         index = manifest.get("index")
         self.index: Optional[GridIndex] = (
             GridIndex.from_json(index) if index is not None else None
@@ -200,9 +217,6 @@ class StoredRelation:
     @property
     def n_chunks(self) -> int:
         return len(self.chunks)
-
-    def chunk_bytes(self, chunk_id: int) -> int:
-        return self.chunks[chunk_id].rows * self.arity * _ELEMENT_BYTES
 
     # -- raw column access --------------------------------------------------
 
@@ -214,24 +228,38 @@ class StoredRelation:
                 f"column {position} out of range for arity {self.arity}"
             )
         return np.memmap(
-            self.path / chunk.file,
+            self._chunk_paths[chunk_id],
             dtype=_ELEMENT_DTYPE,
             mode="r",
             offset=position * chunk.rows * _ELEMENT_BYTES,
             shape=(chunk.rows,),
         )
 
-    def _chunk_array(self, chunk_id: int) -> np.ndarray:
-        """One chunk as an (rows, arity) int64 array."""
-        chunk = self.chunks[chunk_id]
-        raw = np.fromfile(self.path / chunk.file, dtype=_ELEMENT_DTYPE)
-        expected = chunk.rows * self.arity
-        if raw.size != expected:
-            raise StoreError(
-                f"chunk {chunk.file} of {self.name!r} holds {raw.size} "
-                f"elements, manifest says {expected}"
-            )
-        return raw.reshape(self.arity, chunk.rows).T
+    def _read_columns(self, chunk_ids: Sequence[int]) -> np.ndarray:
+        """The chunks' rows, in order, as one ``(arity, n)`` matrix: each
+        column of each chunk file is read into its slice of the result,
+        so the bytes are copied once."""
+        total = sum(self.chunks[chunk_id].rows for chunk_id in chunk_ids)
+        columns = np.empty((self.arity, total), dtype=_ELEMENT_DTYPE)
+        start = 0
+        for chunk_id in chunk_ids:
+            chunk = self.chunks[chunk_id]
+            stop = start + chunk.rows
+            with open(self._chunk_paths[chunk_id], "rb") as file:
+                complete = all(
+                    file.readinto(columns[position, start:stop])
+                    == chunk.rows * _ELEMENT_BYTES
+                    for position in range(self.arity)
+                ) and not file.read(1)
+            if not complete:
+                held = os.path.getsize(self._chunk_paths[chunk_id])
+                raise StoreError(
+                    f"chunk {chunk.file} of {self.name!r} holds "
+                    f"{held // _ELEMENT_BYTES} elements, manifest says "
+                    f"{chunk.rows * self.arity}"
+                )
+            start = stop
+        return columns.astype(np.int64, copy=False)
 
     # -- pruning ------------------------------------------------------------
 
@@ -279,33 +307,26 @@ class StoredRelation:
         chunks actually read are counted and billed.
         """
         if selection is None:
-            chunk_ids = list(range(self.n_chunks))
-            position = None
+            chunk_ids = range(self.n_chunks)
         else:
             column, op, value = selection
             chunk_ids = self.select_chunks(column, op, value)
-            position = self.schema.resolve(column)
-        rows_scanned = 0
-        nbytes = 0
-        parts: list[np.ndarray] = []
-        for chunk_id in chunk_ids:
-            block = self._chunk_array(chunk_id)
-            rows_scanned += len(block)
-            nbytes += self.chunk_bytes(chunk_id)
-            if position is not None:
-                block = block[COLUMN_OPS[op](block[:, position], value)]
-            parts.append(block)
+        columns = self._read_columns(chunk_ids)
+        rows_scanned = columns.shape[1]
+        nbytes = columns.size * _ELEMENT_BYTES
+        if selection is not None:
+            keep = COLUMN_OPS[op](columns[self.schema.resolve(column)], value)
+            columns = columns[:, keep]
         metrics.inc("store.chunks_read", len(chunk_ids))
         metrics.inc("store.chunks_pruned", self.n_chunks - len(chunk_ids))
         metrics.inc("store.bytes_read", nbytes)
-        rows = (
-            np.concatenate(parts).astype(np.int64, copy=False) if parts
-            else np.empty((0, self.arity), dtype=np.int64)
-        )
+        # Rows of a set the writer proved are a set; anything else the
+        # constructor checks.
+        rows = columns.T
         return StoreScan(
-            # Set semantics is enforced here, by the constructor:
-            # ``write_array`` trusted its caller, the read does not.
-            relation=Relation(self.schema, rows),
+            relation=Relation(
+                self.schema, DistinctRows(rows) if self.distinct else rows
+            ),
             chunks_total=self.n_chunks,
             chunks_read=len(chunk_ids),
             rows_scanned=rows_scanned,
@@ -462,9 +483,10 @@ class RelationStore:
         """Persist an already-encoded ``(n, arity)`` integer array.
 
         The bulk-load path: generators can hand the store millions of
-        rows without building a :class:`Relation` first.  Rows must be
-        distinct under the relation's set semantics — the store trusts
-        the caller here and the machine's engines deduplicate anyway.
+        rows without building a :class:`Relation` first.  A row equal
+        to an earlier one is dropped, as the :class:`Relation`
+        constructor would: the manifest, chunks, zone maps and index
+        describe the distinct rows.
         """
         array = np.asarray(rows)
         if array.ndim != 2 or array.shape[1] != len(schema):
@@ -492,6 +514,11 @@ class RelationStore:
         _check_name(name)
         if chunk_rows < 1:
             raise StoreError(f"chunk_rows must be >= 1, got {chunk_rows}")
+        # Set semantics, proved here once: every read of this manifest
+        # carries the result instead of repeating the search.
+        first = _first_occurrences(array)
+        if first is not None:
+            array = array[first]
         n = len(array)
         n_chunks = -(-n // chunk_rows) if n else 0
 
@@ -539,6 +566,7 @@ class RelationStore:
                 "chunk_rows": chunk_rows,
                 "schema": _schema_to_json(schema),
                 "chunks": chunks,
+                "distinct": True,
                 "index": index.to_json() if index is not None else None,
             }
             (staging / "manifest.json").write_text(

@@ -1,10 +1,31 @@
-"""Shared fixtures: small schemas and relations used across test modules."""
+"""Shared fixtures: small schemas and relations used across test modules.
+
+Also where every distinctness proof the suite ever claims is checked:
+:func:`verify_every_distinctness_claim` runs around each test.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.relational import Domain, MultiRelation, Relation, Schema
+from repro.relational.relation import DistinctRows, _first_occurrences
+
+
+@pytest.fixture(autouse=True)
+def verify_every_distinctness_claim(monkeypatch):
+    """Rows wrapped in ``DistinctRows`` skip the relation constructor's
+    duplicate search; under test the constructor runs the search anyway
+    and a claim that turns out false fails the test that made it."""
+
+    def verified(self: DistinctRows):
+        if _first_occurrences(self.matrix) is not None:
+            raise AssertionError(
+                "a DistinctRows claim is false: its rows repeat"
+            )
+        return self.matrix
+
+    monkeypatch.setattr(DistinctRows, "trusted", verified)
 
 
 @pytest.fixture

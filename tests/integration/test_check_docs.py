@@ -157,3 +157,36 @@ def test_one_stored_form_rule_flags_object_arrays_and_tuple_walks(tmp_path):
         "arrays/division.py:3: reads `.tuples` — outside the reference "
         "algebra and the cell-network kit, work on `.array` columns",
     ]
+
+
+def test_proof_producer_rule_is_an_allow_list(tmp_path):
+    check_docs = _load_check_docs()
+    package = tmp_path / "repro"
+    for directory in ("relational", "shard", "serve", "machine"):
+        (package / directory).mkdir(parents=True)
+    (package / "relational" / "relation.py").write_text(
+        "class DistinctRows:\n    pass\n"
+    )
+    (package / "shard" / "executor.py").write_text(
+        "from repro.relational.relation import DistinctRows\n"
+        "def merge(rows):\n    return DistinctRows(rows)\n"
+    )
+    (package / "machine" / "disk.py").write_text(
+        '"""A stored read arrives as ``DistinctRows``: prose, not a use."""\n'
+    )
+    assert check_docs.check_proof_producers(root=package) == []
+
+    (package / "serve" / "protocol.py").write_text(
+        "from repro.relational.relation import DistinctRows\n"
+        "def relation_from_wire(schema, rows):\n"
+        "    return Relation(schema, DistinctRows(rows))\n"
+    )
+    (package / "__main__.py").write_text(
+        "from repro.relational import relation\n"
+        "def load(rows):\n    return relation.DistinctRows(rows)\n"
+    )
+    problems = check_docs.check_proof_producers(root=package)
+    assert [problem.split(" names ")[0] for problem in problems] == [
+        "__main__.py:3:", "serve/protocol.py:1:", "serve/protocol.py:3:",
+    ]
+    assert all("verifying `Relation(...)`" in problem for problem in problems)

@@ -359,7 +359,8 @@ class TestGridIndex:
         ``manifest.json`` (scales, directory, zone maps — what the
         digest, and through it every plan-cache key, is taken over) is
         byte for byte what ``np.unique(axis=0)`` and the fixed 21-bit
-        z-order wrote."""
+        z-order wrote, plus the one line that records the write-time
+        proof of set semantics."""
         s_width, p_width = 1_000 // grid, 2_000 // grid
         rng = np.random.default_rng(0)
         cell = np.repeat(np.arange(grid * grid), rows // (grid * grid))
@@ -374,7 +375,10 @@ class TestGridIndex:
             "SP", array, schema, chunk_rows=8_192, index_columns=("s", "p")
         )
         manifest = (handle.path / "manifest.json").read_bytes()
-        assert hashlib.sha256(manifest).hexdigest() == digest
+        proved = b' "distinct": true,\n'
+        assert manifest.count(proved) == 1
+        before = manifest.replace(proved, b"")
+        assert hashlib.sha256(before).hexdigest() == digest
 
     def test_json_round_trip(self):
         index = GridIndex(
@@ -400,3 +404,78 @@ class TestGridIndex:
         assert index.candidate_chunks(0, "<=", 10) == frozenset({0, 1, 2})
         assert index.candidate_chunks(0, "!=", 5) is None  # no pruning
         assert index.candidate_chunks(1, "==", 5) is None  # unindexed
+
+
+class TestSetSemantics:
+    """Proved once at the write, recorded in the manifest, carried on
+    every read (``tests/conftest.py`` re-checks each carried claim)."""
+
+    REPEATS = np.array([[1, 2], [3, 4], [1, 2], [5, 6], [3, 4]])
+
+    def test_the_manifest_describes_the_distinct_rows(self, tmp_path):
+        """``write_array`` used to record ``rows: 5`` and a 5-row chunk
+        for these rows while ``read()`` returned 3 — and the planner
+        prices scans from ``handle.rows`` and ``chunks[i].rows``."""
+        handle = RelationStore(tmp_path).write_array(
+            "R", self.REPEATS, _schema(2), chunk_rows=2
+        )
+        relation = handle.read().relation
+        assert handle.rows == len(relation) == 3
+        assert [chunk.rows for chunk in handle.chunks] == [2, 1]
+        assert handle.chunks[1].stats == ((5, 5), (6, 6))
+        # First occurrences, in cluster order (one grid cell: input order).
+        assert relation.tuples == ((1, 2), (3, 4), (5, 6))
+        manifest = json.loads((handle.path / "manifest.json").read_text())
+        assert manifest["distinct"] is True and manifest["rows"] == 3
+        assert handle.distinct
+
+    @SMALL
+    @given(rows=extreme_rows, chunk_rows=st.integers(1, 7))
+    def test_rows_on_disk_equal_rows_read(
+        self, tmp_path_factory, rows, chunk_rows
+    ):
+        array = np.array(rows, dtype=np.int64).reshape(-1, 2)
+        handle = RelationStore(tmp_path_factory.mktemp("rows")).write_array(
+            "R", array, _schema(2), chunk_rows=chunk_rows
+        )
+        scan = handle.read()
+        assert handle.rows == scan.rows_scanned == len(scan.relation)
+        assert handle.rows == sum(chunk.rows for chunk in handle.chunks)
+        assert scan.relation == Relation(_schema(2), rows)
+
+    def test_a_manifest_without_the_field_is_verified_on_read(self, tmp_path):
+        """An older directory: nobody proved its rows, so the read does
+        — here the chunk really does repeat a row."""
+        store = RelationStore(tmp_path)
+        handle = store.write_array(
+            "old", np.array([[1, 2], [3, 4], [5, 6]]), _schema(2)
+        )
+        manifest_path = handle.path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["distinct"]
+        manifest_path.write_text(json.dumps(manifest))
+        np.array([[1, 3, 1], [2, 4, 2]], dtype="<i8").tofile(
+            handle.path / handle.chunks[0].file
+        )
+        reopened = RelationStore(tmp_path).open("old")
+        assert not reopened.distinct
+        assert reopened.read().relation.tuples == ((1, 2), (3, 4))
+        assert reopened.read((0, "<", 2)).relation.tuples == ((1, 2),)
+
+    @pytest.mark.parametrize("selection", [None, ("c0", ">=", 0)])
+    @pytest.mark.parametrize("resize", [-8, 8], ids=["truncated", "over-long"])
+    def test_a_chunk_of_the_wrong_size_is_refused(
+        self, tmp_path, selection, resize
+    ):
+        store = RelationStore(tmp_path)
+        rows = np.stack([np.arange(10), np.arange(10) * 3], axis=1)
+        handle = store.write_array("R", rows, _schema(2), chunk_rows=4)
+        target = handle.path / handle.chunks[1].file
+        data = target.read_bytes()
+        target.write_bytes(data[:resize] if resize < 0 else data + b"\0" * 8)
+        with pytest.raises(
+            StoreError,
+            match=rf"chunk chunk-00001\.bin of 'R' holds {8 + resize // 8} "
+                  r"elements, manifest says 8",
+        ):
+            handle.read(selection)

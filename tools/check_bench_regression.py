@@ -30,23 +30,29 @@ from pathlib import Path
 #: Fields that carry measured wall-clock, by suffix.
 _CLOCK_SUFFIXES = ("_seconds", "_ms")
 #: Derived/simulated fields never gated: simulated pulse-clock times are
-#: deterministic (equality-checked by the bench itself), and ratios are
-#: noisy quotients of the gated quantities.
+#: deterministic (equality-checked by the bench itself), and ratios —
+#: every field with ``speedup`` in its name — are noisy quotients of the
+#: gated quantities.  They are no part of an entry's identity either: a
+#: ratio that moved must not turn its entry into a "new" one.
 _SKIP_FIELDS = {
-    "speedup", "pipelined_ms", "store_and_forward_ms",
+    "pipelined_ms", "store_and_forward_ms",
     "law_pipelined_ms", "predicted_ms",
 }
 
 
+def _is_skipped(field: str) -> bool:
+    return field in _SKIP_FIELDS or "speedup" in field
+
+
 def _is_clock(field: str) -> bool:
-    return field.endswith(_CLOCK_SUFFIXES) and field not in _SKIP_FIELDS
+    return field.endswith(_CLOCK_SUFFIXES) and not _is_skipped(field)
 
 
 def _identity(entry: dict) -> tuple:
     """An entry's identity: every non-measurement field, sorted."""
     return tuple(sorted(
         (k, v) for k, v in entry.items()
-        if not _is_clock(k) and k not in _SKIP_FIELDS
+        if not _is_clock(k) and not _is_skipped(k)
         and not isinstance(v, (dict, list))
     ))
 

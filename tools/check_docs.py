@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Keep the documentation and the code from drifting apart.
 
-Eight checks, all run in CI next to the bench gate::
+Nine checks, all run in CI next to the bench gate::
 
     python tools/check_docs.py
 
@@ -52,6 +52,16 @@ Eight checks, all run in CI next to the bench gate::
    only by the reference algebra and the cell-network kit
    (:data:`TUPLE_READERS`) — a layer that starts asking which form it
    was handed, or walking tuples, fails here.
+
+9. **Proof producers are an allow-list.**  ``DistinctRows`` lets rows
+   into a relation without the duplicate search (ISSUE 23), so only the
+   five sources that can know the rows are a set may name it
+   (:data:`PROOF_PRODUCERS`): the type itself, the row-subset helpers
+   of the arrays and the partitioner, the store's read of a proved
+   manifest, and the executor's merge of disjoint shard pieces.  A use
+   anywhere else — the server, the language front end, the generators,
+   the machine, the CLI, the CSV reader: wherever rows come from
+   outside — fails here.
 
 Exits non-zero with one line per problem.
 """
@@ -368,12 +378,41 @@ def check_one_stored_form(root=ROOT / "src" / "repro") -> list[str]:
     return problems
 
 
+#: The proof that rows are distinct, and the only sources under
+#: ``src/repro`` that may name it.
+PROOF_TYPE = "DistinctRows"
+PROOF_PRODUCERS = (
+    "relational/relation.py", "arrays/base.py", "store/columnar.py",
+    "shard/partition.py", "shard/executor.py",
+)
+
+
+def check_proof_producers(root=ROOT / "src" / "repro") -> list[str]:
+    problems: list[str] = []
+    for source in sorted(root.rglob("*.py")):
+        where = source.relative_to(root).as_posix()
+        if where in PROOF_PRODUCERS:
+            continue
+        problems += [
+            f"{where}:{node.lineno}: names `{PROOF_TYPE}` — rows are "
+            f"proved distinct only where they come from a proved set "
+            f"({', '.join(PROOF_PRODUCERS)}); everything else goes "
+            f"through the verifying `Relation(...)`"
+            for node in ast.walk(ast.parse(source.read_text()))
+            if PROOF_TYPE in (
+                getattr(node, "id", None), getattr(node, "attr", None),
+                getattr(node, "name", None),
+            )
+        ]
+    return problems
+
+
 def main() -> int:
     problems = (
         check_metric_table() + check_links()
         + check_package_inventory() + check_cli_flags()
         + check_api() + check_env_vars() + check_span_catalog()
-        + check_one_stored_form()
+        + check_one_stored_form() + check_proof_producers()
     )
     for problem in problems:
         print(problem, file=sys.stderr)
@@ -390,7 +429,8 @@ def main() -> int:
         f"resolve, documented REPRO_* variables all read under src/, "
         f"span catalog in sync "
         f"({len(documented_spans(OBSERVABILITY.read_text()))} names), "
-        f"one stored form under src/"
+        f"one stored form under src/, "
+        f"{PROOF_TYPE} named by its {len(PROOF_PRODUCERS)} producers only"
     )
     return 0
 
