@@ -39,7 +39,7 @@ from repro.systolic.engine import (
     t_init_strict_lower,
     t_init_true,
 )
-from repro.systolic.engine.schedule import block_bounds
+from repro.systolic.engine.schedule import block_bounds, division_span_law
 
 __all__ = [
     "ArrayCapacity",
@@ -329,17 +329,15 @@ def blocked_divide(
     if not divisor:
         return Relation(quotient_schema, ((x,) for x in distinct_x)), report
 
-    # The divisor rows sit beside the two dividend columns.
-    divisor_cols = capacity.max_cols - 2
-    if divisor_cols < 1:
-        raise CapacityError(
-            f"the division array needs at least 3 processor columns, "
-            f"device has {capacity.max_cols}"
-        )
-    x_bounds = block_bounds(len(distinct_x), capacity.max_rows)
-    divisor_bounds = block_bounds(len(divisor), divisor_cols)
-    report.a_blocks = len(x_bounds)
-    report.b_blocks = len(divisor_bounds)
+    law = division_span_law(
+        len(pairs), len(distinct_x), len(divisor),
+        capacity.max_rows, capacity.max_cols,
+    )
+    # The first block is a full one: its spans are the block sizes.
+    x_bounds = block_bounds(len(distinct_x), law.first.p_rows)
+    divisor_bounds = block_bounds(len(divisor), law.first.n_divisor)
+    report.a_blocks = law.a_blocks
+    report.b_blocks = law.b_blocks
 
     keep = np.ones(len(distinct_x), dtype=bool)
     for x_lo, x_hi in x_bounds:

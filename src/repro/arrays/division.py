@@ -28,7 +28,8 @@ import numpy as np
 
 from repro.arrays.base import ArrayRun, empty_run, run_plan
 from repro.arrays.decode import quotient_bits
-from repro.errors import SimulationError
+from repro.errors import SchemaError, SimulationError
+from repro.relational.algebra import division_layout
 from repro.relational.domain import Domain
 from repro.relational.relation import Relation, project_rows
 from repro.relational.schema import ColumnRef, Schema
@@ -90,30 +91,18 @@ def division_operands(
     first-appearance (= dividend row) order, and the distinct divisor
     values in first-appearance order.
     """
-    value_pos = a.schema.resolve(a_value)
-    if a_group is None:
-        if len(a.schema) != 2:
-            raise SimulationError(
-                "a_group may only be omitted for a binary dividend relation"
-            )
-        group_pos = 1 - value_pos
-    else:
-        group_pos = a.schema.resolve(a_group)
-        if group_pos == value_pos:
-            raise SimulationError("a_group and a_value must be different columns")
-    divisor_pos = b.schema.resolve(b_value)
-    if a.schema[value_pos].domain != b.schema[divisor_pos].domain:
-        raise SimulationError(
-            f"division columns are on different domains "
-            f"({a.schema[value_pos].domain.name!r} vs "
-            f"{b.schema[divisor_pos].domain.name!r})"
+    try:
+        group_pos, value_pos, divisor_pos, schema = division_layout(
+            a.schema, b.schema, a_value, a_group, b_value
         )
+    except SchemaError as refusal:  # the arrays' error for bad operands
+        raise SimulationError(str(refusal)) from None
     # §7: the distinct values are what the remove-duplicates array
     # leaves of a projection — first occurrences, in order.
     groups = project_rows(a, [group_pos]).distinct()
     divisor = project_rows(b, [divisor_pos]).distinct()
     return (
-        groups.schema, a.array[:, [group_pos, value_pos]],
+        schema, a.array[:, [group_pos, value_pos]],
         groups.array[:, 0].tolist(), divisor.array[:, 0].tolist(),
     )
 

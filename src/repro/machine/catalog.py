@@ -13,14 +13,10 @@ A catalog holds two populations, mirroring §9's storage hierarchy:
   resident in a memory module — at execution start the pool places
   them in the fresh machine state's memories, ready at time 0.
 
-Catalogs are versioned (every mutation bumps ``version``) and expose a
-*content fingerprint* used by the shared plan cache, scoped to the base
-relations a plan names: two tenants whose catalogs agree on everything
-the planner can look at for those plans — the disk model, what is
-memory-resident, and the named relations' placement, cardinalities,
-schemas and stored bytes — provably compile them to the same physical
-plan, so they can share cache entries even though they never share
-data, and a write to a relation the plans do not name evicts nothing.
+A catalog's one contribution to a plan-cache key — the machine's, the
+pool's and every shard lane's alike — is its
+:meth:`~Catalog.content_fingerprint` over the base relations the plans
+name.
 """
 
 from __future__ import annotations
@@ -43,10 +39,7 @@ class Catalog:
 
     Thread-safe: a tenant's loader threads may :meth:`store` and
     :meth:`preload` concurrently with the pool reading the catalog to
-    compile and execute.  Changing a relation invalidates the cached
-    plans that read it (the plan-cache key includes the content
-    fingerprint of the relations a plan names), never plans over other
-    relations or the cache entries of other tenants.
+    compile and execute.
     """
 
     def __init__(
@@ -62,7 +55,6 @@ class Catalog:
         self._lock = threading.RLock()
         #: insertion-ordered: preload order decides memory placement.
         self._preloaded: dict[str, Relation] = {}
-        self._version = 0
 
     # -- mutation ----------------------------------------------------------
 
@@ -70,7 +62,6 @@ class Catalog:
         """Place a base relation on the tenant's disk."""
         with self._lock:
             self.disk.store(name, relation)
-            self._version += 1
 
     def preload(self, name: str, relation: Relation) -> None:
         """Mark a relation memory-resident (ready at time 0) for queries."""
@@ -78,13 +69,11 @@ class Catalog:
             if name in self._preloaded:
                 raise PlanError(f"relation {name!r} is already resident")
             self._preloaded[name] = relation
-            self._version += 1
 
     def attach_store(self, store: "RelationStore") -> None:
         """Back the tenant's disk with a persistent relation store."""
         with self._lock:
             self.disk.attach_store(store)
-            self._version += 1
 
     def persist(self, name: str, relation: Relation, **write_kwargs) -> None:
         """Write a relation through to the attached persistent store.
@@ -103,15 +92,8 @@ class Catalog:
                     f"attached; call attach_store first"
                 )
             store.write(name, relation, **write_kwargs)
-            self._version += 1
 
     # -- inspection --------------------------------------------------------
-
-    @property
-    def version(self) -> int:
-        """Bumped by every :meth:`store`/:meth:`preload`."""
-        with self._lock:
-            return self._version
 
     def names(self) -> list[str]:
         """Every queryable relation name (stored then preloaded)."""
@@ -142,9 +124,7 @@ class Catalog:
                 isinstance(name, str) and self.disk.holds(name)
             )
 
-    def content_fingerprint(
-        self, names: Optional[Iterable[str]] = None
-    ) -> tuple:
+    def content_fingerprint(self, names: Iterable[str]) -> tuple:
         """What the physical planner can read when it compiles plans
         over the base relations ``names``, as a hashable value.
 
@@ -157,16 +137,13 @@ class Catalog:
         plans even at unchanged cardinality; a name the catalog does
         not hold is part of the value too.  Relations outside ``names``
         are not looked at: a write to one of them leaves the value, and
-        the plans cached under it, alone.  ``names=None`` covers every
-        stored relation.
+        the plans cached under it, alone.
 
         Two catalogs with equal fingerprints compile any logical plan
         over ``names`` to the same physical plan, which is what lets
         the pool's plan cache be shared *across* tenants.
         """
         with self._lock:
-            if names is None:
-                names = self.disk.names()
             resident = tuple(
                 (name, len(rel), schema_key(rel.schema))
                 for name, rel in sorted(self._preloaded.items())
@@ -188,5 +165,5 @@ class Catalog:
             return (
                 f"Catalog(tenant={self.tenant!r}, "
                 f"{len(self.disk.names())} stored, "
-                f"{len(self._preloaded)} resident, v{self._version})"
+                f"{len(self._preloaded)} resident)"
             )

@@ -140,13 +140,8 @@ class MachineDisk:
                 f"no base relation named {name!r}; have {self.names()}"
             ) from None
 
-    def relation_bytes(self, relation: Relation) -> int:
-        """On-disk size of a relation under this disk's element width."""
-        if len(relation) == 0:
-            return 0
-        return len(relation) * relation.arity * ((self.element_bits + 7) // 8)
-
     def _tuple_bytes(self, rows: int, arity: int) -> int:
+        """On-disk size of ``rows`` tuples under this disk's element width."""
         return rows * arity * ((self.element_bits + 7) // 8)
 
     def fingerprint(self, name: str) -> tuple:
@@ -198,7 +193,9 @@ class MachineDisk:
                 f"no base relation named {name!r}; have {self.names()}"
             ) from None
         metrics.inc("machine.disk.reads")
-        seconds = self.model.read_seconds(self.relation_bytes(relation))
+        seconds = self.model.read_seconds(
+            self._tuple_bytes(len(relation), relation.arity)
+        )
         if selection is None:
             return relation, seconds
         if not self.logic_per_track:

@@ -80,18 +80,12 @@ def infer_schema(plan: PlanNode, schemas: Mapping[str, Schema]) -> Schema:
             )
         return schema
     if isinstance(plan, Divide):
-        dividend = infer_schema(plan.left, schemas)
-        value_pos = dividend.resolve(plan.a_value)
-        if plan.a_group is None:
-            if len(dividend) != 2:
-                raise PlanError(
-                    "a_group may only be omitted for a binary dividend "
-                    "relation"
-                )
-            group_pos = 1 - value_pos
-        else:
-            group_pos = dividend.resolve(plan.a_group)
-        return dividend.project([group_pos])
+        _, _, _, schema = algebra.division_layout(
+            infer_schema(plan.left, schemas),
+            infer_schema(plan.right, schemas),
+            plan.a_value, plan.a_group, plan.b_value,
+        )
+        return schema
     raise PlanError(f"cannot infer the schema of {plan.describe()}")
 
 

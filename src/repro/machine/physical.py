@@ -59,6 +59,7 @@ from repro.perf.cost import (
     division_cost,
     join_cost,
 )
+from repro.relational.algebra import division_layout
 from repro.relational.relation import Relation
 from repro.systolic.engine import resolve_backend
 
@@ -189,14 +190,11 @@ def actual_cost(
     n_a = len(inputs[0])
     n_b = len(inputs[1]) if len(inputs) > 1 else n_a
     if isinstance(node, Divide):
-        a = inputs[0]
-        value_pos = a.schema.resolve(node.a_value)
-        if node.a_group is None:
-            group_pos = 1 - value_pos
-        else:
-            group_pos = a.schema.resolve(node.a_group)
-        divisor_pos = inputs[1].schema.resolve(node.b_value)
-        n_distinct = len(np.unique(a.array[:, group_pos]))
+        group_pos, _, divisor_pos, _ = division_layout(
+            inputs[0].schema, inputs[1].schema,
+            node.a_value, node.a_group, node.b_value,
+        )
+        n_distinct = len(np.unique(inputs[0].array[:, group_pos]))
         n_divisor = len(np.unique(inputs[1].array[:, divisor_pos]))
         return division_cost(n_a, max(1, n_distinct), n_divisor,
                              max_rows, max_cols)
@@ -352,19 +350,6 @@ class PlanningContext:
     resident: Mapping[str, Relation]
     devices: Sequence
     element_bits: int = 32
-
-    @classmethod
-    def from_catalog(
-        cls, catalog, devices: Sequence, element_bits: int
-    ) -> "PlanningContext":
-        """What a :class:`~repro.machine.catalog.Catalog` says to plan
-        against — its disk and its preloads — over ``devices``."""
-        return cls(
-            disk=catalog.disk,
-            resident=dict(catalog.preloaded()),
-            devices=devices,
-            element_bits=element_bits,
-        )
 
 
 class PhysicalPlanner:

@@ -69,11 +69,9 @@ __all__ = ["AdmissionGate", "EnginePool", "PlanCache", "compile_plans"]
 class PlanCache:
     """A thread-safe LRU of compiled physical plans.
 
-    The pool keys entries by ``(plan fingerprint, arrivals, pipeline
-    flag, catalog content fingerprint, roster fingerprint)`` — nothing
-    tenant-specific — so a hit can come from *another* tenant's earlier
-    compile.  Emits the same ``machine.plan_cache.*`` metrics as the
-    single-tenant machine.
+    Entries live under :func:`compile_plans`' one key, which holds
+    nothing tenant-specific, so in a pool a hit can come from *another*
+    tenant's earlier compile.  Emits ``machine.plan_cache.*`` metrics.
     """
 
     def __init__(self, maxsize: int = 64) -> None:
@@ -152,30 +150,37 @@ class PlanCache:
 
 def compile_plans(
     cache: PlanCache,
-    context: PlanningContext,
+    catalog: Catalog,
+    devices: Sequence,
+    element_bits: int,
     plans: Sequence[PlanNode] | PlanNode,
     arrivals: Optional[Sequence[float]],
     pipeline: bool,
-    use_cache: bool,
-    catalog_key: Callable[[Sequence[PlanNode]], object],
     **span_attrs,
 ) -> PhysicalPlan:
     """Lower logical plans through the plan cache — the one compile.
 
-    The machine's and the pool's ``compile`` are this routine over
-    different ``catalog_key`` functions of the plans (a version counter;
-    the content fingerprint of the relations they name).  The cache key
-    is ``(plan fingerprint, arrivals,
-    pipeline flag, catalog key, fingerprint of the context's roster)``:
-    a plan is only reused when the planner would provably reproduce
-    it, and a degraded roster's plan never collides with the full
-    roster's.  Concurrent misses of one key run the planner once.
+    The machine's compile, its recovery compile, the pool's and every
+    shard lane's are this call over a different ``catalog`` /
+    ``devices``.  The one cache key is ``(plan_fingerprint(plans),
+    arrivals, pipeline, catalog.content_fingerprint(base_names(plans)),
+    roster_fingerprint(devices))``: a plan is reused only when the
+    planner would provably reproduce it, so a write to a relation the
+    plans do not name evicts nothing and a degraded roster's plan never
+    answers for the full one.  Concurrent misses of one key run the
+    planner once; a cache of size 0 always plans.
     """
     if isinstance(plans, PlanNode):
         plans = [plans]
     metrics.inc("machine.compile.calls")
 
     def build() -> PhysicalPlan:
+        context = PlanningContext(
+            disk=catalog.disk,
+            resident=dict(catalog.preloaded()),
+            devices=devices,
+            element_bits=element_bits,
+        )
         return PhysicalPlanner(context).compile(
             plans, arrivals, pipeline=pipeline
         )
@@ -184,7 +189,7 @@ def compile_plans(
         "machine.compile", plans=len(plans), pipeline=bool(pipeline),
         **span_attrs,
     ) as sp:
-        if use_cache and cache.maxsize > 0:
+        if cache.maxsize > 0:
             # A hit skips the planner spans a miss records, and which
             # of two racing compiles hits is the host's business.
             sp.mark_children_volatile()
@@ -193,8 +198,8 @@ def compile_plans(
                     plan_fingerprint(plans),
                     tuple(arrivals) if arrivals is not None else None,
                     bool(pipeline),
-                    catalog_key(plans),
-                    roster_fingerprint(context.devices),
+                    catalog.content_fingerprint(base_names(plans)),
+                    roster_fingerprint(devices),
                 ),
                 build,
             )
@@ -348,7 +353,6 @@ class EnginePool:
         tenant: str,
         shards: int,
         strategy: str = "hash",
-        partitioner=None,
     ) -> "ShardedCatalog":
         """The tenant's sharded catalog for one (shards, strategy) layout.
 
@@ -364,7 +368,6 @@ class EnginePool:
                 cat = ShardedCatalog(
                     tenant=tenant, shards=shards, strategy=strategy,
                     element_bits=self.element_bits,
-                    partitioner=partitioner,
                 )
                 self._sharded_catalogs[key] = cat
             return cat
@@ -374,9 +377,8 @@ class EnginePool:
         tenant: str = "default",
         priority: int = 0,
         parallel: Optional[bool] = None,
-        shards: Optional[int] = None,
-        shard_strategy: Optional[str] = None,
-        partitioner=None,
+        shards: int = 1,
+        shard_strategy: str = "hash",
     ) -> "Session":
         """Open a session bound to a tenant's catalog.
 
@@ -390,7 +392,6 @@ class EnginePool:
         return Session(
             self, self.catalog(tenant), priority=priority,
             shards=shards, shard_strategy=shard_strategy,
-            partitioner=partitioner,
         )
 
     def tenants(self) -> list[str]:
@@ -405,32 +406,22 @@ class EnginePool:
         plans: Sequence[PlanNode] | PlanNode,
         arrivals: Optional[Sequence[float]] = None,
         pipeline: bool = True,
-        use_cache: bool = True,
         devices: Optional[Sequence] = None,
     ) -> PhysicalPlan:
         """Lower logical plans against a tenant's catalog.
 
-        Cache entries are keyed by the catalog's *content fingerprint*
-        over the base relations the plans name (not its tenant or
-        version counter), so two tenants whose catalogs agree on those
-        relations' placement, cardinalities, schemas and stored bytes
-        share entries — the cross-tenant reuse the serving layer is
-        for — and a write to any other relation leaves them cached.
-        ``devices`` plans against a reduced roster (the recovery
-        path after a quarantine); its fingerprint keys the cache, so
-        degraded plans never collide with full-roster plans.
+        :func:`compile_plans` over the pool's shared cache: two tenants
+        whose catalogs agree on the relations the plans name share
+        entries — the cross-tenant reuse the serving layer is for.
+        ``devices`` plans against a reduced roster (the recovery path
+        after a quarantine).
         """
         return compile_plans(
             self.plan_cache,
-            PlanningContext.from_catalog(
-                catalog,
-                self.devices if devices is None else list(devices),
-                self.element_bits,
-            ),
-            plans, arrivals, pipeline, use_cache,
-            catalog_key=lambda plans: catalog.content_fingerprint(
-                base_names(plans)
-            ),
+            catalog,
+            self.devices if devices is None else list(devices),
+            self.element_bits,
+            plans, arrivals, pipeline,
             tenant=catalog.tenant,
         )
 
@@ -534,8 +525,8 @@ class EnginePool:
     def record_query(self, tenant: str, seconds: float) -> None:
         """Account one completed query against a tenant.
 
-        Shared by the pool's own execute path and the shard layer's
-        :class:`~repro.shard.executor.ShardedExecutor`, so a sharded
+        Called by :meth:`_admitted` only — the one passage both the
+        pool's own execute path and the shard layer take — so a sharded
         query counts once (not once per shard) in the service metrics
         and ``tenant_stats``.
         """

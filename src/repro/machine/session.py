@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.config import env_choice, env_int
 from repro.machine.catalog import Catalog
 from repro.machine.physical import PhysicalPlan
 from repro.machine.plan import PlanNode
@@ -33,14 +32,12 @@ class Session:
     ``priority`` (lower wins) is the default applied to every query
     issued through this session; it can be overridden per call.
 
-    ``shards`` opens the session against a *cluster* of simulated
+    ``shards > 1`` opens the session against a *cluster* of simulated
     machines instead of one: relations are partitioned (or replicated)
     across per-shard catalogs and queries run through the
     :class:`~repro.shard.executor.ShardedExecutor`, with results and
-    per-shard traces bit-identical to the single machine.  The defaults
-    come from ``REPRO_SHARD_COUNT`` / ``REPRO_SHARD_STRATEGY``;
-    ``shards=1`` (the default) is a literal pass-through to the
-    unsharded path.
+    per-shard traces bit-identical to the single machine.
+    ``shards=1`` (the default) is the pool's own unsharded path.
     """
 
     def __init__(
@@ -48,21 +45,12 @@ class Session:
         pool,
         catalog: Catalog,
         priority: int = 0,
-        shards: Optional[int] = None,
-        shard_strategy: Optional[str] = None,
-        partitioner=None,
+        shards: int = 1,
+        shard_strategy: str = "hash",
     ) -> None:
         self.pool = pool
         self.catalog = catalog
         self.priority = priority
-        if shards is None:
-            shards = env_int("REPRO_SHARD_COUNT", 1, minimum=1)
-        if shard_strategy is None:
-            from repro.shard.partition import STRATEGIES
-
-            shard_strategy = env_choice(
-                "REPRO_SHARD_STRATEGY", "hash", STRATEGIES
-            )
         self.shards = shards
         self.shard_strategy = shard_strategy
         self._sharded = None
@@ -71,10 +59,7 @@ class Session:
 
             self._sharded = ShardedExecutor(
                 pool,
-                pool.sharded_catalog(
-                    catalog.tenant, shards, shard_strategy,
-                    partitioner=partitioner,
-                ),
+                pool.sharded_catalog(catalog.tenant, shards, shard_strategy),
             )
 
     @property
@@ -99,7 +84,7 @@ class Session:
 
         Sharded sessions split the relation by ``key`` (default:
         column 0) or replicate it onto every shard; the single-machine
-        path has one disk, where both knobs are no-ops.
+        path has one disk, where neither means anything.
         """
         if self._sharded:
             self._sharded.catalog.store(
@@ -130,7 +115,6 @@ class Session:
         plans: Sequence[PlanNode] | PlanNode,
         arrivals: Optional[Sequence[float]] = None,
         pipeline: bool = True,
-        use_cache: bool = True,
     ) -> PhysicalPlan | ShardedCompilation:
         """Lower logical plans against this tenant's catalog.
 
@@ -140,12 +124,9 @@ class Session:
         one :class:`PhysicalPlan`.
         """
         if self._sharded:
-            return self._sharded.compile(
-                plans, arrivals, pipeline=pipeline, use_cache=use_cache
-            )
+            return self._sharded.compile(plans, arrivals, pipeline=pipeline)
         return self.pool.compile(
-            self.catalog, plans, arrivals,
-            pipeline=pipeline, use_cache=use_cache,
+            self.catalog, plans, arrivals, pipeline=pipeline
         )
 
     def run(

@@ -44,7 +44,7 @@ from repro.machine.execution import (
     place_resident,
 )
 from repro.machine.memory import MemoryModule
-from repro.machine.physical import PhysicalPlan, PlanningContext
+from repro.machine.physical import PhysicalPlan
 from repro.machine.plan import (
     DEVICE_COMPARISON,
     DEVICE_DIVISION,
@@ -89,9 +89,8 @@ class SystolicDatabaseMachine:
                 f"plan_cache_size must be >= 0, got {plan_cache_size}"
             )
         self.element_bits = element_bits
-        #: what ``store`` / ``preload`` / ``attach_store`` write; its
-        #: version is part of the plan-cache key, so stale physical
-        #: plans never resurface.
+        #: what ``store`` / ``preload`` / ``attach_store`` write, and
+        #: what :meth:`compile` fingerprints for the plan-cache key.
         self.catalog = Catalog(disk=disk, element_bits=element_bits)
         self.devices = build_devices(devices, capacity, technology, backend)
         #: Active :class:`~repro.faults.plan.FaultPlan` (None = no faults).
@@ -137,9 +136,9 @@ class SystolicDatabaseMachine:
 
         Every relation held by the :class:`~repro.store.RelationStore`
         becomes queryable by name; selections over them prune chunks
-        through the store's grid index during the disk read.  Bumps the
-        catalog version so previously cached plans recompile against
-        the store-backed sizes.
+        through the store's grid index during the disk read.  Cached
+        plans over a relation the store now answers for recompile
+        against the store-backed sizes.
         """
         self.catalog.attach_store(store)
 
@@ -167,7 +166,6 @@ class SystolicDatabaseMachine:
         plans: Sequence[PlanNode] | PlanNode,
         arrivals: Optional[Sequence[float]] = None,
         pipeline: bool = True,
-        use_cache: bool = True,
     ) -> PhysicalPlan:
         """Lower logical plans into a :class:`PhysicalPlan` for this machine.
 
@@ -177,36 +175,17 @@ class SystolicDatabaseMachine:
         ``pipeline=False`` no chains are fused and execution is
         store-and-forward, §9's simplest reading.
 
-        Structurally identical transactions (same plan shape,
-        parameters, *and* subtree sharing — see
-        :func:`~repro.machine.physical.plan_fingerprint`) hit an LRU
-        cache instead of re-running the planner.  The key also covers
-        the arrival schedule, the pipeline flag, the catalog version
-        (bumped by :meth:`store`/:meth:`preload`), and the device
-        roster, so a cached plan is only reused when the planner would
-        provably reproduce it.  ``use_cache=False`` bypasses the cache
-        for a single call.
+        This is :func:`~repro.machine.pool.compile_plans` over the
+        machine's catalog and full roster — the call the pool and every
+        shard lane make — LRU-cached under its one key: plan structure
+        (sharing included), arrivals, pipeline flag, the catalog's
+        content fingerprint over the base relations the plans name, and
+        the roster.  A :meth:`store` of a relation the plans do not
+        name evicts nothing; ``plan_cache_size=0`` turns the cache off.
         """
-        return self._compile_on(None, plans, arrivals, pipeline, use_cache)
-
-    def _compile_on(
-        self,
-        roster: Optional[list],
-        plans: Sequence[PlanNode] | PlanNode,
-        arrivals: Optional[Sequence[float]],
-        pipeline: bool,
-        use_cache: bool = True,
-    ) -> PhysicalPlan:
-        """:meth:`compile` against ``roster`` (None = every device)."""
         return compile_plans(
-            self._plan_cache,
-            PlanningContext.from_catalog(
-                self.catalog,
-                self.devices if roster is None else roster,
-                self.element_bits,
-            ),
-            plans, arrivals, pipeline, use_cache,
-            catalog_key=lambda plans: self.catalog.version,
+            self._plan_cache, self.catalog, self.devices, self.element_bits,
+            plans, arrivals, pipeline,
         )
 
     def plan_cache_info(self) -> dict[str, int]:
@@ -253,7 +232,10 @@ class SystolicDatabaseMachine:
             # callers that wrap ``compile`` (the e2e tracer) see them.
             if roster is None:
                 return self.compile(plans, arrivals, pipeline=pipeline)
-            return self._compile_on(roster, plans, arrivals, pipeline)
+            return compile_plans(
+                self._plan_cache, self.catalog, roster, self.element_bits,
+                plans, arrivals, pipeline,
+            )
 
         return replan_on_quarantine(
             self.devices, self.faults, compile_on,

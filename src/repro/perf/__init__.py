@@ -15,7 +15,6 @@ from repro.perf.floorplan import (
 )
 from repro.perf.cost import (
     OpCost,
-    block_spans,
     comparison_cost,
     division_cost,
     join_cost,
@@ -52,7 +51,6 @@ __all__ = [
     "PAPER_WORKLOAD",
     "RelationProfile",
     "TechnologyModel",
-    "block_spans",
     "comparison_cost",
     "division_cost",
     "estimate_array_area",

@@ -21,19 +21,17 @@ stream).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from repro.errors import ReproError
 from repro.perf.technology import TechnologyModel
-from repro.systolic.engine.schedule import DivisionSchedule, block_span_law
+from repro.systolic.engine.schedule import block_span_law, division_span_law
 
 __all__ = [
     "OpCost",
     "ExchangeCost",
     "ScanCost",
     "SHARD_LINK_BYTES_PER_SECOND",
-    "block_spans",
     "comparison_cost",
     "join_cost",
     "division_cost",
@@ -78,13 +76,6 @@ class OpCost:
         return technology.pulses_to_seconds(self.fill_pulses)
 
 
-def block_spans(n: int, size: int) -> list[int]:
-    """Block lengths of §8's decomposition of ``n`` items into ``size``-blocks."""
-    if n < 0 or size < 1:
-        raise ReproError(f"invalid block decomposition: n={n}, size={size}")
-    return [min(size, n - lo) for lo in range(0, n, size)]
-
-
 _ZERO = OpCost(fill_pulses=0, stream_pulses=0, a_blocks=0, b_blocks=0,
                column_blocks=0)
 
@@ -122,8 +113,6 @@ def join_cost(
     Mirrors :func:`repro.arrays.decomposition.blocked_join`: identical
     decomposition, but only the join columns stream through the array.
     """
-    if n_a == 0 or n_b == 0:
-        return _ZERO
     return comparison_cost(n_a, n_b, n_on, max_rows, max_cols)
 
 
@@ -132,34 +121,21 @@ def division_cost(
 ) -> OpCost:
     """Cost of a §7 division-array run.
 
-    Mirrors :func:`repro.arrays.decomposition.blocked_divide`: distinct
-    dividend groups are blocked to the device height, the divisor row
-    to the device width minus the two dividend columns, and every block
-    streams the full pair list.
+    By :func:`~repro.systolic.engine.schedule.division_span_law`, the
+    decomposition :func:`repro.arrays.decomposition.blocked_divide`
+    executes: distinct dividend groups blocked to the device height,
+    the divisor row to the device width minus the two dividend columns,
+    every block streaming the full pair list.
     """
     if n_pairs == 0 or n_divisor == 0:
         return _ZERO
-    divisor_cols = max_cols - 2
-    if divisor_cols < 1:
-        raise ReproError(
-            f"the division array needs at least 3 processor columns, "
-            f"device has {max_cols}"
-        )
-    x_spans = block_spans(n_distinct, max_rows)
-    divisor_spans = block_spans(n_divisor, divisor_cols)
-    # Same distinct-span aggregation as comparison_cost: exact, and
-    # independent of the block-pair count.
-    total = sum(
-        DivisionSchedule(n_pairs, sx, sd).total_pulses * cx * cd
-        for sx, cx in Counter(x_spans).items()
-        for sd, cd in Counter(divisor_spans).items()
-    )
+    law = division_span_law(n_pairs, n_distinct, n_divisor, max_rows, max_cols)
     # First quotient bit: the bottom row's result of the first block.
-    first = DivisionSchedule(n_pairs, x_spans[0], divisor_spans[0])
-    fill = first.result_pulse(x_spans[0] - 1)
+    total, fill = law.pulses, law.first.result_pulse(law.first.p_rows - 1)
     return OpCost(
         fill_pulses=min(fill, total), stream_pulses=max(0, total - fill),
-        a_blocks=len(x_spans), b_blocks=len(divisor_spans), column_blocks=1,
+        a_blocks=law.a_blocks, b_blocks=law.b_blocks,
+        column_blocks=law.column_blocks,
     )
 
 

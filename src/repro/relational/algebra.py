@@ -39,6 +39,7 @@ __all__ = [
     "equi_join_layout",
     "theta_join",
     "theta_join_layout",
+    "division_layout",
     "divide",
     "divide_general",
     "select",
@@ -263,6 +264,42 @@ def theta_join(
     return Relation(schema, out)
 
 
+def division_layout(
+    a: Schema,
+    b: Schema,
+    a_value: ColumnRef = 1,
+    a_group: ColumnRef | None = None,
+    b_value: ColumnRef = 0,
+) -> tuple[int, int, int, Schema]:
+    """Resolve division columns, check domains, build the quotient schema.
+
+    Returns ``(group_pos, value_pos, divisor_pos, schema)``: in the
+    dividend schema ``a`` the kept column A₁ (``a_group``, default: the
+    other of two columns) and the matched column A₂ (``a_value``), in
+    ``b`` the divisor column B₁ (``b_value``), and the quotient schema.
+    The oracle, the array and every planner resolve a division here.
+    """
+    value_pos = a.resolve(a_value)
+    if a_group is None:
+        if len(a) != 2:
+            raise SchemaError(
+                "a_group may only be omitted for a binary dividend relation"
+            )
+        group_pos = 1 - value_pos
+    else:
+        group_pos = a.resolve(a_group)
+        if group_pos == value_pos:
+            raise SchemaError("a_group and a_value must be different columns")
+    divisor_pos = b.resolve(b_value)
+    if a[value_pos].domain != b[divisor_pos].domain:
+        raise SchemaError(
+            f"division columns are on different domains "
+            f"({a[value_pos].domain.name!r} vs "
+            f"{b[divisor_pos].domain.name!r})"
+        )
+    return group_pos, value_pos, divisor_pos, a.project([group_pos])
+
+
 def divide(
     a: Relation,
     b: Relation,
@@ -278,24 +315,9 @@ def divide(
     column (A₁, default: the other column of a binary A), ``a_value``
     the matched column (A₂), ``b_value`` the divisor column.
     """
-    value_pos = a.schema.resolve(a_value)
-    if a_group is None:
-        if len(a.schema) != 2:
-            raise SchemaError(
-                "a_group may only be omitted for a binary dividend relation"
-            )
-        group_pos = 1 - value_pos
-    else:
-        group_pos = a.schema.resolve(a_group)
-        if group_pos == value_pos:
-            raise SchemaError("a_group and a_value must be different columns")
-    divisor_pos = b.schema.resolve(b_value)
-    if a.schema[value_pos].domain != b.schema[divisor_pos].domain:
-        raise SchemaError(
-            f"division columns are on different domains "
-            f"({a.schema[value_pos].domain.name!r} vs "
-            f"{b.schema[divisor_pos].domain.name!r})"
-        )
+    group_pos, value_pos, divisor_pos, quotient_schema = division_layout(
+        a.schema, b.schema, a_value, a_group, b_value
+    )
     required = {row[divisor_pos] for row in b.tuples}
     images: dict[int, set[int]] = {}
     order: list[int] = []
@@ -305,7 +327,6 @@ def divide(
             images[x] = set()
             order.append(x)
         images[x].add(row[value_pos])
-    quotient_schema = a.schema.project([group_pos])
     members = [(x,) for x in order if required <= images[x]]
     return Relation(quotient_schema, members)
 
@@ -379,7 +400,7 @@ def nested_loop_divide(
     if len(a.schema) != 2 or len(b.schema) != 1:
         raise RelationError(
             "nested_loop_divide implements the paper's restricted case: "
-            "binary dividend, unary divisor"
+            "two-column dividend, one-column divisor"
         )
     if a.schema[1].domain != b.schema[0].domain:
         raise SchemaError("division columns are on different domains")

@@ -72,7 +72,6 @@ class ShardedCatalog:
         shards: int = 2,
         strategy: str = "hash",
         element_bits: int = 32,
-        partitioner: Optional[Partitioner] = None,
     ) -> None:
         if shards < 1:
             raise PlanError(f"shard count must be >= 1, got {shards}")
@@ -90,9 +89,7 @@ class ShardedCatalog:
             for i in range(shards)
         ]
         self._lock = threading.RLock()
-        self._partitioner = partitioner
-        if self._partitioner is None and strategy == "hash":
-            self._partitioner = HashPartitioner()
+        self._partitioner = HashPartitioner() if strategy == "hash" else None
         self._placements: dict[str, Placement] = {}
         self._schemas: dict[str, Schema] = {}
         self._cardinalities: dict[str, int] = {}
@@ -199,25 +196,6 @@ class ShardedCatalog:
     def __contains__(self, name: object) -> bool:
         with self._lock:
             return name in self._placements
-
-    def content_fingerprint(self) -> tuple:
-        """Everything shard planning reads, as a hashable value.
-
-        Composed from the per-shard catalog fingerprints plus the shard
-        count, strategy, and placement map — so plans cached against a
-        2-shard layout can never answer a 4-shard compile.
-        """
-        with self._lock:
-            placements = tuple(
-                (name, p.kind, p.key, p.fp)
-                for name, p in sorted(self._placements.items())
-            )
-            return (
-                self.shard_count,
-                self.strategy,
-                placements,
-                tuple(c.content_fingerprint() for c in self.shards),
-            )
 
     def __repr__(self) -> str:
         with self._lock:

@@ -162,7 +162,6 @@ class ShardedExecutor:
         plans: Sequence[PlanNode] | PlanNode,
         arrivals: Optional[Sequence[float]] = None,
         pipeline: bool = True,
-        use_cache: bool = True,
     ) -> ShardedCompilation:
         """Lower and compile without executing.
 
@@ -176,9 +175,7 @@ class ShardedExecutor:
         predicted = 0.0
         for step in sharded.exchanges:
             per_shard = [
-                self.pool.compile(
-                    lane, step.plan, pipeline=pipeline, use_cache=use_cache
-                )
+                self.pool.compile(lane, step.plan, pipeline=pipeline)
                 for lane in lanes
             ]
             predicted += max(
@@ -188,10 +185,7 @@ class ShardedExecutor:
             for lane in lanes:
                 lane.preload(step.name, Relation(schema))
         physicals = [
-            self.pool.compile(
-                lane, sharded.roots, arrivals,
-                pipeline=pipeline, use_cache=use_cache,
-            )
+            self.pool.compile(lane, sharded.roots, arrivals, pipeline=pipeline)
             for lane in lanes
         ]
         predicted += max(p.predicted_makespan for p in physicals)

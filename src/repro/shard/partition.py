@@ -43,7 +43,7 @@ __all__ = [
     "STRATEGIES",
 ]
 
-#: Accepted ``REPRO_SHARD_STRATEGY`` / ``shard_strategy=`` spellings.
+#: Accepted ``--shard-strategy`` / ``shard_strategy=`` spellings.
 STRATEGIES = ("hash", "range")
 
 _MASK = (1 << 64) - 1

@@ -48,6 +48,7 @@ from repro.machine.plan import (
     Union,
 )
 from repro.perf.cost import ExchangeCost, broadcast_cost, shuffle_cost
+from repro.relational.algebra import division_layout
 from repro.relational.schema import Schema
 from repro.shard.catalog import (
     PARTITIONED,
@@ -406,17 +407,10 @@ class ShardPlanner:
         )
 
     def _lower_divide(self, node: Divide) -> tuple[PlanNode, Distribution]:
-        a_schema = self._schema(node.left)
-        value_pos = a_schema.resolve(node.a_value)
-        if node.a_group is None:
-            if len(a_schema) != 2:
-                raise PlanError(
-                    "a_group may only be omitted for a binary dividend "
-                    "relation"
-                )
-            group_pos = 1 - value_pos
-        else:
-            group_pos = a_schema.resolve(node.a_group)
+        group_pos, _, _, _ = division_layout(
+            self._schema(node.left), self._schema(node.right),
+            node.a_value, node.a_group, node.b_value,
+        )
         left, dl = self._lower(node.left)
         right, dr = self._lower(node.right)
         if dr.kind != REPLICATED:

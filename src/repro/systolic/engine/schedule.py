@@ -30,7 +30,8 @@ Three disciplines are covered:
 
 :func:`block_span_law` is §8's decomposition of a problem larger than
 the device in the same closed form: how many block runs, and how many
-pulses they take in total, without visiting a block.
+pulses they take in total, without visiting a block;
+:func:`division_span_law` is the same for the division array.
 
 All pulse numbers follow the simulator convention: a feeder value at
 pulse ``p`` is processed by its cell during pulse ``p``; the cell's
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import SimulationError
+from repro.errors import CapacityError, SimulationError
 
 __all__ = [
     "CounterStreamSchedule",
@@ -50,6 +51,7 @@ __all__ = [
     "BlockSpanLaw",
     "block_bounds",
     "block_span_law",
+    "division_span_law",
 ]
 
 
@@ -340,7 +342,7 @@ def _span_counts(n: int, size: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class BlockSpanLaw:
-    """A comparison too large for its device, decomposed arithmetically.
+    """A problem too large for its device, decomposed arithmetically.
 
     Each dimension has at most two distinct block lengths, so the whole
     decomposition is at most eight distinct sub-problems: ``spans``
@@ -352,9 +354,10 @@ class BlockSpanLaw:
     a_blocks: int
     b_blocks: int
     column_blocks: int
-    spans: tuple[tuple[CounterStreamSchedule, int], ...]
-    #: total over all block runs, each run through its last ``t_ij``
-    #: (the blocks read every ``t_ij`` off the row taps)
+    spans: tuple[tuple[CounterStreamSchedule | DivisionSchedule, int], ...]
+    #: total over all block runs — a comparison run through its last
+    #: ``t_ij`` (the blocks read every ``t_ij`` off the row taps), a
+    #: division run through its last quotient bit
     pulses: int
 
     @property
@@ -363,8 +366,9 @@ class BlockSpanLaw:
         return self.a_blocks * self.b_blocks * self.column_blocks
 
     @property
-    def first(self) -> CounterStreamSchedule:
-        """The schedule of block (0, 0, 0) — the largest sub-problem."""
+    def first(self) -> CounterStreamSchedule | DivisionSchedule:
+        """The schedule of block (0, 0, 0) — the largest sub-problem,
+        whose spans are the block sizes of the decomposition."""
         return self.spans[0][0]
 
 
@@ -405,5 +409,46 @@ def block_span_law(
         spans=spans,
         pulses=sum(
             schedule.comparison_pulses * count for schedule, count in spans
+        ),
+    )
+
+
+def division_span_law(
+    n_pairs: int, n_distinct: int, n_divisor: int, max_rows: int, max_cols: int
+) -> BlockSpanLaw:
+    """Decompose a division of ``n_pairs`` dividend pairs over
+    ``n_distinct`` groups by ``n_divisor`` divisor values onto a
+    ``max_rows`` × ``max_cols`` device (§7 array, §8 blocking): the
+    groups blocked to the device height (``a``), the divisor row to the
+    width beside the two dividend columns (``b``), every block
+    streaming the full pair list.  Like :func:`block_span_law`, the one
+    statement: :func:`~repro.arrays.decomposition.blocked_divide`
+    executes it and :func:`~repro.perf.cost.division_cost` prices it.
+    """
+    if max_cols < 3:
+        raise CapacityError(
+            f"the division array needs at least 3 processor columns, "
+            f"device has {max_cols}"
+        )
+    if min(n_pairs, n_distinct, n_divisor, max_rows) < 1:
+        raise SimulationError(
+            f"nothing to decompose: n_pairs={n_pairs}, "
+            f"n_distinct={n_distinct}, n_divisor={n_divisor}, "
+            f"max_rows={max_rows}; empty operands short-circuit upstream"
+        )
+    x_spans = _span_counts(n_distinct, max_rows)
+    divisor_spans = _span_counts(n_divisor, max_cols - 2)
+    spans = tuple(
+        (DivisionSchedule(n_pairs, sx, sd), cx * cd)
+        for sx, cx in x_spans
+        for sd, cd in divisor_spans
+    )
+    return BlockSpanLaw(
+        a_blocks=sum(count for _, count in x_spans),
+        b_blocks=sum(count for _, count in divisor_spans),
+        column_blocks=1,
+        spans=spans,
+        pulses=sum(
+            schedule.total_pulses * count for schedule, count in spans
         ),
     )

@@ -13,9 +13,11 @@ from repro.arrays import (
     blocked_union,
 )
 from repro.errors import CapacityError
+from repro.perf.cost import division_cost
 from repro.relational import MultiRelation, Relation, algebra
 from repro.workloads import (
     division_example,
+    division_workload,
     join_pair,
     overlapping_pair,
     relation_with_duplicates,
@@ -119,9 +121,39 @@ class TestBlockedOperators:
         assert report.b_blocks == 2  # 4 divisor values over 2 columns
 
     def test_divide_needs_three_columns(self):
+        """The array and the cost model refuse a 2-column device with
+        one error: both read it from ``division_span_law``."""
         a, b, _ = division_example()
         with pytest.raises(CapacityError, match="3 processor columns"):
             blocked_divide(a, b, ArrayCapacity(max_rows=8, max_cols=2))
+        with pytest.raises(CapacityError, match="3 processor columns"):
+            division_cost(len(a), 3, len(b), 8, 2)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_division_cost_is_the_blocked_divide_it_prices(self, seed):
+        """Predicted == simulated, block for block and pulse for pulse,
+        from one-row devices to ones that hold the whole problem."""
+        a, b, _ = division_workload(
+            n_groups=5 + 2 * seed, divisor_size=3 + seed,
+            full_coverage=2 + seed, seed=seed,
+        )
+        n_distinct = len({x for x, _ in a.tuples})
+        for max_rows in (1, 3, 7, 64):
+            for max_cols in (3, 4, 5, 16):
+                _, report = blocked_divide(
+                    a, b, ArrayCapacity(max_rows, max_cols),
+                    backend="lattice",
+                )
+                cost = division_cost(
+                    len(a), n_distinct, len(b), max_rows, max_cols
+                )
+                assert (
+                    cost.total_pulses, cost.a_blocks, cost.b_blocks,
+                    cost.block_runs,
+                ) == (
+                    report.total_pulses, report.a_blocks, report.b_blocks,
+                    report.block_runs,
+                ), (max_rows, max_cols)
 
     def test_empty_inputs(self, pair_schema):
         empty = Relation(pair_schema)

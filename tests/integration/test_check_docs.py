@@ -46,6 +46,31 @@ def test_machine_api_rule_flags_removed_members_and_keywords(tmp_path):
     ]
 
 
+def test_api_rule_reads_method_call_keywords(tmp_path):
+    """``.compile(plans, …, use_cache=True)`` is how API.md spelled an
+    option that no ``compile`` accepted any more."""
+    check_docs = _load_check_docs()
+    doc = tmp_path / "API.md"
+    doc.write_text(
+        "| `.compile(plans, arrivals=None, pipeline=True)` "
+        "| a table row under its class |\n"
+        "| `EnginePool.session(tenant, shards=2, parallel=True)` "
+        "/ `obs.span(name, rows=3)` / `np.unique(x, return_index=True)` "
+        "| named owner · open-ended · nobody's |\n"
+    )
+    assert check_docs.check_api(docs=[doc]) == []
+    doc.write_text(
+        "| `.compile(plans, pipeline=True, use_cache=True)` | removed |\n"
+        "| `EnginePool.session(tenant, partitioner=None)` | removed |\n"
+    )
+    assert check_docs.check_api(docs=[doc]) == [
+        "API.md: documents `.compile(use_cache=)`, which no class of "
+        "repro.machine / repro.obs accepts",
+        "API.md: documents `EnginePool.session(partitioner=)`, which "
+        "repro.machine.EnginePool does not accept",
+    ]
+
+
 def test_env_var_rule_flags_a_variable_nothing_reads(tmp_path):
     check_docs = _load_check_docs()
     doc = tmp_path / "PERF.md"

@@ -6,8 +6,8 @@ phase, one op after another on the calling thread, then replays the
 timing bookkeeping — a transaction is a function of (catalog, plan),
 whichever front end runs it.  ``compile`` memoizes physical plans
 behind a fingerprint that covers plan structure (including subtree
-sharing), arrivals, pipelining, the catalog version, and the device
-roster.
+sharing), arrivals, pipelining, the catalog's content fingerprint over
+the relations the plans name, and the device roster.
 """
 
 import threading
@@ -187,11 +187,6 @@ class TestPlanCache:
         machine.preload("EXTRA", extra)
         machine.compile(_transaction())
         assert machine.plan_cache_info()["misses"] == 2
-
-    def test_use_cache_false_bypasses(self, machine):
-        machine.compile(_transaction(), use_cache=False)
-        info = machine.plan_cache_info()
-        assert info == {"hits": 0, "misses": 0, "size": 0, "maxsize": 64}
 
     def test_lru_eviction(self):
         m = SystolicDatabaseMachine(plan_cache_size=1)

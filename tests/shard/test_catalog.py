@@ -79,29 +79,3 @@ class TestRangeStrategy:
         # A second relation over the same key domain co-partitions.
         cat.store("S", _relation([(i, 1) for i in range(20)]), key="k")
         assert cat.placement("R").fp == cat.placement("S").fp
-
-
-class TestFingerprint:
-    def test_shard_count_changes_the_fingerprint(self):
-        rows = [(i, i) for i in range(12)]
-        two = ShardedCatalog(shards=2)
-        four = ShardedCatalog(shards=4)
-        for cat in (two, four):
-            cat.store("R", _relation(rows))
-        assert two.content_fingerprint() != four.content_fingerprint()
-
-    def test_placement_changes_the_fingerprint(self):
-        rows = [(i, i) for i in range(12)]
-        part = ShardedCatalog(shards=2)
-        part.store("R", _relation(rows))
-        repl = ShardedCatalog(shards=2)
-        repl.store("R", _relation(rows), replicate=True)
-        assert part.content_fingerprint() != repl.content_fingerprint()
-
-    def test_equal_layouts_agree(self):
-        rows = [(i, i) for i in range(12)]
-        a = ShardedCatalog(shards=2)
-        b = ShardedCatalog(shards=2)
-        for cat in (a, b):
-            cat.store("R", _relation(rows))
-        assert a.content_fingerprint() == b.content_fingerprint()

@@ -1,5 +1,4 @@
-"""Session/pool/serving integration of the shard layer, and the
-``REPRO_SHARD_COUNT`` / ``REPRO_SHARD_STRATEGY`` environment knobs."""
+"""Session/pool/serving integration of the shard layer."""
 
 from __future__ import annotations
 
@@ -25,42 +24,35 @@ def _pair():
 
 
 class TestEnvironmentKnobs:
+    """``repro.config`` over the shard strategies — the only direct
+    tests of ``env_choice``.  A session's shard layout itself comes
+    from ``shards=`` / ``shard_strategy=`` (``--shards`` /
+    ``--shard-strategy``), never from the environment."""
+
     def test_defaults(self):
-        assert env_int("REPRO_SHARD_COUNT", 1, minimum=1, environ={}) == 1
+        assert env_int("X_COUNT", 1, minimum=1, environ={}) == 1
         assert env_choice(
-            "REPRO_SHARD_STRATEGY", "hash", STRATEGIES, environ={}
+            "X_STRATEGY", "hash", STRATEGIES, environ={}
         ) == "hash"
+        session = EnginePool().session("plain")
+        assert (session.shards, session.shard_strategy) == (1, "hash")
 
     def test_malformed_count_raises(self):
-        with pytest.raises(ConfigError, match="REPRO_SHARD_COUNT"):
-            env_int("REPRO_SHARD_COUNT", 1, minimum=1,
-                    environ={"REPRO_SHARD_COUNT": "many"})
+        with pytest.raises(ConfigError, match="X_COUNT"):
+            env_int("X_COUNT", 1, minimum=1, environ={"X_COUNT": "many"})
         with pytest.raises(ConfigError, match=">= 1"):
-            env_int("REPRO_SHARD_COUNT", 1, minimum=1,
-                    environ={"REPRO_SHARD_COUNT": "0"})
+            env_int("X_COUNT", 1, minimum=1, environ={"X_COUNT": "0"})
 
     def test_malformed_strategy_raises(self):
-        with pytest.raises(ConfigError, match="REPRO_SHARD_STRATEGY"):
-            env_choice("REPRO_SHARD_STRATEGY", "hash", STRATEGIES,
-                       environ={"REPRO_SHARD_STRATEGY": "zigzag"})
+        with pytest.raises(ConfigError, match="X_STRATEGY"):
+            env_choice("X_STRATEGY", "hash", STRATEGIES,
+                       environ={"X_STRATEGY": "zigzag"})
 
     def test_strategy_is_case_insensitive(self):
         assert env_choice(
-            "REPRO_SHARD_STRATEGY", "hash", STRATEGIES,
-            environ={"REPRO_SHARD_STRATEGY": " Range "},
+            "X_STRATEGY", "hash", STRATEGIES,
+            environ={"X_STRATEGY": " Range "},
         ) == "range"
-
-    def test_session_reads_the_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_COUNT", "3")
-        monkeypatch.setenv("REPRO_SHARD_STRATEGY", "range")
-        session = EnginePool().session("env")
-        assert session.shards == 3
-        assert session.shard_strategy == "range"
-
-    def test_bad_environment_surfaces_at_session_open(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_COUNT", "-2")
-        with pytest.raises(ConfigError, match="REPRO_SHARD_COUNT"):
-            EnginePool().session("env")
 
 
 class TestSessionWiring:

@@ -32,7 +32,11 @@ Nine checks, all run in CI next to the bench gate::
    every ``name=`` keyword inside a backticked ``Class(...)`` whose
    class is exported by ``repro.machine`` or ``repro.obs`` must resolve
    against that class (attribute, dataclass field or ``__init__``
-   parameter) — documentation of a removed method or constructor
+   parameter), and every ``name=`` keyword inside a backticked
+   ``.method(...)`` must be a parameter of that method — on the class
+   written before the dot, or, where the table row leaves the class
+   out, on at least one exported class that has the method —
+   documentation of a removed method, constructor option or method
    option fails here.
 
 6. **Environment variables.**  Every ``REPRO_*`` variable named in
@@ -109,6 +113,7 @@ _CODE_FLAG = re.compile(r'"(--[a-z0-9][a-z0-9-]*)"')
 _CODE_SPAN = re.compile(r"`([^`\n]+)`")
 _MEMBER = re.compile(r"\b([A-Z]\w*)\.([A-Za-z_]\w*)")
 _CALL = re.compile(r"\b([A-Z]\w*)\(([^()]*)\)")
+_METHOD_CALL = re.compile(r"(?:\b([A-Z]\w*))?\.([a-z_]\w*)\(([^()]*)\)")
 _KEYWORD = re.compile(r"\b([A-Za-z_]\w*)=")
 
 #: An environment variable of ours named in docs prose, and one read
@@ -247,9 +252,45 @@ def check_api(docs=API_DOCS) -> list[str]:
             is not None
         )
 
+    def open_ended(parameters) -> bool:
+        return any(p.kind is p.VAR_KEYWORD for p in parameters.values())
+
+    def stale_method_keyword(
+        owner: str, method: str, keyword: str
+    ) -> str | None:
+        """What is wrong with a documented ``.method(keyword=)``, read
+        against ``owner`` or, without one, every class with the method."""
+        owners = [owner] if owner in classes else list(classes)
+        signatures = [
+            inspect.signature(function).parameters
+            for name in owners
+            if inspect.isfunction(
+                function := getattr(classes[name], method, None)
+            )
+        ]
+        if not signatures or any(
+            keyword in accepted or open_ended(accepted)
+            for accepted in signatures
+        ):
+            return None
+        if owner in classes:
+            return (
+                f"documents `{owner}.{method}({keyword}=)`, which "
+                f"{qualified(owner)} does not accept"
+            )
+        return (
+            f"documents `.{method}({keyword}=)`, which no class of "
+            f"repro.machine / repro.obs accepts"
+        )
+
     problems: list[str] = []
     for doc in docs:
         for span in _CODE_SPAN.findall(doc.read_text()):
+            for owner, method, arguments in _METHOD_CALL.findall(span):
+                for keyword in _KEYWORD.findall(arguments):
+                    problem = stale_method_keyword(owner, method, keyword)
+                    if problem is not None:
+                        problems.append(f"{doc.name}: {problem}")
             for owner, member in _MEMBER.findall(span):
                 if owner in classes and not has_member(classes[owner], member):
                     problems.append(
@@ -264,7 +305,7 @@ def check_api(docs=API_DOCS) -> list[str]:
                 if owner not in classes:
                     continue
                 accepted = inspect.signature(classes[owner]).parameters
-                if any(p.kind is p.VAR_KEYWORD for p in accepted.values()):
+                if open_ended(accepted):
                     continue
                 for keyword in _KEYWORD.findall(arguments):
                     if keyword not in accepted:
