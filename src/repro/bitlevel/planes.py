@@ -22,8 +22,18 @@ are translated by the common minimum into ``uint64`` — a shift that
 preserves both equality and order, keeps every element in
 ``[0, 2⁶⁴)``, and makes the MSB-first ripple correct for negative
 inputs too.  ``n`` not a multiple of 64 leaves a ragged tail in the
-last word; every kernel masks by slicing the unpacked plane back to
-``n``, so tail garbage never reaches a verdict.
+last word; every kernel unpacks only the first ``n`` lanes, so tail
+garbage never reaches a verdict.
+
+Layout work is numpy's bit codecs, not arithmetic: a word's bits are
+:func:`numpy.unpackbits` of its little-endian bytes, a plane is
+:func:`numpy.packbits` of its lanes (``bitorder="little"``, read back
+through an explicit ``'<u8'`` view, so lane ``j`` of a word is bit
+``j`` on any host).  The sweeps run **word-major**: a state plane of
+``c`` streamed tuples against ``n_words`` resident words is held as
+``(n_words, c)``, so every in-place ``out=`` operation runs along the
+long streamed axis; the kernels hand back its ``(c, n_words)``
+transpose.
 """
 
 from __future__ import annotations
@@ -51,9 +61,10 @@ __all__ = [
 #: Tuples packed per machine word — one ``uint64`` lane per plane word.
 PLANE_BITS = 64
 
-_SHIFTS = np.arange(PLANE_BITS, dtype=np.uint64)
-_ONE = np.uint64(1)
-_ZERO = np.uint64(0)
+#: A plane word as the bit codecs see it: eight bytes, least significant
+#: first, so lane ``j`` is bit ``j % 8`` of byte ``j // 8``.
+_WORD = np.dtype("<u8")
+
 _ALL = ~np.uint64(0)
 _MASK64 = (1 << 64) - 1
 
@@ -76,30 +87,42 @@ def plane_shift_width(*matrices: np.ndarray) -> tuple[list[np.ndarray], int]:
     return [m.astype(np.uint64) - shift for m in mats], width
 
 
+def _bit_planes(matrix: np.ndarray, width: int) -> np.ndarray:
+    """The low ``width`` bits of every ``uint64`` in an ``(n, m)``
+    matrix, one byte each, as a contiguous ``(m, width, n)`` array:
+    ``[k, p]`` is bit position ``p`` (MSB-first) of column ``k``."""
+    n, m = matrix.shape
+    octets = np.ascontiguousarray(matrix, dtype=_WORD).view(np.uint8)
+    bits = np.unpackbits(
+        octets.reshape(n, m, 8), axis=-1, bitorder="little"
+    )  # (n, m, 64), bit b of each word at [..., b]
+    return np.ascontiguousarray(bits[:, :, width - 1::-1].transpose(1, 2, 0))
+
+
 def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a 1-D 0/1 vector into ``uint64`` words, 64 lanes per word.
+    """Pack 0/1 lanes along the last axis into ``uint64`` words, 64
+    lanes per word.
 
     Lane ``j`` of word ``w`` holds element ``64·w + j`` (LSB-first
     within the word); a ragged tail is zero-padded.
     """
-    n = bits.shape[0]
+    n = bits.shape[-1]
     n_words = max(1, -(-n // PLANE_BITS))
-    padded = np.zeros(n_words * PLANE_BITS, dtype=np.uint64)
-    padded[:n] = bits.astype(np.uint64)
-    lanes = padded.reshape(n_words, PLANE_BITS)
-    return np.bitwise_or.reduce(lanes << _SHIFTS[None, :], axis=1)
+    lanes = np.zeros((*bits.shape[:-1], n_words * PLANE_BITS), dtype=np.uint8)
+    lanes[..., :n] = bits
+    return np.packbits(lanes, axis=-1, bitorder="little").view(_WORD)
 
 
 def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
     """Unpack plane words back to a boolean vector of length ``n``.
 
-    The inverse of :func:`pack_bits`; slicing to ``n`` drops the ragged
-    tail, so padding lanes never surface.  Works on any leading shape
-    (the last axis is the word axis).
+    The inverse of :func:`pack_bits`; stopping at ``n`` drops the
+    ragged tail, so padding lanes never surface.  Works on any leading
+    shape (the last axis is the word axis).
     """
-    lanes = (words[..., :, None] >> _SHIFTS) & _ONE
-    flat = lanes.reshape(*words.shape[:-1], words.shape[-1] * PLANE_BITS)
-    return flat[..., :n].astype(bool)
+    octets = np.ascontiguousarray(words, dtype=_WORD).view(np.uint8)
+    lanes = np.unpackbits(octets, axis=-1, count=n, bitorder="little")
+    return lanes.view(bool)
 
 
 def pack_planes(matrix: np.ndarray, width: int) -> np.ndarray:
@@ -114,22 +137,7 @@ def pack_planes(matrix: np.ndarray, width: int) -> np.ndarray:
         raise SimulationError(
             f"plane width must be in [1, {PLANE_BITS}], got {width}"
         )
-    n, m = matrix.shape
-    n_words = max(1, -(-n // PLANE_BITS))
-    planes = np.empty((m, width, n_words), dtype=np.uint64)
-    for k in range(m):
-        column = matrix[:, k]
-        for p in range(width):
-            bit = (column >> np.uint64(width - 1 - p)) & _ONE
-            planes[k, p] = pack_bits(bit)
-    return planes
-
-
-def _lane_masks(values: np.ndarray, position: int, width: int) -> np.ndarray:
-    """Broadcast masks (all-ones / all-zeros per lane) of one bit
-    position of a streamed ``uint64`` value vector."""
-    bit = (values >> np.uint64(width - 1 - position)) & _ONE
-    return np.where(bit != 0, _ALL, _ZERO)[:, None]
+    return pack_bits(_bit_planes(matrix, width))
 
 
 def equality_planes(
@@ -145,12 +153,17 @@ def equality_planes(
     """
     c = a_matrix.shape[0]
     m, _, n_words = b_planes.shape
-    neq = np.zeros((c, n_words), dtype=np.uint64)
+    a_bits = _bit_planes(a_matrix, width)
+    neq = np.zeros((n_words, c), dtype=np.uint64)
+    diff = np.empty_like(neq)
+    a_mask = np.empty(c, dtype=np.uint64)
     for k in range(m):
         for p in range(width):
-            a_mask = _lane_masks(a_matrix[:, k], p, width)
-            neq |= a_mask ^ b_planes[k, p][None, :]
-    return ~neq
+            # A 0/1 bit negated into a word: all lanes clear, or all set.
+            np.negative(a_bits[k, p], dtype=np.uint64, out=a_mask)
+            np.bitwise_xor(b_planes[k, p, :, None], a_mask, out=diff)
+            np.bitwise_or(neq, diff, out=neq)
+    return np.invert(neq, out=neq).T
 
 
 def magnitude_planes(
@@ -167,17 +180,25 @@ def magnitude_planes(
     """
     c = a_values.shape[0]
     n_words = b_planes_k.shape[1]
-    eq = np.full((c, n_words), _ALL, dtype=np.uint64)
-    gt = np.zeros((c, n_words), dtype=np.uint64)
-    lt = np.zeros((c, n_words), dtype=np.uint64)
+    a_bits = _bit_planes(a_values.reshape(c, 1), width)[0]
+    eq = np.full((n_words, c), _ALL, dtype=np.uint64)
+    gt = np.zeros_like(eq)
+    lt = np.zeros_like(eq)
+    resolved = np.empty_like(eq)
+    to_gt = np.empty_like(eq)
+    a_mask = np.empty(c, dtype=np.uint64)
     for p in range(width):
-        a_mask = _lane_masks(a_values, p, width)
-        b_plane = b_planes_k[p][None, :]
-        diff = a_mask ^ b_plane
-        gt |= eq & diff & a_mask
-        lt |= eq & diff & ~a_mask
-        eq &= ~diff
-    return eq, gt, lt
+        np.negative(a_bits[p], dtype=np.uint64, out=a_mask)
+        # The lanes still EQ whose bits differ here ...
+        np.bitwise_xor(b_planes_k[p, :, None], a_mask, out=resolved)
+        np.bitwise_and(resolved, eq, out=resolved)
+        np.bitwise_xor(eq, resolved, out=eq)
+        # ... go GT where the a bit is set, LT where it is clear.
+        np.bitwise_and(resolved, a_mask, out=to_gt)
+        np.bitwise_or(gt, to_gt, out=gt)
+        np.bitwise_xor(resolved, to_gt, out=resolved)
+        np.bitwise_or(lt, resolved, out=lt)
+    return eq.T, gt.T, lt.T
 
 
 #: Comparison op code → verdict plane from the rippled (eq, gt, lt)

@@ -37,7 +37,8 @@ METRICS: dict[str, tuple[str, str]] = {
     "engine.bitplane_planes": (
         COUNTER, "packed uint64 bitplanes swept by the bitplane engine"),
     "engine.lattice.chunks": (
-        COUNTER, "row chunks evaluated by the lattice engine's grid path"),
+        COUNTER, "row chunks compared by the lattice engine's word kernel "
+                 "(whole-array grids and every band of a blocked run)"),
     "engine.run.pulses": (
         HISTOGRAM, "pulses per array run (every engine alike)"),
     "engine.runs": (

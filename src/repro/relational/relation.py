@@ -62,21 +62,52 @@ COLUMN_OPS = {
 }
 
 
+#: Packed-key dtypes, narrowest first, with the spans they hold: a key
+#: lies in ``[0, span)``, so a signed ``b``-bit integer holds ``2**(b-1)``.
+_KEY_DTYPES = tuple(
+    (np.dtype(t), 1 << (8 * np.dtype(t).itemsize - 1))
+    for t in (np.int8, np.int16, np.int32, np.int64)
+)
+
+
 def _packed_key(array: np.ndarray) -> Optional[np.ndarray]:
-    """One int64 per row, equal exactly when the rows are equal — or
-    ``None`` when the columns' value ranges do not fit 63 bits together."""
-    key = None
+    """One integer per row of a non-empty matrix, equal exactly when the
+    rows are equal — or ``None`` when the columns' value ranges do not
+    fit 63 bits together.
+
+    Each column's offset from its minimum is one mixed-radix digit, so
+    a key is its row's rank in the box the columns span (keys order as
+    the rows do, lexicographically).  They come in the narrowest signed
+    dtype that holds that span: the row comparisons of the engines'
+    equality kernel and the sort of :func:`_first_occurrences` then
+    move a byte or two a row instead of eight.  Pack the rows of two
+    matrices together (``np.concatenate``) to compare across them.
+    """
+    columns = np.ascontiguousarray(array.T)  # every pass below is unit-stride
+    digits = []  # (column, minimum, width) of every non-constant column
     span = 1
-    for position in range(array.shape[1]):
-        column = array[:, position]
-        low = int(column.min())
-        width = int(column.max()) - low + 1
+    for column, low, high in zip(
+        columns, columns.min(axis=1).tolist(), columns.max(axis=1).tolist()
+    ):
+        # Python ints: the width of a column spanning int64 is 2**64.
+        width = high - low + 1
         span *= width
-        if span > _INT64.max:
-            return None
-        offset = column - low
-        key = offset if key is None else key * width + offset
-    return key
+        if span > _KEY_DTYPES[-1][1]:
+            return None  # before any arithmetic on the rows
+        if width > 1:
+            digits.append((column, low, width))
+    if not digits:
+        return np.zeros(len(array), dtype=_KEY_DTYPES[0][0])
+    (column, low, _), *rest = digits
+    key = column - low
+    for column, low, width in rest:
+        # An earlier digit has width >= 2, so width <= 2**62 here: an
+        # int64 operand, and no partial key exceeds span - 1.
+        key *= width
+        key += column - low
+    for dtype, holds in _KEY_DTYPES:
+        if span <= holds:
+            return key.astype(dtype, copy=False)
 
 
 def _first_occurrences(array: np.ndarray) -> Optional[np.ndarray]:

@@ -14,11 +14,15 @@ costs several times the operation (docs/PERF.md), so the comparison
 lives here — each operator on a device a third of the problem's size
 and narrower than its tuples, the one-run kernel against every block
 run read off its tagged taps, against the software oracle, and the
-pulse total against :mod:`repro.perf.cost`.
+pulse total against :mod:`repro.perf.cost`.  One more intersection,
+whatever the sweep's size, has ``n · n · 3`` compared elements above
+the lattice engine's packing floor, so the packed-key kernel is
+audited too (its blocks, one device each, stay below the floor).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
@@ -54,6 +58,7 @@ from repro.systolic.engine import (
     t_init_strict_lower,
     t_init_true,
 )
+from repro.systolic.engine.lattice import _PACK_MIN_ELEMENTS
 from repro.workloads import (
     division_workload,
     join_pair,
@@ -184,17 +189,28 @@ def run_selftest(
         compare_all_pairs(a.tuples, b.tuples, backend=backend).t_matrix,
     ))
     _check(report, "pattern-match chip", _pattern_check)
-    _blocked_checks(report, a, b, multi, ja, jb, size, backend)
+    _blocked_checks(report, a, b, multi, ja, jb, size, seed, backend)
     return report
 
 
-def _blocked_checks(report, a, b, multi, ja, jb, size: int, backend) -> None:
-    """One check per §8 blocked operator (see the module docstring)."""
+def _device(size: int, max_cols: int) -> ArrayCapacity:
+    """About three blocks a side of ``size`` tuples, the last ragged."""
+    return ArrayCapacity(2 * (size // 3 + 1) - 1, max_cols=max_cols)
+
+
+def _blocked_checks(
+    report, a, b, multi, ja, jb, size: int, seed: int, backend
+) -> None:
+    """One check per §8 blocked operator (see the module docstring),
+    and one intersection large enough that the vectorized engines
+    compare it with the packed-key kernel."""
     engine = resolve_backend(backend)
-    block = size // 3 + 1  # about three blocks a side, the last one ragged
-    wide = ArrayCapacity(2 * block - 1, max_cols=2)    # tuples have 3 columns
-    narrow = ArrayCapacity(2 * block - 1, max_cols=1)  # the θ-join has 2
+    wide = _device(size, max_cols=2)    # tuples have 3 columns
+    narrow = _device(size, max_cols=1)  # the θ-join has 2
     both = a.to_multi().concat(b)
+    n = math.isqrt(_PACK_MIN_ELEMENTS // 3) + 1  # n·n·3 above the floor
+    big_a, big_b = overlapping_pair(n, n, n // 2, arity=3, seed=seed)
+    big = _device(n, max_cols=2)
     on, ops = [("key", "key"), ("a0", "b0")], ["<=", "!="]
     seeded, lower = dict(t_init=t_init_true), dict(t_init=t_init_strict_lower)
 
@@ -208,7 +224,8 @@ def _blocked_checks(report, a, b, multi, ja, jb, size: int, backend) -> None:
                 f"{len(expected)}"
             )
         plan = BlockedPlan(
-            a_matrix, b_matrix, block, capacity.max_cols, reduce, **grid
+            a_matrix, b_matrix, capacity.tuple_block, capacity.max_cols,
+            reduce, **grid,
         )
         run = engine.run(plan)
         by_blocks, pulses = blockwise_verdicts(
@@ -260,6 +277,10 @@ def _blocked_checks(report, a, b, multi, ja, jb, size: int, backend) -> None:
          lambda: algebra.theta_join(ja, jb, on, ops),
          join_cost, narrow, ja.array[:, :2], jb.array[:, :2], "pairs",
          dict(ops=tuple(ops))),
+        (f"intersection {n}x{n}",
+         lambda: blocked_intersection(big_a, big_b, big, backend=backend),
+         lambda: algebra.intersection(big_a, big_b),
+         comparison_cost, big, big_a.array, big_b.array, "rows", seeded),
     ):
         _check(report, f"blocked {name}", partial(audited, *case))
 

@@ -37,6 +37,7 @@ from typing import Optional
 import numpy as np
 
 from repro.bitlevel.planes import (
+    PLANE_BITS,
     equality_planes,
     magnitude_planes,
     pack_planes,
@@ -53,12 +54,19 @@ from repro.systolic.engine.plan import LinearPlan
 __all__ = ["BitplaneEngine"]
 
 
+#: ``chunk × n_words``-word ``uint64`` planes a chunk holds at once: the
+#: ripple's eq / gt / lt and its two temporaries, a column's verdict,
+#: the AND across columns, and the row-major copy the unpack reads.
+_STATE_PLANES = 8
+
+
 class BitplaneEngine(LatticeEngine):
     """Bit-level execution of the same plans, one packed plane a sweep.
 
-    ``chunk_bytes`` bounds the transient per-plane intermediate (the
-    ``chunk × n_words`` ``uint64`` state planes), sharing the lattice
-    engine's default and ``REPRO_LATTICE_CHUNK_BYTES`` override.
+    ``chunk_bytes`` bounds what a chunk of A-rows holds at once beside
+    the verdict matrix — its unpacked verdict lanes, its state planes
+    and its bits — sharing the lattice engine's default and
+    ``REPRO_LATTICE_CHUNK_BYTES`` override.
     """
 
     name = "bitplane"
@@ -73,14 +81,17 @@ class BitplaneEngine(LatticeEngine):
         b_planes = pack_planes(B_s, width)
         n_words = b_planes.shape[2]
         V = np.empty((n_a, n_b), dtype=bool)
-        # Each rippled state plane is chunk × n_words uint64 words.
-        chunk = max(1, self.chunk_bytes // max(1, 8 * n_words))
-        swept = 0
+        # A row of A holds a byte per verdict lane, its share of the
+        # state planes, and its m words' bits a byte each (unpacked,
+        # then reordered MSB-first).
+        row_bytes = (n_words * (PLANE_BITS + 8 * _STATE_PLANES)
+                     + 2 * PLANE_BITS * m)
+        chunk = max(1, self.chunk_bytes // row_bytes)
+        equality = all(op == "==" for op in ops or ())
         for lo in range(0, n_a, chunk):
             hi = min(n_a, lo + chunk)
-            if ops is None:
+            if equality:
                 packed = equality_planes(A_s[lo:hi], b_planes, width)
-                swept += m * width
             else:
                 packed = None
                 for k, op in enumerate(ops):
@@ -88,10 +99,14 @@ class BitplaneEngine(LatticeEngine):
                         A_s[lo:hi, k], b_planes[k], width
                     )
                     col = plane_op(op)(eq, gt, lt)
-                    packed = col if packed is None else packed & col
-                    swept += width
+                    if packed is None:
+                        packed = col
+                    else:
+                        packed &= col
             V[lo:hi] = unpack_bits(packed, n_b)
-        metrics.inc("engine.bitplane_planes", swept)
+        # Every plane is swept once against all of A, however A is
+        # chunked.
+        metrics.inc("engine.bitplane_planes", m * width)
         return V
 
     # -- the division array: gating as packed equality matrices --------------
@@ -131,15 +146,13 @@ class BitplaneEngine(LatticeEngine):
         if a.size == 0:
             return bool(plan.seed)
         (a_s, b_s), width = plane_shift_width(a, b)
-        one = np.uint64(1)
-        neq = False
-        for p in range(width):
-            shift = np.uint64(width - 1 - p)
-            neq = neq or bool(
-                (((a_s >> shift) ^ (b_s >> shift)) & one).any()
-            )
+        # The chain's t is the grid's equality kernel on one pair: a
+        # one-lane plane per bit position, the whole arity at once.
+        packed = equality_planes(
+            a_s.reshape(1, -1), pack_planes(b_s.reshape(1, -1), width), width
+        )
         metrics.inc("engine.bitplane_planes", width)
-        return bool(plan.seed) and not neq
+        return bool(plan.seed) and bool(unpack_bits(packed, 1)[0, 0])
 
     def __repr__(self) -> str:
         return f"BitplaneEngine(chunk_bytes={self.chunk_bytes})"

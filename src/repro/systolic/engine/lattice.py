@@ -43,6 +43,7 @@ from repro import obs
 from repro.config import env_int
 from repro.errors import SimulationError
 from repro.obs import metrics
+from repro.relational.relation import _packed_key
 from repro.systolic.engine.hexmesh import (
     U_C,
     c_start,
@@ -76,6 +77,14 @@ __all__ = ["LatticeEngine", "DEFAULT_CHUNK_BYTES"]
 #: int64 elements), overridable per engine or via the
 #: ``REPRO_LATTICE_CHUNK_BYTES`` environment variable.
 DEFAULT_CHUNK_BYTES = 16_000_000
+
+#: Compared elements (``n_a · n_b · m``) from which an all-equality
+#: block is compared as one packed key a row.  Packing A∪B costs
+#: ``(n_a + n_b) · m`` work the column sweeps do not pay: square blocks
+#: break even near 2¹⁴ elements, tall thin ones (n_a ≫ n_b) nearer
+#: 2¹⁵, and from 2¹⁵ up the packed kernel wins on every shape of the
+#: grid in docs/PERF.md.
+_PACK_MIN_ELEMENTS = 1 << 15
 
 #: Comparison op code → numpy ufunc, matching
 #: :data:`repro.relational.algebra.COMPARISON_OPS` element-wise.
@@ -228,17 +237,30 @@ class LatticeEngine:
         ``ops[k]``, equality throughout when ``ops`` is None —
         evaluated in bulk, row-chunked so the transient comparison
         block stays within ``chunk_bytes``.  The word-level comparator
-        kernel; subclasses substitute their own."""
+        kernel; subclasses substitute their own.
+
+        §3.3's tuple comparator is the AND of ``m`` element
+        comparators; when all of them test equality and the block is
+        large enough, that AND is one comparison of packed row keys
+        (:func:`~repro.relational.relation._packed_key` over A∪B, a
+        byte or two a row where the span allows)."""
         (n_a, m), n_b = A.shape, B.shape[0]
         compare = [_op_ufunc(op) for op in ops or ("==",) * m]
+        keys = None
+        if (all(ufunc is np.equal for ufunc in compare)
+                and n_a * n_b * m >= _PACK_MIN_ELEMENTS):
+            keys = _packed_key(np.concatenate((A, B)))
         V = np.empty((n_a, n_b), dtype=bool)
         chunk = self._chunk_rows(n_b, m)
         for lo in range(0, n_a, chunk):
             metrics.inc("engine.lattice.chunks")
             hi = min(n_a, lo + chunk)
+            rows = V[lo:hi]
+            if keys is not None:
+                np.equal(keys[lo:hi, None], keys[None, n_a:], out=rows)
+                continue
             # One processor column at a time, ANDed left to right as
             # the travelling t is.
-            rows = V[lo:hi]
             compare[0](A[lo:hi, 0, None], B[None, :, 0], out=rows)
             for k in range(1, m):
                 rows &= compare[k](A[lo:hi, k, None], B[None, :, k])
