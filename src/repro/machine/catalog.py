@@ -25,7 +25,7 @@ import threading
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from repro.errors import PlanError
-from repro.machine.disk import MachineDisk, schema_key
+from repro.machine.disk import MachineDisk
 from repro.relational.relation import Relation
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
@@ -145,7 +145,7 @@ class Catalog:
         """
         with self._lock:
             resident = tuple(
-                (name, len(rel), schema_key(rel.schema))
+                (name, len(rel), rel.schema.key)
                 for name, rel in sorted(self._preloaded.items())
             )
             stored = tuple(
@@ -154,7 +154,7 @@ class Catalog:
                 if name not in self._preloaded
             )
             return (
-                repr(self.disk.model),
+                self.disk.model,
                 self.disk.logic_per_track,
                 resident,
                 stored,

@@ -30,15 +30,7 @@ from repro.relational.schema import ColumnRef, Schema
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.store import RelationStore, StoredRelation
 
-__all__ = ["MachineDisk", "schema_key"]
-
-
-def schema_key(schema: Schema) -> tuple:
-    """A schema as the plan cache sees it: column and domain names."""
-    return tuple(
-        (name, domain.name)
-        for name, domain in zip(schema.names, schema.domains)
-    )
+__all__ = ["MachineDisk"]
 
 
 class MachineDisk:
@@ -156,11 +148,11 @@ class MachineDisk:
         """
         relation = self._catalog.get(name)
         if relation is not None:
-            return name, len(relation), schema_key(relation.schema), None
+            return name, len(relation), relation.schema.key, None
         handle = self._store.find(name) if self._store is not None else None
         if handle is None:
             return name, None
-        return name, handle.rows, schema_key(handle.schema), handle.digest
+        return name, handle.rows, handle.schema.key, handle.digest
 
     # -- reading ---------------------------------------------------------------
 

@@ -7,17 +7,22 @@ that shared machinery so the front-ends cannot drift:
 
 * :class:`MachineState` — the *simulated-resource* state one execution
   mutates: memory modules, crossbar port windows, resident relations,
-  and the key counter.  Nobody keeps one between transactions: every
-  run gets the state :func:`fresh_state` builds from its catalog
-  (preloads are §9's "results ... reside in memory" between
-  transactions), which is what makes a query a function of (catalog,
-  plan) — run N equals run 1, and a pooled or sharded run is
-  bit-identical to running alone on a new machine.
+  device and disk occupancy, and the key counter.  Nobody keeps one
+  between transactions: every run starts from the state
+  :func:`fresh_state` builds from its catalog (preloads are §9's
+  "results ... reside in memory" between transactions), which is what
+  makes a query a function of (catalog, plan) — run N equals run 1,
+  and a pooled or sharded run is bit-identical to running alone on a
+  new machine.
 * :class:`PlanExecutor` — one pass over the plan on the calling
   thread: each op's data result is resolved, and then placed on the
   simulated clock (timing and memory bookkeeping), inside that op's
   own ``machine.op`` span.  The simulated clock is where §9's
-  "several operations may be run concurrently" happens.
+  "several operations may be run concurrently" happens.  Because every
+  run starts fresh, a placement is a function of the plan and of what
+  was resolved so far; the plan's
+  :class:`~repro.machine.scheduler.PlacementMemo` replays the ones an
+  earlier run recorded.
 * :func:`build_devices`, :func:`place_resident`,
   :func:`roster_fingerprint`, :func:`check_memories` — the
   construction helpers the front-ends share.
@@ -26,7 +31,7 @@ that shared machinery so the front-ends cannot drift:
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Hashable, Iterable, Optional, Sequence
 
 from repro import obs
 from repro.arrays.decomposition import ArrayCapacity
@@ -56,6 +61,7 @@ from repro.machine.plan import PlanNode
 from repro.machine.scheduler import (
     DeviceRoster,
     ExecutionReport,
+    Placement,
     ScheduledStep,
 )
 from repro.perf.technology import TechnologyModel
@@ -70,6 +76,9 @@ __all__ = [
     "place_resident",
     "roster_fingerprint",
 ]
+
+#: The crossbar port (and step device) of the machine's disk.
+DISK = "disk"
 
 
 def build_devices(
@@ -126,9 +135,9 @@ def roster_fingerprint(
 class MachineState:
     """The mutable simulated-resource state one execution works against.
 
-    Starts empty — ``memories`` modules of ``memory_bytes`` each and an
-    idle crossbar around a disk and a device roster; :func:`fresh_state`
-    is the one place that builds it.
+    Starts empty — ``memories`` modules of ``memory_bytes`` each, an
+    idle crossbar around a disk and a device roster, no key issued;
+    :func:`fresh_state` is the one place that builds it.
     """
 
     def __init__(
@@ -146,26 +155,46 @@ class MachineState:
             MemoryModule(f"mem{m}", capacity_bytes=memory_bytes)
             for m in range(memories)
         ]
-        self._device_named = {d.name: d for d in devices}
         self._memory_named = {m.name: m for m in self.memories}
         self.crossbar = CrossbarSwitch(
-            list(self._memory_named), list(self._device_named) + ["disk"]
+            list(self._memory_named), [d.name for d in devices] + [DISK]
         )
         #: relations already resident in memories (ready at time 0):
         #: name -> (key, relation, ready, memory name)
         self.resident: dict[str, tuple[str, Relation, float, str]] = {}
-        self.step_counter = itertools.count()
-
-    def device(self, name: str) -> SystolicDevice | CpuDevice:
-        """The roster's device of that name."""
-        try:
-            return self._device_named[name]
-        except KeyError:
-            raise PlanError(f"unknown device {name!r}") from None
+        #: when each device is next free, and when the disk is.
+        self.roster = DeviceRoster(devices)
+        self.disk_free = 0.0
+        #: result keys issued so far.
+        self.keys = 0
 
     def memory(self, name: str) -> MemoryModule:
         """The memory module of that name."""
         return self._memory_named[name]
+
+    def key_for(self, node: PlanNode, offset: int = 0) -> str:
+        """The result key the ``offset``-th next step issues."""
+        return f"n{self.keys + offset}:{node.describe()}"
+
+    def apply(
+        self, placement: Placement, relations: Sequence[Relation]
+    ) -> None:
+        """Make a placement's effects: its stored results (``relations``
+        are the run's, one per step), its crossbar links, the device or
+        disk each step holds until its end, and one key per step."""
+        for index in placement.stored:
+            step = placement.steps[index]
+            self.memory(step.output_memory).store(
+                step.output_key, relations[index], step.nbytes_out
+            )
+        for link in placement.links:
+            self.crossbar.establish(*link)
+        for step in placement.steps:
+            if step.device == DISK:
+                self.disk_free = step.end
+            else:
+                self.roster.occupy(step.device, step.end)
+        self.keys += len(placement.steps)
 
 
 def place_resident(state: MachineState, name: str, relation: Relation) -> None:
@@ -212,22 +241,34 @@ def fresh_state(
 
     Fresh memories, crossbar and key counter around the catalog's disk,
     with the catalog's preloads placed in preload order (emptiest
-    module first).  The machine, the pool and every shard lane build
-    their per-run state here, so which front end ran a query cannot
+    module first).  The machine, the pool and every shard lane start
+    their runs from this state, so which front end ran a query cannot
     change its timeline; only the (pure) devices are shared between
     runs.  ``devices`` is the full complement or, when recovering from
     a quarantine, the survivors.
     """
-    state = MachineState(
-        element_bits, catalog.disk, devices, memories, memory_bytes
+    return _state_with(
+        catalog.disk, catalog.preloaded(), devices, memories, memory_bytes,
+        element_bits,
     )
-    for name, relation in catalog.preloaded():
+
+
+def _state_with(
+    disk: MachineDisk,
+    preloaded: Iterable[tuple[str, Relation]],
+    devices: list[SystolicDevice | CpuDevice],
+    memories: int,
+    memory_bytes: int,
+    element_bits: int,
+) -> MachineState:
+    state = MachineState(element_bits, disk, devices, memories, memory_bytes)
+    for name, relation in preloaded:
         place_resident(state, name, relation)
     return state
 
 
 class PlanExecutor:
-    """Executes compiled physical plans against a :class:`MachineState`.
+    """Executes compiled physical plans on a fresh machine.
 
     One pass over the plan, in plan (topological) order.  Inside its
     own ``machine.op`` span each op is first *resolved* — its disk read
@@ -237,16 +278,33 @@ class PlanExecutor:
     timeline depends on the plan and the data alone; the overlap of
     independent operations exists on that simulated clock, not on the
     host's.
+
+    The machine — ``memories`` modules of ``memory_bytes`` around the
+    catalog's disk, with its preloads placed — is :func:`fresh_state`'s.
+    Placing reads only that state, the plan and what each op resolved
+    to, so it is memoized on the plan (:meth:`run_physical`) and the
+    state is built only when a placement has to be computed, or when
+    :attr:`state` is read.
     """
 
     def __init__(
         self,
-        state: MachineState,
+        catalog: Catalog,
+        devices: list[SystolicDevice | CpuDevice],
+        memories: int,
+        memory_bytes: int,
+        element_bits: int,
         faults=None,
         cancel=None,
         fault_scope: str = "",
     ) -> None:
-        self.state = state
+        self.disk = catalog.disk
+        self.devices = devices
+        self.element_bits = element_bits
+        self._memories = (memories, memory_bytes)
+        #: the preloads this run places, fixed at construction.
+        self._preloaded = dict(catalog.preloaded())
+        self._device_named = {d.name: d for d in devices}
         #: Active :class:`~repro.faults.plan.FaultPlan` (None = no faults).
         self.faults = faults
         #: :class:`~repro.faults.recovery.CancelToken` polled at dispatch
@@ -254,6 +312,32 @@ class PlanExecutor:
         self.cancel = cancel
         #: Distinguishes fault sites across shards/queries sharing a plan.
         self.fault_scope = fault_scope
+        self._state: Optional[MachineState] = None
+        #: replayed placements (with the run's relations) not yet
+        #: applied to a state, because none was built.
+        self._replayed: list[tuple[Placement, tuple[Relation, ...]]] = []
+        self._memo = None
+        self._node = None
+        self._resident_at = None
+
+    @property
+    def state(self) -> MachineState:
+        """The machine state as placing this run's ops left it.
+
+        Built on first read: the fresh state, with the placements
+        replayed so far applied in order — what running the models
+        would have left.
+        """
+        if self._state is None:
+            state = _state_with(
+                self.disk, self._preloaded.items(), self.devices,
+                *self._memories, self.element_bits,
+            )
+            for placement, relations in self._replayed:
+                state.apply(placement, relations)
+            self._replayed.clear()
+            self._state = state
+        return self._state
 
     def run_physical(
         self, physical: PhysicalPlan
@@ -264,45 +348,149 @@ class PlanExecutor:
         order) and the executed timeline.  The report is the ground
         truth; ``physical.predicted_makespan`` is the planner's
         port-blind forecast of the same schedule.
+
+        Each op's placement is looked up in ``physical.placements``
+        under the resident layout and what this run resolved so far:
+        a load by its ``(bytes, read seconds)``, a device op by its
+        ``(bytes out, pulses, block runs, seconds)``, a chain by its
+        members' keys with their fill seconds.  On a hit the recorded
+        steps are reported as they are; from the first miss on, the
+        memory, crossbar and roster models place the ops and the new
+        branch is recorded.  Spans, metrics and the report are the
+        same either way.
         """
-        state = self.state
+        self._memo = physical.placements
+        self._node = self._memo.root(self._layout(), self._resident_layout)
+        #: name -> (key, ready, memory name) of each preload, as the
+        #: memo recorded it (None when the memo is full).
+        self._resident_at = (
+            self._node.value if self._node is not None else None
+        )
         with obs.span("machine.run", ops=len(physical.ops)) as run_span:
             report = ExecutionReport()
-            roster = DeviceRoster(state.devices)
-            disk_free = 0.0
             #: op id -> (result key, relation, ready time, memory name)
             produced: dict[int, tuple[str, Relation, float, str]] = {}
             for op in physical.ops:
                 if op.kind == OP_RESIDENT:
                     with self._op_span(op):
-                        produced[op.op_id] = state.resident[op.node.name]
+                        produced[op.op_id] = self._resident(op.node.name)
                     continue
                 if op.kind == OP_LOAD:
-                    disk_free = self._run_load(op, produced, report, disk_free)
+                    self._run_load(op, produced, report)
                     continue
                 chain = physical.chain_of(op)
                 if chain is None or len(chain) == 1:
-                    self._run_singleton(op, produced, report, roster)
+                    self._run_singleton(op, produced, report)
                 elif chain.op_ids[-1] == op.op_id:
                     # Chains execute as a unit once the machine reaches
                     # the last member: by then every external input of
                     # every stage has been produced (topological order).
                     self._run_chain(
-                        [physical[i] for i in chain.op_ids],
-                        produced, report, roster,
+                        [physical[i] for i in chain.op_ids], produced, report
                     )
             results = [produced[op_id][1] for op_id in physical.outputs]
             run_span.set(makespan_ms=report.makespan * 1e3)
         return results, report
 
+    # -- the placement memo -----------------------------------------------------
+
+    def _layout(self) -> tuple:
+        """The memo's root key: the memories, and the preloads (with
+        their sizes) in the order they are placed."""
+        return (*self._memories, tuple(
+            (name, relation_bytes(relation, self.element_bits))
+            for name, relation in self._preloaded.items()
+        ))
+
+    def _resident_layout(self) -> dict[str, tuple[str, float, str]]:
+        """Where the fresh state holds each preload: name -> (key,
+        ready, memory name)."""
+        return {
+            name: (key, ready, memory)
+            for name, (key, _, ready, memory) in self.state.resident.items()
+        }
+
+    def _resident(self, name: str) -> tuple[str, Relation, float, str]:
+        """A preload as the plan's resident op produces it: (key,
+        relation, ready time, memory name)."""
+        if self._resident_at is None:
+            return self.state.resident[name]
+        key, ready, memory = self._resident_at[name]
+        return key, self._preloaded[name], ready, memory
+
+    def _placed(
+        self,
+        key: Hashable,
+        relations: tuple[Relation, ...],
+        model: Callable[[MachineState], Placement],
+    ) -> Placement:
+        """The placement of the op(s) resolved under ``key``: replayed
+        from the memo, or made by ``model`` on the state (which applies
+        it) and recorded."""
+        node = self._node
+        if node is not None:
+            hit = node.children.get(key)
+            if hit is not None:
+                self._node = hit
+                if self._state is None:
+                    self._replayed.append((hit.value, relations))
+                else:
+                    self._state.apply(hit.value, relations)
+                return hit.value
+        placement = model(self.state)
+        if node is not None:
+            self._node = self._memo.record(node.children, key, placement)
+        return placement
+
+    def _run_key(self, run: DeviceRun) -> tuple:
+        """What placing a device op reads of its run."""
+        return (
+            relation_bytes(run.relation, self.element_bits),
+            run.pulses, run.block_runs, run.seconds,
+        )
+
+    def _emit(
+        self,
+        members: Sequence[PhysicalOp],
+        spans: Sequence[Any],
+        placement: Placement,
+        relations: Sequence[Relation],
+        produced: dict[int, tuple[str, Relation, float, str]],
+        report: ExecutionReport,
+    ) -> None:
+        """Put placed ops on the timeline: each one's report step, what
+        it produced and where, the simulated half of its ``machine.op``
+        span, and the two per-op metrics."""
+        for op, sp, step, relation in zip(
+            members, spans, placement.steps, relations
+        ):
+            report.steps.append(step)
+            produced[op.op_id] = (
+                step.output_key, relation, step.end, step.output_memory
+            )
+            if op.kind != OP_LOAD:
+                sp.set(pulses=step.pulses, blocks=step.block_runs)
+            sp.set(
+                rows_out=len(relation), nbytes_out=step.nbytes_out,
+                memory=step.output_memory,
+                sim_start=step.start, sim_end=step.end,
+            )
+            metrics.inc("machine.ops.executed")
+            metrics.observe("machine.op.sim_seconds", step.duration)
+
     # -- fault-aware dispatch --------------------------------------------------
+
+    def _device(self, name: str) -> SystolicDevice | CpuDevice:
+        """The roster's device of that name."""
+        try:
+            return self._device_named[name]
+        except KeyError:
+            raise PlanError(f"unknown device {name!r}") from None
 
     def _guarded_read(self, op: PhysicalOp):
         """One disk read, retried through the fault plan's injections."""
         return guarded_call(
-            lambda: self.state.disk.read(
-                op.base_name, selection=op.selection
-            ),
+            lambda: self.disk.read(op.base_name, selection=op.selection),
             lambda: self.faults.disk_fault(
                 op.base_name, scope=self.fault_scope
             ),
@@ -323,7 +511,7 @@ class PlanExecutor:
         *permanent* (``quarantined=True``): the pool's replan loop then
         degrades gracefully onto the surviving roster.
         """
-        device = self.state.device(op.device)
+        device = self._device(op.device)
         try:
             return guarded_call(
                 lambda: device.execute(op.node, inputs),
@@ -347,7 +535,7 @@ class PlanExecutor:
                 quarantined=True,
             ) from exc
 
-    # -- internals ------------------------------------------------------------
+    # -- resolve, then place -----------------------------------------------------
 
     @staticmethod
     def _op_span(op: PhysicalOp):
@@ -358,199 +546,50 @@ class PlanExecutor:
             kind=op.kind,
         )
 
-    def _new_key(self, node: PlanNode) -> str:
-        return f"n{next(self.state.step_counter)}:{node.describe()}"
-
-    def _choose_memory(
-        self, nbytes: int, avoid: set[str], ready: float, duration: float
-    ) -> tuple[MemoryModule, float]:
-        """A memory with space and the earliest free port window."""
-        best: Optional[tuple[float, int, MemoryModule]] = None
-        for index, memory in enumerate(self.state.memories):
-            if memory.name in avoid or memory.free_bytes < nbytes:
-                continue
-            start = self.state.crossbar.earliest_window(
-                memory.name, ready, duration
-            )
-            candidate = (start, index, memory)
-            if best is None or candidate[:2] < best[:2]:
-                best = candidate
-        if best is None:
-            raise CapacityError(
-                f"no memory module can absorb {nbytes} bytes "
-                f"(avoiding {sorted(avoid)})"
-            )
-        return best[2], best[0]
-
-    def _paced_seconds(
-        self,
-        run: DeviceRun,
-        sources: Iterable[tuple[str, str]],
-        nbytes_out: int,
-    ) -> float:
-        """Stand-alone seconds of a resolved operation.
-
-        An operation runs at the pace of its slowest stream: any input
-        being read out of its memory (``sources``: ``(key, memory
-        name)`` pairs), or the result being written back (§6.2's
-        warning — a degenerate join's output can dwarf its inputs —
-        shows up here as output-streaming time).
-        """
-        state = self.state
-        streams = [
-            state.memory(memory_name).transfer_seconds(
-                state.memory(memory_name).size_of(key)
-            )
-            for key, memory_name in sources
-        ]
-        streams.append(state.memories[0].transfer_seconds(nbytes_out))
-        return max([run.seconds] + streams)
-
-    def _place(
-        self,
-        op: PhysicalOp,
-        sp: Any,
-        produced: dict[int, tuple[str, Relation, float, str]],
-        report: ExecutionReport,
-        relation: Relation,
-        **step: Any,
-    ) -> None:
-        """Put a resolved op on the timeline: its report step (``step``
-        holds the :class:`ScheduledStep` fields beside the label), what
-        it produced and where, the simulated half of its ``machine.op``
-        span, and the two per-op metrics."""
-        placed = ScheduledStep(label=op.label, **step)
-        report.steps.append(placed)
-        produced[op.op_id] = (
-            placed.output_key, relation, placed.end, placed.output_memory
-        )
-        if op.kind != OP_LOAD:
-            sp.set(pulses=placed.pulses, blocks=placed.block_runs)
-        sp.set(
-            rows_out=len(relation), nbytes_out=placed.nbytes_out,
-            memory=placed.output_memory,
-            sim_start=placed.start, sim_end=placed.end,
-        )
-        metrics.inc("machine.ops.executed")
-        metrics.observe("machine.op.sim_seconds", placed.duration)
-
     def _run_load(
         self,
         op: PhysicalOp,
         produced: dict[int, tuple[str, Relation, float, str]],
         report: ExecutionReport,
-        disk_free: float,
-    ) -> float:
+    ) -> None:
         """One serial disk read (selection possibly fused on-track)."""
-        state = self.state
         with self._op_span(op) as sp:
             relation, read_seconds = self._guarded_read(op)
-            released = max(disk_free, op.release)
-            nbytes = relation_bytes(relation, state.element_bits)
-            memory, start = self._choose_memory(
-                nbytes, avoid=set(), ready=released, duration=read_seconds
+            nbytes = relation_bytes(relation, self.element_bits)
+            placement = self._placed(
+                (nbytes, read_seconds), (relation,),
+                lambda state: self._place_load(
+                    state, op, relation, nbytes, read_seconds
+                ),
             )
-            end = start + read_seconds
-            key = self._new_key(
-                op.fused_select if op.fused_select is not None else op.node
-            )
-            memory.store(key, relation, nbytes)
-            state.crossbar.establish(memory.name, "disk", start, end)
-            self._place(
-                op, sp, produced, report, relation,
-                device="disk", start=start, end=end,
-                output_key=key, output_memory=memory.name, nbytes_out=nbytes,
-            )
-        return end
+            self._emit([op], [sp], placement, (relation,), produced, report)
 
     def _run_singleton(
         self,
         op: PhysicalOp,
         produced: dict[int, tuple[str, Relation, float, str]],
         report: ExecutionReport,
-        roster: DeviceRoster,
     ) -> None:
         """One store-and-forward operation on its assigned device."""
         with self._op_span(op) as sp:
             run = self._guarded_execute(
                 op, [produced[i][1] for i in op.inputs]
             )
-            self._commit_singleton(op, run, produced, report, roster, sp)
-
-    def _commit_singleton(
-        self,
-        op: PhysicalOp,
-        run: DeviceRun,
-        produced: dict[int, tuple[str, Relation, float, str]],
-        report: ExecutionReport,
-        roster: DeviceRoster,
-        sp: Any,
-    ) -> None:
-        """Place a resolved op store-and-forward: inputs out of their
-        memories, the result into another."""
-        state = self.state
-        input_keys = []
-        input_memories = []
-        ready = op.release
-        for input_id in op.inputs:
-            key, _, child_ready, memory_name = produced[input_id]
-            input_keys.append(key)
-            input_memories.append(memory_name)
-            ready = max(ready, child_ready)
-
-        device_ready = max(ready, roster.free_at(op.device))
-        nbytes_out = relation_bytes(run.relation, state.element_bits)
-
-        duration = self._paced_seconds(
-            run, zip(input_keys, input_memories), nbytes_out
-        )
-
-        # Find a start time at which every input port is free for the
-        # whole window, the device is free, and an output memory exists.
-        start = device_ready
-        for _ in range(64):  # converges in a couple of rounds in practice
-            adjusted = start
-            for memory_name in set(input_memories):
-                adjusted = max(
-                    adjusted,
-                    state.crossbar.earliest_window(
-                        memory_name, adjusted, duration
-                    ),
-                )
-            out_memory, out_start = self._choose_memory(
-                nbytes_out,
-                avoid=set(input_memories),
-                ready=adjusted,
-                duration=duration,
+            placement = self._placed(
+                self._run_key(run), (run.relation,),
+                lambda state: self._place_singleton(
+                    state, op, run, produced
+                ),
             )
-            adjusted = max(adjusted, out_start)
-            if adjusted == start:
-                break
-            start = adjusted
-        end = start + duration
-
-        key = self._new_key(op.node)
-        out_memory.store(key, run.relation, nbytes_out)
-        for memory_name in set(input_memories):
-            state.crossbar.establish(memory_name, op.device, start, end)
-        if out_memory.name not in set(input_memories):
-            state.crossbar.establish(out_memory.name, op.device, start, end)
-        roster.occupy(op.device, end)
-        self._place(
-            op, sp, produced, report, run.relation,
-            device=op.device, start=start, end=end,
-            output_key=key, output_memory=out_memory.name,
-            input_keys=tuple(input_keys),
-            pulses=run.pulses, block_runs=run.block_runs,
-            nbytes_out=nbytes_out,
-        )
+            self._emit(
+                [op], [sp], placement, (run.relation,), produced, report
+            )
 
     def _run_chain(
         self,
         members: list[PhysicalOp],
         produced: dict[int, tuple[str, Relation, float, str]],
         report: ExecutionReport,
-        roster: DeviceRoster,
     ) -> None:
         """Execute a fused chain under the Σ fill + max stream law (§9).
 
@@ -566,7 +605,6 @@ class PlanExecutor:
         nowhere, its members are placed store-and-forward on the spans
         they already have.  Nothing is computed twice.
         """
-        state = self.state
         with obs.span(
             "machine.chain", stages=len(members),
             chain=" | ".join(m.label for m in members),
@@ -579,47 +617,30 @@ class PlanExecutor:
                         member, self._chain_inputs(member, runs, produced)
                     )
                 spans.append(sp)
-            fit = self._fit_chain(members, runs, produced, roster)
-            chain_span.set(fused=fit is not None)
-            if fit is None:
-                for member, sp in zip(members, spans):
-                    self._commit_singleton(
-                        member, runs[member.op_id], produced, report,
-                        roster, sp,
-                    )
-                return
-
-            # Commit: claim ports, occupy devices, store the tail's output.
-            metrics.inc("machine.chains.executed")
-            out_memory, windows = fit
-            for k, member in enumerate(members):
-                start, end, external, nbytes_out = windows[k]
-                run = runs[member.op_id]
-                key = self._new_key(member.node)
-                for memory_name in external:
-                    state.crossbar.establish(
-                        memory_name, member.device, start, end
-                    )
-                if k + 1 == len(members):
-                    memory_label = out_memory.name
-                    out_memory.store(key, run.relation, nbytes_out)
-                    if out_memory.name not in external:
-                        state.crossbar.establish(
-                            out_memory.name, member.device, start, end
-                        )
-                else:
-                    # Streamed straight into the next stage's array.
-                    memory_label = f"->{members[k + 1].device}"
-                roster.occupy(member.device, end)
-                self._place(
-                    member, spans[k], produced, report, run.relation,
-                    device=member.device, start=start, end=end,
-                    output_key=key, output_memory=memory_label,
-                    input_keys=tuple(produced[i][0] for i in member.inputs),
-                    pulses=run.pulses, block_runs=run.block_runs,
-                    nbytes_out=nbytes_out,
+            relations = tuple(runs[m.op_id].relation for m in members)
+            fills = [
+                self._fill_seconds(member, runs, produced)
+                for member in members
+            ]
+            placement = self._placed(
+                tuple(
+                    self._run_key(runs[m.op_id]) + (fill,)
+                    for m, fill in zip(members, fills)
+                ),
+                relations,
+                lambda state: self._place_chain(
+                    state, members, runs, fills, produced
+                ),
+            )
+            chain_span.set(fused=placement.fused)
+            if placement.fused:
+                metrics.inc("machine.chains.executed")
+            self._emit(members, spans, placement, relations, produced, report)
+            if placement.fused:
+                chain_span.set(
+                    sim_start=placement.steps[0].start,
+                    sim_end=placement.steps[-1].end,
                 )
-            chain_span.set(sim_start=windows[0][0], sim_end=windows[-1][1])
 
     @staticmethod
     def _chain_inputs(
@@ -634,12 +655,240 @@ class PlanExecutor:
             for i in member.inputs
         ]
 
-    def _fit_chain(
+    def _fill_seconds(
         self,
-        members: list[PhysicalOp],
+        member: PhysicalOp,
         runs: dict[int, DeviceRun],
         produced: dict[int, tuple[str, Relation, float, str]],
-        roster: DeviceRoster,
+    ) -> float:
+        """A resolved chain stage's latency to its first result, from
+        its actual inputs."""
+        device = self._device(member.device)
+        cost = actual_cost(
+            member.node, self._chain_inputs(member, runs, produced),
+            device.capacity.max_rows, device.capacity.max_cols,
+            element_bits=getattr(device, "element_bits", None),
+        )
+        return device.technology.pulses_to_seconds(cost.fill_pulses)
+
+    # -- the placement models ---------------------------------------------------
+
+    @staticmethod
+    def _choose_memory(
+        state: MachineState,
+        nbytes: int,
+        avoid: set[str],
+        ready: float,
+        duration: float,
+    ) -> tuple[MemoryModule, float]:
+        """A memory with space and the earliest free port window."""
+        best: Optional[tuple[float, int, MemoryModule]] = None
+        for index, memory in enumerate(state.memories):
+            if memory.name in avoid or memory.free_bytes < nbytes:
+                continue
+            start = state.crossbar.earliest_window(
+                memory.name, ready, duration
+            )
+            candidate = (start, index, memory)
+            if best is None or candidate[:2] < best[:2]:
+                best = candidate
+        if best is None:
+            raise CapacityError(
+                f"no memory module can absorb {nbytes} bytes "
+                f"(avoiding {sorted(avoid)})"
+            )
+        return best[2], best[0]
+
+    @staticmethod
+    def _paced_seconds(
+        state: MachineState,
+        seconds: float,
+        sources: Iterable[tuple[str, str]],
+        nbytes_out: int,
+    ) -> float:
+        """Stand-alone seconds of a resolved operation.
+
+        An operation runs at the pace of its slowest stream: its own
+        ``seconds``, any input being read out of its memory
+        (``sources``: ``(key, memory name)`` pairs), or the result
+        being written back (§6.2's warning — a degenerate join's output
+        can dwarf its inputs — shows up here as output-streaming time).
+        """
+        streams = [
+            state.memory(memory_name).transfer_seconds(
+                state.memory(memory_name).size_of(key)
+            )
+            for key, memory_name in sources
+        ]
+        streams.append(state.memories[0].transfer_seconds(nbytes_out))
+        return max([seconds] + streams)
+
+    def _place_load(
+        self,
+        state: MachineState,
+        op: PhysicalOp,
+        relation: Relation,
+        nbytes: int,
+        read_seconds: float,
+    ) -> Placement:
+        """A disk read into the memory whose port frees first."""
+        memory, start = self._choose_memory(
+            state, nbytes, avoid=set(),
+            ready=max(state.disk_free, op.release), duration=read_seconds,
+        )
+        end = start + read_seconds
+        node = op.fused_select if op.fused_select is not None else op.node
+        placement = Placement(
+            steps=(ScheduledStep(
+                label=op.label, device=DISK, start=start, end=end,
+                output_key=state.key_for(node), output_memory=memory.name,
+                nbytes_out=nbytes,
+            ),),
+            stored=(0,),
+            links=((memory.name, DISK, start, end),),
+        )
+        state.apply(placement, (relation,))
+        return placement
+
+    def _place_singleton(
+        self,
+        state: MachineState,
+        op: PhysicalOp,
+        run: DeviceRun,
+        produced: dict[int, tuple[str, Relation, float, str]],
+    ) -> Placement:
+        """Place a resolved op store-and-forward: inputs out of their
+        memories, the result into another."""
+        input_keys = []
+        input_memories = []
+        ready = op.release
+        for input_id in op.inputs:
+            key, _, child_ready, memory_name = produced[input_id]
+            input_keys.append(key)
+            input_memories.append(memory_name)
+            ready = max(ready, child_ready)
+        ports = set(input_memories)
+
+        device_ready = max(ready, state.roster.free_at(op.device))
+        nbytes_out = relation_bytes(run.relation, state.element_bits)
+
+        duration = self._paced_seconds(
+            state, run.seconds, zip(input_keys, input_memories), nbytes_out
+        )
+
+        # Find a start time at which every input port is free for the
+        # whole window, the device is free, and an output memory exists.
+        start = device_ready
+        for _ in range(64):  # converges in a couple of rounds in practice
+            adjusted = start
+            for memory_name in ports:
+                adjusted = max(
+                    adjusted,
+                    state.crossbar.earliest_window(
+                        memory_name, adjusted, duration
+                    ),
+                )
+            out_memory, out_start = self._choose_memory(
+                state, nbytes_out, avoid=ports, ready=adjusted,
+                duration=duration,
+            )
+            adjusted = max(adjusted, out_start)
+            if adjusted == start:
+                break
+            start = adjusted
+        end = start + duration
+
+        links = [(memory_name, op.device, start, end) for memory_name in ports]
+        if out_memory.name not in ports:
+            links.append((out_memory.name, op.device, start, end))
+        placement = Placement(
+            steps=(ScheduledStep(
+                label=op.label, device=op.device, start=start, end=end,
+                output_key=state.key_for(op.node),
+                output_memory=out_memory.name,
+                input_keys=tuple(input_keys),
+                pulses=run.pulses, block_runs=run.block_runs,
+                nbytes_out=nbytes_out,
+            ),),
+            stored=(0,),
+            links=tuple(links),
+        )
+        state.apply(placement, (run.relation,))
+        return placement
+
+    def _place_chain(
+        self,
+        state: MachineState,
+        members: list[PhysicalOp],
+        runs: dict[int, DeviceRun],
+        fills: list[float],
+        produced: dict[int, tuple[str, Relation, float, str]],
+    ) -> Placement:
+        """Place a resolved chain: fused where :meth:`_fit_chain` fits
+        it, else member by member, store-and-forward."""
+        fit = self._fit_chain(state, members, runs, fills, produced)
+        if fit is None:
+            steps, links = [], []
+            for member in members:
+                run = runs[member.op_id]
+                part = self._place_singleton(state, member, run, produced)
+                (step,) = part.steps
+                # The next member reads this one's output from memory.
+                produced[member.op_id] = (
+                    step.output_key, run.relation, step.end,
+                    step.output_memory,
+                )
+                steps.append(step)
+                links.extend(part.links)
+            return Placement(
+                steps=tuple(steps), stored=tuple(range(len(steps))),
+                links=tuple(links), fused=False,
+            )
+
+        # Claim ports, occupy devices, store the tail's output.
+        out_memory, windows = fit
+        steps, links = [], []
+        keys: dict[int, str] = {}
+        for k, member in enumerate(members):
+            start, end, external, nbytes_out = windows[k]
+            run = runs[member.op_id]
+            keys[member.op_id] = state.key_for(member.node, offset=k)
+            links.extend(
+                (memory_name, member.device, start, end)
+                for memory_name in external
+            )
+            if k + 1 == len(members):
+                memory_label = out_memory.name
+                if out_memory.name not in external:
+                    links.append((out_memory.name, member.device, start, end))
+            else:
+                # Streamed straight into the next stage's array.
+                memory_label = f"->{members[k + 1].device}"
+            steps.append(ScheduledStep(
+                label=member.label, device=member.device,
+                start=start, end=end,
+                output_key=keys[member.op_id], output_memory=memory_label,
+                input_keys=tuple(
+                    keys[i] if i in keys else produced[i][0]
+                    for i in member.inputs
+                ),
+                pulses=run.pulses, block_runs=run.block_runs,
+                nbytes_out=nbytes_out,
+            ))
+        placement = Placement(
+            steps=tuple(steps), stored=(len(steps) - 1,),
+            links=tuple(links), fused=True,
+        )
+        state.apply(placement, [runs[m.op_id].relation for m in members])
+        return placement
+
+    def _fit_chain(
+        self,
+        state: MachineState,
+        members: list[PhysicalOp],
+        runs: dict[int, DeviceRun],
+        fills: list[float],
+        produced: dict[int, tuple[str, Relation, float, str]],
     ) -> Optional[tuple[MemoryModule, list[tuple]]]:
         """Where a resolved chain runs fused, if this machine can fuse it.
 
@@ -647,10 +896,9 @@ class PlanExecutor:
         ``(start, end, external input memories, output bytes)`` — or
         ``None``, and the chain runs store-and-forward instead.
         """
-        state = self.state
         stages, ports, out_bytes = [], [], []
         device_of_port: dict[str, str] = {}
-        for member in members:
+        for member, fill in zip(members, fills):
             external = [
                 (produced[i][0], produced[i][3])  # (key, memory name)
                 for i in member.inputs if i not in runs
@@ -668,17 +916,9 @@ class PlanExecutor:
             # The stage's stand-alone duration → (fill, stream) split,
             # from its result and its actual fill latency.
             run = runs[member.op_id]
-            device = state.device(member.device)
-            cost = actual_cost(
-                member.node, self._chain_inputs(member, runs, produced),
-                device.capacity.max_rows, device.capacity.max_cols,
-                element_bits=getattr(device, "element_bits", None),
-            )
             nbytes_out = relation_bytes(run.relation, state.element_bits)
-            total = self._paced_seconds(run, external, nbytes_out)
-            fill = min(
-                device.technology.pulses_to_seconds(cost.fill_pulses), total
-            )
+            total = self._paced_seconds(state, run.seconds, external, nbytes_out)
+            fill = min(fill, total)
             stages.append(StageCost(
                 name=member.label, fill=fill, stream=total - fill
             ))
@@ -695,7 +935,7 @@ class PlanExecutor:
         start = 0.0
         for member, (lo, _) in zip(members, offsets):
             start = max(start, member.release - lo,
-                        roster.free_at(member.device) - lo)
+                        state.roster.free_at(member.device) - lo)
             for input_id in member.inputs:
                 if input_id not in runs:
                     start = max(start, produced[input_id][2] - lo)
@@ -719,7 +959,7 @@ class PlanExecutor:
                             ) - lo,
                         )
                 out_memory, out_start = self._choose_memory(
-                    out_bytes[-1], avoid=all_external,
+                    state, out_bytes[-1], avoid=all_external,
                     ready=adjusted + tail_lo, duration=tail_hi - tail_lo,
                 )
                 adjusted = max(adjusted, out_start - tail_lo)

@@ -55,13 +55,14 @@ class MemoryModule:
         self.capacity_bytes = capacity_bytes
         self.bandwidth_bytes_per_s = bandwidth_bytes_per_s
         self._resident: dict[str, _Resident] = {}
+        self._used_bytes = 0
 
     # -- contents ------------------------------------------------------------
 
     @property
     def used_bytes(self) -> int:
-        """Bytes currently occupied."""
-        return sum(item.nbytes for item in self._resident.values())
+        """Bytes currently occupied (a running total of the residents)."""
+        return self._used_bytes
 
     @property
     def free_bytes(self) -> int:
@@ -82,6 +83,7 @@ class MemoryModule:
                 f"bytes, {self.free_bytes} free"
             )
         self._resident[key] = _Resident(relation, nbytes)
+        self._used_bytes += nbytes
 
     def load(self, key: str) -> Relation:
         """Fetch a resident relation."""
@@ -106,7 +108,7 @@ class MemoryModule:
         """Drop a resident relation, freeing its space."""
         if key not in self._resident:
             raise PlanError(f"memory {self.name!r} does not hold {key!r}")
-        del self._resident[key]
+        self._used_bytes -= self._resident.pop(key).nbytes
 
     def transfer_seconds(self, nbytes: int) -> float:
         """Time to stream ``nbytes`` through this module's port."""

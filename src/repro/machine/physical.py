@@ -50,7 +50,7 @@ from repro.machine.plan import (
     Union,
     walk,
 )
-from repro.machine.scheduler import DeviceRoster
+from repro.machine.scheduler import DeviceRoster, PlacementMemo
 from repro.perf.cost import (
     OpCost,
     ScanCost,
@@ -93,7 +93,27 @@ def plan_fingerprint(plans: Sequence[PlanNode]) -> tuple:
     (computed once by the planner) is encoded as a back-reference, so a
     plan that duplicates the subtree instead keys differently.  This is
     what the machine's compile cache is keyed on.
+
+    Plan nodes are frozen, so a single plan's fingerprint is computed
+    once and kept on its root.
     """
+    return _kept_on_root(plans, "_fingerprint", _fingerprint)
+
+
+def _kept_on_root(plans: Sequence[PlanNode], attr: str, compute):
+    """``compute(plans)``, kept on the root of a one-plan transaction
+    (plan nodes are frozen, so the value cannot go stale)."""
+    if len(plans) != 1:
+        return compute(plans)
+    root = plans[0]
+    value = vars(root).get(attr)
+    if value is None:
+        value = compute(plans)
+        object.__setattr__(root, attr, value)
+    return value
+
+
+def _fingerprint(plans: Sequence[PlanNode]) -> tuple:
     memo: dict[int, int] = {}
 
     def fingerprint(node: PlanNode) -> tuple:
@@ -116,13 +136,14 @@ def plan_fingerprint(plans: Sequence[PlanNode]) -> tuple:
     return tuple(fingerprint(plan) for plan in plans)
 
 
-def base_names(plans: Sequence[PlanNode]) -> set[str]:
+def base_names(plans: Sequence[PlanNode]) -> frozenset[str]:
     """The base relations the plans name: the part of a catalog a
-    compile of them can read (beside what is memory-resident)."""
-    return {
+    compile of them can read (beside what is memory-resident).  Kept
+    on the root of a one-plan transaction, like its fingerprint."""
+    return _kept_on_root(plans, "_base_names", lambda plans: frozenset(
         node.name
         for plan in plans for node in walk(plan) if isinstance(node, Base)
-    }
+    ))
 
 
 def estimate_cost(
@@ -277,6 +298,10 @@ class PhysicalPlan:
         #: name of the execution engine the machine's devices run block
         #: runs on (explain footer); None when unknown.
         self.backend = backend
+        #: the placements earlier executions of this plan recorded
+        #: (:class:`~repro.machine.execution.PlanExecutor`); it lives
+        #: and dies with the plan, and so with its plan-cache entry.
+        self.placements = PlacementMemo()
         self._by_id = {op.op_id: op for op in ops}
 
     def __getitem__(self, op_id: int) -> PhysicalOp:

@@ -48,7 +48,6 @@ from repro.machine.execution import (
     PlanExecutor,
     build_devices,
     check_memories,
-    fresh_state,
     roster_fingerprint,
 )
 from repro.machine.physical import (
@@ -508,13 +507,11 @@ class EnginePool:
         cancel: Optional[CancelToken],
         fault_scope: str,
     ) -> tuple[list[Relation], ExecutionReport]:
-        """Execute a compiled plan on a fresh state over ``roster``."""
+        """Execute a compiled plan on a fresh machine over ``roster``."""
         return PlanExecutor(
-            fresh_state(
-                catalog,
-                self.devices if roster is None else roster,
-                self.memory_count, self.memory_bytes, self.element_bits,
-            ),
+            catalog,
+            self.devices if roster is None else roster,
+            self.memory_count, self.memory_bytes, self.element_bits,
             faults=self.faults,
             cancel=cancel,
             fault_scope=fault_scope,

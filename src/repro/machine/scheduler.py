@@ -17,25 +17,39 @@ opens with).
 *simulated* clock: it is this timeline that overlaps them.  The host
 computes their results one after another on the calling thread
 (:class:`~repro.machine.execution.PlanExecutor`).
+
+Every run of a plan starts on the same fresh machine, so an op's
+placement is a function of the plan and of what the ops up to it
+resolved.  A :class:`PlacementMemo` on the cached plan records each
+:class:`Placement` under those resolutions, and a later run that
+resolves the same way replays it instead of re-running the models.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Hashable, Optional
 
 from repro.errors import PlanError
 from repro.machine.device import CpuDevice, SystolicDevice
 
 __all__ = [
+    "PLACEMENT_MEMO_NODES",
     "ScheduledStep",
     "ExecutionReport",
     "DeviceRoster",
+    "Placement",
+    "PlacementMemo",
     "gantt",
 ]
 
+#: The most placements one plan's memo records; past it, runs place
+#: through the models and record nothing.
+PLACEMENT_MEMO_NODES = 256
 
-@dataclass
+
+@dataclass(frozen=True)
 class ScheduledStep:
     """One operation (or disk load) placed on the timeline."""
 
@@ -163,6 +177,80 @@ class DeviceRoster:
     def occupy(self, name: str, until: float) -> None:
         """Mark a device busy until ``until``."""
         self._free_at[name] = until
+
+
+@dataclass(frozen=True)
+class Placement:
+    """What placing one op — or one chain, member by member — did.
+
+    ``steps`` are its timeline steps in placement order; the rest are
+    its effects on the machine state: the steps whose output went into
+    a memory (``stored``, indices into ``steps``) and the crossbar
+    links it held, as ``(memory, device, start, end)``.  Device and
+    disk occupancy and key-counter advances follow from the steps.
+    ``fused`` says how a chain ran (None for a single op).  No
+    relation is held: applying a placement stores the run's own.
+    """
+
+    steps: tuple[ScheduledStep, ...]
+    stored: tuple[int, ...]
+    links: tuple[tuple[str, str, float, float], ...]
+    fused: Optional[bool] = None
+
+
+class _MemoNode:
+    """One recorded prefix of a plan's resolutions."""
+
+    __slots__ = ("value", "children")
+
+    def __init__(self, value) -> None:
+        self.value = value
+        self.children: dict[Hashable, _MemoNode] = {}
+
+
+class PlacementMemo:
+    """A trie of recorded placements, one per cached physical plan.
+
+    A root per resident layout (the memories and what is preloaded in
+    them) holds where the residents sit; below it, each edge is one
+    op's resolution key and its node that op's :class:`Placement`.  A
+    run walks down while its resolutions match, and from its first
+    miss places through the models and records the new branch.
+
+    Lookups take no lock.  Inserts do, first-wins: two runs recording
+    the same edge computed equal placements, so either serves.  At
+    most :data:`PLACEMENT_MEMO_NODES` nodes are recorded.
+    """
+
+    def __init__(self) -> None:
+        #: nodes recorded so far (roots included).
+        self.nodes = 0
+        self._roots: dict[Hashable, _MemoNode] = {}
+        self._lock = threading.Lock()
+
+    def root(
+        self, layout: Hashable, residents: Callable[[], object]
+    ) -> Optional[_MemoNode]:
+        """The root for a resident layout, recording ``residents()``
+        (where they sit) the first time; None past the cap."""
+        node = self._roots.get(layout)
+        if node is not None:
+            return node
+        return self.record(self._roots, layout, residents())
+
+    def record(
+        self, children: dict, key: Hashable, value
+    ) -> Optional[_MemoNode]:
+        """The node under ``key`` — an earlier recorder's if there is
+        one, else a new one holding ``value``; None past the cap."""
+        with self._lock:
+            node = children.get(key)
+            if node is None:
+                if self.nodes >= PLACEMENT_MEMO_NODES:
+                    return None
+                node = children[key] = _MemoNode(value)
+                self.nodes += 1
+            return node
 
 
 def gantt(report: ExecutionReport, width: int = 60) -> str:

@@ -97,10 +97,11 @@ class SystolicDatabaseMachine:
         self.faults = faults
         self._memories = (memories, memory_bytes)
         self._plan_cache = PlanCache(plan_cache_size)
-        #: what :attr:`memories` / :attr:`crossbar` show: the state the
-        #: most recent run left behind (before any run, the catalog's
-        #: fresh state).  Never executed on again.
-        self._shown = self._fresh_state()
+        #: what :attr:`memories` / :attr:`crossbar` show before any run
+        #: (and after a preload): the catalog's fresh state.
+        self._initial = self._fresh_state()
+        #: the most recent run; its state is built only when shown.
+        self._last_run: Optional[PlanExecutor] = None
 
     def _fresh_state(self) -> MachineState:
         return fresh_state(
@@ -112,6 +113,14 @@ class SystolicDatabaseMachine:
     @property
     def disk(self) -> MachineDisk:
         return self.catalog.disk
+
+    @property
+    def _shown(self) -> MachineState:
+        """The state the most recent run left behind (before any run,
+        the catalog's fresh state).  Never executed on again."""
+        if self._last_run is None:
+            return self._initial
+        return self._last_run.state
 
     @property
     def memories(self) -> list[MemoryModule]:
@@ -157,7 +166,7 @@ class SystolicDatabaseMachine:
         state = self._fresh_state()
         place_resident(state, name, relation)
         self.catalog.preload(name, relation)
-        self._shown = state
+        self._initial, self._last_run = state, None
 
     # -- compilation ------------------------------------------------------------
 
@@ -251,17 +260,18 @@ class SystolicDatabaseMachine:
         order) and the executed timeline.  The report is the ground
         truth; ``physical.predicted_makespan`` is the planner's
         port-blind forecast of the same schedule.  The plan runs on a
-        fresh state built from the catalog — see
+        fresh machine built from the catalog — see
         :class:`~repro.machine.execution.PlanExecutor` for the
         one-pass (resolve, then place, op by op) execution model.
         """
-        self._shown = self._fresh_state()
-        return PlanExecutor(self._shown, faults=self.faults).run_physical(
-            physical
+        self._last_run = PlanExecutor(
+            self.catalog, self.devices, *self._memories, self.element_bits,
+            faults=self.faults,
         )
+        return self._last_run.run_physical(physical)
 
     def __repr__(self) -> str:
         kinds = ", ".join(d.name for d in self.devices)
         return (
-            f"SystolicDatabaseMachine({len(self.memories)} memories; {kinds})"
+            f"SystolicDatabaseMachine({self._memories[0]} memories; {kinds})"
         )

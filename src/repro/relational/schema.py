@@ -10,6 +10,7 @@ corresponding columns are drawn from the same underlying domain; column
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence, Union
 
 from repro.errors import SchemaError, UnionCompatibilityError
@@ -152,6 +153,13 @@ class Schema:
     def domains(self) -> tuple[Domain, ...]:
         """Column domains, in order."""
         return tuple(c.domain for c in self._columns)
+
+    @cached_property
+    def key(self) -> tuple[tuple[str, str], ...]:
+        """The schema as a hashable value — column and domain names —
+        as the plan cache sees it.  Computed once: a schema is
+        immutable."""
+        return tuple((c.name, c.domain.name) for c in self._columns)
 
     def __len__(self) -> int:
         return len(self._columns)

@@ -41,6 +41,7 @@ output is processed by the downstream neighbour during pulse ``p+1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.errors import CapacityError, SimulationError
 
@@ -372,6 +373,7 @@ class BlockSpanLaw:
         return self.spans[0][0]
 
 
+@lru_cache(maxsize=1024)
 def block_span_law(
     n_a: int, n_b: int, arity: int, tuple_block: int, max_cols: int
 ) -> BlockSpanLaw:
@@ -382,6 +384,7 @@ def block_span_law(
     The one statement of the decomposition: the blocked plan
     (:class:`~repro.systolic.engine.plan.BlockedPlan`) executes it and
     :mod:`repro.perf.cost` prices it, so predicted == simulated pulses.
+    Pure and frozen, so each shape is decomposed once (LRU-cached).
     """
     if tuple_block < 1 or max_cols < 1:
         raise SimulationError(

@@ -45,6 +45,40 @@ class TestMemoryModule:
         with pytest.raises(PlanError, match="already holds"):
             memory.store("r", r, 10)
 
+    def test_used_bytes_is_a_running_total(self, pair_schema):
+        """Stores add, evicts subtract, and a refused store changes
+        nothing — at every step the total equals the residents' sizes."""
+        memory = MemoryModule("m", capacity_bytes=100)
+        r = Relation(pair_schema, [(1, 2)])
+        held: dict[str, int] = {}
+
+        def check() -> None:
+            assert memory.used_bytes == sum(held.values())
+            assert memory.free_bytes == 100 - sum(held.values())
+            assert all(memory.size_of(k) == n for k, n in held.items())
+
+        for key, nbytes in [("a", 30), ("b", 0), ("c", 45)]:
+            memory.store(key, r, nbytes)
+            held[key] = nbytes
+            check()
+        with pytest.raises(CapacityError, match="cannot fit"):
+            memory.store("d", r, 26)  # one byte past the boundary
+        check()
+        memory.store("d", r, 25)  # exactly fills it
+        held["d"] = 25
+        check()
+        assert memory.free_bytes == 0
+        for key in ["a", "d", "b"]:
+            memory.evict(key)
+            del held[key]
+            check()
+        with pytest.raises(PlanError, match="does not hold"):
+            memory.evict("a")
+        check()
+        memory.store("e", r, 55)  # the freed room is reusable
+        held["e"] = 55
+        check()
+
     def test_evict_frees_space(self, pair_schema):
         memory = MemoryModule("m", capacity_bytes=100)
         r = Relation(pair_schema, [(1, 2)])
