@@ -35,6 +35,8 @@ import json
 import os
 import re
 import shutil
+import tempfile
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -373,6 +375,9 @@ class RelationStore:
         #: name -> (manifest mtime_ns / inode / size, handle); reopened
         #: when the manifest changes underneath us.
         self._handles: dict[str, tuple[tuple, StoredRelation]] = {}
+        #: held while a relation directory is removed or swapped in, so
+        #: two threads writing (or dropping) one name take turns there.
+        self._swap_lock = threading.Lock()
 
     # -- catalogue ----------------------------------------------------------
 
@@ -380,7 +385,7 @@ class RelationStore:
         """Relations with a manifest, sorted.
 
         Only valid relation names count: a writer killed between its
-        manifest write and the rename leaves a ``.tmp-<name>-<pid>``
+        manifest write and the rename leaves a ``.tmp-<name>-<random>``
         staging directory behind, which is not a relation.
         """
         return sorted(
@@ -398,10 +403,11 @@ class RelationStore:
     def drop(self, name: str) -> None:
         """Remove a relation (idempotent)."""
         _check_name(name)
-        self._handles.pop(name, None)
         target = self.root / name
-        if target.exists():
-            shutil.rmtree(target)
+        with self._swap_lock:
+            self._handles.pop(name, None)
+            if target.exists():
+                shutil.rmtree(target)
 
     def fingerprint(self) -> tuple[tuple[str, str], ...]:
         """(name, manifest digest) per relation — the plan-cache input."""
@@ -527,37 +533,30 @@ class RelationStore:
         else:
             positions = schema.resolve_many(index_columns)
 
+        # One column-major copy of the rows: the scales, the cells, the
+        # zone maps and the chunk files all read unit-stride rows of it.
+        columns = np.ascontiguousarray(array.T, dtype=_ELEMENT_DTYPE)
         index: Optional[GridIndex] = None
         if positions and n:
             cells_per_axis = _cells_per_axis(n_chunks, len(positions))
-            scales = [
-                build_scales(array[:, p], cells_per_axis) for p in positions
-            ]
-            coords = cell_coords([array[:, p] for p in positions], scales)
+            indexed = [columns[p] for p in positions]
+            scales = [build_scales(axis, cells_per_axis) for axis in indexed]
+            coords = cell_coords(indexed, scales)
             order = cluster_order(coords)
-            array = array[order]
-            coords = coords[order]
+            # Gathered once into cluster order, each axis's cells with it.
+            columns = np.take(columns, order, axis=1)
+            coords = np.take(coords.T, order, axis=1).T
             chunk_of_row = np.arange(n) // chunk_rows
             index = GridIndex.build(positions, coords, scales, chunk_of_row)
 
-        staging = self.root / f".tmp-{name}-{os.getpid()}"
-        if staging.exists():
-            shutil.rmtree(staging)
-        staging.mkdir(parents=True)
+        staging = Path(tempfile.mkdtemp(prefix=f".tmp-{name}-", dir=self.root))
         try:
-            chunks = []
-            for chunk_id in range(n_chunks):
-                block = array[chunk_id * chunk_rows:(chunk_id + 1) * chunk_rows]
-                file = f"chunk-{chunk_id:05d}.bin"
-                block.T.astype(_ELEMENT_DTYPE).tofile(staging / file)
-                chunks.append({
-                    "file": file,
-                    "rows": len(block),
-                    "stats": [
-                        [int(block[:, c].min()), int(block[:, c].max())]
-                        for c in range(len(schema))
-                    ],
-                })
+            chunks = [
+                _write_chunk(
+                    staging, chunk_id, columns[:, start:start + chunk_rows]
+                )
+                for chunk_id, start in enumerate(range(0, n, chunk_rows))
+            ]
             manifest = {
                 "version": MANIFEST_VERSION,
                 "name": name,
@@ -573,17 +572,34 @@ class RelationStore:
                 json.dumps(manifest, indent=1, sort_keys=True) + "\n"
             )
             final = self.root / name
-            if final.exists():
-                shutil.rmtree(final)
-            os.replace(staging, final)
+            # The handle returned is the one this write put in place.
+            with self._swap_lock:
+                if final.exists():
+                    shutil.rmtree(final)
+                os.replace(staging, final)
+                self._handles.pop(name, None)
+                return self.open(name)
         except BaseException:
             shutil.rmtree(staging, ignore_errors=True)
             raise
-        self._handles.pop(name, None)
-        return self.open(name)
 
     def __repr__(self) -> str:
         return f"RelationStore({str(self.root)!r}, {len(self.names())} relations)"
+
+
+def _write_chunk(staging: Path, chunk_id: int, block: np.ndarray) -> dict:
+    """Write one chunk file — the contiguous rows of an ``(arity, rows)``
+    block, back to back — and return its manifest entry."""
+    file = f"chunk-{chunk_id:05d}.bin"
+    with open(staging / file, "wb") as out:
+        for column in block:
+            out.write(column)
+    return {
+        "file": file,
+        "rows": block.shape[1],
+        "stats": np.stack((block.min(axis=1), block.max(axis=1)), axis=1)
+        .tolist(),
+    }
 
 
 def _cells_per_axis(n_chunks: int, ndims: int) -> int:

@@ -33,6 +33,15 @@ __all__ = ["GridIndex", "build_scales", "cell_coords", "cluster_order"]
 #: store re-applies the exact predicate on the surviving chunks).
 _PRUNABLE_OPS = ("==", "<", "<=", ">", ">=")
 
+#: Longest scale :func:`cell_coords` counts rather than binary-searches:
+#: one comparison pass a split point beats ``np.searchsorted`` on
+#: unsorted values up to about 30 points.
+_COUNTED_SPLITS = 16
+
+#: Unsigned dtypes a z-order key can take, narrowest first: numpy's
+#: stable argsort is a radix sort on keys of 16 bits or fewer.
+_KEY_DTYPES = tuple(np.dtype(f"u{size}") for size in (1, 2, 4, 8))
+
 
 def build_scales(
     values: np.ndarray, cells: int
@@ -60,13 +69,25 @@ def build_scales(
 def cell_coords(
     columns: Sequence[np.ndarray], scales: Sequence[Sequence[int]]
 ) -> np.ndarray:
-    """Per-row grid-cell coordinates (n × ndims) for indexed columns."""
-    coords = np.empty((len(columns[0]), len(columns)), dtype=np.int64)
-    for d, (values, axis) in enumerate(zip(columns, scales)):
-        coords[:, d] = np.searchsorted(
-            np.asarray(axis, dtype=np.int64), values, side="right"
-        ) if len(axis) else 0
-    return coords
+    """Per-row grid-cell coordinates (n × ndims) for indexed columns.
+
+    A value's cell, ``bisect_right(scale, v)``, is the number of split
+    points at or below it.  A scale of up to ``_COUNTED_SPLITS`` points
+    (the store's grids have ≈ (4·chunks)^(1/ndims) cells an axis) is
+    counted with one comparison pass per point; a longer one is
+    binary-searched.  The matrix is Fortran-ordered: each axis's
+    coordinates are one contiguous column.
+    """
+    coords = np.zeros((len(columns), len(columns[0])), dtype=np.int64)
+    for cells, values, axis in zip(coords, columns, scales):
+        if len(axis) <= _COUNTED_SPLITS:
+            for split in axis:
+                cells += values >= split
+        else:
+            cells[:] = np.searchsorted(
+                np.asarray(axis, dtype=np.int64), values, side="right"
+            )
+    return coords.T
 
 
 def cluster_order(coords: np.ndarray) -> np.ndarray:
@@ -76,7 +97,9 @@ def cluster_order(coords: np.ndarray) -> np.ndarray:
     and neighbouring cells adjacent in *every* indexed dimension, so
     chunk boundaries cut the grid into compact blobs instead of slabs
     along the first axis only.  Only as many bits as the largest
-    coordinate has are interleaved.
+    coordinate has are interleaved, into the narrowest unsigned key
+    that holds them; the sort is stable, so the width does not change
+    the order.
     """
     if coords.ndim != 2:
         raise StoreError("cluster_order expects an (n, ndims) array")
@@ -89,12 +112,13 @@ def cluster_order(coords: np.ndarray) -> np.ndarray:
             f"cannot interleave {ndims} coordinates of {bits} bits into "
             f"one 64-bit z-order key"
         )
-    key = np.zeros(n, dtype=np.uint64)
-    unsigned = coords.astype(np.uint64)
-    for bit in range(bits):
-        for d in range(ndims):
-            key |= ((unsigned[:, d] >> np.uint64(bit)) & np.uint64(1)) << (
-                np.uint64(bit * ndims + d)
+    dtype = next(d for d in _KEY_DTYPES if d.itemsize * 8 >= bits * ndims)
+    key = np.zeros(n, dtype=dtype)
+    for d in range(ndims):
+        axis = coords[:, d].astype(dtype)
+        for bit in range(bits):
+            key |= ((axis >> dtype.type(bit)) & dtype.type(1)) << (
+                dtype.type(bit * ndims + d)
             )
     return np.argsort(key, kind="stable")
 
@@ -130,30 +154,38 @@ class GridIndex:
         scales: Sequence[Sequence[int]],
         chunk_of_row: np.ndarray,
     ) -> "GridIndex":
-        """Directory from per-row cell coordinates and chunk assignment."""
-        directory: dict[tuple[int, ...], list[int]] = {}
-        if len(coords):
-            # The distinct (cell, chunk) pairs, found on one int64 key a
-            # row — the coordinates and the chunk id as mixed-radix
-            # digits — because a 1-D sort is several times cheaper than
-            # np.unique(axis=0)'s sort of structured rows.
-            digits = [*coords.T, chunk_of_row]
-            radices = [int(column.max()) + 1 for column in digits]
+        """Directory from per-row cell coordinates and chunk assignment.
+
+        Each (cell, chunk) pair is read off the row where a run of rows
+        sharing it starts.  The rows are expected in cluster order, as
+        the store lays them out: a cell's rows are adjacent and chunk
+        ids only grow, so every distinct pair starts exactly one run and
+        the directory costs one comparison pass, no sort.  Rows in any
+        other order give the same directory; a pair may then start
+        several runs.
+        """
+        directory: dict[tuple[int, ...], set[int]] = {}
+        n = len(coords)
+        if n:
+            # The bound the directory has always been held to: its cells
+            # and chunks, as mixed-radix digits, number within 63 bits.
+            radices = [int(axis.max()) + 1 for axis in coords.T]
+            radices.append(int(chunk_of_row.max()) + 1)
             if math.prod(radices) > np.iinfo(np.int64).max:
                 raise StoreError(
                     f"grid of {radices[:-1]} cells over {radices[-1]} "
                     f"chunks does not fit a 64-bit directory key"
                 )
-            key = np.zeros(len(coords), dtype=np.int64)
-            for column, radix in zip(digits, radices):
-                key = key * radix + column
-            key = np.unique(key)
-            decoded = []
-            for radix in reversed(radices):
-                key, digit = np.divmod(key, radix)
-                decoded.append(digit.tolist())
-            for *cell, chunk in zip(*reversed(decoded)):
-                directory.setdefault(tuple(cell), []).append(chunk)
+            starts = np.empty(n, dtype=bool)
+            starts[0] = True
+            np.not_equal(chunk_of_row[1:], chunk_of_row[:-1], out=starts[1:])
+            for axis in coords.T:
+                starts[1:] |= axis[1:] != axis[:-1]
+            rows = np.flatnonzero(starts)
+            for cell, chunk in zip(
+                coords[rows].tolist(), chunk_of_row[rows].tolist()
+            ):
+                directory.setdefault(tuple(cell), set()).add(chunk)
         return cls(columns, scales, directory)
 
     # -- probing ------------------------------------------------------------

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -173,6 +175,43 @@ class TestCatalogue:
 
     def test_default_chunk_rows_is_the_documented_knob(self):
         assert DEFAULT_CHUNK_ROWS == 65536
+
+    def test_two_threads_writing_one_name_take_turns(self, tmp_path):
+        """Each write stages in a directory of its own and swaps it in
+        under the store's lock: no write fails, the survivor is one of
+        the two inputs whole, and no staging directory is left over."""
+        store = RelationStore(tmp_path)
+        inputs = [
+            np.arange(start, start + 400).reshape(-1, 2) for start in (0, 1000)
+        ]
+        errors: list[BaseException] = []
+        barrier = threading.Barrier(len(inputs))
+
+        def writer(rows: np.ndarray) -> None:
+            barrier.wait()
+            for _ in range(15):
+                try:
+                    store.write_array("R", rows, _schema(2), chunk_rows=16)
+                except Exception as exc:  # noqa: BLE001 — collected, asserted
+                    errors.append(exc)
+
+        threads = [
+            threading.Thread(target=writer, args=(rows,)) for rows in inputs
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        final = RelationStore(tmp_path).open("R").read().relation
+        assert final in [Relation(_schema(2), rows) for rows in inputs]
+        assert [entry.name for entry in tmp_path.iterdir()] == ["R"]
 
 
 def _brute(rows: np.ndarray, position: int, op: str, value: int):

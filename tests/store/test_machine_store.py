@@ -185,15 +185,15 @@ class TestStaleStaging:
         self, stored
     ):
         """A writer killed after its manifest write and before the
-        rename leaves ``.tmp-<name>-<pid>/manifest.json`` behind; the
+        rename leaves ``.tmp-<name>-<random>/manifest.json`` behind; the
         store must not list it, and compiles must keep working."""
-        staging = stored.root / ".tmp-R-999"
+        staging = stored.root / ".tmp-R-k2x9q_7a"
         staging.mkdir()
         (staging / "manifest.json").write_text(
             (stored.root / "SP" / "manifest.json").read_text()
         )
         assert stored.names() == ["SP"]
-        assert not stored.holds(".tmp-R-999")
+        assert not stored.holds(".tmp-R-k2x9q_7a")
         assert [name for name, _ in stored.fingerprint()] == ["SP"]
         machine = _machine()
         machine.attach_store(stored)

@@ -28,6 +28,10 @@ Per run, one SHA-256 for each section:
   simulated (not host-clock) histograms;
 * ``spans`` — ``Span.structure()`` of every root, as an indented tree.
 
+Last, one line ``store <relation>/<file> <digest>`` for each file —
+``manifest.json`` and every chunk — of each relation the transactions
+wrote to the store, so the bytes the store writes are an observable too.
+
 ``--full`` is the only option and changes only what is printed.  The
 output is a function of the source alone: the same under any
 ``PYTHONHASHSEED`` (``tests/integration/test_dump_observables.py``).
@@ -206,6 +210,17 @@ def observe(front_end: str, spec: dict) -> dict[str, str]:
     }
 
 
+def store_digests(store_dir: Path) -> list[str]:
+    """One SHA-256 per file of every relation stored under ``store_dir``."""
+    store = RelationStore(store_dir)
+    return [
+        f"store {name}/{file.name} "
+        f"{hashlib.sha256(file.read_bytes()).hexdigest()}"
+        for name in store.names()
+        for file in sorted(store.open(name).path.iterdir())
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -226,6 +241,8 @@ def main(argv=None) -> int:
                     if args.full:
                         for line in text.splitlines():
                             print(f"    {line}")
+        for line in store_digests(Path(scratch)):
+            print(line)
     return 0
 
 
