@@ -2,11 +2,11 @@
 """Pulse vs lattice engine timings on the E3/E6/E7 workloads.
 
 Both engines produce bit-identical relations and pulse counts; this
-module measures what that costs.  The pulse engine advances the whole
-array one pulse at a time (a handful of numpy operations over the
-register planes per pulse: O(pulses) Python steps, O(cells × pulses)
-element work); the lattice engine evaluates the schedule's closed form
-as a few bulk operations for the whole run.
+module measures what that costs.  The pulse engine steps the whole
+array pulse by pulse (bulk numpy operations over windows of pulses, one
+call a pulse per feedback register: O(pulses) Python steps, O(cells ×
+pulses) element work); the lattice engine evaluates the schedule's
+closed form as a few bulk operations for the whole run.
 
 Run standalone to (re)generate ``BENCH_engines.json`` at the repo
 root — CI's benchmark smoke job does exactly this::

@@ -6,8 +6,10 @@ as "whatever this engine produces".
 
 A grid, linear or division plan is stepped by the register stepper
 (:mod:`~repro.systolic.engine.registers`): each wire family is a numpy
-register plane and one pulse advances every cell at once, protocol and
-ghost-tag checks included; the run hands back columnar taps (no
+register plane — a view of its boundary feed's delay line where the
+wire only moves data — and the cell functions and the protocol and
+ghost-tag checks run over windows of pulses, the feedback registers
+one pulse at a time; the run hands back columnar taps (no
 verdicts — operators decode them through the audited tap path of
 :mod:`repro.arrays.decode`) and Token records are materialized on
 demand.  A run that asks to *see cells* — a ``trace`` observer, or the

@@ -4,22 +4,33 @@ time, as a handful of numpy operations.
 The paper's array is "a synchronous grid of identical, trivially simple
 processors" (§2.1–§2.2): on a pulse every processor latches its inputs,
 does the same short computation, and hands its outputs to its
-neighbours.  So the whole array's state is a few register planes — one
-per wire family — and one pulse is
+neighbours.  Most wires move data one cell a pulse whatever it holds, so
+a latch ``d`` cells from the edge holds what the edge was fed ``d``
+pulses earlier ("all of the data must be in the right place at the
+right time", §3.1).  A run is therefore cut into windows of pulses,
+each stepped in two passes:
 
-    inject the boundary feeds → one vectorized cell function (protocol
-    and ghost-tag checks included) → move every register one cell by
-    slice assignment → capture what sits on the tapped edge.
+    feed-forward, in bulk — every such wire family is a strided view of
+    its boundary feed's delay line (the θ grid's ``t`` ghosts, which
+    start wherever a pair first meets, take one pass per column); the
+    cell functions, every protocol and ghost-tag check and the busy
+    counts are array operations over the whole window →
+    feedback, pulse by pulse — one numpy call a pulse advances each
+    register whose value depends on an earlier pulse: ``t``'s value,
+    the accumulators, the division array's AND sweep.
 
-Each wire's latch is a value array plus an integer *ghost* array that
-doubles as the presence bit: ``-1`` is an empty wire, anything else
-names the datum riding there (tuple index ``i`` for an ``a`` element or
-a descending accumulator, ``j`` for ``b``, ``i·n_b + j`` for a
-travelling ``t``, the pair number in the division array).  Ghosts are
-always carried, so the cells' tag cross-checks run on every plan,
-tagged or not; ``tagged`` only decides whether the taps report them.
-(An element's column position is not carried: elements move only
-vertically, so it is the column they sit in.)
+Each wire's latch is a value plus an integer *ghost* that doubles as the
+presence bit: ``-1`` is an empty wire, anything else names the datum
+riding there (tuple index ``i`` for an ``a`` element or a descending
+accumulator, ``j`` for ``b``, ``i·n_b + j`` for a travelling ``t``, the
+pair number in the division array).  Ghosts are always carried, so the
+cells' tag cross-checks run on every plan, tagged or not; ``tagged``
+only decides whether the taps report them.  (An element's column
+position is not carried: elements move only vertically, so it is the
+column they sit in.)  The checks read ghosts only, so they depend on the
+schedule alone: a window's first fault is raised at the pulse and cell,
+and with the message, the cell network stops at.  An empty wire's value
+is never read.
 
 This is a pulse-by-pulse simulation and an independent oracle: it reads
 only the *input* side of a schedule — element entry pulses, the ``t``
@@ -67,6 +78,10 @@ _ANSWER = np.array(
     [[COMPARISON_OPS[op](state, 1) for state in (0, 1, 2)] for op in _OPS]
     + [[False] * 3]
 )
+#: Pulses a window × cells of the array's main plane (the comparison grid,
+#: the divisor rows): the bulk planes of a window stay cache-sized, and a
+#: run's memory is bounded whatever its length.
+_WINDOW_CELLS = 1 << 16
 
 
 def step_plan(
@@ -105,41 +120,77 @@ def step_plan(
     return taps
 
 
-# -- boundary feeds, tapped edges, operands, faults ---------------------------
+# -- delay lines, windows, tapped edges, faults -------------------------------
 
 
-class _Feed:
-    """One boundary input stream, bucketed by pulse: on pulse ``p`` its
-    tokens of that pulse land on positions ``where`` of the fed edge and
-    the rest of the edge is an empty wire.  ``pulses`` has one entry per
-    token; ``where``, ``ghost`` and ``value`` broadcast against it."""
+class _DelayLine:
+    """One boundary input stream as a delay line: ghost, value and
+    presence tables with an entry per pulse and position of the fed edge
+    (``lag`` empty pulses before pulse 0, one after the last).  Tokens
+    come as broadcastable (pulses, where, ghost, value); of two that
+    reach one position on one pulse the later in feed order wins, as in
+    the cell network's ``{pulse: token}`` feeders.  Each position's
+    pulses are contiguous, or with ``pulse_major`` each pulse's
+    positions: whichever the planes' last axis walks."""
 
-    def __init__(self, horizon: int, pulses, where, ghost, value) -> None:
-        order = np.argsort(pulses, axis=None, kind="stable")
-        stamps = pulses.ravel()[order]
-        if stamps[0] < 0:
-            raise SimulationError(f"schedule pulse {stamps[0]} is negative")
-        self._bounds = np.searchsorted(
-            stamps, np.arange(horizon + 1)
-        ).tolist()
+    def __init__(self, horizon: int, edge: int, lag: int, pulses, where,
+                 ghost, value, pulse_major: bool = False) -> None:
+        pulses = np.asarray(pulses)
 
         def per_token(column) -> np.ndarray:
+            column = np.asarray(column)
+            if column.shape == pulses.shape:
+                return column.ravel()
             # np.broadcast_to costs ten times this on a small array.
-            full = np.empty(pulses.shape, np.asarray(column).dtype)
+            full = np.empty(pulses.shape, column.dtype)
             full[...] = column
-            return full.ravel()[order]
+            return full.ravel()
 
-        self._where, self._ghost, self._value = (
-            per_token(where), per_token(ghost), per_token(value)
+        stamps, where, ghost, value = map(
+            per_token, (pulses, where, ghost, value)
+        )
+        if stamps.min() < 0:
+            raise SimulationError(f"schedule pulse {stamps.min()} is negative")
+        rows = lag + horizon + 1
+        # Elements from one pulse to the next, one position to the next.
+        pulse, position = (edge, 1) if pulse_major else (1, rows)
+        self._steps = (pulse, position)
+        self._lag = lag
+        ghosts = np.full(rows * edge, -1)
+        values = np.zeros(rows * edge, value.dtype)
+        token = np.flatnonzero(stamps < horizon)
+        slot = (lag + stamps[token]) * pulse + where[token] * position
+        # The last token fed to a slot wins: np.maximum.at is defined on
+        # repeated slots, where ``[slot] = token`` is not.
+        np.maximum.at(ghosts, slot, token)
+        last = ghosts[slot] == token
+        slot, token = slot[last], token[last]
+        ghosts[slot], values[slot] = ghost[token], value[token]
+        self._tables = (ghosts, values, ghosts >= 0)
+
+    def window(self, lo: int, shape: tuple[int, ...], delay: int, *axes):
+        """``(ghost, value, present)`` on pulses ``lo, lo + 1, …`` (axis
+        0 of ``shape``) at the wires of ``shape[1:]``, as strided views:
+        the wire at index ``(k₁, k₂, …)`` sits ``delay + Σ dᵢ·kᵢ`` cells
+        downstream of edge position ``Σ eᵢ·kᵢ``, ``axes`` giving each
+        ``(dᵢ, eᵢ)``.  (``np.ndarray`` checks the view's bounds.)"""
+        pulse, position = self._steps
+        steps = (pulse, *(e * position - d * pulse for d, e in axes))
+        return tuple(
+            np.ndarray(
+                shape, table.dtype, table,
+                (self._lag + lo - delay) * pulse * table.itemsize,
+                tuple(step * table.itemsize for step in steps),
+            )
+            for table in self._tables
         )
 
-    def inject(self, pulse: int, edge_g, edge_v) -> None:
-        edge_g[...] = -1
-        lo, hi = self._bounds[pulse], self._bounds[pulse + 1]
-        if lo < hi:
-            where = self._where[lo:hi]
-            edge_g[where] = self._ghost[lo:hi]
-            edge_v[where] = self._value[lo:hi]
+
+def _windows(pulses: int, cells: int) -> list[tuple[int, int]]:
+    """The run's pulses cut into windows of ``[lo, hi)``, at least one
+    pulse long."""
+    width = max(1, _WINDOW_CELLS // cells)
+    return [(lo, min(lo + width, pulses)) for lo in range(0, pulses, width)]
 
 
 class _Taps:
@@ -151,11 +202,13 @@ class _Taps:
     def __init__(self) -> None:
         self._records = [self._NONE]
 
-    def capture(self, pulse: int, edge_g, edge_v) -> None:
-        (where,) = (edge_g >= 0).nonzero()
-        if where.size:
-            stamps = np.full(where.size, pulse)
-            self._records.append((stamps, where, edge_g[where], edge_v[where]))
+    def capture(self, lo: int, ghost, value) -> None:
+        """Pulses ``lo, lo + 1, …`` of the edge: ``(pulses, edge)``."""
+        at, where = (ghost >= 0).nonzero()
+        if at.size:
+            self._records.append(
+                (lo + at, where, ghost[at, where], value[at, where])
+            )
 
     def columnar(
         self,
@@ -188,7 +241,8 @@ def _fault(pulse: int, cell: str, message: str) -> SimulationError:
 
 
 def _first(bad: np.ndarray) -> tuple[int, ...]:
-    """The first offending cell in the order a network steps its cells."""
+    """The first offending cell in the order a network steps its cells
+    (of a window: on its first pulse with a fault)."""
     return tuple(map(int, np.unravel_index(np.argmax(bad), bad.shape)))
 
 
@@ -205,42 +259,41 @@ def _step_grid(
     I, J, K = np.arange(n_a)[:, None], np.arange(n_b)[:, None], np.arange(C)
     counter = plan.variant == "counter"
 
-    # Wire (r, c) of a plane is the input latch of cell (r, c); the extra
-    # column of the t plane is each row's right-edge output wire.
-    a_g, a_v = np.full((R, C), -1), np.zeros((R, C), A.dtype)
-    b_g, b_v = np.full((R, C), -1), np.zeros((R, C), B.dtype)
-    t_g, t_v = np.full((R, C + 1), -1), np.zeros((R, C + 1), bool)
-    t_in_g, t_in_v = t_g[:, :C], t_v[:, :C]
-    a_feed = _Feed(P, sched.a_entry_pulse(I, K), K, I, A)
+    # a moves down from row 0 and b up from row R − 1, so cell (r, c)
+    # latches what column c was fed r (or R − 1 − r) pulses earlier; t
+    # moves right from column 0, the accumulators down from acc[0].
+    # Planes are column by column, rows innermost: [pulse, column, row].
+    # a's ghost rides as its pair's row offset i·n_b, so a pair is a sum.
+    a_line = _DelayLine(P, C, R, sched.a_entry_pulse(I, K), K, I * n_b, A)
     if counter:
-        b_feed = _Feed(P, sched.b_entry_pulse(J, K), K, J, B)
+        b_line = _DelayLine(P, C, R, sched.b_entry_pulse(J, K), K, J, B)
     else:  # §8: b_row is preloaded into row ``row`` and never moves
-        b_g[:], b_v[:] = J, B
+        b_g, b_v, b_p = J.T, B.T, True
 
-    t_feed = None
-    if plan.t_init is not None:
+    ops, dynamic = plan.ops, plan.dynamic_ops
+    if ops is None:
         if counter:
             met = [sched.row_pairs(row) for row in range(R)]
             row = np.repeat(np.arange(R), [len(pairs) for pairs in met])
-            i, j = np.array(
-                list(chain.from_iterable(met)), dtype=np.int64
+            i, j = np.fromiter(
+                chain.from_iterable(chain.from_iterable(met)), np.int64
             ).reshape(-1, 2).T
+            del met  # a Python tuple per pair: gone before the tables
         else:
             i, j, row = I, J.T, J.T
-        seeds = np.frompyfunc(lambda i, j: bool(plan.t_init(i, j)), 2, 1)
-        t_feed = _Feed(
-            P, sched.t_init_pulse(i, j), row, i * n_b + j,
-            seeds(i, j).astype(bool),
+        seeds = np.frompyfunc(plan.t_init, 2, 1)(i, j).astype(bool)
+        t_line = _DelayLine(
+            P, R, C + 1, sched.t_init_pulse(i, j), row, i * n_b + j, seeds,
+            pulse_major=True,
         )
-
-    ops, dynamic = plan.ops, plan.dynamic_ops
-    if ops is not None:
+    else:
         codes = np.array(
             [_OPS.index(op) if op in _OPS else _UNKNOWN_OP for op in ops]
         )
         if dynamic:  # §6.3.2: the op code rides down beside its a element
-            op_g, op_v = np.full((R, C), -1), np.zeros((R, C), np.int64)
-            op_feed = _Feed(P, sched.a_entry_pulse(I, K), K, I, codes)
+            op_line = _DelayLine(
+                P, C, R, sched.a_entry_pulse(I, K), K, I, codes
+            )
         elif _UNKNOWN_OP in codes:
             k = codes.tolist().index(_UNKNOWN_OP)
             raise SimulationError(
@@ -248,76 +301,106 @@ def _step_grid(
                 f"{ops[k]!r}; have {sorted(COMPARISON_OPS)}"
             )
         else:  # preloaded: every cell of column k holds ops[k]
-            op_g, op_v = None, codes[None, :]
+            op_g, op_v = None, codes[:, None]
 
     if plan.accumulate:
-        # Wire r is acc[r]'s descending input, wire R the bottom output.
-        top_g, top_v = np.full(R + 1, -1), np.zeros(R + 1, bool)
-        top_in = top_g[:R]
-        seed_feed = _Feed(P, sched.accumulator_seed_pulse(I), 0, I, np.False_)
+        seed_line = _DelayLine(
+            P, 1, R, sched.accumulator_seed_pulse(I), 0, I, np.False_
+        )
     row_taps, acc_taps = _Taps(), _Taps()
-    busy, acc_busy = np.zeros((R, C), np.int64), np.zeros(R, np.int64)
+    busy, acc_busy = np.zeros((C, R), np.int64), np.zeros(R, np.int64)
+    # Carried from window to window: t's latches (column C: each row's
+    # output wire) — values, and the θ grid's ghosts — and the
+    # accumulators' values.
+    t_v, t_g, top_v = np.ones((C + 1, R), bool), np.full((C + 1, R), -1), False
 
-    for pulse in range(P):
-        a_feed.inject(pulse, a_g[0], a_v[0])
+    for lo, hi in _windows(P, R * C):
+        W = hi - lo
+        a_g, a_v, a_p = a_line.window(lo, (W, C, R), 0, (0, 1), (1, 0))
         if counter:
-            b_feed.inject(pulse, b_g[R - 1], b_v[R - 1])
-        if t_feed is not None:
-            t_feed.inject(pulse, t_g[:, 0], t_v[:, 0])
-        if dynamic:
-            op_feed.inject(pulse, op_g[0], op_v[0])
-
-        a_p, b_p = a_g >= 0, b_g >= 0
+            b_g, b_v, b_p = b_line.window(
+                lo, (W, C, R), R - 1, (0, 1), (-1, 0)
+            )
         both = a_p & b_p
-        pair = np.where(both, a_g * n_b + b_g, -1)
+        # t's latches on pulses lo … hi: [w, c] is column c's input on
+        # pulse lo + w, [w, C] the row's output on the pulse before.
+        v = np.empty((W + 1, C + 1, R), bool)
+        v[0] = t_v
         if ops is None:
             # Fig 3-2: a partial result rides with exactly the element
-            # pair it claims to compare, and every pair with one.
-            if (t_in_g != pair).any():
-                raise _comparison_fault(
-                    pulse, t_in_g, a_g, b_g, pair, n_b, name_of
-                )
-            out_g, out_v = t_in_g, t_in_v & (a_v == b_v)
+            # pair it claims to compare, and every pair with one; so its
+            # ghost is the left edge's feed, one pulse later a column.
+            g, fed, t_p = t_line.window(
+                lo, (W + 1, C + 1, R), 0, (1, 0), (0, 1)
+            )
+            v[:W, 0] = fed[:W, 0]
+            bad = (t_p[:W, :C] > both) | (both & (g[:W, :C] != a_g + b_g))
+            gate = a_v == b_v
         else:
             # Fig 6-1: the pair originates t (column 0) or ANDs into it.
-            t_p = t_in_g >= 0
-            bad = t_p & ~both
+            pair = np.where(both, a_g + b_g, -1)
+            g = np.empty((W + 1, C + 1, R), np.int64)
+            g[0], g[:, 0] = t_g, -1
+            for c in range(C):
+                t_in = g[:W, c]
+                g[1:, c + 1] = np.where(t_in >= 0, t_in, pair[:, c])
+            t_p = g >= 0
+            bad = t_p[:W, :C] & ~both
             if dynamic:
-                bad |= a_p != (op_g >= 0)
+                op_g, op_v, op_p = op_line.window(
+                    lo, (W, C, R), 0, (0, 1), (1, 0)
+                )
+                bad |= a_p != op_p
                 bad |= both & (op_v == _UNKNOWN_OP)
-            if bad.any():
-                raise _theta_fault(pulse, bad, a_p, op_g, both, ops, name_of)
             state = (a_v >= b_v).view(np.int8) + (a_v > b_v)
-            out_g = np.where(t_p, t_in_g, pair)
-            out_v = _ANSWER[op_v, state] & (t_in_v | ~t_p)
+            # t_out = answer ∧ (t_in ∨ no t_in): an empty t wire holds
+            # TRUE, so one AND a pulse computes it.
+            gate = _ANSWER[op_v, state] | ~t_p[1:, 1:]
+            v[:, 0] = True
+
+        first = _first(bad)[0] if bad.any() else W
+        if plan.accumulate:
+            # Fig 4-1: the row result of a pulse ago merges into the
+            # descending t_i of the tuple it belongs to.  (Within a
+            # pulse, the cells' fault comes first.)
+            top_g, _, top_p = seed_line.window(lo, (W, R), 0, (1, 0))
+            left_g, left_p = g[:W, C], t_p[:W, C]
+            bad_acc = np.where(left_p, left_g // n_b, top_g) != top_g
+            w = _first(bad_acc)[0] if bad_acc.any() else W
+            if w < first:
+                raise _accumulator_fault(
+                    lo + w, bad_acc[w], left_g[w], top_g[w], n_b
+                )
+        if first < W:
+            w = first
+            if ops is None:
+                raise _comparison_fault(
+                    lo + w, g[w, :C].T, a_g[w].T // n_b,
+                    np.broadcast_to(b_g, a_g.shape)[w].T, n_b, name_of,
+                )
+            raise _theta_fault(
+                lo + w, bad[w].T, a_p[w].T,
+                None if op_g is None else op_g[w].T, both[w].T, ops, name_of,
+            )
         if metered:
             # Past the checks, t and a streamed op never arrive alone.
-            busy += a_p | b_p
+            busy += (a_p | b_p).sum(axis=0)
+            if plan.accumulate:
+                acc_busy += top_p.sum(axis=0)
 
-        if plan.accumulate:
-            # Fig 4-1: OR the row result into the descending t_i of the
-            # tuple it belongs to.
-            seed_feed.inject(pulse, top_g[:1], top_v[:1])
-            left_g = t_g[:, C]
-            left_p = left_g >= 0
-            merged = np.where(left_p, left_g // n_b, top_in)
-            if (merged != top_in).any():
-                raise _accumulator_fault(
-                    pulse, merged != top_in, left_g, top_in, n_b
-                )
-            if metered:
-                acc_busy += top_in >= 0
-            top_g[1:], top_v[1:] = top_in, top_v[:R] | (t_v[:, C] & left_p)
-            acc_taps.capture(pulse, top_g[R:], top_v[R:])
-
-        t_g[:, 1:], t_v[:, 1:] = out_g, out_v
-        a_g[1:], a_v[1:] = a_g[:-1], a_v[:-1]
-        if counter:
-            b_g[:-1], b_v[:-1] = b_g[1:], b_v[1:]
-        if dynamic:
-            op_g[1:], op_v[1:] = op_g[:-1], op_v[:-1]
+        for t_in, answer, t_out in zip(v[:W, :C], gate, v[1:, 1:]):
+            np.logical_and(t_in, answer, out=t_out)
+        t_v, t_g = v[W], g[W]
         if plan.row_taps:
-            row_taps.capture(pulse, t_g[:, C], t_v[:, C])
+            row_taps.capture(lo, g[1:, C], v[1:, C])
+        if plan.accumulate:
+            into = v[:W, C] & left_p
+            top = np.empty((W + 1, R + 1), bool)
+            top[0], top[:, 0] = top_v, False  # every seed is FALSE
+            for above, left, below in zip(top[:W, :R], into, top[1:, 1:]):
+                np.logical_or(above, left, out=below)
+            top_v = top[W]
+            acc_taps.capture(lo, top_g[:, R - 1:], top[1:, R:])
 
     taps: dict[str, ColumnarTap] = {}
     if plan.row_taps:
@@ -329,10 +412,11 @@ def _step_grid(
         taps.update(acc_taps.columnar(
             ["t_i"], "acc" if plan.tagged else None, lambda ghost: (ghost,),
         ))
-    return taps, [(name_of, busy), (acc_name, acc_busy)]
+    return taps, [(name_of, busy.T), (acc_name, acc_busy)]
 
 
-def _comparison_fault(pulse, t_g, a_g, b_g, pair, n_b, name_of):
+def _comparison_fault(pulse, t_g, a_g, b_g, n_b, name_of):
+    pair = np.where((a_g >= 0) & (b_g >= 0), a_g * n_b + b_g, -1)
     r, c = _first(t_g != pair)
     t, a, b = int(t_g[r, c]), int(a_g[r, c]), int(b_g[r, c])
     if t < 0:
@@ -383,57 +467,60 @@ def _step_division(plan: DivisionPlan, metered: bool):
     n, R, S, P = sched.n_pairs, sched.p_rows, sched.n_divisor, plan.pulses
     pairs = operand_matrix(plan.pairs, n, 2, "pulse", "dividend")
     stored_x = np.asarray(plan.distinct_x, dtype=np.int64)
-    stored_y = np.asarray(plan.divisor, dtype=np.int64)
+    stored_y = np.asarray(plan.divisor, dtype=np.int64)[:, None]
     Q, ROWS = np.arange(n), np.arange(R)
 
-    # The dividend columns: x and y climb from the bottom row; the match
-    # bit crosses from dm[row] to dg[row].
-    x_g, x_v = np.full(R, -1), np.zeros(R, pairs.dtype)
-    y_g, y_v = np.full(R, -1), np.zeros(R, pairs.dtype)
-    m_g, m_v = np.full(R, -1), np.zeros(R, bool)
-    # The divisor rows: the gated y (``live`` false: the explicit null)
-    # and the AND sweep move right; column S of the sweep is the row's
-    # output wire.  ``seen`` is each dv cell's sticky flag.
-    g_g, g_v = np.full((R, S), -1), np.zeros((R, S), pairs.dtype)
-    live, seen = np.zeros((R, S), bool), np.zeros((R, S), bool)
-    and_g, and_v = np.full((R, S + 1), -1), np.zeros((R, S + 1), bool)
-    x_feed = _Feed(P, sched.x_entry_pulse(Q), 0, Q, pairs[:, 0])
-    y_feed = _Feed(P, sched.y_entry_pulse(Q), 0, Q, pairs[:, 1])
-    and_feed = _Feed(P, sched.and_inject_pulse(ROWS), ROWS, ROWS, np.True_)
+    # x and y climb from the bottom row; dg[r] passes y and its x's match
+    # bit (false: the explicit null) into divisor row r, where they and
+    # the AND sweep move right.  Planes are [pulse, divisor column, row].
+    x_line = _DelayLine(P, 1, R + S, sched.x_entry_pulse(Q), 0, Q, pairs[:, 0])
+    y_line = _DelayLine(P, 1, R + S, sched.y_entry_pulse(Q), 0, Q, pairs[:, 1])
+    and_line = _DelayLine(
+        P, R, S, sched.and_inject_pulse(ROWS), ROWS, ROWS, np.True_,
+        pulse_major=True,
+    )
     taps = _Taps()
     dm_busy, dg_busy = np.zeros(R, np.int64), np.zeros(R, np.int64)
-    dv_busy = np.zeros((R, S), np.int64)
+    dv_busy = np.zeros((S, R), np.int64)
+    # Carried from window to window: each dv cell's sticky flag, and the
+    # AND sweep's values (column S: the row's output wire).
+    seen, sweep = np.zeros((S, R), bool), np.ones((S + 1, R), bool)
 
-    for pulse in range(P):
-        x_feed.inject(pulse, x_g[R - 1:], x_v[R - 1:])
-        y_feed.inject(pulse, y_g[R - 1:], y_v[R - 1:])
-        and_feed.inject(pulse, and_g[:, 0], and_v[:, 0])
-
-        # dg: y arrives together with the match bit of its own pair.
-        if (y_g != m_g).any():
-            raise _gate_fault(pulse, y_g, m_g)
-        # dv: latch a sighting of the stored element, then answer the sweep.
-        g_p = g_g >= 0
-        seen |= g_p & live & (g_v == stored_y)
+    for lo, hi in _windows(P, R * S):
+        W = hi - lo
+        x_g, _, x_p = x_line.window(lo - 1, (W + 1, R), R - 1, (-1, 0))
+        y_g, _, y_p = y_line.window(lo, (W, R), R - 1, (-1, 0))
+        # dg: y arrives together with the match bit of its own pair —
+        # the one of the x that left dm the pulse before.
+        bad = y_g != x_g[:W]
+        if bad.any():
+            w = _first(bad)[0]
+            raise _gate_fault(lo + w, y_g[w], x_g[w])
+        # dv[r, s] latches the gated y that left dg[r] s + 1 pulses ago,
+        # and the match bit of its x, which left dm[r] one pulse earlier.
+        _, g_v, g_p = y_line.window(lo, (W, S, R), R, (1, 0), (-1, 0))
+        _, x_v, _ = x_line.window(lo, (W, S, R), R + 1, (1, 0), (-1, 0))
+        sighted = g_p & (x_v == stored_x) & (g_v == stored_y)
+        sighted[0] |= seen
+        sighted = np.logical_or.accumulate(sighted, axis=0)
+        and_g, _, and_p = and_line.window(lo, (W, S, R), 0, (1, 0), (0, 1))
         if metered:
-            dm_busy += x_g >= 0
-            dg_busy += y_g >= 0
-            dv_busy += g_p | (and_g[:, :S] >= 0)
+            dm_busy += x_p[1:].sum(axis=0)
+            dg_busy += y_p.sum(axis=0)
+            dv_busy += (g_p | and_p).sum(axis=0)
 
-        and_g[:, 1:], and_v[:, 1:] = and_g[:, :S], and_v[:, :S] & seen
-        g_g[:, 1:], g_v[:, 1:] = g_g[:, :-1], g_v[:, :-1]
-        live[:, 1:] = live[:, :-1]
-        g_g[:, 0], g_v[:, 0], live[:, 0] = y_g, y_v, m_v
-        m_g[:], m_v[:] = x_g, x_v == stored_x
-        x_g[:-1], x_v[:-1] = x_g[1:], x_v[1:]
-        y_g[:-1], y_v[:-1] = y_g[1:], y_v[1:]
-        taps.capture(pulse, and_g[:, S], and_v[:, S])
+        v = np.empty((W + 1, S + 1, R), bool)
+        v[0], v[:, 0] = sweep, True  # the sweep enters TRUE
+        for and_in, flag, and_out in zip(v[:W, :S], sighted, v[1:, 1:]):
+            np.logical_and(and_in, flag, out=and_out)
+        seen, sweep = sighted[W - 1], v[W]
+        taps.capture(lo, and_g[:, S - 1], v[1:, S])
 
     return taps.columnar(
         [f"and_row[{row}]" for row in range(R)],
         "and" if plan.tagged else None, lambda ghost: (ghost,),
     ), [("dm[{}]".format, dm_busy), ("dg[{}]".format, dg_busy),
-        ("dv[{},{}]".format, dv_busy)]
+        ("dv[{},{}]".format, dv_busy.T)]
 
 
 def _gate_fault(pulse, y_g, m_g):

@@ -12,11 +12,15 @@ first offending cell.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bitlevel import bit_level_intersection
 from repro.errors import SimulationError
+from repro.relational import algebra
 from repro.systolic.engine import (
     ColumnarTap,
     DivisionPlan,
@@ -26,6 +30,7 @@ from repro.systolic.engine import (
     t_init_strict_lower,
     t_init_true,
 )
+from repro.systolic.engine import registers
 from repro.systolic.engine.materialize import materialize
 from repro.systolic.engine.schedule import (
     CounterStreamSchedule,
@@ -38,6 +43,7 @@ from repro.systolic.streams import PeriodicFeeder, ScheduleFeeder
 from repro.systolic.trace import TraceRecorder
 from repro.systolic.values import Token
 from repro.systolic.wiring import Network
+from repro.workloads import overlapping_pair
 
 PLANS = settings(max_examples=20, deadline=None)
 OPS = ["==", "!=", "<", "<=", ">", ">="]
@@ -425,3 +431,123 @@ class TestJoinAndDivisionFaults:
             self.PAIRS, [0, 1, 2], [1, 2]
         ).pulses - early
         assert_equals_reference(plan)
+
+
+# -- feeds, windows and memory ------------------------------------------------
+
+
+def same_outcome(plan):
+    """The stepper gives what the cell network gives: equal records and
+    meters, or the very message it refuses the plan with."""
+    try:
+        reference(materialize(plan), plan.pulses)
+    except SimulationError as refused:
+        with pytest.raises(SimulationError) as stepped:
+            PulseEngine().run(plan)
+        assert str(stepped.value) == str(refused)
+        return str(refused)
+    assert_equals_reference(plan)
+    return None
+
+
+@pytest.mark.parametrize("base", SCHEDULES.values(), ids=list(SCHEDULES))
+def test_two_tokens_fed_to_one_wire_on_one_pulse(base):
+    """Pair (1, 1)'s initial t is injected on pair (0, 0)'s pulse (pair
+    (0, 1)'s on the fixed grid) into the same row.  The network's
+    ``{pulse: token}`` feeder keeps the later in feed order, so the
+    element pair meets the wrong t; had the earlier won, the fault would
+    be a later pulse's missing t."""
+    law = base.t_init_pulse
+    period = 2 if base is CounterStreamSchedule else 1  # between a row's pairs
+    wrong = faulty(base, t_init_pulse=lambda self, i, j: (
+        law(self, i, j) - period * ((i == 1) & (j == 1))
+    ))
+    message = same_outcome(membership(wrong))
+    assert "t claims tuple a_1 but element is ('a', 0, 0)" in message
+
+
+def under_budgets(plan, check):
+    """``check(plan)`` with windows of one pulse, of a few, and of the
+    default budget; the results."""
+    results = []
+    for budget in (1, 3 * plan.cells, registers._WINDOW_CELLS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(registers, "_WINDOW_CELLS", budget)
+            results.append(check(plan))
+    return results
+
+
+class TestWindowsChangeNothing:
+    @PLANS
+    @given(plan=grid_plans())
+    def test_grid_plans(self, plan):
+        under_budgets(plan, assert_equals_reference)
+
+    @PLANS
+    @given(plan=division_plans())
+    def test_division_plans(self, plan):
+        under_budgets(plan, assert_equals_reference)
+
+    @PLANS
+    @given(
+        a=st.lists(st.integers(0, 3), min_size=1, max_size=12),
+        seed=st.booleans(), tagged=st.booleans(),
+    )
+    def test_linear_plans(self, a, seed, tagged):
+        b = a[::-1]
+        under_budgets(LinearPlan(a, b, seed=seed, tagged=tagged),
+                      assert_equals_reference)
+
+    @pytest.mark.parametrize("plan", [
+        membership(faulty(CounterStreamSchedule,
+                          t_init_pulse=late("t_init_pulse"))),
+        membership(faulty(
+            CounterStreamSchedule,
+            accumulator_seed_pulse=late("accumulator_seed_pulse"),
+        )),
+        GridPlan(A4, B4, CounterStreamSchedule(4, 4, 2),
+                 ops=("==", "~~"), dynamic_ops=True, row_taps=True),
+    ], ids=["late-t", "late-seed", "streamed-op"])
+    def test_a_fault_in_a_later_window(self, plan):
+        messages = under_budgets(plan, same_outcome)
+        assert messages[0] is not None and len(set(messages)) == 1
+        assert_in_a_later_window(messages[0])
+
+    def test_a_division_fault_in_a_later_window(self):
+        # Pair 3's y one pulse late; the network is re-fed to match.
+        law = lambda self, q: q + 1 + (q == 3)
+        faults = TestJoinAndDivisionFaults()
+        plan = faults.division(y_entry_pulse=law)
+        network = refed(materialize(plan), {
+            ("dg[2]", "y_in"): ScheduleFeeder({
+                law(plan.schedule, q): Token(y, ("pair", q))
+                for q, (_, y) in enumerate(faults.PAIRS)
+            }),
+        })
+        messages = under_budgets(plan, lambda plan: both_errors(plan, network))
+        assert len(set(messages)) == 1
+        expected, stepped = messages[0]
+        assert stepped == expected
+        assert_in_a_later_window(stepped)
+
+
+def assert_in_a_later_window(message):
+    """The fault's pulse is past the first few one-pulse windows."""
+    assert int(message.split(":")[0].removeprefix("pulse ")) >= 3
+
+
+def test_windows_bound_the_memory_of_a_long_run():
+    """E21's calibration shape: 256 × 64-bit tuples intersected bit by
+    bit, a 511 × 64 grid of bit comparators stepped over 1 085 pulses.
+    Its whole-run planes would hold ≈ 35 M cells apiece (≈ 280 MB as
+    int64); windowed, the run peaks near its feed tables."""
+    a, b = overlapping_pair(256, 256, 128, arity=2, seed=21)
+    tracemalloc.start()
+    try:
+        result = bit_level_intersection(a, b, width=32, backend="pulse")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (result.run.pulses, result.run.cells) == (1085, 511 * 65)
+    assert result.relation == algebra.intersection(a, b)
+    assert peak <= 32 * 2**20
