@@ -317,11 +317,12 @@ def blockwise_verdicts(
 
 
 def accumulator_bits(result, schedule, tagged: bool) -> list[bool]:
-    """``t_i = OR_j t_ij`` for every tuple of A, off the ``t_i`` tap."""
+    """``t_i = OR_j t_ij`` for every tuple of A: the run's ``(n_a,)``
+    verdicts when it has them, else off the ``t_i`` tap."""
     if not tagged:
-        verdicts = _run_verdicts(result, (schedule.n_a, schedule.n_b))
+        verdicts = _run_verdicts(result, (schedule.n_a,))
         if verdicts is not None:
-            return verdicts.any(axis=1).tolist()
+            return verdicts.tolist()
     tap = _tap_of(result, "t_i")
     if tap is not None:
         return _accumulator_bits_from_tap(tap, schedule, tagged)

@@ -51,6 +51,7 @@ __all__ = [
     "unpack_bits",
     "pack_planes",
     "equality_planes",
+    "equal_runs",
     "magnitude_planes",
     "PLANE_OPS",
     "plane_op",
@@ -90,12 +91,14 @@ def plane_shift_width(*matrices: np.ndarray) -> tuple[list[np.ndarray], int]:
 def _bit_planes(matrix: np.ndarray, width: int) -> np.ndarray:
     """The low ``width`` bits of every ``uint64`` in an ``(n, m)``
     matrix, one byte each, as a contiguous ``(m, width, n)`` array:
-    ``[k, p]`` is bit position ``p`` (MSB-first) of column ``k``."""
+    ``[k, p]`` is bit position ``p`` (MSB-first) of column ``k``.  Only
+    the ``⌈width/8⌉`` low bytes of each word are unpacked."""
     n, m = matrix.shape
     octets = np.ascontiguousarray(matrix, dtype=_WORD).view(np.uint8)
     bits = np.unpackbits(
-        octets.reshape(n, m, 8), axis=-1, bitorder="little"
-    )  # (n, m, 64), bit b of each word at [..., b]
+        octets.reshape(n, m, 8)[:, :, :-(-width // 8)], axis=-1,
+        bitorder="little",
+    )  # (n, m, 8·⌈width/8⌉), bit b of each word at [..., b]
     return np.ascontiguousarray(bits[:, :, width - 1::-1].transpose(1, 2, 0))
 
 
@@ -164,6 +167,40 @@ def equality_planes(
             np.bitwise_xor(b_planes[k, p, :, None], a_mask, out=diff)
             np.bitwise_or(neq, diff, out=neq)
     return np.invert(neq, out=neq).T
+
+
+def equal_runs(matrix: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a translated ``(n, m)`` matrix ordered so that equal
+    rows are adjacent, and where each run of equal rows starts.
+
+    A row's sort key is its ``m × width`` bits laid end to end in
+    ``⌈m·width/64⌉`` ``uint64`` words (column ``c`` at bit ``c·width``),
+    so the sort moves words, never the unpacked bits.  Whether
+    neighbours are equal is then decided plane-wise: each packed plane
+    of the ordered rows is XORed with itself shifted one lane — the
+    next word's lane 0 carried into lane 63 — and the differences are
+    ORed across planes, ``n − 1`` comparisons where a whole verdict
+    matrix is ``n²``.  Returns ``(order, starts)``: sorted position
+    ``p`` holds row ``order[p]``, and ``starts[p]`` is TRUE iff it
+    differs from position ``p − 1``.
+    """
+    n, m = matrix.shape
+    keys = np.zeros((-(-m * width // PLANE_BITS), n), dtype=np.uint64)
+    for c in range(m):
+        word, bit = divmod(c * width, PLANE_BITS)
+        keys[word] |= matrix[:, c] << np.uint64(bit)
+        if bit + width > PLANE_BITS:  # the field's high bits spill over
+            keys[word + 1] |= matrix[:, c] >> np.uint64(PLANE_BITS - bit)
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
+    planes = pack_planes(matrix[order], width).reshape(m * width, -1)
+    shifted = planes >> np.uint64(1)
+    shifted[:, :-1] |= planes[:, 1:] << np.uint64(PLANE_BITS - 1)
+    shifted ^= planes
+    differs = unpack_bits(np.bitwise_or.reduce(shifted, axis=0), n)
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    starts[1:] = differs[:-1]
+    return order, starts
 
 
 def magnitude_planes(

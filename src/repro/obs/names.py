@@ -38,7 +38,8 @@ METRICS: dict[str, tuple[str, str]] = {
         COUNTER, "packed uint64 bitplanes swept by the bitplane engine"),
     "engine.lattice.chunks": (
         COUNTER, "row chunks compared by the lattice engine's word kernel "
-                 "(whole-array grids and every band of a blocked run)"),
+                 "(whole-array grids and every band of a blocked run; a "
+                 "ranked membership counts none)"),
     "engine.run.pulses": (
         HISTOGRAM, "pulses per array run (every engine alike)"),
     "engine.runs": (

@@ -14,10 +14,14 @@ costs several times the operation (docs/PERF.md), so the comparison
 lives here — each operator on a device a third of the problem's size
 and narrower than its tuples, the one-run kernel against every block
 run read off its tagged taps, against the software oracle, and the
-pulse total against :mod:`repro.perf.cost`.  One more intersection,
-whatever the sweep's size, has ``n · n · 3`` compared elements above
-the lattice engine's packing floor, so the packed-key kernel is
-audited too (its blocks, one device each, stay below the floor).
+pulse total against :mod:`repro.perf.cost`.  Three more cases have a
+fixed size whatever the sweep's: an intersection with ``n · n · 3``
+compared elements above the lattice engine's packing floor, so the
+packed-key kernel is audited too (its blocks, one device each, stay
+below the floor), and an intersection and a remove-duplicates with
+twice as many rows a side as the larger of the two vectorized engines'
+rank crossovers, so each engine's ranked membership kernel is held to
+block runs that compare.
 """
 
 from __future__ import annotations
@@ -53,7 +57,9 @@ from repro.patterns import match_pattern
 from repro.perf.cost import comparison_cost, join_cost
 from repro.relational import algebra
 from repro.systolic.engine import (
+    BitplaneEngine,
     BlockedPlan,
+    LatticeEngine,
     resolve_backend,
     t_init_strict_lower,
     t_init_true,
@@ -202,8 +208,9 @@ def _blocked_checks(
     report, a, b, multi, ja, jb, size: int, seed: int, backend
 ) -> None:
     """One check per §8 blocked operator (see the module docstring),
-    and one intersection large enough that the vectorized engines
-    compare it with the packed-key kernel."""
+    one intersection large enough that the vectorized engines compare
+    it with the packed-key kernel, and an intersection and a
+    remove-duplicates large enough that both of them rank it."""
     engine = resolve_backend(backend)
     wide = _device(size, max_cols=2)    # tuples have 3 columns
     narrow = _device(size, max_cols=1)  # the θ-join has 2
@@ -211,6 +218,10 @@ def _blocked_checks(
     n = math.isqrt(_PACK_MIN_ELEMENTS // 3) + 1  # n·n·3 above the floor
     big_a, big_b = overlapping_pair(n, n, n // 2, arity=3, seed=seed)
     big = _device(n, max_cols=2)
+    r = 2 * max(LatticeEngine._RANK_MIN_ROWS, BitplaneEngine._RANK_MIN_ROWS)
+    rank_a, rank_b = overlapping_pair(r, r, r // 2, arity=3, seed=seed)
+    rank_multi = relation_with_duplicates(r // 2, 2.0, seed=seed + 4)
+    ranked = _device(r, max_cols=2)
     on, ops = [("key", "key"), ("a0", "b0")], ["<=", "!="]
     seeded, lower = dict(t_init=t_init_true), dict(t_init=t_init_strict_lower)
 
@@ -281,6 +292,15 @@ def _blocked_checks(
          lambda: blocked_intersection(big_a, big_b, big, backend=backend),
          lambda: algebra.intersection(big_a, big_b),
          comparison_cost, big, big_a.array, big_b.array, "rows", seeded),
+        (f"intersection {r}x{r}",
+         lambda: blocked_intersection(rank_a, rank_b, ranked, backend=backend),
+         lambda: algebra.intersection(rank_a, rank_b),
+         comparison_cost, ranked, rank_a.array, rank_b.array, "rows", seeded),
+        (f"remove-duplicates {r}x{r}",
+         lambda: blocked_remove_duplicates(rank_multi, ranked, backend=backend),
+         lambda: algebra.remove_duplicates(rank_multi),
+         comparison_cost, ranked, rank_multi.array, rank_multi.array, "rows",
+         lower),
     ):
         _check(report, f"blocked {name}", partial(audited, *case))
 

@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.bitlevel.planes import (
     PLANE_BITS,
+    equal_runs,
     equality_planes,
     magnitude_planes,
     pack_planes,
@@ -108,6 +109,36 @@ class BitplaneEngine(LatticeEngine):
         # chunked.
         metrics.inc("engine.bitplane_planes", m * width)
         return V
+
+    # -- the vector t_i: runs of equal rows, decided plane-wise ---------------
+
+    #: The dense kernel packs B and sweeps every plane even for a few
+    #: rows, so ranking wins from small operands.
+    _RANK_MIN_ROWS = 16
+
+    def _ranked_membership(
+        self, A: np.ndarray, B: np.ndarray, strict: bool
+    ) -> np.ndarray:
+        """``t_i`` from runs of equal rows of A∪B: ordered by their
+        packed bits, neighbours compared by the XOR/OR-reduce over
+        shifted planes (:func:`~repro.bitlevel.planes.equal_runs`).  A
+        row of A is a member iff its run holds a row of B — under
+        ``strict``, one whose index ``j`` (the smallest in the run) is
+        below ``i``."""
+        n_a, n_b = len(A), len(B)
+        (both,), width = plane_shift_width(np.concatenate((A, B)))
+        order, starts = equal_runs(both, width)
+        metrics.inc("engine.bitplane_planes", A.shape[1] * width)
+        # The smallest B index of each run; n_a + n_b (above every i
+        # and j) where it holds none.
+        first_b = np.minimum.reduceat(
+            np.where(order >= n_a, order - n_a, n_a + n_b),
+            np.flatnonzero(starts),
+        )
+        run = np.empty(n_a + n_b, dtype=np.int64)
+        run[order] = np.cumsum(starts) - 1
+        limit = np.arange(n_a) if strict else n_b
+        return first_b[run[:n_a]] < limit
 
     # -- the division array: gating as packed equality matrices --------------
 

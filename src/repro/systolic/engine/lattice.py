@@ -66,6 +66,8 @@ from repro.systolic.engine.plan import (
     count_runs,
     operand_matrix,
     run_attrs,
+    t_init_strict_lower,
+    t_init_true,
 )
 from repro.systolic.metrics import ActivityMeter
 from repro.systolic.streams import Collector
@@ -152,6 +154,11 @@ class LatticeEngine:
 
     name = "lattice"
 
+    #: The membership crossover (:meth:`_ranks`): ranking stable-sorts
+    #: B's keys and searches A's, which the packed-key compare beats on
+    #: small operands.
+    _RANK_MIN_ROWS = 128
+
     def __init__(self, chunk_bytes: Optional[int] = None) -> None:
         if chunk_bytes is None:
             chunk_bytes = env_int(
@@ -203,31 +210,108 @@ class LatticeEngine:
         A = operand_matrix(plan.a_tuples, n_a, m, "lattice", "A")
         B = operand_matrix(plan.b_tuples, n_b, m, "lattice", "B")
 
-        V = self._verdict_matrix(A, B, plan.ops)
-        if plan.t_init is not None:
-            _apply_t_init(V, plan.t_init)
+        if plan.row_taps:
+            verdicts = self._verdict_matrix(A, B, plan.ops)
+            if plan.t_init is not None:
+                _apply_t_init(verdicts, plan.t_init)
+        else:
+            # Only t_i leaves an accumulate-only array (eq. 4.1).
+            verdicts = self._membership(A, B, plan.t_init, plan.ops)
 
         if meter is not None:
             meter.absorb(self._grid_busy(plan), plan.pulses, plan.cells)
         return EngineRun(
             engine=self.name, pulses=plan.pulses, cells=plan.cells,
-            meter=meter, verdicts=V,
-            tap_view=lambda: self._grid_taps(plan, V),
+            meter=meter, verdicts=verdicts,
+            tap_view=lambda: self._grid_taps(plan, verdicts),
         )
 
-    def _grid_taps(self, plan: GridPlan, V: np.ndarray) -> dict[str, ColumnarTap]:
-        """The run's tap observables, derived from its verdicts."""
-        taps: dict[str, ColumnarTap] = {}
-        if plan.row_taps:
-            taps.update(self._row_taps(plan, V))
+    def _grid_taps(
+        self, plan: GridPlan, verdicts: np.ndarray
+    ) -> dict[str, ColumnarTap]:
+        """The run's tap observables, derived from its verdicts: ``T``
+        when the plan has row taps, else the vector ``t_i``."""
+        if not plan.row_taps:
+            return {"t_i": self._accumulator_tap(plan, verdicts)}
+        taps = self._row_taps(plan, verdicts)
         if plan.accumulate:
-            taps["t_i"] = self._accumulator_tap(plan, V)
+            taps["t_i"] = self._accumulator_tap(plan, verdicts.any(axis=1))
         return taps
 
     def _chunk_rows(self, n_b: int, m: int) -> int:
         """Rows of A whose comparison against all of B stays within
         ``chunk_bytes`` (counted as ``n_b × m`` int64 elements a row)."""
         return max(1, self.chunk_bytes // max(1, 8 * n_b * m))
+
+    def _band_rows(self, n_b: int, m: int, block: int) -> int:
+        """A band of A compared in one kernel call: whole multiples of
+        ``block`` rows (never less than one), within ``chunk_bytes``."""
+        return block * max(1, self._chunk_rows(n_b, m) // block)
+
+    # -- the vector t_i: membership without T --------------------------------
+
+    def _membership(
+        self,
+        A: np.ndarray,
+        B: np.ndarray,
+        t_init: Optional[TInit],
+        ops: Optional[tuple[str, ...]] = None,
+        block: int = 1,
+    ) -> np.ndarray:
+        """``t_i = OR_j t_ij`` (equation 4.1) for every row of A, as a
+        bool vector; ``T`` itself is never held whole.
+
+        Under the canonical seeds (``t_init_true``, ``t_init_strict_lower``
+        — an identity check, so any other callable stays dense) with
+        equality throughout, ``t_i`` is a function of row equality alone,
+        and on shapes past the engine's crossover (:meth:`_ranks`) it is
+        computed from row ranks in O((n_a + n_b) log n)
+        (:meth:`_ranked_membership`).  Otherwise bands of
+        :meth:`_band_rows` rows are compared by :meth:`_verdict_matrix`,
+        seeded, and ORed into the vector as they are produced."""
+        (n_a, m), n_b = A.shape, B.shape[0]
+        strict = t_init is t_init_strict_lower
+        if (strict or t_init is t_init_true) and self._ranks(n_a, n_b):
+            return self._ranked_membership(A, B, strict=strict)
+        t = np.empty(n_a, dtype=bool)
+        band = self._band_rows(n_b, m, block)
+        for lo in range(0, n_a, band):
+            V = self._verdict_matrix(A[lo:lo + band], B, ops)
+            if t_init is not None:
+                _apply_t_init(V, t_init, a_lo=lo)
+            V.any(axis=1, out=t[lo:lo + len(V)])
+            del V  # freed before the next band is compared
+        return t
+
+    def _ranks(self, n_a: int, n_b: int) -> bool:
+        """Whether an ``n_a × n_b`` membership is cheaper ranked than
+        compared — the crossover fitted on the grid in docs/PERF.md
+        ("The membership kernel"), from the shape alone: at least
+        ``_RANK_MIN_ROWS`` rows a side."""
+        return min(n_a, n_b) >= self._RANK_MIN_ROWS
+
+    def _ranked_membership(
+        self, A: np.ndarray, B: np.ndarray, strict: bool
+    ) -> np.ndarray:
+        """``t_i`` from row ranks: one key per row of A∪B — the packed
+        key when the columns' joint span fits 63 bits, else the row's
+        rank among A∪B's distinct byte strings — then B's keys
+        stable-argsorted (equal keys keep ascending ``j``) and A's
+        searched into them from the left.  ``t_i`` holds iff the
+        leftmost equal key exists and, under ``strict`` (§5's strictly
+        lower seed), its ``j`` is below ``i``."""
+        n_a, n_b = len(A), len(B)
+        both = np.concatenate((A, B))
+        keys = _packed_key(both)
+        if keys is None:
+            row = np.dtype((np.void, both.itemsize * both.shape[1]))
+            keys = np.unique(both.view(row).ravel(), return_inverse=True)[1]
+        a_keys, b_keys = keys[:n_a], keys[n_a:]
+        order = np.argsort(b_keys, kind="stable")
+        ordered = b_keys[order]
+        at = np.minimum(np.searchsorted(ordered, a_keys), n_b - 1)
+        limit = np.arange(n_a) if strict else n_b
+        return (ordered[at] == a_keys) & (order[at] < limit)
 
     def _verdict_matrix(
         self, A: np.ndarray, B: np.ndarray, ops: Optional[tuple[str, ...]]
@@ -305,16 +389,17 @@ class LatticeEngine:
             )
         return taps
 
-    def _accumulator_tap(self, plan: GridPlan, V: np.ndarray) -> ColumnarTap:
-        """The ``t_i`` tap in bulk: exit pulses are affine in i (slope 2
-        counter-streaming, slope 1 fixed-relation)."""
+    def _accumulator_tap(self, plan: GridPlan, t: np.ndarray) -> ColumnarTap:
+        """The ``t_i`` tap in bulk, stamping the vector ``t``: exit
+        pulses are affine in i (slope 2 counter-streaming, slope 1
+        fixed-relation)."""
         sched = plan.schedule
         step = 2 if plan.variant == "counter" else 1
         i = np.arange(sched.n_a, dtype=np.int64)
         return ColumnarTap(
             name="t_i",
             pulses=step * i + (sched.arity + sched.rows - 1),
-            values=V.any(axis=1),
+            values=t,
             tag_kind="acc" if plan.tagged else None,
             tag_indices=(i,) if plan.tagged else (),
         )
@@ -360,9 +445,10 @@ class LatticeEngine:
         side by side is comparing against all of B — so a band of whole
         A-blocks against all of B *is* those blocks' results, and the
         pulses they would take are the plan's block-span law.  Bands
-        are sized by ``chunk_bytes`` (never less than one A-block) and
-        reduced as they are produced, so what is held at once is one
-        band of ``T`` plus what the plan keeps of it.
+        are whole A-blocks sized by ``chunk_bytes`` (:meth:`_band_rows`)
+        and reduced as they are produced, so what is held at once is one
+        band of ``T`` plus what the plan keeps of it.  ``"rows"`` is
+        :meth:`_membership`, which may rank instead of comparing.
         """
         # The reduction is the decode seam's (what operators read);
         # repro.arrays imports this package, hence at call time.
@@ -376,22 +462,23 @@ class LatticeEngine:
         n_a, n_b, m = plan.n_a, plan.n_b, plan.arity
         A = operand_matrix(plan.a_tuples, n_a, m, "lattice", "A")
         B = operand_matrix(plan.b_tuples, n_b, m, "lattice", "B")
-        size = plan.tuple_block
-        band = size * max(1, self._chunk_rows(n_b, m) // size)
-
-        def verdicts_from(lo: int) -> np.ndarray:
-            V = self._verdict_matrix(A[lo:lo + band], B, plan.ops)
-            if plan.t_init is not None:
-                _apply_t_init(V, plan.t_init, a_lo=lo)
-            return V
-
-        reduction = Reduction(plan)
-        for lo in range(0, n_a, band):
-            # No name holds a band here: it is freed before the next.
-            reduction.add(lo, verdicts_from(lo))
+        if plan.reduce == "rows":
+            verdicts = self._membership(
+                A, B, plan.t_init, plan.ops, block=plan.tuple_block
+            )
+        else:
+            band = self._band_rows(n_b, m, plan.tuple_block)
+            reduction = Reduction(plan)
+            for lo in range(0, n_a, band):
+                V = self._verdict_matrix(A[lo:lo + band], B, plan.ops)
+                if plan.t_init is not None:
+                    _apply_t_init(V, plan.t_init, a_lo=lo)
+                reduction.add(lo, V)
+                del V  # freed before the next band is compared
+            verdicts = reduction.verdicts()
         return EngineRun(
             engine=self.name, pulses=plan.pulses, cells=plan.cells,
-            verdicts=reduction.verdicts(), tap_view=dict,
+            verdicts=verdicts, tap_view=dict,
         )
 
     # -- the division array (Fig 7-2) --------------------------------------

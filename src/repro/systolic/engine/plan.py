@@ -622,7 +622,10 @@ class EngineRun:
 
     The vectorized engines hand back the array's *result* — ``verdicts``:
     the ``(n_a, n_b)`` bool matrix ``T`` (after ``t_init``) of a grid
-    run, the quotient-bit vector of a division run — and keep the taps
+    run with row taps, the ``(n_a,)`` bool vector ``t_i = OR_j t_ij`` of
+    an accumulate-only grid (only that vector leaves the accumulation
+    column, eq. 4.1, so ``T`` is never built whole), the quotient-bit
+    vector of a division run — and keep the taps
     as a **lazy view**: ``tap_view`` derives the pulse-stamped
     :class:`ColumnarTap` arrays from the verdicts and the schedule's
     affine forms the first time :attr:`columnar`, :meth:`tap`,

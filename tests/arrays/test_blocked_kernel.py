@@ -31,6 +31,7 @@ from repro.arrays import (
 from repro.arrays.decode import (
     Reduction,
     blocked_verdicts,
+    blockwise_verdicts,
     pair_verdicts,
     true_pairs,
 )
@@ -154,6 +155,37 @@ class TestPlanAgainstReference:
             assert np.array_equal(got, want), engine.name
             assert run.pulses == pulses
             assert run.tap_names() == []
+
+    @SMALL
+    @given(data=st.data(), t_init=st.sampled_from(
+        [t_init_true, t_init_strict_lower]
+    ))
+    def test_ranked_rows_equal_the_block_runs(self, data, t_init):
+        """Past the crossover a ``"rows"`` plan is ranked, not compared:
+        it must still equal its blocks run one by one and read off
+        their taps, on repeated rows and the int64 extremes."""
+        pool = np.array(data.draw(st.lists(
+            st.tuples(elements, elements, elements), min_size=1, max_size=8,
+        )), dtype=np.int64)
+        # Sizes on either side of a 64-lane plane word.
+        pick = st.sampled_from((1, 17, 64, 65, 140)).flatmap(
+            lambda n: st.lists(st.integers(0, len(pool) - 1),
+                               min_size=n, max_size=n)
+        )
+        a, b = pool[data.draw(pick)], pool[data.draw(pick)]
+        if t_init is t_init_strict_lower and data.draw(st.booleans()):
+            b = a  # remove-duplicates: A against itself
+        block = data.draw(st.integers(16, 70))
+        plan = BlockedPlan(a, b, block, data.draw(st.integers(1, 3)), "rows",
+                           t_init=t_init)
+        want, pulses = blockwise_verdicts(
+            plan, lambda grid: LatticeEngine().run(replace(grid, tagged=True))
+        )
+        for engine in (LatticeEngine, BitplaneEngine):
+            ranked = type("Ranked", (engine,), {"_RANK_MIN_ROWS": 0})()
+            run = ranked.run(plan)
+            assert np.array_equal(blocked_verdicts(run, plan), want)
+            assert run.pulses == pulses == plan.pulses
 
     def test_a_callable_t_init_sees_global_indices(self):
         seen = []

@@ -26,9 +26,9 @@ def test_two_hash_seeds_print_identical_digests():
     lines = [line for line in first.splitlines() if not line.startswith("store ")]
     sections = {line.split()[2] for line in lines}
     assert sections == {"results", "steps", "explain", "metrics", "spans"}
-    # 7 transactions x 8 front ends, less the 6 sharded ones that the
+    # 9 transactions x 8 front ends, less the 6 sharded ones that the
     # store-backed transaction skips; 5 sections each.
-    assert len(lines) == (7 * 8 - 6) * 5
+    assert len(lines) == (9 * 8 - 6) * 5
     # Then the stored relation's files: 600 rows in chunks of 50.
     stored = [line.split()[1] for line in first.splitlines()[len(lines):]]
     assert stored == [f"T/chunk-{i:05d}.bin" for i in range(12)] + [

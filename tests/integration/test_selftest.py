@@ -11,7 +11,7 @@ class TestSelfTest:
     def test_sweep_passes(self):
         report = run_selftest(seed=3, size=6)
         assert report.passed
-        assert len(report.checks) == 21
+        assert len(report.checks) == 23
 
     def test_deterministic_per_seed(self):
         first = run_selftest(seed=1, size=5)
@@ -36,6 +36,8 @@ class TestSelfTest:
             "blocked remove-duplicates", "blocked union",
             "blocked equi-join", "blocked theta-join",
             "blocked intersection 105x105",
+            "blocked intersection 256x256",
+            "blocked remove-duplicates 256x256",
         ]
         assert all(c.passed for c in blocked), report.summary()
         assert all("block runs" in c.detail for c in blocked)

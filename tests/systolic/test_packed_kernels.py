@@ -229,18 +229,21 @@ class TestKernels:
 
 
 def test_bitplane_chunk_bytes_bound_a_whole_array_grid():
-    """A 4096 × 4096 intersection under 4 MB of ``chunk_bytes``: beside
-    the verdict matrix itself, what the bitplane kernel holds at once
-    stays within the budget (each verdict lane unpacked is a byte, so
-    chunks sized by packed planes alone would hold 64× too much)."""
+    """A 4096 × 4096 equi-join on all three columns under 4 MB of
+    ``chunk_bytes``: beside the verdict matrix itself, what the bitplane
+    kernel holds at once stays within the budget (each verdict lane
+    unpacked is a byte, so chunks sized by packed planes alone would
+    hold 64× too much).  A join reads all of ``T``, so the whole grid
+    goes through one dense kernel call."""
     a, b = overlapping_pair(4096, 4096, 1024, arity=3, seed=5)
+    on = [(f"c{k}", f"c{k}") for k in range(3)]
     engine = BitplaneEngine(chunk_bytes=4_000_000)
     verdict_bytes = len(a) * len(b)
     tracemalloc.start()
     try:
-        result = systolic_intersection(a, b, backend=engine)
+        result = systolic_join(a, b, on, backend=engine)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert result.relation == algebra.intersection(a, b)
+    assert result.relation == algebra.join(a, b, on)
     assert peak < verdict_bytes + engine.chunk_bytes + 1_000_000

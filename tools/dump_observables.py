@@ -15,8 +15,11 @@ pool session only — a sharded catalog takes no store), a re-partition
 plus a broadcast exchange, and the pipelined chain under two seeded
 fault plans: transient faults of every kind, which a run recovers from
 in place, and a killed join array with a spare beside it, which
-interrupts an attempt.  Each runs on a machine, a pool session, and
-2 / 3 / 4 shards × hash / range partitioning.
+interrupts an attempt.  Last, an intersection and a remove-duplicates
+of 256-row operands on lattice and on bitplane devices, large enough
+that both engines rank the memberships instead of comparing them (the
+others run on the default engine).  Each runs on a machine, a pool
+session, and 2 / 3 / 4 shards × hash / range partitioning.
 
 Per run, one SHA-256 for each section:
 
@@ -84,6 +87,7 @@ def transactions(store_dir: Path) -> dict[str, dict]:
     r, s = join_pair(40, 30, 8, seed=31)
     dividend, divisor, _ = division_workload(6, 4, 3, seed=5)
     same = random_relation(20, 2, universe=12, seed=3)
+    big_a, big_b = overlapping_pair(256, 256, 96, arity=3, universe=16, seed=32)
     store = RelationStore(store_dir)
     store.write(
         "T", random_relation(600, 3, universe=40, seed=9),
@@ -122,14 +126,24 @@ def transactions(store_dir: Path) -> dict[str, dict]:
             store={"R": r, "S": s}, plans=chain, devices=REDUNDANT,
             faults="device:join0:kill",
         ),
+    } | {
+        f"ranked_{backend}": dict(
+            store={"A": big_a, "B": big_b}, backend=backend,
+            plans=[
+                Intersect(Base("A"), Base("B")),
+                Dedup(Project(Base("A"), (0, 1))),
+            ],
+        )
+        for backend in ("lattice", "bitplane")
     }
 
 
 def build(front_end: str, spec: dict):
     """The loaded front end: a machine or a (sharded) pool session."""
     options = {"memories": spec.get("memories", 4)}
-    if "devices" in spec:
-        options["devices"] = spec["devices"]
+    for option in ("devices", "backend"):
+        if option in spec:
+            options[option] = spec[option]
     if "faults" in spec:
         options["faults"] = parse_faults(spec["faults"], seed=42)
     if FRONT_ENDS[front_end] is None:
