@@ -16,9 +16,13 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from repro.errors import DomainError
 
 __all__ = ["Domain", "IntegerDomain"]
+
+_NO_MEMBERS = np.empty(0, dtype=np.int64)
 
 
 def _plain_ints(items: Sequence) -> bool:
@@ -55,6 +59,10 @@ class Domain:
         self.name = name
         self._codes: dict[Hashable, int] = {}
         self._values: list[Hashable] = []
+        #: the members as int64, in code order, for decode_array:
+        #: extended over appended members when next asked for, and None
+        #: for good once a member is not a plain int in a 64-bit word.
+        self._table: Optional[np.ndarray] = _NO_MEMBERS
         self._frozen = False
         for value in values:
             self.encode(value)
@@ -130,6 +138,43 @@ class Domain:
         ):
             return list(map(self._values.__getitem__, codes))
         return [self.decode(c) for c in codes]
+
+    def decode_array(self, codes: np.ndarray) -> Optional[np.ndarray]:
+        """Decode an int64 array of codes into an int64 array of members.
+
+        ``None`` when a member is not a plain ``int`` in a signed 64-bit
+        word or a code falls outside the dictionary: decode those codes
+        with :meth:`decode_many`, which also words the error.
+        """
+        table = self._member_table()
+        if table is None or codes.size and not (
+            0 <= codes.min() and codes.max() < len(table)
+        ):
+            return None
+        return table[codes]
+
+    def _member_table(self) -> Optional[np.ndarray]:
+        """The int64 member table, first extended over members appended
+        since it was built.
+
+        Needs no lock beside concurrent :meth:`encode` calls or other
+        readers: a member never changes once appended, and the table is
+        replaced, never written, so every table read is a correct prefix.
+        """
+        table = self._table
+        if table is None or len(table) == len(self._values):
+            return table
+        fresh = self._values[len(table):]
+        grown = None
+        if _plain_ints(fresh):
+            try:
+                grown = np.concatenate(
+                    (table, np.array(fresh, dtype=np.int64))
+                )
+            except OverflowError:  # a member past 64 bits
+                pass
+        self._table = grown
+        return grown
 
     # -- introspection ----------------------------------------------------
 
@@ -207,6 +252,11 @@ class IntegerDomain(Domain):
         if self._all_members(codes):
             return list(codes)
         return [self.decode(c) for c in codes]
+
+    def decode_array(self, codes: np.ndarray) -> Optional[np.ndarray]:
+        if codes.size and codes.min() < 0:
+            return None
+        return codes
 
     def __contains__(self, value: Hashable) -> bool:
         return isinstance(value, int) and not isinstance(value, bool) and value >= 0

@@ -7,8 +7,8 @@ newline-delimited JSON protocol (:mod:`repro.serve.protocol`); each
 connection binds to a tenant and issues relational-algebra queries
 that the shared :class:`~repro.machine.pool.EnginePool` admits,
 compiles, and executes.  :class:`ServiceClient` is the matching
-blocking client.  Everything is standard library — asyncio streams on
-the server, a plain socket on the client.
+blocking client.  Everything is standard library — a thread per
+connection on the server, a plain socket on the client.
 """
 
 from repro.serve.client import ServiceClient

@@ -29,8 +29,14 @@ join/union-compatible, exactly like two CSV files loaded with a shared
 registry.
 
 The payload is row-major; the codec is not.  :func:`relation_to_wire`
-decodes a relation's matrix a column at a time, each domain checking a
-column's codes once; :func:`relation_from_wire` encodes the columns of
+decodes a relation's matrix a column at a time: each domain maps a
+column of codes to an int64 column of its members
+(:meth:`~repro.relational.domain.Domain.decode_array`), and the matrix
+of members is boxed into rows once.  A domain with a member that is
+not a 64-bit int, or a code outside its dictionary, sends the relation
+down the value-by-value path, each domain checking a column's codes
+once, which also words the error.  :func:`relation_from_wire` encodes
+the columns of
 each domain together — in row-major order, so a domain meets its
 values in the order a row-by-row walk would and assigns the same codes
 — into the int64 matrix a :class:`Relation` holds.  An integer past 64
@@ -106,25 +112,37 @@ def decode_line(line: bytes | str) -> dict[str, Any]:
 def relation_to_wire(relation: Relation) -> dict[str, Any]:
     """A relation as a JSON-representable payload (decoded values)."""
     schema = relation.schema
-    # A column at a time: the matrix is never boxed into tuples.
-    try:
-        decoded = [
-            domain.decode_many(column)
-            for domain, column in zip(schema.domains, relation.array.T.tolist())
-        ]
-    except DomainError:
-        # Row by row, only to word the error: the first bad code in row
-        # order.
-        rows = [list(row) for row in relation.decoded()]
-    else:
-        rows = list(map(list, zip(*decoded)))
     return {
         "columns": [
             [name, domain.name]
             for name, domain in zip(schema.names, schema.domains)
         ],
-        "rows": rows,
+        "rows": _decoded_rows(relation),
     }
+
+
+def _decoded_rows(relation: Relation) -> list[list]:
+    """The relation's rows as lists of members, decoded a column at a
+    time; the matrix is never boxed into tuples."""
+    domains = relation.schema.domains
+    matrix = relation.array
+    members = [
+        domain.decode_array(matrix[:, position])
+        for position, domain in enumerate(domains)
+    ]
+    if all(column is not None for column in members):
+        # Every member a 64-bit int: one int64 matrix, boxed once.
+        return np.stack(members, axis=1).tolist()
+    try:
+        decoded = [
+            domain.decode_many(column)
+            for domain, column in zip(domains, matrix.T.tolist())
+        ]
+    except DomainError:
+        # Row by row, only to word the error: the first bad code in row
+        # order.
+        return [list(row) for row in relation.decoded()]
+    return list(map(list, zip(*decoded)))
 
 
 def relation_from_wire(

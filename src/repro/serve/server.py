@@ -1,12 +1,20 @@
-"""The asyncio serving loop over an :class:`EnginePool`.
+"""A thread-per-connection TCP server over an :class:`EnginePool`.
 
-One :class:`ReproServer` owns one pool.  Each accepted connection gets
-a protocol handler coroutine; queries — the only slow verb — hop onto
-the default thread-pool executor, where the pool's admission gate,
-plan cache, and per-query machine state do their work and where the
-reply, which can be thousands of rows, is built and serialized too.
-The asyncio side stays single-threaded and non-blocking, so hellos,
-stats probes, and pings keep flowing while queries execute.
+One :class:`ReproServer` owns one pool.  An accept thread gives each
+connection a thread of its own, which reads a request line, answers it
+— a query runs through the pool's admission gate, plan cache and
+per-query machine state right there, and its reply, which can be
+thousands of rows, is built and serialized there too — writes the
+reply line and reads the next.  Nothing hops between threads on the
+way, and the admission gate is the one place concurrent queries wait:
+``max_concurrent`` bounds them, and priority and the admission timeout
+order and shed every one of them.  Hellos, stats probes and pings on
+other connections keep answering while queries execute.
+
+What connections share is locked where they meet: the statement cache,
+the creation of a tenant's session and domain registry, and — one lock
+per tenant — the decoding of a ``store``d or ``preload``ed relation,
+which extends the tenant's domain dictionaries.
 
 A query's text is looked up in a small server-wide statement cache
 first: optimizing a parse takes no schemas, so the logical plan is a
@@ -16,8 +24,10 @@ plan-cache hit without entering :mod:`repro.lang`.
 
 from __future__ import annotations
 
-import asyncio
 import re
+import socket
+import threading
+import time
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Optional, Union
@@ -49,12 +59,20 @@ _STATEMENT_CACHE_SIZE = 256
 #: queries, not worth a slot or the memory.
 _STATEMENT_MAX_CHARS = 4096
 
+#: Connections the listener queues before the accept thread takes them.
+_BACKLOG = 100
+#: Pause before accepting again after ``accept`` failed on a listener
+#: that is still open (out of file descriptors, say).
+_ACCEPT_RETRY_SECONDS = 0.05
+
 
 class _StatementCache:
     """Query text → optimized logical plan, a bounded LRU.
 
-    Used from the event-loop thread only, so it needs no lock.  Plans
-    are immutable and carry no tenant state, so one entry serves every
+    Connection threads share it, so a lock guards the table and its
+    counters.  A miss is planned outside the lock; two threads missing
+    on one text both plan it and the later entry stays.  Plans are
+    immutable and carry no tenant state, so one entry serves every
     tenant; a text that fails to parse raises and leaves no entry.
     """
 
@@ -62,44 +80,54 @@ class _StatementCache:
         self._plans: OrderedDict[str, PlanNode] = OrderedDict()
         self._hits = 0
         self._misses = 0
+        self._lock = threading.Lock()
 
     def plan(self, expr: str) -> PlanNode:
         with obs.span("serve.statement", chars=len(expr)) as sp:
             # A hit skips the lang.* spans a miss records, and which
             # request of a text comes first is the clients' business.
             sp.mark_children_volatile()
-            plan = self._plans.get(expr)
+            with self._lock:
+                plan = self._plans.get(expr)
+                if plan is None:
+                    self._misses += 1
+                else:
+                    self._plans.move_to_end(expr)
+                    self._hits += 1
             sp.set_volatile(cached=plan is not None)
             if plan is not None:
-                self._plans.move_to_end(expr)
-                self._hits += 1
                 metrics.inc("serve.statement_cache.hits")
                 return plan
-            self._misses += 1
             metrics.inc("serve.statement_cache.misses")
             plan = optimize(parse(expr))
             if len(expr) <= _STATEMENT_MAX_CHARS:
-                self._plans[expr] = plan
-                if len(self._plans) > _STATEMENT_CACHE_SIZE:
-                    self._plans.popitem(last=False)
+                with self._lock:
+                    self._plans[expr] = plan
+                    if len(self._plans) > _STATEMENT_CACHE_SIZE:
+                        self._plans.popitem(last=False)
             return plan
 
     def info(self) -> dict[str, int]:
-        return {
-            "hits": self._hits,
-            "misses": self._misses,
-            "size": len(self._plans),
-            "maxsize": _STATEMENT_CACHE_SIZE,
-        }
+        with self._lock:
+            return {
+                "hits": self._hits,
+                "misses": self._misses,
+                "size": len(self._plans),
+                "maxsize": _STATEMENT_CACHE_SIZE,
+            }
 
 
 class ReproServer:
     """Serves the line protocol of :mod:`repro.serve.protocol` over TCP.
 
-    ``await start()`` binds the socket (port 0 picks a free port;
-    read the result back from :attr:`address`), ``await stop()``
-    closes it and waits for in-flight connections to finish.  The
-    server can also be used as an async context manager.
+    ``await start()`` binds the socket (port 0 picks a free port; read
+    the result back from :attr:`address`) and starts accepting.
+    ``await stop()`` closes the listener, lets every request in flight
+    finish and send its reply, closes the idle connections and joins
+    their threads.  The server can also be used as an async context
+    manager.  Both are coroutines so that an event loop can drive them;
+    neither awaits anything, and ``stop`` blocks its caller until the
+    requests in flight are answered.
     """
 
     def __init__(
@@ -134,45 +162,65 @@ class ReproServer:
         #: persisted relations survive server restarts.
         self.store_dir = Path(store_dir) if store_dir is not None else None
         self._sessions: dict[str, Any] = {}
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: set[asyncio.Task] = set()
         #: one domain registry per tenant — wire relations naming the
-        #: same domain stay join-compatible within a tenant.
-        self._registries: dict[str, DomainRegistry] = {}
+        #: same domain stay join-compatible within a tenant — and the
+        #: lock a store or preload holds while it decodes into it.
+        self._registries: dict[str, tuple[DomainRegistry, threading.Lock]] = {}
         self._statements = _StatementCache()
+        #: guards the connection tables and the creation of sessions
+        #: and registries.
+        self._lock = threading.Lock()
+        self._listener: Optional[socket.socket] = None
+        self._acceptor: Optional[threading.Thread] = None
+        #: connection socket → the thread serving it.
+        self._connections: dict[socket.socket, threading.Thread] = {}
+        #: the connections with a request in flight.
+        self._busy: set[socket.socket] = set()
+        self._stopping = False
 
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> tuple[str, int]:
         """Bind and listen; returns the bound (host, port)."""
-        self._server = await asyncio.start_server(
-            self._handle, self._host, self._port,
-            limit=MAX_LINE_BYTES,
+        family, _, _, _, address = socket.getaddrinfo(
+            self._host, self._port, type=socket.SOCK_STREAM,
+            flags=socket.AI_PASSIVE,
+        )[0]
+        self._listener = socket.create_server(
+            address, family=family, backlog=_BACKLOG
         )
+        self._acceptor = threading.Thread(
+            target=self._accept, args=(self._listener,),
+            name="repro-serve-accept", daemon=True,
+        )
+        self._acceptor.start()
         return self.address
 
     @property
     def address(self) -> tuple[str, int]:
         """The bound (host, port); raises before :meth:`start`."""
-        if self._server is None or not self._server.sockets:
+        if self._listener is None:
             raise ReproError("server is not listening")
-        name = self._server.sockets[0].getsockname()
+        name = self._listener.getsockname()
         return name[0], name[1]
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        await self._server.serve_forever()
-
     async def stop(self) -> None:
-        """Stop accepting, then drain in-flight connections."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._connections:
-            await asyncio.gather(
-                *self._connections, return_exceptions=True
-            )
+        """Stop accepting; answer the requests in flight; close the idle
+        connections; join every connection thread."""
+        with self._lock:
+            self._stopping = True
+        listener, self._listener = self._listener, None
+        if listener is not None:
+            _shutdown(listener)  # wakes the accept() blocked on it
+            self._acceptor.join()
+            listener.close()
+        with self._lock:
+            idle = [s for s in self._connections if s not in self._busy]
+            threads = list(self._connections.values())
+        for sock in idle:
+            _shutdown(sock)  # its thread's readline() sees end of stream
+        for thread in threads:
+            thread.join()
 
     async def __aenter__(self) -> "ReproServer":
         await self.start()
@@ -183,51 +231,81 @@ class ReproServer:
 
     # -- connection handling ----------------------------------------------
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
+    def _accept(self, listener: socket.socket) -> None:
+        """The accept thread: one serving thread per connection."""
+        while True:
+            try:
+                sock, _ = listener.accept()
+            except OSError:
+                if self._stopping:
+                    return
+                time.sleep(_ACCEPT_RETRY_SECONDS)
+                continue
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            thread = threading.Thread(
+                target=self._serve, args=(sock,),
+                name="repro-serve-connection", daemon=True,
+            )
+            with self._lock:
+                if self._stopping:
+                    sock.close()
+                    return
+                self._connections[sock] = thread
+            thread.start()
+
+    def _serve(self, sock: socket.socket) -> None:
+        """One connection: read a line, answer it, write the reply —
+        until the peer leaves, says ``bye``, or the server stops."""
+        reader = sock.makefile("rb")
         tenant = "default"
         try:
             while True:
-                try:
-                    line = await reader.readline()
-                except (ConnectionResetError, asyncio.LimitOverrunError):
-                    break
+                line = reader.readline(MAX_LINE_BYTES + 1)
                 if not line:
+                    break
+                if len(line) > MAX_LINE_BYTES:
+                    # The rest of the line is unread, so the stream
+                    # cannot be resynchronized: answer, then hang up.
+                    sock.sendall(encode_line(_error(ReproError(
+                        f"protocol line exceeds the {MAX_LINE_BYTES}-byte "
+                        f"limit; closing the connection"
+                    ))))
                     break
                 if not line.strip():
                     continue
+                with self._lock:
+                    if self._stopping:
+                        break
+                    self._busy.add(sock)
                 try:
-                    request = decode_line(line)
-                    response, tenant, closing = await self._dispatch(
-                        request, tenant
-                    )
-                except ReproError as exc:
-                    response, closing = _error(exc), False
-                except Exception as exc:  # defensive: never kill the loop
-                    response, closing = _error(exc), False
-                if not isinstance(response, bytes):  # else: encoded off-loop
-                    response = encode_line(response)
-                writer.write(response)
-                await writer.drain()
-                if closing:
+                    reply, tenant, closing = self._answer(line, tenant)
+                    sock.sendall(reply)
+                finally:
+                    with self._lock:
+                        self._busy.discard(sock)
+                        stopping = self._stopping
+                if closing or stopping:
                     break
+        except OSError:
+            pass  # the peer went away, or stop() hung up while idle
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+            with self._lock:
+                del self._connections[sock]
+            reader.close()
+            sock.close()
 
-    async def _dispatch(
+    def _answer(self, line: bytes, tenant: str) -> tuple[bytes, str, bool]:
+        """One request line's reply line; returns (reply, tenant, closing)."""
+        try:
+            payload, tenant, closing = self._dispatch(decode_line(line), tenant)
+            return encode_line(payload), tenant, closing
+        except Exception as exc:  # a reply for every request, errors too
+            return encode_line(_error(exc)), tenant, False
+
+    def _dispatch(
         self, request: dict[str, Any], tenant: str
-    ) -> tuple[Union[dict[str, Any], bytes], str, bool]:
-        """Handle one request; returns (response, tenant, closing) —
-        the response as a payload, or as its finished protocol line."""
+    ) -> tuple[dict[str, Any], str, bool]:
+        """Handle one request; returns (response, tenant, closing)."""
         op = request.get("op")
         if op == "hello":
             tenant = str(request.get("tenant", "default"))
@@ -264,9 +342,9 @@ class ReproServer:
             name = request.get("name")
             if not isinstance(name, str) or not name:
                 raise ReproError(f"{op} needs a relation 'name'")
-            relation = relation_from_wire(
-                request.get("relation"), self._registry(tenant)
-            )
+            registry, decoding = self._registry(tenant)
+            with decoding:
+                relation = relation_from_wire(request.get("relation"), registry)
             persist = bool(request.get("persist", False))
             if persist and op != "store":
                 raise ReproError("persist applies to 'store', not 'preload'")
@@ -299,33 +377,30 @@ class ReproServer:
             if not isinstance(expr, str) or not expr:
                 raise ReproError("query needs an algebra 'expr'")
             plan = self._statements.plan(expr)
-            session = self._session(tenant)
-            pipeline = bool(request.get("pipeline", True))
-            priority = int(request.get("priority", 0))
-            timeout = request.get("timeout")
-
-            def answer() -> bytes:
-                """Run the query and serialize its reply, off the loop."""
-                results, report = session.run_many(
-                    [plan], pipeline=pipeline, priority=priority,
-                    timeout=timeout,
-                )
-                result = results[0]
-                return encode_line({
-                    "ok": True,
-                    "relation": relation_to_wire(result),
-                    "rows": len(result),
-                    "makespan_ms": report.makespan * 1e3,
-                })
-
-            line = await asyncio.get_running_loop().run_in_executor(
-                None, answer
+            results, report = self._session(tenant).run_many(
+                [plan], pipeline=bool(request.get("pipeline", True)),
+                priority=int(request.get("priority", 0)),
+                timeout=request.get("timeout"),
             )
-            return line, tenant, False
+            result = results[0]
+            return (
+                {"ok": True, "relation": relation_to_wire(result),
+                 "rows": len(result), "makespan_ms": report.makespan * 1e3},
+                tenant, False,
+            )
         raise ReproError(f"unknown op {op!r}")
 
-    def _registry(self, tenant: str) -> DomainRegistry:
-        return self._registries.setdefault(tenant, {})
+    def _registry(
+        self, tenant: str
+    ) -> tuple[DomainRegistry, threading.Lock]:
+        """The tenant's domain registry and its decoding lock."""
+        entry = self._registries.get(tenant)
+        if entry is None:
+            with self._lock:
+                entry = self._registries.setdefault(
+                    tenant, ({}, threading.Lock())
+                )
+        return entry
 
     def _session(self, tenant: str):
         """The tenant's session (server-lifetime, lazily made) — sharded
@@ -336,23 +411,37 @@ class ReproServer:
         ``store_dir/<tenant>`` without any replay.
         """
         session = self._sessions.get(tenant)
-        if session is None:
-            session = self.pool.session(
-                tenant, shards=self.shards,
-                shard_strategy=self.shard_strategy,
-            )
-            catalog = session.catalog
-            if self.store_dir and catalog.disk.backing_store is None:
-                if not _TENANT_DIR_RE.match(tenant):
-                    raise ReproError(
-                        f"tenant {tenant!r} is not filesystem-safe; a "
-                        f"persistent server needs tenants matching "
-                        f"{_TENANT_DIR_RE.pattern}"
+        if session is not None:
+            return session
+        with self._lock:
+            session = self._sessions.get(tenant)
+            if session is None:
+                session = self.pool.session(
+                    tenant, shards=self.shards,
+                    shard_strategy=self.shard_strategy,
+                )
+                catalog = session.catalog
+                if self.store_dir and catalog.disk.backing_store is None:
+                    if not _TENANT_DIR_RE.match(tenant):
+                        raise ReproError(
+                            f"tenant {tenant!r} is not filesystem-safe; a "
+                            f"persistent server needs tenants matching "
+                            f"{_TENANT_DIR_RE.pattern}"
+                        )
+                    catalog.attach_store(
+                        RelationStore(self.store_dir / tenant)
                     )
-                catalog.attach_store(RelationStore(self.store_dir / tenant))
-            self._sessions[tenant] = session
+                self._sessions[tenant] = session
         return session
 
 
 def _error(exc: Exception) -> dict[str, Any]:
     return {"ok": False, "error": str(exc), "kind": type(exc).__name__}
+
+
+def _shutdown(sock: socket.socket) -> None:
+    """Shut both directions of ``sock``, waking a thread blocked on it."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # already disconnected

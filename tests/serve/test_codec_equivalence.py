@@ -6,12 +6,17 @@ one ``Domain.decode`` / ``Domain.encode`` call per value.  The contract
 is *same bytes, same codes*: equal payloads; after decoding, equal
 tuples, schemas and domain dictionaries (first-seen order), whatever
 the mix of domains, value types and duplicates; and the same exception
-class and message for everything the reference refuses.
+class and message for everything the reference refuses.  Replies are
+decoded through ``Domain.decode_array`` when every member is a 64-bit
+int, so that path is held to ``decode_many`` too, down to the bytes of
+a live server's reply line.
 """
 
 from __future__ import annotations
 
 import copy
+import json
+import socket
 
 import numpy as np
 import pytest
@@ -21,9 +26,15 @@ from repro.errors import ReproError
 from repro.relational.domain import Domain, IntegerDomain
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, Schema
-from repro.serve import encode_line, relation_from_wire, relation_to_wire
+from repro.serve import (
+    ServiceClient,
+    encode_line,
+    relation_from_wire,
+    relation_to_wire,
+)
 
 CASES = settings(max_examples=60, deadline=None)
+INT64_ENDS = [-(2**63), 2**63 - 1]
 
 
 # -- the reference: today's loops, one value at a time -----------------------
@@ -356,3 +367,146 @@ class TestEncodeEquivalence:
         ref = outcome(lambda: reference_to_wire(relation))
         assert ref[:2] == ("raised", "DomainError") and "-4" in ref[2]
         assert outcome(lambda: relation_to_wire(relation)) == ref
+
+    @CASES
+    @given(payload=payloads(st.one_of(
+        st.integers(min_value=-3, max_value=6), st.sampled_from(INT64_ENDS),
+    )))
+    def test_int_dictionary_domains_take_the_array_path(self, payload):
+        for relation in _relations(payload, {}):
+            assert all(
+                domain.decode_array(relation.array[:, position]) is not None
+                for position, domain in enumerate(relation.schema.domains)
+            )
+            assert encode_line(relation_to_wire(relation)) == encode_line(
+                reference_to_wire(relation)
+            )
+
+    @pytest.mark.parametrize("rows", [
+        [(0, 0), (1, 5), (2, 0)],
+        [(0, 0), (-1, 1), (7, 7)],
+        [(0, 9), (9, 0)],
+    ])
+    def test_code_outside_an_int_dictionary_fails_alike(self, rows):
+        domain = Domain("d", [10, 20, 2**63 - 1])
+        schema = Schema.of(("x", domain), ("y", domain))
+        relation = Relation(schema, np.array(rows, dtype=np.int64))
+        ref = outcome(lambda: reference_to_wire(relation))
+        assert ref[:2] == ("raised", "DomainError")
+        assert outcome(lambda: relation_to_wire(relation)) == ref
+
+
+# -- decode_array: a column of codes at a time ---------------------------------
+
+
+class TestDecodeArray:
+    """``Domain.decode_array`` against ``decode_many``: the same members,
+    or ``None`` wherever the reference would refuse or box a value that
+    is not a 64-bit int."""
+
+    @CASES
+    @given(
+        members=st.lists(st.one_of(
+            st.integers(min_value=-(2**63), max_value=2**63 - 1),
+            st.sampled_from(INT64_ENDS),
+        ), unique=True, max_size=8),
+        codes=st.lists(st.integers(min_value=-2, max_value=9), max_size=12),
+    )
+    def test_int_members_decode_as_decode_many_does(self, members, codes):
+        domain = Domain("d", members)
+        got = domain.decode_array(np.array(codes, dtype=np.int64))
+        ref = outcome(lambda: domain.decode_many(codes))
+        if ref[0] == "raised":  # a code outside the dictionary
+            assert got is None
+        else:
+            assert got.dtype == np.int64 and got.tolist() == ref[1]
+
+    @pytest.mark.parametrize("odd", [
+        "a", True, 1.5, None, 123456789012345678901234567890, 2**63,
+        -(2**63) - 1,
+    ])
+    def test_a_member_that_is_not_a_64_bit_int_falls_back(self, odd):
+        domain = Domain("d", [5, odd, 7])
+        assert domain.decode_array(np.array([0, 2], dtype=np.int64)) is None
+        schema = Schema.of(("x", domain), ("n", IntegerDomain("n")))
+        relation = Relation(schema, np.array([[0, 3], [1, 4], [2, 5]]))
+        assert encode_line(relation_to_wire(relation)) == encode_line(
+            reference_to_wire(relation)
+        )
+
+    def test_members_appended_later_are_decoded(self):
+        domain = Domain("d", [10, 20])
+        codes = np.array([1, 0], dtype=np.int64)
+        assert domain.decode_array(codes).tolist() == [20, 10]
+        domain.encode(2**63 - 1)
+        assert domain.decode_array(np.array([2, 0])).tolist() == [
+            2**63 - 1, 10,
+        ]
+        domain.encode("x")
+        assert domain.decode_array(codes) is None
+
+    def test_an_integer_domain_is_the_identity_on_naturals(self):
+        domain = IntegerDomain("n")
+        codes = np.array([0, 2**63 - 1, 5], dtype=np.int64)
+        assert domain.decode_array(codes) is codes
+        assert domain.decode_array(np.array([3, -1])) is None
+        assert domain.decode_array(np.array([], dtype=np.int64)).size == 0
+
+
+class TestLiveReply:
+    def test_a_query_reply_line_is_the_reference_payload_encoded(
+        self, monkeypatch
+    ):
+        """Byte for byte, over a socket: an all-int reply (the array
+        path) and a mixed one (the fallback)."""
+        import repro.serve.server as server_module
+
+        from .test_serve import _ServerHarness
+
+        replied = []
+        to_wire = server_module.relation_to_wire
+
+        def capturing(relation):
+            replied.append(relation)
+            return to_wire(relation)
+
+        monkeypatch.setattr(server_module, "relation_to_wire", capturing)
+        ints = Schema.of(("a", IntegerDomain("a")), ("b", Domain("b")))
+        mixed = Schema.of(("k", Domain("k")), ("v", Domain("v")))
+        sent = {
+            "INTS": Relation.from_values(
+                ints, [(i, 2**63 - 1 - i) for i in range(20)]
+            ),
+            "MIXED": Relation.from_values(
+                mixed,
+                [(i, f"s{i}") for i in range(10)]
+                + [("x", 1.5), (123456789012345678901234567890, "y")],
+            ),
+        }
+        with _ServerHarness() as harness:
+            with ServiceClient(*harness.address) as db:
+                for name, relation in sent.items():
+                    db.store(name, relation)
+            sock = socket.create_connection(harness.address, timeout=30.0)
+            with sock, sock.makefile("rb") as reader:
+                for name in sent:
+                    sock.sendall(encode_line(
+                        {"op": "query", "expr": f"dedup({name})"}
+                    ))
+                    line = reader.readline()
+                    reply = json.loads(line)
+                    assert line == encode_line({
+                        "ok": True,
+                        "relation": reference_to_wire(replied[-1]),
+                        "rows": reply["rows"],
+                        "makespan_ms": reply["makespan_ms"],
+                    })
+                    assert reply["rows"] == len(sent[name])
+        fast = [
+            all(
+                domain.decode_array(relation.array[:, position]) is not None
+                for position, domain in enumerate(relation.schema.domains)
+            )
+            for relation in replied
+        ]
+        assert fast == [True, False]

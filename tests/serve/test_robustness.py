@@ -82,6 +82,41 @@ class TestDecodeLineFuzz:
         assert decode_line(line)["op"] == "ping"
 
 
+class TestOversizedLineOnALiveServer:
+    def test_it_is_answered_and_the_connection_closed(self):
+        """The rest of an oversized line is never read, so the server
+        answers with an error naming the limit and hangs up; other
+        connections are unaffected."""
+        with _ServerHarness() as harness:
+            sock = socket.create_connection(harness.address, timeout=30.0)
+            reader = sock.makefile("rb")
+
+            def send() -> None:
+                try:
+                    sock.sendall(b"x" * (MAX_LINE_BYTES + 1) + b"\n")
+                except OSError:
+                    pass  # the server hung up before reading it all
+
+            sender = threading.Thread(target=send)
+            sender.start()
+            try:
+                reply = decode_line(reader.readline())
+                try:
+                    rest = reader.readline()
+                except ConnectionResetError:
+                    rest = b""
+            finally:
+                sender.join(30.0)
+                reader.close()
+                sock.close()
+            assert not sender.is_alive()
+            assert reply["ok"] is False and reply["kind"] == "ReproError"
+            assert f"{MAX_LINE_BYTES}-byte limit" in reply["error"]
+            assert rest == b""  # the connection was closed
+            with ServiceClient(*harness.address, retries=0) as other:
+                assert other.ping()
+
+
 #: Anything JSON can put where a relation's ``rows`` belong.
 JSON_VALUES = st.recursive(
     st.one_of(

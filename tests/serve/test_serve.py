@@ -3,11 +3,22 @@
 from __future__ import annotations
 
 import asyncio
+import os
+import random
+import sys
 import threading
+import time
 
 import pytest
 
-from repro.errors import ConfigError, ParseError, ReproError
+from repro.errors import (
+    ConfigError,
+    ParseError,
+    ReproError,
+    ServiceRetryableError,
+)
+from repro.faults import parse_faults
+from repro.machine import EnginePool
 from repro.machine.physical import plan_fingerprint
 from repro.relational import Domain, Relation, Schema, algebra
 from repro.serve import (
@@ -196,8 +207,8 @@ class TestServer:
 
 
 class TestReplyOffTheLoop:
-    """A query's reply is built and serialized on the executor thread
-    that ran it, so a big reply does not stall other connections."""
+    """A query's reply is built and serialized on its connection's own
+    thread, so a big reply does not stall other connections."""
 
     def test_slow_encode_does_not_block_a_ping(self, monkeypatch):
         import repro.serve.server as server_module
@@ -236,6 +247,173 @@ class TestReplyOffTheLoop:
                 assert not asker.is_alive()
                 assert reply["rows"] == len(reply["relation"]["rows"]) > 0
             assert encoders and harness._thread not in encoders
+
+
+def _wait_for(condition, seconds: float = 10.0):
+    """Poll ``condition()`` until it is truthy or ``seconds`` pass;
+    returns its last value."""
+    deadline = time.monotonic() + seconds
+    while not (value := condition()) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return value
+
+
+class TestConnectionThreads:
+    """One thread per connection: what ``stop`` waits for, the admission
+    gate as the one queue, and the state connections share."""
+
+    def test_stop_returns_with_an_idle_client_connected(self):
+        harness = _ServerHarness().__enter__()
+        idle = ServiceClient(*harness.address, retries=0).connect()
+        try:
+            started = time.monotonic()
+            harness.__exit__(None, None, None)
+            assert time.monotonic() - started < 2.0
+            with pytest.raises(ServiceRetryableError):
+                idle.ping()  # the server hung up on it
+        finally:
+            idle._teardown()
+
+    def test_stop_answers_the_query_in_flight(self):
+        ja, jb = join_pair(10, 8, 4, seed=31)
+        harness = _ServerHarness(
+            faults=parse_faults("slow:join0:0.3", seed=0)
+        ).__enter__()
+        stopped = False
+        db = ServiceClient(*harness.address, retries=0).connect()
+        try:
+            db.store("R", ja)
+            db.store("S", jb)
+            reply: dict = {}
+            asker = threading.Thread(
+                target=lambda: reply.update(db.query("join(R, S, #0 == #0)"))
+            )
+            asker.start()
+            with ServiceClient(*harness.address) as probe:
+                assert _wait_for(
+                    lambda: probe.health()["admission"]["active"]
+                ), "the query never started"
+            harness.__exit__(None, None, None)
+            stopped = True
+            asker.join(10.0)
+            assert not asker.is_alive()
+            assert reply["ok"]
+            assert reply["rows"] == len(reply["relation"]["rows"])
+        finally:
+            db._teardown()
+            if not stopped:
+                harness.__exit__(None, None, None)
+
+    def test_every_waiting_query_waits_at_the_gate(self):
+        """One slot and more connections than a default thread-pool
+        executor has workers: every query but the running one waits at
+        the admission gate, where priority and the admission timeout
+        see it."""
+        connections = (os.cpu_count() or 1) + 6
+        a, b = overlapping_pair(10, 8, 5, arity=2, seed=9)
+        pool = EnginePool(max_concurrent=1)
+        release = threading.Event()
+        run_fresh = pool._run_fresh
+
+        def slow_run_fresh(*args, **kwargs):
+            release.wait(30.0)
+            return run_fresh(*args, **kwargs)
+
+        pool._run_fresh = slow_run_fresh
+        with _ServerHarness(pool=pool) as harness:
+            with ServiceClient(*harness.address, tenant="acme") as db:
+                db.store("A", a)
+                db.store("B", b)
+            replies = []
+
+            def ask():
+                with ServiceClient(
+                    *harness.address, tenant="acme", retries=0
+                ) as db:
+                    replies.append(db.query("intersect(A, B)"))
+
+            askers = [threading.Thread(target=ask) for _ in range(connections)]
+            for asker in askers:
+                asker.start()
+            try:
+                with ServiceClient(*harness.address) as probe:
+                    waiting = connections - 1
+                    _wait_for(
+                        lambda: probe.health()["admission"]["waiting"]
+                        == waiting
+                    )
+                    admission = probe.health()["admission"]
+                assert admission == {
+                    "limit": 1, "active": 1, "waiting": waiting,
+                }
+            finally:
+                release.set()
+                for asker in askers:
+                    asker.join(30.0)
+            assert not any(asker.is_alive() for asker in askers)
+            assert len(replies) == connections
+            assert all(reply["ok"] for reply in replies)
+
+    def test_one_tenants_concurrent_stores_keep_its_codes_dense(self):
+        """Two connections of one tenant store, at once, relations whose
+        new string values are the same words in the same order: each
+        domain still gives every value one code, densely, and both
+        relations read back exactly."""
+        schema = Schema.of(("word", Domain("word")), ("tag", Domain("tag")))
+
+        def relation(round_: int, tag: str) -> Relation:
+            return Relation.from_values(schema, [
+                (f"r{round_}w{i}", f"{tag}{i % 7}") for i in range(3000)
+            ])
+
+        sent = {
+            "R1": [relation(r, "a") for r in range(5)],
+            "R2": [relation(r, "b") for r in range(5)],
+        }
+        errors: list[BaseException] = []
+        together = threading.Barrier(len(sent), timeout=30.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _ServerHarness(backend="lattice") as harness:
+
+                def store(name: str) -> None:
+                    try:
+                        with ServiceClient(
+                            *harness.address, tenant="acme"
+                        ) as db:
+                            for each in sent[name]:
+                                together.wait()
+                                db.store(name, each)
+                    except Exception as exc:
+                        errors.append(exc)
+
+                writers = [
+                    threading.Thread(target=store, args=(name,))
+                    for name in sent
+                ]
+                for writer in writers:
+                    writer.start()
+                for writer in writers:
+                    writer.join(60.0)
+                assert not any(writer.is_alive() for writer in writers)
+                assert errors == []
+                registry, _ = harness._server._registry("acme")
+                assert set(registry) == {"word", "tag"}
+                for domain in registry.values():
+                    members = list(domain)
+                    assert len(set(members)) == len(members)
+                    assert domain.lookup_many(members) == list(
+                        range(len(members))
+                    )
+                with ServiceClient(*harness.address, tenant="acme") as db:
+                    for name, relations in sent.items():
+                        rows = db.query(f"dedup({name})")["relation"]["rows"]
+                        assert sorted(map(tuple, rows)) == sorted(
+                            relations[-1].decoded()
+                        )
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestStatementCache:
@@ -295,6 +473,43 @@ class TestStatementCache:
             [cache.plan(text)]
         )
         assert cache.info()["size"] == 1  # only the short text
+
+    def test_connection_threads_share_it(self):
+        """8 threads × 200 plans over more texts than the bound: every
+        lookup is counted once and the bound holds throughout."""
+        cache = _StatementCache()
+        bound = cache.info()["maxsize"]
+        texts = [f"select(R, #0 == {i})" for i in range(bound + bound // 4)]
+        sizes: list[int] = []
+        errors: list[BaseException] = []
+
+        def plan_some(seed: int) -> None:
+            rng = random.Random(seed)
+            try:
+                for _ in range(200):
+                    cache.plan(rng.choice(texts))
+                    sizes.append(cache.info()["size"])
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=plan_some, args=(seed,))
+            for seed in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        info = cache.info()
+        assert info["hits"] + info["misses"] == 8 * 200
+        assert max(sizes) <= bound and info["size"] <= bound
 
 
 class TestPersistence:

@@ -10,7 +10,8 @@ the server down cleanly (SIGINT), and then asserts that
   does not read in between, is answered from the caches: by the
   ``stats`` verb, plan-cache misses do not grow and statement-cache
   hits do;
-* the server exited 0 after printing its clean-shutdown line;
+* the server exited 0 after printing its clean-shutdown line, with a
+  client still connected and idle when it was interrupted;
 * the JSONL trace it wrote contains nonzero ``service.*`` metrics
   (admissions and per-tenant query counters actually moved).
 
@@ -53,6 +54,7 @@ def main() -> int:
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True, env=env, cwd=REPO,
     )
+    lingering = None
     try:
         line = proc.stdout.readline().strip()
         if not line.startswith("serving on "):
@@ -121,6 +123,11 @@ def main() -> int:
             )
         print(f"{repeats} hot queries: 0 plan-cache misses, "
               f"{hits} statement-cache hits")
+
+        # An idle connection must not hold the shutdown up.
+        lingering = ServiceClient(host, port, tenant="tenant0", retries=0)
+        lingering.connect()
+        print("one client left connected across the SIGINT")
     finally:
         proc.send_signal(signal.SIGINT)
         try:
@@ -128,6 +135,9 @@ def main() -> int:
         except subprocess.TimeoutExpired:
             proc.kill()
             raise SystemExit("server did not shut down on SIGINT")
+        finally:
+            if lingering is not None:
+                lingering.close()
 
     if proc.returncode != 0:
         raise SystemExit(
