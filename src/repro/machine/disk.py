@@ -82,21 +82,25 @@ class MachineDisk:
             self._store is not None and self._store.holds(name)
         )
 
+    def _handle(self, name: str) -> Optional["StoredRelation"]:
+        """The store's read handle when reads of ``name`` stream from the
+        persistent store, else ``None``: one manifest ``stat``."""
+        if name in self._catalog or self._store is None:
+            return None
+        return self._store.find(name)
+
     def store_backed(self, name: str) -> bool:
         """Whether reads of ``name`` stream from the persistent store."""
-        return (
-            name not in self._catalog
-            and self._store is not None
-            and self._store.holds(name)
-        )
+        return self._handle(name) is not None
 
     def stored_handle(self, name: str) -> "StoredRelation":
         """The store's read handle for a store-backed relation."""
-        if not self.store_backed(name):
+        handle = self._handle(name)
+        if handle is None:
             raise PlanError(
                 f"relation {name!r} is not store-backed on this disk"
             )
-        return self._store.open(name)
+        return handle
 
     def profile(self, name: str) -> tuple[int, int, Schema]:
         """(cardinality, arity, schema) without materialising tuples.
@@ -108,8 +112,8 @@ class MachineDisk:
         if name in self._catalog:
             relation = self._catalog[name]
             return len(relation), relation.arity, relation.schema
-        if self.store_backed(name):
-            handle = self._store.open(name)
+        handle = self._handle(name)
+        if handle is not None:
             return handle.rows, handle.arity, handle.schema
         raise PlanError(
             f"no base relation named {name!r}; have {self.names()}"
@@ -126,8 +130,9 @@ class MachineDisk:
         try:
             return self._catalog[name]
         except KeyError:
-            if self.store_backed(name):
-                return self._store.open(name).read().relation
+            handle = self._handle(name)
+            if handle is not None:
+                return handle.read().relation
             raise PlanError(
                 f"no base relation named {name!r}; have {self.names()}"
             ) from None
@@ -149,7 +154,7 @@ class MachineDisk:
         relation = self._catalog.get(name)
         if relation is not None:
             return name, len(relation), relation.schema.key, None
-        handle = self._store.find(name) if self._store is not None else None
+        handle = self._handle(name)
         if handle is None:
             return name, None
         return name, handle.rows, handle.schema.key, handle.digest
@@ -171,8 +176,9 @@ class MachineDisk:
         predicate — filters tuples on the fly; without either, a
         selection here is an error (route it to the CPU instead).
         """
-        if self.store_backed(name):
-            scan = self._store.open(name).read(selection)
+        handle = self._handle(name)
+        if handle is not None:
+            scan = handle.read(selection)
             metrics.inc("machine.disk.reads")
             seconds = self.model.read_seconds(
                 self._tuple_bytes(scan.rows_scanned, scan.relation.arity)

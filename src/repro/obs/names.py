@@ -110,7 +110,8 @@ METRICS: dict[str, tuple[str, str]] = {
     "shard.repartition_tuples": (
         COUNTER, "tuples that changed shard during re-partition exchanges"),
     "store.bytes_read": (
-        COUNTER, "host bytes read off columnar chunk files"),
+        COUNTER, "bytes of the chunks a store scan covers, 8 per element: "
+                 "the unit the disk bills, not the bytes copied"),
     "store.chunks_pruned": (
         COUNTER, "chunks skipped by the grid index / zone maps on a read"),
     "store.chunks_read": (

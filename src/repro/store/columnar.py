@@ -9,9 +9,10 @@ over in-memory relations.  This module stores relations for real:
   (the §8 block unit) — plus a ``manifest.json`` describing schema,
   chunk row counts, per-chunk per-column min/max **zone maps**, and an
   optional :class:`~repro.store.grid.GridIndex`;
-* a scan reads only the chunks its predicate can match, each column
-  straight into its place in one result buffer — the surviving rows
-  are filtered host-side, the machine never sees pruned bytes;
+* a scan reads only the chunks its predicate can match: a full scan
+  reads each column straight into its place in one result buffer, a
+  selective one compares the predicate column first and copies only
+  the rows that pass — the machine never sees pruned bytes;
 * set semantics is proved once, at the write: repeated rows are dropped
   before anything is laid out, the manifest records ``"distinct":
   true``, and a read hands its rows to the relation as
@@ -39,7 +40,7 @@ import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import BinaryIO, Optional, Sequence, Union
 
 import numpy as np
 
@@ -237,6 +238,23 @@ class StoredRelation:
             shape=(chunk.rows,),
         )
 
+    def _fill(
+        self, file: BinaryIO, chunk_id: int, offset: int, out: np.ndarray
+    ) -> None:
+        """Read ``out.size`` elements from element ``offset`` of an open
+        chunk file straight into ``out``."""
+        file.seek(offset * _ELEMENT_BYTES)
+        if file.readinto(out) != out.nbytes:
+            raise self._torn(chunk_id, os.fstat(file.fileno()).st_size)
+
+    def _torn(self, chunk_id: int, held: int) -> StoreError:
+        chunk = self.chunks[chunk_id]
+        return StoreError(
+            f"chunk {chunk.file} of {self.name!r} holds "
+            f"{held // _ELEMENT_BYTES} elements, manifest says "
+            f"{chunk.rows * self.arity}"
+        )
+
     def _read_columns(self, chunk_ids: Sequence[int]) -> np.ndarray:
         """The chunks' rows, in order, as one ``(arity, n)`` matrix: each
         column of each chunk file is read into its slice of the result,
@@ -254,12 +272,56 @@ class StoredRelation:
                     for position in range(self.arity)
                 ) and not file.read(1)
             if not complete:
-                held = os.path.getsize(self._chunk_paths[chunk_id])
-                raise StoreError(
-                    f"chunk {chunk.file} of {self.name!r} holds "
-                    f"{held // _ELEMENT_BYTES} elements, manifest says "
-                    f"{chunk.rows * self.arity}"
+                raise self._torn(
+                    chunk_id, os.path.getsize(self._chunk_paths[chunk_id])
                 )
+            start = stop
+        return columns.astype(np.int64, copy=False)
+
+    def _read_matching(
+        self, chunk_ids: Sequence[int], position: int, op: str, value: int
+    ) -> np.ndarray:
+        """The rows of the chunks that satisfy ``column op value``, in
+        order, as one ``(arity, n)`` matrix.
+
+        Each chunk file is opened once, and its size checked before
+        anything is read, so a torn chunk is refused whether or not any
+        of its rows match.  Its predicate column is read and compared,
+        and only when some row passes are the other columns read — over
+        the span from the first passing row to the last.  The passing
+        rows are then gathered by index into the result.
+        """
+        compare = COLUMN_OPS[op]
+        spans = []  # (row indices into the span, one span per column)
+        for chunk_id in chunk_ids:
+            rows = self.chunks[chunk_id].rows
+            with open(self._chunk_paths[chunk_id], "rb") as file:
+                held = os.fstat(file.fileno()).st_size
+                if held != rows * self.arity * _ELEMENT_BYTES:
+                    raise self._torn(chunk_id, held)
+                predicate = np.empty(rows, dtype=_ELEMENT_DTYPE)
+                self._fill(file, chunk_id, position * rows, predicate)
+                keep = np.flatnonzero(compare(predicate, value))
+                if not len(keep):
+                    continue
+                lo, hi = int(keep[0]), int(keep[-1]) + 1
+                span = []
+                for other in range(self.arity):
+                    if other == position:
+                        span.append(predicate[lo:hi])
+                        continue
+                    column = np.empty(hi - lo, dtype=_ELEMENT_DTYPE)
+                    self._fill(file, chunk_id, other * rows + lo, column)
+                    span.append(column)
+            spans.append((keep - lo, span))
+        total = sum(len(keep) for keep, _ in spans)
+        columns = np.empty((self.arity, total), dtype=_ELEMENT_DTYPE)
+        start = 0
+        for keep, span in spans:
+            stop = start + len(keep)
+            for other, column in enumerate(span):
+                # Every index is in range; "clip" spares ``out`` a buffer.
+                column.take(keep, out=columns[other, start:stop], mode="clip")
             start = stop
         return columns.astype(np.int64, copy=False)
 
@@ -310,15 +372,17 @@ class StoredRelation:
         """
         if selection is None:
             chunk_ids = range(self.n_chunks)
+            columns = self._read_columns(chunk_ids)
         else:
             column, op, value = selection
             chunk_ids = self.select_chunks(column, op, value)
-        columns = self._read_columns(chunk_ids)
-        rows_scanned = columns.shape[1]
-        nbytes = columns.size * _ELEMENT_BYTES
-        if selection is not None:
-            keep = COLUMN_OPS[op](columns[self.schema.resolve(column)], value)
-            columns = columns[:, keep]
+            columns = self._read_matching(
+                chunk_ids, self.schema.resolve(column), op, value
+            )
+        # The scan is billed for the whole chunks it covers, as the disk
+        # passes them under the head, whatever it copies of them.
+        rows_scanned = sum(self.chunks[i].rows for i in chunk_ids)
+        nbytes = rows_scanned * self.arity * _ELEMENT_BYTES
         metrics.inc("store.chunks_read", len(chunk_ids))
         metrics.inc("store.chunks_pruned", self.n_chunks - len(chunk_ids))
         metrics.inc("store.bytes_read", nbytes)

@@ -12,8 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import PlanError
+from repro.errors import PlanError, StoreError
 from repro.machine import (
+    MachineDisk,
     Base,
     Difference,
     EnginePool,
@@ -199,6 +200,72 @@ class TestStaleStaging:
         machine.attach_store(stored)
         result, _ = machine.run(SELECT_PLANS[0][1])
         assert len(result) > 0
+
+
+class TestDiskHandles:
+    """Each store-backed access on the disk takes its handle from one
+    ``RelationStore.find``: one ``stat`` of the manifest, no
+    ``holds`` before it."""
+
+    ACCESSES = {
+        "store_backed": lambda disk: disk.store_backed("SP"),
+        "stored_handle": lambda disk: disk.stored_handle("SP"),
+        "profile": lambda disk: disk.profile("SP"),
+        "relation": lambda disk: disk.relation("SP"),
+        "read": lambda disk: disk.read("SP"),
+        "read selection": lambda disk: disk.read("SP", ("s", "==", 17)),
+    }
+
+    @pytest.mark.parametrize("access", ACCESSES)
+    def test_one_manifest_stat_per_access(self, stored, access, monkeypatch):
+        import os
+
+        disk = MachineDisk()
+        disk.attach_store(stored)
+        self.ACCESSES[access](disk)  # the handle is parsed and cached
+        stats, holds = [], []
+        stat = os.stat
+        monkeypatch.setattr(
+            os, "stat",
+            lambda path, *a, **k: stats.append(os.fspath(path))
+            or stat(path, *a, **k),
+        )
+        monkeypatch.setattr(
+            RelationStore, "holds", lambda self, name: holds.append(name)
+        )
+        self.ACCESSES[access](disk)
+        monkeypatch.undo()
+        assert holds == []
+        assert len(stats) == 1 and stats[0].endswith(
+            os.path.join("SP", "manifest.json")
+        )
+
+    @pytest.mark.parametrize("access", ACCESSES)
+    def test_a_corrupt_manifest_is_named(self, stored, access):
+        disk = MachineDisk()
+        disk.attach_store(stored)
+        (stored.root / "SP" / "manifest.json").write_text("{torn")
+        with pytest.raises(StoreError, match="corrupt manifest for 'SP'"):
+            self.ACCESSES[access](disk)
+
+    def test_a_corrupt_manifest_is_named_by_a_machine_run(self, stored):
+        machine = _machine()
+        machine.attach_store(stored)
+        (stored.root / "SP" / "manifest.json").write_text("{torn")
+        with pytest.raises(StoreError, match="corrupt manifest for 'SP'"):
+            machine.run(SELECT_PLANS[0][1])
+
+    def test_a_shadowed_or_missing_name_is_not_store_backed(
+        self, stored, sp_rows
+    ):
+        disk = MachineDisk()
+        disk.attach_store(stored)
+        disk.store("SP", Relation(_sp_schema(), sp_rows[:3]))
+        assert not disk.store_backed("SP")
+        assert not disk.store_backed("NOPE")
+        with pytest.raises(PlanError, match="not store-backed"):
+            disk.stored_handle("SP")
+        assert disk.profile("SP")[0] == 3
 
 
 class TestPlanner:
