@@ -3,10 +3,12 @@
 
 Both engines produce bit-identical relations and pulse counts; this
 module measures what that costs.  The pulse engine steps the whole
-array pulse by pulse (bulk numpy operations over windows of pulses, one
-call a pulse per feedback register: O(pulses) Python steps, O(cells ×
-pulses) element work); the lattice engine evaluates the schedule's
-closed form as a few bulk operations for the whole run.
+array pulse by pulse (bulk numpy operations over windows of pulses,
+each feedback register advanced a whole position or a whole pulse a
+call, whichever axis of the window is shorter: O(windows × min(path,
+window)) Python steps, O(cells × pulses) element work); the lattice
+engine evaluates the schedule's closed form as a few bulk operations
+for the whole run.
 
 Run standalone to (re)generate ``BENCH_engines.json`` at the repo
 root — CI's benchmark smoke job does exactly this::

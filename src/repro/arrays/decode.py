@@ -8,12 +8,13 @@ run offers:
 
 1. ``run.verdicts`` — the vectorized engines' primary product, read
    directly (shape and dtype checked; no tap is ever built);
-2. columnar taps — decoded in bulk by inverting the schedule's affine
-   exit laws, with the full audit: parity, bounds, duplicates, ghost
-   tags, completeness.  Every pulse run is read this way: its taps are
-   what the register stepper saw leave the array, and the stepper
-   never consults the exit laws, so this audit is where they are
-   checked;
+2. tap tables — one :class:`~repro.systolic.engine.plan.ColumnarTap`
+   per tapped edge (``t_row``, ``t_i``, ``and_row``), each decoded in
+   one pass by inverting the schedule's affine exit laws, with the full
+   audit: parity, bounds, duplicates, ghost tags, completeness.  Every
+   pulse run is read this way: its tables are what the register
+   stepper saw leave the array, and the stepper never consults the
+   exit laws, so this audit is where they are checked;
 3. Token records — what a run on the cell network (a traced pulse run,
    a bare simulator) holds, decoded arrival by arrival from
    ``(row, pulse)`` alone "exactly as hardware would", with the same
@@ -77,9 +78,18 @@ def _run_verdicts(
     return verdicts
 
 
-def _tap_of(result, name: str):
-    """The columnar tap ``name``, or None on eager (Token-record) runs."""
-    return getattr(result, "tap", lambda _: None)(name)
+def _table_of(result, edge: str):
+    """The tap table of ``edge`` (one
+    :class:`~repro.systolic.engine.plan.ColumnarTap` for the whole
+    edge), or None on eager (Token-record) runs."""
+    return getattr(result, "table", lambda _: None)(edge)
+
+
+def _first_by_position(bad: np.ndarray, positions: np.ndarray) -> int:
+    """The first flagged record in read-out order — by edge position,
+    then pulse (a table holds each position's records in pulse order)."""
+    flagged = np.flatnonzero(bad)
+    return int(flagged[np.argmin(positions[flagged])])
 
 
 # -- the matrix T: row taps of the comparison and join grids -----------------
@@ -121,25 +131,17 @@ def matches_in_exit_order(verdicts: np.ndarray) -> list[tuple[int, int]]:
 def _pair_verdicts_from_taps(
     result, schedule, tagged: bool
 ) -> Optional[np.ndarray]:
-    """Bulk decode of the columnar row taps.
+    """Bulk decode of the ``t_row`` table.
 
     ``pair_from_exit`` is affine in (row, pulse), so every arrival
     decodes in one vectorized inversion; validity (parity, bounds,
     duplicates, ghost tags, completeness) is checked in bulk too.
-    Returns ``None`` when ``result`` has no columnar taps.
+    Returns ``None`` when ``result`` has no tap tables.
     """
-    per_row = []
-    for row in range(schedule.rows):
-        tap = _tap_of(result, f"t_row[{row}]")
-        if tap is None:
-            return None
-        per_row.append(tap)
-    lengths = [len(tap) for tap in per_row]
-    rows = np.repeat(np.arange(schedule.rows, dtype=np.int64), lengths)
-    pulses = np.concatenate([tap.pulses for tap in per_row])
-    values = np.concatenate([
-        np.asarray(tap.values, dtype=bool) for tap in per_row
-    ])
+    table = _table_of(result, "t_row")
+    if table is None:
+        return None
+    rows, pulses = table.positions, table.pulses
 
     m = schedule.arity
     if isinstance(schedule, CounterStreamSchedule):
@@ -155,7 +157,7 @@ def _pair_verdicts_from_taps(
     bad |= (i < 0) | (i >= schedule.n_a) | (j < 0) | (j >= schedule.n_b)
     if bad.any():
         # Re-raise through the scalar decoder for the exact diagnostic.
-        k = int(np.argmax(bad))
+        k = _first_by_position(bad, rows)
         schedule.pair_from_exit(int(rows[k]), int(pulses[k]))
 
     keys = i * schedule.n_b + j
@@ -166,27 +168,25 @@ def _pair_verdicts_from_taps(
         raise SimulationError(
             f"pair ({key // schedule.n_b}, {key % schedule.n_b}) exited twice"
         )
-    if tagged:
-        offset = 0
-        for tap, size in zip(per_row, lengths):
-            span = slice(offset, offset + size)
-            offset += size
-            if tap.tag_kind is None:
-                continue
-            if (tap.tag_kind != "t"
-                    or not np.array_equal(tap.tag_indices[0], i[span])
-                    or not np.array_equal(tap.tag_indices[1], j[span])):
-                raise SimulationError(
-                    f"arrivals at tap {tap.name!r} carry tags inconsistent "
-                    f"with their decoded pairs"
-                )
+    if tagged and table.tag_kind is not None:
+        if table.tag_kind != "t":
+            row = 0
+        else:
+            wrong = ((table.tag_indices[0] != i)
+                     | (table.tag_indices[1] != j))
+            row = int(rows[wrong].min()) if wrong.any() else None
+        if row is not None:
+            raise SimulationError(
+                f"arrivals at tap {f't_row[{row}]'!r} carry tags "
+                f"inconsistent with their decoded pairs"
+            )
     expected = schedule.n_a * schedule.n_b
     if len(keys) != expected:
         raise SimulationError(
             f"only {len(keys)} of {expected} pair results exited the array"
         )
     verdicts = np.empty(expected, dtype=bool)
-    verdicts[keys] = values
+    verdicts[keys] = table.values
     return verdicts.reshape(schedule.n_a, schedule.n_b)
 
 
@@ -323,16 +323,16 @@ def accumulator_bits(result, schedule, tagged: bool) -> list[bool]:
         verdicts = _run_verdicts(result, (schedule.n_a,))
         if verdicts is not None:
             return verdicts.tolist()
-    tap = _tap_of(result, "t_i")
-    if tap is not None:
-        return _accumulator_bits_from_tap(tap, schedule, tagged)
+    table = _table_of(result, "t_i")
+    if table is not None:
+        return _accumulator_bits_from_tap(table, schedule, tagged)
     return _accumulator_bits_from_records(
         result.collector("t_i"), schedule, tagged
     )
 
 
 def _accumulator_bits_from_tap(tap, schedule, tagged: bool) -> list[bool]:
-    """Bulk decode of the columnar ``t_i`` tap: the exit pulses are
+    """Bulk decode of the ``t_i`` table: the exit pulses are
     affine in the tuple index, so the whole vector decodes as one
     arithmetic inversion plus the same validity checks (range,
     duplicates, ghost tags, completeness) the record decoder makes."""
@@ -408,23 +408,47 @@ def quotient_bits(result, schedule, tagged: bool) -> list[bool]:
         verdicts = _run_verdicts(result, (schedule.p_rows,))
         if verdicts is not None:
             return verdicts.tolist()
+    table = _table_of(result, "and_row")
+    if table is not None:
+        return _quotient_bits_from_tap(table, schedule)
+    return _quotient_bits_from_records(result, schedule)
+
+
+def _quotient_bits_from_tap(table, schedule) -> list[bool]:
+    """Bulk decode of the ``and_row`` table: exactly one bit a row, on
+    the row's result pulse (the first row that breaks either is
+    reported, as the record decoder reports it)."""
+    n = schedule.p_rows
+    rows = table.positions
+    counts = np.bincount(rows, minlength=n)
+    pulses = np.zeros(n, dtype=np.int64)
+    bits = np.zeros(n, dtype=bool)
+    pulses[rows], bits[rows] = table.pulses, table.values
+    bad = (counts != 1) | (pulses != schedule.result_pulse(np.arange(n)))
+    if bad.any():
+        row = int(np.argmax(bad))
+        if counts[row] != 1:
+            raise _quotient_count_error(row, int(counts[row]))
+        schedule.row_from_result(row, int(pulses[row]))
+    return bits.tolist()
+
+
+def _quotient_bits_from_records(result, schedule) -> list[bool]:
+    """Token-record decode of the ``and_row`` taps (runs on the cell
+    network)."""
     bits: list[bool] = []
     for row in range(schedule.p_rows):
-        name = f"and_row[{row}]"
-        tap = _tap_of(result, name)
-        if tap is not None:
-            arrivals = list(zip(tap.pulses.tolist(), tap.values.tolist()))
-        else:
-            arrivals = [
-                (pulse, token.value)
-                for pulse, token in result.collector(name)
-            ]
+        arrivals = list(result.collector(f"and_row[{row}]"))
         if len(arrivals) != 1:
-            raise SimulationError(
-                f"divisor row {row} produced {len(arrivals)} quotient bits, "
-                f"expected exactly 1"
-            )
-        pulse, value = arrivals[0]
+            raise _quotient_count_error(row, len(arrivals))
+        pulse, token = arrivals[0]
         schedule.row_from_result(row, pulse)
-        bits.append(bool(value))
+        bits.append(bool(token.value))
     return bits
+
+
+def _quotient_count_error(row: int, count: int) -> SimulationError:
+    return SimulationError(
+        f"divisor row {row} produced {count} quotient bits, expected "
+        f"exactly 1"
+    )

@@ -229,11 +229,11 @@ class LatticeEngine:
     def _grid_taps(
         self, plan: GridPlan, verdicts: np.ndarray
     ) -> dict[str, ColumnarTap]:
-        """The run's tap observables, derived from its verdicts: ``T``
-        when the plan has row taps, else the vector ``t_i``."""
+        """The run's tap tables, derived from its verdicts: ``T`` when
+        the plan has row taps, else the vector ``t_i``."""
         if not plan.row_taps:
             return {"t_i": self._accumulator_tap(plan, verdicts)}
-        taps = self._row_taps(plan, verdicts)
+        taps = {"t_row": self._row_taps(plan, verdicts)}
         if plan.accumulate:
             taps["t_i"] = self._accumulator_tap(plan, verdicts.any(axis=1))
         return taps
@@ -350,10 +350,10 @@ class LatticeEngine:
                 rows &= compare[k](A[lo:hi, k, None], B[None, :, k])
         return V
 
-    def _row_taps(self, plan: GridPlan, V: np.ndarray) -> dict[str, ColumnarTap]:
-        """Every ``t_row[r]`` tap at once: the schedule's meeting rows
-        and exit pulses are affine in (i, j), so one broadcast plus one
-        lexsort replaces the per-pair Python loop."""
+    def _row_taps(self, plan: GridPlan, V: np.ndarray) -> ColumnarTap:
+        """The ``t_row`` table at once: the schedule's meeting rows and
+        exit pulses are affine in (i, j).  In ``(i, j)`` order a row's
+        pairs leave in pulse order, so the table needs no sort."""
         sched = plan.schedule
         n_a, n_b = sched.n_a, sched.n_b
         shape = (n_a, n_b)
@@ -365,32 +365,22 @@ class LatticeEngine:
         else:
             rows = np.broadcast_to(J, shape)
             exits = I + J + (sched.arity - 1)
-        rows = np.broadcast_to(rows, shape).ravel()
-        exits = np.broadcast_to(exits, shape).ravel()
-        order = np.lexsort((exits, rows))
-        rows_s = rows[order]
-        exits_s = exits[order]
-        vals_s = V.ravel()[order]
-        if plan.tagged:
-            ti_s = np.broadcast_to(I, shape).ravel()[order]
-            tj_s = np.broadcast_to(J, shape).ravel()[order]
-        bounds = np.searchsorted(rows_s, np.arange(sched.rows + 1))
-        taps: dict[str, ColumnarTap] = {}
-        for row in range(sched.rows):
-            lo, hi = int(bounds[row]), int(bounds[row + 1])
-            taps[f"t_row[{row}]"] = ColumnarTap(
-                name=f"t_row[{row}]",
-                pulses=exits_s[lo:hi],
-                values=vals_s[lo:hi],
-                tag_kind="t" if plan.tagged else None,
-                tag_indices=(
-                    (ti_s[lo:hi], tj_s[lo:hi]) if plan.tagged else ()
-                ),
-            )
-        return taps
+
+        def flat(column: np.ndarray) -> np.ndarray:
+            return np.broadcast_to(column, shape).ravel()
+
+        return ColumnarTap(
+            name="t_row",
+            pulses=flat(exits),
+            values=V.ravel(),
+            tag_kind="t" if plan.tagged else None,
+            tag_indices=(flat(I), flat(J)) if plan.tagged else (),
+            positions=flat(rows),
+            width=sched.rows,
+        )
 
     def _accumulator_tap(self, plan: GridPlan, t: np.ndarray) -> ColumnarTap:
-        """The ``t_i`` tap in bulk, stamping the vector ``t``: exit
+        """The ``t_i`` table in bulk, stamping the vector ``t``: exit
         pulses are affine in i (slope 2 counter-streaming, slope 1
         fixed-relation)."""
         sched = plan.schedule
@@ -505,23 +495,22 @@ class LatticeEngine:
     def _division_taps(
         self, plan: DivisionPlan, bits: np.ndarray
     ) -> dict[str, ColumnarTap]:
-        """One ``and_row`` tap per dividend row, stamped by the §7
-        result law."""
+        """The ``and_row`` table: one quotient bit a dividend row,
+        stamped by the §7 result law."""
         sched = plan.schedule
         p_rows = sched.p_rows
         rows = np.arange(p_rows, dtype=np.int64)
         pulses = (sched.n_pairs + 2 + (p_rows - 1 - rows)
                   + sched.n_divisor - 1)
-        return {
-            f"and_row[{row}]": ColumnarTap(
-                name=f"and_row[{row}]",
-                pulses=pulses[row:row + 1],
-                values=bits[row:row + 1],
-                tag_kind="and" if plan.tagged else None,
-                tag_indices=(rows[row:row + 1],) if plan.tagged else (),
-            )
-            for row in range(p_rows)
-        }
+        return {"and_row": ColumnarTap(
+            name="and_row",
+            pulses=pulses,
+            values=bits,
+            tag_kind="and" if plan.tagged else None,
+            tag_indices=(rows,) if plan.tagged else (),
+            positions=rows,
+            width=p_rows,
+        )}
 
     def _division_bits(
         self,

@@ -579,17 +579,26 @@ def count_runs(plan: ExecutionPlan) -> None:
 
 @dataclass
 class ColumnarTap:
-    """One tap's output as bulk arrays: the Token-free fast path.
+    """What left one tapped edge, as bulk arrays: the Token-free form of
+    a run's output.
 
-    ``pulses[k]`` is the exit pulse of the ``k``-th record and
-    ``values[k]`` its payload, in pulse order — the same observations a
-    :class:`~repro.systolic.streams.Collector` holds, without allocating
-    a :class:`~repro.systolic.values.Token` per record.  Ghost tags are
-    kept columnar too: ``tag_kind`` names the tag family (``"t"``,
-    ``"acc"``, ``"and"``) and ``tag_indices`` holds one index array per
-    tag slot, so ``("t", i, j)`` is two arrays.  ``to_collector()``
-    materializes the classic Token records on demand, bit-identical to
-    the pulse engine's (Python ``int`` pulses, Python ``bool`` payloads).
+    One table per tapped edge of the array — a grid's row outputs
+    (``"t_row"``), its accumulation column (``"t_i"``), the division
+    array's row outputs (``"and_row"``), a linear array's ``"t"``.
+    ``pulses[k]`` is the exit pulse of the ``k``-th record, ``values[k]``
+    its payload and ``positions[k]`` the edge position it left at; the
+    records of one position are in pulse order.  An edge of ``width``
+    positions is the taps ``name[0]`` … ``name[width - 1]`` (empty ones
+    included); an edge that is a single tap (``t_i``, ``t``) has
+    ``width`` and ``positions`` None.  Ghost tags are kept columnar
+    too: ``tag_kind`` names the tag family (``"t"``, ``"acc"``,
+    ``"and"``) and ``tag_indices`` holds one index array per tag slot,
+    so ``("t", i, j)`` is two arrays.
+
+    :meth:`taps` cuts the table into one tap per position, and
+    ``to_collector()`` materializes a tap's classic Token records on
+    demand, bit-identical to the cell network's (Python ``int``
+    pulses, Python ``bool`` payloads).
     """
 
     name: str
@@ -597,9 +606,30 @@ class ColumnarTap:
     values: np.ndarray
     tag_kind: Optional[str] = None
     tag_indices: tuple[np.ndarray, ...] = ()
+    positions: Optional[np.ndarray] = None
+    width: Optional[int] = None
 
     def __len__(self) -> int:
         return int(self.pulses.size)
+
+    def taps(self) -> dict[str, ColumnarTap]:
+        """The edge as one tap per position, by tap name: the table's
+        records grouped by position, each group in pulse order."""
+        if self.width is None:
+            return {self.name: self}
+        order = np.argsort(self.positions, kind="stable")
+        bounds = np.searchsorted(
+            self.positions[order], np.arange(self.width + 1)
+        ).tolist()
+        pulses, values = self.pulses[order], self.values[order]
+        indices = [column[order] for column in self.tag_indices]
+        return {
+            f"{self.name}[{position}]": ColumnarTap(
+                f"{self.name}[{position}]", pulses[lo:hi], values[lo:hi],
+                self.tag_kind, tuple(column[lo:hi] for column in indices),
+            )
+            for position, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+        }
 
     def to_collector(self) -> Collector:
         collector = Collector(self.name)
@@ -625,17 +655,18 @@ class EngineRun:
     run with row taps, the ``(n_a,)`` bool vector ``t_i = OR_j t_ij`` of
     an accumulate-only grid (only that vector leaves the accumulation
     column, eq. 4.1, so ``T`` is never built whole), the quotient-bit
-    vector of a division run — and keep the taps
-    as a **lazy view**: ``tap_view`` derives the pulse-stamped
-    :class:`ColumnarTap` arrays from the verdicts and the schedule's
-    affine forms the first time :attr:`columnar`, :meth:`tap`,
-    :meth:`collector` or :attr:`collectors` is touched, and Token
-    records are materialized from those one step later still.  The pulse
-    engine has no verdicts — its result exists only as what left the
-    taps: the :class:`ColumnarTap` arrays its register stepper captured
-    pulse by pulse (Token records again materialized on demand), or,
-    when the run was traced and so stepped the cell network, that
-    network's eager Token-record ``collectors``.
+    vector of a division run — and keep the taps as a **lazy view**:
+    ``tap_view`` derives the run's tap tables (one pulse-stamped
+    :class:`ColumnarTap` per tapped edge) from the verdicts and the
+    schedule's affine forms the first time :attr:`columnar`,
+    :meth:`table`, :meth:`tap`, :meth:`collector` or :attr:`collectors`
+    is touched.  The pulse engine has no verdicts — its result exists
+    only as what left the taps: the tables its register stepper
+    captured, or, when the run was traced and so stepped the cell
+    network, that network's eager Token-record ``collectors``.  The
+    decoders read a table whole; a tap by name (``"t_row[3]"``) is the
+    slice of its edge's table at that position, and its Token records
+    are materialized from it on demand.
 
     The run of a :class:`BlockedPlan` is the exception on every engine:
     it stands for many array runs, so it has no taps of its own,
@@ -674,35 +705,51 @@ class EngineRun:
         self._columnar: Optional[dict[str, ColumnarTap]] = (
             None if tap_view is not None else {}
         )
+        self._taps: Optional[dict[str, ColumnarTap]] = None
         self._collectors: Optional[dict[str, Collector]] = (
             dict(collectors) if collectors is not None else None
         )
 
     @property
     def columnar(self) -> dict[str, ColumnarTap]:
-        """Token-free tap arrays, derived on first touch (empty dict on
-        a run that stepped the cell network)."""
+        """The tap tables by edge name, derived on first touch (empty
+        dict on a run that stepped the cell network)."""
         if self._columnar is None:
             self._columnar = self._tap_view()
         return self._columnar
+
+    def table(self, edge: str) -> Optional[ColumnarTap]:
+        """The tap table of ``edge`` (``"t_row"``, ``"t_i"``,
+        ``"and_row"``, ``"t"``), or None on eager runs."""
+        return self.columnar.get(edge)
+
+    def _by_name(self) -> dict[str, ColumnarTap]:
+        """Every tap of the tables by name, cut on first lookup."""
+        if self._taps is None:
+            self._taps = {
+                name: tap
+                for table in self.columnar.values()
+                for name, tap in table.taps().items()
+            }
+        return self._taps
 
     @property
     def collectors(self) -> dict[str, Collector]:
         """All taps as Token-record collectors (materialized on demand)."""
         if self._collectors is None:
             self._collectors = {}
-        for name, tap in self.columnar.items():
+        for name, tap in self._by_name().items():
             if name not in self._collectors:
                 self._collectors[name] = tap.to_collector()
         return self._collectors
 
     def tap(self, name: str) -> Optional[ColumnarTap]:
-        """The columnar arrays for ``name``, or None on eager runs."""
-        return self.columnar.get(name)
+        """The columnar arrays for tap ``name``, or None on eager runs."""
+        return self._by_name().get(name)
 
     def tap_names(self) -> list[str]:
         """Every tap this run produced, by either representation."""
-        names = set(self.columnar)
+        names = set(self._by_name())
         if self._collectors is not None:
             names.update(self._collectors)
         return sorted(names)
@@ -711,7 +758,7 @@ class EngineRun:
         """Look up a collector by tap name (mirrors the simulator API)."""
         if self._collectors is not None and name in self._collectors:
             return self._collectors[name]
-        tap = self.columnar.get(name)
+        tap = self._by_name().get(name)
         if tap is not None:
             if self._collectors is None:
                 self._collectors = {}
@@ -727,7 +774,7 @@ class EngineRun:
         elif self._columnar is None:
             taps = "taps=lazy"
         else:
-            taps = f"taps={len(self._columnar)} columnar"
+            taps = f"tables={len(self._columnar)} columnar"
         return (
             f"EngineRun(engine={self.engine!r}, pulses={self.pulses}, "
             f"cells={self.cells}, {taps})"

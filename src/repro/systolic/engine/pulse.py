@@ -8,11 +8,12 @@ A grid, linear or division plan is stepped by the register stepper
 (:mod:`~repro.systolic.engine.registers`): each wire family is a numpy
 register plane — a view of its boundary feed's delay line where the
 wire only moves data — and the cell functions and the protocol and
-ghost-tag checks run over windows of pulses, the feedback registers
-one pulse at a time; the run hands back columnar taps (no
-verdicts — operators decode them through the audited tap path of
-:mod:`repro.arrays.decode`) and Token records are materialized on
-demand.  A run that asks to *see cells* — a ``trace`` observer, or the
+ghost-tag checks run over windows of pulses, the feedback registers a
+whole position or a whole pulse at a time, whichever axis of the
+window is shorter; the run hands back one tap table per tapped edge
+(no verdicts — operators decode the tables through the audited tap
+path of :mod:`repro.arrays.decode`) and Token records are materialized
+on demand.  A run that asks to *see cells* — a ``trace`` observer, or the
 hexagonal mesh — is materialized as the cell network
 (:mod:`~repro.systolic.engine.materialize`) and driven by the two-phase
 :class:`~repro.systolic.simulator.SystolicSimulator`, which is also the

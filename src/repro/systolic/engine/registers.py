@@ -15,9 +15,12 @@ each stepped in two passes:
     start wherever a pair first meets, take one pass per column); the
     cell functions, every protocol and ghost-tag check and the busy
     counts are array operations over the whole window →
-    feedback, pulse by pulse — one numpy call a pulse advances each
-    register whose value depends on an earlier pulse: ``t``'s value,
-    the accumulators, the division array's AND sweep.
+    feedback, along the short axis — each register whose value depends
+    on an earlier pulse (``t``'s value, the accumulators, the division
+    array's AND sweep) also moves one position a pulse, so
+    :func:`_advance` steps it a whole column, row or divisor cell at a
+    time when its path is no longer than the window, and a whole pulse
+    at a time otherwise.
 
 Each wire's latch is a value plus an integer *ghost* that doubles as the
 presence bit: ``-1`` is an empty wire, anything else names the datum
@@ -37,8 +40,10 @@ only the *input* side of a schedule — element entry pulses, the ``t``
 injection law, accumulator seeds, the AND sweep's injection — exactly
 what :mod:`~repro.systolic.engine.materialize` reads to build feeders.
 Results exist only because a present token sat on a tapped output on
-some pulse; where and when that should have happened is for the
-decoders of :mod:`repro.arrays.decode` to audit.  The hand-wired cell
+some pulse, and each tapped edge hands back one table of them (a
+:class:`~repro.systolic.engine.plan.ColumnarTap` with a position
+column); where and when that should have happened is for the decoders
+of :mod:`repro.arrays.decode` to audit.  The hand-wired cell
 network (:mod:`~repro.systolic.simulator`) is the reference this module
 is held to, record for record and fault message for fault message
 (``tests/systolic/test_register_stepper.py``).
@@ -47,6 +52,7 @@ is held to, record for record and fault message for fault message
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import lru_cache
 from itertools import chain
 from typing import Callable, Optional
 
@@ -60,9 +66,12 @@ from repro.systolic.engine.plan import (
     ExecutionPlan,
     GridPlan,
     LinearPlan,
+    TInit,
     acc_name,
     cmp_name,
     operand_matrix,
+    t_init_strict_lower,
+    t_init_true,
 )
 from repro.systolic.engine.schedule import CounterStreamSchedule
 from repro.systolic.metrics import ActivityMeter
@@ -88,8 +97,9 @@ def step_plan(
     plan: ExecutionPlan, meter: Optional[ActivityMeter] = None
 ) -> dict[str, ColumnarTap]:
     """Step a grid, linear or division plan through all its pulses and
-    return what left each tap (every tap of ``plan.tap_names()``, empty
-    ones included); per-cell busy-pulse counts go to ``meter``."""
+    return what left each tapped edge, as one table an edge (the taps of
+    ``plan.tap_names()``, empty ones included); per-cell busy-pulse
+    counts go to ``meter``."""
     metered = meter is not None
     if isinstance(plan, GridPlan):
         taps, busy = _step_grid(plan, metered, cmp_name)
@@ -101,7 +111,9 @@ def step_plan(
             t_init=lambda i, j: plan.seed, row_taps=True, tagged=plan.tagged,
         )
         taps, busy = _step_grid(grid, metered, lambda row, k: f"cmp[{k}]")
-        taps = {"t": replace(taps["t_row[0]"], name="t")}
+        taps = {"t": replace(
+            taps["t_row"], name="t", positions=None, width=None
+        )}
     elif isinstance(plan, DivisionPlan):
         taps, busy = _step_division(plan, metered)
     else:
@@ -193,9 +205,58 @@ def _windows(pulses: int, cells: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + width, pulses)) for lo in range(0, pulses, width)]
 
 
+def _advance(op, v: np.ndarray, x: np.ndarray) -> None:
+    """Advance a moving value register over a window:
+    ``v[w + 1, l + 1] = op(v[w, l], x[w, l])``.
+
+    ``v`` is ``(W + 1, L + 1, …)`` — the window's pulses (row 0: the
+    value carried from the last window) by the ``L`` positions along
+    the register's path (column 0: what enters the path), then any axes
+    it does not move along — and ``x`` is ``(W, L, …)``, what each latch
+    is combined with.  The value moves one position a pulse, so a whole
+    position (or a whole pulse) is one call: the loop walks whichever
+    axis is shorter."""
+    W, L = x.shape[:2]
+    if L <= W:
+        for at in range(L):
+            op(v[:W, at], x[:, at], out=v[1:, at + 1])
+    else:
+        for w in range(W):
+            op(v[w, :L], x[w], out=v[w + 1, 1:])
+
+
+@lru_cache(maxsize=16)
+def _meetings(
+    kind: type, schedule: CounterStreamSchedule
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair's ``(i, j, row)`` on a counter-streaming grid, row by
+    row in the order ``schedule.row_pairs`` lists them.  A frozen
+    schedule's meetings depend on its class and sizes only, so each is
+    listed once; ``kind`` keeps a subclass that rewrites a law apart
+    from its base."""
+    met = [schedule.row_pairs(row) for row in range(schedule.rows)]
+    row = np.repeat(np.arange(schedule.rows), [len(pairs) for pairs in met])
+    i, j = np.fromiter(
+        chain.from_iterable(chain.from_iterable(met)), np.int64
+    ).reshape(-1, 2).T
+    for column in (i, j, row):
+        column.flags.writeable = False
+    return i, j, row
+
+
+def _seeds(t_init: TInit, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The initial ``t`` of every pair ``(i, j)``: one array operation
+    for the canonical seeds, a call a pair for any other."""
+    if t_init is t_init_true:
+        return np.ones(np.broadcast(i, j).shape, bool)
+    if t_init is t_init_strict_lower:
+        return j < i
+    return np.frompyfunc(t_init, 2, 1)(i, j).astype(bool)
+
+
 class _Taps:
-    """What left a tapped edge (one tap per edge position): the (pulse,
-    position, ghost, value) of every token, in pulse order."""
+    """What left a tapped edge: the (pulse, position, ghost, value) of
+    every token, in pulse order."""
 
     _NONE = (np.empty(0, np.int64),) * 3 + (np.empty(0, bool),)
 
@@ -210,29 +271,23 @@ class _Taps:
                 (lo + at, where, ghost[at, where], value[at, where])
             )
 
-    def columnar(
+    def table(
         self,
-        names: list[str],
+        name: str,
+        width: Optional[int],
         tag_kind: Optional[str],
         tag_indices: Callable[[np.ndarray], tuple[np.ndarray, ...]],
-    ) -> dict[str, ColumnarTap]:
-        """One :class:`ColumnarTap` per edge position; ``tag_indices``
-        unpacks ghosts into the tag's index columns (``tag_kind`` None:
-        an untagged plan, whose records carry no tag)."""
+    ) -> ColumnarTap:
+        """The edge's :class:`ColumnarTap` table (``width`` None: an
+        edge that is one tap); ``tag_indices`` unpacks ghosts into the
+        tag's index columns (``tag_kind`` None: an untagged plan, whose
+        records carry no tag)."""
         pulses, where, ghost, value = map(np.concatenate, zip(*self._records))
-        order = np.argsort(where, kind="stable")
-        pulses, ghost, value = pulses[order], ghost[order], value[order]
-        bounds = np.searchsorted(
-            where[order], np.arange(len(names) + 1)
-        ).tolist()
-        indices = tag_indices(ghost) if tag_kind is not None else ()
-        return {
-            name: ColumnarTap(
-                name, pulses[lo:hi], value[lo:hi], tag_kind,
-                tuple(column[lo:hi] for column in indices),
-            )
-            for name, lo, hi in zip(names, bounds, bounds[1:])
-        }
+        return ColumnarTap(
+            name, pulses, value, tag_kind,
+            tag_indices(ghost) if tag_kind is not None else (),
+            positions=where if width is not None else None, width=width,
+        )
 
 
 def _fault(pulse: int, cell: str, message: str) -> SimulationError:
@@ -273,15 +328,10 @@ def _step_grid(
     ops, dynamic = plan.ops, plan.dynamic_ops
     if ops is None:
         if counter:
-            met = [sched.row_pairs(row) for row in range(R)]
-            row = np.repeat(np.arange(R), [len(pairs) for pairs in met])
-            i, j = np.fromiter(
-                chain.from_iterable(chain.from_iterable(met)), np.int64
-            ).reshape(-1, 2).T
-            del met  # a Python tuple per pair: gone before the tables
+            i, j, row = _meetings(type(sched), sched)
         else:
             i, j, row = I, J.T, J.T
-        seeds = np.frompyfunc(plan.t_init, 2, 1)(i, j).astype(bool)
+        seeds = _seeds(plan.t_init, i, j)
         t_line = _DelayLine(
             P, R, C + 1, sched.t_init_pulse(i, j), row, i * n_b + j, seeds,
             pulse_major=True,
@@ -388,8 +438,7 @@ def _step_grid(
             if plan.accumulate:
                 acc_busy += top_p.sum(axis=0)
 
-        for t_in, answer, t_out in zip(v[:W, :C], gate, v[1:, 1:]):
-            np.logical_and(t_in, answer, out=t_out)
+        _advance(np.logical_and, v, gate)
         t_v, t_g = v[W], g[W]
         if plan.row_taps:
             row_taps.capture(lo, g[1:, C], v[1:, C])
@@ -397,21 +446,21 @@ def _step_grid(
             into = v[:W, C] & left_p
             top = np.empty((W + 1, R + 1), bool)
             top[0], top[:, 0] = top_v, False  # every seed is FALSE
-            for above, left, below in zip(top[:W, :R], into, top[1:, 1:]):
-                np.logical_or(above, left, out=below)
+            _advance(np.logical_or, top, into)
             top_v = top[W]
             acc_taps.capture(lo, top_g[:, R - 1:], top[1:, R:])
 
     taps: dict[str, ColumnarTap] = {}
     if plan.row_taps:
-        taps.update(row_taps.columnar(
-            [f"t_row[{row}]" for row in range(R)],
-            "t" if plan.tagged else None, lambda ghost: divmod(ghost, n_b),
-        ))
+        taps["t_row"] = row_taps.table(
+            "t_row", R, "t" if plan.tagged else None,
+            lambda ghost: divmod(ghost, n_b),
+        )
     if plan.accumulate:
-        taps.update(acc_taps.columnar(
-            ["t_i"], "acc" if plan.tagged else None, lambda ghost: (ghost,),
-        ))
+        taps["t_i"] = acc_taps.table(
+            "t_i", None, "acc" if plan.tagged else None,
+            lambda ghost: (ghost,),
+        )
     return taps, [(name_of, busy.T), (acc_name, acc_busy)]
 
 
@@ -511,15 +560,13 @@ def _step_division(plan: DivisionPlan, metered: bool):
 
         v = np.empty((W + 1, S + 1, R), bool)
         v[0], v[:, 0] = sweep, True  # the sweep enters TRUE
-        for and_in, flag, and_out in zip(v[:W, :S], sighted, v[1:, 1:]):
-            np.logical_and(and_in, flag, out=and_out)
+        _advance(np.logical_and, v, sighted)
         seen, sweep = sighted[W - 1], v[W]
         taps.capture(lo, and_g[:, S - 1], v[1:, S])
 
-    return taps.columnar(
-        [f"and_row[{row}]" for row in range(R)],
-        "and" if plan.tagged else None, lambda ghost: (ghost,),
-    ), [("dm[{}]".format, dm_busy), ("dg[{}]".format, dg_busy),
+    return {"and_row": taps.table(
+        "and_row", R, "and" if plan.tagged else None, lambda ghost: (ghost,),
+    )}, [("dm[{}]".format, dm_busy), ("dg[{}]".format, dg_busy),
         ("dv[{},{}]".format, dv_busy.T)]
 
 

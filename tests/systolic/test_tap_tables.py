@@ -1,0 +1,294 @@
+"""One tap table per tapped edge, on every engine.
+
+A run's taps are one :class:`ColumnarTap` table per tapped edge —
+``t_row`` and ``t_i`` of a grid, ``and_row`` of the division array —
+with a position column beside the pulse, value and tag-index columns.
+A tap by name (``run.tap("t_row[3]")``, ``run.collector(...)``) is that
+table's slice at one position and must equal the cell network's records
+for that tap, on the pulse, lattice and bitplane engines alike; the
+decoders of :mod:`repro.arrays.decode` read a table whole, and a table
+with a duplicated, dropped, mis-tagged or mis-timed record must be
+refused with the very message the per-tap decoders gave.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from repro.arrays import decode
+from repro.errors import SimulationError
+from repro.systolic.engine import (
+    BitplaneEngine,
+    ColumnarTap,
+    DivisionPlan,
+    GridPlan,
+    LatticeEngine,
+    LinearPlan,
+    PulseEngine,
+    t_init_strict_lower,
+    t_init_true,
+)
+from repro.systolic.engine.materialize import materialize
+from repro.systolic.engine.schedule import (
+    CounterStreamSchedule,
+    FixedRelationSchedule,
+)
+from repro.systolic.simulator import SystolicSimulator
+
+ENGINES = [PulseEngine, LatticeEngine, BitplaneEngine]
+A4 = [(0, 1), (2, 3), (0, 1), (3, 3)]
+B4 = [(0, 1), (2, 2), (3, 3), (2, 3)]
+
+
+def plans(tagged):
+    yield GridPlan(A4, B4, CounterStreamSchedule(4, 4, 2), t_init=t_init_true,
+                   accumulate=True, row_taps=True, tagged=tagged)
+    yield GridPlan(A4, A4, FixedRelationSchedule(4, 4, 2),
+                   t_init=t_init_strict_lower, accumulate=True,
+                   tagged=tagged)
+    yield GridPlan(A4[:3], B4, CounterStreamSchedule(3, 4, 2),
+                   ops=("<=", "=="), row_taps=True, tagged=tagged)
+    yield GridPlan(A4, B4[:2], FixedRelationSchedule(4, 2, 2),
+                   ops=("!=", ">"), row_taps=True, tagged=tagged)
+    yield DivisionPlan([(0, 1), (1, 1), (0, 2), (2, 1), (1, 2), (2, 2)],
+                       [0, 1, 2, 5], [1, 2], tagged=tagged)
+
+
+EDGES = {"t_row", "t_i", "and_row"}
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.name)
+@pytest.mark.parametrize("tagged", [False, True], ids=["untagged", "tagged"])
+def test_taps_by_name_are_slices_of_one_table_an_edge(engine, tagged):
+    for plan in plans(tagged):
+        run = engine().run(plan)
+        simulator = SystolicSimulator(materialize(plan))
+        simulator.run(plan.pulses)
+
+        tables = run.columnar
+        assert set(tables) <= EDGES and tables
+        names = []
+        for edge, table in tables.items():
+            assert isinstance(table, ColumnarTap) and table.name == edge
+            if edge == "t_i":
+                assert table.positions is None and table.width is None
+            else:
+                assert len(table.positions) == len(table)
+            names.extend(table.taps())
+            assert run.table(edge) is table
+        assert sorted(names) == sorted(plan.tap_names())
+        assert run.tap_names() == sorted(plan.tap_names())
+
+        for name in plan.tap_names():
+            expected = simulator.collector(name).records
+            tap = run.tap(name)
+            assert isinstance(tap, ColumnarTap) and tap.name == name
+            assert tap.positions is None
+            assert tap.to_collector().records == expected
+            assert run.collector(name).records == expected
+        assert run.tap("t_row[99]") is None and run.table("t") is None
+
+
+def test_a_linear_run_is_one_tap():
+    run = PulseEngine().run(LinearPlan([1, 2, 3], [1, 2, 3], tagged=True))
+    (table,) = run.columnar.values()
+    assert table.name == "t" and table.width is None
+    assert run.tap_names() == ["t"]
+    assert run.collector("t").records[0][1].tag == ("t", 0, 0)
+
+
+# -- the decoders refuse a broken table with the per-tap decoders' words -----
+
+
+class Tables:
+    """A result that is nothing but tap tables."""
+
+    def __init__(self, **tables):
+        self.tables = tables
+
+    def table(self, edge):
+        return self.tables.get(edge)
+
+
+GRID = GridPlan(A4, B4, CounterStreamSchedule(4, 4, 2), t_init=t_init_true,
+                accumulate=True, row_taps=True, tagged=True)
+DIVISION = DivisionPlan([(0, 1), (1, 1), (0, 2), (2, 1), (1, 2)],
+                        [0, 1, 2], [1, 2], tagged=True)
+
+
+def table_of(plan, edge):
+    return PulseEngine().run(plan).table(edge)
+
+
+def record_of(table, *tag):
+    """The index of the record tagged ``tag``."""
+    hit = np.ones(len(table), bool)
+    for column, index in zip(table.tag_indices, tag):
+        hit &= column == index
+    (k,) = np.flatnonzero(hit)
+    return k
+
+
+def edited(table, k=None, drop=None, copy=None, **changes):
+    """``table`` with record ``k``'s columns changed, record ``drop``
+    dropped or record ``copy`` appended again."""
+    columns = dict(pulses=table.pulses, values=table.values,
+                   positions=table.positions)
+    indices = list(table.tag_indices)
+    if k is not None:
+        for key, value in changes.items():
+            if key.startswith("tag"):
+                column = indices[int(key[3:])] = indices[int(key[3:])].copy()
+            else:
+                column = columns[key] = columns[key].copy()
+            column[k] = value
+    if drop is not None:
+        columns = {key: None if column is None else np.delete(column, drop)
+                   for key, column in columns.items()}
+        indices = [np.delete(column, drop) for column in indices]
+    if copy is not None:
+        columns = {key: None if column is None
+                   else np.append(column, column[copy])
+                   for key, column in columns.items()}
+        indices = [np.append(column, column[copy]) for column in indices]
+    return replace(table, tag_indices=tuple(indices), **columns)
+
+
+def refusal(decoder, edge, table, plan):
+    with pytest.raises(SimulationError) as refused:
+        decoder(Tables(**{edge: table}), plan.schedule, True)
+    return str(refused.value)
+
+
+class TestPairTable:
+    def refused(self, table):
+        return refusal(decode.pair_verdicts, "t_row", table, GRID)
+
+    def test_the_clean_table_decodes(self):
+        table = table_of(GRID, "t_row")
+        verdicts = decode.pair_verdicts(Tables(t_row=table), GRID.schedule,
+                                        True)
+        assert verdicts.tolist() == [
+            [a == b for b in B4] for a in A4
+        ]
+
+    def test_a_duplicated_record(self):
+        table = table_of(GRID, "t_row")
+        assert self.refused(edited(table, copy=record_of(table, 1, 2))) == (
+            "pair (1, 2) exited twice"
+        )
+
+    def test_a_dropped_record(self):
+        table = table_of(GRID, "t_row")
+        assert self.refused(edited(table, drop=record_of(table, 2, 0))) == (
+            "only 15 of 16 pair results exited the array"
+        )
+
+    def test_a_wrong_tag(self):
+        table = table_of(GRID, "t_row")
+        k = record_of(table, 2, 3)  # row 4
+        assert self.refused(edited(table, k, tag0=1)) == (
+            "arrivals at tap 't_row[4]' carry tags inconsistent with their "
+            "decoded pairs"
+        )
+        # Of two, the lower row's tap is the one named — though pair
+        # (0, 2) leaves row 5 two pulses before pair (3, 1) leaves row 1.
+        wrong = edited(edited(table, record_of(table, 0, 2), tag0=1),
+                       record_of(table, 3, 1), tag1=0)
+        assert self.refused(wrong) == (
+            "arrivals at tap 't_row[1]' carry tags inconsistent with their "
+            "decoded pairs"
+        )
+
+    def test_a_wrong_parity_pulse(self):
+        table = table_of(GRID, "t_row")
+        k = record_of(table, 1, 1)  # row 3, pulse 6
+        assert self.refused(edited(table, k, pulses=7)) == (
+            "arrival (row=3, pulse=7) matches no pair in the schedule"
+        )
+        # Of two, the first in read-out order: by row, then pulse —
+        # though pair (0, 2) leaves row 5 a pulse before pair (3, 0)
+        # leaves row 0.
+        both = edited(edited(table, record_of(table, 0, 2), pulses=7),
+                      record_of(table, 3, 0), pulses=8)
+        assert self.refused(both) == (
+            "arrival (row=0, pulse=8) matches no pair in the schedule"
+        )
+
+    def test_a_pulse_past_the_relations(self):
+        table = table_of(GRID, "t_row")
+        k = record_of(table, 3, 3)  # row 3, pulse 10
+        assert self.refused(edited(table, k, pulses=12)) == (
+            "arrival (row=3, pulse=12) decodes to pair (4, 4) outside the "
+            "relations"
+        )
+
+
+class TestAccumulatorTable:
+    def refused(self, table):
+        return refusal(decode.accumulator_bits, "t_i", table, GRID)
+
+    def test_a_duplicated_record(self):
+        table = table_of(GRID, "t_i")
+        assert self.refused(edited(table, copy=2)) == (
+            "tuple 2 exited the accumulator twice"
+        )
+
+    def test_a_dropped_record(self):
+        table = table_of(GRID, "t_i")
+        assert self.refused(edited(table, drop=1)) == (
+            "tuples [1] never exited the accumulation array"
+        )
+
+    def test_a_wrong_tag(self):
+        table = table_of(GRID, "t_i")
+        assert self.refused(edited(table, 0, tag0=1)) == (
+            "arrival decoded as tuple 0 but carries tag ('acc', 1)"
+        )
+
+    def test_a_wrong_parity_pulse(self):
+        table = table_of(GRID, "t_i")
+        assert self.refused(edited(table, 1, pulses=11)) == (
+            "accumulator arrival at pulse 11 matches no tuple"
+        )
+
+
+class TestQuotientTable:
+    def refused(self, table):
+        return refusal(decode.quotient_bits, "and_row", table, DIVISION)
+
+    def test_the_clean_table_decodes(self):
+        table = table_of(DIVISION, "and_row")
+        assert decode.quotient_bits(
+            Tables(and_row=table), DIVISION.schedule, True
+        ) == [True, True, False]
+
+    def test_a_second_bit_in_one_row(self):
+        table = table_of(DIVISION, "and_row")
+        assert self.refused(edited(table, copy=record_of(table, 1))) == (
+            "divisor row 1 produced 2 quotient bits, expected exactly 1"
+        )
+
+    def test_a_dropped_bit(self):
+        table = table_of(DIVISION, "and_row")
+        assert self.refused(edited(table, drop=record_of(table, 2))) == (
+            "divisor row 2 produced 0 quotient bits, expected exactly 1"
+        )
+
+    def test_a_bit_on_the_wrong_pulse(self):
+        table = table_of(DIVISION, "and_row")
+        k = record_of(table, 2)
+        expected = DIVISION.schedule.result_pulse(2)
+        assert self.refused(edited(table, k, pulses=expected + 1)) == (
+            f"divisor row 2 produced its quotient bit on pulse "
+            f"{expected + 1}, expected {expected}"
+        )
+        # The first row that breaks either rule is the one reported.
+        both = edited(edited(table, k, pulses=expected + 1),
+                      copy=record_of(table, 1))
+        assert self.refused(both) == (
+            "divisor row 1 produced 2 quotient bits, expected exactly 1"
+        )
