@@ -15,30 +15,9 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.arrays import (
-    systolic_difference,
-    systolic_divide,
-    systolic_intersection,
-    systolic_join,
-    systolic_projection,
-    systolic_remove_duplicates,
-    systolic_theta_join,
-    systolic_union,
-)
 from repro.errors import PlanError
-from repro.machine.plan import (
-    Base,
-    Dedup,
-    Difference,
-    Divide,
-    Intersect,
-    Join,
-    PlanNode,
-    Project,
-    Select,
-    Union,
-)
-from repro.relational import algebra
+from repro.machine.operators import operator_of
+from repro.machine.plan import Base, PlanNode
 from repro.relational.relation import Relation
 
 __all__ = ["execute_plan", "query"]
@@ -98,79 +77,10 @@ def _evaluate(
     inputs = [
         _evaluate(child, catalog, engine, backend) for child in node.children
     ]
+    row = operator_of(node)
     if engine == "software":
-        return _software_step(node, inputs)
-    return _systolic_step(node, inputs, backend)
-
-
-def _software_step(node: PlanNode, inputs: list[Relation]) -> Relation:
-    if isinstance(node, Intersect):
-        return algebra.intersection(inputs[0], inputs[1])
-    if isinstance(node, Difference):
-        return algebra.difference(inputs[0], inputs[1])
-    if isinstance(node, Union):
-        return algebra.union(inputs[0], inputs[1])
-    if isinstance(node, Dedup):
-        return algebra.remove_duplicates(inputs[0].to_multi())
-    if isinstance(node, Project):
-        return algebra.project(inputs[0], list(node.columns))
-    if isinstance(node, Join):
-        if node.ops is None:
-            return algebra.join(inputs[0], inputs[1], list(node.on))
-        return algebra.theta_join(
-            inputs[0], inputs[1], list(node.on), list(node.ops)
-        )
-    if isinstance(node, Divide):
-        return algebra.divide(
-            inputs[0], inputs[1],
-            a_value=node.a_value, a_group=node.a_group, b_value=node.b_value,
-        )
-    if isinstance(node, Select):
-        return algebra.select(inputs[0], node.column, node.op, node.value)
-    raise PlanError(f"no software implementation for {node.describe()}")
-
-
-def _systolic_step(
-    node: PlanNode, inputs: list[Relation], backend=None
-) -> Relation:
-    if isinstance(node, Intersect):
-        return systolic_intersection(
-            inputs[0], inputs[1], backend=backend
-        ).relation
-    if isinstance(node, Difference):
-        return systolic_difference(
-            inputs[0], inputs[1], backend=backend
-        ).relation
-    if isinstance(node, Union):
-        return systolic_union(inputs[0], inputs[1], backend=backend).relation
-    if isinstance(node, Dedup):
-        return systolic_remove_duplicates(
-            inputs[0].to_multi(), backend=backend
-        ).relation
-    if isinstance(node, Project):
-        return systolic_projection(
-            inputs[0], list(node.columns), backend=backend
-        ).relation
-    if isinstance(node, Join):
-        if node.ops is None:
-            return systolic_join(
-                inputs[0], inputs[1], list(node.on), backend=backend
-            ).relation
-        return systolic_theta_join(
-            inputs[0], inputs[1], list(node.on), list(node.ops),
-            backend=backend,
-        ).relation
-    if isinstance(node, Divide):
-        return systolic_divide(
-            inputs[0], inputs[1],
-            a_value=node.a_value, a_group=node.a_group, b_value=node.b_value,
-            backend=backend,
-        ).relation
-    if isinstance(node, Select):
-        # Selection is not an array operation in the paper (§9: CPU or
-        # logic-per-track disk); the software step stands in for both.
-        return algebra.select(inputs[0], node.column, node.op, node.value)
-    raise PlanError(f"no systolic implementation for {node.describe()}")
+        return row.software(node, *inputs)
+    return row.whole(node, *inputs, backend=backend)
 
 
 def query(

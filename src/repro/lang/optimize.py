@@ -25,10 +25,9 @@ from typing import Mapping, Optional
 
 from repro import obs
 from repro.errors import ReproError
-from repro.machine.inference import infer_schema
+from repro.machine.operators import infer_schema
 from repro.obs import metrics
 from repro.machine.plan import (
-    Base,
     Dedup,
     Difference,
     Divide,
@@ -95,29 +94,7 @@ def _rebuild_children(
         any_changed = any_changed or changed
     if not any_changed:
         return None
-    return _with_children(node, new_children)
-
-
-def _with_children(node: PlanNode, children: list[PlanNode]) -> PlanNode:
-    if isinstance(node, Intersect):
-        return Intersect(children[0], children[1])
-    if isinstance(node, Difference):
-        return Difference(children[0], children[1])
-    if isinstance(node, Union):
-        return Union(children[0], children[1])
-    if isinstance(node, Dedup):
-        return Dedup(children[0])
-    if isinstance(node, Project):
-        return Project(children[0], node.columns)
-    if isinstance(node, Join):
-        return Join(children[0], children[1], on=node.on, ops=node.ops)
-    if isinstance(node, Divide):
-        return Divide(children[0], children[1], a_value=node.a_value,
-                      a_group=node.a_group, b_value=node.b_value)
-    if isinstance(node, Select):
-        return Select(children[0], column=node.column, op=node.op,
-                      value=node.value)
-    return node  # Base has no children
+    return node.with_children(new_children)
 
 
 def _rewrite_here(
@@ -246,7 +223,7 @@ def share_common_subplans(plan: PlanNode) -> PlanNode:
     pool: dict[PlanNode, PlanNode] = {}
 
     def canon(node: PlanNode) -> PlanNode:
-        rebuilt = _with_children(node, [canon(c) for c in node.children])
+        rebuilt = node.with_children([canon(c) for c in node.children])
         existing = pool.get(rebuilt)
         if existing is not None:
             return existing

@@ -25,7 +25,12 @@ from repro.machine.plan import (
     Union,
     walk,
 )
-from repro.machine.inference import estimate_rows, infer_schema
+from repro.machine.operators import (
+    Operator,
+    estimate_rows,
+    infer_schema,
+    operator_of,
+)
 from repro.machine.physical import (
     PhysicalOp,
     PhysicalPlan,
@@ -70,6 +75,7 @@ __all__ = [
     "MachineDisk",
     "MachineState",
     "MemoryModule",
+    "Operator",
     "PhysicalOp",
     "PhysicalPlan",
     "PhysicalPlanner",
@@ -92,6 +98,7 @@ __all__ = [
     "estimate_rows",
     "gantt",
     "infer_schema",
+    "operator_of",
     "relation_bytes",
     "report_to_csv",
     "report_to_dict",

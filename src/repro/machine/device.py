@@ -38,24 +38,17 @@ from repro.arrays.decomposition import (
 )
 from repro import obs
 from repro.errors import PlanError
+from repro.machine.operators import operator_of
 from repro.machine.plan import (
     DEVICE_COMPARISON,
     DEVICE_CPU,
     DEVICE_DIVISION,
     DEVICE_JOIN,
-    Dedup,
-    Difference,
-    Divide,
-    Intersect,
-    Join,
     PlanNode,
-    Project,
-    Select,
-    Union,
 )
 from repro.obs import metrics
 from repro.perf.technology import PAPER_CONSERVATIVE, TechnologyModel
-from repro.relational.relation import Relation, project_rows, select_rows
+from repro.relational.relation import Relation, select_rows
 
 __all__ = ["DeviceRun", "SystolicDevice", "CpuDevice"]
 
@@ -140,45 +133,17 @@ class SystolicDevice:
                 f"device {self.name!r} ({self.kind}) cannot execute "
                 f"{node.describe()} ({node.device_kind})"
             )
-        backend = self.backend
-
-        def compare(operator, *operands):
-            # The §4/§5 operators share one call shape; on a §8 bit-level
-            # device (comparison kind only) they stream the operands'
-            # bit expansions.
-            return operator(
-                *operands, self.capacity, backend=backend,
-                element_bits=self.element_bits,
-            )
-
-        if isinstance(node, Intersect):
-            return compare(blocked_intersection, *inputs)
-        if isinstance(node, Difference):
-            return compare(blocked_difference, *inputs)
-        if isinstance(node, Union):
-            return compare(blocked_union, *inputs)
-        if isinstance(node, Dedup):
-            return compare(blocked_remove_duplicates, inputs[0].to_multi())
-        if isinstance(node, Project):
-            # The column drop happens during retrieval (§5); the array
-            # only deduplicates the reduced multi-relation.
-            reduced = project_rows(inputs[0], list(node.columns))
-            return compare(blocked_remove_duplicates, reduced)
-        if isinstance(node, Join):
-            return blocked_join(
-                inputs[0], inputs[1], list(node.on), self.capacity,
-                ops=list(node.ops) if node.ops is not None else None,
-                backend=backend,
-            )
-        if isinstance(node, Divide):
-            return blocked_divide(
-                inputs[0], inputs[1], self.capacity,
-                a_value=node.a_value, a_group=node.a_group,
-                b_value=node.b_value, backend=backend,
-            )
-        raise PlanError(
-            f"device {self.name!r} has no implementation for {node.describe()}"
-        )
+        row = operator_of(node)
+        args, params = row.operands(node, *inputs)
+        if self.element_bits is not None:
+            # A §8 bit-level device (comparison kind only) streams the
+            # operands' bit expansions.
+            params["element_bits"] = self.element_bits
+        # benchmarks/e2e/trace.py times the blocked runners by wrapping
+        # this module's ``blocked_*`` globals, so the runner is looked up
+        # here, in one step (ROADMAP.md item 1 lifts this constraint).
+        runner = globals()[row.blocked]
+        return runner(*args, self.capacity, backend=self.backend, **params)
 
     def __repr__(self) -> str:
         bits = (
@@ -203,7 +168,7 @@ class CpuDevice:
 
     def execute(self, node: PlanNode, inputs: list[Relation]) -> DeviceRun:
         """Run a selection over its input (billed one tuple at a time)."""
-        if not isinstance(node, Select):
+        if node.device_kind != self.kind:
             raise PlanError(
                 f"the CPU device only executes selections, not "
                 f"{node.describe()}; route array work to a systolic device"

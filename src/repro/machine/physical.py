@@ -29,37 +29,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Mapping, Optional, Sequence
 
-import numpy as np
-
 from repro import obs
 from repro.errors import PlanError
 from repro.machine.disk import MachineDisk
-from repro.machine.inference import estimate_rows, infer_schema
 from repro.machine.memory import DEFAULT_BANDWIDTH_BYTES_PER_S
 from repro.machine.pipelining import StageCost, analyze_chain
-from repro.machine.plan import (
-    Base,
-    Dedup,
-    Difference,
-    Divide,
-    Intersect,
-    Join,
-    PlanNode,
-    Project,
-    Select,
-    Union,
-    walk,
-)
+from repro.machine.operators import estimate_rows, infer_schema, operator_of
+from repro.machine.plan import DEVICE_CPU, Base, PlanNode, walk
 from repro.machine.scheduler import DeviceRoster, PlacementMemo
 from repro.perf.cost import (
     OpCost,
     ScanCost,
     bit_comparison_cost,
     comparison_cost,
-    division_cost,
-    join_cost,
 )
-from repro.relational.algebra import division_layout
 from repro.relational.relation import Relation
 from repro.systolic.engine import resolve_backend
 
@@ -151,47 +134,33 @@ def estimate_cost(
     n_a: int,
     n_b: int,
     arity_a: int,
-    n_columns: int,
     max_rows: int,
     max_cols: int,
     element_bits: Optional[int] = None,
 ) -> OpCost:
     """Predicted device cost of an array operation from size estimates.
 
-    ``n_columns`` is the operator's column-stream width: the projected
-    column count for :class:`Project`, the join-pair count for
-    :class:`Join`, the input arity otherwise.  ``element_bits`` prices
-    the operation on a §8 **bit-level** device instead (every streamed
-    column becomes ``element_bits`` bit columns, ``max_cols`` counts
-    bit comparators); only the equality-based comparison operations
-    have a bit-level form.
+    The operator's row derives the column-stream width from the node
+    and ``arity_a``.  ``element_bits`` prices the operation on a §8
+    **bit-level** device instead (every streamed column becomes
+    ``element_bits`` bit columns, ``max_cols`` counts bit comparators);
+    only the equality-based comparison operations have a bit-level form.
     """
-    if isinstance(node, (Intersect, Difference)):
-        comparison = (n_a, n_b, arity_a)
-    elif isinstance(node, Union):
-        comparison = (n_a + n_b, n_a + n_b, arity_a)
-    elif isinstance(node, Dedup):
-        comparison = (n_a, n_a, arity_a)
-    elif isinstance(node, Project):
-        comparison = (n_a, n_a, n_columns)
-    elif element_bits is not None:
+    row = operator_of(node)
+    if row.blocked is None:
+        raise PlanError(f"{node.describe()} is not an array operation")
+    if element_bits is not None and not row.bit_level:
         raise PlanError(
             f"{node.describe()} has no bit-level device form "
             f"(equality-based comparison operations only)"
         )
-    elif isinstance(node, Join):
-        return join_cost(n_a, n_b, len(node.on), max_rows, max_cols)
-    elif isinstance(node, Divide):
-        # Distinct group count is data-dependent; the estimate assumes
-        # every dividend pair names a fresh group (upper bound).
-        return division_cost(n_a, max(1, n_a), n_b, max_rows, max_cols)
-    else:
-        raise PlanError(f"{node.describe()} is not an array operation")
+    columns = row.columns(node, arity_a)
+    if row.comparison is None:
+        return row.law(n_a, n_b, columns, max_rows, max_cols)
+    shape = (*row.comparison(n_a, n_b), columns)
     if element_bits is not None:
-        return bit_comparison_cost(
-            *comparison, element_bits, max_rows, max_cols
-        )
-    return comparison_cost(*comparison, max_rows, max_cols)
+        return bit_comparison_cost(*shape, element_bits, max_rows, max_cols)
+    return comparison_cost(*shape, max_rows, max_cols)
 
 
 def actual_cost(
@@ -208,19 +177,12 @@ def actual_cost(
     pulse count — on bit-level devices too (pass the device's
     ``element_bits``).
     """
+    exact_cost = operator_of(node).exact_cost
+    if exact_cost is not None:
+        return exact_cost(node, inputs, max_rows, max_cols)
     n_a = len(inputs[0])
     n_b = len(inputs[1]) if len(inputs) > 1 else n_a
-    if isinstance(node, Divide):
-        group_pos, _, divisor_pos, _ = division_layout(
-            inputs[0].schema, inputs[1].schema,
-            node.a_value, node.a_group, node.b_value,
-        )
-        n_distinct = len(np.unique(inputs[0].array[:, group_pos]))
-        n_divisor = len(np.unique(inputs[1].array[:, divisor_pos]))
-        return division_cost(n_a, max(1, n_distinct), n_divisor,
-                             max_rows, max_cols)
-    n_columns = len(node.columns) if isinstance(node, Project) else 0
-    return estimate_cost(node, n_a, n_b, inputs[0].arity, n_columns,
+    return estimate_cost(node, n_a, n_b, inputs[0].arity,
                          max_rows, max_cols, element_bits=element_bits)
 
 
@@ -471,16 +433,17 @@ class PhysicalPlanner:
         prune — the selection never leaves the storage layer).
         """
         disk = self.context.disk
-        fused: dict[int, Select] = {}
+        fused: dict[int, PlanNode] = {}
         for node in order:
+            child = node.children[0] if node.children else None
             if not (
-                isinstance(node, Select)
-                and isinstance(node.child, Base)
-                and parent_count.get(id(node.child), 0) == 1
+                node.device_kind == DEVICE_CPU
+                and isinstance(child, Base)
+                and parent_count.get(id(child), 0) == 1
             ):
                 continue
-            if disk.logic_per_track or disk.store_backed(node.child.name):
-                fused[id(node.child)] = node
+            if disk.logic_per_track or disk.store_backed(child.name):
+                fused[id(child)] = node
         return fused
 
     # -- catalog estimates -----------------------------------------------------
@@ -613,7 +576,7 @@ class PhysicalPlanner:
             rows_out = estimate_rows(node, cards)
             bytes_out = est_bytes(rows_out, len(schema))
 
-            if isinstance(node, Select):
+            if node.device_kind == DEVICE_CPU:
                 cpu = next(
                     d for d in ctx.devices if d.kind == node.device_kind
                 )
@@ -635,7 +598,6 @@ class PhysicalPlanner:
             n_a = in_ops[0].est_rows_out
             n_b = in_ops[1].est_rows_out if len(in_ops) > 1 else n_a
             arity_a = len(infer_schema(node.children[0], schemas))
-            n_columns = len(node.columns) if isinstance(node, Project) else 0
             streams = [transfer(op.est_bytes_out) for op in in_ops]
             streams.append(transfer(bytes_out))
             costs, durations = {}, {}
@@ -643,7 +605,7 @@ class PhysicalPlanner:
                 if device.kind != node.device_kind:
                     continue
                 cost = costs[device.name] = estimate_cost(
-                    node, n_a, n_b, arity_a, n_columns,
+                    node, n_a, n_b, arity_a,
                     device.capacity.max_rows, device.capacity.max_cols,
                     element_bits=getattr(device, "element_bits", None),
                 )
@@ -653,14 +615,7 @@ class PhysicalPlanner:
             device, start = roster.pick(node.device_kind, ready, durations)
             cost, seconds = costs[device.name], durations[device.name]
             fill = min(cost.fill_seconds(device.technology), seconds)
-            if isinstance(node, Project):
-                stream_cols = n_columns
-            elif isinstance(node, Join):
-                stream_cols = len(node.on)
-            elif isinstance(node, Divide):
-                stream_cols = 2  # the (group, value) dividend pair
-            else:
-                stream_cols = arity_a
+            stream_cols = operator_of(node).columns(node, arity_a)
             per_element = (
                 getattr(device, "element_bits", None) or ctx.element_bits
             )

@@ -20,7 +20,7 @@ Device kinds (matching the device boxes of Fig 9-1):
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
 from repro.errors import PlanError
@@ -66,6 +66,17 @@ class PlanNode(ABC):
     @abstractmethod
     def describe(self) -> str:
         """Short operator label for timelines and error messages."""
+
+    def with_children(self, children: Sequence["PlanNode"]) -> "PlanNode":
+        """This node over new inputs, left to right; the node itself
+        when every input is the one it already has."""
+        if all(old is new for old, new in zip(self.children, children)):
+            return self
+        names = [
+            spec.name for spec in fields(self)
+            if isinstance(getattr(self, spec.name), PlanNode)
+        ]
+        return replace(self, **dict(zip(names, children)))
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(c) for c in self.children)

@@ -45,7 +45,7 @@ from repro.faults.recovery import (
     replan_on_quarantine,
 )
 from repro.machine.catalog import Catalog
-from repro.machine.inference import infer_schema
+from repro.machine.operators import infer_schema
 from repro.machine.plan import PlanNode
 from repro.machine.scheduler import ExecutionReport, ScheduledStep
 from repro.obs import metrics

@@ -29,11 +29,11 @@ way the physical planner already picks among devices.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.errors import PlanError
-from repro.machine.inference import estimate_rows, infer_schema
+from repro.machine.operators import estimate_rows, infer_schema
 from repro.machine.physical import estimate_cost
 from repro.machine.plan import (
     Base,
@@ -233,12 +233,12 @@ class ShardPlanner:
             )
         if isinstance(node, Select):
             child, dist = self._lower(node.child)
-            return self._rebuild(node, child=child), dist
+            return node.with_children((child,)), dist
         if isinstance(node, Dedup):
             # Dedup distributes over set union: local duplicates vanish
             # here, cross-shard ones at the next repartition or merge.
             child, dist = self._lower(node.child)
-            return self._rebuild(node, child=child), dist
+            return node.with_children((child,)), dist
         if isinstance(node, Project):
             return self._lower_project(node)
         if isinstance(node, Union):
@@ -251,18 +251,10 @@ class ShardPlanner:
             return self._lower_divide(node)
         raise PlanError(f"cannot shard {node.describe()}")
 
-    @staticmethod
-    def _rebuild(node: PlanNode, **children: PlanNode) -> PlanNode:
-        if all(
-            children[name] is getattr(node, name) for name in children
-        ):
-            return node
-        return replace(node, **children)
-
     def _lower_project(self, node: Project) -> tuple[PlanNode, Distribution]:
         child_schema = self._schema(node.child)
         child, dist = self._lower(node.child)
-        lowered = self._rebuild(node, child=child)
+        lowered = node.with_children((child,))
         if dist.kind == REPLICATED:
             return lowered, Distribution(REPLICATED)
         positions = child_schema.resolve_many(list(node.columns))
@@ -276,7 +268,7 @@ class ShardPlanner:
         # (∪ᵢAᵢ) ∪ (∪ᵢBᵢ) = ∪ᵢ(Aᵢ ∪ Bᵢ): always shard-local as sets.
         left, dl = self._lower(node.left)
         right, dr = self._lower(node.right)
-        lowered = self._rebuild(node, left=left, right=right)
+        lowered = node.with_children((left, right))
         if co_partitioned(dl, dr):
             return lowered, dl
         if dl.kind == REPLICATED and dr.kind == REPLICATED:
@@ -289,18 +281,18 @@ class ShardPlanner:
         left, dl = self._lower(node.left)
         right, dr = self._lower(node.right)
         if co_partitioned(dl, dr):
-            return self._rebuild(node, left=left, right=right), dl
+            return node.with_children((left, right)), dl
         if dr.kind == REPLICATED:
             # Aᵢ ∩ B and Aᵢ − B both distribute over ∪ᵢAᵢ.
-            return self._rebuild(node, left=left, right=right), dl
+            return node.with_children((left, right)), dl
         if isinstance(node, Intersect) and dl.kind == REPLICATED:
             # A ∩ Bᵢ distributes; A − Bᵢ does not (B's other pieces).
-            return self._rebuild(node, left=left, right=right), dr
+            return node.with_children((left, right)), dr
         # Equal tuples agree on every column, so re-partitioning both
         # sides by column 0 co-locates them.
         left, dl = self._align(left, node.left, dl, key=0)
         right, dr = self._align(right, node.right, dr, key=0)
-        return self._rebuild(node, left=left, right=right), dl
+        return node.with_children((left, right)), dl
 
     def _lower_join(self, node: Join) -> tuple[PlanNode, Distribution]:
         a_schema = self._schema(node.left)
@@ -328,7 +320,7 @@ class ShardPlanner:
                     # zero cross-shard traffic.
                     self._local_joins += 1
                     return (
-                        self._rebuild(node, left=left, right=right),
+                        node.with_children((left, right)),
                         Distribution(
                             PARTITIONED, key=a_positions[index], fp=dl.fp
                         ),
@@ -341,11 +333,11 @@ class ShardPlanner:
             out = dl if dl.kind == PARTITIONED else Distribution(SCATTERED)
             if dl.kind == REPLICATED:
                 out = Distribution(REPLICATED)
-            return self._rebuild(node, left=left, right=right), out
+            return node.with_children((left, right)), out
         if dl.kind == REPLICATED:
             self._local_joins += 1
             return (
-                self._rebuild(node, left=left, right=right),
+                node.with_children((left, right)),
                 Distribution(SCATTERED),
             )
 
@@ -393,16 +385,16 @@ class ShardPlanner:
             )
             self._local_joins += 1  # runs shard-local after the shuffle
             return (
-                self._rebuild(node, left=left, right=right),
+                node.with_children((left, right)),
                 Distribution(PARTITIONED, key=a_positions[pair], fp=dl.fp),
             )
         if strategy == "broadcast_right":
             right, dr = self._exchange(right, node.right, dr, BROADCAST)
             out = dl if dl.kind == PARTITIONED else Distribution(SCATTERED)
-            return self._rebuild(node, left=left, right=right), out
+            return node.with_children((left, right)), out
         left, dl = self._exchange(left, node.left, dl, BROADCAST)
         return (
-            self._rebuild(node, left=left, right=right),
+            node.with_children((left, right)),
             Distribution(SCATTERED),
         )
 
@@ -425,7 +417,7 @@ class ShardPlanner:
             # by its group column.
             left, dl = self._align(left, node.left, dl, key=group_pos)
             out = Distribution(PARTITIONED, key=0, fp=dl.fp)
-        return self._rebuild(node, left=left, right=right), out
+        return node.with_children((left, right)), out
 
     # -- exchanges ---------------------------------------------------------
 
@@ -496,7 +488,7 @@ class ShardPlanner:
         if device is None:
             return 0.0
         cost = estimate_cost(
-            node, n_a, n_b, 0, len(node.on),
+            node, n_a, n_b, 0,
             device.capacity.max_rows, device.capacity.max_cols,
         )
         return device.technology.pulses_to_seconds(cost.total_pulses)

@@ -215,3 +215,33 @@ def test_proof_producer_rule_is_an_allow_list(tmp_path):
         "__main__.py:3:", "serve/protocol.py:1:", "serve/protocol.py:3:",
     ]
     assert all("verifying `Relation(...)`" in problem for problem in problems)
+
+
+def test_operator_facts_rule_allows_only_the_shape_rules(tmp_path):
+    check_docs = _load_check_docs()
+    package = tmp_path / "repro"
+    for directory in ("lang", "machine", "shard"):
+        (package / directory).mkdir(parents=True)
+    (package / "lang" / "optimize.py").write_text(
+        "def rule(node):\n"
+        "    return isinstance(node, (Intersect, Union))\n"
+    )
+    (package / "machine" / "physical.py").write_text(
+        '"""``isinstance(node, Join)`` in prose is not a branch."""\n'
+        "def load(node):\n"
+        "    return isinstance(node, Base) or node.device_kind == 'cpu'\n"
+    )
+    assert check_docs.check_operator_facts(root=package) == []
+
+    (package / "machine" / "device.py").write_text(
+        "from repro.machine import plan\n"
+        "def dispatch(node):\n"
+        "    if isinstance(node, plan.Join):\n"
+        "        return 1\n"
+        "    return isinstance(node.child, (Base, Select, Dedup))\n"
+    )
+    problems = check_docs.check_operator_facts(root=package)
+    assert [problem.split(" — ")[0] for problem in problems] == [
+        "machine/device.py:3: branches on Join",
+        "machine/device.py:5: branches on Dedup, Select",
+    ]

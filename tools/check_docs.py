@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Keep the documentation and the code from drifting apart.
 
-Nine checks, all run in CI next to the bench gate::
+Ten checks, all run in CI next to the bench gate::
 
     python tools/check_docs.py
 
@@ -66,6 +66,19 @@ Nine checks, all run in CI next to the bench gate::
    anywhere else — the server, the language front end, the generators,
    the machine, the CLI, the CSV reader: wherever rows come from
    outside — fails here.
+
+10. **Operator facts are stated once.**  What each plan-node type is —
+    its oracle, array runners, §8 cost, schema and cardinality — is one
+    row of ``repro.machine.operators``, and every other layer reads the
+    row.  So an ``isinstance`` test against one of the eight operator
+    node types (:data:`OPERATOR_TYPES`) may appear only where the tree's
+    shape is the subject (:data:`OPERATOR_BRANCHERS`): the table
+    itself, the plan AST, the optimizer's rewrite rules and the shard
+    planner's locality rules.  The dispatching layers (``lang/compile``,
+    ``machine/device``, ``machine/physical``, and the inference now in
+    the table) keep no residue; they test ``node.device_kind`` where
+    they must tell a selection from array work.  A new per-type branch
+    anywhere else fails here.
 
 Exits non-zero with one line per problem.
 """
@@ -448,12 +461,58 @@ def check_proof_producers(root=ROOT / "src" / "repro") -> list[str]:
     return problems
 
 
+#: The plan-node types the operator table has a row for, and the only
+#: sources under ``src/repro`` that may branch on them.
+OPERATOR_TYPES = frozenset({
+    "Intersect", "Difference", "Union", "Dedup", "Project", "Join",
+    "Divide", "Select",
+})
+OPERATOR_BRANCHERS = (
+    "machine/operators.py", "machine/plan.py", "lang/optimize.py",
+    "shard/planner.py",
+)
+
+
+def _isinstance_targets(node: ast.AST) -> list[str]:
+    """The class names an ``isinstance(x, C)`` / ``isinstance(x, (C,
+    D))`` call tests against (``module.C`` counts as ``C``)."""
+    if not (isinstance(node, ast.Call) and len(node.args) == 2
+            and getattr(node.func, "id", None) == "isinstance"):
+        return []
+    classes = node.args[1]
+    elements = classes.elts if isinstance(classes, ast.Tuple) else [classes]
+    return [
+        getattr(element, "id", None) or getattr(element, "attr", None)
+        for element in elements
+    ]
+
+
+def check_operator_facts(root=ROOT / "src" / "repro") -> list[str]:
+    problems: list[str] = []
+    for source in sorted(root.rglob("*.py")):
+        where = source.relative_to(root).as_posix()
+        if where in OPERATOR_BRANCHERS:
+            continue
+        for node in ast.walk(ast.parse(source.read_text())):
+            named = sorted(OPERATOR_TYPES.intersection(
+                _isinstance_targets(node)
+            ))
+            if named:
+                problems.append(
+                    f"{where}:{node.lineno}: branches on "
+                    f"{', '.join(named)} — read the node's row "
+                    f"(`repro.machine.operators.operator_of`) instead"
+                )
+    return problems
+
+
 def main() -> int:
     problems = (
         check_metric_table() + check_links()
         + check_package_inventory() + check_cli_flags()
         + check_api() + check_env_vars() + check_span_catalog()
         + check_one_stored_form() + check_proof_producers()
+        + check_operator_facts()
     )
     for problem in problems:
         print(problem, file=sys.stderr)
@@ -471,7 +530,9 @@ def main() -> int:
         f"span catalog in sync "
         f"({len(documented_spans(OBSERVABILITY.read_text()))} names), "
         f"one stored form under src/, "
-        f"{PROOF_TYPE} named by its {len(PROOF_PRODUCERS)} producers only"
+        f"{PROOF_TYPE} named by its {len(PROOF_PRODUCERS)} producers only, "
+        f"operator node types branched on in "
+        f"{len(OPERATOR_BRANCHERS)} files only"
     )
     return 0
 
