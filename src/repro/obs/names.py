@@ -115,7 +115,8 @@ METRICS: dict[str, tuple[str, str]] = {
     "store.chunks_pruned": (
         COUNTER, "chunks skipped by the grid index / zone maps on a read"),
     "store.chunks_read": (
-        COUNTER, "columnar chunks actually scanned by store reads"),
+        COUNTER, "chunks a store read covers, billed whole, whether read "
+                 "from disk or served by the chunk pool"),
     "store.index_probes": (
         COUNTER, "grid-directory probes answering selection predicates"),
 }

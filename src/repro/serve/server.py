@@ -39,7 +39,7 @@ from repro.machine.plan import PlanNode
 from repro.machine.pool import EnginePool
 from repro.obs import metrics
 from repro.relational.csv_io import DomainRegistry
-from repro.store import RelationStore
+from repro.store import RelationStore, pool_info
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
     decode_line,
@@ -318,6 +318,7 @@ class ReproServer:
         if op == "stats":
             stats = self.pool.stats()
             stats["statement_cache"] = self._statements.info()
+            stats["chunk_pool"] = pool_info()
             return {"ok": True, "stats": stats}, tenant, False
         if op == "health":
             # The heartbeat: cheap enough to probe every few seconds —

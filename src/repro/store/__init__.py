@@ -15,22 +15,26 @@ grid-directory example.
 """
 
 from repro.store.columnar import (
+    CHUNK_POOL_BYTES,
     DEFAULT_CHUNK_ROWS,
     MANIFEST_VERSION,
     STORE_DIR_ENV,
     RelationStore,
     StoredRelation,
     StoreScan,
+    pool_info,
 )
 from repro.store.grid import GridIndex, build_scales, cell_coords, cluster_order
 
 __all__ = [
+    "CHUNK_POOL_BYTES",
     "DEFAULT_CHUNK_ROWS",
     "MANIFEST_VERSION",
     "STORE_DIR_ENV",
     "RelationStore",
     "StoredRelation",
     "StoreScan",
+    "pool_info",
     "GridIndex",
     "build_scales",
     "cell_coords",

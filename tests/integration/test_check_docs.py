@@ -245,3 +245,43 @@ def test_operator_facts_rule_allows_only_the_shape_rules(tmp_path):
         "machine/device.py:3: branches on Join",
         "machine/device.py:5: branches on Dedup, Select",
     ]
+
+
+def test_one_chunk_reader_rule_allows_only_the_pool_loader(tmp_path):
+    check_docs = _load_check_docs()
+    package = tmp_path / "repro"
+    for directory in ("store", "machine"):
+        (package / directory).mkdir(parents=True)
+    (package / "store" / "columnar.py").write_text(
+        '"""Scans never ``open(chunk_path)`` themselves: prose."""\n'
+        "class _ChunkPool:\n"
+        "    def _load(self, handle, chunk_id):\n"
+        '        with open(handle._chunk_paths[chunk_id], "rb") as file:\n'
+        "            return file.read()\n"
+        "def _write_chunk(staging, chunk_file, block):\n"
+        '    with open(staging / chunk_file, "wb") as out:\n'
+        "        out.write(block)\n"
+        "def manifest(path):\n"
+        "    return open(path / 'manifest.json').read()\n"
+    )
+    assert check_docs.check_one_chunk_reader(root=package) == []
+
+    (package / "store" / "columnar.py").write_text(
+        "import numpy as np\n"
+        "class StoredRelation:\n"
+        "    def chunk_column(self, chunk_id, position):\n"
+        "        return np.memmap(self._chunk_paths[chunk_id], mode='r')\n"
+        "    def _fill(self, chunk_id):\n"
+        "        with open(self._chunk_paths[chunk_id], mode='r+b') as f:\n"
+        "            return f.read()\n"
+    )
+    (package / "machine" / "disk.py").write_text(
+        "import numpy as np\n"
+        "def peek(handle, chunk):\n"
+        "    return np.fromfile(handle.path / chunk.file, dtype='<i8')\n"
+    )
+    problems = check_docs.check_one_chunk_reader(root=package)
+    assert [problem.split(" opens ")[0] for problem in problems] == [
+        "machine/disk.py:3:", "store/columnar.py:4:", "store/columnar.py:6:",
+    ]
+    assert all("_ChunkPool._load" in problem for problem in problems)
