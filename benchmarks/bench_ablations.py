@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.arrays.base import (
+from repro.arrays.base import run_array
+from repro.systolic.engine.materialize import (
     attach_accumulation_column,
     build_counter_stream_grid,
     build_fixed_relation_grid,
-    cmp_name,
-    run_array,
 )
+from repro.systolic.engine.plan import cmp_name
 from repro.systolic.engine.schedule import CounterStreamSchedule, FixedRelationSchedule
 from repro.errors import SimulationError
 from repro.systolic.simulator import SystolicSimulator

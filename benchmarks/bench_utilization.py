@@ -13,7 +13,7 @@ steady (loaded) state, for both designs.
 
 from __future__ import annotations
 
-from repro.arrays.base import (
+from repro.systolic.engine.materialize import (
     attach_accumulation_column,
     build_counter_stream_grid,
     build_fixed_relation_grid,

@@ -4,10 +4,9 @@ The operator modules in this package describe each §3–§7 array as an
 :class:`~repro.systolic.engine.plan.ExecutionPlan` and hand it to
 :func:`execute`, which dispatches to a pluggable backend — the
 pulse-level reference simulator or the vectorized lattice engine (see
-:mod:`repro.systolic.engine`).  The network builders that used to live
-here moved to :mod:`repro.systolic.engine.materialize`; they are
-re-exported under their old names for callers that assemble networks
-directly.
+:mod:`repro.systolic.engine`).  Callers that assemble cell networks
+directly import the builders from
+:mod:`repro.systolic.engine.materialize`.
 
 §4.3 calls the comparison array "the main hardware": every operator is
 the same grid, varying only the operands, the initial ``t`` and what
@@ -28,22 +27,12 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.relational.relation import DistinctRows, MultiRelation, Relation
 from repro.systolic.engine import resolve_backend
-from repro.systolic.engine.materialize import (
-    CellFactory,
-    attach_accumulation_column,
-    attach_op_stream,
-    build_counter_stream_grid,
-    build_fixed_relation_grid,
-    materialize_grid,
-)
+from repro.systolic.engine.materialize import materialize_grid
 from repro.systolic.engine.plan import (
     DivisionPlan,
     EngineRun,
     ExecutionPlan,
     GridPlan,
-    TInit,
-    acc_name,
-    cmp_name,
 )
 from repro.systolic.engine.schedule import (
     CounterStreamSchedule,
@@ -63,15 +52,7 @@ __all__ = [
     "build_grid_array",
     "rows_where",
     "joined_rows",
-    "build_counter_stream_grid",
-    "build_fixed_relation_grid",
-    "attach_accumulation_column",
-    "attach_op_stream",
     "run_array",
-    "cmp_name",
-    "acc_name",
-    "TInit",
-    "CellFactory",
 ]
 
 

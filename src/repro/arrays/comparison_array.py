@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.arrays.base import ArrayRun, TInit, build_grid_array, run_plan
+from repro.arrays.base import ArrayRun, build_grid_array, run_plan
 from repro.arrays.decode import pair_verdicts
 from repro.errors import SimulationError
-from repro.systolic.engine import GridPlan, t_init_true
+from repro.systolic.engine import GridPlan, TInit, t_init_true
 from repro.systolic.engine.schedule import CounterStreamSchedule
 from repro.systolic.metrics import ActivityMeter
 from repro.systolic.trace import TraceRecorder

@@ -3,8 +3,7 @@
 The arrays exist to produce results — the matrix ``T`` (§3.3), the
 accumulated ``t_i = OR_j t_ij`` (§4), the individual ``t_ij`` of a join
 (§6), the quotient bits (§7).  Every operator module reads them through
-the four functions here, and each picks the cheapest honest source a
-run offers:
+the four functions here, and each reads one of two sources:
 
 1. ``run.verdicts`` — the vectorized engines' primary product, read
    directly (shape and dtype checked; no tap is ever built);
@@ -13,14 +12,13 @@ run offers:
    one pass by inverting the schedule's affine exit laws, with the full
    audit: parity, bounds, duplicates, ghost tags, completeness.  Every
    pulse run is read this way: its tables are what the register
-   stepper saw leave the array, and the stepper never consults the
-   exit laws, so this audit is where they are checked;
-3. Token records — what a run on the cell network (a traced pulse run,
-   a bare simulator) holds, decoded arrival by arrival from
-   ``(row, pulse)`` alone "exactly as hardware would", with the same
-   audit.
+   stepper saw leave the array — or, on a run that stepped the cell
+   network (a traced run, the hexagonal mesh), that network's Token
+   records as tables — and neither consults the exit laws, so this
+   audit is where they are checked.  A run without the edge's table
+   is refused.
 
-Tagged runs always take path 2 or 3: their point is to check the ghost
+Tagged runs always take path 2: their point is to check the ghost
 tags riding on the tap records, so the taps are what gets read.
 
 A §8 blocked run (:class:`~repro.systolic.engine.plan.BlockedPlan`)
@@ -29,7 +27,7 @@ only what the operator asked to keep of ``T``.  :class:`Reduction` is
 that keeping, written once for every engine; :func:`blocked_verdicts`
 reads it back, checked like path 1; and :func:`blockwise_verdicts` is
 the decomposition done the hardware's way, block run by block run
-through paths 2 and 3 — how the pulse engine executes a blocked plan,
+through path 2 — how the pulse engine executes a blocked plan,
 and the reference the one-run kernels are tested against.
 """
 
@@ -81,8 +79,11 @@ def _run_verdicts(
 def _table_of(result, edge: str):
     """The tap table of ``edge`` (one
     :class:`~repro.systolic.engine.plan.ColumnarTap` for the whole
-    edge), or None on eager (Token-record) runs."""
-    return getattr(result, "table", lambda _: None)(edge)
+    edge); a run without it is refused."""
+    table = result.table(edge)
+    if table is None:
+        raise SimulationError(f"the run has no {edge!r} tap table")
+    return table
 
 
 def _first_by_position(bad: np.ndarray, positions: np.ndarray) -> int:
@@ -98,17 +99,16 @@ def _first_by_position(bad: np.ndarray, positions: np.ndarray) -> int:
 def pair_verdicts(result, schedule, tagged: bool) -> np.ndarray:
     """The ``(n_a, n_b)`` bool matrix ``T`` of a grid run with row taps.
 
-    ``result`` is anything with a ``collector(name)`` method — the
-    pulse simulator or an :class:`~repro.systolic.engine.plan.EngineRun`.
+    ``result`` is an :class:`~repro.systolic.engine.plan.EngineRun` —
+    anything with ``verdicts`` and a ``table(edge)`` method.
     """
     if not tagged:
         verdicts = _run_verdicts(result, (schedule.n_a, schedule.n_b))
         if verdicts is not None:
             return verdicts
-    verdicts = _pair_verdicts_from_taps(result, schedule, tagged)
-    if verdicts is None:
-        verdicts = _pair_verdicts_from_records(result, schedule, tagged)
-    return verdicts
+    return _pair_verdicts_from_taps(
+        _table_of(result, "t_row"), schedule, tagged
+    )
 
 
 def true_pairs(verdicts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -128,19 +128,13 @@ def matches_in_exit_order(verdicts: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(i[order].tolist(), j[order].tolist()))
 
 
-def _pair_verdicts_from_taps(
-    result, schedule, tagged: bool
-) -> Optional[np.ndarray]:
+def _pair_verdicts_from_taps(table, schedule, tagged: bool) -> np.ndarray:
     """Bulk decode of the ``t_row`` table.
 
     ``pair_from_exit`` is affine in (row, pulse), so every arrival
     decodes in one vectorized inversion; validity (parity, bounds,
     duplicates, ghost tags, completeness) is checked in bulk too.
-    Returns ``None`` when ``result`` has no tap tables.
     """
-    table = _table_of(result, "t_row")
-    if table is None:
-        return None
     rows, pulses = table.positions, table.pulses
 
     m = schedule.arity
@@ -188,32 +182,6 @@ def _pair_verdicts_from_taps(
     verdicts = np.empty(expected, dtype=bool)
     verdicts[keys] = table.values
     return verdicts.reshape(schedule.n_a, schedule.n_b)
-
-
-def _pair_verdicts_from_records(result, schedule, tagged: bool) -> np.ndarray:
-    """Token-record decode of the row taps (runs on the cell network):
-    each right-edge arrival is mapped to its (i, j) purely from
-    (row, pulse) via the schedule."""
-    verdicts = np.zeros((schedule.n_a, schedule.n_b), dtype=bool)
-    seen: set[tuple[int, int]] = set()
-    for row in range(schedule.rows):
-        for pulse, token in result.collector(f"t_row[{row}]"):
-            i, j = schedule.pair_from_exit(row, pulse)
-            if (i, j) in seen:
-                raise SimulationError(f"pair ({i}, {j}) exited twice")
-            seen.add((i, j))
-            if tagged and token.tag is not None and token.tag != ("t", i, j):
-                raise SimulationError(
-                    f"arrival decoded as pair ({i}, {j}) but carries tag "
-                    f"{token.tag!r}"
-                )
-            verdicts[i, j] = bool(token.value)
-    expected = schedule.n_a * schedule.n_b
-    if len(seen) != expected:
-        raise SimulationError(
-            f"only {len(seen)} of {expected} pair results exited the array"
-        )
-    return verdicts
 
 
 # -- §8: what a blocked operator keeps of T -----------------------------------
@@ -323,19 +291,16 @@ def accumulator_bits(result, schedule, tagged: bool) -> list[bool]:
         verdicts = _run_verdicts(result, (schedule.n_a,))
         if verdicts is not None:
             return verdicts.tolist()
-    table = _table_of(result, "t_i")
-    if table is not None:
-        return _accumulator_bits_from_tap(table, schedule, tagged)
-    return _accumulator_bits_from_records(
-        result.collector("t_i"), schedule, tagged
+    return _accumulator_bits_from_tap(
+        _table_of(result, "t_i"), schedule, tagged
     )
 
 
 def _accumulator_bits_from_tap(tap, schedule, tagged: bool) -> list[bool]:
     """Bulk decode of the ``t_i`` table: the exit pulses are
     affine in the tuple index, so the whole vector decodes as one
-    arithmetic inversion plus the same validity checks (range,
-    duplicates, ghost tags, completeness) the record decoder makes."""
+    arithmetic inversion plus the validity checks (range, duplicates,
+    ghost tags, completeness)."""
     n = schedule.n_a
     pulses = np.asarray(tap.pulses, dtype=np.int64)
     step = 2 if isinstance(schedule, CounterStreamSchedule) else 1
@@ -376,28 +341,6 @@ def _accumulator_bits_from_tap(tap, schedule, tagged: bool) -> list[bool]:
     return vector.tolist()
 
 
-def _accumulator_bits_from_records(
-    collector, schedule, tagged: bool
-) -> list[bool]:
-    """Token-record decode of ``t_i`` (runs on the cell network)."""
-    t_vector: list[Optional[bool]] = [None] * schedule.n_a
-    for pulse, token in collector:
-        i = schedule.tuple_from_accumulator_exit(pulse)
-        if t_vector[i] is not None:
-            raise SimulationError(f"tuple {i} exited the accumulator twice")
-        if tagged and token.tag is not None and token.tag != ("acc", i):
-            raise SimulationError(
-                f"arrival decoded as tuple {i} but carries tag {token.tag!r}"
-            )
-        t_vector[i] = bool(token.value)
-    missing = [i for i, value in enumerate(t_vector) if value is None]
-    if missing:
-        raise SimulationError(
-            f"tuples {missing[:8]} never exited the accumulation array"
-        )
-    return [bool(v) for v in t_vector]
-
-
 # -- the quotient bits: the division array's AND sweep (Fig 7-2) -------------
 
 
@@ -408,16 +351,13 @@ def quotient_bits(result, schedule, tagged: bool) -> list[bool]:
         verdicts = _run_verdicts(result, (schedule.p_rows,))
         if verdicts is not None:
             return verdicts.tolist()
-    table = _table_of(result, "and_row")
-    if table is not None:
-        return _quotient_bits_from_tap(table, schedule)
-    return _quotient_bits_from_records(result, schedule)
+    return _quotient_bits_from_tap(_table_of(result, "and_row"), schedule)
 
 
 def _quotient_bits_from_tap(table, schedule) -> list[bool]:
     """Bulk decode of the ``and_row`` table: exactly one bit a row, on
     the row's result pulse (the first row that breaks either is
-    reported, as the record decoder reports it)."""
+    reported)."""
     n = schedule.p_rows
     rows = table.positions
     counts = np.bincount(rows, minlength=n)
@@ -431,20 +371,6 @@ def _quotient_bits_from_tap(table, schedule) -> list[bool]:
             raise _quotient_count_error(row, int(counts[row]))
         schedule.row_from_result(row, int(pulses[row]))
     return bits.tolist()
-
-
-def _quotient_bits_from_records(result, schedule) -> list[bool]:
-    """Token-record decode of the ``and_row`` taps (runs on the cell
-    network)."""
-    bits: list[bool] = []
-    for row in range(schedule.p_rows):
-        arrivals = list(result.collector(f"and_row[{row}]"))
-        if len(arrivals) != 1:
-            raise _quotient_count_error(row, len(arrivals))
-        pulse, token = arrivals[0]
-        schedule.row_from_result(row, pulse)
-        bits.append(bool(token.value))
-    return bits
 
 
 def _quotient_count_error(row: int, count: int) -> SimulationError:

@@ -68,9 +68,9 @@ from repro.systolic.engine.plan import (
     run_attrs,
     t_init_strict_lower,
     t_init_true,
+    tables_of,
 )
 from repro.systolic.metrics import ActivityMeter
-from repro.systolic.streams import Collector
 from repro.systolic.values import Token
 
 __all__ = ["LatticeEngine", "DEFAULT_CHUNK_BYTES"]
@@ -127,20 +127,6 @@ def _apply_t_init(
                 (bool(t_init(a_lo + i, b_lo + j)) for j in range(cols)),
                 bool, cols,
             )
-
-
-def _make_collectors(
-    records: dict[str, list[tuple[int, Token]]]
-) -> dict[str, Collector]:
-    collectors: dict[str, Collector] = {}
-    for name, recs in records.items():
-        collector = Collector(name)
-        if any(recs[k][0] > recs[k + 1][0] for k in range(len(recs) - 1)):
-            recs = sorted(recs, key=lambda pt: pt[0])
-        for pulse, token in recs:
-            collector.record(pulse, token)
-        collectors[name] = collector
-    return collectors
 
 
 class LatticeEngine:
@@ -575,7 +561,7 @@ class LatticeEngine:
             )
         return EngineRun(
             engine=self.name, pulses=plan.pulses, cells=plan.cells,
-            collectors=_make_collectors(records), meter=meter,
+            tap_view=lambda: tables_of(records), meter=meter,
         )
 
     def _linear_equal(self, plan: LinearPlan) -> bool:
@@ -639,6 +625,6 @@ class LatticeEngine:
         )
         return EngineRun(
             engine=self.name, pulses=plan.pulses, cells=plan.cells,
-            collectors=_make_collectors(records),
+            tap_view=lambda: tables_of(records),
             peak_firing=int(firing.max()),
         )

@@ -20,12 +20,16 @@ activity metrics; the differential harness in
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import (
     Any,
     Callable,
+    Iterable,
     Iterator,
+    Mapping,
     Optional,
     Protocol,
     Sequence,
@@ -62,6 +66,7 @@ __all__ = [
     "t_init_strict_lower",
     "t_init_at",
     "ColumnarTap",
+    "tables_of",
     "GridPlan",
     "BlockedPlan",
     "REDUCTIONS",
@@ -647,6 +652,72 @@ class ColumnarTap:
         return collector
 
 
+#: A tap that is one position of an edge: ``t_row[3]`` is ``t_row``'s 3.
+_EDGE_TAP = re.compile(r"(\w+)\[(\d+)\]")
+
+
+def tables_of(
+    records: Mapping[str, Iterable[tuple[int, Token]]]
+) -> dict[str, ColumnarTap]:
+    """Token records keyed by tap name — a cell network's collectors —
+    as the run's tap tables.
+
+    The taps ``edge[0]``, ``edge[1]``, … become one table of ``width``
+    positions (empty taps included); any other tap (``t_i``, ``t``, a
+    hex mesh's ``c@x,y``) is a table of its own.  Each tap's records go
+    in pulse order.  Nothing is coerced: a payload that is not a bool,
+    or a tag outside the table's one ghost-tag family (same kind, same
+    length, integer indices), is refused naming the tap.
+    """
+    edges: dict[str, dict[Optional[int], str]] = {}
+    for name in records:
+        match = _EDGE_TAP.fullmatch(name)
+        edge, position = (match[1], int(match[2])) if match else (name, None)
+        edges.setdefault(edge, {})[position] = name
+    tables = {}
+    for edge, taps in edges.items():
+        width = None if None in taps else max(taps) + 1
+        pulses, values, positions, tags = [], [], [], []
+        family = None
+        for position in [None] if width is None else sorted(taps):
+            name = taps[position]
+            for pulse, token in sorted(records[name], key=itemgetter(0)):
+                value, tag = token.value, token.tag
+                if type(value) is not bool:
+                    raise SimulationError(
+                        f"tap {name!r} carries payload {value!r}, not a bool"
+                    )
+                if tag is not None and not (
+                    isinstance(tag, tuple) and tag
+                    and isinstance(tag[0], str)
+                    and all(type(index) is int for index in tag[1:])
+                ):
+                    raise SimulationError(
+                        f"tap {name!r} carries {tag!r}, not a ghost tag"
+                    )
+                shape = None if tag is None else (tag[0], len(tag))
+                if not pulses:
+                    family = shape
+                elif shape != family:
+                    raise SimulationError(
+                        f"tap {name!r} carries tag {tag!r} outside its "
+                        f"edge's ghost-tag family (kind, length) {family!r}"
+                    )
+                pulses.append(pulse)
+                values.append(value)
+                positions.append(position)
+                tags.append(() if tag is None else tag[1:])
+        tables[edge] = ColumnarTap(
+            edge, np.array(pulses, dtype=np.int64),
+            np.array(values, dtype=bool), family and family[0],
+            tuple(np.array(tags, dtype=np.int64).T) if family else (),
+            positions=None if width is None
+            else np.array(positions, dtype=np.int64),
+            width=width,
+        )
+    return tables
+
+
 class EngineRun:
     """What executing a plan produced, independent of the engine used.
 
@@ -662,11 +733,12 @@ class EngineRun:
     :meth:`table`, :meth:`tap`, :meth:`collector` or :attr:`collectors`
     is touched.  The pulse engine has no verdicts — its result exists
     only as what left the taps: the tables its register stepper
-    captured, or, when the run was traced and so stepped the cell
-    network, that network's eager Token-record ``collectors``.  The
-    decoders read a table whole; a tap by name (``"t_row[3]"``) is the
-    slice of its edge's table at that position, and its Token records
-    are materialized from it on demand.
+    captured, or, when the run stepped the cell network (a traced run,
+    the hexagonal mesh), that network's Token records turned into
+    tables by :func:`tables_of`.  Tables are the only format a run
+    holds.  The decoders read a table whole; a tap by name
+    (``"t_row[3]"``) is the slice of its edge's table at that position,
+    and its Token records are materialized from it on demand.
 
     The run of a :class:`BlockedPlan` is the exception on every engine:
     it stands for many array runs, so it has no taps of its own,
@@ -680,17 +752,12 @@ class EngineRun:
         engine: str,
         pulses: int,
         cells: int,
-        collectors: Optional[dict[str, Collector]] = None,
+        tap_view: Callable[[], dict[str, ColumnarTap]],
         meter: Optional[ActivityMeter] = None,
         trace: Optional[Any] = None,
         peak_firing: Optional[int] = None,
         verdicts: Optional[np.ndarray] = None,
-        tap_view: Optional[Callable[[], dict[str, ColumnarTap]]] = None,
     ) -> None:
-        if collectors is None and tap_view is None:
-            raise SimulationError(
-                "an EngineRun needs eager collectors or a columnar tap view"
-            )
         self.engine = engine
         self.pulses = pulses
         self.cells = cells
@@ -702,25 +769,20 @@ class EngineRun:
         #: run of one array, whose result exists only as tap records).
         self.verdicts = verdicts
         self._tap_view = tap_view
-        self._columnar: Optional[dict[str, ColumnarTap]] = (
-            None if tap_view is not None else {}
-        )
+        self._columnar: Optional[dict[str, ColumnarTap]] = None
         self._taps: Optional[dict[str, ColumnarTap]] = None
-        self._collectors: Optional[dict[str, Collector]] = (
-            dict(collectors) if collectors is not None else None
-        )
+        self._collectors: Optional[dict[str, Collector]] = None
 
     @property
     def columnar(self) -> dict[str, ColumnarTap]:
-        """The tap tables by edge name, derived on first touch (empty
-        dict on a run that stepped the cell network)."""
+        """The tap tables by edge name, derived on first touch."""
         if self._columnar is None:
             self._columnar = self._tap_view()
         return self._columnar
 
     def table(self, edge: str) -> Optional[ColumnarTap]:
         """The tap table of ``edge`` (``"t_row"``, ``"t_i"``,
-        ``"and_row"``, ``"t"``), or None on eager runs."""
+        ``"and_row"``, ``"t"``), or None when the run has no such edge."""
         return self.columnar.get(edge)
 
     def _by_name(self) -> dict[str, ColumnarTap]:
@@ -736,45 +798,34 @@ class EngineRun:
     @property
     def collectors(self) -> dict[str, Collector]:
         """All taps as Token-record collectors (materialized on demand)."""
-        if self._collectors is None:
-            self._collectors = {}
-        for name, tap in self._by_name().items():
-            if name not in self._collectors:
-                self._collectors[name] = tap.to_collector()
-        return self._collectors
+        return {name: self.collector(name) for name in self._by_name()}
 
     def tap(self, name: str) -> Optional[ColumnarTap]:
-        """The columnar arrays for tap ``name``, or None on eager runs."""
+        """The columnar arrays for tap ``name``, or None."""
         return self._by_name().get(name)
 
     def tap_names(self) -> list[str]:
-        """Every tap this run produced, by either representation."""
-        names = set(self._by_name())
-        if self._collectors is not None:
-            names.update(self._collectors)
-        return sorted(names)
+        """Every tap this run produced."""
+        return sorted(self._by_name())
 
     def collector(self, name: str) -> Collector:
         """Look up a collector by tap name (mirrors the simulator API)."""
-        if self._collectors is not None and name in self._collectors:
-            return self._collectors[name]
-        tap = self._by_name().get(name)
-        if tap is not None:
-            if self._collectors is None:
-                self._collectors = {}
-            collector = self._collectors[name] = tap.to_collector()
-            return collector
-        raise SimulationError(
-            f"no tap named {name!r}; have {self.tap_names()}"
-        )
+        if self._collectors is None:
+            self._collectors = {}
+        if name not in self._collectors:
+            tap = self._by_name().get(name)
+            if tap is None:
+                raise SimulationError(
+                    f"no tap named {name!r}; have {self.tap_names()}"
+                )
+            self._collectors[name] = tap.to_collector()
+        return self._collectors[name]
 
     def __repr__(self) -> str:
-        if self._tap_view is None:
-            taps = f"taps={len(self.tap_names())} eager"
-        elif self._columnar is None:
-            taps = "taps=lazy"
-        else:
-            taps = f"tables={len(self._columnar)} columnar"
+        taps = (
+            "taps=lazy" if self._columnar is None
+            else f"tables={len(self._columnar)} columnar"
+        )
         return (
             f"EngineRun(engine={self.engine!r}, pulses={self.pulses}, "
             f"cells={self.cells}, {taps})"

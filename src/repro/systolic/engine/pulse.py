@@ -17,7 +17,10 @@ on demand.  A run that asks to *see cells* — a ``trace`` observer, or the
 hexagonal mesh — is materialized as the cell network
 (:mod:`~repro.systolic.engine.materialize`) and driven by the two-phase
 :class:`~repro.systolic.simulator.SystolicSimulator`, which is also the
-reference the register stepper is tested against, record for record.
+reference the register stepper is tested against, record for record;
+its Token records come back as tap tables too
+(:func:`~repro.systolic.engine.plan.tables_of`), so every run is read
+through the same audited decoders.
 
 A §8 blocked plan is executed the way §8 words it: every sub-problem of
 ``plan.blocks()`` stepped as its own array run and read off its taps
@@ -39,6 +42,7 @@ from repro.systolic.engine.plan import (
     HexPlan,
     count_runs,
     run_attrs,
+    tables_of,
 )
 from repro.systolic.engine.registers import step_plan
 from repro.systolic.metrics import ActivityMeter
@@ -120,7 +124,7 @@ class PulseEngine:
             engine=self.name,
             pulses=plan.pulses,
             cells=len(network.cells),
-            collectors=simulator.collectors,
+            tap_view=lambda: tables_of(simulator.collectors),
             meter=meter,
             trace=trace,
             peak_firing=peak_firing,

@@ -4,13 +4,13 @@ A lattice or bitplane run hands the decode seam
 (:mod:`repro.arrays.decode`) its verdicts directly; the same run with
 the verdicts withheld, and every pulse-engine run (whose taps are what
 its register stepper saw leave the array), goes through the audited
-columnar-tap decoders; a traced pulse run steps the cell network and
-goes through the Token-record decoders.  These tests pin down that all
-three agree — relation, result vector/matrix, the exit order of join
-matches, pulse counts — that the blocked operators equal the
-whole-array ones wherever the device boundary cuts, that the fast path
-really builds no tap, and that a malformed ``verdicts`` is refused
-instead of decoded.
+tap-table decoders; a traced pulse run steps the cell network, whose
+Token records come back as tables and go through the same decoders.
+These tests pin down that all three agree — relation, result
+vector/matrix, the exit order of join matches, pulse counts — that the
+blocked operators equal the whole-array ones wherever the device
+boundary cuts, that the fast path really builds no tap, and that a
+malformed ``verdicts`` is refused instead of decoded.
 """
 
 from __future__ import annotations
@@ -100,8 +100,8 @@ class TapOnly(LatticeEngine):
 
 class Traced(PulseEngine):
     """The pulse engine asked to show its cells: it steps the cell
-    network and hands back eager Token records, so every decoder has to
-    take the record path."""
+    network, and the network's Token records reach every decoder as tap
+    tables."""
 
     def run(self, plan, meter=None, trace=None):
         return super().run(plan, meter=meter, trace=TraceRecorder())
@@ -211,7 +211,8 @@ class TestThreePathsAgree:
     @given(a=block_relations, b=block_relations, variant=variants,
            tagged=st.booleans())
     def test_token_record_path(self, a, b, variant, tagged):
-        """The record decoders, which only a traced run still reaches."""
+        """A traced run: the cell network's records, turned into tables,
+        decode like the stepper's."""
         paths = [LatticeEngine(), Traced()]
         agree(
             [systolic_join(a, b, [("x", "x")], variant=variant,

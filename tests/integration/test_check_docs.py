@@ -285,3 +285,51 @@ def test_one_chunk_reader_rule_allows_only_the_pool_loader(tmp_path):
         "machine/disk.py:3:", "store/columnar.py:4:", "store/columnar.py:6:",
     ]
     assert all("_ChunkPool._load" in problem for problem in problems)
+
+
+def test_one_run_format_rule_refuses_eager_collectors_and_record_reads(
+    tmp_path,
+):
+    check_docs = _load_check_docs()
+    package = tmp_path / "repro"
+    for directory in ("arrays", "systolic/engine"):
+        (package / directory).mkdir(parents=True)
+    (package / "arrays" / "decode.py").write_text(
+        '"""Never ``run.collector(name)``: prose."""\n'
+        "def pair_verdicts(result, schedule, tagged):\n"
+        "    if result.verdicts is not None:\n"
+        "        return result.verdicts\n"
+        "    return _decode(result.table('t_row'), schedule)\n"
+    )
+    (package / "systolic" / "engine" / "pulse.py").write_text(
+        "def run(self, plan, simulator):\n"
+        "    return EngineRun(engine='pulse', pulses=plan.pulses,\n"
+        "                     cells=1, tap_view=lambda: tables_of(\n"
+        "                         simulator.collectors))\n"
+    )
+    assert check_docs.check_one_run_format(root=package) == []
+
+    # The shapes the eager format had: a run built from collectors, and
+    # a decoder that falls back to reading a run's records.
+    (package / "arrays" / "decode.py").write_text(
+        "def pair_verdicts(result, schedule, tagged):\n"
+        "    table = getattr(result, 'table', lambda _: None)('t_row')\n"
+        "    if table is None:\n"
+        "        for pulse, token in result.collector('t_row[0]'):\n"
+        "            pass\n"
+        "    return result.tap('t_row[0]'), result.collectors\n"
+    )
+    (package / "systolic" / "engine" / "lattice.py").write_text(
+        "from repro.systolic.engine import plan\n"
+        "def run_hex(self, plan_, records):\n"
+        "    return plan.EngineRun(engine='lattice', pulses=1, cells=1,\n"
+        "                          collectors=make(records))\n"
+    )
+    problems = check_docs.check_one_run_format(root=package)
+    assert [problem.split(" — ")[0] for problem in problems] == [
+        "arrays/decode.py:4: reads a run's `.collector`",
+        "arrays/decode.py:6: reads a run's `.tap`",
+        "arrays/decode.py:6: reads a run's `.collectors`",
+        "systolic/engine/lattice.py:3: builds an EngineRun from "
+        "`collectors=`",
+    ]

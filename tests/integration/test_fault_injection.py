@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.arrays.base import attach_accumulation_column, build_counter_stream_grid
+from repro.systolic.engine.materialize import (
+    attach_accumulation_column,
+    build_counter_stream_grid,
+)
 from repro.systolic.engine.schedule import CounterStreamSchedule
 from repro.errors import SimulationError
 from repro.relational import algebra
@@ -114,7 +117,7 @@ class TestMissingWire:
         )
         # Rebuild without the column-1 A feeder by constructing a fresh
         # network whose feeder list we control:
-        from repro.arrays.base import cmp_name
+        from repro.systolic.engine.plan import cmp_name
         from repro.systolic.wiring import Network
 
         broken = Network("missing-feeder")

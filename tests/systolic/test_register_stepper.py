@@ -44,6 +44,7 @@ from repro.systolic.trace import TraceRecorder
 from repro.systolic.values import Token
 from repro.systolic.wiring import Network
 from repro.workloads import overlapping_pair
+from tests.systolic.test_tap_tables import read_out
 
 PLANS = settings(max_examples=20, deadline=None)
 OPS = ["==", "!=", "<", "<=", ">", ">="]
@@ -212,10 +213,34 @@ class TestEqualsTheCellNetwork:
         assert run.trace is trace
         assert trace.pulses == list(range(plan.pulses))
         assert "a_in" in trace.at(0)["cmp[0,0]"]
-        assert run.columnar == {}  # eager Token collectors, as before
+        # The cell network's records come back as the stepper's tables.
+        assert read_out(run.columnar) == read_out(
+            PulseEngine().run(plan).columnar
+        )
         simulator, _ = reference(materialize(plan), plan.pulses)
         for name, expected in simulator.collectors.items():
             assert run.collector(name).records == expected.records
+
+    @PLANS
+    @given(plan=st.one_of(
+        grid_plans(max_size=12),
+        division_plans(),
+        st.builds(
+            lambda a, flip, seed, tagged: LinearPlan(
+                a, [v ^ (k == flip) for k, v in enumerate(a)],
+                seed=seed, tagged=tagged,
+            ),
+            st.lists(st.integers(0, 3), min_size=1, max_size=12),
+            st.integers(-1, 11), st.booleans(), st.booleans(),
+        ),
+    ))
+    def test_a_traced_run_hands_back_the_steppers_tables(self, plan):
+        """Stepping cells or registers, a run is the same tables —
+        field for field, tag kind and tag columns included."""
+        traced = PulseEngine().run(plan, trace=TraceRecorder())
+        assert read_out(traced.columnar) == read_out(
+            PulseEngine().run(plan).columnar
+        )
 
     def test_unknown_plan_types_are_refused(self):
         class NotAPlan:

@@ -25,18 +25,22 @@ from repro.systolic.engine import (
     ColumnarTap,
     DivisionPlan,
     GridPlan,
+    HexPlan,
     LatticeEngine,
     LinearPlan,
     PulseEngine,
     t_init_strict_lower,
     t_init_true,
 )
+from repro.systolic.engine.hexmesh import COMPARISON_SEMIRING
 from repro.systolic.engine.materialize import materialize
+from repro.systolic.engine.plan import tables_of
 from repro.systolic.engine.schedule import (
     CounterStreamSchedule,
     FixedRelationSchedule,
 )
 from repro.systolic.simulator import SystolicSimulator
+from repro.systolic.values import Token
 
 ENGINES = [PulseEngine, LatticeEngine, BitplaneEngine]
 A4 = [(0, 1), (2, 3), (0, 1), (3, 3)]
@@ -58,6 +62,26 @@ def plans(tagged):
 
 
 EDGES = {"t_row", "t_i", "and_row"}
+
+
+def read_out(tables):
+    """Every table's fields, its records in (position, pulse) order —
+    the order the decoders read them in, whatever order a table keeps."""
+    fields = {}
+    for edge, table in tables.items():
+        keys = [table.pulses]
+        if table.positions is not None:
+            keys.append(table.positions)
+        order = np.lexsort(keys)
+        columns = [table.pulses, table.values, *table.tag_indices]
+        if table.positions is not None:
+            columns.append(table.positions)
+        fields[edge] = (
+            table.name, table.width, table.tag_kind,
+            len(table.tag_indices), table.positions is None,
+            [(column.dtype, column[order].tolist()) for column in columns],
+        )
+    return fields
 
 
 @pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.name)
@@ -292,3 +316,94 @@ class TestQuotientTable:
         assert self.refused(both) == (
             "divisor row 1 produced 2 quotient bits, expected exactly 1"
         )
+
+
+class TestMissingEdges:
+    """A run that lacks a decoder's edge is refused, not half-read."""
+
+    @pytest.mark.parametrize("decoder, edge, plan", [
+        (decode.pair_verdicts, "t_row", GRID),
+        (decode.accumulator_bits, "t_i", GRID),
+        (decode.quotient_bits, "and_row", DIVISION),
+    ], ids=["t_row", "t_i", "and_row"])
+    def test_each_decoder_names_the_missing_table(self, decoder, edge, plan):
+        assert refusal(decoder, edge, None, plan) == (
+            f"the run has no {edge!r} tap table"
+        )
+        # A real run of another array: its tables, but not this edge.
+        other = PulseEngine().run(LinearPlan([1, 2], [1, 2], tagged=True))
+        with pytest.raises(SimulationError) as refused:
+            decoder(other, plan.schedule, True)
+        assert str(refused.value) == f"the run has no {edge!r} tap table"
+
+
+# -- Token records become tables, or are refused ------------------------------
+
+
+class TestTablesOf:
+    def test_edge_taps_become_one_table_and_others_their_own(self):
+        tables = tables_of({
+            "t_row[1]": [(5, Token(True, ("t", 0, 1))),
+                         (3, Token(False, ("t", 1, 0)))],
+            "t_row[0]": [],
+            "t_row[2]": [(4, Token(True, ("t", 0, 2)))],
+            "c@1,-1": [(2, Token(False, ("t", 3, 3)))],
+        })
+        assert list(tables) == ["t_row", "c@1,-1"]
+        row = tables["t_row"]
+        assert row.width == 3 and row.tag_kind == "t"
+        # Position by position, each in pulse order.
+        assert row.positions.tolist() == [1, 1, 2]
+        assert row.pulses.tolist() == [3, 5, 4]
+        assert row.values.tolist() == [False, True, True]
+        assert [column.tolist() for column in row.tag_indices] == [
+            [1, 0, 0], [0, 1, 2],
+        ]
+        tap = tables["c@1,-1"]
+        assert tap.width is None and tap.positions is None
+        assert (tap.pulses.tolist(), tap.values.tolist()) == ([2], [False])
+
+    def test_untagged_and_empty_edges(self):
+        tables = tables_of({"t": [(0, Token(True))], "and_row[0]": []})
+        assert tables["t"].tag_kind is None and tables["t"].tag_indices == ()
+        empty = tables["and_row"]
+        assert len(empty) == 0 and empty.width == 1
+
+    @pytest.mark.parametrize("records, message", [
+        ({"t_i": [(6, Token(1, ("acc", 0)))]},
+         "tap 't_i' carries payload 1, not a bool"),
+        ({"t_row[0]": [(3, Token(np.True_))]},
+         f"tap 't_row[0]' carries payload {np.True_!r}, not a bool"),
+        ({"t_row[0]": [(3, Token(True, ("t", 0, 0)))],
+          "t_row[1]": [(4, Token(True, ("acc", 0)))]},
+         "tap 't_row[1]' carries tag ('acc', 0) outside its edge's "
+         "ghost-tag family (kind, length) ('t', 3)"),
+        ({"t_row[0]": [(3, Token(True, ("t", 0, 0))),
+                       (5, Token(True, ("t", 1)))]},
+         "tap 't_row[0]' carries tag ('t', 1) outside its edge's "
+         "ghost-tag family (kind, length) ('t', 3)"),
+        ({"t": [(0, Token(True)), (1, Token(True, ("t", 0, 0)))]},
+         "tap 't' carries tag ('t', 0, 0) outside its edge's ghost-tag "
+         "family (kind, length) None"),
+        ({"t": [(0, Token(True, ("t", 0, 0.0)))]},
+         "tap 't' carries ('t', 0, 0.0), not a ghost tag"),
+    ], ids=["int", "numpy-bool", "two-families", "two-lengths",
+            "untagged-then-tagged", "float-index"])
+    def test_refusals_name_the_tap(self, records, message):
+        with pytest.raises(SimulationError) as refused:
+            tables_of(records)
+        assert str(refused.value) == message
+
+
+def test_lattice_hex_tables_equal_the_pulse_networks():
+    for tagged in (False, True):
+        plan = HexPlan([[1, 2], [2, 2], [0, 1]], [[1, 2], [2, 0]],
+                       COMPARISON_SEMIRING, tagged=tagged)
+        pulse, lattice = (engine().run(plan).columnar
+                          for engine in (PulseEngine, LatticeEngine))
+        assert set(pulse) == set(plan.tap_names())
+        assert read_out(lattice) == read_out(pulse)
+        for name, table in pulse.items():
+            assert (table.tag_kind == "c") is tagged
+            assert (lattice[name].to_collector().records
+                     == table.to_collector().records)

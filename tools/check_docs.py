@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Keep the documentation and the code from drifting apart.
 
-Eleven checks, all run in CI next to the bench gate::
+Twelve checks, all run in CI next to the bench gate::
 
     python tools/check_docs.py
 
@@ -88,6 +88,16 @@ Eleven checks, all run in CI next to the bench gate::
     loader (:data:`CHUNK_READER`).  A second read path forking off
     beside the pool, with its own or no size check, fails here; writing
     a chunk does not count.
+
+12. **One run format.**  An ``EngineRun`` holds tap tables only: a
+    run on the cell network hands back its Token records through
+    ``tables_of``.  So no ``EngineRun(`` call under ``src/``
+    may pass ``collectors=``, and the decode seam
+    (:data:`DECODE_SEAM`) reads a run only through ``.verdicts`` and
+    ``.table(edge)`` — a ``.collector(`` / ``.collectors`` /
+    ``.tap(`` / ``.tap_names`` / ``.columnar`` read there is a second
+    decoder path forking off beside the audited tables, and fails
+    here.
 
 Exits non-zero with one line per problem.
 """
@@ -573,6 +583,43 @@ def check_one_chunk_reader(root=ROOT / "src" / "repro") -> list[str]:
     return problems
 
 
+#: The operators' one reader of runs, and what it may not read a run by.
+DECODE_SEAM = "arrays/decode.py"
+_RECORD_READS = frozenset({
+    "collector", "collectors", "tap", "tap_names", "columnar",
+})
+
+
+def check_one_run_format(root=ROOT / "src" / "repro") -> list[str]:
+    problems: list[str] = []
+    for source in sorted(root.rglob("*.py")):
+        where = source.relative_to(root).as_posix()
+        nodes = sorted(
+            ast.walk(ast.parse(source.read_text())),
+            key=lambda node: (getattr(node, "lineno", 0),
+                              getattr(node, "col_offset", 0)),
+        )
+        for node in nodes:
+            if (isinstance(node, ast.Call)
+                    and "EngineRun" in (getattr(node.func, "id", None),
+                                        getattr(node.func, "attr", None))
+                    and any(kw.arg == "collectors" for kw in node.keywords)):
+                problems.append(
+                    f"{where}:{node.lineno}: builds an EngineRun from "
+                    f"`collectors=` — a run holds tap tables only; hand "
+                    f"Token records back as `tap_view=lambda: "
+                    f"tables_of(records)`"
+                )
+            elif (where == DECODE_SEAM and isinstance(node, ast.Attribute)
+                    and node.attr in _RECORD_READS):
+                problems.append(
+                    f"{where}:{node.lineno}: reads a run's `.{node.attr}` "
+                    f"— the decoders read `.verdicts` and `.table(edge)` "
+                    f"only"
+                )
+    return problems
+
+
 def main() -> int:
     problems = (
         check_metric_table() + check_links()
@@ -580,6 +627,7 @@ def main() -> int:
         + check_api() + check_env_vars() + check_span_catalog()
         + check_one_stored_form() + check_proof_producers()
         + check_operator_facts() + check_one_chunk_reader()
+        + check_one_run_format()
     )
     for problem in problems:
         print(problem, file=sys.stderr)
@@ -600,7 +648,8 @@ def main() -> int:
         f"{PROOF_TYPE} named by its {len(PROOF_PRODUCERS)} producers only, "
         f"operator node types branched on in "
         f"{len(OPERATOR_BRANCHERS)} files only, "
-        f"chunk files read by {CHUNK_READER[1]} only"
+        f"chunk files read by {CHUNK_READER[1]} only, "
+        f"runs read as tap tables only"
     )
     return 0
 
