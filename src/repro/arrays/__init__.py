@@ -26,7 +26,6 @@ from repro.arrays.decomposition import (
     blocked_divide,
     blocked_intersection,
     blocked_join,
-    blocked_membership,
     blocked_pair_matrix,
     blocked_remove_duplicates,
     blocked_union,
@@ -68,7 +67,6 @@ from repro.arrays.join import (
 )
 from repro.arrays.linear_comparison import (
     LinearComparisonResult,
-    build_linear_comparison,
     compare_tuples,
 )
 from repro.systolic.engine.schedule import (
@@ -97,7 +95,6 @@ __all__ = [
     "blocked_divide",
     "blocked_intersection",
     "blocked_join",
-    "blocked_membership",
     "blocked_pair_matrix",
     "blocked_remove_duplicates",
     "blocked_union",
@@ -105,7 +102,6 @@ __all__ = [
     "build_division_array",
     "build_intersection_array",
     "build_join_array",
-    "build_linear_comparison",
     "build_remove_duplicates_array",
     "compare_all_pairs",
     "compare_tuples",

@@ -38,9 +38,7 @@ from repro.systolic.engine.schedule import (
     CounterStreamSchedule,
     FixedRelationSchedule,
 )
-from repro.systolic.metrics import ActivityMeter
 from repro.systolic.simulator import SystolicSimulator
-from repro.systolic.trace import TraceRecorder
 from repro.systolic.wiring import Network
 
 __all__ = [
@@ -64,42 +62,26 @@ class ArrayRun:
     rows: int
     cols: int
     cells: int
-    meter: Optional[ActivityMeter] = None
-    trace: Optional[TraceRecorder] = None
     #: which engine produced this run ("pulse", "lattice", ...)
     backend: str = "pulse"
 
-    @property
-    def utilization(self) -> Optional[float]:
-        """Busy fraction over the run, when a meter was attached."""
-        if self.meter is None:
-            return None
-        return self.meter.report(self.cells).utilization
 
-
-def execute(
-    plan: ExecutionPlan,
-    backend=None,
-    meter: Optional[ActivityMeter] = None,
-    trace: Optional[TraceRecorder] = None,
-) -> EngineRun:
+def execute(plan: ExecutionPlan, backend=None) -> EngineRun:
     """Run a plan on the chosen backend (default: the pulse simulator).
 
     ``backend`` is an engine name (``"pulse"``, ``"lattice"``), an
     :class:`~repro.systolic.engine.plan.Engine` instance, or ``None``
     for the default.
     """
-    return resolve_backend(backend).run(plan, meter=meter, trace=trace)
+    return resolve_backend(backend).run(plan)
 
 
-def run_array(
-    network: Network,
-    pulses: int,
-    meter: Optional[ActivityMeter] = None,
-    trace: Optional[TraceRecorder] = None,
-) -> SystolicSimulator:
-    """Simulate ``pulses`` pulses and return the simulator (for taps)."""
-    simulator = SystolicSimulator(network, meter=meter, observer=trace)
+def run_array(network: Network, pulses: int) -> SystolicSimulator:
+    """Simulate ``pulses`` pulses and return the simulator (for taps).
+    To watch the cells, build your own
+    :class:`~repro.systolic.simulator.SystolicSimulator` with a ``meter``
+    or an ``observer``."""
+    simulator = SystolicSimulator(network)
     simulator.run(pulses)
     return simulator
 
@@ -131,30 +113,28 @@ def empty_run() -> ArrayRun:
 
 
 def run_plan(
-    plan: GridPlan | DivisionPlan,
-    backend=None,
-    meter: Optional[ActivityMeter] = None,
-    trace: Optional[TraceRecorder] = None,
+    plan: GridPlan | DivisionPlan, backend=None
 ) -> tuple[EngineRun, ArrayRun]:
     """Execute a grid or division plan and record the run's geometry
     (the accumulation column, when attached, counts as a column)."""
-    result = execute(plan, backend=backend, meter=meter, trace=trace)
+    result = execute(plan, backend=backend)
     if isinstance(plan, DivisionPlan):
         rows, cols = len(plan.distinct_x), 2 + len(plan.divisor)
     else:
         rows, cols = plan.rows, plan.cols + (1 if plan.accumulate else 0)
     return result, ArrayRun(
         pulses=result.pulses, rows=rows, cols=cols, cells=result.cells,
-        meter=meter, trace=trace, backend=result.engine,
+        backend=result.engine,
     )
 
 
 def build_grid_array(
     plan: GridPlan,
 ) -> tuple[Network, CounterStreamSchedule | FixedRelationSchedule, dict[str, tuple[int, int]]]:
-    """The cell network a grid plan describes — what the pulse engine
-    steps when traced, and what its register stepper equals record for
-    record — with its schedule and a cell name → (row, col) layout."""
+    """The cell network a grid plan describes — what the pulse engine's
+    register stepper equals record for record, and where a trace or a
+    busy count is taken — with its schedule and a cell name → (row, col)
+    layout."""
     network, layout = materialize_grid(plan)
     return network, plan.schedule, layout
 

@@ -15,15 +15,13 @@ output.  This module runs the array bare and returns ``T``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.arrays.base import ArrayRun, build_grid_array, run_plan
 from repro.arrays.decode import pair_verdicts
 from repro.errors import SimulationError
 from repro.systolic.engine import GridPlan, TInit, t_init_true
 from repro.systolic.engine.schedule import CounterStreamSchedule
-from repro.systolic.metrics import ActivityMeter
-from repro.systolic.trace import TraceRecorder
 from repro.systolic.wiring import Network
 
 __all__ = ["ComparisonMatrixResult", "build_comparison_array", "compare_all_pairs"]
@@ -79,8 +77,6 @@ def compare_all_pairs(
     b_tuples: Sequence[Sequence[int]],
     t_init: TInit = t_init_true,
     tagged: bool = False,
-    meter: Optional[ActivityMeter] = None,
-    trace: Optional[TraceRecorder] = None,
     backend=None,
 ) -> ComparisonMatrixResult:
     """Run the 2-D array and collect the full boolean matrix ``T``.
@@ -91,6 +87,6 @@ def compare_all_pairs(
     (see :mod:`repro.arrays.decode`).
     """
     plan = comparison_plan(a_tuples, b_tuples, t_init, tagged)
-    result, run = run_plan(plan, backend, meter, trace)
+    result, run = run_plan(plan, backend)
     t_matrix = pair_verdicts(result, plan.schedule, tagged).tolist()
     return ComparisonMatrixResult(t_matrix, plan.schedule, run)

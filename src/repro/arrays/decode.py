@@ -13,7 +13,7 @@ the four functions here, and each reads one of two sources:
    audit: parity, bounds, duplicates, ghost tags, completeness.  Every
    pulse run is read this way: its tables are what the register
    stepper saw leave the array — or, on a run that stepped the cell
-   network (a traced run, the hexagonal mesh), that network's Token
+   network (the hexagonal mesh), that network's Token
    records as tables — and neither consults the exit laws, so this
    audit is where they are checked.  A run without the edge's table
    is refused.

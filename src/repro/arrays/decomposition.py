@@ -45,7 +45,6 @@ __all__ = [
     "ArrayCapacity",
     "BlockedReport",
     "blocked_pair_matrix",
-    "blocked_membership",
     "blocked_intersection",
     "blocked_difference",
     "blocked_remove_duplicates",
@@ -193,22 +192,6 @@ def _membership(
     return _run_blocked(
         a_matrix, b_matrix, capacity, backend, "rows", t_init=t_init
     )
-
-
-def blocked_membership(
-    a_tuples: Sequence[Sequence[int]],
-    b_tuples: Sequence[Sequence[int]],
-    capacity: ArrayCapacity,
-    t_init: TInit = t_init_true,
-    backend=None,
-) -> tuple[list[bool], BlockedReport]:
-    """The blocked ``t_i`` vector of raw tuple sequences (see
-    :func:`_membership`), one Python bool per tuple of A."""
-    t_vector, report = _membership(
-        column_matrix(a_tuples), column_matrix(b_tuples), capacity,
-        backend, t_init=t_init,
-    )
-    return t_vector.tolist(), report
 
 
 def blocked_intersection(

@@ -22,7 +22,7 @@ edge certifies that row's ``x`` is paired with *every* divisor element
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,8 +36,6 @@ from repro.relational.schema import ColumnRef, Schema
 from repro.systolic.engine import DivisionPlan
 from repro.systolic.engine.materialize import build_division_network
 from repro.systolic.engine.schedule import DivisionSchedule
-from repro.systolic.metrics import ActivityMeter
-from repro.systolic.trace import TraceRecorder
 from repro.systolic.wiring import Network
 
 __all__ = [
@@ -127,8 +125,6 @@ def systolic_divide(
     a_group: ColumnRef | None = None,
     b_value: ColumnRef = 0,
     tagged: bool = False,
-    meter: Optional[ActivityMeter] = None,
-    trace: Optional[TraceRecorder] = None,
     backend=None,
 ) -> DivisionResult:
     """``A ÷ B`` on the division array (§7).
@@ -154,7 +150,7 @@ def systolic_divide(
         )
 
     plan = DivisionPlan(pairs, distinct_x, divisor, tagged=tagged)
-    result, run = run_plan(plan, backend, meter, trace)
+    result, run = run_plan(plan, backend)
     bits = quotient_bits(result, plan.schedule, tagged)
     members = [(x,) for x, keep in zip(distinct_x, bits) if keep]
     return DivisionResult(Relation(quotient_schema, members), distinct_x,
@@ -168,8 +164,6 @@ def systolic_divide_general(
     a_value: Sequence[ColumnRef],
     b_value: Sequence[ColumnRef] | None = None,
     tagged: bool = False,
-    meter: Optional[ActivityMeter] = None,
-    trace: Optional[TraceRecorder] = None,
     backend=None,
 ) -> DivisionResult:
     """§7's general case on the array, via composite-domain encoding.
@@ -223,7 +217,7 @@ def systolic_divide_general(
 
     inner = systolic_divide(
         encoded_a, encoded_b, a_value=1, a_group=0, b_value=0,
-        tagged=tagged, meter=meter, trace=trace, backend=backend,
+        tagged=tagged, backend=backend,
     )
     quotient_schema = a.schema.project(list(a_group))
     members = group_combos[inner.relation.array[:, 0]]

@@ -19,7 +19,7 @@ On top of remove-duplicates:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.arrays.base import ArrayRun, build_grid_array, rows_where
 from repro.arrays.intersection import membership_plan, run_membership
@@ -32,8 +32,6 @@ from repro.systolic.engine.schedule import (
     CounterStreamSchedule,
     FixedRelationSchedule,
 )
-from repro.systolic.metrics import ActivityMeter
-from repro.systolic.trace import TraceRecorder
 from repro.systolic.wiring import Network
 
 __all__ = [
@@ -75,8 +73,6 @@ def systolic_remove_duplicates(
     a: MultiRelation,
     variant: str = "counter",
     tagged: bool = False,
-    meter: Optional[ActivityMeter] = None,
-    trace: Optional[TraceRecorder] = None,
     backend=None,
 ) -> DedupResult:
     """Collapse a multi-relation to a relation on the §5 array."""
@@ -84,7 +80,7 @@ def systolic_remove_duplicates(
     # callable whose whole-grid mask the lattice engine broadcasts);
     # tuples with TRUE t_i are the ones dropped.
     drop, run = run_membership(
-        a.array, a.array, variant, tagged, meter, trace, backend,
+        a.array, a.array, variant, tagged, backend,
         "remove-duplicates-array", t_init_strict_lower,
     )
     return DedupResult(
@@ -97,16 +93,13 @@ def systolic_union(
     b: Relation,
     variant: str = "counter",
     tagged: bool = False,
-    meter: Optional[ActivityMeter] = None,
-    trace: Optional[TraceRecorder] = None,
     backend=None,
 ) -> DedupResult:
     """``A ∪ B`` = remove-duplicates over the concatenation A + B (§5)."""
     a.schema.require_union_compatible(b.schema)
     concatenation = a.to_multi().concat(b)
     return systolic_remove_duplicates(
-        concatenation, variant=variant, tagged=tagged, meter=meter,
-        trace=trace, backend=backend,
+        concatenation, variant=variant, tagged=tagged, backend=backend,
     )
 
 
@@ -115,8 +108,6 @@ def systolic_projection(
     columns: Sequence[ColumnRef],
     variant: str = "counter",
     tagged: bool = False,
-    meter: Optional[ActivityMeter] = None,
-    trace: Optional[TraceRecorder] = None,
     backend=None,
 ) -> DedupResult:
     """Projection over ``columns`` (§5).
@@ -127,6 +118,5 @@ def systolic_projection(
     """
     reduced = project_multi(a, columns)
     return systolic_remove_duplicates(
-        reduced, variant=variant, tagged=tagged, meter=meter, trace=trace,
-        backend=backend,
+        reduced, variant=variant, tagged=tagged, backend=backend,
     )

@@ -38,8 +38,6 @@ from repro.systolic.engine.schedule import (
     CounterStreamSchedule,
     FixedRelationSchedule,
 )
-from repro.systolic.metrics import ActivityMeter
-from repro.systolic.trace import TraceRecorder
 from repro.systolic.wiring import Network
 
 __all__ = [
@@ -91,8 +89,6 @@ def run_membership(
     b_rows: np.ndarray,
     variant: str,
     tagged: bool,
-    meter: Optional[ActivityMeter],
-    trace: Optional[TraceRecorder],
     backend,
     name: str,
     t_init: TInit = t_init_true,
@@ -102,7 +98,7 @@ def run_membership(
     plan = membership_plan(a_rows, b_rows, variant, tagged, name, t_init)
     if plan is None:
         return [False] * len(a_rows), empty_run()
-    result, run = run_plan(plan, backend, meter, trace)
+    result, run = run_plan(plan, backend)
     return accumulator_bits(result, plan.schedule, tagged), run
 
 
@@ -137,8 +133,6 @@ def systolic_membership_vector(
     b: Relation,
     variant: str = "counter",
     tagged: bool = False,
-    meter: Optional[ActivityMeter] = None,
-    trace: Optional[TraceRecorder] = None,
     backend=None,
 ) -> tuple[list[bool], ArrayRun]:
     """Run the array and read off ``t_i = OR_j (a_i == b_j)`` for all i.
@@ -149,7 +143,7 @@ def systolic_membership_vector(
     a.schema.require_union_compatible(b.schema)
     _require_operands(a, b)
     return run_membership(
-        a.array, b.array, variant, tagged, meter, trace, backend,
+        a.array, b.array, variant, tagged, backend,
         "intersection-array",
     )
 
@@ -162,8 +156,6 @@ def _select(
     name: str,
     variant: str,
     tagged: bool,
-    meter: Optional[ActivityMeter],
-    trace: Optional[TraceRecorder],
     backend,
 ) -> MembershipResult:
     """The §4 operator: the tuples of A whose ``t_i`` equals ``keep``.
@@ -176,7 +168,7 @@ def _select(
     if columns is not None:
         a_rows, b_rows = a_rows[:, columns[0]], b_rows[:, columns[1]]
     bits, run = run_membership(
-        a_rows, b_rows, variant, tagged, meter, trace, backend, name
+        a_rows, b_rows, variant, tagged, backend, name
     )
     return MembershipResult(
         Relation(a.schema, rows_where(a, bits, keep)), bits, run
@@ -188,15 +180,13 @@ def systolic_intersection(
     b: Relation,
     variant: str = "counter",
     tagged: bool = False,
-    meter: Optional[ActivityMeter] = None,
-    trace: Optional[TraceRecorder] = None,
     backend=None,
 ) -> MembershipResult:
     """``A ∩ B`` on the intersection array (keep tuples with TRUE t_i)."""
     a.schema.require_union_compatible(b.schema)
     return _select(
         a, b, None, True, "intersection-array",
-        variant, tagged, meter, trace, backend,
+        variant, tagged, backend,
     )
 
 
@@ -205,15 +195,13 @@ def systolic_difference(
     b: Relation,
     variant: str = "counter",
     tagged: bool = False,
-    meter: Optional[ActivityMeter] = None,
-    trace: Optional[TraceRecorder] = None,
     backend=None,
 ) -> MembershipResult:
     """``A − B``: same array, keep tuples with FALSE t_i (§4.3)."""
     a.schema.require_union_compatible(b.schema)
     return _select(
         a, b, None, False, "intersection-array",
-        variant, tagged, meter, trace, backend,
+        variant, tagged, backend,
     )
 
 
@@ -223,8 +211,6 @@ def systolic_semijoin(
     on,
     variant: str = "counter",
     tagged: bool = False,
-    meter: Optional[ActivityMeter] = None,
-    trace: Optional[TraceRecorder] = None,
     backend=None,
 ) -> MembershipResult:
     """``A ⋉ B``: the §4 membership hardware fed with join columns only.
@@ -235,7 +221,7 @@ def systolic_semijoin(
     a_positions, b_positions, _, _ = equi_join_layout(a, b, on)
     return _select(
         a, b, (a_positions, b_positions), True, "semijoin-array",
-        variant, tagged, meter, trace, backend,
+        variant, tagged, backend,
     )
 
 
@@ -245,13 +231,11 @@ def systolic_antijoin(
     on,
     variant: str = "counter",
     tagged: bool = False,
-    meter: Optional[ActivityMeter] = None,
-    trace: Optional[TraceRecorder] = None,
     backend=None,
 ) -> MembershipResult:
     """``A ▷ B``: the same bits, kept where FALSE (§4.3's inverter)."""
     a_positions, b_positions, _, _ = equi_join_layout(a, b, on)
     return _select(
         a, b, (a_positions, b_positions), False, "semijoin-array",
-        variant, tagged, meter, trace, backend,
+        variant, tagged, backend,
     )

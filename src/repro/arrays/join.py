@@ -44,8 +44,6 @@ from repro.systolic.engine.schedule import (
     CounterStreamSchedule,
     FixedRelationSchedule,
 )
-from repro.systolic.metrics import ActivityMeter
-from repro.systolic.trace import TraceRecorder
 from repro.systolic.wiring import Network
 
 __all__ = [
@@ -145,8 +143,6 @@ def _run_join(
     ops: Sequence[str],
     variant: str,
     tagged: bool,
-    meter: Optional[ActivityMeter],
-    trace: Optional[TraceRecorder],
     backend,
     dynamic_ops: bool = False,
 ) -> JoinResult:
@@ -159,7 +155,7 @@ def _run_join(
     )
     if plan is None:
         return JoinResult(Relation(schema), [], empty_run())
-    result, run = run_plan(plan, backend, meter, trace)
+    result, run = run_plan(plan, backend)
     # The TRUE (i, j) pairs of T, in the order they exit the array.
     matches = matches_in_exit_order(
         pair_verdicts(result, plan.schedule, tagged)
@@ -175,14 +171,12 @@ def systolic_join(
     on: Sequence[tuple[ColumnRef, ColumnRef]],
     variant: str = "counter",
     tagged: bool = False,
-    meter: Optional[ActivityMeter] = None,
-    trace: Optional[TraceRecorder] = None,
     backend=None,
 ) -> JoinResult:
     """Equi-join on the Fig 6-1 array (single or multiple columns)."""
     return _run_join(
         a, b, equi_join_layout(a, b, on), ["=="] * len(on),
-        variant, tagged, meter, trace, backend,
+        variant, tagged, backend,
     )
 
 
@@ -193,14 +187,12 @@ def systolic_theta_join(
     ops: Sequence[str],
     variant: str = "counter",
     tagged: bool = False,
-    meter: Optional[ActivityMeter] = None,
-    trace: Optional[TraceRecorder] = None,
     backend=None,
 ) -> JoinResult:
     """θ-join on the array, processors preloaded with ``ops`` (§6.3.2)."""
     return _run_join(
         a, b, theta_join_layout(a, b, on, ops), ops,
-        variant, tagged, meter, trace, backend,
+        variant, tagged, backend,
     )
 
 
@@ -210,8 +202,6 @@ def systolic_dynamic_theta_join(
     on: Sequence[tuple[ColumnRef, ColumnRef]],
     ops: Sequence[str],
     tagged: bool = False,
-    meter: Optional[ActivityMeter] = None,
-    trace: Optional[TraceRecorder] = None,
     backend=None,
 ) -> JoinResult:
     """θ-join with the ops streamed alongside the data (§6.3.2).
@@ -222,5 +212,5 @@ def systolic_dynamic_theta_join(
     """
     return _run_join(
         a, b, theta_join_layout(a, b, on, ops), ops,
-        "counter", tagged, meter, trace, backend, dynamic_ops=True,
+        "counter", tagged, backend, dynamic_ops=True,
     )

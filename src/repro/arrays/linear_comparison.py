@@ -10,17 +10,13 @@ leaves processor ``m−1`` on pulse ``m−1`` as the tuple-equality bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.arrays.base import ArrayRun, execute
 from repro.errors import SimulationError
 from repro.systolic.engine import LinearPlan
-from repro.systolic.engine.materialize import build_linear_network
-from repro.systolic.metrics import ActivityMeter
-from repro.systolic.trace import TraceRecorder
-from repro.systolic.wiring import Network
 
-__all__ = ["LinearComparisonResult", "build_linear_comparison", "compare_tuples"]
+__all__ = ["LinearComparisonResult", "compare_tuples"]
 
 
 @dataclass
@@ -32,28 +28,16 @@ class LinearComparisonResult:
     run: ArrayRun
 
 
-def build_linear_comparison(
-    a: Sequence[int],
-    b: Sequence[int],
-    seed: bool = True,
-    tagged: bool = False,
-) -> tuple[Network, dict[str, tuple[int, int]]]:
-    """Assemble the Fig 3-1 array for one staggered tuple pair."""
-    return build_linear_network(a, b, seed=seed, tagged=tagged)
-
-
 def compare_tuples(
     a: Sequence[int],
     b: Sequence[int],
     seed: bool = True,
     tagged: bool = False,
-    meter: Optional[ActivityMeter] = None,
-    trace: Optional[TraceRecorder] = None,
     backend=None,
 ) -> LinearComparisonResult:
     """Compare two tuples on the linear array; ``m`` pulses end to end."""
     plan = LinearPlan(a, b, seed=seed, tagged=tagged)
-    result = execute(plan, backend=backend, meter=meter, trace=trace)
+    result = execute(plan, backend=backend)
     collector = result.collector("t")
     expected_pulse = plan.arity - 1
     token = collector.at(expected_pulse)
@@ -67,6 +51,6 @@ def compare_tuples(
         result_pulse=expected_pulse,
         run=ArrayRun(
             pulses=result.pulses, rows=1, cols=plan.arity, cells=result.cells,
-            meter=meter, trace=trace, backend=result.engine,
+            backend=result.engine,
         ),
     )

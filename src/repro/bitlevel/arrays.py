@@ -170,8 +170,7 @@ def bit_level_intersection(a, b, width: int | None = None, backend=None):
     a_bits, b_bits = _bit_matrices(a.array, b.array, width)
     # The expansion is injective and keeps row order, so bit i is a_i's.
     t_vector, run = run_membership(
-        a_bits, b_bits, "counter", False, None, None, backend,
-        "intersection-array",
+        a_bits, b_bits, "counter", False, backend, "intersection-array",
     )
     return MembershipResult(
         Relation(a.schema, rows_where(a, t_vector)), t_vector, run

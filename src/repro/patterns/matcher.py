@@ -25,9 +25,7 @@ from repro.arrays.base import ArrayRun, run_array
 from repro.errors import SimulationError
 from repro.patterns.cells import WILDCARD, PatternCell
 from repro.systolic.cells import LatchCell
-from repro.systolic.metrics import ActivityMeter
 from repro.systolic.streams import PeriodicFeeder, ScheduleFeeder
-from repro.systolic.trace import TraceRecorder
 from repro.systolic.values import Token
 from repro.systolic.wiring import Network
 
@@ -104,8 +102,6 @@ def match_pattern(
     text: str | Sequence[int],
     pattern: str | Sequence[object],
     wildcard: Optional[str] = "?",
-    meter: Optional[ActivityMeter] = None,
-    trace: Optional[TraceRecorder] = None,
 ) -> PatternMatchResult:
     """Find every alignment of ``pattern`` in ``text`` on the chip.
 
@@ -119,7 +115,7 @@ def match_pattern(
     network, exit_offset = build_pattern_array(text_codes, pattern_codes)
     alignments = len(text_codes) - len(pattern_codes) + 1
     pulses = (alignments - 1) + exit_offset + 1
-    simulator = run_array(network, pulses=pulses, meter=meter, trace=trace)
+    simulator = run_array(network, pulses=pulses)
 
     bits: list[Optional[bool]] = [None] * alignments
     for pulse, token in simulator.collector("match"):
@@ -147,6 +143,5 @@ def match_pattern(
     return PatternMatchResult(
         matches=[i for i, bit in enumerate(final) if bit],
         bits=final,
-        run=ArrayRun(pulses=pulses, rows=1, cols=cells, cells=cells,
-                     meter=meter, trace=trace),
+        run=ArrayRun(pulses=pulses, rows=1, cols=cells, cells=cells),
     )

@@ -6,9 +6,9 @@ says how.  Three ship:
 
 * ``"pulse"`` — :class:`PulseEngine`, the cycle-accurate reference:
   every latch of the paper's design, advanced pulse by pulse as numpy
-  register planes (or, for a traced run, as the cell network); what
-  leaves the array comes back as one :class:`ColumnarTap` table per
-  tapped edge.
+  register planes (or, for the hexagonal mesh, as the cell network);
+  what leaves the array comes back as one :class:`ColumnarTap` table
+  per tapped edge.
 * ``"lattice"`` — :class:`LatticeEngine`, the same schedule arithmetic
   evaluated as bulk numpy wavefronts; bit-identical outputs, orders of
   magnitude faster on large relations.

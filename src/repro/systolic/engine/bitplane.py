@@ -15,8 +15,8 @@ comparators —
   rippled MSB-first across whole planes at once;
 * the division array's gating as two packed equality matrices.
 
-All observable outputs — collector records, pulse stamps, ghost tags,
-activity metering — are the word-level plan's, reconstructed through
+All observable outputs — collector records, pulse stamps, ghost tags
+— are the word-level plan's, reconstructed through
 the shared :class:`~repro.systolic.engine.lattice.LatticeEngine`
 schedule arithmetic; only the comparator kernels differ, so the run is
 bit-identical to the other engines (the equivalence harness enforces
@@ -24,10 +24,8 @@ it).  Signed elements are translated by the common minimum before
 packing, which preserves equality and order exactly (see
 :mod:`repro.bitlevel.planes`).
 
-Limits are the lattice engine's: trace recording and hex-mesh metering
-need the pulse-level cell network; the hexagonal mesh (whose payloads
-are arbitrary semiring values, not bit-encodable words) falls back to
-the inherited lattice walk.
+The hexagonal mesh (whose payloads are arbitrary semiring values, not
+bit-encodable words) falls back to the inherited lattice walk.
 """
 
 from __future__ import annotations

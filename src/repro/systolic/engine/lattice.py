@@ -13,29 +13,17 @@ exactly:
 
 * **collector records** — same tap names, pulse stamps, payload values
   (Python bools), and ghost tags as the pulse engine;
-* **pulse counts** — the plan's schedule-derived run length;
-* **activity metrics** — per-cell busy-pulse counts derived from the
-  token families' occupancy (a cell is busy on a pulse iff at least
-  one token arrives, the simulator's definition), folded into the
-  caller's :class:`~repro.systolic.metrics.ActivityMeter` via
-  :meth:`~repro.systolic.metrics.ActivityMeter.absorb`.
+* **pulse counts** — the plan's schedule-derived run length.
 
-The derivations mirror the schedules: an ``a`` element fed to column
-``k`` at pulse ``e`` occupies row ``r`` at pulse ``e + r``; a ``b``
-element climbing from the bottom row occupies row ``R − 1 − s`` at its
-entry pulse plus ``s``; travelling ``t`` tokens and streamed op codes
-always ride *with* a scheduled meeting, so they add no busy slots of
-their own; the descending accumulator of tuple ``i`` visits
-``acc[row]`` at its seed pulse plus ``row``, and each row result
-merges exactly on one of those visits.
-
-Limits: trace recording and hex-mesh metering genuinely require the
-cell network — both raise, pointing at ``backend="pulse"``.
+The engine only computes: a trace or a busy count is taken on the cell
+network (:func:`~repro.systolic.engine.materialize.materialize` under a
+:class:`~repro.systolic.simulator.SystolicSimulator` observer), which
+every engine is held to.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -61,8 +49,6 @@ from repro.systolic.engine.plan import (
     HexPlan,
     LinearPlan,
     TInit,
-    acc_name,
-    cmp_name,
     count_runs,
     operand_matrix,
     run_attrs,
@@ -70,7 +56,6 @@ from repro.systolic.engine.plan import (
     t_init_true,
     tables_of,
 )
-from repro.systolic.metrics import ActivityMeter
 from repro.systolic.values import Token
 
 __all__ = ["LatticeEngine", "DEFAULT_CHUNK_BYTES"]
@@ -156,28 +141,18 @@ class LatticeEngine:
             )
         self.chunk_bytes = chunk_bytes
 
-    def run(
-        self,
-        plan: ExecutionPlan,
-        meter: Optional[ActivityMeter] = None,
-        trace: Optional[Any] = None,
-    ) -> EngineRun:
-        if trace is not None:
-            raise SimulationError(
-                "trace recording needs the pulse-level cell network; run "
-                "this plan with backend='pulse'"
-            )
+    def run(self, plan: ExecutionPlan) -> EngineRun:
         with obs.span("engine.run", engine=self.name, **run_attrs(plan)):
             if isinstance(plan, GridPlan):
-                run = self._run_grid(plan, meter)
+                run = self._run_grid(plan)
             elif isinstance(plan, BlockedPlan):
-                run = self._run_blocked(plan, meter)
+                run = self._run_blocked(plan)
             elif isinstance(plan, DivisionPlan):
-                run = self._run_division(plan, meter)
+                run = self._run_division(plan)
             elif isinstance(plan, LinearPlan):
-                run = self._run_linear(plan, meter)
+                run = self._run_linear(plan)
             elif isinstance(plan, HexPlan):
-                run = self._run_hex(plan, meter)
+                run = self._run_hex(plan)
             else:
                 raise SimulationError(
                     f"unknown plan type {type(plan).__name__}"
@@ -190,7 +165,7 @@ class LatticeEngine:
 
     # -- the rectangular grid (Figs 3-3, 4-1, 6-1) -------------------------
 
-    def _run_grid(self, plan: GridPlan, meter: Optional[ActivityMeter]) -> EngineRun:
+    def _run_grid(self, plan: GridPlan) -> EngineRun:
         sched = plan.schedule
         n_a, n_b, m = sched.n_a, sched.n_b, sched.arity
         A = operand_matrix(plan.a_tuples, n_a, m, "lattice", "A")
@@ -204,11 +179,9 @@ class LatticeEngine:
             # Only t_i leaves an accumulate-only array (eq. 4.1).
             verdicts = self._membership(A, B, plan.t_init, plan.ops)
 
-        if meter is not None:
-            meter.absorb(self._grid_busy(plan), plan.pulses, plan.cells)
         return EngineRun(
             engine=self.name, pulses=plan.pulses, cells=plan.cells,
-            meter=meter, verdicts=verdicts,
+            verdicts=verdicts,
             tap_view=lambda: self._grid_taps(plan, verdicts),
         )
 
@@ -380,40 +353,9 @@ class LatticeEngine:
             tag_indices=(i,) if plan.tagged else (),
         )
 
-    def _grid_busy(self, plan: GridPlan) -> dict[str, int]:
-        sched = plan.schedule
-        R, m, P = sched.rows, sched.arity, plan.pulses
-        busy: dict[str, int] = {}
-        if plan.variant == "fixed":
-            # The preloaded operand is always present (ConstantFeeder):
-            # every comparator is busy on every pulse of the run (§8).
-            for r in range(R):
-                for c in range(m):
-                    busy[cmp_name(r, c)] = P
-        else:
-            i = np.arange(sched.n_a)
-            j = np.arange(sched.n_b)
-            for r in range(R):
-                s = R - 1 - r  # steps b has climbed to reach row r
-                for c in range(m):
-                    arrivals = np.concatenate((2 * i + c + r, 2 * j + c + s))
-                    count = int(np.unique(arrivals[arrivals < P]).size)
-                    if count:
-                        busy[cmp_name(r, c)] = count
-        if plan.accumulate:
-            step = 2 if plan.variant == "counter" else 1
-            seeds = step * np.arange(sched.n_a, dtype=np.int64) + m
-            for row in range(R):
-                count = int(((seeds + row) < P).sum())
-                if count:
-                    busy[acc_name(row)] = count
-        return busy
-
     # -- the grid decomposed over a bounded device (§8) ----------------------
 
-    def _run_blocked(
-        self, plan: BlockedPlan, meter: Optional[ActivityMeter]
-    ) -> EngineRun:
+    def _run_blocked(self, plan: BlockedPlan) -> EngineRun:
         """Every block run of the plan at once.
 
         A block's verdicts are closed-form like any grid's, ANDing
@@ -430,11 +372,6 @@ class LatticeEngine:
         # repro.arrays imports this package, hence at call time.
         from repro.arrays.decode import Reduction
 
-        if meter is not None:
-            raise SimulationError(
-                "a blocked plan stands for many array runs; meter them "
-                "one by one (plan.blocks())"
-            )
         n_a, n_b, m = plan.n_a, plan.n_b, plan.arity
         A = operand_matrix(plan.a_tuples, n_a, m, "lattice", "A")
         B = operand_matrix(plan.b_tuples, n_b, m, "lattice", "B")
@@ -459,9 +396,7 @@ class LatticeEngine:
 
     # -- the division array (Fig 7-2) --------------------------------------
 
-    def _run_division(
-        self, plan: DivisionPlan, meter: Optional[ActivityMeter]
-    ) -> EngineRun:
+    def _run_division(self, plan: DivisionPlan) -> EngineRun:
         pairs = operand_matrix(
             plan.pairs, len(plan.pairs), 2, "lattice", "dividend"
         )
@@ -469,12 +404,9 @@ class LatticeEngine:
         distinct = np.asarray(plan.distinct_x, dtype=np.int64)
 
         bits = self._division_bits(pairs[:, 0], pairs[:, 1], divisor, distinct)
-
-        if meter is not None:
-            meter.absorb(self._division_busy(plan), plan.pulses, plan.cells)
         return EngineRun(
             engine=self.name, pulses=plan.pulses, cells=plan.cells,
-            meter=meter, verdicts=bits,
+            verdicts=bits,
             tap_view=lambda: self._division_taps(plan, bits),
         )
 
@@ -523,45 +455,17 @@ class LatticeEngine:
         row_pos = np.searchsorted(u_vals, distinct).clip(0, u_vals.size - 1)
         return (u_vals[row_pos] == distinct) & u_bits[row_pos]
 
-    def _division_busy(self, plan: DivisionPlan) -> dict[str, int]:
-        sched = plan.schedule
-        P = plan.pulses
-        n_pairs, p_rows, n_div = sched.n_pairs, sched.p_rows, sched.n_divisor
-        busy: dict[str, int] = {}
-        for row in range(p_rows):
-            lift = p_rows - 1 - row  # pulses to climb from the entry row
-            # x arrivals at dm[row]: q + lift; y (+ match bit) at
-            # dg[row]: one pulse later; the gated stream reaches
-            # dv[row,s] after 1 + s more, and the AND sweep follows.
-            busy[f"dm[{row}]"] = int(min(n_pairs, max(0, P - lift)))
-            busy[f"dg[{row}]"] = int(min(n_pairs, max(0, P - lift - 1)))
-            for s in range(n_div):
-                count = min(n_pairs, max(0, P - lift - 2 - s))
-                if sched.and_inject_pulse(row) + s < P:
-                    count += 1
-                busy[f"dv[{row},{s}]"] = int(count)
-        return busy
-
     # -- the linear array (Fig 3-1) -----------------------------------------
 
-    def _run_linear(
-        self, plan: LinearPlan, meter: Optional[ActivityMeter]
-    ) -> EngineRun:
+    def _run_linear(self, plan: LinearPlan) -> EngineRun:
         equal = self._linear_equal(plan)
         records = {"t": [(
             plan.arity - 1,
             Token(equal, ("t", 0, 0) if plan.tagged else None),
         )]}
-        if meter is not None:
-            # cmp[k] sees its staggered a, b, and travelling t exactly
-            # on pulse k.
-            meter.absorb(
-                {f"cmp[{k}]": 1 for k in range(plan.arity)},
-                plan.pulses, plan.cells,
-            )
         return EngineRun(
             engine=self.name, pulses=plan.pulses, cells=plan.cells,
-            tap_view=lambda: tables_of(records), meter=meter,
+            tap_view=lambda: tables_of(records),
         )
 
     def _linear_equal(self, plan: LinearPlan) -> bool:
@@ -575,13 +479,7 @@ class LatticeEngine:
 
     # -- the hexagonal mesh (§2.1, [5]) -------------------------------------
 
-    def _run_hex(self, plan: HexPlan, meter: Optional[ActivityMeter]) -> EngineRun:
-        if meter is not None:
-            raise SimulationError(
-                "activity metering on the hexagonal mesh needs the "
-                "pulse-level cell network; run this plan with "
-                "backend='pulse'"
-            )
+    def _run_hex(self, plan: HexPlan) -> EngineRun:
         n_a, n_b, m = plan.n_a, plan.n_b, plan.inner
         semiring = plan.semiring
         positions = hex_positions(n_a, n_b, m)

@@ -7,15 +7,18 @@ commitment to pulse-by-pulse simulation.  An
 
 * :class:`~repro.systolic.engine.pulse.PulseEngine` steps the array
   pulse by pulse — as numpy register planes
-  (:mod:`~repro.systolic.engine.registers`), or, for a traced run, as
-  the materialized cell network under the
+  (:mod:`~repro.systolic.engine.registers`), or, for the hexagonal
+  mesh, as the materialized cell network under the
   :class:`~repro.systolic.simulator.SystolicSimulator`;
 * :class:`~repro.systolic.engine.lattice.LatticeEngine` evaluates the
   same schedule arithmetic as bulk anti-diagonal wavefronts.
 
-Both produce bit-identical collector records, pulse counts, and
-activity metrics; the differential harness in
-``tests/systolic/test_engine_equivalence.py`` is the contract.
+Both produce bit-identical tap records and pulse counts; the
+differential harness in ``tests/systolic/test_engine_equivalence.py``
+is the contract.  An engine only computes: to watch cells and latches
+(a trace, busy counts), build the cell network
+(:func:`~repro.systolic.engine.materialize.materialize`) and drive it
+with a :class:`~repro.systolic.simulator.SystolicSimulator` observer.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from repro.systolic.engine.schedule import (
     block_bounds,
     block_span_law,
 )
-from repro.systolic.metrics import ActivityMeter
 from repro.systolic.streams import Collector
 from repro.systolic.values import Token
 
@@ -733,9 +735,9 @@ class EngineRun:
     :meth:`table`, :meth:`tap`, :meth:`collector` or :attr:`collectors`
     is touched.  The pulse engine has no verdicts — its result exists
     only as what left the taps: the tables its register stepper
-    captured, or, when the run stepped the cell network (a traced run,
-    the hexagonal mesh), that network's Token records turned into
-    tables by :func:`tables_of`.  Tables are the only format a run
+    captured, or, when the run stepped the cell network (the hexagonal
+    mesh), that network's Token records turned into tables by
+    :func:`tables_of`.  Tables are the only format a run
     holds.  The decoders read a table whole; a tap by name
     (``"t_row[3]"``) is the slice of its edge's table at that position,
     and its Token records are materialized from it on demand.
@@ -753,16 +755,12 @@ class EngineRun:
         pulses: int,
         cells: int,
         tap_view: Callable[[], dict[str, ColumnarTap]],
-        meter: Optional[ActivityMeter] = None,
-        trace: Optional[Any] = None,
         peak_firing: Optional[int] = None,
         verdicts: Optional[np.ndarray] = None,
     ) -> None:
         self.engine = engine
         self.pulses = pulses
         self.cells = cells
-        self.meter = meter
-        self.trace = trace
         #: peak number of hex cells firing on one pulse (HexPlan runs only)
         self.peak_firing = peak_firing
         #: the run's result as the engine computed it (None on a pulse
@@ -838,17 +836,12 @@ class Engine(Protocol):
 
     Implementations must honour the schedule arithmetic exactly — the
     equivalence harness asserts collector records (pulse stamps,
-    values, ghost tags), pulse counts, and per-cell busy counts all
-    match the pulse-level reference.
+    values, ghost tags) and pulse counts match the pulse-level
+    reference.
     """
 
     name: str
 
-    def run(
-        self,
-        plan: ExecutionPlan,
-        meter: Optional[ActivityMeter] = None,
-        trace: Optional[Any] = None,
-    ) -> EngineRun:
+    def run(self, plan: ExecutionPlan) -> EngineRun:
         """Execute ``plan`` and return its observable outcome."""
         ...

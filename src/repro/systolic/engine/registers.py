@@ -13,8 +13,8 @@ each stepped in two passes:
     feed-forward, in bulk — every such wire family is a strided view of
     its boundary feed's delay line (the θ grid's ``t`` ghosts, which
     start wherever a pair first meets, take one pass per column); the
-    cell functions, every protocol and ghost-tag check and the busy
-    counts are array operations over the whole window →
+    cell functions and every protocol and ghost-tag check are array
+    operations over the whole window →
     feedback, along the short axis — each register whose value depends
     on an earlier pulse (``t``'s value, the accumulators, the division
     array's AND sweep) also moves one position a pulse, so
@@ -74,7 +74,6 @@ from repro.systolic.engine.plan import (
     t_init_true,
 )
 from repro.systolic.engine.schedule import CounterStreamSchedule
-from repro.systolic.metrics import ActivityMeter
 
 __all__ = ["step_plan"]
 
@@ -93,43 +92,26 @@ _ANSWER = np.array(
 _WINDOW_CELLS = 1 << 16
 
 
-def step_plan(
-    plan: ExecutionPlan, meter: Optional[ActivityMeter] = None
-) -> dict[str, ColumnarTap]:
+def step_plan(plan: ExecutionPlan) -> dict[str, ColumnarTap]:
     """Step a grid, linear or division plan through all its pulses and
     return what left each tapped edge, as one table an edge (the taps of
-    ``plan.tap_names()``, empty ones included); per-cell busy-pulse
-    counts go to ``meter``."""
-    metered = meter is not None
+    ``plan.tap_names()``, empty ones included)."""
     if isinstance(plan, GridPlan):
-        taps, busy = _step_grid(plan, metered, cmp_name)
-    elif isinstance(plan, LinearPlan):
+        return _step_grid(plan, cmp_name)
+    if isinstance(plan, LinearPlan):
         # Fig 3-1 is the grid of one tuple against one tuple: same
         # stagger, same seed on pulse 0, one row whose tap is ``t``.
         grid = GridPlan(
             [plan.a], [plan.b], CounterStreamSchedule(1, 1, plan.arity),
             t_init=lambda i, j: plan.seed, row_taps=True, tagged=plan.tagged,
         )
-        taps, busy = _step_grid(grid, metered, lambda row, k: f"cmp[{k}]")
-        taps = {"t": replace(
+        taps = _step_grid(grid, lambda row, k: f"cmp[{k}]")
+        return {"t": replace(
             taps["t_row"], name="t", positions=None, width=None
         )}
-    elif isinstance(plan, DivisionPlan):
-        taps, busy = _step_division(plan, metered)
-    else:
-        raise SimulationError(f"unknown plan type {type(plan).__name__}")
-    if metered:
-        # ``busy``: one (cell namer, busy-count plane) per cell family.
-        meter.absorb(
-            {
-                name_of(*at): int(count)
-                for name_of, plane in busy
-                for at, count in np.ndenumerate(plane)
-                if count
-            },
-            plan.pulses, plan.cells,
-        )
-    return taps
+    if isinstance(plan, DivisionPlan):
+        return _step_division(plan)
+    raise SimulationError(f"unknown plan type {type(plan).__name__}")
 
 
 # -- delay lines, windows, tapped edges, faults -------------------------------
@@ -304,9 +286,7 @@ def _first(bad: np.ndarray) -> tuple[int, ...]:
 # -- the rectangular grid (Figs 3-1, 3-3, 4-1, 6-1) ---------------------------
 
 
-def _step_grid(
-    plan: GridPlan, metered: bool, name_of: Callable[[int, int], str]
-):
+def _step_grid(plan: GridPlan, name_of: Callable[[int, int], str]):
     sched = plan.schedule
     n_a, n_b, R, C, P = sched.n_a, sched.n_b, plan.rows, plan.cols, plan.pulses
     A = operand_matrix(plan.a_tuples, n_a, C, "pulse", "A")
@@ -358,7 +338,6 @@ def _step_grid(
             P, 1, R, sched.accumulator_seed_pulse(I), 0, I, np.False_
         )
     row_taps, acc_taps = _Taps(), _Taps()
-    busy, acc_busy = np.zeros((C, R), np.int64), np.zeros(R, np.int64)
     # Carried from window to window: t's latches (column C: each row's
     # output wire) — values, and the θ grid's ghosts — and the
     # accumulators' values.
@@ -413,7 +392,7 @@ def _step_grid(
             # Fig 4-1: the row result of a pulse ago merges into the
             # descending t_i of the tuple it belongs to.  (Within a
             # pulse, the cells' fault comes first.)
-            top_g, _, top_p = seed_line.window(lo, (W, R), 0, (1, 0))
+            top_g, _, _ = seed_line.window(lo, (W, R), 0, (1, 0))
             left_g, left_p = g[:W, C], t_p[:W, C]
             bad_acc = np.where(left_p, left_g // n_b, top_g) != top_g
             w = _first(bad_acc)[0] if bad_acc.any() else W
@@ -432,11 +411,6 @@ def _step_grid(
                 lo + w, bad[w].T, a_p[w].T,
                 None if op_g is None else op_g[w].T, both[w].T, ops, name_of,
             )
-        if metered:
-            # Past the checks, t and a streamed op never arrive alone.
-            busy += (a_p | b_p).sum(axis=0)
-            if plan.accumulate:
-                acc_busy += top_p.sum(axis=0)
 
         _advance(np.logical_and, v, gate)
         t_v, t_g = v[W], g[W]
@@ -461,7 +435,7 @@ def _step_grid(
             "t_i", None, "acc" if plan.tagged else None,
             lambda ghost: (ghost,),
         )
-    return taps, [(name_of, busy.T), (acc_name, acc_busy)]
+    return taps
 
 
 def _comparison_fault(pulse, t_g, a_g, b_g, n_b, name_of):
@@ -511,7 +485,7 @@ def _accumulator_fault(pulse, bad, left_g, top_g, n_b):
 # -- the division array (Fig 7-2) ---------------------------------------------
 
 
-def _step_division(plan: DivisionPlan, metered: bool):
+def _step_division(plan: DivisionPlan):
     sched = plan.schedule
     n, R, S, P = sched.n_pairs, sched.p_rows, sched.n_divisor, plan.pulses
     pairs = operand_matrix(plan.pairs, n, 2, "pulse", "dividend")
@@ -529,16 +503,14 @@ def _step_division(plan: DivisionPlan, metered: bool):
         pulse_major=True,
     )
     taps = _Taps()
-    dm_busy, dg_busy = np.zeros(R, np.int64), np.zeros(R, np.int64)
-    dv_busy = np.zeros((S, R), np.int64)
     # Carried from window to window: each dv cell's sticky flag, and the
     # AND sweep's values (column S: the row's output wire).
     seen, sweep = np.zeros((S, R), bool), np.ones((S + 1, R), bool)
 
     for lo, hi in _windows(P, R * S):
         W = hi - lo
-        x_g, _, x_p = x_line.window(lo - 1, (W + 1, R), R - 1, (-1, 0))
-        y_g, _, y_p = y_line.window(lo, (W, R), R - 1, (-1, 0))
+        x_g, _, _ = x_line.window(lo - 1, (W + 1, R), R - 1, (-1, 0))
+        y_g, _, _ = y_line.window(lo, (W, R), R - 1, (-1, 0))
         # dg: y arrives together with the match bit of its own pair —
         # the one of the x that left dm the pulse before.
         bad = y_g != x_g[:W]
@@ -552,11 +524,7 @@ def _step_division(plan: DivisionPlan, metered: bool):
         sighted = g_p & (x_v == stored_x) & (g_v == stored_y)
         sighted[0] |= seen
         sighted = np.logical_or.accumulate(sighted, axis=0)
-        and_g, _, and_p = and_line.window(lo, (W, S, R), 0, (1, 0), (0, 1))
-        if metered:
-            dm_busy += x_p[1:].sum(axis=0)
-            dg_busy += y_p.sum(axis=0)
-            dv_busy += (g_p | and_p).sum(axis=0)
+        and_g, _, _ = and_line.window(lo, (W, S, R), 0, (1, 0), (0, 1))
 
         v = np.empty((W + 1, S + 1, R), bool)
         v[0], v[:, 0] = sweep, True  # the sweep enters TRUE
@@ -566,8 +534,7 @@ def _step_division(plan: DivisionPlan, metered: bool):
 
     return {"and_row": taps.table(
         "and_row", R, "and" if plan.tagged else None, lambda ghost: (ghost,),
-    )}, [("dm[{}]".format, dm_busy), ("dg[{}]".format, dg_busy),
-        ("dv[{},{}]".format, dv_busy.T)]
+    )}
 
 
 def _gate_fault(pulse, y_g, m_g):

@@ -57,24 +57,6 @@ class ActivityMeter:
         for name in busy_cells:
             self.busy_pulses[name] = self.busy_pulses.get(name, 0) + 1
 
-    def absorb(
-        self, busy_counts: dict[str, int], pulses: int, cells: int
-    ) -> None:
-        """Merge a bulk-computed activity profile in one call.
-
-        Vectorized engines derive each cell's busy-pulse count in
-        closed form from the schedule instead of observing pulses one
-        at a time; this entry point lets them fill the meter with the
-        exact counts :meth:`observe` would have accumulated.  Cells
-        with zero busy pulses must be omitted (``observe`` never
-        creates zero entries either).
-        """
-        self.pulses_observed += pulses
-        self._cell_count = cells
-        for name, count in busy_counts.items():
-            if count:
-                self.busy_pulses[name] = self.busy_pulses.get(name, 0) + count
-
     def report(self, cells: int | None = None) -> UtilizationReport:
         """Summarize activity across ``cells`` cells (default: as observed)."""
         if cells is None:

@@ -46,7 +46,6 @@ from repro.systolic.engine import (
     t_init_strict_lower,
     t_init_true,
 )
-from repro.systolic.metrics import ActivityMeter
 
 SMALL = settings(max_examples=30, deadline=None)
 
@@ -433,14 +432,6 @@ class TestRefusals:
         ):
             with pytest.raises(SimulationError):
                 BlockedPlan(**{**ok, **bad})
-
-    @pytest.mark.parametrize("engine", [LatticeEngine, BitplaneEngine,
-                                        PulseEngine])
-    def test_a_blocked_run_is_not_metered(self, engine):
-        rows = np.arange(6, dtype=np.int64).reshape(3, 2)
-        plan = BlockedPlan(rows, rows, 2, 1, "rows", t_init=t_init_true)
-        with pytest.raises(SimulationError, match="one by one"):
-            engine().run(plan, meter=ActivityMeter())
 
 
 class TestHelpers:

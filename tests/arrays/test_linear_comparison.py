@@ -4,7 +4,9 @@ import pytest
 
 from repro.arrays import compare_tuples
 from repro.errors import SimulationError
+from repro.systolic.engine.materialize import build_linear_network
 from repro.systolic.metrics import ActivityMeter
+from repro.systolic.simulator import SystolicSimulator
 
 
 class TestOneComparison:
@@ -48,6 +50,7 @@ class TestOneComparison:
     def test_meter_shows_diagonal_activity(self):
         # Exactly one cell is busy on each pulse (the staggered wavefront).
         meter = ActivityMeter()
-        compare_tuples([1, 2, 3, 4], [1, 2, 3, 4], meter=meter)
+        network, _ = build_linear_network([1, 2, 3, 4], [1, 2, 3, 4])
+        SystolicSimulator(network, meter=meter).run(4)
         assert all(count == 1 for count in meter.busy_pulses.values())
         assert len(meter.busy_pulses) == 4

@@ -4,8 +4,8 @@ A lattice or bitplane run hands the decode seam
 (:mod:`repro.arrays.decode`) its verdicts directly; the same run with
 the verdicts withheld, and every pulse-engine run (whose taps are what
 its register stepper saw leave the array), goes through the audited
-tap-table decoders; a traced pulse run steps the cell network, whose
-Token records come back as tables and go through the same decoders.
+tap-table decoders; a run traced on the cell network hands its Token
+records back as tables, and they go through the same decoders.
 These tests pin down that all three agree — relation, result
 vector/matrix, the exit order of join matches, pulse counts — that the
 blocked operators equal the whole-array ones wherever the device
@@ -43,11 +43,15 @@ from repro.relational import Domain, MultiRelation, Relation, Schema
 from repro.systolic.engine import (
     BitplaneEngine,
     ColumnarTap,
+    EngineRun,
     GridPlan,
     LatticeEngine,
     PulseEngine,
     t_init_strict_lower,
 )
+from repro.systolic.engine.materialize import materialize
+from repro.systolic.engine.plan import tables_of
+from repro.systolic.simulator import SystolicSimulator
 from repro.systolic.trace import TraceRecorder
 from tests.systolic.test_engine_equivalence import sized_lists, tuples2
 
@@ -92,19 +96,25 @@ class TapOnly(LatticeEngine):
     """The lattice engine with its verdicts withheld, so every decoder
     has to take the audited columnar-tap path."""
 
-    def run(self, plan, meter=None, trace=None):
-        run = super().run(plan, meter=meter, trace=trace)
+    def run(self, plan):
+        run = super().run(plan)
         run.verdicts = None
         return run
 
 
 class Traced(PulseEngine):
-    """The pulse engine asked to show its cells: it steps the cell
-    network, and the network's Token records reach every decoder as tap
-    tables."""
+    """The pulse engine with each array run stepped on its cell network
+    under a trace recorder: the network's Token records reach every
+    decoder as tap tables."""
 
-    def run(self, plan, meter=None, trace=None):
-        return super().run(plan, meter=meter, trace=TraceRecorder())
+    def _step(self, plan):
+        network = materialize(plan)
+        simulator = SystolicSimulator(network, observer=TraceRecorder())
+        simulator.run(plan.pulses)
+        return EngineRun(
+            engine=self.name, pulses=plan.pulses, cells=len(network.cells),
+            tap_view=lambda: tables_of(simulator.collectors),
+        )
 
 
 def three_paths():
@@ -394,8 +404,8 @@ class TestMalformedVerdictsAreRefused:
     @staticmethod
     def engine_returning(make):
         class Bad(LatticeEngine):
-            def run(self, plan, meter=None, trace=None):
-                run = super().run(plan, meter=meter, trace=trace)
+            def run(self, plan):
+                run = super().run(plan)
                 run.verdicts = make(run.verdicts)
                 return run
 

@@ -2,14 +2,35 @@
 
 Also where every distinctness proof the suite ever claims is checked:
 :func:`verify_every_distinctness_claim` runs around each test.
+
+And where the suite's hypothesis profiles live.  ``tier1``, loaded by
+default, derandomizes every ``@given`` test and keeps no example
+database, so each run of a commit draws the same examples and a red run
+reproduces.  ``explore`` draws fresh ones, more of them where a test
+keeps hypothesis's default count; pick it, and a seed, with
+hypothesis's own flags::
+
+    pytest -m hypothesis --hypothesis-profile=explore --hypothesis-seed=N
+
+A counterexample it finds is pinned with ``@example(...)`` on the test,
+so tier-1 keeps it.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.relational import Domain, MultiRelation, Relation, Schema
 from repro.relational.relation import DistinctRows, _first_occurrences
+
+settings.register_profile(
+    "tier1", derandomize=True, database=None, print_blob=True
+)
+settings.register_profile(
+    "explore", max_examples=300, database=None, print_blob=True
+)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(autouse=True)

@@ -333,3 +333,57 @@ def test_one_run_format_rule_refuses_eager_collectors_and_record_reads(
         "systolic/engine/lattice.py:3: builds an EngineRun from "
         "`collectors=`",
     ]
+
+
+def test_observer_rule_keeps_meters_and_traces_on_the_network(tmp_path):
+    check_docs = _load_check_docs()
+    package = tmp_path / "repro"
+    for directory in ("arrays", "systolic/engine", "patterns", "machine"):
+        (package / directory).mkdir(parents=True)
+    (package / "systolic" / "simulator.py").write_text(
+        "from repro.systolic.metrics import ActivityMeter\n"
+        "class SystolicSimulator:\n"
+        "    def __init__(self, network, meter=None, observer=None):\n"
+        "        self.meter = meter\n"
+    )
+    (package / "arrays" / "base.py").write_text(
+        '"""Watch a run with ``trace=TraceRecorder()``: prose."""\n'
+        "def execute(plan, backend=None):\n"
+        "    return resolve_backend(backend).run(plan)\n"
+    )
+    (package / "machine" / "device.py").write_text(
+        "def run(plan, meter=None):\n"
+        "    return plan\n"
+    )
+    assert check_docs.check_observers_on_the_network(root=package) == []
+
+    # The shapes the threaded observers had: an engine that takes a
+    # meter, operators that pass one down, imports to annotate them.
+    (package / "systolic" / "engine" / "pulse.py").write_text(
+        "from repro.systolic.metrics import ActivityMeter\n"
+        "class PulseEngine:\n"
+        "    def run(self, plan, meter=None, trace=None):\n"
+        "        return step(plan, meter)\n"
+    )
+    (package / "arrays" / "join.py").write_text(
+        "from repro.systolic import trace as tr, TraceRecorder\n"
+        "def systolic_join(a, b, *, trace: TraceRecorder = None):\n"
+        "    return _run(a, b, lambda meter: meter)\n"
+    )
+    (package / "patterns" / "matcher.py").write_text(
+        "import repro.systolic.trace.TraceRecorder\n"
+    )
+    (package / "machine" / "device.py").write_text(
+        "from repro.systolic.metrics import ActivityMeter\n"
+    )
+    problems = check_docs.check_observers_on_the_network(root=package)
+    assert [problem.split(" — ")[0] for problem in problems] == [
+        "arrays/join.py:1: imports TraceRecorder",
+        "arrays/join.py:2: takes `trace`",
+        "arrays/join.py:3: takes `meter`",
+        "machine/device.py:1: imports ActivityMeter",
+        "patterns/matcher.py:1: imports TraceRecorder",
+        "systolic/engine/pulse.py:1: imports ActivityMeter",
+        "systolic/engine/pulse.py:3: takes `meter`",
+        "systolic/engine/pulse.py:3: takes `trace`",
+    ]

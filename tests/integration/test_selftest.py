@@ -48,8 +48,8 @@ class TestSelfTest:
         fails it even where the relation still equals the oracle."""
 
         class OffByOnePair(LatticeEngine):
-            def _run_blocked(self, plan, meter):
-                run = super()._run_blocked(plan, meter)
+            def _run_blocked(self, plan):
+                run = super()._run_blocked(plan)
                 if plan.reduce == "pairs":
                     run.verdicts = run.verdicts[:, 1:]
                 else:
@@ -57,8 +57,8 @@ class TestSelfTest:
                 return run
 
         class OnePulseShort(LatticeEngine):
-            def _run_blocked(self, plan, meter):
-                run = super()._run_blocked(plan, meter)
+            def _run_blocked(self, plan):
+                run = super()._run_blocked(plan)
                 run.pulses -= 1
                 return run
 

@@ -2,11 +2,12 @@
 
 The :class:`~repro.systolic.engine.LatticeEngine` and
 :class:`~repro.systolic.engine.BitplaneEngine` promise bit-identical
-edge outputs, pulse counts, and utilization without simulating cells.
-Hypothesis drives randomized workloads through every plan type and
-through every operator, running each on all engines and comparing the
-complete observable surface: collector dumps (pulse, value, tag),
-pulses, cells, busy counts, utilization, and hex peak firing.
+edge outputs and pulse counts without simulating cells.  Hypothesis
+drives randomized workloads through every plan type and through every
+operator, running each on all engines and comparing the complete
+observable surface: collector dumps (pulse, value, tag), pulses, cells
+and hex peak firing.  (Busy counts and traces are the cell network's,
+taken with a simulator observer; an engine only computes.)
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from repro.systolic.engine import (
     PulseEngine,
     resolve_backend,
 )
-from repro.systolic.metrics import ActivityMeter
 
 SMALL = settings(max_examples=25, deadline=None)
 FEWER = settings(max_examples=10, deadline=None)
@@ -97,16 +97,11 @@ ops_strategy = st.lists(
 
 
 def run_both(plan):
-    """Run one plan on every engine (fresh meters) and return the runs."""
-    # The lattice-family engines decline to meter the hexagonal mesh
-    # (it needs the cell network), so hex equivalence is checked
-    # meterless.
-    meterable = not isinstance(plan, HexPlan)
-    runs = []
-    for engine in (PulseEngine(), LatticeEngine(), BitplaneEngine()):
-        meter = ActivityMeter() if meterable else None
-        runs.append((engine.run(plan, meter=meter), meter))
-    return runs
+    """Run one plan on every engine and return the runs."""
+    return [
+        engine.run(plan)
+        for engine in (PulseEngine(), LatticeEngine(), BitplaneEngine())
+    ]
 
 
 def dump(run):
@@ -118,18 +113,13 @@ def dump(run):
 
 
 def assert_identical(plan):
-    (pulse_run, pulse_meter), *others = run_both(plan)
-    for other_run, other_meter in others:
+    pulse_run, *others = run_both(plan)
+    for other_run in others:
         assert dump(other_run) == dump(pulse_run)
         assert other_run.pulses == pulse_run.pulses
         assert other_run.cells == pulse_run.cells
-        if pulse_meter is not None:
-            assert other_meter.busy_pulses == pulse_meter.busy_pulses
-            assert other_meter.pulses_observed == pulse_meter.pulses_observed
-            assert (other_meter.report().utilization
-                    == pulse_meter.report().utilization)
         assert other_run.peak_firing == pulse_run.peak_firing
-    return pulse_run, others[0][0]
+    return pulse_run, others[0]
 
 
 def grid_schedule(variant, n_a, n_b, arity):
@@ -394,14 +384,3 @@ class TestBackendResolution:
     def test_unknown_backend_lists_choices(self):
         with pytest.raises(SimulationError, match="lattice"):
             resolve_backend("warp")
-
-    def test_lattice_refuses_trace(self):
-        from repro.systolic.trace import TraceRecorder
-
-        schedule = CounterStreamSchedule(n_a=1, n_b=1, arity=2)
-        plan = GridPlan(
-            [(0, 1)], [(0, 1)], schedule, t_init=lambda i, j: True,
-            accumulate=True,
-        )
-        with pytest.raises(SimulationError, match="pulse"):
-            LatticeEngine().run(plan, trace=TraceRecorder())

@@ -4,10 +4,11 @@
 planes (:mod:`repro.systolic.engine.registers`).  The cell-object
 simulator is what it is held to: for plans of every family the run must
 equal ``SystolicSimulator(materialize(plan))`` on every collector's
-``(pulse, value, tag)`` records — native Python types included — and on
-the activity meter; and a schedule that is wrong on its *input* side
-must be refused with the very message the cell network gives, for the
-first offending cell.
+``(pulse, value, tag)`` records — native Python types included — and a
+schedule that is wrong on its *input* side must be refused with the
+very message the cell network gives, for the first offending cell.
+The network is also where a run is watched: a trace recorded on it
+reads out as the stepper's tables.
 """
 
 from __future__ import annotations
@@ -32,12 +33,12 @@ from repro.systolic.engine import (
 )
 from repro.systolic.engine import registers
 from repro.systolic.engine.materialize import materialize
+from repro.systolic.engine.plan import tables_of
 from repro.systolic.engine.schedule import (
     CounterStreamSchedule,
     DivisionSchedule,
     FixedRelationSchedule,
 )
-from repro.systolic.metrics import ActivityMeter
 from repro.systolic.simulator import SystolicSimulator
 from repro.systolic.streams import PeriodicFeeder, ScheduleFeeder
 from repro.systolic.trace import TraceRecorder
@@ -112,18 +113,16 @@ def division_plans(draw):
 
 
 def reference(network, pulses):
-    """The cell network stepped cell by cell: (simulator, meter)."""
-    meter = ActivityMeter()
-    simulator = SystolicSimulator(network, meter=meter)
+    """The cell network stepped cell by cell."""
+    simulator = SystolicSimulator(network)
     simulator.run(pulses)
-    return simulator, meter
+    return simulator
 
 
 def assert_equals_reference(plan):
-    meter = ActivityMeter()
-    run = PulseEngine().run(plan, meter=meter)
+    run = PulseEngine().run(plan)
     network = materialize(plan)
-    simulator, ref_meter = reference(network, plan.pulses)
+    simulator = reference(network, plan.pulses)
 
     # Columnar, lazy, and no verdicts: operators decode the taps.
     assert run.verdicts is None and run._collectors is None
@@ -141,10 +140,6 @@ def assert_equals_reference(plan):
                 type(index) is int for index in token.tag[1:]
             )
     assert (run.pulses, run.cells) == (plan.pulses, len(network.cells))
-    assert meter.busy_pulses == ref_meter.busy_pulses
-    assert all(type(count) is int for count in meter.busy_pulses.values())
-    assert meter.pulses_observed == ref_meter.pulses_observed
-    assert meter.report().utilization == ref_meter.report().utilization
 
 
 class TestEqualsTheCellNetwork:
@@ -203,21 +198,22 @@ class TestEqualsTheCellNetwork:
         assert_equals_reference(LinearPlan(a, b, seed=seed, tagged=tagged))
 
     def test_a_traced_run_still_steps_cells(self):
+        """A trace is taken on the plan's cell network, and what left
+        that network's taps is what the stepper hands back."""
         plan = GridPlan(
             [(0, 1), (2, 3), (0, 1)], [(0, 1), (2, 2)],
             CounterStreamSchedule(3, 2, 2),
             t_init=t_init_true, accumulate=True, row_taps=True, tagged=True,
         )
         trace = TraceRecorder()
-        run = PulseEngine().run(plan, trace=trace)
-        assert run.trace is trace
+        simulator = SystolicSimulator(materialize(plan), observer=trace)
+        simulator.run(plan.pulses)
         assert trace.pulses == list(range(plan.pulses))
         assert "a_in" in trace.at(0)["cmp[0,0]"]
-        # The cell network's records come back as the stepper's tables.
-        assert read_out(run.columnar) == read_out(
-            PulseEngine().run(plan).columnar
+        run = PulseEngine().run(plan)
+        assert read_out(tables_of(simulator.collectors)) == read_out(
+            run.columnar
         )
-        simulator, _ = reference(materialize(plan), plan.pulses)
         for name, expected in simulator.collectors.items():
             assert run.collector(name).records == expected.records
 
@@ -237,8 +233,9 @@ class TestEqualsTheCellNetwork:
     def test_a_traced_run_hands_back_the_steppers_tables(self, plan):
         """Stepping cells or registers, a run is the same tables —
         field for field, tag kind and tag columns included."""
-        traced = PulseEngine().run(plan, trace=TraceRecorder())
-        assert read_out(traced.columnar) == read_out(
+        traced = SystolicSimulator(materialize(plan), observer=TraceRecorder())
+        traced.run(plan.pulses)
+        assert read_out(tables_of(traced.collectors)) == read_out(
             PulseEngine().run(plan).columnar
         )
 
@@ -462,8 +459,8 @@ class TestJoinAndDivisionFaults:
 
 
 def same_outcome(plan):
-    """The stepper gives what the cell network gives: equal records and
-    meters, or the very message it refuses the plan with."""
+    """The stepper gives what the cell network gives: equal records,
+    or the very message it refuses the plan with."""
     try:
         reference(materialize(plan), plan.pulses)
     except SimulationError as refused:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Keep the documentation and the code from drifting apart.
 
-Twelve checks, all run in CI next to the bench gate::
+Thirteen checks, all run in CI next to the bench gate::
 
     python tools/check_docs.py
 
@@ -98,6 +98,15 @@ Twelve checks, all run in CI next to the bench gate::
     ``.tap(`` / ``.tap_names`` / ``.columnar`` read there is a second
     decoder path forking off beside the audited tables, and fails
     here.
+
+13. **Observers attach to the network.**  An engine only computes; a
+    run is watched on its cell network, through a
+    ``SystolicSimulator``'s ``meter`` / ``observer``.  So no function
+    under the engines, the operator arrays or the pattern chip
+    (:data:`COMPUTE_ONLY`) takes a parameter named ``meter`` or
+    ``trace``, and only the simulator kit (:data:`OBSERVER_HOMES`)
+    imports ``ActivityMeter`` or ``TraceRecorder`` — a second way to
+    watch a run, threaded through the engines, fails here.
 
 Exits non-zero with one line per problem.
 """
@@ -620,6 +629,53 @@ def check_one_run_format(root=ROOT / "src" / "repro") -> list[str]:
     return problems
 
 
+#: Where nothing takes an observer, and the only sources under
+#: ``src/repro`` that import one.
+COMPUTE_ONLY = ("arrays/", "systolic/engine/", "patterns/")
+OBSERVER_PARAMETERS = frozenset({"meter", "trace"})
+OBSERVER_TYPES = frozenset({"ActivityMeter", "TraceRecorder"})
+OBSERVER_HOMES = (
+    "systolic/simulator.py", "systolic/metrics.py", "systolic/trace.py",
+    "systolic/__init__.py",
+)
+
+
+def check_observers_on_the_network(root=ROOT / "src" / "repro") -> list[str]:
+    problems: list[str] = []
+    for source in sorted(root.rglob("*.py")):
+        where = source.relative_to(root).as_posix()
+        for node in ast.walk(ast.parse(source.read_text())):
+            if (where.startswith(COMPUTE_ONLY) and isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                           ast.Lambda))):
+                arguments = node.args
+                problems += [
+                    f"{where}:{node.lineno}: takes `{argument.arg}` — an "
+                    f"engine or operator only computes; watch the run on "
+                    f"its cell network (`SystolicSimulator(network, "
+                    f"meter=..., observer=...)`)"
+                    for argument in (
+                        *arguments.posonlyargs, *arguments.args,
+                        *arguments.kwonlyargs, arguments.vararg,
+                        arguments.kwarg,
+                    )
+                    if argument is not None
+                    and argument.arg in OBSERVER_PARAMETERS
+                ]
+            elif (where not in OBSERVER_HOMES
+                    and isinstance(node, (ast.Import, ast.ImportFrom))):
+                named = sorted(OBSERVER_TYPES.intersection(
+                    alias.name.rpartition(".")[2] for alias in node.names
+                ))
+                if named:
+                    problems.append(
+                        f"{where}:{node.lineno}: imports "
+                        f"{', '.join(named)} — observers belong to the "
+                        f"simulator kit ({', '.join(OBSERVER_HOMES)})"
+                    )
+    return problems
+
+
 def main() -> int:
     problems = (
         check_metric_table() + check_links()
@@ -627,7 +683,7 @@ def main() -> int:
         + check_api() + check_env_vars() + check_span_catalog()
         + check_one_stored_form() + check_proof_producers()
         + check_operator_facts() + check_one_chunk_reader()
-        + check_one_run_format()
+        + check_one_run_format() + check_observers_on_the_network()
     )
     for problem in problems:
         print(problem, file=sys.stderr)
@@ -649,7 +705,8 @@ def main() -> int:
         f"operator node types branched on in "
         f"{len(OPERATOR_BRANCHERS)} files only, "
         f"chunk files read by {CHUNK_READER[1]} only, "
-        f"runs read as tap tables only"
+        f"runs read as tap tables only, "
+        f"observers imported by the simulator kit only"
     )
     return 0
 
