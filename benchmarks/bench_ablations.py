@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.arrays.base import run_array
 from repro.systolic.engine.materialize import (
     attach_accumulation_column,
     build_counter_stream_grid,
@@ -67,9 +66,9 @@ def test_tuple_spacing_violation_detected(benchmark, experiment_report):
     with pytest.raises(SimulationError, match="two tokens|already driven"):
         broken_run()
 
-    result = benchmark(lambda: run_array(
-        _intersection_network(a, b, schedule), schedule.total_pulses
-    ))
+    result = benchmark(lambda: SystolicSimulator(
+        _intersection_network(a, b, schedule)
+    ).run(schedule.total_pulses))
     experiment_report("ABL1 tuple spacing (two pulses, §3.2)", [
         ("spacing = 1 pulse", "latch collision",
          "detected (SimulationError)"),
@@ -108,9 +107,9 @@ def test_misaligned_t_injection_detected(benchmark, experiment_report):
     with pytest.raises(SimulationError, match="mis-staggered|missed this meeting"):
         misaligned()
 
-    benchmark(lambda: run_array(
-        _intersection_network(a, b, schedule), schedule.total_pulses
-    ))
+    benchmark(lambda: SystolicSimulator(
+        _intersection_network(a, b, schedule)
+    ).run(schedule.total_pulses))
     experiment_report("ABL2 t-injection alignment (§3.1)", [
         ("inits shifted +1 pulse", "partial result meets no pair",
          "detected (SimulationError)"),
@@ -128,7 +127,7 @@ def test_triangular_mask_is_load_bearing(benchmark, experiment_report):
             multi.tuples, multi.tuples, schedule, t_init=t_init
         )
         attach_accumulation_column(network, schedule)
-        simulator = run_array(network, schedule.total_pulses)
+        simulator = SystolicSimulator(network).run(schedule.total_pulses)
         drop = {}
         for pulse, token in simulator.collector("t_i"):
             drop[schedule.tuple_from_accumulator_exit(pulse)] = bool(token.value)

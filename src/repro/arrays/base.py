@@ -6,7 +6,8 @@ The operator modules in this package describe each §3–§7 array as an
 pulse-level reference simulator or the vectorized lattice engine (see
 :mod:`repro.systolic.engine`).  Callers that assemble cell networks
 directly import the builders from
-:mod:`repro.systolic.engine.materialize`.
+:mod:`repro.systolic.engine.materialize` and step them with a
+:class:`~repro.systolic.simulator.SystolicSimulator`.
 
 §4.3 calls the comparison array "the main hardware": every operator is
 the same grid, varying only the operands, the initial ``t`` and what
@@ -38,7 +39,6 @@ from repro.systolic.engine.schedule import (
     CounterStreamSchedule,
     FixedRelationSchedule,
 )
-from repro.systolic.simulator import SystolicSimulator
 from repro.systolic.wiring import Network
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "build_grid_array",
     "rows_where",
     "joined_rows",
-    "run_array",
 ]
 
 
@@ -74,16 +73,6 @@ def execute(plan: ExecutionPlan, backend=None) -> EngineRun:
     for the default.
     """
     return resolve_backend(backend).run(plan)
-
-
-def run_array(network: Network, pulses: int) -> SystolicSimulator:
-    """Simulate ``pulses`` pulses and return the simulator (for taps).
-    To watch the cells, build your own
-    :class:`~repro.systolic.simulator.SystolicSimulator` with a ``meter``
-    or an ``observer``."""
-    simulator = SystolicSimulator(network)
-    simulator.run(pulses)
-    return simulator
 
 
 def grid_schedule(

@@ -2,8 +2,9 @@
 
 The arrays exist to produce results — the matrix ``T`` (§3.3), the
 accumulated ``t_i = OR_j t_ij`` (§4), the individual ``t_ij`` of a join
-(§6), the quotient bits (§7).  Every operator module reads them through
-the four functions here, and each reads one of two sources:
+(§6), the quotient bits (§7), the hex mesh's product (§2.1).  Every
+operator module reads them through the functions here, and each reads
+one of two sources:
 
 1. ``run.verdicts`` — the vectorized engines' primary product, read
    directly (shape and dtype checked; no tap is ever built);
@@ -16,7 +17,8 @@ the four functions here, and each reads one of two sources:
    network (the hexagonal mesh), that network's Token
    records as tables — and neither consults the exit laws, so this
    audit is where they are checked.  A run without the edge's table
-   is refused.
+   is refused.  A hex mesh run has no verdicts on any engine:
+   :func:`hex_products` reads each final-meeting cell's table.
 
 Tagged runs always take path 2: their point is to check the ghost
 tags riding on the tap records, so the taps are what gets read.
@@ -39,6 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.systolic.engine.hexmesh import hex_tap_name, meeting_cell
 from repro.systolic.engine.schedule import CounterStreamSchedule
 
 __all__ = [
@@ -47,6 +50,7 @@ __all__ = [
     "matches_in_exit_order",
     "accumulator_bits",
     "quotient_bits",
+    "hex_products",
     "Reduction",
     "blocked_verdicts",
     "blockwise_verdicts",
@@ -378,3 +382,38 @@ def _quotient_count_error(row: int, count: int) -> SimulationError:
         f"divisor row {row} produced {count} quotient bits, expected "
         f"exactly 1"
     )
+
+
+# -- the hexagonal mesh's product (§2.1, [5]) --------------------------------
+
+
+def hex_products(result, plan) -> list[list[bool]]:
+    """``C[i][j]`` of a :class:`~repro.systolic.engine.plan.HexPlan`
+    run: what ``c_ij`` carried out of its final meeting cell on pulse
+    ``i + j + m − 1``, read off that cell's tap table (on a tagged run
+    an arrival that carries a tag must carry ``("c", i, j)``)."""
+    m = plan.inner
+    matrix = []
+    for i in range(plan.n_a):
+        row = []
+        for j in range(plan.n_b):
+            table = _table_of(result, hex_tap_name(meeting_cell(i, j, m - 1)))
+            pulse = i + j + m - 1
+            at = np.flatnonzero(table.pulses == pulse)
+            if not at.size:
+                raise SimulationError(
+                    f"c[{i}][{j}] did not exit its final meeting cell on "
+                    f"pulse {pulse}"
+                )
+            k = int(at[-1])
+            if plan.tagged and table.tag_kind is not None:
+                tag = (table.tag_kind,
+                       *(int(column[k]) for column in table.tag_indices))
+                if tag != ("c", i, j):
+                    raise SimulationError(
+                        f"final-cell arrival for ({i}, {j}) carries tag "
+                        f"{tag!r}"
+                    )
+            row.append(bool(table.values[k]))
+        matrix.append(row)
+    return matrix

@@ -10,7 +10,8 @@ directions summing to zero, every cell computing
 The comparison matrix of §3.3 *is* a matrix product over the
 ``(AND, =)`` semiring: ``t_ij = AND_k (a_ik = b_jk)``.  This module
 states the problem as a :class:`~repro.systolic.engine.plan.HexPlan`
-and reads the product off the final-meeting cells; the mesh geometry,
+and reads the product off the final-meeting cells
+(:func:`repro.arrays.decode.hex_products`); the mesh geometry,
 :class:`Semiring` algebra, and :class:`HexCell` processor live in
 :mod:`repro.systolic.engine.hexmesh`, shared by both engines.
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.arrays.base import ArrayRun, execute
-from repro.errors import SimulationError
+from repro.arrays.decode import hex_products
 from repro.systolic.engine import HexPlan
 from repro.systolic.engine.hexmesh import (
     BOOLEAN_SEMIRING,
@@ -35,8 +36,6 @@ from repro.systolic.engine.hexmesh import (
     U_C,
     HexCell,
     Semiring,
-    hex_tap_name,
-    meeting_cell,
 )
 from repro.systolic.engine.hexmesh import a_start as _a_start
 from repro.systolic.engine.hexmesh import b_start as _b_start
@@ -58,7 +57,7 @@ __all__ = [
 class HexComparisonResult:
     """T matrix from the hexagonal array, plus operational detail."""
 
-    t_matrix: list[list[Any]]
+    t_matrix: list[list[bool]]
     run: ArrayRun
     #: peak number of cells firing on one pulse (≤ cells/3, per [5])
     peak_firing: int
@@ -81,26 +80,8 @@ def hex_matrix_product(
     """
     plan = HexPlan(a_rows, b_cols, semiring, tagged=tagged)
     result = execute(plan, backend=backend)
-    n_a, n_b, m = plan.n_a, plan.n_b, plan.inner
-
-    matrix: list[list[Any]] = [[None] * n_b for _ in range(n_a)]
-    for i in range(n_a):
-        for j in range(n_b):
-            pos = meeting_cell(i, j, m - 1)
-            token = result.collector(hex_tap_name(pos)).at(i + j + m - 1)
-            if token is None:
-                raise SimulationError(
-                    f"c[{i}][{j}] did not exit its final meeting cell on "
-                    f"pulse {i + j + m - 1}"
-                )
-            if tagged and token.tag is not None and token.tag != ("c", i, j):
-                raise SimulationError(
-                    f"final-cell arrival for ({i}, {j}) carries tag "
-                    f"{token.tag!r}"
-                )
-            matrix[i][j] = token.value
     return HexComparisonResult(
-        t_matrix=matrix,
+        t_matrix=hex_products(result, plan),
         run=ArrayRun(
             pulses=result.pulses, rows=0, cols=0, cells=result.cells,
             backend=result.engine,

@@ -5,6 +5,10 @@ staggered so both reach processor ``k`` on pulse ``k``; the travelling
 partial result enters processor 0 as TRUE (or any chosen seed — §3.1
 notes a FALSE seed guarantees a FALSE answer, the hook §5 exploits) and
 leaves processor ``m−1`` on pulse ``m−1`` as the tuple-equality bit.
+
+§3.3 stacks these rows into the Fig 3-3 comparison array, so the linear
+array is that array's one-row case — one tuple of A against one of B —
+and runs, and is decoded, as that grid.
 """
 
 from __future__ import annotations
@@ -12,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.arrays.base import ArrayRun, execute
+from repro.arrays.base import ArrayRun
+from repro.arrays.comparison_array import compare_all_pairs
 from repro.errors import SimulationError
-from repro.systolic.engine import LinearPlan
 
 __all__ = ["LinearComparisonResult", "compare_tuples"]
 
@@ -36,21 +40,18 @@ def compare_tuples(
     backend=None,
 ) -> LinearComparisonResult:
     """Compare two tuples on the linear array; ``m`` pulses end to end."""
-    plan = LinearPlan(a, b, seed=seed, tagged=tagged)
-    result = execute(plan, backend=backend)
-    collector = result.collector("t")
-    expected_pulse = plan.arity - 1
-    token = collector.at(expected_pulse)
-    if token is None:
+    if len(a) != len(b):
         raise SimulationError(
-            f"no result left the array on pulse {expected_pulse}; "
-            f"arrivals: {collector.pulses()}"
+            f"tuples must have equal arity: {len(a)} vs {len(b)}"
         )
+    if not len(a):
+        raise SimulationError("cannot compare zero-arity tuples")
+    seed = bool(seed)
+    grid = compare_all_pairs(
+        [a], [b], lambda i, j: seed, tagged=tagged, backend=backend
+    )
     return LinearComparisonResult(
-        equal=bool(token.value),
-        result_pulse=expected_pulse,
-        run=ArrayRun(
-            pulses=result.pulses, rows=1, cols=plan.arity, cells=result.cells,
-            backend=result.engine,
-        ),
+        equal=grid.t_matrix[0][0],
+        result_pulse=grid.schedule.t_exit_pulse(0, 0),
+        run=grid.run,
     )

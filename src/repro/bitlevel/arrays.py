@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.arrays.base import rows_where, run_array
+from repro.arrays.base import rows_where
 from repro.arrays.comparison_array import ComparisonMatrixResult, compare_all_pairs
 from repro.arrays.decomposition import column_matrix
 from repro.arrays.intersection import MembershipResult, run_membership
@@ -33,6 +33,7 @@ from repro.bitlevel.bits import (
 from repro.bitlevel.cells import EQ, GT, LT, BitMagnitudeCell
 from repro.errors import SimulationError
 from repro.relational.relation import Relation
+from repro.systolic.simulator import SystolicSimulator
 from repro.systolic.streams import ScheduleFeeder
 from repro.systolic.values import Token
 from repro.systolic.wiring import Network
@@ -147,7 +148,7 @@ def bit_level_three_way_compare(
                      ScheduleFeeder({position: Token(b_bits[position])}))
     network.feed("mag[0]", "s_in", ScheduleFeeder({0: Token(EQ)}))
     network.tap("state", f"mag[{width - 1}]", "s_out")
-    simulator = run_array(network, pulses=width)
+    simulator = SystolicSimulator(network).run(width)
     token = simulator.collector("state").at(width - 1)
     if token is None:
         raise SimulationError("the comparison state never left the chain")

@@ -21,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.arrays.base import ArrayRun, run_array
+from repro.arrays.base import ArrayRun
 from repro.errors import SimulationError
 from repro.patterns.cells import WILDCARD, PatternCell
 from repro.systolic.cells import LatchCell
+from repro.systolic.simulator import SystolicSimulator
 from repro.systolic.streams import PeriodicFeeder, ScheduleFeeder
 from repro.systolic.values import Token
 from repro.systolic.wiring import Network
@@ -115,7 +116,7 @@ def match_pattern(
     network, exit_offset = build_pattern_array(text_codes, pattern_codes)
     alignments = len(text_codes) - len(pattern_codes) + 1
     pulses = (alignments - 1) + exit_offset + 1
-    simulator = run_array(network, pulses=pulses)
+    simulator = SystolicSimulator(network).run(pulses)
 
     bits: list[Optional[bool]] = [None] * alignments
     for pulse, token in simulator.collector("match"):

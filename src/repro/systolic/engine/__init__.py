@@ -44,7 +44,6 @@ from repro.systolic.engine.plan import (
     ExecutionPlan,
     GridPlan,
     HexPlan,
-    LinearPlan,
     TInit,
     t_init_at,
     t_init_strict_lower,
@@ -64,7 +63,6 @@ __all__ = [
     "GridPlan",
     "BlockedPlan",
     "DivisionPlan",
-    "LinearPlan",
     "HexPlan",
     "TInit",
     "t_init_true",

@@ -15,8 +15,8 @@ comparators —
   rippled MSB-first across whole planes at once;
 * the division array's gating as two packed equality matrices.
 
-All observable outputs — collector records, pulse stamps, ghost tags
-— are the word-level plan's, reconstructed through
+All observable outputs — tap tables, pulse stamps, ghost tags — are
+the word-level plan's, reconstructed through
 the shared :class:`~repro.systolic.engine.lattice.LatticeEngine`
 schedule arithmetic; only the comparator kernels differ, so the run is
 bit-identical to the other engines (the equivalence harness enforces
@@ -24,8 +24,9 @@ it).  Signed elements are translated by the common minimum before
 packing, which preserves equality and order exactly (see
 :mod:`repro.bitlevel.planes`).
 
-The hexagonal mesh (whose payloads are arbitrary semiring values, not
-bit-encodable words) falls back to the inherited lattice walk.
+The hexagonal mesh (whose operands may be any values its boolean
+semiring compares, not bit-encodable words) falls back to the inherited
+lattice walk.
 """
 
 from __future__ import annotations
@@ -45,10 +46,8 @@ from repro.bitlevel.planes import (
     plane_shift_width,
     unpack_bits,
 )
-from repro.errors import SimulationError
 from repro.obs import metrics
 from repro.systolic.engine.lattice import LatticeEngine
-from repro.systolic.engine.plan import LinearPlan
 
 __all__ = ["BitplaneEngine"]
 
@@ -160,28 +159,6 @@ class BitplaneEngine(LatticeEngine):
             gates.T.astype(np.int64) @ covers.astype(np.int64)
         ) > 0
         return covered.all(axis=1)
-
-    # -- the linear array: one tuple pair, still plane-wise -----------------
-
-    def _linear_equal(self, plan: LinearPlan) -> bool:
-        try:
-            a = np.asarray(plan.a, dtype=np.int64)
-            b = np.asarray(plan.b, dtype=np.int64)
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise SimulationError(
-                f"the bitplane engine needs integer-encoded elements "
-                f"(see §2.3 domain encoding): {exc}"
-            ) from None
-        if a.size == 0:
-            return bool(plan.seed)
-        (a_s, b_s), width = plane_shift_width(a, b)
-        # The chain's t is the grid's equality kernel on one pair: a
-        # one-lane plane per bit position, the whole arity at once.
-        packed = equality_planes(
-            a_s.reshape(1, -1), pack_planes(b_s.reshape(1, -1), width), width
-        )
-        metrics.inc("engine.bitplane_planes", width)
-        return bool(plan.seed) and bool(unpack_bits(packed, 1)[0, 0])
 
     def __repr__(self) -> str:
         return f"BitplaneEngine(chunk_bytes={self.chunk_bytes})"

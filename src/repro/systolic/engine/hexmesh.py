@@ -216,7 +216,8 @@ def build_hex_network(
     """Assemble the hex mesh with feeders and final-meeting taps.
 
     Returns the network plus the tap map (final meeting position →
-    tap name) the collector layer uses to read off ``C``.
+    tap name); :func:`repro.arrays.decode.hex_products` reads ``C`` off
+    those taps.
     """
     n_a, n_b = len(a_rows), len(b_cols)
     m = len(a_rows[0])

@@ -11,8 +11,8 @@ primary product; the tap observables are a lazy view over them
 consumer asks.  When it does, all observable outputs are reconstructed
 exactly:
 
-* **collector records** — same tap names, pulse stamps, payload values
-  (Python bools), and ghost tags as the pulse engine;
+* **tap tables** — one per tapped edge, with the same positions, pulse
+  stamps, bool payloads and ghost tags as the pulse engine's;
 * **pulse counts** — the plan's schedule-derived run length.
 
 The engine only computes: a trace or a busy count is taken on the cell
@@ -47,7 +47,6 @@ from repro.systolic.engine.plan import (
     ExecutionPlan,
     GridPlan,
     HexPlan,
-    LinearPlan,
     TInit,
     count_runs,
     operand_matrix,
@@ -149,8 +148,6 @@ class LatticeEngine:
                 run = self._run_blocked(plan)
             elif isinstance(plan, DivisionPlan):
                 run = self._run_division(plan)
-            elif isinstance(plan, LinearPlan):
-                run = self._run_linear(plan)
             elif isinstance(plan, HexPlan):
                 run = self._run_hex(plan)
             else:
@@ -168,8 +165,8 @@ class LatticeEngine:
     def _run_grid(self, plan: GridPlan) -> EngineRun:
         sched = plan.schedule
         n_a, n_b, m = sched.n_a, sched.n_b, sched.arity
-        A = operand_matrix(plan.a_tuples, n_a, m, "lattice", "A")
-        B = operand_matrix(plan.b_tuples, n_b, m, "lattice", "B")
+        A = operand_matrix(plan.a_tuples, n_a, m, self.name, "A")
+        B = operand_matrix(plan.b_tuples, n_b, m, self.name, "B")
 
         if plan.row_taps:
             verdicts = self._verdict_matrix(A, B, plan.ops)
@@ -373,8 +370,8 @@ class LatticeEngine:
         from repro.arrays.decode import Reduction
 
         n_a, n_b, m = plan.n_a, plan.n_b, plan.arity
-        A = operand_matrix(plan.a_tuples, n_a, m, "lattice", "A")
-        B = operand_matrix(plan.b_tuples, n_b, m, "lattice", "B")
+        A = operand_matrix(plan.a_tuples, n_a, m, self.name, "A")
+        B = operand_matrix(plan.b_tuples, n_b, m, self.name, "B")
         if plan.reduce == "rows":
             verdicts = self._membership(
                 A, B, plan.t_init, plan.ops, block=plan.tuple_block
@@ -398,7 +395,7 @@ class LatticeEngine:
 
     def _run_division(self, plan: DivisionPlan) -> EngineRun:
         pairs = operand_matrix(
-            plan.pairs, len(plan.pairs), 2, "lattice", "dividend"
+            plan.pairs, len(plan.pairs), 2, self.name, "dividend"
         )
         divisor = np.asarray(plan.divisor, dtype=np.int64)
         distinct = np.asarray(plan.distinct_x, dtype=np.int64)
@@ -455,40 +452,18 @@ class LatticeEngine:
         row_pos = np.searchsorted(u_vals, distinct).clip(0, u_vals.size - 1)
         return (u_vals[row_pos] == distinct) & u_bits[row_pos]
 
-    # -- the linear array (Fig 3-1) -----------------------------------------
-
-    def _run_linear(self, plan: LinearPlan) -> EngineRun:
-        equal = self._linear_equal(plan)
-        records = {"t": [(
-            plan.arity - 1,
-            Token(equal, ("t", 0, 0) if plan.tagged else None),
-        )]}
-        return EngineRun(
-            engine=self.name, pulses=plan.pulses, cells=plan.cells,
-            tap_view=lambda: tables_of(records),
-        )
-
-    def _linear_equal(self, plan: LinearPlan) -> bool:
-        """The travelling ``t`` value of the linear chain — the seed
-        ANDed with every element comparison.  The word-level kernel;
-        subclasses substitute their own."""
-        equal = bool(plan.seed)
-        for x, y in zip(plan.a, plan.b):
-            equal = equal and (x == y)
-        return equal
-
     # -- the hexagonal mesh (§2.1, [5]) -------------------------------------
 
     def _run_hex(self, plan: HexPlan) -> EngineRun:
         n_a, n_b, m = plan.n_a, plan.n_b, plan.inner
         semiring = plan.semiring
         positions = hex_positions(n_a, n_b, m)
-        tapped = {
+        tapped = dict.fromkeys(
             meeting_cell(i, j, m - 1)
             for i in range(n_a) for j in range(n_b)
-        }
+        )
         records: dict[str, list[tuple[int, Token]]] = {
-            name: [] for name in plan.tap_names()
+            hex_tap_name(pos): [] for pos in tapped
         }
         # Walk each c token down its U_C line: its value folds in one
         # (a, b) interaction per scheduled meeting (pulse i + j + k),

@@ -32,7 +32,6 @@ from repro.systolic.engine.plan import (
     ExecutionPlan,
     GridPlan,
     HexPlan,
-    LinearPlan,
     TInit,
     acc_name,
     check_tuples,
@@ -54,7 +53,6 @@ __all__ = [
     "attach_accumulation_column",
     "attach_op_stream",
     "build_division_network",
-    "build_linear_network",
     "materialize",
     "materialize_grid",
 ]
@@ -311,45 +309,6 @@ def build_division_network(
     return network, layout
 
 
-def build_linear_network(
-    a: Sequence[int],
-    b: Sequence[int],
-    seed: bool = True,
-    tagged: bool = False,
-) -> tuple[Network, dict[str, tuple[int, int]]]:
-    """Assemble the Fig 3-1 array for one staggered tuple pair."""
-    if len(a) != len(b):
-        raise SimulationError(
-            f"tuples must have equal arity: {len(a)} vs {len(b)}"
-        )
-    if not a:
-        raise SimulationError("cannot compare zero-arity tuples")
-    arity = len(a)
-    network = Network("linear-comparison")
-    layout: dict[str, tuple[int, int]] = {}
-    for k in range(arity):
-        network.add(ComparisonCell(f"cmp[{k}]"))
-        layout[f"cmp[{k}]"] = (0, k)
-    for k in range(arity):
-        name = f"cmp[{k}]"
-        if k + 1 < arity:
-            network.connect(name, "t_out", f"cmp[{k + 1}]", "t_in")
-        network.feed(
-            name, "a_in",
-            ScheduleFeeder({k: Token(a[k], ("a", 0, k) if tagged else None)}),
-        )
-        network.feed(
-            name, "b_in",
-            ScheduleFeeder({k: Token(b[k], ("b", 0, k) if tagged else None)}),
-        )
-    network.feed(
-        "cmp[0]", "t_in",
-        ScheduleFeeder({0: Token(bool(seed), ("t", 0, 0) if tagged else None)}),
-    )
-    network.tap("t", f"cmp[{arity - 1}]", "t_out")
-    return network, layout
-
-
 def _grid_factory(plan: GridPlan) -> CellFactory:
     if plan.ops is None:
         return _default_cell_factory
@@ -410,11 +369,6 @@ def materialize(plan: ExecutionPlan) -> Network:
             _python_rows(plan.pairs), plan.distinct_x, plan.divisor,
             plan.schedule,
             tagged=plan.tagged,
-        )
-        return network
-    if isinstance(plan, LinearPlan):
-        network, _ = build_linear_network(
-            plan.a, plan.b, seed=plan.seed, tagged=plan.tagged
         )
         return network
     if isinstance(plan, HexPlan):

@@ -13,7 +13,7 @@ commitment to pulse-by-pulse simulation.  An
 * :class:`~repro.systolic.engine.lattice.LatticeEngine` evaluates the
   same schedule arithmetic as bulk anti-diagonal wavefronts.
 
-Both produce bit-identical tap records and pulse counts; the
+Both produce bit-identical tap tables and pulse counts; the
 differential harness in ``tests/systolic/test_engine_equivalence.py``
 is the contract.  An engine only computes: to watch cells and latches
 (a trace, busy counts), build the cell network
@@ -59,7 +59,6 @@ from repro.systolic.engine.schedule import (
     block_bounds,
     block_span_law,
 )
-from repro.systolic.streams import Collector
 from repro.systolic.values import Token
 
 __all__ = [
@@ -73,7 +72,6 @@ __all__ = [
     "BlockedPlan",
     "REDUCTIONS",
     "DivisionPlan",
-    "LinearPlan",
     "HexPlan",
     "ExecutionPlan",
     "run_attrs",
@@ -281,7 +279,7 @@ class GridPlan:
         return self.rows * self.cols + (self.rows if self.accumulate else 0)
 
     def tap_names(self) -> list[str]:
-        """Every collector the run produces (possibly with no records)."""
+        """Every tap the run produces (possibly with no records)."""
         names: list[str] = []
         if self.row_taps:
             names.extend(f"t_row[{row}]" for row in range(self.rows))
@@ -468,41 +466,10 @@ class DivisionPlan:
 
 
 @dataclass
-class LinearPlan:
-    """One tuple comparison on the Fig 3-1 linear array."""
-
-    a: Sequence[int]
-    b: Sequence[int]
-    seed: bool = True
-    tagged: bool = False
-
-    def __post_init__(self) -> None:
-        if len(self.a) != len(self.b):
-            raise SimulationError(
-                f"tuples must have equal arity: {len(self.a)} vs {len(self.b)}"
-            )
-        if not self.a:
-            raise SimulationError("cannot compare zero-arity tuples")
-
-    @property
-    def arity(self) -> int:
-        return len(self.a)
-
-    @property
-    def pulses(self) -> int:
-        return self.arity
-
-    @property
-    def cells(self) -> int:
-        return self.arity
-
-    def tap_names(self) -> list[str]:
-        return ["t"]
-
-
-@dataclass
 class HexPlan:
-    """One semiring matrix product on the hexagonal mesh (§2.1, [5])."""
+    """One semiring matrix product on the hexagonal mesh (§2.1, [5]),
+    over a boolean semiring (its ``c`` values leave through tap tables,
+    which hold bools)."""
 
     a_rows: Sequence[Sequence[Any]]
     b_cols: Sequence[Sequence[Any]]
@@ -518,6 +485,14 @@ class HexPlan:
         ):
             raise SimulationError(
                 "operands must share a positive inner dimension"
+            )
+        if type(self.semiring.identity) is not bool:
+            raise SimulationError(
+                f"semiring {self.semiring.name!r} has identity "
+                f"{self.semiring.identity!r}, not a bool: a run's tap "
+                f"tables hold bools, so the hex array computes over a "
+                f"boolean semiring such as COMPARISON_SEMIRING or "
+                f"BOOLEAN_SEMIRING"
             )
 
     @property
@@ -552,7 +527,7 @@ class HexPlan:
         return names
 
 
-ExecutionPlan = Union[GridPlan, BlockedPlan, DivisionPlan, LinearPlan, HexPlan]
+ExecutionPlan = Union[GridPlan, BlockedPlan, DivisionPlan, HexPlan]
 
 
 def run_attrs(plan: ExecutionPlan) -> dict[str, Any]:
@@ -591,21 +566,17 @@ class ColumnarTap:
 
     One table per tapped edge of the array — a grid's row outputs
     (``"t_row"``), its accumulation column (``"t_i"``), the division
-    array's row outputs (``"and_row"``), a linear array's ``"t"``.
+    array's row outputs (``"and_row"``), a hex mesh cell's ``"c@x,y"``.
     ``pulses[k]`` is the exit pulse of the ``k``-th record, ``values[k]``
     its payload and ``positions[k]`` the edge position it left at; the
     records of one position are in pulse order.  An edge of ``width``
     positions is the taps ``name[0]`` … ``name[width - 1]`` (empty ones
-    included); an edge that is a single tap (``t_i``, ``t``) has
+    included); an edge that is a single tap (``t_i``, ``c@x,y``) has
     ``width`` and ``positions`` None.  Ghost tags are kept columnar
     too: ``tag_kind`` names the tag family (``"t"``, ``"acc"``,
-    ``"and"``) and ``tag_indices`` holds one index array per tag slot,
-    so ``("t", i, j)`` is two arrays.
-
-    :meth:`taps` cuts the table into one tap per position, and
-    ``to_collector()`` materializes a tap's classic Token records on
-    demand, bit-identical to the cell network's (Python ``int``
-    pulses, Python ``bool`` payloads).
+    ``"and"``, ``"c"``) and ``tag_indices`` holds one index array per
+    tag slot, so ``("t", i, j)`` is two arrays.  There is no Token form:
+    the decoders of :mod:`repro.arrays.decode` read a table whole.
     """
 
     name: str
@@ -619,40 +590,6 @@ class ColumnarTap:
     def __len__(self) -> int:
         return int(self.pulses.size)
 
-    def taps(self) -> dict[str, ColumnarTap]:
-        """The edge as one tap per position, by tap name: the table's
-        records grouped by position, each group in pulse order."""
-        if self.width is None:
-            return {self.name: self}
-        order = np.argsort(self.positions, kind="stable")
-        bounds = np.searchsorted(
-            self.positions[order], np.arange(self.width + 1)
-        ).tolist()
-        pulses, values = self.pulses[order], self.values[order]
-        indices = [column[order] for column in self.tag_indices]
-        return {
-            f"{self.name}[{position}]": ColumnarTap(
-                f"{self.name}[{position}]", pulses[lo:hi], values[lo:hi],
-                self.tag_kind, tuple(column[lo:hi] for column in indices),
-            )
-            for position, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
-        }
-
-    def to_collector(self) -> Collector:
-        collector = Collector(self.name)
-        pulses = self.pulses.tolist()
-        values = self.values.tolist()
-        if self.tag_kind is None:
-            for pulse, value in zip(pulses, values):
-                collector.record(pulse, Token(value))
-        else:
-            kind = self.tag_kind
-            columns = [column.tolist() for column in self.tag_indices]
-            for k, (pulse, value) in enumerate(zip(pulses, values)):
-                tag = (kind, *(column[k] for column in columns))
-                collector.record(pulse, Token(value, tag))
-        return collector
-
 
 #: A tap that is one position of an edge: ``t_row[3]`` is ``t_row``'s 3.
 _EDGE_TAP = re.compile(r"(\w+)\[(\d+)\]")
@@ -665,8 +602,8 @@ def tables_of(
     as the run's tap tables.
 
     The taps ``edge[0]``, ``edge[1]``, … become one table of ``width``
-    positions (empty taps included); any other tap (``t_i``, ``t``, a
-    hex mesh's ``c@x,y``) is a table of its own.  Each tap's records go
+    positions (empty taps included); any other tap (``t_i``, a hex
+    mesh's ``c@x,y``) is a table of its own.  Each tap's records go
     in pulse order.  Nothing is coerced: a payload that is not a bool,
     or a tag outside the table's one ghost-tag family (same kind, same
     length, integer indices), is refused naming the tap.
@@ -731,16 +668,13 @@ class EngineRun:
     vector of a division run — and keep the taps as a **lazy view**:
     ``tap_view`` derives the run's tap tables (one pulse-stamped
     :class:`ColumnarTap` per tapped edge) from the verdicts and the
-    schedule's affine forms the first time :attr:`columnar`,
-    :meth:`table`, :meth:`tap`, :meth:`collector` or :attr:`collectors`
-    is touched.  The pulse engine has no verdicts — its result exists
-    only as what left the taps: the tables its register stepper
-    captured, or, when the run stepped the cell network (the hexagonal
-    mesh), that network's Token records turned into tables by
-    :func:`tables_of`.  Tables are the only format a run
-    holds.  The decoders read a table whole; a tap by name
-    (``"t_row[3]"``) is the slice of its edge's table at that position,
-    and its Token records are materialized from it on demand.
+    schedule's affine forms the first time :attr:`columnar` or
+    :meth:`table` is touched.  The pulse engine has no verdicts — its
+    result exists only as what left the taps: the tables its register
+    stepper captured, or, when the run stepped the cell network (the
+    hexagonal mesh), that network's Token records turned into tables by
+    :func:`tables_of`.  Tables are the only format a run holds, and
+    the decoders of :mod:`repro.arrays.decode` read each one whole.
 
     The run of a :class:`BlockedPlan` is the exception on every engine:
     it stands for many array runs, so it has no taps of its own,
@@ -764,12 +698,10 @@ class EngineRun:
         #: peak number of hex cells firing on one pulse (HexPlan runs only)
         self.peak_firing = peak_firing
         #: the run's result as the engine computed it (None on a pulse
-        #: run of one array, whose result exists only as tap records).
+        #: run of one array, whose result exists only as tap tables).
         self.verdicts = verdicts
         self._tap_view = tap_view
         self._columnar: Optional[dict[str, ColumnarTap]] = None
-        self._taps: Optional[dict[str, ColumnarTap]] = None
-        self._collectors: Optional[dict[str, Collector]] = None
 
     @property
     def columnar(self) -> dict[str, ColumnarTap]:
@@ -780,44 +712,9 @@ class EngineRun:
 
     def table(self, edge: str) -> Optional[ColumnarTap]:
         """The tap table of ``edge`` (``"t_row"``, ``"t_i"``,
-        ``"and_row"``, ``"t"``), or None when the run has no such edge."""
+        ``"and_row"``, ``"c@x,y"``), or None when the run has no such
+        edge."""
         return self.columnar.get(edge)
-
-    def _by_name(self) -> dict[str, ColumnarTap]:
-        """Every tap of the tables by name, cut on first lookup."""
-        if self._taps is None:
-            self._taps = {
-                name: tap
-                for table in self.columnar.values()
-                for name, tap in table.taps().items()
-            }
-        return self._taps
-
-    @property
-    def collectors(self) -> dict[str, Collector]:
-        """All taps as Token-record collectors (materialized on demand)."""
-        return {name: self.collector(name) for name in self._by_name()}
-
-    def tap(self, name: str) -> Optional[ColumnarTap]:
-        """The columnar arrays for tap ``name``, or None."""
-        return self._by_name().get(name)
-
-    def tap_names(self) -> list[str]:
-        """Every tap this run produced."""
-        return sorted(self._by_name())
-
-    def collector(self, name: str) -> Collector:
-        """Look up a collector by tap name (mirrors the simulator API)."""
-        if self._collectors is None:
-            self._collectors = {}
-        if name not in self._collectors:
-            tap = self._by_name().get(name)
-            if tap is None:
-                raise SimulationError(
-                    f"no tap named {name!r}; have {self.tap_names()}"
-                )
-            self._collectors[name] = tap.to_collector()
-        return self._collectors[name]
 
     def __repr__(self) -> str:
         taps = (
@@ -835,9 +732,8 @@ class Engine(Protocol):
     """An execution backend: turns plans into runs.
 
     Implementations must honour the schedule arithmetic exactly — the
-    equivalence harness asserts collector records (pulse stamps,
-    values, ghost tags) and pulse counts match the pulse-level
-    reference.
+    equivalence harness asserts tap tables (pulse stamps, values,
+    ghost tags) and pulse counts match the pulse-level reference.
     """
 
     name: str

@@ -4,7 +4,7 @@ This is the paper's semantics verbatim — every register and every pulse
 of the array exists.  Everything the faster engines produce is defined
 as "whatever this engine produces".
 
-A grid, linear or division plan is stepped by the register stepper
+A grid or division plan is stepped by the register stepper
 (:mod:`~repro.systolic.engine.registers`): each wire family is a numpy
 register plane — a view of its boundary feed's delay line where the
 wire only moves data — and the cell functions and the protocol and
@@ -12,9 +12,10 @@ ghost-tag checks run over windows of pulses, the feedback registers a
 whole position or a whole pulse at a time, whichever axis of the
 window is shorter; the run hands back one tap table per tapped edge
 (no verdicts — operators decode the tables through the audited tap
-path of :mod:`repro.arrays.decode`) and Token records are materialized
-on demand.  The hexagonal mesh is materialized as the cell network
-(:mod:`~repro.systolic.engine.materialize`) and driven by the two-phase
+path of :mod:`repro.arrays.decode`).  The Fig 3-1 linear array is the
+grid of one tuple against one.  The hexagonal mesh is materialized as
+the cell network (:mod:`~repro.systolic.engine.materialize`) and
+driven by the two-phase
 :class:`~repro.systolic.simulator.SystolicSimulator`, which is also the
 reference the register stepper is tested against, record for record;
 its Token records come back as tap tables too

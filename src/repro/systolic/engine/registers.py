@@ -51,7 +51,6 @@ is held to, record for record and fault message for fault message
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import lru_cache
 from itertools import chain
 from typing import Callable, Optional
@@ -65,7 +64,6 @@ from repro.systolic.engine.plan import (
     DivisionPlan,
     ExecutionPlan,
     GridPlan,
-    LinearPlan,
     TInit,
     acc_name,
     cmp_name,
@@ -93,22 +91,11 @@ _WINDOW_CELLS = 1 << 16
 
 
 def step_plan(plan: ExecutionPlan) -> dict[str, ColumnarTap]:
-    """Step a grid, linear or division plan through all its pulses and
-    return what left each tapped edge, as one table an edge (the taps of
-    ``plan.tap_names()``, empty ones included)."""
+    """Step a grid or division plan through all its pulses and return
+    what left each tapped edge, as one table an edge (every tap of the
+    plan, empty ones included)."""
     if isinstance(plan, GridPlan):
-        return _step_grid(plan, cmp_name)
-    if isinstance(plan, LinearPlan):
-        # Fig 3-1 is the grid of one tuple against one tuple: same
-        # stagger, same seed on pulse 0, one row whose tap is ``t``.
-        grid = GridPlan(
-            [plan.a], [plan.b], CounterStreamSchedule(1, 1, plan.arity),
-            t_init=lambda i, j: plan.seed, row_taps=True, tagged=plan.tagged,
-        )
-        taps = _step_grid(grid, lambda row, k: f"cmp[{k}]")
-        return {"t": replace(
-            taps["t_row"], name="t", positions=None, width=None
-        )}
+        return _step_grid(plan)
     if isinstance(plan, DivisionPlan):
         return _step_division(plan)
     raise SimulationError(f"unknown plan type {type(plan).__name__}")
@@ -286,7 +273,7 @@ def _first(bad: np.ndarray) -> tuple[int, ...]:
 # -- the rectangular grid (Figs 3-1, 3-3, 4-1, 6-1) ---------------------------
 
 
-def _step_grid(plan: GridPlan, name_of: Callable[[int, int], str]):
+def _step_grid(plan: GridPlan):
     sched = plan.schedule
     n_a, n_b, R, C, P = sched.n_a, sched.n_b, plan.rows, plan.cols, plan.pulses
     A = operand_matrix(plan.a_tuples, n_a, C, "pulse", "A")
@@ -327,7 +314,7 @@ def _step_grid(plan: GridPlan, name_of: Callable[[int, int], str]):
         elif _UNKNOWN_OP in codes:
             k = codes.tolist().index(_UNKNOWN_OP)
             raise SimulationError(
-                f"cell {name_of(0, k)!r}: unknown comparison operator "
+                f"cell {cmp_name(0, k)!r}: unknown comparison operator "
                 f"{ops[k]!r}; have {sorted(COMPARISON_OPS)}"
             )
         else:  # preloaded: every cell of column k holds ops[k]
@@ -405,11 +392,11 @@ def _step_grid(plan: GridPlan, name_of: Callable[[int, int], str]):
             if ops is None:
                 raise _comparison_fault(
                     lo + w, g[w, :C].T, a_g[w].T // n_b,
-                    np.broadcast_to(b_g, a_g.shape)[w].T, n_b, name_of,
+                    np.broadcast_to(b_g, a_g.shape)[w].T, n_b,
                 )
             raise _theta_fault(
                 lo + w, bad[w].T, a_p[w].T,
-                None if op_g is None else op_g[w].T, both[w].T, ops, name_of,
+                None if op_g is None else op_g[w].T, both[w].T, ops,
             )
 
         _advance(np.logical_and, v, gate)
@@ -438,7 +425,7 @@ def _step_grid(plan: GridPlan, name_of: Callable[[int, int], str]):
     return taps
 
 
-def _comparison_fault(pulse, t_g, a_g, b_g, n_b, name_of):
+def _comparison_fault(pulse, t_g, a_g, b_g, n_b):
     pair = np.where((a_g >= 0) & (b_g >= 0), a_g * n_b + b_g, -1)
     r, c = _first(t_g != pair)
     t, a, b = int(t_g[r, c]), int(a_g[r, c]), int(b_g[r, c])
@@ -452,10 +439,10 @@ def _comparison_fault(pulse, t_g, a_g, b_g, n_b, name_of):
         message = f"t claims tuple a_{t // n_b} but element is {('a', a, c)!r}"
     else:
         message = f"t claims tuple b_{t % n_b} but element is {('b', b, c)!r}"
-    return _fault(pulse, name_of(r, c), message)
+    return _fault(pulse, cmp_name(r, c), message)
 
 
-def _theta_fault(pulse, bad, a_p, op_g, both, ops, name_of):
+def _theta_fault(pulse, bad, a_p, op_g, both, ops):
     r, c = _first(bad)
     if op_g is None:
         message = ("a partial join result arrived without an element pair — "
@@ -467,7 +454,7 @@ def _theta_fault(pulse, bad, a_p, op_g, both, ops, name_of):
         message = f"unknown op code {ops[c]!r} arrived on op_in"
     else:
         message = "a partial join result arrived without an element pair"
-    return _fault(pulse, name_of(r, c), message)
+    return _fault(pulse, cmp_name(r, c), message)
 
 
 def _accumulator_fault(pulse, bad, left_g, top_g, n_b):

@@ -153,7 +153,7 @@ class TestPlanAgainstReference:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want), engine.name
             assert run.pulses == pulses
-            assert run.tap_names() == []
+            assert run.columnar == {}
 
     @SMALL
     @given(data=st.data(), t_init=st.sampled_from(

@@ -1,5 +1,9 @@
 """The hexagonally connected alternative of §2.1 (ref [5])."""
 
+import operator
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.arrays import compare_all_pairs
@@ -18,6 +22,14 @@ from repro.arrays.hexagonal import (
     hex_matrix_product,
 )
 from repro.errors import SimulationError
+from repro.systolic.engine import (
+    BitplaneEngine,
+    EngineRun,
+    LatticeEngine,
+    PulseEngine,
+    Semiring,
+)
+from repro.systolic.engine.hexmesh import hex_tap_name
 from repro.systolic.values import tok
 from repro.workloads import overlapping_pair, three_by_three_pair
 
@@ -147,3 +159,93 @@ class TestOtherSemirings:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(SimulationError, match="inner dimension"):
             hex_matrix_product([[1, 2]], [[1]], BOOLEAN_SEMIRING)
+
+    @pytest.mark.parametrize(
+        "engine", [PulseEngine, LatticeEngine, BitplaneEngine],
+        ids=lambda engine: engine.name,
+    )
+    def test_a_non_boolean_semiring_is_refused_before_any_engine_runs(
+        self, engine
+    ):
+        # A run's tap tables hold bools, so a plus-times product has no
+        # way out of the mesh: the plan refuses it, naming the semirings
+        # that have one.
+        def never(self, plan):
+            raise AssertionError("an engine ran")
+
+        plus_times = Semiring("plus-times", operator.add, operator.mul, 0)
+        with pytest.raises(SimulationError) as refused:
+            hex_matrix_product(
+                [[1, 2]], [[3, 4]], plus_times,
+                backend=type("Never", (engine,), {"run": never})(),
+            )
+        assert str(refused.value) == (
+            "semiring 'plus-times' has identity 0, not a bool: a run's tap "
+            "tables hold bools, so the hex array computes over a boolean "
+            "semiring such as COMPARISON_SEMIRING or BOOLEAN_SEMIRING"
+        )
+
+
+class Tampered(LatticeEngine):
+    """The lattice engine with one final-meeting tap table edited, as a
+    faulty array would hand it back."""
+
+    def __init__(self, edit):
+        super().__init__()
+        self.edit = edit
+
+    def run(self, plan):
+        run = super().run(plan)
+        tables = dict(run.columnar)
+        self.edit(plan, tables)
+        return EngineRun(
+            engine=self.name, pulses=run.pulses, cells=run.cells,
+            tap_view=lambda: tables, peak_firing=run.peak_firing,
+        )
+
+
+class TestHexProducts:
+    """``decode.hex_products`` reads each pair off its final-meeting cell,
+    on its pulse, and checks the tag it carries."""
+
+    A, B = [[1, 2], [2, 2]], [[1, 2]]
+    #: pair (1, 0): inner dimension 2, so it exits on pulse 1 + 0 + 1.
+    PULSE = 2
+
+    def edited(self, **changes):
+        def edit(plan, tables):
+            name = hex_tap_name(_meeting_cell(1, 0, plan.inner - 1))
+            table = tables[name]
+            keep = table.pulses != self.PULSE
+            if "drop" in changes:
+                tables[name] = replace(
+                    table, pulses=table.pulses[keep],
+                    values=table.values[keep],
+                    tag_indices=tuple(c[keep] for c in table.tag_indices),
+                )
+            else:
+                tables[name] = replace(table, tag_indices=tuple(
+                    np.where(keep, column, 0)
+                    for column in table.tag_indices
+                ))
+        return Tampered(edit)
+
+    def test_the_clean_tables_decode(self):
+        result = hex_compare_all_pairs(self.A, self.B, backend=Tampered(
+            lambda plan, tables: None
+        ))
+        assert result.t_matrix == [[True], [False]]
+
+    def test_a_pair_missing_from_its_final_meeting_cell(self):
+        with pytest.raises(SimulationError) as refused:
+            hex_compare_all_pairs(self.A, self.B, backend=self.edited(drop=1))
+        assert str(refused.value) == (
+            "c[1][0] did not exit its final meeting cell on pulse 2"
+        )
+
+    def test_an_arrival_tagged_for_another_pair(self):
+        with pytest.raises(SimulationError) as refused:
+            hex_compare_all_pairs(self.A, self.B, backend=self.edited())
+        assert str(refused.value) == (
+            "final-cell arrival for (1, 0) carries tag ('c', 0, 0)"
+        )

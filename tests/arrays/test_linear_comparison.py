@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.arrays import compare_tuples
+from repro.arrays import build_comparison_array, compare_tuples
 from repro.errors import SimulationError
-from repro.systolic.engine.materialize import build_linear_network
 from repro.systolic.metrics import ActivityMeter
 from repro.systolic.simulator import SystolicSimulator
 
@@ -49,8 +48,19 @@ class TestOneComparison:
 
     def test_meter_shows_diagonal_activity(self):
         # Exactly one cell is busy on each pulse (the staggered wavefront).
+        # Fig 3-1 is the comparison array of one tuple against one.
         meter = ActivityMeter()
-        network, _ = build_linear_network([1, 2, 3, 4], [1, 2, 3, 4])
+        network, _, _ = build_comparison_array([[1, 2, 3, 4]], [[1, 2, 3, 4]])
         SystolicSimulator(network, meter=meter).run(4)
         assert all(count == 1 for count in meter.busy_pulses.values())
         assert len(meter.busy_pulses) == 4
+
+    @pytest.mark.parametrize("backend", ["pulse", "lattice", "bitplane"])
+    def test_non_integer_elements_rejected_on_every_engine(self, backend):
+        # §2.3: the array compares integer-encoded elements; every engine
+        # runs the one-row grid, so every engine refuses the same way.
+        with pytest.raises(
+            SimulationError,
+            match=f"the {backend} engine needs integer-encoded A elements",
+        ):
+            compare_tuples(["a", "b"], ["a", "b"], backend=backend)

@@ -26,8 +26,10 @@ from repro.machine.plan import DEVICE_COMPARISON
 from repro.relational import Relation
 from repro.relational import relation as relation_module
 from repro.systolic.engine import PulseEngine, t_init_strict_lower, t_init_true
+from repro.systolic.engine.plan import tables_of
 from repro.systolic.simulator import SystolicSimulator
 from repro.workloads import overlapping_pair, relation_with_duplicates
+from tests.systolic.test_tap_tables import read_out
 
 # -- (i) build_*_array is the plan's materialization -------------------------
 
@@ -90,8 +92,7 @@ def test_built_array_is_the_plans_network(build, variant):
     simulator.run(plan.pulses)
     run = PulseEngine().run(plan)
     assert sorted(simulator.collectors) == sorted(plan.tap_names())
-    for name in plan.tap_names():
-        assert simulator.collector(name).records == run.collector(name).records
+    assert read_out(run.columnar) == read_out(tables_of(simulator.collectors))
 
     # The layout places every cell, accumulators one column past the grid.
     assert set(layout) == set(network.cells)

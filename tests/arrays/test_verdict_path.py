@@ -42,7 +42,6 @@ from repro.errors import SimulationError
 from repro.relational import Domain, MultiRelation, Relation, Schema
 from repro.systolic.engine import (
     BitplaneEngine,
-    ColumnarTap,
     EngineRun,
     GridPlan,
     LatticeEngine,
@@ -54,6 +53,7 @@ from repro.systolic.engine.plan import tables_of
 from repro.systolic.simulator import SystolicSimulator
 from repro.systolic.trace import TraceRecorder
 from tests.systolic.test_engine_equivalence import sized_lists, tuples2
+from tests.systolic.test_tap_tables import read_out
 
 SMALL = settings(max_examples=25, deadline=None)
 
@@ -339,7 +339,6 @@ class TestTapsStayUnbuilt:
         for name in ("_grid_taps", "_row_taps", "_accumulator_tap",
                      "_division_taps"):
             monkeypatch.setattr(LatticeEngine, name, refuse)
-        monkeypatch.setattr(ColumnarTap, "to_collector", refuse)
 
     @pytest.mark.parametrize("engine", [LatticeEngine, BitplaneEngine])
     def test_blocked_operators_build_no_tap(self, no_taps, engine):
@@ -388,16 +387,11 @@ class TestTapsStayUnbuilt:
         )
         run = LatticeEngine().run(plan)
         assert run.verdicts.sum() == 3
-        assert run._columnar is None and run._collectors is None
+        assert run._columnar is None
         assert "lazy" in repr(run)
-
-        def dump(collectors):
-            return {
-                name: [(p, t.value, t.tag) for p, t in collector]
-                for name, collector in sorted(collectors.items())
-            }
-
-        assert dump(run.collectors) == dump(PulseEngine().run(plan).collectors)
+        assert read_out(run.columnar) == read_out(
+            PulseEngine().run(plan).columnar
+        )
 
 
 class TestMalformedVerdictsAreRefused:

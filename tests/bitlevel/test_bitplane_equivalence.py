@@ -2,7 +2,7 @@
 
 The packed-bitplane engine claims §8's equivalence twice over: its
 uint64 plane kernels must reproduce the pulse-simulated bit-level
-arrays bit for bit (results, pulse counts, collector tags), and both
+arrays bit for bit (results, pulse counts, ghost tags), and both
 must equal the word-level originals.  Hypothesis sweeps widths 1–64
 and signed values; deterministic cases pin the ragged plane tails
 (n not a multiple of 64 lanes) that random small relations never
@@ -25,7 +25,15 @@ from repro.bitlevel import (
 )
 from repro.errors import SimulationError
 from repro.relational import Relation, Schema, algebra
-from repro.systolic.engine import default_backend, resolve_backend
+from repro.systolic.engine import (
+    BlockedPlan,
+    CounterStreamSchedule,
+    DivisionPlan,
+    GridPlan,
+    default_backend,
+    resolve_backend,
+    t_init_true,
+)
 from repro.errors import ConfigError
 from repro.systolic.engine.bitplane import BitplaneEngine
 from repro.workloads import overlapping_pair
@@ -212,3 +220,34 @@ class TestBackendEnvDefault:
     def test_explicit_backend_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "warp")  # never consulted
         assert isinstance(resolve_backend("bitplane"), BitplaneEngine)
+
+
+class TestRefusalsNameTheEngine:
+    """The bitplane engine inherits the lattice engine's grid, blocked
+    and division runs; a refusal there names the engine that refused."""
+
+    @pytest.mark.parametrize("backend", ["lattice", "bitplane"])
+    @pytest.mark.parametrize("plan, label", [
+        (GridPlan([["a"]], [["a"]], CounterStreamSchedule(1, 1, 1),
+                  t_init=t_init_true, row_taps=True), "A"),
+        (GridPlan([[1]], [["b"]], CounterStreamSchedule(1, 1, 1),
+                  t_init=t_init_true, row_taps=True), "B"),
+        (BlockedPlan(np.array([["a"]]), np.array([["a"]]), 1, 1, "rows",
+                     t_init=t_init_true), "A"),
+        (BlockedPlan(np.array([[1]]), np.array([["b"]]), 1, 1, "rows",
+                     t_init=t_init_true), "B"),
+        (DivisionPlan([("x", 1)], [0], [1]), "dividend"),
+    ], ids=["grid-A", "grid-B", "blocked-A", "blocked-B", "division"])
+    def test_plans(self, backend, plan, label):
+        with pytest.raises(
+            SimulationError,
+            match=f"^the {backend} engine needs integer-encoded {label} ",
+        ):
+            resolve_backend(backend).run(plan)
+
+    def test_through_an_operator(self):
+        with pytest.raises(
+            SimulationError,
+            match="^the bitplane engine needs integer-encoded A elements",
+        ):
+            compare_all_pairs([["a"]], [["a"]], backend="bitplane")

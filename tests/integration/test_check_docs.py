@@ -335,6 +335,37 @@ def test_one_run_format_rule_refuses_eager_collectors_and_record_reads(
     ]
 
 
+def test_one_run_format_rule_covers_every_operator_array(tmp_path):
+    """Not only the decode seam: an operator module that reads a run's
+    Token records (as the hex mesh and the linear array once did) is a
+    second decoder too."""
+    check_docs = _load_check_docs()
+    package = tmp_path / "repro"
+    (package / "arrays").mkdir(parents=True)
+    (package / "arrays" / "hexagonal.py").write_text(
+        "def hex_matrix_product(result, i, j, m):\n"
+        "    name = tap_name(i, j, m)\n"
+        "    token = result.collector(name).at(i + j + m - 1)\n"
+        "    return token.value\n"
+    )
+    (package / "arrays" / "linear_comparison.py").write_text(
+        "def compare_tuples(plan):\n"
+        "    result = execute(plan)\n"
+        "    collector = result.collector('t')\n"
+        "    return collector.at(plan.arity - 1), result.columnar\n"
+    )
+    (package / "arrays" / "join.py").write_text(
+        "def systolic_join(result, schedule):\n"
+        "    return pair_verdicts(result, schedule, False)\n"
+    )
+    problems = check_docs.check_one_run_format(root=package)
+    assert [problem.split(" — ")[0] for problem in problems] == [
+        "arrays/hexagonal.py:3: reads a run's `.collector`",
+        "arrays/linear_comparison.py:3: reads a run's `.collector`",
+        "arrays/linear_comparison.py:4: reads a run's `.columnar`",
+    ]
+
+
 def test_observer_rule_keeps_meters_and_traces_on_the_network(tmp_path):
     check_docs = _load_check_docs()
     package = tmp_path / "repro"

@@ -1,15 +1,14 @@
-"""The columnar fast path: lattice taps vs pulse Token collectors.
+"""The columnar fast path: lattice tap tables vs the pulse engine's.
 
-The lattice engine now returns :class:`ColumnarTap` arrays instead of
-eagerly building a Token per record; ``EngineRun`` materializes
-collectors only when asked.  These tests pin the contract down:
+The lattice engine returns one :class:`ColumnarTap` table per tapped
+edge, derived from its verdicts, and builds no Token.  These tests pin
+the contract down:
 
-* tap arrays are **bit-identical** to the pulse engine's collectors —
-  pulse stamps, values, and ghost tags — for join grids (tagged and
-  untagged), dedup ``t_init`` masks, and division;
+* its tables are **bit-identical** to the pulse engine's — positions,
+  pulse stamps, values, ghost tags and every column's dtype — for join
+  grids (tagged and untagged), dedup ``t_init`` masks, and division;
 * the canonical ``t_init`` callables carry whole-grid masks that agree
   with their per-element form;
-* materialization is lazy and per-tap;
 * the comparison chunk size is configurable (kwarg and environment).
 """
 
@@ -31,6 +30,7 @@ from repro.systolic.engine import (
     t_init_strict_lower,
     t_init_true,
 )
+from tests.systolic.test_tap_tables import read_out
 
 SMALL = settings(max_examples=25, deadline=None)
 
@@ -49,26 +49,16 @@ def grid_schedule(variant, n_a, n_b, arity=2):
 
 
 def pulse_dump(run):
-    """Pulse-engine ground truth: {tap: [(pulse, value, tag), ...]}."""
-    return {
-        name: [(p, t.value, t.tag) for p, t in collector]
-        for name, collector in sorted(run.collectors.items())
-    }
+    """Pulse-engine ground truth: every tap table's fields."""
+    return read_out(run.columnar)
 
 
 def tap_dump(run):
-    """The lattice run's taps through ``to_collector`` — must round-trip
-    to exactly the pulse representation, native Python types included."""
-    dumped = {}
-    for name in run.tap_names():
-        tap = run.tap(name)
-        assert isinstance(tap, ColumnarTap)
-        collector = tap.to_collector()
-        dumped[name] = [(p, t.value, t.tag) for p, t in collector]
-        for pulse, token in collector:
-            assert type(pulse) is int  # noqa: E721 — bit-identity incl. type
-            assert not isinstance(token.value, np.generic)
-    return dumped
+    """The lattice run's tables, field for field and dtype for dtype —
+    they must equal the pulse engine's exactly."""
+    assert all(isinstance(table, ColumnarTap)
+               for table in run.columnar.values())
+    return read_out(run.columnar)
 
 
 def assert_columnar_identical(plan):
@@ -92,8 +82,9 @@ class TestJoinTaps:
         run = assert_columnar_identical(plan)
         # Exit pulses within a row tap are non-decreasing, as a stream
         # of Tokens out of one physical edge must be.
-        for name in run.tap_names():
-            pulses = run.tap(name).pulses
+        table = run.table("t_row")
+        for row in range(table.width):
+            pulses = table.pulses[table.positions == row]
             assert (np.diff(pulses) >= 0).all()
 
     @SMALL
@@ -145,39 +136,11 @@ class TestDivisionTaps:
         plan = DivisionPlan(pairs, distinct_x, divisor, tagged=tagged)
         run = assert_columnar_identical(plan)
         # One AND token per dividend row, stamped by the §7 result law.
+        table = run.table("and_row")
         for row in range(len(distinct_x)):
-            tap = run.tap(f"and_row[{row}]")
-            assert len(tap) == 1
-            assert int(tap.pulses[0]) == plan.schedule.result_pulse(row)
-
-
-class TestLazyMaterialization:
-    def _run(self):
-        plan = GridPlan(
-            [(0, 1), (2, 3)], [(0, 1), (2, 2)],
-            grid_schedule("counter", 2, 2),
-            t_init=t_init_true, accumulate=True, row_taps=True,
-        )
-        return LatticeEngine().run(plan)
-
-    def test_taps_do_not_materialize_tokens(self):
-        run = self._run()
-        assert run._collectors is None
-        assert run.tap("t_i") is not None
-        assert run.tap("missing") is None
-        assert run._collectors is None
-
-    def test_single_collector_materializes_one_tap(self):
-        run = self._run()
-        collector = run.collector("t_i")
-        assert list(run._collectors) == ["t_i"]
-        assert run.collector("t_i") is collector  # cached, not rebuilt
-        with pytest.raises(SimulationError, match="no tap named"):
-            run.collector("nope")
-
-    def test_collectors_property_materializes_all(self):
-        run = self._run()
-        assert sorted(run.collectors) == run.tap_names()
+            pulses = table.pulses[table.positions == row]
+            assert len(pulses) == 1
+            assert int(pulses[0]) == plan.schedule.result_pulse(row)
 
 
 class TestChunkConfiguration:

@@ -5,7 +5,7 @@ The :class:`~repro.systolic.engine.LatticeEngine` and
 edge outputs and pulse counts without simulating cells.  Hypothesis
 drives randomized workloads through every plan type and through every
 operator, running each on all engines and comparing the complete
-observable surface: collector dumps (pulse, value, tag), pulses, cells
+observable surface: tap tables (every field and dtype), pulses, cells
 and hex peak firing.  (Busy counts and traces are the cell network's,
 taken with a simulator observer; an engine only computes.)
 """
@@ -49,10 +49,10 @@ from repro.systolic.engine import (
     GridPlan,
     HexPlan,
     LatticeEngine,
-    LinearPlan,
     PulseEngine,
     resolve_backend,
 )
+from tests.systolic.test_tap_tables import read_out
 
 SMALL = settings(max_examples=25, deadline=None)
 FEWER = settings(max_examples=10, deadline=None)
@@ -105,11 +105,8 @@ def run_both(plan):
 
 
 def dump(run):
-    """Every collector as {tap: [(pulse, value, tag), ...]}."""
-    return {
-        name: [(p, t.value, t.tag) for p, t in collector]
-        for name, collector in sorted(run.collectors.items())
-    }
+    """Every tap table's fields, in read-out order."""
+    return read_out(run.columnar)
 
 
 def assert_identical(plan):
@@ -176,6 +173,8 @@ class TestDivisionPlans:
 
 
 class TestLinearPlans:
+    """Fig 3-1: the comparison grid of one tuple against one."""
+
     @SMALL
     @given(
         a=sized_lists(st.integers(0, 3), 1, 40),
@@ -185,7 +184,10 @@ class TestLinearPlans:
     )
     def test_linear(self, a, b_same, seed, tagged):
         b = list(a) if b_same else [(v + 1) % 4 for v in a]
-        plan = LinearPlan(a, b, seed=seed, tagged=tagged)
+        plan = GridPlan(
+            [a], [b], CounterStreamSchedule(1, 1, len(a)),
+            t_init=lambda i, j: seed, row_taps=True, tagged=tagged,
+        )
         assert_identical(plan)
 
 
@@ -307,9 +309,15 @@ class TestOperatorsAcrossBackends:
     @given(a=tuples2, b=tuples2, seed=st.booleans())
     def test_linear_comparison(self, a, b, seed):
         pulse, *others = self._pair(compare_tuples, a, b, seed=seed)
+        assert pulse.equal is (seed and a == b)
+        assert pulse.result_pulse == len(a) - 1
         for other in others:
             assert other.equal == pulse.equal
-            assert other.run.pulses == pulse.run.pulses
+            assert other.result_pulse == pulse.result_pulse
+            assert (other.run.pulses, other.run.cells) == (
+                pulse.run.pulses, pulse.run.cells
+            )
+            assert (other.run.rows, other.run.cols) == (1, len(a))
 
 
 class TestBlockedAcrossBackends:

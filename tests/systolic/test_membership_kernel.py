@@ -44,6 +44,7 @@ from repro.systolic.engine import (
     t_init_true,
 )
 from repro.workloads import overlapping_pair
+from tests.systolic.test_tap_tables import read_out
 
 CASES = settings(max_examples=60, deadline=None)
 
@@ -96,8 +97,7 @@ def reference(A: np.ndarray, B: np.ndarray, t_init) -> np.ndarray:
 
 
 def records(run):
-    return [(pulse, token.value, token.tag)
-            for pulse, token in run.collector("t_i")]
+    return read_out({"t_i": run.table("t_i")})
 
 
 class TestGridRuns:

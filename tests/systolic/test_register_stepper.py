@@ -1,10 +1,11 @@
 """The register stepper against its reference, the hand-wired cell network.
 
-``PulseEngine`` steps grid, linear and division plans as numpy register
-planes (:mod:`repro.systolic.engine.registers`).  The cell-object
-simulator is what it is held to: for plans of every family the run must
-equal ``SystolicSimulator(materialize(plan))`` on every collector's
-``(pulse, value, tag)`` records — native Python types included — and a
+``PulseEngine`` steps grid and division plans as numpy register planes
+(:mod:`repro.systolic.engine.registers`); the Fig 3-1 linear array is
+the one-row grid.  The cell-object simulator is what it is held to: for
+plans of every family the run's tap tables must equal the network's
+records as tables (``tables_of(simulator.collectors)``), field for
+field and dtype for dtype — and a
 schedule that is wrong on its *input* side must be refused with the
 very message the cell network gives, for the first offending cell.
 The network is also where a run is watched: a trace recorded on it
@@ -26,7 +27,6 @@ from repro.systolic.engine import (
     ColumnarTap,
     DivisionPlan,
     GridPlan,
-    LinearPlan,
     PulseEngine,
     t_init_strict_lower,
     t_init_true,
@@ -112,6 +112,14 @@ def division_plans(draw):
     return DivisionPlan(pairs, distinct_x, divisor, tagged=draw(st.booleans()))
 
 
+def one_row_grid(a, b, seed, tagged):
+    """The Fig 3-1 linear array: the grid of one tuple against one."""
+    return GridPlan(
+        [a], [b], CounterStreamSchedule(1, 1, len(a)),
+        t_init=lambda i, j: seed, row_taps=True, tagged=tagged,
+    )
+
+
 def reference(network, pulses):
     """The cell network stepped cell by cell."""
     simulator = SystolicSimulator(network)
@@ -124,21 +132,15 @@ def assert_equals_reference(plan):
     network = materialize(plan)
     simulator = reference(network, plan.pulses)
 
-    # Columnar, lazy, and no verdicts: operators decode the taps.
-    assert run.verdicts is None and run._collectors is None
-    assert all(isinstance(run.tap(name), ColumnarTap)
-               for name in plan.tap_names())
+    # Tables, and no verdicts: operators decode the taps.
+    assert run.verdicts is None
+    assert all(isinstance(table, ColumnarTap)
+               for table in run.columnar.values())
     # Every tap, the ones nothing left through included.
-    assert sorted(run.collectors) == sorted(simulator.collectors)
-    assert sorted(run.collectors) == sorted(plan.tap_names())
-    for name, expected in simulator.collectors.items():
-        records = run.collector(name).records
-        assert records == expected.records
-        for pulse, token in records:
-            assert type(pulse) is int and type(token.value) is bool
-            assert token.tag is None or all(
-                type(index) is int for index in token.tag[1:]
-            )
+    assert sorted(simulator.collectors) == sorted(plan.tap_names())
+    assert read_out(run.columnar) == read_out(
+        tables_of(simulator.collectors)
+    )
     assert (run.pulses, run.cells) == (plan.pulses, len(network.cells))
 
 
@@ -195,7 +197,7 @@ class TestEqualsTheCellNetwork:
         b = list(a)
         if differ_at is not None:
             b[differ_at % len(b)] += 1
-        assert_equals_reference(LinearPlan(a, b, seed=seed, tagged=tagged))
+        assert_equals_reference(one_row_grid(a, b, seed, tagged))
 
     def test_a_traced_run_still_steps_cells(self):
         """A trace is taken on the plan's cell network, and what left
@@ -210,21 +212,17 @@ class TestEqualsTheCellNetwork:
         simulator.run(plan.pulses)
         assert trace.pulses == list(range(plan.pulses))
         assert "a_in" in trace.at(0)["cmp[0,0]"]
-        run = PulseEngine().run(plan)
         assert read_out(tables_of(simulator.collectors)) == read_out(
-            run.columnar
+            PulseEngine().run(plan).columnar
         )
-        for name, expected in simulator.collectors.items():
-            assert run.collector(name).records == expected.records
 
     @PLANS
     @given(plan=st.one_of(
         grid_plans(max_size=12),
         division_plans(),
         st.builds(
-            lambda a, flip, seed, tagged: LinearPlan(
-                a, [v ^ (k == flip) for k, v in enumerate(a)],
-                seed=seed, tagged=tagged,
+            lambda a, flip, seed, tagged: one_row_grid(
+                a, [v ^ (k == flip) for k, v in enumerate(a)], seed, tagged,
             ),
             st.lists(st.integers(0, 3), min_size=1, max_size=12),
             st.integers(-1, 11), st.booleans(), st.booleans(),
@@ -517,7 +515,7 @@ class TestWindowsChangeNothing:
     )
     def test_linear_plans(self, a, seed, tagged):
         b = a[::-1]
-        under_budgets(LinearPlan(a, b, seed=seed, tagged=tagged),
+        under_budgets(one_row_grid(a, b, seed, tagged),
                       assert_equals_reference)
 
     @pytest.mark.parametrize("plan", [

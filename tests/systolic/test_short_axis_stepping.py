@@ -39,6 +39,7 @@ from tests.systolic.test_register_stepper import (
     membership,
     under_budgets,
 )
+from tests.systolic.test_tap_tables import read_out
 
 
 def rows(n, arity, shift=0):
@@ -154,8 +155,7 @@ def test_the_walks_agree_with_a_pulse_by_pulse_loop():
 
 
 def records(run):
-    return {name: collector.records
-            for name, collector in run.collectors.items()}
+    return read_out(run.columnar)
 
 
 @pytest.mark.parametrize("schedule", [CounterStreamSchedule,

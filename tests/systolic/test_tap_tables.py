@@ -3,10 +3,10 @@
 A run's taps are one :class:`ColumnarTap` table per tapped edge —
 ``t_row`` and ``t_i`` of a grid, ``and_row`` of the division array —
 with a position column beside the pulse, value and tag-index columns.
-A tap by name (``run.tap("t_row[3]")``, ``run.collector(...)``) is that
-table's slice at one position and must equal the cell network's records
-for that tap, on the pulse, lattice and bitplane engines alike; the
-decoders of :mod:`repro.arrays.decode` read a table whole, and a table
+A run's tables must equal the cell network's records for its taps, as
+tables (``tables_of(simulator.collectors)``), on the pulse, lattice and
+bitplane engines alike; the decoders of :mod:`repro.arrays.decode` read
+a table whole, and a table
 with a duplicated, dropped, mis-tagged or mis-timed record must be
 refused with the very message the per-tap decoders gave.
 """
@@ -27,7 +27,6 @@ from repro.systolic.engine import (
     GridPlan,
     HexPlan,
     LatticeEngine,
-    LinearPlan,
     PulseEngine,
     t_init_strict_lower,
     t_init_true,
@@ -94,34 +93,31 @@ def test_taps_by_name_are_slices_of_one_table_an_edge(engine, tagged):
 
         tables = run.columnar
         assert set(tables) <= EDGES and tables
-        names = []
         for edge, table in tables.items():
             assert isinstance(table, ColumnarTap) and table.name == edge
             if edge == "t_i":
                 assert table.positions is None and table.width is None
             else:
                 assert len(table.positions) == len(table)
-            names.extend(table.taps())
             assert run.table(edge) is table
-        assert sorted(names) == sorted(plan.tap_names())
-        assert run.tap_names() == sorted(plan.tap_names())
-
-        for name in plan.tap_names():
-            expected = simulator.collector(name).records
-            tap = run.tap(name)
-            assert isinstance(tap, ColumnarTap) and tap.name == name
-            assert tap.positions is None
-            assert tap.to_collector().records == expected
-            assert run.collector(name).records == expected
-        assert run.tap("t_row[99]") is None and run.table("t") is None
+        # A tap by name is its edge's table at one position: the tables
+        # hold every tap of the plan, records and dtypes as the network's.
+        assert sorted(simulator.collectors) == sorted(plan.tap_names())
+        assert read_out(tables) == read_out(tables_of(simulator.collectors))
+        assert run.table("t") is None
 
 
 def test_a_linear_run_is_one_tap():
-    run = PulseEngine().run(LinearPlan([1, 2, 3], [1, 2, 3], tagged=True))
+    """Fig 3-1 is the grid of one tuple against one: its one tap is
+    position 0 of a ``t_row`` table one position wide."""
+    plan = GridPlan([[1, 2, 3]], [[1, 2, 3]], CounterStreamSchedule(1, 1, 3),
+                    t_init=t_init_true, row_taps=True, tagged=True)
+    run = PulseEngine().run(plan)
     (table,) = run.columnar.values()
-    assert table.name == "t" and table.width is None
-    assert run.tap_names() == ["t"]
-    assert run.collector("t").records[0][1].tag == ("t", 0, 0)
+    assert table.name == "t_row" and table.width == 1
+    assert table.positions.tolist() == [0] and table.pulses.tolist() == [2]
+    assert table.tag_kind == "t"
+    assert [column.tolist() for column in table.tag_indices] == [[0], [0]]
 
 
 # -- the decoders refuse a broken table with the per-tap decoders' words -----
@@ -331,7 +327,9 @@ class TestMissingEdges:
             f"the run has no {edge!r} tap table"
         )
         # A real run of another array: its tables, but not this edge.
-        other = PulseEngine().run(LinearPlan([1, 2], [1, 2], tagged=True))
+        other = PulseEngine().run(HexPlan(
+            [[1, 2]], [[1, 2]], COMPARISON_SEMIRING, tagged=True
+        ))
         with pytest.raises(SimulationError) as refused:
             decoder(other, plan.schedule, True)
         assert str(refused.value) == f"the run has no {edge!r} tap table"
@@ -403,7 +401,5 @@ def test_lattice_hex_tables_equal_the_pulse_networks():
                           for engine in (PulseEngine, LatticeEngine))
         assert set(pulse) == set(plan.tap_names())
         assert read_out(lattice) == read_out(pulse)
-        for name, table in pulse.items():
+        for table in pulse.values():
             assert (table.tag_kind == "c") is tagged
-            assert (lattice[name].to_collector().records
-                     == table.to_collector().records)

@@ -92,12 +92,12 @@ Thirteen checks, all run in CI next to the bench gate::
 12. **One run format.**  An ``EngineRun`` holds tap tables only: a
     run on the cell network hands back its Token records through
     ``tables_of``.  So no ``EngineRun(`` call under ``src/``
-    may pass ``collectors=``, and the decode seam
-    (:data:`DECODE_SEAM`) reads a run only through ``.verdicts`` and
-    ``.table(edge)`` — a ``.collector(`` / ``.collectors`` /
-    ``.tap(`` / ``.tap_names`` / ``.columnar`` read there is a second
-    decoder path forking off beside the audited tables, and fails
-    here.
+    may pass ``collectors=``, and no module of the operator arrays
+    (:data:`RUN_READERS`, the decode seam included) reads a run but
+    through ``.verdicts`` and ``.table(edge)`` — a ``.collector(`` /
+    ``.collectors`` / ``.tap(`` / ``.tap_names`` / ``.columnar`` read
+    there is a second decoder path forking off beside the audited
+    tables, and fails here.
 
 13. **Observers attach to the network.**  An engine only computes; a
     run is watched on its cell network, through a
@@ -592,8 +592,9 @@ def check_one_chunk_reader(root=ROOT / "src" / "repro") -> list[str]:
     return problems
 
 
-#: The operators' one reader of runs, and what it may not read a run by.
-DECODE_SEAM = "arrays/decode.py"
+#: Where runs are read (the operator arrays and their decode seam), and
+#: what they may not read a run by.
+RUN_READERS = "arrays/"
 _RECORD_READS = frozenset({
     "collector", "collectors", "tap", "tap_names", "columnar",
 })
@@ -619,12 +620,13 @@ def check_one_run_format(root=ROOT / "src" / "repro") -> list[str]:
                     f"Token records back as `tap_view=lambda: "
                     f"tables_of(records)`"
                 )
-            elif (where == DECODE_SEAM and isinstance(node, ast.Attribute)
+            elif (where.startswith(RUN_READERS)
+                    and isinstance(node, ast.Attribute)
                     and node.attr in _RECORD_READS):
                 problems.append(
                     f"{where}:{node.lineno}: reads a run's `.{node.attr}` "
-                    f"— the decoders read `.verdicts` and `.table(edge)` "
-                    f"only"
+                    f"— a run is read through `.verdicts` and "
+                    f"`.table(edge)` only, in `arrays/decode.py`"
                 )
     return problems
 
