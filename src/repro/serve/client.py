@@ -36,7 +36,14 @@ from repro.errors import (
 )
 from repro.faults.recovery import RetryPolicy, cancellable_sleep
 from repro.relational.relation import Relation
-from repro.serve.protocol import decode_line, encode_line, relation_to_wire
+# relation_to_wire stays a module attribute beside the codec names the
+# client calls, for a caller that wraps them all (the end-to-end
+# benchmark's timing shims); encode_line writes the relations.
+from repro.serve.protocol import (  # noqa: F401
+    decode_line,
+    encode_line,
+    relation_to_wire,
+)
 
 __all__ = ["ServiceClient"]
 
@@ -151,8 +158,7 @@ class ServiceClient:
         time; a server without a persistence root refuses it.
         """
         payload = self._placed({
-            "op": "store", "name": name,
-            "relation": relation_to_wire(relation),
+            "op": "store", "name": name, "relation": relation,
         }, key, replicate)
         if persist:
             payload["persist"] = True
@@ -167,8 +173,7 @@ class ServiceClient:
     ) -> dict[str, Any]:
         """Mark a relation memory-resident for this tenant's queries."""
         return self._request(self._placed({
-            "op": "preload", "name": name,
-            "relation": relation_to_wire(relation),
+            "op": "preload", "name": name, "relation": relation,
         }, key, replicate))
 
     @staticmethod

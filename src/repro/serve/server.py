@@ -40,7 +40,11 @@ from repro.machine.pool import EnginePool
 from repro.obs import metrics
 from repro.relational.csv_io import DomainRegistry
 from repro.store import RelationStore, pool_info
-from repro.serve.protocol import (
+# The four codec names are module attributes here and in the client,
+# where a caller that wraps the codec (the end-to-end benchmark's timing
+# shims) looks them up; relation_to_wire is not called here, because
+# encode_line writes the reply's relation.
+from repro.serve.protocol import (  # noqa: F401
     MAX_LINE_BYTES,
     decode_line,
     encode_line,
@@ -384,8 +388,9 @@ class ReproServer:
                 timeout=request.get("timeout"),
             )
             result = results[0]
+            # encode_line writes the relation in its wire form.
             return (
-                {"ok": True, "relation": relation_to_wire(result),
+                {"ok": True, "relation": result,
                  "rows": len(result), "makespan_ms": report.makespan * 1e3},
                 tenant, False,
             )

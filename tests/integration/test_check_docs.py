@@ -418,3 +418,53 @@ def test_observer_rule_keeps_meters_and_traces_on_the_network(tmp_path):
         "systolic/engine/pulse.py:3: takes `meter`",
         "systolic/engine/pulse.py:3: takes `trace`",
     ]
+
+
+def test_one_wire_writer_rule_keeps_json_and_rows_in_the_protocol(tmp_path):
+    check_docs = _load_check_docs()
+    package = tmp_path / "repro"
+    for directory in ("serve", "obs"):
+        (package / directory).mkdir(parents=True)
+    (package / "serve" / "protocol.py").write_text(
+        "import json\n"
+        "def encode_line(payload):\n"
+        "    return json.dumps(payload).encode()\n"
+        "def relation_to_wire(relation):\n"
+        "    return {'rows': relation.array.tolist()}\n"
+    )
+    (package / "serve" / "server.py").write_text(
+        '"""Replies are never ``json.dumps``-ed here: prose."""\n'
+        "from repro.serve.protocol import decode_line, encode_line\n"
+        "def answer(line, result):\n"
+        "    request = decode_line(line)\n"
+        "    return encode_line({'ok': True, 'relation': result})\n"
+    )
+    (package / "obs" / "export.py").write_text(
+        "import json\n"
+        "def write(record):\n"
+        "    return json.dumps(record, sort_keys=True)\n"
+    )
+    assert check_docs.check_one_wire_writer(root=package) == []
+
+    # The shapes a second codec path would take: a reply boxed and
+    # dumped beside the writer, a client parsing lines itself.
+    (package / "serve" / "server.py").write_text(
+        "import json\n"
+        "from repro.serve.protocol import encode_line\n"
+        "def answer(result):\n"
+        "    rows = result.array.tolist()\n"
+        "    return json.dumps({'ok': True, 'rows': rows}).encode()\n"
+    )
+    (package / "serve" / "client.py").write_text(
+        "from json import loads as parse\n"
+        "def read(line, domain, codes):\n"
+        "    return parse(line), domain.decode_many(codes)\n"
+    )
+    problems = check_docs.check_one_wire_writer(root=package)
+    assert [problem.split(" — ")[0] for problem in problems] == [
+        "serve/client.py:1: uses `json`",  # an alias is caught here
+        "serve/client.py:3: uses `decode_many(`",
+        "serve/server.py:1: uses `json`",
+        "serve/server.py:4: uses `tolist(`",
+        "serve/server.py:5: uses `dumps(`",
+    ]

@@ -9,7 +9,10 @@ the mix of domains, value types and duplicates; and the same exception
 class and message for everything the reference refuses.  Replies are
 decoded through ``Domain.decode_array`` when every member is a 64-bit
 int, so that path is held to ``decode_many`` too, down to the bytes of
-a live server's reply line.
+a live server's reply line.  Above a crossover those decoded members
+are written to JSON straight from their int64 matrix, so every line
+``encode_line`` writes for a relation is held to ``json.dumps`` of the
+reference payload, byte for byte.
 """
 
 from __future__ import annotations
@@ -17,21 +20,24 @@ from __future__ import annotations
 import copy
 import json
 import socket
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from repro.errors import ReproError
 from repro.relational.domain import Domain, IntegerDomain
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, Schema
+import repro.serve.protocol as protocol
 from repro.serve import (
     ServiceClient,
     encode_line,
     relation_from_wire,
     relation_to_wire,
 )
+from repro.serve.protocol import ROWS_WRITER_MIN_ELEMENTS
 
 CASES = settings(max_examples=60, deadline=None)
 INT64_ENDS = [-(2**63), 2**63 - 1]
@@ -49,6 +55,11 @@ def reference_to_wire(relation):
         ],
         "rows": [list(row) for row in relation.decoded()],
     }
+
+
+def reference_line(payload):
+    """A message as the protocol has always written it."""
+    return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 def reference_from_wire(payload, registry):
@@ -453,27 +464,178 @@ class TestDecodeArray:
         assert domain.decode_array(np.array([], dtype=np.int64)).size == 0
 
 
+# -- the rows writer: encode_line against json.dumps ---------------------------
+
+
+#: Values of every width, the ends of the word and the limb edges.
+INT64S = st.one_of(
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.sampled_from(INT64_ENDS + [
+        0, -1, 9, 10, 9999, 10**4, -(10**4), 10**8 - 1, 10**8, 10**16,
+        -(10**18),
+    ]),
+    st.integers(min_value=-20_000, max_value=20_000),
+)
+
+#: Members no int64 matrix can hold: the relation takes the fallback.
+NOT_INT64 = st.sampled_from([
+    "a", "ß\"\n", 1.5, -0.0, True, None, 2**63, -(2**63) - 1, 2**70,
+])
+
+
+@st.composite
+def int_matrices(draw):
+    """An int64 matrix of 1-8 columns whose size (rows × arity) lands on
+    either side of the crossover: a few drawn values, and from a seeded
+    generator, values of every decimal width up to 19 digits."""
+    arity = draw(st.integers(min_value=1, max_value=8))
+    rows = draw(st.integers(
+        min_value=0, max_value=2 * ROWS_WRITER_MIN_ELEMENTS // arity + 2,
+    ))
+    values = np.array(draw(st.lists(INT64S, min_size=1, max_size=12)),
+                      dtype=np.int64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bound = 10 ** rng.integers(0, 19, size=(rows, arity))
+    spread = rng.integers(-bound, bound)
+    chosen = rng.choice(values, size=(rows, arity))
+    return np.where(rng.random((rows, arity)) < 0.5, chosen, spread)
+
+
+def relation_of(matrix, kinds, odd=()):
+    """A relation whose decoded members are ``matrix``: an
+    ``IntegerDomain`` column (``"n"``; negatives flipped to ``~v``) holds
+    its values as codes, a dictionary column (``"d"``) holds indexes into
+    its members.  ``odd`` (one member, in a tuple) adds a dictionary
+    column with that member too, which sends the relation down the
+    value-by-value path."""
+    columns, codes = [], []
+    for position, kind in enumerate(kinds):
+        column = matrix[:, position]
+        if kind == "n":
+            column = np.where(column < 0, ~column, column)
+            columns.append((f"c{position}", IntegerDomain(f"n{position}")))
+            codes.append(column)
+        else:
+            members, index = np.unique(column, return_inverse=True)
+            members = members.tolist()[::-1]  # codes not in value order
+            columns.append((f"c{position}", Domain(f"d{position}", members)))
+            codes.append(len(members) - 1 - index.reshape(-1))
+    if odd:
+        columns.append(("odd", Domain("odd", [7, *odd])))
+        codes.append(np.arange(len(matrix)) % 2)
+    schema = Schema.of(*columns)
+    return Relation(schema, np.stack(codes, axis=1).reshape(
+        len(matrix), len(columns)
+    ))
+
+
+def assert_lines_are_the_reference(relation):
+    """A query reply and a placed, persisted store request, as the
+    server and the client build them; returns whether the rows writer
+    wrote the relation."""
+    sent = []
+    client = ServiceClient("localhost", 0)
+    client._request = lambda payload: sent.append(payload) or {}
+    client.store("R", relation, key="c0", persist=True)
+    client.preload("P", relation, replicate=True)
+    reply = {"ok": True, "relation": relation, "rows": len(relation),
+             "makespan_ms": 0.125}
+    with mock.patch.object(
+        protocol, "_rows_json", wraps=protocol._rows_json
+    ) as writer:
+        for payload in (reply, *sent):
+            assert isinstance(payload["relation"], Relation)
+            assert encode_line(payload) == reference_line(
+                {**payload, "relation": reference_to_wire(relation)}
+            )
+    assert [list(payload) for payload in sent] == [
+        ["op", "name", "relation", "key", "persist"],
+        ["op", "name", "relation", "replicate"],
+    ]
+    return writer.call_count > 0
+
+
+class TestRowsWriter:
+    @CASES
+    @given(
+        matrix=int_matrices(),
+        kinds=st.lists(st.sampled_from("nd"), min_size=8, max_size=8),
+    )
+    @example(  # both ends of the word, past the crossover
+        matrix=np.array(
+            [[-(2**63) + i, 2**63 - 1 - i] * 4 for i in range(40)],
+            dtype=np.int64,
+        ),
+        kinds=["d"] * 8,
+    )
+    def test_int_members_are_written_as_json_dumps_writes_them(
+        self, matrix, kinds
+    ):
+        """Columns of ``IntegerDomain`` (``n``) or int dictionary (``d``)
+        domains, the first ``arity`` of ``kinds``."""
+        relation = relation_of(matrix, kinds[:matrix.shape[1]])
+        wrote = assert_lines_are_the_reference(relation)
+        event("rows writer" if wrote else "boxed")
+        assert wrote == (relation.array.size >= ROWS_WRITER_MIN_ELEMENTS)
+
+    @CASES
+    @given(matrix=int_matrices(), odd=NOT_INT64)
+    def test_a_member_that_is_not_a_64_bit_int_takes_the_fallback(
+        self, matrix, odd
+    ):
+        relation = relation_of(matrix, "d" * matrix.shape[1], odd=(odd,))
+        assert not assert_lines_are_the_reference(relation)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_both_sides_of_the_crossover(self, extra):
+        rows = ROWS_WRITER_MIN_ELEMENTS // 2 + extra
+        matrix = np.arange(2 * rows, dtype=np.int64).reshape(rows, 2)
+        matrix[::3] *= -(10**15) - 7
+        for kinds in ("nn", "dd", "nd"):
+            relation = relation_of(matrix, kinds)
+            assert assert_lines_are_the_reference(relation) == (
+                2 * rows >= ROWS_WRITER_MIN_ELEMENTS
+            )
+
+    def test_a_code_outside_the_dictionary_fails_as_before(self):
+        domain = Domain("d", [10, 20, 30])
+        schema = Schema.of(("x", domain), ("n", IntegerDomain("n")))
+        rows = np.stack([np.arange(200) % 3, np.arange(200)], axis=1)
+        rows[150, 0] = 3
+        relation = Relation(schema, rows)
+        ref = outcome(lambda: reference_to_wire(relation))
+        assert ref[:2] == ("raised", "DomainError")
+        assert outcome(
+            lambda: encode_line({"ok": True, "relation": relation})
+        ) == ref
+
+
 class TestLiveReply:
     def test_a_query_reply_line_is_the_reference_payload_encoded(
         self, monkeypatch
     ):
-        """Byte for byte, over a socket: an all-int reply (the array
-        path) and a mixed one (the fallback)."""
+        """Byte for byte, over a socket: an all-int reply past the rows
+        writer's crossover (the writer), a small one (boxed) and a
+        mixed one (the fallback)."""
         import repro.serve.server as server_module
 
         from .test_serve import _ServerHarness
 
         replied = []
-        to_wire = server_module.relation_to_wire
+        encode = server_module.encode_line
 
-        def capturing(relation):
-            replied.append(relation)
-            return to_wire(relation)
+        def capturing(payload):
+            if isinstance(payload.get("relation"), Relation):
+                replied.append(payload["relation"])
+            return encode(payload)
 
-        monkeypatch.setattr(server_module, "relation_to_wire", capturing)
+        monkeypatch.setattr(server_module, "encode_line", capturing)
         ints = Schema.of(("a", IntegerDomain("a")), ("b", Domain("b")))
         mixed = Schema.of(("k", Domain("k")), ("v", Domain("v")))
         sent = {
+            "WIDE": Relation.from_values(
+                ints, [(i, -(2**63) + 7 * i) for i in range(300)]
+            ),
             "INTS": Relation.from_values(
                 ints, [(i, 2**63 - 1 - i) for i in range(20)]
             ),
@@ -495,7 +657,7 @@ class TestLiveReply:
                     ))
                     line = reader.readline()
                     reply = json.loads(line)
-                    assert line == encode_line({
+                    assert line == reference_line({
                         "ok": True,
                         "relation": reference_to_wire(replied[-1]),
                         "rows": reply["rows"],
@@ -509,4 +671,6 @@ class TestLiveReply:
             )
             for relation in replied
         ]
-        assert fast == [True, False]
+        assert fast == [True, True, False]
+        assert [relation.array.size >= ROWS_WRITER_MIN_ELEMENTS
+                for relation in replied] == [True, False, False]

@@ -213,18 +213,23 @@ class TestClientTimeoutDesync:
         faults = parse_faults("slow:join0:1.5", seed=0)
         with _ServerHarness(faults=faults) as harness:
             host, port = harness.address
-            db = ServiceClient(host, port, timeout=0.4, retries=0)
+            db = ServiceClient(host, port, timeout=30.0, retries=0)
             db.connect()
             try:
                 db.store("A", a)
                 db.store("B", b)
                 db.store("R", ja)
                 db.store("S", jb)
+                # Only the slowed query runs under the short bound: on a
+                # slow host the setup above may take longer than 0.4s.
+                db.timeout = 0.4
+                db._sock.settimeout(db.timeout)
                 with pytest.raises(ServiceRetryableError, match="torn down"):
                     db.query("join(R, S, #0 == #0)")   # slowed past 0.4s
                 assert db._sock is None                # connection dropped
                 # The next request reconnects (fresh hello) and gets
                 # *its own* answer, not the slow query's late reply.
+                db.timeout = 30.0
                 reply = db.query("intersect(A, B)")
                 assert reply["ok"]
                 assert db.ping()

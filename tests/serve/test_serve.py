@@ -217,15 +217,16 @@ class TestReplyOffTheLoop:
         a, b = overlapping_pair(10, 8, 5, arity=2, seed=9)
         encoding, release = threading.Event(), threading.Event()
         encoders: list[threading.Thread] = []
-        to_wire = server_module.relation_to_wire
+        encode = server_module.encode_line
 
-        def slow_to_wire(relation):
-            encoders.append(threading.current_thread())
-            encoding.set()
-            assert release.wait(10.0), "nobody released the encoder"
-            return to_wire(relation)
+        def slow_encode(payload):
+            if isinstance(payload.get("relation"), Relation):  # the reply
+                encoders.append(threading.current_thread())
+                encoding.set()
+                assert release.wait(10.0), "nobody released the encoder"
+            return encode(payload)
 
-        monkeypatch.setattr(server_module, "relation_to_wire", slow_to_wire)
+        monkeypatch.setattr(server_module, "encode_line", slow_encode)
         with _ServerHarness() as harness:
             host, port = harness.address
             with ServiceClient(host, port) as db, ServiceClient(
@@ -252,7 +253,15 @@ class TestReplyOffTheLoop:
 
 def _wait_for(condition, seconds: float = 10.0):
     """Poll ``condition()`` until it is truthy or ``seconds`` pass;
-    returns its last value."""
+    returns its last value.
+
+    For what the server shows only through its ``health`` verb: the
+    admission gate signals a freed slot, never an arrival, so there is
+    no event to wait on for "N queries wait at the gate".  The bound is
+    loose on purpose: the loop returns as soon as the condition holds
+    (milliseconds on an idle host), and ten seconds only caps a host too
+    loaded to schedule the waiting threads; the caller asserts the
+    exact state afterwards, so a late arrival cannot pass unseen."""
     deadline = time.monotonic() + seconds
     while not (value := condition()) and time.monotonic() < deadline:
         time.sleep(0.01)
@@ -277,9 +286,16 @@ class TestConnectionThreads:
 
     def test_stop_answers_the_query_in_flight(self):
         ja, jb = join_pair(10, 8, 4, seed=31)
-        harness = _ServerHarness(
-            faults=parse_faults("slow:join0:0.3", seed=0)
-        ).__enter__()
+        pool = EnginePool(faults=parse_faults("slow:join0:0.3", seed=0))
+        running = threading.Event()
+        run_fresh = pool._run_fresh
+
+        def noted_run_fresh(*args, **kwargs):
+            running.set()  # admitted: the gate's slot is held
+            return run_fresh(*args, **kwargs)
+
+        pool._run_fresh = noted_run_fresh
+        harness = _ServerHarness(pool=pool).__enter__()
         stopped = False
         db = ServiceClient(*harness.address, retries=0).connect()
         try:
@@ -290,10 +306,7 @@ class TestConnectionThreads:
                 target=lambda: reply.update(db.query("join(R, S, #0 == #0)"))
             )
             asker.start()
-            with ServiceClient(*harness.address) as probe:
-                assert _wait_for(
-                    lambda: probe.health()["admission"]["active"]
-                ), "the query never started"
+            assert running.wait(10.0), "the query never started"
             harness.__exit__(None, None, None)
             stopped = True
             asker.join(10.0)

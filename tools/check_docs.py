@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Keep the documentation and the code from drifting apart.
 
-Thirteen checks, all run in CI next to the bench gate::
+Fourteen checks, all run in CI next to the bench gate::
 
     python tools/check_docs.py
 
@@ -107,6 +107,15 @@ Thirteen checks, all run in CI next to the bench gate::
     ``trace``, and only the simulator kit (:data:`OBSERVER_HOMES`)
     imports ``ActivityMeter`` or ``TraceRecorder`` — a second way to
     watch a run, threaded through the engines, fails here.
+
+14. **One wire writer.**  ``encode_line`` writes every protocol line
+    and every relation in it, rows straight from the int64 matrix of
+    members, and ``decode_line`` reads every line.  So under
+    ``src/repro/serve/`` only the protocol module (:data:`WIRE_CODEC`)
+    imports ``json`` or calls ``dumps`` / ``loads`` / ``dump`` /
+    ``load``, or turns a relation into rows — ``.tolist()``,
+    ``.decoded()``, ``decode_many`` / ``decode_array``.  A second codec
+    path growing beside the writer, with its own bytes, fails here.
 
 Exits non-zero with one line per problem.
 """
@@ -678,6 +687,48 @@ def check_observers_on_the_network(root=ROOT / "src" / "repro") -> list[str]:
     return problems
 
 
+#: The one module under ``serve/`` that writes and reads the wire, and
+#: the calls that would make a second codec path anywhere else there.
+WIRE_CODEC = "serve/protocol.py"
+_WIRE_CALLS = frozenset({
+    "dumps", "loads", "dump", "load", "tolist", "decoded", "decode_many",
+    "decode_array",
+})
+
+
+def check_one_wire_writer(root=ROOT / "src" / "repro") -> list[str]:
+    problems: list[str] = []
+    for source in sorted((root / "serve").rglob("*.py")):
+        where = source.relative_to(root).as_posix()
+        if where == WIRE_CODEC:
+            continue
+        nodes = sorted(
+            ast.walk(ast.parse(source.read_text())),
+            key=lambda node: (getattr(node, "lineno", 0),
+                              getattr(node, "col_offset", 0)),
+        )
+        for node in nodes:
+            if isinstance(node, ast.Import):
+                named = [a.name for a in node.names
+                         if a.name.split(".")[0] == "json"]
+            elif isinstance(node, ast.ImportFrom):
+                named = [node.module] if node.module == "json" else []
+            elif isinstance(node, ast.Call):
+                func = (getattr(node.func, "attr", None)
+                        or getattr(node.func, "id", None))
+                named = [f"{func}("] if func in _WIRE_CALLS else []
+            else:
+                continue
+            problems += [
+                f"{where}:{node.lineno}: uses `{name}` — only "
+                f"{WIRE_CODEC} writes or reads the wire or turns a "
+                f"relation into rows; put the Relation in the message and "
+                f"let `encode_line` write it"
+                for name in named
+            ]
+    return problems
+
+
 def main() -> int:
     problems = (
         check_metric_table() + check_links()
@@ -686,6 +737,7 @@ def main() -> int:
         + check_one_stored_form() + check_proof_producers()
         + check_operator_facts() + check_one_chunk_reader()
         + check_one_run_format() + check_observers_on_the_network()
+        + check_one_wire_writer()
     )
     for problem in problems:
         print(problem, file=sys.stderr)
@@ -708,7 +760,8 @@ def main() -> int:
         f"{len(OPERATOR_BRANCHERS)} files only, "
         f"chunk files read by {CHUNK_READER[1]} only, "
         f"runs read as tap tables only, "
-        f"observers imported by the simulator kit only"
+        f"observers imported by the simulator kit only, "
+        f"the wire written and read by {WIRE_CODEC} only"
     )
     return 0
 

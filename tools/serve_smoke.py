@@ -10,6 +10,11 @@ the server down cleanly (SIGINT), and then asserts that
   does not read in between, is answered from the caches: by the
   ``stats`` verb, plan-cache misses do not grow and statement-cache
   hits do;
+* a selection of several hundred rows from a stored relation (a reply
+  past the rows writer's crossover, sent by the client's writer too)
+  and a query over a string-domain column (the value-by-value path)
+  each answer what ``repro.lang.query(..., engine="software")`` answers
+  over the same relations decoded the way the server decodes them;
 * the server exited 0 after printing its clean-shutdown line, with a
   client still connected and idle when it was interrupted;
 * the JSONL trace it wrote contains nonzero ``service.*`` metrics
@@ -32,11 +37,62 @@ import time
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
 
+from repro import lang  # noqa: E402
+from repro.relational import Domain, IntegerDomain, Relation, Schema  # noqa: E402
 from repro.serve import ServiceClient  # noqa: E402
-from repro.workloads import join_pair  # noqa: E402
+from repro.serve.protocol import (  # noqa: E402
+    ROWS_WRITER_MIN_ELEMENTS,
+    relation_from_wire,
+    relation_to_wire,
+)
+from repro.workloads import join_pair, random_relation  # noqa: E402
 
 QUERY = "project(join(R, S, #0 == #0), #0, #1)"
 HOT_REPEATS = 50
+#: A selection of several hundred rows, and one over a string domain.
+WIDE_QUERY = "select(BIG, c1 < 400)"
+NAMED_QUERY = "select(NAMES, id < 40)"
+
+
+def check_replies(host: str, port: int) -> None:
+    """Both queries over the wire equal the software engine's answer."""
+    relations = {
+        "BIG": random_relation(1200, 3, seed=33),
+        "NAMES": Relation.from_values(
+            Schema.of(("id", IntegerDomain("id")), ("name", Domain("name"))),
+            [(i, f"name-{i % 17}") for i in range(60)],
+        ),
+    }
+    # The server resolves a wire column's domain by name in the tenant's
+    # registry, so its codes (which a range selection compares) are the
+    # ones a registry of our own assigns to the same stores.
+    registry: dict = {}
+    replica = {
+        name: relation_from_wire(relation_to_wire(relation), registry)
+        for name, relation in relations.items()
+    }
+    with ServiceClient(host, port, tenant="wire") as db:
+        for name, relation in relations.items():
+            db.store(name, relation)
+        for expr in (WIDE_QUERY, NAMED_QUERY):
+            reply = db.query(expr)
+            rows = sorted(map(tuple, reply["relation"]["rows"]))
+            expected = lang.query(expr, replica, engine="software")
+            if rows != sorted(expected.decoded()) or reply["rows"] != len(
+                expected
+            ):
+                raise SystemExit(
+                    f"{expr}: {reply['rows']} rows over the wire differ "
+                    f"from the software engine's {len(expected)}"
+                )
+            print(f"{expr}: {len(rows)} rows, equal to the software engine")
+            if expr == WIDE_QUERY and (
+                len(rows) * len(expected.schema) < ROWS_WRITER_MIN_ELEMENTS
+            ):
+                raise SystemExit(
+                    f"{expr}: {len(rows)} rows stay below the rows "
+                    f"writer's crossover ({ROWS_WRITER_MIN_ELEMENTS} elements)"
+                )
 
 
 def main() -> int:
@@ -123,6 +179,8 @@ def main() -> int:
             )
         print(f"{repeats} hot queries: 0 plan-cache misses, "
               f"{hits} statement-cache hits")
+
+        check_replies(host, port)
 
         # An idle connection must not hold the shutdown up.
         lingering = ServiceClient(host, port, tenant="tenant0", retries=0)
