@@ -60,9 +60,12 @@ def _machine(catalog):
     return machine
 
 
-def _law_stages(machine, catalog, plan, report):
+def _law_stages(machine, catalog, plan, report, variants):
     """Independent stage costs: stand-alone times from the
-    store-and-forward run, fills from the schedule arithmetic."""
+    store-and-forward run, fills from the schedule arithmetic of the
+    variant each stage runs in the chain (``variants``: label → the
+    pipelined plan's choice, made for the chain and so not always the
+    store-and-forward plan's)."""
     joined = algebra.join(catalog["JA"], catalog["JB"], [("key", "key")])
     inputs = {
         CHAIN_LABELS[0]: [catalog["JA"], catalog["JB"]],
@@ -80,7 +83,8 @@ def _law_stages(machine, catalog, plan, report):
         [step] = [s for s in report.steps if s.label == label]
         device = next(d for d in machine.devices if d.name == step.device)
         cost = actual_cost(nodes[label], inputs[label],
-                           device.capacity.max_rows, device.capacity.max_cols)
+                           device.capacity.max_rows, device.capacity.max_cols,
+                           variant=variants[label])
         fill = min(device.technology.pulses_to_seconds(cost.fill_pulses),
                    step.duration)
         stages.append(StageCost(name=label, fill=fill,
@@ -108,7 +112,10 @@ def run_scenario(n_a: int, n_b: int, n_keys: int, seed: int) -> dict:
     )
     assert result_p == expected and result_s == expected
 
-    timing = analyze_chain(_law_stages(forward, catalog, plan, report_s))
+    variants = {op.label: op.variant for op in physical.ops}
+    timing = analyze_chain(
+        _law_stages(forward, catalog, plan, report_s, variants)
+    )
     chain_steps = [s for s in report_p.steps if s.device != "disk"]
     chain_span = (max(s.end for s in chain_steps)
                   - min(s.start for s in chain_steps))

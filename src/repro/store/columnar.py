@@ -704,7 +704,9 @@ class RelationStore:
     ) -> StoredRelation:
         """Persist a relation, replacing any previous version."""
         return self._write_rows(
-            name, relation.array, relation.schema, chunk_rows, index_columns
+            name, relation.array, relation.schema, chunk_rows, index_columns,
+            # A Relation is a set already; anything else is searched.
+            distinct=isinstance(relation, Relation),
         )
 
     def write_array(
@@ -745,13 +747,15 @@ class RelationStore:
         schema: Schema,
         chunk_rows: int,
         index_columns: Optional[Sequence[ColumnRef]],
+        distinct: bool = False,
     ) -> StoredRelation:
         _check_name(name)
         if chunk_rows < 1:
             raise StoreError(f"chunk_rows must be >= 1, got {chunk_rows}")
-        # Set semantics, proved here once: every read of this manifest
-        # carries the result instead of repeating the search.
-        first = _first_occurrences(array)
+        # Set semantics, proved here once (or carried in by ``distinct``,
+        # the rows of a Relation): every read of this manifest carries
+        # the result instead of repeating the search.
+        first = None if distinct else _first_occurrences(array)
         if first is not None:
             array = array[first]
         n = len(array)

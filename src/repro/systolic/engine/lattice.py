@@ -360,9 +360,12 @@ class LatticeEngine:
         side by side is comparing against all of B — so a band of whole
         A-blocks against all of B *is* those blocks' results, and the
         pulses they would take are the plan's block-span law.  Bands
-        are whole A-blocks sized by ``chunk_bytes`` (:meth:`_band_rows`)
-        and reduced as they are produced, so what is held at once is one
-        band of ``T`` plus what the plan keeps of it.  ``"rows"`` is
+        are whole multiples of the law's ``band_unit`` — A-blocks
+        counter-streaming, single tuples of the one A stream on the
+        fixed-relation variant — sized by ``chunk_bytes``
+        (:meth:`_band_rows`) and reduced as they are produced, so what
+        is held at once is one band of ``T`` plus what the plan keeps
+        of it.  ``"rows"`` is
         :meth:`_membership`, which may rank instead of comparing.
         """
         # The reduction is the decode seam's (what operators read);
@@ -374,10 +377,10 @@ class LatticeEngine:
         B = operand_matrix(plan.b_tuples, n_b, m, self.name, "B")
         if plan.reduce == "rows":
             verdicts = self._membership(
-                A, B, plan.t_init, plan.ops, block=plan.tuple_block
+                A, B, plan.t_init, plan.ops, block=plan.law.band_unit
             )
         else:
-            band = self._band_rows(n_b, m, plan.tuple_block)
+            band = self._band_rows(n_b, m, plan.law.band_unit)
             reduction = Reduction(plan)
             for lo in range(0, n_a, band):
                 V = self._verdict_matrix(A[lo:lo + band], B, plan.ops)

@@ -468,3 +468,64 @@ def test_one_wire_writer_rule_keeps_json_and_rows_in_the_protocol(tmp_path):
         "serve/server.py:4: uses `tolist(`",
         "serve/server.py:5: uses `dumps(`",
     ]
+
+
+def test_variant_rule_keeps_the_choice_in_the_planner(tmp_path):
+    check_docs = _load_check_docs()
+    package = tmp_path / "repro"
+    for directory in ("machine", "shard", "arrays", "systolic/engine"):
+        (package / directory).mkdir(parents=True)
+    (package / "machine" / "physical.py").write_text(
+        "def choose(options):\n"
+        "    best = min(options, key=lambda o: o.seconds)\n"
+        "    return 'fixed' if best.variant == 'fixed' else 'counter'\n"
+    )
+    (package / "machine" / "execution.py").write_text(
+        '"""Runs each op in the variant the plan recorded."""\n'
+        "def run(device, op, inputs):\n"
+        "    return device.execute(op.node, inputs, variant=op.variant)\n"
+    )
+    (package / "machine" / "device.py").write_text(
+        "def execute(node, inputs, variant='counter'):\n"
+        "    return runner(node, inputs, variant=variant)\n"
+    )
+    (package / "systolic" / "engine" / "schedule.py").write_text(
+        "def block(n_a, n_b, arity):\n"
+        "    return FixedRelationSchedule(n_a, n_b, arity)\n"
+    )
+    (package / "arrays" / "base.py").write_text(
+        "def grid_schedule(n_a, n_b, arity):\n"
+        "    return FixedRelationSchedule(n_a=n_a, n_b=n_b, arity=arity)\n"
+    )
+    assert check_docs.check_one_variant_choice(root=package) == []
+
+    # The shapes a second choice would take: a lane that picks for
+    # itself, a device that branches, a schedule built on the side, and
+    # a knob that forces one.
+    (package / "shard" / "executor.py").write_text(
+        "def run_lane(device, op, inputs):\n"
+        "    return device.execute(op.node, inputs, variant='fixed')\n"
+    )
+    (package / "machine" / "device.py").write_text(
+        "def execute(node, inputs, variant='counter'):\n"
+        "    if variant != 'counter':\n"
+        "        return held(node, inputs)\n"
+        "    return runner(node, inputs, variant=variant or 'counter')\n"
+    )
+    (package / "arrays" / "join.py").write_text(
+        "def plan(a, b):\n"
+        "    return FixedRelationSchedule(len(a), len(b), 1)\n"
+    )
+    (package / "machine" / "config.py").write_text(
+        "import os\n"
+        "FORCED = os.environ.get('REPRO_BLOCKED_VARIANT')\n"
+        "FLAG = '--variant'\n"
+    )
+    problems = check_docs.check_one_variant_choice(root=package)
+    assert [problem.split(": ", 1)[0] for problem in problems] == [
+        "arrays/join.py:2",
+        "machine/config.py:2", "machine/config.py:3",
+        "machine/device.py:2", "machine/device.py:4",
+        "shard/executor.py:2", "shard/executor.py:2",
+    ]
+    assert all("machine/physical.py" in problem for problem in problems)

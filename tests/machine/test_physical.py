@@ -161,9 +161,8 @@ class TestPipelinedChains:
         """Acceptance: simulated pipelined makespan == Σ fill + max stream,
         and it beats store-and-forward, with software-identical results."""
         pipelined = preloaded(joined_catalog)
-        (result_p,), report_p = pipelined.run_physical(
-            pipelined.compile(chain_plan)
-        )
+        physical = pipelined.compile(chain_plan)
+        (result_p,), report_p = pipelined.run_physical(physical)
         forward = preloaded(joined_catalog)
         result_s, report_s = forward.run(chain_plan, pipeline=False)
 
@@ -181,7 +180,9 @@ class TestPipelinedChains:
 
         # Rebuild the stage costs independently: stand-alone stage times
         # come from the store-and-forward report, fills from the same
-        # schedule arithmetic the devices execute.
+        # schedule arithmetic the devices execute, in the blocked
+        # variant each stage runs in the chain.
+        variants = {op.label: op.variant for op in physical.ops}
         joined = algebra.join(joined_catalog["JA"], joined_catalog["JB"],
                               [("key", "key")])
         projected = algebra.project(joined, ["a0", "b0"])
@@ -204,6 +205,7 @@ class TestPipelinedChains:
             cost = actual_cost(
                 nodes[label], plan_inputs[label],
                 device.capacity.max_rows, device.capacity.max_cols,
+                variant=variants[label],
             )
             fill = min(
                 device.technology.pulses_to_seconds(cost.fill_pulses),

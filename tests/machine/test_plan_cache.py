@@ -10,12 +10,40 @@ import time
 
 import pytest
 
+import repro.machine.pool as pool_module
 from repro.errors import PlanError
 from repro.machine import Base, EnginePool, Join, PlanCache
 from repro.machine.physical import PhysicalPlanner
 from repro.workloads import join_pair
 
 THREADS = 8
+
+
+def _count_waits(monkeypatch) -> threading.Semaphore:
+    """A semaphore released each time a thread starts waiting on a
+    build in flight: the plan cache's events count their waiters."""
+    arrived = threading.Semaphore(0)
+
+    class Counted(threading.Event):
+        def wait(self, timeout=None):
+            arrived.release()
+            return super().wait(timeout)
+
+    class Threading:
+        Event = Counted
+
+        def __getattr__(self, name):
+            return getattr(threading, name)
+
+    monkeypatch.setattr(pool_module, "threading", Threading())
+    return arrived
+
+
+def _all_others_waiting(arrived: threading.Semaphore) -> None:
+    """Block the build in flight until every other thread waits on it,
+    so each test sees the single-flight path, not a late hit."""
+    for _ in range(THREADS - 1):
+        assert arrived.acquire(timeout=10), "a thread never waited"
 
 
 def _hammer(work) -> list:
@@ -58,10 +86,11 @@ def test_concurrent_compiles_of_one_key_run_the_planner_once(monkeypatch):
 
     runs = []
     planner_compile = PhysicalPlanner.compile
+    arrived = _count_waits(monkeypatch)
 
     def slow_compile(self, *args, **kwargs):
         runs.append(threading.get_ident())
-        time.sleep(0.02)
+        _all_others_waiting(arrived)
         return planner_compile(self, *args, **kwargs)
 
     monkeypatch.setattr(PhysicalPlanner, "compile", slow_compile)
@@ -73,7 +102,8 @@ def test_concurrent_compiles_of_one_key_run_the_planner_once(monkeypatch):
     assert (info["misses"], info["hits"], info["size"]) == (1, THREADS - 1, 1)
 
 
-def test_a_raising_build_wakes_its_waiters_and_stores_nothing():
+def test_a_raising_build_wakes_its_waiters_and_stores_nothing(monkeypatch):
+    arrived = _count_waits(monkeypatch)
     cache = PlanCache(4)
     built = []
     lock = threading.Lock()
@@ -82,8 +112,8 @@ def test_a_raising_build_wakes_its_waiters_and_stores_nothing():
         with lock:
             built.append(None)
             first = len(built) == 1
-        time.sleep(0.02)
         if first:
+            _all_others_waiting(arrived)
             raise PlanError("the first build fails")
         return "plan"
 
@@ -103,6 +133,9 @@ def test_builds_that_all_fail_leave_no_entry_behind():
     cache = PlanCache(4)
 
     def build():
+        # Only lets waiters pile up on the build in flight: every
+        # interleaving ends with each thread's own failure and no
+        # entry, so the length of the pause is loose.
         time.sleep(0.005)
         raise PlanError("never compiles")
 

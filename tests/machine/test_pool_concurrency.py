@@ -145,9 +145,9 @@ class TestBitIdentity:
         )
         execute, runs = device.execute, {}
 
-        def execute_once(node, inputs):
+        def execute_once(node, inputs, **kwargs):
             if id(node) not in runs:
-                runs[id(node)] = execute(node, inputs)
+                runs[id(node)] = execute(node, inputs, **kwargs)
             return runs[id(node)]
 
         device.execute = execute_once
@@ -230,6 +230,8 @@ class TestAdmission:
         _populate(session.store)
         pool.gate.acquire()  # hold the only slot
         try:
+            # The slot stays held past any timeout, so the query cannot
+            # be admitted: 0.05 s only bounds how long the test waits.
             with pytest.raises(AdmissionError):
                 session.run_many(_plans(), timeout=0.05)
         finally:
@@ -257,7 +259,10 @@ class TestAdmission:
         for t in threads:
             t.start()
         started.wait()  # both waiters are about to queue
-        # Give them time to actually enqueue before opening the gate.
+        # Let them actually enqueue before opening the gate.  The gate
+        # signals no arrival (its condition is notified on release
+        # only), so this polls the queue depth: 5 ms is the poll
+        # period, and 5 s a deadline no healthy run comes near.
         import time
 
         deadline = time.monotonic() + 5.0

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.relational.domain import IntegerDomain
-from repro.relational.relation import _first_occurrences
+from repro.relational.relation import Relation, _first_occurrences
 from repro.relational.schema import Schema
 from repro.store import GridIndex, RelationStore, build_scales, columnar
 
@@ -229,3 +229,51 @@ class TestWritePathBytes:
         )
         cells = RelationStore(tmp_path / "store").open("R").index.directory
         assert max(max(cell) for cell in cells).bit_length() == bits
+
+
+def _assert_relation_written_as_it_was(root: Path, rows, chunk_rows,
+                                       index_columns):
+    array = np.array(rows, dtype=np.int64)
+    schema = _schema(array.shape[1])
+    handle = RelationStore(root / "store").write(
+        "R", Relation(schema, array), chunk_rows=chunk_rows,
+        index_columns=index_columns,
+    )
+    _write_rows_as_it_was(
+        root / "reference", "R", array, schema, chunk_rows, index_columns
+    )
+    assert _files(handle.path) == _files(root / "reference")
+
+
+class TestWriteOfARelation:
+    """``write`` carries a :class:`Relation`'s set proof into the store
+    instead of searching its rows again: same directory, byte for byte,
+    as the old path that searched."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=write_cases())
+    def test_every_file_is_the_old_constructions(self, tmp_path_factory, case):
+        rows, chunk_rows, index_columns = case
+        _assert_relation_written_as_it_was(
+            tmp_path_factory.mktemp("relation"), rows, chunk_rows,
+            index_columns,
+        )
+
+    def test_a_relation_is_never_searched(self, tmp_path, monkeypatch):
+        searched = []
+
+        def spy(array):
+            searched.append(len(array))
+            return _first_occurrences(array)
+
+        monkeypatch.setattr(columnar, "_first_occurrences", spy)
+        rows = np.array([[1, 2], [3, 4], [1, 2], [5, 6]], dtype=np.int64)
+        relation = Relation(_schema(2), rows)
+        store = RelationStore(tmp_path)
+        store.write("R", relation, chunk_rows=2)
+        assert searched == []
+        assert store.open("R").read().relation == relation
+        # Bare rows are not a proof: write_array still searches them.
+        store.write_array("S", rows, _schema(2))
+        assert searched == [4]
+        assert store.open("S").read().relation == relation

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Keep the documentation and the code from drifting apart.
 
-Fourteen checks, all run in CI next to the bench gate::
+Fifteen checks, all run in CI next to the bench gate::
 
     python tools/check_docs.py
 
@@ -116,6 +116,18 @@ Fourteen checks, all run in CI next to the bench gate::
     ``load``, or turns a relation into rows — ``.tolist()``,
     ``.decoded()``, ``decode_many`` / ``decode_array``.  A second codec
     path growing beside the writer, with its own bytes, fails here.
+
+15. **One variant choice.**  Whether a blocked op's runs are
+    counter-streaming or hold B fixed (§8) is the physical planner's
+    choice, priced on the span law, with no user option.  So under
+    ``src/repro/machine/`` and ``src/repro/shard/`` only the planner
+    (:data:`VARIANT_CHOOSER`) spells ``"fixed"``, compares a
+    ``variant``, or passes a ``variant=`` that is not a name or an
+    attribute handed through; only the span laws and
+    ``arrays.base.grid_schedule`` (:data:`SCHEDULE_BUILDERS`) build a
+    ``FixedRelationSchedule(``; and nothing under ``src/`` spells a
+    ``--variant`` flag or a ``REPRO_*VARIANT*`` variable.  A second
+    place that picks a variant, or a knob to force one, fails here.
 
 Exits non-zero with one line per problem.
 """
@@ -729,6 +741,67 @@ def check_one_wire_writer(root=ROOT / "src" / "repro") -> list[str]:
     return problems
 
 
+#: The one module under machine/ and shard/ that chooses a blocked
+#: variant, and the ones that build a fixed-relation schedule.
+VARIANT_SCOPE = ("machine/", "shard/")
+VARIANT_CHOOSER = "machine/physical.py"
+SCHEDULE_BUILDERS = ("systolic/engine/schedule.py", "arrays/base.py")
+_VARIANT_KNOB = re.compile(r"--[\w-]*variant|REPRO_\w*VARIANT", re.I)
+
+
+def _names_variant(node: ast.AST) -> bool:
+    return "variant" in (getattr(node, "id", None),
+                         getattr(node, "attr", None))
+
+
+def _variant_problem(node: ast.AST, where: str, chooses: bool):
+    """What ``node`` does that rule 15 refuses, or None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        if _VARIANT_KNOB.search(node.value):
+            return f"spells `{node.value}`: no option forces a variant"
+        if chooses and node.value == "fixed":
+            return "names the fixed variant"
+    elif isinstance(node, ast.Call):
+        func = (getattr(node.func, "id", None)
+                or getattr(node.func, "attr", None))
+        if func == "FixedRelationSchedule" and where not in SCHEDULE_BUILDERS:
+            return (f"builds a FixedRelationSchedule: only "
+                    f"{', '.join(SCHEDULE_BUILDERS)} do")
+        if chooses and any(
+            keyword.arg == "variant"
+            and not isinstance(keyword.value, (ast.Name, ast.Attribute))
+            for keyword in node.keywords
+        ):
+            return "passes a `variant=` it did not receive"
+    elif chooses and isinstance(node, ast.Compare) and any(
+        map(_names_variant, (node.left, *node.comparators))
+    ):
+        return "branches on a variant"
+    return None
+
+
+def check_one_variant_choice(root=ROOT / "src" / "repro") -> list[str]:
+    problems: list[str] = []
+    for source in sorted(root.rglob("*.py")):
+        where = source.relative_to(root).as_posix()
+        chooses = (where.startswith(VARIANT_SCOPE)
+                   and where != VARIANT_CHOOSER)
+        nodes = sorted(
+            ast.walk(ast.parse(source.read_text())),
+            key=lambda node: (getattr(node, "lineno", 0),
+                              getattr(node, "col_offset", 0)),
+        )
+        for node in nodes:
+            problem = _variant_problem(node, where, chooses)
+            if problem is not None:
+                problems.append(
+                    f"{where}:{node.lineno}: {problem} — the planner "
+                    f"({VARIANT_CHOOSER}) chooses a blocked variant, and "
+                    f"every other layer passes its choice through"
+                )
+    return problems
+
+
 def main() -> int:
     problems = (
         check_metric_table() + check_links()
@@ -737,7 +810,7 @@ def main() -> int:
         + check_one_stored_form() + check_proof_producers()
         + check_operator_facts() + check_one_chunk_reader()
         + check_one_run_format() + check_observers_on_the_network()
-        + check_one_wire_writer()
+        + check_one_wire_writer() + check_one_variant_choice()
     )
     for problem in problems:
         print(problem, file=sys.stderr)
@@ -761,7 +834,8 @@ def main() -> int:
         f"chunk files read by {CHUNK_READER[1]} only, "
         f"runs read as tap tables only, "
         f"observers imported by the simulator kit only, "
-        f"the wire written and read by {WIRE_CODEC} only"
+        f"the wire written and read by {WIRE_CODEC} only, "
+        f"blocked variants chosen by {VARIANT_CHOOSER} only"
     )
     return 0
 
