@@ -22,11 +22,12 @@ name.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import PlanError
 from repro.machine.disk import MachineDisk
 from repro.relational.relation import Relation
+from repro.relational.schema import ColumnRef
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.store import RelationStore
@@ -124,7 +125,11 @@ class Catalog:
                 isinstance(name, str) and self.disk.holds(name)
             )
 
-    def content_fingerprint(self, names: Iterable[str]) -> tuple:
+    def content_fingerprint(
+        self,
+        names: Iterable[str],
+        columns: Sequence[tuple[str, ColumnRef]] = (),
+    ) -> tuple:
         """What the physical planner can read when it compiles plans
         over the base relations ``names``, as a hashable value.
 
@@ -135,9 +140,14 @@ class Catalog:
         for a store-backed relation, the manifest digest, so rewriting
         stored bytes (new data, chunking, or index) invalidates cached
         plans even at unchanged cardinality; a name the catalog does
-        not hold is part of the value too.  Relations outside ``names``
-        are not looked at: a write to one of them leaves the value, and
-        the plans cached under it, alone.
+        not hold is part of the value too.  ``columns`` are the
+        ``(name, column)`` pairs whose distinct counts the planner sizes
+        joins from (:func:`~repro.machine.operators.keyed_columns`): each
+        count is part of the value — of the resident relation, else of
+        the in-memory one, None for a store-backed one — so two tenants
+        alike in size but not in their join keys never share a plan.
+        Relations outside ``names`` are not looked at: a write to one of
+        them leaves the value, and the plans cached under it, alone.
 
         Two catalogs with equal fingerprints compile any logical plan
         over ``names`` to the same physical plan, which is what lets
@@ -153,12 +163,27 @@ class Catalog:
                 for name in sorted(set(names))
                 if name not in self._preloaded
             )
+            counts = tuple(
+                (name, column, self.distinct_count(name, column))
+                for name, column in columns
+            )
             return (
                 self.disk.model,
                 self.disk.logic_per_track,
                 resident,
                 stored,
+                counts,
             )
+
+    def distinct_count(self, name: str, column: ColumnRef) -> Optional[int]:
+        """The distinct values of a column of ``name`` as the planner
+        reads them: the resident relation's, else the disk's
+        (:meth:`MachineDisk.distinct_count`)."""
+        with self._lock:
+            relation = self._preloaded.get(name)
+            if relation is not None:
+                return relation.distinct_count(column)
+            return self.disk.distinct_count(name, column)
 
     def __repr__(self) -> str:
         with self._lock:

@@ -137,6 +137,16 @@ class MachineDisk:
                 f"no base relation named {name!r}; have {self.names()}"
             ) from None
 
+    def distinct_count(self, name: str, column: ColumnRef) -> Optional[int]:
+        """The distinct values of a column of an in-memory relation
+        (:meth:`Relation.distinct_count`, counted once); None for a
+        store-backed relation, whose manifest does not count them, or a
+        name this disk does not hold."""
+        relation = self._catalog.get(name)
+        if relation is None:
+            return None
+        return relation.distinct_count(column)
+
     def _tuple_bytes(self, rows: int, arity: int) -> int:
         """On-disk size of ``rows`` tuples under this disk's element width."""
         return rows * arity * ((self.element_bits + 7) // 8)

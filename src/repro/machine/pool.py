@@ -54,6 +54,7 @@ from repro.machine.physical import (
     PhysicalPlan,
     PhysicalPlanner,
     PlanningContext,
+    base_keys,
     base_names,
     plan_fingerprint,
 )
@@ -162,12 +163,12 @@ def compile_plans(
     The machine's compile, its recovery compile, the pool's and every
     shard lane's are this call over a different ``catalog`` /
     ``devices``.  The one cache key is ``(plan_fingerprint(plans),
-    arrivals, pipeline, catalog.content_fingerprint(base_names(plans)),
-    roster_fingerprint(devices))``: a plan is reused only when the
-    planner would provably reproduce it, so a write to a relation the
-    plans do not name evicts nothing and a degraded roster's plan never
-    answers for the full one.  Concurrent misses of one key run the
-    planner once; a cache of size 0 always plans.
+    arrivals, pipeline, catalog.content_fingerprint(base_names(plans),
+    base_keys(plans)), roster_fingerprint(devices))``: a plan is reused
+    only when the planner would provably reproduce it, so a write to a
+    relation the plans do not name evicts nothing and a degraded
+    roster's plan never answers for the full one.  Concurrent misses of
+    one key run the planner once; a cache of size 0 always plans.
     """
     if isinstance(plans, PlanNode):
         plans = [plans]
@@ -197,7 +198,9 @@ def compile_plans(
                     plan_fingerprint(plans),
                     tuple(arrivals) if arrivals is not None else None,
                     bool(pipeline),
-                    catalog.content_fingerprint(base_names(plans)),
+                    catalog.content_fingerprint(
+                        base_names(plans), base_keys(plans)
+                    ),
                     roster_fingerprint(devices),
                 ),
                 build,

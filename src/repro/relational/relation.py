@@ -300,6 +300,22 @@ class _TupleStore:
     def _members(self) -> frozenset:
         return frozenset(self.tuples)
 
+    @functools.cached_property
+    def _distinct_counts(self) -> dict[int, int]:
+        return {}
+
+    def distinct_count(self, ref: ColumnRef) -> int:
+        """How many distinct values a column holds (System R's
+        per-column statistic ``V``), counted once a column."""
+        position = self.schema.resolve(ref)
+        counts = self._distinct_counts
+        if position not in counts:
+            values = np.sort(self._array[:, position])
+            counts[position] = int(
+                np.count_nonzero(values[1:] != values[:-1])
+            ) + (len(values) > 0)
+        return counts[position]
+
     @property
     def cardinality(self) -> int:
         """Number of stored tuples (``n`` in the paper's notation)."""

@@ -125,7 +125,7 @@ class TestPlanAgainstReference:
     def test_comparison_grid(self, a, b, capacity, reduce, t_init):
         plan = BlockedPlan(
             np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
-            capacity.tuple_block, capacity.max_cols, reduce, t_init=t_init,
+            capacity.max_rows, capacity.max_cols, reduce, t_init=t_init,
         )
         self.check(plan)
 
@@ -135,7 +135,7 @@ class TestPlanAgainstReference:
     def test_join_grid(self, a, b, capacity, ops, reduce):
         plan = BlockedPlan(
             np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
-            capacity.tuple_block, capacity.max_cols, reduce, ops=tuple(ops),
+            capacity.max_rows, capacity.max_cols, reduce, ops=tuple(ops),
         )
         self.check(plan)
 
@@ -175,8 +175,8 @@ class TestPlanAgainstReference:
         if t_init is t_init_strict_lower and data.draw(st.booleans()):
             b = a  # remove-duplicates: A against itself
         block = data.draw(st.integers(16, 70))
-        plan = BlockedPlan(a, b, block, data.draw(st.integers(1, 3)), "rows",
-                           t_init=t_init)
+        plan = BlockedPlan(a, b, 2 * block - 1, data.draw(st.integers(1, 3)),
+                           "rows", t_init=t_init)
         want, pulses = blockwise_verdicts(
             plan, lambda grid: LatticeEngine().run(replace(grid, tagged=True))
         )
@@ -194,7 +194,7 @@ class TestPlanAgainstReference:
             return (i + j) % 2 == 1
 
         rows = np.zeros((5, 1), dtype=np.int64)
-        plan = BlockedPlan(rows, rows[:4], 2, 1, "matrix", t_init=odd_sum)
+        plan = BlockedPlan(rows, rows[:4], 3, 1, "matrix", t_init=odd_sum)
         want = np.add.outer(np.arange(5), np.arange(4)) % 2 == 1
         for engine in (LatticeEngine(), LatticeEngine(chunk_bytes=1),
                        BitplaneEngine(), PulseEngine()):
@@ -328,7 +328,7 @@ class TestBands:
     def test_one_block_a_band_equals_one_band(self, a, b, capacity, reduce):
         plan = BlockedPlan(
             np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
-            capacity.tuple_block, capacity.max_cols, reduce,
+            capacity.max_rows, capacity.max_cols, reduce,
             t_init=t_init_strict_lower,
         )
         for engine in (LatticeEngine, BitplaneEngine):
@@ -338,14 +338,14 @@ class TestBands:
                 banded.run(plan).verdicts, whole.run(plan).verdicts
             )
             assert banded.bands == [
-                min(plan.tuple_block, plan.n_a - lo)
-                for lo in range(0, plan.n_a, plan.tuple_block)
+                min(plan.law.first.n_a, plan.n_a - lo)
+                for lo in range(0, plan.n_a, plan.law.first.n_a)
             ]
             assert whole.bands == [plan.n_a]
 
     def test_bands_are_whole_a_blocks(self):
         rows = np.arange(100, dtype=np.int64).reshape(-1, 1)
-        plan = BlockedPlan(rows, rows[:10], 8, 1, "rows", t_init=t_init_true)
+        plan = BlockedPlan(rows, rows[:10], 15, 1, "rows", t_init=t_init_true)
         # 8 bytes × 10 tuples of B × 1 column = 80 bytes a row of A.
         engine = BandCounting(LatticeEngine, chunk_bytes=80 * 20)
         engine.run(plan)
@@ -406,7 +406,7 @@ class TestRefusals:
     ])
     def test_malformed_reduced_verdicts(self, reduce, bad):
         rows = np.arange(8, dtype=np.int64).reshape(4, 2)
-        plan = BlockedPlan(rows, rows[:3], 2, 2, reduce, t_init=t_init_true)
+        plan = BlockedPlan(rows, rows[:3], 3, 2, reduce, t_init=t_init_true)
         run = LatticeEngine().run(plan)
         # Three TRUE pairs of 4 × 3: no reduction is its own transpose.
         blocked_verdicts(run, plan)
@@ -416,14 +416,14 @@ class TestRefusals:
 
     def test_plan_validation(self):
         rows = np.arange(6, dtype=np.int64).reshape(3, 2)
-        ok = dict(a_tuples=rows, b_tuples=rows, tuple_block=2, max_cols=1,
+        ok = dict(a_tuples=rows, b_tuples=rows, max_rows=3, max_cols=1,
                   reduce="rows", t_init=t_init_true)
         BlockedPlan(**ok)
         for bad in (
             dict(a_tuples=rows.tolist()),
             dict(b_tuples=rows[:, :1]),
             dict(a_tuples=rows[:0]),
-            dict(tuple_block=0),
+            dict(max_rows=0),
             dict(max_cols=0),
             dict(reduce="columns"),
             dict(t_init=None),
@@ -446,7 +446,7 @@ class TestHelpers:
 
     def test_reduction_of_an_all_false_join(self):
         rows = np.arange(4, dtype=np.int64).reshape(4, 1)
-        plan = BlockedPlan(rows, rows + 10, 3, 1, "pairs", ops=("==",))
+        plan = BlockedPlan(rows, rows + 10, 5, 1, "pairs", ops=("==",))
         reduction = Reduction(plan)
         reduction.add(0, np.zeros((3, 4), dtype=bool))
         reduction.add(3, np.zeros((1, 4), dtype=bool))

@@ -15,6 +15,7 @@ from repro.arrays import (
 from repro.errors import CapacityError
 from repro.perf.cost import division_cost
 from repro.relational import MultiRelation, Relation, algebra
+from repro.systolic.engine.schedule import block_span_law
 from repro.workloads import (
     division_example,
     division_workload,
@@ -30,9 +31,13 @@ BIG = ArrayCapacity(max_rows=99, max_cols=16)   # everything fits
 
 class TestCapacity:
     def test_tuple_block_from_rows(self):
-        assert ArrayCapacity(max_rows=5, max_cols=1).tuple_block == 3
-        assert ArrayCapacity(max_rows=6, max_cols=1).tuple_block == 3
-        assert ArrayCapacity(max_rows=7, max_cols=1).tuple_block == 4
+        """A counter-streaming block of b tuples a side needs 2b − 1
+        rows; held fixed, a block is one tuple a row."""
+        for max_rows, counter in ((5, 3), (6, 3), (7, 4)):
+            law = block_span_law(20, 20, 1, max_rows, 1)
+            assert (law.first.n_a, law.first.n_b) == (counter, counter)
+            fixed = block_span_law(20, 20, 1, max_rows, 1, "fixed")
+            assert fixed.first.n_b == max_rows
 
     def test_positive_required(self):
         with pytest.raises(CapacityError):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import PlanError
 from repro.machine import Catalog
+from repro.relational.relation import Relation
 from repro.workloads import join_pair, overlapping_pair
 
 
@@ -83,3 +84,26 @@ class TestContentFingerprint:
         assert stored.content_fingerprint(["R"]) != (
             resident.content_fingerprint(["R"])
         )
+
+    def test_join_key_distinct_counts_change_the_fingerprint(self):
+        """The planner sizes a join of two base relations from its key
+        columns' distinct counts, so those counts — and only those the
+        plans read — are part of the value."""
+        a, _ = _pair()
+        rows = a.array.copy()
+        rows[:, 0] %= 2
+        rows[:, 1] = range(len(rows))
+        crowded = Relation(a.schema, rows)
+        first, second = Catalog(), Catalog()
+        first.store("R", a)
+        second.store("R", crowded)
+        assert len(a) == len(crowded)
+        assert first.content_fingerprint(["R"]) == (
+            second.content_fingerprint(["R"])
+        )
+        keyed = [("R", "key")]
+        assert first.content_fingerprint(["R"], keyed) != (
+            second.content_fingerprint(["R"], keyed)
+        )
+        assert second.distinct_count("R", "key") == 2
+        assert second.distinct_count("missing", "key") is None
