@@ -20,9 +20,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
+if not __package__:  # run as a script: the repository root, for benchmarks.*
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from benchmarks.probed import Probed
 from repro.arrays import ArrayCapacity, compare_all_pairs
 from repro.bitlevel import (
     bit_array_stats,
@@ -135,13 +140,18 @@ def run_wide_matrix():
     # run the *same* expanded bit-level array, so pulse counts must
     # agree exactly.
     a, b = _wide_pair(256, seed=21)
-    pulse_seconds, pulse_result = _time(
-        lambda: bit_level_intersection(a, b, width=_WIDTH, backend="pulse")
-    )
-    plane_seconds, plane_result = _time(
-        lambda: bit_level_intersection(a, b, width=_WIDTH, backend="bitplane"),
-        repeats=5,
-    )
+    with Probed() as probed:
+        pulse_seconds, pulse_result = _time(
+            lambda: bit_level_intersection(
+                a, b, width=_WIDTH, backend="pulse"
+            )
+        )
+        plane_seconds, plane_result = _time(
+            lambda: bit_level_intersection(
+                a, b, width=_WIDTH, backend="bitplane"
+            ),
+            repeats=5,
+        )
     assert plane_result.relation == pulse_result.relation
     assert plane_result.run.pulses == pulse_result.run.pulses
     speedup = pulse_seconds / plane_seconds
@@ -155,6 +165,7 @@ def run_wide_matrix():
         "pulse_seconds": round(pulse_seconds, 6),
         "bitplane_seconds": round(plane_seconds, 6),
         "speedup": round(speedup, 1),
+        "probe_seconds": probed.seconds,
     })
     calibration = (pulse_seconds, pulse_result.run)
 
@@ -162,12 +173,13 @@ def run_wide_matrix():
     # sweeps the same arrays in bulk.
     for n in (4096,):
         a, b = _wide_pair(n, seed=n)
-        seconds, result = _time(
-            lambda: bit_level_intersection(
-                a, b, width=_WIDTH, backend="bitplane"
-            ),
-            repeats=3,
-        )
+        with Probed() as probed:
+            seconds, result = _time(
+                lambda: bit_level_intersection(
+                    a, b, width=_WIDTH, backend="bitplane"
+                ),
+                repeats=3,
+            )
         entries.append({
             "experiment": "E21",
             "operation": "wide-intersection",
@@ -176,6 +188,7 @@ def run_wide_matrix():
             "pulses": result.run.pulses,
             "result_tuples": len(result.relation),
             "bitplane_seconds": round(seconds, 6),
+            "probe_seconds": probed.seconds,
         })
         scale_run = result.run
 

@@ -22,9 +22,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
+if not __package__:  # run as a script: the repository root, for benchmarks.*
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from benchmarks.probed import Probed
 from repro.arrays import systolic_divide, systolic_intersection, systolic_join
 from repro.workloads import division_workload, join_pair, overlapping_pair
 
@@ -83,8 +88,9 @@ def run_matrix():
     """Time every case on both engines; verify identical answers."""
     entries = []
     for experiment, operation, size, run in _cases():
-        pulse_seconds, pulse_result = _time(lambda: run("pulse"))
-        lattice_seconds, lattice_result = _time(lambda: run("lattice"))
+        with Probed() as probed:
+            pulse_seconds, pulse_result = _time(lambda: run("pulse"))
+            lattice_seconds, lattice_result = _time(lambda: run("lattice"))
         assert lattice_result.relation == pulse_result.relation
         assert lattice_result.run.pulses == pulse_result.run.pulses
         entries.append({
@@ -96,6 +102,7 @@ def run_matrix():
             "pulse_seconds": round(pulse_seconds, 6),
             "lattice_seconds": round(lattice_seconds, 6),
             "speedup": round(pulse_seconds / lattice_seconds, 1),
+            "probe_seconds": probed.seconds,
         })
     return entries
 

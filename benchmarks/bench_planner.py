@@ -20,10 +20,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import threading
 import time
 from pathlib import Path
 
+if not __package__:  # run as a script: the repository root, for benchmarks.*
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from benchmarks.probed import Probed
 from repro.machine import (
     Base,
     Divide,
@@ -199,29 +204,31 @@ def run_multi_tenant(tenants: int = 4) -> dict:
         _store_service_bases(session.store)
         return session
 
-    pool = EnginePool(max_concurrent=tenants)
-    one = pooled_session(pool, "solo")
-    start = time.perf_counter()
-    for _ in range(tenants):
-        for plan in _tenant_plans():
-            one.run(plan)
-    one_session_s = time.perf_counter() - start
-
-    pool = EnginePool(max_concurrent=tenants)
-    sessions = [pooled_session(pool, f"tenant{i}") for i in range(tenants)]
-
     def tenant_work(session):
         for plan in _tenant_plans():
             session.run(plan)
 
-    start = time.perf_counter()
-    threads = [threading.Thread(target=tenant_work, args=(s,))
-               for s in sessions]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    concurrent_s = time.perf_counter() - start
+    with Probed() as probed:
+        pool = EnginePool(max_concurrent=tenants)
+        one = pooled_session(pool, "solo")
+        start = time.perf_counter()
+        for _ in range(tenants):
+            for plan in _tenant_plans():
+                one.run(plan)
+        one_session_s = time.perf_counter() - start
+
+        pool = EnginePool(max_concurrent=tenants)
+        sessions = [
+            pooled_session(pool, f"tenant{i}") for i in range(tenants)
+        ]
+        start = time.perf_counter()
+        threads = [threading.Thread(target=tenant_work, args=(s,))
+                   for s in sessions]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        concurrent_s = time.perf_counter() - start
     cache = pool.plan_cache_info()
     assert cache["hits"] > 0, "tenants never shared a compiled plan"
 
@@ -233,6 +240,7 @@ def run_multi_tenant(tenants: int = 4) -> dict:
         "throughput_x": round(throughput, 3),
         "one_session_wall_ms": round(one_session_s * 1e3, 3),
         "concurrent_wall_ms": round(concurrent_s * 1e3, 3),
+        "probe_seconds": probed.seconds,
         "plan_cache_hits": cache["hits"],
         "plan_cache_misses": cache["misses"],
     }
@@ -240,18 +248,19 @@ def run_multi_tenant(tenants: int = 4) -> dict:
 
 def run_plan_cache() -> dict:
     """Compile-cache hit vs cold planner run on the E18 transaction."""
-    catalog, plan = _scenario(80, 70, 40, seed=6)
-    machine = _machine(catalog)
+    with Probed() as probed:
+        catalog, plan = _scenario(80, 70, 40, seed=6)
+        machine = _machine(catalog)
 
-    start = time.perf_counter()
-    cold_plan = machine.compile(plan)
-    cold_s = time.perf_counter() - start
-
-    best_hit = float("inf")
-    for _ in range(5):
         start = time.perf_counter()
-        hit_plan = machine.compile(plan)
-        best_hit = min(best_hit, time.perf_counter() - start)
+        cold_plan = machine.compile(plan)
+        cold_s = time.perf_counter() - start
+
+        best_hit = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            hit_plan = machine.compile(plan)
+            best_hit = min(best_hit, time.perf_counter() - start)
     assert hit_plan is cold_plan, "structurally identical plan missed"
     info = machine.plan_cache_info()
     assert info["hits"] == 5 and info["misses"] == 1
@@ -259,6 +268,7 @@ def run_plan_cache() -> dict:
         "cold_compile_ms": round(cold_s * 1e3, 6),
         "cached_compile_ms": round(best_hit * 1e3, 6),
         "speedup": round(cold_s / best_hit, 1),
+        "probe_seconds": probed.seconds,
         "hits": info["hits"],
         "misses": info["misses"],
     }

@@ -30,9 +30,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
+if not __package__:  # run as a script: the repository root, for benchmarks.*
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from benchmarks.probed import Probed
 from repro.arrays import ArrayCapacity
 from repro.machine import Base, EnginePool, Join
 from repro.shard import BROADCAST, REPARTITION
@@ -75,9 +80,10 @@ def run_scaling(n_a: int, n_b: int, rows: int = 4096):
         session.store("JA", ja, key="key")
         session.store("JB", jb, key="key")
         compiled = session.compile(plan)
-        start = time.perf_counter()
-        results, report = session.run_many([plan])
-        wall = time.perf_counter() - start
+        with Probed() as probed:
+            start = time.perf_counter()
+            results, report = session.run_many([plan])
+            wall = time.perf_counter() - start
 
         if baseline is None:
             baseline = results
@@ -104,6 +110,7 @@ def run_scaling(n_a: int, n_b: int, rows: int = 4096):
         walls.append({
             "shards": shards,
             "wall_ms": round(wall * 1e3, 3),
+            "probe_seconds": probed.seconds,
             "result_rows": len(results[0]),
         })
     return entries, walls

@@ -18,12 +18,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import sys
 import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
+if not __package__:  # run as a script: the repository root, for benchmarks.*
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from benchmarks.probed import Probed
 from repro.machine import Base, Select, SystolicDatabaseMachine
 from repro.machine.disk import MachineDisk
 from repro.relational.domain import IntegerDomain
@@ -132,12 +137,14 @@ def run_scan_matrix(store: RelationStore, rows: np.ndarray) -> list[dict]:
     full_seconds = None
     for label, selection in [("full scan", None)] + PROBES:
         if selection is None:
-            seconds, scan = _time(lambda: handle.read())
+            with Probed() as probed:
+                seconds, scan = _time(lambda: handle.read())
             full_seconds = seconds
             assert scan.chunks_read == handle.n_chunks
         else:
             column, op, value = selection
-            seconds, scan = _time_first_reads(store, selection)
+            with Probed() as probed:
+                seconds, scan = _time_first_reads(store, selection)
             # The pruning contract, at scale: strictly fewer chunks
             # read, bit-identical row set.
             assert scan.chunks_read < scan.chunks_total, (
@@ -159,6 +166,7 @@ def run_scan_matrix(store: RelationStore, rows: np.ndarray) -> list[dict]:
             "rows_scanned": scan.rows_scanned,
             "host_seconds": round(seconds, 6),
             "simulated_ms": round(sim_seconds * 1e3, 3),
+            "probe_seconds": probed.seconds,
         }
         entries.append(entry if selection is None else {
             **entry,
@@ -166,7 +174,7 @@ def run_scan_matrix(store: RelationStore, rows: np.ndarray) -> list[dict]:
             "host_speedup_vs_full": round(full_seconds / seconds, 1),
         })
         for suffix, budget in pools:
-            with _pool_of(budget):
+            with _pool_of(budget), Probed() as probed:
                 seconds, again, misses = _time_pooled(handle, selection)
             assert np.array_equal(again.relation.array, scan.relation.array)
             entries.append({
@@ -174,6 +182,7 @@ def run_scan_matrix(store: RelationStore, rows: np.ndarray) -> list[dict]:
                 "operation": f"{label}, {suffix}",
                 "chunk_files_read": misses,
                 "host_seconds": round(seconds, 6),
+                "probe_seconds": probed.seconds,
             })
     return entries
 
@@ -202,7 +211,8 @@ def run_machine_matrix(store: RelationStore, rows: np.ndarray) -> list[dict]:
     for backend in ("lattice", "bitplane"):
         machine = SystolicDatabaseMachine(backend=backend)
         machine.attach_store(store)
-        seconds, (result, report) = _time(lambda: machine.run(plan))
+        with Probed() as probed:
+            seconds, (result, report) = _time(lambda: machine.run(plan))
         assert sorted(result.tuples) == expected, (
             f"{backend}: store-backed select disagrees with numpy filter"
         )
@@ -222,6 +232,7 @@ def run_machine_matrix(store: RelationStore, rows: np.ndarray) -> list[dict]:
             "result_tuples": len(result),
             "host_seconds": round(seconds, 6),
             "simulated_makespan_ms": round(report.makespan * 1e3, 3),
+            "probe_seconds": probed.seconds,
         })
     assert answers["lattice"] == answers["bitplane"]
     return entries
@@ -249,9 +260,10 @@ def main(argv=None) -> int:
         else min(DEFAULT_CHUNK_ROWS, max(1, -(-args.rows // 16)))
     )
     with tempfile.TemporaryDirectory(prefix="bench-storage-") as tmp:
-        write_seconds, (store, rows) = _time(
-            lambda: build_store(tmp, n=args.rows, chunk_rows=chunk_rows)
-        )
+        with Probed() as probed:
+            write_seconds, (store, rows) = _time(
+                lambda: build_store(tmp, n=args.rows, chunk_rows=chunk_rows)
+            )
         handle = store.open("SP")
         scans = run_scan_matrix(store, rows)
         machine = run_machine_matrix(store, rows)
@@ -263,6 +275,7 @@ def main(argv=None) -> int:
         "chunk_rows": handle.chunk_rows,
         "chunks": handle.n_chunks,
         "write_seconds": round(write_seconds, 3),
+        "probe_seconds": probed.seconds,
         "entries": scans + machine,
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")

@@ -32,6 +32,7 @@ from repro.machine.operators import (
     operator_of,
 )
 from repro.machine.physical import (
+    DiskSweep,
     PhysicalOp,
     PhysicalPlan,
     PhysicalPlanner,
@@ -66,6 +67,7 @@ __all__ = [
     "DeviceRoster",
     "DeviceRun",
     "Difference",
+    "DiskSweep",
     "Divide",
     "EnginePool",
     "ExecutionReport",

@@ -15,6 +15,14 @@ chunks' tuples under this disk's timing model.  A store-backed
 selection behaves like logic-per-track (the predicate rides the read)
 regardless of the ``logic_per_track`` flag, because the store applies
 it while scanning anyway.
+
+In-memory relations get a cylinder layout when they are written
+(:meth:`MachineDisk.store`): in write order, first-fit, a relation of at
+most one cylinder whole into the first cylinder with room, a larger one
+onto whole fresh cylinders.  The planner reads the loads of one release
+time that lie on one cylinder in one sweep of one revolution
+(:func:`~repro.perf.disk.disk_sweep`).  Store-backed relations are not
+placed; each is read alone.
 """
 
 from __future__ import annotations
@@ -47,6 +55,11 @@ class MachineDisk:
         self.element_bits = element_bits
         self._catalog: dict[str, Relation] = {}
         self._store: Optional["RelationStore"] = None
+        #: name -> (first cylinder, cylinders, bytes) of each in-memory
+        #: relation, fixed when it is written.
+        self._extents: dict[str, tuple[int, int, int]] = {}
+        #: bytes taken on each cylinder so far.
+        self._used: list[int] = []
 
     # -- catalog --------------------------------------------------------------
 
@@ -54,7 +67,64 @@ class MachineDisk:
         """Write (or overwrite) a base relation (in-memory population)."""
         if not name:
             raise PlanError("a stored relation requires a name")
+        self._free(name)
+        self._extents[name] = self._place(
+            self._tuple_bytes(len(relation), relation.arity)
+        )
         self._catalog[name] = relation
+
+    # -- layout ----------------------------------------------------------------
+
+    def _place(self, nbytes: int) -> tuple[int, int, int]:
+        """The extent a relation of ``nbytes`` takes, first-fit: whole
+        into the first cylinder with room when it fits one, else the
+        first run of fresh cylinders (its last one taken whole)."""
+        size = self.model.cylinder_bytes
+        used = self._used
+        count = self.model.cylinders(nbytes)
+        if count <= 1:
+            first = next(
+                (i for i, taken in enumerate(used) if taken + nbytes <= size),
+                len(used),
+            )
+            if first == len(used):
+                used.append(0)
+            used[first] += nbytes
+            return first, count, nbytes
+        run = 0  # empty cylinders in a row so far
+        for index, taken in enumerate(used):
+            run = run + 1 if taken == 0 else 0
+            if run == count:
+                first = index + 1 - count
+                break
+        else:  # the run goes on past the last cylinder used
+            first = len(used) - run
+        if first + count > len(used):
+            used.extend([0] * (first + count - len(used)))
+        used[first:first + count] = [size] * count
+        return first, count, nbytes
+
+    def _free(self, name: str) -> None:
+        """Give back the extent an overwritten relation held (its entry
+        stays until the new extent replaces it)."""
+        extent = self._extents.get(name)
+        if extent is None:
+            return
+        first, count, nbytes = extent
+        if count <= 1:
+            self._used[first] -= nbytes
+        else:
+            self._used[first:first + count] = [0] * count
+
+    def cylinder(self, name: str) -> Optional[int]:
+        """The cylinder an in-memory relation lies on, when it lies on
+        exactly one; None for a relation of no bytes or of more than a
+        cylinder, a store-backed one (not placed) or a name this disk
+        does not hold."""
+        extent = self._extents.get(name)
+        if extent is None or extent[1] != 1:
+            return None
+        return extent[0]
 
     def attach_store(self, store: "RelationStore") -> None:
         """Back this disk with a persistent columnar relation store.
@@ -154,20 +224,24 @@ class MachineDisk:
     def fingerprint(self, name: str) -> tuple:
         """What the physical planner can learn about ``name`` here.
 
-        ``(name, rows, schema key, manifest digest)`` — the digest is
-        ``None`` for an in-memory relation; rewriting a store-backed one
-        changes it, so plans compiled against the old chunking, index or
-        data stop matching the plan cache — or ``(name, None)`` when no
-        such relation exists.  Costs one ``stat`` for a store-backed
-        relation whose manifest has not changed, nothing otherwise.
+        ``(name, rows, schema key, manifest digest, cylinder)`` — the
+        digest is ``None`` for an in-memory relation; rewriting a
+        store-backed one changes it, so plans compiled against the old
+        chunking, index or data stop matching the plan cache.  The
+        cylinder (:meth:`cylinder`) decides which loads share a sweep;
+        an index, not a byte offset, so tenants laid out alike share
+        plans.  ``(name, None)`` when no such
+        relation exists.  Costs one ``stat`` for a store-backed relation
+        whose manifest has not changed, nothing otherwise.
         """
         relation = self._catalog.get(name)
         if relation is not None:
-            return name, len(relation), relation.schema.key, None
+            return (name, len(relation), relation.schema.key, None,
+                    self.cylinder(name))
         handle = self._handle(name)
         if handle is None:
             return name, None
-        return name, handle.rows, handle.schema.key, handle.digest
+        return name, handle.rows, handle.schema.key, handle.digest, None
 
     # -- reading ---------------------------------------------------------------
 

@@ -65,6 +65,7 @@ from repro.machine.scheduler import (
     Placement,
     ScheduledStep,
 )
+from repro.perf.disk import disk_sweep
 from repro.perf.technology import TechnologyModel
 from repro.relational.relation import Relation
 
@@ -352,9 +353,10 @@ class PlanExecutor:
 
         Each op's placement is looked up in ``physical.placements``
         under the resident layout and what this run resolved so far:
-        a load by its ``(bytes, read seconds)``, a device op by its
-        ``(bytes out, pulses, block runs, seconds)``, a chain by its
-        members' keys with their fill seconds.  On a hit the recorded
+        a load by its ``(bytes, read seconds)``, a disk sweep by its
+        loads' keys, a device op by its ``(bytes out, pulses, block
+        runs, seconds)``, a chain by its members' keys with their fill
+        seconds.  On a hit the recorded
         steps are reported as they are; from the first miss on, the
         memory, crossbar and roster models place the ops and the new
         branch is recorded.  Spans, metrics and the report are the
@@ -377,7 +379,11 @@ class PlanExecutor:
                         produced[op.op_id] = self._resident(op.node.name)
                     continue
                 if op.kind == OP_LOAD:
-                    self._run_load(op, produced, report)
+                    # A sweep is read and placed at its first load.
+                    if op.op_id not in produced:
+                        self._run_loads(
+                            physical.swept_with(op), produced, report
+                        )
                     continue
                 chain = physical.chain_of(op)
                 if chain is None or len(chain) == 1:
@@ -549,23 +555,47 @@ class PlanExecutor:
             kind=op.kind,
         )
 
-    def _run_load(
+    def _run_loads(
         self,
-        op: PhysicalOp,
+        loads: list[PhysicalOp],
         produced: dict[int, tuple[str, Relation, float, str]],
         report: ExecutionReport,
     ) -> None:
-        """One serial disk read (selection possibly fused on-track)."""
-        with self._op_span(op) as sp:
-            relation, read_seconds = self._guarded_read(op)
-            nbytes = relation_bytes(relation, self.element_bits)
+        """The disk reads of one sweep (selections possibly fused
+        on-track), or one load alone.
+
+        Each load is read under its own ``machine.op`` span, so disk
+        faults stay per relation; then the sweep is placed
+        (:meth:`_place_loads`) inside the last load's span, as a lone
+        load is placed inside its own.
+        """
+        spans, resolved = [], []
+        for op in loads[:-1]:
+            with self._op_span(op) as sp:
+                resolved.append(self._read_load(op))
+            spans.append(sp)
+        with self._op_span(loads[-1]) as sp:
+            spans.append(sp)
+            resolved.append(self._read_load(loads[-1]))
+            relations, nbytes, seconds = map(list, zip(*resolved))
+            key = tuple(zip(nbytes, seconds))
             placement = self._placed(
-                (nbytes, read_seconds), (relation,),
-                lambda state: self._place_load(
-                    state, op, relation, nbytes, read_seconds
+                key[0] if len(loads) == 1 else key, tuple(relations),
+                lambda state: self._place_loads(
+                    state, loads, relations, nbytes, seconds
                 ),
             )
-            self._emit([op], [sp], placement, (relation,), produced, report)
+            if placement.fused:
+                metrics.inc("machine.disk.sweeps")
+            self._emit(loads, spans, placement, relations, produced, report)
+
+    def _read_load(self, op: PhysicalOp) -> tuple[Relation, int, float]:
+        """A load resolved: (relation, bytes, read seconds)."""
+        relation, read_seconds = self._guarded_read(op)
+        return (
+            relation, relation_bytes(relation, self.element_bits),
+            read_seconds,
+        )
 
     def _run_singleton(
         self,
@@ -727,31 +757,60 @@ class PlanExecutor:
         streams.append(state.memories[0].transfer_seconds(nbytes_out))
         return max([seconds] + streams)
 
-    def _place_load(
+    def _place_loads(
         self,
         state: MachineState,
-        op: PhysicalOp,
-        relation: Relation,
-        nbytes: int,
-        read_seconds: float,
+        loads: list[PhysicalOp],
+        relations: list[Relation],
+        nbytes: list[int],
+        seconds: list[float],
     ) -> Placement:
-        """A disk read into the memory whose port frees first."""
-        memory, start = self._choose_memory(
-            state, nbytes, avoid=set(),
-            ready=max(state.disk_free, op.release), duration=read_seconds,
-        )
-        end = start + read_seconds
-        node = op.fused_select if op.fused_select is not None else op.node
-        placement = Placement(
-            steps=(ScheduledStep(
+        """A sweep's reads (or one load's) into the memory whose port
+        frees first among those with room for all of them, over one
+        disk link.  When no memory can take the whole sweep, its loads
+        are placed one after another, each read alone.  ``fused`` says
+        which (None for one load)."""
+        ready, end = disk_sweep(state.disk_free, loads[0].release, seconds)
+        try:
+            memory, ready = self._choose_memory(
+                state, sum(nbytes), avoid=set(), ready=ready,
+                duration=end - ready,
+            )
+        except CapacityError:
+            if len(loads) == 1:
+                raise
+            # Each single placement applies itself, as a chain's
+            # store-and-forward fallback does.
+            parts = [
+                self._place_loads(
+                    state, loads[k:k + 1], relations[k:k + 1],
+                    nbytes[k:k + 1], seconds[k:k + 1],
+                )
+                for k in range(len(loads))
+            ]
+            return Placement(
+                steps=tuple(part.steps[0] for part in parts),
+                stored=tuple(range(len(parts))),
+                links=tuple(part.links[0] for part in parts),
+                fused=False,
+            )
+        start, end = disk_sweep(state.disk_free, ready, seconds)
+        steps = []
+        for k, op in enumerate(loads):
+            node = op.fused_select if op.fused_select is not None else op.node
+            steps.append(ScheduledStep(
                 label=op.label, device=DISK, start=start, end=end,
-                output_key=state.key_for(node), output_memory=memory.name,
-                nbytes_out=nbytes,
-            ),),
-            stored=(0,),
+                output_key=state.key_for(node, offset=k),
+                output_memory=memory.name, nbytes_out=nbytes[k],
+                swept=k > 0,
+            ))
+        placement = Placement(
+            steps=tuple(steps),
+            stored=tuple(range(len(steps))),
             links=((memory.name, DISK, start, end),),
+            fused=True if len(loads) > 1 else None,
         )
-        state.apply(placement, (relation,))
+        state.apply(placement, relations)
         return placement
 
     def _place_singleton(

@@ -16,7 +16,11 @@ compute.  This module compiles it into a **PhysicalPlan** that says
   chains**: §9's "the data is pipelined from the memories through the
   switch and through the processor array" — a chain's timeline follows
   the Σ fill + max stream law of :mod:`repro.machine.pipelining`
-  instead of store-and-forward Σ (fill + stream).
+  instead of store-and-forward Σ (fill + stream);
+* loads of one release time whose relations lie on one disk cylinder
+  are one **disk sweep**: §8 reads "an entire cylinder in one
+  revolution", so they share one revolution
+  (:func:`~repro.perf.disk.disk_sweep`).
 
 :meth:`SystolicDatabaseMachine.compile` produces a PhysicalPlan;
 ``run``/``run_many`` lower logical plans through it implicitly.
@@ -48,6 +52,7 @@ from repro.perf.cost import (
     bit_comparison_cost,
     comparison_cost,
 )
+from repro.perf.disk import disk_sweep
 from repro.relational.relation import Relation
 from repro.systolic.engine import resolve_backend
 
@@ -56,6 +61,7 @@ __all__ = [
     "OP_RESIDENT",
     "OP_CPU",
     "OP_ARRAY",
+    "DiskSweep",
     "PhysicalOp",
     "PipelinedChain",
     "PhysicalPlan",
@@ -277,6 +283,9 @@ class PhysicalOp:
     #: store-backed loads only: the §8 chunk pruning the grid index
     #: predicted for this read (explain's ``chunks k/N pruned``).
     scan: Optional[ScanCost] = None
+    #: loads only: the index of the disk sweep (:class:`DiskSweep`) the
+    #: load is read in, when it shares one with other loads.
+    sweep: Optional[int] = None
     est_start: float = 0.0
     est_end: float = 0.0
 
@@ -295,6 +304,16 @@ class PhysicalOp:
         if self.variant == "fixed":
             return f"fixed {shape}"
         return "1" if c.block_runs == 1 else shape
+
+
+@dataclass(frozen=True)
+class DiskSweep:
+    """Loads read off one cylinder in one revolution (§8): the loads of
+    one release time whose relations lie on ``cylinder``, in plan
+    order."""
+
+    cylinder: int
+    op_ids: tuple[int, ...]
 
 
 @dataclass
@@ -318,9 +337,12 @@ class PhysicalPlan:
         outputs: list[int],
         pipeline: bool,
         backend: Optional[str] = None,
+        sweeps: Sequence[DiskSweep] = (),
     ) -> None:
         self.ops = ops
         self.chains = chains
+        #: the disk sweeps of two or more loads, in plan order.
+        self.sweeps = list(sweeps)
         self.outputs = outputs
         self.pipeline = pipeline
         #: name of the execution engine the machine's devices run block
@@ -345,6 +367,13 @@ class PhysicalPlan:
         if op.chain is None:
             return None
         return self.chains[op.chain]
+
+    def swept_with(self, op: PhysicalOp) -> list[PhysicalOp]:
+        """The loads read in one sweep with ``op``, itself included, in
+        plan order: ``[op]`` for an op in no shared sweep."""
+        if op.sweep is None:
+            return [op]
+        return [self[i] for i in self.sweeps[op.sweep].op_ids]
 
     def device_assignments(self) -> dict[str, str]:
         """Operator label → assigned device, for quick inspection."""
@@ -376,6 +405,11 @@ class PhysicalPlan:
                 f"{bits_label:>5}  "
                 f"{op.blocks_label():<{blocks}} {chain_label:<6} "
                 f"{op.est_seconds * 1e3:>8.3f}ms  {op.label}"
+            )
+        for sweep in self.sweeps:
+            lines.append(
+                f"disk sweep on cylinder {sweep.cylinder}: ops "
+                f"{', '.join(map(str, sweep.op_ids))} in one revolution"
             )
         lines.append(
             f"predicted makespan {self.predicted_makespan * 1e3:.3f} ms"
@@ -442,7 +476,7 @@ class PhysicalPlanner:
             parent_count = self._parent_count(order)
             fused = self._fused_selects(order, parent_count)
             with obs.span("planner.assign"):
-                ops, op_of_node, priced = self._assign(
+                ops, op_of_node, priced, sweeps = self._assign(
                     order, release, parent_count, fused
                 )
             with obs.span("planner.fuse"):
@@ -456,14 +490,15 @@ class PhysicalPlanner:
                             [ops[i] for i in chain.op_ids], priced
                         )
             with obs.span("planner.predict"):
-                self._predict_timeline(ops, chains)
+                self._predict_timeline(ops, chains, sweeps)
             outputs = [op_of_node[id(plan)] for plan in plans]
             sp.set(
                 ops=len(ops),
                 chains=sum(1 for c in chains if len(c) > 1),
             )
         return PhysicalPlan(
-            ops, chains, outputs, pipeline, backend=self._backend_name()
+            ops, chains, outputs, pipeline, backend=self._backend_name(),
+            sweeps=sweeps,
         )
 
     def _backend_name(self) -> str:
@@ -577,6 +612,8 @@ class PhysicalPlanner:
         priced: dict[int, list[_Priced]] = {}
         roster = DeviceRoster(ctx.devices)
         est_disk_free = 0.0
+        #: (release, cylinder) -> the loads read in that sweep so far
+        open_sweeps: dict[tuple[float, int], list[PhysicalOp]] = {}
         loaded_bases: dict[str, int] = {}
 
         def add(op: PhysicalOp) -> PhysicalOp:
@@ -651,9 +688,20 @@ class PhysicalPlanner:
                     op_of_node[id(select)] = op.op_id
                 else:
                     loaded_bases[node.name] = op.op_id
-                start = max(est_disk_free, op.release)
-                op.est_start, op.est_end = start, start + read_seconds
-                est_disk_free = op.est_end
+                cylinder = disk.cylinder(node.name)
+                swept = open_sweeps.get((op.release, cylinder))
+                if swept is not None:
+                    # Read in the revolution the sweep's first load has.
+                    swept.append(op)
+                    op.est_start = swept[0].est_start
+                    op.est_end = swept[0].est_end
+                    continue
+                op.est_start, est_disk_free = disk_sweep(
+                    est_disk_free, op.release, (read_seconds,)
+                )
+                op.est_end = est_disk_free
+                if cylinder is not None:
+                    open_sweeps[op.release, cylinder] = [op]
                 continue
 
             input_ids = tuple(op_of_node[id(child)] for child in node.children)
@@ -728,7 +776,15 @@ class PhysicalPlanner:
             ))
             op.est_start, op.est_end = start, start + op.est_seconds
             roster.occupy(device.name, op.est_end)
-        return ops, op_of_node, priced
+        sweeps = []
+        for (_, cylinder), members in open_sweeps.items():
+            if len(members) > 1:
+                for member in members:
+                    member.sweep = len(sweeps)
+                sweeps.append(DiskSweep(
+                    cylinder, tuple(member.op_id for member in members)
+                ))
+        return ops, op_of_node, priced, sweeps
 
     # -- chain fusion -------------------------------------------------------------
 
@@ -824,11 +880,12 @@ class PhysicalPlanner:
 
     # -- predicted timeline ---------------------------------------------------------
 
-    def _predict_timeline(self, ops, chains):
+    def _predict_timeline(self, ops, chains, sweeps):
         """Re-time the plan with fused chains under the pipeline law.
 
         An idealized schedule — device and disk contention, but no
         memory-port modelling (the executed report has the real one).
+        A disk sweep is timed at its first load, for all its loads.
         """
         est_free: dict[str, float] = {}
         est_disk_free = 0.0
@@ -847,10 +904,17 @@ class PhysicalPlanner:
                 scheduled.add(op.op_id)
                 continue
             if op.kind == OP_LOAD:
-                start = max(est_disk_free, op.release)
-                op.est_start, op.est_end = start, start + op.est_seconds
-                est_disk_free = op.est_end
-                scheduled.add(op.op_id)
+                swept = (
+                    [op] if op.sweep is None
+                    else [ops[i] for i in sweeps[op.sweep].op_ids]
+                )
+                start, est_disk_free = disk_sweep(
+                    est_disk_free, op.release,
+                    [load.est_seconds for load in swept],
+                )
+                for load in swept:
+                    load.est_start, load.est_end = start, est_disk_free
+                    scheduled.add(load.op_id)
                 continue
             members = chain_members(op)
             if members[-1].op_id != op.op_id:

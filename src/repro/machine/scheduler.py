@@ -63,6 +63,9 @@ class ScheduledStep:
     pulses: int = 0
     block_runs: int = 0
     nbytes_out: int = 0
+    #: a disk read in the sweep of an earlier step: the same window,
+    #: the same revolution (§8), so its time is that step's.
+    swept: bool = False
 
     @property
     def duration(self) -> float:
@@ -94,10 +97,12 @@ class ExecutionReport:
         return self.serial_seconds / self.makespan
 
     def device_busy_seconds(self) -> dict[str, float]:
-        """Busy time per device (and the disk)."""
+        """Busy time per device (and the disk); a disk sweep's window
+        counts once."""
         busy: dict[str, float] = {}
         for step in self.steps:
-            busy[step.device] = busy.get(step.device, 0.0) + step.duration
+            if not step.swept:
+                busy[step.device] = busy.get(step.device, 0.0) + step.duration
         return busy
 
     def timeline(self) -> str:
@@ -188,8 +193,9 @@ class Placement:
     a memory (``stored``, indices into ``steps``) and the crossbar
     links it held, as ``(memory, device, start, end)``.  Device and
     disk occupancy and key-counter advances follow from the steps.
-    ``fused`` says how a chain ran (None for a single op).  No
-    relation is held: applying a placement stores the run's own.
+    ``fused`` says how a chain, or a disk sweep, ran (None for a single
+    op).  No relation is held: applying a placement stores the run's
+    own.
     """
 
     steps: tuple[ScheduledStep, ...]

@@ -71,6 +71,9 @@ METRICS: dict[str, tuple[str, str]] = {
         COUNTER, "SystolicDatabaseMachine.compile invocations"),
     "machine.disk.reads": (
         COUNTER, "base-relation reads off the machine disk"),
+    "machine.disk.sweeps": (
+        COUNTER, "disk sweeps executed: loads read off one cylinder in one "
+                 "revolution (§8)"),
     "machine.op.sim_seconds": (
         HISTOGRAM, "simulated duration of each timeline step"),
     "machine.ops.executed": (

@@ -22,6 +22,7 @@ from repro.perf.cost import (
 from repro.perf.disk import (
     DiskModel,
     PAPER_DISK,
+    disk_sweep,
     intersect_vs_read_report,
     largest_intersectable_relation_bytes,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "RelationProfile",
     "TechnologyModel",
     "comparison_cost",
+    "disk_sweep",
     "division_cost",
     "estimate_array_area",
     "join_cost",

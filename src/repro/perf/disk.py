@@ -12,12 +12,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.errors import ReproError
 from repro.perf.predictions import RelationProfile, intersection_time_seconds
 from repro.perf.technology import TechnologyModel
 
-__all__ = ["DiskModel", "PAPER_DISK", "largest_intersectable_relation_bytes"]
+__all__ = [
+    "DiskModel",
+    "PAPER_DISK",
+    "disk_sweep",
+    "largest_intersectable_relation_bytes",
+]
 
 
 @dataclass(frozen=True)
@@ -41,12 +47,36 @@ class DiskModel:
         """Sustained cylinder-read rate."""
         return self.cylinder_bytes / self.revolution_seconds
 
-    def read_seconds(self, nbytes: float) -> float:
-        """Time to stream ``nbytes`` at whole-revolution granularity."""
+    def cylinders(self, nbytes: float) -> int:
+        """Cylinders ``nbytes`` fill, which is also the revolutions a
+        read of them alone takes."""
         if nbytes < 0:
             raise ReproError(f"negative read size: {nbytes}")
-        revolutions = math.ceil(nbytes / self.cylinder_bytes)
-        return revolutions * self.revolution_seconds
+        return math.ceil(nbytes / self.cylinder_bytes)
+
+    def read_seconds(self, nbytes: float) -> float:
+        """Time to stream ``nbytes`` at whole-revolution granularity."""
+        return self.cylinders(nbytes) * self.revolution_seconds
+
+
+def disk_sweep(
+    disk_free: float, release: float, seconds: Iterable[float]
+) -> tuple[float, float]:
+    """The ``(start, end)`` window of one disk sweep; the disk is next
+    free at ``end``.
+
+    §8 reads "an entire cylinder in one revolution", so the loads of one
+    release time whose relations lie on one cylinder are one sweep: the
+    disk reads them together, in the slot the first of them would have
+    had alone.  ``seconds`` are the members' bills read alone.  Each
+    member lies within the cylinder, so none bills more than the one
+    revolution the sweep takes, and the sweep lasts as long as its
+    longest member.  A load on no shared cylinder is a sweep of one and
+    is billed its own read.  The sweep starts once the disk is free and
+    its loads are released.
+    """
+    start = max(disk_free, release)
+    return start, start + max(seconds, default=0.0)
 
 
 #: The disk §8 describes.

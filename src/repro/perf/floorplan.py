@@ -92,18 +92,6 @@ class ArrayFloorplan:
         )
 
 
-def _slice_boundary_bits(rows_slice: int, cols: int, element_bits: int) -> int:
-    """Per-pulse boundary traffic of a chip holding ``rows_slice`` rows.
-
-    Vertical: the A and B word streams enter/leave through top and
-    bottom (2 edges × cols words).  Horizontal: one result bit per row
-    on each of the left and right edges.
-    """
-    vertical = 2 * cols * element_bits
-    horizontal = 2 * rows_slice
-    return vertical + horizontal
-
-
 def plan_array(
     rows: int,
     cols: int,

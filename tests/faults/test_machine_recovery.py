@@ -259,6 +259,8 @@ class TestDeadline:
         with pytest.raises(DeadlineError, match="deadline"):
             pool.execute(catalog, _plans()[0])
         # The admission slot came back: an immediate acquire succeeds.
+        # A zero timeout never waits: it asks whether the slot is free
+        # now, which holds on any host once execute has returned.
         pool.gate.acquire(timeout=0.0)
         pool.gate.release()
         assert pool.stats()["query_deadline"] == 0.3

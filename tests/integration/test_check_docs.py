@@ -11,6 +11,8 @@ ROOT = Path(__file__).resolve().parents[2]
 def test_check_docs_passes_on_the_checkout():
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "check_docs.py")],
+        # A hang guard only: the check parses files and takes about a
+        # second, so 120 s is loose on the slowest host.
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
@@ -529,3 +531,50 @@ def test_variant_rule_keeps_the_choice_in_the_planner(tmp_path):
         "shard/executor.py:2", "shard/executor.py:2",
     ]
     assert all("machine/physical.py" in problem for problem in problems)
+
+
+def test_disk_timeline_rule_advances_the_disk_through_the_sweep_rule(
+    tmp_path,
+):
+    check_docs = _load_check_docs()
+    package = tmp_path / "repro"
+    (package / "machine").mkdir(parents=True)
+    (package / "machine" / "physical.py").write_text(
+        "def assign(loads):\n"
+        "    est_disk_free = 0.0\n"
+        "    for op in loads:\n"
+        "        op.est_start, est_disk_free = disk_sweep(\n"
+        "            est_disk_free, op.release, (op.est_seconds,)\n"
+        "        )\n"
+        "        op.est_end = est_disk_free\n"
+    )
+    (package / "machine" / "execution.py").write_text(
+        "class State:\n"
+        "    def __init__(self):\n"
+        "        self.disk_free = 0.0\n"
+        "    def apply(self, steps):\n"
+        "        for step in steps:\n"
+        "            self.disk_free = step.end\n"
+        "def place(state, op, seconds):\n"
+        "    return disk_sweep(state.disk_free, op.release, seconds)\n"
+    )
+    assert check_docs.check_one_disk_timeline(root=package) == []
+
+    # A window by hand, a bill added by hand, and a free time copied
+    # from somewhere the rule did not put it.
+    (package / "machine" / "pool.py").write_text(
+        "def place(state, op, seconds):\n"
+        "    start = max(state.disk_free, op.release)\n"
+        "    state.disk_free += seconds\n"
+        "    state.disk_free = op.est_end\n"
+        "    return start\n"
+    )
+    problems = check_docs.check_one_disk_timeline(root=package)
+    assert [problem.split(" — ")[0] for problem in problems] == [
+        "machine/pool.py:2: reads the disk's free time outside the sweep "
+        "rule",
+        "machine/pool.py:3: advances the disk's free time outside the "
+        "sweep rule",
+        "machine/pool.py:4: advances the disk's free time outside the "
+        "sweep rule",
+    ]

@@ -13,6 +13,8 @@ ROOT = Path(__file__).resolve().parents[2]
 def _dump(hash_seed: str) -> str:
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "dump_observables.py")],
+        # A hang guard only: the dump takes about 1.5 s, so 300 s is
+        # loose on the slowest host.
         cwd=ROOT, capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONHASHSEED": hash_seed},
     )

@@ -14,9 +14,11 @@ from repro.machine import (
     SystolicDatabaseMachine,
     analyze_chain,
 )
+from repro.machine.disk import MachineDisk
 from repro.machine.execution import roster_fingerprint
 from repro.machine.physical import OP_ARRAY, OP_LOAD, actual_cost
 from repro.machine.plan import DEVICE_COMPARISON
+from repro.perf.disk import DiskModel
 from repro.relational import algebra
 from repro.workloads import join_pair, overlapping_pair
 
@@ -49,6 +51,11 @@ def stored(catalog, **kwargs):
     for name, relation in catalog.items():
         machine.store(name, relation)
     return machine
+
+
+#: JA (480 bytes) and JB (420) fill a 900-byte cylinder, so D (140)
+#: goes onto the next one.  Every read alone still takes one revolution.
+SPLIT_DISK = DiskModel(cylinder_bytes=900)
 
 
 class TestCompile:
@@ -234,10 +241,14 @@ class TestPipelinedChains:
     def test_fusion_skipped_when_disk_feeds_a_late_input(
         self, joined_catalog, chain_plan
     ):
-        # Disk-fed: the divisor load finishes long after the join would,
-        # so fusing the divide in would only delay the upstream stages.
-        machine = stored(joined_catalog)
+        # Disk-fed: the divisor load, on another cylinder than the
+        # join's inputs, finishes long after the join would, so fusing
+        # the divide in would only delay the upstream stages.
+        machine = stored(joined_catalog, disk=MachineDisk(SPLIT_DISK))
         physical = machine.compile(chain_plan)
+        assert [op.sweep for op in physical.ops if op.kind == OP_LOAD] == [
+            0, 0, None,
+        ]
         divide_op = next(
             op for op in physical.ops if op.label == "divide"
         )
@@ -273,12 +284,23 @@ class TestPipelinedChains:
 
 class TestLoadOps:
     def test_loads_stay_serial_on_the_disk(self, joined_catalog, chain_plan):
+        """Loads on one cylinder share one window (§8's whole-cylinder
+        read); loads on different cylinders stay serial."""
         machine = stored(joined_catalog)
         physical = machine.compile(chain_plan)
         loads = [op for op in physical.ops if op.kind == OP_LOAD]
         assert len(loads) == 3
-        for before, after in zip(loads, loads[1:]):
-            assert after.est_start >= before.est_end
+        assert {(op.est_start, op.est_end) for op in loads} == {
+            (0.0, machine.disk.model.revolution_seconds)
+        }
+        assert "disk sweep on cylinder 0: ops 0, 1, 4" in physical.explain()
+
+        split = stored(joined_catalog, disk=MachineDisk(SPLIT_DISK))
+        ja, jb, d = [
+            op for op in split.compile(chain_plan).ops if op.kind == OP_LOAD
+        ]
+        assert (ja.est_start, ja.est_end) == (jb.est_start, jb.est_end)
+        assert d.est_start >= ja.est_end
 
 
 class TestBitLevelDevices:

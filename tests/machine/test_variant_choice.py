@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.arrays import ArrayCapacity
@@ -281,3 +282,37 @@ def test_tenants_alike_in_size_but_not_in_keys_compile_their_own_plans():
         alone = [compiled(pool(), "solo", rel) for rel in order]
         assert [p.explain() for p in plans] == [p.explain() for p in alone]
         assert plans[0].explain() != plans[1].explain()
+
+
+def test_tenants_alike_in_size_but_not_in_layout_compile_their_own_plans():
+    """Which loads share a disk sweep follows where the relations lie,
+    so the shared plan cache must tell apart two tenants whose relations
+    differ only in their cylinders: each gets the plan a pool holding
+    only its own data would compile, whichever compiles first."""
+    a, b = join_pair(4096, 64, 64, universe=4160, seed=11)
+    # 37 600 rows × 3 columns × 4 bytes = 451 200 bytes: JA (49 152)
+    # no longer fits beside it on cylinder 0, JB (768) still does.
+    filler = Relation(a.schema, np.arange(37_600 * 3).reshape(-1, 3))
+    capacity = ArrayCapacity(max_rows=1023, max_cols=8)
+    plan = Join(Base("JA"), Base("JB"), on=(("key", "key"),))
+
+    def pool():
+        return EnginePool(devices=(("join", 1, capacity),),
+                          capacity=capacity, backend="lattice")
+
+    def compiled(shared, tenant, first):
+        session = shared.session(tenant)
+        for name, relation in first:
+            session.store(name, relation)
+        session.store("JA", a)
+        session.store("JB", b)
+        return session.compile(plan)
+
+    layouts = ((), (("FILL", filler),))
+    for order in (layouts, layouts[::-1]):
+        shared = pool()
+        plans = [compiled(shared, f"t{k}", first)
+                 for k, first in enumerate(order)]
+        alone = [compiled(pool(), "solo", first) for first in order]
+        assert [p.explain() for p in plans] == [p.explain() for p in alone]
+        assert [bool(p.sweeps) for p in plans] == [not o for o in order]

@@ -120,6 +120,7 @@ class TestDeclaredNames:
         pool.gate.acquire()                   # hold the only slot
         try:
             with pytest.raises(AdmissionError):
+                # Zero: a non-blocking try on a slot held above.
                 pool.gate.acquire(timeout=0.0)
         finally:
             pool.gate.release()

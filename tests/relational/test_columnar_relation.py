@@ -283,6 +283,9 @@ class TestSharedAcrossThreads:
                 start = threading.Barrier(8)
 
                 def hammer(which: int) -> None:
+                    # The eight threads are started together just below,
+                    # so the barrier fills in milliseconds; 10 s only
+                    # turns a lost thread into an error, not a hang.
                     start.wait(timeout=10)
                     # Each thread touches the caches in its own order.
                     looks = [
@@ -305,6 +308,8 @@ class TestSharedAcrossThreads:
                 for thread in threads:
                     thread.start()
                 for thread in threads:
+                    # A hang guard: each thread does a few cache reads,
+                    # milliseconds of work; the assert below names a hang.
                     thread.join(timeout=60)
                 assert not any(t.is_alive() for t in threads)
         finally:

@@ -376,6 +376,8 @@ class TestThreads:
             for thread in threads:
                 thread.start()
             for thread in threads:
+                # A hang guard: the threads' reads take well under a
+                # second; the assert below names a hang.
                 thread.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)

@@ -204,6 +204,8 @@ class TestCatalogue:
             for thread in threads:
                 thread.start()
             for thread in threads:
+                # A hang guard: the small writes take well under a
+                # second; the assert below names a hang.
                 thread.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)

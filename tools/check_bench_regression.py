@@ -1,14 +1,21 @@
 #!/usr/bin/env python3
 """Gate benchmark wall-clock against the committed baselines.
 
-CI's bench-smoke job regenerates ``BENCH_engines.json`` and
-``BENCH_planner.json`` in the working tree; this tool compares every
-freshly measured entry against the version committed at ``HEAD`` and
-fails if any wall-clock field regressed by more than the threshold
-(default 30%)::
+CI's bench-smoke job regenerates the ``BENCH_*.json`` reports in the
+working tree; this tool compares every freshly measured entry against
+the version committed at ``HEAD`` and fails if any wall-clock field
+regressed by more than the threshold (default 30%)::
 
     python tools/check_bench_regression.py BENCH_engines.json BENCH_planner.json
     python tools/check_bench_regression.py --threshold 0.5 BENCH_engines.json
+
+Host-timed fields are compared on the probed clock: where an entry and
+its baseline both carry ``probe_seconds`` (what the end-to-end
+benchmark's fixed probe took around the measurement, see
+``benchmarks/probed.py``), the ratio is of ``value / probe_seconds`` on
+each side, so a host that ran everything slower reads the same.  A
+baseline without a probe is compared raw.  Simulated fields (named
+``sim…``) are deterministic and always compared raw.
 
 Only the top-level ``entries`` list is gated.  Sections that record
 host-dependent wall-clock (``host_execution``, ``plan_cache``) are
@@ -36,8 +43,10 @@ _CLOCK_SUFFIXES = ("_seconds", "_ms")
 #: ratio that moved must not turn its entry into a "new" one.
 _SKIP_FIELDS = {
     "pipelined_ms", "store_and_forward_ms",
-    "law_pipelined_ms", "predicted_ms",
+    "law_pipelined_ms", "predicted_ms", "probe_seconds",
 }
+#: What the probe around an entry's host-timed fields took.
+_PROBE = "probe_seconds"
 
 
 def _is_skipped(field: str) -> bool:
@@ -46,6 +55,17 @@ def _is_skipped(field: str) -> bool:
 
 def _is_clock(field: str) -> bool:
     return field.endswith(_CLOCK_SUFFIXES) and not _is_skipped(field)
+
+
+def _ratio(field: str, value: float, committed: float,
+           entry: dict, base: dict) -> tuple[float, str]:
+    """Measured over committed, rescaled by the probes around each where
+    both sides recorded one and the field is host-timed; and how it was
+    compared."""
+    probes = entry.get(_PROBE), base.get(_PROBE)
+    if field.startswith("sim") or not all(probes):
+        return value / committed, "raw"
+    return (value / probes[0]) / (committed / probes[1]), "probed"
 
 
 def _identity(entry: dict) -> tuple:
@@ -91,15 +111,15 @@ def check_file(path: Path, ref: str, threshold: float) -> list[str]:
             committed = base[field]
             if committed <= 0:
                 continue
-            ratio = value / committed
+            ratio, clock = _ratio(field, value, committed, entry, base)
             marker = "FAIL" if ratio > 1 + threshold else "ok"
             print(f"{path}: {dict(_identity(entry))} {field}: "
-                  f"{committed} -> {value} ({ratio:.2f}x) {marker}")
+                  f"{committed} -> {value} ({ratio:.2f}x {clock}) {marker}")
             if ratio > 1 + threshold:
                 failures.append(
                     f"{path}: {field} of {dict(_identity(entry))} regressed "
-                    f"{ratio:.2f}x (committed {committed}, measured {value}, "
-                    f"threshold {1 + threshold:.2f}x)"
+                    f"{ratio:.2f}x {clock} (committed {committed}, measured "
+                    f"{value}, threshold {1 + threshold:.2f}x)"
                 )
     return failures
 

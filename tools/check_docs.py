@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Keep the documentation and the code from drifting apart.
 
-Fifteen checks, all run in CI next to the bench gate::
+Sixteen checks, all run in CI next to the bench gate::
 
     python tools/check_docs.py
 
@@ -129,6 +129,19 @@ Fifteen checks, all run in CI next to the bench gate::
     ``--variant`` flag or a ``REPRO_*VARIANT*`` variable.  A second
     place that picks a variant, or a knob to force one, fails here.
 
+16. **One disk timeline.**  §8 reads a whole cylinder in one
+    revolution, so the loads of one release time that lie on one
+    cylinder are one sweep, and the planner's two timelines and the
+    executor must agree on every load's window.  So under
+    ``src/repro/machine/`` the disk's free time (:data:`DISK_CLOCKS`:
+    ``disk_free``, ``est_disk_free``) advances only through the sweep
+    rule, ``repro.perf.disk.disk_sweep``: it is read only as that
+    call's first argument or copied whole into a window, and it is
+    assigned only a constant, that call's result, or a placed step's
+    ``.end`` (the window the rule gave, replayed).  A load window
+    computed by hand — ``max(disk_free, release)``, ``+= seconds`` —
+    fails here.
+
 Exits non-zero with one line per problem.
 """
 
@@ -139,6 +152,7 @@ import inspect
 import re
 import sys
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -802,6 +816,70 @@ def check_one_variant_choice(root=ROOT / "src" / "repro") -> list[str]:
     return problems
 
 
+#: The names of the disk's free time under machine/, and the one
+#: function that advances it.
+DISK_CLOCKS = frozenset({"disk_free", "est_disk_free"})
+SWEEP_RULE = "disk_sweep"
+
+
+def _is_sweep_call(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and SWEEP_RULE in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    )
+
+
+def _disk_clock_problem(node: ast.AST, parents: dict) -> Optional[str]:
+    """What a use of the disk's free time does that rule 16 refuses, or
+    None."""
+    if not isinstance(node, (ast.Name, ast.Attribute)) or (
+        getattr(node, "id", None) or getattr(node, "attr", None)
+    ) not in DISK_CLOCKS:
+        return None
+    parent = parents.get(node)
+    whole = parents.get(parent) if isinstance(parent, ast.Tuple) else parent
+    if isinstance(node.ctx, ast.Store):
+        value = getattr(whole, "value", None)
+        if isinstance(whole, ast.Assign) and (
+            _is_sweep_call(value)
+            or (isinstance(value, ast.Constant)
+                and isinstance(value.value, (int, float)))
+            or (isinstance(value, ast.Attribute) and value.attr == "end")
+        ):
+            return None
+        return "advances the disk's free time outside the sweep rule"
+    if _is_sweep_call(parent) and parent.args and parent.args[0] is node:
+        return None
+    if isinstance(whole, ast.Assign) and (
+        whole.value is node or whole.value is parent
+    ):
+        return None
+    return "reads the disk's free time outside the sweep rule"
+
+
+def check_one_disk_timeline(root=ROOT / "src" / "repro") -> list[str]:
+    problems: list[str] = []
+    for source in sorted((root / "machine").rglob("*.py")):
+        where = source.relative_to(root).as_posix()
+        tree = ast.parse(source.read_text())
+        parents = {
+            child: node
+            for node in ast.walk(tree) for child in ast.iter_child_nodes(node)
+        }
+        nodes = sorted(
+            ast.walk(tree),
+            key=lambda node: (getattr(node, "lineno", 0),
+                              getattr(node, "col_offset", 0)),
+        )
+        for node in nodes:
+            problem = _disk_clock_problem(node, parents)
+            if problem is not None:
+                problems.append(
+                    f"{where}:{node.lineno}: {problem} — a load's disk "
+                    f"window comes from `{SWEEP_RULE}` only"
+                )
+    return problems
+
+
 def main() -> int:
     problems = (
         check_metric_table() + check_links()
@@ -811,6 +889,7 @@ def main() -> int:
         + check_operator_facts() + check_one_chunk_reader()
         + check_one_run_format() + check_observers_on_the_network()
         + check_one_wire_writer() + check_one_variant_choice()
+        + check_one_disk_timeline()
     )
     for problem in problems:
         print(problem, file=sys.stderr)
@@ -835,7 +914,8 @@ def main() -> int:
         f"runs read as tap tables only, "
         f"observers imported by the simulator kit only, "
         f"the wire written and read by {WIRE_CODEC} only, "
-        f"blocked variants chosen by {VARIANT_CHOOSER} only"
+        f"blocked variants chosen by {VARIANT_CHOOSER} only, "
+        f"the disk's free time advanced by {SWEEP_RULE} only"
     )
     return 0
 
