@@ -257,7 +257,7 @@ def _run_on_machine(args: argparse.Namespace) -> int:
             with observed.stage("compile"):
                 compiled = target.compile(plan, pipeline=pipeline)
         if args.explain:
-            print((compiled.plan if sharded else compiled).explain())
+            print(compiled.explain())
             print()
         with observed.stage("execute"):
             if sharded or faults is not None:

@@ -24,8 +24,9 @@ that shared machinery so the front-ends cannot drift:
   :class:`~repro.machine.scheduler.PlacementMemo` replays the ones an
   earlier run recorded.
 * :func:`build_devices`, :func:`place_resident`,
-  :func:`roster_fingerprint`, :func:`check_memories` — the
-  construction helpers the front-ends share.
+  :func:`roster_fingerprint`, :func:`check_memories`,
+  :func:`preloaded_free_bytes` — the construction helpers the
+  front-ends share.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ __all__ = [
     "check_memories",
     "fresh_state",
     "place_resident",
+    "preloaded_free_bytes",
     "roster_fingerprint",
 ]
 
@@ -212,15 +214,47 @@ def place_resident(state: MachineState, name: str, relation: Relation) -> None:
     if name in state.resident:
         raise PlanError(f"relation {name!r} is already resident")
     nbytes = relation_bytes(relation, state.element_bits)
-    candidates = [m for m in state.memories if m.free_bytes >= nbytes]
-    if not candidates:
+    index = _emptiest([m.free_bytes for m in state.memories], nbytes)
+    if index is None:
         raise CapacityError(
             f"no memory module can absorb {nbytes} bytes for {name!r}"
         )
-    memory = min(candidates, key=lambda m: (m.used_bytes, m.name))
+    memory = state.memories[index]
     key = f"resident:{name}"
     memory.store(key, relation, nbytes)
     state.resident[name] = (key, relation, 0.0, memory.name)
+
+
+def _emptiest(free: Sequence[int], nbytes: int) -> Optional[int]:
+    """Which of a machine's equal-sized memories (``free`` bytes each) a
+    preload of ``nbytes`` goes to: the emptiest with room, the lower
+    name on a tie; None when none has room."""
+    return min(
+        (m for m, room in enumerate(free) if room >= nbytes),
+        key=lambda m: (-free[m], f"mem{m}"),
+        default=None,
+    )
+
+
+def preloaded_free_bytes(
+    preloaded: Iterable[tuple[str, Relation]],
+    memories: int,
+    memory_bytes: int,
+    element_bits: int,
+) -> tuple[int, ...]:
+    """Each memory's free bytes in the fresh state of a run, the
+    ``preloaded`` relations (a catalog's, in preload order) placed as
+    :func:`fresh_state` places them: what the planner sizes a disk
+    sweep against.  The count stops at a preload no memory can take
+    (running then fails on it)."""
+    free = [memory_bytes] * memories
+    for _, relation in preloaded:
+        nbytes = relation_bytes(relation, element_bits)
+        index = _emptiest(free, nbytes)
+        if index is None:
+            break
+        free[index] -= nbytes
+    return tuple(free)
 
 
 def check_memories(memories: int) -> None:

@@ -48,6 +48,7 @@ from repro.machine.execution import (
     PlanExecutor,
     build_devices,
     check_memories,
+    preloaded_free_bytes,
     roster_fingerprint,
 )
 from repro.machine.physical import (
@@ -153,6 +154,7 @@ def compile_plans(
     catalog: Catalog,
     devices: Sequence,
     element_bits: int,
+    memories: tuple[int, int],
     plans: Sequence[PlanNode] | PlanNode,
     arrivals: Optional[Sequence[float]],
     pipeline: bool,
@@ -162,23 +164,30 @@ def compile_plans(
 
     The machine's compile, its recovery compile, the pool's and every
     shard lane's are this call over a different ``catalog`` /
-    ``devices``.  The one cache key is ``(plan_fingerprint(plans),
-    arrivals, pipeline, catalog.content_fingerprint(base_names(plans),
-    base_keys(plans)), roster_fingerprint(devices))``: a plan is reused
-    only when the planner would provably reproduce it, so a write to a
-    relation the plans do not name evicts nothing and a degraded
-    roster's plan never answers for the full one.  Concurrent misses of
-    one key run the planner once; a cache of size 0 always plans.
+    ``devices``; ``memories`` is the machine's ``(modules, bytes each)``.
+    The one cache key is ``(plan_fingerprint(plans), arrivals, pipeline,
+    catalog.content_fingerprint(base_names(plans), base_keys(plans)),
+    roster_fingerprint(devices), memory_free)``, ``memory_free`` being
+    each memory's room once the preloads are placed
+    (:func:`~repro.machine.execution.preloaded_free_bytes`, which disk
+    sweeps are sized against): a plan is reused only when the planner
+    would provably reproduce it, so a write to a relation the plans do
+    not name evicts nothing and a degraded roster's plan never answers
+    for the full one.  Concurrent misses of one key run the planner
+    once; a cache of size 0 always plans.
     """
     if isinstance(plans, PlanNode):
         plans = [plans]
     metrics.inc("machine.compile.calls")
+    preloaded = catalog.preloaded()
+    memory_free = preloaded_free_bytes(preloaded, *memories, element_bits)
 
     def build() -> PhysicalPlan:
         context = PlanningContext(
             disk=catalog.disk,
-            resident=dict(catalog.preloaded()),
+            resident=dict(preloaded),
             devices=devices,
+            memory_free=memory_free,
             element_bits=element_bits,
         )
         return PhysicalPlanner(context).compile(
@@ -202,6 +211,7 @@ def compile_plans(
                         base_names(plans), base_keys(plans)
                     ),
                     roster_fingerprint(devices),
+                    memory_free,
                 ),
                 build,
             )
@@ -423,6 +433,7 @@ class EnginePool:
             catalog,
             self.devices if devices is None else list(devices),
             self.element_bits,
+            (self.memory_count, self.memory_bytes),
             plans, arrivals, pipeline,
             tenant=catalog.tenant,
         )

@@ -194,7 +194,7 @@ class SystolicDatabaseMachine:
         """
         return compile_plans(
             self._plan_cache, self.catalog, self.devices, self.element_bits,
-            plans, arrivals, pipeline,
+            self._memories, plans, arrivals, pipeline,
         )
 
     def plan_cache_info(self) -> dict[str, int]:
@@ -243,7 +243,7 @@ class SystolicDatabaseMachine:
                 return self.compile(plans, arrivals, pipeline=pipeline)
             return compile_plans(
                 self._plan_cache, self.catalog, roster, self.element_bits,
-                plans, arrivals, pipeline,
+                self._memories, plans, arrivals, pipeline,
             )
 
         return replan_on_quarantine(

@@ -25,6 +25,7 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
+from repro import obs
 from repro.errors import PlanError
 from repro.machine.catalog import Catalog
 from repro.relational.relation import Relation
@@ -135,9 +136,13 @@ class ShardedCatalog:
             else:
                 position = relation.schema.resolve(0 if key is None else key)
                 partitioner = self._ensure_partitioner(relation, position)
-                pieces = partitioner.partition(
-                    relation, position, self.shard_count
-                )
+                with obs.span(
+                    "shard.partition", relation=name, rows=len(relation),
+                    shards=self.shard_count,
+                ):
+                    pieces = partitioner.partition(
+                        relation, position, self.shard_count
+                    )
                 placement = Placement(
                     PARTITIONED, key=position, fp=partitioner.fingerprint()
                 )

@@ -15,8 +15,16 @@ from dataclasses import astuple
 import pytest
 
 from repro.arrays import ArrayCapacity
-from repro.machine import Base, EnginePool, Join, SystolicDatabaseMachine
+from repro.machine import (
+    Base,
+    CpuDevice,
+    EnginePool,
+    Join,
+    SystolicDatabaseMachine,
+)
+from repro.machine.catalog import Catalog
 from repro.machine.disk import MachineDisk
+from repro.machine.execution import fresh_state, preloaded_free_bytes
 from repro.obs import metrics
 from repro.perf.disk import DiskModel, disk_sweep
 from repro.relational import algebra
@@ -123,6 +131,19 @@ def _run_counted(machine, plan):
 APART = DiskModel(cylinder_bytes=480)
 
 
+@pytest.mark.parametrize("memories", [2, 3, 12])
+def test_sweeps_are_sized_against_the_memories_a_run_starts_with(memories):
+    # Preloads go to the emptiest memory with room, the lower name on a
+    # tie ("mem10" before "mem2"); the planner's count agrees.
+    catalog = Catalog()
+    for k, rows in enumerate([30, 10, 30, 5, 0, 20, 40]):
+        catalog.preload(f"P{k}", _relation(rows))
+    state = fresh_state(catalog, [CpuDevice("cpu")], memories, 400, 32)
+    assert preloaded_free_bytes(catalog.preloaded(), memories, 400, 32) == (
+        tuple(memory.free_bytes for memory in state.memories)
+    )
+
+
 class TestExecutedSweep:
     def test_a_sweep_is_one_window_into_one_memory(self):
         machine, expected = _joined()
@@ -154,8 +175,16 @@ class TestExecutedSweep:
         # Each memory holds one of JA (480 bytes) or JB (420), not both.
         swept, expected = _joined(memory_bytes=600)
         apart, _ = _joined(MachineDisk(APART), memory_bytes=600)
+        # The planner forms no sweep it could not land whole, so it
+        # predicts the serial reads the machine makes.
+        physical = swept.compile(JOIN)
+        assert physical.sweeps == []
         result, report, sweeps = _run_counted(swept, JOIN)
         _, serial, _ = _run_counted(apart, JOIN)
+        assert physical.predicted_makespan == pytest.approx(
+            report.makespan, rel=1e-9
+        )
+        assert report.makespan * 1e3 == pytest.approx(33.371, abs=1e-3)
         assert result == expected and sweeps == 0
         assert [astuple(s) for s in report.steps] == [
             astuple(s) for s in serial.steps
