@@ -32,6 +32,7 @@ from repro.machine.operators import (
     operator_of,
 )
 from repro.machine.physical import (
+    BaseRecord,
     DiskSweep,
     PhysicalOp,
     PhysicalPlan,
@@ -59,6 +60,7 @@ from repro.machine.tree_machine import TreeMachine, TreeRun
 __all__ = [
     "AdmissionGate",
     "Base",
+    "BaseRecord",
     "Catalog",
     "ChainTiming",
     "CpuDevice",

@@ -13,10 +13,10 @@ A catalog holds two populations, mirroring §9's storage hierarchy:
   resident in a memory module — at execution start the pool places
   them in the fresh machine state's memories, ready at time 0.
 
-A catalog's one contribution to a plan-cache key — the machine's, the
-pool's and every shard lane's alike — is its
-:meth:`~Catalog.content_fingerprint` over the base relations the plans
-name.
+A compile reads a catalog once, through
+:meth:`~Catalog.planning_context`: the frozen snapshot of what the
+plans name that the planner plans from, and whose fingerprint keys the
+plan cache — the machine's, the pool's and every shard lane's alike.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import PlanError
 from repro.machine.disk import MachineDisk
+from repro.machine.memory import preloaded_free_bytes
+from repro.machine.physical import BaseRecord, PlanningContext
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnRef
 
@@ -125,65 +127,42 @@ class Catalog:
                 isinstance(name, str) and self.disk.holds(name)
             )
 
-    def content_fingerprint(
+    def planning_context(
         self,
-        names: Iterable[str],
-        columns: Sequence[tuple[str, ColumnRef]] = (),
-    ) -> tuple:
-        """What the physical planner can read when it compiles plans
-        over the base relations ``names``, as a hashable value.
-
-        Covers the disk's timing model and on-track-logic flag, every
-        memory-resident relation (they occupy the memories any plan is
-        placed around), and for each of ``names`` that is not resident
-        its :meth:`MachineDisk.fingerprint` — cardinality, schema and,
-        for a store-backed relation, the manifest digest, so rewriting
-        stored bytes (new data, chunking, or index) invalidates cached
-        plans even at unchanged cardinality; a name the catalog does
-        not hold is part of the value too.  ``columns`` are the
-        ``(name, column)`` pairs whose distinct counts the planner sizes
-        joins from (:func:`~repro.machine.operators.keyed_columns`): each
-        count is part of the value — of the resident relation, else of
-        the in-memory one, None for a store-backed one — so two tenants
-        alike in size but not in their join keys never share a plan.
-        Relations outside ``names`` are not looked at: a write to one of
-        them leaves the value, and the plans cached under it, alone.
-
-        Two catalogs with equal fingerprints compile any logical plan
-        over ``names`` to the same physical plan, which is what lets
-        the pool's plan cache be shared *across* tenants.
+        reads: Iterable[tuple[str, Sequence[ColumnRef]]],
+        devices: Sequence = (),
+        memories: tuple[int, int] = (0, 0),
+        element_bits: int = 32,
+    ) -> PlanningContext:
+        """The frozen snapshot a compile plans from, taken under the
+        catalog's lock: a record per base relation ``reads`` names (the
+        resident relation's, else the disk's :meth:`MachineDisk.record`,
+        else None), with the distinct values of the columns it lists
+        (:func:`~repro.machine.physical.base_reads`); the disk's model,
+        on-track logic and element width; the roster ``devices``; and
+        the free bytes of ``memories`` (``(modules, bytes each)``) once
+        the preloads are placed.  Nothing else of the catalog is read, so
+        a write to a relation outside ``reads`` leaves the snapshot, and
+        the plans cached under its fingerprint, alone.
         """
         with self._lock:
-            resident = tuple(
-                (name, len(rel), rel.schema.key)
-                for name, rel in sorted(self._preloaded.items())
+            disk, preloaded = self.disk, self._preloaded
+            bases = {}
+            for name, columns in reads:
+                relation = preloaded.get(name)
+                bases[name] = (
+                    disk.record(name, columns) if relation is None
+                    else BaseRecord.of(relation, columns, resident=True)
+                )
+            # Positional: on a plan-cache hit this is most of the work.
+            return PlanningContext(
+                bases, disk.model, disk.logic_per_track, disk.element_bits,
+                tuple(devices),
+                preloaded_free_bytes(
+                    preloaded.items(), *memories, element_bits
+                ),
+                element_bits,
             )
-            stored = tuple(
-                self.disk.fingerprint(name)
-                for name in sorted(set(names))
-                if name not in self._preloaded
-            )
-            counts = tuple(
-                (name, column, self.distinct_count(name, column))
-                for name, column in columns
-            )
-            return (
-                self.disk.model,
-                self.disk.logic_per_track,
-                resident,
-                stored,
-                counts,
-            )
-
-    def distinct_count(self, name: str, column: ColumnRef) -> Optional[int]:
-        """The distinct values of a column of ``name`` as the planner
-        reads them: the resident relation's, else the disk's
-        (:meth:`MachineDisk.distinct_count`)."""
-        with self._lock:
-            relation = self._preloaded.get(name)
-            if relation is not None:
-                return relation.distinct_count(column)
-            return self.disk.distinct_count(name, column)
 
     def __repr__(self) -> str:
         with self._lock:

@@ -87,18 +87,6 @@ class CrossbarSwitch:
             link.memory == memory and link.overlaps(probe) for link in self._links
         )
 
-    def memory_free_at(self, memory: str, instant: float) -> float:
-        """Earliest time ≥ ``instant`` at which a memory port is free."""
-        time = instant
-        changed = True
-        while changed:
-            changed = False
-            for link in self._links:
-                if link.memory == memory and link.start <= time < link.end:
-                    time = link.end
-                    changed = True
-        return time
-
     def earliest_window(self, memory: str, ready: float, duration: float) -> float:
         """Earliest start ≥ ``ready`` of a ``duration``-long free window.
 

@@ -27,13 +27,14 @@ placed; each is read alone.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.errors import PlanError
+from repro.machine.physical import BaseRecord
 from repro.obs import metrics
 from repro.perf.disk import DiskModel, PAPER_DISK
 from repro.relational.relation import COLUMN_OPS, Relation, select_rows
-from repro.relational.schema import ColumnRef, Schema
+from repro.relational.schema import ColumnRef
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.store import RelationStore, StoredRelation
@@ -159,44 +160,11 @@ class MachineDisk:
             return None
         return self._store.find(name)
 
-    def store_backed(self, name: str) -> bool:
-        """Whether reads of ``name`` stream from the persistent store."""
-        return self._handle(name) is not None
-
-    def stored_handle(self, name: str) -> "StoredRelation":
-        """The store's read handle for a store-backed relation."""
-        handle = self._handle(name)
-        if handle is None:
-            raise PlanError(
-                f"relation {name!r} is not store-backed on this disk"
-            )
-        return handle
-
-    def profile(self, name: str) -> tuple[int, int, Schema]:
-        """(cardinality, arity, schema) without materialising tuples.
-
-        The physical planner sizes base relations through this, so a
-        million-tuple store-backed relation never has to be decoded
-        just to be *costed*.
-        """
-        if name in self._catalog:
-            relation = self._catalog[name]
-            return len(relation), relation.arity, relation.schema
-        handle = self._handle(name)
-        if handle is not None:
-            return handle.rows, handle.arity, handle.schema
-        raise PlanError(
-            f"no base relation named {name!r}; have {self.names()}"
-        )
-
     def relation(self, name: str) -> Relation:
-        """The stored relation itself, without modelling a timed read.
-
-        The physical planner uses this to learn exact base sizes and
-        schemas while costing a plan; :meth:`read` remains the only way
-        data *moves* off the disk.  For store-backed relations this
-        materialises every chunk — prefer :meth:`profile` for sizing.
-        """
+        """The stored relation itself, without modelling a timed read:
+        :meth:`read` remains the only way data *moves* off the disk.
+        For store-backed relations this materialises every chunk — the
+        planner sizes them from :meth:`record`."""
         try:
             return self._catalog[name]
         except KeyError:
@@ -207,41 +175,32 @@ class MachineDisk:
                 f"no base relation named {name!r}; have {self.names()}"
             ) from None
 
-    def distinct_count(self, name: str, column: ColumnRef) -> Optional[int]:
-        """The distinct values of a column of an in-memory relation
-        (:meth:`Relation.distinct_count`, counted once); None for a
-        store-backed relation, whose manifest does not count them, or a
-        name this disk does not hold."""
-        relation = self._catalog.get(name)
-        if relation is None:
-            return None
-        return relation.distinct_count(column)
-
     def _tuple_bytes(self, rows: int, arity: int) -> int:
         """On-disk size of ``rows`` tuples under this disk's element width."""
         return rows * arity * ((self.element_bits + 7) // 8)
 
-    def fingerprint(self, name: str) -> tuple:
-        """What the physical planner can learn about ``name`` here.
-
-        ``(name, rows, schema key, manifest digest, cylinder)`` — the
-        digest is ``None`` for an in-memory relation; rewriting a
-        store-backed one changes it, so plans compiled against the old
-        chunking, index or data stop matching the plan cache.  The
-        cylinder (:meth:`cylinder`) decides which loads share a sweep;
-        an index, not a byte offset, so tenants laid out alike share
-        plans.  ``(name, None)`` when no such
-        relation exists.  Costs one ``stat`` for a store-backed relation
-        whose manifest has not changed, nothing otherwise.
+    def record(
+        self, name: str, columns: Sequence[ColumnRef] = ()
+    ) -> Optional[BaseRecord]:
+        """What the physical planner reads of ``name`` here, with the
+        distinct values of ``columns`` (counted once a column for an
+        in-memory relation; None for a store-backed one, whose manifest
+        does not count them).  The cylinder is an index, not a byte
+        offset, so tenants laid out alike share plans.  None when this
+        disk holds no such relation.  Costs one ``stat`` for a
+        store-backed relation whose manifest has not changed.
         """
         relation = self._catalog.get(name)
         if relation is not None:
-            return (name, len(relation), relation.schema.key, None,
-                    self.cylinder(name))
+            return BaseRecord.of(relation, columns, False, self.cylinder(name))
         handle = self._handle(name)
         if handle is None:
-            return name, None
-        return name, handle.rows, handle.schema.key, handle.digest, None
+            return None
+        return BaseRecord(
+            handle.rows, handle.schema,
+            distinct=tuple((column, None) for column in columns),
+            handle=handle,
+        )
 
     # -- reading ---------------------------------------------------------------
 

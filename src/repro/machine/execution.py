@@ -24,9 +24,8 @@ that shared machinery so the front-ends cannot drift:
   :class:`~repro.machine.scheduler.PlacementMemo` replays the ones an
   earlier run recorded.
 * :func:`build_devices`, :func:`place_resident`,
-  :func:`roster_fingerprint`, :func:`check_memories`,
-  :func:`preloaded_free_bytes` — the construction helpers the
-  front-ends share.
+  :func:`check_memories` — the construction helpers the front-ends
+  share.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from repro.machine.catalog import Catalog
 from repro.machine.crossbar import CrossbarSwitch
 from repro.machine.device import CpuDevice, DeviceRun, SystolicDevice
 from repro.machine.disk import MachineDisk
-from repro.machine.memory import MemoryModule, relation_bytes
+from repro.machine.memory import MemoryModule, emptiest, relation_bytes
 from repro.machine.physical import (
     OP_ARRAY,
     OP_LOAD,
@@ -77,8 +76,6 @@ __all__ = [
     "check_memories",
     "fresh_state",
     "place_resident",
-    "preloaded_free_bytes",
-    "roster_fingerprint",
 ]
 
 #: The crossbar port (and step device) of the machine's disk.
@@ -118,22 +115,6 @@ def build_devices(
             )
     devices.append(CpuDevice("cpu"))
     return devices
-
-
-def roster_fingerprint(
-    devices: Iterable[SystolicDevice | CpuDevice],
-) -> tuple:
-    """A hashable identity of a device complement, for plan-cache keys."""
-    return tuple(
-        (
-            device.name,
-            device.kind,
-            getattr(getattr(device, "capacity", None), "max_rows", None),
-            getattr(getattr(device, "capacity", None), "max_cols", None),
-            getattr(device, "element_bits", None),
-        )
-        for device in devices
-    )
 
 
 class MachineState:
@@ -214,7 +195,7 @@ def place_resident(state: MachineState, name: str, relation: Relation) -> None:
     if name in state.resident:
         raise PlanError(f"relation {name!r} is already resident")
     nbytes = relation_bytes(relation, state.element_bits)
-    index = _emptiest([m.free_bytes for m in state.memories], nbytes)
+    index = emptiest([m.free_bytes for m in state.memories], nbytes)
     if index is None:
         raise CapacityError(
             f"no memory module can absorb {nbytes} bytes for {name!r}"
@@ -223,38 +204,6 @@ def place_resident(state: MachineState, name: str, relation: Relation) -> None:
     key = f"resident:{name}"
     memory.store(key, relation, nbytes)
     state.resident[name] = (key, relation, 0.0, memory.name)
-
-
-def _emptiest(free: Sequence[int], nbytes: int) -> Optional[int]:
-    """Which of a machine's equal-sized memories (``free`` bytes each) a
-    preload of ``nbytes`` goes to: the emptiest with room, the lower
-    name on a tie; None when none has room."""
-    return min(
-        (m for m, room in enumerate(free) if room >= nbytes),
-        key=lambda m: (-free[m], f"mem{m}"),
-        default=None,
-    )
-
-
-def preloaded_free_bytes(
-    preloaded: Iterable[tuple[str, Relation]],
-    memories: int,
-    memory_bytes: int,
-    element_bits: int,
-) -> tuple[int, ...]:
-    """Each memory's free bytes in the fresh state of a run, the
-    ``preloaded`` relations (a catalog's, in preload order) placed as
-    :func:`fresh_state` places them: what the planner sizes a disk
-    sweep against.  The count stops at a preload no memory can take
-    (running then fails on it)."""
-    free = [memory_bytes] * memories
-    for _, relation in preloaded:
-        nbytes = relation_bytes(relation, element_bits)
-        index = _emptiest(free, nbytes)
-        if index is None:
-            break
-        free[index] -= nbytes
-    return tuple(free)
 
 
 def check_memories(memories: int) -> None:

@@ -11,11 +11,17 @@ limits are applied by the scheduler using the module's bandwidth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
 from repro.errors import CapacityError, PlanError
 from repro.relational.relation import Relation
 
-__all__ = ["DEFAULT_BANDWIDTH_BYTES_PER_S", "MemoryModule", "relation_bytes"]
+__all__ = [
+    "DEFAULT_BANDWIDTH_BYTES_PER_S",
+    "MemoryModule",
+    "preloaded_free_bytes",
+    "relation_bytes",
+]
 
 #: §8's disk-rate argument: the system must absorb ~500 KB / 17 ms per
 #: stream, so that is what one module sustains.
@@ -29,6 +35,38 @@ def relation_bytes(relation: Relation, element_bits: int = 32) -> int:
     if len(relation) == 0:
         return 0
     return len(relation) * relation.arity * ((element_bits + 7) // 8)
+
+
+def emptiest(free: Sequence[int], nbytes: int) -> Optional[int]:
+    """Which of a machine's equal-sized memories (``free`` bytes each) a
+    preload of ``nbytes`` goes to: the emptiest with room, the lower
+    name on a tie; None when none has room."""
+    return min(
+        (m for m, room in enumerate(free) if room >= nbytes),
+        key=lambda m: (-free[m], f"mem{m}"),
+        default=None,
+    )
+
+
+def preloaded_free_bytes(
+    preloaded: Iterable[tuple[str, Relation]],
+    memories: int,
+    memory_bytes: int,
+    element_bits: int,
+) -> tuple[int, ...]:
+    """Each memory's free bytes in the fresh state of a run, the
+    ``preloaded`` relations (a catalog's, in preload order) placed as
+    :func:`~repro.machine.execution.fresh_state` places them: what the
+    planner sizes a disk sweep against.  The count stops at a preload
+    no memory can take (running then fails on it)."""
+    free = [memory_bytes] * memories
+    for _, relation in preloaded:
+        nbytes = relation_bytes(relation, element_bits)
+        index = emptiest(free, nbytes)
+        if index is None:
+            break
+        free[index] -= nbytes
+    return tuple(free)
 
 
 @dataclass

@@ -32,11 +32,17 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, fields
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Iterable,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+)
 
 from repro import obs
 from repro.errors import PlanError
-from repro.machine.disk import MachineDisk
 from repro.machine.memory import DEFAULT_BANDWIDTH_BYTES_PER_S
 from repro.machine.pipelining import StageCost, analyze_chain
 from repro.machine.operators import (
@@ -53,15 +59,20 @@ from repro.perf.cost import (
     bit_comparison_cost,
     comparison_cost,
 )
-from repro.perf.disk import disk_sweep
+from repro.perf.disk import DiskModel, disk_sweep
 from repro.relational.relation import Relation
+from repro.relational.schema import ColumnRef, Schema
 from repro.systolic.engine import resolve_backend
+
+if TYPE_CHECKING:  # pragma: no cover - hints only
+    from repro.store import StoredRelation
 
 __all__ = [
     "OP_LOAD",
     "OP_RESIDENT",
     "OP_CPU",
     "OP_ARRAY",
+    "BaseRecord",
     "DiskSweep",
     "PhysicalOp",
     "PipelinedChain",
@@ -71,8 +82,8 @@ __all__ = [
     "estimate_cost",
     "actual_cost",
     "plan_fingerprint",
-    "base_names",
-    "base_keys",
+    "base_reads",
+    "roster_fingerprint",
     "select_fused_bases",
 ]
 
@@ -140,24 +151,39 @@ def _fingerprint(plans: Sequence[PlanNode]) -> tuple:
     return tuple(fingerprint(plan) for plan in plans)
 
 
-def base_names(plans: Sequence[PlanNode]) -> frozenset[str]:
-    """The base relations the plans name: the part of a catalog a
-    compile of them can read (beside what is memory-resident).  Kept
-    on the first root, like the transaction's fingerprint."""
-    return _kept_on_root(plans, "_base_names", lambda plans: frozenset(
-        node.name
-        for plan in plans for node in walk(plan) if isinstance(node, Base)
+def base_reads(
+    plans: Sequence[PlanNode],
+) -> tuple[tuple[str, tuple[ColumnRef, ...]], ...]:
+    """What a compile of the plans reads of a catalog: each base relation
+    they name, in name order, with the columns whose distinct counts
+    sizing their joins reads (:func:`~repro.machine.operators.keyed_columns`).
+    Kept on the first root, like the transaction's fingerprint."""
+    return _kept_on_root(plans, "_base_reads", lambda plans: tuple(
+        (name, tuple(dict.fromkeys(
+            column for plan in plans
+            for base, column in keyed_columns(plan) if base == name
+        )))
+        for name in sorted({
+            node.name for plan in plans for node in walk(plan)
+            if isinstance(node, Base)
+        })
     ))
 
 
-def base_keys(plans: Sequence[PlanNode]) -> tuple:
-    """The ``(base name, column)`` pairs whose distinct counts a compile
-    of the plans reads (:func:`~repro.machine.operators.keyed_columns`):
-    with :func:`base_names`, the part of a catalog the plan-cache key
-    covers.  Kept on the first root, like the fingerprint."""
-    return _kept_on_root(plans, "_base_keys", lambda plans: tuple(
-        dict.fromkeys(key for plan in plans for key in keyed_columns(plan))
-    ))
+def roster_fingerprint(devices: Iterable) -> tuple:
+    """A hashable identity of a roster: each device's name, kind,
+    capacity and element width.  A plan cache serves one device
+    complement, so what else the planner reads of a device (its
+    technology, its engine) is the same for every roster it sees."""
+    roster = []
+    for device in devices:
+        capacity = getattr(device, "capacity", None)  # None on the CPU
+        roster.append((
+            device.name, device.kind, capacity and capacity.max_rows,
+            capacity and capacity.max_cols,
+            getattr(device, "element_bits", None),
+        ))
+    return tuple(roster)
 
 
 def estimate_cost(
@@ -384,10 +410,6 @@ class PhysicalPlan:
             return [op]
         return [self[i] for i in self.sweeps[op.sweep].op_ids]
 
-    def device_assignments(self) -> dict[str, str]:
-        """Operator label → assigned device, for quick inspection."""
-        return {op.label: op.device for op in self.ops}
-
     def explain(self) -> str:
         """Device assignments, block counts, chains, predicted makespan."""
         discipline = "pipelined" if self.pipeline else "store-and-forward"
@@ -435,24 +457,105 @@ class PhysicalPlan:
         )
 
 
-@dataclass(frozen=True)
-class PlanningContext:
-    """Everything :class:`PhysicalPlanner` reads, and nothing else.
+class BaseRecord(NamedTuple):
+    """What the planner knows of one base relation the plans name."""
 
-    The single machine, the engine pool and every shard lane describe
-    what they plan against with one of these: the tenant's disk, the
-    relations already resident in memory (``name → Relation``, planned
-    as ready at time 0), the device roster — the full complement, or
-    the survivors after a quarantine — each memory's free bytes once
-    the resident relations are placed (what a disk sweep must land in),
-    and the machine's element width.
+    rows: int
+    schema: Schema
+    #: already in a memory module (a preload), ready at time 0.
+    resident: bool = False
+    #: the cylinder an in-memory relation on the disk lies on, when it
+    #: lies on exactly one (which loads share a disk sweep).
+    cylinder: Optional[int] = None
+    #: ``(column, distinct values)`` of each column a join of the plans
+    #: matches by equality; None where nothing counted them (the store).
+    distinct: tuple[tuple[ColumnRef, Optional[int]], ...] = ()
+    #: a store-backed relation's read handle.  The planner reads only
+    #: its manifest (chunk rows, zone maps, grid index) to prune chunks.
+    handle: Optional["StoredRelation"] = None
+
+    @classmethod
+    def of(
+        cls,
+        relation: Relation,
+        columns: Sequence[ColumnRef],
+        resident: bool = False,
+        cylinder: Optional[int] = None,
+    ) -> "BaseRecord":
+        """The record of a relation the caller holds in memory."""
+        return cls(len(relation), relation.schema, resident, cylinder, tuple([
+            (column, relation.distinct_count(column)) for column in columns
+        ]) if columns else ())
+
+    @property
+    def arity(self) -> int:
+        return len(self.schema)
+
+    @property
+    def key(self) -> tuple:
+        """The record as a hashable value: every field, the schema as
+        its :attr:`~repro.relational.schema.Schema.key` and the handle as
+        its manifest's digest.  (Unpacking the record whole makes a new
+        field a hard error here until the key carries it.)"""
+        rows, schema, resident, cylinder, distinct, handle = self
+        return (rows, schema.key, resident, cylinder, distinct,
+                handle and handle.digest)
+
+
+class PlanningContext(NamedTuple):
+    """Everything :class:`PhysicalPlanner` reads, as one frozen value.
+
+    The machine, the engine pool and every shard lane build one per
+    compile (:meth:`~repro.machine.catalog.Catalog.planning_context`):
+    a :class:`BaseRecord` per base relation the plans name (None for a
+    name the catalog does not hold), the disk's timing model, its
+    on-track logic and element width, the device roster — the full
+    complement, or the survivors after a quarantine — each memory's
+    free bytes once the preloads are placed (what a disk sweep must
+    land in), and the machine's element width.  :attr:`fingerprint`
+    is the plan-cache key's part for it: equal contexts compile equal
+    plans.
     """
 
-    disk: MachineDisk
-    resident: Mapping[str, Relation]
+    bases: Mapping[str, Optional[BaseRecord]]
+    disk_model: DiskModel
+    logic_per_track: bool
+    disk_element_bits: int
     devices: Sequence
-    memory_free: Sequence[int]
+    memory_free: tuple[int, ...]
     element_bits: int = 32
+
+    @property
+    def fingerprint(self) -> tuple:
+        """The context as one hashable value: every field, each record
+        as its :attr:`BaseRecord.key` and the roster as its
+        :func:`roster_fingerprint` (unpacked whole, like the record)."""
+        bases, model, on_track, disk_bits, devices, free, bits = self
+        return (
+            tuple([
+                (name, record and record.key)
+                for name, record in bases.items()
+            ]),
+            model, on_track, disk_bits, roster_fingerprint(devices), free,
+            bits,
+        )
+
+    def base(self, name: str) -> BaseRecord:
+        """The record of a base relation the plans load."""
+        record = self.bases.get(name)
+        if record is None:
+            raise PlanError(f"no base relation named {name!r} on the disk")
+        return record
+
+    def store_backed(self, name: str) -> bool:
+        """Whether reads of ``name`` stream from the persistent store."""
+        record = self.bases.get(name)
+        return record is not None and record.handle is not None
+
+    def distinct_count(self, name: str, column: ColumnRef) -> Optional[int]:
+        """A keyed base column's distinct values, as
+        :func:`~repro.machine.operators.estimate_rows` reads them."""
+        return dict(self.bases[name].distinct).get(column)
 
 
 def _selects_over_bases(order, parent_count):
@@ -581,61 +684,31 @@ class PhysicalPlanner:
         predicate while scanning the chunks its grid index could not
         prune — the selection never leaves the storage layer).
         """
-        disk = self.context.disk
+        ctx = self.context
         return {
             id(base): node
             for base, node in _selects_over_bases(order, parent_count)
-            if disk.logic_per_track or disk.store_backed(base.name)
+            if ctx.logic_per_track or ctx.store_backed(base.name)
         }
-
-    # -- catalog estimates -----------------------------------------------------
-
-    def _base_catalog(self, order):
-        """name → (schema, cardinality) for every reachable base relation
-        — the ones the plans name, which is also all that the pool's
-        plan-cache key covers (:meth:`Catalog.content_fingerprint`).
-
-        Sizes come from :meth:`MachineDisk.profile`, which answers from
-        the store manifest for store-backed relations — costing a plan
-        never materialises out-of-core tuples.
-        """
-        schemas, cards = {}, {}
-        ctx = self.context
-        for node in order:
-            if not isinstance(node, Base) or node.name in schemas:
-                continue
-            name = node.name
-            relation = ctx.resident.get(name)
-            if relation is not None:
-                cards[name], schemas[name] = len(relation), relation.schema
-            else:
-                cards[name], _, schemas[name] = ctx.disk.profile(name)
-        return schemas, cards
 
     # -- device assignment -------------------------------------------------------
 
     def _assign(self, order, release, parent_count, fused):
         ctx = self.context
-        disk = ctx.disk
-        schemas, cards = self._base_catalog(order)
+        bases = {
+            node.name: ctx.base(node.name)
+            for node in order if isinstance(node, Base)
+        }
+        schemas = {name: record.schema for name, record in bases.items()}
+        cards = {name: record.rows for name, record in bases.items()}
         element_bytes = (ctx.element_bits + 7) // 8
+        disk_elem = (ctx.disk_element_bits + 7) // 8
 
         def est_bytes(rows: int, arity: int) -> int:
             return rows * arity * element_bytes
 
         def transfer(nbytes: int) -> float:
             return nbytes / DEFAULT_BANDWIDTH_BYTES_PER_S
-
-        def distinct(name: str, column) -> Optional[int]:
-            """A base column's distinct values, where the planner holds
-            the rows (resident, or on the in-memory disk) — counted once
-            a column, and part of the plan-cache key (:func:`base_keys`);
-            None for a store-backed relation, whose manifest does not
-            count them."""
-            relation = ctx.resident.get(name)
-            if relation is not None:
-                return relation.distinct_count(column)
-            return disk.distinct_count(name, column)
 
         ops: list[PhysicalOp] = []
         op_of_node: dict[int, int] = {}
@@ -666,13 +739,14 @@ class PhysicalPlanner:
                 continue
             op_id = len(ops)
             if isinstance(node, Base):
-                relation = ctx.resident.get(node.name)
-                if relation is not None:
+                record = bases[node.name]
+                base_rows, base_arity = record.rows, record.arity
+                if record.resident:
                     add(PhysicalOp(
                         op_id=op_id, node=node, kind=OP_RESIDENT,
                         device="memory", inputs=(), release=release[id(node)],
-                        label=node.name, est_rows_out=len(relation),
-                        est_bytes_out=est_bytes(len(relation), relation.arity),
+                        label=node.name, est_rows_out=base_rows,
+                        est_bytes_out=est_bytes(base_rows, base_arity),
                         est_seconds=0.0,
                     ))
                     continue
@@ -680,8 +754,6 @@ class PhysicalPlanner:
                 if select is None and node.name in loaded_bases:
                     op_of_node[id(node)] = loaded_bases[node.name]
                     continue
-                base_rows, base_arity, _ = disk.profile(node.name)
-                disk_elem = (disk.element_bits + 7) // 8
                 if select is not None:
                     rows = estimate_rows(select, {node.name: base_rows})
                     label = f"load {select.describe()}"
@@ -691,8 +763,8 @@ class PhysicalPlanner:
                     label = f"load {node.name}"
                     selection = None
                 scan = None
-                if disk.store_backed(node.name):
-                    handle = disk.stored_handle(node.name)
+                handle = record.handle
+                if handle is not None:
                     if selection is not None:
                         chunk_ids = handle.select_chunks(*selection)
                     else:
@@ -706,13 +778,13 @@ class PhysicalPlanner:
                         rows_scanned=rows_scanned,
                         nbytes=rows_scanned * base_arity * disk_elem,
                     )
-                    read_seconds = disk.model.read_seconds(scan.nbytes)
+                    read_seconds = ctx.disk_model.read_seconds(scan.nbytes)
                     label += (
                         f" [chunks {scan.chunks_read}/{scan.chunks_total}, "
                         f"{scan.chunks_pruned} pruned]"
                     )
                 else:
-                    read_seconds = disk.model.read_seconds(
+                    read_seconds = ctx.disk_model.read_seconds(
                         base_rows * base_arity * disk_elem
                     )
                 op = add(PhysicalOp(
@@ -728,7 +800,7 @@ class PhysicalPlanner:
                     op_of_node[id(select)] = op.op_id
                 else:
                     loaded_bases[node.name] = op.op_id
-                sweep = (op.release, disk.cylinder(node.name))
+                sweep = (op.release, record.cylinder)
                 swept = open_sweeps.get(sweep)
                 if swept is not None and op.est_bytes_out <= sweep_room[sweep]:
                     # Read in the revolution the sweep's first load has.
@@ -754,7 +826,7 @@ class PhysicalPlanner:
                 [release[id(node)]] + [op.est_end for op in in_ops]
             )
             schema = infer_schema(node, schemas)
-            rows_out = estimate_rows(node, cards, distinct)
+            rows_out = estimate_rows(node, cards, ctx.distinct_count)
             bytes_out = est_bytes(rows_out, len(schema))
 
             if node.device_kind == DEVICE_CPU:

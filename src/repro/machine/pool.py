@@ -8,9 +8,9 @@ architecture (catalog / session / pool):
 * one **device complement** — the systolic arrays and CPU are pure
   (``execute`` is a function of the plan node and input relations), so
   every concurrent query runs on the same instances;
-* one **plan cache** — keyed by plan structure *and* catalog content
-  fingerprint, never by tenant name, so tenants with statistically
-  identical catalogs share compiled physical plans;
+* one **plan cache** — keyed by plan structure *and* the fingerprint
+  of the planning snapshot, never by tenant name, so tenants with
+  statistically identical catalogs share compiled physical plans;
 * one **admission gate** — at most ``max_concurrent`` queries execute
   at a time; excess queries wait (highest priority first) and are
   refused with :class:`~repro.errors.AdmissionError` once their
@@ -44,19 +44,11 @@ from repro.faults.recovery import (
 )
 from repro.obs import metrics
 from repro.machine.catalog import Catalog
-from repro.machine.execution import (
-    PlanExecutor,
-    build_devices,
-    check_memories,
-    preloaded_free_bytes,
-    roster_fingerprint,
-)
+from repro.machine.execution import PlanExecutor, build_devices, check_memories
 from repro.machine.physical import (
     PhysicalPlan,
     PhysicalPlanner,
-    PlanningContext,
-    base_keys,
-    base_names,
+    base_reads,
     plan_fingerprint,
 )
 from repro.machine.plan import PlanNode
@@ -165,39 +157,32 @@ def compile_plans(
     The machine's compile, its recovery compile, the pool's and every
     shard lane's are this call over a different ``catalog`` /
     ``devices``; ``memories`` is the machine's ``(modules, bytes each)``.
-    The one cache key is ``(plan_fingerprint(plans), arrivals, pipeline,
-    catalog.content_fingerprint(base_names(plans), base_keys(plans)),
-    roster_fingerprint(devices), memory_free)``, ``memory_free`` being
-    each memory's room once the preloads are placed
-    (:func:`~repro.machine.execution.preloaded_free_bytes`, which disk
-    sweeps are sized against): a plan is reused only when the planner
-    would provably reproduce it, so a write to a relation the plans do
-    not name evicts nothing and a degraded roster's plan never answers
-    for the full one.  Concurrent misses of one key run the planner
-    once; a cache of size 0 always plans.
+    The planner plans from one frozen snapshot,
+    ``catalog.planning_context(base_reads(plans), devices, memories,
+    element_bits)``, and the one cache key is ``(plan_fingerprint(plans),
+    arrivals, pipeline, context.fingerprint)``: a plan is reused only
+    for a snapshot equal to the one it was planned from, so a write to
+    a relation the plans do not name evicts nothing and a degraded
+    roster's plan never answers for the full one.  Concurrent misses
+    of one key run the planner once; a cache of size 0 always plans.
     """
     if isinstance(plans, PlanNode):
         plans = [plans]
     metrics.inc("machine.compile.calls")
-    preloaded = catalog.preloaded()
-    memory_free = preloaded_free_bytes(preloaded, *memories, element_bits)
-
-    def build() -> PhysicalPlan:
-        context = PlanningContext(
-            disk=catalog.disk,
-            resident=dict(preloaded),
-            devices=devices,
-            memory_free=memory_free,
-            element_bits=element_bits,
-        )
-        return PhysicalPlanner(context).compile(
-            plans, arrivals, pipeline=pipeline
-        )
 
     with obs.span(
         "machine.compile", plans=len(plans), pipeline=bool(pipeline),
         **span_attrs,
     ) as sp:
+        context = catalog.planning_context(
+            base_reads(plans), devices, memories, element_bits
+        )
+
+        def build() -> PhysicalPlan:
+            return PhysicalPlanner(context).compile(
+                plans, arrivals, pipeline=pipeline
+            )
+
         if cache.maxsize > 0:
             # A hit skips the planner spans a miss records, and which
             # of two racing compiles hits is the host's business.
@@ -207,11 +192,7 @@ def compile_plans(
                     plan_fingerprint(plans),
                     tuple(arrivals) if arrivals is not None else None,
                     bool(pipeline),
-                    catalog.content_fingerprint(
-                        base_names(plans), base_keys(plans)
-                    ),
-                    roster_fingerprint(devices),
-                    memory_free,
+                    context.fingerprint,
                 ),
                 build,
             )

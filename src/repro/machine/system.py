@@ -187,10 +187,10 @@ class SystolicDatabaseMachine:
         This is :func:`~repro.machine.pool.compile_plans` over the
         machine's catalog and full roster — the call the pool and every
         shard lane make — LRU-cached under its one key: plan structure
-        (sharing included), arrivals, pipeline flag, the catalog's
-        content fingerprint over the base relations the plans name, and
-        the roster.  A :meth:`store` of a relation the plans do not
-        name evicts nothing; ``plan_cache_size=0`` turns the cache off.
+        (sharing included), arrivals, pipeline flag, and the planning
+        snapshot of the base relations the plans name and the roster.
+        A :meth:`store` of a relation the plans do not name evicts
+        nothing; ``plan_cache_size=0`` turns the cache off.
         """
         return compile_plans(
             self._plan_cache, self.catalog, self.devices, self.element_bits,

@@ -40,9 +40,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.errors import PlanError
-from repro.machine.catalog import Catalog
 from repro.machine.operators import estimate_rows, infer_schema
-from repro.machine.physical import estimate_cost, select_fused_bases
+from repro.machine.physical import (
+    PlanningContext,
+    estimate_cost,
+    select_fused_bases,
+)
 from repro.machine.plan import (
     Base,
     Dedup,
@@ -223,36 +226,35 @@ def _loads(plans: Sequence[PlanNode]) -> dict[str, Base]:
 
 
 def _stage_cylinders(
-    shard: Catalog, loads: Sequence[str]
-) -> tuple[dict, set]:
-    """This shard's resident relations, and the cylinders a stage's
-    ``loads`` lie on here."""
-    resident = dict(shard.preloaded())
-    cylinders = {
-        shard.disk.cylinder(name) for name in loads if name not in resident
-    }
-    return resident, cylinders - {None}
+    context: PlanningContext, loads: Sequence[str]
+) -> set:
+    """The cylinders a stage's ``loads`` lie on in a shard's planning
+    ``context``, those resident there left out."""
+    records = [context.bases[name] for name in loads]
+    return {
+        record.cylinder for record in records
+        if record is not None and not record.resident
+    } - {None}
 
 
 def _rides_a_stage_cylinder(
-    shard: Catalog, name: str, resident: dict, cylinders: set,
+    context: PlanningContext, name: str, cylinders: set,
     filtered: frozenset[str],
 ) -> bool:
-    """Whether ``name`` is an in-memory relation of this shard's disk,
-    not resident here, that lies on one of the stage's load
+    """Whether ``name`` is an in-memory relation of the shard's disk,
+    not resident there, that lies on one of the stage's load
     ``cylinders`` or holds no bytes (its read takes no time) — and, on
     a logic-per-track disk, is not among the relations a later stage
     reads through an on-track selection (``filtered``): held in memory
     whole, it would lose that free filter."""
-    disk = shard.disk
-    if name in resident or not disk.holds(name) or disk.store_backed(name):
+    record = context.bases[name]
+    if record is None or record.resident or record.handle is not None:
         return False
-    if disk.logic_per_track and name in filtered:
+    if context.logic_per_track and name in filtered:
         return False
-    cylinder = disk.cylinder(name)
-    if cylinder is None:
-        return disk.profile(name)[0] == 0
-    return cylinder in cylinders
+    if record.cylinder is None:
+        return record.rows == 0
+    return record.cylinder in cylinders
 
 
 class ShardPlanner:
@@ -310,25 +312,31 @@ class ShardPlanner:
         stage's loads — unless a logic-per-track disk would filter it
         on-track for the later stage.  Each shard then reads those its
         first-stage plan takes into that sweep whole (the executor's
-        ``_stage_plan``).  Store-backed relations lie on no cylinder
-        (:meth:`MachineDisk.cylinder`): they are read where they are
-        used, chunk pruning and all.
+        ``_stage_plan``).  Each shard is read through its planning
+        snapshot (:class:`~repro.machine.physical.PlanningContext`), the
+        records its own stage compiles plan from.  Store-backed relations
+        lie on no cylinder: they are read where they are used, chunk
+        pruning and all.
         """
         if not self._exchanges:
             return ()
         stages = _later_stages(self._exchanges, roots)
         later = _loads([plan for plans in stages for plan in plans])
         candidates = list(later)
-        filtered = frozenset()
-        if any(shard.disk.logic_per_track for shard in self.catalog.shards):
-            filtered = filtered.union(*map(select_fused_bases, stages))
         loads = list(_loads([self._exchanges[0].plan]))
-        for shard in self.catalog.shards:
-            resident, cylinders = _stage_cylinders(shard, loads)
+        reads = [(name, ()) for name in sorted({*later, *loads})]
+        contexts = [
+            shard.planning_context(reads) for shard in self.catalog.shards
+        ]
+        filtered = frozenset()
+        if any(context.logic_per_track for context in contexts):
+            filtered = filtered.union(*map(select_fused_bases, stages))
+        for context in contexts:
+            cylinders = _stage_cylinders(context, loads)
             candidates = [
                 name for name in candidates
                 if _rides_a_stage_cylinder(
-                    shard, name, resident, cylinders, filtered
+                    context, name, cylinders, filtered
                 )
             ]
         return tuple(later[name] for name in candidates)

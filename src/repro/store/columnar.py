@@ -47,6 +47,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from repro import obs
 from repro.errors import ConfigError, StoreError
 from repro.obs import metrics
 from repro.relational.algebra import COMPARISON_OPS
@@ -525,36 +526,40 @@ class StoredRelation:
 
         Returns a :class:`StoreScan` whose relation holds the matching
         tuples (all tuples when ``selection`` is ``None``); only the
-        chunks actually read are counted and billed.
+        chunks actually read are counted and billed.  The scan is one
+        ``store.read`` span.
         """
-        if selection is None:
-            chunk_ids = range(self.n_chunks)
-            columns = _POOL.whole(self)
-        else:
-            column, op, value = selection
-            chunk_ids = self.select_chunks(column, op, value)
-            columns = self._read_matching(
-                chunk_ids, self.schema.resolve(column), op, value
+        with obs.span("store.read", relation=self.name) as sp:
+            if selection is None:
+                chunk_ids = range(self.n_chunks)
+                columns = _POOL.whole(self)
+            else:
+                column, op, value = selection
+                chunk_ids = self.select_chunks(column, op, value)
+                columns = self._read_matching(
+                    chunk_ids, self.schema.resolve(column), op, value
+                )
+            # The scan is billed for the whole chunks it covers, as the
+            # disk passes them under the head, whatever it copies of them.
+            rows_scanned = sum(self.chunks[i].rows for i in chunk_ids)
+            nbytes = rows_scanned * self.arity * _ELEMENT_BYTES
+            metrics.inc("store.chunks_read", len(chunk_ids))
+            metrics.inc("store.chunks_pruned", self.n_chunks - len(chunk_ids))
+            metrics.inc("store.bytes_read", nbytes)
+            sp.set(chunks_read=len(chunk_ids), chunks_total=self.n_chunks,
+                   rows_scanned=rows_scanned)
+            # Rows of a set the writer proved are a set; anything else
+            # the constructor checks.
+            rows = columns.T
+            return StoreScan(
+                relation=Relation(
+                    self.schema, DistinctRows(rows) if self.distinct else rows
+                ),
+                chunks_total=self.n_chunks,
+                chunks_read=len(chunk_ids),
+                rows_scanned=rows_scanned,
+                nbytes=nbytes,
             )
-        # The scan is billed for the whole chunks it covers, as the disk
-        # passes them under the head, whatever it copies of them.
-        rows_scanned = sum(self.chunks[i].rows for i in chunk_ids)
-        nbytes = rows_scanned * self.arity * _ELEMENT_BYTES
-        metrics.inc("store.chunks_read", len(chunk_ids))
-        metrics.inc("store.chunks_pruned", self.n_chunks - len(chunk_ids))
-        metrics.inc("store.bytes_read", nbytes)
-        # Rows of a set the writer proved are a set; anything else the
-        # constructor checks.
-        rows = columns.T
-        return StoreScan(
-            relation=Relation(
-                self.schema, DistinctRows(rows) if self.distinct else rows
-            ),
-            chunks_total=self.n_chunks,
-            chunks_read=len(chunk_ids),
-            rows_scanned=rows_scanned,
-            nbytes=nbytes,
-        )
 
     def __repr__(self) -> str:
         indexed = (

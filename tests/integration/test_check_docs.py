@@ -578,3 +578,51 @@ def test_disk_timeline_rule_advances_the_disk_through_the_sweep_rule(
         "machine/pool.py:4: advances the disk's free time outside the "
         "sweep rule",
     ]
+
+
+def test_planning_snapshot_rule_keeps_live_reads_out_of_the_planners(
+    tmp_path,
+):
+    check_docs = _load_check_docs()
+    package = tmp_path / "repro"
+    for directory in ("machine", "shard"):
+        (package / directory).mkdir(parents=True)
+    (package / "machine" / "physical.py").write_text(
+        "from repro.machine.memory import DEFAULT_BANDWIDTH_BYTES_PER_S\n"
+        "def assign(context, name):\n"
+        "    record = context.bases[name]\n"
+        "    return context.disk_model.read_seconds(record.rows)\n"
+    )
+    (package / "shard" / "planner.py").write_text(
+        "from repro.machine.physical import PlanningContext\n"
+        "def rides(context: PlanningContext, name, cylinders):\n"
+        "    return context.bases[name].cylinder in cylinders\n"
+    )
+    # The builder reads the live catalog; that is what it is for.
+    (package / "machine" / "catalog.py").write_text(
+        "from repro.machine.disk import MachineDisk\n"
+        "def snapshot(catalog, name):\n"
+        "    return catalog.disk.record(name)\n"
+    )
+    assert check_docs.check_one_planning_snapshot(root=package) == []
+
+    # A planner that asks the disk, or imports the catalog to ask it.
+    (package / "machine" / "physical.py").write_text(
+        "import repro.machine.disk\n"
+        "def assign(context, name):\n"
+        "    return context.disk.profile(name)\n"
+    )
+    (package / "shard" / "planner.py").write_text(
+        "from repro.machine import catalog\n"
+        "from repro.machine.catalog import Catalog\n"
+        "def rides(shard: Catalog, name):\n"
+        "    return shard.disk.cylinder(name)\n"
+    )
+    problems = check_docs.check_one_planning_snapshot(root=package)
+    assert [problem.split(" — ")[0] for problem in problems] == [
+        "machine/physical.py:1: imports repro.machine.disk",
+        "machine/physical.py:3: reads a disk",
+        "shard/planner.py:1: imports repro.machine.catalog",
+        "shard/planner.py:2: imports repro.machine.catalog",
+        "shard/planner.py:4: reads a disk",
+    ]

@@ -24,7 +24,8 @@ from repro.machine import (
 )
 from repro.machine.catalog import Catalog
 from repro.machine.disk import MachineDisk
-from repro.machine.execution import fresh_state, preloaded_free_bytes
+from repro.machine.execution import fresh_state
+from repro.machine.memory import preloaded_free_bytes
 from repro.obs import metrics
 from repro.perf.disk import DiskModel, disk_sweep
 from repro.relational import algebra
@@ -50,6 +51,11 @@ def _placed(*sizes, model=SMALL):
     return disk
 
 
+def _fingerprint(disk, name):
+    """The planning context's fingerprint for a plan reading ``name``."""
+    return Catalog(disk=disk).planning_context([(name, ())]).fingerprint
+
+
 class TestLayout:
     def test_first_fit_in_write_order(self):
         disk = _placed(60, 60, 40, 20)
@@ -60,7 +66,7 @@ class TestLayout:
         disk = _placed(40, 240, 40)
         assert disk.cylinder("R0") == 0
         assert disk.cylinder("R1") is None  # spans cylinders 1, 2, 3
-        assert disk.fingerprint("R1")[-1] is None  # it joins no sweep
+        assert disk.record("R1").cylinder is None  # it joins no sweep
         # Its last cylinder is taken whole: R2 goes beside R0.
         assert disk.cylinder("R2") == 0
         disk.store("R3", _relation(20))
@@ -94,8 +100,10 @@ class TestLayout:
         alike, apart = _placed(40, 40), _placed(40, 80, 40)
         apart.store("R1", _relation(10))
         # Same sizes, same schema: only the cylinder tells them apart.
-        assert alike.fingerprint("R1")[:-1] == apart.fingerprint("R1")[:-1]
-        assert alike.fingerprint("R1") != apart.fingerprint("R1")
+        assert alike.record("R1")._replace(cylinder=None) == (
+            apart.record("R1")._replace(cylinder=None)
+        )
+        assert _fingerprint(alike, "R1") != _fingerprint(apart, "R1")
 
 
 def test_the_sweep_window_is_the_first_loads_slot():

@@ -15,8 +15,12 @@ from repro.machine import (
     analyze_chain,
 )
 from repro.machine.disk import MachineDisk
-from repro.machine.execution import roster_fingerprint
-from repro.machine.physical import OP_ARRAY, OP_LOAD, actual_cost
+from repro.machine.physical import (
+    OP_ARRAY,
+    OP_LOAD,
+    actual_cost,
+    roster_fingerprint,
+)
 from repro.machine.plan import DEVICE_COMPARISON
 from repro.perf.disk import DiskModel
 from repro.relational import algebra
@@ -71,7 +75,7 @@ class TestCompile:
     ):
         machine = stored(joined_catalog)
         physical = machine.compile(chain_plan)
-        assignments = physical.device_assignments()
+        assignments = {op.label: op.device for op in physical.ops}
         assert assignments["join[key==key]"] == "join0"
         assert assignments["project[a0,b0]"] == "comparison0"
         assert assignments["divide"] == "division0"

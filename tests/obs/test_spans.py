@@ -217,6 +217,25 @@ def _front_ends(tmp_path):
         yield f"session, {shards} shard(s)", session
 
 
+def test_a_store_backed_load_reads_inside_its_op(tmp_path):
+    a, _ = join_pair(40, 30, 8, seed=31)
+    store = RelationStore(tmp_path / "relations")
+    store.write("T", a, chunk_rows=10, index_columns=(0,))
+    machine = build_machine()
+    machine.attach_store(store)
+    with obs.tracing() as tracer:
+        machine.run(Select(Base("T"), 0, "<", 5000))
+    (read,) = tracer.find("store.read")
+    (op,) = [sp for sp in tracer.find("machine.op") if read in sp.children]
+    assert op.attrs["kind"] == "load"
+    scan = store.open("T").read((0, "<", 5000))
+    assert read.attrs == {
+        "relation": "T", "chunks_read": scan.chunks_read,
+        "chunks_total": 4, "rows_scanned": scan.rows_scanned,
+    }
+    assert 0 < scan.chunks_read < 4
+
+
 class TestSpansNestInTime:
     """A span is opened where its work happens, so a child's interval
     lies inside its parent's — which is what lets a flat Chrome trace

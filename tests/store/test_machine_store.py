@@ -16,6 +16,7 @@ from repro.errors import PlanError, StoreError
 from repro.machine import (
     MachineDisk,
     Base,
+    Catalog,
     Difference,
     EnginePool,
     Intersect,
@@ -207,10 +208,15 @@ class TestDiskHandles:
     ``RelationStore.find``: one ``stat`` of the manifest, no
     ``holds`` before it."""
 
+    #: ``store_backed``, ``stored_handle`` and ``profile`` are what the
+    #: planner learns of SP: its record, alone or in a catalog's
+    #: planning snapshot.
     ACCESSES = {
-        "store_backed": lambda disk: disk.store_backed("SP"),
-        "stored_handle": lambda disk: disk.stored_handle("SP"),
-        "profile": lambda disk: disk.profile("SP"),
+        "store_backed": lambda disk: Catalog(disk=disk).planning_context(
+            [("SP", ())]
+        ),
+        "stored_handle": lambda disk: disk.record("SP").handle,
+        "profile": lambda disk: disk.record("SP", ("s",)),
         "relation": lambda disk: disk.relation("SP"),
         "read": lambda disk: disk.read("SP"),
         "read selection": lambda disk: disk.read("SP", ("s", "==", 17)),
@@ -261,11 +267,9 @@ class TestDiskHandles:
         disk = MachineDisk()
         disk.attach_store(stored)
         disk.store("SP", Relation(_sp_schema(), sp_rows[:3]))
-        assert not disk.store_backed("SP")
-        assert not disk.store_backed("NOPE")
-        with pytest.raises(PlanError, match="not store-backed"):
-            disk.stored_handle("SP")
-        assert disk.profile("SP")[0] == 3
+        assert disk.record("SP").handle is None
+        assert disk.record("NOPE") is None
+        assert disk.record("SP").rows == 3
 
 
 class TestPlanner:
@@ -352,9 +356,9 @@ class TestCatalog:
         store = RelationStore(tmp_path / "acme")
         catalog.attach_store(store)
         catalog.persist("SP", Relation(_sp_schema(), sp_rows[:50]))
-        before = catalog.content_fingerprint(["SP"])
+        before = catalog.planning_context([("SP", ())]).fingerprint
         store.write("SP", Relation(_sp_schema(), sp_rows[:60]))
-        after = catalog.content_fingerprint(["SP"])
+        after = catalog.planning_context([("SP", ())]).fingerprint
         assert before != after
 
     def test_plan_cache_invalidates_on_rewrite(self, tmp_path, sp_rows):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Keep the documentation and the code from drifting apart.
 
-Sixteen checks, all run in CI next to the bench gate::
+Seventeen checks, all run in CI next to the bench gate::
 
     python tools/check_docs.py
 
@@ -141,6 +141,16 @@ Sixteen checks, all run in CI next to the bench gate::
     ``.end`` (the window the rule gave, replayed).  A load window
     computed by hand — ``max(disk_free, release)``, ``+= seconds`` —
     fails here.
+
+17. **One planning snapshot.**  A compile plans from one frozen
+    ``PlanningContext``, and its fingerprint is the plan-cache key, so
+    the planner may read nothing the snapshot does not hold.  So the
+    physical planner and the shard planner's prefetch offer
+    (:data:`SNAPSHOT_READERS`) reach no disk — no ``.disk`` attribute —
+    and import neither ``repro.machine.disk`` nor
+    ``repro.machine.catalog`` (:data:`LIVE_MODULES`).  A planner that
+    reads the live catalog beside the snapshot, which the key would not
+    cover, fails here.
 
 Exits non-zero with one line per problem.
 """
@@ -880,6 +890,49 @@ def check_one_disk_timeline(root=ROOT / "src" / "repro") -> list[str]:
     return problems
 
 
+#: The files that plan from the snapshot only, and the live catalog's
+#: modules they may not import.
+SNAPSHOT_READERS = ("machine/physical.py", "shard/planner.py")
+LIVE_MODULES = frozenset({"repro.machine.disk", "repro.machine.catalog"})
+
+
+def _live_read(node: ast.AST) -> Optional[str]:
+    """What ``node`` reads beside the snapshot that rule 17 refuses, or
+    None."""
+    if isinstance(node, ast.Attribute) and node.attr == "disk":
+        return "reads a disk"
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.module:
+        modules = [node.module] + [
+            f"{node.module}.{alias.name}" for alias in node.names
+        ]
+    else:
+        return None
+    live = sorted(LIVE_MODULES.intersection(modules))
+    return f"imports {live[0]}" if live else None
+
+
+def check_one_planning_snapshot(root=ROOT / "src" / "repro") -> list[str]:
+    problems: list[str] = []
+    for where in SNAPSHOT_READERS:
+        source = root / where
+        if not source.exists():
+            continue
+        nodes = sorted(
+            ast.walk(ast.parse(source.read_text())),
+            key=lambda node: getattr(node, "lineno", 0),
+        )
+        for node in nodes:
+            problem = _live_read(node)
+            if problem is not None:
+                problems.append(
+                    f"{where}:{node.lineno}: {problem} — the planner reads "
+                    f"the catalog through its PlanningContext only"
+                )
+    return problems
+
+
 def main() -> int:
     problems = (
         check_metric_table() + check_links()
@@ -889,7 +942,7 @@ def main() -> int:
         + check_operator_facts() + check_one_chunk_reader()
         + check_one_run_format() + check_observers_on_the_network()
         + check_one_wire_writer() + check_one_variant_choice()
-        + check_one_disk_timeline()
+        + check_one_disk_timeline() + check_one_planning_snapshot()
     )
     for problem in problems:
         print(problem, file=sys.stderr)
@@ -915,7 +968,8 @@ def main() -> int:
         f"observers imported by the simulator kit only, "
         f"the wire written and read by {WIRE_CODEC} only, "
         f"blocked variants chosen by {VARIANT_CHOOSER} only, "
-        f"the disk's free time advanced by {SWEEP_RULE} only"
+        f"the disk's free time advanced by {SWEEP_RULE} only, "
+        f"the planners reading the catalog through its snapshot only"
     )
     return 0
 
