@@ -184,11 +184,12 @@ class MachineDisk:
     ) -> Optional[BaseRecord]:
         """What the physical planner reads of ``name`` here, with the
         distinct values of ``columns`` (counted once a column for an
-        in-memory relation; None for a store-backed one, whose manifest
-        does not count them).  The cylinder is an index, not a byte
-        offset, so tenants laid out alike share plans.  None when this
-        disk holds no such relation.  Costs one ``stat`` for a
-        store-backed relation whose manifest has not changed.
+        in-memory relation; for a store-backed one, what its manifest
+        recorded at the write, None where an older one does not say).
+        The cylinder is an index, not a byte offset, so tenants laid out
+        alike share plans.  None when this disk holds no such relation.
+        Costs one ``stat`` for a store-backed relation whose manifest
+        has not changed.
         """
         relation = self._catalog.get(name)
         if relation is not None:
@@ -198,7 +199,9 @@ class MachineDisk:
             return None
         return BaseRecord(
             handle.rows, handle.schema,
-            distinct=tuple((column, None) for column in columns),
+            distinct=tuple(
+                (column, handle.distinct_count(column)) for column in columns
+            ),
             handle=handle,
         )
 

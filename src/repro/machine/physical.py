@@ -85,6 +85,8 @@ __all__ = [
     "base_reads",
     "roster_fingerprint",
     "select_fused_bases",
+    "price_array_op",
+    "quickest",
 ]
 
 OP_LOAD = "load"          #: disk read (possibly with a fused selection)
@@ -285,6 +287,42 @@ class _Priced(NamedTuple):
         """Make this the choice recorded on ``op``."""
         op.variant, op.cost = self.variant, self.cost
         op.est_seconds, op.est_fill_seconds = self.seconds, self.fill
+
+
+def price_array_op(
+    node: PlanNode, n_a: int, n_b: int, arity_a: int,
+    nbytes: Sequence[int], devices: Sequence,
+) -> dict[str, list[_Priced]]:
+    """The one pricing of an array op: each device of ``devices`` that
+    runs its kind → every variant its operator admits (counter first),
+    priced at its capacity and bit width, with the memory streams
+    carrying ``nbytes`` (each input, then the output) bounding it from
+    below.  The physical planner assigns devices by it, and the shard
+    planner weighs exchange strategies by it at the sizes each lane
+    will hold."""
+    row = operator_of(node)
+    streams = [size / DEFAULT_BANDWIDTH_BYTES_PER_S for size in nbytes]
+    return {
+        device.name: [
+            _Priced.of(
+                estimate_cost(
+                    node, n_a, n_b, arity_a,
+                    device.capacity.max_rows, device.capacity.max_cols,
+                    element_bits=getattr(device, "element_bits", None),
+                    variant=variant,
+                ),
+                variant, device.technology, streams,
+            )
+            for variant in row.variants
+        ]
+        for device in devices if device.kind == node.device_kind
+    }
+
+
+def quickest(options: Iterable[_Priced]) -> Optional[_Priced]:
+    """The option soonest done, the earliest listed on a tie; None for
+    no option."""
+    return min(options, key=operator.attrgetter("seconds"), default=None)
 
 
 @dataclass
@@ -707,9 +745,6 @@ class PhysicalPlanner:
         def est_bytes(rows: int, arity: int) -> int:
             return rows * arity * element_bytes
 
-        def transfer(nbytes: int) -> float:
-            return nbytes / DEFAULT_BANDWIDTH_BYTES_PER_S
-
         ops: list[PhysicalOp] = []
         op_of_node: dict[int, int] = {}
         #: array op id → its admitted variants priced on its device
@@ -845,39 +880,23 @@ class PhysicalPlanner:
                 roster.occupy(cpu.name, op.est_end)
                 continue
 
-            # Array operation: price every candidate device under every
-            # variant its operator admits; each device runs its quickest
-            # variant (counter on a tie), and the roster picks the
-            # device that finishes earliest (cost-aware, not first-free).
+            # Array operation: each device of its kind runs its quickest
+            # variant (counter on a tie), and the roster picks the device
+            # that finishes earliest (cost-aware, not first-free).
             row = operator_of(node)
             n_a = in_ops[0].est_rows_out
             n_b = in_ops[1].est_rows_out if len(in_ops) > 1 else n_a
             arity_a = len(infer_schema(node.children[0], schemas))
-            streams = [transfer(op.est_bytes_out) for op in in_ops]
-            streams.append(transfer(bytes_out))
-            options, durations = {}, {}
-            for device in ctx.devices:
-                if device.kind != node.device_kind:
-                    continue
-                options[device.name] = [
-                    _Priced.of(
-                        estimate_cost(
-                            node, n_a, n_b, arity_a,
-                            device.capacity.max_rows,
-                            device.capacity.max_cols,
-                            element_bits=getattr(device, "element_bits", None),
-                            variant=variant,
-                        ),
-                        variant, device.technology, streams,
-                    )
-                    for variant in row.variants
-                ]
-                durations[device.name] = min(
-                    option.seconds for option in options[device.name]
-                )
-            device, start = roster.pick(node.device_kind, ready, durations)
+            options = price_array_op(
+                node, n_a, n_b, arity_a,
+                [op.est_bytes_out for op in in_ops] + [bytes_out],
+                ctx.devices,
+            )
+            device, start = roster.pick(node.device_kind, ready, {
+                name: quickest(variants).seconds
+                for name, variants in options.items()
+            })
             priced[op_id] = options[device.name]
-            choice = min(priced[op_id], key=lambda option: option.seconds)
             per_element = (
                 getattr(device, "element_bits", None) or ctx.element_bits
             )
@@ -885,11 +904,10 @@ class PhysicalPlanner:
                 op_id=op_id, node=node, kind=OP_ARRAY, device=device.name,
                 inputs=input_ids, release=release[id(node)],
                 label=node.describe(), est_rows_out=rows_out,
-                est_bytes_out=bytes_out, est_seconds=choice.seconds,
-                est_fill_seconds=choice.fill,
+                est_bytes_out=bytes_out, est_seconds=0.0,
                 est_bits=row.columns(node, arity_a) * per_element,
-                cost=choice.cost, variant=choice.variant,
             ))
+            quickest(priced[op_id]).apply(op)
             op.est_start, op.est_end = start, start + op.est_seconds
             roster.occupy(device.name, op.est_end)
         sweeps = []

@@ -137,6 +137,14 @@ def _first_occurrences(array: np.ndarray) -> Optional[np.ndarray]:
     return first
 
 
+def sorted_distinct_count(ordered: np.ndarray) -> int:
+    """How many distinct values an ascending 1-D array holds: one per
+    place a value differs from the one before it, plus the first."""
+    return int(np.count_nonzero(ordered[1:] != ordered[:-1])) + (
+        len(ordered) > 0
+    )
+
+
 class DistinctRows:
     """An ``(n, arity)`` int64 matrix whose rows are already known to
     be pairwise distinct (package-internal: never exported, never built
@@ -310,10 +318,9 @@ class _TupleStore:
         position = self.schema.resolve(ref)
         counts = self._distinct_counts
         if position not in counts:
-            values = np.sort(self._array[:, position])
-            counts[position] = int(
-                np.count_nonzero(values[1:] != values[:-1])
-            ) + (len(values) > 0)
+            counts[position] = sorted_distinct_count(
+                np.sort(self._array[:, position])
+            )
         return counts[position]
 
     @property

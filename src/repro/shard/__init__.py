@@ -9,8 +9,8 @@ shard-local fragments plus explicit, costed exchanges.  See
 
 from repro.shard.catalog import (
     PARTITIONED,
-    Placement,
     REPLICATED,
+    Distribution,
     ShardedCatalog,
 )
 from repro.shard.executor import (
@@ -27,7 +27,6 @@ from repro.shard.partition import (
 )
 from repro.shard.planner import (
     BROADCAST,
-    Distribution,
     ExchangeStep,
     REPARTITION,
     SCATTERED,
@@ -44,7 +43,6 @@ __all__ = [
     "INTERCONNECT",
     "PARTITIONED",
     "Partitioner",
-    "Placement",
     "RangePartitioner",
     "REPARTITION",
     "REPLICATED",

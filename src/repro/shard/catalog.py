@@ -13,23 +13,25 @@ machine — and remembers *how* each relation was placed:
   relations.
 
 The placement map is what the :class:`~repro.shard.planner.ShardPlanner`
-reads to prove operations shard-local; the per-shard catalogs are what
-the executor compiles and runs against, so every existing machine layer
-(physical planner, plan cache, executor) works unchanged below the
-shard layer.
+reads to prove operations shard-local, and the shards' planning
+snapshots (:meth:`ShardedCatalog.planning_contexts`) are what it sizes
+and prices them from; the per-shard catalogs are what the executor
+compiles and runs against, so every existing machine layer (physical
+planner, plan cache, executor) works unchanged below the shard layer.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from repro import obs
 from repro.errors import PlanError
 from repro.machine.catalog import Catalog
+from repro.machine.physical import PlanningContext
 from repro.relational.relation import Relation
-from repro.relational.schema import ColumnRef, Schema
+from repro.relational.schema import ColumnRef
 from repro.shard.partition import (
     HashPartitioner,
     Partitioner,
@@ -37,24 +39,26 @@ from repro.shard.partition import (
     STRATEGIES,
 )
 
-__all__ = ["Placement", "ShardedCatalog", "PARTITIONED", "REPLICATED"]
+__all__ = ["Distribution", "ShardedCatalog", "PARTITIONED", "REPLICATED"]
 
 PARTITIONED = "partitioned"
 REPLICATED = "replicated"
 
 
 @dataclass(frozen=True)
-class Placement:
-    """How one logical relation is laid out across the shards."""
+class Distribution:
+    """How a relation's tuples lie across the shards: a stored
+    relation's placement, or what the shard planner tracks of a
+    sub-plan (``scattered`` — no usable invariant — as well)."""
 
     kind: str
     key: Optional[int] = None  # partition-key column position
     fp: Optional[tuple] = None  # partitioner fingerprint
 
     def describe(self) -> str:
-        if self.kind == REPLICATED:
-            return "replicated"
-        return f"partitioned(col {self.key}, {self.fp[0]})"
+        if self.kind == PARTITIONED:
+            return f"partitioned(col {self.key}, {self.fp[0]})"
+        return self.kind
 
 
 class ShardedCatalog:
@@ -91,9 +95,7 @@ class ShardedCatalog:
         ]
         self._lock = threading.RLock()
         self._partitioner = HashPartitioner() if strategy == "hash" else None
-        self._placements: dict[str, Placement] = {}
-        self._schemas: dict[str, Schema] = {}
-        self._cardinalities: dict[str, int] = {}
+        self._placements: dict[str, Distribution] = {}
 
     # -- mutation ----------------------------------------------------------
 
@@ -132,7 +134,7 @@ class ShardedCatalog:
         with self._lock:
             if replicate:
                 pieces = [relation] * self.shard_count
-                placement = Placement(REPLICATED)
+                placement = Distribution(REPLICATED)
             else:
                 position = relation.schema.resolve(0 if key is None else key)
                 partitioner = self._ensure_partitioner(relation, position)
@@ -143,7 +145,7 @@ class ShardedCatalog:
                     pieces = partitioner.partition(
                         relation, position, self.shard_count
                     )
-                placement = Placement(
+                placement = Distribution(
                     PARTITIONED, key=position, fp=partitioner.fingerprint()
                 )
             for catalog, piece in zip(self.shards, pieces):
@@ -152,8 +154,6 @@ class ShardedCatalog:
                 else:
                     catalog.store(name, piece)
             self._placements[name] = placement
-            self._schemas[name] = relation.schema
-            self._cardinalities[name] = len(relation)
 
     def _ensure_partitioner(
         self, relation: Relation, position: int
@@ -174,7 +174,7 @@ class ShardedCatalog:
         with self._lock:
             return self._partitioner
 
-    def placement(self, name: str) -> Placement:
+    def placement(self, name: str) -> Distribution:
         with self._lock:
             try:
                 return self._placements[name]
@@ -188,15 +188,22 @@ class ShardedCatalog:
         with self._lock:
             return list(self._placements)
 
-    def schemas(self) -> dict[str, Schema]:
-        """Logical name → schema, for planning."""
+    def planning_contexts(
+        self,
+        reads: Iterable[tuple[str, Sequence[ColumnRef]]],
+        devices: Sequence = (),
+    ) -> list[PlanningContext]:
+        """Each shard's planning snapshot of ``reads``
+        (:meth:`~repro.machine.catalog.Catalog.planning_context`), all
+        taken under this catalog's lock, so a relation being placed is in
+        every snapshot or in none."""
         with self._lock:
-            return dict(self._schemas)
-
-    def cardinalities(self) -> dict[str, int]:
-        """Logical name → total (cross-shard) cardinality."""
-        with self._lock:
-            return dict(self._cardinalities)
+            return [
+                shard.planning_context(
+                    reads, devices, element_bits=self.element_bits
+                )
+                for shard in self.shards
+            ]
 
     def __contains__(self, name: object) -> bool:
         with self._lock:

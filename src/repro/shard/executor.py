@@ -16,7 +16,7 @@ through the pool's shared plan cache — in stages:
 3. the per-shard answers merge — in shard order, under the relation's
    set semantics — into the logical results.
 
-Every merge and exchange reads the :class:`~repro.shard.planner.
+Every merge and exchange reads the :class:`~repro.shard.catalog.
 Distribution` the planner tracked for the pieces (:func:`_combine`):
 only ``scattered`` pieces can repeat a row across shards, so only they
 pay for the duplicate search.
@@ -47,16 +47,19 @@ from repro.faults.recovery import (
     replan_on_quarantine,
 )
 from repro.machine.catalog import Catalog
-from repro.machine.operators import infer_schema
 from repro.machine.physical import PhysicalPlan
 from repro.machine.plan import PlanNode
 from repro.machine.scheduler import ExecutionReport, ScheduledStep
 from repro.obs import metrics
 from repro.relational.relation import DistinctRows, MultiRelation, Relation
-from repro.shard.catalog import PARTITIONED, REPLICATED, ShardedCatalog
+from repro.shard.catalog import (
+    PARTITIONED,
+    REPLICATED,
+    Distribution,
+    ShardedCatalog,
+)
 from repro.shard.planner import (
     BROADCAST,
-    Distribution,
     ExchangeStep,
     ShardedPlan,
     ShardPlanner,
@@ -188,11 +191,9 @@ class ShardedExecutor:
 
     def plan(self, plans: Sequence[PlanNode] | PlanNode) -> ShardedPlan:
         """Lower logical plans into per-shard plans plus exchanges."""
-        return ShardPlanner(
-            self.catalog,
-            devices=self.pool.devices,
-            element_bits=self.catalog.element_bits,
-        ).lower(plans)
+        return ShardPlanner(self.catalog, devices=self.pool.devices).lower(
+            plans
+        )
 
     def compile(
         self,
@@ -215,14 +216,13 @@ class ShardedExecutor:
         predicted = 0.0
         stages = []
         for index, step in enumerate(sharded.exchanges):
-            schema = infer_schema(step.plan, self.catalog.schemas())
             per_shard = []
             for lane in lanes:
                 read, physical = self._stage_plan(
                     lane, sharded, index, pipeline
                 )
                 per_shard.append(physical)
-                lane.preload(step.name, Relation(schema))
+                lane.preload(step.name, Relation(step.schema))
                 for root in read:
                     lane.preload(root.name, lane.relation(root.name))
             stages.append(per_shard)

@@ -21,9 +21,10 @@ co-locate, which is exactly what a shared partition key proves.
 
 When an exchange is unavoidable the planner *costs* the alternatives —
 broadcast either side vs. re-partition both — with the
-:mod:`repro.perf.cost` exchange terms plus the § 3–8 device cost of the
-per-shard compute, and picks the minimum predicted completion, the same
-way the physical planner already picks among devices.
+:mod:`repro.perf.cost` exchange terms plus the join on the largest lane,
+priced as the lanes' physical planner prices it
+(:func:`~repro.machine.physical.price_array_op`) at the sizes the
+lanes' own planning snapshots give, and picks the minimum.
 
 Each stage of a sharded query is a machine run of its own, but §8 reads
 "an entire cylinder in one revolution": a base relation a later stage
@@ -40,10 +41,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.errors import PlanError
-from repro.machine.operators import estimate_rows, infer_schema
+from repro.machine.operators import estimate_rows, infer_schema, operator_of
 from repro.machine.physical import (
     PlanningContext,
-    estimate_cost,
+    base_reads,
+    price_array_op,
+    quickest,
     select_fused_bases,
 )
 from repro.machine.plan import (
@@ -65,12 +68,12 @@ from repro.relational.schema import Schema
 from repro.shard.catalog import (
     PARTITIONED,
     REPLICATED,
+    Distribution,
     ShardedCatalog,
 )
 from repro.shard.partition import HashPartitioner, Partitioner
 
 __all__ = [
-    "Distribution",
     "ExchangeStep",
     "ShardedPlan",
     "ShardPlanner",
@@ -82,20 +85,6 @@ __all__ = [
 SCATTERED = "scattered"
 BROADCAST = "broadcast"
 REPARTITION = "repartition"
-
-
-@dataclass(frozen=True)
-class Distribution:
-    """How one sub-plan's tuples lie across the shards."""
-
-    kind: str
-    key: Optional[int] = None  # partition-key column position
-    fp: Optional[tuple] = None  # partitioner fingerprint
-
-    def describe(self) -> str:
-        if self.kind == PARTITIONED:
-            return f"partitioned(col {self.key}, {self.fp[0]})"
-        return self.kind
 
 
 def co_partitioned(left: Distribution, right: Distribution) -> bool:
@@ -117,7 +106,8 @@ class ExchangeStep:
     ``repartition`` by ``key``) and preloaded on every shard under
     ``name``, which downstream fragments reference as a base relation.
     ``source`` is how those per-shard results lie before they move —
-    what tells the executor whether they can repeat a row.
+    what tells the executor whether they can repeat a row — and
+    ``schema`` is the exchanged relation's.
     """
 
     name: str
@@ -128,6 +118,7 @@ class ExchangeStep:
     rows: int  # estimated logical rows exchanged
     cost: ExchangeCost
     source: Distribution
+    schema: Schema
 
     def describe(self) -> str:
         target = f" by col {self.key}" if self.kind == REPARTITION else ""
@@ -150,6 +141,8 @@ class ShardedPlan:
     stages; a shard reads those its sweep takes whole.  They are the
     later stages' own ``Base`` nodes, so a transaction of the same plan
     objects compiles its stages under the same plan-cache entries.
+    ``priced_joins`` holds, per join whose exchange strategy was priced,
+    ``(join, strategy, its quickest pricing on the largest lane)``.
     """
 
     shards: int
@@ -158,6 +151,7 @@ class ShardedPlan:
     exchanges: list[ExchangeStep] = field(default_factory=list)
     local_joins: int = 0
     prefetch_roots: tuple[Base, ...] = ()
+    priced_joins: list[tuple] = field(default_factory=list)
 
     @property
     def prefetch(self) -> tuple[str, ...]:
@@ -196,6 +190,11 @@ class ShardedPlan:
                 f"  prefetch in stage 0: {', '.join(self.prefetch)} "
                 f"(on each shard whose sweep takes it whole)"
             )
+        for join, strategy, priced in self.priced_joins:
+            lines.append(
+                f"  {join.describe()}: {strategy} (the join "
+                f"{priced.seconds * 1e3:.3f} ms a lane, {priced.variant})"
+            )
         for root, dist in zip(self.roots, self.distributions):
             lines.append(f"  root: {root!r}  [{dist.describe()}]")
         lines.append(
@@ -204,6 +203,27 @@ class ShardedPlan:
             f"repartitions: {self.repartitions}"
         )
         return "\n".join(lines)
+
+
+def _joined_locally(
+    dl: Distribution, dr: Distribution, keyed: Sequence[tuple[int, int]]
+) -> Optional[Distribution]:
+    """How a join's output lies when its sides lie so that it can run
+    shard-local, else None.  ``keyed`` are the column positions of each
+    equality it matches."""
+    if dl.kind == dr.kind == PARTITIONED and dl.fp == dr.fp:
+        for a_key, b_key in keyed:
+            if (a_key, b_key) == (dl.key, dr.key):
+                # Co-partitioned equi-join: matching keys co-locate,
+                # zero cross-shard traffic.
+                return Distribution(PARTITIONED, key=a_key, fp=dl.fp)
+    if dr.kind == REPLICATED:
+        # (∪ᵢAᵢ) ⋈ B = ∪ᵢ(Aᵢ ⋈ B); output rows carry Aᵢ's columns
+        # first, so A-side partitioning survives at the same position.
+        return dl
+    if dl.kind == REPLICATED:
+        return Distribution(SCATTERED)
+    return None
 
 
 def _later_stages(
@@ -229,8 +249,9 @@ def _stage_cylinders(
     context: PlanningContext, loads: Sequence[str]
 ) -> set:
     """The cylinders a stage's ``loads`` lie on in a shard's planning
-    ``context``, those resident there left out."""
-    records = [context.bases[name] for name in loads]
+    ``context``, those resident there (and the exchanged ones, which it
+    holds no record of) left out."""
+    records = [context.bases.get(name) for name in loads]
     return {
         record.cylinder for record in records
         if record is not None and not record.resident
@@ -247,7 +268,7 @@ def _rides_a_stage_cylinder(
     a logic-per-track disk, is not among the relations a later stage
     reads through an on-track selection (``filtered``): held in memory
     whole, it would lose that free filter."""
-    record = context.bases[name]
+    record = context.bases.get(name)
     if record is None or record.resident or record.handle is not None:
         return False
     if context.logic_per_track and name in filtered:
@@ -260,32 +281,28 @@ def _rides_a_stage_cylinder(
 class ShardPlanner:
     """Lowers logical plans against a :class:`ShardedCatalog`.
 
-    ``devices`` (the pool's complement) supply the §3–8 cost model used
-    to weigh exchange strategies; lowering itself never touches data.
+    Each lowering reads one planning snapshot per shard
+    (:meth:`ShardedCatalog.planning_contexts`) and nothing else of the
+    shards; ``devices`` (the pool's complement) price each exchange
+    strategy's per-lane join.  Lowering itself never touches data.
     """
 
-    def __init__(
-        self,
-        catalog: ShardedCatalog,
-        devices: Sequence = (),
-        element_bits: int = 32,
-    ) -> None:
+    def __init__(self, catalog: ShardedCatalog, devices: Sequence = ()) -> None:
         self.catalog = catalog
         self.shards = catalog.shard_count
         self.devices = list(devices)
-        self.element_bits = element_bits
-        self._schemas = catalog.schemas()
-        self._cards = catalog.cardinalities()
         self._counter = itertools.count()
         self._exchanges: list[ExchangeStep] = []
         self._memo: dict[int, tuple[PlanNode, Distribution]] = {}
         self._local_joins = 0
+        self._priced: list[tuple] = []
         self._repartitioner = HashPartitioner()
 
     def lower(self, plans: Sequence[PlanNode] | PlanNode) -> ShardedPlan:
         """Lower a transaction; returns the per-shard plans + exchanges."""
         if isinstance(plans, PlanNode):
             plans = [plans]
+        self._snapshot(plans)
         roots: list[PlanNode] = []
         distributions: list[Distribution] = []
         for plan in plans:
@@ -299,7 +316,32 @@ class ShardPlanner:
             exchanges=self._exchanges,
             local_joins=self._local_joins,
             prefetch_roots=self._prefetch(roots),
+            priced_joins=self._priced,
         )
+
+    def _snapshot(self, plans: Sequence[PlanNode]) -> None:
+        """Snapshot what ``plans`` read on each shard; keep each lane's
+        rows and the logical ones (partitioned: the pieces' sum)."""
+        self._contexts = self.catalog.planning_contexts(
+            base_reads(plans), self.devices
+        )
+        self._bits = self._contexts[0].element_bits
+        self._lanes = [
+            {name: record.rows for name, record in context.bases.items()
+             if record is not None}
+            for context in self._contexts
+        ]
+        self._schemas = {
+            name: record.schema
+            for name, record in self._contexts[0].bases.items()
+            if record is not None
+        }
+        self._cards = {
+            name: self._lanes[0][name]
+            if self.catalog.placement(name).kind == REPLICATED
+            else sum(lane[name] for lane in self._lanes)
+            for name in self._schemas
+        }
 
     # -- prefetch ----------------------------------------------------------
 
@@ -312,11 +354,10 @@ class ShardPlanner:
         stage's loads — unless a logic-per-track disk would filter it
         on-track for the later stage.  Each shard then reads those its
         first-stage plan takes into that sweep whole (the executor's
-        ``_stage_plan``).  Each shard is read through its planning
-        snapshot (:class:`~repro.machine.physical.PlanningContext`), the
-        records its own stage compiles plan from.  Store-backed relations
-        lie on no cylinder: they are read where they are used, chunk
-        pruning and all.
+        ``_stage_plan``).  Each shard is read through the lowering's
+        snapshot of it, the records its own stage compiles plan from.
+        Store-backed relations lie on no cylinder: they are read where
+        they are used, chunk pruning and all.
         """
         if not self._exchanges:
             return ()
@@ -324,14 +365,10 @@ class ShardPlanner:
         later = _loads([plan for plans in stages for plan in plans])
         candidates = list(later)
         loads = list(_loads([self._exchanges[0].plan]))
-        reads = [(name, ()) for name in sorted({*later, *loads})]
-        contexts = [
-            shard.planning_context(reads) for shard in self.catalog.shards
-        ]
         filtered = frozenset()
-        if any(context.logic_per_track for context in contexts):
+        if any(context.logic_per_track for context in self._contexts):
             filtered = filtered.union(*map(select_fused_bases, stages))
-        for context in contexts:
+        for context in self._contexts:
             cylinders = _stage_cylinders(context, loads)
             candidates = [
                 name for name in candidates
@@ -353,12 +390,7 @@ class ShardPlanner:
 
     def _lower_node(self, node: PlanNode) -> tuple[PlanNode, Distribution]:
         if isinstance(node, Base):
-            placement = self.catalog.placement(node.name)
-            if placement.kind == REPLICATED:
-                return node, Distribution(REPLICATED)
-            return node, Distribution(
-                PARTITIONED, key=placement.key, fp=placement.fp
-            )
+            return node, self.catalog.placement(node.name)
         if isinstance(node, Select):
             child, dist = self._lower(node.child)
             return node.with_children((child,)), dist
@@ -428,103 +460,68 @@ class ShardPlanner:
         a_positions = a_schema.resolve_many([ca for ca, _ in node.on])
         b_positions = b_schema.resolve_many([cb for _, cb in node.on])
         ops = node.ops or ("==",) * len(node.on)
+        keyed = [
+            (a_positions[index], b_positions[index])
+            for index, op in enumerate(ops) if op == "=="
+        ]
         left, dl = self._lower(node.left)
         right, dr = self._lower(node.right)
-
-        equi_pairs = [
-            index for index, op in enumerate(ops) if op == "=="
-        ]
-        if (
-            dl.kind == PARTITIONED
-            and dr.kind == PARTITIONED
-            and dl.fp == dr.fp
-        ):
-            for index in equi_pairs:
-                if (
-                    a_positions[index] == dl.key
-                    and b_positions[index] == dr.key
-                ):
-                    # Co-partitioned equi-join: matching keys co-locate,
-                    # zero cross-shard traffic.
-                    self._local_joins += 1
-                    return (
-                        node.with_children((left, right)),
-                        Distribution(
-                            PARTITIONED, key=a_positions[index], fp=dl.fp
-                        ),
-                    )
-        if dr.kind == REPLICATED:
-            # (∪ᵢAᵢ) ⋈ B = ∪ᵢ(Aᵢ ⋈ B); output rows carry Aᵢ's columns
-            # first, so A-side partitioning survives at the same
-            # position.
+        out = _joined_locally(dl, dr, keyed)
+        if out is None:
+            strategy = self._cheapest_exchange(
+                node, dl, dr, a_schema, b_schema, keyed
+            )
+            if strategy == "broadcast_right":
+                right, dr = self._exchange(right, node.right, dr, BROADCAST)
+            elif strategy == "broadcast_left":
+                left, dl = self._exchange(left, node.left, dl, BROADCAST)
+            else:
+                a_key, b_key = keyed[0]
+                left, dl = self._align(left, node.left, dl, key=a_key)
+                right, dr = self._align(right, node.right, dr, key=b_key)
+                self._local_joins += 1  # runs shard-local after the shuffle
+            out = _joined_locally(dl, dr, keyed)
+        else:
             self._local_joins += 1
-            out = dl if dl.kind == PARTITIONED else Distribution(SCATTERED)
-            if dl.kind == REPLICATED:
-                out = Distribution(REPLICATED)
-            return node.with_children((left, right)), out
-        if dl.kind == REPLICATED:
-            self._local_joins += 1
-            return (
-                node.with_children((left, right)),
-                Distribution(SCATTERED),
-            )
+        return node.with_children((left, right)), out
 
-        # No shard-local proof: cost the exchange strategies and take
-        # the minimum predicted completion (exchange + per-shard
-        # compute), exactly how the physical planner weighs devices.
-        n_a = self._rows(node.left)
-        n_b = self._rows(node.right)
-        shards = self.shards
-        per = lambda n: -(-n // shards)  # ceil
-        arity_b = len(b_schema)
-        arity_a = len(a_schema)
-        candidates: list[tuple[float, int, str]] = []
-        if equi_pairs:
-            pair = equi_pairs[0]
-            seconds = self._join_seconds(node, per(n_a), per(n_b))
-            if not self._hash_partitioned(dl, a_positions[pair]):
-                seconds += shuffle_cost(
-                    n_a, arity_a, self.element_bits, shards
-                ).seconds
-            if not self._hash_partitioned(dr, b_positions[pair]):
-                seconds += shuffle_cost(
-                    n_b, arity_b, self.element_bits, shards
-                ).seconds
-            candidates.append((seconds, len(candidates), REPARTITION))
-        candidates.append((
-            broadcast_cost(n_b, arity_b, self.element_bits, shards).seconds
-            + self._join_seconds(node, per(n_a), n_b),
-            len(candidates), "broadcast_right",
-        ))
-        candidates.append((
-            broadcast_cost(n_a, arity_a, self.element_bits, shards).seconds
-            + self._join_seconds(node, n_a, per(n_b)),
-            len(candidates), "broadcast_left",
-        ))
-        _, _, strategy = min(candidates)
-
-        if strategy == REPARTITION:
-            pair = equi_pairs[0]
-            left, dl = self._align(
-                left, node.left, dl, key=a_positions[pair]
-            )
-            right, dr = self._align(
-                right, node.right, dr, key=b_positions[pair]
-            )
-            self._local_joins += 1  # runs shard-local after the shuffle
-            return (
-                node.with_children((left, right)),
-                Distribution(PARTITIONED, key=a_positions[pair], fp=dl.fp),
-            )
-        if strategy == "broadcast_right":
-            right, dr = self._exchange(right, node.right, dr, BROADCAST)
-            out = dl if dl.kind == PARTITIONED else Distribution(SCATTERED)
-            return node.with_children((left, right)), out
-        left, dl = self._exchange(left, node.left, dl, BROADCAST)
-        return (
-            node.with_children((left, right)),
-            Distribution(SCATTERED),
+    def _cheapest_exchange(
+        self, node: Join, dl: Distribution, dr: Distribution,
+        a_schema: Schema, b_schema: Schema, keyed: list[tuple[int, int]],
+    ) -> str:
+        """Price each exchange strategy — its movement, then the join on
+        its largest lane at the sizes the lanes will hold (a side that
+        stays put: its largest piece; a re-partitioned side:
+        ⌈n/shards⌉; a broadcast side: n) — and return the cheapest."""
+        n_a, n_b = self._rows(node.left), self._rows(node.right)
+        kept_a, kept_b = self._lane_rows(node.left), self._lane_rows(node.right)
+        bits, shards = self._bits, self.shards
+        strategies = []  # (strategy, seconds moving, lane rows of A, of B)
+        if keyed:
+            moved, lanes = 0.0, []
+            for n, schema, kept, dist, key in (
+                (n_a, a_schema, kept_a, dl, keyed[0][0]),
+                (n_b, b_schema, kept_b, dr, keyed[0][1]),
+            ):
+                stays = self._hash_partitioned(dist, key)
+                if not stays:
+                    moved += shuffle_cost(n, len(schema), bits, shards).seconds
+                lanes.append(kept if stays else -(-n // shards))
+            strategies.append((REPARTITION, moved, *lanes))
+        strategies.append(("broadcast_right", broadcast_cost(
+            n_b, len(b_schema), bits, shards).seconds, kept_a, n_b))
+        strategies.append(("broadcast_left", broadcast_cost(
+            n_a, len(a_schema), bits, shards).seconds, n_a, kept_b))
+        arities = (len(a_schema), len(b_schema), len(self._schema(node)))
+        _, _, strategy, priced = min(
+            (moved + (priced.seconds if priced else 0.0), index, strategy,
+             priced)
+            for index, (strategy, moved, lane_a, lane_b) in enumerate(strategies)
+            for priced in [self._price(node, lane_a, lane_b, *arities)]
         )
+        if priced is not None:
+            self._priced.append((node, strategy, priced))
+        return strategy
 
     def _lower_divide(self, node: Divide) -> tuple[PlanNode, Distribution]:
         group_pos, _, _, _ = division_layout(
@@ -578,28 +575,26 @@ class ShardPlanner:
     ) -> tuple[PlanNode, Distribution]:
         """Materialize a fragment and redistribute its result."""
         name = f"__shard_x{next(self._counter)}"
-        schema = self._schema(original)
-        rows = self._rows(original)
+        schema, rows = self._schema(original), self._rows(original)
         if kind == BROADCAST:
-            cost = broadcast_cost(
-                rows, len(schema), self.element_bits, self.shards
-            )
-            partitioner = None
-            dist = Distribution(REPLICATED)
+            cost = broadcast_cost(rows, len(schema), self._bits, self.shards)
+            partitioner, dist, lane_rows = None, Distribution(REPLICATED), rows
         else:
-            cost = shuffle_cost(
-                rows, len(schema), self.element_bits, self.shards
-            )
+            cost = shuffle_cost(rows, len(schema), self._bits, self.shards)
             partitioner = self._repartitioner
             dist = Distribution(
                 PARTITIONED, key=key, fp=partitioner.fingerprint()
             )
+            lane_rows = -(-rows // self.shards)
         self._exchanges.append(ExchangeStep(
             name=name, plan=lowered, kind=kind, key=key,
             partitioner=partitioner, rows=rows, cost=cost, source=source,
+            schema=schema,
         ))
         self._schemas[name] = schema
         self._cards[name] = rows
+        for lane in self._lanes:
+            lane[name] = lane_rows
         return Base(name), dist
 
     # -- estimates ---------------------------------------------------------
@@ -608,21 +603,42 @@ class ShardPlanner:
         return infer_schema(node, self._schemas)
 
     def _rows(self, node: PlanNode) -> int:
-        return estimate_rows(node, self._cards)
+        """``node``'s logical rows, across the shards."""
+        return estimate_rows(node, self._cards, self._distinct)
 
-    def _join_seconds(self, node: Join, n_a: int, n_b: int) -> float:
-        """Predicted per-shard device seconds for one join strategy."""
-        device = self._device_for(node.device_kind)
-        if device is None:
-            return 0.0
-        cost = estimate_cost(
-            node, n_a, n_b, 0,
-            device.capacity.max_rows, device.capacity.max_cols,
+    def _distinct(self, name: str, column) -> Optional[int]:
+        """A base column's distinct values where the shards make them
+        exact — a replicated relation's, or the partition key's (equal
+        values co-locate, so the pieces' counts add up); else None."""
+        placement = self.catalog.placement(name)
+        if placement.kind == REPLICATED:
+            return self._contexts[0].distinct_count(name, column)
+        if self._schemas[name].resolve(column) != placement.key:
+            return None
+        counts = [c.distinct_count(name, column) for c in self._contexts]
+        return None if None in counts else sum(counts)
+
+    def _lane_rows(self, node: PlanNode) -> int:
+        """The rows ``node`` leaves on its largest lane, as that lane's
+        own compile estimates them from its snapshot."""
+        return max(
+            estimate_rows(node, lane, context.distinct_count)
+            for lane, context in zip(self._lanes, self._contexts)
         )
-        return device.technology.pulses_to_seconds(cost.total_pulses)
 
-    def _device_for(self, kind: str):
-        for device in self.devices:
-            if device.kind == kind and hasattr(device, "capacity"):
-                return device
-        return None
+    def _price(
+        self, node: Join, n_a: int, n_b: int,
+        arity_a: int, arity_b: int, arity_out: int,
+    ):
+        """The join on a lane holding ``n_a`` × ``n_b`` rows, at its
+        quickest as the lane's own planner prices it (every device of
+        its kind, every variant, the memory streams); None without a
+        device of its kind."""
+        width = (self._bits + 7) // 8
+        rows_out = operator_of(node).rows(node, n_a, n_b)
+        return quickest(itertools.chain(*price_array_op(
+            node, n_a, n_b, arity_a,
+            [n_a * arity_a * width, n_b * arity_b * width,
+             rows_out * arity_out * width],
+            self.devices,
+        ).values()))

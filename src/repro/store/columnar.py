@@ -40,6 +40,7 @@ import re
 import shutil
 import tempfile
 import threading
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,13 +58,14 @@ from repro.relational.relation import (
     DistinctRows,
     Relation,
     _first_occurrences,
+    sorted_distinct_count,
 )
 from repro.relational.schema import ColumnRef, Schema
 from repro.store.grid import (
     GridIndex,
-    build_scales,
     cell_coords,
     cluster_order,
+    sorted_scales,
 )
 
 __all__ = [
@@ -188,6 +190,9 @@ class _Chunk:
     rows: int
     #: per-column (min, max) zone map.
     stats: tuple[tuple[int, int], ...]
+    #: CRC32 of the file's bytes; None in an older manifest, whose
+    #: chunks are read unchecked.
+    crc32: Optional[int] = None
 
 
 # -- the chunk pool -------------------------------------------------------
@@ -304,7 +309,8 @@ class _ChunkPool:
         handle: "StoredRelation", chunk_id: int, out: np.ndarray
     ) -> None:
         """Read one chunk file whole into ``out`` (``(arity, rows)``, each
-        column contiguous), refusing a file of the wrong size."""
+        column contiguous), refusing a file of the wrong size or, when
+        the manifest records one, of the wrong checksum."""
         with open(handle._chunk_paths[chunk_id], "rb") as file:
             complete = (
                 os.fstat(file.fileno()).st_size == out.nbytes
@@ -317,6 +323,13 @@ class _ChunkPool:
                 raise handle._torn(
                     chunk_id, os.fstat(file.fileno()).st_size
                 )
+        expected = handle.chunks[chunk_id].crc32
+        if expected is not None and _crc32(out) != expected:
+            raise StoreError(
+                f"chunk {handle.chunks[chunk_id].file} of {handle.name!r} "
+                f"fails its CRC32 check: the file's bytes changed after "
+                f"the write"
+            )
 
     def _admit(self, key: _Key, block: np.ndarray) -> None:
         """Keep ``block`` if ``key`` missed before, else note the key."""
@@ -364,6 +377,15 @@ class _ChunkPool:
             }
 
 
+def _crc32(block: np.ndarray) -> int:
+    """CRC32 of an ``(arity, rows)`` block's chunk file: its columns'
+    bytes, back to back."""
+    crc = 0
+    for column in block:
+        crc = zlib.crc32(column, crc)
+    return crc
+
+
 def _frozen(block: np.ndarray) -> np.ndarray:
     block = block.astype(np.int64, copy=False)
     block.setflags(write=False)
@@ -392,6 +414,12 @@ class StoredRelation:
         self.chunk_rows = int(manifest["chunk_rows"])
         self.schema = _schema_from_json(manifest["schema"])
         self.arity = len(self.schema)
+        #: each column's distinct values, as the writer counted them
+        #: (None where an older manifest does not say).
+        self.distinct_counts = tuple(
+            _distinct_count(column, self.rows, self.name)
+            for column in manifest["schema"]
+        )
         self.chunks = tuple(
             _Chunk(
                 file=spec["file"],
@@ -399,6 +427,7 @@ class StoredRelation:
                 stats=tuple(
                     (int(lo), int(hi)) for lo, hi in spec["stats"]
                 ),
+                crc32=spec.get("crc32"),
             )
             for spec in manifest["chunks"]
         )
@@ -424,6 +453,10 @@ class StoredRelation:
     @property
     def n_chunks(self) -> int:
         return len(self.chunks)
+
+    def distinct_count(self, column: ColumnRef) -> Optional[int]:
+        """A column's distinct values as the manifest records them."""
+        return self.distinct_counts[self.schema.resolve(column)]
 
     # -- raw column access --------------------------------------------------
 
@@ -569,6 +602,23 @@ class StoredRelation:
             f"StoredRelation({self.name!r}, {self.rows} rows, "
             f"{self.n_chunks} chunks{indexed})"
         )
+
+
+def _distinct_count(column: dict, rows: int, name: str) -> Optional[int]:
+    """A manifest column entry's distinct count, checked: the manifest
+    comes from outside, so anything but an int in ``[0, rows]`` is
+    refused."""
+    count = column.get("distinct")
+    if count is None:
+        return None
+    if isinstance(count, bool) or not isinstance(count, int) or not (
+        0 <= count <= rows
+    ):
+        raise StoreError(
+            f"manifest for {name!r} gives column {column.get('name')!r} "
+            f"{count!r} distinct values; need an int in [0, {rows}]"
+        )
+    return count
 
 
 def _zone_admits(op: str, value: int, lo: int, hi: int) -> bool:
@@ -774,11 +824,19 @@ class RelationStore:
         # One column-major copy of the rows: the scales, the cells, the
         # zone maps and the chunk files all read unit-stride rows of it.
         columns = np.ascontiguousarray(array.T, dtype=_ELEMENT_DTYPE)
+        # Each column sorted once: its distinct values, and the indexed
+        # ones' scales.
+        ordered = np.sort(columns, axis=1)
+        schema_json = _schema_to_json(schema)
+        for entry, values in zip(schema_json, ordered):
+            entry["distinct"] = sorted_distinct_count(values)
         index: Optional[GridIndex] = None
         if positions and n:
             cells_per_axis = _cells_per_axis(n_chunks, len(positions))
             indexed = [columns[p] for p in positions]
-            scales = [build_scales(axis, cells_per_axis) for axis in indexed]
+            scales = [
+                sorted_scales(ordered[p], cells_per_axis) for p in positions
+            ]
             coords = cell_coords(indexed, scales)
             order = cluster_order(coords)
             # Gathered once into cluster order, each axis's cells with it.
@@ -801,7 +859,7 @@ class RelationStore:
                 "rows": n,
                 "arity": len(schema),
                 "chunk_rows": chunk_rows,
-                "schema": _schema_to_json(schema),
+                "schema": schema_json,
                 "chunks": chunks,
                 "distinct": True,
                 "index": index.to_json() if index is not None else None,
@@ -827,7 +885,8 @@ class RelationStore:
 
 def _write_chunk(staging: Path, chunk_id: int, block: np.ndarray) -> dict:
     """Write one chunk file — the contiguous rows of an ``(arity, rows)``
-    block, back to back — and return its manifest entry."""
+    block, back to back — and return its manifest entry, the file's
+    CRC32 with it."""
     file = f"chunk-{chunk_id:05d}.bin"
     with open(staging / file, "wb") as out:
         for column in block:
@@ -837,6 +896,7 @@ def _write_chunk(staging: Path, chunk_id: int, block: np.ndarray) -> dict:
         "rows": block.shape[1],
         "stats": np.stack((block.min(axis=1), block.max(axis=1)), axis=1)
         .tolist(),
+        "crc32": _crc32(block),
     }
 
 

@@ -27,7 +27,10 @@ import numpy as np
 
 from repro.errors import StoreError
 
-__all__ = ["GridIndex", "build_scales", "cell_coords", "cluster_order"]
+__all__ = [
+    "GridIndex", "build_scales", "cell_coords", "cluster_order",
+    "sorted_scales",
+]
 
 #: Comparison operators the index can answer (a superset check; the
 #: store re-applies the exact predicate on the surviving chunks).
@@ -54,11 +57,17 @@ def build_scales(
     value distribution, and duplicate boundaries collapse (a heavily
     repeated value simply owns its cell).
     """
+    return sorted_scales(np.sort(values) if cells > 1 else values, cells)
+
+
+def sorted_scales(ordered: np.ndarray, cells: int) -> tuple[int, ...]:
+    """:func:`build_scales` of values already in ascending order: the
+    store's writer sorts every column once, to count its distinct
+    values, and cuts an indexed column's scales from that sort."""
     if cells < 1:
         raise StoreError(f"a grid axis needs >= 1 cells, got {cells}")
-    if cells == 1 or len(values) == 0:
+    if cells == 1 or len(ordered) == 0:
         return ()
-    ordered = np.sort(values)
     positions = [
         (len(ordered) * i) // cells for i in range(1, cells)
     ]

@@ -626,3 +626,45 @@ def test_planning_snapshot_rule_keeps_live_reads_out_of_the_planners(
         "shard/planner.py:2: imports repro.machine.catalog",
         "shard/planner.py:4: reads a disk",
     ]
+
+
+def test_one_pricing_rule_keeps_the_device_cost_in_the_planner(tmp_path):
+    check_docs = _load_check_docs()
+    package = tmp_path / "repro"
+    for directory in ("machine", "shard", "perf"):
+        (package / directory).mkdir(parents=True)
+    (package / "machine" / "physical.py").write_text(
+        "def estimate_cost(node, n_a, n_b):\n"
+        "    return n_a + n_b\n"
+        "def price_array_op(node, n_a, n_b, devices):\n"
+        "    return {d: estimate_cost(node, n_a, n_b) for d in devices}\n"
+    )
+    (package / "shard" / "planner.py").write_text(
+        "from repro.machine.physical import price_array_op, quickest\n"
+        "def price(node, n_a, n_b, devices):\n"
+        "    return quickest(price_array_op(node, n_a, n_b, devices))\n"
+    )
+    assert check_docs.check_one_pricing(root=package) == []
+
+    # The shard planner's own cost model, as it was: the device cost
+    # imported and called beside the planner's, and a second one
+    # defined elsewhere.
+    (package / "shard" / "planner.py").write_text(
+        "from repro.machine.physical import estimate_cost\n"
+        "import repro.machine.physical.estimate_cost\n"
+        "def join_seconds(node, n_a, n_b):\n"
+        "    return estimate_cost(node, n_a, n_b)\n"
+    )
+    (package / "perf" / "model.py").write_text(
+        "from repro.machine import physical\n"
+        "def estimate_cost(node, n_a, n_b):\n"
+        "    return physical.estimate_cost(node, n_a, n_b)\n"
+    )
+    problems = check_docs.check_one_pricing(root=package)
+    assert [problem.split(" — ")[0] for problem in problems] == [
+        "perf/model.py:2: defines estimate_cost",
+        "perf/model.py:3: calls estimate_cost",
+        "shard/planner.py:1: imports estimate_cost",
+        "shard/planner.py:2: imports estimate_cost",
+        "shard/planner.py:4: calls estimate_cost",
+    ]

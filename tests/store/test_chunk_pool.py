@@ -11,15 +11,18 @@ eviction can be driven from a test.
 
 from __future__ import annotations
 
+import json
 import operator
 import sys
 import threading
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.errors import StoreError
 from repro.relational.domain import IntegerDomain
+from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.store import CHUNK_POOL_BYTES, RelationStore, pool_info
 from repro.store import columnar
@@ -245,8 +248,10 @@ class TestReadsEqualAFilterOfTheFiles:
 
 class TestVersions:
     def _same_manifest_pair(self):
-        """Two row sets with the same zone maps, no index and the same
-        chunk row counts: their manifests are byte-identical."""
+        """Two row sets with the same zone maps, distinct counts, no
+        index and the same chunk row counts: their manifests differ only
+        in the chunks' CRC32s, so written without them (as an older
+        writer did) they are byte-identical."""
         old = np.array([
             [0, 0], [1, 5], [9, 9], [10, 10], [12, 11], [20, 20],
         ])
@@ -255,18 +260,29 @@ class TestVersions:
         ])
         return old, new
 
+    @staticmethod
+    def _without_checksums(store, name):
+        """Rewrite ``name``'s manifest as an older writer did, without
+        the chunks' CRC32s; returns the handle of the rewritten one."""
+        path = store.root / name / "manifest.json"
+        manifest = json.loads(path.read_text())
+        for chunk in manifest["chunks"]:
+            del chunk["crc32"]
+        path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+        return store.open(name)
+
     def test_a_rewrite_with_an_identical_manifest_reads_the_new_rows(
         self, tmp_path, large_pool
     ):
         schema = Schema.of(("a", _INT), ("b", _INT))
         old, new = self._same_manifest_pair()
         store = RelationStore(tmp_path)
-        first = store.write_array("R", old, schema, chunk_rows=3,
-                                  index_columns=())
+        store.write_array("R", old, schema, chunk_rows=3, index_columns=())
+        first = self._without_checksums(store, "R")
         np.testing.assert_array_equal(store.open("R").read().relation.array,
                                       old)
-        second = store.write_array("R", new, schema, chunk_rows=3,
-                                   index_columns=())
+        store.write_array("R", new, schema, chunk_rows=3, index_columns=())
+        second = self._without_checksums(store, "R")
         assert second.digest == first.digest
         np.testing.assert_array_equal(store.open("R").read().relation.array,
                                       new)
@@ -424,6 +440,79 @@ class TestTornChunks:
         assert (handle._serial, 1) not in large_pool._blocks
         assert (handle._serial, None) not in large_pool._blocks
         assert large_pool.info()["misses"] >= 3
+
+
+class TestChecksums:
+    """A chunk file whose bytes changed after the write — its size
+    intact, so the size check cannot tell — fails the CRC32 the manifest
+    recorded for it."""
+
+    @staticmethod
+    def _flip_a_byte(handle, chunk_id: int) -> None:
+        target = handle.path / handle.chunks[chunk_id].file
+        data = bytearray(target.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        target.write_bytes(bytes(data))
+
+    @pytest.mark.parametrize(
+        "selection", [None, ("c0", ">=", 0)], ids=["full", "selective"],
+    )
+    def test_a_flipped_byte_raises_is_never_admitted_and_a_rewrite_heals(
+        self, tmp_path, large_pool, selection
+    ):
+        store = RelationStore(tmp_path)
+        rows = _rows()
+        handle = store.write_array(
+            "R", rows, SCHEMA, chunk_rows=CHUNK_ROWS, index_columns=(),
+        )
+        self._flip_a_byte(handle, 2)
+        for _ in range(3):
+            with pytest.raises(
+                StoreError,
+                match=r"chunk chunk-00002\.bin of 'R' fails its CRC32 check",
+            ):
+                handle.read(selection)
+        assert (handle._serial, 2) not in large_pool._blocks
+        assert (handle._serial, 2) not in large_pool._noted
+        assert (handle._serial, None) not in large_pool._blocks
+
+        healed = store.write_array(
+            "R", rows, SCHEMA, chunk_rows=CHUNK_ROWS, index_columns=(),
+        )
+        # Every row has c0 >= 0: both scans read the whole relation.
+        assert _read_twice(healed, selection).relation == Relation(
+            SCHEMA, rows
+        )
+
+    def test_a_manifest_without_checksums_is_read_unchecked(
+        self, tmp_path, large_pool
+    ):
+        """An older directory records no CRC32: its chunks are read as
+        they are, the size check alone guarding them."""
+        store = RelationStore(tmp_path)
+        handle = store.write_array(
+            "R", _rows(), SCHEMA, chunk_rows=CHUNK_ROWS, index_columns=(),
+        )
+        manifest_path = handle.path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for chunk in manifest["chunks"]:
+            del chunk["crc32"]
+        manifest_path.write_text(json.dumps(manifest))
+        self._flip_a_byte(handle, 2)
+        older = RelationStore(tmp_path).open("R")
+        assert all(chunk.crc32 is None for chunk in older.chunks)
+        # The flip lands in column c1; c2 keeps every row distinct.
+        read = older.read().relation
+        assert len(read) == ROWS and read != Relation(SCHEMA, _rows())
+
+    def test_each_chunk_records_the_crc32_of_its_file(self, tmp_path):
+        handle = RelationStore(tmp_path).write_array(
+            "R", _rows(), SCHEMA, chunk_rows=CHUNK_ROWS,
+        )
+        assert [chunk.crc32 for chunk in handle.chunks] == [
+            zlib.crc32((handle.path / chunk.file).read_bytes())
+            for chunk in handle.chunks
+        ]
 
 
 class TestChunkColumn:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import sys
 import threading
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError, RelationError, StoreError
+from repro.machine import MachineDisk
 from repro.obs import metrics
 from repro.relational.domain import Domain, IntegerDomain
 from repro.relational.relation import Relation
@@ -401,7 +403,8 @@ class TestGridIndex:
         digest, and through it every plan-cache key, is taken over) is
         byte for byte what ``np.unique(axis=0)`` and the fixed 21-bit
         z-order wrote, plus the one line that records the write-time
-        proof of set semantics."""
+        proof of set semantics, a line a column for its distinct count
+        and a line a chunk for its CRC32."""
         s_width, p_width = 1_000 // grid, 2_000 // grid
         rng = np.random.default_rng(0)
         cell = np.repeat(np.arange(grid * grid), rows // (grid * grid))
@@ -418,7 +421,15 @@ class TestGridIndex:
         manifest = (handle.path / "manifest.json").read_bytes()
         proved = b' "distinct": true,\n'
         assert manifest.count(proved) == 1
-        before = manifest.replace(proved, b"")
+        counted = re.compile(rb'\n   "(distinct|crc32)": (\d+),(?=\n)')
+        assert [
+            (field, int(value)) for field, value in counted.findall(manifest)
+            if field == b"distinct"
+        ] == [(b"distinct", len(np.unique(column))) for column in array.T]
+        assert [field for field, _ in counted.findall(manifest)].count(
+            b"crc32"
+        ) == rows // 8_192
+        before = counted.sub(b"", manifest.replace(proved, b""))
         assert hashlib.sha256(before).hexdigest() == digest
 
     def test_json_round_trip(self):
@@ -445,6 +456,70 @@ class TestGridIndex:
         assert index.candidate_chunks(0, "<=", 10) == frozenset({0, 1, 2})
         assert index.candidate_chunks(0, "!=", 5) is None  # no pruning
         assert index.candidate_chunks(1, "==", 5) is None  # unindexed
+
+
+class TestDistinctCounts:
+    """The writer counts each column's distinct values into the
+    manifest; the disk's planning record reads them, so a store-backed
+    join is sized like an in-memory one."""
+
+    ROWS = np.array([[1, 7, 0], [1, 8, 1], [2, 7, 2], [3, 7, 3], [1, 7, 4]])
+
+    def _rewrite(self, handle, edit) -> None:
+        path = handle.path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+
+    def test_the_manifest_records_each_columns_count(self, tmp_path):
+        handle = RelationStore(tmp_path).write_array(
+            "R", self.ROWS, _schema(3), chunk_rows=2
+        )
+        relation = Relation(_schema(3), self.ROWS)
+        assert handle.distinct_counts == tuple(
+            relation.distinct_count(c) for c in range(3)
+        ) == (3, 2, 5)
+        assert handle.distinct_count("c1") == 2
+        disk = MachineDisk()
+        disk.attach_store(RelationStore(tmp_path))
+        record = disk.record("R", ("c0", "c2"))
+        assert record.distinct == (("c0", 3), ("c2", 5))
+
+    def test_an_empty_relation_counts_zero_values(self, tmp_path):
+        handle = RelationStore(tmp_path).write(
+            "E", Relation(_schema(2))
+        )
+        assert handle.distinct_counts == (0, 0)
+
+    def test_a_manifest_without_the_counts_reads_as_none(self, tmp_path):
+        store = RelationStore(tmp_path)
+        handle = store.write_array("R", self.ROWS, _schema(3))
+        self._rewrite(handle, lambda manifest: [
+            entry.pop("distinct") for entry in manifest["schema"]
+        ])
+        older = RelationStore(tmp_path).open("R")
+        assert older.distinct_counts == (None, None, None)
+        disk = MachineDisk()
+        disk.attach_store(RelationStore(tmp_path))
+        assert disk.record("R", ("c0",)).distinct == (("c0", None),)
+
+    @pytest.mark.parametrize("count", [-1, 6, 2.0, "3", True, [3]])
+    def test_a_count_outside_the_rows_is_refused(self, tmp_path, count):
+        """The manifest is outside input: a count the rows cannot hold,
+        or one that is not an int, is refused where it is read."""
+        store = RelationStore(tmp_path)
+        handle = store.write_array("R", self.ROWS, _schema(3))
+
+        def edit(manifest):
+            manifest["schema"][1]["distinct"] = count
+
+        self._rewrite(handle, edit)
+        with pytest.raises(
+            StoreError,
+            match=r"manifest for 'R' gives column 'c1' .* distinct values; "
+                  r"need an int in \[0, 5\]",
+        ):
+            RelationStore(tmp_path).open("R")
 
 
 class TestSetSemantics:
@@ -486,7 +561,8 @@ class TestSetSemantics:
 
     def test_a_manifest_without_the_field_is_verified_on_read(self, tmp_path):
         """An older directory: nobody proved its rows, so the read does
-        — here the chunk really does repeat a row."""
+        — here the chunk really does repeat a row.  (Its manifest counts
+        no column's values and records no chunk's CRC32 either.)"""
         store = RelationStore(tmp_path)
         handle = store.write_array(
             "old", np.array([[1, 2], [3, 4], [5, 6]]), _schema(2)
@@ -494,6 +570,10 @@ class TestSetSemantics:
         manifest_path = handle.path / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         del manifest["distinct"]
+        for entry in manifest["schema"]:
+            del entry["distinct"]
+        for chunk in manifest["chunks"]:
+            del chunk["crc32"]
         manifest_path.write_text(json.dumps(manifest))
         np.array([[1, 3, 1], [2, 4, 2]], dtype="<i8").tofile(
             handle.path / handle.chunks[0].file

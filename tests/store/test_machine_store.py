@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.arrays import ArrayCapacity
 from repro.errors import PlanError, StoreError
 from repro.machine import (
     MachineDisk,
@@ -32,6 +33,7 @@ from repro.relational.domain import IntegerDomain
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.store import RelationStore
+from repro.workloads import join_pair
 
 _INT = IntegerDomain("int")
 
@@ -327,6 +329,53 @@ class TestPlanner:
         assert sorted(result.tuples) == sorted(tiny.tuples)
         physical = machine.compile(Base("SP"))
         assert all(op.scan is None for op in physical.ops)
+
+
+class TestStoreBackedJoinSizing:
+    """The store's manifest counts each column's values at the write, so
+    a store-backed key join is sized — and priced — like the in-memory
+    one: ``|A|·|B| / max(V_A, V_B)`` rows instead of ``max(|A|, |B|)``."""
+
+    def test_a_store_backed_key_join_explains_like_the_in_memory_one(
+        self, tmp_path
+    ):
+        ja, jb = join_pair(4096, 64, 64, universe=4160, seed=11)
+        join = Join(Base("JA"), Base("JB"), on=(("key", "key"),))
+
+        def machine():
+            return SystolicDatabaseMachine(
+                devices=(("join", 1),),
+                capacity=ArrayCapacity(max_rows=1023, max_cols=8),
+                memory_bytes=512 * 1024 * 1024, backend="lattice",
+            )
+
+        in_memory = machine()
+        in_memory.store("JA", ja)
+        in_memory.store("JB", jb)
+        store = RelationStore(tmp_path)
+        store.write("JA", ja)
+        store.write("JB", jb)
+        store_backed = machine()
+        store_backed.attach_store(store)
+
+        def join_row(physical) -> str:
+            [row] = [
+                line for line in physical.explain().splitlines()
+                if line.endswith("join[key==key]")
+            ]
+            return row
+
+        row = join_row(store_backed.compile(join))
+        assert row == join_row(in_memory.compile(join))
+        assert row.split()[1:6] == [
+            "join0", "64", "32", "fixed", "1x1x1",
+        ]
+        assert row.split()[7:10] == ["1", "-", "1.671ms"]
+        predicted = store_backed.compile(join).predicted_makespan
+        result, report = store_backed.run(join)
+        assert result == in_memory.run(join)[0]
+        assert predicted == pytest.approx(report.makespan, abs=1e-12)
+        assert report.makespan * 1e3 == pytest.approx(35.005, abs=5e-4)
 
 
 class TestCatalog:

@@ -5,14 +5,17 @@ The references below are the write path as it was before the rows were
 laid out column-major once: a row-major gather into cluster order, a
 ``uint64`` z-order key, ``np.searchsorted`` cell coordinates, a
 directory found by ``np.unique`` of one packed key a row, and a chunk
-file written by ``block.T.astype('<i8').tofile``.  They share with the
-store only the pieces that did not move: the duplicate search, the
-scales, the grid resolution, the schema's JSON and ``GridIndex``'s.
+file written by ``block.T.astype('<i8').tofile``, with each column's
+distinct count taken by ``np.unique`` and each chunk's CRC32 read back
+from its file.  They share with the store only the pieces that did not
+move: the duplicate search, the scales, the grid resolution, the
+schema's JSON and ``GridIndex``'s.
 """
 
 from __future__ import annotations
 
 import json
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -111,14 +114,18 @@ def _write_rows_as_it_was(
                 [int(block[:, c].min()), int(block[:, c].max())]
                 for c in range(len(schema))
             ],
+            "crc32": zlib.crc32((path / file).read_bytes()),
         })
+    schema_json = columnar._schema_to_json(schema)
+    for c, entry in enumerate(schema_json):
+        entry["distinct"] = len(np.unique(array[:, c]))
     manifest = {
         "version": columnar.MANIFEST_VERSION,
         "name": name,
         "rows": n,
         "arity": len(schema),
         "chunk_rows": chunk_rows,
-        "schema": columnar._schema_to_json(schema),
+        "schema": schema_json,
         "chunks": chunks,
         "distinct": True,
         "index": index.to_json() if index is not None else None,

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Keep the documentation and the code from drifting apart.
 
-Seventeen checks, all run in CI next to the bench gate::
+Eighteen checks, all run in CI next to the bench gate::
 
     python tools/check_docs.py
 
@@ -151,6 +151,15 @@ Seventeen checks, all run in CI next to the bench gate::
     ``repro.machine.catalog`` (:data:`LIVE_MODULES`).  A planner that
     reads the live catalog beside the snapshot, which the key would not
     cover, fails here.
+
+18. **One pricing function.**  An array op's §3–8 price — every
+    device of its kind, every variant, the memory streams — is
+    ``price_array_op``, which the physical planner assigns devices by
+    and the shard planner weighs exchange strategies by.  So
+    ``estimate_cost``, the device cost under it, is defined and called
+    only in :data:`PRICER`, and nothing under ``src/repro/shard/``
+    imports it.  A second cost model beside the planner's, pricing what
+    the lanes never pay, fails here.
 
 Exits non-zero with one line per problem.
 """
@@ -933,6 +942,50 @@ def check_one_planning_snapshot(root=ROOT / "src" / "repro") -> list[str]:
     return problems
 
 
+#: The one place an array op's device cost is computed.
+PRICER = "machine/physical.py"
+DEVICE_COST = "estimate_cost"
+
+
+def _pricing_problem(node: ast.AST, where: str) -> Optional[str]:
+    """What ``node`` does that rule 18 refuses, or None."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        if where.startswith("shard/") and any(
+            DEVICE_COST in alias.name.split(".") for alias in node.names
+        ):
+            return f"imports {DEVICE_COST}"
+        return None
+    if where == PRICER:
+        return None
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+        node.name == DEVICE_COST
+    ):
+        return f"defines {DEVICE_COST}"
+    if isinstance(node, ast.Call) and DEVICE_COST in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    ):
+        return f"calls {DEVICE_COST}"
+    return None
+
+
+def check_one_pricing(root=ROOT / "src" / "repro") -> list[str]:
+    problems: list[str] = []
+    for source in sorted(root.rglob("*.py")):
+        where = source.relative_to(root).as_posix()
+        nodes = sorted(
+            ast.walk(ast.parse(source.read_text())),
+            key=lambda node: getattr(node, "lineno", 0),
+        )
+        for node in nodes:
+            problem = _pricing_problem(node, where)
+            if problem is not None:
+                problems.append(
+                    f"{where}:{node.lineno}: {problem} — an array op is "
+                    f"priced by price_array_op in {PRICER} only"
+                )
+    return problems
+
+
 def main() -> int:
     problems = (
         check_metric_table() + check_links()
@@ -943,6 +996,7 @@ def main() -> int:
         + check_one_run_format() + check_observers_on_the_network()
         + check_one_wire_writer() + check_one_variant_choice()
         + check_one_disk_timeline() + check_one_planning_snapshot()
+        + check_one_pricing()
     )
     for problem in problems:
         print(problem, file=sys.stderr)
@@ -969,7 +1023,8 @@ def main() -> int:
         f"the wire written and read by {WIRE_CODEC} only, "
         f"blocked variants chosen by {VARIANT_CHOOSER} only, "
         f"the disk's free time advanced by {SWEEP_RULE} only, "
-        f"the planners reading the catalog through its snapshot only"
+        f"the planners reading the catalog through its snapshot only, "
+        f"array ops priced in {PRICER} only"
     )
     return 0
 
