@@ -293,6 +293,26 @@ def _cmd_trace_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_store_verify(args: argparse.Namespace) -> int:
+    """Check every chunk of a store; non-zero naming each bad one."""
+    import os
+
+    from repro.store import RelationStore
+
+    store_dir = _store_dir(args)
+    if not store_dir or not os.path.isdir(store_dir):
+        print(f"error: no store directory {store_dir!r} (pass --store-dir "
+              f"DIR)", file=sys.stderr)
+        return 2
+    store = RelationStore(store_dir)
+    chunks, problems = store.verify()
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    print(f"{store_dir}: {len(store.names())} relations, {chunks} chunks, "
+          f"{len(problems) or 'no'} failures")
+    return 1 if problems else 0
+
+
 def _cmd_selftest(args: argparse.Namespace) -> int:
     from repro.selftest import run_selftest
 
@@ -572,6 +592,17 @@ def build_parser() -> argparse.ArgumentParser:
     fault_options(serve)
     store_option(serve)
     serve.set_defaults(handler=_cmd_serve)
+
+    store = sub.add_parser("store", help="inspect a relation store")
+    store_sub = store.add_subparsers(dest="store_command", required=True)
+    verify = store_sub.add_parser(
+        "verify",
+        help="read every chunk of every stored relation, checking its "
+             "size and, where the manifest records one, its CRC32; exit "
+             "non-zero naming each torn or corrupt chunk",
+    )
+    store_option(verify)
+    verify.set_defaults(handler=_cmd_store_verify)
 
     trace = sub.add_parser(
         "trace", help="inspect trace files written by --trace"

@@ -11,9 +11,9 @@ The comparison matrix of §3.3 *is* a matrix product over the
 ``(AND, =)`` semiring: ``t_ij = AND_k (a_ik = b_jk)``.  This module
 states the problem as a :class:`~repro.systolic.engine.plan.HexPlan`
 and reads the product off the final-meeting cells
-(:func:`repro.arrays.decode.hex_products`); the mesh geometry,
-:class:`Semiring` algebra, and :class:`HexCell` processor live in
-:mod:`repro.systolic.engine.hexmesh`, shared by both engines.
+(:func:`repro.arrays.decode.hex_products`); the mesh geometry and the
+:class:`Semiring` algebra live in :mod:`repro.systolic.engine.hexmesh`,
+shared by the engines.
 
 As Kung–Leiserson note for the hex design, at most one third of the
 cells fire on any pulse — measured against the orthogonal array in
@@ -34,7 +34,6 @@ from repro.systolic.engine.hexmesh import (
     U_A,
     U_B,
     U_C,
-    HexCell,
     Semiring,
 )
 from repro.systolic.engine.hexmesh import a_start as _a_start
@@ -46,7 +45,6 @@ __all__ = [
     "Semiring",
     "COMPARISON_SEMIRING",
     "BOOLEAN_SEMIRING",
-    "HexCell",
     "HexComparisonResult",
     "hex_matrix_product",
     "hex_compare_all_pairs",
@@ -75,8 +73,8 @@ def hex_matrix_product(
     ``a_rows[i][k]`` and ``b_cols[j][k]`` index the operands (note B is
     given column-wise, matching tuple comparison where both operands
     are tuples).  Results are read off the cells of each ``c`` stream's
-    final meeting; with the default pulse backend every cell, wire, and
-    pulse is simulated.
+    final meeting; with the default pulse backend every cell's registers
+    are stepped pulse by pulse.
     """
     plan = HexPlan(a_rows, b_cols, semiring, tagged=tagged)
     result = execute(plan, backend=backend)

@@ -1,6 +1,6 @@
 """Bit-level designs: §8's word→bit partition.
 
-MSB-first bit encodings, the bit-magnitude comparator cell, packed
+MSB-first bit encodings, the bit-magnitude comparator chain, packed
 ``uint64`` bitplane kernels (:mod:`~repro.bitlevel.planes`, the
 bitplane engine's substrate), and bit-level versions of the comparison
 arrays whose results are provably identical to the word-level
@@ -19,7 +19,7 @@ from repro.bitlevel.bits import (
     required_width,
     word_to_bits,
 )
-from repro.bitlevel.cells import EQ, GT, LT, BitMagnitudeCell
+from repro.bitlevel.cells import EQ, GT, LT, MagnitudeChain
 from repro.bitlevel.planes import (
     PLANE_BITS,
     pack_bits,
@@ -32,10 +32,10 @@ from repro.bitlevel.planes import (
 
 __all__ = [
     "BitArrayStats",
-    "BitMagnitudeCell",
     "EQ",
     "GT",
     "LT",
+    "MagnitudeChain",
     "PLANE_BITS",
     "bit_array_stats",
     "bit_level_compare_all_pairs",

@@ -7,8 +7,8 @@ computes the identical ``T`` matrix — verified against the word-level
 arrays in the tests — while its area is expressible directly in §8's
 bit-comparator unit.
 
-Magnitude comparison uses a chain of
-:class:`~repro.bitlevel.cells.BitMagnitudeCell`\\ s: the three-way state
+Magnitude comparison uses the bit-magnitude chain
+(:class:`~repro.bitlevel.cells.MagnitudeChain`): the three-way state
 ripples through the bit positions MSB-first.
 """
 
@@ -30,13 +30,9 @@ from repro.bitlevel.bits import (
     required_width,
     word_to_bits,
 )
-from repro.bitlevel.cells import EQ, GT, LT, BitMagnitudeCell
+from repro.bitlevel.cells import MagnitudeChain
 from repro.errors import SimulationError
 from repro.relational.relation import Relation
-from repro.systolic.simulator import SystolicSimulator
-from repro.systolic.streams import ScheduleFeeder
-from repro.systolic.values import Token
-from repro.systolic.wiring import Network
 
 __all__ = [
     "bit_level_compare_tuples",
@@ -125,7 +121,7 @@ def bit_level_compare_all_pairs(
 def bit_level_three_way_compare(
     a: int, b: int, width: int | None = None
 ) -> int:
-    """Three-way compare two words on a chain of bit-magnitude cells.
+    """Three-way compare two words on the bit-magnitude chain.
 
     Returns −1 / 0 / +1 for a < b / a == b / a > b, computed by the
     MSB-first state ripple.  This is the processor §6.3.2's
@@ -133,28 +129,20 @@ def bit_level_three_way_compare(
     """
     if width is None:
         width = required_width([a, b])
-    a_bits = word_to_bits(a, width)
-    b_bits = word_to_bits(b, width)
-    network = Network("bit-magnitude-chain")
-    for position in range(width):
-        network.add(BitMagnitudeCell(f"mag[{position}]"))
-    for position in range(width):
-        name = f"mag[{position}]"
-        if position + 1 < width:
-            network.connect(name, "s_out", f"mag[{position + 1}]", "s_in")
-        network.feed(name, "a_in",
-                     ScheduleFeeder({position: Token(a_bits[position])}))
-        network.feed(name, "b_in",
-                     ScheduleFeeder({position: Token(b_bits[position])}))
-    network.feed("mag[0]", "s_in", ScheduleFeeder({0: Token(EQ)}))
-    network.tap("state", f"mag[{width - 1}]", "s_out")
-    simulator = SystolicSimulator(network).run(width)
-    token = simulator.collector("state").at(width - 1)
-    if token is None:
+    a_bits = np.array(word_to_bits(a, width))
+    b_bits = np.array(word_to_bits(b, width))
+    chain = MagnitudeChain(width)
+    cells = np.arange(width)
+    for pulse in range(width):
+        # Bit position p is fed to cell p on pulse p, beside the state.
+        here = cells == pulse
+        state = chain.clock(
+            np.where(here, a_bits, -1), np.where(here, b_bits, -1),
+            seed=pulse == 0,
+        )
+    if state is None:
         raise SimulationError("the comparison state never left the chain")
-    if token.value not in (EQ, LT, GT):
-        raise SimulationError(f"invalid comparison state {token.value!r}")
-    return token.value
+    return state
 
 
 def bit_level_intersection(a, b, width: int | None = None, backend=None):

@@ -1,4 +1,4 @@
-"""Bit-level processors (§8, ref [3]).
+"""The bit-magnitude chain (§8, ref [3]).
 
 Equality at the bit level needs no new cell: a bit is just a 1-bit word
 and the Fig 3-2 comparison processor ANDs bit equalities exactly as it
@@ -6,59 +6,64 @@ ANDs word equalities.  *Magnitude* comparison does need a new cell: a
 single bit pair cannot decide ``<`` — the decision belongs to the most
 significant bit position where the operands differ.
 
-:class:`BitMagnitudeCell` implements the spatial MSB-first scheme: a
-three-valued state token (EQ / LT / GT, encoded 0 / −1 / +1) travels
-left-to-right through a chain of bit cells.  A cell only refines the
-state while it is still EQ; once decided, the state passes through
-untouched.  After the full width the state is the three-way comparison
-of the two words, from which any of <, ≤, >, ≥, =, ≠ can be read off.
+:class:`MagnitudeChain` is the spatial MSB-first scheme: a
+three-valued state (EQ / LT / GT, encoded 0 / −1 / +1) travels
+left-to-right through a chain of bit cells, one cell a pulse, and the
+bits of position ``p`` reach cell ``p`` on the pulse the state does.  A
+cell only refines the state while it is still EQ; once decided, the
+state passes through untouched.  After the full width the state is the
+three-way comparison of the two words, from which any of <, ≤, >, ≥,
+=, ≠ can be read off.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.systolic.cell import Cell, PortMap
-from repro.systolic.values import Token
+import numpy as np
 
-__all__ = ["BitMagnitudeCell", "EQ", "LT", "GT"]
+from repro.errors import SimulationError
 
-#: Three-way comparison states carried by the travelling token.
+__all__ = ["MagnitudeChain", "EQ", "LT", "GT"]
+
+#: Three-way comparison states carried by the travelling state.
 EQ, LT, GT = 0, -1, 1
 
 
-class BitMagnitudeCell(Cell):
-    """One bit position of a spatial MSB-first magnitude comparator."""
+class MagnitudeChain:
+    """The chain's registers, advanced one clock per :meth:`clock`: the
+    state register (a value and a presence bit a cell) shifts one cell
+    a pulse; each cell's bit latches hold what was fed there this
+    pulse."""
 
-    IN_PORTS = ("a_in", "b_in", "s_in")
-    OUT_PORTS = ("a_out", "b_out", "s_out")
+    def __init__(self, width: int) -> None:
+        self.pulse = 0
+        self.state = np.full(width, EQ, np.int8)
+        self.held = np.zeros(width, bool)
 
-    def step(self, inputs: PortMap) -> dict[str, Optional[Token]]:
-        a = inputs.get("a_in")
-        b = inputs.get("b_in")
-        state = inputs.get("s_in")
-        outputs: dict[str, Optional[Token]] = {}
-        if a is not None:
-            outputs["a_out"] = a
-        if b is not None:
-            outputs["b_out"] = b
-        if state is None:
-            if a is not None and b is not None:
-                raise self.protocol_error(
-                    "bits met with no comparison state on s_in — the "
-                    "state-injection schedule missed this meeting"
-                )
-            return outputs
-        if a is None or b is None:
-            raise self.protocol_error(
+    def clock(
+        self, a: np.ndarray, b: np.ndarray, seed: bool
+    ) -> Optional[int]:
+        """One pulse: ``a`` / ``b`` are the bits at each cell (−1: none)
+        and ``seed`` whether the EQ state enters the first cell.
+        Returns the state the last cell put out, or None."""
+        self.state[1:], self.held[1:] = self.state[:-1], self.held[:-1]
+        self.state[0], self.held[0] = EQ, seed
+        pair = (a >= 0) & (b >= 0)
+        bad = self.held != pair
+        if bad.any():
+            cell = int(np.argmax(bad))
+            message = (
                 "a comparison state arrived without a bit pair — the bit "
                 "streams are mis-staggered"
+                if self.held[cell] else
+                "bits met with no comparison state on s_in — the "
+                "state-injection schedule missed this meeting"
             )
-        current = state.value
-        if current == EQ:
-            if a.value > b.value:
-                current = GT
-            elif a.value < b.value:
-                current = LT
-        outputs["s_out"] = Token(current, state.tag)
-        return outputs
+            raise SimulationError(
+                f"pulse {self.pulse}: cell 'mag[{cell}]': {message}"
+            )
+        open_ = self.held & (self.state == EQ)
+        self.state[open_] = np.sign(a - b)[open_]
+        self.pulse += 1
+        return int(self.state[-1]) if self.held[-1] else None

@@ -12,7 +12,7 @@ one ``np.bitwise_*`` sweep.
 * **Equality** is an XOR/OR-reduce over the planes: two values differ
   iff any bit position differs, so ``NEQ = OR_p (a_p XOR b_p)`` and the
   verdict plane is its complement.
-* **Magnitude** is the :class:`~repro.bitlevel.cells.BitMagnitudeCell`
+* **Magnitude** is the :class:`~repro.bitlevel.cells.MagnitudeChain`
   state ripple (EQ / LT / GT, MSB-first) vectorized across the plane:
   at each bit position the still-EQ lanes whose bits differ resolve to
   GT or LT by the ``a`` bit, exactly the cell's transition table.
@@ -210,8 +210,8 @@ def magnitude_planes(
 
     ``a_values`` is ``(c,)`` translated stream values, ``b_planes_k``
     the ``(width, n_words)`` planes of the resident column.  Rips the
-    EQ / GT / LT state MSB-first exactly as a chain of
-    :class:`~repro.bitlevel.cells.BitMagnitudeCell`\\ s would: a lane
+    EQ / GT / LT state MSB-first exactly as the
+    :class:`~repro.bitlevel.cells.MagnitudeChain` does: a lane
     still EQ whose bits differ resolves by the ``a`` bit.  Returns the
     packed ``(eq, gt, lt)`` state planes, each ``(c, n_words)``.
     """

@@ -6,17 +6,16 @@ full speed; match results trail at half speed, AND-accumulating one
 comparison per cell, wildcards included.
 """
 
-from repro.patterns.cells import WILDCARD, PatternCell
 from repro.patterns.matcher import (
+    WILDCARD,
+    PatternChip,
     PatternMatchResult,
-    build_pattern_array,
     match_pattern,
 )
 
 __all__ = [
-    "PatternCell",
+    "PatternChip",
     "PatternMatchResult",
     "WILDCARD",
-    "build_pattern_array",
     "match_pattern",
 ]

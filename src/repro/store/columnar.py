@@ -691,6 +691,34 @@ class RelationStore:
             (name, self.open(name).digest) for name in self.names()
         )
 
+    def verify(self) -> tuple[int, list[str]]:
+        """Read every chunk of every stored relation through the chunk
+        reader into a scratch block, admitting nothing to the pool.
+        Returns the chunks read and one line per failure — a torn or
+        CRC-failing chunk, a missing chunk file, an unreadable
+        manifest — naming the relation and the chunk.  A manifest that
+        records no CRC32 has its chunks checked by size only."""
+        chunks, problems = 0, []
+        for name in self.names():
+            try:
+                handle = self.open(name)
+            except StoreError as exc:
+                problems.append(str(exc))
+                continue
+            for chunk_id, chunk in enumerate(handle.chunks):
+                chunks += 1
+                scratch = np.empty((handle.arity, chunk.rows), _ELEMENT_DTYPE)
+                try:
+                    _ChunkPool._load(handle, chunk_id, scratch)
+                except StoreError as exc:
+                    problems.append(str(exc))
+                except OSError as exc:
+                    problems.append(
+                        f"chunk {chunk.file} of {name!r} cannot be read: "
+                        f"{exc.strerror}"
+                    )
+        return chunks, problems
+
     # -- opening ------------------------------------------------------------
 
     def open(self, name: str) -> StoredRelation:

@@ -1,11 +1,15 @@
-"""Systolic machine substrate: cells, wiring, and the pulse simulator.
+"""Systolic machine substrate: the engines, and the cell network a
+run is watched on.
 
-Everything in :mod:`repro.arrays` is built from these parts: a
+The engines (:mod:`~repro.systolic.engine`) compute every array.  The
+cell network is the paper's processors one object each: a
 :class:`~repro.systolic.wiring.Network` of
 :class:`~repro.systolic.cell.Cell`\\ s driven by a
 :class:`~repro.systolic.simulator.SystolicSimulator` at pulse
-granularity, fed and observed through
-:mod:`~repro.systolic.streams`.
+granularity, fed and observed through :mod:`~repro.systolic.streams`.
+It computes nothing for an engine: a grid or division array is
+materialized on it to be traced or metered, and as the reference the
+register stepper is held to.
 """
 
 from repro.systolic.cell import Cell, PortMap

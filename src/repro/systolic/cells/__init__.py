@@ -2,8 +2,8 @@
 
 One class per processor type: the comparison processor (Fig 3-2), the
 accumulation processor (§4.2), the programmable θ-join comparator
-(§6.3.2), the three division-array processors (§7), and small utility
-cells (delay latch, output inverter).
+(§6.3.2), the three division-array processors (§7), and the delay
+latch.
 """
 
 from repro.systolic.cells.accumulator import AccumulationCell
@@ -15,7 +15,7 @@ from repro.systolic.cells.division import (
     DivisorCell,
 )
 from repro.systolic.cells.theta import ThetaCell
-from repro.systolic.cells.util import InverterCell, LatchCell
+from repro.systolic.cells.util import LatchCell
 
 __all__ = [
     "AccumulationCell",
@@ -24,7 +24,6 @@ __all__ = [
     "DividendMatchCell",
     "DivisorCell",
     "DynamicThetaCell",
-    "InverterCell",
     "LatchCell",
     "ThetaCell",
 ]

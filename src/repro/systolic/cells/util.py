@@ -1,12 +1,8 @@
 """Utility cells: plumbing that appears around the main arrays.
 
-* :class:`LatchCell` — a pure one-pulse delay (the transfer along its
-  wire provides the delay; the cell itself just forwards).  Used to
-  align streams, e.g. the extra hop between the comparison array's edge
-  and the accumulation column in Fig 4-1.
-* :class:`InverterCell` — §4.3's "inverter on the output line of the
-  accumulation array", turning the intersection array into a difference
-  array without touching the main hardware.
+:class:`LatchCell` is a pure one-pulse delay (the transfer along its
+wire provides the delay; the cell itself just forwards), the unit a
+stream is aligned with.
 """
 
 from __future__ import annotations
@@ -16,7 +12,7 @@ from typing import Optional
 from repro.systolic.cell import Cell, PortMap
 from repro.systolic.values import Token
 
-__all__ = ["LatchCell", "InverterCell"]
+__all__ = ["LatchCell"]
 
 
 class LatchCell(Cell):
@@ -31,15 +27,3 @@ class LatchCell(Cell):
             return {}
         return {"d_out": token}
 
-
-class InverterCell(Cell):
-    """Negates the boolean payload, preserving the tag (§4.3)."""
-
-    IN_PORTS = ("t_in",)
-    OUT_PORTS = ("t_out",)
-
-    def step(self, inputs: PortMap) -> dict[str, Optional[Token]]:
-        token = inputs.get("t_in")
-        if token is None:
-            return {}
-        return {"t_out": Token(not bool(token.value), token.tag)}

@@ -6,7 +6,7 @@ says how.  Three ship:
 
 * ``"pulse"`` — :class:`PulseEngine`, the cycle-accurate reference:
   every latch of the paper's design, advanced pulse by pulse as numpy
-  register planes (or, for the hexagonal mesh, as the cell network);
+  register planes;
   what leaves the array comes back as one :class:`ColumnarTap` table
   per tapped edge.
 * ``"lattice"`` — :class:`LatticeEngine`, the same schedule arithmetic

@@ -11,7 +11,7 @@ comparators —
 
 * equality as the XOR/OR-reduce over all ``arity × width`` planes;
 * magnitude (``<``, ``<=``, ``>``, ``>=``, ``!=``) as the
-  :class:`~repro.bitlevel.cells.BitMagnitudeCell` EQ/GT/LT state
+  :class:`~repro.bitlevel.cells.MagnitudeChain`'s EQ/GT/LT state
   rippled MSB-first across whole planes at once;
 * the division array's gating as two packed equality matrices.
 

@@ -1,12 +1,13 @@
-"""Hexagonal-mesh geometry and cells (§2.1, ref [5]).
+"""Hexagonal-mesh geometry (§2.1, ref [5]).
 
 The hexagonally connected alternative array: three data streams flow
 through a hex mesh along directions summing to zero, every cell
 computing ``c ← c ⊕ (a ⊗ b)`` when a triple coincides.  This module
-holds everything both engines share — the :class:`Semiring` algebra,
-the :class:`HexCell` processor, the stream geometry, and the
-pulse-level network builder — so the operator layer
-(:mod:`repro.arrays.hexagonal`) only states the problem.
+holds what the engines share — the :class:`Semiring` algebra and the
+stream geometry — so the operator layer (:mod:`repro.arrays.hexagonal`)
+only states the problem.  The register stepper
+(:mod:`~repro.systolic.engine.registers`) steps the mesh pulse by pulse;
+the lattice engine walks each ``c`` stream down its line.
 
 Schedule (α = β = γ = 1, δ = 0; derivation in the tests):
 
@@ -22,18 +23,12 @@ Schedule (α = β = γ = 1, δ = 0; derivation in the tests):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
-
-from repro.systolic.cell import Cell, PortMap
-from repro.systolic.streams import ScheduleFeeder
-from repro.systolic.values import Token
-from repro.systolic.wiring import Network
+from typing import Any, Callable
 
 __all__ = [
     "Semiring",
     "COMPARISON_SEMIRING",
     "BOOLEAN_SEMIRING",
-    "HexCell",
     "U_A",
     "U_B",
     "U_C",
@@ -43,9 +38,7 @@ __all__ = [
     "meeting_cell",
     "hex_horizon",
     "hex_positions",
-    "hex_cell_name",
     "hex_tap_name",
-    "build_hex_network",
 ]
 
 #: The three hexagonal stream directions (they sum to the zero vector).
@@ -79,59 +72,6 @@ BOOLEAN_SEMIRING = Semiring(
     interact=lambda a, b: bool(a) and bool(b),
     identity=False,
 )
-
-
-class HexCell(Cell):
-    """One hexagonal-mesh processor: three pass-through streams.
-
-    When tokens are present on all three inputs the cell performs the
-    semiring step on the ``c`` value; any other combination just
-    forwards what arrived (tokens passing through without a scheduled
-    meeting).
-    """
-
-    IN_PORTS = ("a_in", "b_in", "c_in")
-    OUT_PORTS = ("a_out", "b_out", "c_out")
-
-    def __init__(self, name: str, semiring: Semiring) -> None:
-        super().__init__(name)
-        self.semiring = semiring
-
-    def step(self, inputs: PortMap) -> dict[str, Optional[Token]]:
-        a = inputs.get("a_in")
-        b = inputs.get("b_in")
-        c = inputs.get("c_in")
-        outputs: dict[str, Optional[Token]] = {}
-        if a is not None:
-            outputs["a_out"] = a
-        if b is not None:
-            outputs["b_out"] = b
-        if c is not None:
-            if a is not None and b is not None:
-                self._check_tags(a, b, c)
-                updated = self.semiring.combine(
-                    c.value, self.semiring.interact(a.value, b.value)
-                )
-                outputs["c_out"] = Token(updated, c.tag)
-            else:
-                outputs["c_out"] = c
-        return outputs
-
-    def _check_tags(self, a: Token, b: Token, c: Token) -> None:
-        a_tag, b_tag, c_tag = a.tag, b.tag, c.tag
-        if not (
-            isinstance(a_tag, tuple) and len(a_tag) == 3 and a_tag[0] == "a"
-            and isinstance(b_tag, tuple) and len(b_tag) == 3 and b_tag[0] == "b"
-            and isinstance(c_tag, tuple) and len(c_tag) == 3 and c_tag[0] == "c"
-        ):
-            return
-        _, a_i, a_k = a_tag
-        _, b_k, b_j = b_tag
-        _, c_i, c_j = c_tag
-        if a_k != b_k or a_i != c_i or b_j != c_j:
-            raise self.protocol_error(
-                f"unscheduled triple met: a={a_tag!r} b={b_tag!r} c={c_tag!r}"
-            )
 
 
 def _vadd(p: tuple[int, int], q: tuple[int, int], scale: int = 1) -> tuple[int, int]:
@@ -197,81 +137,6 @@ def hex_positions(n_a: int, n_b: int, m: int) -> set[tuple[int, int]]:
     return positions
 
 
-def hex_cell_name(pos: tuple[int, int]) -> str:
-    """Canonical name of the hex processor at lattice position ``pos``."""
-    return f"hex[{pos[0]},{pos[1]}]"
-
-
 def hex_tap_name(pos: tuple[int, int]) -> str:
     """Canonical tap name for a ``c``-stream exit at ``pos``."""
     return f"c@{pos[0]},{pos[1]}"
-
-
-def build_hex_network(
-    a_rows: Sequence[Sequence[Any]],
-    b_cols: Sequence[Sequence[Any]],
-    semiring: Semiring,
-    tagged: bool = True,
-) -> tuple[Network, dict[tuple[int, int], str]]:
-    """Assemble the hex mesh with feeders and final-meeting taps.
-
-    Returns the network plus the tap map (final meeting position →
-    tap name); :func:`repro.arrays.decode.hex_products` reads ``C`` off
-    those taps.
-    """
-    n_a, n_b = len(a_rows), len(b_cols)
-    m = len(a_rows[0])
-    positions = hex_positions(n_a, n_b, m)
-
-    network = Network("hexagonal-array")
-    for pos in positions:
-        network.add(HexCell(hex_cell_name(pos), semiring))
-    for pos in positions:
-        for direction, out_port, in_port in (
-            (U_A, "a_out", "a_in"), (U_B, "b_out", "b_in"), (U_C, "c_out", "c_in"),
-        ):
-            neighbour = _vadd(pos, direction)
-            if neighbour in positions:
-                network.connect(hex_cell_name(pos), out_port,
-                                hex_cell_name(neighbour), in_port)
-
-    # Feeders: every token is injected at its start cell on pulse 0.
-    # (Start positions are injective per stream — see the tests — so no
-    # two tokens contend for one feeder slot.)
-    schedules: dict[tuple[str, str], dict[int, Token]] = {}
-
-    def schedule_injection(pos, port, token):
-        key = (hex_cell_name(pos), port)
-        schedules.setdefault(key, {})[0] = token
-
-    for i in range(n_a):
-        for k in range(m):
-            schedule_injection(
-                a_start(i, k), "a_in",
-                Token(a_rows[i][k], ("a", i, k) if tagged else None),
-            )
-    for j in range(n_b):
-        for k in range(m):
-            schedule_injection(
-                b_start(k, j), "b_in",
-                Token(b_cols[j][k], ("b", k, j) if tagged else None),
-            )
-    for i in range(n_a):
-        for j in range(n_b):
-            schedule_injection(
-                c_start(i, j), "c_in",
-                Token(semiring.identity, ("c", i, j) if tagged else None),
-            )
-    for (name, port), schedule in schedules.items():
-        network.feed(name, port, ScheduleFeeder(schedule), merge=True)
-
-    # Taps: the cell of each c stream's final meeting (k = m−1).
-    taps: dict[tuple[int, int], str] = {}
-    for i in range(n_a):
-        for j in range(n_b):
-            pos = meeting_cell(i, j, m - 1)
-            if pos not in taps:
-                tap_name = hex_tap_name(pos)
-                network.tap(tap_name, hex_cell_name(pos), "c_out")
-                taps[pos] = tap_name
-    return network, taps

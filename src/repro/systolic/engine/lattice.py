@@ -15,10 +15,10 @@ exactly:
   stamps, bool payloads and ghost tags as the pulse engine's;
 * **pulse counts** — the plan's schedule-derived run length.
 
-The engine only computes: a trace or a busy count is taken on the cell
-network (:func:`~repro.systolic.engine.materialize.materialize` under a
-:class:`~repro.systolic.simulator.SystolicSimulator` observer), which
-every engine is held to.
+The engine only computes: a trace or a busy count of a grid or
+division run is taken on its cell network
+(:func:`~repro.systolic.engine.materialize.materialize` under a
+:class:`~repro.systolic.simulator.SystolicSimulator` observer).
 """
 
 from __future__ import annotations
@@ -32,13 +32,7 @@ from repro.config import env_int
 from repro.errors import SimulationError
 from repro.obs import metrics
 from repro.relational.relation import _packed_key
-from repro.systolic.engine.hexmesh import (
-    U_C,
-    c_start,
-    hex_positions,
-    hex_tap_name,
-    meeting_cell,
-)
+from repro.systolic.engine.hexmesh import U_C, c_start
 from repro.systolic.engine.plan import (
     BlockedPlan,
     ColumnarTap,
@@ -53,9 +47,7 @@ from repro.systolic.engine.plan import (
     run_attrs,
     t_init_strict_lower,
     t_init_true,
-    tables_of,
 )
-from repro.systolic.values import Token
 
 __all__ = ["LatticeEngine", "DEFAULT_CHUNK_BYTES"]
 
@@ -460,14 +452,8 @@ class LatticeEngine:
     def _run_hex(self, plan: HexPlan) -> EngineRun:
         n_a, n_b, m = plan.n_a, plan.n_b, plan.inner
         semiring = plan.semiring
-        positions = hex_positions(n_a, n_b, m)
-        tapped = dict.fromkeys(
-            meeting_cell(i, j, m - 1)
-            for i in range(n_a) for j in range(n_b)
-        )
-        records: dict[str, list[tuple[int, Token]]] = {
-            hex_tap_name(pos): [] for pos in tapped
-        }
+        tap_of = {pos: tap for tap, pos in enumerate(plan.tapped)}
+        records = []
         # Walk each c token down its U_C line: its value folds in one
         # (a, b) interaction per scheduled meeting (pulse i + j + k),
         # passes through every other cell unchanged, and a tap records
@@ -478,20 +464,17 @@ class LatticeEngine:
             for j in range(n_b):
                 b_col = plan.b_cols[j]
                 value = semiring.identity
-                tag = ("c", i, j) if plan.tagged else None
                 pos = c_start(i, j)
                 for p in range(plan.pulses):
-                    if pos not in positions:
+                    if pos not in plan.positions:
                         break
                     k = p - (i + j)
                     if 0 <= k < m:
                         value = semiring.combine(
                             value, semiring.interact(a_row[k], b_col[k])
                         )
-                    if pos in tapped:
-                        records[hex_tap_name(pos)].append(
-                            (p, Token(value, tag))
-                        )
+                    if pos in tap_of:
+                        records.append((tap_of[pos], p, value, i, j))
                     pos = (pos[0] + U_C[0], pos[1] + U_C[1])
         # firing(p) = #{(i, j, k) : i + j + k = p} — a triple convolution.
         firing = np.convolve(
@@ -501,6 +484,6 @@ class LatticeEngine:
         )
         return EngineRun(
             engine=self.name, pulses=plan.pulses, cells=plan.cells,
-            tap_view=lambda: tables_of(records),
+            tap_view=lambda: plan.tables(*zip(*records)),
             peak_firing=int(firing.max()),
         )

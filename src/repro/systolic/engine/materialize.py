@@ -5,13 +5,20 @@ processors (orthogonally connected, Fig 2-1a), column feeders that
 stagger tuple elements (§3.1), left-edge injectors for initial partial
 results, and an optional accumulation column (Fig 4-1).  This module
 builds those parts once — from a plan or from raw operands — so the
-operator layer and the :class:`~repro.systolic.engine.pulse.PulseEngine`
-only state what is *different* about each array.
+operator layer only states what is *different* about each array.
+
+No engine computes on these networks.  They are where a grid or
+division run is watched (a trace, busy counts, through a
+:class:`~repro.systolic.simulator.SystolicSimulator` observer), and the
+reference the register stepper is held to: :func:`tables_of` reads
+their Token records as the tap tables a run hands back.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+import re
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -26,12 +33,11 @@ from repro.systolic.cells import (
     DynamicThetaCell,
     ThetaCell,
 )
-from repro.systolic.engine.hexmesh import build_hex_network
 from repro.systolic.engine.plan import (
+    ColumnarTap,
     DivisionPlan,
     ExecutionPlan,
     GridPlan,
-    HexPlan,
     TInit,
     acc_name,
     check_tuples,
@@ -55,6 +61,7 @@ __all__ = [
     "build_division_network",
     "materialize",
     "materialize_grid",
+    "tables_of",
 ]
 
 #: Builds the processor for grid position (row, col) — ComparisonCell
@@ -371,9 +378,70 @@ def materialize(plan: ExecutionPlan) -> Network:
             tagged=plan.tagged,
         )
         return network
-    if isinstance(plan, HexPlan):
-        network, _ = build_hex_network(
-            plan.a_rows, plan.b_cols, plan.semiring, tagged=plan.tagged
-        )
-        return network
     raise SimulationError(f"unknown plan type {type(plan).__name__}")
+
+
+#: A tap that is one position of an edge: ``t_row[3]`` is ``t_row``'s 3.
+_EDGE_TAP = re.compile(r"(\w+)\[(\d+)\]")
+
+
+def tables_of(
+    records: Mapping[str, Iterable[tuple[int, Token]]]
+) -> dict[str, ColumnarTap]:
+    """Token records keyed by tap name — a cell network's collectors —
+    as tap tables, the form an engine run hands back.
+
+    The taps ``edge[0]``, ``edge[1]``, … become one table of ``width``
+    positions (empty taps included); any other tap (``t_i``) is a
+    table of its own.  Each tap's records go
+    in pulse order.  Nothing is coerced: a payload that is not a bool,
+    or a tag outside the table's one ghost-tag family (same kind, same
+    length, integer indices), is refused naming the tap.
+    """
+    edges: dict[str, dict[Optional[int], str]] = {}
+    for name in records:
+        match = _EDGE_TAP.fullmatch(name)
+        edge, position = (match[1], int(match[2])) if match else (name, None)
+        edges.setdefault(edge, {})[position] = name
+    tables = {}
+    for edge, taps in edges.items():
+        width = None if None in taps else max(taps) + 1
+        pulses, values, positions, tags = [], [], [], []
+        family = None
+        for position in [None] if width is None else sorted(taps):
+            name = taps[position]
+            for pulse, token in sorted(records[name], key=itemgetter(0)):
+                value, tag = token.value, token.tag
+                if type(value) is not bool:
+                    raise SimulationError(
+                        f"tap {name!r} carries payload {value!r}, not a bool"
+                    )
+                if tag is not None and not (
+                    isinstance(tag, tuple) and tag
+                    and isinstance(tag[0], str)
+                    and all(type(index) is int for index in tag[1:])
+                ):
+                    raise SimulationError(
+                        f"tap {name!r} carries {tag!r}, not a ghost tag"
+                    )
+                shape = None if tag is None else (tag[0], len(tag))
+                if not pulses:
+                    family = shape
+                elif shape != family:
+                    raise SimulationError(
+                        f"tap {name!r} carries tag {tag!r} outside its "
+                        f"edge's ghost-tag family (kind, length) {family!r}"
+                    )
+                pulses.append(pulse)
+                values.append(value)
+                positions.append(position)
+                tags.append(() if tag is None else tag[1:])
+        tables[edge] = ColumnarTap(
+            edge, np.array(pulses, dtype=np.int64),
+            np.array(values, dtype=bool), family and family[0],
+            tuple(np.array(tags, dtype=np.int64).T) if family else (),
+            positions=None if width is None
+            else np.array(positions, dtype=np.int64),
+            width=width,
+        )
+    return tables

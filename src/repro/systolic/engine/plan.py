@@ -6,10 +6,8 @@ commitment to pulse-by-pulse simulation.  An
 :class:`Engine` turns a plan into an :class:`EngineRun`:
 
 * :class:`~repro.systolic.engine.pulse.PulseEngine` steps the array
-  pulse by pulse — as numpy register planes
-  (:mod:`~repro.systolic.engine.registers`), or, for the hexagonal
-  mesh, as the materialized cell network under the
-  :class:`~repro.systolic.simulator.SystolicSimulator`;
+  pulse by pulse as numpy register planes
+  (:mod:`~repro.systolic.engine.registers`);
 * :class:`~repro.systolic.engine.lattice.LatticeEngine` evaluates the
   same schedule arithmetic as bulk anti-diagonal wavefronts.
 
@@ -23,16 +21,12 @@ with a :class:`~repro.systolic.simulator.SystolicSimulator` observer.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import (
     Any,
     Callable,
-    Iterable,
     Iterator,
-    Mapping,
     Optional,
     Protocol,
     Sequence,
@@ -60,7 +54,6 @@ from repro.systolic.engine.schedule import (
     block_run_pulses,
     block_span_law,
 )
-from repro.systolic.values import Token
 
 __all__ = [
     "TInit",
@@ -68,7 +61,6 @@ __all__ = [
     "t_init_strict_lower",
     "t_init_at",
     "ColumnarTap",
-    "tables_of",
     "GridPlan",
     "BlockedPlan",
     "REDUCTIONS",
@@ -532,20 +524,51 @@ class HexPlan:
     def pulses(self) -> int:
         return hex_horizon(self.n_a, self.n_b, self.inner) + 1
 
+    @cached_property
+    def positions(self) -> frozenset[tuple[int, int]]:
+        """The mesh: every lattice cell a token occupies during the run."""
+        return frozenset(hex_positions(self.n_a, self.n_b, self.inner))
+
     @property
     def cells(self) -> int:
-        return len(hex_positions(self.n_a, self.n_b, self.inner))
+        return len(self.positions)
+
+    @cached_property
+    def tapped(self) -> tuple[tuple[int, int], ...]:
+        """The tapped cells, each pair's final meeting, in tap order."""
+        return tuple(dict.fromkeys(
+            meeting_cell(i, j, self.inner - 1)
+            for i in range(self.n_a) for j in range(self.n_b)
+        ))
 
     def tap_names(self) -> list[str]:
-        names: list[str] = []
-        seen: set[tuple[int, int]] = set()
-        for i in range(self.n_a):
-            for j in range(self.n_b):
-                pos = meeting_cell(i, j, self.inner - 1)
-                if pos not in seen:
-                    seen.add(pos)
-                    names.append(hex_tap_name(pos))
-        return names
+        return [hex_tap_name(pos) for pos in self.tapped]
+
+    def tables(self, tap, pulses, values, i, j) -> dict[str, ColumnarTap]:
+        """The run's tap tables from what crossed the tapped cells:
+        record ``r`` is ``c_ij`` (``i[r]``, ``j[r]``) leaving cell
+        ``tapped[tap[r]]`` on pulse ``pulses[r]`` with ``values[r]``.
+        A payload that is not a bool is refused, naming the tap."""
+        tap, pulses, i, j = (
+            np.asarray(column, np.int64) for column in (tap, pulses, i, j)
+        )
+        values = np.asarray(values, object)
+        order = np.lexsort((pulses, tap))
+        bounds = np.searchsorted(tap[order], np.arange(len(self.tapped) + 1))
+        tables = {}
+        for t, name in enumerate(self.tap_names()):
+            at = order[bounds[t]:bounds[t + 1]]
+            for value in values[at]:
+                if type(value) is not bool:
+                    raise SimulationError(
+                        f"tap {name!r} carries payload {value!r}, not a bool"
+                    )
+            tables[name] = ColumnarTap(
+                name, pulses[at], values[at].astype(bool),
+                "c" if self.tagged else None,
+                (i[at], j[at]) if self.tagged else (),
+            )
+        return tables
 
 
 ExecutionPlan = Union[GridPlan, BlockedPlan, DivisionPlan, HexPlan]
@@ -612,72 +635,6 @@ class ColumnarTap:
         return int(self.pulses.size)
 
 
-#: A tap that is one position of an edge: ``t_row[3]`` is ``t_row``'s 3.
-_EDGE_TAP = re.compile(r"(\w+)\[(\d+)\]")
-
-
-def tables_of(
-    records: Mapping[str, Iterable[tuple[int, Token]]]
-) -> dict[str, ColumnarTap]:
-    """Token records keyed by tap name — a cell network's collectors —
-    as the run's tap tables.
-
-    The taps ``edge[0]``, ``edge[1]``, … become one table of ``width``
-    positions (empty taps included); any other tap (``t_i``, a hex
-    mesh's ``c@x,y``) is a table of its own.  Each tap's records go
-    in pulse order.  Nothing is coerced: a payload that is not a bool,
-    or a tag outside the table's one ghost-tag family (same kind, same
-    length, integer indices), is refused naming the tap.
-    """
-    edges: dict[str, dict[Optional[int], str]] = {}
-    for name in records:
-        match = _EDGE_TAP.fullmatch(name)
-        edge, position = (match[1], int(match[2])) if match else (name, None)
-        edges.setdefault(edge, {})[position] = name
-    tables = {}
-    for edge, taps in edges.items():
-        width = None if None in taps else max(taps) + 1
-        pulses, values, positions, tags = [], [], [], []
-        family = None
-        for position in [None] if width is None else sorted(taps):
-            name = taps[position]
-            for pulse, token in sorted(records[name], key=itemgetter(0)):
-                value, tag = token.value, token.tag
-                if type(value) is not bool:
-                    raise SimulationError(
-                        f"tap {name!r} carries payload {value!r}, not a bool"
-                    )
-                if tag is not None and not (
-                    isinstance(tag, tuple) and tag
-                    and isinstance(tag[0], str)
-                    and all(type(index) is int for index in tag[1:])
-                ):
-                    raise SimulationError(
-                        f"tap {name!r} carries {tag!r}, not a ghost tag"
-                    )
-                shape = None if tag is None else (tag[0], len(tag))
-                if not pulses:
-                    family = shape
-                elif shape != family:
-                    raise SimulationError(
-                        f"tap {name!r} carries tag {tag!r} outside its "
-                        f"edge's ghost-tag family (kind, length) {family!r}"
-                    )
-                pulses.append(pulse)
-                values.append(value)
-                positions.append(position)
-                tags.append(() if tag is None else tag[1:])
-        tables[edge] = ColumnarTap(
-            edge, np.array(pulses, dtype=np.int64),
-            np.array(values, dtype=bool), family and family[0],
-            tuple(np.array(tags, dtype=np.int64).T) if family else (),
-            positions=None if width is None
-            else np.array(positions, dtype=np.int64),
-            width=width,
-        )
-    return tables
-
-
 class EngineRun:
     """What executing a plan produced, independent of the engine used.
 
@@ -692,9 +649,7 @@ class EngineRun:
     schedule's affine forms the first time :attr:`columnar` or
     :meth:`table` is touched.  The pulse engine has no verdicts — its
     result exists only as what left the taps: the tables its register
-    stepper captured, or, when the run stepped the cell network (the
-    hexagonal mesh), that network's Token records turned into tables by
-    :func:`tables_of`.  Tables are the only format a run holds, and
+    stepper captured.  Tables are the only format a run holds, and
     the decoders of :mod:`repro.arrays.decode` read each one whole.
 
     The run of a :class:`BlockedPlan` is the exception on every engine:

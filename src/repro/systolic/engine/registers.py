@@ -47,6 +47,15 @@ of :mod:`repro.arrays.decode` to audit.  The hand-wired cell
 network (:mod:`~repro.systolic.simulator`) is the reference this module
 is held to, record for record and fault message for fault message
 (``tests/systolic/test_register_stepper.py``).
+
+The hexagonal mesh (§2.1, [5]) is stepped one pulse at a time on
+planes over its lattice: ``a`` and ``b`` only move, so each is a view
+of its pulse-0 plane along its hex axis, and only ``c`` — which folds
+``combine(c, interact(a, b))`` where all three are present, and leaves
+the mesh where no wire leads on — is a stepped register.  Its operands
+are any values its semiring takes, so they ride in object planes.  It
+is held to the lattice engine's walk of each ``c`` line, record for
+record (``tests/systolic/test_engine_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -59,11 +68,13 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.relational.algebra import COMPARISON_OPS
+from repro.systolic.engine.hexmesh import a_start, b_start, c_start
 from repro.systolic.engine.plan import (
     ColumnarTap,
     DivisionPlan,
     ExecutionPlan,
     GridPlan,
+    HexPlan,
     TInit,
     acc_name,
     cmp_name,
@@ -90,14 +101,19 @@ _ANSWER = np.array(
 _WINDOW_CELLS = 1 << 16
 
 
-def step_plan(plan: ExecutionPlan) -> dict[str, ColumnarTap]:
-    """Step a grid or division plan through all its pulses and return
-    what left each tapped edge, as one table an edge (every tap of the
-    plan, empty ones included)."""
+def step_plan(
+    plan: ExecutionPlan,
+) -> tuple[dict[str, ColumnarTap], Optional[int]]:
+    """Step a grid, division or hex plan through all its pulses and
+    return what left each tapped edge, as one table an edge (every tap
+    of the plan, empty ones included) — and, for the hex mesh, the most
+    cells that found all three operands on one pulse (None otherwise)."""
     if isinstance(plan, GridPlan):
-        return _step_grid(plan)
+        return _step_grid(plan), None
     if isinstance(plan, DivisionPlan):
-        return _step_division(plan)
+        return _step_division(plan), None
+    if isinstance(plan, HexPlan):
+        return _step_hex(plan)
     raise SimulationError(f"unknown plan type {type(plan).__name__}")
 
 
@@ -533,3 +549,91 @@ def _gate_fault(pulse, y_g, m_g):
     else:
         message = f"y of pair {y} met the match bit of pair {t}"
     return _fault(pulse, f"dg[{row}]", message)
+
+
+# -- the hexagonal mesh (§2.1, [5]) -------------------------------------------
+
+
+def _step_hex(plan: HexPlan):
+    n_a, n_b, m, P = plan.n_a, plan.n_b, plan.inner, plan.pulses
+    cells = np.array(sorted(plan.positions))
+    lo = cells.min(axis=0)
+    X, Y = cells.max(axis=0) - lo + 1
+    inside = np.zeros((X, Y), bool)
+    inside[tuple((cells - lo).T)] = True
+    I, J, K = np.arange(n_a)[:, None], np.arange(n_b), np.arange(m)
+
+    def line(start, ghost, values, axis):
+        """A stream moving one cell a pulse along ``axis`` as a delay
+        line: its pulse-0 plane with P − 1 empty cells behind every
+        lane, so pulse ``t``'s plane is the view ``t`` cells back.  (a
+        and b never leave the mesh within the run: it holds every cell
+        they pass.)"""
+        shape, at = [X, Y], [start[0] - lo[0], start[1] - lo[1]]
+        shape[axis] += P - 1
+        at[axis] = at[axis] + P - 1
+        g, v = np.full(shape, -1), np.empty(shape, object)
+        g[tuple(at)] = ghost
+        v[tuple(at)] = values
+
+        def at_pulse(t):
+            window = [slice(None), slice(None)]
+            window[axis] = slice(P - 1 - t, P - 1 - t + (X, Y)[axis])
+            return g[tuple(window)], v[tuple(window)]
+
+        return at_pulse
+
+    def operands(rows, n):
+        values = np.empty((n, m), object)
+        for (row, k), _ in np.ndenumerate(values):
+            values[row, k] = rows[row][k]
+        return values
+
+    # a moves along U_A = (1, 0), b along U_B = (0, 1); each ghost names
+    # its element, a(i, k) as i·m + k, b(k, j) as k·n_b + j.
+    a_at = line(a_start(I, K), I * m + K, operands(plan.a_rows, n_a), 0)
+    b_at = line(
+        b_start(K[:, None], J), K[:, None] * n_b + J,
+        operands(plan.b_cols, n_b).T, 1,
+    )
+    # c(i, j), ghost i·n_b + j, moves along U_C = (−1, −1) and folds one
+    # (a, b) interaction wherever all three meet.
+    c_g, c_v = np.full((X, Y), -1), np.empty((X, Y), object)
+    start = tuple(axis - origin for axis, origin in zip(c_start(I, J), lo))
+    c_g[start], c_v[start] = I * n_b + J, plan.semiring.identity
+    interact = np.frompyfunc(plan.semiring.interact, 2, 1)
+    combine = np.frompyfunc(plan.semiring.combine, 2, 1)
+    tx, ty = (np.array(plan.tapped) - lo).T
+    records, peak = [], 0
+
+    for t in range(P):
+        a_g, a_v = a_at(t)
+        b_g, b_v = b_at(t)
+        x, y = ((a_g >= 0) & (b_g >= 0) & (c_g >= 0)).nonzero()
+        peak = max(peak, x.size)
+        (a_i, a_k), (b_k, b_j), (c_i, c_j) = (
+            divmod(a_g[x, y], m), divmod(b_g[x, y], n_b),
+            divmod(c_g[x, y], n_b),
+        )
+        bad = (a_k != b_k) | (a_i != c_i) | (b_j != c_j)
+        if bad.any():
+            w = int(np.argmax(bad))
+            a, b, c = (
+                (kind, int(first[w]), int(second[w])) for kind, first, second
+                in (("a", a_i, a_k), ("b", b_k, b_j), ("c", c_i, c_j))
+            )
+            raise _fault(
+                t, f"hex[{x[w] + lo[0]},{y[w] + lo[1]}]",
+                f"unscheduled triple met: a={a!r} b={b!r} c={c!r}",
+            )
+        if x.size:
+            c_v[x, y] = combine(c_v[x, y], interact(a_v[x, y], b_v[x, y]))
+        (on,) = (c_g[tx, ty] >= 0).nonzero()
+        records.append((on, np.full(on.size, t), c_v[tx[on], ty[on]],
+                        *divmod(c_g[tx[on], ty[on]], n_b)))
+        # c moves on; where no wire leads, it leaves the mesh.
+        g, v = np.full((X, Y), -1), np.empty((X, Y), object)
+        g[:-1, :-1], v[:-1, :-1] = c_g[1:, 1:], c_v[1:, 1:]
+        c_g, c_v = np.where(inside, g, -1), v
+
+    return plan.tables(*map(np.concatenate, zip(*records))), peak

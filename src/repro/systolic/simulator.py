@@ -101,16 +101,10 @@ class SystolicSimulator:
         for name, ports in self._inputs:
             inputs: dict[str, Optional[Token]] = {}
             for port, endpoint, feeder in ports:
-                token = latches.pop(endpoint, None)
-                if feeder is not None:
-                    fed = feeder(pulse)
-                    if fed is not None:
-                        if token is not None:
-                            raise SimulationError(
-                                f"pulse {pulse}: feeder and wire both "
-                                f"delivered to {endpoint!r}"
-                            )
-                        token = fed
+                token = (
+                    latches.pop(endpoint, None) if feeder is None
+                    else feeder(pulse)
+                )
                 inputs[port] = token
                 if token is not None:
                     busy.add(name)
@@ -204,4 +198,4 @@ class SystolicSimulator:
             ) from None
 
     def __repr__(self) -> str:
-        return f"SystolicSimulator({self.network!r}, pulse={self.pulse})"
+        return f"{type(self).__name__}({self.network!r}, pulse={self.pulse})"

@@ -145,17 +145,9 @@ class Collector:
         """The token recorded on ``pulse``, or None."""
         return self._by_pulse.get(pulse)
 
-    def tokens(self) -> list[Token]:
-        """Just the tokens, in arrival order."""
-        return [token for _, token in self._records]
-
     def values(self) -> list[Any]:
         """Just the payloads, in arrival order."""
         return [token.value for _, token in self._records]
-
-    def pulses(self) -> list[int]:
-        """Pulses on which something arrived."""
-        return [pulse for pulse, _ in self._records]
 
     def __len__(self) -> int:
         return len(self._records)

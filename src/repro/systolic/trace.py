@@ -24,7 +24,8 @@ Layout = Mapping[str, tuple[int, int]]
 class TraceRecorder:
     """Records the tokens present at each cell on each pulse.
 
-    Attach via ``SystolicSimulator(network, observer=recorder)``.  Only
+    Attach it as a :class:`~repro.systolic.simulator.SystolicSimulator`'s
+    ``observer``.  Only
     non-empty ports are stored, so memory stays proportional to actual
     traffic.  ``window`` bounds how many recent pulses are retained
     (``None`` = keep everything).

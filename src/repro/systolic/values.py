@@ -53,14 +53,6 @@ class Token:
     value: Any
     tag: Any = None
 
-    def with_value(self, value: Any) -> "Token":
-        """A token carrying ``value`` but keeping this token's tag."""
-        return Token(value, self.tag)
-
-    def with_tag(self, tag: Any) -> "Token":
-        """A token carrying this token's value but tagged ``tag``."""
-        return Token(self.value, tag)
-
     def __repr__(self) -> str:
         if self.tag is None:
             return f"Token({self.value!r})"

@@ -92,24 +92,10 @@ class Network:
         self._driver[target] = source
         return wire
 
-    def feed(self, cell: str, port: str, feeder: Feeder, merge: bool = False) -> None:
-        """Drive a boundary input port from a feeder.
-
-        With ``merge=True`` the port may also be wire-driven: the wire
-        supplies the token on pulses where the feeder is silent, and
-        the simulator raises if both produce a token on the same pulse.
-        (Used by arrays whose injection points lie on through-traffic
-        paths, e.g. the hexagonal mesh.)  Two feeders on one port are
-        never allowed.
-        """
+    def feed(self, cell: str, port: str, feeder: Feeder) -> None:
+        """Drive a boundary input port from a feeder."""
         target = self._endpoint(cell, port, "in")
-        if target in self._feeders:
-            raise WiringError(
-                f"input {target!r} already driven by a feeder; "
-                f"cannot attach feeder"
-            )
-        if not merge:
-            self._claim_input(target, "feeder")
+        self._claim_input(target, "feeder")
         self._feeders[target] = feeder
 
     def _claim_input(self, target: Endpoint, claimant: str) -> None:
@@ -158,10 +144,6 @@ class Network:
             return self._cells[name]
         except KeyError:
             raise WiringError(f"unknown cell {name!r}") from None
-
-    def driver_of(self, cell: str, port: str) -> Optional[Endpoint]:
-        """The output endpoint driving an input port, if wired."""
-        return self._driver.get(Endpoint(cell, port))
 
     def unconnected_inputs(self) -> list[Endpoint]:
         """Input ports with neither a wire nor a feeder (read empty)."""

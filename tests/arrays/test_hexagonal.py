@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from repro.arrays import compare_all_pairs
+from repro.arrays.decode import hex_products
 from repro.arrays.hexagonal import (
     BOOLEAN_SEMIRING,
     COMPARISON_SEMIRING,
-    HexCell,
     U_A,
     U_B,
     U_C,
@@ -25,12 +25,13 @@ from repro.errors import SimulationError
 from repro.systolic.engine import (
     BitplaneEngine,
     EngineRun,
+    HexPlan,
     LatticeEngine,
     PulseEngine,
     Semiring,
 )
+from repro.systolic.engine import registers
 from repro.systolic.engine.hexmesh import hex_tap_name
-from repro.systolic.values import tok
 from repro.workloads import overlapping_pair, three_by_three_pair
 
 
@@ -90,27 +91,51 @@ class TestScheduleGeometry:
 
 
 class TestHexCell:
+    """The mesh's cell as the register stepper runs it: ``c`` folds one
+    ``(a, b)`` interaction where all three meet and passes every other
+    cell unchanged, and a triple that meets off the schedule is
+    refused."""
+
     def test_semiring_step(self):
-        cell = HexCell("h", COMPARISON_SEMIRING)
-        out = cell.step({"a_in": tok(5), "b_in": tok(5), "c_in": tok(True)})
-        assert out["c_out"].value is True
-        out = cell.step({"a_in": tok(5), "b_in": tok(6), "c_in": tok(True)})
-        assert out["c_out"].value is False
+        for b, folded in ((5, True), (6, False)):
+            run = PulseEngine().run(HexPlan([[5]], [[b]], COMPARISON_SEMIRING))
+            (table,) = run.columnar.values()
+            assert table.values.tolist() == [folded]
 
     def test_pass_through_without_meeting(self):
-        cell = HexCell("h", COMPARISON_SEMIRING)
-        out = cell.step({"a_in": tok(5), "b_in": None, "c_in": tok(True)})
-        assert out["c_out"].value is True  # c unchanged
-        assert out["a_out"].value == 5
+        # After its last meeting c_ij crosses other pairs' tapped cells,
+        # carrying its result unchanged.
+        plan = HexPlan([[1, 2], [2, 2], [0, 1]], [[1, 2], [2, 0], [2, 2]],
+                       COMPARISON_SEMIRING)
+        run = PulseEngine().run(plan)
+        product = hex_products(run, plan)
+        crossings = [
+            (bool(value), product[i][j])
+            for table in run.columnar.values()
+            for pulse, value, i, j in zip(
+                table.pulses, table.values, *table.tag_indices
+            )
+            if pulse > i + j + plan.inner - 1
+        ]
+        assert crossings and all(value == c for value, c in crossings)
 
-    def test_unscheduled_triple_detected_by_tags(self):
-        cell = HexCell("h", COMPARISON_SEMIRING)
-        with pytest.raises(SimulationError, match="unscheduled triple"):
-            cell.step({
-                "a_in": tok(5, ("a", 0, 0)),
-                "b_in": tok(5, ("b", 1, 0)),  # wrong k
-                "c_in": tok(True, ("c", 0, 0)),
-            })
+    def test_unscheduled_triple_detected_by_tags(self, monkeypatch):
+        # a(0, 0) and a(0, 1) injected at each other's start cell: on
+        # pulse 0, a(0, 1) meets b(0, 0) and c(0, 0).  The ghosts are
+        # carried tagged or not, so both plans are refused.
+        def swapped(i, k):
+            return _a_start(i, np.where((i == 0) & (k < 2), 1 - k, k))
+
+        monkeypatch.setattr(registers, "a_start", swapped)
+        for tagged in (True, False):
+            plan = HexPlan([[1, 2], [2, 2]], [[1, 2], [2, 0]],
+                           COMPARISON_SEMIRING, tagged=tagged)
+            with pytest.raises(SimulationError) as refused:
+                PulseEngine().run(plan)
+            assert str(refused.value) == (
+                "pulse 0: cell 'hex[0,0]': unscheduled triple met: "
+                "a=('a', 0, 1) b=('b', 0, 0) c=('c', 0, 0)"
+            )
 
 
 class TestHexComparison:

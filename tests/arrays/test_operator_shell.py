@@ -26,7 +26,7 @@ from repro.machine.plan import DEVICE_COMPARISON
 from repro.relational import Relation
 from repro.relational import relation as relation_module
 from repro.systolic.engine import PulseEngine, t_init_strict_lower, t_init_true
-from repro.systolic.engine.plan import tables_of
+from repro.systolic.engine.materialize import tables_of
 from repro.systolic.simulator import SystolicSimulator
 from repro.workloads import overlapping_pair, relation_with_duplicates
 from tests.systolic.test_tap_tables import read_out

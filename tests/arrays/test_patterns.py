@@ -1,10 +1,10 @@
 """The §8 pattern-match chip (the fabricated scaled-down array)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.patterns import WILDCARD, PatternCell, match_pattern
-from repro.systolic.values import tok
+from repro.patterns import WILDCARD, PatternChip, match_pattern
 
 
 def reference_matches(text: str, pattern: str, wildcard: str = "?") -> list[int]:
@@ -19,36 +19,42 @@ def reference_matches(text: str, pattern: str, wildcard: str = "?") -> list[int]
 
 
 class TestPatternCell:
+    """One pattern cell of the chip's registers, one clock at a time."""
+
     def test_match_and_chain(self):
-        cell = PatternCell("p", ord("a"))
-        out = cell.step({"c_in": tok(ord("a")), "r_in": tok(True)})
-        assert out["r_out"].value is True
+        chip = PatternChip([ord("a")], [ord("a")])
+        assert chip.clock(0, 0) == (0, True)
 
     def test_mismatch_forces_false(self):
-        cell = PatternCell("p", ord("a"))
-        out = cell.step({"c_in": tok(ord("b")), "r_in": tok(True)})
-        assert out["r_out"].value is False
+        chip = PatternChip([ord("a")], [ord("b")])
+        assert chip.clock(0, 0) == (0, False)
 
     def test_false_in_false_out(self):
-        cell = PatternCell("p", ord("a"))
-        out = cell.step({"c_in": tok(ord("a")), "r_in": tok(False)})
-        assert out["r_out"].value is False
+        # Cell 0 refutes alignment 0; cell 1's match cannot revive it.
+        assert match_pattern("xa", "ba").bits == [False]
 
     def test_wildcard_matches_anything(self):
-        cell = PatternCell("p", WILDCARD)
-        out = cell.step({"c_in": tok(ord("z")), "r_in": tok(True)})
-        assert out["r_out"].value is True
+        chip = PatternChip([WILDCARD], [ord("z")])
+        assert chip.clock(0, 0) == (0, True)
 
     def test_character_passes_through(self):
-        cell = PatternCell("p", ord("a"))
-        out = cell.step({"c_in": tok(ord("q")), "r_in": None})
-        assert out["c_out"].value == ord("q")
-        assert "r_out" not in out
+        # Text moves one cell a pulse; no result leaves without a seed.
+        chip = PatternChip([ord("a"), ord("b")], [ord("q")])
+        assert chip.clock(0, -1)[0] == -1
+        assert chip.char_g.tolist() == [0, -1]
+        assert chip.clock(-1, -1)[0] == -1
+        assert chip.char_g.tolist() == [-1, 0]
+        assert chip.char_v[1] == ord("q")
 
     def test_result_without_character_is_violation(self):
-        cell = PatternCell("p", ord("a"))
-        with pytest.raises(SimulationError, match="misaligned"):
-            cell.step({"c_in": None, "r_in": tok(True)})
+        # The result seeded a pulse before the text: misaligned.
+        chip = PatternChip([ord("a")], [ord("a")])
+        with pytest.raises(SimulationError) as refused:
+            chip.clock(-1, 0)
+        assert str(refused.value) == (
+            "pulse 0: cell 'pat[0]': a partial match result arrived with no "
+            "text character — the text/result speeds are misaligned"
+        )
 
 
 class TestMatcher:
@@ -108,3 +114,20 @@ class TestMatcher:
         assert result.run.cells == 2 * 3 - 1  # m cells + m-1 latches
         # Last alignment (i=3) exits at pulse 3 + 2·(m−1) = 7.
         assert result.run.pulses == 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_matches_equal_a_naive_matcher(data):
+    """Every alignment, wildcards included, from one-character patterns
+    to a pattern as long as the text."""
+    text = data.draw(st.text("abc", min_size=1, max_size=24))
+    m = data.draw(st.sampled_from(sorted({1, len(text)})) | st.integers(
+        1, len(text)
+    ))
+    pattern = data.draw(st.text("abc?", min_size=m, max_size=m))
+    result = match_pattern(text, pattern)
+    assert result.matches == reference_matches(text, pattern)
+    assert result.bits == [
+        i in result.matches for i in range(len(text) - m + 1)
+    ]

@@ -48,8 +48,7 @@ from repro.systolic.engine import (
     PulseEngine,
     t_init_strict_lower,
 )
-from repro.systolic.engine.materialize import materialize
-from repro.systolic.engine.plan import tables_of
+from repro.systolic.engine.materialize import materialize, tables_of
 from repro.systolic.simulator import SystolicSimulator
 from repro.systolic.trace import TraceRecorder
 from tests.systolic.test_engine_equivalence import sized_lists, tuples2

@@ -1,10 +1,13 @@
 """Word-level / bit-level equivalence — §8's partition claim (E12)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.arrays import compare_all_pairs, compare_tuples
 from repro.arrays import systolic_intersection
 from repro.bitlevel import (
+    MagnitudeChain,
     bit_array_stats,
     bit_level_compare_all_pairs,
     bit_level_compare_tuples,
@@ -77,6 +80,47 @@ class TestThreeWayCompare:
 
     def test_explicit_width(self):
         assert bit_level_three_way_compare(2, 2, width=10) == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_the_sign_of_the_difference_at_every_width(self, data):
+        width = data.draw(st.integers(1, 63))
+        words = st.integers(0, (1 << width) - 1)
+        a, b = data.draw(words), data.draw(words)
+        assert bit_level_three_way_compare(a, b, width=width) == (
+            (a > b) - (a < b)
+        )
+
+
+class TestMagnitudeChainChecks:
+    """A schedule skewed on its input side is refused at the first cell
+    it reaches, with the message the chain's cell gives."""
+
+    @staticmethod
+    def run(a_late, state_late, width=3):
+        chain, cells = MagnitudeChain(width), np.arange(width)
+        for pulse in range(width + 1):
+            chain.clock(
+                np.where(cells + a_late == pulse, 1, -1),
+                np.where(cells == pulse, 0, -1),
+                seed=pulse == state_late,
+            )
+
+    def test_a_state_without_its_bits_is_mis_staggered(self):
+        with pytest.raises(SimulationError) as refused:
+            self.run(a_late=1, state_late=0)
+        assert str(refused.value) == (
+            "pulse 0: cell 'mag[0]': a comparison state arrived without a "
+            "bit pair — the bit streams are mis-staggered"
+        )
+
+    def test_bits_without_a_state_missed_their_meeting(self):
+        with pytest.raises(SimulationError) as refused:
+            self.run(a_late=0, state_late=1)
+        assert str(refused.value) == (
+            "pulse 0: cell 'mag[0]': bits met with no comparison state on "
+            "s_in — the state-injection schedule missed this meeting"
+        )
 
 
 class TestStats:

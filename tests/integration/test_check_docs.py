@@ -668,3 +668,57 @@ def test_one_pricing_rule_keeps_the_device_cost_in_the_planner(tmp_path):
         "shard/planner.py:2: imports estimate_cost",
         "shard/planner.py:4: calls estimate_cost",
     ]
+
+
+def test_network_rule_keeps_the_cell_network_a_watch_kit(tmp_path):
+    check_docs = _load_check_docs()
+    package = tmp_path / "repro"
+    for directory in ("systolic/engine", "patterns"):
+        (package / directory).mkdir(parents=True)
+    (package / "systolic" / "__init__.py").write_text(
+        "from repro.systolic.simulator import SystolicSimulator\n"
+        "from repro.systolic.values import Token as Datum\n"
+        "from repro.systolic.metrics import ActivityMeter\n"
+    )
+    (package / "systolic" / "engine" / "materialize.py").write_text(
+        "from repro.systolic.values import Token\n"
+        "from repro.systolic.wiring import Network\n"
+        "def materialize(plan):\n"
+        "    return Network('grid')\n"
+    )
+    (package / "systolic" / "engine" / "pulse.py").write_text(
+        '"""Watched with ``SystolicSimulator(network)``: prose."""\n'
+        "from repro.systolic import metrics\n"
+        "from repro.systolic.engine.registers import step_plan\n"
+    )
+    (package / "patterns" / "matcher.py").write_text(
+        "def match_pattern(text, pattern):\n"
+        "    return PatternChip(pattern, text)\n"
+    )
+    assert check_docs.check_network_only_watches(root=package) == []
+
+    # The shapes the compute networks had: a chip driven on its
+    # network, and engine modules importing the kit, by absolute,
+    # package and relative imports.
+    (package / "patterns" / "matcher.py").write_text(
+        "from repro.systolic.simulator import SystolicSimulator\n"
+        "def match_pattern(text, pattern):\n"
+        "    return SystolicSimulator(build(text, pattern)).run(9)\n"
+    )
+    (package / "systolic" / "engine" / "pulse.py").write_text(
+        "from repro.systolic.simulator import SystolicSimulator\n"
+        "import repro.systolic.cells.util\n"
+        "from repro.systolic import Datum, metrics\n"
+        "from ..wiring import Network\n"
+        "from .. import streams\n"
+    )
+    problems = check_docs.check_network_only_watches(root=package)
+    assert [problem.split(" — ")[0] for problem in problems] == [
+        "patterns/matcher.py:3: constructs a SystolicSimulator",
+        "systolic/engine/pulse.py:1: imports "
+        "repro.systolic.simulator.SystolicSimulator",
+        "systolic/engine/pulse.py:2: imports repro.systolic.cells.util",
+        "systolic/engine/pulse.py:3: imports repro.systolic.Datum",
+        "systolic/engine/pulse.py:4: imports repro.systolic.wiring.Network",
+        "systolic/engine/pulse.py:5: imports repro.systolic.streams",
+    ]

@@ -9,7 +9,6 @@ from repro.systolic.cells import (
     DividendGateCell,
     DividendMatchCell,
     DivisorCell,
-    InverterCell,
     LatchCell,
     ThetaCell,
 )
@@ -241,14 +240,6 @@ class TestUtilityCells:
 
     def test_latch_idle(self):
         assert step(LatchCell("l")) == {}
-
-    def test_inverter(self):
-        out = step(InverterCell("i"), t_in=tok(True, "g"))
-        assert out["t_out"].value is False
-        assert out["t_out"].tag == "g"
-
-    def test_inverter_idle(self):
-        assert step(InverterCell("i")) == {}
 
     def test_cell_requires_name(self):
         with pytest.raises(SimulationError):

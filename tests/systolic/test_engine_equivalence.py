@@ -7,7 +7,9 @@ drives randomized workloads through every plan type and through every
 operator, running each on all engines and comparing the complete
 observable surface: tap tables (every field and dtype), pulses, cells
 and hex peak firing.  (Busy counts and traces are the cell network's,
-taken with a simulator observer; an engine only computes.)
+taken with a simulator observer; an engine only computes.)  The
+hexagonal mesh is stepped on registers like every other array, so its
+plans leave toy sizes too.
 """
 
 from __future__ import annotations
@@ -82,8 +84,6 @@ def sized_lists(elements, min_size, max_size):
 # what a large example pays for.
 tuples2 = st.integers(0, 63).map(lambda code: divmod(code, 8))
 tuple_lists = sized_lists(tuples2, 1, 40)
-# The hexagonal mesh still runs on the cell network: toy sizes.
-hex_tuple_lists = st.lists(tuples2, min_size=1, max_size=5)
 relations = sized_lists(tuples2, 0, 48).map(
     lambda rows: Relation(_SCHEMA2, rows)
 )
@@ -192,20 +192,27 @@ class TestLinearPlans:
 
 
 class TestHexPlans:
-    @FEWER
+    @SMALL
     @given(
-        a=st.lists(st.lists(st.integers(0, 3), min_size=2, max_size=2),
-                   min_size=1, max_size=4),
-        b=st.lists(st.lists(st.integers(0, 3), min_size=2, max_size=2),
-                   min_size=1, max_size=4),
+        data=st.data(),
+        shape=st.tuples(
+            st.integers(1, 12), st.integers(1, 12), st.integers(1, 4)
+        ),
         semiring=st.sampled_from([COMPARISON_SEMIRING, BOOLEAN_SEMIRING]),
         tagged=st.booleans(),
     )
-    def test_hex(self, a, b, semiring, tagged):
+    def test_hex(self, data, shape, semiring, tagged):
+        """The pulse engine's stepped mesh against the lattice walk,
+        record for record and in peak firing, up to 12 × 12 × 4."""
+        n_a, n_b, m = shape
+        elements = st.integers(0, 3)
         if semiring is BOOLEAN_SEMIRING:
-            a = [[bool(v % 2) for v in row] for row in a]
-            b = [[bool(v % 2) for v in row] for row in b]
-        plan = HexPlan(a, b, semiring, tagged=tagged)
+            elements = st.booleans()
+        rows = lambda n: st.lists(
+            st.lists(elements, min_size=m, max_size=m), min_size=n, max_size=n
+        )
+        plan = HexPlan(data.draw(rows(n_a)), data.draw(rows(n_b)), semiring,
+                       tagged=tagged)
         pulse_run, _ = assert_identical(plan)
         assert pulse_run.peak_firing is not None
 
@@ -293,7 +300,7 @@ class TestOperatorsAcrossBackends:
             assert other.t_matrix == pulse.t_matrix
 
     @SMALL
-    @given(a=hex_tuple_lists, b=hex_tuple_lists)
+    @given(a=tuple_lists, b=tuple_lists)
     def test_hex_comparison_matrices(self, a, b):
         hex_pulse, *hex_others = self._pair(
             hex_compare_all_pairs, a, b, tagged=True

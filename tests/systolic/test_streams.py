@@ -82,9 +82,9 @@ class TestCollector:
         collector = Collector("c")
         collector.record(3, tok("a"))
         collector.record(7, tok("b"))
-        assert collector.pulses() == [3, 7]
+        assert [pulse for pulse, _ in collector] == [3, 7]
         assert collector.values() == ["a", "b"]
-        assert collector.tokens()[0].value == "a"
+        assert collector.records[0][1].value == "a"
 
     def test_at(self):
         collector = Collector("c")

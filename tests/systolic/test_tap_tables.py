@@ -32,8 +32,7 @@ from repro.systolic.engine import (
     t_init_true,
 )
 from repro.systolic.engine.hexmesh import COMPARISON_SEMIRING
-from repro.systolic.engine.materialize import materialize
-from repro.systolic.engine.plan import tables_of
+from repro.systolic.engine.materialize import materialize, tables_of
 from repro.systolic.engine.schedule import (
     CounterStreamSchedule,
     FixedRelationSchedule,

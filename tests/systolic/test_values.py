@@ -17,14 +17,6 @@ class TestToken:
         assert token.value == 5
         assert token.tag == ("a", 0, 1)
 
-    def test_with_value_keeps_tag(self):
-        token = tok(5, "tag").with_value(6)
-        assert (token.value, token.tag) == (6, "tag")
-
-    def test_with_tag_keeps_value(self):
-        token = tok(5).with_tag("t2")
-        assert (token.value, token.tag) == (5, "t2")
-
     def test_frozen_and_hashable(self):
         assert tok(1, "a") == tok(1, "a")
         assert len({tok(1), tok(1), tok(2)}) == 2

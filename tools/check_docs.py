@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Keep the documentation and the code from drifting apart.
 
-Eighteen checks, all run in CI next to the bench gate::
+Nineteen checks, all run in CI next to the bench gate::
 
     python tools/check_docs.py
 
@@ -89,9 +89,9 @@ Eighteen checks, all run in CI next to the bench gate::
     beside the pool, with its own or no size check, fails here; writing
     a chunk does not count.
 
-12. **One run format.**  An ``EngineRun`` holds tap tables only: a
-    run on the cell network hands back its Token records through
-    ``tables_of``.  So no ``EngineRun(`` call under ``src/``
+12. **One run format.**  An ``EngineRun`` holds tap tables only: an
+    engine hands back the tables its taps captured, never Token
+    records.  So no ``EngineRun(`` call under ``src/``
     may pass ``collectors=``, and no module of the operator arrays
     (:data:`RUN_READERS`, the decode seam included) reads a run but
     through ``.verdicts`` and ``.table(edge)`` — a ``.collector(`` /
@@ -160,6 +160,17 @@ Eighteen checks, all run in CI next to the bench gate::
     only in :data:`PRICER`, and nothing under ``src/repro/shard/``
     imports it.  A second cost model beside the planner's, pricing what
     the lanes never pay, fails here.
+
+19. **The cell network only watches.**  Every array computes on the
+    engines' registers; the cell network is where a run is traced or
+    metered, and the reference the register stepper is held to.  So
+    nothing under ``src/repro`` constructs a ``SystolicSimulator``, and
+    no module of ``systolic/engine/`` but the materializer
+    (:data:`MATERIALIZER`) imports the cell kit
+    (``repro.systolic.{cell,cells,wiring,simulator,streams,values}``,
+    :data:`CELL_KIT`, or a name the ``repro.systolic`` package
+    re-exports from it).  A compute path that builds and drives a
+    network again fails here.
 
 Exits non-zero with one line per problem.
 """
@@ -671,8 +682,7 @@ def check_one_run_format(root=ROOT / "src" / "repro") -> list[str]:
                 problems.append(
                     f"{where}:{node.lineno}: builds an EngineRun from "
                     f"`collectors=` — a run holds tap tables only; hand "
-                    f"Token records back as `tap_view=lambda: "
-                    f"tables_of(records)`"
+                    f"them back as `tap_view=lambda: tables`"
                 )
             elif (where.startswith(RUN_READERS)
                     and isinstance(node, ast.Attribute)
@@ -986,6 +996,80 @@ def check_one_pricing(root=ROOT / "src" / "repro") -> list[str]:
     return problems
 
 
+#: The cell kit, and the one engine module that builds networks from it.
+CELL_KIT = frozenset({
+    "cell", "cells", "wiring", "simulator", "streams", "values",
+})
+MATERIALIZER = "systolic/engine/materialize.py"
+
+
+def _in_kit(module: str) -> bool:
+    parts = module.split(".")
+    return parts[:2] == ["repro", "systolic"] and len(parts) > 2 and (
+        parts[2] in CELL_KIT
+    )
+
+
+def _kit_exports(root: Path) -> frozenset[str]:
+    """The names ``repro.systolic`` re-exports from the cell kit."""
+    package = root / "systolic" / "__init__.py"
+    if not package.exists():
+        return frozenset()
+    return frozenset(
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(package.read_text()))
+        if isinstance(node, ast.ImportFrom) and _in_kit(node.module or "")
+        for alias in node.names
+    )
+
+
+def _imported(node: ast.AST, where: str) -> list[str]:
+    """What an import names, as dotted paths: modules, or a module's
+    members; relative imports resolved against ``where``."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    package = ["repro", *where.split("/")[:-1]]
+    base = package[:len(package) + 1 - node.level] if node.level else []
+    module = [*base, *(node.module or "").split(".")]
+    return [
+        ".".join([*filter(None, module), alias.name]) for alias in node.names
+    ]
+
+
+def check_network_only_watches(root=ROOT / "src" / "repro") -> list[str]:
+    problems: list[str] = []
+    exports = {f"repro.systolic.{name}" for name in _kit_exports(root)}
+    for source in sorted(root.rglob("*.py")):
+        where = source.relative_to(root).as_posix()
+        nodes = sorted(
+            ast.walk(ast.parse(source.read_text())),
+            key=lambda node: getattr(node, "lineno", 0),
+        )
+        for node in nodes:
+            if isinstance(node, ast.Call) and "SystolicSimulator" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None),
+            ):
+                problems.append(
+                    f"{where}:{node.lineno}: constructs a SystolicSimulator "
+                    f"— the cell network only watches: compute on the "
+                    f"engines' registers"
+                )
+            elif where.startswith("systolic/engine/") and where != (
+                MATERIALIZER
+            ):
+                problems += [
+                    f"{where}:{node.lineno}: imports {name} — an engine "
+                    f"computes on registers; only {MATERIALIZER} builds "
+                    f"cell networks"
+                    for name in _imported(node, where)
+                    if _in_kit(name) or name in exports
+                ]
+    return problems
+
+
 def main() -> int:
     problems = (
         check_metric_table() + check_links()
@@ -996,7 +1080,7 @@ def main() -> int:
         + check_one_run_format() + check_observers_on_the_network()
         + check_one_wire_writer() + check_one_variant_choice()
         + check_one_disk_timeline() + check_one_planning_snapshot()
-        + check_one_pricing()
+        + check_one_pricing() + check_network_only_watches()
     )
     for problem in problems:
         print(problem, file=sys.stderr)
@@ -1024,7 +1108,9 @@ def main() -> int:
         f"blocked variants chosen by {VARIANT_CHOOSER} only, "
         f"the disk's free time advanced by {SWEEP_RULE} only, "
         f"the planners reading the catalog through its snapshot only, "
-        f"array ops priced in {PRICER} only"
+        f"array ops priced in {PRICER} only, "
+        f"no SystolicSimulator constructed under src/ and the cell kit "
+        f"imported in systolic/engine/ by {MATERIALIZER} only"
     )
     return 0
 
