@@ -18,17 +18,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.systolic.engine.materialize import (
-    attach_accumulation_column,
-    build_counter_stream_grid,
-    build_fixed_relation_grid,
-)
+from repro.arrays.intersection import membership_plan
+from repro.errors import SimulationError
+from repro.systolic.cells import ComparisonCell
+from repro.systolic.engine import GridPlan, t_init_true
+from repro.systolic.engine.materialize import materialize
 from repro.systolic.engine.plan import cmp_name
 from repro.systolic.engine.schedule import CounterStreamSchedule, FixedRelationSchedule
-from repro.errors import SimulationError
 from repro.systolic.simulator import SystolicSimulator
-from repro.systolic.streams import PeriodicFeeder, ScheduleFeeder
+from repro.systolic.streams import ConstantFeeder, PeriodicFeeder, ScheduleFeeder
 from repro.systolic.values import Token
+from repro.systolic.wiring import Network
 from repro.workloads import overlapping_pair, relation_with_duplicates
 
 
@@ -38,19 +38,8 @@ def test_tuple_spacing_violation_detected(benchmark, experiment_report):
     schedule = CounterStreamSchedule(4, 4, 1)
 
     def broken_run():
-        network, _ = build_counter_stream_grid(
-            a.tuples, b.tuples, schedule, t_init=lambda i, j: True
-        )
-        # Overdrive the A feed: period 1 instead of the required 2.
-        cell = cmp_name(0, 0)
-        fresh, _ = build_counter_stream_grid(
-            a.tuples, b.tuples, schedule, t_init=lambda i, j: True,
-            name="overdriven",
-        )
-        # Build a new network by hand with the dense feeder.
-        from repro.systolic.wiring import Network
-        from repro.systolic.cells import ComparisonCell
-
+        # A network built by hand, both feeds overdriven: period 1
+        # instead of the required 2.
         dense = Network("dense")
         for row in range(schedule.rows):
             dense.add(ComparisonCell(cmp_name(row, 0), require_t=False))
@@ -67,7 +56,7 @@ def test_tuple_spacing_violation_detected(benchmark, experiment_report):
         broken_run()
 
     result = benchmark(lambda: SystolicSimulator(
-        _intersection_network(a, b, schedule)
+        _intersection_network(a, b)
     ).run(schedule.total_pulses))
     experiment_report("ABL1 tuple spacing (two pulses, §3.2)", [
         ("spacing = 1 pulse", "latch collision",
@@ -77,12 +66,18 @@ def test_tuple_spacing_violation_detected(benchmark, experiment_report):
     assert result is not None
 
 
-def _intersection_network(a, b, schedule):
-    network, _ = build_counter_stream_grid(
-        a.tuples, b.tuples, schedule, t_init=lambda i, j: True
-    )
-    attach_accumulation_column(network, schedule)
+def _intersection_network(a, b):
+    network, _ = materialize(membership_plan(
+        a.array, b.array, "counter", False, "intersection-array"
+    ))
     return network
+
+
+class _LateInits(CounterStreamSchedule):
+    """§3.1's stagger shifted by one pulse: every t init arrives late."""
+
+    def t_init_pulse(self, i: int, j: int) -> int:
+        return super().t_init_pulse(i, j) + 1
 
 
 def test_misaligned_t_injection_detected(benchmark, experiment_report):
@@ -91,24 +86,17 @@ def test_misaligned_t_injection_detected(benchmark, experiment_report):
     schedule = CounterStreamSchedule(3, 3, 2)
 
     def misaligned():
-        network, _ = build_counter_stream_grid(
-            a.tuples, b.tuples, schedule, t_init=None
-        )
-        for row in range(schedule.rows):
-            injections = {
-                schedule.t_init_pulse(i, j) + 1: Token(True)  # off by one!
-                for i, j in schedule.row_pairs(row)
-            }
-            if injections:
-                network.feed(cmp_name(row, 0), "t_in",
-                             ScheduleFeeder(injections))
+        network, _ = materialize(GridPlan(
+            a.tuples, b.tuples, _LateInits(3, 3, 2), t_init=t_init_true,
+            row_taps=True,
+        ))
         SystolicSimulator(network).run(schedule.comparison_pulses + 2)
 
     with pytest.raises(SimulationError, match="mis-staggered|missed this meeting"):
         misaligned()
 
     benchmark(lambda: SystolicSimulator(
-        _intersection_network(a, b, schedule)
+        _intersection_network(a, b)
     ).run(schedule.total_pulses))
     experiment_report("ABL2 t-injection alignment (§3.1)", [
         ("inits shifted +1 pulse", "partial result meets no pair",
@@ -123,10 +111,10 @@ def test_triangular_mask_is_load_bearing(benchmark, experiment_report):
     schedule = CounterStreamSchedule(len(multi), len(multi), 2)
 
     def run_with_init(t_init):
-        network, _ = build_counter_stream_grid(
-            multi.tuples, multi.tuples, schedule, t_init=t_init
-        )
-        attach_accumulation_column(network, schedule)
+        network, _ = materialize(membership_plan(
+            multi.array, multi.array, "counter", False,
+            "remove-duplicates-array", t_init,
+        ))
         simulator = SystolicSimulator(network).run(schedule.total_pulses)
         drop = {}
         for pulse, token in simulator.collector("t_i"):
@@ -154,14 +142,7 @@ def test_fixed_variant_feeding_density(benchmark, experiment_report):
     schedule = FixedRelationSchedule(12, 6, 2)
 
     def run_with_period(period):
-        network, _ = build_fixed_relation_grid(
-            a.tuples, b.tuples, schedule, t_init=None,
-        )
-        # Rebuild by hand with the chosen A period and per-meeting inits.
-        from repro.systolic.wiring import Network
-        from repro.systolic.cells import ComparisonCell
-        from repro.systolic.streams import ConstantFeeder
-
+        # Built by hand, with the chosen A period and per-meeting inits.
         net = Network(f"fixed-period-{period}")
         rows, cols = schedule.rows, schedule.arity
         for row in range(rows):

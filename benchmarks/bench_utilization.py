@@ -16,13 +16,9 @@ each: counter blocks, or B held in its rows and A streamed past once.
 from __future__ import annotations
 
 from repro.arrays import ArrayCapacity, blocked_join
+from repro.arrays.intersection import membership_plan
 from repro.perf.cost import join_cost
-from repro.systolic.engine.materialize import (
-    attach_accumulation_column,
-    build_counter_stream_grid,
-    build_fixed_relation_grid,
-)
-from repro.systolic.engine.schedule import CounterStreamSchedule, FixedRelationSchedule
+from repro.systolic.engine.materialize import materialize
 from repro.systolic.metrics import ComparisonWorkMeter
 from repro.systolic.simulator import SystolicSimulator
 from repro.workloads import join_pair, overlapping_pair
@@ -31,17 +27,11 @@ from repro.workloads import join_pair, overlapping_pair
 def _measure(variant: str, n: int, arity: int) -> tuple[float, float, int]:
     """Returns (peak busy fraction, mean busy fraction, total pulses)."""
     a, b = overlapping_pair(n, n, n // 2, arity=arity, seed=n)
-    if variant == "counter":
-        schedule = CounterStreamSchedule(n, n, arity)
-        network, _ = build_counter_stream_grid(
-            a.tuples, b.tuples, schedule, t_init=lambda i, j: True
-        )
-    else:
-        schedule = FixedRelationSchedule(n, n, arity)
-        network, _ = build_fixed_relation_grid(
-            a.tuples, b.tuples, schedule, t_init=lambda i, j: True
-        )
-    attach_accumulation_column(network, schedule)
+    plan = membership_plan(
+        a.array, b.array, variant, False, "intersection-array"
+    )
+    network, _ = materialize(plan)
+    schedule = plan.schedule
     meter = ComparisonWorkMeter()
     simulator = SystolicSimulator(network, observer=meter)
     simulator.run(schedule.total_pulses)
@@ -110,11 +100,11 @@ def _measure_streaming(n_a: int, n_b: int, arity: int) -> float:
     """Mean busy fraction when A streams through a fixed B-loaded array."""
     a, _ = overlapping_pair(n_a, n_a, 0, arity=arity, seed=n_a)
     b, _ = overlapping_pair(n_b, n_b, 0, arity=arity, seed=n_b + 1)
-    schedule = FixedRelationSchedule(n_a, n_b, arity)
-    network, _ = build_fixed_relation_grid(
-        a.tuples, b.tuples, schedule, t_init=lambda i, j: True
+    plan = membership_plan(
+        a.array, b.array, "fixed", False, "intersection-array"
     )
-    attach_accumulation_column(network, schedule)
+    network, _ = materialize(plan)
+    schedule = plan.schedule
     meter = ComparisonWorkMeter()
     SystolicSimulator(network, observer=meter).run(schedule.total_pulses)
     return meter.utilization(schedule.rows * schedule.arity)

@@ -8,10 +8,9 @@ cannot disagree.
 Run:  python examples/render_figures.py
 """
 
-from repro.arrays.comparison_array import build_comparison_array
-from repro.arrays.division import build_division_array
-from repro.arrays.intersection import build_intersection_array
-from repro.arrays.join import build_join_array
+from repro.arrays.comparison_array import comparison_plan
+from repro.arrays.intersection import membership_plan
+from repro.arrays.join import join_plan
 from repro.figures import (
     division_schematic,
     grid_schematic,
@@ -19,6 +18,8 @@ from repro.figures import (
     network_summary,
 )
 from repro.machine import SystolicDatabaseMachine
+from repro.systolic.engine import DivisionPlan, t_init_true
+from repro.systolic.engine.materialize import materialize
 from repro.workloads import division_example, three_by_three_pair
 
 
@@ -31,22 +32,26 @@ def main() -> None:
     a, b = three_by_three_pair()
 
     banner("Fig 3-3: two-dimensional comparison array (3x3 relations)")
-    network, schedule, layout = build_comparison_array(a.tuples, b.tuples)
+    network, layout = materialize(
+        comparison_plan(a.tuples, b.tuples, t_init_true, tagged=False)
+    )
     print(grid_schematic(layout))
     print()
     print(network_summary(network))
 
     banner("Fig 4-1: intersection array (comparison + accumulation column)")
-    network, schedule, layout = build_intersection_array(a, b)
+    network, layout = materialize(membership_plan(
+        a.array, b.array, "counter", False, "intersection-array"
+    ))
     print(grid_schematic(layout))
     print()
     print(network_summary(network))
 
     banner("Fig 6-1: join array (single join column)")
-    network, schedule, layout = build_join_array(
+    network, layout = materialize(join_plan(
         [(row[0],) for row in a.tuples], [(row[0],) for row in b.tuples],
-        ops=["=="],
-    )
+        ["=="], "counter", tagged=False,
+    ))
     print(grid_schematic(layout))
 
     banner("Fig 7-2: division array (the Fig 7-1 example)")
@@ -58,10 +63,10 @@ def main() -> None:
         if x not in seen:
             seen.add(x)
             distinct_x.append(groups.decode(x))
-    network, schedule, layout = build_division_array(
+    network, layout = materialize(DivisionPlan(
         list(dividend.tuples), [groups.encode(x) for x in distinct_x],
         [row[0] for row in divisor.tuples],
-    )
+    ))
     print(division_schematic(
         distinct_x, [values.decode(v[0]) for v in divisor.tuples]
     ))

@@ -9,7 +9,10 @@ marching down, B's marching up, partial results rippling right.
 Run:  python examples/watch_the_array.py
 """
 
-from repro.arrays.comparison_array import build_comparison_array
+from repro.arrays import compare_all_pairs
+from repro.arrays.comparison_array import comparison_plan
+from repro.systolic.engine import t_init_true
+from repro.systolic.engine.materialize import materialize
 from repro.systolic.simulator import SystolicSimulator
 from repro.systolic.trace import TraceRecorder, render_grid
 from repro.workloads import three_by_three_pair
@@ -33,9 +36,9 @@ def main() -> None:
     print("relation B:", b.tuples)
     print("(A and B share exactly one tuple — watch its T survive)\n")
 
-    network, schedule, layout = build_comparison_array(
-        a.tuples, b.tuples, tagged=True
-    )
+    plan = comparison_plan(a.tuples, b.tuples, t_init_true, tagged=True)
+    network, layout = materialize(plan)
+    schedule = plan.schedule
     recorder = TraceRecorder()
     simulator = SystolicSimulator(network, observer=recorder)
     simulator.run(schedule.comparison_pulses)
@@ -50,8 +53,6 @@ def main() -> None:
         print()
 
     print("T matrix read off the right edge:")
-    from repro.arrays import compare_all_pairs
-
     result = compare_all_pairs(a.tuples, b.tuples)
     for i, row in enumerate(result.t_matrix):
         print(f"  t[{i}] = {['T' if v else 'F' for v in row]}")

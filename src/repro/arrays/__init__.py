@@ -16,7 +16,6 @@ all with bit-identical outputs; see :mod:`repro.systolic.engine`.
 from repro.arrays.base import ArrayRun, execute
 from repro.arrays.comparison_array import (
     ComparisonMatrixResult,
-    build_comparison_array,
     compare_all_pairs,
 )
 from repro.arrays.decomposition import (
@@ -33,7 +32,6 @@ from repro.arrays.decomposition import (
 from repro.arrays.division import (
     DivisionResult,
     DivisionSchedule,
-    build_division_array,
     systolic_divide,
 )
 from repro.arrays.hexagonal import (
@@ -47,21 +45,18 @@ from repro.arrays.hexagonal import (
 from repro.arrays.join import systolic_dynamic_theta_join
 from repro.arrays.duplicates import (
     DedupResult,
-    build_remove_duplicates_array,
     systolic_projection,
     systolic_remove_duplicates,
     systolic_union,
 )
 from repro.arrays.intersection import (
     MembershipResult,
-    build_intersection_array,
     systolic_difference,
     systolic_intersection,
     systolic_membership_vector,
 )
 from repro.arrays.join import (
     JoinResult,
-    build_join_array,
     systolic_join,
     systolic_theta_join,
 )
@@ -98,11 +93,6 @@ __all__ = [
     "blocked_pair_matrix",
     "blocked_remove_duplicates",
     "blocked_union",
-    "build_comparison_array",
-    "build_division_array",
-    "build_intersection_array",
-    "build_join_array",
-    "build_remove_duplicates_array",
     "compare_all_pairs",
     "compare_tuples",
     "execute",

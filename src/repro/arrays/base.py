@@ -4,18 +4,17 @@ The operator modules in this package describe each §3–§7 array as an
 :class:`~repro.systolic.engine.plan.ExecutionPlan` and hand it to
 :func:`execute`, which dispatches to a pluggable backend — the
 pulse-level reference simulator or the vectorized lattice engine (see
-:mod:`repro.systolic.engine`).  Callers that assemble cell networks
-directly import the builders from
-:mod:`repro.systolic.engine.materialize` and step them with a
-:class:`~repro.systolic.simulator.SystolicSimulator`.
+:mod:`repro.systolic.engine`).  To watch a run, build the plan's cell
+network with :func:`repro.systolic.engine.materialize.materialize` and
+step it with a :class:`~repro.systolic.simulator.SystolicSimulator`;
+nothing here imports the cell kit.
 
 §4.3 calls the comparison array "the main hardware": every operator is
 the same grid, varying only the operands, the initial ``t`` and what
 happens to the output.  The steps they share are written once here —
 :func:`grid_schedule` (variant → schedule), :func:`run_plan` (execute
-and record), :func:`build_grid_array` (the plan as a cell network) and
-the result assembly :func:`rows_where` / :func:`joined_rows` — and the
-operator modules state only what differs.
+and record) and the result assembly :func:`rows_where` /
+:func:`joined_rows` — and the operator modules state only what differs.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.relational.relation import DistinctRows, MultiRelation, Relation
 from repro.systolic.engine import resolve_backend
-from repro.systolic.engine.materialize import materialize_grid
 from repro.systolic.engine.plan import (
     DivisionPlan,
     EngineRun,
@@ -39,7 +37,6 @@ from repro.systolic.engine.schedule import (
     CounterStreamSchedule,
     FixedRelationSchedule,
 )
-from repro.systolic.wiring import Network
 
 __all__ = [
     "ArrayRun",
@@ -47,7 +44,6 @@ __all__ = [
     "grid_schedule",
     "run_plan",
     "empty_run",
-    "build_grid_array",
     "rows_where",
     "joined_rows",
 ]
@@ -115,17 +111,6 @@ def run_plan(
         pulses=result.pulses, rows=rows, cols=cols, cells=result.cells,
         backend=result.engine,
     )
-
-
-def build_grid_array(
-    plan: GridPlan,
-) -> tuple[Network, CounterStreamSchedule | FixedRelationSchedule, dict[str, tuple[int, int]]]:
-    """The cell network a grid plan describes — what the pulse engine's
-    register stepper equals record for record, and where a trace or a
-    busy count is taken — with its schedule and a cell name → (row, col)
-    layout."""
-    network, layout = materialize_grid(plan)
-    return network, plan.schedule, layout
 
 
 def rows_where(

@@ -17,14 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.arrays.base import ArrayRun, build_grid_array, run_plan
+from repro.arrays.base import ArrayRun, run_plan
 from repro.arrays.decode import pair_verdicts
 from repro.errors import SimulationError
 from repro.systolic.engine import GridPlan, TInit, t_init_true
 from repro.systolic.engine.schedule import CounterStreamSchedule
-from repro.systolic.wiring import Network
 
-__all__ = ["ComparisonMatrixResult", "build_comparison_array", "compare_all_pairs"]
+__all__ = ["ComparisonMatrixResult", "comparison_plan", "compare_all_pairs"]
 
 
 @dataclass
@@ -34,15 +33,6 @@ class ComparisonMatrixResult:
     t_matrix: list[list[bool]]
     schedule: CounterStreamSchedule
     run: ArrayRun
-
-    def pairs_where_true(self) -> list[tuple[int, int]]:
-        """All (i, j) with ``t_ij`` TRUE, row-major."""
-        return [
-            (i, j)
-            for i, row in enumerate(self.t_matrix)
-            for j, value in enumerate(row)
-            if value
-        ]
 
 
 def comparison_plan(
@@ -57,18 +47,6 @@ def comparison_plan(
     return GridPlan(
         a_tuples, b_tuples, schedule, t_init=t_init, row_taps=True,
         tagged=tagged, name="comparison-array",
-    )
-
-
-def build_comparison_array(
-    a_tuples: Sequence[Sequence[int]],
-    b_tuples: Sequence[Sequence[int]],
-    t_init: TInit = lambda i, j: True,
-    tagged: bool = False,
-) -> tuple[Network, CounterStreamSchedule, dict[str, tuple[int, int]]]:
-    """Assemble the bare Fig 3-3 array with right-edge taps per row."""
-    return build_grid_array(
-        comparison_plan(a_tuples, b_tuples, t_init, tagged)
     )
 
 

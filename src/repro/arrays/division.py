@@ -34,14 +34,11 @@ from repro.relational.domain import Domain
 from repro.relational.relation import Relation, project_rows
 from repro.relational.schema import ColumnRef, Schema
 from repro.systolic.engine import DivisionPlan
-from repro.systolic.engine.materialize import build_division_network
 from repro.systolic.engine.schedule import DivisionSchedule
-from repro.systolic.wiring import Network
 
 __all__ = [
     "DivisionSchedule",
     "DivisionResult",
-    "build_division_array",
     "systolic_divide",
     "systolic_divide_general",
 ]
@@ -57,22 +54,6 @@ class DivisionResult:
     #: quotient_bits[r] — TRUE iff distinct_x[r] belongs to the quotient
     quotient_bits: list[bool]
     run: ArrayRun
-
-
-def build_division_array(
-    pairs: Sequence[tuple[int, int]],
-    distinct_x: Sequence[int],
-    divisor: Sequence[int],
-    tagged: bool = False,
-) -> tuple[Network, DivisionSchedule, dict[str, tuple[int, int]]]:
-    """Assemble Fig 7-2 for encoded ``(x, y)`` pairs and divisor values."""
-    schedule = DivisionSchedule(
-        n_pairs=len(pairs), p_rows=len(distinct_x), n_divisor=len(divisor)
-    )
-    network, layout = build_division_network(
-        pairs, distinct_x, divisor, schedule, tagged=tagged
-    )
-    return network, schedule, layout
 
 
 def division_operands(

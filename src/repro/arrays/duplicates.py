@@ -21,22 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.arrays.base import ArrayRun, build_grid_array, rows_where
-from repro.arrays.intersection import membership_plan, run_membership
-from repro.errors import SimulationError
+from repro.arrays.base import ArrayRun, rows_where
+from repro.arrays.intersection import run_membership
 from repro.relational.algebra import project_multi
 from repro.relational.relation import MultiRelation, Relation
 from repro.relational.schema import ColumnRef
 from repro.systolic.engine import t_init_strict_lower
-from repro.systolic.engine.schedule import (
-    CounterStreamSchedule,
-    FixedRelationSchedule,
-)
-from repro.systolic.wiring import Network
 
 __all__ = [
     "DedupResult",
-    "build_remove_duplicates_array",
     "systolic_remove_duplicates",
     "systolic_union",
     "systolic_projection",
@@ -51,22 +44,6 @@ class DedupResult:
     #: drop_vector[i] is the accumulated t_i: TRUE means a_i was removed.
     drop_vector: list[bool]
     run: ArrayRun
-
-
-def build_remove_duplicates_array(
-    a: MultiRelation,
-    variant: str = "counter",
-    tagged: bool = False,
-) -> tuple[Network, CounterStreamSchedule | FixedRelationSchedule, dict[str, tuple[int, int]]]:
-    """Assemble the §5 array: A against itself with triangular masking."""
-    if not a:
-        raise SimulationError(
-            "the remove-duplicates array needs a non-empty multi-relation"
-        )
-    return build_grid_array(membership_plan(
-        a.array, a.array, variant, tagged, "remove-duplicates-array",
-        t_init_strict_lower,
-    ))
 
 
 def systolic_remove_duplicates(

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.arrays.base import (
     ArrayRun,
-    build_grid_array,
     empty_run,
     grid_schedule,
     rows_where,
@@ -34,15 +33,10 @@ from repro.errors import SimulationError
 from repro.relational.algebra import equi_join_layout
 from repro.relational.relation import Relation
 from repro.systolic.engine import GridPlan, TInit, t_init_true
-from repro.systolic.engine.schedule import (
-    CounterStreamSchedule,
-    FixedRelationSchedule,
-)
-from repro.systolic.wiring import Network
 
 __all__ = [
     "MembershipResult",
-    "build_intersection_array",
+    "membership_plan",
     "systolic_membership_vector",
     "systolic_intersection",
     "systolic_difference",
@@ -108,24 +102,6 @@ def _require_operands(a: Relation, b: Relation) -> None:
             "the intersection array needs non-empty operands; empty cases "
             "short-circuit in systolic_intersection"
         )
-
-
-def build_intersection_array(
-    a: Relation,
-    b: Relation,
-    variant: str = "counter",
-    tagged: bool = False,
-) -> tuple[Network, CounterStreamSchedule | FixedRelationSchedule, dict[str, tuple[int, int]]]:
-    """Assemble Fig 4-1: comparison grid + accumulation column.
-
-    ``variant`` selects ``"counter"`` (both relations moving, the
-    figures' design) or ``"fixed"`` (B preloaded, §8).
-    """
-    a.schema.require_union_compatible(b.schema)
-    _require_operands(a, b)
-    return build_grid_array(membership_plan(
-        a.array, b.array, variant, tagged, "intersection-array"
-    ))
 
 
 def systolic_membership_vector(

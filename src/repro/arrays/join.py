@@ -28,28 +28,20 @@ import numpy as np
 
 from repro.arrays.base import (
     ArrayRun,
-    build_grid_array,
     empty_run,
     grid_schedule,
     joined_rows,
     run_plan,
 )
 from repro.arrays.decode import matches_in_exit_order, pair_verdicts
-from repro.errors import SimulationError
 from repro.relational.algebra import equi_join_layout, theta_join_layout
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnRef, Schema
 from repro.systolic.engine import GridPlan
-from repro.systolic.engine.schedule import (
-    CounterStreamSchedule,
-    FixedRelationSchedule,
-)
-from repro.systolic.wiring import Network
 
 __all__ = [
     "JoinResult",
-    "build_join_array",
-    "build_dynamic_join_array",
+    "join_plan",
     "systolic_join",
     "systolic_theta_join",
     "systolic_dynamic_theta_join",
@@ -85,54 +77,6 @@ def join_plan(
         ops=tuple(ops), dynamic_ops=dynamic_ops, row_taps=True, tagged=tagged,
         name="dynamic-join-array" if dynamic_ops
         else ("join-array" if variant == "counter" else "join-array-fixed"),
-    )
-
-
-def _build_join_array(a_columns, b_columns, ops, variant, tagged, dynamic_ops):
-    if not a_columns or not b_columns:
-        raise SimulationError("the join array needs non-empty relations")
-    if len(ops) != len(a_columns[0]):
-        raise SimulationError(
-            f"need one {'op code' if dynamic_ops else 'operator'} per join "
-            f"column: {len(ops)} ops for arity {len(a_columns[0])}"
-        )
-    return build_grid_array(
-        join_plan(a_columns, b_columns, ops, variant, tagged, dynamic_ops)
-    )
-
-
-def build_join_array(
-    a_columns: Sequence[Sequence[int]],
-    b_columns: Sequence[Sequence[int]],
-    ops: Sequence[str],
-    variant: str = "counter",
-    tagged: bool = False,
-) -> tuple[Network, CounterStreamSchedule | FixedRelationSchedule, dict[str, tuple[int, int]]]:
-    """Assemble the Fig 6-1 array over projected join-column tuples.
-
-    ``a_columns[i]`` / ``b_columns[j]`` hold only the joined columns of
-    each tuple (the full tuples never enter the array — §6.2 streams
-    "the column C_A of relation A" through the processors).  ``ops``
-    preloads one comparison operator per processor column.
-    """
-    return _build_join_array(a_columns, b_columns, ops, variant, tagged, False)
-
-
-def build_dynamic_join_array(
-    a_columns: Sequence[Sequence[int]],
-    b_columns: Sequence[Sequence[int]],
-    ops: Sequence[str],
-    tagged: bool = False,
-) -> tuple[Network, CounterStreamSchedule, dict[str, tuple[int, int]]]:
-    """§6.3.2's other programmability option: op codes travel with the data.
-
-    Same geometry as :func:`build_join_array`, but the processors are
-    :class:`~repro.systolic.cells.DynamicThetaCell`\\ s and the comparison
-    op codes stream down each column alongside relation A's elements
-    (same staggering, same two-pulse tuple spacing).
-    """
-    return _build_join_array(
-        a_columns, b_columns, ops, "counter", tagged, True
     )
 
 

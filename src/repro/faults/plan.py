@@ -341,10 +341,6 @@ class FaultPlan:
         metrics.inc("faults.quarantines")
         return True
 
-    def is_quarantined(self, device: str) -> bool:
-        with self._lock:
-            return device in self._quarantined
-
     def quarantined(self) -> list[str]:
         """The dead devices, sorted (stable for fingerprints and docs)."""
         with self._lock:

@@ -1,12 +1,14 @@
 """Render the paper's figures from the live simulated hardware.
 
 Each function draws an ASCII schematic of an *actual constructed
-network* — cells and wires as built by :mod:`repro.arrays` — so the
-diagrams cannot drift from the implementation.  Covered:
+network* — cells and wires as
+:func:`~repro.systolic.engine.materialize.materialize` builds them from
+the plans :mod:`repro.arrays` runs — so the diagrams cannot drift from
+the implementation.  Covered:
 
 * Fig 2-1: the orthogonal and linear connection patterns;
 * Fig 3-1 / 3-3 / 4-1 / 6-1: the operator arrays, drawn from their
-  builders' layouts;
+  networks' layouts;
 * Fig 7-2: the division array with its preloaded elements;
 * Fig 9-1: the integrated machine's boxes and the crossbar.
 
@@ -52,8 +54,8 @@ def grid_schematic(
 ) -> str:
     """Draw a grid layout the way the paper draws its arrays.
 
-    ``layout`` is the cell-name → (row, col) mapping the array builders
-    return; ``label`` optionally overrides the text in each box
+    ``layout`` is the cell-name → (row, col) mapping ``materialize``
+    returns beside a network; ``label`` optionally overrides the text in each box
     (default: a glyph from the cell-name prefix: ``cmp``→``=``,
     ``acc``→``+``, ``dm``/``dg``/``dv``→``÷``).
     """

@@ -276,5 +276,8 @@ def tracing(tracer: Optional[Tracer] = None):
 
 def span(name: str, **attrs: Any):
     """``with obs.span("compile", ops=6) as sp: ...`` on the active
-    tracer (free when tracing is off)."""
+    tracer.  With tracing off it hands back the one shared no-op
+    context at once, before the keywords go on to a second call."""
+    if _active is NULL_TRACER:
+        return _NULL_CONTEXT
     return _active.span(name, **attrs)

@@ -115,18 +115,10 @@ class Domain:
         return codes
 
     def encode_many(self, values: Iterable[Hashable]) -> list[int]:
-        """Encode a sequence of values, new ones in iteration order."""
-        if not isinstance(values, (list, tuple)):
-            values = list(values)
-        try:
-            codes = self.lookup_many(values)
-        except DomainError:
-            codes = None
-        if codes is None or None in codes:
-            # One at a time: assigns in first-seen order, and names the
-            # value it refuses.
-            codes = [self.encode(v) for v in values]
-        return codes
+        """Encode a sequence of values, new ones in iteration order: one
+        :meth:`encode` each, so a refusal names its value and leaves
+        the members before it assigned."""
+        return list(map(self.encode, values))
 
     def decode_many(self, codes: Iterable[int]) -> list[Hashable]:
         """Decode a sequence of codes."""
@@ -182,11 +174,6 @@ class Domain:
     def frozen(self) -> bool:
         """Whether new values may still be added."""
         return self._frozen
-
-    def freeze(self) -> "Domain":
-        """Disallow further extension; returns self for chaining."""
-        self._frozen = True
-        return self
 
     def __contains__(self, value: Hashable) -> bool:
         return value in self._codes

@@ -366,8 +366,8 @@ def _encoded_matrix(schema: Schema, rows: Any) -> Optional[np.ndarray]:
     matrix = np.empty((len(rows), arity), dtype=np.int64)
     for domain, positions, values, codes in encoded:
         if codes is None:
-            # New members, assigned one by one in first-seen order; every
-            # value was found hashable and the domain open, so none fails.
-            codes = list(map(domain.encode, values))
+            # New members, assigned in first-seen order; every value was
+            # found hashable and the domain open, so none fails.
+            codes = domain.encode_many(values)
         matrix[:, positions] = np.reshape(codes, (len(rows), len(positions)))
     return matrix

@@ -458,21 +458,6 @@ class StoredRelation:
         """A column's distinct values as the manifest records them."""
         return self.distinct_counts[self.schema.resolve(column)]
 
-    # -- raw column access --------------------------------------------------
-
-    def chunk_column(self, chunk_id: int, position: int) -> np.ndarray:
-        """One column of one chunk: a read-only view of the size-checked
-        block the chunk pool holds."""
-        if not 0 <= chunk_id < self.n_chunks:
-            raise StoreError(
-                f"chunk {chunk_id} out of range for {self.n_chunks} chunks"
-            )
-        if not 0 <= position < self.arity:
-            raise StoreError(
-                f"column {position} out of range for arity {self.arity}"
-            )
-        return _POOL.block(self, chunk_id)[position]
-
     def _torn(self, chunk_id: int, held: int) -> StoreError:
         chunk = self.chunks[chunk_id]
         return StoreError(

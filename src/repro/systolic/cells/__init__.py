@@ -2,20 +2,18 @@
 
 One class per processor type: the comparison processor (Fig 3-2), the
 accumulation processor (§4.2), the programmable θ-join comparator
-(§6.3.2), the three division-array processors (§7), and the delay
-latch.
+(§6.3.2) in its preloaded and op-streaming forms, and the three
+division-array processors (§7).
 """
 
 from repro.systolic.cells.accumulator import AccumulationCell
 from repro.systolic.cells.comparator import ComparisonCell
-from repro.systolic.cells.dynamic import DynamicThetaCell
 from repro.systolic.cells.division import (
     DividendGateCell,
     DividendMatchCell,
     DivisorCell,
 )
-from repro.systolic.cells.theta import ThetaCell
-from repro.systolic.cells.util import LatchCell
+from repro.systolic.cells.theta import DynamicThetaCell, ThetaCell
 
 __all__ = [
     "AccumulationCell",
@@ -24,6 +22,5 @@ __all__ = [
     "DividendMatchCell",
     "DivisorCell",
     "DynamicThetaCell",
-    "LatchCell",
     "ThetaCell",
 ]

@@ -308,7 +308,7 @@ class LatticeEngine:
         I = np.arange(n_a, dtype=np.int64)[:, None]
         J = np.arange(n_b, dtype=np.int64)[None, :]
         if plan.variant == "counter":
-            rows = sched.mid + J - I
+            rows = sched.meeting_row(I, J)
             exits = sched.mid + I + J + (sched.arity - 1)
         else:
             rows = np.broadcast_to(J, shape)

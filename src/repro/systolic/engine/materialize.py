@@ -1,11 +1,13 @@
-"""Plan → cell network: the pulse-level materialization layer.
+"""Plan → cell network: the one way to build the paper's processors.
 
-The arrays of §3–§7 are all assembled from the same parts: a grid of
-processors (orthogonally connected, Fig 2-1a), column feeders that
-stagger tuple elements (§3.1), left-edge injectors for initial partial
-results, and an optional accumulation column (Fig 4-1).  This module
-builds those parts once — from a plan or from raw operands — so the
-operator layer only states what is *different* about each array.
+§4.3 calls the comparison array "the main hardware": every operator is
+the same grid of processors (orthogonally connected, Fig 2-1a) with
+different operands, initial ``t`` and output, and division is Fig 7-2's
+array.  So a grid plan or a division plan says everything a network
+needs, and :func:`materialize` builds it from the plan alone: column
+feeders that stagger tuple elements (§3.1), left-edge injectors for the
+initial partial results, the accumulation column of Fig 4-1 when the
+plan accumulates, and the taps the plan names.
 
 No engine computes on these networks.  They are where a grid or
 division run is watched (a trace, busy counts, through a
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import re
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -38,195 +40,141 @@ from repro.systolic.engine.plan import (
     DivisionPlan,
     ExecutionPlan,
     GridPlan,
-    TInit,
     acc_name,
-    check_tuples,
     cmp_name,
-)
-from repro.systolic.engine.schedule import (
-    CounterStreamSchedule,
-    DivisionSchedule,
-    FixedRelationSchedule,
 )
 from repro.systolic.streams import ConstantFeeder, PeriodicFeeder, ScheduleFeeder
 from repro.systolic.values import Token
 from repro.systolic.wiring import Network
 
-__all__ = [
-    "CellFactory",
-    "build_counter_stream_grid",
-    "build_fixed_relation_grid",
-    "attach_accumulation_column",
-    "attach_op_stream",
-    "build_division_network",
-    "materialize",
-    "materialize_grid",
-    "tables_of",
-]
+__all__ = ["materialize", "tables_of"]
 
-#: Builds the processor for grid position (row, col) — ComparisonCell
-#: for the comparison array, ThetaCell for join columns.
-CellFactory = Callable[[str, int, int], Cell]
+#: Cell name → (row, col), where the trace renderer draws the cell.
+Layout = dict[str, tuple[int, int]]
 
 
-def _default_cell_factory(name: str, row: int, col: int) -> Cell:
-    return ComparisonCell(name)
+def materialize(plan: ExecutionPlan) -> tuple[Network, Layout]:
+    """The cell network a grid or division plan describes, taps
+    included, and its layout: a grid's accumulators sit in the column
+    past the grid, a division row's divisor cells right of its two
+    dividend cells."""
+    if isinstance(plan, GridPlan):
+        return _grid(plan)
+    if isinstance(plan, DivisionPlan):
+        return _division(plan)
+    raise SimulationError(f"unknown plan type {type(plan).__name__}")
 
 
-def _element_token(
-    kind: str, tuple_index: int, col: int, value: int, tagged: bool
-) -> Token:
-    return Token(value, (kind, tuple_index, col) if tagged else None)
+def _python_rows(rows):
+    """Array operands as nested lists: the cells stream Python ints, so
+    traces and Token payloads never carry numpy scalars."""
+    return rows.tolist() if isinstance(rows, np.ndarray) else rows
 
 
-def build_counter_stream_grid(
-    a_tuples: Sequence[Sequence[int]],
-    b_tuples: Sequence[Sequence[int]],
-    schedule: CounterStreamSchedule,
-    t_init: Optional[TInit] = None,
-    cell_factory: CellFactory = _default_cell_factory,
-    tagged: bool = False,
-    name: str = "comparison-array",
-) -> tuple[Network, dict[str, tuple[int, int]]]:
-    """Assemble the Fig 3-3 grid: A streams down, B streams up.
+def _processor(plan: GridPlan, name: str, col: int) -> Cell:
+    """The comparison processor, or the join's θ-cell for its column."""
+    if plan.ops is None:
+        return ComparisonCell(name)
+    if plan.dynamic_ops:
+        return DynamicThetaCell(name)
+    return ThetaCell(name, op=plan.ops[col])
 
-    Returns the network and a layout (cell name → (row, col)) for the
-    trace renderer.  ``t_init`` installs the left-edge partial-result
-    injections; omit it for the join array, whose cells originate their
-    own ``t`` at the first column (§6.2).
-    """
-    rows, cols = schedule.rows, schedule.arity
-    check_tuples(a_tuples, schedule.n_a, cols, "A")
-    check_tuples(b_tuples, schedule.n_b, cols, "B")
 
-    network = Network(name)
-    layout: dict[str, tuple[int, int]] = {}
+def _grid(plan: GridPlan) -> tuple[Network, Layout]:
+    """Fig 3-3's grid, A streaming down every column.  The two variants
+    differ only in B and in A's period: counter-streaming B moves up,
+    one tuple every two pulses like A; §8's fixed relation keeps one
+    B tuple in each row, preloaded as a feeder that is always present,
+    so the unmodified comparison processor serves both designs and A
+    enters every pulse."""
+    schedule, tagged = plan.schedule, plan.tagged
+    rows, cols = plan.rows, plan.cols
+    counter = plan.variant == "counter"
+    a_tuples = _python_rows(plan.a_tuples)
+    b_tuples = _python_rows(plan.b_tuples)
+
+    def element(kind: str, index: int, col: int, value: int) -> Token:
+        return Token(value, (kind, index, col) if tagged else None)
+
+    network = Network(plan.name)
+    layout: Layout = {}
     for row in range(rows):
         for col in range(cols):
-            cell = cell_factory(cmp_name(row, col), row, col)
-            network.add(cell)
-            layout[cell.name] = (row, col)
+            name = cmp_name(row, col)
+            network.add(_processor(plan, name, col))
+            layout[name] = (row, col)
+            if not counter:
+                network.feed(name, "b_in", ConstantFeeder(
+                    element("b", row, col, b_tuples[row][col])
+                ))
 
     for row in range(rows):
         for col in range(cols):
             if row + 1 < rows:
                 network.connect(cmp_name(row, col), "a_out",
                                 cmp_name(row + 1, col), "a_in")
-                network.connect(cmp_name(row + 1, col), "b_out",
-                                cmp_name(row, col), "b_in")
+                if counter:
+                    network.connect(cmp_name(row + 1, col), "b_out",
+                                    cmp_name(row, col), "b_in")
             if col + 1 < cols:
                 network.connect(cmp_name(row, col), "t_out",
                                 cmp_name(row, col + 1), "t_in")
 
+    a_period = 2 if counter else 1
     for col in range(cols):
         a_stream = [
-            _element_token("a", i, col, row_values[col], tagged)
-            for i, row_values in enumerate(a_tuples)
+            element("a", i, col, values[col])
+            for i, values in enumerate(a_tuples)
         ]
         network.feed(cmp_name(0, col), "a_in",
-                     PeriodicFeeder(a_stream, start=col, period=2))
-        b_stream = [
-            _element_token("b", j, col, row_values[col], tagged)
-            for j, row_values in enumerate(b_tuples)
-        ]
-        network.feed(cmp_name(rows - 1, col), "b_in",
-                     PeriodicFeeder(b_stream, start=col, period=2))
+                     PeriodicFeeder(a_stream, start=col, period=a_period))
+        if counter:
+            b_stream = [
+                element("b", j, col, values[col])
+                for j, values in enumerate(b_tuples)
+            ]
+            network.feed(cmp_name(rows - 1, col), "b_in",
+                         PeriodicFeeder(b_stream, start=col, period=2))
 
-    if t_init is not None:
+    if plan.t_init is not None:
         for row in range(rows):
+            pairs = (
+                schedule.row_pairs(row) if counter
+                else [(i, row) for i in range(schedule.n_a)]
+            )
             injections = {
                 schedule.t_init_pulse(i, j): Token(
-                    bool(t_init(i, j)), ("t", i, j) if tagged else None
+                    bool(plan.t_init(i, j)), ("t", i, j) if tagged else None
                 )
-                for i, j in schedule.row_pairs(row)
+                for i, j in pairs
             }
             if injections:
                 network.feed(cmp_name(row, 0), "t_in",
                              ScheduleFeeder(injections))
-    return network, layout
-
-
-def build_fixed_relation_grid(
-    a_tuples: Sequence[Sequence[int]],
-    b_tuples: Sequence[Sequence[int]],
-    schedule: FixedRelationSchedule,
-    t_init: Optional[TInit] = None,
-    cell_factory: CellFactory = _default_cell_factory,
-    tagged: bool = False,
-    name: str = "fixed-relation-array",
-) -> tuple[Network, dict[str, tuple[int, int]]]:
-    """Assemble the §8 variant: B preloaded (one tuple per row), A moves.
-
-    Preloading is realized by a constant feeder on each cell's ``b_in``
-    — the stored operand is simply always present, so the unmodified
-    comparison processor serves both designs.
-    """
-    rows, cols = schedule.rows, schedule.arity
-    check_tuples(a_tuples, schedule.n_a, cols, "A")
-    check_tuples(b_tuples, schedule.n_b, cols, "B")
-
-    network = Network(name)
-    layout: dict[str, tuple[int, int]] = {}
-    for row in range(rows):
-        for col in range(cols):
-            cell = cell_factory(cmp_name(row, col), row, col)
-            network.add(cell)
-            layout[cell.name] = (row, col)
-            network.feed(
-                cell.name, "b_in",
-                ConstantFeeder(
-                    _element_token("b", row, col, b_tuples[row][col], tagged)
-                ),
-            )
-
-    for row in range(rows):
-        for col in range(cols):
-            if row + 1 < rows:
-                network.connect(cmp_name(row, col), "a_out",
-                                cmp_name(row + 1, col), "a_in")
-            if col + 1 < cols:
-                network.connect(cmp_name(row, col), "t_out",
-                                cmp_name(row, col + 1), "t_in")
-
-    for col in range(cols):
-        a_stream = [
-            _element_token("a", i, col, row_values[col], tagged)
-            for i, row_values in enumerate(a_tuples)
-        ]
-        network.feed(cmp_name(0, col), "a_in",
-                     PeriodicFeeder(a_stream, start=col, period=1))
-
-    if t_init is not None:
+    if plan.dynamic_ops:
+        _add_op_stream(network, plan)
+    if plan.accumulate:
+        _add_accumulation_column(network, plan, layout)
+    if plan.row_taps:
         for row in range(rows):
-            injections = {
-                schedule.t_init_pulse(i, row): Token(
-                    bool(t_init(i, row)), ("t", i, row) if tagged else None
-                )
-                for i in range(schedule.n_a)
-            }
-            network.feed(cmp_name(row, 0), "t_in", ScheduleFeeder(injections))
+            network.tap(f"t_row[{row}]", cmp_name(row, cols - 1), "t_out")
     return network, layout
 
 
-def attach_accumulation_column(
-    network: Network,
-    schedule: CounterStreamSchedule | FixedRelationSchedule,
-    layout: Optional[dict[str, tuple[int, int]]] = None,
-    tagged: bool = False,
-    tap: str = "t_i",
+def _add_accumulation_column(
+    network: Network, plan: GridPlan, layout: Layout
 ) -> None:
-    """Bolt the Fig 4-1 accumulation array onto a comparison grid.
+    """Bolt the Fig 4-1 accumulation array onto the grid.
 
     One accumulation processor per row; each takes the row's final
     ``t_ij`` from the left and the descending ``t_i`` from above.  The
     descending value is seeded FALSE at the top on the schedule's seed
-    pulses and tapped at the bottom under ``tap``.
+    pulses and tapped at the bottom as ``t_i``.
     """
-    rows, cols = schedule.rows, schedule.arity
+    schedule, rows, cols = plan.schedule, plan.rows, plan.cols
     for row in range(rows):
         network.add(AccumulationCell(acc_name(row)))
-        if layout is not None:
-            layout[acc_name(row)] = (row, cols)
+        layout[acc_name(row)] = (row, cols)
     for row in range(rows):
         network.connect(cmp_name(row, cols - 1), "t_out",
                         acc_name(row), "t_left")
@@ -235,47 +183,39 @@ def attach_accumulation_column(
                             acc_name(row + 1), "t_top")
     seeds = {
         schedule.accumulator_seed_pulse(i): Token(
-            False, ("acc", i) if tagged else None
+            False, ("acc", i) if plan.tagged else None
         )
         for i in range(schedule.n_a)
     }
     network.feed(acc_name(0), "t_top", ScheduleFeeder(seeds))
-    network.tap(tap, acc_name(rows - 1), "t_bottom")
+    network.tap("t_i", acc_name(rows - 1), "t_bottom")
 
 
-def attach_op_stream(
-    network: Network,
-    schedule: CounterStreamSchedule,
-    ops: Sequence[str],
-) -> None:
+def _add_op_stream(network: Network, plan: GridPlan) -> None:
     """Stream op codes down each column alongside relation A (§6.3.2).
 
     Same staggering and two-pulse tuple spacing as the ``a`` elements,
     so each op code meets exactly the comparisons of its tuple.
     """
-    for row in range(schedule.rows - 1):
-        for col in range(schedule.arity):
+    for row in range(plan.rows - 1):
+        for col in range(plan.cols):
             network.connect(cmp_name(row, col), "op_out",
                             cmp_name(row + 1, col), "op_in")
-    for col in range(schedule.arity):
-        op_stream = [Token(ops[col]) for _ in range(schedule.n_a)]
+    for col in range(plan.cols):
+        op_stream = [Token(plan.ops[col]) for _ in range(plan.schedule.n_a)]
         network.feed(cmp_name(0, col), "op_in",
                      PeriodicFeeder(op_stream, start=col, period=2))
 
 
-def build_division_network(
-    pairs: Sequence[tuple[int, int]],
-    distinct_x: Sequence[int],
-    divisor: Sequence[int],
-    schedule: DivisionSchedule,
-    tagged: bool = False,
-) -> tuple[Network, dict[str, tuple[int, int]]]:
-    """Assemble Fig 7-2 for encoded ``(x, y)`` pairs and divisor values."""
+def _division(plan: DivisionPlan) -> tuple[Network, Layout]:
+    """Fig 7-2 for the plan's encoded ``(x, y)`` pairs and divisor."""
+    schedule, tagged = plan.schedule, plan.tagged
+    pairs, divisor = _python_rows(plan.pairs), plan.divisor
     network = Network("division-array")
-    layout: dict[str, tuple[int, int]] = {}
+    layout: Layout = {}
     p_rows = schedule.p_rows
 
-    for row, stored in enumerate(distinct_x):
+    for row, stored in enumerate(plan.distinct_x):
         match_cell = network.add(DividendMatchCell(f"dm[{row}]", stored))
         gate_cell = network.add(DividendGateCell(f"dg[{row}]"))
         layout[match_cell.name] = (row, 0)
@@ -314,71 +254,6 @@ def build_division_network(
     network.feed(f"dg[{p_rows - 1}]", "y_in",
                  PeriodicFeeder(y_stream, start=1, period=1))
     return network, layout
-
-
-def _grid_factory(plan: GridPlan) -> CellFactory:
-    if plan.ops is None:
-        return _default_cell_factory
-    if plan.dynamic_ops:
-        return lambda name, row, col: DynamicThetaCell(name)
-    ops = plan.ops
-
-    def theta_factory(name: str, row: int, col: int) -> Cell:
-        return ThetaCell(name, op=ops[col])
-
-    return theta_factory
-
-
-def _python_rows(rows):
-    """Array operands as nested lists: the cells stream Python ints, so
-    traces and Token payloads never carry numpy scalars."""
-    return rows.tolist() if isinstance(rows, np.ndarray) else rows
-
-
-def materialize_grid(
-    plan: GridPlan,
-) -> tuple[Network, dict[str, tuple[int, int]]]:
-    """Build a grid plan's cell network, taps included, and its layout
-    (cell name → (row, col), accumulators in the column past the grid)."""
-    factory = _grid_factory(plan)
-    a_tuples = _python_rows(plan.a_tuples)
-    b_tuples = _python_rows(plan.b_tuples)
-    if plan.variant == "counter":
-        network, layout = build_counter_stream_grid(
-            a_tuples, b_tuples, plan.schedule,
-            t_init=plan.t_init, cell_factory=factory,
-            tagged=plan.tagged, name=plan.name,
-        )
-        if plan.dynamic_ops:
-            attach_op_stream(network, plan.schedule, plan.ops)
-    else:
-        network, layout = build_fixed_relation_grid(
-            a_tuples, b_tuples, plan.schedule,
-            t_init=plan.t_init, cell_factory=factory,
-            tagged=plan.tagged, name=plan.name,
-        )
-    if plan.accumulate:
-        attach_accumulation_column(
-            network, plan.schedule, layout, tagged=plan.tagged
-        )
-    if plan.row_taps:
-        for row in range(plan.rows):
-            network.tap(f"t_row[{row}]", cmp_name(row, plan.cols - 1), "t_out")
-    return network, layout
-
-
-def materialize(plan: ExecutionPlan) -> Network:
-    """Build the full cell network a plan describes, taps included."""
-    if isinstance(plan, GridPlan):
-        return materialize_grid(plan)[0]
-    if isinstance(plan, DivisionPlan):
-        network, _ = build_division_network(
-            _python_rows(plan.pairs), plan.distinct_x, plan.divisor,
-            plan.schedule,
-            tagged=plan.tagged,
-        )
-        return network
-    raise SimulationError(f"unknown plan type {type(plan).__name__}")
 
 
 #: A tap that is one position of an edge: ``t_row[3]`` is ``t_row``'s 3.

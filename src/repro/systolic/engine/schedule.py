@@ -303,10 +303,6 @@ class DivisionSchedule:
         """Pulse at which pair q's ``y`` enters (one step behind its x)."""
         return q + 1
 
-    def gate_pulse(self, q: int, row: int) -> int:
-        """Pulse at which pair q is gated at dividend row ``row``."""
-        return q + 1 + (self.p_rows - 1 - row)
-
     def and_inject_pulse(self, row: int) -> int:
         """Earliest pulse the AND sweep may enter divisor row ``row``.
 

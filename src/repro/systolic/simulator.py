@@ -24,7 +24,6 @@ from typing import Callable, Optional
 
 from repro.errors import SimulationError
 from repro.systolic.cell import Cell
-from repro.systolic.metrics import ActivityMeter
 from repro.systolic.streams import Collector
 from repro.systolic.values import Token
 from repro.systolic.wiring import Endpoint, Network
@@ -42,25 +41,17 @@ class SystolicSimulator:
     ----------
     network:
         The cell network to simulate.
-    meter:
-        Optional :class:`ActivityMeter` for utilization accounting.
     observer:
         Optional callback invoked after every pulse with the full
-        input/output picture (used by the trace recorder).
-    strict:
-        Validate the network with strict wiring checks before running.
+        input/output picture (a trace recorder, a work meter).
     """
 
     def __init__(
         self,
         network: Network,
-        meter: Optional[ActivityMeter] = None,
         observer: Optional[PulseObserver] = None,
-        strict: bool = False,
     ) -> None:
-        network.validate(strict=strict)
         self.network = network
-        self.meter = meter
         self.observer = observer
         self.pulse = 0
         #: input endpoint -> token latched for the *next* compute phase
@@ -78,7 +69,6 @@ class SystolicSimulator:
             self._inputs.append(
                 (name, [(e.port, e, feeders.get(e)) for e in endpoints])
             )
-        self._feeders = tuple(feeders.values())
         self.collectors: dict[str, Collector] = {
             name: Collector(name) for name in network.taps
         }
@@ -97,18 +87,12 @@ class SystolicSimulator:
         latches = self._latches
 
         inputs_by_cell: dict[str, dict[str, Optional[Token]]] = {}
-        busy: set[str] = set()
         for name, ports in self._inputs:
-            inputs: dict[str, Optional[Token]] = {}
-            for port, endpoint, feeder in ports:
-                token = (
-                    latches.pop(endpoint, None) if feeder is None
-                    else feeder(pulse)
-                )
-                inputs[port] = token
-                if token is not None:
-                    busy.add(name)
-            inputs_by_cell[name] = inputs
+            inputs_by_cell[name] = {
+                port: latches.pop(endpoint, None) if feeder is None
+                else feeder(pulse)
+                for port, endpoint, feeder in ports
+            }
 
         outputs_by_cell: dict[str, dict[str, Optional[Token]]] = {}
         for name, cell in self._cells:
@@ -144,8 +128,6 @@ class SystolicSimulator:
                 for tap_name in names:
                     self.collectors[tap_name].record(pulse, token)
 
-        if self.meter is not None:
-            self.meter.observe(pulse, busy, len(self._cells))
         if self.observer is not None:
             self.observer(pulse, inputs_by_cell, outputs_by_cell)
         self.pulse += 1
@@ -157,34 +139,6 @@ class SystolicSimulator:
         for _ in range(pulses):
             self.step_once()
         return self
-
-    def run_until_quiet(self, settle: int = 4, limit: int = 1_000_000) -> int:
-        """Run until no token moves for ``settle`` consecutive pulses.
-
-        Returns the number of pulses executed.  Useful for drains after
-        all feeders are exhausted; ``limit`` guards against networks
-        with self-sustaining token loops.
-        """
-        quiet = 0
-        executed = 0
-        while quiet < settle:
-            before = self.pulse
-            had_latch = bool(self._latches)
-            will_feed = any(
-                feeder(before) is not None for feeder in self._feeders
-            )
-            self.step_once()
-            executed += 1
-            if had_latch or will_feed or self._latches:
-                quiet = 0
-            else:
-                quiet += 1
-            if executed > limit:
-                raise SimulationError(
-                    f"network {self.network.name!r} did not quiesce within "
-                    f"{limit} pulses"
-                )
-        return executed
 
     # -- results -----------------------------------------------------------
 

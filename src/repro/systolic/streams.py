@@ -10,18 +10,12 @@ hardware result-collector would.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.errors import SimulationError
 from repro.systolic.values import Token
 
-__all__ = [
-    "ScheduleFeeder",
-    "PeriodicFeeder",
-    "ConstantFeeder",
-    "silent",
-    "Collector",
-]
+__all__ = ["ScheduleFeeder", "PeriodicFeeder", "ConstantFeeder", "Collector"]
 
 
 class ScheduleFeeder:
@@ -35,11 +29,6 @@ class ScheduleFeeder:
 
     def __call__(self, pulse: int) -> Optional[Token]:
         return self._schedule.get(pulse)
-
-    @property
-    def last_pulse(self) -> int:
-        """The final pulse on which this feeder emits (-1 if never)."""
-        return max(self._schedule, default=-1)
 
     def __repr__(self) -> str:
         return f"ScheduleFeeder({len(self._schedule)} entries)"
@@ -71,13 +60,6 @@ class PeriodicFeeder:
             return None
         return self._tokens[index]
 
-    @property
-    def last_pulse(self) -> int:
-        """The final pulse on which this feeder can emit."""
-        if not self._tokens:
-            return -1
-        return self._start + (len(self._tokens) - 1) * self._period
-
     def __repr__(self) -> str:
         return (
             f"PeriodicFeeder({len(self._tokens)} tokens, start={self._start}, "
@@ -86,53 +68,39 @@ class PeriodicFeeder:
 
 
 class ConstantFeeder:
-    """Feeds the same token every pulse (optionally within a window)."""
+    """Feeds the same token every pulse: an operand preloaded in place."""
 
-    def __init__(
-        self, token: Token, start: int = 0, stop: Optional[int] = None
-    ) -> None:
+    def __init__(self, token: Token) -> None:
         self._token = token
-        self._start = start
-        self._stop = stop
 
     def __call__(self, pulse: int) -> Optional[Token]:
-        if pulse < self._start:
-            return None
-        if self._stop is not None and pulse >= self._stop:
-            return None
         return self._token
 
     def __repr__(self) -> str:
-        window = f", start={self._start}, stop={self._stop}"
-        return f"ConstantFeeder({self._token!r}{window})"
-
-
-def silent(pulse: int) -> Optional[Token]:
-    """A feeder that never emits (an explicitly-quiet boundary input)."""
-    return None
+        return f"ConstantFeeder({self._token!r})"
 
 
 class Collector:
     """Pulse-stamped record of the tokens leaving one tap.
 
-    Only non-empty pulses are recorded.  ``at(pulse)`` answers "what
-    left on pulse p" — the primitive a hardware collector's timing
-    arithmetic is built on.
+    Only non-empty pulses are recorded, each at most once: the pulse a
+    record left on is what a hardware collector's timing arithmetic
+    decodes.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._records: list[tuple[int, Token]] = []
-        self._by_pulse: dict[int, Token] = {}
+        self._pulses: set[int] = set()
 
     def record(self, pulse: int, token: Token) -> None:
         """Append one observation (called by the simulator)."""
-        if pulse in self._by_pulse:
+        if pulse in self._pulses:
             raise SimulationError(
                 f"collector {self.name!r} saw two tokens on pulse {pulse}"
             )
         self._records.append((pulse, token))
-        self._by_pulse[pulse] = token
+        self._pulses.add(pulse)
 
     # -- queries ---------------------------------------------------------
 
@@ -140,14 +108,6 @@ class Collector:
     def records(self) -> tuple[tuple[int, Token], ...]:
         """All observations as ``(pulse, token)`` pairs, in pulse order."""
         return tuple(self._records)
-
-    def at(self, pulse: int) -> Optional[Token]:
-        """The token recorded on ``pulse``, or None."""
-        return self._by_pulse.get(pulse)
-
-    def values(self) -> list[Any]:
-        """Just the payloads, in arrival order."""
-        return [token.value for _, token in self._records]
 
     def __len__(self) -> int:
         return len(self._records)

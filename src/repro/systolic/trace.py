@@ -25,16 +25,11 @@ class TraceRecorder:
     """Records the tokens present at each cell on each pulse.
 
     Attach it as a :class:`~repro.systolic.simulator.SystolicSimulator`'s
-    ``observer``.  Only
-    non-empty ports are stored, so memory stays proportional to actual
-    traffic.  ``window`` bounds how many recent pulses are retained
-    (``None`` = keep everything).
+    ``observer``.  Only non-empty ports are stored, so memory stays
+    proportional to actual traffic.
     """
 
-    def __init__(self, window: Optional[int] = None) -> None:
-        if window is not None and window < 1:
-            raise SimulationError(f"trace window must be >= 1, got {window}")
-        self._window = window
+    def __init__(self) -> None:
         #: pulse -> cell -> port -> token (inputs seen during the pulse)
         self._inputs: dict[int, dict[str, dict[str, Token]]] = {}
 
@@ -50,9 +45,6 @@ class TraceRecorder:
             if present:
                 snapshot[cell] = present
         self._inputs[pulse] = snapshot
-        if self._window is not None:
-            for stale in [p for p in self._inputs if p <= pulse - self._window]:
-                del self._inputs[stale]
 
     # -- queries -------------------------------------------------------------
 
@@ -69,15 +61,6 @@ class TraceRecorder:
             raise SimulationError(
                 f"no snapshot retained for pulse {pulse}; have {self.pulses[:10]}"
             ) from None
-
-    def cell_history(self, cell: str) -> list[tuple[int, dict[str, Token]]]:
-        """Every (pulse, inputs) pair at which ``cell`` was busy."""
-        history = []
-        for pulse in self.pulses:
-            ports = self._inputs[pulse].get(cell)
-            if ports:
-                history.append((pulse, ports))
-        return history
 
 
 def render_grid(

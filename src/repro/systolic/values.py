@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-__all__ = ["Token", "NULL_VALUE", "TRUE", "FALSE", "tok", "value_of", "tag_of"]
+__all__ = ["Token", "NULL_VALUE"]
 
 
 class _NullValue:
@@ -58,22 +58,3 @@ class Token:
             return f"Token({self.value!r})"
         return f"Token({self.value!r}, tag={self.tag!r})"
 
-
-#: Convenient boolean tokens (untagged).
-TRUE = Token(True)
-FALSE = Token(False)
-
-
-def tok(value: Any, tag: Any = None) -> Token:
-    """Shorthand token constructor."""
-    return Token(value, tag)
-
-
-def value_of(token: Optional[Token]) -> Any:
-    """The payload of ``token``, or ``None`` for an empty wire."""
-    return None if token is None else token.value
-
-
-def tag_of(token: Optional[Token]) -> Any:
-    """The ghost tag of ``token``, or ``None``."""
-    return None if token is None else token.tag

@@ -138,13 +138,6 @@ class Network:
         """Named output taps."""
         return dict(self._taps)
 
-    def cell(self, name: str) -> Cell:
-        """Look up a cell by name."""
-        try:
-            return self._cells[name]
-        except KeyError:
-            raise WiringError(f"unknown cell {name!r}") from None
-
     def unconnected_inputs(self) -> list[Endpoint]:
         """Input ports with neither a wire nor a feeder (read empty)."""
         dangling = []
@@ -154,22 +147,6 @@ class Network:
                 if endpoint not in self._driver and endpoint not in self._feeders:
                     dangling.append(endpoint)
         return dangling
-
-    def validate(self, strict: bool = False) -> None:
-        """Check structural soundness.
-
-        Always verifies that wires reference live cells/ports (enforced
-        at construction).  With ``strict=True`` additionally rejects
-        dangling input ports, which otherwise read as permanently-empty
-        wires.
-        """
-        if strict:
-            dangling = self.unconnected_inputs()
-            if dangling:
-                raise WiringError(
-                    f"network {self.name!r} has unconnected inputs: "
-                    f"{dangling[:8]}{'...' if len(dangling) > 8 else ''}"
-                )
 
     def __len__(self) -> int:
         return len(self._cells)

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.arrays import compare_all_pairs
-from repro.arrays.comparison_array import build_comparison_array
+from repro.arrays.comparison_array import comparison_plan
 from repro.errors import SimulationError
+from repro.systolic.engine import t_init_true
+from repro.systolic.engine.materialize import materialize
 from repro.systolic.simulator import SystolicSimulator
 from repro.systolic.trace import TraceRecorder, render_grid
 from repro.workloads import three_by_three_pair
@@ -22,7 +24,10 @@ class TestMatrixCorrectness:
         result = compare_all_pairs(a.tuples, b.tuples, tagged=True)
         assert result.t_matrix == reference_matrix(a.tuples, b.tuples)
         # Exactly one common tuple in the workloads fixture.
-        assert result.pairs_where_true() == [(1, 1)]
+        assert [
+            (i, j) for i, row in enumerate(result.t_matrix)
+            for j, value in enumerate(row) if value
+        ] == [(1, 1)]
 
     @pytest.mark.parametrize("n_a,n_b,arity", [
         (1, 1, 1), (1, 5, 2), (5, 1, 2), (4, 4, 3), (3, 7, 1), (6, 2, 4),
@@ -82,9 +87,9 @@ class TestFig34Trace:
     def test_snapshot_shows_counter_streaming_data(self):
         """Reproduce the Fig 3-4 view: a's and b's interleaved mid-array."""
         a, b = three_by_three_pair()
-        network, schedule, layout = build_comparison_array(
-            a.tuples, b.tuples, tagged=True
-        )
+        plan = comparison_plan(a.tuples, b.tuples, t_init_true, tagged=True)
+        network, layout = materialize(plan)
+        schedule = plan.schedule
         recorder = TraceRecorder()
         simulator = SystolicSimulator(network, observer=recorder)
         simulator.run(schedule.comparison_pulses)
@@ -104,15 +109,18 @@ class TestFig34Trace:
 
     def test_trace_confirms_two_step_tuple_spacing(self):
         a, b = three_by_three_pair()
-        network, schedule, _ = build_comparison_array(
-            a.tuples, b.tuples, tagged=True
-        )
+        plan = comparison_plan(a.tuples, b.tuples, t_init_true, tagged=True)
+        network, _ = materialize(plan)
+        schedule = plan.schedule
         recorder = TraceRecorder()
         SystolicSimulator(network, observer=recorder).run(
             schedule.comparison_pulses
         )
         # Column 0 of the top row sees a0, a1, a2 at pulses 0, 2, 4.
-        history = recorder.cell_history("cmp[0,0]")
+        history = [
+            (pulse, recorder.at(pulse).get("cmp[0,0]", {}))
+            for pulse in recorder.pulses
+        ]
         a_arrivals = [
             pulse for pulse, ports in history
             if "a_in" in ports and isinstance(ports["a_in"].tag, tuple)

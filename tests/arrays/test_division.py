@@ -104,7 +104,10 @@ class TestDivisionSchedule:
     def test_and_sweep_trails_last_y(self):
         schedule = DivisionSchedule(n_pairs=4, p_rows=2, n_divisor=3)
         for row in range(2):
-            last_gate = schedule.gate_pulse(schedule.n_pairs - 1, row)
+            # The last pair's y enters one pulse behind its x and climbs
+            # to the row's gate one dividend row a pulse.
+            last_y = schedule.n_pairs - 1
+            last_gate = last_y + 1 + (schedule.p_rows - 1 - row)
             assert schedule.and_inject_pulse(row) == last_gate + 2
 
     def test_row_from_result_checks_pulse(self):

@@ -6,7 +6,7 @@ from repro.arrays.join import systolic_dynamic_theta_join, systolic_theta_join
 from repro.errors import SimulationError
 from repro.relational import Relation, algebra
 from repro.systolic.cells import DynamicThetaCell
-from repro.systolic.values import tok
+from repro.systolic.values import Token
 from repro.workloads import integer_schema, join_pair
 
 
@@ -21,12 +21,12 @@ class TestDynamicThetaCell:
     ])
     def test_op_arrives_with_data(self, op, a, b, expected):
         cell = DynamicThetaCell("d")
-        out = self._step(cell, a_in=tok(a), b_in=tok(b), op_in=tok(op))
+        out = self._step(cell, a_in=Token(a), b_in=Token(b), op_in=Token(op))
         assert out["t_out"].value is expected
 
     def test_op_forwarded_downward(self):
         cell = DynamicThetaCell("d")
-        out = self._step(cell, a_in=tok(1), op_in=tok("<"))
+        out = self._step(cell, a_in=Token(1), op_in=Token("<"))
         assert out["op_out"].value == "<"
         assert out["a_out"].value == 1
         assert "t_out" not in out  # no b: no comparison
@@ -34,22 +34,22 @@ class TestDynamicThetaCell:
     def test_a_without_op_is_violation(self):
         cell = DynamicThetaCell("d")
         with pytest.raises(SimulationError, match="travel with"):
-            self._step(cell, a_in=tok(1), b_in=tok(2))
+            self._step(cell, a_in=Token(1), b_in=Token(2))
 
     def test_op_without_a_is_violation(self):
         cell = DynamicThetaCell("d")
         with pytest.raises(SimulationError, match="travel with"):
-            self._step(cell, op_in=tok("<"))
+            self._step(cell, op_in=Token("<"))
 
     def test_unknown_op_code_detected_in_flight(self):
         cell = DynamicThetaCell("d")
         with pytest.raises(SimulationError, match="unknown op code"):
-            self._step(cell, a_in=tok(1), b_in=tok(2), op_in=tok("~~"))
+            self._step(cell, a_in=Token(1), b_in=Token(2), op_in=Token("~~"))
 
     def test_t_chains(self):
         cell = DynamicThetaCell("d")
         out = self._step(
-            cell, a_in=tok(1), b_in=tok(1), op_in=tok("=="), t_in=tok(False)
+            cell, a_in=Token(1), b_in=Token(1), op_in=Token("=="), t_in=Token(False)
         )
         assert out["t_out"].value is False
 

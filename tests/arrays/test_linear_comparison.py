@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.arrays import build_comparison_array, compare_tuples
+from repro.arrays import compare_tuples
+from repro.arrays.comparison_array import comparison_plan
 from repro.errors import SimulationError
-from repro.systolic.metrics import ActivityMeter
+from repro.systolic.engine import t_init_true
+from repro.systolic.engine.materialize import materialize
+from repro.systolic.metrics import ComparisonWorkMeter
 from repro.systolic.simulator import SystolicSimulator
 
 
@@ -47,13 +50,15 @@ class TestOneComparison:
             compare_tuples([], [])
 
     def test_meter_shows_diagonal_activity(self):
-        # Exactly one cell is busy on each pulse (the staggered wavefront).
-        # Fig 3-1 is the comparison array of one tuple against one.
-        meter = ActivityMeter()
-        network, _, _ = build_comparison_array([[1, 2, 3, 4]], [[1, 2, 3, 4]])
-        SystolicSimulator(network, meter=meter).run(4)
-        assert all(count == 1 for count in meter.busy_pulses.values())
-        assert len(meter.busy_pulses) == 4
+        # Exactly one cell compares on each pulse (the staggered
+        # wavefront).  Fig 3-1 is the comparison array of one tuple
+        # against one.
+        meter = ComparisonWorkMeter()
+        network, _ = materialize(comparison_plan(
+            [[1, 2, 3, 4]], [[1, 2, 3, 4]], t_init_true, tagged=False
+        ))
+        SystolicSimulator(network, observer=meter).run(4)
+        assert meter.per_pulse == [1, 1, 1, 1]
 
     @pytest.mark.parametrize("backend", ["pulse", "lattice", "bitplane"])
     def test_non_integer_elements_rejected_on_every_engine(self, backend):

@@ -7,16 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arrays import (
-    ArrayCapacity,
-    build_comparison_array,
-    build_intersection_array,
-    build_join_array,
-    build_remove_duplicates_array,
-)
+from repro.arrays import ArrayCapacity
 from repro.arrays.comparison_array import comparison_plan
 from repro.arrays.intersection import membership_plan
-from repro.arrays.join import build_dynamic_join_array, join_plan
+from repro.arrays.join import join_plan
 from repro.bitlevel import expand_matrix, expand_tuple
 from repro.errors import ReproError
 from repro.machine import Base, Dedup, Difference, Intersect, Project, Union
@@ -26,12 +20,12 @@ from repro.machine.plan import DEVICE_COMPARISON
 from repro.relational import Relation
 from repro.relational import relation as relation_module
 from repro.systolic.engine import PulseEngine, t_init_strict_lower, t_init_true
-from repro.systolic.engine.materialize import tables_of
+from repro.systolic.engine.materialize import materialize, tables_of
 from repro.systolic.simulator import SystolicSimulator
 from repro.workloads import overlapping_pair, relation_with_duplicates
 from tests.systolic.test_tap_tables import read_out
 
-# -- (i) build_*_array is the plan's materialization -------------------------
+# -- (i) materialize(plan) builds the plan's network ------------------------
 
 _A, _B = overlapping_pair(4, 3, 2, arity=2, seed=21)
 _DUPS = relation_with_duplicates(3, 2.0, arity=2, seed=22)
@@ -39,42 +33,29 @@ _OPS = ["<", "=="]
 
 
 def _intersection(variant):
-    return (
-        build_intersection_array(_A, _B, variant=variant, tagged=True),
-        membership_plan(_A.array, _B.array, variant, True, "intersection-array"),
+    return membership_plan(
+        _A.array, _B.array, variant, True, "intersection-array"
     )
 
 
 def _remove_duplicates(variant):
     rows = _DUPS.array
-    return (
-        build_remove_duplicates_array(_DUPS, variant=variant, tagged=True),
-        membership_plan(
-            rows, rows, variant, True, "remove-duplicates-array",
-            t_init_strict_lower,
-        ),
+    return membership_plan(
+        rows, rows, variant, True, "remove-duplicates-array",
+        t_init_strict_lower,
     )
 
 
 def _join(variant):
-    return (
-        build_join_array(_A.tuples, _B.tuples, _OPS, variant=variant, tagged=True),
-        join_plan(_A.tuples, _B.tuples, _OPS, variant, True),
-    )
+    return join_plan(_A.tuples, _B.tuples, _OPS, variant, True)
 
 
 def _dynamic_join(variant):
-    return (
-        build_dynamic_join_array(_A.tuples, _B.tuples, _OPS, tagged=True),
-        join_plan(_A.tuples, _B.tuples, _OPS, "counter", True, dynamic_ops=True),
-    )
+    return join_plan(_A.tuples, _B.tuples, _OPS, "counter", True, dynamic_ops=True)
 
 
 def _comparison(variant):
-    return (
-        build_comparison_array(_A.tuples, _B.tuples, t_init_true, tagged=True),
-        comparison_plan(_A.tuples, _B.tuples, t_init_true, True),
-    )
+    return comparison_plan(_A.tuples, _B.tuples, t_init_true, True)
 
 
 @pytest.mark.parametrize("build,variant", [
@@ -84,8 +65,8 @@ def _comparison(variant):
     (_dynamic_join, "counter"), (_comparison, "counter"),
 ], ids=lambda value: getattr(value, "__name__", value).lstrip("_"))
 def test_built_array_is_the_plans_network(build, variant):
-    (network, schedule, layout), plan = build(variant)
-    assert schedule == plan.schedule
+    plan = build(variant)
+    network, layout = materialize(plan)
     assert network.name == plan.name
 
     simulator = SystolicSimulator(network)

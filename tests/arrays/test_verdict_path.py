@@ -107,7 +107,7 @@ class Traced(PulseEngine):
     decoder as tap tables."""
 
     def _step(self, plan):
-        network = materialize(plan)
+        network = materialize(plan)[0]
         simulator = SystolicSimulator(network, observer=TraceRecorder())
         simulator.run(plan.pulses)
         return EngineRun(

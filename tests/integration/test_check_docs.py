@@ -374,10 +374,10 @@ def test_observer_rule_keeps_meters_and_traces_on_the_network(tmp_path):
     for directory in ("arrays", "systolic/engine", "patterns", "machine"):
         (package / directory).mkdir(parents=True)
     (package / "systolic" / "simulator.py").write_text(
-        "from repro.systolic.metrics import ActivityMeter\n"
+        "from repro.systolic.metrics import ComparisonWorkMeter\n"
         "class SystolicSimulator:\n"
-        "    def __init__(self, network, meter=None, observer=None):\n"
-        "        self.meter = meter\n"
+        "    def __init__(self, network, observer=None):\n"
+        "        self.observer = observer\n"
     )
     (package / "arrays" / "base.py").write_text(
         '"""Watch a run with ``trace=TraceRecorder()``: prose."""\n'
@@ -393,7 +393,7 @@ def test_observer_rule_keeps_meters_and_traces_on_the_network(tmp_path):
     # The shapes the threaded observers had: an engine that takes a
     # meter, operators that pass one down, imports to annotate them.
     (package / "systolic" / "engine" / "pulse.py").write_text(
-        "from repro.systolic.metrics import ActivityMeter\n"
+        "from repro.systolic.metrics import ComparisonWorkMeter\n"
         "class PulseEngine:\n"
         "    def run(self, plan, meter=None, trace=None):\n"
         "        return step(plan, meter)\n"
@@ -407,16 +407,16 @@ def test_observer_rule_keeps_meters_and_traces_on_the_network(tmp_path):
         "import repro.systolic.trace.TraceRecorder\n"
     )
     (package / "machine" / "device.py").write_text(
-        "from repro.systolic.metrics import ActivityMeter\n"
+        "from repro.systolic.metrics import ComparisonWorkMeter\n"
     )
     problems = check_docs.check_observers_on_the_network(root=package)
     assert [problem.split(" — ")[0] for problem in problems] == [
         "arrays/join.py:1: imports TraceRecorder",
         "arrays/join.py:2: takes `trace`",
         "arrays/join.py:3: takes `meter`",
-        "machine/device.py:1: imports ActivityMeter",
+        "machine/device.py:1: imports ComparisonWorkMeter",
         "patterns/matcher.py:1: imports TraceRecorder",
-        "systolic/engine/pulse.py:1: imports ActivityMeter",
+        "systolic/engine/pulse.py:1: imports ComparisonWorkMeter",
         "systolic/engine/pulse.py:3: takes `meter`",
         "systolic/engine/pulse.py:3: takes `trace`",
     ]
@@ -673,12 +673,12 @@ def test_one_pricing_rule_keeps_the_device_cost_in_the_planner(tmp_path):
 def test_network_rule_keeps_the_cell_network_a_watch_kit(tmp_path):
     check_docs = _load_check_docs()
     package = tmp_path / "repro"
-    for directory in ("systolic/engine", "patterns"):
+    for directory in ("systolic/engine", "patterns", "arrays"):
         (package / directory).mkdir(parents=True)
     (package / "systolic" / "__init__.py").write_text(
         "from repro.systolic.simulator import SystolicSimulator\n"
         "from repro.systolic.values import Token as Datum\n"
-        "from repro.systolic.metrics import ActivityMeter\n"
+        "from repro.systolic.metrics import ComparisonWorkMeter\n"
     )
     (package / "systolic" / "engine" / "materialize.py").write_text(
         "from repro.systolic.values import Token\n"
@@ -688,12 +688,17 @@ def test_network_rule_keeps_the_cell_network_a_watch_kit(tmp_path):
     )
     (package / "systolic" / "engine" / "pulse.py").write_text(
         '"""Watched with ``SystolicSimulator(network)``: prose."""\n'
-        "from repro.systolic import metrics\n"
         "from repro.systolic.engine.registers import step_plan\n"
     )
     (package / "patterns" / "matcher.py").write_text(
         "def match_pattern(text, pattern):\n"
         "    return PatternChip(pattern, text)\n"
+    )
+    (package / "arrays" / "base.py").write_text(
+        '"""Watch it on ``materialize(plan)``: prose."""\n'
+        "from repro.systolic.engine import resolve_backend\n"
+        "from repro.systolic.engine.plan import GridPlan\n"
+        "import repro.systolic.engine.materialized_view\n"
     )
     assert check_docs.check_network_only_watches(root=package) == []
 
@@ -712,13 +717,29 @@ def test_network_rule_keeps_the_cell_network_a_watch_kit(tmp_path):
         "from ..wiring import Network\n"
         "from .. import streams\n"
     )
+    # The shapes the operator modules had: builders imported beside the
+    # plans, and the kit's types for their annotations.
+    (package / "arrays" / "base.py").write_text(
+        "from repro.systolic.engine.materialize import materialize_grid\n"
+        "from repro.systolic.engine import materialize\n"
+        "from repro.systolic.wiring import Network\n"
+        "from ..systolic.trace import TraceRecorder\n"
+        "import repro.systolic.engine.materialize\n"
+    )
     problems = check_docs.check_network_only_watches(root=package)
     assert [problem.split(" — ")[0] for problem in problems] == [
+        "arrays/base.py:1: imports "
+        "repro.systolic.engine.materialize.materialize_grid",
+        "arrays/base.py:2: imports repro.systolic.engine.materialize",
+        "arrays/base.py:3: imports repro.systolic.wiring.Network",
+        "arrays/base.py:4: imports repro.systolic.trace.TraceRecorder",
+        "arrays/base.py:5: imports repro.systolic.engine.materialize",
         "patterns/matcher.py:3: constructs a SystolicSimulator",
         "systolic/engine/pulse.py:1: imports "
         "repro.systolic.simulator.SystolicSimulator",
         "systolic/engine/pulse.py:2: imports repro.systolic.cells.util",
         "systolic/engine/pulse.py:3: imports repro.systolic.Datum",
+        "systolic/engine/pulse.py:3: imports repro.systolic.metrics",
         "systolic/engine/pulse.py:4: imports repro.systolic.wiring.Network",
         "systolic/engine/pulse.py:5: imports repro.systolic.streams",
     ]

@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro.arrays.intersection import membership_plan
 from repro.lang import execute_plan, parse
 from repro.machine import MachineDisk, SystolicDatabaseMachine, TreeMachine
 from repro.relational import Domain, Relation, Schema, algebra
-from repro.workloads import division_example
+from repro.systolic.engine.materialize import materialize
+from repro.systolic.simulator import SystolicSimulator
+from repro.systolic.trace import TraceRecorder
+from repro.workloads import division_example, overlapping_pair
 
 
 @pytest.fixture
@@ -90,32 +94,35 @@ class TestArchitectureComparison:
         assert direct == blocked == software == expected
 
 
+def _intersection_network(a, b):
+    """The Fig 4-1 intersection array of ``a`` and ``b``, and its schedule."""
+    plan = membership_plan(
+        a.array, b.array, "counter", False, "intersection-array"
+    )
+    return materialize(plan)[0], plan.schedule
+
+
 class TestDrainBasedCompletion:
     def test_run_until_quiet_matches_schedule_arithmetic(self):
-        """An independent check on total_pulses: after the computed run
-        length, the array holds no tokens — run_until_quiet confirms
-        nothing more would have moved."""
-        from repro.arrays.intersection import build_intersection_array
-        from repro.systolic.simulator import SystolicSimulator
-        from repro.workloads import overlapping_pair
-
+        """An independent check on total_pulses: run well past the
+        computed run length under a trace, and from total_pulses on no
+        cell sees a token — the array went quiet when the schedule's
+        arithmetic says it does."""
         a, b = overlapping_pair(5, 4, 2, arity=2, seed=700)
-        network, schedule, _ = build_intersection_array(a, b)
-        simulator = SystolicSimulator(network)
-        simulator.run(schedule.total_pulses)
-        # Everything already drained: quiescence is immediate.
-        extra = simulator.run_until_quiet(settle=3)
-        collector = simulator.collector("t_i")
-        assert len(collector) == len(a)
-        assert extra <= 4  # just the settle window, no real traffic
+        network, schedule = _intersection_network(a, b)
+        recorder = TraceRecorder()
+        simulator = SystolicSimulator(network, observer=recorder)
+        simulator.run(schedule.total_pulses + 8)
+        assert len(simulator.collector("t_i")) == len(a)
+        assert recorder.at(schedule.total_pulses - 1)
+        assert all(
+            not recorder.at(pulse)
+            for pulse in range(schedule.total_pulses, simulator.pulse)
+        )
 
     def test_results_complete_exactly_at_total_pulses(self):
-        from repro.arrays.intersection import build_intersection_array
-        from repro.systolic.simulator import SystolicSimulator
-        from repro.workloads import overlapping_pair
-
         a, b = overlapping_pair(4, 6, 2, arity=3, seed=701)
-        network, schedule, _ = build_intersection_array(a, b)
+        network, schedule = _intersection_network(a, b)
         simulator = SystolicSimulator(network)
         simulator.run(schedule.total_pulses - 1)
         before = len(simulator.collector("t_i"))

@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.systolic.engine.materialize import (
-    attach_accumulation_column,
-    build_counter_stream_grid,
-)
-from repro.systolic.engine.schedule import CounterStreamSchedule
+from repro.arrays.comparison_array import comparison_plan
+from repro.arrays.intersection import membership_plan
 from repro.errors import SimulationError
 from repro.relational import algebra
 from repro.systolic.cells import ComparisonCell
+from repro.systolic.engine import t_init_true
+from repro.systolic.engine.materialize import materialize
+from repro.systolic.engine.plan import cmp_name
 from repro.systolic.simulator import SystolicSimulator
 from repro.systolic.values import Token
+from repro.systolic.wiring import Endpoint, Network
 from repro.workloads import overlapping_pair
 
 
@@ -46,15 +47,38 @@ class TagScramblerCell(ComparisonCell):
         return outputs
 
 
-def _run_intersection_with(cell_factory, a, b):
-    schedule = CounterStreamSchedule(len(a), len(b), a.arity)
-    network, _ = build_counter_stream_grid(
-        a.tuples, b.tuples, schedule,
-        t_init=lambda i, j: True, cell_factory=cell_factory, tagged=True,
-    )
-    attach_accumulation_column(network, schedule, tagged=True)
-    simulator = SystolicSimulator(network)
-    simulator.run(schedule.total_pulses)
+def _rewired(network, swap=lambda cell: cell, drop=()):
+    """``network`` rebuilt cell by cell, as the hardware would be with a
+    faulty part: ``swap`` replaces a cell, and the feeders at ``drop``
+    are left unconnected."""
+    broken = Network(network.name)
+    for cell in network:
+        broken.add(swap(cell))
+    for wire in network.wires:
+        broken.connect(wire.source.cell, wire.source.port,
+                       wire.target.cell, wire.target.port)
+    for endpoint, feeder in network.feeders.items():
+        if endpoint not in drop:
+            broken.feed(endpoint.cell, endpoint.port, feeder)
+    for name, endpoint in network.taps.items():
+        broken.tap(name, endpoint.cell, endpoint.port)
+    return broken
+
+
+def _run_intersection_with(fault, a, b):
+    """The tagged Fig 4-1 intersection of ``a`` and ``b`` with each
+    comparator at (row, col) replaced by ``fault(name, row, col)``."""
+    plan = membership_plan(a.array, b.array, "counter", True, "intersection-array")
+    network, layout = materialize(plan)
+
+    def swap(cell):
+        if not isinstance(cell, ComparisonCell):
+            return cell
+        return fault(cell.name, *layout[cell.name])
+
+    simulator = SystolicSimulator(_rewired(network, swap))
+    simulator.run(plan.pulses)
+    schedule = plan.schedule
     t_vector = [None] * len(a)
     for pulse, token in simulator.collector("t_i"):
         t_vector[schedule.tuple_from_accumulator_exit(pulse)] = bool(token.value)
@@ -110,26 +134,9 @@ class TestMissingWire:
         # Drop one column's A feeder: elements never meet there, and the
         # comparison cells' t-in-without-pair check fires.
         a, b = overlapping_pair(3, 3, 1, arity=2, seed=212)
-        schedule = CounterStreamSchedule(3, 3, 2)
-        network, _ = build_counter_stream_grid(
-            a.tuples, b.tuples, schedule, t_init=lambda i, j: True,
-            tagged=True,
-        )
-        # Rebuild without the column-1 A feeder by constructing a fresh
-        # network whose feeder list we control:
-        from repro.systolic.engine.plan import cmp_name
-        from repro.systolic.wiring import Network
-
-        broken = Network("missing-feeder")
-        for cell in network.cells.values():
-            broken.add(ComparisonCell(cell.name))
-        for wire in network.wires:
-            broken.connect(wire.source.cell, wire.source.port,
-                           wire.target.cell, wire.target.port)
-        for endpoint, feeder in network.feeders.items():
-            if endpoint.cell == cmp_name(0, 1) and endpoint.port == "a_in":
-                continue  # the dropped wire
-            broken.feed(endpoint.cell, endpoint.port, feeder)
+        plan = comparison_plan(a.tuples, b.tuples, t_init_true, True)
+        network, _ = materialize(plan)
+        broken = _rewired(network, drop={Endpoint(cmp_name(0, 1), "a_in")})
         simulator = SystolicSimulator(broken)
         with pytest.raises(SimulationError, match="mis-staggered"):
-            simulator.run(schedule.comparison_pulses)
+            simulator.run(plan.schedule.comparison_pulses)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.arrays.comparison_array import build_comparison_array
-from repro.arrays.intersection import build_intersection_array
+from repro.arrays.comparison_array import comparison_plan
+from repro.arrays.intersection import membership_plan
 from repro.figures import (
     division_schematic,
     grid_schematic,
@@ -11,13 +11,28 @@ from repro.figures import (
     network_summary,
 )
 from repro.machine import SystolicDatabaseMachine
+from repro.systolic.engine import t_init_true
+from repro.systolic.engine.materialize import materialize
 from repro.workloads import three_by_three_pair
+
+
+def _built(plan):
+    """A plan's network, its schedule and its layout."""
+    network, layout = materialize(plan)
+    return network, plan.schedule, layout
+
+
+def _intersection():
+    a, b = three_by_three_pair()
+    return _built(membership_plan(
+        a.array, b.array, "counter", False, "intersection-array"
+    ))
 
 
 @pytest.fixture
 def comparison():
     a, b = three_by_three_pair()
-    return build_comparison_array(a.tuples, b.tuples)
+    return _built(comparison_plan(a.tuples, b.tuples, t_init_true, False))
 
 
 class TestNetworkSummary:
@@ -29,8 +44,7 @@ class TestNetworkSummary:
         assert f"{len(network.wires)} wires" in text
 
     def test_intersection_lists_both_cell_types(self):
-        a, b = three_by_three_pair()
-        network, _, _ = build_intersection_array(a, b)
+        network, _, _ = _intersection()
         text = network_summary(network)
         assert "AccumulationCell" in text
         assert "ComparisonCell" in text
@@ -43,8 +57,7 @@ class TestGridSchematic:
         assert art.count("| = |") == schedule.rows * schedule.arity
 
     def test_accumulators_get_plus_glyph(self):
-        a, b = three_by_three_pair()
-        _, schedule, layout = build_intersection_array(a, b)
+        _, schedule, layout = _intersection()
         art = grid_schematic(layout)
         assert art.count("| + |") == schedule.rows
 

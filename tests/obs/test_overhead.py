@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 
 from repro import obs
-from repro.obs import metrics
+from repro.obs import metrics, spans
 
 from .conftest import build_machine, join_project_plan
 
@@ -14,6 +14,18 @@ def test_disabled_span_allocates_nothing():
     # The null tracer returns one shared context manager — entering an
     # instrumentation point when tracing is off creates no objects.
     assert obs.span("a", rows=1) is obs.span("b")
+
+
+def test_untraced_span_is_the_shared_null_context(monkeypatch):
+    """With tracing off, ``obs.span`` hands back the one shared no-op
+    context itself: its keywords never go on to the null tracer."""
+    def forwarded(self, name, **attrs):
+        raise AssertionError("obs.span forwarded an untraced span")
+
+    monkeypatch.setattr(spans.NullTracer, "span", forwarded)
+    assert obs.span("store.read", relation="SP") is spans._NULL_CONTEXT
+    with obs.span("store.read", relation="SP") as sp:
+        sp.set(rows=1)
 
 
 def test_disabled_machine_run_records_nothing():

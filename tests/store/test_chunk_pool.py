@@ -204,15 +204,15 @@ class TestReadsEqualAFilterOfTheFiles:
             "R", _rows(n=4 * CHUNK_ROWS), SCHEMA, chunk_rows=CHUNK_ROWS,
         )
         for chunk_id in range(4):
-            handle.chunk_column(chunk_id, 0)
+            columnar._POOL.block(handle, chunk_id)[0]
         # Chunks 0 and 1 were noted first and forgotten first.
-        handle.chunk_column(0, 0)
-        handle.chunk_column(3, 0)
+        columnar._POOL.block(handle, 0)[0]
+        columnar._POOL.block(handle, 3)[0]
         assert set(pool._blocks) == {(handle._serial, 3)}
         # A matrix larger than the budget is not noted, so it forgets
         # no other key.
         handle.read()
-        handle.chunk_column(0, 0)
+        columnar._POOL.block(handle, 0)[0]
         assert set(pool._blocks) == {(handle._serial, 3), (handle._serial, 0)}
 
     def test_a_full_scan_keeps_one_matrix_in_place_of_the_chunks(
@@ -516,14 +516,16 @@ class TestChecksums:
 
 
 class TestChunkColumn:
+    """One column of a chunk, read as the pool's size-checked block."""
+
     def test_a_column_is_a_read_only_view_of_the_checked_block(
         self, tmp_path, large_pool
     ):
         handle = RelationStore(tmp_path).write_array(
             "R", _rows(), SCHEMA, chunk_rows=CHUNK_ROWS,
         )
-        handle.chunk_column(2, 1)
-        column = handle.chunk_column(2, 1)
+        columnar._POOL.block(handle, 2)[1]
+        column = columnar._POOL.block(handle, 2)[1]
         chunk = handle.chunks[2]
         raw = np.fromfile(handle.path / chunk.file, dtype="<i8")
         np.testing.assert_array_equal(
@@ -550,16 +552,7 @@ class TestChunkColumn:
             match=r"chunk chunk-00001\.bin of 'R' holds 7 elements, "
                   r"manifest says 8",
         ):
-            handle.chunk_column(1, position)
-
-    def test_out_of_range_arguments_raise(self, tmp_path, large_pool):
-        handle = RelationStore(tmp_path).write_array(
-            "R", _rows(), SCHEMA, chunk_rows=CHUNK_ROWS,
-        )
-        with pytest.raises(StoreError, match="column 3 out of range"):
-            handle.chunk_column(0, 3)
-        with pytest.raises(StoreError, match="chunk 5 out of range"):
-            handle.chunk_column(5, 0)
+            columnar._POOL.block(handle, 1)[position]
 
 
 def test_the_budget_is_a_constant_reported_by_pool_info():

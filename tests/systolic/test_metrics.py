@@ -1,54 +1,16 @@
-"""Activity and comparison-work meters (the E11 instrumentation)."""
+"""The comparison-work meter (the E11 instrumentation)."""
 
 import pytest
 
-from repro.systolic.metrics import (
-    ActivityMeter,
-    ComparisonWorkMeter,
-    UtilizationReport,
-)
-from repro.systolic.values import tok
-
-
-class TestUtilizationReport:
-    def test_fraction(self):
-        report = UtilizationReport(pulses=10, cells=4, busy_cell_pulses=20)
-        assert report.cell_pulses == 40
-        assert report.utilization == 0.5
-
-    def test_zero_slots(self):
-        assert UtilizationReport(0, 0, 0).utilization == 0.0
-
-
-class TestActivityMeter:
-    def test_counts_busy_pulses_per_cell(self):
-        meter = ActivityMeter()
-        meter.observe(0, {"a", "b"}, all_cells=3)
-        meter.observe(1, {"a"}, all_cells=3)
-        assert meter.busy_pulses == {"a": 2, "b": 1}
-        report = meter.report()
-        assert report.pulses == 2
-        assert report.cells == 3
-        assert report.utilization == pytest.approx(3 / 6)
-
-    def test_busiest_ranking(self):
-        meter = ActivityMeter()
-        for pulse in range(3):
-            meter.observe(pulse, {"hot"}, all_cells=2)
-        meter.observe(3, {"cold", "hot"}, all_cells=2)
-        assert meter.busiest(1) == [("hot", 4)]
-
-    def test_explicit_cell_count(self):
-        meter = ActivityMeter()
-        meter.observe(0, {"a"}, all_cells=5)
-        assert meter.report(cells=10).cells == 10
+from repro.systolic.metrics import ComparisonWorkMeter
+from repro.systolic.values import Token
 
 
 class TestComparisonWorkMeter:
     def _observe(self, meter, counts):
         for pulse, count in enumerate(counts):
             outputs = {
-                f"c{n}": {"t_out": tok(True)} for n in range(count)
+                f"c{n}": {"t_out": Token(True)} for n in range(count)
             }
             meter(pulse, {}, outputs)
 
@@ -61,7 +23,8 @@ class TestComparisonWorkMeter:
     def test_steady_state_mean_ignores_idle_pulses(self):
         meter = ComparisonWorkMeter()
         self._observe(meter, [0, 0, 4, 4, 0])
-        assert meter.steady_state_mean() == 4.0
+        # Four of four cells busy on every pulse that did any work.
+        assert meter.utilization(4) == 1.0
 
     def test_utilization_modes(self):
         meter = ComparisonWorkMeter()
@@ -72,11 +35,10 @@ class TestComparisonWorkMeter:
     def test_empty_run(self):
         meter = ComparisonWorkMeter()
         assert meter.peak == 0
-        assert meter.steady_state_mean() == 0.0
         assert meter.utilization(8) == 0.0
         assert meter.utilization(0) == 0.0
 
     def test_custom_port(self):
         meter = ComparisonWorkMeter(port="and_out")
-        meter(0, {}, {"c": {"and_out": tok(True)}, "d": {"t_out": tok(True)}})
+        meter(0, {}, {"c": {"and_out": Token(True)}, "d": {"t_out": Token(True)}})
         assert meter.per_pulse == [1]

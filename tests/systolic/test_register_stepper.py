@@ -128,7 +128,7 @@ def reference(network, pulses):
 
 def assert_equals_reference(plan):
     run = PulseEngine().run(plan)
-    network = materialize(plan)
+    network = materialize(plan)[0]
     simulator = reference(network, plan.pulses)
 
     # Tables, and no verdicts: operators decode the taps.
@@ -165,7 +165,7 @@ class TestEqualsTheCellNetwork:
                 match="the pulse engine needs integer-encoded [AB] elements",
             ):
                 PulseEngine().run(plan)
-            SystolicSimulator(materialize(plan)).run(plan.pulses)
+            SystolicSimulator(materialize(plan)[0]).run(plan.pulses)
 
     @PLANS
     @given(plan=division_plans())
@@ -184,7 +184,7 @@ class TestEqualsTheCellNetwork:
             match="the pulse engine needs integer-encoded dividend elements",
         ):
             PulseEngine().run(plan)
-        SystolicSimulator(materialize(plan)).run(plan.pulses)
+        SystolicSimulator(materialize(plan)[0]).run(plan.pulses)
 
     @PLANS
     @given(
@@ -207,7 +207,7 @@ class TestEqualsTheCellNetwork:
             t_init=t_init_true, accumulate=True, row_taps=True, tagged=True,
         )
         trace = TraceRecorder()
-        simulator = SystolicSimulator(materialize(plan), observer=trace)
+        simulator = SystolicSimulator(materialize(plan)[0], observer=trace)
         simulator.run(plan.pulses)
         assert trace.pulses == list(range(plan.pulses))
         assert "a_in" in trace.at(0)["cmp[0,0]"]
@@ -230,7 +230,7 @@ class TestEqualsTheCellNetwork:
     def test_a_traced_run_hands_back_the_steppers_tables(self, plan):
         """Stepping cells or registers, a run is the same tables —
         field for field, tag kind and tag columns included."""
-        traced = SystolicSimulator(materialize(plan), observer=TraceRecorder())
+        traced = SystolicSimulator(materialize(plan)[0], observer=TraceRecorder())
         traced.run(plan.pulses)
         assert read_out(tables_of(traced.collectors)) == read_out(
             PulseEngine().run(plan).columnar
@@ -267,7 +267,7 @@ def both_errors(plan, network=None):
     """The messages the cell network and the register stepper refuse
     ``plan`` with."""
     with pytest.raises(SimulationError) as expected:
-        reference(network or materialize(plan), plan.pulses)
+        reference(network or materialize(plan)[0], plan.pulses)
     with pytest.raises(SimulationError) as stepped:
         PulseEngine().run(plan)
     return str(expected.value), str(stepped.value)
@@ -337,7 +337,7 @@ class TestInputSideFaultsAreRefused:
         plan = membership(faulty(base, a_entry_pulse=wide))
         period = 2 if base is CounterStreamSchedule else 1
         column = [Token(row[1], ("a", i, 1)) for i, row in enumerate(A4)]
-        network = refed(materialize(plan), {
+        network = refed(materialize(plan)[0], {
             ("cmp[0,1]", "a_in"): PeriodicFeeder(column, 2, period),
         })
         expected, stepped = both_errors(plan, network)
@@ -363,7 +363,7 @@ class TestInputSideFaultsAreRefused:
         # Untagged, the cells have no tags to compare and accept the
         # run; the stepper always carries ghosts and still refuses it.
         untagged = membership(wrong, tagged=False, **shape)
-        reference(materialize(untagged), untagged.pulses)
+        reference(materialize(untagged)[0], untagged.pulses)
         with pytest.raises(SimulationError) as refused:
             PulseEngine().run(untagged)
         assert str(refused.value) == expected
@@ -396,7 +396,7 @@ class TestJoinAndDivisionFaults:
             ops=("<", "=="), row_taps=True, tagged=True,
         )
         column = [Token(row[1], ("a", i, 1)) for i, row in enumerate(A4)]
-        network = refed(materialize(plan), {
+        network = refed(materialize(plan)[0], {
             ("cmp[0,1]", "a_in"): PeriodicFeeder(column, 2, 2),
         })
         expected, stepped = both_errors(plan, network)
@@ -425,7 +425,7 @@ class TestJoinAndDivisionFaults:
     def test_y_not_one_step_behind_its_x(self, law, message):
         # The network builder hard-wires "one step behind": re-feed it.
         plan = self.division(y_entry_pulse=law)
-        network = refed(materialize(plan), {
+        network = refed(materialize(plan)[0], {
             ("dg[2]", "y_in"): ScheduleFeeder({
                 law(plan.schedule, q): Token(y, ("pair", q))
                 for q, (_, y) in enumerate(self.PAIRS)
@@ -459,7 +459,7 @@ def same_outcome(plan):
     """The stepper gives what the cell network gives: equal records,
     or the very message it refuses the plan with."""
     try:
-        reference(materialize(plan), plan.pulses)
+        reference(materialize(plan)[0], plan.pulses)
     except SimulationError as refused:
         with pytest.raises(SimulationError) as stepped:
             PulseEngine().run(plan)
@@ -537,7 +537,7 @@ class TestWindowsChangeNothing:
         law = lambda self, q: q + 1 + (q == 3)
         faults = TestJoinAndDivisionFaults()
         plan = faults.division(y_entry_pulse=law)
-        network = refed(materialize(plan), {
+        network = refed(materialize(plan)[0], {
             ("dg[2]", "y_in"): ScheduleFeeder({
                 law(plan.schedule, q): Token(y, ("pair", q))
                 for q, (_, y) in enumerate(faults.PAIRS)

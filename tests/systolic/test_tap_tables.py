@@ -87,7 +87,7 @@ def read_out(tables):
 def test_taps_by_name_are_slices_of_one_table_an_edge(engine, tagged):
     for plan in plans(tagged):
         run = engine().run(plan)
-        simulator = SystolicSimulator(materialize(plan))
+        simulator = SystolicSimulator(materialize(plan)[0])
         simulator.run(plan.pulses)
 
         tables = run.columnar

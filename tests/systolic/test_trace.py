@@ -3,22 +3,22 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.systolic.cells import LatchCell
 from repro.systolic.simulator import SystolicSimulator
 from repro.systolic.streams import ScheduleFeeder
 from repro.systolic.trace import TraceRecorder, render_grid
-from repro.systolic.values import tok
+from repro.systolic.values import Token
 from repro.systolic.wiring import Network
+from tests.systolic.forward import Forward
 
 
 @pytest.fixture
 def traced_line():
     network = Network()
     for index in range(3):
-        network.add(LatchCell(f"l{index}"))
+        network.add(Forward(f"l{index}"))
     network.connect("l0", "d_out", "l1", "d_in")
     network.connect("l1", "d_out", "l2", "d_in")
-    network.feed("l0", "d_in", ScheduleFeeder({0: tok("x"), 2: tok("y")}))
+    network.feed("l0", "d_in", ScheduleFeeder({0: Token("x"), 2: Token("y")}))
     recorder = TraceRecorder()
     simulator = SystolicSimulator(network, observer=recorder)
     simulator.run(5)
@@ -35,23 +35,9 @@ class TestTraceRecorder:
     def test_only_busy_cells_stored(self, traced_line):
         assert list(traced_line.at(1)) == ["l1"]
 
-    def test_cell_history(self, traced_line):
-        history = traced_line.cell_history("l0")
-        assert [pulse for pulse, _ in history] == [0, 2]
-
     def test_missing_snapshot_raises(self, traced_line):
         with pytest.raises(SimulationError, match="no snapshot"):
             traced_line.at(99)
-
-    def test_window_evicts_old_pulses(self):
-        recorder = TraceRecorder(window=2)
-        for pulse in range(5):
-            recorder(pulse, {"c": {"p": tok(pulse)}}, {})
-        assert recorder.pulses == [3, 4]
-
-    def test_window_must_be_positive(self):
-        with pytest.raises(SimulationError):
-            TraceRecorder(window=0)
 
 
 class TestRenderGrid:
@@ -69,7 +55,7 @@ class TestRenderGrid:
         assert "BUSY" in text
 
     def test_two_dimensional_layout(self):
-        snapshot = {"a": {"p": tok(1)}, "d": {"p": tok(4)}}
+        snapshot = {"a": {"p": Token(1)}, "d": {"p": Token(4)}}
         layout = {"a": (0, 0), "b": (0, 1), "c": (1, 0), "d": (1, 1)}
         lines = render_grid(snapshot, layout).splitlines()
         assert len(lines) == 2

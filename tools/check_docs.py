@@ -101,12 +101,12 @@ Nineteen checks, all run in CI next to the bench gate::
 
 13. **Observers attach to the network.**  An engine only computes; a
     run is watched on its cell network, through a
-    ``SystolicSimulator``'s ``meter`` / ``observer``.  So no function
-    under the engines, the operator arrays or the pattern chip
+    ``SystolicSimulator``'s ``observer``.  So no function under the
+    engines, the operator arrays or the pattern chip
     (:data:`COMPUTE_ONLY`) takes a parameter named ``meter`` or
     ``trace``, and only the simulator kit (:data:`OBSERVER_HOMES`)
-    imports ``ActivityMeter`` or ``TraceRecorder`` — a second way to
-    watch a run, threaded through the engines, fails here.
+    imports ``ComparisonWorkMeter`` or ``TraceRecorder`` — a second way
+    to watch a run, threaded through the engines, fails here.
 
 14. **One wire writer.**  ``encode_line`` writes every protocol line
     and every relation in it, rows straight from the int64 matrix of
@@ -164,13 +164,17 @@ Nineteen checks, all run in CI next to the bench gate::
 19. **The cell network only watches.**  Every array computes on the
     engines' registers; the cell network is where a run is traced or
     metered, and the reference the register stepper is held to.  So
-    nothing under ``src/repro`` constructs a ``SystolicSimulator``, and
-    no module of ``systolic/engine/`` but the materializer
+    nothing under ``src/repro`` constructs a ``SystolicSimulator``; no
+    module of ``systolic/engine/`` but the materializer
     (:data:`MATERIALIZER`) imports the cell kit
-    (``repro.systolic.{cell,cells,wiring,simulator,streams,values}``,
-    :data:`CELL_KIT`, or a name the ``repro.systolic`` package
-    re-exports from it).  A compute path that builds and drives a
-    network again fails here.
+    (``repro.systolic.{cell,cells,wiring,simulator,streams,values,
+    trace,metrics}``, :data:`CELL_KIT`, or a name the
+    ``repro.systolic`` package re-exports from it); and no module of
+    the operator arrays (:data:`KIT_FREE`) imports the kit or the
+    materializer — an operator states its plan, and
+    ``materialize(plan)`` is the one builder of its network.  A compute
+    path that builds and drives a network again, or an operator module
+    that loads the kit for every query, fails here.
 
 Exits non-zero with one line per problem.
 """
@@ -699,10 +703,9 @@ def check_one_run_format(root=ROOT / "src" / "repro") -> list[str]:
 #: ``src/repro`` that import one.
 COMPUTE_ONLY = ("arrays/", "systolic/engine/", "patterns/")
 OBSERVER_PARAMETERS = frozenset({"meter", "trace"})
-OBSERVER_TYPES = frozenset({"ActivityMeter", "TraceRecorder"})
+OBSERVER_TYPES = frozenset({"ComparisonWorkMeter", "TraceRecorder"})
 OBSERVER_HOMES = (
     "systolic/simulator.py", "systolic/metrics.py", "systolic/trace.py",
-    "systolic/__init__.py",
 )
 
 
@@ -719,7 +722,7 @@ def check_observers_on_the_network(root=ROOT / "src" / "repro") -> list[str]:
                     f"{where}:{node.lineno}: takes `{argument.arg}` — an "
                     f"engine or operator only computes; watch the run on "
                     f"its cell network (`SystolicSimulator(network, "
-                    f"meter=..., observer=...)`)"
+                    f"observer=...)`)"
                     for argument in (
                         *arguments.posonlyargs, *arguments.args,
                         *arguments.kwonlyargs, arguments.vararg,
@@ -996,11 +999,15 @@ def check_one_pricing(root=ROOT / "src" / "repro") -> list[str]:
     return problems
 
 
-#: The cell kit, and the one engine module that builds networks from it.
+#: The cell kit, the one engine module that builds networks from it,
+#: and the operator arrays, which import neither.
 CELL_KIT = frozenset({
-    "cell", "cells", "wiring", "simulator", "streams", "values",
+    "cell", "cells", "wiring", "simulator", "streams", "values", "trace",
+    "metrics",
 })
 MATERIALIZER = "systolic/engine/materialize.py"
+KIT_FREE = "arrays/"
+_MATERIALIZER_MODULE = "repro." + MATERIALIZER[:-len(".py")].replace("/", ".")
 
 
 def _in_kit(module: str) -> bool:
@@ -1057,15 +1064,22 @@ def check_network_only_watches(root=ROOT / "src" / "repro") -> list[str]:
                     f"— the cell network only watches: compute on the "
                     f"engines' registers"
                 )
-            elif where.startswith("systolic/engine/") and where != (
-                MATERIALIZER
+            elif where.startswith(("systolic/engine/", KIT_FREE)) and (
+                where != MATERIALIZER
             ):
+                operator = where.startswith(KIT_FREE)
                 problems += [
-                    f"{where}:{node.lineno}: imports {name} — an engine "
-                    f"computes on registers; only {MATERIALIZER} builds "
-                    f"cell networks"
+                    f"{where}:{node.lineno}: imports {name} — " + (
+                        "an operator array states its plan; "
+                        "materialize(plan) builds the network"
+                        if operator else
+                        f"an engine computes on registers; only "
+                        f"{MATERIALIZER} builds cell networks"
+                    )
                     for name in _imported(node, where)
-                    if _in_kit(name) or name in exports
+                    if _in_kit(name) or name in exports or operator and (
+                        f"{name}.".startswith(f"{_MATERIALIZER_MODULE}.")
+                    )
                 ]
     return problems
 
@@ -1110,7 +1124,8 @@ def main() -> int:
         f"the planners reading the catalog through its snapshot only, "
         f"array ops priced in {PRICER} only, "
         f"no SystolicSimulator constructed under src/ and the cell kit "
-        f"imported in systolic/engine/ by {MATERIALIZER} only"
+        f"imported in systolic/engine/ by {MATERIALIZER} only and "
+        f"nowhere under {KIT_FREE}"
     )
     return 0
 
