@@ -36,10 +36,6 @@ from repro.systolic.engine.hexmesh import (
     U_C,
     Semiring,
 )
-from repro.systolic.engine.hexmesh import a_start as _a_start
-from repro.systolic.engine.hexmesh import b_start as _b_start
-from repro.systolic.engine.hexmesh import c_start as _c_start
-from repro.systolic.engine.hexmesh import meeting_cell as _meeting_cell
 
 __all__ = [
     "Semiring",

@@ -60,10 +60,12 @@ __all__ = ["AdmissionGate", "EnginePool", "PlanCache", "compile_plans"]
 
 
 class PlanCache:
-    """A thread-safe LRU of compiled physical plans.
+    """A thread-safe LRU of compiled plans.
 
-    Entries live under :func:`compile_plans`' one key, which holds
-    nothing tenant-specific, so in a pool a hit can come from *another*
+    Entries live under :func:`compile_plans`' one key, or, for a sharded
+    transaction's lowering, under
+    :meth:`~repro.shard.executor.ShardedExecutor.plan`'s.  Neither holds
+    anything tenant-specific, so in a pool a hit can come from *another*
     tenant's earlier compile.  Emits ``machine.plan_cache.*`` metrics.
     """
 
@@ -109,8 +111,11 @@ class PlanCache:
         Single-flight: of the threads that miss one key together, one
         runs ``build`` and the rest wait for its entry (a hit).  A
         ``build`` that raises stores nothing and wakes its waiters, the
-        first of which builds for itself.
+        first of which builds for itself.  A cache of size 0 builds every
+        time and counts nothing.
         """
+        if self.maxsize == 0:
+            return build(), False
         while True:
             with self._lock:
                 done = self._in_flight.get(key)
@@ -187,17 +192,15 @@ def compile_plans(
             # A hit skips the planner spans a miss records, and which
             # of two racing compiles hits is the host's business.
             sp.mark_children_volatile()
-            physical, cached = cache.get_or_build(
-                (
-                    plan_fingerprint(plans),
-                    tuple(arrivals) if arrivals is not None else None,
-                    bool(pipeline),
-                    context.fingerprint,
-                ),
-                build,
-            )
-        else:
-            physical, cached = build(), False
+        physical, cached = cache.get_or_build(
+            (
+                plan_fingerprint(plans),
+                tuple(arrivals) if arrivals is not None else None,
+                bool(pipeline),
+                context.fingerprint,
+            ),
+            build,
+        )
         sp.set(ops=len(physical.ops))
         sp.set_volatile(cached=cached)
         return physical

@@ -1,6 +1,6 @@
 """``repro.obs`` — the zero-dependency observability layer.
 
-One subsystem, three surfaces, all off by default:
+One subsystem, three surfaces, all off by default, and one layer map:
 
 * **Spans** (:mod:`repro.obs.spans`): hierarchical host wall-clock
   intervals — ``with obs.span("compile", ops=6): ...`` — recorded by an
@@ -12,6 +12,10 @@ One subsystem, three surfaces, all off by default:
 * **Metrics** (:mod:`repro.obs.metrics`): a process-local registry of
   counters/gauges/histograms whose names are declared once in
   :mod:`repro.obs.names` — the stable, docs-checked contract.
+* **Layers** (:data:`repro.obs.names.SPAN_LAYERS`): one map from each
+  span name to the layer of the request path its self time belongs to —
+  wire, parse/optimize, compile, store scan, device blocking, engine
+  kernel, tap decode, replay, exchange/merge (:data:`LAYERS`).
 * **Exporters** (:mod:`repro.obs.export`): JSON lines, Chrome
   trace-event files (``chrome://tracing`` / Perfetto), and human
   summary tables.
@@ -30,7 +34,14 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.metrics import HistogramSummary, MetricsRegistry, metrics
-from repro.obs.names import COUNTER, GAUGE, HISTOGRAM, METRICS
+from repro.obs.names import (
+    COUNTER,
+    GAUGE,
+    HISTOGRAM,
+    LAYERS,
+    METRICS,
+    SPAN_LAYERS,
+)
 from repro.obs.spans import (
     NULL_TRACER,
     NullTracer,
@@ -59,6 +70,8 @@ __all__ = [
     "MetricsRegistry",
     "HistogramSummary",
     "METRICS",
+    "SPAN_LAYERS",
+    "LAYERS",
     "COUNTER",
     "GAUGE",
     "HISTOGRAM",

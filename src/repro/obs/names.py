@@ -124,4 +124,42 @@ METRICS: dict[str, tuple[str, str]] = {
         COUNTER, "grid-directory probes answering selection predicates"),
 }
 
-__all__ = ["COUNTER", "GAUGE", "HISTOGRAM", "METRICS"]
+#: The layers a query's host time is attributed to, in the order a
+#: request meets them.
+LAYERS = (
+    "wire", "parse/optimize", "compile", "store scan", "device blocking",
+    "engine kernel", "tap decode", "replay", "exchange/merge",
+)
+
+#: span name -> the layer its self time belongs to, one entry per name of
+#: the span catalog in ``docs/OBSERVABILITY.md`` (``tools/check_docs.py``
+#: holds the two equal).  The tap decode has no span of its own: it is
+#: part of ``device.execute``'s self time.
+SPAN_LAYERS: dict[str, str] = {
+    "cli.<stage>": "wire",
+    "serve.request": "wire",
+    "serve.statement": "parse/optimize",
+    "lang.parse": "parse/optimize",
+    "lang.optimize": "parse/optimize",
+    "service.query": "replay",
+    "shard.partition": "exchange/merge",
+    "shard.stage": "exchange/merge",
+    "shard.exchange": "exchange/merge",
+    "shard.run": "replay",
+    "shard.merge": "exchange/merge",
+    "machine.compile": "compile",
+    "planner.compile": "compile",
+    "planner.assign": "compile",
+    "planner.fuse": "compile",
+    "planner.predict": "compile",
+    "machine.run": "replay",
+    "machine.op": "replay",
+    "machine.chain": "replay",
+    "store.read": "store scan",
+    "device.execute": "device blocking",
+    "engine.run": "engine kernel",
+}
+
+__all__ = [
+    "COUNTER", "GAUGE", "HISTOGRAM", "LAYERS", "METRICS", "SPAN_LAYERS",
+]

@@ -299,12 +299,18 @@ class ReproServer:
             sock.close()
 
     def _answer(self, line: bytes, tenant: str) -> tuple[bytes, str, bool]:
-        """One request line's reply line; returns (reply, tenant, closing)."""
-        try:
-            payload, tenant, closing = self._dispatch(decode_line(line), tenant)
-            return encode_line(payload), tenant, closing
-        except Exception as exc:  # a reply for every request, errors too
-            return encode_line(_error(exc)), tenant, False
+        """One request line's reply line; returns (reply, tenant, closing).
+
+        One ``serve.request`` span covers it, decode → dispatch → encode,
+        and the error reply too."""
+        with obs.span("serve.request", bytes=len(line)):
+            try:
+                payload, tenant, closing = self._dispatch(
+                    decode_line(line), tenant
+                )
+                return encode_line(payload), tenant, closing
+            except Exception as exc:  # a reply for every request, errors too
+                return encode_line(_error(exc)), tenant, False
 
     def _dispatch(
         self, request: dict[str, Any], tenant: str

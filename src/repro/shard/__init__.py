@@ -12,6 +12,7 @@ from repro.shard.catalog import (
     REPLICATED,
     Distribution,
     ShardedCatalog,
+    ShardedSnapshot,
 )
 from repro.shard.executor import (
     INTERCONNECT,
@@ -54,5 +55,6 @@ __all__ = [
     "ShardedExecutionReport",
     "ShardedExecutor",
     "ShardedPlan",
+    "ShardedSnapshot",
     "co_partitioned",
 ]

@@ -12,10 +12,12 @@ machine — and remembers *how* each relation was placed:
   the right placement for small divisors and broadcast-style lookup
   relations.
 
-The placement map is what the :class:`~repro.shard.planner.ShardPlanner`
-reads to prove operations shard-local, and the shards' planning
-snapshots (:meth:`ShardedCatalog.planning_contexts`) are what it sizes
-and prices them from; the per-shard catalogs are what the executor
+One :meth:`ShardedCatalog.snapshot` hands the
+:class:`~repro.shard.planner.ShardPlanner` everything a lowering reads:
+the placements of the relations the plans name, which prove operations
+shard-local, and each shard's planning snapshot, which sizes and prices
+them; its fingerprint keys the lowered plan in the pool's plan cache.
+The per-shard catalogs are what the executor
 compiles and runs against, so every existing machine layer (physical
 planner, plan cache, executor) works unchanged below the shard layer.
 """
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from repro import obs
 from repro.errors import PlanError
@@ -39,7 +41,10 @@ from repro.shard.partition import (
     STRATEGIES,
 )
 
-__all__ = ["Distribution", "ShardedCatalog", "PARTITIONED", "REPLICATED"]
+__all__ = [
+    "Distribution", "ShardedCatalog", "ShardedSnapshot", "PARTITIONED",
+    "REPLICATED",
+]
 
 PARTITIONED = "partitioned"
 REPLICATED = "replicated"
@@ -59,6 +64,25 @@ class Distribution:
         if self.kind == PARTITIONED:
             return f"partitioned(col {self.key}, {self.fp[0]})"
         return self.kind
+
+
+class ShardedSnapshot(NamedTuple):
+    """Everything a :class:`~repro.shard.planner.ShardPlanner` lowering
+    reads, as one frozen value: each shard's
+    :class:`~repro.machine.physical.PlanningContext` of the relations
+    the plans name, and the placement of each of those the catalog
+    holds.  :attr:`fingerprint` is the lowered plan's plan-cache key
+    part for it: equal snapshots lower equal plans."""
+
+    contexts: tuple[PlanningContext, ...]
+    placements: Mapping[str, Distribution]
+
+    @property
+    def fingerprint(self) -> tuple:
+        return (
+            tuple([context.fingerprint for context in self.contexts]),
+            tuple(self.placements.items()),
+        )
 
 
 class ShardedCatalog:
@@ -188,22 +212,31 @@ class ShardedCatalog:
         with self._lock:
             return list(self._placements)
 
-    def planning_contexts(
+    def snapshot(
         self,
         reads: Iterable[tuple[str, Sequence[ColumnRef]]],
         devices: Sequence = (),
-    ) -> list[PlanningContext]:
-        """Each shard's planning snapshot of ``reads``
-        (:meth:`~repro.machine.catalog.Catalog.planning_context`), all
-        taken under this catalog's lock, so a relation being placed is in
-        every snapshot or in none."""
+    ) -> ShardedSnapshot:
+        """What a lowering of plans that read ``reads`` plans from: each
+        shard's planning snapshot
+        (:meth:`~repro.machine.catalog.Catalog.planning_context`) and the
+        placements of the relations ``reads`` names, all taken under
+        this catalog's lock, so a relation being placed is in every part
+        of the snapshot or in none."""
+        reads = tuple(reads)
         with self._lock:
-            return [
-                shard.planning_context(
-                    reads, devices, element_bits=self.element_bits
-                )
-                for shard in self.shards
-            ]
+            return ShardedSnapshot(
+                tuple([
+                    shard.planning_context(
+                        reads, devices, element_bits=self.element_bits
+                    )
+                    for shard in self.shards
+                ]),
+                {
+                    name: self._placements[name] for name, _ in reads
+                    if name in self._placements
+                },
+            )
 
     def __contains__(self, name: object) -> bool:
         with self._lock:

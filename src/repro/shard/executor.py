@@ -47,7 +47,7 @@ from repro.faults.recovery import (
     replan_on_quarantine,
 )
 from repro.machine.catalog import Catalog
-from repro.machine.physical import PhysicalPlan
+from repro.machine.physical import PhysicalPlan, base_reads, plan_fingerprint
 from repro.machine.plan import PlanNode
 from repro.machine.scheduler import ExecutionReport, ScheduledStep
 from repro.obs import metrics
@@ -190,10 +190,24 @@ class ShardedExecutor:
     # -- planning ----------------------------------------------------------
 
     def plan(self, plans: Sequence[PlanNode] | PlanNode) -> ShardedPlan:
-        """Lower logical plans into per-shard plans plus exchanges."""
-        return ShardPlanner(self.catalog, devices=self.pool.devices).lower(
-            plans
+        """Lower logical plans into per-shard plans plus exchanges.
+
+        The shards are snapshotted once
+        (:meth:`ShardedCatalog.snapshot`), and the lowering is kept in
+        the pool's plan cache under ``("sharded", plan_fingerprint,
+        snapshot.fingerprint)`` — exactly what lowering reads, so a
+        warm query lowers nothing and its stages compile the very same
+        roots again.  Concurrent misses of one key lower once; a cache
+        of size 0 lowers every query.
+        """
+        if isinstance(plans, PlanNode):
+            plans = [plans]
+        snapshot = self.catalog.snapshot(base_reads(plans), self.pool.devices)
+        sharded, _ = self.pool.plan_cache.get_or_build(
+            ("sharded", plan_fingerprint(plans), snapshot.fingerprint),
+            lambda: ShardPlanner().lower(plans, snapshot),
         )
+        return sharded
 
     def compile(
         self,

@@ -37,14 +37,13 @@ so the exchange no longer costs a second revolution.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.errors import PlanError
 from repro.machine.operators import estimate_rows, infer_schema, operator_of
 from repro.machine.physical import (
     PlanningContext,
-    base_reads,
     price_array_op,
     quickest,
     select_fused_bases,
@@ -69,7 +68,7 @@ from repro.shard.catalog import (
     PARTITIONED,
     REPLICATED,
     Distribution,
-    ShardedCatalog,
+    ShardedSnapshot,
 )
 from repro.shard.partition import HashPartitioner, Partitioner
 
@@ -97,7 +96,7 @@ def co_partitioned(left: Distribution, right: Distribution) -> bool:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExchangeStep:
     """One cross-shard data movement the lowered plan requires.
 
@@ -128,9 +127,13 @@ class ExchangeStep:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShardedPlan:
     """A logical transaction lowered onto the shards.
+
+    Frozen, and its sequences are tuples: one lowering is kept in the
+    pool's plan cache and shared by every query, thread and tenant whose
+    transaction and shard snapshot are equal to the ones it came from.
 
     ``exchanges`` run in order (each is a fragment plus a
     redistribution); ``roots`` are the final per-shard plans whose
@@ -146,12 +149,12 @@ class ShardedPlan:
     """
 
     shards: int
-    roots: list[PlanNode]
-    distributions: list[Distribution]
-    exchanges: list[ExchangeStep] = field(default_factory=list)
+    roots: tuple[PlanNode, ...]
+    distributions: tuple[Distribution, ...]
+    exchanges: tuple[ExchangeStep, ...] = ()
     local_joins: int = 0
     prefetch_roots: tuple[Base, ...] = ()
-    priced_joins: list[tuple] = field(default_factory=list)
+    priced_joins: tuple[tuple, ...] = ()
 
     @property
     def prefetch(self) -> tuple[str, ...]:
@@ -279,30 +282,25 @@ def _rides_a_stage_cylinder(
 
 
 class ShardPlanner:
-    """Lowers logical plans against a :class:`ShardedCatalog`.
+    """Lowers logical plans from a :class:`ShardedSnapshot`.
 
-    Each lowering reads one planning snapshot per shard
-    (:meth:`ShardedCatalog.planning_contexts`) and nothing else of the
-    shards; ``devices`` (the pool's complement) price each exchange
-    strategy's per-lane join.  Lowering itself never touches data.
+    A lowering reads the snapshot it is given and nothing else: each
+    shard's planning context sizes the lanes, the roster the contexts
+    carry prices each exchange strategy's per-lane join, and the
+    snapshot's placements prove operations shard-local.  Lowering itself
+    never touches data, so equal snapshots lower equal plans.
     """
 
-    def __init__(self, catalog: ShardedCatalog, devices: Sequence = ()) -> None:
-        self.catalog = catalog
-        self.shards = catalog.shard_count
-        self.devices = list(devices)
-        self._counter = itertools.count()
-        self._exchanges: list[ExchangeStep] = []
-        self._memo: dict[int, tuple[PlanNode, Distribution]] = {}
-        self._local_joins = 0
-        self._priced: list[tuple] = []
+    def __init__(self) -> None:
         self._repartitioner = HashPartitioner()
 
-    def lower(self, plans: Sequence[PlanNode] | PlanNode) -> ShardedPlan:
+    def lower(
+        self, plans: Sequence[PlanNode] | PlanNode, snapshot: ShardedSnapshot
+    ) -> ShardedPlan:
         """Lower a transaction; returns the per-shard plans + exchanges."""
         if isinstance(plans, PlanNode):
             plans = [plans]
-        self._snapshot(plans)
+        self._start(snapshot)
         roots: list[PlanNode] = []
         distributions: list[Distribution] = []
         for plan in plans:
@@ -311,21 +309,27 @@ class ShardPlanner:
             distributions.append(dist)
         return ShardedPlan(
             shards=self.shards,
-            roots=roots,
-            distributions=distributions,
-            exchanges=self._exchanges,
+            roots=tuple(roots),
+            distributions=tuple(distributions),
+            exchanges=tuple(self._exchanges),
             local_joins=self._local_joins,
             prefetch_roots=self._prefetch(roots),
-            priced_joins=self._priced,
+            priced_joins=tuple(self._priced),
         )
 
-    def _snapshot(self, plans: Sequence[PlanNode]) -> None:
-        """Snapshot what ``plans`` read on each shard; keep each lane's
-        rows and the logical ones (partitioned: the pieces' sum)."""
-        self._contexts = self.catalog.planning_contexts(
-            base_reads(plans), self.devices
-        )
+    def _start(self, snapshot: ShardedSnapshot) -> None:
+        """Take up ``snapshot``; keep each lane's rows and the logical
+        ones (partitioned: the pieces' sum)."""
+        self._contexts = snapshot.contexts
+        self._placements = snapshot.placements
+        self.shards = len(self._contexts)
+        self.devices = self._contexts[0].devices
         self._bits = self._contexts[0].element_bits
+        self._counter = itertools.count()
+        self._exchanges: list[ExchangeStep] = []
+        self._memo: dict[int, tuple[PlanNode, Distribution]] = {}
+        self._local_joins = 0
+        self._priced: list[tuple] = []
         self._lanes = [
             {name: record.rows for name, record in context.bases.items()
              if record is not None}
@@ -338,10 +342,18 @@ class ShardPlanner:
         }
         self._cards = {
             name: self._lanes[0][name]
-            if self.catalog.placement(name).kind == REPLICATED
+            if self._placement(name).kind == REPLICATED
             else sum(lane[name] for lane in self._lanes)
             for name in self._schemas
         }
+
+    def _placement(self, name: str) -> Distribution:
+        try:
+            return self._placements[name]
+        except KeyError:
+            raise PlanError(
+                f"no relation named {name!r} in the sharded catalog"
+            ) from None
 
     # -- prefetch ----------------------------------------------------------
 
@@ -390,7 +402,7 @@ class ShardPlanner:
 
     def _lower_node(self, node: PlanNode) -> tuple[PlanNode, Distribution]:
         if isinstance(node, Base):
-            return node, self.catalog.placement(node.name)
+            return node, self._placement(node.name)
         if isinstance(node, Select):
             child, dist = self._lower(node.child)
             return node.with_children((child,)), dist
@@ -610,7 +622,7 @@ class ShardPlanner:
         """A base column's distinct values where the shards make them
         exact — a replicated relation's, or the partition key's (equal
         values co-locate, so the pieces' counts add up); else None."""
-        placement = self.catalog.placement(name)
+        placement = self._placement(name)
         if placement.kind == REPLICATED:
             return self._contexts[0].distinct_count(name, column)
         if self._schemas[name].resolve(column) != placement.key:

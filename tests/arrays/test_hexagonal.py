@@ -14,10 +14,6 @@ from repro.arrays.hexagonal import (
     U_A,
     U_B,
     U_C,
-    _a_start,
-    _b_start,
-    _c_start,
-    _meeting_cell,
     hex_compare_all_pairs,
     hex_matrix_product,
 )
@@ -31,7 +27,13 @@ from repro.systolic.engine import (
     Semiring,
 )
 from repro.systolic.engine import registers
-from repro.systolic.engine.hexmesh import hex_tap_name
+from repro.systolic.engine.hexmesh import (
+    a_start,
+    b_start,
+    c_start,
+    hex_tap_name,
+    meeting_cell,
+)
 from repro.workloads import overlapping_pair, three_by_three_pair
 
 
@@ -47,17 +49,17 @@ class TestScheduleGeometry:
             for j in range(3):
                 for k in range(3):
                     t = i + j + k
-                    pa = tuple(s + t * d for s, d in zip(_a_start(i, k), U_A))
-                    pb = tuple(s + t * d for s, d in zip(_b_start(k, j), U_B))
-                    pc = tuple(s + t * d for s, d in zip(_c_start(i, j), U_C))
-                    assert pa == pb == pc == _meeting_cell(i, j, k)
+                    pa = tuple(s + t * d for s, d in zip(a_start(i, k), U_A))
+                    pb = tuple(s + t * d for s, d in zip(b_start(k, j), U_B))
+                    pc = tuple(s + t * d for s, d in zip(c_start(i, j), U_C))
+                    assert pa == pb == pc == meeting_cell(i, j, k)
 
     def test_start_positions_injective_per_stream(self):
         # No two same-stream tokens are ever co-resident: same velocity
         # plus distinct starts.
-        a_starts = {_a_start(i, k) for i in range(5) for k in range(5)}
-        b_starts = {_b_start(k, j) for k in range(5) for j in range(5)}
-        c_starts = {_c_start(i, j) for i in range(5) for j in range(5)}
+        a_starts = {a_start(i, k) for i in range(5) for k in range(5)}
+        b_starts = {b_start(k, j) for k in range(5) for j in range(5)}
+        c_starts = {c_start(i, j) for i in range(5) for j in range(5)}
         assert len(a_starts) == len(b_starts) == len(c_starts) == 25
 
     def test_only_scheduled_triples_coincide(self):
@@ -69,17 +71,17 @@ class TestScheduleGeometry:
         for i in range(n):
             for k in range(n):
                 for t in range(horizon + 1):
-                    pos = tuple(s + t * d for s, d in zip(_a_start(i, k), U_A))
+                    pos = tuple(s + t * d for s, d in zip(a_start(i, k), U_A))
                     occupancy.setdefault((pos, t), {})["a"] = (i, k)
         for k in range(n):
             for j in range(n):
                 for t in range(horizon + 1):
-                    pos = tuple(s + t * d for s, d in zip(_b_start(k, j), U_B))
+                    pos = tuple(s + t * d for s, d in zip(b_start(k, j), U_B))
                     occupancy.setdefault((pos, t), {})["b"] = (k, j)
         for i in range(n):
             for j in range(n):
                 for t in range(i + j + n):
-                    pos = tuple(s + t * d for s, d in zip(_c_start(i, j), U_C))
+                    pos = tuple(s + t * d for s, d in zip(c_start(i, j), U_C))
                     occupancy.setdefault((pos, t), {})["c"] = (i, j)
         for (pos, t), streams in occupancy.items():
             if len(streams) == 3:
@@ -124,7 +126,7 @@ class TestHexCell:
         # pulse 0, a(0, 1) meets b(0, 0) and c(0, 0).  The ghosts are
         # carried tagged or not, so both plans are refused.
         def swapped(i, k):
-            return _a_start(i, np.where((i == 0) & (k < 2), 1 - k, k))
+            return a_start(i, np.where((i == 0) & (k < 2), 1 - k, k))
 
         monkeypatch.setattr(registers, "a_start", swapped)
         for tagged in (True, False):
@@ -239,7 +241,7 @@ class TestHexProducts:
 
     def edited(self, **changes):
         def edit(plan, tables):
-            name = hex_tap_name(_meeting_cell(1, 0, plan.inner - 1))
+            name = hex_tap_name(meeting_cell(1, 0, plan.inner - 1))
             table = tables[name]
             keep = table.pulses != self.PULSE
             if "drop" in changes:

@@ -107,10 +107,11 @@ def test_api_rule_covers_the_obs_classes(tmp_path):
 
 
 _SPAN_TABLE = (
-    "| span | recorded by | attributes |\n"
-    "|---|---|---|\n"
-    "| `cli.<stage>` | the CLI | — |\n"
-    "| `planner.assign` / `planner.fuse` | the planner's phases | — |\n"
+    "| span | layer | recorded by | attributes |\n"
+    "|---|---|---|---|\n"
+    "| `cli.<stage>` | wire | the CLI | — |\n"
+    "| `planner.assign` / `planner.fuse` | compile | the planner's phases "
+    "| — |\n"
     "{extra}"
     "\n"
     "| metric | kind | meaning |\n"
@@ -135,19 +136,63 @@ def test_span_catalog_rule_holds_docs_and_source_to_each_other(tmp_path):
     )
     doc = tmp_path / "OBSERVABILITY.md"
     doc.write_text(_SPAN_TABLE.format(extra=""))
-    assert check_docs.check_span_catalog(doc=doc, root=tmp_path / "src") == []
+    layers = {
+        "cli.<stage>": "wire", "planner.assign": "compile",
+        "planner.fuse": "compile",
+    }
+    assert check_docs.check_span_catalog(
+        doc=doc, root=tmp_path / "src", layers=layers
+    ) == []
 
     (source / "more.py").write_text(
         'def run(obs):\n    return obs.span("machine.op", op="x")\n'
     )
     doc.write_text(_SPAN_TABLE.format(
-        extra="| `machine.replay` | the replay phase | — |\n"
+        extra="| `machine.replay` | replay | the replay phase | — |\n"
     ))
-    assert check_docs.check_span_catalog(doc=doc, root=tmp_path / "src") == [
+    layers["machine.replay"] = "replay"
+    assert check_docs.check_span_catalog(
+        doc=doc, root=tmp_path / "src", layers=layers
+    ) == [
         "OBSERVABILITY.md: span 'machine.op' is opened under src/ but "
         "missing from the span catalog",
         "OBSERVABILITY.md: span 'machine.replay' is in the span catalog "
         "but nothing under src/ opens it",
+    ]
+
+
+def test_span_catalog_rule_holds_the_layer_map_to_the_catalog(tmp_path):
+    check_docs = _load_check_docs()
+    source = tmp_path / "src" / "pkg"
+    source.mkdir(parents=True)
+    (source / "work.py").write_text(
+        "def run(obs, name):\n"
+        '    with obs.span(f"cli.{name}"):\n'
+        '        with obs.span("planner.assign"):\n'
+        '            return obs.span("planner.fuse")\n'
+    )
+    doc = tmp_path / "OBSERVABILITY.md"
+    doc.write_text(_SPAN_TABLE.format(extra=""))
+    # A span the map leaves out, a name it maps that the catalog does
+    # not hold, a value that is no layer, and a row whose layer column
+    # reads another layer than the map's.
+    layers = {
+        "cli.<stage>": "replay", "planner.assign": "planning",
+        "machine.replay": "replay",
+    }
+    assert check_docs.check_span_catalog(
+        doc=doc, root=tmp_path / "src", layers=layers
+    ) == [
+        "SPAN_LAYERS: span 'planner.fuse' is in the span catalog but has "
+        "no layer",
+        "SPAN_LAYERS: maps 'machine.replay', which is not in the span "
+        "catalog",
+        "SPAN_LAYERS: maps 'planner.assign' to 'planning', which is not a "
+        "layer",
+        "OBSERVABILITY.md: span 'cli.<stage>' is in layer 'wire' in the "
+        "span catalog but 'replay' in SPAN_LAYERS",
+        "OBSERVABILITY.md: span 'planner.assign' is in layer 'compile' in "
+        "the span catalog but 'planning' in SPAN_LAYERS",
     ]
 
 
@@ -625,6 +670,40 @@ def test_planning_snapshot_rule_keeps_live_reads_out_of_the_planners(
         "shard/planner.py:1: imports repro.machine.catalog",
         "shard/planner.py:2: imports repro.machine.catalog",
         "shard/planner.py:4: reads a disk",
+    ]
+
+
+def test_planning_snapshot_rule_keeps_the_shard_planner_off_its_catalog(
+    tmp_path,
+):
+    check_docs = _load_check_docs()
+    package = tmp_path / "repro"
+    (package / "shard").mkdir(parents=True)
+    # Placements read from the snapshot it was handed: nothing live.
+    (package / "shard" / "planner.py").write_text(
+        "from repro.shard.catalog import REPLICATED, ShardedSnapshot\n"
+        "def placement(snapshot: ShardedSnapshot, name):\n"
+        "    return snapshot.placements[name]\n"
+    )
+    assert check_docs.check_one_planning_snapshot(root=package) == []
+
+    # A planner that holds the sharded catalog and asks it, beside the
+    # snapshot the cache key covers, or is handed one and asks it.
+    (package / "shard" / "planner.py").write_text(
+        "from repro.shard.catalog import ShardedCatalog\n"
+        "class ShardPlanner:\n"
+        "    def __init__(self, catalog: ShardedCatalog):\n"
+        "        self.catalog = catalog\n"
+        "    def placement(self, name):\n"
+        "        return self.catalog.placement(name)\n"
+        "def shards(catalog):\n"
+        "    return catalog.shard_count\n"
+    )
+    problems = check_docs.check_one_planning_snapshot(root=package)
+    assert [problem.split(" — ")[0] for problem in problems] == [
+        "shard/planner.py:1: imports ShardedCatalog",
+        "shard/planner.py:6: reads the catalog's .placement",
+        "shard/planner.py:8: reads the catalog's .shard_count",
     ]
 
 

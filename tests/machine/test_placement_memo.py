@@ -33,6 +33,7 @@ from repro.machine import (
     SystolicDatabaseMachine,
 )
 from repro.machine import execution
+from repro.machine.physical import PhysicalPlan
 from repro.machine.scheduler import PLACEMENT_MEMO_NODES, Placement
 from repro.relational import Domain, Relation, Schema
 from repro.workloads import join_pair
@@ -77,9 +78,12 @@ def _plan_cache(target):
 
 
 def _memo_nodes(target) -> int:
-    """Placements recorded over every plan the front end has cached."""
+    """Placements recorded over every physical plan the front end has
+    cached (a sharded front end also caches its lowerings, which place
+    nothing)."""
     return sum(
         plan.placements.nodes for plan in _plan_cache(target)._entries.values()
+        if isinstance(plan, PhysicalPlan)
     )
 
 

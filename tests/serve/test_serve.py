@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.errors import (
     ConfigError,
     ParseError,
@@ -108,6 +109,37 @@ class _ServerHarness:
         self._loop.call_soon_threadsafe(self._stop.set)
         self._thread.join(10.0)
         assert not self._thread.is_alive(), "server thread leaked"
+
+
+class TestRequestSpan:
+    def test_each_request_line_is_one_serve_request_span(self):
+        """decode → dispatch → encode of every line, an error reply's
+        too, lies inside one ``serve.request``: no server span is left
+        outside one."""
+        a, b = overlapping_pair(10, 8, 5, arity=2, seed=9)
+        with obs.tracing() as tracer:
+            with _ServerHarness() as harness:
+                with ServiceClient(*harness.address) as db:
+                    db.store("A", a)
+                    db.store("B", b)
+                    db.query("intersect(A, B)")
+                    with pytest.raises(ReproError):
+                        db.query("intersect(A, NOPE)")
+        # hello, two stores, two queries, bye.
+        assert [root.name for root in tracer.roots] == ["serve.request"] * 6
+        assert [
+            [child.name for child in root.children]
+            for root in tracer.roots
+        ] == [
+            [], [], [],
+            ["serve.statement", "service.query"],
+            ["serve.statement", "service.query"],  # refused at compile
+            [],
+        ]
+        assert tracer.roots[4].children[1].volatile["error"] == "PlanError"
+        # The request line's bytes: the two queries differ by "NOPE"/"B".
+        short, long = (root.attrs["bytes"] for root in tracer.roots[3:5])
+        assert long - short == len("NOPE") - len("B")
 
 
 class TestServer:

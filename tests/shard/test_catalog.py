@@ -32,10 +32,11 @@ class TestPlacement:
             len(shard.relation("R")) for shard in cat.shards
         )
         assert total == 30
+        snapshot = cat.snapshot([("R", ())])
         assert sum(
-            context.bases["R"].rows
-            for context in cat.planning_contexts([("R", ())])
+            context.bases["R"].rows for context in snapshot.contexts
         ) == 30
+        assert snapshot.placements == {"R": placement}
 
     def test_replicated_store_copies_everywhere(self):
         cat = ShardedCatalog(shards=3)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from repro.arrays import ArrayCapacity
 from repro.machine import Base, EnginePool, Join
 from repro.machine.operators import infer_schema
+from repro.machine.physical import base_reads
 from repro.relational import Domain, Relation, Schema, algebra
 from repro.shard import (
     BROADCAST,
@@ -82,8 +83,10 @@ class TestLanePricing:
         catalog = ShardedCatalog(shards=2)
         catalog.store("JA", ja, key="key")
         catalog.store("JB", jb, key="key")
-        sharded = ShardPlanner(catalog).lower(NONKEY_JOIN)
-        assert sharded.priced_joins == []
+        sharded = ShardPlanner().lower(
+            [NONKEY_JOIN], catalog.snapshot(base_reads([NONKEY_JOIN]))
+        )
+        assert sharded.priced_joins == ()
         [step] = sharded.exchanges
         assert (step.kind, step.plan) == (BROADCAST, Base("JA"))
 
@@ -108,8 +111,9 @@ class TestShardSnapshots:
         catalog = ShardedCatalog(shards=3)
         r, _, _ = _rtu(catalog)
         catalog.store("D", r, replicate=True)
-        planner = ShardPlanner(catalog)
-        planner.lower([Base("R"), Base("D")])
+        planner = ShardPlanner()
+        plans = [Base("R"), Base("D")]
+        planner.lower(plans, catalog.snapshot(base_reads(plans)))
         assert planner._rows(Base("R")) == len(r) == 30
         assert planner._rows(Base("D")) == 30
         assert planner._lane_rows(Base("R")) == max(
@@ -120,11 +124,12 @@ class TestShardSnapshots:
         catalog = ShardedCatalog(shards=2)
         r, t, _ = _rtu(catalog)
         catalog.store("D", t, replicate=True)
-        planner = ShardPlanner(catalog)
-        planner.lower([
+        planner = ShardPlanner()
+        plans = [
             Join(Base("R"), Base("T"), on=(("k", "k"),)),
             Join(Base("R"), Base("D"), on=(("v", "v"),)),
-        ])
+        ]
+        planner.lower(plans, catalog.snapshot(base_reads(plans)))
         # The partition key: equal values co-locate, so the pieces'
         # counts add up to the relation's.
         assert planner._distinct("R", "k") == r.distinct_count("k") == 10

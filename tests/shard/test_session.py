@@ -104,7 +104,7 @@ class TestSessionWiring:
         compiled = session.compile(plan)
         assert compiled.shards == 2
         assert compiled.predicted_makespan > 0
-        assert compiled.plan.exchanges == []
+        assert compiled.plan.exchanges == ()
 
     def test_sharded_query_counts_once_in_tenant_stats(self):
         pool = EnginePool()

@@ -48,7 +48,11 @@ Nineteen checks, all run in CI next to the bench gate::
    list exactly the names that ``src/`` passes as string literals to
    ``obs.span(`` / ``.span(`` (the CLI's ``f"cli.{name}"`` is the
    ``cli.<stage>`` row) — a span renamed or removed in code but not in
-   the docs, or the other way round, fails here.
+   the docs, or the other way round, fails here.  The one span → layer
+   map, ``repro.obs.names.SPAN_LAYERS``, must have exactly the catalog's
+   names as its keys and a layer of ``LAYERS`` as each value, and each
+   row's layer column must read the map's layer: a span the map leaves
+   out, or a row that names another layer, fails here.
 
 8. **One stored form.**  A relation holds one int64 matrix (ISSUE 22),
    so nothing under ``src/`` may spell ``dtype=object`` /
@@ -143,14 +147,18 @@ Nineteen checks, all run in CI next to the bench gate::
     fails here.
 
 17. **One planning snapshot.**  A compile plans from one frozen
-    ``PlanningContext``, and its fingerprint is the plan-cache key, so
-    the planner may read nothing the snapshot does not hold.  So the
-    physical planner and the shard planner's prefetch offer
-    (:data:`SNAPSHOT_READERS`) reach no disk — no ``.disk`` attribute —
-    and import neither ``repro.machine.disk`` nor
-    ``repro.machine.catalog`` (:data:`LIVE_MODULES`).  A planner that
-    reads the live catalog beside the snapshot, which the key would not
-    cover, fails here.
+    ``PlanningContext``, and a sharded lowering from one frozen
+    ``ShardedSnapshot`` (a context per shard and the placements); their
+    fingerprints are the plan-cache keys, so a planner may read nothing
+    its snapshot does not hold.  So the physical planner and the shard
+    planner (:data:`SNAPSHOT_READERS`) reach no disk — no ``.disk``
+    attribute — and import neither ``repro.machine.disk`` nor
+    ``repro.machine.catalog`` (:data:`LIVE_MODULES`); and the shard
+    planner (:data:`SHARD_PLANNER`) reads no attribute of a
+    ``catalog`` — neither ``catalog.x`` nor ``self.catalog.x`` — and
+    imports no ``ShardedCatalog``.  A planner that reads the live
+    catalog beside the snapshot, which the key would not cover, fails
+    here.
 
 18. **One pricing function.**  An array op's §3–8 price — every
     device of its kind, every variant, the memory streams — is
@@ -191,7 +199,7 @@ from typing import Optional
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro.obs.names import METRICS  # noqa: E402
+from repro.obs.names import LAYERS, METRICS, SPAN_LAYERS  # noqa: E402
 
 OBSERVABILITY = ROOT / "docs" / "OBSERVABILITY.md"
 
@@ -235,10 +243,25 @@ _ENV_READ = re.compile(r"""["'](REPRO_[A-Z_]+)["']""")
 _EXTERNAL_FLAGS = {"--lf", "--ff", "--benchmark-only", "--benchmark-disable"}
 
 
+def _table_rows(text: str, header: str) -> list[str]:
+    """The lines of the markdown table whose header row starts with
+    ``header`` (spaces ignored), up to the first line that is no row."""
+    lines = iter(text.splitlines())
+    for line in lines:
+        if line.replace(" ", "").startswith(header):
+            break
+    rows = []
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        rows.append(line)
+    return rows
+
+
 def documented_metrics(text: str) -> dict[str, str]:
     """``{name: kind}`` parsed from the OBSERVABILITY.md metric table."""
     found: dict[str, str] = {}
-    for line in text.splitlines():
+    for line in _table_rows(text, "|metric|kind|"):
         match = _METRIC_ROW.match(line.strip())
         if match and "." in match.group(1):
             found[match.group(1)] = match.group(2)
@@ -440,17 +463,14 @@ def check_env_vars(docs=ENV_VAR_DOCS) -> list[str]:
     ]
 
 
-def documented_spans(text: str) -> set[str]:
-    """The names in the first column of OBSERVABILITY.md's span table."""
-    lines = iter(text.splitlines())
-    for line in lines:
-        if line.replace(" ", "").startswith("|span|recordedby|"):
-            break
-    names: set[str] = set()
-    for line in lines:
-        if not line.startswith("|"):
-            break
-        names.update(_CODE_SPAN.findall(line.split("|")[1]))
+def documented_spans(text: str) -> dict[str, str]:
+    """``{name: layer}`` from OBSERVABILITY.md's span table: the names in
+    its first column, each with its row's layer column."""
+    names: dict[str, str] = {}
+    for line in _table_rows(text, "|span|layer|recordedby|"):
+        cells = line.split("|")
+        for name in _CODE_SPAN.findall(cells[1]):
+            names[name] = cells[2].strip()
     return names
 
 
@@ -478,9 +498,11 @@ def recorded_spans(root: Path) -> set[str]:
     return names
 
 
-def check_span_catalog(doc=OBSERVABILITY, root=ROOT / "src") -> list[str]:
-    documented = documented_spans(doc.read_text())
-    recorded = recorded_spans(root)
+def check_span_catalog(
+    doc=OBSERVABILITY, root=ROOT / "src", layers=SPAN_LAYERS
+) -> list[str]:
+    rows = documented_spans(doc.read_text())
+    documented, recorded = set(rows), recorded_spans(root)
     return [
         f"{doc.name}: span {name!r} is opened under src/ but missing "
         f"from the span catalog"
@@ -489,6 +511,21 @@ def check_span_catalog(doc=OBSERVABILITY, root=ROOT / "src") -> list[str]:
         f"{doc.name}: span {name!r} is in the span catalog but nothing "
         f"under src/ opens it"
         for name in sorted(documented - recorded)
+    ] + [
+        f"SPAN_LAYERS: span {name!r} is in the span catalog but has no "
+        f"layer"
+        for name in sorted(documented - set(layers))
+    ] + [
+        f"SPAN_LAYERS: maps {name!r}, which is not in the span catalog"
+        for name in sorted(set(layers) - documented)
+    ] + [
+        f"SPAN_LAYERS: maps {name!r} to {layer!r}, which is not a layer"
+        for name, layer in sorted(layers.items()) if layer not in LAYERS
+    ] + [
+        f"{doc.name}: span {name!r} is in layer {rows[name]!r} in the "
+        f"span catalog but {layers[name]!r} in SPAN_LAYERS"
+        for name in sorted(documented & set(layers))
+        if rows[name] != layers[name]
     ]
 
 
@@ -916,13 +953,32 @@ def check_one_disk_timeline(root=ROOT / "src" / "repro") -> list[str]:
 #: modules they may not import.
 SNAPSHOT_READERS = ("machine/physical.py", "shard/planner.py")
 LIVE_MODULES = frozenset({"repro.machine.disk", "repro.machine.catalog"})
+#: The planner that lowers from a ``ShardedSnapshot``: beside the rest of
+#: rule 17, it reads no attribute of a catalog and holds no sharded one.
+SHARD_PLANNER = "shard/planner.py"
+LIVE_SHARDED = "repro.shard.catalog.ShardedCatalog"
 
 
-def _live_read(node: ast.AST) -> Optional[str]:
+def _names_a_catalog(node: ast.AST) -> bool:
+    """Whether ``node`` is ``catalog`` or ``<anything>.catalog``."""
+    return (isinstance(node, ast.Name) and node.id == "catalog") or (
+        isinstance(node, ast.Attribute) and node.attr == "catalog"
+    )
+
+
+def _live_read(node: ast.AST, where: str) -> Optional[str]:
     """What ``node`` reads beside the snapshot that rule 17 refuses, or
     None."""
     if isinstance(node, ast.Attribute) and node.attr == "disk":
         return "reads a disk"
+    if where == SHARD_PLANNER:
+        if isinstance(node, ast.Attribute) and _names_a_catalog(node.value):
+            return f"reads the catalog's .{node.attr}"
+        if isinstance(node, ast.ImportFrom) and any(
+            f"{node.module}.{alias.name}" == LIVE_SHARDED
+            for alias in node.names
+        ):
+            return "imports ShardedCatalog"
     if isinstance(node, ast.Import):
         modules = [alias.name for alias in node.names]
     elif isinstance(node, ast.ImportFrom) and node.module:
@@ -946,11 +1002,11 @@ def check_one_planning_snapshot(root=ROOT / "src" / "repro") -> list[str]:
             key=lambda node: getattr(node, "lineno", 0),
         )
         for node in nodes:
-            problem = _live_read(node)
+            problem = _live_read(node, where)
             if problem is not None:
                 problems.append(
                     f"{where}:{node.lineno}: {problem} — the planner reads "
-                    f"the catalog through its PlanningContext only"
+                    f"the catalog through its snapshot only"
                 )
     return problems
 
@@ -1110,7 +1166,8 @@ def main() -> int:
         f"repro.machine / repro.obs members and constructor keywords "
         f"resolve, documented REPRO_* variables all read under src/, "
         f"span catalog in sync "
-        f"({len(documented_spans(OBSERVABILITY.read_text()))} names), "
+        f"({len(documented_spans(OBSERVABILITY.read_text()))} names, each "
+        f"in its SPAN_LAYERS layer), "
         f"one stored form under src/, "
         f"{PROOF_TYPE} named by its {len(PROOF_PRODUCERS)} producers only, "
         f"operator node types branched on in "
