@@ -133,14 +133,35 @@ def rows_where(
 
 
 def joined_rows(
-    a: Relation,
-    b: Relation,
+    a: Relation | MultiRelation,
+    b: Relation | MultiRelation,
     match_i: np.ndarray,
     match_j: np.ndarray,
-    b_keep: list[int],
-) -> np.ndarray:
+    b_keep: Sequence[int],
+) -> np.ndarray | DistinctRows:
     """§6.2's retrieval: ``a_i`` concatenated with the ``b_keep`` columns
-    of ``b_j``, one row per match, in the order the matches are given."""
-    return np.concatenate(
+    of ``b_j``, one row per match, in the order the matches are given.
+
+    The join of two sets is a set when no pair repeats: two rows of one
+    ``a_i`` differ in their ``b_j``, and ``b_j`` agrees with ``a_i`` on
+    every column the retrieval drops (those it matched by equality), so
+    it differs from the other ``b_j`` in a column it keeps.  A blocked
+    run hands its pairs back in ``(i, j)`` order and a whole-array run
+    in exit order (``i + j``, then ``i``), so one pass proves none
+    repeats — the pairs' keys in one of those orders strictly increase
+    — and the rows say so.  Pairs in any other order, or over a
+    multi-relation, stay a bare matrix and the constructor checks them.
+    """
+    rows = np.concatenate(
         [a.array[match_i], b.array[match_j][:, b_keep]], axis=1
     )
+    if isinstance(a, Relation) and isinstance(b, Relation) and (
+        _increasing(match_i * len(b) + match_j)
+        or _increasing((match_i + match_j) * len(a) + match_i)
+    ):
+        return DistinctRows(rows)
+    return rows
+
+
+def _increasing(keys: np.ndarray) -> bool:
+    return bool((keys[1:] > keys[:-1]).all())

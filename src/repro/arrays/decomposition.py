@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
+from repro import obs
 from repro.arrays.base import execute, joined_rows, rows_where
 from repro.arrays.decode import blocked_verdicts, quotient_bits
 from repro.arrays.division import division_operands
@@ -105,20 +106,26 @@ def column_matrix(tuples: Sequence[Sequence[int]]) -> np.ndarray:
     return matrix
 
 
+_Out = TypeVar("_Out")
+
+
 def _run_blocked(
     a_matrix: np.ndarray,
     b_matrix: np.ndarray,
     capacity: ArrayCapacity,
     backend,
     reduce: str,
+    build: Callable[[np.ndarray], _Out],
     ops: Optional[Sequence[str]] = None,
     t_init: Optional[TInit] = None,
     variant: str = "counter",
-) -> tuple[np.ndarray, BlockedReport]:
+) -> tuple[_Out, BlockedReport]:
     """The T matrix of a problem larger than the device (§8), as one
-    engine run: what ``reduce`` keeps of it
-    (:class:`~repro.arrays.decode.Reduction`) and the accounting of the
-    block runs it stands for.
+    engine run: ``build`` of what ``reduce`` keeps of it
+    (:class:`~repro.arrays.decode.Reduction`) — the operator's output —
+    and the accounting of the block runs it stands for.  The verdict
+    decode and ``build`` are the ``arrays.decode`` span: the tap decode
+    layer of a device's run.
 
     Both tuple dimensions are blocked to the device's rows and, when
     the tuples are wider than the device, the element columns to its
@@ -140,7 +147,8 @@ def _run_blocked(
         a_blocks=plan.a_blocks, b_blocks=plan.b_blocks,
         column_blocks=plan.column_blocks,
     )
-    return blocked_verdicts(result, plan), report
+    with obs.span("arrays.decode", reduce=reduce):
+        return build(blocked_verdicts(result, plan)), report
 
 
 def blocked_pair_matrix(
@@ -161,11 +169,10 @@ def blocked_pair_matrix(
     n_a, n_b = len(a_tuples), len(b_tuples)
     if not (n_a and n_b):
         return np.zeros((n_a, n_b), dtype=bool).tolist(), BlockedReport()
-    matrix, report = _run_blocked(
+    return _run_blocked(
         column_matrix(a_tuples), column_matrix(b_tuples), capacity, backend,
-        "matrix", t_init=t_init, variant=variant,
+        "matrix", np.ndarray.tolist, t_init=t_init, variant=variant,
     )
-    return matrix.tolist(), report
 
 
 def _membership(
@@ -173,11 +180,13 @@ def _membership(
     b_matrix: np.ndarray,
     capacity: ArrayCapacity,
     backend,
+    build: Callable[[np.ndarray], Relation],
     t_init: TInit = t_init_true,
     element_bits: Optional[int] = None,
     variant: str = "counter",
-) -> tuple[np.ndarray, BlockedReport]:
-    """``t_i = OR_j t_ij`` (equation 4.1) over the blocked T matrix.
+) -> tuple[Relation, BlockedReport]:
+    """``build`` of ``t_i = OR_j t_ij`` (equation 4.1) over the blocked
+    T matrix.
 
     The rows of ``T`` are ORed into the vector as they are produced, so
     the ``n_a × n_b`` matrix never exists at once.  On a §8 bit-level
@@ -187,13 +196,13 @@ def _membership(
     :func:`repro.perf.cost.bit_comparison_cost` exactly.
     """
     if not (len(a_matrix) and len(b_matrix)):
-        return np.zeros(len(a_matrix), dtype=bool), BlockedReport()
+        return build(np.zeros(len(a_matrix), dtype=bool)), BlockedReport()
     if element_bits is not None:
         a_matrix = expand_matrix(a_matrix, element_bits)
         b_matrix = expand_matrix(b_matrix, element_bits)
     return _run_blocked(
-        a_matrix, b_matrix, capacity, backend, "rows", t_init=t_init,
-        variant=variant,
+        a_matrix, b_matrix, capacity, backend, "rows", build,
+        t_init=t_init, variant=variant,
     )
 
 
@@ -203,11 +212,11 @@ def blocked_intersection(
 ) -> tuple[Relation, BlockedReport]:
     """``A ∩ B`` on a device too small for the whole problem."""
     a.schema.require_union_compatible(b.schema)
-    t_vector, report = _membership(
-        a.array, b.array, capacity, backend, element_bits=element_bits,
-        variant=variant,
+    return _membership(
+        a.array, b.array, capacity, backend,
+        lambda t_vector: Relation(a.schema, rows_where(a, t_vector)),
+        element_bits=element_bits, variant=variant,
     )
-    return Relation(a.schema, rows_where(a, t_vector)), report
 
 
 def blocked_difference(
@@ -216,11 +225,13 @@ def blocked_difference(
 ) -> tuple[Relation, BlockedReport]:
     """``A − B`` blocked: keep the FALSE rows of T (§4.3)."""
     a.schema.require_union_compatible(b.schema)
-    t_vector, report = _membership(
-        a.array, b.array, capacity, backend, element_bits=element_bits,
-        variant=variant,
+    return _membership(
+        a.array, b.array, capacity, backend,
+        lambda t_vector: Relation(
+            a.schema, rows_where(a, t_vector, keep=False)
+        ),
+        element_bits=element_bits, variant=variant,
     )
-    return Relation(a.schema, rows_where(a, t_vector, keep=False)), report
 
 
 def blocked_remove_duplicates(
@@ -228,11 +239,12 @@ def blocked_remove_duplicates(
     element_bits: Optional[int] = None, variant: str = "counter",
 ) -> tuple[Relation, BlockedReport]:
     """Remove-duplicates blocked: triangular mask via global t_init (§5)."""
-    drop, report = _membership(
-        a.array, a.array, capacity, backend, t_init=t_init_strict_lower,
-        element_bits=element_bits, variant=variant,
+    return _membership(
+        a.array, a.array, capacity, backend,
+        lambda drop: Relation(a.schema, rows_where(a, drop, keep=False)),
+        t_init=t_init_strict_lower, element_bits=element_bits,
+        variant=variant,
     )
-    return Relation(a.schema, rows_where(a, drop, keep=False)), report
 
 
 def blocked_union(
@@ -247,7 +259,9 @@ def blocked_union(
     )
 
 
-def _join_columns(matrix: np.ndarray, positions: list[int]) -> np.ndarray:
+def _join_columns(
+    matrix: np.ndarray, positions: Sequence[int]
+) -> np.ndarray:
     """The joined columns of a relation's matrix, in ``positions`` order.
 
     A view when they are adjacent (a single-column join always is): the
@@ -257,7 +271,7 @@ def _join_columns(matrix: np.ndarray, positions: list[int]) -> np.ndarray:
     join up, and the wait to get it back is billed here.
     """
     first, count = positions[0], len(positions)
-    if positions == list(range(first, first + count)):
+    if tuple(positions) == tuple(range(first, first + count)):
         return matrix[:, first:first + count]
     return matrix[:, positions]
 
@@ -283,11 +297,12 @@ def blocked_join(
         a_pos, b_pos, schema, b_keep = theta_join_layout(a, b, on, ops)
     if not a or not b:
         return Relation(schema), BlockedReport()
-    (match_i, match_j), report = _run_blocked(
+    return _run_blocked(
         _join_columns(a.array, a_pos), _join_columns(b.array, b_pos),
-        capacity, backend, "pairs", ops=ops, variant=variant,
+        capacity, backend, "pairs",
+        lambda pairs: Relation(schema, joined_rows(a, b, *pairs, b_keep)),
+        ops=ops, variant=variant,
     )
-    return Relation(schema, joined_rows(a, b, match_i, match_j, b_keep)), report
 
 
 def blocked_divide(

@@ -21,6 +21,7 @@ plan cache — the machine's, the pool's and every shard lane's alike.
 
 from __future__ import annotations
 
+import operator
 import threading
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
@@ -35,6 +36,10 @@ if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.store import RelationStore
 
 __all__ = ["Catalog"]
+
+#: How many planning contexts a catalog keeps (all dropped when full):
+#: one per distinct read set × roster it has compiled against.
+CONTEXT_MEMO_SIZE = 64
 
 
 class Catalog:
@@ -58,6 +63,12 @@ class Catalog:
         self._lock = threading.RLock()
         #: insertion-ordered: preload order decides memory placement.
         self._preloaded: dict[str, Relation] = {}
+        #: name -> (relation, {columns: record}) of each preload.
+        self._resident: dict[str, tuple] = {}
+        #: (reads, roster, memories, element bits) -> (records, disk
+        #: setup and free bytes, context): the contexts
+        #: :meth:`planning_context` built, shared with its lanes.
+        self._contexts: dict[tuple, tuple] = {}
 
     # -- mutation ----------------------------------------------------------
 
@@ -144,25 +155,84 @@ class Catalog:
         the preloads are placed.  Nothing else of the catalog is read, so
         a write to a relation outside ``reads`` leaves the snapshot, and
         the plans cached under its fingerprint, alone.
+
+        Each record is kept beside its source (a resident one beside
+        the preloaded relation, a stored one on the disk), and the
+        context itself — its fingerprint computed once — is handed back
+        while every record it holds is the very one a fresh look finds
+        and the disk and the memories' free bytes are as they were: a
+        warm compile derives no record and no fingerprint.
         """
+        reads = tuple(reads)
+        key = (reads, tuple(devices), memories, element_bits)
         with self._lock:
             disk, preloaded = self.disk, self._preloaded
-            bases = {}
+            records = []
             for name, columns in reads:
                 relation = preloaded.get(name)
-                bases[name] = (
+                records.append(
                     disk.record(name, columns) if relation is None
-                    else BaseRecord.of(relation, columns, resident=True)
+                    else self._resident_record(name, relation, columns)
                 )
-            # Positional: on a plan-cache hit this is most of the work.
-            return PlanningContext(
-                bases, disk.model, disk.logic_per_track, disk.element_bits,
+            # What the preloads leave of the memories; without any, the
+            # key's ``memories`` say it, and a warm compile skips this.
+            placed = preloaded_free_bytes(
+                preloaded.items(), *memories, element_bits
+            ) if preloaded else None
+            setup = (
+                disk, disk.model, disk.logic_per_track, disk.element_bits,
+                placed,
+            )
+            kept = self._contexts.get(key)
+            if (
+                kept is not None and kept[1] == setup
+                and all(map(operator.is_, kept[0], records))
+            ):
+                return kept[2]
+            # Positional: one field a line of the NamedTuple.
+            context = PlanningContext(
+                {name: record for (name, _), record in zip(reads, records)},
+                disk.model, disk.logic_per_track, disk.element_bits,
                 tuple(devices),
                 preloaded_free_bytes(
                     preloaded.items(), *memories, element_bits
                 ),
                 element_bits,
             )
+            if len(self._contexts) >= CONTEXT_MEMO_SIZE:
+                self._contexts.clear()
+            self._contexts[key] = (records, setup, context)
+            return context
+
+    def _resident_record(
+        self, name: str, relation: Relation, columns: tuple[ColumnRef, ...]
+    ) -> BaseRecord:
+        """The record of ``relation``, preloaded as ``name``, kept
+        beside it while the name holds that very relation."""
+        kept = self._resident.get(name)
+        if kept is None or kept[0] is not relation:
+            kept = self._resident[name] = (relation, {})
+        record = kept[1].get(columns)
+        if record is None:
+            record = kept[1][columns] = BaseRecord.of(
+                relation, columns, resident=True
+            )
+        return record
+
+    def lane(self) -> "Catalog":
+        """A catalog for one query: the same disk and a copy of the
+        preloads, which the query may add to (a sharded query's
+        exchanged relations) without the tenant's other queries seeing
+        them.  It starts with this catalog's kept records and shares
+        its kept contexts — each checked against its sources on every
+        use, and holding no relation — so its compiles hit what the
+        tenant's earlier queries kept."""
+        with self._lock:
+            lane = Catalog(tenant=self.tenant, disk=self.disk)
+            lane._preloaded = dict(self._preloaded)
+            lane._resident = dict(self._resident)
+            lane._contexts = self._contexts
+            return lane
 
     def __repr__(self) -> str:
         with self._lock:

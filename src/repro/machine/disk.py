@@ -61,6 +61,9 @@ class MachineDisk:
         self._extents: dict[str, tuple[int, int, int]] = {}
         #: bytes taken on each cylinder so far.
         self._used: list[int] = []
+        #: name -> (source, cylinder, {columns: record}): the planning
+        #: records of :meth:`record`, kept while the source is the same.
+        self._records: dict[str, tuple] = {}
 
     # -- catalog --------------------------------------------------------------
 
@@ -69,6 +72,9 @@ class MachineDisk:
         if not name:
             raise PlanError("a stored relation requires a name")
         self._free(name)
+        # Only to let go of the old relation: a kept record is checked
+        # against its source on every read, whoever writes.
+        self._records.pop(name, None)
         self._extents[name] = self._place(
             self._tuple_bytes(len(relation), relation.arity)
         )
@@ -190,20 +196,43 @@ class MachineDisk:
         alike share plans.  None when this disk holds no such relation.
         Costs one ``stat`` for a store-backed relation whose manifest
         has not changed.
+
+        A record is built once and kept beside its source — the stored
+        :class:`Relation` and the cylinder it lies on, or the store's
+        read handle — and handed back while the disk holds that very
+        source there.  An overwrite, a re-store that moves the relation,
+        or a rewrite of the store (whoever wrote it) puts another source
+        in its place, and the next call builds the record anew; nothing
+        has to clear the memo, so a reader racing a writer under another
+        lock reads a record of what it found or builds one.
         """
+        columns = tuple(columns)
         relation = self._catalog.get(name)
         if relation is not None:
-            return BaseRecord.of(relation, columns, False, self.cylinder(name))
-        handle = self._handle(name)
-        if handle is None:
-            return None
-        return BaseRecord(
-            handle.rows, handle.schema,
-            distinct=tuple(
-                (column, handle.distinct_count(column)) for column in columns
-            ),
-            handle=handle,
-        )
+            first, count, _ = self._extents[name]
+            source, cylinder = relation, first if count == 1 else None
+        else:
+            source, cylinder = self._handle(name), None
+            if source is None:
+                return None
+        kept = self._records.get(name)
+        if kept is None or kept[0] is not source or kept[1] != cylinder:
+            kept = self._records[name] = (source, cylinder, {})
+        record = kept[2].get(columns)
+        if record is None:
+            record = kept[2][columns] = (
+                BaseRecord.of(relation, columns, False, cylinder)
+                if relation is not None
+                else BaseRecord(
+                    source.rows, source.schema,
+                    distinct=tuple(
+                        (column, source.distinct_count(column))
+                        for column in columns
+                    ),
+                    handle=source,
+                )
+            )
+        return record
 
     # -- reading ---------------------------------------------------------------
 

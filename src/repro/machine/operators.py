@@ -57,7 +57,7 @@ from repro.systolic.engine.schedule import VARIANTS
 
 __all__ = [
     "Operator", "OPERATORS", "operator_of", "infer_schema", "estimate_rows",
-    "keyed_columns", "SELECTIVITY",
+    "keyed_columns", "keyed_join_rows", "SELECTIVITY",
 ]
 
 #: Fraction of tuples a selection is assumed to keep (System R's 1/3).
@@ -326,9 +326,8 @@ def estimate_rows(
         estimate_rows(child, cardinalities, distinct)
         for child in plan.children
     ]
-    pairs = _keyed_pairs(plan)
-    if distinct is not None and pairs:
-        keyed = _keyed_rows(plan, pairs, counts, distinct)
+    if distinct is not None and _keyed_pairs(plan):
+        keyed = _keyed_rows(plan, counts, distinct)
         if keyed is not None:
             return keyed
     return row.rows(plan, *counts)
@@ -359,16 +358,38 @@ def _keyed_pairs(node: PlanNode) -> Sequence[tuple]:
     return matched(node)
 
 
-def _keyed_rows(node, pairs, counts, distinct) -> Optional[int]:
+def _keyed_rows(node, counts, distinct) -> Optional[int]:
     """System R's equi-join size from the matched columns' distinct
     counts; None unless they are all known."""
     left, right = node.children
-    n_a, n_b = counts
+    return keyed_join_rows(
+        node, *counts,
+        lambda column: distinct(left.name, column),
+        lambda column: distinct(right.name, column),
+    )
+
+
+def keyed_join_rows(
+    node: PlanNode,
+    n_a: int,
+    n_b: int,
+    distinct_a: Callable[[ColumnRef], Optional[int]],
+    distinct_b: Callable[[ColumnRef], Optional[int]],
+) -> Optional[int]:
+    """System R's ``|A|·|B| / Π max(V_A, V_B)`` for a join of ``n_a`` ×
+    ``n_b`` rows over the columns it matches by equality, their
+    distinct values read through ``distinct_a`` / ``distinct_b`` (a
+    column of the side → its count, or None); None for a node that
+    matches no column by equality or where a count is unknown."""
+    matched = operator_of(node).matched
+    pairs = matched(node) if matched is not None else ()
+    if not pairs:
+        return None
     if not (n_a and n_b):
         return 0
     divisor = 1
     for a_column, b_column in pairs:
-        v_a, v_b = distinct(left.name, a_column), distinct(right.name, b_column)
+        v_a, v_b = distinct_a(a_column), distinct_b(b_column)
         if v_a is None or v_b is None:
             return None
         divisor *= max(v_a, v_b)

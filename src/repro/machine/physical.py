@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import (
     TYPE_CHECKING,
     Iterable,
@@ -74,6 +75,7 @@ __all__ = [
     "OP_ARRAY",
     "BaseRecord",
     "DiskSweep",
+    "Fingerprint",
     "PhysicalOp",
     "PipelinedChain",
     "PhysicalPlan",
@@ -82,6 +84,7 @@ __all__ = [
     "estimate_cost",
     "actual_cost",
     "plan_fingerprint",
+    "plan_keys",
     "base_reads",
     "roster_fingerprint",
     "select_fused_bases",
@@ -95,6 +98,20 @@ OP_CPU = "cpu"            #: host-CPU selection
 OP_ARRAY = "array"        #: systolic-device operation
 
 
+class Fingerprint(tuple):
+    """A tuple that hashes once: a plan-cache key part (a transaction's
+    shape, a planning snapshot) is built once and then looked up on
+    every warm query, and a plain tuple would rehash all of its nested
+    parts each time.  Equal to, and hashing like, the plain tuple."""
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = tuple.__hash__(self)
+            return self._hash
+
+
 def plan_fingerprint(plans: Sequence[PlanNode]) -> tuple:
     """A hashable structural key for a transaction's logical plans.
 
@@ -105,9 +122,18 @@ def plan_fingerprint(plans: Sequence[PlanNode]) -> tuple:
     what the machine's compile cache is keyed on.
 
     Plan nodes are frozen, so a transaction's fingerprint is computed
-    once and kept on its first root.
+    once and kept on its first root (:func:`plan_keys`).
     """
-    return _kept_on_root(plans, "_fingerprint", _fingerprint)
+    return plan_keys(plans)[0]
+
+
+def plan_keys(plans: Sequence[PlanNode]) -> tuple[tuple, tuple]:
+    """``(plan_fingerprint(plans), base_reads(plans))``: what a compile
+    keys and snapshots a transaction by, kept together on its first
+    root so a warm compile finds both in one look."""
+    return _kept_on_root(plans, "_keys", lambda plans: (
+        _fingerprint(plans), _base_reads(plans)
+    ))
 
 
 def _kept_on_root(plans: Sequence[PlanNode], attr: str, compute):
@@ -150,7 +176,7 @@ def _fingerprint(plans: Sequence[PlanNode]) -> tuple:
                 params.append((spec.name, value))
         return (type(node).__name__, tuple(params), tuple(children))
 
-    return tuple(fingerprint(plan) for plan in plans)
+    return Fingerprint(fingerprint(plan) for plan in plans)
 
 
 def base_reads(
@@ -159,8 +185,12 @@ def base_reads(
     """What a compile of the plans reads of a catalog: each base relation
     they name, in name order, with the columns whose distinct counts
     sizing their joins reads (:func:`~repro.machine.operators.keyed_columns`).
-    Kept on the first root, like the transaction's fingerprint."""
-    return _kept_on_root(plans, "_base_reads", lambda plans: tuple(
+    Kept on the first root with the transaction's fingerprint."""
+    return plan_keys(plans)[1]
+
+
+def _base_reads(plans: Sequence[PlanNode]) -> tuple:
+    return Fingerprint(
         (name, tuple(dict.fromkeys(
             column for plan in plans
             for base, column in keyed_columns(plan) if base == name
@@ -169,7 +199,7 @@ def base_reads(
             node.name for plan in plans for node in walk(plan)
             if isinstance(node, Base)
         })
-    ))
+    )
 
 
 def roster_fingerprint(devices: Iterable) -> tuple:
@@ -540,7 +570,17 @@ class BaseRecord(NamedTuple):
                 handle and handle.digest)
 
 
-class PlanningContext(NamedTuple):
+class _ContextFields(NamedTuple):
+    bases: Mapping[str, Optional[BaseRecord]]
+    disk_model: DiskModel
+    logic_per_track: bool
+    disk_element_bits: int
+    devices: Sequence
+    memory_free: tuple[int, ...]
+    element_bits: int = 32
+
+
+class PlanningContext(_ContextFields):
     """Everything :class:`PhysicalPlanner` reads, as one frozen value.
 
     The machine, the engine pool and every shard lane build one per
@@ -552,31 +592,25 @@ class PlanningContext(NamedTuple):
     free bytes once the preloads are placed (what a disk sweep must
     land in), and the machine's element width.  :attr:`fingerprint`
     is the plan-cache key's part for it: equal contexts compile equal
-    plans.
+    plans.  It is computed once a context; a catalog hands the same
+    context back while nothing it holds has changed, so a plan-cache
+    hit derives neither.
     """
 
-    bases: Mapping[str, Optional[BaseRecord]]
-    disk_model: DiskModel
-    logic_per_track: bool
-    disk_element_bits: int
-    devices: Sequence
-    memory_free: tuple[int, ...]
-    element_bits: int = 32
-
-    @property
+    @cached_property
     def fingerprint(self) -> tuple:
         """The context as one hashable value: every field, each record
         as its :attr:`BaseRecord.key` and the roster as its
         :func:`roster_fingerprint` (unpacked whole, like the record)."""
         bases, model, on_track, disk_bits, devices, free, bits = self
-        return (
+        return Fingerprint((
             tuple([
                 (name, record and record.key)
                 for name, record in bases.items()
             ]),
             model, on_track, disk_bits, roster_fingerprint(devices), free,
             bits,
-        )
+        ))
 
     def base(self, name: str) -> BaseRecord:
         """The record of a base relation the plans load."""

@@ -48,8 +48,7 @@ from repro.machine.execution import PlanExecutor, build_devices, check_memories
 from repro.machine.physical import (
     PhysicalPlan,
     PhysicalPlanner,
-    base_reads,
-    plan_fingerprint,
+    plan_keys,
 )
 from repro.machine.plan import PlanNode
 from repro.machine.scheduler import ExecutionReport
@@ -118,7 +117,7 @@ class PlanCache:
             return build(), False
         while True:
             with self._lock:
-                done = self._in_flight.get(key)
+                done = self._in_flight.get(key) if self._in_flight else None
                 if done is None:
                     cached = self.get(key)
                     if cached is not None:
@@ -179,8 +178,9 @@ def compile_plans(
         "machine.compile", plans=len(plans), pipeline=bool(pipeline),
         **span_attrs,
     ) as sp:
+        fingerprint, reads = plan_keys(plans)
         context = catalog.planning_context(
-            base_reads(plans), devices, memories, element_bits
+            reads, devices, memories, element_bits
         )
 
         def build() -> PhysicalPlan:
@@ -194,7 +194,7 @@ def compile_plans(
             sp.mark_children_volatile()
         physical, cached = cache.get_or_build(
             (
-                plan_fingerprint(plans),
+                fingerprint,
                 tuple(arrivals) if arrivals is not None else None,
                 bool(pipeline),
                 context.fingerprint,

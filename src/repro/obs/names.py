@@ -133,8 +133,7 @@ LAYERS = (
 
 #: span name -> the layer its self time belongs to, one entry per name of
 #: the span catalog in ``docs/OBSERVABILITY.md`` (``tools/check_docs.py``
-#: holds the two equal).  The tap decode has no span of its own: it is
-#: part of ``device.execute``'s self time.
+#: holds the two equal).
 SPAN_LAYERS: dict[str, str] = {
     "cli.<stage>": "wire",
     "serve.request": "wire",
@@ -158,6 +157,7 @@ SPAN_LAYERS: dict[str, str] = {
     "store.read": "store scan",
     "device.execute": "device blocking",
     "engine.run": "engine kernel",
+    "arrays.decode": "tap decode",
 }
 
 __all__ = [

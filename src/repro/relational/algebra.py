@@ -158,9 +158,14 @@ def select(
     return Relation(a.schema, (t for t in a.tuples if comparison(t[position], value)))
 
 
+#: How many join layouts a schema keeps as the left side (all dropped
+#: when full): one per right-hand schema object and column list.
+LAYOUT_MEMO_SIZE = 64
+
+
 def equi_join_layout(
     a: Relation, b: Relation, on: Sequence[tuple[ColumnRef, ColumnRef]]
-) -> tuple[list[int], list[int], Schema, list[int]]:
+) -> tuple[tuple[int, ...], tuple[int, ...], Schema, tuple[int, ...]]:
     """Resolve join columns, check domains, build the output schema.
 
     Returns ``(a_positions, b_positions, schema, b_keep)`` where
@@ -168,26 +173,47 @@ def equi_join_layout(
     concatenation (the matching columns of B are dropped — the paper's
     ``|{CA,CB}`` operator keeps a single copy; it follows Codd [1] in
     omitting the redundant column, see footnote 2 of §6.1).
+
+    A layout reads nothing but the two schemas and ``on``, so it is
+    resolved once per right-hand schema object and column list and
+    kept on the left schema (:attr:`Schema.join_layouts`; the entry
+    holds B's schema, so its id is not reused while it lives).
     """
+    on = tuple(map(tuple, on))
+    layouts = a.schema.join_layouts
+    key = (id(b.schema), on)
+    kept = layouts.get(key)
+    if kept is not None and kept[0] is b.schema:
+        return kept[1]
+    layout = _equi_join_layout(a.schema, b.schema, on)
+    if len(layouts) >= LAYOUT_MEMO_SIZE:
+        layouts.clear()
+    layouts[key] = (b.schema, layout)
+    return layout
+
+
+def _equi_join_layout(
+    a_schema: Schema,
+    b_schema: Schema,
+    on: tuple[tuple[ColumnRef, ColumnRef], ...],
+) -> tuple[tuple[int, ...], tuple[int, ...], Schema, tuple[int, ...]]:
     if not on:
         raise SchemaError("a join requires at least one column pair")
-    a_positions = a.schema.resolve_many([ca for ca, _ in on])
-    b_positions = b.schema.resolve_many([cb for _, cb in on])
+    a_positions = tuple(a_schema.resolve_many([ca for ca, _ in on]))
+    b_positions = tuple(b_schema.resolve_many([cb for _, cb in on]))
     for (ca, cb), pa, pb in zip(on, a_positions, b_positions):
-        da = a.schema[pa].domain
-        db = b.schema[pb].domain
+        da = a_schema[pa].domain
+        db = b_schema[pb].domain
         if da != db:
             raise SchemaError(
                 f"join columns {ca!r}/{cb!r} are on different domains "
                 f"({da.name!r} vs {db.name!r}); the join is not well-defined"
             )
     dropped = set(b_positions)
-    b_keep = [i for i in range(len(b.schema)) if i not in dropped]
-    if b_keep:
-        b_schema = b.schema.project(b_keep)
-        schema = a.schema.concat(b_schema)
-    else:
-        schema = a.schema
+    b_keep = tuple(i for i in range(len(b_schema)) if i not in dropped)
+    schema = (
+        a_schema.concat(b_schema.project(b_keep)) if b_keep else a_schema
+    )
     return a_positions, b_positions, schema, b_keep
 
 
@@ -217,7 +243,7 @@ def theta_join_layout(
     b: Relation,
     on: Sequence[tuple[ColumnRef, ColumnRef]],
     ops: Sequence[str],
-) -> tuple[list[int], list[int], Schema, list[int]]:
+) -> tuple[tuple[int, ...], tuple[int, ...], Schema, tuple[int, ...]]:
     """Resolve θ-join columns and build the output schema.
 
     Only equality columns are redundant; columns compared with other
@@ -231,10 +257,10 @@ def theta_join_layout(
     for op in ops:
         if op not in COMPARISON_OPS:
             raise SchemaError(f"unknown comparison operator {op!r}")
-    a_positions = a.schema.resolve_many([ca for ca, _ in on])
-    b_positions = b.schema.resolve_many([cb for _, cb in on])
+    a_positions = tuple(a.schema.resolve_many([ca for ca, _ in on]))
+    b_positions = tuple(b.schema.resolve_many([cb for _, cb in on]))
     dropped = {pb for pb, op in zip(b_positions, ops) if op == "=="}
-    b_keep = [i for i in range(len(b.schema)) if i not in dropped]
+    b_keep = tuple(i for i in range(len(b.schema)) if i not in dropped)
     schema = a.schema.concat(b.schema.project(b_keep)) if b_keep else a.schema
     return a_positions, b_positions, schema, b_keep
 

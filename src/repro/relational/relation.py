@@ -150,8 +150,10 @@ class DistinctRows:
     be pairwise distinct (package-internal: never exported, never built
     from anything that crossed the process boundary).
 
-    Three facts license one: the rows are a boolean-mask subset of a
-    :class:`Relation` (:meth:`where`); they were read from a store
+    Four facts license one: the rows are a boolean-mask subset of a
+    :class:`Relation` (:meth:`where`); they join two relations — sets —
+    pair by pair with no pair repeated (§6.2's retrieval,
+    :func:`repro.arrays.base.joined_rows`); they were read from a store
     manifest whose writer proved them distinct; or they concatenate
     pieces that the shard planner's ``Distribution`` says share no row.
     The constructor of a relation takes the matrix without the pack +

@@ -155,6 +155,13 @@ class Schema:
         return tuple(c.domain for c in self._columns)
 
     @cached_property
+    def join_layouts(self) -> dict:
+        """Join layouts resolved with this schema as the left side
+        (:func:`repro.relational.algebra.equi_join_layout`), kept here
+        because a schema is immutable."""
+        return {}
+
+    @cached_property
     def key(self) -> tuple[tuple[str, str], ...]:
         """The schema as a hashable value — column and domain names —
         as the plan cache sees it.  Computed once: a schema is

@@ -24,14 +24,18 @@ planner, plan cache, executor) works unchanged below the shard layer.
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from repro import obs
 from repro.errors import PlanError
-from repro.machine.catalog import Catalog
-from repro.machine.physical import PlanningContext
+from repro.machine.catalog import CONTEXT_MEMO_SIZE, Catalog
+from repro.machine.physical import Fingerprint, PlanningContext
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnRef
 from repro.shard.partition import (
@@ -66,23 +70,32 @@ class Distribution:
         return self.kind
 
 
-class ShardedSnapshot(NamedTuple):
+class _SnapshotFields(NamedTuple):
+    contexts: tuple[PlanningContext, ...]
+    placements: Mapping[str, Distribution]
+    spread: Mapping[tuple[str, ColumnRef], int]
+
+
+class ShardedSnapshot(_SnapshotFields):
     """Everything a :class:`~repro.shard.planner.ShardPlanner` lowering
     reads, as one frozen value: each shard's
     :class:`~repro.machine.physical.PlanningContext` of the relations
-    the plans name, and the placement of each of those the catalog
-    holds.  :attr:`fingerprint` is the lowered plan's plan-cache key
-    part for it: equal snapshots lower equal plans."""
+    the plans name, the placement of each of those the catalog holds,
+    and ``spread``: the exact distinct values of each column a join of
+    the plans matches by equality (:func:`~repro.machine.physical.base_reads`)
+    where no shard's own count says it — a partitioned relation's
+    non-key column, whose values repeat across the pieces, counted as
+    the union of every piece's values.  :attr:`fingerprint` is the
+    lowered plan's plan-cache key part for it, computed once a
+    snapshot: equal snapshots lower equal plans."""
 
-    contexts: tuple[PlanningContext, ...]
-    placements: Mapping[str, Distribution]
-
-    @property
+    @cached_property
     def fingerprint(self) -> tuple:
-        return (
+        return Fingerprint((
             tuple([context.fingerprint for context in self.contexts]),
             tuple(self.placements.items()),
-        )
+            tuple(self.spread.items()),
+        ))
 
 
 class ShardedCatalog:
@@ -120,6 +133,8 @@ class ShardedCatalog:
         self._lock = threading.RLock()
         self._partitioner = HashPartitioner() if strategy == "hash" else None
         self._placements: dict[str, Distribution] = {}
+        #: (reads, roster) -> the snapshot :meth:`snapshot` built.
+        self._snapshots: dict[tuple, ShardedSnapshot] = {}
 
     # -- mutation ----------------------------------------------------------
 
@@ -219,24 +234,66 @@ class ShardedCatalog:
     ) -> ShardedSnapshot:
         """What a lowering of plans that read ``reads`` plans from: each
         shard's planning snapshot
-        (:meth:`~repro.machine.catalog.Catalog.planning_context`) and the
-        placements of the relations ``reads`` names, all taken under
-        this catalog's lock, so a relation being placed is in every part
-        of the snapshot or in none."""
+        (:meth:`~repro.machine.catalog.Catalog.planning_context`), the
+        placements of the relations ``reads`` names and the distinct
+        counts only the shards together know (``spread``), all taken
+        under this catalog's lock, so a relation being placed is in
+        every part of the snapshot or in none.
+
+        The snapshot is kept and handed back — its spread counts and
+        fingerprint with it — while every shard hands back the very
+        context it was built from and the placements are equal: a warm
+        lowering derives nothing.
+        """
         reads = tuple(reads)
+        key = (reads, tuple(devices))
         with self._lock:
-            return ShardedSnapshot(
-                tuple([
-                    shard.planning_context(
-                        reads, devices, element_bits=self.element_bits
-                    )
-                    for shard in self.shards
-                ]),
-                {
-                    name: self._placements[name] for name, _ in reads
-                    if name in self._placements
-                },
+            contexts = tuple([
+                shard.planning_context(
+                    reads, devices, element_bits=self.element_bits
+                )
+                for shard in self.shards
+            ])
+            placements = {
+                name: self._placements[name] for name, _ in reads
+                if name in self._placements
+            }
+            kept = self._snapshots.get(key)
+            if (
+                kept is not None
+                and all(map(operator.is_, kept.contexts, contexts))
+                and kept.placements == placements
+            ):
+                return kept
+            snapshot = ShardedSnapshot(
+                contexts, placements, self._spread(reads, placements)
             )
+            if len(self._snapshots) >= CONTEXT_MEMO_SIZE:
+                self._snapshots.clear()
+            self._snapshots[key] = snapshot
+            return snapshot
+
+    def _spread(
+        self,
+        reads: tuple[tuple[str, tuple[ColumnRef, ...]], ...],
+        placements: Mapping[str, Distribution],
+    ) -> dict[tuple[str, ColumnRef], int]:
+        """The distinct values of each column ``reads`` lists of a
+        partitioned relation other than its key: the union of each
+        shard's sorted unique values (``np.union1d``)."""
+        spread = {}
+        for name, columns in reads:
+            placement = placements.get(name)
+            if placement is None or placement.kind != PARTITIONED:
+                continue
+            pieces = [shard.relation(name) for shard in self.shards]
+            for column in columns:
+                position = pieces[0].schema.resolve(column)
+                if position != placement.key:
+                    spread[name, column] = len(reduce(np.union1d, [
+                        piece.array[:, position] for piece in pieces
+                    ]))
+        return spread
 
     def __contains__(self, name: object) -> bool:
         with self._lock:

@@ -47,7 +47,7 @@ from repro.faults.recovery import (
     replan_on_quarantine,
 )
 from repro.machine.catalog import Catalog
-from repro.machine.physical import PhysicalPlan, base_reads, plan_fingerprint
+from repro.machine.physical import PhysicalPlan, plan_keys
 from repro.machine.plan import PlanNode
 from repro.machine.scheduler import ExecutionReport, ScheduledStep
 from repro.obs import metrics
@@ -202,9 +202,10 @@ class ShardedExecutor:
         """
         if isinstance(plans, PlanNode):
             plans = [plans]
-        snapshot = self.catalog.snapshot(base_reads(plans), self.pool.devices)
+        fingerprint, reads = plan_keys(plans)
+        snapshot = self.catalog.snapshot(reads, self.pool.devices)
         sharded, _ = self.pool.plan_cache.get_or_build(
-            ("sharded", plan_fingerprint(plans), snapshot.fingerprint),
+            ("sharded", fingerprint, snapshot.fingerprint),
             lambda: ShardPlanner().lower(plans, snapshot),
         )
         return sharded
@@ -355,18 +356,13 @@ class ShardedExecutor:
     # -- stages ------------------------------------------------------------
 
     def _lanes(self) -> list[Catalog]:
-        """Per-query shard catalogs: shared disks, private preload sets.
+        """Per-query shard catalogs (:meth:`Catalog.lane`): shared
+        disks and planning memos, private preload sets.
 
         Exchange intermediates are preloaded per query, so they must
         not leak into the shard catalogs other queries read.
         """
-        lanes = []
-        for shard in self.catalog.shards:
-            lane = Catalog(tenant=shard.tenant, disk=shard.disk)
-            for name, relation in shard.preloaded():
-                lane.preload(name, relation)
-            lanes.append(lane)
-        return lanes
+        return [shard.lane() for shard in self.catalog.shards]
 
     def _stage_plan(
         self,

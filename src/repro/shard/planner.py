@@ -36,12 +36,18 @@ so the exchange no longer costs a second revolution.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.errors import PlanError
-from repro.machine.operators import estimate_rows, infer_schema, operator_of
+from repro.machine.operators import (
+    estimate_rows,
+    infer_schema,
+    keyed_join_rows,
+    operator_of,
+)
 from repro.machine.physical import (
     PlanningContext,
     price_array_op,
@@ -322,6 +328,7 @@ class ShardPlanner:
         ones (partitioned: the pieces' sum)."""
         self._contexts = snapshot.contexts
         self._placements = snapshot.placements
+        self._spread = snapshot.spread
         self.shards = len(self._contexts)
         self.devices = self._contexts[0].devices
         self._bits = self._contexts[0].element_bits
@@ -506,9 +513,11 @@ class ShardPlanner:
         stays put: its largest piece; a re-partitioned side:
         ⌈n/shards⌉; a broadcast side: n) — and return the cheapest."""
         n_a, n_b = self._rows(node.left), self._rows(node.right)
-        kept_a, kept_b = self._lane_rows(node.left), self._lane_rows(node.right)
+        kept_a, kept_b = self._kept(node.left), self._kept(node.right)
+        whole_a = (n_a, self._counts(node.left, self._distinct))
+        whole_b = (n_b, self._counts(node.right, self._distinct))
         bits, shards = self._bits, self.shards
-        strategies = []  # (strategy, seconds moving, lane rows of A, of B)
+        strategies = []  # (strategy, seconds moving, lane side A, side B)
         if keyed:
             moved, lanes = 0.0, []
             for n, schema, kept, dist, key in (
@@ -518,12 +527,12 @@ class ShardPlanner:
                 stays = self._hash_partitioned(dist, key)
                 if not stays:
                     moved += shuffle_cost(n, len(schema), bits, shards).seconds
-                lanes.append(kept if stays else -(-n // shards))
+                lanes.append(kept if stays else (-(-n // shards), _unknown))
             strategies.append((REPARTITION, moved, *lanes))
         strategies.append(("broadcast_right", broadcast_cost(
-            n_b, len(b_schema), bits, shards).seconds, kept_a, n_b))
+            n_b, len(b_schema), bits, shards).seconds, kept_a, whole_b))
         strategies.append(("broadcast_left", broadcast_cost(
-            n_a, len(a_schema), bits, shards).seconds, n_a, kept_b))
+            n_a, len(a_schema), bits, shards).seconds, whole_a, kept_b))
         arities = (len(a_schema), len(b_schema), len(self._schema(node)))
         _, _, strategy, priced = min(
             (moved + (priced.seconds if priced else 0.0), index, strategy,
@@ -619,38 +628,69 @@ class ShardPlanner:
         return estimate_rows(node, self._cards, self._distinct)
 
     def _distinct(self, name: str, column) -> Optional[int]:
-        """A base column's distinct values where the shards make them
-        exact — a replicated relation's, or the partition key's (equal
-        values co-locate, so the pieces' counts add up); else None."""
+        """A base column's distinct values across the shards, exact: a
+        replicated relation's (one copy's count), the partition key's
+        (equal values co-locate, so the pieces' counts add up), or any
+        other column's as the snapshot counted the union of the pieces
+        (``spread``); None for a column no join of the plans matches."""
         placement = self._placement(name)
         if placement.kind == REPLICATED:
             return self._contexts[0].distinct_count(name, column)
         if self._schemas[name].resolve(column) != placement.key:
-            return None
+            return self._spread.get((name, column))
         counts = [c.distinct_count(name, column) for c in self._contexts]
         return None if None in counts else sum(counts)
 
-    def _lane_rows(self, node: PlanNode) -> int:
+    def _largest_lane(self, node: PlanNode) -> tuple[int, PlanningContext]:
         """The rows ``node`` leaves on its largest lane, as that lane's
-        own compile estimates them from its snapshot."""
-        return max(
+        own compile estimates them from its snapshot, and the context
+        of that lane (the first of the largest)."""
+        sizes = [
             estimate_rows(node, lane, context.distinct_count)
             for lane, context in zip(self._lanes, self._contexts)
-        )
+        ]
+        largest = sizes.index(max(sizes))
+        return sizes[largest], self._contexts[largest]
+
+    def _kept(self, node: PlanNode) -> tuple[int, Callable]:
+        """A join side that stays put, as its largest lane holds it: the
+        rows, and the distinct values of a base's columns there."""
+        rows, context = self._largest_lane(node)
+        return rows, self._counts(node, context.distinct_count)
+
+    @staticmethod
+    def _counts(node: PlanNode, distinct: Callable) -> Callable:
+        """``column → distinct values`` of a join side: ``distinct``'s
+        count of a base relation's column; unknown for any other
+        sub-plan, whose lane compile sizes the join by the row law."""
+        if isinstance(node, Base):
+            return functools.partial(distinct, node.name)
+        return _unknown
 
     def _price(
-        self, node: Join, n_a: int, n_b: int,
+        self, node: Join, side_a: tuple[int, Callable],
+        side_b: tuple[int, Callable],
         arity_a: int, arity_b: int, arity_out: int,
     ):
-        """The join on a lane holding ``n_a`` × ``n_b`` rows, at its
-        quickest as the lane's own planner prices it (every device of
-        its kind, every variant, the memory streams); None without a
-        device of its kind."""
+        """The join on a lane holding ``side_a`` × ``side_b`` — each
+        ``(rows, column → distinct values)`` — at its quickest as the
+        lane's own planner prices it (every device of its kind, every
+        variant, the memory streams, the output sized by System R where
+        every matched column's count is known there, else by the join
+        row's law); None without a device of its kind."""
+        (n_a, distinct_a), (n_b, distinct_b) = side_a, side_b
         width = (self._bits + 7) // 8
-        rows_out = operator_of(node).rows(node, n_a, n_b)
+        rows_out = keyed_join_rows(node, n_a, n_b, distinct_a, distinct_b)
+        if rows_out is None:
+            rows_out = operator_of(node).rows(node, n_a, n_b)
         return quickest(itertools.chain(*price_array_op(
             node, n_a, n_b, arity_a,
             [n_a * arity_a * width, n_b * arity_b * width,
              rows_out * arity_out * width],
             self.devices,
         ).values()))
+
+
+def _unknown(column) -> None:
+    """The distinct values of a column nobody counted."""
+    return None

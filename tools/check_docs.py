@@ -65,8 +65,10 @@ Nineteen checks, all run in CI next to the bench gate::
    into a relation without the duplicate search (ISSUE 23), so only the
    five sources that can know the rows are a set may name it
    (:data:`PROOF_PRODUCERS`): the type itself, the row-subset helpers
-   of the arrays and the partitioner, the store's read of a proved
-   manifest, and the executor's merge of disjoint shard pieces.  A use
+   of the arrays and the partitioner, the arrays' join of two sets
+   (each pair of rows once, proved in one pass over the pairs), the
+   store's read of a proved manifest, and the executor's merge of
+   disjoint shard pieces.  A use
    anywhere else — the server, the language front end, the generators,
    the machine, the CLI, the CSV reader: wherever rows come from
    outside — fails here.
