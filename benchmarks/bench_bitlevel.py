@@ -249,7 +249,8 @@ def main(argv=None) -> int:
     report = {
         "description": "E21 packed-bitplane engine vs pulse-stepped "
                        "bit-level arrays, identical results and pulse "
-                       "counts (see docs/ENGINES.md)",
+                       "counts (see docs/ENGINES.md and "
+                       'docs/PERF.md, "engine kernel")',
         "entries": entries,
         "pulse_projection": _projection(calibration, scale_run),
         "cost_model": prediction,

@@ -119,7 +119,8 @@ def main(argv=None) -> int:
     report = {
         "description": "pulse (register stepper) vs lattice engine "
                        "wall-clock, best of >= 3 runs each, identical "
-                       "results and pulse counts (see docs/ENGINES.md)",
+                       "results and pulse counts (see docs/ENGINES.md and "
+                       'docs/PERF.md, "engine kernel")',
         "entries": entries,
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")

@@ -292,7 +292,7 @@ def main(argv=None) -> int:
     report = {
         "description": "cost-based physical planner: pipelined chain vs "
                        "store-and-forward on divide(project(join)) "
-                       "(see docs/PLANNER.md and docs/PERF.md)",
+                       '(see docs/PLANNER.md and docs/PERF.md, "compile")',
         "entries": entries,
         "plan_cache": plan_cache,
         "multi_tenant": {

@@ -153,7 +153,7 @@ def joined_rows(
     multi-relation, stay a bare matrix and the constructor checks them.
     """
     rows = np.concatenate(
-        [a.array[match_i], b.array[match_j][:, b_keep]], axis=1
+        [a.array[match_i], b.array[match_j[:, None], b_keep]], axis=1
     )
     if isinstance(a, Relation) and isinstance(b, Relation) and (
         _increasing(match_i * len(b) + match_j)

@@ -31,9 +31,6 @@ from repro.systolic.engine import HexPlan
 from repro.systolic.engine.hexmesh import (
     BOOLEAN_SEMIRING,
     COMPARISON_SEMIRING,
-    U_A,
-    U_B,
-    U_C,
     Semiring,
 )
 

@@ -17,8 +17,6 @@ Grammar::
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro import obs
 from repro.errors import ParseError
 from repro.lang.tokens import Token, tokenize

@@ -14,7 +14,6 @@ commas, ``=`` (keyword arguments), and the six comparison operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.errors import ParseError
 

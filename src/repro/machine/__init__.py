@@ -41,11 +41,6 @@ from repro.machine.physical import (
     PlanningContext,
 )
 from repro.machine.pipelining import ChainTiming, StageCost, analyze_chain
-from repro.machine.report_export import (
-    report_to_csv,
-    report_to_dict,
-    report_to_json,
-)
 from repro.machine.pool import AdmissionGate, EnginePool, PlanCache
 from repro.machine.scheduler import (
     DeviceRoster,
@@ -104,8 +99,5 @@ __all__ = [
     "infer_schema",
     "operator_of",
     "relation_bytes",
-    "report_to_csv",
-    "report_to_dict",
-    "report_to_json",
     "walk",
 ]

@@ -11,7 +11,7 @@ operation, with "several operations ... run concurrently".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import CapacityError, PlanError
 

@@ -10,9 +10,9 @@ user runs before trusting the library.
 The §8 blocked operators get the audit their serving path does not
 pay for: a vectorized engine answers a whole blocked problem from one
 kernel run, and re-running blocks through the tap decoders beside it
-costs several times the operation (docs/PERF.md), so the comparison
-lives here — each operator on a device a third of the problem's size
-and narrower than its tuples, under both grid variants (counter
+costs several times the operation (docs/PERF.md, "tap decode"), so
+the comparison lives here — each operator on a device a third of the
+problem's size and narrower than its tuples, under both grid variants (counter
 blocks, and §8's held B blocks with A streamed past), the one-run
 kernel against every block run read off its tagged taps, against the
 software oracle, and the pulse total against :mod:`repro.perf.cost`.  Three more cases have a

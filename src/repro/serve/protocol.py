@@ -41,11 +41,11 @@ buffer squeezed once — and splices it into the envelope, which
 ``json.dumps`` writes as before.  The line is byte for byte
 ``json.dumps`` of :func:`relation_to_wire`'s payload in the relation's
 place.  A relation of fewer than :data:`ROWS_WRITER_MIN_ELEMENTS`
-elements is boxed and dumped instead, where that is cheaper (docs/PERF.md
-has the measurement).  A domain with a member that is not a 64-bit int,
-or a code outside its dictionary, sends the relation down the
-value-by-value path, each domain checking a column's codes once, which
-also words the error.
+elements is boxed and dumped instead, where that is cheaper
+(docs/PERF.md, "wire", has the measurement).  A domain with a member
+that is not a 64-bit int, or a code outside its dictionary, sends the
+relation down the value-by-value path, each domain checking a column's
+codes once, which also words the error.
 
 :func:`relation_from_wire` encodes the columns of each domain
 together — in row-major order, so a domain meets its values in the
@@ -93,7 +93,7 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"))
 #: The rows writer's crossover: a relation with fewer elements (rows ×
 #: arity) than this is boxed and handed to ``json.dumps``, whose cost
 #: per element is higher but which has no fixed cost to amortize
-#: (docs/PERF.md, "The serving path").
+#: (docs/PERF.md, "wire").
 ROWS_WRITER_MIN_ELEMENTS = 160
 
 _LIMB = 10_000

@@ -33,7 +33,7 @@ what a standalone machine produces on that shard's piece of the data.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Optional, Sequence
 
@@ -523,13 +523,15 @@ class ShardedExecutor:
         stage_span = 0.0
         for index, (_, shard_report) in enumerate(outcomes):
             stage_span = max(stage_span, shard_report.makespan)
-            for st in shard_report.steps:
-                report.steps.append(replace(
-                    st,
-                    label=f"shard{index}:{st.label}",
-                    start=st.start + offset,
-                    end=st.end + offset,
-                ))
+            report.steps += [
+                ScheduledStep(
+                    f"shard{index}:{st.label}", st.device,
+                    st.start + offset, st.end + offset, st.output_key,
+                    st.output_memory, st.input_keys, st.pulses,
+                    st.block_runs, st.nbytes_out, st.swept,
+                )
+                for st in shard_report.steps
+            ]
         end = offset + stage_span
         if step is None:
             return end

@@ -74,8 +74,8 @@ class Partitioner(ABC):
         Pieces keep the input's schema and tuple order; their disjoint
         union is the input relation.  The cut is computed on the key
         column and the pieces are row subsets of the relation's matrix,
-        one mask pass per shard (docs/PERF.md has the measurements
-        against a stable ``argsort`` + ``np.split``).
+        one mask pass per shard (docs/PERF.md, "exchange/merge", has
+        the measurements against a stable ``argsort`` + ``np.split``).
         """
         if shards < 1:
             raise PlanError(f"shard count must be >= 1, got {shards}")

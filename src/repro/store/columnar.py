@@ -647,7 +647,9 @@ class RelationStore:
 
         Only valid relation names count: a writer killed between its
         manifest write and the rename leaves a ``.tmp-<name>-<random>``
-        staging directory behind, which is not a relation.
+        staging directory behind, and a rewrite or drop stopped before
+        its last removal an ``.old-<name>-<random>`` one: neither is a
+        relation.
         """
         return sorted(
             entry.name for entry in self.root.iterdir()
@@ -664,11 +666,11 @@ class RelationStore:
     def drop(self, name: str) -> None:
         """Remove a relation (idempotent)."""
         _check_name(name)
-        target = self.root / name
         with self._swap_lock:
             self._forget(name)
-            if target.exists():
-                shutil.rmtree(target)
+            aside = self._set_aside(name)
+        if aside is not None:
+            shutil.rmtree(aside, ignore_errors=True)
 
     def fingerprint(self) -> tuple[tuple[str, str], ...]:
         """(name, manifest digest) per relation — the plan-cache input."""
@@ -880,17 +882,43 @@ class RelationStore:
             (staging / "manifest.json").write_text(
                 json.dumps(manifest, indent=1, sort_keys=True) + "\n"
             )
-            final = self.root / name
-            # The handle returned is the one this write put in place.
+            # The old version is renamed aside, not removed, until the
+            # new one is in place: a failed swap renames it back.
             with self._swap_lock:
-                if final.exists():
-                    shutil.rmtree(final)
-                os.replace(staging, final)
+                aside = self._set_aside(name)
+                try:
+                    os.replace(staging, self.root / name)
+                except BaseException:
+                    if aside is not None:
+                        os.replace(aside, self.root / name)
+                    raise
                 self._forget(name)
-                return self.open(name)
+                # The handle returned is the one this write put in place.
+                handle = self.open(name)
         except BaseException:
             shutil.rmtree(staging, ignore_errors=True)
             raise
+        if aside is not None:
+            shutil.rmtree(aside, ignore_errors=True)
+        return handle
+
+    def _set_aside(self, name: str) -> Optional[Path]:
+        """Rename ``name``'s directory to a fresh hidden one, which no
+        listing takes for a relation, and return it (``None`` when
+        nothing is stored under ``name``).  Called under the swap lock:
+        the caller removes the aside copy whole, after the lock, so a
+        removal that fails part way leaves no manifest naming chunks
+        that are gone."""
+        final = self.root / name
+        if not final.exists():
+            return None
+        aside = Path(tempfile.mkdtemp(prefix=f".old-{name}-", dir=self.root))
+        try:
+            os.replace(final, aside)
+        except BaseException:
+            aside.rmdir()
+            raise
+        return aside
 
     def __repr__(self) -> str:
         return f"RelationStore({str(self.root)!r}, {len(self.names())} relations)"

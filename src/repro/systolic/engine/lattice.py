@@ -61,7 +61,7 @@ DEFAULT_CHUNK_BYTES = 16_000_000
 #: ``(n_a + n_b) · m`` work the column sweeps do not pay: square blocks
 #: break even near 2¹⁴ elements, tall thin ones (n_a ≫ n_b) nearer
 #: 2¹⁵, and from 2¹⁵ up the packed kernel wins on every shape of the
-#: grid in docs/PERF.md.
+#: grid in docs/PERF.md, "engine kernel".
 _PACK_MIN_ELEMENTS = 1 << 15
 
 #: Comparison op code → numpy ufunc, matching
@@ -233,8 +233,8 @@ class LatticeEngine:
 
     def _ranks(self, n_a: int, n_b: int) -> bool:
         """Whether an ``n_a × n_b`` membership is cheaper ranked than
-        compared — the crossover fitted on the grid in docs/PERF.md
-        ("The membership kernel"), from the shape alone: at least
+        compared — the crossover fitted on the grid in
+        docs/PERF.md, "engine kernel", from the shape alone: at least
         ``_RANK_MIN_ROWS`` rows a side."""
         return min(n_a, n_b) >= self._RANK_MIN_ROWS
 

@@ -136,7 +136,7 @@ class CounterStreamSchedule:
 
     def t_exit_pulse(self, i: int, j: int) -> int:
         """Pulse at which t_ij leaves the last comparator of its row."""
-        return self.mid + i + j + self.arity - 1
+        return self.meeting_pulse(i, j, self.arity - 1)
 
     def pair_from_exit(self, row: int, pulse: int) -> tuple[int, int]:
         """Invert :meth:`t_exit_pulse`: which pair produced this arrival."""
@@ -236,7 +236,7 @@ class FixedRelationSchedule:
 
     def t_exit_pulse(self, i: int, row: int) -> int:
         """Pulse at which t_{i,row} leaves the last comparator of ``row``."""
-        return i + row + self.arity - 1
+        return self.meeting_pulse(i, row, self.arity - 1)
 
     def pair_from_exit(self, row: int, pulse: int) -> tuple[int, int]:
         """Invert :meth:`t_exit_pulse`."""

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.errors import SimulationError
-from repro.systolic.cell import Cell
 from repro.systolic.streams import Collector
 from repro.systolic.values import Token
 from repro.systolic.wiring import Endpoint, Network

@@ -11,9 +11,6 @@ from repro.arrays.decode import hex_products
 from repro.arrays.hexagonal import (
     BOOLEAN_SEMIRING,
     COMPARISON_SEMIRING,
-    U_A,
-    U_B,
-    U_C,
     hex_compare_all_pairs,
     hex_matrix_product,
 )
@@ -28,6 +25,9 @@ from repro.systolic.engine import (
 )
 from repro.systolic.engine import registers
 from repro.systolic.engine.hexmesh import (
+    U_A,
+    U_B,
+    U_C,
     a_start,
     b_start,
     c_start,

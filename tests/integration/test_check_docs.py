@@ -822,3 +822,56 @@ def test_network_rule_keeps_the_cell_network_a_watch_kit(tmp_path):
         "systolic/engine/pulse.py:4: imports repro.systolic.wiring.Network",
         "systolic/engine/pulse.py:5: imports repro.systolic.streams",
     ]
+
+
+def test_perf_layer_rule_holds_the_sections_and_citations(tmp_path):
+    check_docs = _load_check_docs()
+    layers = check_docs.LAYERS
+    (tmp_path / "BENCH_x.json").write_text('{"cache": {"hits": 3}}')
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"per_layer": [{"name": "serve.decode_ms"}]}'
+    )
+    src = tmp_path / "src" / "mod.py"
+    src.parent.mkdir()
+    src.write_text(f'# the grid in docs/PERF.md, "{layers[1]}"\n')
+    perf = tmp_path / "PERF.md"
+
+    def check(headings, cite="`BENCH_x.json` `cache.hits`"):
+        perf.write_text("# Perf\n\n" + "".join(
+            f"## {heading}\n\nMeasured by {cite}.\n\n" for heading in headings
+        ))
+        return check_docs.check_perf_layers(
+            perf=perf, docs=[perf], root=tmp_path, citers=["src/*.py"],
+        )
+
+    assert check([*layers, "The CI regression gate"]) == []
+    assert check(layers, "`BENCHMARK.json`\n`serve.decode_ms`") == []
+
+    swapped = [layers[1], layers[0], *layers[2:]]
+    assert check(swapped) == [
+        f"PERF.md: its first ## headings must be the layers of "
+        f"repro.obs.LAYERS in order ({', '.join(layers)}); found "
+        f"{', '.join(swapped)}"
+    ]
+    assert check(["Overview", *layers])[0].startswith(
+        "PERF.md: its first ## headings must be the layers"
+    )
+    assert check(layers, "`BENCH_x.json` `plan_cache`") == [
+        f"PERF.md: section {layer!r} cites no measurement that resolves"
+        for layer in layers
+    ] + [
+        "PERF.md: cites `BENCH_x.json` `plan_cache`, which is no section "
+        "there",
+    ] * len(layers)
+    assert check(layers, "`BENCHMARK.json` `serve.encode_ms`")[-1] == (
+        "PERF.md: cites `BENCHMARK.json` `serve.encode_ms`, which is no "
+        "per_layer name there"
+    )
+
+    src.write_text('# see docs/PERF.md\n# and docs/PERF.md, "The cache"\n')
+    assert check(layers) == [
+        "src/mod.py:1: cites 'docs/PERF.md', which names no section of "
+        "PERF.md",
+        "src/mod.py:2: cites 'docs/PERF.md, \"The cache\"', which names no "
+        "section of PERF.md",
+    ]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Keep the documentation and the code from drifting apart.
 
-Nineteen checks, all run in CI next to the bench gate::
+Twenty checks, all run in CI next to the bench gate::
 
     python tools/check_docs.py
 
@@ -186,6 +186,23 @@ Nineteen checks, all run in CI next to the bench gate::
     path that builds and drives a network again, or an operator module
     that loads the kit for every query, fails here.
 
+20. **Performance is described by layer, and cited, not copied.**
+    ``docs/PERF.md`` has one ``##`` section per layer a query's host
+    time is attributed to: its first ``##`` headings are the names of
+    ``repro.obs.LAYERS``, in that order, and any other ``##`` heading
+    comes after the last layer.  Each layer's section cites at least one
+    measurement, and every measurement a doc under ``docs/`` or the
+    README cites — a committed ``BENCH_*.json`` section, written as
+    the file name and the section name, each in backticks, one after
+    the other (a dotted name reaches into the section), or a
+    ``per_layer`` row of ``BENCHMARK.json``, written the same way —
+    must resolve in the committed file.  A ``docs/PERF.md`` citation
+    in the source, the benchmarks or CI must name one of its ``##``
+    headings (``docs/PERF.md, "compile"``).
+    A layer without a section, a number copied beside a section that no
+    longer holds it, or a comment pointing at a section that was folded
+    away fails here.
+
 Exits non-zero with one line per problem.
 """
 
@@ -193,6 +210,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import json
 import re
 import sys
 from pathlib import Path
@@ -1142,6 +1160,94 @@ def check_network_only_watches(root=ROOT / "src" / "repro") -> list[str]:
     return problems
 
 
+PERF = ROOT / "docs" / "PERF.md"
+
+#: Where a cited measurement must resolve: the docs and the README.
+MEASUREMENT_DOCS = (*sorted((ROOT / "docs").glob("*.md")), ROOT / "README.md")
+
+#: Where a ``docs/PERF.md`` citation must name one of its sections.
+PERF_CITERS = (
+    "src/**/*.py", "benchmarks/bench_*.py", ".github/workflows/*.yml",
+)
+
+#: A cited measurement: `BENCH_x.json` `section` or `BENCHMARK.json` `name`.
+_MEASUREMENT = re.compile(r"`(BENCH_\w+\.json|BENCHMARK\.json)`\s+`([\w.]+)`")
+#: A cited section of PERF.md: docs/PERF.md, "heading" (the heading
+#: optional, so that a bare citation is found and refused).
+_PERF_CITATION = re.compile(r'docs/PERF\.md(?:, "([^"]+)")?')
+
+
+def _sections(text: str) -> list[tuple[str, str]]:
+    """(``##`` heading, body) pairs, code fences skipped."""
+    sections: list[tuple[str, list[str]]] = []
+    fenced = False
+    for line in text.splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        if not fenced and line.startswith("## "):
+            sections.append((line[3:].strip(), []))
+        elif sections:
+            sections[-1][1].append(line)
+    return [(heading, "\n".join(body)) for heading, body in sections]
+
+
+def _measurement_problem(root: Path, file: str, name: str) -> Optional[str]:
+    """Why ``name`` does not resolve in the committed ``file``, or None."""
+    path = root / file
+    if not path.is_file():
+        return f"cites `{file}`, which is not committed"
+    data = json.loads(path.read_text())
+    if file == "BENCHMARK.json":
+        if name in {row["name"] for row in data.get("per_layer", [])}:
+            return None
+        return f"cites `{file}` `{name}`, which is no per_layer name there"
+    for part in name.split("."):
+        if not isinstance(data, dict) or part not in data:
+            return f"cites `{file}` `{name}`, which is no section there"
+        data = data[part]
+    return None
+
+
+def check_perf_layers(
+    perf=PERF, docs=MEASUREMENT_DOCS, root=ROOT, citers=PERF_CITERS,
+) -> list[str]:
+    problems = []
+    sections = _sections(perf.read_text())
+    headings = [heading for heading, _ in sections]
+    if headings[:len(LAYERS)] != list(LAYERS):
+        problems.append(
+            f"{perf.name}: its first ## headings must be the layers of "
+            f"repro.obs.LAYERS in order ({', '.join(LAYERS)}); found "
+            f"{', '.join(headings[:len(LAYERS)]) or 'none'}"
+        )
+    for heading, body in sections:
+        if heading in LAYERS and not any(
+            _measurement_problem(root, *match.groups()) is None
+            for match in _MEASUREMENT.finditer(body)
+        ):
+            problems.append(
+                f"{perf.name}: section {heading!r} cites no measurement "
+                f"that resolves"
+            )
+    for doc in docs:
+        for match in _MEASUREMENT.finditer(doc.read_text()):
+            problem = _measurement_problem(root, *match.groups())
+            if problem is not None:
+                problems.append(f"{doc.name}: {problem}")
+    for pattern in citers:
+        for path in sorted(root.glob(pattern)):
+            text = path.read_text()
+            for match in _PERF_CITATION.finditer(text):
+                if match.group(1) not in headings:
+                    line = text.count("\n", 0, match.start()) + 1
+                    problems.append(
+                        f"{path.relative_to(root)}:{line}: cites "
+                        f"{match.group(0)!r}, which names no section of "
+                        f"{perf.name}"
+                    )
+    return problems
+
+
 def main() -> int:
     problems = (
         check_metric_table() + check_links()
@@ -1153,6 +1259,7 @@ def main() -> int:
         + check_one_wire_writer() + check_one_variant_choice()
         + check_one_disk_timeline() + check_one_planning_snapshot()
         + check_one_pricing() + check_network_only_watches()
+        + check_perf_layers()
     )
     for problem in problems:
         print(problem, file=sys.stderr)
@@ -1184,7 +1291,9 @@ def main() -> int:
         f"array ops priced in {PRICER} only, "
         f"no SystolicSimulator constructed under src/ and the cell kit "
         f"imported in systolic/engine/ by {MATERIALIZER} only and "
-        f"nowhere under {KIT_FREE}"
+        f"nowhere under {KIT_FREE}, "
+        f"PERF.md's sections the {len(LAYERS)} layers in order and every "
+        f"cited measurement committed"
     )
     return 0
 
