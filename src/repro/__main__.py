@@ -46,7 +46,7 @@ from repro.relational.relation import Relation
 
 class _Observation:
     """Per-invocation observability: ``--profile``, ``--trace``,
-    ``--metrics``.
+    ``--metrics`` — of one query, or of a server's whole run.
 
     All three are views over the same :mod:`repro.obs` spans and
     metrics registry.  ``--profile`` and ``--trace`` activate a tracer
@@ -174,7 +174,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         args.machine
         or getattr(args, "shards", 1) > 1
         or getattr(args, "faults", None)
-        or getattr(args, "store_dir", None)
+        or _store_dir(args)
     ):
         # sharding, fault injection, and persistent storage are
         # properties of the simulated machine, so --shards/--faults/
@@ -234,9 +234,9 @@ def _run_on_machine(args: argparse.Namespace) -> int:
         print("--logic-per-track is a single-disk feature; it cannot be "
               "combined with --shards")
         return 2
-    if sharded and args.store_dir:
-        print("--store-dir is a single-machine feature; it cannot be "
-              "combined with --shards")
+    if sharded and _store_dir(args):
+        print("--store-dir (or $REPRO_STORE_DIR) is a single-machine "
+              "feature; it cannot be combined with --shards")
         return 2
     faults = _fault_plan(args)
     pipeline = not getattr(args, "store_and_forward", False)
@@ -336,13 +336,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.machine.pool import EnginePool
     from repro.serve.server import ReproServer
 
-    tracer = None
-    if args.trace or args.metrics:
-        metrics.reset()
-        metrics.enable()
-    if args.trace:
-        tracer = obs.start()
-
     faults = _fault_plan(args)
 
     async def serve() -> None:
@@ -372,20 +365,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 print(faults.summary(), flush=True)
             print("server stopped", flush=True)
 
-    try:
+    with _Observation(args):
         asyncio.run(serve())
-    finally:
-        if args.trace:
-            obs.stop()
-            obs.write_jsonl(
-                tracer, args.trace,
-                metrics=metrics if args.metrics else None,
-            )
-            print(f"trace written to {args.trace}", flush=True)
-        elif args.metrics:
-            print(metrics.render(), flush=True)
-        if args.trace or args.metrics:
-            metrics.disable()
     return 0
 
 
@@ -482,14 +463,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--trace", metavar="FILE",
             help="record spans for the whole run (compile, physical "
-                 "ops, device executions, engine runs) and write a "
-                 "Chrome trace-event file — open it in chrome://tracing "
-                 "or https://ui.perfetto.dev",
+                 "ops, device executions, engine runs; for serve, every "
+                 "request until the server stops) and write a Chrome "
+                 "trace-event file — open it in chrome://tracing or "
+                 "https://ui.perfetto.dev",
         )
         p.add_argument(
             "--metrics", action="store_true",
             help="collect the repro.obs metrics registry during the "
-                 "run and print it afterwards",
+                 "run and print it afterwards (and keep it in the "
+                 "--trace file)",
         )
 
     query = sub.add_parser("query", help="evaluate on an execution engine")
@@ -572,21 +555,12 @@ def build_parser() -> argparse.ArgumentParser:
              "refused with an admission error (default 30)",
     )
     serve.add_argument(
-        "--trace", metavar="FILE",
-        help="on shutdown, write every span (and --metrics counters) "
-             "of the serving run as a JSON-lines trace file",
-    )
-    serve.add_argument(
-        "--metrics", action="store_true",
-        help="collect the metrics registry while serving (printed on "
-             "shutdown, or embedded in --trace output)",
-    )
-    serve.add_argument(
         "--query-deadline", type=float, default=None, metavar="SECONDS",
         help="cancel any query still running after SECONDS with a "
              "deadline error and free its pool slot (default: "
              "$REPRO_QUERY_DEADLINE, else unlimited)",
     )
+    obs_options(serve)
     backend_option(serve)
     shard_options(serve)
     fault_options(serve)
@@ -610,8 +584,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
     summarize = trace_sub.add_parser(
         "summarize",
-        help="per-span count/total/share table for a trace file "
-             "(Chrome trace-event or JSON lines)",
+        help="per-span count/total/share table (and the metrics, if "
+             "kept) of a trace file written by --trace",
     )
     summarize.add_argument("file", help="path to the trace file")
     summarize.add_argument(

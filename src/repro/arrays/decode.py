@@ -13,12 +13,13 @@ one of two sources:
    one pass by inverting the schedule's affine exit laws, with the full
    audit: parity, bounds, duplicates, ghost tags, completeness.  Every
    pulse run is read this way: its tables are what the register
-   stepper saw leave the array — or, on a run that stepped the cell
-   network (the hexagonal mesh), that network's Token
-   records as tables — and neither consults the exit laws, so this
-   audit is where they are checked.  A run without the edge's table
-   is refused.  A hex mesh run has no verdicts on any engine:
-   :func:`hex_products` reads each final-meeting cell's table.
+   stepper saw leave the array, and the stepper does not consult the
+   exit laws, so this audit is where they are checked.  A run without
+   the edge's table is refused.  A hex mesh run has no verdicts on any
+   engine: the register stepper steps the mesh too
+   (``registers._step_hex``), the pulse and lattice engines both build
+   its tables with ``HexPlan.tables``, and :func:`hex_products` reads
+   each final-meeting cell's table.
 
 Tagged runs always take path 2: their point is to check the ghost
 tags riding on the tap records, so the taps are what gets read.

@@ -16,22 +16,20 @@ One subsystem, three surfaces, all off by default, and one layer map:
   span name to the layer of the request path its self time belongs to —
   wire, parse/optimize, compile, store scan, device blocking, engine
   kernel, tap decode, replay, exchange/merge (:data:`LAYERS`).
-* **Exporters** (:mod:`repro.obs.export`): JSON lines, Chrome
-  trace-event files (``chrome://tracing`` / Perfetto), and human
-  summary tables.
+* **Exporters** (:mod:`repro.obs.export`): one trace file, the Chrome
+  trace-event format (``chrome://tracing`` / Perfetto) with the metrics
+  snapshot riding along, its reader, and human summary tables.
 
-CLI: ``--trace FILE`` / ``--metrics`` on ``query``/``machine``,
+CLI: ``--trace FILE`` / ``--metrics`` on ``query``/``machine``/``serve``,
 ``repro trace summarize FILE``; ``--profile`` is a view over the same
 spans.  See ``docs/OBSERVABILITY.md``.
 """
 
 from repro.obs.export import (
     read_chrome_trace,
-    read_jsonl,
     summarize_file,
     summarize_spans,
     write_chrome_trace,
-    write_jsonl,
 )
 from repro.obs.metrics import HistogramSummary, MetricsRegistry, metrics
 from repro.obs.names import (
@@ -75,8 +73,6 @@ __all__ = [
     "COUNTER",
     "GAUGE",
     "HISTOGRAM",
-    "write_jsonl",
-    "read_jsonl",
     "write_chrome_trace",
     "read_chrome_trace",
     "summarize_spans",

@@ -14,25 +14,50 @@ end-to-end by ``tests/obs/test_metrics_names.py``.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Optional
 
 from repro.errors import ReproError
 from repro.obs.names import COUNTER, GAUGE, HISTOGRAM, METRICS
 
-__all__ = ["HistogramSummary", "MetricsRegistry", "metrics"]
+__all__ = [
+    "BUCKETS_PER_OCTAVE",
+    "HistogramSummary",
+    "MetricsRegistry",
+    "metrics",
+    "render_snapshot",
+]
+
+#: A histogram's buckets split each doubling of the value in four.
+BUCKETS_PER_OCTAVE = 4
 
 
 class HistogramSummary:
-    """Streaming summary of observed values (no buckets kept)."""
+    """Streaming summary of observed values: count, total, extremes,
+    and counts in fixed log-spaced buckets for the quantiles.
 
-    __slots__ = ("count", "total", "minimum", "maximum")
+    A positive value lands in bucket ``floor(log2(value) *``
+    :data:`BUCKETS_PER_OCTAVE` ``)``, every value ≤ 0 in one more, so
+    :meth:`observe` is O(1) and two summaries' buckets add.  The
+    ``q``-quantile is read as the geometric midpoint of the bucket
+    holding the sample of rank ``floor(q * (count - 1))`` (0 for the
+    non-positive bucket), clamped to ``[min, max]``: it lies within one
+    bucket's ratio, ``2 ** (1 / BUCKETS_PER_OCTAVE)``, of that sample.
+    """
+
+    __slots__ = ("count", "total", "minimum", "maximum", "buckets")
+
+    #: Quantiles :meth:`as_dict` reports, by key.
+    QUANTILES = {"p50": 0.5, "p90": 0.9, "p99": 0.99}
 
     def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
         self.minimum: Optional[float] = None
         self.maximum: Optional[float] = None
+        #: bucket index → count; None is the bucket of values ≤ 0.
+        self.buckets: dict[Optional[int], int] = {}
 
     def observe(self, value: float, count: int = 1) -> None:
         self.count += count
@@ -41,10 +66,30 @@ class HistogramSummary:
             self.minimum = value
         if self.maximum is None or value > self.maximum:
             self.maximum = value
+        bucket = (
+            math.floor(math.log2(value) * BUCKETS_PER_OCTAVE)
+            if value > 0 else None
+        )
+        self.buckets[bucket] = self.buckets.get(bucket, 0) + count
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
+
+    def quantile(self, q: float) -> Optional[float]:
+        """The ``q``-quantile (0 ≤ q ≤ 1), to within one bucket."""
+        if not self.count:
+            return None
+        rank = q * (self.count - 1)
+        seen = self.buckets.get(None, 0)
+        value = 0.0
+        if seen <= rank:
+            for bucket in sorted(b for b in self.buckets if b is not None):
+                seen += self.buckets[bucket]
+                if seen > rank:
+                    value = 2.0 ** ((bucket + 0.5) / BUCKETS_PER_OCTAVE)
+                    break
+        return min(max(value, self.minimum), self.maximum)
 
     def as_dict(self) -> dict:
         return {
@@ -52,6 +97,7 @@ class HistogramSummary:
             "total": self.total,
             "min": self.minimum,
             "max": self.maximum,
+            **{key: self.quantile(q) for key, q in self.QUANTILES.items()},
         }
 
     def __repr__(self) -> str:
@@ -161,25 +207,32 @@ class MetricsRegistry:
 
     def render(self) -> str:
         """The human summary table (the CLI's ``--metrics`` output)."""
-        snap = self.snapshot()
-        if not snap:
-            return "(no metrics recorded)"
-        width = max(len(name) for name in snap)
-        lines = [f"{'metric':<{width}}  {'kind':<9}  value"]
-        for name, entry in snap.items():
-            if entry["kind"] == HISTOGRAM:
-                value = (
-                    f"count={entry['count']} total={entry['total']:g} "
-                    f"min={entry['min']:g} max={entry['max']:g}"
-                )
-            else:
-                value = f"{entry['value']:g}"
-            lines.append(f"{name:<{width}}  {entry['kind']:<9}  {value}")
-        return "\n".join(lines)
+        return render_snapshot(self.snapshot())
 
     def __repr__(self) -> str:
         state = "enabled" if self.enabled else "disabled"
         return f"MetricsRegistry({state}, {len(self.collected_names())} names)"
+
+
+def render_snapshot(snap: dict[str, dict]) -> str:
+    """The human table of a :meth:`MetricsRegistry.snapshot` — the live
+    registry's or one read back from a trace file."""
+    if not snap:
+        return "(no metrics recorded)"
+    width = max(len(name) for name in snap)
+    lines = [f"{'metric':<{width}}  {'kind':<9}  value"]
+    for name, entry in snap.items():
+        if entry["kind"] == HISTOGRAM:
+            value = " ".join(
+                f"{key}={entry[key]:g}" for key in (
+                    "count", "total", "min", "max",
+                    *HistogramSummary.QUANTILES,
+                )
+            )
+        else:
+            value = f"{entry['value']:g}"
+        lines.append(f"{name:<{width}}  {entry['kind']:<9}  {value}")
+    return "\n".join(lines)
 
 
 #: The process-local registry every instrumented layer records into.

@@ -1,8 +1,18 @@
 """The ``python -m repro`` command-line interface."""
 
+import json
+import os
+import signal
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.__main__ import main
+from repro.serve import ServiceClient
+from repro.store import STORE_DIR_ENV, RelationStore
+from repro.workloads import join_pair
 
 
 @pytest.fixture
@@ -205,3 +215,100 @@ class TestOptimizeFlag:
         out = capsys.readouterr().out
         # Pushdown sank the select under the dedup, onto the base read.
         assert "cpu" not in out
+
+
+class TestObservationFlags:
+    def test_profile_prints_one_row_per_stage(self, csv_pair, capsys):
+        emp, dept = csv_pair
+        assert main([
+            "machine", "join(EMP, DEPT, dept == dept)",
+            "-r", f"EMP={emp}", "-r", f"DEPT={dept}", "--profile",
+        ]) == 0
+        out = capsys.readouterr().out
+        rows = out[out.index("profile (host wall-clock):"):].splitlines()[1:]
+        assert [row.split()[0] for row in rows] == [
+            "load", "parse", "optimize", "compile", "execute",
+            "materialize", "total",
+        ]
+        stages = [float(row.split()[1]) for row in rows[:-1]]
+        assert all(row.endswith("%") for row in rows[:-1])
+        assert float(rows[-1].split()[1]) == pytest.approx(
+            sum(stages), abs=0.01,
+        )
+
+    def test_query_and_machine_trace_is_a_chrome_trace(
+        self, csv_pair, tmp_path, capsys,
+    ):
+        emp, dept = csv_pair
+        for command in ("query", "machine"):
+            path = tmp_path / f"{command}.json"
+            assert main([
+                command, "join(EMP, DEPT, dept == dept)",
+                "-r", f"EMP={emp}", "-r", f"DEPT={dept}",
+                "--trace", str(path),
+            ]) == 0
+            document = json.loads(path.read_text())
+            assert "otherData" not in document  # metrics need --metrics
+            assert "cli.execute" in {
+                event["name"] for event in document["traceEvents"]
+                if event["ph"] == "X"
+            }
+            capsys.readouterr()
+            assert main(["trace", "summarize", str(path)]) == 0
+            assert "cli.execute" in capsys.readouterr().out
+
+    def test_serve_trace_is_a_chrome_trace(self, tmp_path, capsys):
+        """The trace is written when the server stops, and ``--metrics``
+        keeps the registry in it."""
+        path = tmp_path / "serve.json"
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)),
+        )
+        server = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "--port", "0",
+                "--trace", str(path), "--metrics",
+            ],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env,
+        )
+        try:
+            banner = server.stdout.readline()
+            host, port = banner.removeprefix("serving on ").rsplit(":", 1)
+            a, b = join_pair(10, 8, 4, seed=31)
+            with ServiceClient(host, int(port)) as db:
+                db.store("R", a)
+                db.store("S", b)
+                db.query("project(join(R, S, #0 == #0), #0, #1)")
+        finally:
+            server.send_signal(signal.SIGINT)
+            output, _ = server.communicate(timeout=30)
+        assert server.returncode == 0, output
+        assert f"written to {path}" in output
+        document = json.loads(path.read_text())
+        snapshot = document["otherData"]["repro.metrics"]
+        assert snapshot["service.queries"]["value"] == 1
+        assert main(["trace", "summarize", str(path)]) == 0
+        summary = capsys.readouterr().out
+        assert any(row.startswith("serve.request ") for row in summary.splitlines())
+        assert "service.queries" in summary
+
+
+class TestStoreDirEnvironment:
+    """``$REPRO_STORE_DIR`` stands in for ``--store-dir`` everywhere."""
+
+    @pytest.fixture
+    def stored(self, tmp_path, monkeypatch):
+        relation, _ = join_pair(12, 8, 4, seed=3)
+        RelationStore(tmp_path / "store").write("A", relation)
+        monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path / "store"))
+        return relation
+
+    def test_query_reads_the_stored_relation(self, stored, capsys):
+        assert main(["query", "A"]) == 0
+        assert f"({len(stored)} tuples)" in capsys.readouterr().out
+
+    def test_query_with_shards_refuses_it(self, stored, capsys):
+        assert main(["query", "A", "--shards", "2"]) == 2
+        assert "single-machine feature" in capsys.readouterr().out

@@ -8,6 +8,8 @@ about its "off by default" contract.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro import obs
@@ -39,3 +41,11 @@ def build_machine(backend=None) -> SystolicDatabaseMachine:
 def join_project_plan() -> Project:
     """A plan whose join → project stages fuse into a pipelined chain."""
     return Project(Join(Base("R"), Base("S"), on=((0, 0),)), (0, 1))
+
+
+def exported_tree(span) -> tuple:
+    """Name, exported attributes and nesting: what a trace file keeps
+    of a span (its ``args`` are the structural and volatile attributes
+    together, through JSON)."""
+    args = json.loads(json.dumps({**span.attrs, **span.volatile}))
+    return (span.name, args, [exported_tree(child) for child in span.children])

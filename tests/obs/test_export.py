@@ -1,22 +1,23 @@
-"""Exporters: JSON lines round-trip, Chrome trace schema, summaries."""
+"""The trace file: Chrome trace schema, read back, summaries."""
 
 from __future__ import annotations
 
 import io
 import json
 
+import pytest
+
 from repro import obs
+from repro.errors import ReproError
 from repro.obs import (
     MetricsRegistry,
     read_chrome_trace,
-    read_jsonl,
     summarize_file,
     summarize_spans,
     write_chrome_trace,
-    write_jsonl,
 )
 
-from .conftest import build_machine, join_project_plan
+from .conftest import build_machine, exported_tree, join_project_plan
 
 
 def traced_run():
@@ -32,49 +33,6 @@ def enabled_registry() -> MetricsRegistry:
     registry.set_gauge("machine.plan_cache.size", 1)
     registry.observe("engine.run.pulses", 42.0)
     return registry
-
-
-class TestJsonl:
-    def test_round_trip_preserves_structure(self):
-        tracer = traced_run()
-        buffer = io.StringIO()
-        lines = write_jsonl(tracer, buffer)
-        buffer.seek(0)
-        roots, metric_lines = read_jsonl(buffer)
-        assert lines == sum(1 for _ in tracer.walk())
-        assert tuple(r.structure() for r in roots) == tuple(
-            r.structure() for r in tracer.roots
-        )
-        assert metric_lines == []
-
-    def test_round_trip_keeps_the_volatile_channel_apart(self):
-        tracer = traced_run()
-        buffer = io.StringIO()
-        write_jsonl(tracer, buffer)
-        buffer.seek(0)
-        roots, _ = read_jsonl(buffer)
-        (compiled,) = [
-            sp for root in roots for sp in root.walk()
-            if sp.name == "machine.compile"
-        ]
-        assert compiled.volatile == {"cached": False}
-        assert compiled.volatile_children
-        assert "cached" not in compiled.attrs
-
-    def test_metric_lines_ride_along(self):
-        tracer = obs.Tracer()
-        with tracer.span("only"):
-            pass
-        buffer = io.StringIO()
-        write_jsonl(tracer, buffer, metrics=enabled_registry())
-        buffer.seek(0)
-        roots, metric_lines = read_jsonl(buffer)
-        assert len(roots) == 1
-        names = {line["metric"] for line in metric_lines}
-        assert names == {
-            "machine.disk.reads", "machine.plan_cache.size",
-            "engine.run.pulses",
-        }
 
 
 class TestChromeTrace:
@@ -106,10 +64,42 @@ class TestChromeTrace:
         tracer = traced_run()
         path = str(tmp_path / "trace.json")
         write_chrome_trace(tracer, path)
-        events = read_chrome_trace(path)
-        assert {e["name"] for e in events} >= {
+        roots, snapshot = read_chrome_trace(path)
+        assert {sp.name for root in roots for sp in root.walk()} >= {
             "machine.run", "machine.op", "device.execute", "engine.run",
         }
+        assert snapshot == {}
+
+    def test_round_trip_preserves_structure(self, tmp_path):
+        """Nesting the events by containment gives back every span, in
+        the tracer's tree, with its attributes."""
+        tracer = traced_run()
+        path = str(tmp_path / "trace.json")
+        write_chrome_trace(tracer, path)
+        roots, _ = read_chrome_trace(path)
+        assert [exported_tree(root) for root in roots] == [
+            exported_tree(root) for root in tracer.roots
+        ]
+
+    def test_metrics_ride_along(self):
+        tracer = obs.Tracer()
+        with tracer.span("only"):
+            pass
+        buffer = io.StringIO()
+        registry = enabled_registry()
+        write_chrome_trace(tracer, buffer, metrics=registry)
+        buffer.seek(0)
+        roots, snapshot = read_chrome_trace(buffer)
+        assert len(roots) == 1
+        assert snapshot == registry.snapshot()
+        assert set(snapshot["engine.run.pulses"]) >= {"p50", "p90", "p99"}
+
+    def test_a_file_of_another_format_is_refused(self, tmp_path):
+        path = tmp_path / "spans.txt"
+        for text in ('{"span": "a"}\n{"span": "b"}\n', "[]"):
+            path.write_text(text)
+            with pytest.raises(ReproError, match="Chrome trace-event"):
+                read_chrome_trace(str(path))
 
 
 class TestSummaries:
@@ -120,16 +110,15 @@ class TestSummaries:
         assert "engine.run" in table
         assert "wall" in table
 
-    def test_summarize_file_sniffs_both_formats(self, tmp_path):
+    def test_summarize_file(self, tmp_path):
         tracer = traced_run()
-        chrome = str(tmp_path / "chrome.json")
-        jsonl = str(tmp_path / "spans.jsonl")
-        write_chrome_trace(tracer, chrome, metrics=enabled_registry())
-        write_jsonl(tracer, jsonl, metrics=enabled_registry())
-        for path in (chrome, jsonl):
-            summary = summarize_file(path)
-            assert "machine.run" in summary
-            assert "machine.disk.reads" in summary  # metrics table
+        path = str(tmp_path / "trace.json")
+        write_chrome_trace(tracer, path, metrics=enabled_registry())
+        summary = summarize_file(path)
+        assert "machine.run" in summary
+        assert "machine.disk.reads" in summary  # metrics table
+        write_chrome_trace(tracer, path)
+        assert "machine.disk.reads" not in summarize_file(path)
 
     def test_summarize_top_limits_rows(self):
         tracer = traced_run()

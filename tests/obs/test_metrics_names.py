@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import AdmissionError, DeadlineError, ReproError
@@ -14,6 +15,7 @@ from repro.machine.plan import (
     DEVICE_JOIN,
 )
 from repro.obs import COUNTER, GAUGE, HISTOGRAM, METRICS, MetricsRegistry, metrics
+from repro.obs.metrics import BUCKETS_PER_OCTAVE, HistogramSummary
 from repro.serve import ServiceClient
 from repro.workloads import join_pair
 from tests.serve.test_serve import _ServerHarness
@@ -70,9 +72,54 @@ class TestRegistry:
         snap = registry.snapshot()
         assert snap["machine.disk.reads"] == {"kind": COUNTER, "value": 4}
         assert snap["engine.run.pulses"]["kind"] == HISTOGRAM
+        assert snap["engine.run.pulses"]["p99"] == 7.0
         table = registry.render()
         assert "machine.disk.reads" in table
         assert "counter" in table
+        assert "p50=7 p90=7 p99=7" in table
+
+
+class TestHistogramQuantiles:
+    def test_each_quantile_lies_within_one_bucket(self):
+        ratio = 2.0 ** (1.0 / BUCKETS_PER_OCTAVE)
+        rng = np.random.default_rng(5)
+        for sigma in (0.25, 1.0, 3.0):
+            samples = rng.lognormal(mean=-3.0, sigma=sigma, size=4000)
+            summary = HistogramSummary()
+            for value in samples:
+                summary.observe(float(value))
+            reported = summary.as_dict()
+            for key, q in HistogramSummary.QUANTILES.items():
+                exact = float(np.quantile(samples, q))
+                assert exact / ratio <= reported[key] <= exact * ratio, (
+                    sigma, key, reported[key], exact,
+                )
+
+    def test_non_positive_values_share_a_bucket(self):
+        summary = HistogramSummary()
+        for value in (-2.0, 0.0, 0.0, 5.0):
+            summary.observe(value)
+        assert summary.buckets[None] == 3
+        assert summary.quantile(0.0) == summary.quantile(0.5) == 0.0
+        assert summary.quantile(1.0) == 5.0  # clamped to the maximum
+        negative = HistogramSummary()
+        negative.observe(-3.0)
+        assert negative.quantile(0.5) == -3.0  # clamped to the range
+
+    def test_a_repeated_value_observes_as_its_single_observations(self):
+        rng = np.random.default_rng(6)
+        values = rng.lognormal(size=50).tolist() + [0.0, 3.0]
+        counts = rng.integers(1, 20, size=len(values)).tolist()
+        weighted, single = HistogramSummary(), HistogramSummary()
+        for value, count in zip(values, counts):
+            weighted.observe(value, count=count)
+            for _ in range(count):
+                single.observe(value)
+        assert weighted.buckets == single.buckets
+        assert weighted.total == pytest.approx(single.total)
+        assert {**weighted.as_dict(), "total": None} == {
+            **single.as_dict(), "total": None,
+        }
 
 
 class TestDeclaredNames:

@@ -4,7 +4,7 @@ contract."""
 from __future__ import annotations
 
 import io
-import json
+import threading
 
 from repro import obs
 from repro.arrays import ArrayCapacity
@@ -12,12 +12,13 @@ from repro.errors import DeviceFaultError
 from repro.machine import Base, EnginePool, Join, Select, SystolicDevice
 from repro.machine.plan import DEVICE_JOIN
 from repro.obs import metrics
-from repro.obs.export import _nest_by_containment
+from repro.serve import ServiceClient
 from repro.store import RelationStore
 from repro.systolic.engine.schedule import CounterStreamSchedule
 from repro.workloads import join_pair
 
-from .conftest import build_machine, join_project_plan
+from tests.serve.test_serve import _ServerHarness
+from .conftest import build_machine, exported_tree, join_project_plan
 
 
 class TestTracer:
@@ -265,35 +266,64 @@ class TestSpansNestInTime:
                     )
 
     def test_chrome_containment_recovers_the_logical_tree(self, tmp_path):
-        """The two exporters agree: nesting the Chrome trace's flat
-        events by time containment gives the parent-of relation the
-        JSON-lines export stores."""
+        """Reading a Chrome trace back — its flat events nested by time
+        containment, lane by lane — gives the tracer's own tree, on
+        every front end, connection-thread lanes of a server included."""
 
-        def parent_of(roots):
-            relation = {}
+        def lanes(roots):
+            """Each thread's root trees in time order; lanes unordered."""
+            by_tid = {}
+            for root in sorted(roots, key=lambda sp: sp.t0):
+                by_tid.setdefault(root.tid, []).append(exported_tree(root))
+            return sorted(by_tid.values(), key=repr)
 
-            def visit(sp, parent):
-                relation[sp.name, sp.t0, sp.t1] = parent
-                for child in sp.children:
-                    visit(child, (sp.name, sp.t0, sp.t1))
-
-            for root in roots:
-                visit(root, None)
-            return relation
-
-        for label, target in _front_ends(tmp_path):
+        runs = [
+            (label, lambda target=target: target.run_many(_transaction()))
+            for label, target in _front_ends(tmp_path)
+        ]
+        runs.append(("server, 3 clients", _three_clients_on_a_server))
+        for label, run in runs:
             with obs.tracing() as tracer:
-                target.run_many(_transaction())
-            lines, chrome = io.StringIO(), io.StringIO()
-            obs.write_jsonl(tracer, lines)
+                run()
+            chrome = io.StringIO()
             obs.write_chrome_trace(tracer, chrome)
-            lines.seek(0)
-            logical, _ = obs.read_jsonl(lines)
-            nested = _nest_by_containment(
-                json.loads(chrome.getvalue())["traceEvents"]
-            )
-            assert len(parent_of(logical)) == len(list(tracer.walk())), label
-            assert parent_of(nested) == parent_of(logical), label
+            chrome.seek(0)
+            roots, _ = obs.read_chrome_trace(chrome)
+            assert sum(1 for root in roots for _ in root.walk()) == len(
+                list(tracer.walk())
+            ), label
+            assert lanes(roots) == lanes(tracer.roots), label
+            if label.startswith("server"):
+                assert len({root.tid for root in roots}) >= 3, label
+
+
+def _three_clients_on_a_server():
+    """Three tenants store and query at once, one connection thread
+    (one trace lane) each."""
+    a, b = join_pair(40, 30, 8, seed=31)
+    errors = []
+
+    def client(tenant):
+        try:
+            with ServiceClient(*harness.address, tenant=tenant) as db:
+                db.store("R", a)
+                db.store("S", b)
+                for _ in range(3):
+                    db.query("project(join(R, S, #0 == #0), #0, #1)")
+        except Exception as exc:  # reported below, not lost in a thread
+            errors.append(exc)
+
+    with _ServerHarness() as harness:
+        threads = [
+            threading.Thread(target=client, args=(f"tenant{i}",))
+            for i in range(3)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+        assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
 
 
 class TestBlockedRunIsOneSpan:

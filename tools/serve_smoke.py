@@ -17,8 +17,10 @@ the server down cleanly (SIGINT), and then asserts that
   over the same relations decoded the way the server decodes them;
 * the server exited 0 after printing its clean-shutdown line, with a
   client still connected and idle when it was interrupted;
-* the JSONL trace it wrote contains nonzero ``service.*`` metrics
-  (admissions and per-tenant query counters actually moved).
+* the Chrome trace it wrote carries nonzero ``service.*`` metrics in
+  ``otherData["repro.metrics"]`` (admissions and per-tenant query
+  counters actually moved), and ``repro trace summarize`` reads it,
+  with a ``serve.request`` row.
 
 Usage: PYTHONPATH=src python tools/serve_smoke.py
 """
@@ -32,7 +34,6 @@ import subprocess
 import sys
 import tempfile
 import threading
-import time
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
@@ -97,7 +98,7 @@ def check_replies(host: str, port: int) -> None:
 
 def main() -> int:
     trace_path = os.path.join(
-        tempfile.mkdtemp(prefix="repro-serve-smoke-"), "serve_trace.jsonl"
+        tempfile.mkdtemp(prefix="repro-serve-smoke-"), "serve_trace.json"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO, "src")
@@ -205,27 +206,35 @@ def main() -> int:
         raise SystemExit(f"no clean-shutdown line; output:\n{output}")
     print("server shut down cleanly")
 
-    deadline = time.monotonic() + 10.0
-    while not os.path.exists(trace_path) and time.monotonic() < deadline:
-        time.sleep(0.1)
-    service_metrics: dict[str, float] = {}
     with open(trace_path) as stream:
-        for raw in stream:
-            raw = raw.strip()
-            if not raw:
-                continue
-            obj = json.loads(raw)
-            name = obj.get("metric", "")
-            if name.startswith("service."):
-                service_metrics[name] = obj.get(
-                    "value", obj.get("count", 0)
-                )
+        snapshot = json.load(stream).get("otherData", {}).get(
+            "repro.metrics", {}
+        )
+    service_metrics = {
+        name: entry.get("value", entry.get("count", 0))
+        for name, entry in snapshot.items()
+        if name.startswith("service.")
+    }
     print(f"service metrics in trace: {service_metrics}")
     if not service_metrics:
         raise SystemExit("trace holds no service.* metrics")
     for required in ("service.queries", "service.admissions"):
         if service_metrics.get(required, 0) <= 0:
             raise SystemExit(f"{required} is zero in the trace")
+    summary = subprocess.run(
+        [sys.executable, "-m", "repro", "trace", "summarize", trace_path],
+        capture_output=True, text=True, env=env, cwd=REPO,
+    )
+    rows = [
+        row for row in summary.stdout.splitlines()
+        if row.startswith("serve.request ")
+    ]
+    if summary.returncode != 0 or not rows:
+        raise SystemExit(
+            f"trace summarize exited {summary.returncode} without a "
+            f"serve.request row:\n{summary.stdout}{summary.stderr}"
+        )
+    print(f"trace summarize: {rows[0]}")
     print("serve smoke OK")
     return 0
 
