@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""E22 — out-of-core storage: grid-file pruning at the million-tuple scale.
+"""E22 — out-of-core storage: zone-pruned scans over Morton-clustered
+chunks at the million-tuple scale.
 
 Claim reproduced: the paper's machine reads base relations from mass
-storage in blocks (§8); with the columnar store's grid-file index, a
-selective predicate reads **strictly fewer chunks** than a full scan —
+storage in blocks (§8); with the columnar store's rows clustered in
+Morton order and each chunk's (min, max) zone maps, a selective
+predicate reads **strictly fewer chunks** than a full scan —
 and the machine's answer over the pruned scan is bit-identical to the
 in-memory path, on the lattice and bitplane engines alike.
 
@@ -149,7 +151,7 @@ def run_scan_matrix(store: RelationStore, rows: np.ndarray) -> list[dict]:
             # read, bit-identical row set.
             assert scan.chunks_read < scan.chunks_total, (
                 f"{label}: read {scan.chunks_read}/{scan.chunks_total} "
-                f"chunks — the grid index pruned nothing"
+                f"chunks — the zone maps pruned nothing"
             )
             assert scan.chunks_pruned > 0
             assert len(scan.relation) == _brute(
@@ -268,9 +270,9 @@ def main(argv=None) -> int:
         scans = run_scan_matrix(store, rows)
         machine = run_machine_matrix(store, rows)
     report = {
-        "description": "E22 out-of-core columnar store: grid-file chunk "
-                       "pruning on a scaled suppliers-parts workload "
-                       "(see docs/STORAGE.md)",
+        "description": "E22 out-of-core columnar store: zone-pruned "
+                       "scans over Morton-clustered chunks on a scaled "
+                       "suppliers-parts workload (see docs/STORAGE.md)",
         "rows": args.rows,
         "chunk_rows": handle.chunk_rows,
         "chunks": handle.n_chunks,
@@ -302,7 +304,7 @@ def test_pruned_scan_matches_full_scan(benchmark, experiment_report, tmp_path):
     assert scan.chunks_read < scan.chunks_total
     assert scan.chunks_pruned > 0
     assert len(scan.relation) == _brute(rows, 0, "==", 123)
-    experiment_report("E22 grid-file chunk pruning (smoke, n=20k)", [
+    experiment_report("E22 zone-pruned scans (smoke, n=20k)", [
         ("answers identical", "yes", "yes"),
         ("chunks read", f"< {scan.chunks_total}",
          f"{scan.chunks_read}/{scan.chunks_total}"),

@@ -9,7 +9,7 @@ read at no extra cost and only matching tuples leave the disk.
 
 A :class:`~repro.store.RelationStore` may be attached to back the disk
 with real out-of-core storage: store-resident relations are read chunk
-by chunk, and a selection prunes chunks through the store's grid index
+by chunk, and a selection prunes chunks through the store's zone maps
 before any byte moves — the read is billed only for the surviving
 chunks' tuples under this disk's timing model.  A store-backed
 selection behaves like logic-per-track (the predicate rides the read)
@@ -245,7 +245,7 @@ class MachineDisk:
 
         The read time covers the *full* stored relation (every tuple
         passes under the head) — unless the relation is store-backed,
-        in which case a selection prunes chunks via the grid index and
+        in which case a selection prunes chunks via the zone maps and
         only the surviving chunks' tuples are billed.  With
         logic-per-track, ``selection`` — a ``(column, op, value)``
         predicate — filters tuples on the fly; without either, a

@@ -383,7 +383,7 @@ class PhysicalOp:
     selection: Optional[tuple] = None
     fused_select: Optional[PlanNode] = None
     base_name: Optional[str] = None
-    #: store-backed loads only: the §8 chunk pruning the grid index
+    #: store-backed loads only: the §8 chunk pruning the zone maps
     #: predicted for this read (explain's ``chunks k/N pruned``).
     scan: Optional[ScanCost] = None
     #: loads only: the index of the disk sweep (:class:`DiskSweep`) the
@@ -539,7 +539,7 @@ class BaseRecord(NamedTuple):
     #: matches by equality; None where nothing counted them (the store).
     distinct: tuple[tuple[ColumnRef, Optional[int]], ...] = ()
     #: a store-backed relation's read handle.  The planner reads only
-    #: its manifest (chunk rows, zone maps, grid index) to prune chunks.
+    #: its manifest (chunk rows, zone maps) to prune chunks.
     handle: Optional["StoredRelation"] = None
 
     @classmethod
@@ -753,7 +753,7 @@ class PhysicalPlanner:
 
         Fusable on a logic-per-track disk (the predicate evaluates
         on-track) and on store-backed relations (the store applies the
-        predicate while scanning the chunks its grid index could not
+        predicate while scanning the chunks its zone maps could not
         prune — the selection never leaves the storage layer).
         """
         ctx = self.context

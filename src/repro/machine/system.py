@@ -145,7 +145,7 @@ class SystolicDatabaseMachine:
 
         Every relation held by the :class:`~repro.store.RelationStore`
         becomes queryable by name; selections over them prune chunks
-        through the store's grid index during the disk read.  Cached
+        through the store's zone maps during the disk read.  Cached
         plans over a relation the store now answers for recompile
         against the store-backed sizes.
         """

@@ -116,12 +116,12 @@ METRICS: dict[str, tuple[str, str]] = {
         COUNTER, "bytes of the chunks a store scan covers, 8 per element: "
                  "the unit the disk bills, not the bytes copied"),
     "store.chunks_pruned": (
-        COUNTER, "chunks skipped by the grid index / zone maps on a read"),
+        COUNTER, "chunks skipped by the zone maps on a read"),
     "store.chunks_read": (
         COUNTER, "chunks a store read covers, billed whole, whether read "
                  "from disk or served by the chunk pool"),
     "store.index_probes": (
-        COUNTER, "grid-directory probes answering selection predicates"),
+        COUNTER, "zone-map probes answering selection predicates"),
 }
 
 #: The layers a query's host time is attributed to, in the order a

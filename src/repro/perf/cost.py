@@ -234,7 +234,7 @@ class ScanCost:
 
     @property
     def chunks_pruned(self) -> int:
-        """Chunks the grid index / zone maps skipped entirely."""
+        """Chunks the zone maps skipped entirely."""
         return self.chunks_total - self.chunks_read
 
 

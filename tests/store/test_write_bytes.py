@@ -3,13 +3,13 @@ byte: every chunk file and ``manifest.json`` of a relation directory.
 
 The references below are the write path as it was before the rows were
 laid out column-major once: a row-major gather into cluster order, a
-``uint64`` z-order key, ``np.searchsorted`` cell coordinates, a
-directory found by ``np.unique`` of one packed key a row, and a chunk
-file written by ``block.T.astype('<i8').tofile``, with each column's
-distinct count taken by ``np.unique`` and each chunk's CRC32 read back
-from its file.  They share with the store only the pieces that did not
-move: the duplicate search, the scales, the grid resolution, the
-schema's JSON and ``GridIndex``'s.
+``uint64`` z-order key, ``np.searchsorted`` cell coordinates, and a
+chunk file written by ``block.T.astype('<i8').tofile``, with each
+column's distinct count taken by ``np.unique`` and each chunk's CRC32
+read back from its file.  The manifest's ``"index"`` names the columns
+the rows are clustered on.  They share with the store only the pieces
+that did not move: the duplicate search, the scales, the clustering
+resolution and the schema's JSON.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from repro.relational.domain import IntegerDomain
 from repro.relational.relation import Relation, _first_occurrences
 from repro.relational.schema import Schema
-from repro.store import GridIndex, RelationStore, build_scales, columnar
+from repro.store import RelationStore, build_scales, columnar
 
 _INT = IntegerDomain("int")
 INT64_EXTREMES = (-(2**63), 2**63 - 1)
@@ -57,23 +57,6 @@ def _z_order_uint64(coords: np.ndarray) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
-def _unique_key_directory(coords: np.ndarray, chunk_of_row: np.ndarray):
-    digits = [*coords.T, chunk_of_row]
-    radices = [int(column.max()) + 1 for column in digits]
-    key = np.zeros(len(coords), dtype=np.int64)
-    for column, radix in zip(digits, radices):
-        key = key * radix + column
-    key = np.unique(key)
-    decoded = []
-    for radix in reversed(radices):
-        key, digit = np.divmod(key, radix)
-        decoded.append(digit.tolist())
-    directory: dict = {}
-    for *cell, chunk in zip(*reversed(decoded)):
-        directory.setdefault(tuple(cell), []).append(chunk)
-    return directory
-
-
 def _write_rows_as_it_was(
     path: Path, name: str, array: np.ndarray, schema: Schema,
     chunk_rows: int, index_columns,
@@ -94,13 +77,8 @@ def _write_rows_as_it_was(
         cells_per_axis = columnar._cells_per_axis(n_chunks, len(positions))
         scales = [build_scales(array[:, p], cells_per_axis) for p in positions]
         coords = _searchsorted_cells([array[:, p] for p in positions], scales)
-        order = _z_order_uint64(coords)
-        array = array[order]
-        coords = coords[order]
-        chunk_of_row = np.arange(n) // chunk_rows
-        index = GridIndex(
-            positions, scales, _unique_key_directory(coords, chunk_of_row)
-        )
+        array = array[_z_order_uint64(coords)]
+        index = {"columns": list(positions)}
     path.mkdir()
     chunks = []
     for chunk_id in range(n_chunks):
@@ -128,7 +106,7 @@ def _write_rows_as_it_was(
         "schema": schema_json,
         "chunks": chunks,
         "distinct": True,
-        "index": index.to_json() if index is not None else None,
+        "index": index,
     }
     (path / "manifest.json").write_text(
         json.dumps(manifest, indent=1, sort_keys=True) + "\n"
@@ -224,6 +202,14 @@ class TestWritePathBytes:
         monkeypatch.setattr(
             columnar, "_cells_per_axis", lambda n_chunks, ndims: 2**bits
         )
+        widths = []
+
+        def cluster_order(coords):
+            widths.append(int(coords.max()).bit_length())
+            return real_cluster_order(coords)
+
+        real_cluster_order = columnar.cluster_order
+        monkeypatch.setattr(columnar, "cluster_order", cluster_order)
         n = 2 ** (bits - 1) + 1
         rng = np.random.default_rng(bits * ndims)
         rows = np.stack(
@@ -234,8 +220,7 @@ class TestWritePathBytes:
         _assert_written_as_it_was(
             tmp_path, rows, n // 3 + 1, tuple(range(ndims))
         )
-        cells = RelationStore(tmp_path / "store").open("R").index.directory
-        assert max(max(cell) for cell in cells).bit_length() == bits
+        assert widths == [bits]
 
 
 def _assert_relation_written_as_it_was(root: Path, rows, chunk_rows,
