@@ -4,11 +4,11 @@ The paper's machine assumes base relations arrive from mass storage in
 blocks; everywhere else in this repo the disk is a pure *timing* model
 over in-memory relations.  This module stores relations for real:
 
-* one directory per relation holding ``chunk-NNNNN.bin`` files —
+* one directory per relation holding chunk files —
   column-major little-endian int64, ``chunk_rows`` tuples per chunk
-  (the §8 block unit) — plus a ``manifest.json`` describing schema,
-  chunk row counts, per-chunk per-column min/max **zone maps**, and the
-  columns the rows are clustered on
+  (the §8 block unit) — plus a ``manifest.json`` naming them and
+  describing schema, chunk row counts, per-chunk per-column min/max
+  **zone maps**, and the columns the rows are clustered on
   (:func:`~repro.store.grid.cluster_order`);
 * a scan reads only the chunks whose zone maps admit its predicate — the
   machine never sees pruned bytes — and each chunk file is read once: the
@@ -25,24 +25,25 @@ over in-memory relations.  This module stores relations for real:
   relation (new chunking, new clustering, new data) changes the digest
   and invalidates exactly the plans compiled against the old bytes.
 
-Durability is manifest-last: chunks and manifest are written into a
-temporary sibling directory and atomically renamed over the old one, so
-a relation is visible iff its manifest parses — a torn write leaves the
-previous version (or nothing) in place, never a half relation.  A reader
-that misses the manifest while a rewrite is swapping looks again once
-the swap is done, and a store opened after a crash mid-swap restores
-the version the crash left aside.
+Durability is manifest-last, and one file rename commits a write: the
+write puts its chunk files beside the old ones under new names —
+``chunk-NNNNN.bin`` on a first write, ``chunk-NNNNN.g<k>.bin`` later,
+``k`` one past the highest generation in the directory — and then
+``os.replace``-s a staged manifest over ``manifest.json``.  A reader in
+any process finds the old manifest or the new one, each naming whole
+chunks.  Then the write deletes every file the new manifest does not
+name.  A drop unlinks the manifest first, then removes the directory.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
 import os
 import re
 import shutil
-import tempfile
 import threading
 import zlib
 from collections import OrderedDict
@@ -87,6 +88,9 @@ STORE_DIR_ENV = "REPRO_STORE_DIR"
 MANIFEST_VERSION = 1
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]*$")
+
+#: A chunk file name as the writer makes it, with its generation ``k``.
+_CHUNK_RE = re.compile(r"chunk-[0-9]{5,}(?:\.g([0-9]+))?\.bin")
 
 _ELEMENT_DTYPE = np.dtype("<i8")
 _ELEMENT_BYTES = _ELEMENT_DTYPE.itemsize
@@ -308,26 +312,31 @@ class _ChunkPool:
         handle: "StoredRelation", chunk_id: int, out: np.ndarray
     ) -> None:
         """Read one chunk file whole into ``out`` (``(arity, rows)``, each
-        column contiguous), refusing a file of the wrong size or, when
-        the manifest records one, of the wrong checksum."""
-        with open(handle._chunk_paths[chunk_id], "rb") as file:
-            complete = (
-                os.fstat(file.fileno()).st_size == out.nbytes
-                and all(
+        column contiguous), refusing a file that cannot be read, one of
+        the wrong size or, when the manifest records one, of the wrong
+        checksum."""
+        try:
+            with open(handle._chunk_paths[chunk_id], "rb") as file:
+                held = os.fstat(file.fileno()).st_size
+                complete = held == out.nbytes and all(
                     file.readinto(column) == column.nbytes for column in out
-                )
-                and not file.read(1)
+                ) and not file.read(1)
+        except OSError as exc:
+            raise handle._failure(
+                chunk_id, f"cannot be read: {exc.strerror}"
+            ) from exc
+        if not complete:
+            raise handle._failure(
+                chunk_id,
+                f"holds {held // _ELEMENT_BYTES} elements, manifest says "
+                f"{handle.chunks[chunk_id].rows * handle.arity}",
             )
-            if not complete:
-                raise handle._torn(
-                    chunk_id, os.fstat(file.fileno()).st_size
-                )
         expected = handle.chunks[chunk_id].crc32
         if expected is not None and _crc32(out) != expected:
-            raise StoreError(
-                f"chunk {handle.chunks[chunk_id].file} of {handle.name!r} "
-                f"fails its CRC32 check: the file's bytes changed after "
-                f"the write"
+            raise handle._failure(
+                chunk_id,
+                "fails its CRC32 check: the file's bytes changed after the "
+                "write",
             )
 
     def _admit(self, key: _Key, block: np.ndarray) -> None:
@@ -421,7 +430,7 @@ class StoredRelation:
         )
         self.chunks = tuple(
             _Chunk(
-                file=spec["file"],
+                file=_chunk_file(spec["file"], self.name),
                 rows=int(spec["rows"]),
                 stats=tuple(
                     (int(lo), int(hi)) for lo, hi in spec["stats"]
@@ -458,13 +467,23 @@ class StoredRelation:
         """A column's distinct values as the manifest records them."""
         return self.distinct_counts[self.schema.resolve(column)]
 
-    def _torn(self, chunk_id: int, held: int) -> StoreError:
-        chunk = self.chunks[chunk_id]
-        return StoreError(
-            f"chunk {chunk.file} of {self.name!r} holds "
-            f"{held // _ELEMENT_BYTES} elements, manifest says "
-            f"{chunk.rows * self.arity}"
-        )
+    def _failure(self, chunk_id: int, problem: str) -> StoreError:
+        """``problem`` with chunk ``chunk_id`` — unless this handle's
+        manifest is no longer the one on disk: then a rewrite or a drop
+        deleted its chunk files (or a first write after a drop reused
+        their names), and the error says that instead."""
+        file = self.chunks[chunk_id].file
+        try:
+            raw = (self.path / "manifest.json").read_bytes()
+        except OSError:
+            raw = b""  # no manifest parses from no bytes
+        if hashlib.sha256(raw).hexdigest() != self.digest:
+            return StoreError(
+                f"{self.name!r} was rewritten or dropped after this handle "
+                f"was opened: chunk {file} is not its version's; open the "
+                f"relation again"
+            )
+        return StoreError(f"chunk {file} of {self.name!r} {problem}")
 
     def _span(self, chunk_id: int) -> slice:
         """Chunk ``chunk_id``'s rows among the relation's."""
@@ -595,6 +614,18 @@ def _distinct_count(column: dict, rows: int, name: str) -> Optional[int]:
     return count
 
 
+def _chunk_file(file: object, name: str) -> str:
+    """A manifest chunk entry's ``"file"``, checked: a bare chunk name of
+    the writer's pattern, so that no read leaves the relation's
+    directory."""
+    if not isinstance(file, str) or _CHUNK_RE.fullmatch(file) is None:
+        raise StoreError(
+            f"manifest for {name!r} names chunk file {file!r}; need a "
+            f"name in the relation's directory matching {_CHUNK_RE.pattern}"
+        )
+    return file
+
+
 def _clustered_on(index: object, arity: int, name: str) -> tuple[int, ...]:
     """A manifest's ``"index"`` entry, checked: null, or an object whose
     ``"columns"`` lists column positions in ``[0, arity)``."""
@@ -642,50 +673,16 @@ class RelationStore:
         #: name -> (manifest mtime_ns / inode / size, handle); reopened
         #: when the manifest changes underneath us.
         self._handles: dict[str, tuple[tuple, StoredRelation]] = {}
-        #: held while a relation directory is removed or swapped in, so
-        #: two threads writing (or dropping) one name take turns there,
-        #: and a reader that missed a manifest waits out the swap.
-        self._swap_lock = threading.RLock()
-        self._restore_interrupted_swaps()
-
-    def _restore_interrupted_swaps(self) -> None:
-        """Rename back the relation a crash left aside mid-swap or
-        mid-drop, and retire every other set-aside copy.  A swap or a
-        drop retires the copies of its name under the swap lock, so a
-        copy that still holds a manifest was cut off before that step.
-        It is the relation only when ``<name>`` is free, it is the one
-        such copy of ``<name>``, and every chunk its manifest lists lies
-        beside it at its size.  A copy beside a stored ``<name>`` is an
-        older version, and one missing a chunk was part way through its
-        removal."""
-        for name, asides in _asides(self.root).items():
-            final = self.root / name
-            if len(asides) == 1 and not final.exists() and _whole(asides[0]):
-                os.replace(asides[0], final)
-            else:
-                self._retire_asides(name)
-
-    def _retire_asides(self, name: str) -> None:
-        """Unlink the manifest of every copy of ``name`` set aside, under
-        the swap lock once none of them is the relation: a store opened
-        after a crash must not restore one, and a removal that stops
-        part way leaves no manifest naming chunks that are gone.  A copy
-        an earlier crash left before this step goes with the one just
-        made."""
-        for aside in _asides(self.root).get(name, ()):
-            (aside / "manifest.json").unlink(missing_ok=True)
+        #: held by a write or a drop from its first file to its last
+        #: deletion, so writing threads take turns; readers never take it.
+        self._write_lock = threading.Lock()
 
     # -- catalogue ----------------------------------------------------------
 
     def names(self) -> list[str]:
-        """Relations with a manifest, sorted.
-
-        Only valid relation names count: a writer killed between its
-        manifest write and the rename leaves a ``.tmp-<name>-<random>``
-        staging directory behind, and a rewrite or drop stopped before
-        its last removal an ``.old-<name>-<random>`` one: neither is a
-        relation.
-        """
+        """Relations with a manifest, sorted: a rewrite renames its
+        manifest over the old one, so a relation is listed from its first
+        write to its drop.  Only valid relation names count."""
         return sorted(
             entry.name for entry in self.root.iterdir()
             if self.holds(entry.name)
@@ -699,15 +696,14 @@ class RelationStore:
         )
 
     def drop(self, name: str) -> None:
-        """Remove a relation (idempotent)."""
+        """Remove a relation (idempotent): unlink its manifest, the one
+        step that makes it gone, then remove its directory."""
         _check_name(name)
-        with self._swap_lock:
+        directory = self.root / name
+        with self._write_lock:
             self._forget(name)
-            aside = self._set_aside(name)
-            if aside is not None:
-                self._retire_asides(name)
-        if aside is not None:
-            shutil.rmtree(aside, ignore_errors=True)
+            (directory / "manifest.json").unlink(missing_ok=True)
+            shutil.rmtree(directory, ignore_errors=True)
 
     def fingerprint(self) -> tuple[tuple[str, str], ...]:
         """(name, manifest digest) per relation — the plan-cache input."""
@@ -736,11 +732,6 @@ class RelationStore:
                     _ChunkPool._load(handle, chunk_id, scratch)
                 except StoreError as exc:
                     problems.append(str(exc))
-                except OSError as exc:
-                    problems.append(
-                        f"chunk {chunk.file} of {name!r} cannot be read: "
-                        f"{exc.strerror}"
-                    )
         return chunks, problems
 
     # -- opening ------------------------------------------------------------
@@ -764,20 +755,17 @@ class RelationStore:
         try:
             stat = os.stat(manifest_path)
         except OSError:
-            # A rewrite may stand between its aside rename and its swap:
-            # once its lock is free the swap is done, so look once more.
-            with self._swap_lock:
-                try:
-                    stat = os.stat(manifest_path)
-                except OSError:
-                    return None
+            return None
         # A rewrite replaces the file, so even one that lands within the
         # filesystem's timestamp granularity changes the inode.
         version = (stat.st_mtime_ns, stat.st_ino, stat.st_size)
         cached = self._handles.get(name)
         if cached is not None and cached[0] == version:
             return cached[1]
-        raw = Path(manifest_path).read_bytes()
+        try:
+            raw = Path(manifest_path).read_bytes()
+        except FileNotFoundError:
+            return None  # dropped since the stat
         try:
             manifest = json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -901,108 +889,85 @@ class RelationStore:
             # blob of cells, so its zone maps are narrow on every axis.
             columns = np.take(columns, order, axis=1)
 
-        staging = Path(tempfile.mkdtemp(prefix=f".tmp-{name}-", dir=self.root))
-        try:
-            chunks = [
-                _write_chunk(
-                    staging, chunk_id, columns[:, start:start + chunk_rows]
-                )
-                for chunk_id, start in enumerate(range(0, n, chunk_rows))
+        directory = self.root / name
+        with self._write_lock:
+            fresh = not directory.is_dir()
+            directory.mkdir(exist_ok=True)
+            # Names no file in the directory holds, so the failure path
+            # below deletes only what this write made.
+            suffix = _generation_suffix(directory)
+            paths = [
+                directory / f"chunk-{chunk_id:05d}{suffix}.bin"
+                for chunk_id in range(n_chunks)
             ]
-            manifest = {
-                "version": MANIFEST_VERSION,
-                "name": name,
-                "rows": n,
-                "arity": len(schema),
-                "chunk_rows": chunk_rows,
-                "schema": schema_json,
-                "chunks": chunks,
-                "distinct": True,
-                "index": {"columns": positions} if clustered else None,
-            }
-            (staging / "manifest.json").write_text(
-                json.dumps(manifest, indent=1, sort_keys=True) + "\n"
-            )
-            # The old version is renamed aside, not removed, until the
-            # new one is in place: a failed swap renames it back.
-            with self._swap_lock:
-                aside = self._set_aside(name)
-                try:
-                    os.replace(staging, self.root / name)
-                except BaseException:
-                    if aside is not None:
-                        os.replace(aside, self.root / name)
-                    raise
-                if aside is not None:
-                    self._retire_asides(name)
-                self._forget(name)
-                # The handle returned is the one this write put in place.
-                handle = self.open(name)
-        except BaseException:
-            shutil.rmtree(staging, ignore_errors=True)
-            raise
-        if aside is not None:
-            shutil.rmtree(aside, ignore_errors=True)
-        return handle
-
-    def _set_aside(self, name: str) -> Optional[Path]:
-        """Rename ``name``'s directory to a fresh hidden one, which no
-        listing takes for a relation, and return it (``None`` when
-        nothing is stored under ``name``).  Called under the swap lock,
-        where the caller retires the copy (:meth:`_retire_asides`) once
-        it is no longer the relation, and removes it after the lock."""
-        final = self.root / name
-        if not final.exists():
-            return None
-        aside = Path(tempfile.mkdtemp(prefix=f".old-{name}-", dir=self.root))
-        try:
-            os.replace(final, aside)
-        except BaseException:
-            aside.rmdir()
-            raise
-        return aside
+            staged = directory / "manifest.json.tmp"
+            try:
+                chunks = [
+                    _write_chunk(path, columns[:, start:start + chunk_rows])
+                    for path, start in zip(paths, range(0, n, chunk_rows))
+                ]
+                manifest = {
+                    "version": MANIFEST_VERSION,
+                    "name": name,
+                    "rows": n,
+                    "arity": len(schema),
+                    "chunk_rows": chunk_rows,
+                    "schema": schema_json,
+                    "chunks": chunks,
+                    "distinct": True,
+                    "index": {"columns": positions} if clustered else None,
+                }
+                staged.write_text(
+                    json.dumps(manifest, indent=1, sort_keys=True) + "\n"
+                )
+                # The one step that switches versions.
+                os.replace(staged, directory / "manifest.json")
+            except BaseException:
+                for path in (*paths, staged):
+                    path.unlink(missing_ok=True)
+                if fresh:
+                    directory.rmdir()
+                raise
+            self._forget(name)
+            _delete_unnamed(directory, {chunk["file"] for chunk in chunks})
+            # The handle returned is the one this write put in place.
+            return self.open(name)
 
     def __repr__(self) -> str:
         return f"RelationStore({str(self.root)!r}, {len(self.names())} relations)"
 
 
-def _asides(root: Path) -> dict[str, list[Path]]:
-    """The set-aside ``.old-<name>-<random>`` copies under ``root`` that
-    still hold a manifest, by relation name."""
-    found: dict[str, list[Path]] = {}
-    for manifest in root.glob(".old-*/manifest.json"):
-        aside = manifest.parent
-        name = aside.name[len(".old-"):].rsplit("-", 1)[0]
-        if _NAME_RE.match(name):
-            found.setdefault(name, []).append(aside)
-    return found
+def _generation_suffix(directory: Path) -> str:
+    """What a write in ``directory`` appends to its chunk names: nothing
+    on a first write, else ``.g<k>``, ``k`` one past the highest
+    generation of a chunk file there (``chunk-NNNNN.bin`` is 0)."""
+    generations = [
+        int(match.group(1) or 0)
+        for match in map(_CHUNK_RE.fullmatch, os.listdir(directory))
+        if match is not None
+    ]
+    return f".g{max(generations) + 1}" if generations else ""
 
 
-def _whole(aside: Path) -> bool:
-    """Does every chunk file a copy's manifest lists lie beside it, at
-    the size the manifest gives?"""
-    try:
-        manifest = json.loads((aside / "manifest.json").read_bytes())
-        row_bytes = len(manifest["schema"]) * _ELEMENT_BYTES
-        return all(
-            os.path.getsize(aside / spec["file"])
-            == int(spec["rows"]) * row_bytes
-            for spec in manifest["chunks"]
-        )
-    except (OSError, ValueError, KeyError, TypeError):
-        return False
+def _delete_unnamed(directory: Path, chunk_files: set[str]) -> None:
+    """Delete every file in ``directory`` but ``manifest.json`` and
+    ``chunk_files``: the version a write replaced, and what a killed
+    write left (a file that cannot be deleted goes at the next write)."""
+    for entry in os.listdir(directory):
+        if entry != "manifest.json" and entry not in chunk_files:
+            with contextlib.suppress(OSError):
+                os.unlink(directory / entry)
 
 
-def _write_chunk(staging: Path, chunk_id: int, block: np.ndarray) -> dict:
+def _write_chunk(path: Path, block: np.ndarray) -> dict:
     """Write one chunk file — the contiguous rows of an ``(arity, rows)``
     block, back to back — and return its manifest entry, the file's
     CRC32 with it."""
-    file = f"chunk-{chunk_id:05d}.bin"
-    with open(staging / file, "wb") as out:
+    with open(path, "wb") as out:
         for column in block:
             out.write(column)
     return {
-        "file": file,
+        "file": path.name,
         "rows": block.shape[1],
         "stats": np.stack((block.min(axis=1), block.max(axis=1)), axis=1)
         .tolist(),

@@ -35,4 +35,4 @@ def test_two_hash_seeds_print_identical_digests():
     stored = [line.split()[1] for line in first.splitlines()[len(lines):]]
     assert stored == [f"T/chunk-{i:05d}.bin" for i in range(12)] + [
         "T/manifest.json"
-    ]
+    ] + [f"W/chunk-{i:05d}.g1.bin" for i in range(3)] + ["W/manifest.json"]

@@ -279,9 +279,14 @@ class TestVersions:
         store = RelationStore(tmp_path)
         store.write_array("R", old, schema, chunk_rows=3, index_columns=())
         first = self._without_checksums(store, "R")
-        np.testing.assert_array_equal(store.open("R").read().relation.array,
-                                      old)
-        store.write_array("R", new, schema, chunk_rows=3, index_columns=())
+        for _ in range(2):  # the second read keeps the blocks
+            np.testing.assert_array_equal(first.read().relation.array, old)
+        # A rewrite names new chunk files, so only a drop and a first
+        # write give the new rows the old manifest's bytes; another store
+        # does both, so ``first`` stays cached and its blocks pooled.
+        other = RelationStore(tmp_path)
+        other.drop("R")
+        other.write_array("R", new, schema, chunk_rows=3, index_columns=())
         second = self._without_checksums(store, "R")
         assert second.digest == first.digest
         np.testing.assert_array_equal(store.open("R").read().relation.array,
@@ -302,6 +307,31 @@ class TestVersions:
                                             index_columns=())
         np.testing.assert_array_equal(store.open("R").read().relation.array,
                                       new)
+
+
+    @pytest.mark.parametrize("change", ["rewrite", "drop", "drop and write"])
+    def test_a_handle_opened_before_a_rewrite_or_drop_says_so(
+        self, tmp_path, large_pool, change
+    ):
+        """A handle reads its own version's chunk files until a rewrite
+        or a drop through another store deletes them; then its read is
+        refused as stale — not as a missing file, and not as a torn or
+        corrupt chunk, even when a first write after the drop has put
+        same-sized chunks under the old names."""
+        store = RelationStore(tmp_path)
+        store.write_array("R", _rows(), SCHEMA, chunk_rows=CHUNK_ROWS)
+        handle = store.open("R")
+        other = RelationStore(tmp_path)
+        if change.startswith("drop"):
+            other.drop("R")
+        if change != "drop":
+            other.write_array("R", _rows(seed=6), SCHEMA,
+                              chunk_rows=CHUNK_ROWS)
+        with pytest.raises(
+            StoreError, match="'R' was rewritten or dropped after this "
+            "handle was opened",
+        ):
+            handle.read()
 
 
 class TestRelease:

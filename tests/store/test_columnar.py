@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import sys
 import threading
@@ -165,24 +166,54 @@ class TestCatalogue:
         store.drop("A")  # idempotent
 
     def test_fingerprint_tracks_rewrites(self, tmp_path):
+        history = [[(1,)], [(2,)], [(2,)]]
+        roots = [tmp_path / "a", tmp_path / "b"]
+        for root in roots:
+            store = RelationStore(root)
+            digests = []
+            for rows in history:
+                store.write("R", Relation(_schema(1), rows))
+                digests.append(store.fingerprint())
+                assert store.open("R").read().relation == Relation(
+                    _schema(1), rows
+                )
+            assert [name for name, _ in digests[-1]] == ["R"]
+            # A rewrite names new chunk files, so even one of the same
+            # rows is a new manifest and a new digest.
+            assert len(set(digests)) == len(history)
+        # The same write history gives the same bytes (deterministic names).
+        manifests = [(root / "R" / "manifest.json").read_bytes()
+                     for root in roots]
+        assert manifests[0] == manifests[1]
+
+    def test_a_drop_between_finds_stat_and_read_finds_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        """Another process may drop a relation after ``find`` has seen
+        its manifest and before it reads it: ``find`` then finds
+        nothing, as it would a moment later."""
         store = RelationStore(tmp_path)
         store.write("R", Relation(_schema(1), [(1,)]))
-        before = store.fingerprint()
-        store.write("R", Relation(_schema(1), [(2,)]))
-        after = store.fingerprint()
-        assert before != after
-        assert [name for name, _ in after] == ["R"]
-        # Same bytes again -> same digest (manifests are deterministic).
-        store.write("R", Relation(_schema(1), [(2,)]))
-        assert store.fingerprint() == after
+        manifest = str(tmp_path / "R" / "manifest.json")
+        real_stat = os.stat
+
+        def stat_then_drop(path, *args, **kwargs):
+            result = real_stat(path, *args, **kwargs)
+            if str(path) == manifest:
+                monkeypatch.setattr(os, "stat", real_stat)
+                RelationStore(tmp_path).drop("R")
+            return result
+
+        monkeypatch.setattr(os, "stat", stat_then_drop)
+        assert RelationStore(tmp_path).find("R") is None
 
     def test_default_chunk_rows_is_the_documented_knob(self):
         assert DEFAULT_CHUNK_ROWS == 65536
 
     def test_two_threads_writing_one_name_take_turns(self, tmp_path):
-        """Each write stages in a directory of its own and swaps it in
-        under the store's lock: no write fails, the survivor is one of
-        the two inputs whole, and no staging directory is left over."""
+        """Each write holds the store's lock from its first chunk file to
+        its cleanup: no write fails, the survivor is one of the two
+        inputs whole, and nothing but its files is left over."""
         store = RelationStore(tmp_path)
         inputs = [
             np.arange(start, start + 400).reshape(-1, 2) for start in (0, 1000)
@@ -217,6 +248,12 @@ class TestCatalogue:
         final = RelationStore(tmp_path).open("R").read().relation
         assert final in [Relation(_schema(2), rows) for rows in inputs]
         assert [entry.name for entry in tmp_path.iterdir()] == ["R"]
+        # The last write's cleanup left only its manifest and chunks.
+        handle = RelationStore(tmp_path).open("R")
+        named = {chunk.file for chunk in handle.chunks}
+        assert {entry.name for entry in (tmp_path / "R").iterdir()} == (
+            named | {"manifest.json"}
+        )
 
 
 def _brute(rows: np.ndarray, position: int, op: str, value: int):
@@ -347,6 +384,34 @@ class TestPruning:
         with pytest.raises(StoreError, match=message):
             RelationStore(tmp_path).open("SP")
         chunks, problems = RelationStore(tmp_path).verify()
+        assert chunks == 0 and len(problems) == 1
+        assert re.match(message, problems[0])
+
+    @pytest.mark.parametrize("file", [
+        "absolute", "../../OUT/chunk-00000.bin", "sub/chunk-00000.bin", "",
+    ], ids=["absolute", "dot-dot", "subdirectory", "empty"])
+    def test_a_chunk_file_outside_the_writers_pattern_is_refused(
+        self, tmp_path, file
+    ):
+        """The manifest is outside input: a chunk ``"file"`` that is not
+        a bare name of the writer's pattern — here one naming a whole,
+        well-formed chunk of another relation — is refused where it is
+        read, and ``verify`` reports it."""
+        root = tmp_path / "root"
+        store, _ = self._stored(root, n=64, chunk_rows=32)
+        outside = RelationStore(tmp_path).write_array(
+            "OUT", np.arange(96).reshape(32, 3), _schema(3), chunk_rows=32
+        )
+        if file == "absolute":
+            file = str(outside.path / outside.chunks[0].file)
+        path = store.open("SP").path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["chunks"][0]["file"] = file
+        path.write_text(json.dumps(manifest))
+        message = r"manifest for 'SP' names chunk file .*; need a name"
+        with pytest.raises(StoreError, match=message):
+            RelationStore(root).open("SP")
+        chunks, problems = RelationStore(root).verify()
         assert chunks == 0 and len(problems) == 1
         assert re.match(message, problems[0])
 

@@ -188,9 +188,10 @@ class TestStaleStaging:
     def test_a_killed_writers_staging_directory_is_not_a_relation(
         self, stored
     ):
-        """A writer killed after its manifest write and before the
-        rename leaves ``.tmp-<name>-<random>/manifest.json`` behind; the
-        store must not list it, and compiles must keep working."""
+        """A writer of the previous layout killed after its manifest
+        write and before its rename left ``.tmp-<name>-<random>/
+        manifest.json`` behind; the store must not list it, and compiles
+        must keep working."""
         staging = stored.root / ".tmp-R-k2x9q_7a"
         staging.mkdir()
         (staging / "manifest.json").write_text(

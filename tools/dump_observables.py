@@ -33,7 +33,9 @@ Per run, one SHA-256 for each section:
 
 Last, one line ``store <relation>/<file> <digest>`` for each file —
 ``manifest.json`` and every chunk — of each relation the transactions
-wrote to the store, so the bytes the store writes are an observable too.
+wrote to the store, and of ``W``, written twice so that its ``.g1``
+chunks are a rewrite's: the bytes the store writes, and the names a
+rewrite gives them, are observables too.
 
 ``--full`` is the only option and changes only what is printed.  The
 output is a function of the source alone: the same under any
@@ -225,8 +227,15 @@ def observe(front_end: str, spec: dict) -> dict[str, str]:
 
 
 def store_digests(store_dir: Path) -> list[str]:
-    """One SHA-256 per file of every relation stored under ``store_dir``."""
+    """One SHA-256 per file of every relation stored under ``store_dir``,
+    after ``W`` is written there twice with different rows: a rewrite's
+    chunk names and bytes are observables too."""
     store = RelationStore(store_dir)
+    for seed in (10, 11):
+        store.write(
+            "W", random_relation(120, 2, universe=40, seed=seed),
+            chunk_rows=50,
+        )
     return [
         f"store {name}/{file.name} "
         f"{hashlib.sha256(file.read_bytes()).hexdigest()}"
