@@ -30,6 +30,8 @@ Fault spec grammar (the CLI's ``--faults`` argument)::
                                          (NAME '*' matches every step)
            | disk:NAME[:N]               fail reads of base relation NAME
                                          (NAME '*' matches every read)
+           | store:NAME:corrupt[:N]      a read of store-backed NAME meets
+           | store:NAME:torn[:N]         a corrupt or torn chunk
            | slow:NAME:SECONDS           inject host slowness per execute
 
 ``N`` (default 1) bounds the failures per site — the fault is
@@ -37,7 +39,10 @@ Fault spec grammar (the CLI's ``--faults`` argument)::
 device fault *permanent*: its retry budget exhausts, it is quarantined,
 and the pool replans the query onto the surviving roster.  ``pP`` (e.g.
 ``p0.5``) makes each attempt fail with probability ``P``, decided by
-the seeded hash.
+the seeded hash.  A damaged chunk does not heal on a re-read, so a
+``store`` fault is not retried: the read fails with the ``StoreError``
+the chunk pool raises for such a chunk, and the next read is the next
+attempt of its site.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import (
     ConfigError,
@@ -53,6 +58,7 @@ from repro.errors import (
     DiskFaultError,
     ExchangeFaultError,
     ShardFaultError,
+    StoreError,
 )
 from repro.obs import metrics
 
@@ -62,7 +68,10 @@ __all__ = ["FaultRule", "FaultPlan", "parse_faults"]
 #: the site's retry budget always exhausts and the device quarantines.
 ALWAYS = 1 << 30
 
-_KINDS = ("device", "block", "shard", "exchange", "disk", "slow")
+_KINDS = ("device", "block", "shard", "exchange", "disk", "store", "slow")
+
+#: What a ``store`` rule does to the chunk the read meets.
+_DAMAGES = ("corrupt", "torn")
 
 
 @dataclass(frozen=True)
@@ -72,8 +81,9 @@ class FaultRule:
     ``count`` bounds how many attempts fail per site; ``probability``
     (exclusive with a finite count) makes each attempt fail by seeded
     coin flip; ``block`` restricts a device rule to ops whose §8
-    decomposition covers that block index; ``seconds`` is the injected
-    slowness of a ``slow`` rule.
+    decomposition covers that block index; ``damage`` is what a
+    ``store`` rule does to a chunk (``"corrupt"`` or ``"torn"``);
+    ``seconds`` is the injected slowness of a ``slow`` rule.
     """
 
     kind: str
@@ -81,6 +91,7 @@ class FaultRule:
     count: int = 1
     probability: Optional[float] = None
     block: Optional[int] = None
+    damage: Optional[str] = None
     seconds: float = 0.0
 
     def describe(self) -> str:
@@ -93,8 +104,9 @@ class FaultRule:
             suffix = ":kill"
         elif self.count != 1:
             suffix = f":{self.count}"
-        block = f":{self.block}" if self.block is not None else ""
-        return f"{self.kind}:{self.target}{block}{suffix}"
+        detail = self.damage if self.block is None else self.block
+        middle = f":{detail}" if detail is not None else ""
+        return f"{self.kind}:{self.target}{middle}{suffix}"
 
 
 def _parse_rule(text: str) -> FaultRule:
@@ -138,6 +150,14 @@ def _parse_rule(text: str) -> FaultRule:
         if block < 0:
             raise ConfigError(f"block rule {text!r}: index must be >= 0")
         rest = rest[1:]
+    damage: Optional[str] = None
+    if kind == "store":
+        if not rest or rest[0].lower() not in _DAMAGES:
+            raise ConfigError(
+                f"store rule {text!r} needs store:NAME:corrupt[:N] or "
+                f"store:NAME:torn[:N]"
+            )
+        damage, rest = rest[0].lower(), rest[1:]
     count, probability = 1, None
     if rest:
         if len(rest) > 1:
@@ -173,7 +193,7 @@ def _parse_rule(text: str) -> FaultRule:
                 raise ConfigError(f"fault rule {text!r}: count must be >= 0")
     return FaultRule(
         kind=kind, target=target, count=count, probability=probability,
-        block=block,
+        block=block, damage=damage,
     )
 
 
@@ -298,6 +318,22 @@ class FaultPlan:
                 f"injected read error on base relation {name!r}"
             )
         return None
+
+    def store_fault(
+        self, name: str, find: Callable[[str], Optional[Any]], scope: str = ""
+    ) -> Optional[StoreError]:
+        """The damaged chunk (if any) a read of the store-backed base
+        relation ``name`` meets: the ``StoreError`` the chunk pool
+        raises for it (``StoredRelation.damaged``).  ``find(name)`` is
+        the relation's read handle, None when ``name`` is not
+        store-backed; it is looked up only while a rule names it."""
+        rule = self._rule_for("store", name)
+        handle = None if rule is None else find(name)
+        if handle is None or not handle.n_chunks or not self._fires(
+            rule, ("store", scope, name)
+        ):
+            return None
+        return handle.damaged(rule.damage)
 
     def shard_fault(
         self, shard: int, stage_key: str

@@ -159,7 +159,7 @@ class MachineDisk:
             self._store is not None and self._store.holds(name)
         )
 
-    def _handle(self, name: str) -> Optional["StoredRelation"]:
+    def handle(self, name: str) -> Optional["StoredRelation"]:
         """The store's read handle when reads of ``name`` stream from the
         persistent store, else ``None``: one manifest ``stat``."""
         if name in self._catalog or self._store is None:
@@ -174,7 +174,7 @@ class MachineDisk:
         try:
             return self._catalog[name]
         except KeyError:
-            handle = self._handle(name)
+            handle = self.handle(name)
             if handle is not None:
                 return handle.read().relation
             raise PlanError(
@@ -212,7 +212,7 @@ class MachineDisk:
             first, count, _ = self._extents[name]
             source, cylinder = relation, first if count == 1 else None
         else:
-            source, cylinder = self._handle(name), None
+            source, cylinder = self.handle(name), None
             if source is None:
                 return None
         kept = self._records.get(name)
@@ -251,7 +251,7 @@ class MachineDisk:
         predicate — filters tuples on the fly; without either, a
         selection here is an error (route it to the CPU instead).
         """
-        handle = self._handle(name)
+        handle = self.handle(name)
         if handle is not None:
             scan = handle.read(selection)
             metrics.inc("machine.disk.reads")

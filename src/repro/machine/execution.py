@@ -478,12 +478,14 @@ class PlanExecutor:
             raise PlanError(f"unknown device {name!r}") from None
 
     def _guarded_read(self, op: PhysicalOp):
-        """One disk read, retried through the fault plan's injections."""
+        """One disk read, retried through the fault plan's injections;
+        a chunk the plan damages fails it outright (a re-read would
+        meet the same chunk)."""
+        name, scope = op.base_name, self.fault_scope
         return guarded_call(
-            lambda: self.disk.read(op.base_name, selection=op.selection),
-            lambda: self.faults.disk_fault(
-                op.base_name, scope=self.fault_scope
-            ),
+            lambda: self.disk.read(name, selection=op.selection),
+            lambda: self.faults.disk_fault(name, scope=scope)
+            or self.faults.store_fault(name, self.disk.handle, scope=scope),
             site=f"disk:{self.fault_scope}:{op.op_id}",
             faults=self.faults,
             cancel=self.cancel,

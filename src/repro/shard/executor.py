@@ -16,6 +16,12 @@ through the pool's shared plan cache — in stages:
 3. the per-shard answers merge — in shard order, under the relation's
    set semantics — into the logical results.
 
+``compile`` and ``execute`` walk the stages through one loop
+(:meth:`ShardedExecutor._stage_loop`) and differ only in what a lane
+receives after an exchange stage: ``execute`` hands it the exchanged
+piece, ``compile`` an empty placeholder of the exchanged relation,
+which ROADMAP item 16 replaces with a record of what the lane will hold.
+
 Every merge and exchange reads the :class:`~repro.shard.catalog.
 Distribution` the planner tracked for the pieces (:func:`_combine`):
 only ``scattered`` pieces can repeat a row across shards, so only they
@@ -34,8 +40,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import reduce
-from typing import Optional, Sequence
+from functools import partial, reduce
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -95,7 +101,8 @@ class ShardedCompilation:
         physical plans, stage by stage, with their disk sweeps."""
         lines = [self.plan.explain()]
         for shard in range(self.shards):
-            for step, per_shard in zip(self.plan.exchanges, self.stages):
+            for index, per_shard in enumerate(self.stages):
+                step = self.plan.exchanges[index]
                 lines.append(
                     f"shard {shard}, stage for {step.kind} -> {step.name}:"
                 )
@@ -107,6 +114,18 @@ class ShardedCompilation:
             f"(stages + exchanges)"
         )
         return "\n".join(lines)
+
+
+class _Stage(NamedTuple):
+    """A stage as :meth:`ShardedExecutor._stage_loop` hands it to the
+    action of ``compile`` or ``execute``."""
+
+    index: int
+    step: Optional[ExchangeStep]  # None for the final stage
+    roots: list[PlanNode]
+    lanes: list[Catalog]
+    compile: Callable[[int, Optional[Sequence]], PhysicalPlan]
+    kept: list[list[PlanNode]]
 
 
 @dataclass
@@ -218,40 +237,30 @@ class ShardedExecutor:
     ) -> ShardedCompilation:
         """Lower and compile without executing.
 
-        Exchange intermediates are compiled against empty placeholder
-        relations (their true sizes are data-dependent), so the
-        predicted makespan is the planner's estimate — exact for
-        exchange-free plans, a documented approximation otherwise.
-        Prefetched relations are resident in the later stages as the
-        shard's own piece, on the shards whose first stage reads them
-        (:meth:`_stage_plan`), as they are when the query runs.
+        The stages go through ``execute``'s loop (:meth:`_stage_loop`),
+        but after an exchange stage a lane receives an empty placeholder
+        of the exchanged relation (its true size is data-dependent)
+        beside its own prefetched relations.  So the predicted makespan
+        is the planner's estimate: exact for exchange-free plans, an
+        approximation otherwise, until ROADMAP item 16 compiles each
+        lane against a record of what it will hold.
         """
         sharded = self.plan(plans)
-        lanes = self._lanes()
-        predicted = 0.0
         stages = []
-        for index, step in enumerate(sharded.exchanges):
-            per_shard = []
-            for lane in lanes:
-                read, physical = self._stage_plan(
-                    lane, sharded, index, pipeline
-                )
-                per_shard.append(physical)
-                lane.preload(step.name, Relation(step.schema))
-                for root in read:
-                    lane.preload(root.name, lane.relation(root.name))
-            stages.append(per_shard)
-            predicted += max(
-                p.predicted_makespan for p in per_shard
-            ) + step.cost.seconds
-        physicals = [
-            self.pool.compile(lane, sharded.roots, arrivals, pipeline=pipeline)
-            for lane in lanes
-        ]
-        predicted += max(p.predicted_makespan for p in physicals)
+
+        def plan_stage(stage: _Stage):
+            stages.append([stage.compile(s, None) for s in range(self.shards)])
+            received = stage.step and [
+                [Relation(stage.step.schema),
+                 *(lane.relation(root.name) for root in kept)]
+                for lane, kept in zip(stage.lanes, stage.kept)
+            ]
+            return [p.predicted_makespan for p in stages[-1]], received
+
+        windows, _ = self._stage_loop(sharded, arrivals, pipeline, plan_stage)
         return ShardedCompilation(
-            plan=sharded, physicals=physicals, predicted_makespan=predicted,
-            stages=stages,
+            plan=sharded, physicals=stages.pop(), stages=stages,
+            predicted_makespan=windows[-1][1],
         )
 
     # -- execution ---------------------------------------------------------
@@ -291,60 +300,54 @@ class ShardedExecutor:
             plans=len(plans), priority=priority, shards=self.shards,
         ) as sp:
             sharded = self.plan(plans)
-            lanes = self._lanes()
             report = ShardedExecutionReport(
                 shards=self.shards, exchanges=list(sharded.exchanges),
             )
-            offset = 0.0
-            for index, step in enumerate(sharded.exchanges):
-                #: per shard, the prefetch roots its stage plan reads
-                read: list[list[PlanNode]] = [[] for _ in lanes]
+            ran = []  # per stage: its step, its shards' (results, report)
 
-                def compile_stage(shard, lane, roster, index=index):
-                    read[shard], physical = self._stage_plan(
-                        lane, sharded, index, pipeline, devices=roster
-                    )
-                    return physical
-
-                with obs.span(
-                    "shard.stage", stage=index, kind=step.kind,
-                    relation=step.name,
-                    prefetch=",".join(
-                        root.name for root in sharded.stage_roots(index)[1:]
-                    ),
-                ):
-                    outcomes = self._run_stage(
-                        lanes, compile_stage,
-                        stage_key=f"stage{index}", cancel=cancel,
-                    )
-                    pieces = self._exchange(
-                        step, [res[0] for res, _ in outcomes], cancel
-                    )
-                    for lane, piece, (res, _), roots in zip(
-                        lanes, pieces, outcomes, read
-                    ):
-                        lane.preload(step.name, piece)
+            def run_stage(stage: _Stage):
+                step = stage.step
+                attrs = {"stage": "final"} if step is None else {
+                    "stage": stage.index, "kind": step.kind,
+                    "relation": step.name,
+                    "prefetch": ",".join(r.name for r in stage.roots[1:]),
+                }
+                with obs.span("shard.stage", **attrs):
+                    outcomes = self._run_stage(stage, cancel)
+                    received = [res for res, _ in outcomes]
+                    if step is not None:
+                        pieces = self._exchange(
+                            step, [res[0] for res in received], cancel
+                        )
                         # The prefetched roots' results, the shard's own
-                        # pieces, stay resident for the later stages.
-                        for root, relation in zip(roots, res[1:]):
-                            lane.preload(root.name, relation)
-                offset = self._fold_stage(
-                    report, outcomes, offset, step
-                )
-            with obs.span("shard.stage", stage="final"):
-                outcomes = self._run_stage(
-                    lanes,
-                    lambda shard, lane, roster: self.pool.compile(
-                        lane, sharded.roots, arrivals, pipeline=pipeline,
-                        devices=roster,
-                    ),
-                    stage_key="final", cancel=cancel,
-                )
-            self._fold_stage(report, outcomes, offset, None)
-            report.shard_reports = [rep for _, rep in outcomes]
-            results = self._merge(
-                sharded.distributions, [res for res, _ in outcomes]
+                        # pieces, stay resident beside the exchanged one.
+                        received = [[piece, *res[1:]]
+                                    for piece, res in zip(pieces, received)]
+                ran.append((step, outcomes))
+                return [rep.makespan for _, rep in outcomes], received
+
+            windows, per_shard = self._stage_loop(
+                sharded, arrivals, pipeline, run_stage
             )
+            for (step, outcomes), (start, end) in zip(ran, windows):
+                report.steps += [
+                    ScheduledStep(
+                        f"shard{index}:{st.label}", st.device,
+                        st.start + start, st.end + start, st.output_key,
+                        st.output_memory, st.input_keys, st.pulses,
+                        st.block_runs, st.nbytes_out, st.swept,
+                    )
+                    for index, (_, rep) in enumerate(outcomes)
+                    for st in rep.steps
+                ]
+                if step is not None:
+                    report.steps.append(ScheduledStep(
+                        f"exchange:{step.kind}:{step.name}", INTERCONNECT,
+                        end, end + step.cost.seconds, step.name,
+                        INTERCONNECT, nbytes_out=step.cost.nbytes,
+                    ))
+            report.shard_reports = [rep for _, rep in ran[-1][1]]
+            results = self._merge(sharded.distributions, per_shard)
             if sharded.local_joins:
                 metrics.inc("shard.local_joins", sharded.local_joins)
             sp.set(
@@ -356,57 +359,87 @@ class ShardedExecutor:
     # -- stages ------------------------------------------------------------
 
     def _lanes(self) -> list[Catalog]:
-        """Per-query shard catalogs (:meth:`Catalog.lane`): shared
-        disks and planning memos, private preload sets.
-
-        Exchange intermediates are preloaded per query, so they must
-        not leak into the shard catalogs other queries read.
-        """
+        """Per-query shard catalogs (:meth:`Catalog.lane`): private
+        preloads, so exchanged relations never leak into other queries."""
         return [shard.lane() for shard in self.catalog.shards]
 
-    def _stage_plan(
-        self,
-        lane: Catalog,
-        sharded: ShardedPlan,
-        index: int,
+    def _stage_loop(
+        self, sharded: ShardedPlan, arrivals: Optional[Sequence[float]],
         pipeline: bool,
-        devices: Optional[Sequence] = None,
-    ) -> tuple[list[PlanNode], PhysicalPlan]:
-        """Compile exchange stage ``index`` on one shard: its fragment,
-        then the prefetch roots this shard's plan reads at no cost to
-        the disk (:func:`_read_free`).  A prefetch the plan would read
-        in a revolution of its own — its sweep fits no memory whole —
-        is dropped, and the stage compiled again without it.  Returns
-        the prefetch roots kept and the stage's plan."""
-        roots = sharded.stage_roots(index)
+        action: Callable[[_Stage], tuple[list[float], Optional[list]]],
+    ) -> tuple[list[tuple[float, float]], Optional[list]]:
+        """The one walk of a sharded plan's stages, ``compile``'s and
+        ``execute``'s alike: each exchange stage, then the final one.
+
+        ``action`` gets each stage's roots and lanes, with
+        ``compile(shard, roster)``, which plans them on one lane and
+        keeps in ``kept[shard]`` the prefetch roots that plan reads
+        (:meth:`_stage_plan`).  It returns each shard's seconds and,
+        after an exchange stage, what each lane receives — the
+        exchanged relation, then one per kept prefetch root — for the
+        loop to preload.  A stage lasts as long as its slowest shard,
+        then its exchange.  Returns each stage's ``(start, end)`` and
+        the final action's relations.
+        """
+        lanes = self._lanes()
+        windows: list[tuple[float, float]] = []
+        start = 0.0
+        for index, step in enumerate([*sharded.exchanges, None]):
+            final = step is None
+            roots = sharded.roots if final else sharded.stage_roots(index)
+            kept: list[list[PlanNode]] = [[] for _ in lanes]
+            compile_lane = partial(
+                self._stage_plan, lanes, kept, roots,
+                0 if final else len(roots) - 1, arrivals if final else None,
+                pipeline,
+            )
+            seconds, received = action(
+                _Stage(index, step, roots, lanes, compile_lane, kept)
+            )
+            end = start + max(seconds)
+            windows.append((start, end))
+            if final:
+                return windows, received
+            for lane, reads, relations in zip(lanes, kept, received):
+                for source, relation in zip([step, *reads], relations):
+                    lane.preload(source.name, relation)
+            start = end + step.cost.seconds
+
+    def _stage_plan(
+        self, lanes: list[Catalog], kept: list[list[PlanNode]],
+        roots: list[PlanNode], prefetched: int,
+        arrivals: Optional[Sequence[float]], pipeline: bool,
+        shard: int, devices: Optional[Sequence],
+    ) -> PhysicalPlan:
+        """Compile one stage's ``roots`` on lane ``shard``.  Of the last
+        ``prefetched``, the prefetch roots, it keeps in ``kept[shard]``
+        those this shard's plan reads at no cost to the disk
+        (:func:`_read_free`).  A prefetch the plan would read in a
+        revolution of its own — its sweep fits no memory whole — is
+        dropped, and the stage compiled again without it."""
         physical = self.pool.compile(
-            lane, roots, pipeline=pipeline, devices=devices
+            lanes[shard], roots, arrivals, pipeline=pipeline, devices=devices
         )
-        read = [
-            root for k, root in enumerate(roots[1:], start=1)
+        head = len(roots) - prefetched
+        kept[shard] = [
+            root for k, root in enumerate(roots[head:], start=head)
             if _read_free(physical, k)
         ]
-        if len(read) < len(roots) - 1:
+        if len(kept[shard]) < prefetched:
             physical = self.pool.compile(
-                lane, [roots[0], *read], pipeline=pipeline, devices=devices
+                lanes[shard], [*roots[:head], *kept[shard]], arrivals,
+                pipeline=pipeline, devices=devices,
             )
-        return read, physical
+        return physical
 
     def _run_stage(
-        self,
-        lanes: list[Catalog],
-        compile_stage,
-        stage_key: str = "final",
-        cancel: Optional[CancelToken] = None,
+        self, stage: _Stage, cancel: Optional[CancelToken]
     ) -> list[tuple[list[Relation], ExecutionReport]]:
         """Run one stage on every shard, in shard order; returns the
-        shards' ``(results, report)`` pairs.  ``compile_stage(shard,
-        lane, roster)`` compiles the stage's plans on one shard, inside
-        its ``shard.run`` (``roster`` is None while no device is
-        quarantined).
+        shards' ``(results, report)`` pairs.  Each shard compiles the
+        stage (``stage.compile``) inside its ``shard.run`` span.
 
-        Each shard's subtree is a ``shard.run`` span, recorded in shard
-        order.  A shard machine that crashes (an injected
+        A shard machine that crashes (an injected
         :class:`ShardFaultError`) is re-run with bounded backoff; the
         crash is injected *before* its ``shard.run`` span opens, so a
         recovered run's trace — like its results and timeline, which
@@ -418,8 +451,9 @@ class ShardedExecutor:
         """
         pool = self.pool
         faults = pool.faults
+        key = "final" if stage.step is None else f"stage{stage.index}"
         outcomes = []
-        for index, lane in enumerate(lanes):
+        for index, lane in enumerate(stage.lanes):
 
             def attempt(roster, plan):
                 def run_once() -> tuple[list[Relation], ExecutionReport]:
@@ -431,8 +465,8 @@ class ShardedExecutor:
 
                 return guarded_call(
                     run_once,
-                    lambda: faults.shard_fault(index, stage_key),
-                    site=f"shard:{index}:{stage_key}",
+                    lambda: faults.shard_fault(index, key),
+                    site=f"shard:{index}:{key}",
                     faults=faults,
                     cancel=cancel,
                     retryable=(ShardFaultError,),
@@ -440,7 +474,7 @@ class ShardedExecutor:
 
             outcomes.append(replan_on_quarantine(
                 pool.devices, faults,
-                lambda roster: compile_stage(index, lane, roster),
+                lambda roster: stage.compile(index, roster),
                 attempt,
             ))
         return outcomes
@@ -510,41 +544,6 @@ class ShardedExecutor:
             "shard.repartition_tuples", sum(map(len, pieces)) - stayed
         )
         return [_combine(bucket, step.source) for bucket in zip(*parts)]
-
-    def _fold_stage(
-        self,
-        report: ShardedExecutionReport,
-        outcomes: list[tuple[list[Relation], ExecutionReport]],
-        offset: float,
-        step: Optional[ExchangeStep],
-    ) -> float:
-        """Append one stage's shard timelines (plus its exchange) to the
-        composed report; returns the next stage's start offset."""
-        stage_span = 0.0
-        for index, (_, shard_report) in enumerate(outcomes):
-            stage_span = max(stage_span, shard_report.makespan)
-            report.steps += [
-                ScheduledStep(
-                    f"shard{index}:{st.label}", st.device,
-                    st.start + offset, st.end + offset, st.output_key,
-                    st.output_memory, st.input_keys, st.pulses,
-                    st.block_runs, st.nbytes_out, st.swept,
-                )
-                for st in shard_report.steps
-            ]
-        end = offset + stage_span
-        if step is None:
-            return end
-        report.steps.append(ScheduledStep(
-            label=f"exchange:{step.kind}:{step.name}",
-            device=INTERCONNECT,
-            start=end,
-            end=end + step.cost.seconds,
-            output_key=step.name,
-            output_memory=INTERCONNECT,
-            nbytes_out=step.cost.nbytes,
-        ))
-        return end + step.cost.seconds
 
     def _merge(
         self,

@@ -326,18 +326,13 @@ class _ChunkPool:
                 chunk_id, f"cannot be read: {exc.strerror}"
             ) from exc
         if not complete:
+            elements = handle.chunks[chunk_id].rows * handle.arity
             raise handle._failure(
-                chunk_id,
-                f"holds {held // _ELEMENT_BYTES} elements, manifest says "
-                f"{handle.chunks[chunk_id].rows * handle.arity}",
+                chunk_id, _torn(held // _ELEMENT_BYTES, elements)
             )
         expected = handle.chunks[chunk_id].crc32
         if expected is not None and _crc32(out) != expected:
-            raise handle._failure(
-                chunk_id,
-                "fails its CRC32 check: the file's bytes changed after the "
-                "write",
-            )
+            raise handle._failure(chunk_id, _CORRUPT)
 
     def _admit(self, key: _Key, block: np.ndarray) -> None:
         """Keep ``block`` if ``key`` missed before, else note the key."""
@@ -383,6 +378,15 @@ class _ChunkPool:
                 "resident_bytes": self._resident,
                 "budget_bytes": self.budget,
             }
+
+
+#: What :meth:`_ChunkPool._load` says of a chunk whose bytes fail the
+#: manifest's CRC32, and of one that holds the wrong element count.
+_CORRUPT = "fails its CRC32 check: the file's bytes changed after the write"
+
+
+def _torn(held: int, expected: int) -> str:
+    return f"holds {held} elements, manifest says {expected}"
 
 
 def _crc32(block: np.ndarray) -> int:
@@ -466,6 +470,16 @@ class StoredRelation:
     def distinct_count(self, column: ColumnRef) -> Optional[int]:
         """A column's distinct values as the manifest records them."""
         return self.distinct_counts[self.schema.resolve(column)]
+
+    def damaged(self, damage: str) -> StoreError:
+        """The error a read of this relation meets at its first chunk
+        when that chunk is ``"corrupt"`` (its bytes fail the CRC32
+        check) or ``"torn"`` (it holds half its elements): what the
+        chunk pool's loader raises, for a fault plan to inject."""
+        elements = self.chunks[0].rows * self.arity
+        return self._failure(0, _CORRUPT if damage == "corrupt" else _torn(
+            elements // 2, elements
+        ))
 
     def _failure(self, chunk_id: int, problem: str) -> StoreError:
         """``problem`` with chunk ``chunk_id`` — unless this handle's

@@ -875,3 +875,53 @@ def test_perf_layer_rule_holds_the_sections_and_citations(tmp_path):
         "src/mod.py:2: cites 'docs/PERF.md, \"The cache\"', which names no "
         "section of PERF.md",
     ]
+
+
+def test_one_stage_loop_rule_allows_only_the_loop(tmp_path):
+    check_docs = _load_check_docs()
+    package = tmp_path / "repro"
+    (package / "shard").mkdir(parents=True)
+    (package / "shard" / "planner.py").write_text(
+        "class ShardedPlan:\n"
+        "    def explain(self):\n"
+        "        return [step.describe() for step in self.exchanges]\n"
+    )
+    (package / "shard" / "executor.py").write_text(
+        "class ShardedExecutor:\n"
+        "    def compile(self, sharded):\n"
+        "        return self._stage_loop(sharded, lambda stage: stage)\n"
+        "    def _stage_loop(self, sharded, action):\n"
+        "        for index, step in enumerate([*sharded.exchanges, None]):\n"
+        "            action(self._stage_plan(sharded, index))\n"
+        "    def _stage_plan(self, sharded, index):\n"
+        "        return sharded.stage_roots(index)\n"
+    )
+    assert check_docs.check_one_stage_loop(root=package) == []
+
+    # A second walk beside the loop, as execute had one: its own loop
+    # over the exchanges, its own stage compiles, its own final stage.
+    (package / "shard" / "executor.py").write_text(
+        "class ShardedExecutor:\n"
+        "    def _stage_loop(self, sharded, action):\n"
+        "        for index, step in enumerate([*sharded.exchanges, None]):\n"
+        "            action(self._stage_plan(sharded, index))\n"
+        "    def _stage_plan(self, sharded, index):\n"
+        "        return sharded.stage_roots(index)\n"
+        "    def execute(self, sharded):\n"
+        "        for index, step in enumerate(sharded.exchanges):\n"
+        "            self._stage_plan(sharded, index)\n"
+        "        steps = [*sharded.exchanges]\n"
+        "        return [self.run(s) for s in zip(sharded.exchanges, steps)]\n"
+    )
+    (package / "serve.py").write_text(
+        "def plans(executor, sharded):\n"
+        "    return list(map(executor._stage_plan, sharded.exchanges))\n"
+    )
+    problems = check_docs.check_one_stage_loop(root=package)
+    assert [problem.split(" — ")[0] for problem in problems] == [
+        "serve.py:2: names _stage_plan",
+        "shard/executor.py:8: iterates a ShardedPlan's exchanges",
+        "shard/executor.py:9: names _stage_plan",
+        "shard/executor.py:10: iterates a ShardedPlan's exchanges",
+        "shard/executor.py:11: iterates a ShardedPlan's exchanges",
+    ]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Keep the documentation and the code from drifting apart.
 
-Twenty checks, all run in CI next to the bench gate::
+Twenty-one checks, all run in CI next to the bench gate::
 
     python tools/check_docs.py
 
@@ -202,6 +202,19 @@ Twenty checks, all run in CI next to the bench gate::
     A layer without a section, a number copied beside a section that no
     longer holds it, or a comment pointing at a section that was folded
     away fails here.
+
+21. **One stage loop.**  A sharded query's stages — each exchange
+    stage, then the final one — are walked by one method,
+    ``ShardedExecutor._stage_loop`` (:data:`STAGE_LOOP`), for
+    ``compile`` and ``execute`` alike; the two hand it only their
+    per-stage action.  So under ``src/repro/`` no code outside that
+    method iterates a ``ShardedPlan``'s ``exchanges`` — a ``for`` loop
+    or a comprehension over an expression that reads ``.exchanges``,
+    or a ``*``-unpacking of one — or names the per-lane stage compile
+    ``_stage_plan`` (:data:`STAGE_COMPILE`).  The shard planner
+    (:data:`PLAN_DEFINER`), where a ``ShardedPlan`` is built and
+    describes itself, may iterate its own exchanges.  A second walk of
+    the stages, with its own compiles, preloads or clock, fails here.
 
 Exits non-zero with one line per problem.
 """
@@ -1248,6 +1261,61 @@ def check_perf_layers(
     return problems
 
 
+#: The one walk of a sharded query's stages, the per-lane compile only
+#: it may name, and the module that builds a ShardedPlan.
+STAGE_LOOP = ("shard/executor.py", "_stage_loop")
+STAGE_COMPILE = "_stage_plan"
+PLAN_DEFINER = "shard/planner.py"
+
+
+def _walked(node: ast.AST) -> Optional[ast.AST]:
+    """What ``node`` iterates: a loop's or a comprehension's iterable,
+    a ``*``-unpacked value; None for any other node."""
+    if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+        return node.iter
+    return node.value if isinstance(node, ast.Starred) else None
+
+
+def _stage_walk_problem(node: ast.AST, where: str) -> Optional[str]:
+    """What ``node`` does that rule 21 refuses outside the loop, or None."""
+    if (isinstance(node, ast.Attribute) and node.attr == STAGE_COMPILE) or (
+        isinstance(node, ast.Name) and node.id == STAGE_COMPILE
+    ):
+        return f"names {STAGE_COMPILE}"
+    walked = _walked(node)
+    if where != PLAN_DEFINER and walked is not None and any(
+        isinstance(child, ast.Attribute) and child.attr == "exchanges"
+        for child in ast.walk(walked)
+    ):
+        return "iterates a ShardedPlan's exchanges"
+    return None
+
+
+def check_one_stage_loop(root=ROOT / "src" / "repro") -> list[str]:
+    problems: list[str] = []
+    for source in sorted(root.rglob("*.py")):
+        where = source.relative_to(root).as_posix()
+        tree = ast.parse(source.read_text())
+        loop = {
+            id(node)
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            and (where, function.name) == STAGE_LOOP
+            for node in ast.walk(function)
+        }
+        found = [
+            (getattr(node, "lineno", None) or node.iter.lineno, problem)
+            for node in ast.walk(tree) if id(node) not in loop
+            for problem in [_stage_walk_problem(node, where)] if problem
+        ]
+        problems += [
+            f"{where}:{line}: {problem} — a sharded query's stages are "
+            f"walked by ShardedExecutor.{STAGE_LOOP[1]} only"
+            for line, problem in sorted(found)
+        ]
+    return problems
+
+
 def main() -> int:
     problems = (
         check_metric_table() + check_links()
@@ -1259,7 +1327,7 @@ def main() -> int:
         + check_one_wire_writer() + check_one_variant_choice()
         + check_one_disk_timeline() + check_one_planning_snapshot()
         + check_one_pricing() + check_network_only_watches()
-        + check_perf_layers()
+        + check_perf_layers() + check_one_stage_loop()
     )
     for problem in problems:
         print(problem, file=sys.stderr)
@@ -1293,7 +1361,8 @@ def main() -> int:
         f"imported in systolic/engine/ by {MATERIALIZER} only and "
         f"nowhere under {KIT_FREE}, "
         f"PERF.md's sections the {len(LAYERS)} layers in order and every "
-        f"cited measurement committed"
+        f"cited measurement committed, "
+        f"a sharded query's stages walked by {STAGE_LOOP[1]} only"
     )
     return 0
 
