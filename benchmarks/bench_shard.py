@@ -15,13 +15,16 @@ A second, informational section exercises the costed exchange path: a
 through the simulated interconnect.
 
 The scaling ``entries`` are *simulated* and deterministic — same seed,
-same cost model, same timeline on every machine.  One more entry is
+same cost model, same timeline on every machine.  Two more entries are
 host-timed and gated on the probed clock: ``warm_lowering_ms``, what a
 repeated sharded query spends lowering — a warm ``ShardedExecutor.plan``
 of ``bulk_join``'s non-key join, a plan-cache hit over memoized shard
-snapshots (timeit, the fastest of 5 × 2 000).  The scaling runs' host
-wall-clock lives in the informational ``host_execution`` section and is
-not gated.
+snapshots (timeit, the fastest of 5 × 2 000) — and
+``warm_exchange_op_ms``, that join's whole warm ``run_many`` on 2
+shards, whose lanes derive no record and no planning context from what
+the exchange hands them (timeit, the fastest of 5 × 200).  The scaling
+runs' host wall-clock lives in the informational ``host_execution``
+section and is not gated.
 
 Run standalone to (re)generate ``BENCH_shard.json`` at the repo root —
 CI's benchmark smoke job does exactly this::
@@ -45,7 +48,7 @@ if not __package__:  # run as a script: the repository root, for benchmarks.*
 
 from benchmarks.probed import Probed
 from repro.arrays import ArrayCapacity
-from repro.machine import Base, EnginePool, Join
+from repro.machine import Base, BaseRecord, EnginePool, Join, PlanningContext
 from repro.shard import (
     BROADCAST,
     REPARTITION,
@@ -154,6 +157,56 @@ def run_warm_lowering(shards: int = 2) -> dict:
     }
 
 
+def _derivations(run) -> tuple[int, int]:
+    """The ``BaseRecord``s and ``PlanningContext``s ``run()`` builds."""
+    counts = {"records": 0, "contexts": 0}
+    of, new = BaseRecord.of.__func__, PlanningContext.__new__
+
+    def counted_of(cls, *args, **kwargs):
+        counts["records"] += 1
+        return of(cls, *args, **kwargs)
+
+    def counted_new(cls, *args, **kwargs):
+        counts["contexts"] += 1
+        return new(cls, *args, **kwargs)
+
+    BaseRecord.of = classmethod(counted_of)
+    PlanningContext.__new__ = counted_new
+    try:
+        run()
+    finally:
+        BaseRecord.of, PlanningContext.__new__ = classmethod(of), new
+    return counts["records"], counts["contexts"]
+
+
+def run_warm_exchange_op(shards: int = 2, number: int = 200) -> dict:
+    """A warm sharded op through an exchange: ``bulk_join``'s pool and
+    data, its non-key join run whole (``Session.run_many``).  After the
+    first run its lanes receive what the snapshot keeps records of, so
+    a warm op derives no record and no planning context."""
+    ja, jb = join_pair(4096, 64, 64, universe=4096 + 64, seed=11)
+    session = _pool(1023).session("warm-exchange", shards=shards)
+    session.store("JA", ja, key="key")
+    session.store("JB", jb, key="key")
+    plans = [Join(Base("JA"), Base("JB"), on=(("a0", "b0"),))]
+    _, report = session.run_many(plans)
+    assert report.exchanges, "the non-key join planned no exchange"
+    derived = _derivations(lambda: session.run_many(plans))
+    assert derived == (0, 0), f"a warm op derived {derived}"
+    with Probed() as probed:
+        best = min(timeit.repeat(
+            lambda: session.run_many(plans), number=number, repeat=5
+        )) / number
+    return {
+        "case": "warm_exchange_op",
+        "rows_a": len(ja),
+        "rows_b": len(jb),
+        "shards": shards,
+        "warm_exchange_op_ms": round(best * 1e3, 6),
+        "probe_seconds": probed.seconds,
+    }
+
+
 def run_exchange(shards: int = 4) -> list[dict]:
     """Informational: joins that *cannot* stay shard-local.
 
@@ -206,13 +259,15 @@ def main(argv=None) -> int:
 
     entries, walls = run_scaling(1 << 20, 64)
     lowering = run_warm_lowering()
+    warm_op = run_warm_exchange_op()
     exchange = run_exchange()
     report = {
         "description": "shard-aware execution: co-partitioned "
                        "million-tuple equi-join on 1/2/4 systolic "
-                       "machines, simulated makespans, and a warm "
-                       "lowering's host time (see docs/SHARDING.md)",
-        "entries": [*entries, lowering],
+                       "machines, simulated makespans, and the host time "
+                       "of a warm lowering and of a warm op through an "
+                       "exchange (see docs/SHARDING.md)",
+        "entries": [*entries, lowering, warm_op],
         "host_execution": {
             "description": "host wall-clock per configuration "
                            "(machine-dependent, not regression-gated)",
@@ -233,6 +288,8 @@ def main(argv=None) -> int:
               f"{e['throughput_x']:.2f}x")
     print(f"warm lowering  {lowering['shards']} shards  "
           f"{lowering['warm_lowering_ms'] * 1e3:.2f} us")
+    print(f"warm exchange op  {warm_op['shards']} shards  "
+          f"{warm_op['warm_exchange_op_ms']:.3f} ms")
     for e in exchange:
         print(f"exchange {e['case']:<11}  solo {e['solo_sim_ms']:>9.3f} ms  "
               f"{e['shards']} shards {e['sharded_sim_ms']:>9.3f} ms  "
@@ -277,6 +334,12 @@ def test_sharded_join_scales(benchmark, experiment_report):
     )
     assert by_shards[4]["throughput_x"] > by_shards[2]["throughput_x"] >= 1.0
     assert by_shards[4]["sim_makespan_ms"] < by_shards[1]["sim_makespan_ms"]
+
+
+def test_warm_exchange_op_derives_nothing():
+    """The warm op's own assertions, timed over a few runs only."""
+    entry = run_warm_exchange_op(number=2)
+    assert entry["warm_exchange_op_ms"] > 0
 
 
 if __name__ == "__main__":

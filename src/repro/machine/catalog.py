@@ -69,6 +69,9 @@ class Catalog:
         #: setup and free bytes, context): the contexts
         #: :meth:`planning_context` built, shared with its lanes.
         self._contexts: dict[tuple, tuple] = {}
+        #: (modules, bytes each, element bits) -> the free bytes the
+        #: preloads leave of those memories; a new dict at each preload.
+        self._free: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
     # -- mutation ----------------------------------------------------------
 
@@ -83,6 +86,36 @@ class Catalog:
             if name in self._preloaded:
                 raise PlanError(f"relation {name!r} is already resident")
             self._preloaded[name] = relation
+            self._free = {}
+
+    def receive(
+        self, pieces: Sequence[tuple[str, Relation]], kept: dict, key: tuple
+    ) -> None:
+        """Preload ``pieces``, ``(name, relation)`` pairs in order — what
+        a sharded query's lane receives after an exchange stage — with
+        what ``kept`` holds of them under ``key``: each piece's records
+        (``{columns: record}``) under ``(*key, name)``, and the free
+        bytes the pieces leave of the memories under ``(*key, names)``,
+        beside the free-bytes memo of the preloads they follow.
+
+        Whatever is not there yet is derived by the compiles that read
+        it and put there for the next query, so ``kept`` must be
+        dropped once a piece under ``key`` may differ from the one that
+        filled it: a sharded query keeps it beside the shard snapshot
+        (:attr:`~repro.shard.catalog.ShardedSnapshot.received`), whose
+        pieces are a pure function of it and the plan."""
+        names = tuple([name for name, _ in pieces])
+        with self._lock:
+            follows = self._free
+            for name, relation in pieces:
+                self.preload(name, relation)
+                self._resident[name] = (
+                    relation, kept.setdefault((*key, name), {})
+                )
+            free = kept.get((*key, names))
+            if free is None or free[0] is not follows:
+                free = kept[(*key, names)] = (follows, {})
+            self._free = free[1]
 
     def attach_store(self, store: "RelationStore") -> None:
         """Back the tenant's disk with a persistent relation store."""
@@ -176,9 +209,9 @@ class Catalog:
                 )
             # What the preloads leave of the memories; without any, the
             # key's ``memories`` say it, and a warm compile skips this.
-            placed = preloaded_free_bytes(
-                preloaded.items(), *memories, element_bits
-            ) if preloaded else None
+            placed = (
+                self._placed(memories, element_bits) if preloaded else None
+            )
             setup = (
                 disk, disk.model, disk.logic_per_track, disk.element_bits,
                 placed,
@@ -194,15 +227,26 @@ class Catalog:
                 {name: record for (name, _), record in zip(reads, records)},
                 disk.model, disk.logic_per_track, disk.element_bits,
                 tuple(devices),
-                preloaded_free_bytes(
-                    preloaded.items(), *memories, element_bits
-                ),
+                (memories[1],) * memories[0] if placed is None else placed,
                 element_bits,
             )
             if len(self._contexts) >= CONTEXT_MEMO_SIZE:
                 self._contexts.clear()
             self._contexts[key] = (records, setup, context)
             return context
+
+    def _placed(
+        self, memories: tuple[int, int], element_bits: int
+    ) -> tuple[int, ...]:
+        """:func:`preloaded_free_bytes` of the preloads, kept until the
+        next preload (in a lane, beside what it received)."""
+        key = (*memories, element_bits)
+        free = self._free.get(key)
+        if free is None:
+            free = self._free.setdefault(key, preloaded_free_bytes(
+                self._preloaded.items(), *memories, element_bits
+            ))
+        return free
 
     def _resident_record(
         self, name: str, relation: Relation, columns: tuple[ColumnRef, ...]
@@ -214,9 +258,10 @@ class Catalog:
             kept = self._resident[name] = (relation, {})
         record = kept[1].get(columns)
         if record is None:
-            record = kept[1][columns] = BaseRecord.of(
+            # setdefault: racing lanes that share the records agree on one.
+            record = kept[1].setdefault(columns, BaseRecord.of(
                 relation, columns, resident=True
-            )
+            ))
         return record
 
     def lane(self) -> "Catalog":
@@ -225,13 +270,15 @@ class Catalog:
         exchanged relations) without the tenant's other queries seeing
         them.  It starts with this catalog's kept records and shares
         its kept contexts — each checked against its sources on every
-        use, and holding no relation — so its compiles hit what the
-        tenant's earlier queries kept."""
+        use, and holding no relation — and the free bytes of its
+        preloads until it preloads one of its own, so its compiles hit
+        what the tenant's earlier queries kept."""
         with self._lock:
             lane = Catalog(tenant=self.tenant, disk=self.disk)
             lane._preloaded = dict(self._preloaded)
             lane._resident = dict(self._resident)
             lane._contexts = self._contexts
+            lane._free = self._free
             return lane
 
     def __repr__(self) -> str:

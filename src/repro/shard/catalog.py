@@ -97,6 +97,21 @@ class ShardedSnapshot(_SnapshotFields):
             tuple(self.spread.items()),
         ))
 
+    @cached_property
+    def received(self) -> dict:
+        """What the lanes of queries lowered from this snapshot receive
+        after their exchange stages, kept for the next such query: per
+        plan fingerprint, one memo for :meth:`~repro.machine.catalog.
+        Catalog.receive` keyed by ``(stage index, shard)`` — the records
+        of each piece received and the free bytes the pieces leave.  A
+        piece is a pure function of the snapshot and the plan (a
+        recovered run equals a fault-free one), and the snapshot is
+        handed back only while every shard's records are the same
+        objects, so nothing here can go stale; it holds records, never a
+        relation, and lives as long as the snapshot, which the catalog
+        bounds."""
+        return {}
+
 
 class ShardedCatalog:
     """Maps a logical relation namespace onto ``shards`` catalogs.

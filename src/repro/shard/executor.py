@@ -219,6 +219,15 @@ class ShardedExecutor:
         roots again.  Concurrent misses of one key lower once; a cache
         of size 0 lowers every query.
         """
+        return self._lower(plans)[0]
+
+    def _lower(
+        self, plans: Sequence[PlanNode] | PlanNode
+    ) -> tuple[ShardedPlan, dict]:
+        """:meth:`plan`, and what the plan's lanes received from its
+        exchanges in earlier queries over the same snapshot
+        (:attr:`~repro.shard.catalog.ShardedSnapshot.received`, per plan
+        fingerprint)."""
         if isinstance(plans, PlanNode):
             plans = [plans]
         fingerprint, reads = plan_keys(plans)
@@ -227,7 +236,7 @@ class ShardedExecutor:
             ("sharded", fingerprint, snapshot.fingerprint),
             lambda: ShardPlanner().lower(plans, snapshot),
         )
-        return sharded
+        return sharded, snapshot.received.setdefault(fingerprint, {})
 
     def compile(
         self,
@@ -243,7 +252,8 @@ class ShardedExecutor:
         beside its own prefetched relations.  So the predicted makespan
         is the planner's estimate: exact for exchange-free plans, an
         approximation otherwise, until ROADMAP item 16 compiles each
-        lane against a record of what it will hold.
+        lane against a record of what it will hold.  The placeholders'
+        records are not what a query's lanes receive, so none is kept.
         """
         sharded = self.plan(plans)
         stages = []
@@ -257,7 +267,9 @@ class ShardedExecutor:
             ]
             return [p.predicted_makespan for p in stages[-1]], received
 
-        windows, _ = self._stage_loop(sharded, arrivals, pipeline, plan_stage)
+        windows, _ = self._stage_loop(
+            sharded, {}, arrivals, pipeline, plan_stage
+        )
         return ShardedCompilation(
             plan=sharded, physicals=stages.pop(), stages=stages,
             predicted_makespan=windows[-1][1],
@@ -299,7 +311,7 @@ class ShardedExecutor:
             "service.query", tenant=self.catalog.tenant,
             plans=len(plans), priority=priority, shards=self.shards,
         ) as sp:
-            sharded = self.plan(plans)
+            sharded, kept = self._lower(plans)
             report = ShardedExecutionReport(
                 shards=self.shards, exchanges=list(sharded.exchanges),
             )
@@ -327,7 +339,7 @@ class ShardedExecutor:
                 return [rep.makespan for _, rep in outcomes], received
 
             windows, per_shard = self._stage_loop(
-                sharded, arrivals, pipeline, run_stage
+                sharded, kept, arrivals, pipeline, run_stage
             )
             for (step, outcomes), (start, end) in zip(ran, windows):
                 report.steps += [
@@ -364,8 +376,8 @@ class ShardedExecutor:
         return [shard.lane() for shard in self.catalog.shards]
 
     def _stage_loop(
-        self, sharded: ShardedPlan, arrivals: Optional[Sequence[float]],
-        pipeline: bool,
+        self, sharded: ShardedPlan, received: dict,
+        arrivals: Optional[Sequence[float]], pipeline: bool,
         action: Callable[[_Stage], tuple[list[float], Optional[list]]],
     ) -> tuple[list[tuple[float, float]], Optional[list]]:
         """The one walk of a sharded plan's stages, ``compile``'s and
@@ -377,9 +389,12 @@ class ShardedExecutor:
         (:meth:`_stage_plan`).  It returns each shard's seconds and,
         after an exchange stage, what each lane receives — the
         exchanged relation, then one per kept prefetch root — for the
-        loop to preload.  A stage lasts as long as its slowest shard,
-        then its exchange.  Returns each stage's ``(start, end)`` and
-        the final action's relations.
+        loop to preload with what ``received`` keeps of them under
+        ``(stage index, shard)`` (:meth:`Catalog.receive`), so the
+        later stages' compiles hit the records, contexts and plans of
+        the earlier queries that filled it.  A stage lasts as long as
+        its slowest shard, then its exchange.  Returns each stage's
+        ``(start, end)`` and the final action's relations.
         """
         lanes = self._lanes()
         windows: list[tuple[float, float]] = []
@@ -393,16 +408,20 @@ class ShardedExecutor:
                 0 if final else len(roots) - 1, arrivals if final else None,
                 pipeline,
             )
-            seconds, received = action(
+            seconds, pieces = action(
                 _Stage(index, step, roots, lanes, compile_lane, kept)
             )
             end = start + max(seconds)
             windows.append((start, end))
             if final:
-                return windows, received
-            for lane, reads, relations in zip(lanes, kept, received):
-                for source, relation in zip([step, *reads], relations):
-                    lane.preload(source.name, relation)
+                return windows, pieces
+            for shard, (lane, reads, relations) in enumerate(
+                zip(lanes, kept, pieces)
+            ):
+                lane.receive([
+                    (source.name, relation)
+                    for source, relation in zip([step, *reads], relations)
+                ], received, (index, shard))
             start = end + step.cost.seconds
 
     def _stage_plan(

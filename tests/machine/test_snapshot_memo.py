@@ -193,6 +193,57 @@ class TestMemoizedRecords:
         assert _compiles_as_rebuilt(pool, catalog, [JOIN]) == kept
         assert "X" not in catalog and not catalog.preloaded()
 
+    def test_the_free_bytes_are_counted_once_a_preload(self, monkeypatch):
+        """A context miss counts what the preloads leave of the memories
+        once; a hit, or a miss on other reads, counts it not at all
+        until the next preload."""
+        from repro.machine import catalog as machine_catalog
+
+        counted = []
+
+        def counting(*args):
+            counted.append(args[1:])
+            return preloaded_free_bytes(*args)
+
+        monkeypatch.setattr(machine_catalog, "preloaded_free_bytes", counting)
+        pool, catalog = _pool(memories=2, memory_bytes=4096), Catalog()
+        r, s = join_pair(20, 12, 6, seed=3)
+        catalog.store("R", r)
+        catalog.store("S", s)
+        catalog.preload("HOT", random_relation(30, 2, seed=5))
+        before = _compiles_as_rebuilt(pool, catalog, [JOIN])
+        assert len(counted) == 1
+        assert _compiles_as_rebuilt(pool, catalog, [Base("R")]).memory_free \
+            == before.memory_free
+        assert len(counted) == 1
+        catalog.preload("WARM", random_relation(20, 2, seed=6))
+        assert _compiles_as_rebuilt(pool, catalog, [JOIN]).memory_free \
+            != before.memory_free
+        assert len(counted) == 2
+
+    def test_a_lane_receives_what_was_kept(self):
+        """``Catalog.receive`` hands a lane the records and free bytes an
+        earlier lane kept under the same key; the free bytes only while
+        the preloads they follow are the same."""
+        pool, catalog = _pool(memories=2, memory_bytes=4096), Catalog()
+        r, s = join_pair(20, 12, 6, seed=3)
+        catalog.store("R", r)
+        catalog.store("S", s)
+        kept: dict = {}
+        first = catalog.lane()
+        first.receive([("R", Relation(r.schema, r.array))], kept, (0, 0))
+        context = _compiles_as_rebuilt(pool, first, [JOIN])
+        second = catalog.lane()
+        second.receive([("R", Relation(r.schema, r.array))], kept, (0, 0))
+        assert _compiles_as_rebuilt(pool, second, [JOIN]) is context
+        # A tenant preload the plans do not read moves the free bytes.
+        catalog.preload("HOT", random_relation(30, 2, seed=5))
+        third = catalog.lane()
+        third.receive([("R", Relation(r.schema, r.array))], kept, (0, 0))
+        moved = _compiles_as_rebuilt(pool, third, [JOIN])
+        assert moved.bases["R"] is context.bases["R"]
+        assert moved.memory_free != context.memory_free
+
     def test_a_rewrite_through_a_second_store_on_the_same_root(
         self, tmp_path
     ):

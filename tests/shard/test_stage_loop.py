@@ -1,26 +1,41 @@
 """What a sharded query's one stage loop derives, and what it predicts.
 
 ``ShardedExecutor.compile`` and ``execute`` walk the stages through one
-loop (``_stage_loop``).  A warm ``run_many`` is bounded from above at
-what it derived before the walks merged, on ``bulk_join``'s pool and
-data: the loop may only lower these counts (ROADMAP item 17).  And a
-sharded prediction after an exchange is still the planner's estimate
-(ROADMAP item 16); the drift is pinned as an expected failure, so the
-test turns into a pass the day stages compile against what they hold.
+loop (``_stage_loop``).  On ``bulk_join``'s pool and data, a warm
+``run_many`` derives no record, no planning context and no free bytes:
+its lanes preload what they receive after an exchange with the records
+an earlier query kept beside the shard snapshot
+(``ShardedSnapshot.received``), so every lane compile hits.  Its
+compiles stay bounded at what the loop ran when the walks merged.  A
+rewrite of a relation the plan reads makes the next op derive again.
+And a sharded prediction after an exchange is still the planner's
+estimate (ROADMAP item 16); the drift is pinned as an expected failure,
+so the test turns into a pass the day stages compile against what they
+hold.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 import pytest
 
 from repro.arrays import ArrayCapacity
 from repro.machine import Base, BaseRecord, EnginePool, Join, PlanningContext
+from repro.machine import catalog as machine_catalog
+from repro.machine.physical import plan_keys
 from repro.obs import metrics
+from repro.relational import Relation, algebra
 from repro.systolic.engine import LatticeEngine
 from repro.workloads import join_pair
 
 KEY_JOIN = Join(Base("JA"), Base("JB"), on=(("key", "key"),))
 NONKEY_JOIN = Join(Base("JA"), Base("JB"), on=(("a0", "b0"),))
+
+
+def _data(n_a: int, n_b: int, seed: int):
+    return join_pair(n_a, n_b, n_b, universe=n_a + n_b, seed=seed)
 
 
 def _session(n_a: int, n_b: int, shards: int, seed: int):
@@ -34,7 +49,7 @@ def _session(n_a: int, n_b: int, shards: int, seed: int):
         backend=LatticeEngine(chunk_bytes=128 * 1024 * 1024),
     )
     session = pool.session("pair", shards=shards)
-    ja, jb = join_pair(n_a, n_b, n_b, universe=n_a + n_b, seed=seed)
+    ja, jb = _data(n_a, n_b, seed)
     session.store("JA", ja, key="key")
     session.store("JB", jb, key="key")
     return session
@@ -43,10 +58,11 @@ def _session(n_a: int, n_b: int, shards: int, seed: int):
 class TestWarmOpsDeriveNoMore:
     @pytest.fixture
     def derivations(self, monkeypatch) -> list:
-        """One entry per ``BaseRecord.of`` call and per
-        ``PlanningContext`` built."""
+        """One entry per ``BaseRecord.of`` call, per ``PlanningContext``
+        built and per free-bytes count of a catalog's preloads."""
         calls = []
         of, new = BaseRecord.of.__func__, PlanningContext.__new__
+        free = machine_catalog.preloaded_free_bytes
 
         def counted_of(cls, *args, **kwargs):
             calls.append("BaseRecord.of")
@@ -56,29 +72,47 @@ class TestWarmOpsDeriveNoMore:
             calls.append("PlanningContext")
             return new(cls, *args, **kwargs)
 
+        def counted_free(*args, **kwargs):
+            calls.append("preloaded_free_bytes")
+            return free(*args, **kwargs)
+
         monkeypatch.setattr(BaseRecord, "of", classmethod(counted_of))
         monkeypatch.setattr(PlanningContext, "__new__", counted_new)
+        monkeypatch.setattr(
+            machine_catalog, "preloaded_free_bytes", counted_free
+        )
         return calls
 
     @staticmethod
-    def _warm_op(session, plan, derivations) -> dict:
-        """The compiles and derivations of one warm ``run_many``."""
-        session.run_many([plan])
+    def _op(session, plan, derivations) -> dict:
+        """The results, compiles and derivations of one ``run_many``."""
         derivations.clear()
         metrics.reset()
         metrics.enable()
         try:
-            _, report = session.run_many([plan])
+            (result,), report = session.run_many([plan])
             compiles = metrics.counter("machine.compile.calls")
         finally:
             metrics.disable()
             metrics.reset()
         return {
+            "rows": sorted(result.tuples),
             "exchanges": len(report.exchanges),
             "compiles": compiles,
             "records": derivations.count("BaseRecord.of"),
             "contexts": derivations.count("PlanningContext"),
+            "free": derivations.count("preloaded_free_bytes"),
         }
+
+    @staticmethod
+    def _snapshot(session, plan):
+        _, reads = plan_keys([plan])
+        return session.sharded_catalog.snapshot(reads, session.pool.devices)
+
+    def _warm_op(self, session, plan, derivations) -> dict:
+        """The compiles and derivations of one warm ``run_many``."""
+        session.run_many([plan])
+        return self._op(session, plan, derivations)
 
     def test_a_key_join_on_two_shards(self, derivations):
         warm = self._warm_op(
@@ -94,8 +128,7 @@ class TestWarmOpsDeriveNoMore:
         )
         assert warm["exchanges"] == 1
         assert warm["compiles"] <= 4
-        assert warm["records"] <= 4
-        assert warm["contexts"] <= 2
+        assert warm["records"] == warm["contexts"] == warm["free"] == 0
 
     def test_two_repartitions_on_four_shards(self, derivations):
         warm = self._warm_op(
@@ -103,6 +136,58 @@ class TestWarmOpsDeriveNoMore:
         )
         assert warm["exchanges"] == 2
         assert warm["compiles"] <= 12
+        assert warm["records"] == warm["contexts"] == warm["free"] == 0
+
+    def test_a_rewrite_derives_again(self, derivations):
+        """A rewrite of ``JA`` with its row count and distinct counts, on
+        every shard: the shard snapshot is a new one with an equal
+        fingerprint, so the lowering is a cache hit but nothing its lanes
+        received before may answer for what they receive now."""
+        session = _session(4096, 64, 2, 11)
+        ja, jb = _data(4096, 64, 11)
+        self._warm_op(session, NONKEY_JOIN, derivations)
+        snapshot = self._snapshot(session, NONKEY_JOIN)
+        # A bijection of the a0 values keeps every piece's counts.
+        matrix = ja.array.copy()
+        values, inverse = np.unique(matrix[:, 1], return_inverse=True)
+        matrix[:, 1] = np.roll(values, 1)[inverse]
+        rewritten = Relation(ja.schema, matrix)
+        session.store("JA", rewritten, key="key")
+        rebuilt = self._snapshot(session, NONKEY_JOIN)
+        assert rebuilt is not snapshot
+        assert rebuilt.fingerprint == snapshot.fingerprint
+        first = self._op(session, NONKEY_JOIN, derivations)
+        assert first["rows"] == sorted(
+            algebra.join(rewritten, jb, [("a0", "b0")]).tuples
+        )
+        assert first["rows"] != sorted(
+            algebra.join(ja, jb, [("a0", "b0")]).tuples
+        )
+        # Stage 0's record of JA on each shard's disk, then both pieces
+        # each lane receives: the broadcast JB and its prefetched JA.
+        assert first["records"] == 6
+        # Each lane's stage-0 and final-stage contexts.
+        assert first["contexts"] == 4
+        warm = self._op(session, NONKEY_JOIN, derivations)
+        assert warm["rows"] == first["rows"]
+        assert warm["records"] == warm["contexts"] == warm["free"] == 0
+
+    def test_racing_threads_equal_the_serial_run(self):
+        """Four threads run the non-key op on one pool from cold, so
+        their first queries race to fill what the snapshot keeps."""
+        serial = _session(4096, 64, 2, 11)
+        expected = [serial.run_many([NONKEY_JOIN]) for _ in range(2)]
+        assert expected[0][1].makespan == expected[1][1].makespan
+        session = _session(4096, 64, 2, 11)
+        with ThreadPoolExecutor(max_workers=4) as threads:
+            runs = list(threads.map(
+                lambda _: session.run_many([NONKEY_JOIN]), range(12)
+            ))
+        (want,), report = expected[0]
+        for (got,), got_report in runs:
+            assert sorted(got.tuples) == sorted(want.tuples)
+            assert got_report.makespan == report.makespan
+            assert got_report.steps == report.steps
 
 
 @pytest.mark.xfail(
